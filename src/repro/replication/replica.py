@@ -34,7 +34,7 @@ recovery stagger — the same code path as single-node crash recovery.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..engine.events import WorkflowStatus
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
@@ -44,7 +44,13 @@ from ..txn.manager import TransactionManager
 from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
 from ..txn.wal import LogRecord
-from ..services.execution import EXECUTION_INTERFACE, ExecutionService, _compile_cached
+from ..services.execution import (
+    EXECUTION_INTERFACE,
+    ExecutionService,
+    _compile_cached,
+    instance_ids,
+    instances_of,
+)
 
 REPLICA_INTERFACE = Interface(
     "WorkflowExecutionReplica",
@@ -396,17 +402,19 @@ class ReplicatedExecutionService(ExecutionService):
         finally:
             self._shipping = False
 
-    def _ship_to(self, peer: str) -> None:
+    def _push(self, peer: str) -> Optional[Dict[str, Any]]:
+        """Ship ``peer`` the durable suffix past its acked LSN (the whole,
+        checkpoint-rooted log when nothing is acked).  Returns its reply, or
+        ``None`` when there was nothing to ship or the call failed (the peer
+        is then demoted)."""
         acked = self._standby_acked.get(peer)
         reset = acked is None
         from_lsn = 0 if reset else acked
-        records = [
-            rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
-        ]
+        records = self.store.wal.durable_since(from_lsn)
         # A checkpoint-truncated gap needs no resync: the retained log starts
         # with the CHECKPOINT record whose snapshot supersedes the gap.
         if not records and not reset:
-            return
+            return None
         batch = {
             "epoch": self.epoch,
             "writer": self.name,
@@ -417,46 +425,28 @@ class ReplicatedExecutionService(ExecutionService):
         }
         self.repl_stats["pushes"] += 1
         try:
-            reply = self._invoke(peer, "replicate", batch)
+            return self._invoke(peer, "replicate", batch)
         except CommFailure:
             self.repl_stats["push_failures"] += 1
             self._demote_peer(peer)
+            return None
+
+    def _ship_to(self, peer: str) -> None:
+        reply = self._push(peer)
+        if reply is None:
             return
-        if reply.get("fenced"):
-            self._demote_self(f"push fenced by {peer}", reply.get("epoch", 0))
-            return
-        if reply.get("ok"):
-            self._standby_acked[peer] = reply["have"]
-            self._maybe_enlist(peer)
-            return
-        # Cursor disagreement (e.g. the standby under-reported its tail after
-        # a crash between force and tail-persist): adopt its position — or a
-        # full resync when its tail is from another epoch — and retry once.
-        if reply.get("resync"):
-            self._standby_acked.pop(peer, None)
-        else:
-            self._standby_acked[peer] = reply.get("have", 0)
-        acked = self._standby_acked.get(peer)
-        reset = acked is None
-        from_lsn = 0 if reset else acked
-        records = [
-            rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
-        ]
-        batch = {
-            "epoch": self.epoch,
-            "writer": self.name,
-            "reset": reset,
-            "from_lsn": from_lsn,
-            "last_lsn": records[-1].lsn if records else from_lsn,
-            "records": [_wire(rec) for rec in records],
-        }
-        self.repl_stats["pushes"] += 1
-        try:
-            reply = self._invoke(peer, "replicate", batch)
-        except CommFailure:
-            self.repl_stats["push_failures"] += 1
-            self._demote_peer(peer)
-            return
+        if not (reply.get("ok") or reply.get("fenced")):
+            # Cursor disagreement (e.g. the standby under-reported its tail
+            # after a crash between force and tail-persist): adopt its
+            # position — or a full resync when its tail is from another
+            # epoch — and retry once.
+            if reply.get("resync"):
+                self._standby_acked.pop(peer, None)
+            else:
+                self._standby_acked[peer] = reply.get("have", 0)
+            reply = self._push(peer)
+            if reply is None:
+                return
         if reply.get("ok"):
             self._standby_acked[peer] = reply["have"]
             self._maybe_enlist(peer)
@@ -507,17 +497,23 @@ class ReplicatedExecutionService(ExecutionService):
         crash_point("repl.tail.apply", self)
         if batch.get("reset"):
             self._local_reset()
-        for rec in batch["records"]:
-            txn = TransactionId(rec["txn"][0], rec["txn"][1]) if rec["txn"] else None
-            obj = ObjectId(rec["obj"]) if rec["obj"] is not None else None
-            self.store.wal.append(rec["kind"], txn, obj, rec["value"])
-        self.store.wal.force()
-        self.store.sync()
-        self.store.recover()
+        # Fold the batch alone into the committed cache: its cost is its own
+        # length, not the log's.  A full replay of the local log would end in
+        # the same cache (the store-agreement oracle holds us to that).
+        installed = self.store.ingest(
+            (
+                rec["kind"],
+                TransactionId(rec["txn"][0], rec["txn"][1]) if rec["txn"] else None,
+                ObjectId(rec["obj"]) if rec["obj"] is not None else None,
+                rec["value"],
+            )
+            for rec in batch["records"]
+        )
         # Tail *after* the records: a crash in between under-reports, and the
         # duplicate re-ship replays identically (same txns, same values).
         self._persist_tail(batch["last_lsn"], epoch)
-        self._refresh_image()
+        # every journal transaction rewrites its instances' meta objects
+        self._refresh_image(dict.fromkeys(instances_of(installed, "meta")))
         self._image_valid = True
         self.repl_stats["tail_applies"] += 1
         return {"ok": True, "have": batch["last_lsn"]}
@@ -532,8 +528,9 @@ class ReplicatedExecutionService(ExecutionService):
 
     # -- warm image ---------------------------------------------------------------
 
-    def _refresh_image(self) -> None:
-        """Bring the ready-to-promote image up to the local durable journal.
+    def _refresh_image(self, iids: Iterable[str]) -> None:
+        """Bring the ready-to-promote image of instances ``iids`` up to the
+        local durable journal.
 
         Incremental: each instance remembers how many journal entries the
         image has applied and replays only the new ones, through the same
@@ -541,18 +538,18 @@ class ReplicatedExecutionService(ExecutionService):
         barrier, exactly the tree a recovery replay would build.  Standbys
         never dispatch: flights accumulate in ``in_flight`` unsent until
         promotion resumes them."""
-        for iid in self.store.get_committed("instance-index", []):
-            meta = self.store.get_committed(f"instance:{iid}:meta")
-            if meta is None:
+        for iid in iids:
+            spec = self.store.get_committed(f"instance:{iid}:spec")
+            if spec is None:
                 continue
             runtime = self.runtimes.get(iid)
             applied = self._image_applied.get(iid, 0)
             if runtime is None:
-                script = _compile_cached(meta["script_text"])
-                runtime = self._fresh_runtime(iid, script, meta)
+                script = _compile_cached(spec["script_text"])
+                runtime = self._fresh_runtime(iid, script, spec)
                 self.runtimes[iid] = runtime
                 applied = 0
-            total = meta["journal_len"]
+            total = self.store.get_committed(f"instance:{iid}:meta")["journal_len"]
             if total > applied:
                 entries = self.store.get_committed_many(
                     f"instance:{iid}:journal:{n}" for n in range(applied, total)
@@ -570,7 +567,7 @@ class ReplicatedExecutionService(ExecutionService):
         self._image_applied = {}
         tail = self._tail()
         self._max_epoch_seen = max(self._max_epoch_seen, tail["epoch"])
-        self._refresh_image()
+        self._refresh_image(instance_ids(self.store))
         self._image_valid = True
 
     # -- settlement ----------------------------------------------------------------

@@ -14,9 +14,10 @@ Oracles and the guarantees they police:
     projection of the log; divergence means a commit installed state that
     the log cannot reproduce (a lost write after the next crash).
 ``journal-contiguity``
-    Every instance in the durable ``instance-index`` must have its meta
-    object and journal entries ``0..journal_len-1`` all present.  A gap
-    means the journal-append transaction committed non-atomically.
+    Every instance in the store (every durable ``instance:<iid>:spec``) must
+    have its meta object and journal entries ``0..journal_len-1`` all
+    present.  A gap means the instantiate or journal-append transaction
+    committed non-atomically.
 ``exactly-once``
     No two journal entries may resolve the same task execution, and no mark
     may be journaled twice.  Duplicate worker replies (at-least-once
@@ -65,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..services.execution import instance_ids
 from ..txn import wal as wal_mod
 from ..txn.store import ObjectStore
 
@@ -137,13 +139,13 @@ def check_journal_integrity(
 ) -> List[OracleViolation]:
     """Contiguity + exactly-once over every instance's durable journal."""
     violations: List[OracleViolation] = []
-    for iid in store.get_committed("instance-index", []):
+    for iid in instance_ids(store):
         meta, journal = _journal_entries(store, iid)
         if meta is None:
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
-                    "instance is indexed but has no meta object", phase,
+                    "instance has a spec but no meta object", phase,
                 )
             )
             continue
@@ -195,7 +197,7 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
             violations.append(
                 OracleViolation(
                     "replay-agreement", iid,
-                    "live instance has no durable meta to replay from", phase,
+                    "live instance has no durable spec to replay from", phase,
                 )
             )
             continue
@@ -300,7 +302,7 @@ def check_epoch_fencing(
     violations: List[OracleViolation] = []
     writers: Dict[int, Dict[str, str]] = {}  # epoch -> writer -> first site
     for store in stores:
-        for iid in store.get_committed("instance-index", []):
+        for iid in instance_ids(store):
             meta, journal = _journal_entries(store, iid)
             if meta is None:
                 continue

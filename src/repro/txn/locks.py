@@ -10,6 +10,11 @@ Two acquisition disciplines are offered:
 
 Locks are held until :meth:`release_all` at commit/abort — strict 2PL, which
 is what gives the paper's atomic objects serialisable updates.
+
+The table holds an entry only for objects that currently have a holder or a
+waiter, and every transaction indexes the objects it holds and the queues it
+may stand in, so a release costs O(objects of that transaction) however many
+keys the store has ever locked.
 """
 
 from __future__ import annotations
@@ -65,21 +70,30 @@ class LockManager:
     """Table of object locks, one per store."""
 
     def __init__(self) -> None:
-        self._table: Dict[ObjectId, _LockEntry] = defaultdict(_LockEntry)
+        # only objects with a holder or a waiter have an entry
+        self._table: Dict[ObjectId, _LockEntry] = {}
         self._held: Dict[TransactionId, Set[ObjectId]] = defaultdict(set)
+        # objects in whose waiter queue a transaction may stand: a superset,
+        # emptied when the transaction releases
+        self._waiting: Dict[TransactionId, Set[ObjectId]] = defaultdict(set)
         # waits-for graph: txn -> transactions it waits on
         self._waits_for: Dict[TransactionId, Set[TransactionId]] = defaultdict(set)
+        # objects whose holders changed without a grant pass (transfer_all);
+        # the next release_all looks at their queues
+        self._regrant: Set[ObjectId] = set()
 
     # -- queries ---------------------------------------------------------------
 
     def holders(self, obj: ObjectId) -> Dict[TransactionId, LockMode]:
-        return dict(self._table[obj].holders)
+        entry = self._table.get(obj)
+        return dict(entry.holders) if entry is not None else {}
 
     def held_by(self, txn: TransactionId) -> Set[ObjectId]:
         return set(self._held.get(txn, ()))
 
     def mode_of(self, txn: TransactionId, obj: ObjectId) -> Optional[LockMode]:
-        return self._table[obj].holders.get(txn)
+        entry = self._table.get(obj)
+        return entry.holders.get(txn) if entry is not None else None
 
     # -- acquisition ----------------------------------------------------------
 
@@ -87,7 +101,9 @@ class LockManager:
         """Acquire without waiting.  Returns False (and acquires nothing) if a
         conflicting holder exists.  Lock upgrades (shared -> exclusive by the
         sole holder) are supported."""
-        entry = self._table[obj]
+        entry = self._table.get(obj)
+        if entry is None:
+            entry = self._table[obj] = _LockEntry()
         current = entry.holders.get(txn)
         if current is LockMode.EXCLUSIVE or current is mode:
             return True
@@ -113,6 +129,7 @@ class LockManager:
             self._waits_for.pop(txn, None)
             raise DeadlockError(txn, cycle)
         entry.waiters.append((txn, mode))
+        self._waiting[txn].add(obj)
 
     def _find_cycle(self, start: TransactionId) -> Optional[List[TransactionId]]:
         seen: Set[TransactionId] = set()
@@ -152,6 +169,8 @@ class LockManager:
                     current or mode
                 )
             self._held[parent].add(obj)
+            if entry.waiters:
+                self._regrant.add(obj)
         self._waits_for.pop(child, None)
         for waiters in self._waits_for.values():
             waiters.discard(child)
@@ -161,24 +180,33 @@ class LockManager:
     def release_all(self, txn: TransactionId) -> List[Tuple[TransactionId, ObjectId]]:
         """Release every lock held by ``txn`` (strict 2PL release point) and
         grant queued waiters where now possible.  Returns the grants made as
-        ``(waiter, object)`` pairs so the caller can resume those
-        transactions."""
+        ``(waiter, object)`` pairs — objects in id order, FIFO within one
+        object — so the caller can resume those transactions."""
         grants: List[Tuple[TransactionId, ObjectId]] = []
-        for obj in self._held.pop(txn, set()):
-            entry = self._table[obj]
-            entry.holders.pop(txn, None)
+        table = self._table
+        # a queue can only move where this call changes holders or waiters
+        # (or transfer_all did): every other object keeps its blocked head
+        touched = self._held.pop(txn, set())
+        for obj in touched:
+            table[obj].holders.pop(txn, None)
         self._waits_for.pop(txn, None)
         for waiters in self._waits_for.values():
             waiters.discard(txn)
-        # drop the released transaction from every waiter queue (it may have
-        # been waiting elsewhere when it aborted)
-        for entry in self._table.values():
-            if any(waiter == txn for waiter, _mode in entry.waiters):
+        # drop the released transaction from the queues it stands in (it may
+        # have been waiting elsewhere when it aborted)
+        for obj in self._waiting.pop(txn, ()):
+            entry = table.get(obj)
+            if entry is not None and any(waiter == txn for waiter, _mode in entry.waiters):
                 entry.waiters = deque(
                     (waiter, mode) for waiter, mode in entry.waiters if waiter != txn
                 )
-        # grant pass: for each object with waiters, admit compatible ones FIFO
-        for obj, entry in list(self._table.items()):
+                touched.add(obj)
+        if self._regrant:
+            touched |= self._regrant
+            self._regrant.clear()
+        # grant pass: for each such object with waiters, admit compatible ones FIFO
+        for obj in sorted(obj for obj in touched if table[obj].waiters):
+            entry = table[obj]
             made_grant = True
             while made_grant and entry.waiters:
                 waiter, mode = entry.waiters[0]
@@ -190,4 +218,8 @@ class LockManager:
                     grants.append((waiter, obj))
                 else:
                     made_grant = False
+        for obj in touched:
+            entry = table[obj]
+            if not entry.holders and not entry.waiters:
+                del table[obj]
         return grants

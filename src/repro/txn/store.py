@@ -5,17 +5,24 @@ committed states of persistent atomic objects plus the write-ahead log that
 makes updates recoverable.  The in-memory ``committed`` map is just a cache of
 what the durable log says; :meth:`crash` drops unforced log records and
 rebuilds the cache from the log — the store's entire crash semantics.
+
+A follower that receives another store's log in batches (:meth:`ingest`)
+folds each batch into the cache instead of replaying its whole log; the fold
+and the full replay are one function (:func:`repro.txn.wal.fold`), so they
+cannot drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, KeysView, List, Optional
+from typing import Any, Callable, Dict, Iterable, KeysView, List, Optional, Tuple
 
 from ..sim.crashpoints import crash_point
 from .ids import ObjectId, TransactionId
 from .locks import LockManager
 from . import wal as wal_mod
-from .wal import WriteAheadLog
+from .wal import LogRecord, WriteAheadLog
+
+_MISSING = object()
 
 
 class NoSuchObject(KeyError):
@@ -36,6 +43,10 @@ class ObjectStore:
         self.wal = WriteAheadLog(mirror_path, group_commit=group_commit, group_max=group_max)
         self.locks = LockManager()
         self._committed: Dict[str, Any] = {}
+        # logged updates of undecided transactions in the durable log: with
+        # ``_committed``, the replay state that :meth:`ingest` advances
+        self._pending: Dict[TransactionId, List[LogRecord]] = {}
+        self._derived: Dict[str, Callable[[], Any]] = {}
 
     # -- committed-state access -------------------------------------------------
 
@@ -46,7 +57,16 @@ class ObjectStore:
             raise NoSuchObject(key) from None
 
     def get_committed(self, key: str, default: Any = None) -> Any:
-        return self._committed.get(key, default)
+        value = self._committed.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        view = self._derived.get(key)
+        return view() if view is not None else default
+
+    def derive(self, key: str, view: Callable[[], Any]) -> None:
+        """Answer :meth:`get_committed` for ``key`` — which is never written
+        — with ``view()``, a value computed from other committed objects."""
+        self._derived[key] = view
 
     def get_committed_many(self, keys: Iterable[str], default: Any = None) -> List[Any]:
         """Batched committed read: one store round-trip for a whole key range
@@ -87,12 +107,29 @@ class ObjectStore:
         self.wal.force()
         crash_point("store.commit.forced", self)
         self._committed.update(writes)
+        self._pending.pop(txn, None)
         crash_point("store.commit.post", self)
 
     def abort(self, txn: TransactionId) -> None:
         crash_point("store.abort.pre", self)
         self.wal.append(wal_mod.ABORT, txn)
         self.wal.force()
+        self._pending.pop(txn, None)
+
+    def ingest(
+        self,
+        entries: Iterable[Tuple[str, Optional[TransactionId], Optional[ObjectId], Any]],
+    ) -> List[str]:
+        """Append log records shipped from another store as ``(kind, txn,
+        obj, value)``, make them durable and fold them — and nothing before
+        them — into the committed cache.  A transaction whose COMMIT arrives
+        in a later batch stays pending until then.  Returns the keys the
+        batch installed, in order."""
+        wal = self.wal
+        records = [wal.append(kind, txn, obj, value) for kind, txn, obj, value in entries]
+        wal.force()
+        wal.sync()
+        return wal_mod.fold(records, self._committed, self._pending)
 
     def sync(self) -> bool:
         """Group-commit barrier: drain the WAL's pending mirror syncs."""
@@ -109,13 +146,16 @@ class ObjectStore:
         start against a clean table instead of deadlocking on ghosts.
         """
         lost = self.wal.lose_unforced()
-        self._committed = wal_mod.replay(self.wal.durable_records())
+        self.recover()
         self.locks = LockManager()
         return lost
 
     def recover(self) -> None:
         """Rebuild the committed cache from the durable log (idempotent)."""
-        self._committed = wal_mod.replay(self.wal.durable_records())
+        committed: Dict[str, Any] = {}
+        pending: Dict[TransactionId, List[LogRecord]] = {}
+        wal_mod.fold(self.wal.durable_records(), committed, pending)
+        self._committed, self._pending = committed, pending
 
     def in_doubt(self) -> Iterable[TransactionId]:
         """Transactions prepared here whose outcome is unknown locally."""
@@ -124,3 +164,4 @@ class ObjectStore:
     def checkpoint(self) -> None:
         """Compact the log around the current committed snapshot."""
         self.wal.checkpoint(self.snapshot())
+        self._pending.clear()  # as a replay from the checkpoint would

@@ -258,6 +258,20 @@ class WriteAheadLog:
         cursor replication ships by (docs/PROTOCOLS.md §12)."""
         return self._records[self._forced_upto - 1].lsn if self._forced_upto else 0
 
+    def durable_since(self, lsn: int) -> List[LogRecord]:
+        """Durable records with an LSN above ``lsn``, found by bisection:
+        LSNs only ever increase along the log, though a crash or a
+        truncation leaves gaps."""
+        records = self._records
+        low, high = 0, self._forced_upto
+        while low < high:
+            middle = (low + high) // 2
+            if records[middle].lsn > lsn:
+                high = middle
+            else:
+                low = middle + 1
+        return records[low : self._forced_upto]
+
     @property
     def first_retained_lsn(self) -> int:
         """LSN of the oldest record still in the log (0 when empty).  A
@@ -289,30 +303,47 @@ class WriteAheadLog:
         crash_point("wal.checkpoint.post", self)
 
 
-def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:
-    """Rebuild the committed state from a durable record stream.
+def fold(
+    records: Iterable[LogRecord],
+    snapshot: Dict[str, Any],
+    pending: Dict[TransactionId, List[LogRecord]],
+) -> List[str]:
+    """Advance a replay state over ``records``, in place.
 
-    Only updates of transactions whose COMMIT record is present take effect
-    (redo-only, presumed abort for the rest) — the standard recovery rule the
-    execution service's guarantees rest on.
+    ``snapshot`` is the committed state so far and ``pending`` the logged
+    updates of transactions not yet decided.  Only updates of transactions
+    whose COMMIT record is present take effect (redo-only, presumed abort for
+    the rest) — the standard recovery rule the execution service's guarantees
+    rest on.  Folding a log in pieces, carrying both across the pieces, ends
+    in the same state as folding it whole.  Returns the keys installed, in
+    order (every key of a CHECKPOINT's snapshot counts as installed).
     """
-    snapshot: Dict[str, Any] = {}
-    pending: Dict[TransactionId, List[LogRecord]] = {}
+    installed: List[str] = []
     for record in records:
         if record.kind == CHECKPOINT:
-            snapshot = dict(record.value or {})
+            snapshot.clear()
+            snapshot.update(record.value or {})
             pending.clear()
+            installed.extend(snapshot)
         elif record.kind == BEGIN:
             pending[record.txn] = []
         elif record.kind == UPDATE:
             pending.setdefault(record.txn, []).append(record)
         elif record.kind == COMMIT:
-            for update in pending.pop(record.txn, []):
+            for update in pending.pop(record.txn, ()):
                 snapshot[update.obj.name] = update.value
+                installed.append(update.obj.name)
         elif record.kind == ABORT:
             pending.pop(record.txn, None)
         # PREPARE leaves the txn pending; outcome is resolved by the
         # coordinator (see repro.txn.recovery).
+    return installed
+
+
+def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:
+    """Rebuild the committed state from a durable record stream."""
+    snapshot: Dict[str, Any] = {}
+    fold(records, snapshot, {})
     return snapshot
 
 

@@ -86,6 +86,18 @@ class TestConflictsAndRelease:
         assert {(T2, A), (T3, A)} <= set(grants)
 
 
+class TestQueriesHaveNoSideEffects:
+    def test_query_on_unknown_object_leaves_table_unchanged(self, locks):
+        locks.try_acquire(T1, A, LockMode.SHARED)
+        before = dict(locks._table)
+        assert locks.holders(B) == {}
+        assert locks.mode_of(T1, B) is None
+        assert locks.mode_of(T2, ObjectId("never-locked")) is None
+        assert locks.held_by(T3) == set()
+        assert locks._table == before
+        assert T3 not in locks._held
+
+
 class TestDeadlock:
     def test_two_party_deadlock_detected(self, locks):
         locks.try_acquire(T1, A, LockMode.EXCLUSIVE)

@@ -381,3 +381,55 @@ class TestCheckpointUnderGroupCommit:
         assert log.last_durable_lsn == 0
         record = log.append(w.BEGIN, T2)
         assert record.lsn == 1  # a resynced standby restarts local numbering
+
+
+class TestShippingCursor:
+    """What replication ships from: the durable suffix above an LSN, and a
+    replay state that advances batch by batch."""
+
+    def test_durable_since_with_crash_and_checkpoint_gaps(self):
+        log = WriteAheadLog()
+        for _ in range(5):
+            log.append(w.BEGIN, T1)
+        log.force()
+        log.append(w.BEGIN, T1)
+        log.append(w.BEGIN, T1)
+        log.lose_unforced()  # LSNs 6 and 7 are never reused
+        for _ in range(3):
+            log.append(w.BEGIN, T1)
+        log.force()
+        log.append(w.BEGIN, T1)  # volatile: never shipped
+        assert [r.lsn for r in log.durable_records()] == [1, 2, 3, 4, 5, 8, 9, 10]
+        for cursor in range(0, 13):
+            assert [r.lsn for r in log.durable_since(cursor)] == [
+                r.lsn for r in log.durable_records() if r.lsn > cursor
+            ]
+        log.force()
+        log.checkpoint({"a": 1})
+        assert [r.kind for r in log.durable_since(3)] == [w.CHECKPOINT]
+        assert log.durable_since(log.last_durable_lsn) == []
+
+    def test_fold_in_pieces_equals_replay_of_the_whole(self):
+        log = WriteAheadLog()
+        log.append(w.BEGIN, T1)
+        log.append(w.UPDATE, T1, A, "v1")
+        log.append(w.PREPARE, T1)
+        log.append(w.BEGIN, T2)
+        log.append(w.UPDATE, T2, B, "v2")
+        log.append(w.COMMIT, T2)
+        log.append(w.COMMIT, T1)
+        log.append(w.CHECKPOINT, value={"a": "v1", "b": "v2", "c": "v3"})
+        log.append(w.BEGIN, T1)
+        log.append(w.UPDATE, T1, A, "v4")
+        log.append(w.ABORT, T1)
+        log.force()
+        records = list(log.durable_records())
+        for cut in range(len(records) + 1):
+            snapshot, pending = {}, {}
+            first = w.fold(records[:cut], snapshot, pending)
+            second = w.fold(records[cut:], snapshot, pending)
+            assert snapshot == replay(records), cut
+            assert list(snapshot) == list(replay(records)), cut  # same key order
+            assert pending == {}
+            # installed keys, in order: T2's, T1's, then the checkpoint's
+            assert first + second == ["b", "a", "a", "b", "c"], cut
