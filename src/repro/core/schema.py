@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import SchemaError
@@ -88,6 +89,11 @@ class OutputSpec:
         return None
 
 
+# (name, ((input set, ((object, class), ...)), ...),
+#        ((output, OutputKind name, ((object, class), ...)), ...))
+TaskClassWire = Tuple[str, Tuple[Tuple[str, tuple], ...], Tuple[Tuple[str, str, tuple], ...]]
+
+
 @dataclass(frozen=True)
 class TaskClass:
     """A task signature (``taskclass`` construct)."""
@@ -144,6 +150,41 @@ class TaskClass:
         """Outputs that terminate the task (outcomes + abort outcomes)."""
         return tuple(
             o for o in self.outputs if o.kind in (OutputKind.OUTCOME, OutputKind.ABORT)
+        )
+
+    # -- wire form ---------------------------------------------------------------
+
+    @cached_property
+    def wire(self) -> TaskClassWire:
+        """This signature as nested tuples of strings: plain data that is
+        hashable and deeply immutable, so one encoding (computed once per
+        class object) serves every dispatch of every task of the class and
+        crosses the ORB by reference."""
+        return (
+            self.name,
+            tuple(
+                (s.name, tuple((o.name, o.class_name) for o in s.objects))
+                for s in self.input_sets
+            ),
+            tuple(
+                (o.name, o.kind.name, tuple((d.name, d.class_name) for d in o.objects))
+                for o in self.outputs
+            ),
+        )
+
+    @classmethod
+    def from_wire(cls, wire: TaskClassWire) -> "TaskClass":
+        name, input_sets, outputs = wire
+        return cls(
+            name,
+            tuple(
+                InputSetSpec(s, tuple(ObjectDecl(n, c) for n, c in objects))
+                for s, objects in input_sets
+            ),
+            tuple(
+                OutputSpec(o, OutputKind[kind], tuple(ObjectDecl(n, c) for n, c in objects))
+                for o, kind, objects in outputs
+            ),
         )
 
 

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import ExecutionError, ReconfigurationError
 from ..core.schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
-    InputObjectBinding,
     InputSetBinding,
     NotificationBinding,
-    OutputBinding,
     OutputKind,
     Script,
     TaskClass,
@@ -46,29 +45,19 @@ from ..core.values import ObjectRef
 from .context import TaskResult, coerce_objects
 from .events import EventLog, WorkflowStatus
 from .plan import (
+    DispatchTemplate,
     EventKey,
     ExecutionPlan,
     PlanTracker,
+    ScopePlan,
     TaskTable,
     augment_vocabulary,
     compile_node_table,
-    compile_watch_tables,
-    compound_scope_vocabulary,
+    compile_scope,
+    dispatch_template,
     root_scope_vocabulary,
+    watch_binding,
 )
-
-
-def _watch_binding(binding: OutputBinding) -> InputSetBinding:
-    """A compound output mapping satisfies exactly like an input set: all its
-    object and notification bindings must fire.  Reuse the tracker machinery
-    by viewing the OutputBinding as an InputSetBinding."""
-    return InputSetBinding(
-        name=binding.name,
-        objects=tuple(
-            InputObjectBinding(b.name, b.sources) for b in binding.objects
-        ),
-        notifications=binding.notifications,
-    )
 
 
 class TaskNode:
@@ -89,10 +78,13 @@ class TaskNode:
         self.tree = tree
         self.machine = TaskStateMachine(path, taskclass)
         self.outer_scope: Scope = parent.inner_scope if parent else tree.root_scope
-        # compiled input table (plan mode); assigned by the enclosing scope's
-        # plan recompilation (or the tree, for the root node)
+        # compiled input table and dispatch template (plan mode); assigned,
+        # with the tracker over the table, by the enclosing scope's plan
+        # (re)compilation (or the tree, for the root node)
         self.plan_table: Optional[TaskTable] = None
-        self.tracker = self._new_tracker()
+        self.template: Optional[DispatchTemplate] = None
+        if not tree.use_plan:
+            self.tracker = self._new_tracker()
         self.alive = True
         self.queued = False
         # drained from the ready queue but not yet begun (concurrent engine):
@@ -200,12 +192,13 @@ class CompoundNode(TaskNode):
         self.inner_scope = Scope(path)  # must exist before children bind to it
         super().__init__(decl, taskclass, path, parent, tree)
         self.children: List[TaskNode] = []
+        self._by_name: Dict[str, TaskNode] = {}
         self.output_watchers: List[Union[TaskInputTracker, PlanTracker]] = []
         self.emitted_outputs: set = set()
-        # plan mode: firing tables for this compound's inner scope
-        self.plan_routing: Dict[EventKey, Tuple[TaskNode, ...]] = {}
-        self.watch_tables: Tuple[TaskTable, ...] = ()
-        self.watcher_routing: Optional[Dict[EventKey, Tuple[int, ...]]] = None
+        # plan mode: firing tables for this compound's inner scope, over
+        # positions in ``children`` / ``output_watchers``
+        self.plan_routing: Mapping[EventKey, Tuple[int, ...]] = {}
+        self.watcher_routing: Optional[Mapping[EventKey, Tuple[int, ...]]] = None
         self._build_inside()
 
     @property
@@ -217,96 +210,79 @@ class CompoundNode(TaskNode):
         self.children = [
             self.tree._make_node(child, self) for child in self.compound_decl.tasks
         ]
-        self.output_watchers = [
-            TaskInputTracker([_watch_binding(b)]) for b in self.compound_decl.outputs
-        ]
+        if not self.tree.use_plan:
+            self._rebuild_watchers()
         self.emitted_outputs = set()
         self._rebuild_routing()
 
     def _rebuild_routing(self) -> None:
-        """Index constituents by the producers they listen to, so pump()
-        offers each event only where it can matter (E13 hot path)."""
+        """Index constituents by name, and by the events they listen to, so
+        pump() offers each event only where it can matter (E13 hot path).
+        Runs whenever ``children`` changes."""
+        self._by_name = {child.local_name: child for child in self.children}
+        if self.tree.use_plan:
+            self._recompile_plan()
+            return
         index: Dict[str, List[TaskNode]] = {}
         for child in self.children:
             for producer in child.interests():
                 index.setdefault(producer, []).append(child)
         self.routing = index
-        if self.tree.use_plan:
-            self._recompile_plan()
 
     # -- plan compilation (incrementalized hot path) -------------------------
 
-    def _scope_vocabulary(self):
-        """Static event vocabulary of this compound's inner scope, folded
-        with the scope's actual history (sound under reconfiguration)."""
-        vocab = compound_scope_vocabulary(
+    def _scope_plan(self) -> ScopePlan:
+        """This scope's compiled plan: the script's shared one while the
+        tree still runs the script it was compiled from, else compiled here
+        against the live constituents and the scope's actual history (sound
+        under reconfiguration)."""
+        shared = self.tree.plan
+        if shared is not None:
+            return shared.scopes[self.path]
+        return compile_scope(
+            self.path,
             self.compound_decl,
             self.taskclass,
-            [(c.local_name, c.taskclass, c.decl) for c in self.children],
+            [(c.decl, c.taskclass) for c in self.children],
+            self.inner_scope.events,
         )
-        return augment_vocabulary(vocab, self.inner_scope.events)
 
     def _recompile_plan(self) -> None:
-        """(Re)compile every child's input table, this scope's firing table
+        """(Re)install every child's input table, this scope's firing table
         and the output-watcher tables.  Safe to call on a live scope: WAIT
         children get a fresh tracker replayed from the scope history, which
         is observably identical to the tracker state they already held (a
         tracker is a pure fold of its scope's event history)."""
-        seed = self.tree._plan_seed()
-        vocab = None
-        routing: Dict[EventKey, List[TaskNode]] = {}
-        for child in self.children:
-            table = seed.tables.get(child.path) if seed is not None else None
-            if table is None:
-                if vocab is None:
-                    vocab = self._scope_vocabulary()
-                table = compile_node_table(child.decl, child.taskclass, vocab)
+        scope = self._scope_plan()
+        self.plan_routing = scope.routing
+        for child, table, template in zip(self.children, scope.tables, scope.templates):
             child.plan_table = table
-            for key in table.entries:
-                routing.setdefault(key, []).append(child)
+            child.template = template
             if child.alive and child.machine.state is TaskState.WAIT:
                 child.reset_inputs()
                 self.tree._enqueue_if_ready(child)
-        self.plan_routing = {key: tuple(nodes) for key, nodes in routing.items()}
-        watch_tables = seed.watch_tables.get(self.path) if seed is not None else None
-        if watch_tables is None:
-            if vocab is None:
-                vocab = self._scope_vocabulary()
-            watch_tables = compile_watch_tables(self.compound_decl, vocab)
-        self._rebuild_watchers(watch_tables)
+        self.watcher_routing = scope.watch_routing
+        self._install_watchers([PlanTracker(t) for t in scope.watch_tables])
 
-    def _rebuild_watchers(
-        self, watch_tables: Optional[Tuple[TaskTable, ...]] = None
+    def _rebuild_watchers(self) -> None:
+        """Interpretive mode's output watchers (plan mode installs its own
+        with the rest of the scope, in ``_recompile_plan``)."""
+        self._install_watchers(
+            [TaskInputTracker([watch_binding(b)]) for b in self.compound_decl.outputs]
+        )
+
+    def _install_watchers(
+        self, watchers: List[Union[TaskInputTracker, PlanTracker]]
     ) -> None:
-        """Fresh output watchers (plan or interpretive, per tree mode),
-        replayed from the inner scope; emitted outputs stay emitted."""
-        preserved = self.emitted_outputs
-        if self.tree.use_plan:
-            if watch_tables is None:
-                watch_tables = compile_watch_tables(
-                    self.compound_decl, self._scope_vocabulary()
-                )
-            self.watch_tables = watch_tables
-            self.output_watchers = [PlanTracker(t) for t in watch_tables]
-            wrouting: Dict[EventKey, List[int]] = {}
-            for position, table in enumerate(watch_tables):
-                for key in table.entries:
-                    wrouting.setdefault(key, []).append(position)
-            self.watcher_routing = {k: tuple(v) for k, v in wrouting.items()}
-        else:
-            self.output_watchers = [
-                TaskInputTracker([_watch_binding(b)]) for b in self.compound_decl.outputs
-            ]
-        self.emitted_outputs = preserved
+        """Fresh output watchers, replayed from the inner scope; emitted
+        outputs stay emitted."""
+        self.output_watchers = watchers
         for event in self.inner_scope.events:
-            for watcher in self.output_watchers:
+            for watcher in watchers:
                 watcher.offer(event)
 
     def child(self, name: str) -> Optional[TaskNode]:
-        for node in self.children:
-            if node.local_name == name:
-                return node
-        return None
+        return self._by_name.get(name)
 
     def reset_inside(self) -> None:
         """Fresh inner world after a repeat outcome: constituents restart from
@@ -355,13 +331,25 @@ class InstanceTree:
         # compiled firing tables/bitmasks; False falls back to the
         # interpretive trackers (kept for differential testing)
         self.use_plan = bool(use_plan)
-        # optional precompiled table cache (must be compiled from `script`)
-        self.plan = plan
+        # the script's compiled plan, shared read-only with every other tree
+        # of the script; usable only for the script and root it was compiled
+        # from, and dropped for good at the first reconfiguration
+        self.plan = (
+            plan
+            if plan is not None
+            and self.use_plan
+            and plan.script is script
+            and root_task in plan.root_tasks
+            else None
+        )
         self.root_scope = Scope("")
         self.lock = threading.RLock()
         self.status = WorkflowStatus.RUNNING
         self.error: Optional[str] = None
-        self._ready: Deque[TaskNode] = deque()
+        # heap of (-priority, arrival number, node): highest priority first,
+        # FIFO within a priority level
+        self._ready: List[Tuple[int, int, TaskNode]] = []
+        self._arrivals = 0
         self._pending: Deque[Tuple[Scope, str, WorkflowEvent]] = deque()
         self.nodes_created = 0
         self.root = self._make_node(script.tasks[root_task], None)
@@ -370,26 +358,21 @@ class InstanceTree:
 
     # -- tree construction ------------------------------------------------------------
 
-    def _plan_seed(self) -> Optional[ExecutionPlan]:
-        """The precompiled table cache, valid only while it matches the live
-        script object (reconfiguration swaps the script and invalidates it)."""
-        if self.plan is not None and self.plan.script is self.script:
-            return self.plan
-        return None
-
     def _compile_root_plan(self) -> None:
-        """Compile (or fetch from the seed plan) the root task's own input
-        table — the root scope has a single consumer, the root itself."""
+        """Install the root task's own input table and dispatch template,
+        from the shared plan or compiled here — the root scope has a single
+        consumer, the root itself."""
         root = self.root
-        seed = self._plan_seed()
-        table = seed.tables.get(root.path) if seed is not None else None
-        if table is None:
+        if self.plan is not None:
+            planned = self.plan.by_path[root.path]
+            root.plan_table, root.template = planned.table, planned.template
+        else:
             vocab = augment_vocabulary(
                 root_scope_vocabulary(root.decl, root.taskclass),
                 self.root_scope.events,
             )
-            table = compile_node_table(root.decl, root.taskclass, vocab)
-        root.plan_table = table
+            root.plan_table = compile_node_table(root.decl, root.taskclass, vocab)
+            root.template = dispatch_template(root.path, root.decl, root.taskclass)
         if root.alive and root.machine.state is TaskState.WAIT:
             root.reset_inputs()
 
@@ -525,7 +508,9 @@ class InstanceTree:
                     # order the interpretive index offers in (skipped ones
                     # would have been no-op offers)
                     key = (event.producer, event.kind, event.name)
-                    for child in owner.plan_routing.get(key, ()):
+                    children = owner.children
+                    for position in owner.plan_routing.get(key, ()):
+                        child = children[position]
                         if child.alive and child.machine.state is TaskState.WAIT:
                             child.tracker.offer(event)
                             self._enqueue_if_ready(child)
@@ -561,7 +546,8 @@ class InstanceTree:
             self._scan_children(node)
         else:
             node.queued = True
-            self._ready.append(node)
+            self._arrivals += 1
+            heappush(self._ready, (-node.priority(), self._arrivals, node))
 
     def _scan_children(self, compound: CompoundNode) -> None:
         """After a compound starts, children with no (or trivially satisfied)
@@ -578,14 +564,7 @@ class InstanceTree:
             # mid-flight leaves thousands of stale nodes queued, and popping
             # each one recursively would blow the stack (RecursionError)
             while self._ready:
-                best_index = max(
-                    range(len(self._ready)),
-                    key=lambda i: (self._ready[i].priority(), -i),
-                )
-                # deque rotation to pop an arbitrary index
-                self._ready.rotate(-best_index)
-                node = self._ready.popleft()
-                self._ready.rotate(best_index)
+                node = heappop(self._ready)[2]
                 node.queued = False
                 if node.ready() is None:  # stale (ancestor terminated meanwhile)
                     continue
@@ -608,15 +587,18 @@ class InstanceTree:
             return batch
 
     def peek_ready(self) -> List[TaskNode]:
-        """Every simple task currently ready to execute, without dequeuing or
-        claiming any of them.  This *is* the concurrent engine's enablement
+        """Every simple task currently ready to execute, in the order
+        ``take_ready`` would hand them out, without dequeuing or claiming any
+        of them.  This *is* the concurrent engine's enablement
         relation: ``drain_ready()`` returns exactly these nodes (claimed),
         and any two of them may run simultaneously.  The static interference
         analysis (:mod:`repro.analysis.interference`) over-approximates the
         set of pairs this method can ever return together."""
         with self.lock:
             self._pump()
-            return [node for node in self._ready if node.ready() is not None]
+            return [
+                node for _, _, node in sorted(self._ready) if node.ready() is not None
+            ]
 
     def has_work(self) -> bool:
         with self.lock:
@@ -858,8 +840,17 @@ class InstanceTree:
             )
             # all checks passed: apply
             self.script = new_script
+            # the shared plan describes the script this tree was built from;
+            # from here on the tree compiles its own tables against its live
+            # scopes, even if a later reconfiguration restores that script
+            self.plan = None
             for action in plan:
                 action()
+            # a queued task's priority may have changed with its declaration
+            self._ready = [
+                (-node.priority(), arrival, node) for _, arrival, node in self._ready
+            ]
+            heapify(self._ready)
             if self.use_plan:
                 # Recompile every live scope: a decl change anywhere can alter
                 # the event vocabulary siblings were compiled against (e.g. a
@@ -932,7 +923,9 @@ class InstanceTree:
                     self._enqueue_if_ready(fresh)
 
                 plan.append(grow)
-            if new_decl.outputs != node.compound_decl.outputs:
+            if not self.use_plan and new_decl.outputs != node.compound_decl.outputs:
+                # (plan mode recompiles every live scope, watchers included,
+                # once all actions have run)
 
                 def rewatch(c: CompoundNode = node) -> None:
                     # c.decl is already the new decl (update_decl ran first)

@@ -52,6 +52,7 @@ fixpoint never saw), so pruning would be unsound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.schema import (
@@ -64,6 +65,7 @@ from ..core.schema import (
     Script,
     Source,
     TaskClass,
+    TaskClassWire,
 )
 from ..core.selection import (
     HOTPATH_STATS,
@@ -72,6 +74,7 @@ from ..core.selection import (
     event_kind_for,
 )
 from ..core.values import ObjectRef
+from ..orb.marshal import transferable
 
 # One firing-table key: (scope-local producer name, event kind, event name).
 EventKey = Tuple[str, EventKind, str]
@@ -311,7 +314,7 @@ def compile_bindings(
             candidates = tuple(sorted(per_slot[index], key=lambda c: c[0]))
             groups.append((index, 1 << index, slots[index].notification, candidates))
         entries[key] = tuple(groups)
-    return TaskTable(tuple(sets), tuple(slots), entries)
+    return TaskTable(tuple(sets), tuple(slots), MappingProxyType(entries))
 
 
 def compile_node_table(
@@ -321,8 +324,9 @@ def compile_node_table(
 
 
 def watch_binding(binding: OutputBinding) -> InputSetBinding:
-    """A compound output mapping satisfies exactly like an input set (the
-    same view ``engine.instance`` takes for the interpretive watchers)."""
+    """A compound output mapping satisfies exactly like an input set: all its
+    object and notification bindings must fire.  Viewing the OutputBinding as
+    an InputSetBinding lets both kinds of tracker serve as output watchers."""
     return InputSetBinding(
         name=binding.name,
         objects=tuple(InputObjectBinding(b.name, b.sources) for b in binding.objects),
@@ -335,6 +339,95 @@ def compile_watch_tables(
 ) -> Tuple[TaskTable, ...]:
     return tuple(
         compile_bindings((watch_binding(b),), vocabulary) for b in decl.outputs
+    )
+
+
+def firing_routing(tables: Sequence[TaskTable]) -> Mapping[EventKey, Tuple[int, ...]]:
+    """Firing table over a sequence of consumers: for each event key, the
+    positions (ascending) of the tables with a slot it can advance."""
+    routing: Dict[EventKey, List[int]] = {}
+    for position, table in enumerate(tables):
+        for key in table.entries:
+            routing.setdefault(key, []).append(position)
+    return MappingProxyType({key: tuple(hits) for key, hits in routing.items()})
+
+
+# ---------------------------------------------------------------------------
+# Dispatch templates and compiled scopes
+# ---------------------------------------------------------------------------
+
+
+@transferable
+@dataclass(frozen=True)
+class DispatchTemplate:
+    """Everything a worker needs to run one simple task that is fixed per
+    script.  Deeply immutable plain data: every dispatch of the task carries
+    this one object, and the ORB passes it by reference."""
+
+    task_path: str
+    taskclass: TaskClassWire
+    code: Optional[str]
+    properties: Tuple[Tuple[str, str], ...]
+
+    def property(self, keyword: str) -> Optional[str]:
+        for key, value in self.properties:
+            if key == keyword:
+                return value
+        return None
+
+
+def dispatch_template(
+    path: str, decl: AnyTaskDecl, taskclass: TaskClass
+) -> Optional[DispatchTemplate]:
+    """The template of the task at ``path``; compounds start inside the
+    engine and are never dispatched, so they have none."""
+    if isinstance(decl, CompoundTaskDecl):
+        return None
+    implementation = decl.implementation
+    return DispatchTemplate(
+        path, taskclass.wire, implementation.code, implementation.properties
+    )
+
+
+@dataclass(frozen=True)
+class ScopePlan:
+    """The inner scope of one compound, compiled: per constituent (in
+    declaration order) its input table and dispatch template, the scope's
+    firing table over constituent positions, and the same for the compound's
+    output mappings.  Immutable, so every instance of the script shares it."""
+
+    tables: Tuple[TaskTable, ...]
+    templates: Tuple[Optional[DispatchTemplate], ...]
+    routing: Mapping[EventKey, Tuple[int, ...]]
+    watch_tables: Tuple[TaskTable, ...]
+    watch_routing: Mapping[EventKey, Tuple[int, ...]]
+
+
+def compile_scope(
+    path: str,
+    decl: CompoundTaskDecl,
+    taskclass: TaskClass,
+    children: Sequence[Tuple[AnyTaskDecl, TaskClass]],
+    history: Iterable[WorkflowEvent] = (),
+) -> ScopePlan:
+    """Compile the inner scope of the compound at ``path`` with constituents
+    ``children``.  ``history`` is what a live scope has already carried
+    (see :func:`augment_vocabulary`); a scope compiled ahead of any instance
+    has none."""
+    vocabulary = augment_vocabulary(
+        compound_scope_vocabulary(
+            decl, taskclass, [(d.name, tc, d) for d, tc in children]
+        ),
+        history,
+    )
+    tables = tuple(compile_node_table(d, tc, vocabulary) for d, tc in children)
+    watch_tables = compile_watch_tables(decl, vocabulary)
+    return ScopePlan(
+        tables,
+        tuple(dispatch_template(f"{path}/{d.name}", d, tc) for d, tc in children),
+        firing_routing(tables),
+        watch_tables,
+        firing_routing(watch_tables),
     )
 
 
@@ -426,27 +519,31 @@ class PlannedTask:
     taskclass: str
     compound: bool
     table: TaskTable
+    template: Optional[DispatchTemplate]  # None for compounds
     startable: Tuple[str, ...]  # liveness: input sets this task can start via
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExecutionPlan:
-    """A whole script compiled: tasks with ids, per-task tables, per-compound
-    watcher tables, and the derived per-scope firing tables."""
+    """A whole script compiled: tasks with ids, tables and dispatch
+    templates, and one :class:`ScopePlan` per compound.  Read-only, so one
+    plan backs every instance of ``script`` (see ``InstanceTree.plan`` for
+    when an instance stops using it)."""
 
     script: Script
     root_tasks: Tuple[str, ...]
     tasks: Tuple[PlannedTask, ...]
-    tables: Dict[str, TaskTable]
-    watch_tables: Dict[str, Tuple[TaskTable, ...]]
+    by_path: Mapping[str, PlannedTask]
+    scopes: Mapping[str, ScopePlan]  # compound path -> its inner scope
     # scope path -> producible liveness facts there (empty if not analysed)
-    facts: Dict[str, Set[Tuple[str, str, str]]] = field(default_factory=dict)
+    facts: Mapping[str, Set[Tuple[str, str, str]]] = field(default_factory=dict)
 
     def task_at(self, path: str) -> Optional[PlannedTask]:
-        for task in self.tasks:
-            if task.path == path:
-                return task
-        return None
+        return self.by_path.get(path)
+
+    @property
+    def watch_tables(self) -> Dict[str, Tuple[TaskTable, ...]]:
+        return {path: scope.watch_tables for path, scope in self.scopes.items()}
 
     # -- derived firing view ------------------------------------------------
 
@@ -643,13 +740,16 @@ def compile_plan(
         startable = liveness.startable
 
     tasks: List[PlannedTask] = []
-    tables: Dict[str, TaskTable] = {}
-    watch_tables: Dict[str, Tuple[TaskTable, ...]] = {}
+    scopes: Dict[str, ScopePlan] = {}
 
-    def visit(decl: AnyTaskDecl, path: str, scope: str, vocab: Vocabulary) -> None:
+    def visit(
+        decl: AnyTaskDecl,
+        path: str,
+        scope: str,
+        table: TaskTable,
+        template: Optional[DispatchTemplate],
+    ) -> None:
         taskclass = script.taskclass_of(decl)
-        table = compile_node_table(decl, taskclass, vocab)
-        tables[path] = table
         tasks.append(
             PlannedTask(
                 task_id=len(tasks),
@@ -659,28 +759,36 @@ def compile_plan(
                 taskclass=taskclass.name,
                 compound=isinstance(decl, CompoundTaskDecl),
                 table=table,
+                template=template,
                 startable=tuple(sorted(startable.get(path, ()))),
             )
         )
         if isinstance(decl, CompoundTaskDecl):
-            inner = compound_scope_vocabulary(
-                decl,
-                taskclass,
-                [(t.name, script.taskclass_of(t), t) for t in decl.tasks],
+            inner = compile_scope(
+                path, decl, taskclass, [(t, script.taskclass_of(t)) for t in decl.tasks]
             )
-            watch_tables[path] = compile_watch_tables(decl, inner)
-            for child in decl.tasks:
-                visit(child, f"{path}/{child.name}", path, inner)
+            scopes[path] = inner
+            for child, child_table, child_template in zip(
+                decl.tasks, inner.tables, inner.templates
+            ):
+                visit(child, f"{path}/{child.name}", path, child_table, child_template)
 
     for name in roots:
         decl = script.tasks[name]
-        visit(decl, name, "", root_scope_vocabulary(decl, script.taskclass_of(decl)))
+        taskclass = script.taskclass_of(decl)
+        visit(
+            decl,
+            name,
+            "",
+            compile_node_table(decl, taskclass, root_scope_vocabulary(decl, taskclass)),
+            dispatch_template(name, decl, taskclass),
+        )
 
     return ExecutionPlan(
         script=script,
         root_tasks=tuple(roots),
         tasks=tuple(tasks),
-        tables=tables,
-        watch_tables=watch_tables,
+        by_path=MappingProxyType({task.path: task for task in tasks}),
+        scopes=MappingProxyType(scopes),
         facts=facts,
     )

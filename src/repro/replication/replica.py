@@ -47,7 +47,6 @@ from ..txn.wal import LogRecord
 from ..services.execution import (
     EXECUTION_INTERFACE,
     ExecutionService,
-    _compile_cached,
     instance_ids,
     instances_of,
 )
@@ -545,8 +544,7 @@ class ReplicatedExecutionService(ExecutionService):
             runtime = self.runtimes.get(iid)
             applied = self._image_applied.get(iid, 0)
             if runtime is None:
-                script = _compile_cached(spec["script_text"])
-                runtime = self._fresh_runtime(iid, script, spec)
+                runtime = self._fresh_runtime(iid, spec)
                 self.runtimes[iid] = runtime
                 applied = 0
             total = self.store.get_committed(f"instance:{iid}:meta")["journal_len"]

@@ -19,8 +19,6 @@ from .serialization import (
     refs_to_plain,
     result_from_plain,
     result_to_plain,
-    taskclass_from_plain,
-    taskclass_to_plain,
 )
 from .system import TERMINAL, WorkflowSystem
 from .worker import WORKER_INTERFACE, TaskWorker, WorkRequest
@@ -46,6 +44,4 @@ __all__ = [
     "refs_to_plain",
     "result_from_plain",
     "result_to_plain",
-    "taskclass_from_plain",
-    "taskclass_to_plain",
 ]

@@ -42,16 +42,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.instrument import IOPATH_STATS
-from ..core.schema import Script
+from ..core.schema import Script, TaskClass
 from ..core.values import ObjectRef
 from ..engine.events import WorkflowStatus
 from ..engine.instance import InstanceTree, TaskNode
+from ..engine.plan import ExecutionPlan, compile_plan
 from ..lang import compile_script
 from ..net.node import Message, Service
 from ..orb.broker import CommFailure, Interface, ObjectBroker, Overloaded
@@ -65,8 +67,6 @@ from .serialization import (
     refs_to_plain,
     result_from_plain,
     result_to_plain,
-    taskclass_from_plain,
-    taskclass_to_plain,
 )
 from .worker import WorkRequest
 
@@ -93,7 +93,7 @@ EXECUTION_INTERFACE = Interface(
 
 @dataclass
 class _InFlight:
-    request: Dict[str, Any]
+    request: WorkRequest
     dispatched_at: float
     redispatches: int = 0
     sent: bool = False
@@ -141,13 +141,23 @@ def _script_has_deadlines(script: Script) -> bool:
     )
 
 
-# Compiled scripts keyed by their exact source text.  Scripts are immutable
-# (frozen declaration dataclasses); instance state lives in the tree, so one
-# compiled Script can safely back every instance, replay shadow and recovery
-# of the same text.  Keying by text (not name/version) makes staleness
-# impossible.  Bounded: a pathological stream of distinct scripts clears the
-# cache rather than growing it without limit.
-_COMPILE_CACHE: Dict[str, Script] = {}
+@dataclass
+class _Compiled:
+    """One cached script and, from the first instance built on it, its
+    execution plan (never compiled for a script that is only stored)."""
+
+    script: Script
+    plan: Optional[ExecutionPlan] = None
+
+
+# Compiled scripts keyed by their exact source text.  Scripts and plans are
+# immutable (frozen declaration dataclasses, read-only tables); instance
+# state lives in the tree, so one compiled Script and one ExecutionPlan can
+# safely back every instance, replay shadow and recovery of the same text.
+# Keying by text (not name/version) makes staleness impossible.  Bounded: a
+# stream of distinct scripts evicts the least recently used entry, so the
+# scripts in steady use keep theirs.
+_COMPILE_CACHE: "OrderedDict[str, _Compiled]" = OrderedDict()
 _COMPILE_CACHE_MAX = 128
 
 # Bound on the hedge-loser ack table (_pending_acks): age-based reaping in the
@@ -176,14 +186,20 @@ def instance_ids(store: ObjectStore) -> List[str]:
     return list(instances_of(store.keys(), "spec"))
 
 
-def _compile_cached(text: str) -> Script:
-    script = _COMPILE_CACHE.get(text)
-    if script is None:
-        script = compile_script(text)
+def _compiled(text: str) -> _Compiled:
+    compiled = _COMPILE_CACHE.get(text)
+    if compiled is None:
+        compiled = _Compiled(compile_script(text))
         if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[text] = script
-    return script
+            _COMPILE_CACHE.popitem(last=False)
+        _COMPILE_CACHE[text] = compiled
+    else:
+        _COMPILE_CACHE.move_to_end(text)
+    return compiled
+
+
+def _compile_cached(text: str) -> Script:
+    return _compiled(text).script
 
 
 class ExecutionService(Service):
@@ -225,10 +241,6 @@ class ExecutionService(Service):
         self.journal_window = journal_window
         self._jbuf: List[Tuple[_Runtime, Dict[str, Any]]] = []
         self._jflush_armed = False
-        # memoized wire forms keyed by id() with a strong reference to the
-        # keyed object, so ids cannot be recycled under the cache
-        self._plain_taskclasses: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        self._plain_props: Dict[int, Tuple[Any, Dict[str, str]]] = {}
         self.resilience = resilience or ResilienceConfig.for_timeouts(
             dispatch_timeout, sweep_interval
         )
@@ -416,7 +428,7 @@ class ExecutionService(Service):
 
             self.manager.run(body)
         crash_point("exec.instantiate.persisted", self)
-        runtime = self._fresh_runtime(iid, script, spec)
+        runtime = self._fresh_runtime(iid, spec)
         self.runtimes[iid] = runtime
         if verdict == "shed":
             self._shed(runtime, criticality, f"pressure {self.admission.pressure}")
@@ -655,8 +667,14 @@ class ExecutionService(Service):
 
     # -- dispatching -------------------------------------------------------------------------
 
-    def _fresh_runtime(self, iid: str, script: Script, spec: Dict[str, Any]) -> _Runtime:
-        tree = InstanceTree(script, spec["root_task"], now=self._now)
+    def _fresh_runtime(self, iid: str, spec: Dict[str, Any]) -> _Runtime:
+        """A started tree for ``spec``, built on the script's shared plan
+        (compiled here, at the first instance of the script)."""
+        compiled = _compiled(spec["script_text"])
+        script = compiled.script
+        if compiled.plan is None:
+            compiled.plan = compile_plan(script, analyze=False)
+        tree = InstanceTree(script, spec["root_task"], now=self._now, plan=compiled.plan)
         runtime = _Runtime(iid, script, tree)
         runtime.has_deadlines = _script_has_deadlines(script)
         tree.start(spec["input_set"], spec["inputs"])
@@ -665,24 +683,6 @@ class ExecutionService(Service):
 
     def _now(self) -> float:
         return self.node.clock.now if self.node is not None else 0.0
-
-    def _taskclass_plain(self, taskclass: Any) -> Dict[str, Any]:
-        """Memoized wire form of a task class.  Task classes are frozen and
-        shared by every execution of the declaring script, so the plain dict
-        is computed once; ORB marshalling copies it at the boundary, keeping
-        the cached instance unaliased."""
-        cached = self._plain_taskclasses.get(id(taskclass))
-        if cached is None or cached[0] is not taskclass:
-            cached = (taskclass, taskclass_to_plain(taskclass))
-            self._plain_taskclasses[id(taskclass)] = cached
-        return cached[1]
-
-    def _props_plain(self, implementation: Any) -> Dict[str, str]:
-        cached = self._plain_props.get(id(implementation))
-        if cached is None or cached[0] is not implementation:
-            cached = (implementation, implementation.as_dict())
-            self._plain_props[id(implementation)] = cached
-        return cached[1]
 
     def _drain(self, runtime: _Runtime) -> None:
         """Begin execution of every ready task; queue the work requests."""
@@ -696,17 +696,15 @@ class ExecutionService(Service):
             runtime.live_exec[node.path] = exec_index
             request = WorkRequest(
                 instance_id=runtime.iid,
-                task_path=node.path,
                 execution_index=exec_index,
-                taskclass=self._taskclass_plain(node.taskclass),
-                code=node.decl.implementation.code,
+                template=node.template,
                 input_set=input_set,
-                inputs=refs_to_plain(inputs),
-                properties=self._props_plain(node.decl.implementation),
+                inputs=tuple(inputs.items()),
                 attempt=node.attempt + 1,
                 repeats=node.machine.repeats,
                 reply_to=self.node.name if self.node else "",
-            ).to_plain()
+                epoch=self.epoch,
+            )
             runtime.in_flight[(node.path, exec_index)] = _InFlight(
                 request, self._now()
             )
@@ -874,7 +872,7 @@ class ExecutionService(Service):
         # while the reply to the *longer* history arrives and is deduped —
         # wedging the instance.  Flush-before-send makes that impossible.
         self.flush_journal()
-        if flight.request.get("code") == "system.timer":
+        if flight.request["template"].code == "system.timer":
             self._arm_timer_task(runtime, key, flight)
             return
         if not self.worker_names:
@@ -937,7 +935,7 @@ class ExecutionService(Service):
         """The original dispatcher: pin first, then blind crc32 rotation."""
         import zlib
 
-        pinned = flight.request.get("properties", {}).get("location")
+        pinned = flight.request["template"].property("location")
         if pinned in self.worker_names and flight.redispatches == 0:
             return pinned
         stable = zlib.crc32(f"{runtime.iid}:{key[0]}:{key[1]}".encode())
@@ -961,7 +959,7 @@ class ExecutionService(Service):
         entirely, as before.  Hedges exclude workers already carrying this
         flight's current wave.
         """
-        pinned = flight.request.get("properties", {}).get("location")
+        pinned = flight.request["template"].property("location")
         if not hedge and pinned in self.worker_names and flight.redispatches == 0:
             if self.health.allows(pinned, now):
                 return pinned
@@ -992,7 +990,7 @@ class ExecutionService(Service):
         """
         flight.sent = True
         try:
-            delay = float(flight.request.get("properties", {}).get("delay", "0"))
+            delay = float(flight.request["template"].property("delay") or "0")
         except ValueError:
             delay = 0.0
         # keep the sweeper quiet until the timer is genuinely overdue
@@ -1003,7 +1001,7 @@ class ExecutionService(Service):
                if self.resilience.enabled else self.dispatch_timeout)
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
-        taskclass = taskclass_from_plain(flight.request["taskclass"])
+        taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
         outcomes = [o for o in taskclass.outputs if o.kind.name == "OUTCOME"]
         if not outcomes:
             reply = {
@@ -1070,7 +1068,7 @@ class ExecutionService(Service):
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < flight.next_attempt_at
                     ):
-                        pinned = flight.request.get("properties", {}).get("location")
+                        pinned = flight.request["template"].property("location")
                         if pinned in self.worker_names and flight.redispatches == 0:
                             flight.hedge_at = None  # honour the pin: no hedge
                         else:
@@ -1086,7 +1084,7 @@ class ExecutionService(Service):
                                 )
                             flight.sent_to.clear()
                             if cfg.policy.exhausted(flight.redispatches) and (
-                                flight.request.get("code") != "system.timer"
+                                flight.request["template"].code != "system.timer"
                             ):
                                 self._abandon(runtime, key, flight, now)
                                 continue
@@ -1447,7 +1445,7 @@ class ExecutionService(Service):
     def _replay_from(
         self, iid: str, spec: Dict[str, Any], journal: List[Optional[Dict[str, Any]]]
     ) -> _Runtime:
-        runtime = self._fresh_runtime(iid, _compile_cached(spec["script_text"]), spec)
+        runtime = self._fresh_runtime(iid, spec)
         for entry in journal:
             if entry is None:
                 break
@@ -1495,7 +1493,7 @@ class ExecutionService(Service):
             if (
                 not cfg.enabled
                 or cfg.policy.recovery_stagger <= 0
-                or flight.request.get("code") == "system.timer"
+                or flight.request["template"].code == "system.timer"
             ):
                 self._send(runtime, key, flight)
                 continue

@@ -12,47 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.schema import InputSetSpec, ObjectDecl, OutputKind, OutputSpec, TaskClass
+from ..core.schema import OutputKind
 from ..core.values import ObjectRef
 from ..engine.context import TaskResult
 
 _KINDS = {kind.name: kind for kind in OutputKind}
-
-
-def taskclass_to_plain(taskclass: TaskClass) -> Dict[str, Any]:
-    return {
-        "name": taskclass.name,
-        "input_sets": [
-            {"name": s.name, "objects": [[o.name, o.class_name] for o in s.objects]}
-            for s in taskclass.input_sets
-        ],
-        "outputs": [
-            {
-                "name": o.name,
-                "kind": o.kind.name,
-                "objects": [[d.name, d.class_name] for d in o.objects],
-            }
-            for o in taskclass.outputs
-        ],
-    }
-
-
-def taskclass_from_plain(data: Mapping[str, Any]) -> TaskClass:
-    return TaskClass(
-        data["name"],
-        tuple(
-            InputSetSpec(s["name"], tuple(ObjectDecl(n, c) for n, c in s["objects"]))
-            for s in data["input_sets"]
-        ),
-        tuple(
-            OutputSpec(
-                o["name"],
-                _KINDS[o["kind"]],
-                tuple(ObjectDecl(n, c) for n, c in o["objects"]),
-            )
-            for o in data["outputs"]
-        ),
-    )
 
 
 def ref_to_plain(ref: ObjectRef) -> Dict[str, Any]:

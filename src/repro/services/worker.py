@@ -16,22 +16,22 @@ are also included in the final reply in case the datagram is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, TypedDict
 
 from ..core.schema import Script, TaskClass
+from ..core.values import ObjectRef
 from ..engine.context import PendingExternal, TaskContext, TaskResult
+from ..engine.plan import DispatchTemplate
 from ..engine.registry import ImplementationRegistry, ScriptBinding
 from ..net.node import Message, Service
 from ..orb.broker import DelayedResult, Interface
 from ..sim.crashpoints import crash_point
-from .serialization import (
-    refs_from_plain,
-    refs_to_plain,
-    result_to_plain,
-    taskclass_from_plain,
-)
+from .serialization import refs_to_plain, result_to_plain
 
 WORKER_INTERFACE = Interface("TaskWorker", ("execute",))
+
+# Bound on a worker's decoded-template memo; the oldest entry goes first.
+_TEMPLATE_MEMO_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,23 @@ class ServiceProfile:
             raise ValueError("lanes must be >= 1")
 
 
-@dataclass
-class WorkRequest:
-    """Plain-data dispatch payload (crosses the ORB)."""
+class WorkRequest(TypedDict):
+    """One dispatch as it crosses the ORB (docs/PROTOCOLS.md §11): a plain
+    dict, so the ORB copies it, but everything in it is immutable except the
+    application values inside ``inputs`` — the template and immutable inputs
+    cross by reference, and only a mutable input value is copied."""
 
     instance_id: str
-    task_path: str
     execution_index: int
-    taskclass: Dict[str, Any]       # serialized TaskClass
-    code: Optional[str]
+    template: DispatchTemplate       # task path, task class, code, properties
     input_set: str
-    inputs: Dict[str, Any]          # plain refs
-    properties: Dict[str, str]
+    inputs: Tuple[Tuple[str, ObjectRef], ...]
     attempt: int
     repeats: int
     reply_to: str                    # execution-service node name
-    # Fencing epoch of the dispatching execution-service incarnation; 0 means
-    # unfenced (legacy callers).  See docs/PROTOCOLS.md §12.
-    epoch: int = 0
-
-    def to_plain(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_plain(cls, data: Dict[str, Any]) -> "WorkRequest":
-        return cls(**data)
+    # Fencing epoch of the dispatching execution-service incarnation at send
+    # time; 0 means unfenced.  See docs/PROTOCOLS.md §12.
+    epoch: int
 
 
 class TaskWorker(Service):
@@ -111,6 +103,9 @@ class TaskWorker(Service):
         # still holds (fencing here is a liveness/efficiency aid; safety
         # rests on the lease and the journal, see docs/PROTOCOLS.md §12).
         self.fence_epoch = 0
+        # dispatch template -> (task class, properties), keyed by value: the
+        # same template arrives with every dispatch of its task
+        self._decoded: Dict[DispatchTemplate, Tuple[TaskClass, Dict[str, str]]] = {}
 
     def on_recover(self) -> None:
         # The crash destroyed the backlog: queued-but-unfinished work died
@@ -128,7 +123,19 @@ class TaskWorker(Service):
         self._lane_busy[lane] = finish
         return DelayedResult(reply, finish - now)
 
-    def execute(self, request_data: Dict[str, Any]) -> Dict[str, Any]:
+    def _decode(self, template: DispatchTemplate) -> Tuple[TaskClass, Dict[str, str]]:
+        decoded = self._decoded.get(template)
+        if decoded is None:
+            if len(self._decoded) >= _TEMPLATE_MEMO_MAX:
+                del self._decoded[next(iter(self._decoded))]
+            decoded = (
+                TaskClass.from_wire(template.taskclass),
+                dict(template.properties),
+            )
+            self._decoded[template] = decoded
+        return decoded
+
+    def execute(self, request: WorkRequest) -> Dict[str, Any]:
         """Run one task; returns a plain-data reply.
 
         Reply shape: ``{"ok": bool, "result": ..., "marks": [...],
@@ -136,32 +143,39 @@ class TaskWorker(Service):
         carrying a stale fencing epoch gets ``{"ok": False, "fenced": True,
         "epoch": <highest seen>}`` instead, without executing anything.
         """
-        request = WorkRequest.from_plain(dict(request_data))
-        if request.epoch:
-            if request.epoch < self.fence_epoch:
+        template = request["template"]
+        task_path = template.task_path
+        identity = {
+            "instance_id": request["instance_id"],
+            "task_path": task_path,
+            "execution_index": request["execution_index"],
+            # which worker served the request: the execution service's
+            # health registry attributes latency/liveness observations to it
+            "worker": self.name,
+        }
+        epoch = request["epoch"]
+        if epoch:
+            if epoch < self.fence_epoch:
                 return {
-                    "instance_id": request.instance_id,
-                    "task_path": request.task_path,
-                    "execution_index": request.execution_index,
-                    "worker": self.name,
+                    **identity,
                     "ok": False,
                     "fenced": True,
                     "epoch": self.fence_epoch,
-                    "error": f"fenced: epoch {request.epoch} < {self.fence_epoch}",
+                    "error": f"fenced: epoch {epoch} < {self.fence_epoch}",
                     "marks": [],
                 }
-            self.fence_epoch = request.epoch
+            self.fence_epoch = epoch
         crash_point("worker.execute.pre", self)
         self.executed.append(
-            (request.instance_id, request.task_path, request.execution_index)
+            (request["instance_id"], task_path, request["execution_index"])
         )
         marks: List[Dict[str, Any]] = []
 
         def mark_sink(mark_name: str, objects) -> None:
             entry = {
-                "instance_id": request.instance_id,
-                "task_path": request.task_path,
-                "execution_index": request.execution_index,
+                "instance_id": request["instance_id"],
+                "task_path": task_path,
+                "execution_index": request["execution_index"],
                 "name": mark_name,
                 "objects": refs_to_plain(objects),
             }
@@ -170,31 +184,23 @@ class TaskWorker(Service):
             # final reply re-carries it).
             if self.node is not None and self.node.alive:
                 self.node.send(
-                    request.reply_to,
+                    request["reply_to"],
                     {"service": "execution", "type": "mark", **entry},
                 )
 
-        taskclass = taskclass_from_plain(request.taskclass)
+        taskclass, properties = self._decode(template)
         context = TaskContext(
-            task_path=request.task_path,
+            task_path=task_path,
             taskclass=taskclass,
-            input_set=request.input_set,
-            inputs=refs_from_plain(request.inputs),
-            properties=request.properties,
-            attempt=request.attempt,
-            repeats=request.repeats,
+            input_set=request["input_set"],
+            inputs=dict(request["inputs"]),
+            properties=properties,  # copied by the context
+            attempt=request["attempt"],
+            repeats=request["repeats"],
             mark_sink=mark_sink,
         )
-        identity = {
-            "instance_id": request.instance_id,
-            "task_path": request.task_path,
-            "execution_index": request.execution_index,
-            # which worker served the request: the execution service's
-            # health registry attributes latency/liveness observations to it
-            "worker": self.name,
-        }
         try:
-            binding = self.registry.resolve(request.code)
+            binding = self.registry.resolve(template.code)
             if isinstance(binding, ScriptBinding):
                 result = self._run_subworkflow(binding, context)
             else:

@@ -67,7 +67,7 @@ class TestStepBudget:
         # the node that hit the budget is still queued and waiting, not lost
         survivor = wf.tree.node_at("pipeline/t4")
         assert survivor.machine.state is TaskState.WAIT
-        assert any(node is survivor for node in wf.tree._ready)
+        assert wf.tree.peek_ready() == [survivor]
 
     def test_budget_not_consumed_when_nothing_ready(self):
         engine = LocalEngine(stage_registry(), max_steps=100)

@@ -9,8 +9,14 @@ import typing
 
 import pytest
 
+from repro.core.values import ObjectRef
+from repro.engine import outcome
+from repro.engine.plan import compile_plan
 from repro.orb import MarshalError, is_transferable, marshal, marshal_call, transferable
 from repro.orb.marshal import set_fast_path
+from repro.services import WorkflowSystem
+from repro.services.worker import TaskWorker, WorkRequest
+from repro.workloads import chain, paper_order, script_text
 
 
 @transferable
@@ -221,3 +227,82 @@ class TestMarshalCall:
 
         with pytest.raises(MarshalError):
             marshal_call((), {"bad": Opaque()})
+
+
+class TestWorkRequestBoundary:
+    """What a dispatch is on the wire (docs/PROTOCOLS.md §11): the static
+    template crosses by reference, mutable application values by copy, and
+    the fencing epoch is the one at send time."""
+
+    def _request(self, value):
+        script = chain(1)[0]
+        template = compile_plan(script, analyze=False).by_path["pipeline/t1"].template
+        return WorkRequest(
+            instance_id="wf-1", execution_index=1, template=template,
+            input_set="main", inputs=(("inp", ObjectRef("Data", value)),),
+            attempt=1, repeats=0, reply_to="execution-node", epoch=1,
+        )
+
+    def test_immutable_parts_cross_by_reference(self):
+        request = self._request("payload")
+        ((copy,), _kwargs) = marshal_call((request,), {})
+        assert copy == request and copy is not request  # the dict itself is copied
+        assert copy["template"] is request["template"]
+        assert copy["inputs"] is request["inputs"]
+
+    @pytest.mark.parametrize("value", [["a"], {"k": ["a"]}], ids=["list", "dict"])
+    def test_mutable_input_is_copied_the_template_is_not(self, value):
+        request = self._request(value)
+        copy = marshal(request)
+        assert copy == request
+        assert copy["template"] is request["template"]
+        assert copy["inputs"][0][1].value is not value
+
+    def test_worker_mutation_is_invisible_to_the_coordinator(self):
+        def mutate(ctx):
+            seen = ctx.value("inp")
+            seen.append("worker was here")
+            return outcome("done", out=list(seen))
+
+        _script, registry, root, _inputs = workload = chain(1)
+        registry.register("stage", mutate)
+        system = WorkflowSystem(workers=1, registry=registry)
+        system.deploy("chain", script_text(workload))
+        iid = system.instantiate("chain", root, {"inp": ["original"]})
+        result = system.run_until_terminal(iid)
+        assert result["objects"]["out"]["value"] == ["original", "worker was here"]
+        tree = system.execution.runtimes[iid].tree
+        _input_set, held = tree.node_at("pipeline/t1").chosen
+        assert held["inp"].value == ["original"]
+
+    def test_epoch_is_stamped_when_a_flight_is_resent_after_promotion(self, monkeypatch):
+        executed = []
+        execute = TaskWorker.execute
+
+        def recording(self, request):
+            executed.append((request["template"].task_path, request["epoch"]))
+            return execute(self, request)
+
+        monkeypatch.setattr(TaskWorker, "execute", recording)
+        system = WorkflowSystem(workers=2, replicas=2, lease_duration=30.0)
+        paper_order.default_registry(registry=system.registry)
+        system.deploy("order", paper_order.SCRIPT_TEXT)
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        standby = system.execution_replicas[1]
+        system.clock.advance(6.0)
+        # the warm image built these flights while its owner was a standby
+        warm = {
+            path: flight.request["epoch"]
+            for (path, _exec), flight in standby.runtimes[iid].in_flight.items()
+        }
+        assert warm
+        system.execution_node.crash()
+        before = len(executed)
+        assert system.run_until_terminal(iid, max_time=2_000.0)["status"] == "completed"
+        assert system.primary_execution() is standby
+        assert all(built_under < standby.epoch for built_under in warm.values())
+        resent = executed[before:]
+        assert all((path, standby.epoch) in resent for path in warm)
+        # nothing went out under the epoch it was built under
+        assert not set(warm.values()) & {epoch for _path, epoch in executed}
+        assert standby.stats["fenced_replies"] == 0

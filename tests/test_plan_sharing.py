@@ -1,0 +1,174 @@
+"""One compiled ExecutionPlan per script, shared read-only by every instance
+the execution service builds on it (docs/PROTOCOLS.md §10): compiled once,
+never written through, abandoned by an instance at its first
+reconfiguration, and kept by the compile cache while the script is in use."""
+
+from collections import OrderedDict
+
+import pytest
+
+from repro.engine import outcome
+from repro.engine import instance as instance_mod
+from repro.engine import plan as plan_mod
+from repro.engine.plan import compile_plan
+from repro.services import WorkflowSystem
+from repro.services import execution as execution_mod
+from repro.sim import oracles
+from repro.workloads import chain, fan, paper_order, script_text
+
+from tests.test_plan import canonical_log
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_cache(monkeypatch):
+    """Each test starts with an empty compile cache of its own."""
+    monkeypatch.setattr(execution_mod, "_COMPILE_CACHE", OrderedDict())
+
+
+def deployed(workload, name="wl", **kwargs):
+    _script, registry, root, inputs = workload
+    system = WorkflowSystem(registry=registry, **kwargs)
+    system.deploy(name, script_text(workload))
+    return system, root, inputs
+
+
+def shared_plan(text):
+    return execution_mod._COMPILE_CACHE[text].plan
+
+
+def event_log(service, iid):
+    """Every field of every log entry except the simulated time (index 1),
+    which depends on what else the network carried."""
+    return [
+        entry[:1] + entry[2:]
+        for entry in canonical_log(service.runtimes[iid].tree.log)
+    ]
+
+
+class TestCompiledOnce:
+    def test_n_instances_compile_each_task_once(self, monkeypatch):
+        calls = []
+        original = plan_mod.compile_node_table
+
+        def counting(decl, taskclass, vocabulary):
+            calls.append(decl.name)
+            return original(decl, taskclass, vocabulary)
+
+        monkeypatch.setattr(plan_mod, "compile_node_table", counting)
+        monkeypatch.setattr(instance_mod, "compile_node_table", counting)
+        workload = fan(5)
+        system, root, inputs = deployed(workload)
+        assert calls == []  # deploy stores the script; nothing is compiled
+        for _ in range(6):
+            iid = system.instantiate("wl", root, inputs)
+            assert system.run_until_terminal(iid)["status"] == "completed"
+        tasks = [path for path, _decl in workload[0].walk_tasks()]
+        assert len(calls) == len(tasks) == 8
+        plan = shared_plan(script_text(workload))
+        assert all(
+            runtime.tree.plan is plan for runtime in system.execution.runtimes.values()
+        )
+
+    def test_plan_is_read_only(self):
+        script = fan(3)[0]
+        plan = compile_plan(script, analyze=False)
+        scope = plan.scopes["fan"]
+        table = scope.tables[0]
+        key = next(iter(table.entries))
+        for mapping in (plan.scopes, plan.by_path, scope.routing,
+                        scope.watch_routing, table.entries):
+            with pytest.raises(TypeError):
+                mapping[key] = ()
+        for frozen, attr in ((plan, "scopes"), (scope, "tables"), (table, "sets"),
+                             (scope.templates[0], "code")):
+            with pytest.raises(AttributeError):
+                setattr(frozen, attr, None)
+
+
+class TestReconfigurationLeavesTheSharedPlan:
+    def test_neighbour_of_a_reconfigured_instance_is_undisturbed(self):
+        def run(reconfigure_first):
+            workload = chain(3)
+            workload[1].register("stage2", lambda ctx: outcome("done", out="swapped"))
+            system, root, inputs = deployed(workload, workers=2)
+            text = script_text(workload)
+            service = system.execution
+            first = system.instantiate("wl", root, inputs) if reconfigure_first else None
+            second = system.instantiate("wl", root, inputs)
+            plan = shared_plan(text)
+            before = compile_plan(service.runtimes[second].script, analyze=False)
+            if reconfigure_first:
+                head, _sep, tail = text.rpartition('"code" is "stage"')
+                system.execution_proxy().reconfigure(first, head + '"code" is "stage2"' + tail)
+                assert service.runtimes[first].tree.plan is None
+                assert service.runtimes[second].tree.plan is plan
+                result = system.run_until_terminal(first)
+                assert result["objects"]["out"]["value"] == "swapped"
+            assert system.run_until_terminal(second)["status"] == "completed"
+            # the shared plan still says what a fresh compile says
+            assert shared_plan(text) is plan
+            assert plan.by_path == before.by_path and plan.scopes == before.scopes
+            return event_log(service, second)
+
+        assert run(reconfigure_first=True) == run(reconfigure_first=False)
+
+
+class TestRebuildsUseTheSharedPlan:
+    def test_crash_recovery(self):
+        system, root, inputs = deployed(chain(4), workers=2)
+        iids = [system.instantiate("wl", root, inputs) for _ in range(3)]
+        system.run_until_terminal(iids[0])
+        plan = system.execution.runtimes[iids[0]].tree.plan
+        system.execution_store.crash()
+        system.execution_node.crash()
+        system.execution_node.recover()
+        service = system.execution
+        assert sorted(service.runtimes) == sorted(iids)
+        assert all(runtime.tree.plan is plan for runtime in service.runtimes.values())
+        assert oracles.check_replay_agreement(service) == []
+        for iid in iids:
+            assert system.run_until_terminal(iid)["status"] == "completed"
+
+    def test_standby_promotion(self):
+        system = WorkflowSystem(workers=2, replicas=2, lease_duration=30.0)
+        paper_order.default_registry(registry=system.registry)
+        system.deploy("order", paper_order.SCRIPT_TEXT)
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        system.clock.advance(6.0)
+        plan = shared_plan(paper_order.SCRIPT_TEXT)
+        standby = system.execution_replicas[1]
+        assert standby.runtimes[iid].tree.plan is plan  # the warm image
+        system.execution_node.crash()
+        system.clock.advance(200.0)
+        promoted = system.primary_execution()
+        assert promoted is standby
+        assert promoted.runtimes[iid].tree.plan is plan
+        assert oracles.check_replay_agreement(promoted) == []
+        assert promoted.status(iid)["status"] == "completed"
+
+    def test_import_instance(self):
+        source, root, inputs = deployed(chain(3), workers=2)
+        target, _root, _inputs = deployed(chain(3), workers=2)
+        iid = source.instantiate("wl", root, inputs)
+        snapshot = source.execution_proxy().export_instance(iid)
+        target.execution_proxy().import_instance(snapshot)
+        adopted = target.execution.runtimes[iid]
+        assert adopted.tree.plan is source.execution.runtimes[iid].tree.plan
+        assert target.run_until_terminal(iid)["status"] == "completed"
+
+
+class TestCompileCacheEviction:
+    def test_hot_script_survives_a_stream_of_one_off_scripts(self):
+        hot = script_text(chain(2))
+        script = execution_mod._compile_cached(hot)
+        system, root, inputs = deployed(chain(2))
+        system.run_until_terminal(system.instantiate("wl", root, inputs))
+        plan = shared_plan(hot)
+        assert plan is not None and plan.script is script
+        for n in range(200):
+            execution_mod._compile_cached(hot.replace("pipeline", f"oneoff{n}"))
+            if n % 50 == 25:  # the hot script stays in use between them
+                system.run_until_terminal(system.instantiate("wl", root, inputs))
+        assert len(execution_mod._COMPILE_CACHE) == execution_mod._COMPILE_CACHE_MAX
+        assert execution_mod._compile_cached(hot) is script
+        assert shared_plan(hot) is plan

@@ -4,6 +4,8 @@ fencing epochs, log shipping, and lease-fenced failover
 
 import pytest
 
+from repro.core.schema import InputSetSpec, TaskClass
+from repro.engine.plan import DispatchTemplate
 from repro.net.clock import EventClock
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node
@@ -125,14 +127,13 @@ class TestFailureDetector:
 
 class TestWorkerFencing:
     def _request(self, epoch):
+        taskclass = TaskClass("T", (InputSetSpec("main"),))
         return WorkRequest(
-            instance_id="wf-1", task_path="t", execution_index=0,
-            taskclass={"name": "T",
-                       "input_sets": [{"name": "main", "objects": []}],
-                       "outputs": []},
-            code=None, input_set="main", inputs={}, properties={}, attempt=0,
+            instance_id="wf-1", execution_index=0,
+            template=DispatchTemplate("t", taskclass.wire, None, ()),
+            input_set="main", inputs=(), attempt=0,
             repeats=0, reply_to="execution-node", epoch=epoch,
-        ).to_plain()
+        )  # a plain dict: the one wire form
 
     def test_stale_epoch_refused_without_executing(self):
         worker = TaskWorker("w1", registry=None)

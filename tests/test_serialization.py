@@ -1,6 +1,6 @@
 """Unit tests for plain-data serialization of durable workflow state."""
 
-from repro.core.schema import OutputKind
+from repro.core.schema import OutputKind, TaskClass
 from repro.core.values import ObjectRef
 from repro.engine.context import TaskResult
 from repro.services import (
@@ -10,8 +10,6 @@ from repro.services import (
     refs_to_plain,
     result_from_plain,
     result_to_plain,
-    taskclass_from_plain,
-    taskclass_to_plain,
 )
 from repro.workloads import paper_trip
 
@@ -54,10 +52,10 @@ class TestTaskClasses:
     def test_simple_taskclass_roundtrip(self):
         script = paper_trip.build()
         for taskclass in script.taskclasses.values():
-            back = taskclass_from_plain(taskclass_to_plain(taskclass))
+            back = TaskClass.from_wire(taskclass.wire)
             assert back == taskclass
 
     def test_roundtrip_preserves_atomicity(self):
         script = paper_trip.build()
         br = script.taskclasses["BusinessReservation"]
-        assert taskclass_from_plain(taskclass_to_plain(br)).is_atomic
+        assert TaskClass.from_wire(br.wire).is_atomic
