@@ -1,12 +1,18 @@
 """Adaptive dispatch resilience vs the fixed-interval baseline.
 
 A stream of order instances arrives while ``RandomCrasher`` repeatedly takes
-worker nodes down.  The legacy dispatcher (``ResilienceConfig.disabled()``)
-waits a fixed ``dispatch_timeout`` and rotates blindly, so every dispatch
-that lands on a dead worker stalls its instance for a full timeout (or
-several).  The adaptive layer routes around unhealthy workers, hedges
-slow flights and backs off with deterministic jitter — same chaos, same
-seeds, strictly better mean completion time.
+worker nodes down.  The baseline is the fixed-interval dispatcher as a set of
+ordinary values (``FIXED_INTERVAL``): every attempt awaited the same
+``dispatch_timeout``, no hedging, no redispatch cap, no recovery stagger — so
+a dispatch that lands on a dead worker stalls its instance for a full timeout
+(or several).  The adaptive defaults hedge slow flights and back off with
+deterministic jitter — same chaos, same seeds, strictly better mean
+completion time (11.60 vs 9.62 virtual seconds; 13.52 if the baseline keeps
+``RetryPolicy``'s default 30-second base delay instead of the system's 20).
+
+Both arms route by worker health.  The baseline used to be a separate code
+path that also rotated over workers blindly (crc32 of the flight key); it
+measured 35.1, and most of that was the rotation, not the fixed interval.
 
 Also asserts the safety side of hedging: duplicated dispatches must never
 be *applied* twice (the journal dedupes by task path + execution index).
@@ -17,13 +23,25 @@ import os
 
 from repro.core.selection import EventKind
 from repro.net import RandomCrasher
-from repro.resilience import ResilienceConfig
+from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.services import WorkflowSystem
 from repro.workloads import paper_order
 
 from .conftest import report
 
 SCENARIO = dict(interval=40.0, downtime=20.0, chaos_seed=7, instances=10, gap=15.0)
+DISPATCH_TIMEOUT = 20.0
+
+FIXED_INTERVAL = ResilienceConfig(
+    policy=RetryPolicy(
+        base_delay=DISPATCH_TIMEOUT,
+        multiplier=1.0,
+        jitter=0.0,
+        max_redispatches=None,
+        recovery_stagger=0.0,
+    ),
+    hedge_delay=None,
+)
 
 
 def run_stream(resilience, interval, downtime, chaos_seed, instances, gap):
@@ -35,7 +53,7 @@ def run_stream(resilience, interval, downtime, chaos_seed, instances, gap):
     system = WorkflowSystem(
         workers=3,
         seed=42,
-        dispatch_timeout=20.0,
+        dispatch_timeout=DISPATCH_TIMEOUT,
         sweep_interval=5.0,
         resilience=resilience,
     )
@@ -86,9 +104,7 @@ def assert_no_double_application(system, iids):
 
 
 def test_resilience_beats_fixed_interval_baseline(benchmark):
-    base_lat, base_sys, base_iids = run_stream(
-        ResilienceConfig.disabled(), **SCENARIO
-    )
+    base_lat, base_sys, base_iids = run_stream(FIXED_INTERVAL, **SCENARIO)
     res_lat, res_sys, res_iids = run_stream(None, **SCENARIO)  # adaptive default
 
     base_mean = sum(base_lat) / len(base_lat)
@@ -125,7 +141,7 @@ def test_resilience_beats_fixed_interval_baseline(benchmark):
     for key in ("hedges", "breaker_trips", "abandoned", "failovers", "staggered"):
         assert key in res_stats
     assert res_stats["hedges"] >= 1
-    # safety: at-least-once dispatch, exactly-once application — in both modes
+    # safety: at-least-once dispatch, exactly-once application — in both arms
     assert_no_double_application(base_sys, base_iids)
     assert_no_double_application(res_sys, res_iids)
 

@@ -324,14 +324,12 @@ def cmd_load(args: argparse.Namespace) -> int:
         drain=args.drain,
         slo=args.slo,
     )
-    if args.no_overload:
-        overload = OverloadConfig.disabled()
-    else:
-        overload = OverloadConfig(
-            queue_capacity=args.queue_capacity,
-            initial_window=args.window,
-            min_window=max(1, args.window // 4),
-        )
+    overload = OverloadConfig(
+        queue_capacity=args.queue_capacity,
+        initial_window=args.window,
+        min_window=max(1, args.window // 4),
+        max_window=max(args.window, OverloadConfig.max_window),
+    )
     system = WorkflowSystem(
         workers=args.workers,
         registry=traffic_registry(),
@@ -415,20 +413,17 @@ def _demo_distributed(args, module, inputs, registry) -> int:
     from .resilience import ResilienceConfig
     from .services.system import WorkflowSystem
 
-    if args.no_resilience:
-        resilience = ResilienceConfig.disabled()
-    else:
-        resilience = ResilienceConfig.for_timeouts(
-            args.dispatch_timeout,
-            args.sweep_interval,
-            seed=args.seed,
-            hedging=args.hedge_delay != 0.0,
-            max_redispatches=args.max_redispatches,
-        )
-        if args.hedge_delay is not None and args.hedge_delay > 0.0:
-            import dataclasses
+    resilience = ResilienceConfig.for_timeouts(
+        args.dispatch_timeout,
+        args.sweep_interval,
+        seed=args.seed,
+        hedging=args.hedge_delay != 0.0,
+        max_redispatches=args.max_redispatches,
+    )
+    if args.hedge_delay is not None and args.hedge_delay > 0.0:
+        import dataclasses
 
-            resilience = dataclasses.replace(resilience, hedge_delay=args.hedge_delay)
+        resilience = dataclasses.replace(resilience, hedge_delay=args.hedge_delay)
     system = WorkflowSystem(
         workers=args.workers,
         loss_rate=args.loss_rate,
@@ -715,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatcher sweep period for --distributed (default: 10)",
     )
     demo.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="use the legacy fixed-interval dispatcher (no backoff, "
-        "breakers, health routing or hedging)",
-    )
-    demo.add_argument(
         "--hedge-delay", type=float, default=None, metavar="T",
         help="hedged-dispatch delay (0 disables hedging; default: "
         "2 x sweep interval)",
@@ -792,12 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--window", type=int, default=16, metavar="N",
-        help="initial admitted-concurrency window (default: 16)",
-    )
-    load.add_argument(
-        "--no-overload", action="store_true",
-        help="disable the admission/shedding layer (the ablation: watch "
-        "sojourn diverge under sustained overload)",
+        help="initial admitted-concurrency window (default: 16); a window "
+        "no run can fill is the no-admission-control ablation",
     )
     load.add_argument(
         "--json", action="store_true",

@@ -11,8 +11,6 @@ code only ever increments, so the counters are free of branches.
 
 from __future__ import annotations
 
-from typing import Dict
-
 
 class IopathStats:
     """Counters for the I/O hot path (WAL, journal, marshal)."""
@@ -20,7 +18,6 @@ class IopathStats:
     __slots__ = (
         "wal_forces",
         "wal_syncs",
-        "wal_records_mirrored",
         "journal_entries",
         "journal_batches",
         "marshal_calls",
@@ -33,36 +30,10 @@ class IopathStats:
     def reset(self) -> None:
         self.wal_forces = 0            # WriteAheadLog.force() calls
         self.wal_syncs = 0             # physical sync operations (fsyncs)
-        self.wal_records_mirrored = 0  # records written to the disk mirror
         self.journal_entries = 0       # execution-service journal entries
         self.journal_batches = 0       # journal flush transactions
         self.marshal_calls = 0         # top-level marshal() calls
         self.marshal_fast_hits = 0     # calls answered by reference (no copy)
-
-    # -- derived ratios (guarded against division by zero) ----------------------
-
-    def forces_per_sync(self) -> float:
-        return self.wal_forces / self.wal_syncs if self.wal_syncs else 0.0
-
-    def entries_per_batch(self) -> float:
-        return self.journal_entries / self.journal_batches if self.journal_batches else 0.0
-
-    def fast_hit_rate(self) -> float:
-        return self.marshal_fast_hits / self.marshal_calls if self.marshal_calls else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "wal_forces": self.wal_forces,
-            "wal_syncs": self.wal_syncs,
-            "wal_records_mirrored": self.wal_records_mirrored,
-            "journal_entries": self.journal_entries,
-            "journal_batches": self.journal_batches,
-            "marshal_calls": self.marshal_calls,
-            "marshal_fast_hits": self.marshal_fast_hits,
-            "forces_per_sync": round(self.forces_per_sync(), 3),
-            "entries_per_batch": round(self.entries_per_batch(), 3),
-            "marshal_fast_hit_rate": round(self.fast_hit_rate(), 3),
-        }
 
 
 IOPATH_STATS = IopathStats()

@@ -20,9 +20,7 @@ Two speed layers sit on top of those semantics (docs/PROTOCOLS.md §11):
   ``@transferable`` dataclasses with immutable fields — are returned *by
   reference*: sharing an immutable value cannot leak mutable state, so the
   copy would buy nothing.  Mutable containers (lists, sets, dicts, mutable
-  dataclasses, ``__marshal__`` protocol classes) are structurally copied
-  exactly as before.  ``set_fast_path(False)`` restores unconditional
-  structural copying (used by the differential tests and benchmarks).
+  dataclasses, ``__marshal__`` protocol classes) are structurally copied.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ _PRIMITIVES = (type(None), bool, int, float, str, bytes)
 # Types explicitly allowed to cross the wire by structural copy.
 _TRANSFERABLE: Set[type] = set()
 
-# Memoized type -> handler dispatch.  Cleared whenever the registry (or the
-# fast-path mode) changes, so classification can never go stale.
+# Memoized type -> handler dispatch.  Cleared whenever the registry changes,
+# so classification can never go stale.
 _DISPATCH: Dict[type, Callable[[Any, int], Any]] = {}
 
 # Memoized type -> immutability checker for the zero-copy fast path:
@@ -50,8 +48,6 @@ _IMMUTABLE_CHECK: Dict[type, Optional[Callable[[Any, int], bool]]] = {}
 
 # exact types whose values are immutable with no walk at all
 _PRIM_EXACT = frozenset(_PRIMITIVES)
-
-_FAST_PATH = True
 
 
 class MarshalError(TypeError):
@@ -75,15 +71,6 @@ def transferable(cls: Type) -> Type:
 
 def is_transferable(cls: Type) -> bool:
     return cls in _TRANSFERABLE
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Toggle the zero-copy fast path (on by default).  Disabled, every
-    value is structurally copied — the pre-optimization behaviour."""
-    global _FAST_PATH
-    _FAST_PATH = bool(enabled)
-    _DISPATCH.clear()
-    _IMMUTABLE_CHECK.clear()
 
 
 def marshal(value: Any, _depth: int = 0) -> Any:
@@ -190,7 +177,7 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
     if issubclass(cls, (list, tuple)):
         if cls is tuple:
             def handle_tuple(value, depth):
-                if _FAST_PATH and _items_immutable(value, depth):
+                if _items_immutable(value, depth):
                     return value
                 return tuple(marshal(v, depth + 1) for v in value)
             return handle_tuple
@@ -200,7 +187,7 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
             # namedtuple-style: the constructor takes the fields positionally,
             # not a single iterable
             def handle_namedtuple(value, depth):
-                if _FAST_PATH and _items_immutable(value, depth):
+                if _items_immutable(value, depth):
                     return value
                 return cls(*[marshal(v, depth + 1) for v in value])
             return handle_namedtuple
@@ -209,7 +196,7 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
     if issubclass(cls, (set, frozenset)):
         if cls is frozenset:
             def handle_frozenset(value, depth):
-                if _FAST_PATH and _items_immutable(value, depth):
+                if _items_immutable(value, depth):
                     return value
                 return frozenset(marshal(v, depth + 1) for v in value)
             return handle_frozenset
@@ -244,7 +231,7 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
             names = [f.name for f in dataclasses.fields(cls)]
             frozen = cls.__dataclass_params__.frozen
             def handle_dataclass(value, depth):
-                if frozen and _FAST_PATH:
+                if frozen:
                     check = _IMMUTABLE_CHECK.get(cls)
                     if check is None:
                         check = _build_immutable_check(cls)

@@ -83,8 +83,6 @@ class AdmissionController:
 
     def decide(self, criticality: str, now: float) -> str:
         """Verdict for a new arrival: start | queue | shed | reject."""
-        if not self.config.enabled:
-            return START
         if not self.queue and len(self.in_flight) < self.window:
             return START
         if self.pressure >= 3:
@@ -162,7 +160,7 @@ class AdmissionController:
 
     def control(self, now: float) -> None:
         """One controller tick (the service calls this from its sweeper)."""
-        if not self.config.enabled or now < self.next_control_at:
+        if now < self.next_control_at:
             return
         self.next_control_at = now + self.config.control_interval
         cfg = self.config
@@ -216,7 +214,7 @@ class AdmissionController:
 
     def allow_hedge(self) -> bool:
         """Hedged duplicates are the first thing to go under pressure."""
-        return not self.config.enabled or self.pressure == 0
+        return self.pressure == 0
 
     def evict_low(self, now: float) -> List[Tuple[str, str]]:
         """Queued low-criticality instances to shed once pressure reaches 2.
@@ -226,7 +224,7 @@ class AdmissionController:
         criticality)`` pairs — the *service* journals their decisive
         outcomes; nothing disappears here.
         """
-        if not self.config.enabled or self.pressure < 2:
+        if self.pressure < 2:
             return []
         victims = [
             (iid, crit) for iid, (crit, _entered) in self.queue.items() if crit == "low"
@@ -263,7 +261,6 @@ class AdmissionController:
     def report(self) -> Dict[str, Any]:
         counts = self.counts
         return {
-            "enabled": self.config.enabled,
             "window": self.window,
             "pressure": self.pressure,
             "queue_depth": len(self.queue),

@@ -6,8 +6,11 @@ the execution service takes an :class:`OverloadConfig` and wires it into an
 deliberately generous (window 256, queue 256) so a system that never sees
 more than a few hundred concurrent instances behaves byte-for-byte as if
 the layer did not exist; benchmarks and load tests pass tighter bounds.
-``OverloadConfig.disabled()`` removes the layer entirely (the shedding
-ablation of the overload benchmark).
+"No admission control" — the shedding ablation of the overload benchmark —
+is ``OverloadConfig(initial_window=N, max_window=N)`` with N above any
+concurrency the run can reach: every arrival starts at once, nothing ever
+queues, so the controller sees no delay and can neither resize the window
+nor raise pressure.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class OverloadConfig:
     ``shed_all_at`` multiples of the target, the shed policy escalates.
     """
 
-    enabled: bool = True
     queue_capacity: int = 256        # bounded admission queue; full -> Overloaded
     initial_window: int = 256        # admitted-concurrency window (instances)
     min_window: int = 8
@@ -68,23 +70,3 @@ class OverloadConfig:
             raise ValueError("sojourn_target and control_interval must be positive")
         if not 1.0 <= self.shed_low_at <= self.shed_all_at:
             raise ValueError("need 1 <= shed_low_at <= shed_all_at")
-
-    @classmethod
-    def disabled(cls) -> "OverloadConfig":
-        """No admission queue, no controller, no shedding — every instance
-        starts immediately, exactly the pre-§13 behaviour."""
-        return cls(enabled=False)
-
-    @classmethod
-    def for_timeouts(
-        cls, dispatch_timeout: float, sweep_interval: float, **overrides
-    ) -> "OverloadConfig":
-        """Derive targets from the dispatch timings, like ResilienceConfig:
-        queue sojourn is measured against the same clock the dispatcher's
-        patience is."""
-        params = dict(
-            sojourn_target=max(dispatch_timeout, 1.0),
-            control_interval=max(sweep_interval, 1.0),
-        )
-        params.update(overrides)
-        return cls(**params)

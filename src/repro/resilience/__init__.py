@@ -20,8 +20,8 @@ by a production-grade resilience layer:
   decision (dispatch, redispatch, hedge, breaker transition, failover,
   abandonment, stagger) as a timestamped event, renderable next to the
   workflow trace.
-* :class:`ResilienceConfig` bundles the knobs; ``ResilienceConfig.disabled()``
-  reproduces the legacy fixed-interval dispatch behaviour exactly.
+* :class:`ResilienceConfig` bundles the knobs; a fixed-interval dispatcher
+  is one setting of them (see :mod:`repro.resilience.config`).
 
 Everything is deterministic under the simulation's seeds: jitter is derived
 by hashing ``(seed, flight key, attempt)``, never from a live RNG.

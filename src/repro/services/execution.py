@@ -28,9 +28,7 @@ Coordinates workflow instances with the paper's system-level guarantees:
   latency, in-flight counts, per-worker circuit breakers) instead of blind
   rotation; slow flights are optionally *hedged* — duplicated to a second
   worker, safe because the journal applies exactly one reply; a flight past
-  its redispatch cap is abandoned into an ordinary system failure.  Passing
-  ``ResilienceConfig.disabled()`` restores the legacy fixed-interval
-  dispatcher exactly.
+  its redispatch cap is abandoned into an ordinary system failure.
 * **Automatic retries** of tasks that fail for system-level reasons, with the
   retry budget from the task's ``retries`` implementation property (§3).
 
@@ -216,28 +214,25 @@ class ExecutionService(Service):
         dispatch_timeout: float = 30.0,
         sweep_interval: float = 10.0,
         resilience: Optional[ResilienceConfig] = None,
-        journal_batch: bool = True,
         journal_window: float = 5.0,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
-        """``journal_batch`` turns on batched journal appends: entries
-        produced within one scheduling pump (and across pumps that trigger
-        no dispatch) accumulate in a buffer and commit in a single
-        transaction/force at the next durability barrier — before any
-        dependent dispatch, when an instance reaches a terminal state, in
-        every public mutating operation, or at the latest ``journal_window``
-        simulated seconds after the first buffered entry.  Recovery, replay
-        determinism and exactly-once dedup are byte-identical to per-entry
-        journaling (``journal_batch=False``)."""
+        """Journal appends are batched: entries produced within one
+        scheduling pump (and across pumps that trigger no dispatch)
+        accumulate in a buffer and commit in a single transaction/force at
+        the next durability barrier — before any dependent dispatch, when an
+        instance reaches a terminal state, in every public mutating
+        operation, or at the latest ``journal_window`` simulated seconds
+        after the first buffered entry.  Recovery, replay determinism and
+        exactly-once dedup are byte-identical to committing each entry as it
+        is produced."""
         super().__init__(name)
         self.store = store
         self.broker = broker
         self.repository_name = repository_name
         self.worker_names = list(worker_names)
         self.durable = durable
-        self.dispatch_timeout = dispatch_timeout
         self.sweep_interval = sweep_interval
-        self.journal_batch = journal_batch
         self.journal_window = journal_window
         self._jbuf: List[Tuple[_Runtime, Dict[str, Any]]] = []
         self._jflush_armed = False
@@ -253,6 +248,7 @@ class ExecutionService(Service):
         # is rejected so a resurrected old primary cannot split-brain the
         # journal (docs/PROTOCOLS.md §12).
         self.epoch = 0
+        self._volatile_counter = 0  # instance numbering when not durable
         self._sweep_armed = False
         self.stats = {
             "dispatches": 0,
@@ -411,7 +407,7 @@ class ExecutionService(Service):
         if self.durable:
             counter = self.store.get_committed("instance-counter", 0) + 1
         else:
-            self._volatile_counter = getattr(self, "_volatile_counter", 0) + 1
+            self._volatile_counter += 1
             counter = self._volatile_counter
         iid = f"wf-{counter}"
         spec = {
@@ -882,41 +878,35 @@ class ExecutionService(Service):
         flight.request["epoch"] = self.epoch
         now = self._now()
         cfg = self.resilience
-        if not cfg.enabled:
-            worker = self._route_legacy(runtime, key, flight)
+        worker = self._route(runtime, key, flight, hedge, now)
+        if worker is None:
+            return  # hedge with no distinct worker available: skip
+        if hedge:
+            flight.hedged = True
+            self.stats["hedges"] += 1
+            self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
+        else:
+            keymat = f"{runtime.iid}:{key[0]}:{key[1]}"
             flight.dispatched_at = now
             flight.sent = True
-            flight.next_attempt_at = now + self.dispatch_timeout
-        else:
-            worker = self._route(runtime, key, flight, hedge, now)
-            if worker is None:
-                return  # hedge with no distinct worker available: skip
-            if hedge:
-                flight.hedged = True
-                self.stats["hedges"] += 1
-                self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
-            else:
-                keymat = f"{runtime.iid}:{key[0]}:{key[1]}"
-                flight.dispatched_at = now
-                flight.sent = True
-                flight.next_attempt_at = cfg.policy.next_attempt_at(
-                    keymat, flight.redispatches, now
-                )
-                flight.hedge_at = (
-                    now + cfg.hedge_delay
-                    if cfg.hedge_delay is not None and not flight.hedged
-                    else None
-                )
-                self.rlog.record(
-                    now,
-                    "redispatch" if flight.redispatches else "dispatch",
-                    runtime.iid,
-                    key[0],
-                    worker,
-                    detail=f"attempt {flight.redispatches + 1}",
-                )
-            self.health.on_dispatch(worker, now)
-            flight.sent_to[worker] = now
+            flight.next_attempt_at = cfg.policy.next_attempt_at(
+                keymat, flight.redispatches, now
+            )
+            flight.hedge_at = (
+                now + cfg.hedge_delay
+                if cfg.hedge_delay is not None and not flight.hedged
+                else None
+            )
+            self.rlog.record(
+                now,
+                "redispatch" if flight.redispatches else "dispatch",
+                runtime.iid,
+                key[0],
+                worker,
+                detail=f"attempt {flight.redispatches + 1}",
+            )
+        self.health.on_dispatch(worker, now)
+        flight.sent_to[worker] = now
         self.stats["dispatches"] += 1
         try:
             self.broker.invoke_deferred(
@@ -928,18 +918,6 @@ class ExecutionService(Service):
             )
         except CommFailure:
             pass  # sweeper retries
-
-    def _route_legacy(
-        self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight
-    ) -> str:
-        """The original dispatcher: pin first, then blind crc32 rotation."""
-        import zlib
-
-        pinned = flight.request["template"].property("location")
-        if pinned in self.worker_names and flight.redispatches == 0:
-            return pinned
-        stable = zlib.crc32(f"{runtime.iid}:{key[0]}:{key[1]}".encode())
-        return self.worker_names[(stable + flight.redispatches) % len(self.worker_names)]
 
     def _route(
         self,
@@ -996,9 +974,7 @@ class ExecutionService(Service):
         # keep the sweeper quiet until the timer is genuinely overdue
         flight.dispatched_at = self._now() + delay
         flight.next_attempt_at = (
-            flight.dispatched_at
-            + (self.resilience.policy.base_delay
-               if self.resilience.enabled else self.dispatch_timeout)
+            flight.dispatched_at + self.resilience.policy.base_delay
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
         taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
@@ -1062,8 +1038,7 @@ class ExecutionService(Service):
                     if key not in runtime.in_flight or not flight.sent:
                         continue
                     if (
-                        cfg.enabled
-                        and self.admission.allow_hedge()
+                        self.admission.allow_hedge()
                         and not flight.hedged
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < flight.next_attempt_at
@@ -1076,22 +1051,21 @@ class ExecutionService(Service):
                     if key not in runtime.in_flight:
                         continue
                     if now >= flight.next_attempt_at:
-                        if cfg.enabled:
-                            for worker in list(flight.sent_to):
-                                self.health.on_timeout(worker, now)
-                                self.rlog.record(
-                                    now, "timeout", runtime.iid, key[0], worker
-                                )
-                            flight.sent_to.clear()
-                            if cfg.policy.exhausted(flight.redispatches) and (
-                                flight.request["template"].code != "system.timer"
-                            ):
-                                self._abandon(runtime, key, flight, now)
-                                continue
+                        for worker in list(flight.sent_to):
+                            self.health.on_timeout(worker, now)
+                            self.rlog.record(
+                                now, "timeout", runtime.iid, key[0], worker
+                            )
+                        flight.sent_to.clear()
+                        if cfg.policy.exhausted(flight.redispatches) and (
+                            flight.request["template"].code != "system.timer"
+                        ):
+                            self._abandon(runtime, key, flight, now)
+                            continue
                         flight.redispatches += 1
                         self.stats["redispatches"] += 1
                         self._send(runtime, key, flight)
-            if cfg.enabled and self._pending_acks:
+            if self._pending_acks:
                 # hedge losers that never replied: count the timeout so a
                 # dead hedge target still trips its breaker
                 horizon = cfg.policy.base_delay
@@ -1241,8 +1215,6 @@ class ExecutionService(Service):
         demonstrably served the request, so credit its latency and close its
         breaker — even when the journal then discards the reply as a
         duplicate (e.g. a hedge that lost the race)."""
-        if not self.resilience.enabled:
-            return
         worker = reply.get("worker")
         if not worker:
             return  # timer-task self-replies carry no worker
@@ -1263,7 +1235,7 @@ class ExecutionService(Service):
         wave (hedge losers) are parked in ``_pending_acks`` so their late
         replies still feed the health registry."""
         flight = runtime.in_flight.pop(flight_key, None)
-        if flight is not None and self.resilience.enabled:
+        if flight is not None:
             for worker, sent_at in flight.sent_to.items():
                 self._pending_acks[
                     (runtime.iid, flight_key[0], flight_key[1], worker)
@@ -1290,7 +1262,7 @@ class ExecutionService(Service):
         # oracles (sim/oracles.py) audit these fields across failovers.
         entry["epoch"] = self.epoch
         entry["writer"] = self.name
-        runtime.journal_keys.add(self._entry_key(entry))
+        self._note_key(runtime, entry)
         if not self.durable:
             runtime.volatile_journal.append(entry)
             return
@@ -1301,10 +1273,7 @@ class ExecutionService(Service):
         # so a crash loses them together — redelivered replies simply
         # journal again after recovery.
         self._jbuf.append((runtime, entry))
-        if self.journal_batch:
-            self._arm_journal_window()
-        else:
-            self.flush_journal()  # per-entry journaling: a batch of one
+        self._arm_journal_window()
 
     def flush_journal(self) -> int:
         """Durability barrier: commit every buffered journal entry in one
@@ -1356,16 +1325,21 @@ class ExecutionService(Service):
         self.node.call_after(self.journal_window, fire, label=f"{self.name}-jflush")
 
     @staticmethod
-    def _entry_key(entry: Dict[str, Any]) -> Tuple:
-        if entry["type"] == "mark":
-            return ("mark", entry["path"], entry["exec"], entry["name"])
-        if entry["type"] in ("result", "failure"):
-            return ("result", entry["path"], entry["exec"])
-        if entry["type"] == "deadline":
-            return ("deadline", entry["path"], entry["exec"])
-        if entry["type"] == "overloaded":
-            return ("overloaded",)  # at most one decisive shed per instance
-        return (entry["type"], id(entry))
+    def _note_key(runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """Remember the dedup key of an entry of a deduplicated type;
+        ``external`` / ``reconfig`` / ``force_abort`` entries have none."""
+        kind = entry["type"]
+        if kind == "mark":
+            key: Tuple = ("mark", entry["path"], entry["exec"], entry["name"])
+        elif kind in ("result", "failure"):
+            key = ("result", entry["path"], entry["exec"])
+        elif kind == "deadline":
+            key = ("deadline", entry["path"], entry["exec"])
+        elif kind == "overloaded":
+            key = ("overloaded",)  # at most one decisive shed per instance
+        else:
+            return
+        runtime.journal_keys.add(key)
 
     def _apply_mark(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
         try:
@@ -1462,7 +1436,7 @@ class ExecutionService(Service):
         recovery (`_replay_from`) and the replication standby's incremental
         warm image, which applies entries as they arrive instead of all at
         once."""
-        runtime.journal_keys.add(self._entry_key(entry))
+        self._note_key(runtime, entry)
         if entry["type"] in ("result", "failure"):
             runtime.in_flight.pop((entry["path"], entry["exec"]), None)
             runtime.external.discard((entry["path"], entry["exec"]))
@@ -1477,27 +1451,25 @@ class ExecutionService(Service):
 
         The naive version re-sent the whole herd in one burst (each flight
         was marked a full ``dispatch_timeout`` overdue, so they also all
-        *re*-dispatched on the same later sweep tick).  With resilience
-        enabled, each flight instead gets a deterministic jittered offset
-        inside ``policy.recovery_stagger``, spreading the post-recovery load
-        over the window; the jitter key includes the durable fencing epoch so
+        *re*-dispatched on the same later sweep tick).  Each flight instead
+        gets a deterministic jittered offset inside
+        ``policy.recovery_stagger``, spreading the post-recovery load over
+        the window; the jitter key includes the durable fencing epoch so
         successive recoveries stagger differently.  (The in-memory
         ``stats["recoveries"]`` counter is wrong for this: it restarts at the
         same value on a freshly promoted standby, which would make
         post-failover resends stagger identically to the dead primary's first
         recovery — the epoch survives both restart and failover.)
         """
-        cfg = self.resilience
+        policy = self.resilience.policy
         epoch = self.epoch
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
-            if (
-                not cfg.enabled
-                or cfg.policy.recovery_stagger <= 0
-                or flight.request["template"].code == "system.timer"
-            ):
-                self._send(runtime, key, flight)
-                continue
-            delay = cfg.policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
+            # a zero ``recovery_stagger`` makes every offset zero
+            delay = (
+                0.0
+                if flight.request["template"].code == "system.timer"
+                else policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
+            )
             if delay <= 0.0:
                 self._send(runtime, key, flight)
                 continue

@@ -75,7 +75,7 @@ class RepositoryService(Service):
                 txn.write(self.store, "script-index", index)
             return len(history)
 
-        return self.manager.run(body)
+        return self._transact(body)
 
     def get_script(self, script_name: str, version: Optional[int] = None) -> str:
         """Latest (or a specific) version's text."""
@@ -127,13 +127,21 @@ class RepositoryService(Service):
             txn.write(self.store, self._key(script_name), [])
             return True
 
-        return self.manager.run(body)
+        return self._transact(body)
 
     # -- local helpers ----------------------------------------------------------------
 
     def load(self, script_name: str, version: Optional[int] = None) -> Script:
         """Compile the stored text (used in-process by the execution service)."""
         return compile_script(self.get_script(script_name, version))
+
+    def _transact(self, body):
+        """Run ``body`` as one transaction and end it with the store's
+        physical barrier: the caller observes the change as durable."""
+        try:
+            return self.manager.run(body)
+        finally:
+            self.store.sync()
 
     @staticmethod
     def _key(script_name: str) -> str:

@@ -56,9 +56,7 @@ class WorkflowSystem:
         resilience: Optional[ResilienceConfig] = None,
         dup_rate: float = 0.0,
         reorder_window: float = 0.0,
-        journal_batch: bool = True,
         journal_window: float = 5.0,
-        group_commit: bool = True,
         mirror_path: Optional[str] = None,
         replicas: int = 0,
         lease_duration: float = 60.0,
@@ -70,16 +68,13 @@ class WorkflowSystem:
         """``resilience`` tunes the adaptive dispatch layer (backoff, circuit
         breakers, health routing, hedging).  Defaults to
         ``ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval,
-        seed=seed)``; pass ``ResilienceConfig.disabled()`` for the legacy
-        fixed-interval dispatcher.  ``dup_rate``/``reorder_window`` feed the
-        network's duplication and reordering fault model.
+        seed=seed)``.  ``dup_rate``/``reorder_window`` feed the network's
+        duplication and reordering fault model.
 
-        The I/O core (docs/PROTOCOLS.md §11) is on by default:
-        ``journal_batch`` batches the execution journal's appends into one
-        transaction per durability barrier and ``group_commit`` coalesces
-        the execution store's WAL mirror fsyncs; ``mirror_path`` attaches a
-        real on-disk JSON-lines mirror so those fsyncs have physical cost
-        (benchmarks use this to measure fsyncs/step honestly).
+        ``mirror_path`` attaches a real on-disk JSON-lines mirror to the
+        execution store's WAL, so its fsyncs (one per durability barrier,
+        docs/PROTOCOLS.md §11) have physical cost; benchmarks use this to
+        measure fsyncs/step honestly.
 
         ``replicas`` > 0 builds a replicated execution service instead of a
         standalone one (docs/PROTOCOLS.md §12): that many
@@ -159,7 +154,6 @@ class WorkflowSystem:
                 store = ObjectStore(
                     f"execution-store-r{i + 1}",
                     mirror_path=mirror_path if i == 0 else None,
-                    group_commit=group_commit,
                 )
                 service = ReplicatedExecutionService(
                     rname,
@@ -174,7 +168,6 @@ class WorkflowSystem:
                     dispatch_timeout=dispatch_timeout,
                     sweep_interval=sweep_interval,
                     resilience=resilience,
-                    journal_batch=journal_batch,
                     journal_window=journal_window,
                     overload=overload,
                 )
@@ -193,9 +186,7 @@ class WorkflowSystem:
             self.execution: ExecutionService = self.execution_replicas[0]
         else:
             self.execution_node = Node("execution-node", self.clock, self.network)
-            self.execution_store = ObjectStore(
-                "execution-store", mirror_path=mirror_path, group_commit=group_commit
-            )
+            self.execution_store = ObjectStore("execution-store", mirror_path=mirror_path)
             self.execution = ExecutionService(
                 "execution",
                 self.execution_store,
@@ -206,7 +197,6 @@ class WorkflowSystem:
                 dispatch_timeout=dispatch_timeout,
                 sweep_interval=sweep_interval,
                 resilience=resilience,
-                journal_batch=journal_batch,
                 journal_window=journal_window,
                 overload=overload,
             )

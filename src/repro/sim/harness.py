@@ -408,6 +408,10 @@ class SimHarness:
             scratch = manager.begin()
             scratch.write(store_b, "probe-scratch", system.clock.now)
             scratch.abort(reason="probe abort")
+            # the physical barrier of every store the probe forced records
+            # in (the coordinator's decisions go to the execution store)
+            for store in (store_a, store_b, system.execution_store):
+                store.sync()
 
         system.clock.call_after(interval, tick, label="harness:probe")
 
@@ -560,6 +564,7 @@ class SimHarness:
                     wal_mod.COMMIT if committed else wal_mod.ABORT, tid
                 )
                 store.wal.force()
+                store.sync()
                 store.recover()
 
     # -- oracle plumbing ----------------------------------------------------------

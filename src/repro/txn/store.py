@@ -32,15 +32,9 @@ class NoSuchObject(KeyError):
 class ObjectStore:
     """Stable storage for one node: committed object images + WAL + locks."""
 
-    def __init__(
-        self,
-        name: str,
-        mirror_path: Optional[str] = None,
-        group_commit: bool = False,
-        group_max: int = 128,
-    ) -> None:
+    def __init__(self, name: str, mirror_path: Optional[str] = None) -> None:
         self.name = name
-        self.wal = WriteAheadLog(mirror_path, group_commit=group_commit, group_max=group_max)
+        self.wal = WriteAheadLog(mirror_path)
         self.locks = LockManager()
         self._committed: Dict[str, Any] = {}
         # logged updates of undecided transactions in the durable log: with
@@ -132,7 +126,8 @@ class ObjectStore:
         return wal_mod.fold(records, self._committed, self._pending)
 
     def sync(self) -> bool:
-        """Group-commit barrier: drain the WAL's pending mirror syncs."""
+        """The physical barrier: drain the WAL's pending mirror syncs.  The
+        store's owner calls this at the end of each mutating operation."""
         return self.wal.sync()
 
     # -- failure model -----------------------------------------------------------

@@ -9,19 +9,14 @@ mirror trails ``_forced_upto``: it receives records only when they are
 *forced*, so after any crash — torn writes included — the file holds exactly
 the durable prefix.
 
-Two mirror disciplines (see docs/PROTOCOLS.md §11):
-
-* **Per-force** (``group_commit=False``, the default): every ``force()``
-  writes its records through a persistent file handle and fsyncs before
-  returning — one physical sync per durability point.
-* **Group commit** (``group_commit=True``): ``force()`` writes its records
-  (buffered) but defers the fsync; adjacent forces coalesce behind a single
-  :meth:`sync` issued by the caller's durability barrier, or automatically
-  once ``group_max`` forces are pending.  Simulated durability
-  (``_forced_upto``) is advanced per force exactly as before, and every
-  crash path (:meth:`lose_unforced`, :meth:`torn_force`) syncs the pending
-  mirror rows first, so post-mortem the file is still exactly the durable
-  prefix.
+Group commit (see docs/PROTOCOLS.md §11): ``force()`` advances simulated
+durability (``_forced_upto``) and writes its records to the mirror through a
+persistent handle, but leaves the fsync to :meth:`sync` — the physical
+barrier, which the store's owner issues at the end of each mutating
+operation, so adjacent forces share one fsync.  At most ``group_max`` forces
+wait for it.  Every crash path (:meth:`lose_unforced`, :meth:`torn_force`)
+syncs the pending mirror rows first, so post-mortem the file is still exactly
+the durable prefix.
 
 Record kinds::
 
@@ -83,20 +78,15 @@ class WriteAheadLog:
 
     ``force()`` is the durability point; appends before a force are volatile
     and are discarded by :meth:`lose_unforced` (which node crash invokes).
+    :meth:`sync` is the physical barrier behind it.
     """
 
-    def __init__(
-        self,
-        mirror_path: Optional[str] = None,
-        group_commit: bool = False,
-        group_max: int = 128,
-    ) -> None:
+    def __init__(self, mirror_path: Optional[str] = None, group_max: int = 128) -> None:
         self._records: List[LogRecord] = []
         self._forced_upto = 0  # index one past the last durable record
         self._next_lsn = 1
         self._mirror_path = mirror_path
         self._mirror_fh = None  # persistent handle, opened on first mirror write
-        self.group_commit = group_commit
         self.group_max = max(1, group_max)
         self._pending_syncs = 0  # forces mirrored but not yet fsynced
 
@@ -119,11 +109,10 @@ class WriteAheadLog:
     def force(self) -> int:
         """Make all appended records durable; returns the durable LSN.
 
-        In group-commit mode the simulated durability point is identical —
-        ``_forced_upto`` advances here, and the ``wal.force.pre/post`` crash
-        points bracket it exactly as before — only the physical fsync of the
-        mirror file is deferred to the next :meth:`sync` barrier (or until
-        ``group_max`` forces are pending)."""
+        This is the simulated durability point — ``_forced_upto`` advances
+        here, bracketed by the ``wal.force.pre/post`` crash points.  The
+        physical fsync of the mirror file waits for the next :meth:`sync`
+        barrier (or until ``group_max`` forces are pending)."""
         crash_point("wal.force.pre", self)
         IOPATH_STATS.wal_forces += 1
         start = self._forced_upto
@@ -159,38 +148,25 @@ class WriteAheadLog:
         ``_forced_upto``, never the volatile tail — so after any crash the
         file is exactly the durable prefix.  Writes go through a persistent
         handle (reopening the file per force cost more than the write
-        itself); per-force mode fsyncs immediately, group-commit mode marks
-        the rows pending and leaves the fsync to the next :meth:`sync`
-        barrier.
+        itself); the rows are marked pending and the fsync is left to the
+        next :meth:`sync` barrier.  Without a physical mirror the pending
+        count is kept all the same, so the fsyncs-per-step counters are
+        meaningful in pure simulation.
         """
         if end <= start:
             return
-        if not self._mirror_path:
-            # no physical mirror: still account the sync discipline, so the
-            # fsyncs-per-step counters are meaningful in pure simulation
-            if self.group_commit:
-                self._pending_syncs += 1
-                if self._pending_syncs >= self.group_max:
-                    self.sync()
-            else:
-                IOPATH_STATS.wal_syncs += 1
-            return
-        if self._mirror_fh is None:
-            self._mirror_fh = open(self._mirror_path, "a", encoding="utf-8")
-        fh = self._mirror_fh
-        fh.write("".join(record.to_json() + "\n" for record in self._records[start:end]))
-        fh.flush()  # visible to same-host readers; durability is the fsync
-        IOPATH_STATS.wal_records_mirrored += end - start
-        if self.group_commit:
-            self._pending_syncs += 1
-            if self._pending_syncs >= self.group_max:
-                self.sync()
-        else:
-            os.fsync(fh.fileno())
-            IOPATH_STATS.wal_syncs += 1
+        if self._mirror_path:
+            if self._mirror_fh is None:
+                self._mirror_fh = open(self._mirror_path, "a", encoding="utf-8")
+            fh = self._mirror_fh
+            fh.write("".join(record.to_json() + "\n" for record in self._records[start:end]))
+            fh.flush()  # visible to same-host readers; durability is the fsync
+        self._pending_syncs += 1
+        if self._pending_syncs >= self.group_max:
+            self.sync()
 
     def sync(self) -> bool:
-        """Group-commit barrier: fsync every mirror row written since the
+        """The physical barrier: fsync every mirror row written since the
         last sync, in one physical operation.  Returns True if a sync was
         actually performed (False when nothing was pending).  Callers invoke
         this before any externally observable action that depends on a
@@ -226,7 +202,7 @@ class WriteAheadLog:
 
     def lose_unforced(self) -> int:
         """Simulate a crash: drop records appended since the last force.
-        Returns how many records were lost.  Pending group-commit rows are
+        Returns how many records were lost.  Pending mirror rows are
         synced first: they cover records *before* ``_forced_upto``, so after
         the crash the mirror file is still exactly the durable prefix."""
         self.sync()

@@ -4,10 +4,11 @@ The I/O core coalesces journal appends into one transaction per durability
 barrier and WAL mirror fsyncs into one sync per barrier.  These tests pin
 the two properties that make that safe:
 
-* **Equivalence** — the durable journal a batched run leaves behind is
-  byte-identical to the per-entry run's, and replay lands on the same
-  (status, outcome).  Batching changes *when* entries become durable,
-  never *what* becomes durable.
+* **Equivalence** — the durable journal a run leaves behind is
+  byte-identical to the per-entry reference's (:func:`_flush_every_entry`:
+  the same service, made to commit each entry as it is produced), and
+  replay lands on the same (status, outcome).  Batching changes *when*
+  entries become durable, never *what* becomes durable.
 * **Crash atomicity** — a crash (clean or torn) anywhere around a batch
   flush leaves a contiguous journal prefix; recovery replays it and the
   instance still completes.  The batch commits atomically or not at all.
@@ -26,16 +27,26 @@ from repro.sim.nemesis import CrashAtPoint, NemesisSchedule
 from repro.workloads import fan, paper_order, script_text
 
 
-def _run_fan(width, *, journal_batch, group_commit, seed=0):
+def _flush_every_entry(system):
+    """Turn ``system`` into the per-entry reference: every journal entry is
+    committed (one transaction, one force, one sync) the moment it is
+    produced, instead of at the next durability barrier."""
+    service = system.execution
+    buffer_entry = service._journal
+
+    def journal(runtime, entry):
+        buffer_entry(runtime, entry)
+        service.flush_journal()
+
+    service._journal = journal
+
+
+def _run_fan(width, *, per_entry=False, seed=0):
     """Run fan(width) to completion; return (system, iid, result)."""
     script, registry, root, inputs = fan(width)
-    system = WorkflowSystem(
-        workers=3,
-        seed=seed,
-        registry=registry,
-        journal_batch=journal_batch,
-        group_commit=group_commit,
-    )
+    system = WorkflowSystem(workers=3, seed=seed, registry=registry)
+    if per_entry:
+        _flush_every_entry(system)
     system.deploy("fan", script_text((script, registry, root, inputs)))
     iid = system.instantiate("fan", root, inputs)
     result = system.run_until_terminal(iid, max_time=50_000)
@@ -63,12 +74,8 @@ class TestDifferentialEquivalence:
 
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_fan_journals_byte_identical(self, width):
-        batched_sys, batched_iid, batched = _run_fan(
-            width, journal_batch=True, group_commit=True
-        )
-        plain_sys, plain_iid, plain = _run_fan(
-            width, journal_batch=False, group_commit=False
-        )
+        batched_sys, batched_iid, batched = _run_fan(width)
+        plain_sys, plain_iid, plain = _run_fan(width, per_entry=True)
         assert batched["status"] == plain["status"] == "completed"
         assert batched["outcome"] == plain["outcome"]
         assert _durable_journal(batched_sys, batched_iid) == _durable_journal(
@@ -80,10 +87,10 @@ class TestDifferentialEquivalence:
 
     def test_paper_order_journals_byte_identical(self):
         results = {}
-        for mode, batch in (("batched", True), ("plain", False)):
-            system = WorkflowSystem(
-                workers=2, seed=3, journal_batch=batch, group_commit=batch
-            )
+        for mode in ("batched", "plain"):
+            system = WorkflowSystem(workers=2, seed=3)
+            if mode == "plain":
+                _flush_every_entry(system)
             paper_order.default_registry(registry=system.registry)
             system.deploy("order", paper_order.SCRIPT_TEXT)
             iid = system.instantiate(
@@ -103,12 +110,8 @@ class TestDifferentialEquivalence:
     def test_hypothesis_differential(self, width, seed):
         """Random widths and network seeds: the batched journal is always
         byte-identical to the per-entry journal of the same universe."""
-        batched_sys, batched_iid, batched = _run_fan(
-            width, journal_batch=True, group_commit=True, seed=seed
-        )
-        plain_sys, plain_iid, plain = _run_fan(
-            width, journal_batch=False, group_commit=False, seed=seed
-        )
+        batched_sys, batched_iid, batched = _run_fan(width, seed=seed)
+        plain_sys, plain_iid, plain = _run_fan(width, per_entry=True, seed=seed)
         assert batched["status"] == plain["status"] == "completed"
         assert _durable_journal(batched_sys, batched_iid) == _durable_journal(
             plain_sys, plain_iid
@@ -118,17 +121,17 @@ class TestDifferentialEquivalence:
 class TestBatchingActuallyBatches:
     def test_fewer_txns_and_syncs_than_entries(self):
         IOPATH_STATS.reset()
-        _, _, result = _run_fan(64, journal_batch=True, group_commit=True)
+        _, _, result = _run_fan(64)
         assert result["status"] == "completed"
-        # per-entry mode commits one forced txn per entry (one sync each);
-        # batched, the whole fan settles in a handful of flush transactions
+        # the per-entry reference commits one forced txn per entry (one sync
+        # each); the whole fan settles in a handful of flush transactions
         assert IOPATH_STATS.journal_entries > 64
         assert IOPATH_STATS.journal_batches * 4 <= IOPATH_STATS.journal_entries
         assert IOPATH_STATS.wal_syncs * 4 <= IOPATH_STATS.journal_entries
 
     def test_per_entry_mode_one_txn_per_entry(self):
         IOPATH_STATS.reset()
-        _, _, result = _run_fan(4, journal_batch=False, group_commit=False)
+        _, _, result = _run_fan(4, per_entry=True)
         assert result["status"] == "completed"
         assert IOPATH_STATS.journal_batches == IOPATH_STATS.journal_entries
 

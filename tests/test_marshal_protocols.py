@@ -13,7 +13,6 @@ from repro.core.values import ObjectRef
 from repro.engine import outcome
 from repro.engine.plan import compile_plan
 from repro.orb import MarshalError, is_transferable, marshal, marshal_call, transferable
-from repro.orb.marshal import set_fast_path
 from repro.services import WorkflowSystem
 from repro.services.worker import TaskWorker, WorkRequest
 from repro.workloads import chain, paper_order, script_text
@@ -100,17 +99,34 @@ class TestZeroCopyFastPath:
         assert copy is not value
         assert copy[1] is not value[1]
 
-    def test_fast_path_disabled_restores_structural_copy(self):
-        value = (1, (2, 3))
-        set_fast_path(False)
-        try:
+    def test_mutable_copied_immutable_by_reference(self):
+        """The structural copy is the handler for anything mutable; only a
+        deeply immutable value may cross by reference."""
+        Point = collections.namedtuple("Point", "x y")
+        for value in (
+            (1, (2, 3)),
+            Point(1, ("a", None)),
+            frozenset({1, (2, "b")}),
+            Money("EUR", 1.0),
+            (Money("EUR", 1.0), Point(0, 0)),
+        ):
+            assert marshal(value) is value, value
+        for value in (
+            [1, 2],
+            {"k": (1, 2)},
+            {1, 2},
+            (1, {"k": 2}),
+            Point(1, [2]),
+            (1, Envelope(2)),
+        ):
             copy = marshal(value)
-            assert copy == value
-            assert copy is not value
-            assert marshal(Money("EUR", 1.0)) is not Money  # sanity: still works
-        finally:
-            set_fast_path(True)
-        assert marshal(value) is value
+            assert type(copy) is type(value), value
+            assert copy is not value, value
+        nested = (1, [2, (3, 4)])
+        copy = marshal(nested)
+        assert copy == nested
+        copy[1].append(5)
+        assert nested[1] == [2, (3, 4)]  # the far side cannot reach our list
 
     def test_late_registration_invalidates_dispatch_cache(self):
         """A type first marshalled (and rejected) before registration must be

@@ -254,17 +254,27 @@ class TestShedding:
         _, victim = self.shed_one(system)
         assert "shed" in system.execution.trace(victim)
 
-    def test_disabled_config_admits_everything(self):
+    def test_unbounded_window_admits_everything(self):
+        """No admission control is a value: a window no run can fill starts
+        every arrival at once and gives the controller nothing to act on."""
+        unbounded = 10_000
         system = WorkflowSystem(
             workers=1, registry=traffic_registry(), seed=0,
-            overload=OverloadConfig.disabled(), worker_service_time=5.0,
+            overload=OverloadConfig(initial_window=unbounded, max_window=unbounded),
+            worker_service_time=5.0,
         )
         name, root = deploy_cohort(system)
         iids = [system.instantiate(name, root, {"inp": f"k{i}"}) for i in range(6)]
-        assert system.execution.admission.report()["enabled"] is False
+        admission = system.execution.admission
+        assert admission.report()["admitted"] == 6
+        assert not admission.queue
         drive(system, iids)
         for iid in iids:
             assert system.execution.runtimes[iid].tree.status.value == "completed"
+        after = admission.report()
+        assert after["window"] == unbounded and after["window_changes"] == 0
+        assert after["pressure"] == 0 and after["queued"] == 0
+        assert after["rejected"] == after["shed_low"] == after["shed_normal"] == 0
 
 
 class TestPendingAcksBounded:

@@ -381,18 +381,56 @@ class TestHedging:
         assert names == {"worker-1", "worker-2"}
 
 
-class TestLegacyMode:
-    def test_disabled_config_reports_no_resilience_activity(self):
+def fixed_interval(dispatch_timeout):
+    """The fixed-interval dispatcher as ordinary values: every attempt awaited
+    the same delay, no hedge, no abandonment, no recovery stagger."""
+    return ResilienceConfig(
+        policy=RetryPolicy(
+            base_delay=dispatch_timeout,
+            multiplier=1.0,
+            jitter=0.0,
+            max_redispatches=None,
+            recovery_stagger=0.0,
+        ),
+        hedge_delay=None,
+    )
+
+
+class TestFixedIntervalValues:
+    def test_schedule_is_constant_and_unbounded(self):
+        policy = fixed_interval(20.0).policy
+        assert policy.schedule("wf-1:/a:1", 8) == [20.0] * 8
+        assert not policy.exhausted(10**6)
+        assert policy.stagger("wf-1:/a:1:3") == 0.0
+
+    def test_constant_delay_and_no_adaptive_activity(self):
         system = order_system(
             workers=2,
             dispatch_timeout=20.0,
             sweep_interval=5.0,
-            resilience=ResilienceConfig.disabled(),
+            resilience=fixed_interval(20.0),
         )
-        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "legacy"})
+        # the whole fleet is away for the first two attempts of the first
+        # tasks: each worker times out twice, one short of tripping a breaker
+        plan = FaultPlan(system.clock)
+        for node in system.worker_nodes:
+            plan.crash_at(node, when=0.1, down_for=35.0)
+        plan.arm()
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "fixed"})
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"
+        attempts = {}
+        for event in system.execution.rlog.for_instance(iid):
+            if event.kind in ("dispatch", "redispatch"):
+                attempts.setdefault(event.task, []).append(event.time)
+        retried = [times for times in attempts.values() if len(times) >= 3]
+        assert retried, attempts
+        for times in retried:
+            # base delay 20 on a 5-second sweep: every wait ends on a tick
+            gaps = [b - a for a, b in zip(times, times[1:])]
+            assert gaps == [20.0] * len(gaps), times
         stats = system.execution.stats
+        assert stats["redispatches"] >= 2
         assert stats["hedges"] == 0
         assert stats["breaker_trips"] == 0
         assert stats["abandoned"] == 0

@@ -71,6 +71,22 @@ class TestRepository:
         system.repository_node.recover()
         assert repo.get_script("order") == paper_order.SCRIPT_TEXT
 
+    def test_mutations_end_with_the_physical_barrier(self, tmp_path):
+        """A caller that sees store_script / remove_script return has seen an
+        fsync: no forced mirror row is left waiting for a later barrier."""
+        from repro.services.repository import RepositoryService
+        from repro.txn.store import ObjectStore
+
+        path = tmp_path / "repository.jsonl"
+        store = ObjectStore("repository-store", mirror_path=str(path))
+        repo = RepositoryService("repository", store)
+        repo.store_script("order", paper_order.SCRIPT_TEXT)
+        assert store.wal._pending_syncs == 0
+        assert len(path.read_text().splitlines()) == store.wal.durable_length
+        repo.remove_script("order")
+        assert store.wal._pending_syncs == 0
+        store.wal.close()
+
 
 class TestHappyPathExecution:
     def test_order_completes(self):

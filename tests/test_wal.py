@@ -180,8 +180,8 @@ class TestDiskMirror:
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_persistent_handle_reused_across_forces(self, tmp_path):
-        """Regression: the mirror used to reopen + fsync the file on every
-        force; it must now write through one persistent handle."""
+        """Regression: the mirror used to reopen the file on every force;
+        it must write through one persistent handle."""
         path = tmp_path / "wal.jsonl"
         log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
@@ -196,32 +196,44 @@ class TestDiskMirror:
 
 
 class TestGroupCommit:
-    """WAL group commit: simulated durability per force, one physical sync
-    per barrier (docs/PROTOCOLS.md §11)."""
+    """The one WAL discipline, on a default-constructed log: simulated
+    durability per force, one physical sync per barrier (docs/PROTOCOLS.md
+    §11)."""
 
     def _mirror_lines(self, path):
         return path.read_text().strip().splitlines() if path.exists() else []
 
-    def test_force_advances_durability_without_sync(self, tmp_path):
+    def test_force_advances_durability_without_sync(self, tmp_path, monkeypatch):
+        import os
+
         from repro.core.instrument import IOPATH_STATS
 
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         IOPATH_STATS.reset()
         for _ in range(5):
             log.append(w.BEGIN, T1)
             log.force()
-        assert log.durable_length == 5  # durability contract unchanged
-        assert IOPATH_STATS.wal_syncs == 0  # ...but no physical sync yet
+        assert log.durable_length == 5  # simulated durability is per force
+        assert IOPATH_STATS.wal_syncs == 0 and not fsyncs  # no physical sync yet
         assert len(self._mirror_lines(path)) == 5  # rows are written (buffered)
         assert log.sync() is True
-        assert IOPATH_STATS.wal_syncs == 1  # five forces, one fsync
+        assert IOPATH_STATS.wal_syncs == 1 and len(fsyncs) == 1  # five forces, one fsync
         assert log.sync() is False  # barrier is idempotent
+        assert len(fsyncs) == 1
 
     def test_auto_sync_at_group_max(self):
         from repro.core.instrument import IOPATH_STATS
 
-        log = WriteAheadLog(group_commit=True, group_max=3)
+        log = WriteAheadLog(group_max=3)
         IOPATH_STATS.reset()
         for _ in range(7):
             log.append(w.BEGIN, T1)
@@ -238,7 +250,7 @@ class TestGroupCommit:
         import json
 
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
         log.append(w.COMMIT, T1)
         log.force()
@@ -258,7 +270,7 @@ class TestGroupCommit:
         import json
 
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
         log.force()  # pending sync from an earlier force
         log.append(w.UPDATE, T1, A, "v1")
@@ -276,7 +288,7 @@ class TestGroupCommit:
         from repro.core.instrument import IOPATH_STATS
 
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
         log.force()
         IOPATH_STATS.reset()
@@ -287,7 +299,7 @@ class TestGroupCommit:
 
     def test_checkpoint_drains_window(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
         log.append(w.COMMIT, T1)
         log.force()
@@ -298,7 +310,7 @@ class TestGroupCommit:
         from repro.core.instrument import IOPATH_STATS
         from repro.txn.store import ObjectStore
 
-        store = ObjectStore("gc", group_commit=True)
+        store = ObjectStore("gc")
         IOPATH_STATS.reset()
         store.wal.append(w.BEGIN, T1)
         store.wal.force()
@@ -321,7 +333,7 @@ class TestCheckpointUnderGroupCommit:
         from repro.core.instrument import IOPATH_STATS
 
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         IOPATH_STATS.reset()
         for _ in range(3):  # three forces, zero fsyncs: the window is open
             log.append(w.BEGIN, T1)
@@ -338,7 +350,7 @@ class TestCheckpointUnderGroupCommit:
         assert '"CHECKPOINT"' in mirrored[-1]
 
     def test_crash_after_checkpoint_replays_snapshot(self):
-        log = WriteAheadLog(group_commit=True)
+        log = WriteAheadLog()
         log.append(w.BEGIN, T1)
         log.append(w.UPDATE, T1, A, 1)
         log.append(w.COMMIT, T1)
@@ -350,7 +362,7 @@ class TestCheckpointUnderGroupCommit:
         assert log._pending_syncs == 0  # crash path drained the window
 
     def test_lsns_stable_across_truncation(self):
-        log = WriteAheadLog(group_commit=True)
+        log = WriteAheadLog()
         for _ in range(4):
             log.append(w.BEGIN, T1)
             log.append(w.COMMIT, T1)
@@ -368,13 +380,19 @@ class TestCheckpointUnderGroupCommit:
         assert log.last_durable_lsn == before + 3
 
     def test_reset_restarts_numbering_and_drains(self, tmp_path):
+        import json
+
         path = tmp_path / "wal.jsonl"
-        log = WriteAheadLog(mirror_path=str(path), group_commit=True)
+        log = WriteAheadLog(mirror_path=str(path))
         log.append(w.BEGIN, T1)
         log.append(w.COMMIT, T1)
         log.force()
+        log.append(w.BEGIN, T2)  # volatile: never reaches the file
+        durable = [r.lsn for r in log.durable_records()]
         log.reset()
         assert log._pending_syncs == 0  # pending rows hit disk before the wipe
+        # the file is exactly the prefix that was durable when the log was wiped
+        assert [json.loads(l)["lsn"] for l in self._lines(path)] == durable
         assert len(log) == 0
         assert log.durable_length == 0
         assert log.first_retained_lsn == 0
