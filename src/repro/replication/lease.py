@@ -38,7 +38,6 @@ from ..net.node import Service
 from ..orb.broker import Interface
 from ..resilience import BreakerConfig, BreakerState, CircuitBreaker
 from ..sim.crashpoints import crash_point
-from ..txn.manager import TransactionManager
 from ..txn.store import ObjectStore
 
 LEASE_INTERFACE = Interface(
@@ -96,7 +95,6 @@ class LeaseService(Service):
         super().__init__(name)
         self.store = store
         self.duration = duration
-        self.manager = TransactionManager(f"{name}-tm")
         self.detector = FailureDetector()
         self.stats = {"grants": 0, "renewals": 0, "refusals": 0, "demotions": 0}
 
@@ -112,11 +110,8 @@ class LeaseService(Service):
         return list(self.store.get_committed("isr", []))
 
     def _persist(self, lease: Dict[str, Any], isr: List[str]) -> None:
-        def body(txn) -> None:
-            txn.write(self.store, "lease", lease)
-            txn.write(self.store, "isr", isr)
-
-        self.manager.run(body)
+        # this service is the store's only writer: one self-committing record
+        self.store.commit_batch({"lease": lease, "isr": isr})
         self.store.sync()
 
     def _refuse(self, lease: Dict[str, Any], reason: str) -> Dict[str, Any]:

@@ -34,16 +34,15 @@ recovery stagger — the same code path as single-node crash recovery.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine.events import WorkflowStatus
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
 from ..txn.ids import ObjectId, TransactionId
-from ..txn.manager import TransactionManager
 from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
-from ..txn.wal import LogRecord
+from ..txn.wal import BATCH, LogRecord
 from ..services.execution import (
     EXECUTION_INTERFACE,
     ExecutionService,
@@ -66,15 +65,10 @@ class Role(enum.Enum):
     STANDBY = "standby"
 
 
-def _wire(record: LogRecord) -> Dict[str, Any]:
-    """Plain-data form of a WAL record for the ORB (LSNs are the primary's)."""
-    return {
-        "plsn": record.lsn,
-        "kind": record.kind,
-        "txn": [record.txn.number, record.txn.origin] if record.txn else None,
-        "obj": record.obj.name if record.obj else None,
-        "value": record.value,
-    }
+def _wire(record: LogRecord) -> Tuple[str, Optional[Tuple[int, str]], Optional[str], Any]:
+    """Plain-data ``(kind, txn, obj, value)`` of a WAL record for the ORB."""
+    txn = (record.txn.number, record.txn.origin) if record.txn else None
+    return record.kind, txn, record.obj.name if record.obj else None, record.value
 
 
 class ReplicatedExecutionService(ExecutionService):
@@ -98,9 +92,6 @@ class ReplicatedExecutionService(ExecutionService):
         if not kwargs.setdefault("durable", True):
             raise ValueError("replication requires a durable execution service")
         super().__init__(name, store, broker, repository_name, worker_names, **kwargs)
-        # Coordinator decisions must live in the replicated store: a promoted
-        # standby resolves in-doubt participants against them (recovery.py).
-        self.manager = TransactionManager(f"{name}-tm", decision_store=store)
         self.lease_name = lease_name
         self.peer_names = [p for p in peer_names if p != name]
         self.alias = alias
@@ -248,7 +239,8 @@ class ReplicatedExecutionService(ExecutionService):
         self.repl_stats["promoted_at"] = self._now()
         # Persist the adopted epoch as the local tail so a crash right after
         # promotion recovers into the same epoch lineage.
-        self._persist_tail(self.store.wal.last_durable_lsn, self.epoch)
+        self.store.commit_batch(self._tail_write(self.store.wal.last_durable_lsn, self.epoch))
+        self.store.sync()
         # Admission state never crosses a failover: the old primary's queue
         # died with it, so every adopted non-terminal instance counts as
         # admitted and the controller starts this reign unpressured.
@@ -463,11 +455,8 @@ class ReplicatedExecutionService(ExecutionService):
     def _tail(self) -> Dict[str, Any]:
         return dict(self.store.get_committed(self._tail_key, {"lsn": 0, "epoch": 0}))
 
-    def _persist_tail(self, lsn: int, epoch: int) -> None:
-        self.manager.run(
-            lambda txn: txn.write(self.store, self._tail_key, {"lsn": lsn, "epoch": epoch})
-        )
-        self.store.sync()
+    def _tail_write(self, lsn: int, epoch: int) -> Dict[str, Any]:
+        return {self._tail_key: {"lsn": lsn, "epoch": epoch}}
 
     def replicate(self, batch: Dict[str, Any]) -> Dict[str, Any]:
         """Apply one shipped log batch (primary → this standby)."""
@@ -498,20 +487,21 @@ class ReplicatedExecutionService(ExecutionService):
             self._local_reset()
         # Fold the batch alone into the committed cache: its cost is its own
         # length, not the log's.  A full replay of the local log would end in
-        # the same cache (the store-agreement oracle holds us to that).
-        installed = self.store.ingest(
+        # the same cache (the store-agreement oracle holds us to that).  Our
+        # tail is the *last* record of the same force: torn, it loses the tail
+        # but no record the tail names, and the re-ship replays identically.
+        shipped = [
             (
-                rec["kind"],
-                TransactionId(rec["txn"][0], rec["txn"][1]) if rec["txn"] else None,
-                ObjectId(rec["obj"]) if rec["obj"] is not None else None,
-                rec["value"],
+                kind,
+                TransactionId(*txn) if txn else None,
+                ObjectId(obj) if obj is not None else None,
+                value,
             )
-            for rec in batch["records"]
-        )
-        # Tail *after* the records: a crash in between under-reports, and the
-        # duplicate re-ship replays identically (same txns, same values).
-        self._persist_tail(batch["last_lsn"], epoch)
-        # every journal transaction rewrites its instances' meta objects
+            for kind, txn, obj, value in batch["records"]
+        ]
+        shipped.append((BATCH, None, None, self._tail_write(batch["last_lsn"], epoch)))
+        installed = self.store.ingest(shipped)
+        # every journal batch rewrites its instances' meta objects
         self._refresh_image(dict.fromkeys(instances_of(installed, "meta")))
         self._image_valid = True
         self.repl_stats["tail_applies"] += 1

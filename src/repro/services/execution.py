@@ -5,15 +5,18 @@ Coordinates workflow instances with the paper's system-level guarantees:
 * **Durable coordination state.**  Everything needed to reconstruct an
   instance — script text, initial inputs, and a journal of task results,
   marks, failures, reconfigurations and forced aborts — is recorded in
-  persistent atomic objects under transactions *before* it takes effect on
-  the in-memory instance tree.  This is the paper's "records inter-task
-  dependencies in persistent atomic objects and uses atomic transactions for
-  propagating coordination information".  Per instance: a write-once
-  ``instance:<iid>:spec`` (script text, root task, input set, inputs), an
-  ``instance:<iid>:meta`` holding only ``journal_len``, and one
-  ``instance:<iid>:journal:<n>`` per entry — so a journal transaction logs
-  its entries and a counter, whatever the script's size.  The instances of a
-  store are its ``spec`` keys, in commit order (:func:`instance_ids`).
+  persistent atomic objects, atomically and durably, *before* it takes
+  effect on the in-memory instance tree.  This is the paper's "records
+  inter-task dependencies in persistent atomic objects and uses atomic
+  transactions for propagating coordination information".  Per instance: a
+  write-once ``instance:<iid>:spec`` (script text, root task, input set,
+  inputs), an ``instance:<iid>:meta`` holding only ``journal_len``, and one
+  ``instance:<iid>:journal:<n>`` per entry — so a journal barrier logs its
+  entries and a counter, whatever the script's size, as one self-committing
+  WAL record (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the
+  service is their only writer, and the journal must be atomic and durable,
+  not isolated.  The instances of a store are its ``spec`` keys, in commit
+  order (:func:`instance_ids`).
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
@@ -58,7 +61,6 @@ from ..orb.broker import CommFailure, Interface, ObjectBroker, Overloaded
 from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
 from ..sim.crashpoints import crash_point
-from ..txn.manager import TransactionManager
 from ..txn.store import ObjectStore
 from .serialization import (
     refs_from_plain,
@@ -219,7 +221,7 @@ class ExecutionService(Service):
     ) -> None:
         """Journal appends are batched: entries produced within one
         scheduling pump (and across pumps that trigger no dispatch)
-        accumulate in a buffer and commit in a single transaction/force at
+        accumulate in a buffer and commit as a single WAL record/force at
         the next durability barrier — before any dependent dispatch, when an
         instance reaches a terminal state, in every public mutating
         operation, or at the latest ``journal_window`` simulated seconds
@@ -239,7 +241,6 @@ class ExecutionService(Service):
         self.resilience = resilience or ResilienceConfig.for_timeouts(
             dispatch_timeout, sweep_interval
         )
-        self.manager = TransactionManager(f"{name}-tm")
         self.runtimes: Dict[str, _Runtime] = {}
         # Fencing epoch: a durable incarnation counter stamped on every
         # journal entry and worker dispatch.  For a standalone service it
@@ -334,7 +335,7 @@ class ExecutionService(Service):
         if not self.durable:
             return self.epoch + 1
         advanced = self.store.get_committed("exec-epoch", 0) + 1
-        self.manager.run(lambda txn: txn.write(self.store, "exec-epoch", advanced))
+        self.store.commit_batch({"exec-epoch": advanced})
         self.store.sync()
         return advanced
 
@@ -417,12 +418,11 @@ class ExecutionService(Service):
             "inputs": dict(inputs or {}),
         }
         if self.durable:
-            def body(txn) -> None:
-                txn.write(self.store, "instance-counter", counter)
-                txn.write(self.store, f"instance:{iid}:spec", spec)
-                txn.write(self.store, f"instance:{iid}:meta", {"journal_len": 0})
-
-            self.manager.run(body)
+            self.store.commit_batch({
+                "instance-counter": counter,
+                f"instance:{iid}:spec": spec,
+                f"instance:{iid}:meta": {"journal_len": 0},
+            })
         crash_point("exec.instantiate.persisted", self)
         runtime = self._fresh_runtime(iid, spec)
         self.runtimes[iid] = runtime
@@ -589,13 +589,11 @@ class ExecutionService(Service):
         spec = {name: snapshot["meta"][name] for name in _SPEC_FIELDS}
         journal = list(snapshot["journal"])
         if self.durable:
-            def body(txn) -> None:
-                txn.write(self.store, f"instance:{iid}:spec", spec)
-                txn.write(self.store, f"instance:{iid}:meta", {"journal_len": len(journal)})
-                for n, entry in enumerate(journal):
-                    txn.write(self.store, f"instance:{iid}:journal:{n}", entry)
-
-            self.manager.run(body)
+            self.store.commit_batch({
+                f"instance:{iid}:spec": spec,
+                f"instance:{iid}:meta": {"journal_len": len(journal)},
+                **{f"instance:{iid}:journal:{n}": e for n, e in enumerate(journal)},
+            })
             runtime = self._replay(iid)
         else:
             runtime = self._replay_from(iid, spec, journal)
@@ -1276,37 +1274,35 @@ class ExecutionService(Service):
         self._arm_journal_window()
 
     def flush_journal(self) -> int:
-        """Durability barrier: commit every buffered journal entry in one
-        transaction (one WAL force), update each touched instance's
-        ``journal_len`` once, then drain the WAL group-commit window.  The
-        transaction writes the entries and one counter per instance, nothing
-        that grows with the script or the history.
+        """Durability barrier: commit every buffered journal entry and each
+        touched instance's ``journal_len`` as one WAL record (one force),
+        then drain the WAL group-commit window.  The record holds the
+        entries and one counter per instance, nothing that grows with the
+        script or the history.
 
-        The batch is all-or-nothing — every write rides a single COMMIT
-        record, so a torn force during the flush presumed-aborts the whole
-        batch and recovery sees a contiguous journal either way.  Returns
-        the number of entries made durable."""
+        The batch is all-or-nothing — a single BATCH record, which a torn
+        force drops whole — so recovery sees a contiguous journal either
+        way.  Returns the number of entries made durable."""
         if not self._jbuf:
             self._post_barrier()  # replication still ships any unshipped suffix
             return 0
         batch, self._jbuf = self._jbuf, []
-
-        def body(txn) -> None:
-            lens: Dict[str, int] = {}
-            for runtime, entry in batch:
-                iid = runtime.iid
-                n = lens.get(iid)
-                if n is None:
-                    n = txn.read(self.store, f"instance:{iid}:meta")["journal_len"]
-                txn.write(self.store, f"instance:{iid}:journal:{n}", entry)
-                lens[iid] = n + 1
-            for iid, n in lens.items():
-                txn.write(self.store, f"instance:{iid}:meta", {"journal_len": n})
-
-        self.manager.run(body)
+        store = self.store
+        writes: Dict[str, Any] = {}
+        lens: Dict[str, int] = {}
+        for runtime, entry in batch:
+            iid = runtime.iid
+            n = lens.get(iid)
+            if n is None:
+                n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
+            writes[f"instance:{iid}:journal:{n}"] = entry
+            lens[iid] = n + 1
+        for iid, n in lens.items():
+            writes[f"instance:{iid}:meta"] = {"journal_len": n}
+        store.commit_batch(writes)
         IOPATH_STATS.journal_batches += 1
         crash_point("exec.journal.post", self)
-        self.store.sync()
+        store.sync()
         self._post_barrier()
         return len(batch)
 

@@ -85,9 +85,9 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     CrashPoint("store.prepare.post", "src/repro/txn/store.py",
                "PREPARE vote forced (participant now in doubt)"),
     CrashPoint("store.commit.pre", "src/repro/txn/store.py",
-               "before the COMMIT record is appended"),
+               "before the COMMIT (or self-committing BATCH) record is appended"),
     CrashPoint("store.commit.forced", "src/repro/txn/store.py",
-               "COMMIT durable, after-images not yet installed"),
+               "COMMIT/BATCH durable, after-images not yet installed"),
     CrashPoint("store.commit.post", "src/repro/txn/store.py",
                "after-images installed in the committed cache"),
     CrashPoint("store.abort.pre", "src/repro/txn/store.py",
@@ -103,11 +103,11 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
                "top-level commit complete"),
     # --- execution service (coordination journal) ---------------------------
     CrashPoint("exec.instantiate.persisted", "src/repro/services/execution.py",
-               "instance meta committed, runtime not yet built"),
+               "instance spec and meta committed, runtime not yet built"),
     CrashPoint("exec.journal.pre", "src/repro/services/execution.py",
-               "journal entry keyed, persistence transaction not yet run"),
+               "journal entry keyed and buffered, its batch not yet committed"),
     CrashPoint("exec.journal.post", "src/repro/services/execution.py",
-               "journal entry committed, not yet applied to the tree"),
+               "journal batch committed, fsync and dependent sends not yet done"),
     CrashPoint("exec.reply.recv", "src/repro/services/execution.py",
                "worker reply received, before dedup against the journal"),
     CrashPoint("exec.reply.applied", "src/repro/services/execution.py",
@@ -137,6 +137,11 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
                "lease won, promotion not yet started", recovery=True),
     CrashPoint("repl.promote.post", "src/repro/replication/replica.py",
                "standby fully promoted, serving as primary", recovery=True),
+    # appended last: seeded random schedules draw points by catalogue index
+    CrashPoint("store.ingest.pre", "src/repro/txn/store.py",
+               "shipped records and the follower's tail appended, none durable "
+               "yet (torn: the tail is lost, the records it names are kept)",
+               torn=True),
 )
 
 _BY_NAME: Dict[str, CrashPoint] = {point.name: point for point in CATALOGUE}

@@ -46,14 +46,15 @@ from .nemesis import (
 
 #: Points only visited when the harness drives compaction.
 _NEEDS_COMPACTOR = ("wal.checkpoint.", "exec.compact.")
-#: Points only visited by the harness's two-store 2PC probe.
-_NEEDS_PROBE = ("store.prepare.", "store.abort.", "txn.2pc.")
+#: Points only visited by the harness's two-store 2PC probe, the one
+#: locking writer it binds (journal, lease and standby tail commit BATCHes).
+_NEEDS_PROBE = ("store.prepare.", "store.abort.", "store.log_updates.", "txn.")
 #: Points only visited with a replicated execution service.  The lease
 #: grant and the promotion points additionally need a failover (the
 #: bootstrap grant/promotion happen before the injector is installed), which
 #: the recovery driver crash below conveniently provides: killing the
 #: primary at a journal append forces a standby through acquire + promote.
-_NEEDS_REPLICAS = ("repl.",)
+_NEEDS_REPLICAS = ("repl.", "store.ingest.")
 #: The driver crash paired with recovery-only points.
 _RECOVERY_DRIVER = "exec.journal.post"
 
@@ -137,7 +138,7 @@ class ChaosSweep:
         """The schedule + harness configuration that makes ``point`` fire."""
         faults: List[Any] = []
         replicated = point.name.startswith(_NEEDS_REPLICAS)
-        if point.recovery or (replicated and point.name != "repl.tail.apply"):
+        if point.recovery or point.name == "repl.lease.grant":
             # on_recover only runs after a crash: drive one first.  For the
             # replication points the same driver kills the primary, forcing
             # the failover that makes a post-bootstrap grant/promotion happen.

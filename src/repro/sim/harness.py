@@ -230,7 +230,6 @@ class SimHarness:
         self._injector: Optional[CrashPointInjector] = None
         self._nodes: Dict[str, Node] = {}
         self._stores: Dict[str, List[Any]] = {}
-        self._managers: Dict[str, List[TransactionManager]] = {}
         self._crashes: List[Dict[str, Any]] = []
         self._violations: List[oracles.OracleViolation] = []
         self._violation_keys: Set[Tuple[str, str, str]] = set()
@@ -270,23 +269,17 @@ class SimHarness:
         if system.execution_replicas:
             for node, service in zip(system.replica_nodes, system.execution_replicas):
                 self._stores[node.name] = [service.store]
-                self._managers[node.name] = [service.manager]
                 injector.bind(service.store, node.name)
                 injector.bind(service.store.wal, node.name)
-                injector.bind(service.manager, node.name)
                 injector.bind(service, node.name)
             self._stores["lease-node"] = [system.lease_store]
-            self._managers["lease-node"] = [system.lease.manager]
             injector.bind(system.lease_store, "lease-node")
             injector.bind(system.lease_store.wal, "lease-node")
-            injector.bind(system.lease.manager, "lease-node")
             injector.bind(system.lease, "lease-node")
         else:
             self._stores = {"execution-node": [system.execution_store]}
-            self._managers = {"execution-node": [system.execution.manager]}
             injector.bind(system.execution_store, "execution-node")
             injector.bind(system.execution_store.wal, "execution-node")
-            injector.bind(system.execution.manager, "execution-node")
             injector.bind(system.execution, "execution-node")
         for node, worker in zip(system.worker_nodes, system.workers):
             injector.bind(worker, node.name)
@@ -468,15 +461,12 @@ class SimHarness:
             return
         for store in self._stores.get(node_name, ()):
             store.crash()
-        # transaction managers are in-memory: their active-transaction
+        # the probe's transaction manager is in-memory: its active-transaction
         # table and cached commit decisions die with the machine (durable
         # decisions live in the decision store's log, nowhere else)
-        managers = list(self._managers.get(node_name, ()))
         if node_name == "execution-node" and self._probe_manager is not None:
-            managers.append(self._probe_manager)
-        for manager in managers:
-            manager._active.clear()
-            manager._decisions.clear()
+            self._probe_manager._active.clear()
+            self._probe_manager._decisions.clear()
         node.crash()
         self._crashes.append(
             {

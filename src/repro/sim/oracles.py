@@ -16,7 +16,7 @@ Oracles and the guarantees they police:
 ``journal-contiguity``
     Every instance in the store (every durable ``instance:<iid>:spec``) must
     have its meta object and journal entries ``0..journal_len-1`` all
-    present.  A gap means the instantiate or journal-append transaction
+    present.  A gap means the instantiate or journal-append record
     committed non-atomically.
 ``exactly-once``
     No two journal entries may resolve the same task execution, and no mark

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 from collections import deque
 
 from .ids import ObjectId, TransactionId
@@ -36,8 +36,11 @@ class LockMode(enum.Enum):
 class LockConflict(RuntimeError):
     """Non-blocking acquisition failed."""
 
-    def __init__(self, txn: TransactionId, obj: ObjectId, holders: Set[TransactionId]) -> None:
-        super().__init__(f"{txn} cannot lock {obj}: held by {sorted(holders)}")
+    def __init__(
+        self, txn: Optional[TransactionId], obj: ObjectId, holders: Set[TransactionId]
+    ) -> None:
+        who = txn or "a writer that takes no locks"
+        super().__init__(f"{who} cannot lock {obj}: held by {sorted(holders)}")
         self.txn = txn
         self.obj = obj
         self.holders = set(holders)
@@ -94,6 +97,15 @@ class LockManager:
     def mode_of(self, txn: TransactionId, obj: ObjectId) -> Optional[LockMode]:
         entry = self._table.get(obj)
         return entry.holders.get(txn) if entry is not None else None
+
+    def refuse_if_held(self, names: Iterable[str]) -> None:
+        """Raise :class:`LockConflict` if an open transaction holds a lock on
+        any of the objects ``names``; one truthiness test when none is held."""
+        if self._table:
+            for name in names:
+                entry = self._table.get(ObjectId(name))
+                if entry is not None and entry.holders:
+                    raise LockConflict(None, ObjectId(name), set(entry.holders))
 
     # -- acquisition ----------------------------------------------------------
 

@@ -96,8 +96,22 @@ class ObjectStore:
 
     def commit(self, txn: TransactionId, writes: Dict[str, Any]) -> None:
         """Force the COMMIT record, then install the after-images."""
+        self._force_and_install(wal_mod.COMMIT, txn, None, writes)
+
+    def commit_batch(self, writes: Dict[str, Any]) -> None:
+        """Commit ``writes`` as one BATCH record — its own commit, durable
+        and whole exactly when its force completes — for objects only the
+        caller ever writes: no locks, no BEGIN/UPDATE/COMMIT envelope.
+        Refused before the log is touched if an open transaction holds a
+        lock on any of the objects: that writer is not alone."""
+        self.locks.refuse_if_held(writes)
+        self._force_and_install(wal_mod.BATCH, None, writes, writes)
+
+    def _force_and_install(
+        self, kind: str, txn: Optional[TransactionId], value: Any, writes: Dict[str, Any]
+    ) -> None:
         crash_point("store.commit.pre", self)
-        self.wal.append(wal_mod.COMMIT, txn)
+        self.wal.append(kind, txn, None, value)
         self.wal.force()
         crash_point("store.commit.forced", self)
         self._committed.update(writes)
@@ -115,12 +129,13 @@ class ObjectStore:
         entries: Iterable[Tuple[str, Optional[TransactionId], Optional[ObjectId], Any]],
     ) -> List[str]:
         """Append log records shipped from another store as ``(kind, txn,
-        obj, value)``, make them durable and fold them — and nothing before
-        them — into the committed cache.  A transaction whose COMMIT arrives
-        in a later batch stays pending until then.  Returns the keys the
-        batch installed, in order."""
+        obj, value)``, make them durable in one force and fold them — and
+        nothing before them — into the committed cache.  A transaction whose
+        COMMIT arrives in a later batch stays pending until then.  Returns
+        the keys the batch installed, in order."""
         wal = self.wal
         records = [wal.append(kind, txn, obj, value) for kind, txn, obj, value in entries]
+        crash_point("store.ingest.pre", wal)  # torn: tears the force below
         wal.force()
         wal.sync()
         return wal_mod.fold(records, self._committed, self._pending)

@@ -1,13 +1,15 @@
 """Write-ahead log.
 
 Redo-only logging: a transaction's updates are appended as ``UPDATE`` records
-and become durable exactly when its ``COMMIT`` record is forced.  The log
-lives in *stable storage* — in the simulation, a plain Python list attached to
-a node's stable store that deliberately survives :meth:`Node.crash` — and can
-optionally be mirrored to a JSON-lines file on disk for inspection.  The
-mirror trails ``_forced_upto``: it receives records only when they are
-*forced*, so after any crash — torn writes included — the file holds exactly
-the durable prefix.
+and become durable exactly when its ``COMMIT`` record is forced.  A ``BATCH``
+is its own commit — one record with every after-image of a single-writer
+update; a torn force drops the last record whole, so it needs no envelope.
+The log lives in *stable storage* — in the simulation, a plain Python list
+attached to a node's stable store that deliberately survives
+:meth:`Node.crash` — and can optionally be mirrored to a JSON-lines file on
+disk for inspection.  The mirror trails ``_forced_upto``: it receives records
+only when they are *forced*, so after any crash — torn writes included — the
+file holds exactly the durable prefix.
 
 Group commit (see docs/PROTOCOLS.md §11): ``force()`` advances simulated
 durability (``_forced_upto``) and writes its records to the mirror through a
@@ -25,6 +27,7 @@ Record kinds::
     PREPARE  txn                     (2PC participant vote)
     COMMIT   txn
     ABORT    txn
+    BATCH    {object: after-image, ...}   (self-committing, one writer)
     CHECKPOINT snapshot              (compaction point)
 """
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..core.instrument import IOPATH_STATS
@@ -45,9 +48,13 @@ UPDATE = "UPDATE"
 PREPARE = "PREPARE"
 COMMIT = "COMMIT"
 ABORT = "ABORT"
+BATCH = "BATCH"
 CHECKPOINT = "CHECKPOINT"
 
-_KINDS = {BEGIN, UPDATE, PREPARE, COMMIT, ABORT, CHECKPOINT}
+_KINDS = {BEGIN, UPDATE, PREPARE, COMMIT, ABORT, BATCH, CHECKPOINT}
+
+# one encoder for every mirror row (``json.dumps`` builds one per call)
+_ENCODE = json.JSONEncoder(default=repr).encode
 
 
 @dataclass(frozen=True)
@@ -61,15 +68,14 @@ class LogRecord:
     value: Any = None
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODE(
             {
                 "lsn": self.lsn,
                 "kind": self.kind,
                 "txn": [self.txn.number, self.txn.origin] if self.txn else None,
                 "obj": self.obj.name if self.obj else None,
                 "value": self.value,
-            },
-            default=repr,
+            }
         )
 
 
@@ -269,12 +275,11 @@ class WriteAheadLog:
         the checkpoint already covers.  There is no half-compacted state.
         """
         crash_point("wal.checkpoint.pre", self)
-        record = self.append(CHECKPOINT, value=snapshot)
+        self.append(CHECKPOINT, value=snapshot)
         self.force()
         self.sync()  # compaction is a durability barrier: drain the window
         crash_point("wal.checkpoint.forced", self)
-        index = self._records.index(record)
-        self._records = self._records[index:]
+        del self._records[:-1]  # the CHECKPOINT is the record appended above
         self._forced_upto = len(self._records)
         crash_point("wal.checkpoint.post", self)
 
@@ -287,16 +292,20 @@ def fold(
     """Advance a replay state over ``records``, in place.
 
     ``snapshot`` is the committed state so far and ``pending`` the logged
-    updates of transactions not yet decided.  Only updates of transactions
-    whose COMMIT record is present take effect (redo-only, presumed abort for
-    the rest) — the standard recovery rule the execution service's guarantees
-    rest on.  Folding a log in pieces, carrying both across the pieces, ends
-    in the same state as folding it whole.  Returns the keys installed, in
-    order (every key of a CHECKPOINT's snapshot counts as installed).
+    updates of transactions not yet decided.  A BATCH takes effect where it
+    stands; other updates only once their transaction's COMMIT record is
+    present (redo-only, presumed abort for the rest) — the standard recovery
+    rule the execution service's guarantees rest on.  Folding a log in
+    pieces, carrying both across the pieces, ends in the same state as
+    folding it whole.  Returns the keys installed, in order (every key of a
+    CHECKPOINT's snapshot counts as installed).
     """
     installed: List[str] = []
     for record in records:
-        if record.kind == CHECKPOINT:
+        if record.kind == BATCH:
+            snapshot.update(record.value)
+            installed.extend(record.value)
+        elif record.kind == CHECKPOINT:
             snapshot.clear()
             snapshot.update(record.value or {})
             pending.clear()

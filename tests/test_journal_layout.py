@@ -4,10 +4,10 @@ Per instance the store holds a write-once ``instance:<iid>:spec``, an
 ``instance:<iid>:meta`` carrying only ``journal_len`` and one
 ``instance:<iid>:journal:<n>`` per entry; the instances of a store are its
 spec keys in commit order (docs/PROTOCOLS.md §9.3).  These tests pin what
-that layout is for: a journal transaction's size depends on its entries —
-not on the script, not on how many instances came before — and every way an
-instance enters or re-enters a service (instantiate, crash recovery, import,
-replication) rebuilds the same tree from it.
+that layout is for: a journal barrier is one WAL record whose size depends
+on its entries — not on the script, not on how many instances came before —
+and every way an instance enters or re-enters a service (instantiate, crash
+recovery, import, replication) rebuilds the same tree from it.
 """
 
 import os
@@ -21,7 +21,7 @@ from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
 from repro.txn.ids import TransactionId
-from repro.txn.wal import replay
+from repro.txn.wal import BATCH, replay
 from repro.workloads import chain, paper_order, script_text
 
 
@@ -94,9 +94,15 @@ class TestLayout:
         }
         spec_writes = [
             record for record in store.wal.durable_records()
-            if record.obj is not None and record.obj.name == f"instance:{iid}:spec"
+            if record.kind == BATCH and f"instance:{iid}:spec" in record.value
         ]
         assert len(spec_writes) == 1
+        # the spec, the counter it was numbered from and the empty journal's
+        # length commit together: one record, no envelope around it
+        assert set(spec_writes[0].value) == {
+            "instance-counter", f"instance:{iid}:spec", f"instance:{iid}:meta",
+        }
+        assert {record.kind for record in store.wal.durable_records()} == {BATCH}
         assert not store.exists("instance-index")
         assert store.get_committed("instance-index", []) == [iid]  # derived
 
@@ -147,10 +153,11 @@ class TestSameTreeEveryWayIn:
     @pytest.mark.parametrize(
         "point, survives",
         [
-            ("txn.commit.pre", False),
-            ("store.log_updates.post", False),
             ("store.commit.pre", False),
+            ("wal.force.pre", False),
+            ("wal.force.post", True),
             ("store.commit.forced", True),
+            ("store.commit.post", True),
             ("exec.instantiate.persisted", True),
         ],
     )
@@ -164,7 +171,7 @@ class TestSameTreeEveryWayIn:
             node.crash()
 
         injector = CrashPointInjector(crash)
-        for scope in (service, service.manager, store, store.wal):
+        for scope in (service, store, store.wal):
             injector.bind(scope, node.name)
         injector.arm(ArmedCrash(point))
         crashpoints.install(injector)

@@ -108,6 +108,23 @@ class TestCheckpoint:
         assert len(log) == 1
         assert replay(log.durable_records()) == {"a": 9}
 
+    def test_compaction_compares_no_records(self, monkeypatch):
+        """The CHECKPOINT is the record just appended: finding it must not
+        walk the log comparing records (``list.index`` did, once per
+        record before it)."""
+        log = WriteAheadLog()
+        for i in range(300):
+            log.append(w.BATCH, TransactionId(i + 1), None, {"a": i})
+        log.force()
+        comparisons = []
+        monkeypatch.setattr(
+            w.LogRecord, "__eq__", lambda self, other: comparisons.append(1) or self is other
+        )
+        log.checkpoint({"a": 299})
+        assert comparisons == []
+        assert [r.kind for r in log.all_records()] == [w.CHECKPOINT]
+        assert log.durable_length == 1
+
     def test_replay_after_checkpoint_and_more_commits(self):
         log = WriteAheadLog()
         log.checkpoint({"a": 1})
