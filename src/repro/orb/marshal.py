@@ -181,8 +181,12 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
                     return value
                 return tuple(marshal(v, depth + 1) for v in value)
             return handle_tuple
+        # exact list and dict, the shapes of every request and reply record:
+        # a primitive member is its own copy, so only containers recurse
         if cls is list:
-            return lambda value, depth: [marshal(v, depth + 1) for v in value]
+            return lambda value, depth: [
+                v if type(v) in _PRIM_EXACT else marshal(v, depth + 1) for v in value
+            ]
         if hasattr(cls, "_fields"):
             # namedtuple-style: the constructor takes the fields positionally,
             # not a single iterable
@@ -205,7 +209,10 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
     if issubclass(cls, dict):
         if cls is dict:
             return lambda value, depth: {
-                marshal(k, depth + 1): marshal(v, depth + 1) for k, v in value.items()
+                (k if type(k) in _PRIM_EXACT else marshal(k, depth + 1)): (
+                    v if type(v) in _PRIM_EXACT else marshal(v, depth + 1)
+                )
+                for k, v in value.items()
             }
         def handle_dict_subclass(value, depth):
             copied_items = {

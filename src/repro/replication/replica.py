@@ -252,6 +252,7 @@ class ReplicatedExecutionService(ExecutionService):
             ],
             self._now(),
         )
+        self._live = dict(self.runtimes)  # the first sweep drops the finished
         for runtime in list(self.runtimes.values()):
             self._resume_flights(runtime)
             self._arm_deadlines(runtime)
@@ -513,6 +514,7 @@ class ReplicatedExecutionService(ExecutionService):
         self.store.wal.reset()
         self.store.crash()  # rebuild cache/locks from the (now empty) log
         self.runtimes = {}
+        self._live = {}
         self._image_applied = {}
 
     # -- warm image ---------------------------------------------------------------
@@ -524,9 +526,12 @@ class ReplicatedExecutionService(ExecutionService):
         Incremental: each instance remembers how many journal entries the
         image has applied and replays only the new ones, through the same
         ``_replay_entry`` used by crash recovery — so the image is, at every
-        barrier, exactly the tree a recovery replay would build.  Standbys
-        never dispatch: flights accumulate in ``in_flight`` unsent until
-        promotion resumes them."""
+        barrier, exactly the tree a recovery replay would build.  A spec
+        names its script by digest; the ``script:<digest>`` text is in the
+        local store by then, shipped in the same record as the first spec
+        that named it or inside the checkpoint a resync starts from.
+        Standbys never dispatch: flights accumulate in ``in_flight`` unsent
+        until promotion resumes them."""
         for iid in iids:
             spec = self.store.get_committed(f"instance:{iid}:spec")
             if spec is None:
@@ -552,6 +557,7 @@ class ReplicatedExecutionService(ExecutionService):
     def _rebuild_image(self) -> None:
         """Cold rebuild of the warm image from local durable state."""
         self.runtimes = {}
+        self._live = {}
         self._image_applied = {}
         tail = self._tail()
         self._max_epoch_seen = max(self._max_epoch_seen, tail["epoch"])

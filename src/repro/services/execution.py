@@ -8,15 +8,20 @@ Coordinates workflow instances with the paper's system-level guarantees:
   persistent atomic objects, atomically and durably, *before* it takes
   effect on the in-memory instance tree.  This is the paper's "records
   inter-task dependencies in persistent atomic objects and uses atomic
-  transactions for propagating coordination information".  Per instance: a
-  write-once ``instance:<iid>:spec`` (script text, root task, input set,
-  inputs), an ``instance:<iid>:meta`` holding only ``journal_len``, and one
-  ``instance:<iid>:journal:<n>`` per entry — so a journal barrier logs its
-  entries and a counter, whatever the script's size, as one self-committing
-  WAL record (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the
-  service is their only writer, and the journal must be atomic and durable,
-  not isolated.  The instances of a store are its ``spec`` keys, in commit
-  order (:func:`instance_ids`).
+  transactions for propagating coordination information".  Per script
+  version: one write-once ``script:<digest>`` holding the source text,
+  content-addressed (:func:`script_digest`) and kept in this service's own
+  store, so recovery and promotion never need the repository.  Per instance:
+  a write-once ``instance:<iid>:spec`` (the script's digest, root task, input
+  set, inputs), an ``instance:<iid>:meta`` holding only ``journal_len``, and
+  one ``instance:<iid>:journal:<n>`` per entry — so an instance logs a
+  reference to its script, and a journal barrier its entries and a counter,
+  whatever the script's size, as one self-committing WAL record
+  (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is their
+  only writer, and the journal must be atomic and durable, not isolated.
+  The text rides in the record of the first spec that names it, so a torn
+  force drops both or neither.  The instances of a store are its ``spec``
+  keys, in commit order (:func:`instance_ids`).
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
@@ -41,6 +46,7 @@ experiment E14: without transactional propagation, crashes lose instances.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import OrderedDict
@@ -126,28 +132,36 @@ class _Runtime:
     # journal keys use this counter; replay reproduces it deterministically.
     exec_counter: Dict[str, int] = field(default_factory=dict)
     live_exec: Dict[str, int] = field(default_factory=dict)
-    # False when the script declares no ``deadline`` implementation property
-    # anywhere: _arm_deadlines can skip its whole-tree walk (recomputed on
-    # reconfiguration, which may introduce deadlines)
+    # the current script's _Compiled.has_deadlines (a reconfiguration may
+    # introduce deadlines)
     has_deadlines: bool = True
 
 
-def _script_has_deadlines(script: Script) -> bool:
-    """True when any task declaration carries a ``deadline`` implementation
-    property — the only case _arm_deadlines' whole-tree walk can act on."""
-    return any(
-        decl.implementation.get("deadline") is not None
-        for _path, decl in script.walk_tasks()
-    )
+def script_digest(text: str) -> str:
+    """Content address of a script version: SHA-256 of its source, hex,
+    truncated to 128 bits."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 @dataclass
 class _Compiled:
-    """One cached script and, from the first instance built on it, its
-    execution plan (never compiled for a script that is only stored)."""
+    """One cached script, what every instance of it needs to know about it
+    and, from the first instance built on it, its execution plan (never
+    compiled for a script that is only stored)."""
 
     script: Script
+    digest: str
+    # False when no task declaration carries a ``deadline`` implementation
+    # property: _arm_deadlines can skip its whole-tree walk
+    has_deadlines: bool
     plan: Optional[ExecutionPlan] = None
+    _criticality: Dict[str, str] = field(default_factory=dict)
+
+    def criticality(self, root_task: str) -> str:
+        found = self._criticality.get(root_task)
+        if found is None:
+            found = self._criticality[root_task] = criticality_of(self.script, root_task)
+        return found
 
 
 # Compiled scripts keyed by their exact source text.  Scripts and plans are
@@ -166,7 +180,9 @@ _COMPILE_CACHE_MAX = 128
 _PENDING_ACK_CAP = 1024
 
 
-_SPEC_FIELDS = ("script_text", "root_task", "input_set", "inputs")
+# spec fields an exported snapshot carries as they stand (the script, a
+# digest in the spec, crosses as its text)
+_SPEC_FIELDS = ("root_task", "input_set", "inputs")
 
 
 def instances_of(keys: Iterable[str], part: str) -> Iterator[str]:
@@ -189,17 +205,21 @@ def instance_ids(store: ObjectStore) -> List[str]:
 def _compiled(text: str) -> _Compiled:
     compiled = _COMPILE_CACHE.get(text)
     if compiled is None:
-        compiled = _Compiled(compile_script(text))
+        script = compile_script(text)
+        compiled = _Compiled(
+            script,
+            script_digest(text),
+            has_deadlines=any(
+                decl.implementation.get("deadline") is not None
+                for _path, decl in script.walk_tasks()
+            ),
+        )
         if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
             _COMPILE_CACHE.popitem(last=False)
         _COMPILE_CACHE[text] = compiled
     else:
         _COMPILE_CACHE.move_to_end(text)
     return compiled
-
-
-def _compile_cached(text: str) -> Script:
-    return _compiled(text).script
 
 
 class ExecutionService(Service):
@@ -242,6 +262,13 @@ class ExecutionService(Service):
             dispatch_timeout, sweep_interval
         )
         self.runtimes: Dict[str, _Runtime] = {}
+        # what the sweeper visits, in the same order: an instance enters with
+        # its runtime and leaves at the first sweep that finds it terminal
+        # with no flight left out
+        self._live: Dict[str, _Runtime] = {}
+        # script texts by digest when not durable (the store holds them
+        # under ``script:<digest>`` otherwise)
+        self._volatile_scripts: Dict[str, str] = {}
         # Fencing epoch: a durable incarnation counter stamped on every
         # journal entry and worker dispatch.  For a standalone service it
         # simply counts store-backed incarnations; under replication
@@ -295,6 +322,7 @@ class ExecutionService(Service):
         crash_point("exec.recover.pre", self)
         self.epoch = self._advance_epoch()
         self.runtimes = {}
+        self._live = {}
         self.health.reset()
         self._pending_acks.clear()
         self._sweep_armed = False  # the old sweep chain died with the crash
@@ -306,7 +334,7 @@ class ExecutionService(Service):
             for iid in instance_ids(self.store):
                 runtime = self._replay(iid)
                 if runtime is not None:
-                    self.runtimes[iid] = runtime
+                    self.runtimes[iid] = self._live[iid] = runtime
                     self._resume_flights(runtime)
                     self._arm_deadlines(runtime)
         # Admission state is volatile: the queue died with the process, so
@@ -387,13 +415,13 @@ class ExecutionService(Service):
         text = self.broker.invoke(
             self.node, self.repository_name, "get_script", script_name
         )
-        script = _compile_cached(text)
+        compiled = _compiled(text)
         # Admission decision BEFORE anything is persisted: a rejected arrival
         # leaves no trace but the typed refusal, so the client's cooperative
         # backoff is the whole cost.  Shed verdicts, by contrast, persist the
         # instance and journal a decisive ``overloaded`` outcome — the caller
         # gets an instance id whose fate is queryable, never a silent drop.
-        criticality = criticality_of(script, root_task)
+        criticality = compiled.criticality(root_task)
         now = self._now()
         verdict = self.admission.decide(criticality, now)
         if verdict == "reject":
@@ -405,6 +433,7 @@ class ExecutionService(Service):
                 f"({len(self.admission.queue)}/{self.overload.queue_capacity})",
                 retry_after=hint,
             )
+        script_write = self._intern(compiled.digest, text)
         if self.durable:
             counter = self.store.get_committed("instance-counter", 0) + 1
         else:
@@ -412,20 +441,21 @@ class ExecutionService(Service):
             counter = self._volatile_counter
         iid = f"wf-{counter}"
         spec = {
-            "script_text": text,
+            "script": compiled.digest,
             "root_task": root_task,
             "input_set": input_set,
             "inputs": dict(inputs or {}),
         }
         if self.durable:
             self.store.commit_batch({
+                **script_write,
                 "instance-counter": counter,
                 f"instance:{iid}:spec": spec,
                 f"instance:{iid}:meta": {"journal_len": 0},
             })
         crash_point("exec.instantiate.persisted", self)
         runtime = self._fresh_runtime(iid, spec)
-        self.runtimes[iid] = runtime
+        self.runtimes[iid] = self._live[iid] = runtime
         if verdict == "shed":
             self._shed(runtime, criticality, f"pressure {self.admission.pressure}")
         elif verdict == "queue":
@@ -487,11 +517,11 @@ class ExecutionService(Service):
     def reconfigure(self, iid: str, new_script_text: str) -> bool:
         """Atomically apply a modified script to the *running* instance."""
         runtime = self._runtime(iid)
-        new_script = _compile_cached(new_script_text)
+        compiled = _compiled(new_script_text)
         with self._journal_guard():
-            runtime.tree.reconfigure(new_script)  # raises without effect if illegal
-            runtime.script = new_script
-            runtime.has_deadlines = _script_has_deadlines(new_script)
+            runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
+            runtime.script = compiled.script
+            runtime.has_deadlines = compiled.has_deadlines
             self._journal(runtime, {"type": "reconfig", "script_text": new_script_text})
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the reconfiguration as durable
@@ -575,7 +605,12 @@ class ExecutionService(Service):
             raise ExecutionError(f"{iid}: no durable state to export")
         return {
             "instance": iid,
-            "meta": {**spec, "journal_len": len(journal)},
+            "meta": {
+                # self-contained: the importer may never have seen the script
+                "script_text": self._script_text(spec["script"]),
+                **{name: spec[name] for name in _SPEC_FIELDS},
+                "journal_len": len(journal),
+            },
             "journal": journal,
         }
 
@@ -586,10 +621,15 @@ class ExecutionService(Service):
         iid = snapshot["instance"]
         if iid in self.runtimes:
             raise ExecutionError(f"{iid}: already present on this execution service")
-        spec = {name: snapshot["meta"][name] for name in _SPEC_FIELDS}
+        meta = snapshot["meta"]
+        text = meta["script_text"]
+        digest = _compiled(text).digest
+        spec = {"script": digest, **{name: meta[name] for name in _SPEC_FIELDS}}
         journal = list(snapshot["journal"])
+        script_write = self._intern(digest, text)
         if self.durable:
             self.store.commit_batch({
+                **script_write,
                 f"instance:{iid}:spec": spec,
                 f"instance:{iid}:meta": {"journal_len": len(journal)},
                 **{f"instance:{iid}:journal:{n}": e for n, e in enumerate(journal)},
@@ -598,7 +638,7 @@ class ExecutionService(Service):
         else:
             runtime = self._replay_from(iid, spec, journal)
             runtime.volatile_journal = journal
-        self.runtimes[iid] = runtime
+        self.runtimes[iid] = self._live[iid] = runtime
         if runtime.tree.status is WorkflowStatus.RUNNING:
             # adopted work is already paid for: it bypasses the admission
             # queue and takes a window slot directly
@@ -612,7 +652,8 @@ class ExecutionService(Service):
 
         Long-running instances accumulate journal entries; compaction bounds
         recovery time without losing any instance (the journal entries are
-        ordinary committed objects, so they live inside the checkpoint).
+        ordinary committed objects, so they live inside the checkpoint — as
+        does each script version, once, however many specs name it).
         Returns the number of live log records after compaction.
         """
         crash_point("exec.compact.pre", self)
@@ -661,16 +702,42 @@ class ExecutionService(Service):
 
     # -- dispatching -------------------------------------------------------------------------
 
+    def _script_text(self, digest: str) -> Optional[str]:
+        """The text this service holds under ``digest``, if any."""
+        if self.durable:
+            return self.store.get_committed(f"script:{digest}")
+        return self._volatile_scripts.get(digest)
+
+    def _intern(self, digest: str, text: str) -> Dict[str, str]:
+        """The write that makes ``text`` durable under ``digest``, to ride in
+        the batch of the first spec that names it: empty once the store holds
+        it.  A digest that already names other text is refused before
+        anything is logged — an instance is never bound to text it did not
+        start with."""
+        held = self._script_text(digest)
+        if held is None:
+            if self.durable:
+                return {f"script:{digest}": text}
+            self._volatile_scripts[digest] = text
+        elif held != text:
+            raise ExecutionError(
+                f"script digest {digest} already names a different text"
+            )
+        return {}
+
     def _fresh_runtime(self, iid: str, spec: Dict[str, Any]) -> _Runtime:
         """A started tree for ``spec``, built on the script's shared plan
         (compiled here, at the first instance of the script)."""
-        compiled = _compiled(spec["script_text"])
+        text = self._script_text(spec["script"])
+        if text is None:
+            raise ExecutionError(f"{iid}: script {spec['script']} is not in the store")
+        compiled = _compiled(text)
         script = compiled.script
         if compiled.plan is None:
             compiled.plan = compile_plan(script, analyze=False)
         tree = InstanceTree(script, spec["root_task"], now=self._now, plan=compiled.plan)
         runtime = _Runtime(iid, script, tree)
-        runtime.has_deadlines = _script_has_deadlines(script)
+        runtime.has_deadlines = compiled.has_deadlines
         tree.start(spec["input_set"], spec["inputs"])
         self._drain(runtime)
         return runtime
@@ -1031,7 +1098,11 @@ class ExecutionService(Service):
                         f"evicted from queue at pressure {self.admission.pressure}",
                     )
             self._promote_ready()
-            for runtime in list(self.runtimes.values()):
+            for runtime in list(self._live.values()):
+                if not runtime.in_flight:
+                    if runtime.tree.status is not WorkflowStatus.RUNNING:
+                        del self._live[runtime.iid]
+                    continue
                 for key, flight in list(runtime.in_flight.items()):
                     if key not in runtime.in_flight or not flight.sent:
                         continue
@@ -1359,10 +1430,10 @@ class ExecutionService(Service):
             ]
             return
         if kind == "reconfig":
-            new_script = _compile_cached(entry["script_text"])
-            runtime.tree.reconfigure(new_script)
-            runtime.script = new_script
-            runtime.has_deadlines = _script_has_deadlines(new_script)
+            compiled = _compiled(entry["script_text"])
+            runtime.tree.reconfigure(compiled.script)
+            runtime.script = compiled.script
+            runtime.has_deadlines = compiled.has_deadlines
             return
         if kind == "force_abort":
             runtime.tree.force_abort(entry["path"], entry.get("name"))

@@ -18,6 +18,12 @@ Oracles and the guarantees they police:
     have its meta object and journal entries ``0..journal_len-1`` all
     present.  A gap means the instantiate or journal-append record
     committed non-atomically.
+``script-resolution``
+    Every durable spec names its script by digest, and that
+    ``script:<digest>`` must be present in the *same* store — on the primary
+    and on every standby, at every check.  The text commits in the record of
+    the first spec that names it; a spec without it is an instance no
+    recovery or promotion could rebuild.
 ``exactly-once``
     No two journal entries may resolve the same task execution, and no mark
     may be journaled twice.  Duplicate worker replies (at-least-once
@@ -137,9 +143,19 @@ def _journal_entries(
 def check_journal_integrity(
     store: ObjectStore, phase: str = ""
 ) -> List[OracleViolation]:
-    """Contiguity + exactly-once over every instance's durable journal."""
+    """Contiguity + script resolution + exactly-once over every instance's
+    durable spec and journal."""
     violations: List[OracleViolation] = []
     for iid in instance_ids(store):
+        digest = store.read_committed(f"instance:{iid}:spec")["script"]
+        if not store.exists(f"script:{digest}"):
+            violations.append(
+                OracleViolation(
+                    "script-resolution", iid,
+                    f"spec names script {digest} but the store holds no "
+                    f"script:{digest}", phase,
+                )
+            )
         meta, journal = _journal_entries(store, iid)
         if meta is None:
             violations.append(

@@ -53,8 +53,9 @@ CHECKPOINT = "CHECKPOINT"
 
 _KINDS = {BEGIN, UPDATE, PREPARE, COMMIT, ABORT, BATCH, CHECKPOINT}
 
-# one encoder for every mirror row (``json.dumps`` builds one per call)
-_ENCODE = json.JSONEncoder(default=repr).encode
+# one encoder for every mirror row (``json.dumps`` builds one per call),
+# without the default separators' padding
+_ENCODE = json.JSONEncoder(default=repr, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The execution store's object layout and what a journal barrier costs.
 
-Per instance the store holds a write-once ``instance:<iid>:spec``, an
-``instance:<iid>:meta`` carrying only ``journal_len`` and one
-``instance:<iid>:journal:<n>`` per entry; the instances of a store are its
-spec keys in commit order (docs/PROTOCOLS.md §9.3).  These tests pin what
+Per script version the store holds one ``script:<digest>``; per instance a
+write-once ``instance:<iid>:spec`` naming it, an ``instance:<iid>:meta``
+carrying only ``journal_len`` and one ``instance:<iid>:journal:<n>`` per
+entry; the instances of a store are its spec keys in commit order
+(docs/PROTOCOLS.md §9.3).  These tests pin what
 that layout is for: a journal barrier is one WAL record whose size depends
 on its entries — not on the script, not on how many instances came before —
 and every way an instance enters or re-enters a service (instantiate, crash
@@ -16,7 +17,7 @@ import pytest
 
 from repro.engine import outcome
 from repro.services import WorkflowSystem
-from repro.services.execution import instance_ids
+from repro.services.execution import instance_ids, script_digest
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
@@ -86,9 +87,11 @@ class TestLayout:
         store = system.execution_store
         iid = system.instantiate("chain", root, inputs)
         system.run_until_terminal(iid)
-        assert set(store.get_committed(f"instance:{iid}:spec")) == {
-            "script_text", "root_task", "input_set", "inputs",
-        }
+        spec = store.get_committed(f"instance:{iid}:spec")
+        assert set(spec) == {"script", "root_task", "input_set", "inputs"}
+        text = script_text(chain(4))
+        assert spec["script"] == script_digest(text)
+        assert store.get_committed(f"script:{spec['script']}") == text
         assert store.get_committed(f"instance:{iid}:meta") == {
             "journal_len": journal_len(store, iid)
         }
@@ -97,9 +100,11 @@ class TestLayout:
             if record.kind == BATCH and f"instance:{iid}:spec" in record.value
         ]
         assert len(spec_writes) == 1
-        # the spec, the counter it was numbered from and the empty journal's
-        # length commit together: one record, no envelope around it
+        # the spec, the counter it was numbered from, the empty journal's
+        # length and — for the first instance of its script — the text commit
+        # together: one record, no envelope around it
         assert set(spec_writes[0].value) == {
+            f"script:{spec['script']}",
             "instance-counter", f"instance:{iid}:spec", f"instance:{iid}:meta",
         }
         assert {record.kind for record in store.wal.durable_records()} == {BATCH}
@@ -204,10 +209,14 @@ class TestSameTreeEveryWayIn:
             new_text = head + '"code" is "stage2"' + tail
             system.execution_proxy().reconfigure(iid, new_text)
             store = system.execution_store
-            # the spec keeps the text the instance was created from; the
-            # reconfiguration is a journal entry
-            assert store.get_committed(f"instance:{iid}:spec")["script_text"] == text
+            # the spec keeps naming the text the instance was created from;
+            # the reconfiguration is a journal entry carrying its own text
+            digest = store.get_committed(f"instance:{iid}:spec")["script"]
+            assert store.get_committed(f"script:{digest}") == text
             assert store.get_committed(f"instance:{iid}:journal:0")["script_text"] == new_text
+            assert [key for key in store.keys() if key.startswith("script:")] == [
+                f"script:{digest}"
+            ]
             if crash:
                 store.crash()
                 system.execution_node.crash()

@@ -156,6 +156,55 @@ class TestZeroCopyFastPath:
         assert type(marshal(LateHeaders({"a": 1}))) is LateHeaders
 
 
+class TestPlainContainers:
+    """Exact dicts and lists — every request and reply record — copy their
+    primitive members in place; only containers go back through marshal."""
+
+    def test_only_containers_recurse(self, monkeypatch):
+        import importlib
+
+        marshal_mod = importlib.import_module("repro.orb.marshal")
+        depths = []
+        original = marshal_mod.marshal
+
+        def counting(value, _depth=0):
+            depths.append(_depth)
+            return original(value, _depth)
+
+        monkeypatch.setattr(marshal_mod, "marshal", counting)
+        record = {"a": 1, "b": "x", 3: None, "c": [1.5, True, b"y", {"d": None}], "e": (1, 2)}
+        copy = counting(record)
+        assert copy == record and copy is not record
+        assert copy["c"] is not record["c"] and copy["c"][3] is not record["c"][3]
+        assert copy["e"] is record["e"]  # immutable tuple: by reference
+        # the record, its list, the list's dict, the tuple: no call per primitive
+        assert sorted(depths) == [0, 1, 1, 2]
+
+    def test_primitive_subclasses_and_refused_members_still_go_through_marshal(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Name(str):
+            pass
+
+        copy = marshal({Name("k"): [Level.LOW, Name("v")]})
+        assert copy == {"k": [1, "v"]}
+        for value in ({"k": object()}, [object()], {"k": [{"deep": object()}]}):
+            with pytest.raises(MarshalError):
+                marshal(value)
+
+    def test_cycle_still_hits_the_depth_guard(self):
+        for cyclic in ([], {}):
+            if isinstance(cyclic, list):
+                cyclic.append({"again": cyclic})
+            else:
+                cyclic["again"] = [cyclic]
+            with pytest.raises(MarshalError, match="deeply nested"):
+                marshal(cyclic)
+
+
 class TestMarshalProtocol:
     def test_roundtrip_through_protocol(self):
         env = Envelope({"k": [1, 2]})

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.errors import ExecutionError
 from repro.services import WorkflowSystem
+from repro.services.execution import script_digest
+from repro.sim.oracles import check_journal_integrity
 from repro.workloads import paper_order
 
 
@@ -88,3 +90,44 @@ class TestExportImport:
         target.execution_node.recover()  # replays from ITS OWN store now
         result = target.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"
+
+    def test_snapshot_is_self_contained_for_a_service_that_never_saw_the_script(self):
+        source = make_system(workers=1)
+        iid = source.instantiate("order", paper_order.ROOT_TASK, {"order": "m-6"})
+        source.clock.advance(2.0)
+        snapshot = source.execution_proxy().export_instance(iid)
+        # the wire carries the text, not the source store's reference to it
+        assert snapshot["meta"]["script_text"] == paper_order.SCRIPT_TEXT
+        assert "script" not in snapshot["meta"]
+
+        # nothing deployed: neither its repository nor its store knows "order"
+        target = WorkflowSystem(workers=2)
+        paper_order.default_registry(registry=target.registry)
+        store = target.execution_store
+        assert not any(key.startswith("script:") for key in store.keys())
+        target.execution.import_instance(snapshot)
+        def import_record(imported):
+            (record,) = [
+                record for record in store.wal.durable_records()
+                if f"instance:{imported}:spec" in (record.value or ())
+            ]
+            return record
+
+        # the text was re-interned beside the imported spec, in one record
+        digest = script_digest(paper_order.SCRIPT_TEXT)
+        key = f"script:{digest}"
+        assert store.get_committed(key) == paper_order.SCRIPT_TEXT
+        assert store.get_committed(f"instance:{iid}:spec")["script"] == digest
+        assert list(import_record(iid).value)[0] == key
+        assert check_journal_integrity(store) == []
+
+        store.crash()
+        target.execution_node.crash()
+        target.execution_node.recover()  # replays from its own store alone
+        result = target.run_until_terminal(iid, max_time=10_000)
+        assert result["status"] == "completed"
+        assert result["outcome"] == "orderCompleted"
+        # a second import of the same version does not log the text again
+        other = source.instantiate("order", paper_order.ROOT_TASK, {"order": "m-7"})
+        target.execution.import_instance(source.execution_proxy().export_instance(other))
+        assert key not in import_record(other).value

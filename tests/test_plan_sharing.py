@@ -157,18 +157,76 @@ class TestRebuildsUseTheSharedPlan:
         assert target.run_until_terminal(iid)["status"] == "completed"
 
 
+class TestPerScriptFacts:
+    """What every instance of a text needs to know about it — its digest,
+    whether any task declares a deadline, the root task's criticality — is
+    worked out once per text, beside the plan."""
+
+    def test_computed_once_across_instances_recovery_and_standby_images(self, monkeypatch):
+        walks, lookups = [], []
+        original_walk = execution_mod.Script.walk_tasks
+        original_criticality = execution_mod.criticality_of
+
+        def walk_tasks(script):
+            walks.append(script)
+            return original_walk(script)
+
+        def criticality_of(script, root_task):
+            lookups.append(root_task)
+            return original_criticality(script, root_task)
+
+        system = WorkflowSystem(workers=2, replicas=2, lease_duration=30.0)
+        paper_order.default_registry(registry=system.registry)
+        system.deploy("order", paper_order.SCRIPT_TEXT)
+        monkeypatch.setattr(execution_mod.Script, "walk_tasks", walk_tasks)
+        monkeypatch.setattr(execution_mod, "criticality_of", criticality_of)
+        iids = [
+            system.instantiate("order", paper_order.ROOT_TASK, {"order": f"o-{n}"})
+            for n in range(4)
+        ]
+        system.clock.advance(6.0)
+        system.execution_node.crash()
+        system.clock.advance(200.0)  # failover: three services built every tree
+        for iid in iids:
+            assert system.run_until_terminal(iid)["status"] == "completed"
+        compiled = execution_mod._compiled(paper_order.SCRIPT_TEXT)
+        assert walks == [compiled.script]
+        assert lookups == [paper_order.ROOT_TASK]
+        assert compiled.digest == execution_mod.script_digest(paper_order.SCRIPT_TEXT)
+        assert compiled.has_deadlines is False
+
+    def test_reconfiguration_takes_the_new_texts_facts(self):
+        workload = chain(2)
+        system, root, inputs = deployed(workload, workers=2)
+        text = script_text(workload)
+        iid = system.instantiate("wl", root, inputs)
+        runtime = system.execution.runtimes[iid]
+        assert runtime.has_deadlines is False
+        head, _sep, tail = text.rpartition('"code" is "stage"')
+        with_deadline = head + '"code" is "stage"; "deadline" is "500"' + tail
+        system.execution_proxy().reconfigure(iid, with_deadline)
+        assert execution_mod._compiled(with_deadline).has_deadlines is True
+        assert runtime.has_deadlines is True
+        # and so does the replay of the journaled reconfiguration
+        system.execution_store.crash()
+        system.execution_node.crash()
+        system.execution_node.recover()
+        assert system.execution.runtimes[iid].has_deadlines is True
+        assert system.run_until_terminal(iid)["status"] == "completed"
+
+
 class TestCompileCacheEviction:
     def test_hot_script_survives_a_stream_of_one_off_scripts(self):
         hot = script_text(chain(2))
-        script = execution_mod._compile_cached(hot)
+        script = execution_mod._compiled(hot).script
         system, root, inputs = deployed(chain(2))
         system.run_until_terminal(system.instantiate("wl", root, inputs))
         plan = shared_plan(hot)
         assert plan is not None and plan.script is script
         for n in range(200):
-            execution_mod._compile_cached(hot.replace("pipeline", f"oneoff{n}"))
+            execution_mod._compiled(hot.replace("pipeline", f"oneoff{n}"))
             if n % 50 == 25:  # the hot script stays in use between them
                 system.run_until_terminal(system.instantiate("wl", root, inputs))
         assert len(execution_mod._COMPILE_CACHE) == execution_mod._COMPILE_CACHE_MAX
-        assert execution_mod._compile_cached(hot) is script
+        assert execution_mod._compiled(hot).script is script
         assert shared_plan(hot) is plan

@@ -226,6 +226,73 @@ class TestFaultTolerance:
         assert result["status"] == "completed"
 
 
+class TestSweeperWorkingSet:
+    """The sweeper visits the instances that can still have a flight out, not
+    every instance ever created; ``runtimes`` itself stays complete."""
+
+    def test_finished_instances_leave_at_the_next_sweep(self):
+        system = order_system(workers=2, sweep_interval=5.0)
+        service = system.execution
+        iids = [
+            system.instantiate("order", paper_order.ROOT_TASK, {"order": f"o-{n}"})
+            for n in range(6)
+        ]
+        assert list(service._live) == iids
+        for iid in iids:
+            assert system.run_until_terminal(iid)["status"] == "completed"
+        system.clock.advance(2 * service.sweep_interval)
+        assert service._live == {}
+        assert list(service.runtimes) == iids
+        late = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-late"})
+        assert list(service._live) == [late]
+
+    def test_a_terminal_instance_stays_while_a_flight_is_still_out(self):
+        from repro.core import ScriptBuilder, from_input, from_output
+        from repro.engine import outcome
+        from repro.lang import format_script
+
+        system = WorkflowSystem(workers=2, dispatch_timeout=10.0, sweep_interval=5.0)
+        service = system.execution
+        fast_worker, slow_worker = service.worker_names
+        b = ScriptBuilder()
+        b.object_class("Data")
+        b.taskclass("Work").input_set("main").outcome("done", out="Data")
+        b.taskclass("Root").input_set("main").outcome("done", out="Data")
+        c = b.compound("wf", "Root")
+        for name, worker in (("fast", fast_worker), ("slow", slow_worker)):
+            c.task(name, "Work").implementation(code="work", location=worker).notify(
+                "main", from_input("wf", "main")
+            ).up()
+        c.output("done").object("out", from_output("fast", "done", "out")).up()
+        c.up()
+        system.registry.register("work", lambda ctx: outcome("done", out="x"))
+        system.deploy("race", format_script(b.build()))
+        system.worker_nodes[1].crash()  # slow's pinned dispatch is never answered
+        iid = system.instantiate("race", "wf", {})
+        system.clock.advance(8.0)
+        runtime = service.runtimes[iid]
+        assert runtime.tree.status.value == "completed"
+        assert list(runtime.in_flight) == [("wf/slow", 1)] and iid in service._live
+        system.clock.advance(60.0)
+        # the orphan flight was still swept: re-sent off its pin, answered
+        assert service.stats["redispatches"] == 1
+        assert not runtime.in_flight and iid not in service._live
+
+    def test_recovery_starts_from_every_instance_and_the_first_sweep_prunes(self):
+        system = order_system(workers=2, sweep_interval=5.0)
+        service = system.execution
+        done = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        assert system.run_until_terminal(done)["status"] == "completed"
+        running = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
+        system.execution_node.crash()
+        system.execution_node.recover()
+        assert list(service._live) == [done, running]
+        assert all(service._live[iid] is service.runtimes[iid] for iid in service._live)
+        system.clock.advance(service.sweep_interval + 0.5)
+        assert list(service._live) == [running]
+        assert system.run_until_terminal(running)["status"] == "completed"
+
+
 class TestDistributedAdministration:
     def test_force_abort_through_service(self):
         system = WorkflowSystem(workers=1)

@@ -164,6 +164,23 @@ class TestInDoubt:
         text = record.to_json()
         assert '"UPDATE"' in text and '"a"' in text
 
+    def test_mirror_rows_carry_five_fields_and_no_padding(self):
+        import json
+
+        log = WriteAheadLog()
+        update = log.append(w.UPDATE, T1, A, {"x": [1, 2], "y": {"z": None}})
+        batch = log.append(w.BATCH, value={"k": {"n": 1}, "other": object})
+        for record in (update, batch):
+            row = record.to_json()
+            assert list(json.loads(row)) == ["lsn", "kind", "txn", "obj", "value"]
+            assert ", " not in row and '": ' not in row, row
+        assert json.loads(update.to_json()) == {
+            "lsn": 1, "kind": "UPDATE", "txn": [T1.number, T1.origin], "obj": "a",
+            "value": {"x": [1, 2], "y": {"z": None}},
+        }
+        # values json cannot encode still fall back to their repr
+        assert json.loads(batch.to_json())["value"]["other"] == repr(object)
+
 
 class TestDiskMirror:
     def test_forced_records_mirrored_to_disk(self, tmp_path):
