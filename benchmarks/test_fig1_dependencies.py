@@ -51,7 +51,7 @@ def test_fig1_ordering_holds_distributed(benchmark):
         system.deploy("fig1", format_script(script))
         iid = system.instantiate("fig1", root, inputs)
         result = system.run_until_terminal(iid, max_time=10_000)
-        runtime = system.execution.runtimes[iid]
+        runtime = system.execution._full_runtime(iid)  # settled by now: a replay
         return result, runtime.tree.log.started_order(), system.clock.now
 
     result, order, elapsed = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -31,9 +31,7 @@ positives when dataflow values rule an overlap out dynamically.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.schema import (
     GuardKind,
@@ -45,6 +43,9 @@ from ..core.schema import (
 from .findings import Finding
 from .liveness import FlowNode, LivenessResult, check_liveness
 from .registry import DIAGNOSTICS
+
+if TYPE_CHECKING:
+    import networkx as nx  # loaded by the functions that build a graph
 
 # an origin of an object reference: (producing task path or "<env>", object)
 Origin = Tuple[str, str]
@@ -132,6 +133,8 @@ def _intersect_preds(all_preds: List[Dict[str, str]]) -> Dict[str, str]:
 
 
 def _happens_before(liveness: LivenessResult) -> "nx.DiGraph":
+    import networkx as nx
+
     graph = nx.DiGraph()
     for root in liveness.roots:
         for node in root.walk():
@@ -308,6 +311,8 @@ def check_interference(
 
 
 def _check_root(root, liveness, graph, resolver, spec) -> List[Finding]:
+    import networkx as nx
+
     simple = [
         node
         for node in root.walk()

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..core.schema import Script
 from .findings import Finding
 from .interference import _END, _START, Origin, _OriginResolver, _happens_before
@@ -101,6 +99,8 @@ def check_lockorder(
 ) -> List[Finding]:
     """All ``E403`` findings: potential AB-BA deadlocks between atomic
     tasks the concurrent engine may co-schedule."""
+    import networkx as nx
+
     if liveness is None:
         liveness = check_liveness(script)
     graph = _happens_before(liveness)

@@ -11,9 +11,7 @@ figure-regeneration benchmarks and by the structural diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError, ValidationReport
 from .schema import (
@@ -28,6 +26,11 @@ from .schema import (
     TaskClass,
     TaskDecl,
 )
+
+if TYPE_CHECKING:
+    # networkx is imported by the diagnostics that draw a graph, when they
+    # run: validation, storing a script and execution never load it
+    import networkx as nx
 
 
 @dataclass
@@ -363,6 +366,8 @@ def dependency_graph(compound: CompoundTaskDecl) -> "nx.MultiDiGraph":
     drawing convention of the paper's figures: solid arcs are dataflow,
     dotted arcs are notifications.
     """
+    import networkx as nx
+
     graph = nx.MultiDiGraph(name=compound.name)
     graph.add_node(compound.name, role="compound")
     for child in compound.tasks:
@@ -422,6 +427,8 @@ def find_cycles(compound: CompoundTaskDecl, script: Script) -> List[List[str]]:
     output or a self-loop.  Such cycles usually mean the workflow can never
     make progress, so they are reported as a lint by the repository service.
     """
+    import networkx as nx
+
     graph = dependency_graph(compound)
     filtered = nx.DiGraph()
     for producer, consumer, data in graph.edges(data=True):

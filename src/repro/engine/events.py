@@ -56,14 +56,24 @@ class EventLog:
     def __init__(self) -> None:
         self.entries: List[LogEntry] = []
         self._append_lock = threading.Lock()
+        # entries a shed() left behind: counted, no longer held
+        self._shed = 0
 
     def record(
         self, time: float, scope_path: str, producer_path: str, event: WorkflowEvent
     ) -> LogEntry:
         with self._append_lock:
-            entry = LogEntry(len(self.entries), time, scope_path, producer_path, event)
+            entry = LogEntry(len(self), time, scope_path, producer_path, event)
             self.entries.append(entry)
             return entry
+
+    def shed(self, producer_path: str) -> "EventLog":
+        """A log of the same length that holds only ``producer_path``'s own
+        entries; the bodies of all others go with this log."""
+        kept = EventLog()
+        kept.entries = self.for_task(producer_path)
+        kept._shed = len(self) - len(kept.entries)
+        return kept
 
     # -- queries used by tests and benchmarks ------------------------------------
 
@@ -95,7 +105,7 @@ class EventLog:
         return first is not None and second is not None and first.seq < second.seq
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.entries) + self._shed
 
 
 @dataclass

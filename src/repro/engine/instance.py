@@ -19,7 +19,17 @@ from __future__ import annotations
 import threading
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..core.errors import ExecutionError, ReconfigurationError
 from ..core.schema import (
@@ -177,6 +187,14 @@ class TaskNode:
         # gets around to try_begin_execution (it re-checks readiness anyway)
         self.claimed = False
 
+    def unlink(self) -> None:
+        """Cut this dead node out of the reference cycles it closes (node →
+        parent → children, node → tree → root, node → scope → owner), so it
+        is freed when the last reference to it goes, not at the next cycle
+        collection.  Whoever still holds it sees a node that is not alive."""
+        self.deactivate()
+        self.parent = self.tree = self.outer_scope = None
+
 
 class CompoundNode(TaskNode):
     """One live compound task instance: children + inner scope + output map."""
@@ -288,7 +306,8 @@ class CompoundNode(TaskNode):
         """Fresh inner world after a repeat outcome: constituents restart from
         scratch with an empty inner event history."""
         for node in self.children:
-            node.deactivate()
+            node.unlink()
+        self.inner_scope.owner_node = None
         self.inner_scope = Scope(self.path)
         self._build_inside()
 
@@ -296,6 +315,34 @@ class CompoundNode(TaskNode):
         super().deactivate()
         for node in self.children:
             node.deactivate()
+
+    def unlink(self) -> None:
+        super().unlink()
+        for node in self.children:
+            node.unlink()
+        self.children = []
+        self._by_name = {}
+        self.output_watchers = []
+        self.inner_scope.owner_node = None
+
+
+class SettledRoot(NamedTuple):
+    """The root task of a :class:`SettledTree`: where it was, how it ended."""
+
+    path: str
+    machine: TaskStateMachine
+
+
+class SettledTree(NamedTuple):
+    """What :meth:`InstanceTree.shed` leaves of a finished instance: its
+    verdict, the root task's life-cycle, and a log that still counts every
+    event but holds only the root's own (its outcome objects and marks).
+    Everything else is a pure function of the instance's journal."""
+
+    status: WorkflowStatus
+    error: Optional[str]
+    root: SettledRoot
+    log: EventLog
 
 
 class InstanceTree:
@@ -409,6 +456,23 @@ class InstanceTree:
                 raise ExecutionError(f"no instance at path {path!r}")
             node = child
         return node
+
+    def shed(self) -> SettledTree:
+        """Take a finished tree apart and return what is still asked of it.
+        Every node, scope, tracker and queued entry is unlinked, so their
+        memory returns as the caller drops the tree — by reference count,
+        without a cycle collection."""
+        with self.lock:
+            settled = SettledTree(
+                self.status,
+                self.error,
+                SettledRoot(self.root.path, self.root.machine),
+                self.log.shed(self.root.path),
+            )
+            self.root.unlink()
+            self._ready.clear()
+            self._pending.clear()
+            return settled
 
     # -- observation ------------------------------------------------------------------
 

@@ -14,22 +14,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation substrate."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class _ScheduledEvent:
     time: float
-    priority: int
-    seq: int
-    action: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
+    action: Callable[[], Any]
+    cancelled: bool = False
+    label: str = ""
 
 
 class EventHandle:
@@ -64,7 +62,9 @@ class EventClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._queue: list[_ScheduledEvent] = []
+        # heap of (time, priority, seq, event): seq is unique, so tuples
+        # compare in C and the event itself is never compared
+        self._queue: List[Tuple[float, int, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
         self._running = False
 
@@ -85,8 +85,8 @@ class EventClock:
             raise SimulationError(
                 f"cannot schedule event at {when!r}, clock already at {self._now!r}"
             )
-        event = _ScheduledEvent(float(when), priority, next(self._seq), action, label=label)
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(float(when), action, label=label)
+        heapq.heappush(self._queue, (event.time, priority, next(self._seq), event))
         return EventHandle(event)
 
     def call_after(
@@ -103,12 +103,12 @@ class EventClock:
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for *_key, event in self._queue if not event.cancelled)
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -131,7 +131,7 @@ class EventClock:
             while self._queue:
                 if max_events is not None and executed >= max_events:
                     break
-                head = self._queue[0]
+                head = self._queue[0][3]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     continue

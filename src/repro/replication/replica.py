@@ -6,8 +6,10 @@ A :class:`ReplicatedExecutionService` is an ordinary
 barrier, ships the newly durable suffix of its WAL to each standby over the
 ORB.  A **standby** appends the shipped records to its own stable log, forces
 them, and incrementally maintains a *warm image* — fully replayed instance
-trees, ready to dispatch — so promotion is an epoch adoption plus a resend,
-not a cold replay.
+trees, ready to dispatch, for the unsettled instances and the primary's own
+summary for the settled ones (``ExecutionService._settle``: a standby sheds a
+finished tree by the same rule) — so promotion is an epoch adoption plus a
+resend, not a cold replay, and a standby's memory follows what is live.
 
 Safety invariants, in the order they are enforced:
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..engine.events import WorkflowStatus
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
 from ..txn.ids import ObjectId, TransactionId
@@ -227,7 +228,7 @@ class ReplicatedExecutionService(ExecutionService):
             # warm image: flights rebuilt by the standby's incremental replay
             # are virgin; mark them as redispatches like crash recovery does
             # (the original target may be what took the old primary down)
-            for runtime in self.runtimes.values():
+            for runtime in self._live.values():
                 for flight in runtime.in_flight.values():
                     flight.redispatches += 1
         # In-doubt two-phase participants prepared under the old primary are
@@ -244,16 +245,9 @@ class ReplicatedExecutionService(ExecutionService):
         # Admission state never crosses a failover: the old primary's queue
         # died with it, so every adopted non-terminal instance counts as
         # admitted and the controller starts this reign unpressured.
-        self.admission.rebuild(
-            [
-                iid
-                for iid, runtime in self.runtimes.items()
-                if runtime.tree.status is WorkflowStatus.RUNNING
-            ],
-            self._now(),
-        )
-        self._live = dict(self.runtimes)  # the first sweep drops the finished
-        for runtime in list(self.runtimes.values()):
+        self.admission.rebuild(self._running(), self._now())
+        # the image settled what had finished: only the rest has work to resume
+        for runtime in list(self._live.values()):
             self._resume_flights(runtime)
             self._arm_deadlines(runtime)
         self._arm_sweeper()
@@ -531,17 +525,19 @@ class ReplicatedExecutionService(ExecutionService):
         local store by then, shipped in the same record as the first spec
         that named it or inside the checkpoint a resync starts from.
         Standbys never dispatch: flights accumulate in ``in_flight`` unsent
-        until promotion resumes them."""
+        until promotion resumes them.  An instance whose replay ends settled
+        sheds its tree like the primary's does (``_settle``); should the
+        primary write to it again, its image restarts from entry 0."""
         for iid in iids:
             spec = self.store.get_committed(f"instance:{iid}:spec")
             if spec is None:
                 continue
-            runtime = self.runtimes.get(iid)
-            applied = self._image_applied.get(iid, 0)
+            runtime = self._live.get(iid)
             if runtime is None:
                 runtime = self._fresh_runtime(iid, spec)
-                self.runtimes[iid] = runtime
-                applied = 0
+                self.runtimes[iid] = self._live[iid] = runtime
+                self._image_applied[iid] = 0
+            applied = self._image_applied[iid]
             total = self.store.get_committed(f"instance:{iid}:meta")["journal_len"]
             if total > applied:
                 entries = self.store.get_committed_many(
@@ -552,7 +548,10 @@ class ReplicatedExecutionService(ExecutionService):
                         break
                     self._replay_entry(runtime, entry)
                     applied += 1
-            self._image_applied[iid] = applied
+            if self._settle(runtime):
+                del self._image_applied[iid]
+            else:
+                self._image_applied[iid] = applied
 
     def _rebuild_image(self) -> None:
         """Cold rebuild of the warm image from local durable state."""

@@ -26,6 +26,12 @@ Coordinates workflow instances with the paper's system-level guarantees:
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
   tasks are re-dispatched.
+* **Derived state is restored, not kept.**  A *settled* instance — terminal,
+  journal flushed, no flight out (:meth:`ExecutionService._settle`) — sheds
+  its tree, event bodies, dedup keys and counters and stays in ``runtimes``
+  as a summary that answers ``status``, ``result`` and every poller; a detail
+  view or a late administrative operation replays the journal, the way
+  recovery does.  Memory follows what is live, not what ever ran.
 * **At-least-once dispatch, exactly-once application.**  Tasks are dispatched
   to worker nodes through deferred ORB invocations (which ride the lossy
   network); a periodic sweeper re-dispatches anything unanswered; duplicate
@@ -41,7 +47,9 @@ Coordinates workflow instances with the paper's system-level guarantees:
   retry budget from the task's ``retries`` implementation property (§3).
 
 Setting ``durable=False`` turns the journal volatile — the ablation of
-experiment E14: without transactional propagation, crashes lose instances.
+experiment E14: without transactional propagation, crashes lose instances
+(and, with no journal to replay, it is the one service that keeps the trees
+of finished instances).
 """
 
 from __future__ import annotations
@@ -52,14 +60,14 @@ import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.instrument import IOPATH_STATS
 from ..core.schema import Script, TaskClass
 from ..core.values import ObjectRef
 from ..engine.events import WorkflowStatus
-from ..engine.instance import InstanceTree, TaskNode
+from ..engine.instance import InstanceTree, SettledTree
 from ..engine.plan import ExecutionPlan, compile_plan
 from ..lang import compile_script
 from ..net.node import Message, Service
@@ -112,29 +120,56 @@ class _InFlight:
     sent_to: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
 class _Runtime:
-    """Volatile per-instance state (rebuilt from the journal on recovery)."""
+    """Volatile per-instance state (rebuilt from the journal on recovery).
 
-    iid: str
-    script: Script
-    tree: InstanceTree
-    journal_keys: Set[Tuple] = field(default_factory=set)
-    in_flight: Dict[Tuple[str, int], _InFlight] = field(default_factory=dict)
-    volatile_journal: List[Dict[str, Any]] = field(default_factory=list)
-    armed_deadlines: Set[Tuple[str, int]] = field(default_factory=set)
-    external: Set[Tuple[str, int]] = field(default_factory=set)  # parked tasks
-    # journaled absolute deadline expiries, so recovery resumes a task's
-    # *remaining* deadline instead of granting a fresh full one
-    deadline_expiries: Dict[Tuple[str, int], float] = field(default_factory=dict)
-    # Monotonic execution numbering per task path.  machine.starts is NOT
-    # unique across compound repeat rounds (children are rebuilt fresh), so
-    # journal keys use this counter; replay reproduces it deterministically.
-    exec_counter: Dict[str, int] = field(default_factory=dict)
-    live_exec: Dict[str, int] = field(default_factory=dict)
-    # the current script's _Compiled.has_deadlines (a reconfiguration may
-    # introduce deadlines)
-    has_deadlines: bool = True
+    A *settled* instance (:meth:`ExecutionService._settle`) keeps only what
+    :meth:`shed` leaves: the fields every poller and ``status`` / ``result``
+    read.  The rest is a pure function of the durable journal, and whoever
+    needs it again replays (:meth:`ExecutionService._full_runtime`)."""
+
+    __slots__ = (
+        "iid", "script", "tree", "in_flight", "external", "has_deadlines",
+        "journal_keys", "unsent", "volatile_journal", "armed_deadlines",
+        "deadline_expiries", "exec_counter", "live_exec",
+    )
+
+    def __init__(self, iid: str, script: Script, tree: InstanceTree) -> None:
+        self.iid = iid
+        self.script = script
+        self.tree: Union[InstanceTree, SettledTree] = tree
+        self.in_flight: Dict[Tuple[str, int], _InFlight] = {}
+        self.external: Set[Tuple[str, int]] = set()  # parked tasks
+        # the current script's _Compiled.has_deadlines (a reconfiguration may
+        # introduce deadlines)
+        self.has_deadlines = True
+        self.journal_keys: Set[Tuple] = set()
+        # flights built by _drain and not yet handed to _send, in build order
+        self.unsent: List[Tuple[Tuple[str, int], _InFlight]] = []
+        self.volatile_journal: List[Dict[str, Any]] = []
+        self.armed_deadlines: Set[Tuple[str, int]] = set()
+        # journaled absolute deadline expiries, so recovery resumes a task's
+        # *remaining* deadline instead of granting a fresh full one
+        self.deadline_expiries: Dict[Tuple[str, int], float] = {}
+        # Monotonic execution numbering per task path.  machine.starts is NOT
+        # unique across compound repeat rounds (children are rebuilt fresh), so
+        # journal keys use this counter; replay reproduces it deterministically.
+        self.exec_counter: Dict[str, int] = {}
+        self.live_exec: Dict[str, int] = {}
+
+    @property
+    def settled(self) -> bool:
+        return isinstance(self.tree, SettledTree)
+
+    def shed(self) -> None:
+        """Drop everything a replay of the journal rebuilds.  In place, so a
+        timer closure still holding this runtime holds the summary too."""
+        self.tree = self.tree.shed()
+        del (
+            self.journal_keys, self.unsent, self.volatile_journal,
+            self.armed_deadlines, self.deadline_expiries,
+            self.exec_counter, self.live_exec,
+        )
 
 
 def script_digest(text: str) -> str:
@@ -261,10 +296,10 @@ class ExecutionService(Service):
         self.resilience = resilience or ResilienceConfig.for_timeouts(
             dispatch_timeout, sweep_interval
         )
+        # every instance: the unsettled ones with their trees, the settled
+        # ones as the summary _Runtime.shed leaves
         self.runtimes: Dict[str, _Runtime] = {}
-        # what the sweeper visits, in the same order: an instance enters with
-        # its runtime and leaves at the first sweep that finds it terminal
-        # with no flight left out
+        # the unsettled instances, in the same order — what the sweeper visits
         self._live: Dict[str, _Runtime] = {}
         # script texts by digest when not durable (the store holds them
         # under ``script:<digest>`` otherwise)
@@ -334,21 +369,12 @@ class ExecutionService(Service):
             for iid in instance_ids(self.store):
                 runtime = self._replay(iid)
                 if runtime is not None:
-                    self.runtimes[iid] = self._live[iid] = runtime
-                    self._resume_flights(runtime)
-                    self._arm_deadlines(runtime)
+                    self._adopt(runtime)
         # Admission state is volatile: the queue died with the process, so
         # every rebuilt non-terminal instance counts as admitted (its journal
         # is durable work the service must finish — _resume_flights already
         # re-sent it, staggered) and the controller restarts unpressured.
-        self.admission.rebuild(
-            [
-                iid
-                for iid, runtime in self.runtimes.items()
-                if runtime.tree.status is WorkflowStatus.RUNNING
-            ],
-            self._now(),
-        )
+        self.admission.rebuild(self._running(), self._now())
         crash_point("exec.recover.replayed", self)
         self._arm_sweeper()
 
@@ -516,7 +542,7 @@ class ExecutionService(Service):
 
     def reconfigure(self, iid: str, new_script_text: str) -> bool:
         """Atomically apply a modified script to the *running* instance."""
-        runtime = self._runtime(iid)
+        runtime = self._full_runtime(iid)
         compiled = _compiled(new_script_text)
         with self._journal_guard():
             runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
@@ -528,7 +554,7 @@ class ExecutionService(Service):
         return True
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
-        runtime = self._runtime(iid)
+        runtime = self._full_runtime(iid)
         with self._journal_guard():
             runtime.tree.force_abort(task_path, abort_name)
             self._journal(
@@ -544,7 +570,7 @@ class ExecutionService(Service):
 
     def tasks(self, iid: str) -> List[Dict[str, Any]]:
         """Per-task-instance states: the admin console's detail view."""
-        runtime = self._runtime(iid)
+        runtime = self._full_runtime(iid)
         rows: List[Dict[str, Any]] = []
         for node in runtime.tree.walk():
             rows.append(
@@ -572,7 +598,7 @@ class ExecutionService(Service):
         from ..engine.trace import render_trace
 
         return render_trace(
-            self._runtime(iid).tree.log,
+            self._full_runtime(iid).tree.log,
             resilience=self.rlog.for_instance(iid),
         )
 
@@ -638,13 +664,11 @@ class ExecutionService(Service):
         else:
             runtime = self._replay_from(iid, spec, journal)
             runtime.volatile_journal = journal
-        self.runtimes[iid] = self._live[iid] = runtime
         if runtime.tree.status is WorkflowStatus.RUNNING:
             # adopted work is already paid for: it bypasses the admission
             # queue and takes a window slot directly
             self.admission.on_start(iid, self._now())
-        self._resume_flights(runtime)
-        self._arm_deadlines(runtime)
+        self._adopt(runtime)
         return iid
 
     def compact(self) -> int:
@@ -672,7 +696,7 @@ class ExecutionService(Service):
     ) -> bool:
         """Supply the outcome of a parked external task (§1's interactive
         tasks).  Journaled like a worker result, so it survives crashes."""
-        runtime = self._runtime(iid)
+        runtime = self._full_runtime(iid)
         node = runtime.tree.node_at(task_path)
         exec_index = runtime.live_exec.get(task_path, 0)
         if (task_path, exec_index) not in runtime.external:
@@ -766,18 +790,18 @@ class ExecutionService(Service):
                 reply_to=self.node.name if self.node else "",
                 epoch=self.epoch,
             )
-            runtime.in_flight[(node.path, exec_index)] = _InFlight(
-                request, self._now()
-            )
+            key = (node.path, exec_index)
+            flight = runtime.in_flight[key] = _InFlight(request, self._now())
+            runtime.unsent.append((key, flight))
 
     def _dispatch_pending(self, runtime: _Runtime) -> None:
         self._drain(runtime)
-        if runtime.iid not in self.admission.queue:
+        if runtime.unsent and runtime.iid not in self.admission.queue:
             # an instance still waiting in the admission queue keeps its
             # flights built-but-unsent; promotion dispatches them
-            for key, flight in list(runtime.in_flight.items()):
-                if not flight.sent:
-                    self._send(runtime, key, flight)
+            unsent, runtime.unsent = runtime.unsent, []
+            for key, flight in unsent:
+                self._send(runtime, key, flight)
         self._arm_deadlines(runtime)
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
@@ -825,7 +849,7 @@ class ExecutionService(Service):
                 if not promoted:
                     return
                 for iid, _criticality, _sojourn in promoted:
-                    runtime = self.runtimes.get(iid)
+                    runtime = self._live.get(iid)  # queued, so unsettled
                     if runtime is None:
                         self.admission.release(iid, self._now())
                         continue
@@ -1091,7 +1115,7 @@ class ExecutionService(Service):
             # and promote into any headroom the adjustment opened up.
             self.admission.control(now)
             for victim_iid, victim_class in self.admission.evict_low(now):
-                victim = self.runtimes.get(victim_iid)
+                victim = self._live.get(victim_iid)  # queued, so unsettled
                 if victim is not None:
                     self._shed(
                         victim, victim_class,
@@ -1100,8 +1124,7 @@ class ExecutionService(Service):
             self._promote_ready()
             for runtime in list(self._live.values()):
                 if not runtime.in_flight:
-                    if runtime.tree.status is not WorkflowStatus.RUNNING:
-                        del self._live[runtime.iid]
+                    self._settle(runtime)
                     continue
                 for key, flight in list(runtime.in_flight.items()):
                     if key not in runtime.in_flight or not flight.sent:
@@ -1189,8 +1212,8 @@ class ExecutionService(Service):
             return  # demoted: the current primary owns this instance now
         crash_point("exec.mark.recv", self)
         runtime = self.runtimes.get(payload.get("instance_id", ""))
-        if runtime is None:
-            return
+        if runtime is None or runtime.settled:
+            return  # a settled instance is closed (see _handle_reply)
         key = ("mark", payload["task_path"], payload["execution_index"], payload["name"])
         if key in runtime.journal_keys:
             return
@@ -1223,8 +1246,9 @@ class ExecutionService(Service):
         exec_index = reply["execution_index"]
         flight_key = (path, exec_index)
         self._credit_reply(runtime, flight_key, reply)
-        journal_key = ("result", path, exec_index)
-        if journal_key in runtime.journal_keys:
+        # A settled instance is closed: every flight it ever sent is answered
+        # in its journal, so whatever still arrives for it is a duplicate.
+        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
             self.stats["duplicate_replies"] += 1
             return
         with self._journal_guard():
@@ -1331,6 +1355,10 @@ class ExecutionService(Service):
         # oracles (sim/oracles.py) audit these fields across failovers.
         entry["epoch"] = self.epoch
         entry["writer"] = self.name
+        if runtime.iid not in self._live:
+            # a settled instance is written to again (through the runtime
+            # _full_runtime handed out): that runtime is the instance now
+            self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
         self._note_key(runtime, entry)
         if not self.durable:
             runtime.volatile_journal.append(entry)
@@ -1443,6 +1471,7 @@ class ExecutionService(Service):
             # before any of its tasks dispatched.  Clearing the flight table
             # keeps replay identical to the live path, where nothing was sent.
             runtime.in_flight.clear()
+            runtime.unsent.clear()
             runtime.external.clear()
             runtime.tree.fail(f"overloaded: {entry['reason']}")
             return
@@ -1512,6 +1541,7 @@ class ExecutionService(Service):
             runtime.external.add((entry["path"], entry["exec"]))
         self._apply_entry(runtime, entry)
         self._drain(runtime)
+        runtime.unsent.clear()  # a replay's flights go out by _resume_flights
 
     def _resume_flights(self, runtime: _Runtime) -> None:
         """Re-send every flight that survived a recovery replay.
@@ -1530,6 +1560,9 @@ class ExecutionService(Service):
         """
         policy = self.resilience.policy
         epoch = self.epoch
+        # every flight goes out from here, now or staggered: _dispatch_pending
+        # has none of them left to send
+        runtime.unsent.clear()
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
             # a zero ``recovery_stagger`` makes every offset zero
             delay = (
@@ -1540,7 +1573,6 @@ class ExecutionService(Service):
             if delay <= 0.0:
                 self._send(runtime, key, flight)
                 continue
-            flight.sent = True  # reserve: _dispatch_pending must not double-send
             self.stats["staggered"] += 1
             self.rlog.record(
                 self._now(),
@@ -1561,10 +1593,58 @@ class ExecutionService(Service):
 
             self.node.call_after(delay, fire, label=f"stagger:{key[0]}")
 
-    # -- helpers --------------------------------------------------------------------------------------
+    # -- settled instances ----------------------------------------------------------------------------
+
+    def _settle(self, runtime: _Runtime) -> bool:
+        """The one rule about finished instances (docs/PROTOCOLS.md §4.2).
+
+        An instance is *settled* once it is terminal, has no flight out and
+        none of its journal entries is still buffered: nothing can happen to
+        it that its durable journal does not already say.  It then leaves
+        ``_live`` and sheds everything a replay rebuilds (:meth:`_Runtime.shed`);
+        ``runtimes`` keeps the summary.  Applied wherever a runtime may have
+        finished — the sweeper, a recovery replay, an import, a standby's
+        image.  Returns whether ``runtime`` is settled."""
+        if (
+            runtime.in_flight
+            or runtime.tree.status is WorkflowStatus.RUNNING
+            or any(buffered is runtime for buffered, _entry in self._jbuf)
+        ):
+            return False
+        del self._live[runtime.iid]
+        # a volatile service has no journal to rebuild a tree from: it is the
+        # one service that keeps its finished trees
+        if self.durable:
+            runtime.shed()
+        return True
+
+    def _adopt(self, runtime: _Runtime) -> None:
+        """Take in a runtime replayed from a journal.  A finished one is
+        settled on the spot, so a recovery holds one finished tree at a time;
+        an unfinished one has its flights re-sent and its deadlines re-armed."""
+        self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
+        if not self._settle(runtime):
+            self._resume_flights(runtime)
+            self._arm_deadlines(runtime)
+
+    def _running(self) -> List[str]:
+        return [
+            iid
+            for iid, runtime in self._live.items()
+            if runtime.tree.status is WorkflowStatus.RUNNING
+        ]
 
     def _runtime(self, iid: str) -> _Runtime:
+        """What ``runtimes`` holds of ``iid`` — the summary, if it is settled."""
         try:
             return self.runtimes[iid]
         except KeyError:
             raise ExecutionError(f"unknown workflow instance {iid!r}") from None
+
+    def _full_runtime(self, iid: str) -> _Runtime:
+        """The instance with its tree.  For a settled instance that is a
+        fresh replay of its journal, which nothing keeps: a detail view reads
+        it and drops it, and an operation that journals through it makes it
+        the instance again (:meth:`_journal`)."""
+        runtime = self._runtime(iid)
+        return self._replay(iid) if runtime.settled else runtime

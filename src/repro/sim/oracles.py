@@ -30,10 +30,12 @@ Oracles and the guarantees they police:
     dispatch, duplicated datagrams, hedged sends) must be filtered before
     the journal, not after.
 ``replay-agreement``
-    For every live instance, replaying its durable journal from scratch
-    must reproduce the live tree's status and outcome.  This is the paper's
-    recovery guarantee checked *without* crashing: if replay disagrees with
-    the tree now, a crash right now would change history.
+    For every instance, replaying its durable journal from scratch must
+    reproduce the status and outcome the service holds for it: the live
+    tree's, or the summary a settled instance was shed down to.  This is the
+    paper's recovery guarantee checked *without* crashing: if replay
+    disagrees with the service now, a crash right now would change history —
+    and a summary that disagreed could not have been rebuilt.
 ``durability``
     Once an instance has been *observed* terminal (the observation implies
     the deciding entry was journaled, because entries are journaled before
@@ -201,9 +203,10 @@ def check_journal_integrity(
 
 
 def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolation]:
-    """Replaying each live instance's durable journal must land on the live
-    tree's (status, outcome).  ``service`` is an ExecutionService; typed as
-    Any to keep this module import-light."""
+    """Replaying each instance's durable journal must land on the (status,
+    outcome) ``runtimes`` holds for it — a live tree's or a settled
+    instance's summary.  ``service`` is an ExecutionService; typed as Any to
+    keep this module import-light."""
     if not getattr(service, "durable", False):
         return []
     violations: List[OracleViolation] = []
@@ -223,7 +226,7 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
             violations.append(
                 OracleViolation(
                     "replay-agreement", iid,
-                    f"live tree is {live} but journal replay yields {replayed}",
+                    f"service holds {live} but journal replay yields {replayed}",
                     phase,
                 )
             )

@@ -39,7 +39,7 @@ def journal_len(store, iid):
 
 
 def tree_state(service, iid):
-    tree = service.runtimes[iid].tree
+    tree = service._full_runtime(iid).tree  # a replay, once the instance settled
     return (
         tree.status.value,
         tree.root.machine.outcome,

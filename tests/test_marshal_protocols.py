@@ -331,7 +331,9 @@ class TestWorkRequestBoundary:
 
         _script, registry, root, _inputs = workload = chain(1)
         registry.register("stage", mutate)
-        system = WorkflowSystem(workers=1, registry=registry)
+        # no sweep before the assertions: the finished instance keeps the
+        # tree the worker's reply was applied to
+        system = WorkflowSystem(workers=1, registry=registry, sweep_interval=1_000.0)
         system.deploy("chain", script_text(workload))
         iid = system.instantiate("chain", root, {"inp": ["original"]})
         result = system.run_until_terminal(iid)

@@ -385,8 +385,8 @@ class TestReconfigureUnderTraffic:
         assert reconfigured, "no live instance was ever reconfigured"
         iid = reconfigured[0]
         service = system.execution
-        runtime = service.runtimes[iid]
-        # applied exactly once: visible in the live tree and journaled once
+        runtime = service._full_runtime(iid)
+        # applied exactly once: visible in the instance's tree and journaled once
         upgraded = runtime.tree.script.tasks[root0].task(f"t{spec.script_length}")
         assert upgraded.implementation.get("tier") == "upgraded"
         entries = service.export_instance(iid)["journal"]

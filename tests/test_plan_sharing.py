@@ -41,7 +41,7 @@ def event_log(service, iid):
     which depends on what else the network carried."""
     return [
         entry[:1] + entry[2:]
-        for entry in canonical_log(service.runtimes[iid].tree.log)
+        for entry in canonical_log(service._full_runtime(iid).tree.log)
     ]
 
 
@@ -65,9 +65,8 @@ class TestCompiledOnce:
         tasks = [path for path, _decl in workload[0].walk_tasks()]
         assert len(calls) == len(tasks) == 8
         plan = shared_plan(script_text(workload))
-        assert all(
-            runtime.tree.plan is plan for runtime in system.execution.runtimes.values()
-        )
+        service = system.execution
+        assert all(service._full_runtime(iid).tree.plan is plan for iid in service.runtimes)
 
     def test_plan_is_read_only(self):
         script = fan(3)[0]
@@ -115,16 +114,17 @@ class TestReconfigurationLeavesTheSharedPlan:
 
 class TestRebuildsUseTheSharedPlan:
     def test_crash_recovery(self):
-        system, root, inputs = deployed(chain(4), workers=2)
+        workload = chain(4)
+        system, root, inputs = deployed(workload, workers=2)
         iids = [system.instantiate("wl", root, inputs) for _ in range(3)]
         system.run_until_terminal(iids[0])
-        plan = system.execution.runtimes[iids[0]].tree.plan
+        plan = shared_plan(script_text(workload))
         system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         service = system.execution
         assert sorted(service.runtimes) == sorted(iids)
-        assert all(runtime.tree.plan is plan for runtime in service.runtimes.values())
+        assert all(service._full_runtime(iid).tree.plan is plan for iid in iids)
         assert oracles.check_replay_agreement(service) == []
         for iid in iids:
             assert system.run_until_terminal(iid)["status"] == "completed"
@@ -142,7 +142,7 @@ class TestRebuildsUseTheSharedPlan:
         system.clock.advance(200.0)
         promoted = system.primary_execution()
         assert promoted is standby
-        assert promoted.runtimes[iid].tree.plan is plan
+        assert promoted._full_runtime(iid).tree.plan is plan
         assert oracles.check_replay_agreement(promoted) == []
         assert promoted.status(iid)["status"] == "completed"
 

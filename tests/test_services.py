@@ -227,8 +227,9 @@ class TestFaultTolerance:
 
 
 class TestSweeperWorkingSet:
-    """The sweeper visits the instances that can still have a flight out, not
-    every instance ever created; ``runtimes`` itself stays complete."""
+    """The sweeper visits the unsettled instances — the ones that can still
+    have a flight out — not every instance ever created; ``runtimes`` itself
+    stays complete."""
 
     def test_finished_instances_leave_at_the_next_sweep(self):
         system = order_system(workers=2, sweep_interval=5.0)
@@ -273,12 +274,16 @@ class TestSweeperWorkingSet:
         runtime = service.runtimes[iid]
         assert runtime.tree.status.value == "completed"
         assert list(runtime.in_flight) == [("wf/slow", 1)] and iid in service._live
+        assert not runtime.settled
         system.clock.advance(60.0)
         # the orphan flight was still swept: re-sent off its pin, answered
         assert service.stats["redispatches"] == 1
         assert not runtime.in_flight and iid not in service._live
+        assert runtime.settled  # only now: the answer is in the journal
+        journal = service.export_instance(iid)["journal"]
+        assert [e["path"] for e in journal if e["type"] == "result"] == ["wf/fast", "wf/slow"]
 
-    def test_recovery_starts_from_every_instance_and_the_first_sweep_prunes(self):
+    def test_recovery_starts_live_from_the_unsettled(self):
         system = order_system(workers=2, sweep_interval=5.0)
         service = system.execution
         done = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
@@ -286,10 +291,10 @@ class TestSweeperWorkingSet:
         running = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
         system.execution_node.crash()
         system.execution_node.recover()
-        assert list(service._live) == [done, running]
-        assert all(service._live[iid] is service.runtimes[iid] for iid in service._live)
-        system.clock.advance(service.sweep_interval + 0.5)
+        assert list(service.runtimes) == [done, running]
         assert list(service._live) == [running]
+        assert service._live[running] is service.runtimes[running]
+        assert service.runtimes[done].settled
         assert system.run_until_terminal(running)["status"] == "completed"
 
 
@@ -428,7 +433,7 @@ class TestRepeatRoundExecutionIdentity:
         assert result["status"] == "completed"
         assert result["outcome"] == "tripArranged"
         # dataAcquisition ran in both rounds: two distinct journal results
-        runtime = system.execution.runtimes[iid]
+        runtime = system.execution._full_runtime(iid)
         da_keys = [
             k
             for k in runtime.journal_keys
