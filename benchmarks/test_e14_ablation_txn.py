@@ -2,7 +2,8 @@
 
 The paper's execution service records coordination state in persistent atomic
 objects updated under transactions.  This experiment removes exactly that
-piece (``durable=False``: the journal becomes volatile) and shows:
+piece — the execution store's log never forces, so nothing the unchanged
+service commits is durable — and shows:
 
 * without failures, both variants complete — durability costs only overhead
   (journal transactions, WAL forces);
@@ -13,19 +14,33 @@ piece (``durable=False``: the journal becomes volatile) and shows:
 
 from repro.net import FaultPlan
 from repro.services import WorkflowSystem
+from repro.txn.wal import WriteAheadLog
 from repro.workloads import paper_order
 
 from .conftest import report
 
 
+class NeverForcingLog(WriteAheadLog):
+    """The ablation: a log whose force is a no-op."""
+
+    def force(self) -> int:
+        return 0
+
+
 def run_variant(durable: bool, crash: bool, seed: int = 0):
     system = WorkflowSystem(
         workers=2,
-        durable=durable,
         seed=seed,
         dispatch_timeout=20.0,
         sweep_interval=5.0,
     )
+    if not durable:
+        # a crash of the execution node takes the store's unforced records
+        # with it, as the sim harness's crash callback does for every store
+        store, node = system.execution_store, system.execution_node
+        store.wal = NeverForcingLog()
+        crash_node = node.crash
+        node.crash = lambda: (store.crash(), crash_node())
     paper_order.default_registry(registry=system.registry)
     system.deploy("order", paper_order.SCRIPT_TEXT)
     iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})

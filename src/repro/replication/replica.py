@@ -44,12 +44,7 @@ from ..txn.ids import ObjectId, TransactionId
 from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
 from ..txn.wal import BATCH, LogRecord
-from ..services.execution import (
-    EXECUTION_INTERFACE,
-    ExecutionService,
-    instance_ids,
-    instances_of,
-)
+from ..services.execution import EXECUTION_INTERFACE, ExecutionService
 
 REPLICA_INTERFACE = Interface(
     "WorkflowExecutionReplica",
@@ -90,8 +85,6 @@ class ReplicatedExecutionService(ExecutionService):
         repl_interval: float = 5.0,
         **kwargs: Any,
     ) -> None:
-        if not kwargs.setdefault("durable", True):
-            raise ValueError("replication requires a durable execution service")
         super().__init__(name, store, broker, repository_name, worker_names, **kwargs)
         self.lease_name = lease_name
         self.peer_names = [p for p in peer_names if p != name]
@@ -111,10 +104,8 @@ class ReplicatedExecutionService(ExecutionService):
         # not one per barrier.
         self._ship_paused: Set[str] = set()
         self._shipping = False
-        # Standby-side: how many journal entries per instance the warm image
-        # has applied, and whether the image matches the local durable store
+        # Standby-side: whether the warm image matches the local durable store
         # (False after a demotion, when the image ran ahead of replication).
-        self._image_applied: Dict[str, int] = {}
         self._image_valid = False
         self._tick_armed = False
         self.repl_stats = {
@@ -143,18 +134,20 @@ class ReplicatedExecutionService(ExecutionService):
         self.stats["recoveries"] += 1
         crash_point("exec.recover.pre", self)
         self.role = Role.STANDBY
-        self.health.reset()
-        self._pending_acks.clear()
-        self._sweep_armed = False
-        self._jbuf.clear()
-        self._jflush_armed = False
-        self._standby_acked = {}
-        self._ship_paused = set()
-        self._tick_armed = False
+        self._reset_volatile()
+        # the sweep chain, the flush timer and the tick died with the crash
+        self._sweep_armed = self._jflush_armed = self._tick_armed = False
         self._rebuild_image()
         crash_point("exec.recover.replayed", self)
         self._try_acquire()
         self._arm_tick()
+
+    def _reset_volatile(self) -> None:
+        """Also what a primary knew of its peers: a new reign starts every
+        peer from a full resync."""
+        super()._reset_volatile()
+        self._standby_acked = {}
+        self._ship_paused = set()
 
     def is_primary(self) -> bool:
         return self.role is Role.PRIMARY
@@ -214,11 +207,9 @@ class ReplicatedExecutionService(ExecutionService):
         self.epoch = grant["epoch"]
         self.isr = list(grant.get("isr", ()))
         self._max_epoch_seen = max(self._max_epoch_seen, self.epoch)
-        self._standby_acked = {}
-        self._ship_paused = set()
-        self._pending_acks.clear()
-        self.health.reset()
-        self._jbuf.clear()
+        # not the sweep and flush timers: a re-promoted primary's chains may
+        # still be alive
+        self._reset_volatile()
         if not self._image_valid:
             # the image ran ahead of the durable store (we were demoted while
             # primary): rebuild from the local durable journal, like crash
@@ -268,12 +259,10 @@ class ReplicatedExecutionService(ExecutionService):
         self.role = Role.STANDBY
         self.repl_stats["demotions"] += 1
         self._max_epoch_seen = max(self._max_epoch_seen, seen_epoch, self.epoch)
-        self._standby_acked = {}
-        self._ship_paused = set()
         # Anything journaled past the last replicated barrier — including the
         # still-buffered entries dropped here — was never acknowledged; the
         # next resync from the rightful primary discards it wholesale.
-        self._jbuf.clear()
+        self._reset_volatile()
         self._image_valid = False
 
     def _demote_peer(self, peer: str) -> None:
@@ -495,9 +484,7 @@ class ReplicatedExecutionService(ExecutionService):
             for kind, txn, obj, value in batch["records"]
         ]
         shipped.append((BATCH, None, None, self._tail_write(batch["last_lsn"], epoch)))
-        installed = self.store.ingest(shipped)
-        # every journal batch rewrites its instances' meta objects
-        self._refresh_image(dict.fromkeys(instances_of(installed, "meta")))
+        self._refresh_image(self.journal.touched(self.store.ingest(shipped)))
         self._image_valid = True
         self.repl_stats["tail_applies"] += 1
         return {"ok": True, "have": batch["last_lsn"]}
@@ -509,7 +496,6 @@ class ReplicatedExecutionService(ExecutionService):
         self.store.crash()  # rebuild cache/locks from the (now empty) log
         self.runtimes = {}
         self._live = {}
-        self._image_applied = {}
 
     # -- warm image ---------------------------------------------------------------
 
@@ -517,50 +503,29 @@ class ReplicatedExecutionService(ExecutionService):
         """Bring the ready-to-promote image of instances ``iids`` up to the
         local durable journal.
 
-        Incremental: each instance remembers how many journal entries the
-        image has applied and replays only the new ones, through the same
-        ``_replay_entry`` used by crash recovery — so the image is, at every
+        Incremental: each image resumes the service's one replay
+        (``_replay``) from its own cursor — so the image is, at every
         barrier, exactly the tree a recovery replay would build.  A spec
-        names its script by digest; the ``script:<digest>`` text is in the
-        local store by then, shipped in the same record as the first spec
-        that named it or inside the checkpoint a resync starts from.
-        Standbys never dispatch: flights accumulate in ``in_flight`` unsent
-        until promotion resumes them.  An instance whose replay ends settled
-        sheds its tree like the primary's does (``_settle``); should the
-        primary write to it again, its image restarts from entry 0."""
+        names its script by digest; the text is in the local store by then,
+        shipped in the same record as the first spec that named it or inside
+        the checkpoint a resync starts from.  Standbys never dispatch:
+        flights accumulate in ``in_flight`` unsent until promotion resumes
+        them.  An instance whose replay ends settled sheds its tree like the
+        primary's does (``_settle``); should the primary write to it again,
+        its image restarts from entry 0."""
         for iid in iids:
-            spec = self.store.get_committed(f"instance:{iid}:spec")
-            if spec is None:
-                continue
-            runtime = self._live.get(iid)
-            if runtime is None:
-                runtime = self._fresh_runtime(iid, spec)
+            runtime = self._replay(iid, self._live.get(iid))
+            if runtime is not None:
                 self.runtimes[iid] = self._live[iid] = runtime
-                self._image_applied[iid] = 0
-            applied = self._image_applied[iid]
-            total = self.store.get_committed(f"instance:{iid}:meta")["journal_len"]
-            if total > applied:
-                entries = self.store.get_committed_many(
-                    f"instance:{iid}:journal:{n}" for n in range(applied, total)
-                )
-                for entry in entries:
-                    if entry is None:
-                        break
-                    self._replay_entry(runtime, entry)
-                    applied += 1
-            if self._settle(runtime):
-                del self._image_applied[iid]
-            else:
-                self._image_applied[iid] = applied
+                self._settle(runtime)
 
     def _rebuild_image(self) -> None:
         """Cold rebuild of the warm image from local durable state."""
         self.runtimes = {}
         self._live = {}
-        self._image_applied = {}
         tail = self._tail()
         self._max_epoch_seen = max(self._max_epoch_seen, tail["epoch"])
-        self._refresh_image(instance_ids(self.store))
+        self._refresh_image(self.journal.instances())
         self._image_valid = True
 
     # -- settlement ----------------------------------------------------------------

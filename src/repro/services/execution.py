@@ -8,20 +8,16 @@ Coordinates workflow instances with the paper's system-level guarantees:
   persistent atomic objects, atomically and durably, *before* it takes
   effect on the in-memory instance tree.  This is the paper's "records
   inter-task dependencies in persistent atomic objects and uses atomic
-  transactions for propagating coordination information".  Per script
-  version: one write-once ``script:<digest>`` holding the source text,
-  content-addressed (:func:`script_digest`) and kept in this service's own
-  store, so recovery and promotion never need the repository.  Per instance:
-  a write-once ``instance:<iid>:spec`` (the script's digest, root task, input
-  set, inputs), an ``instance:<iid>:meta`` holding only ``journal_len``, and
-  one ``instance:<iid>:journal:<n>`` per entry — so an instance logs a
-  reference to its script, and a journal barrier its entries and a counter,
-  whatever the script's size, as one self-committing WAL record
-  (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is their
-  only writer, and the journal must be atomic and durable, not isolated.
-  The text rides in the record of the first spec that names it, so a torn
-  force drops both or neither.  The instances of a store are its ``spec``
-  keys, in commit order (:func:`instance_ids`).
+  transactions for propagating coordination information".  The objects, the
+  records that commit them and every read of them belong to one
+  :class:`~repro.services.journal.Journal` per store; this module never
+  names a stored key.
+* **One definition of a step.**  What a journal entry does to an instance —
+  its dedup key, the flight it answers, the parked set, the tree — is
+  :meth:`ExecutionService._apply_entry` and nothing else: the live handlers
+  journal an entry and apply it, and :meth:`ExecutionService._replay` applies
+  the stored ones from a runtime's own cursor, for crash recovery, import,
+  detail views, the replay-agreement oracle and a standby's warm image alike.
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
@@ -46,24 +42,18 @@ Coordinates workflow instances with the paper's system-level guarantees:
 * **Automatic retries** of tasks that fail for system-level reasons, with the
   retry budget from the task's ``retries`` implementation property (§3).
 
-Setting ``durable=False`` turns the journal volatile — the ablation of
-experiment E14: without transactional propagation, crashes lose instances
-(and, with no journal to replay, it is the one service that keeps the trees
-of finished instances).
+Experiment E14's ablation ("remove transactional propagation") is this same
+code over a log that never forces.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import math
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
-from ..core.instrument import IOPATH_STATS
 from ..core.schema import Script, TaskClass
 from ..core.values import ObjectRef
 from ..engine.events import WorkflowStatus
@@ -76,6 +66,7 @@ from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
 from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
+from .journal import Journal, script_digest
 from .serialization import (
     refs_from_plain,
     refs_to_plain,
@@ -130,7 +121,7 @@ class _Runtime:
 
     __slots__ = (
         "iid", "script", "tree", "in_flight", "external", "has_deadlines",
-        "journal_keys", "unsent", "volatile_journal", "armed_deadlines",
+        "journal_keys", "cursor", "unsent", "armed_deadlines",
         "deadline_expiries", "exec_counter", "live_exec",
     )
 
@@ -144,9 +135,11 @@ class _Runtime:
         # introduce deadlines)
         self.has_deadlines = True
         self.journal_keys: Set[Tuple] = set()
+        # how many entries of the instance's journal this runtime reflects:
+        # where _journal appends and where _replay resumes
+        self.cursor = 0
         # flights built by _drain and not yet handed to _send, in build order
         self.unsent: List[Tuple[Tuple[str, int], _InFlight]] = []
-        self.volatile_journal: List[Dict[str, Any]] = []
         self.armed_deadlines: Set[Tuple[str, int]] = set()
         # journaled absolute deadline expiries, so recovery resumes a task's
         # *remaining* deadline instead of granting a fresh full one
@@ -166,16 +159,10 @@ class _Runtime:
         timer closure still holding this runtime holds the summary too."""
         self.tree = self.tree.shed()
         del (
-            self.journal_keys, self.unsent, self.volatile_journal,
+            self.journal_keys, self.cursor, self.unsent,
             self.armed_deadlines, self.deadline_expiries,
             self.exec_counter, self.live_exec,
         )
-
-
-def script_digest(text: str) -> str:
-    """Content address of a script version: SHA-256 of its source, hex,
-    truncated to 128 bits."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 @dataclass
@@ -215,26 +202,20 @@ _COMPILE_CACHE_MAX = 128
 _PENDING_ACK_CAP = 1024
 
 
-# spec fields an exported snapshot carries as they stand (the script, a
-# digest in the spec, crosses as its text)
-_SPEC_FIELDS = ("root_task", "input_set", "inputs")
-
-
-def instances_of(keys: Iterable[str], part: str) -> Iterator[str]:
-    """The ``<iid>`` of every ``instance:<iid>:<part>`` among ``keys``, in
-    order (``part`` is ``"spec"`` or ``"meta"``)."""
-    prefix, suffix = "instance:", f":{part}"
-    for key in keys:
-        if key.startswith(prefix) and key.endswith(suffix):
-            yield key[len(prefix):-len(suffix)]
-
-
-def instance_ids(store: ObjectStore) -> List[str]:
-    """Ids of every instance in ``store``, in the order their ``spec`` objects
-    first committed (instantiation order; a crash replay, a checkpoint and a
-    replication stream all preserve it).  This scan is the only instance
-    index: no stored object grows with the number of instances."""
-    return list(instances_of(store.keys(), "spec"))
+def _dedup_key(entry: Dict[str, Any]) -> Optional[Tuple]:
+    """The exactly-once identity of a journal entry: a handler refuses an
+    entry whose key the runtime already holds, :meth:`_apply_entry` records
+    it.  ``external`` / ``reconfig`` / ``force_abort`` entries have none."""
+    kind = entry["type"]
+    if kind == "mark":
+        return ("mark", entry["path"], entry["exec"], entry["name"])
+    if kind in ("result", "failure"):
+        return ("result", entry["path"], entry["exec"])
+    if kind == "deadline":
+        return ("deadline", entry["path"], entry["exec"])
+    if kind == "overloaded":
+        return ("overloaded",)  # at most one decisive shed per instance
+    return None
 
 
 def _compiled(text: str) -> _Compiled:
@@ -267,43 +248,26 @@ class ExecutionService(Service):
         broker: ObjectBroker,
         repository_name: str,
         worker_names: List[str],
-        durable: bool = True,
-        dispatch_timeout: float = 30.0,
+        resilience: ResilienceConfig,
         sweep_interval: float = 10.0,
-        resilience: Optional[ResilienceConfig] = None,
         journal_window: float = 5.0,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
-        """Journal appends are batched: entries produced within one
-        scheduling pump (and across pumps that trigger no dispatch)
-        accumulate in a buffer and commit as a single WAL record/force at
-        the next durability barrier — before any dependent dispatch, when an
-        instance reaches a terminal state, in every public mutating
-        operation, or at the latest ``journal_window`` simulated seconds
-        after the first buffered entry.  Recovery, replay determinism and
-        exactly-once dedup are byte-identical to committing each entry as it
-        is produced."""
         super().__init__(name)
         self.store = store
         self.broker = broker
         self.repository_name = repository_name
         self.worker_names = list(worker_names)
-        self.durable = durable
+        self.journal = Journal(store)
         self.sweep_interval = sweep_interval
         self.journal_window = journal_window
-        self._jbuf: List[Tuple[_Runtime, Dict[str, Any]]] = []
         self._jflush_armed = False
-        self.resilience = resilience or ResilienceConfig.for_timeouts(
-            dispatch_timeout, sweep_interval
-        )
+        self.resilience = resilience
         # every instance: the unsettled ones with their trees, the settled
         # ones as the summary _Runtime.shed leaves
         self.runtimes: Dict[str, _Runtime] = {}
         # the unsettled instances, in the same order — what the sweeper visits
         self._live: Dict[str, _Runtime] = {}
-        # script texts by digest when not durable (the store holds them
-        # under ``script:<digest>`` otherwise)
-        self._volatile_scripts: Dict[str, str] = {}
         # Fencing epoch: a durable incarnation counter stamped on every
         # journal entry and worker dispatch.  For a standalone service it
         # simply counts store-backed incarnations; under replication
@@ -311,7 +275,6 @@ class ExecutionService(Service):
         # is rejected so a resurrected old primary cannot split-brain the
         # journal (docs/PROTOCOLS.md §12).
         self.epoch = 0
-        self._volatile_counter = 0  # instance numbering when not durable
         self._sweep_armed = False
         self.stats = {
             "dispatches": 0,
@@ -341,7 +304,7 @@ class ExecutionService(Service):
         # flight resolved, kept so the reply credits the worker's health
         self._pending_acks: Dict[Tuple[str, str, int, str], float] = {}
         # readers of the former stored index (benchmarks/bench) still find it
-        store.derive("instance-index", lambda: instance_ids(store))
+        store.derive("instance-index", self.journal.instances)
 
     # -- life-cycle -------------------------------------------------------------------
 
@@ -358,18 +321,13 @@ class ExecutionService(Service):
         self.epoch = self._advance_epoch()
         self.runtimes = {}
         self._live = {}
-        self.health.reset()
-        self._pending_acks.clear()
-        self._sweep_armed = False  # the old sweep chain died with the crash
-        # buffered journal entries died with the crash, exactly like the
-        # volatile tree state they described; the durable journal is truth
-        self._jbuf.clear()
-        self._jflush_armed = False
-        if self.durable:
-            for iid in instance_ids(self.store):
-                runtime = self._replay(iid)
-                if runtime is not None:
-                    self._adopt(runtime)
+        self._reset_volatile()
+        # the sweep chain and the flush timer died with the crash
+        self._sweep_armed = self._jflush_armed = False
+        for iid in self.journal.instances():
+            runtime = self._replay(iid)
+            if runtime is not None:
+                self._adopt(runtime)
         # Admission state is volatile: the queue died with the process, so
         # every rebuilt non-terminal instance counts as admitted (its journal
         # is durable work the service must finish — _resume_flights already
@@ -377,6 +335,15 @@ class ExecutionService(Service):
         self.admission.rebuild(self._running(), self._now())
         crash_point("exec.recover.replayed", self)
         self._arm_sweeper()
+
+    def _reset_volatile(self) -> None:
+        """Forget what does not outlive a process or a reign: what the fleet
+        was observed to do, and the journal entries still buffered — they
+        died like the volatile tree state they described; the durable
+        journal is truth."""
+        self.health.reset()
+        self._pending_acks.clear()
+        self.journal.discard()
 
     def _advance_epoch(self) -> int:
         """Durably advance the fencing epoch for this incarnation.
@@ -386,8 +353,6 @@ class ExecutionService(Service):
         recovery stagger key and the journal's epoch-monotonicity oracle
         rely on.  Replicated services override this: their epoch is the
         lease epoch, granted by the lease service."""
-        if not self.durable:
-            return self.epoch + 1
         advanced = self.store.get_committed("exec-epoch", 0) + 1
         self.store.commit_batch({"exec-epoch": advanced})
         self.store.sync()
@@ -409,24 +374,6 @@ class ExecutionService(Service):
     def _post_barrier(self) -> None:
         """Hook run after every durability barrier; replication ships the
         newly durable log suffix here.  No-op standalone."""
-
-    @contextmanager
-    def _journal_guard(self) -> Iterator[None]:
-        """Error-path durability for buffered journal entries.
-
-        An exception between buffering an entry and the next durability
-        barrier must not strand the buffer: the tree has already applied the
-        entry, so losing it would let the in-memory state run ahead of the
-        durable journal for up to ``journal_window``.  Flushing on the error
-        path closes that gap.  ``SimulatedCrash`` is a BaseException and is
-        deliberately *not* caught — a machine crash loses the buffer together
-        with the volatile tree state it described, which is the modelled
-        semantics."""
-        try:
-            yield
-        except Exception:
-            self.flush_journal()
-            raise
 
     # -- ORB operations ---------------------------------------------------------------------
 
@@ -459,26 +406,9 @@ class ExecutionService(Service):
                 f"({len(self.admission.queue)}/{self.overload.queue_capacity})",
                 retry_after=hint,
             )
-        script_write = self._intern(compiled.digest, text)
-        if self.durable:
-            counter = self.store.get_committed("instance-counter", 0) + 1
-        else:
-            self._volatile_counter += 1
-            counter = self._volatile_counter
-        iid = f"wf-{counter}"
-        spec = {
-            "script": compiled.digest,
-            "root_task": root_task,
-            "input_set": input_set,
-            "inputs": dict(inputs or {}),
-        }
-        if self.durable:
-            self.store.commit_batch({
-                **script_write,
-                "instance-counter": counter,
-                f"instance:{iid}:spec": spec,
-                f"instance:{iid}:meta": {"journal_len": 0},
-            })
+        iid, spec = self.journal.create(
+            compiled.digest, text, root_task, input_set, inputs
+        )
         crash_point("exec.instantiate.persisted", self)
         runtime = self._fresh_runtime(iid, spec)
         self.runtimes[iid] = self._live[iid] = runtime
@@ -542,26 +472,19 @@ class ExecutionService(Service):
 
     def reconfigure(self, iid: str, new_script_text: str) -> bool:
         """Atomically apply a modified script to the *running* instance."""
-        runtime = self._full_runtime(iid)
-        compiled = _compiled(new_script_text)
-        with self._journal_guard():
-            runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
-            runtime.script = compiled.script
-            runtime.has_deadlines = compiled.has_deadlines
-            self._journal(runtime, {"type": "reconfig", "script_text": new_script_text})
-            self._dispatch_pending(runtime)
-            self.flush_journal()  # client observes the reconfiguration as durable
+        self._record_if_legal(
+            self._full_runtime(iid),
+            {"type": "reconfig", "script_text": new_script_text},
+        )
+        self.flush_journal()  # client observes the reconfiguration as durable
         return True
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
-        runtime = self._full_runtime(iid)
-        with self._journal_guard():
-            runtime.tree.force_abort(task_path, abort_name)
-            self._journal(
-                runtime, {"type": "force_abort", "path": task_path, "name": abort_name}
-            )
-            self._dispatch_pending(runtime)
-            self.flush_journal()  # client observes the abort as durable
+        self._record_if_legal(
+            self._full_runtime(iid),
+            {"type": "force_abort", "path": task_path, "name": abort_name},
+        )
+        self.flush_journal()  # client observes the abort as durable
         return True
 
     def external_tasks(self, iid: str) -> List[str]:
@@ -614,8 +537,8 @@ class ExecutionService(Service):
         }
 
     def export_instance(self, iid: str) -> Dict[str, Any]:
-        """Portable snapshot of an instance: its spec and ``journal_len`` (as
-        one ``meta`` dict on the wire) + full journal.
+        """Portable snapshot of an instance
+        (:meth:`Journal.snapshot <repro.services.journal.Journal.snapshot>`).
 
         Because the journal is the instance (everything else replays
         deterministically), this is all another execution service needs to
@@ -623,22 +546,8 @@ class ExecutionService(Service):
         the paper's "services being moved" motivation.
         """
         self._runtime(iid)  # an unknown id is refused
-        spec = None
-        if self.durable:
-            self.flush_journal()  # export the full history, not a prefix
-            spec, journal = self._stored(iid)
-        if spec is None:
-            raise ExecutionError(f"{iid}: no durable state to export")
-        return {
-            "instance": iid,
-            "meta": {
-                # self-contained: the importer may never have seen the script
-                "script_text": self._script_text(spec["script"]),
-                **{name: spec[name] for name in _SPEC_FIELDS},
-                "journal_len": len(journal),
-            },
-            "journal": journal,
-        }
+        self.flush_journal()  # export the full history, not a prefix
+        return self.journal.snapshot(iid)
 
     def import_instance(self, snapshot: Dict[str, Any]) -> str:
         """Adopt an exported instance: persist its state locally, replay the
@@ -647,23 +556,8 @@ class ExecutionService(Service):
         iid = snapshot["instance"]
         if iid in self.runtimes:
             raise ExecutionError(f"{iid}: already present on this execution service")
-        meta = snapshot["meta"]
-        text = meta["script_text"]
-        digest = _compiled(text).digest
-        spec = {"script": digest, **{name: meta[name] for name in _SPEC_FIELDS}}
-        journal = list(snapshot["journal"])
-        script_write = self._intern(digest, text)
-        if self.durable:
-            self.store.commit_batch({
-                **script_write,
-                f"instance:{iid}:spec": spec,
-                f"instance:{iid}:meta": {"journal_len": len(journal)},
-                **{f"instance:{iid}:journal:{n}": e for n, e in enumerate(journal)},
-            })
-            runtime = self._replay(iid)
-        else:
-            runtime = self._replay_from(iid, spec, journal)
-            runtime.volatile_journal = journal
+        self.journal.adopt(snapshot, _compiled(snapshot["meta"]["script_text"]).digest)
+        runtime = self._replay(iid)
         if runtime.tree.status is WorkflowStatus.RUNNING:
             # adopted work is already paid for: it bypasses the admission
             # queue and takes a window slot directly
@@ -681,9 +575,8 @@ class ExecutionService(Service):
         Returns the number of live log records after compaction.
         """
         crash_point("exec.compact.pre", self)
-        if self.durable:
-            self.flush_journal()  # fold buffered entries into the checkpoint
-            self.store.checkpoint()
+        self.flush_journal()  # fold buffered entries into the checkpoint
+        self.store.checkpoint()
         crash_point("exec.compact.post", self)
         return len(self.store.wal)
 
@@ -716,43 +609,16 @@ class ExecutionService(Service):
             "exec": exec_index,
             "result": result_to_plain(result),
         }
-        with self._journal_guard():
-            self._journal(runtime, entry)
-            runtime.external.discard((task_path, exec_index))
-            self._apply_entry(runtime, entry)
-            self._dispatch_pending(runtime)
-            self.flush_journal()  # client observes the completion as durable
+        self._record(runtime, entry)
+        self.flush_journal()  # client observes the completion as durable
         return True
 
     # -- dispatching -------------------------------------------------------------------------
 
-    def _script_text(self, digest: str) -> Optional[str]:
-        """The text this service holds under ``digest``, if any."""
-        if self.durable:
-            return self.store.get_committed(f"script:{digest}")
-        return self._volatile_scripts.get(digest)
-
-    def _intern(self, digest: str, text: str) -> Dict[str, str]:
-        """The write that makes ``text`` durable under ``digest``, to ride in
-        the batch of the first spec that names it: empty once the store holds
-        it.  A digest that already names other text is refused before
-        anything is logged — an instance is never bound to text it did not
-        start with."""
-        held = self._script_text(digest)
-        if held is None:
-            if self.durable:
-                return {f"script:{digest}": text}
-            self._volatile_scripts[digest] = text
-        elif held != text:
-            raise ExecutionError(
-                f"script digest {digest} already names a different text"
-            )
-        return {}
-
     def _fresh_runtime(self, iid: str, spec: Dict[str, Any]) -> _Runtime:
         """A started tree for ``spec``, built on the script's shared plan
         (compiled here, at the first instance of the script)."""
-        text = self._script_text(spec["script"])
+        text = self.journal.script_text(spec["script"])
         if text is None:
             raise ExecutionError(f"{iid}: script {spec['script']} is not in the store")
         compiled = _compiled(text)
@@ -828,10 +694,13 @@ class ExecutionService(Service):
             "reason": reason,
             "criticality": criticality,
         }
-        with self._journal_guard():
+        try:
             self._journal(runtime, entry)
             self._apply_entry(runtime, entry)
-            self.flush_journal()  # terminal outcome: durable before observable
+        except Exception:
+            self.flush_journal()  # see _record
+            raise
+        self.flush_journal()  # terminal outcome: durable before observable
 
     def _promote_ready(self) -> None:
         """Dispatch queued instances into freed window slots.
@@ -892,16 +761,14 @@ class ExecutionService(Service):
             expires_at = runtime.deadline_expiries.get(key)
             if expires_at is None:
                 expires_at = self._now() + delay
-                runtime.deadline_expiries[key] = expires_at
-                self._journal(
-                    runtime,
-                    {
-                        "type": "deadline",
-                        "path": node.path,
-                        "exec": key[1],
-                        "expires_at": expires_at,
-                    },
-                )
+                entry = {
+                    "type": "deadline",
+                    "path": node.path,
+                    "exec": key[1],
+                    "expires_at": expires_at,
+                }
+                self._journal(runtime, entry)
+                self._apply_entry(runtime, entry)
                 journaled = True
             delay = max(0.0, expires_at - self._now())
             runtime.armed_deadlines.add(key)
@@ -927,11 +794,9 @@ class ExecutionService(Service):
                     or runtime.exec_counter.get(path, 0) != count
                 ):
                     return
-                runtime.tree.force_abort(path)
-                self._journal(
+                self._record_if_legal(
                     runtime, {"type": "force_abort", "path": path, "name": None}
                 )
-                self._dispatch_pending(runtime)
 
             self.node.call_after(delay, fire, label=f"deadline:{node.path}")
         if journaled:
@@ -1192,13 +1057,7 @@ class ExecutionService(Service):
             "exec": key[1],
             "error": f"dispatch abandoned after {flight.redispatches} redispatches",
         }
-        self._journal(runtime, entry)
-        # through _resolve_flight (not a bare pop): any workers still carrying
-        # this flight's wave are parked in _pending_acks, so their late
-        # replies keep feeding the health registry instead of vanishing
-        self._resolve_flight(runtime, key)
-        self._apply_entry(runtime, entry)
-        self._dispatch_pending(runtime)
+        self._record(runtime, entry)
 
     # -- replies and marks ----------------------------------------------------------------------
 
@@ -1214,9 +1073,6 @@ class ExecutionService(Service):
         runtime = self.runtimes.get(payload.get("instance_id", ""))
         if runtime is None or runtime.settled:
             return  # a settled instance is closed (see _handle_reply)
-        key = ("mark", payload["task_path"], payload["execution_index"], payload["name"])
-        if key in runtime.journal_keys:
-            return
         entry = {
             "type": "mark",
             "path": payload["task_path"],
@@ -1224,10 +1080,8 @@ class ExecutionService(Service):
             "name": payload["name"],
             "objects": payload["objects"],
         }
-        with self._journal_guard():
-            self._journal(runtime, entry)
-            self._apply_mark(runtime, entry)
-            self._dispatch_pending(runtime)
+        if _dedup_key(entry) not in runtime.journal_keys:
+            self._record(runtime, entry)
 
     def _handle_reply(self, iid: str, reply: Dict[str, Any]) -> None:
         if not self.is_primary():
@@ -1246,56 +1100,45 @@ class ExecutionService(Service):
         exec_index = reply["execution_index"]
         flight_key = (path, exec_index)
         self._credit_reply(runtime, flight_key, reply)
+        if not reply.get("ok"):
+            kind, body = "failure", {"error": reply.get("error", "unknown")}
+        elif reply.get("external"):
+            # the task parked itself awaiting an external completion; stop
+            # the sweeper from re-dispatching it and remember it durably
+            kind, body = "external", {}
+        else:
+            kind, body = "result", {"result": reply["result"]}
+        entry = {"type": kind, "path": path, "exec": exec_index, **body}
         # A settled instance is closed: every flight it ever sent is answered
         # in its journal, so whatever still arrives for it is a duplicate.
         if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
             self.stats["duplicate_replies"] += 1
             return
-        with self._journal_guard():
+        try:
             # marks carried in the reply (the datagram copies may have been lost)
             for mark in reply.get("marks", ()):
-                mark_key = ("mark", path, exec_index, mark["name"])
-                if mark_key in runtime.journal_keys:
-                    continue
-                entry = {
+                mark_entry = {
                     "type": "mark",
                     "path": path,
                     "exec": exec_index,
                     "name": mark["name"],
                     "objects": mark["objects"],
                 }
-                self._journal(runtime, entry)
-                self._apply_mark(runtime, entry)
-            if reply.get("ok") and reply.get("external"):
-                # the task parked itself awaiting an external completion; stop
-                # the sweeper from re-dispatching it and remember it durably
-                if (path, exec_index) in runtime.external:
-                    self.stats["duplicate_replies"] += 1
-                    return
-                entry = {"type": "external", "path": path, "exec": exec_index}
-                self._journal(runtime, entry)
-                self._resolve_flight(runtime, flight_key)
-                runtime.external.add((path, exec_index))
+                if _dedup_key(mark_entry) not in runtime.journal_keys:
+                    self._journal(runtime, mark_entry)
+                    self._apply_entry(runtime, mark_entry)
+            if kind == "external" and flight_key in runtime.external:
+                self.stats["duplicate_replies"] += 1
                 return
-            if reply.get("ok"):
-                entry = {
-                    "type": "result",
-                    "path": path,
-                    "exec": exec_index,
-                    "result": reply["result"],
-                }
-            else:
-                entry = {
-                    "type": "failure",
-                    "path": path,
-                    "exec": exec_index,
-                    "error": reply.get("error", "unknown"),
-                }
             self._journal(runtime, entry)
-            self._resolve_flight(runtime, flight_key)
             self._apply_entry(runtime, entry)
+            if kind == "external":
+                return  # nothing became ready
             crash_point("exec.reply.applied", self)
             self._dispatch_pending(runtime)
+        except Exception:
+            self.flush_journal()  # see _record
+            raise
 
     def _on_fenced_reply(self, reply: Dict[str, Any]) -> None:
         """Hook for replication: a fenced reply carries the highest epoch the
@@ -1359,51 +1202,59 @@ class ExecutionService(Service):
             # a settled instance is written to again (through the runtime
             # _full_runtime handed out): that runtime is the instance now
             self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        self._note_key(runtime, entry)
-        if not self.durable:
-            runtime.volatile_journal.append(entry)
-            return
-        IOPATH_STATS.journal_entries += 1
-        crash_point("exec.journal.pre", self)
-        # buffered: becomes durable at the next barrier (flush_journal).
-        # The dedup key above and this buffered entry are both volatile,
-        # so a crash loses them together — redelivered replies simply
-        # journal again after recovery.
-        self._jbuf.append((runtime, entry))
+        runtime.cursor += 1
+        # buffered: becomes durable at the next barrier (flush_journal).  The
+        # buffer is as volatile as the runtime, so a crash loses them
+        # together — redelivered replies simply journal again after recovery.
+        self.journal.append(runtime.iid, entry)
         self._arm_journal_window()
 
-    def flush_journal(self) -> int:
-        """Durability barrier: commit every buffered journal entry and each
-        touched instance's ``journal_len`` as one WAL record (one force),
-        then drain the WAL group-commit window.  The record holds the
-        entries and one counter per instance, nothing that grows with the
-        script or the history.
+    def _record(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """Journal ``entry``, apply it, dispatch what it made ready.
 
-        The batch is all-or-nothing — a single BATCH record, which a torn
-        force drops whole — so recovery sees a contiguous journal either
-        way.  Returns the number of entries made durable."""
-        if not self._jbuf:
-            self._post_barrier()  # replication still ships any unshipped suffix
-            return 0
-        batch, self._jbuf = self._jbuf, []
-        store = self.store
-        writes: Dict[str, Any] = {}
-        lens: Dict[str, int] = {}
-        for runtime, entry in batch:
-            iid = runtime.iid
-            n = lens.get(iid)
-            if n is None:
-                n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
-            writes[f"instance:{iid}:journal:{n}"] = entry
-            lens[iid] = n + 1
-        for iid, n in lens.items():
-            writes[f"instance:{iid}:meta"] = {"journal_len": n}
-        store.commit_batch(writes)
-        IOPATH_STATS.journal_batches += 1
-        crash_point("exec.journal.post", self)
-        store.sync()
-        self._post_barrier()
-        return len(batch)
+        An exception between buffering an entry and the next durability
+        barrier must not strand the buffer: the tree has already applied the
+        entry, so losing it would let the in-memory state run ahead of the
+        durable journal for up to ``journal_window``.  Flushing on the error
+        path closes that gap — here and wherever else a handler journals.
+        ``SimulatedCrash`` is a BaseException and is deliberately *not*
+        caught: a machine crash loses the buffer together with the volatile
+        tree state it described, which is the modelled semantics."""
+        try:
+            self._journal(runtime, entry)
+            self._apply_entry(runtime, entry)
+            self._dispatch_pending(runtime)
+        except Exception:
+            self.flush_journal()
+            raise
+
+    def _record_if_legal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """:meth:`_record` for an administrative entry the tree may refuse
+        (``reconfig``, ``force_abort``): applied first — an illegal one raises
+        without effect — and journaled as what stood.  Journaled first, a
+        refused entry would be left in the buffer for the error-path flush to
+        make durable, and every later replay would raise on it."""
+        try:
+            self._apply_entry(runtime, entry)
+            self._journal(runtime, entry)
+            self._dispatch_pending(runtime)
+        except Exception:
+            self.flush_journal()
+            raise
+
+    def flush_journal(self) -> int:
+        """Durability barrier: commit every buffered journal entry
+        (:meth:`Journal.commit <repro.services.journal.Journal.commit>`: one
+        WAL record, one force, one fsync), then let replication ship the
+        newly durable suffix.  Taken before any dependent dispatch, when an
+        instance reaches a terminal state, in every public mutating
+        operation, and at the latest ``journal_window`` simulated seconds
+        after the first buffered entry; recovery, replay and exactly-once
+        dedup are as if each entry were committed as it is produced.
+        Returns the number of entries made durable."""
+        flushed = self.journal.commit() if self.journal.buffer else 0
+        self._post_barrier()  # even when empty: any unshipped suffix goes out
+        return flushed
 
     def _arm_journal_window(self) -> None:
         """Bound how long a buffered entry may stay volatile: one flush timer
@@ -1419,37 +1270,15 @@ class ExecutionService(Service):
 
         self.node.call_after(self.journal_window, fire, label=f"{self.name}-jflush")
 
-    @staticmethod
-    def _note_key(runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        """Remember the dedup key of an entry of a deduplicated type;
-        ``external`` / ``reconfig`` / ``force_abort`` entries have none."""
-        kind = entry["type"]
-        if kind == "mark":
-            key: Tuple = ("mark", entry["path"], entry["exec"], entry["name"])
-        elif kind in ("result", "failure"):
-            key = ("result", entry["path"], entry["exec"])
-        elif kind == "deadline":
-            key = ("deadline", entry["path"], entry["exec"])
-        elif kind == "overloaded":
-            key = ("overloaded",)  # at most one decisive shed per instance
-        else:
-            return
-        runtime.journal_keys.add(key)
-
-    def _apply_mark(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        try:
-            node = runtime.tree.node_at(entry["path"])
-        except ExecutionError:
-            return
-        if runtime.live_exec.get(entry["path"]) != entry["exec"]:
-            return  # stale mark from a superseded execution
-        runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
-
     def _apply_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """What one journal entry does to an instance — its dedup key, the
+        flight it answers, the parked set, the tree.  The only definition:
+        a live handler comes here with the entry it journaled, :meth:`_replay`
+        with the stored ones."""
         kind = entry["type"]
-        if kind == "mark":
-            self._apply_mark(runtime, entry)
-            return
+        key = _dedup_key(entry)
+        if key is not None:
+            runtime.journal_keys.add(key)
         if kind == "deadline":
             # inert for the tree: remembers the absolute expiry so recovery
             # re-arms the timer with the *remaining* deadline
@@ -1459,7 +1288,7 @@ class ExecutionService(Service):
             return
         if kind == "reconfig":
             compiled = _compiled(entry["script_text"])
-            runtime.tree.reconfigure(compiled.script)
+            runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
             runtime.script = compiled.script
             runtime.has_deadlines = compiled.has_deadlines
             return
@@ -1475,73 +1304,57 @@ class ExecutionService(Service):
             runtime.external.clear()
             runtime.tree.fail(f"overloaded: {entry['reason']}")
             return
+        path = entry["path"]
+        if kind != "mark":
+            # result / failure / external answer a flight.  Through
+            # _resolve_flight: workers still carrying its wave are parked in
+            # _pending_acks, so their late replies keep feeding the health
+            # registry (a plain pop for a flight a replay never sent)
+            flight_key = (path, entry["exec"])
+            self._resolve_flight(runtime, flight_key)
+            if kind == "external":
+                runtime.external.add(flight_key)
+                return
+            runtime.external.discard(flight_key)
         try:
-            node = runtime.tree.node_at(entry["path"])
+            node = runtime.tree.node_at(path)
         except ExecutionError:
             return
-        if runtime.live_exec.get(entry["path"]) != entry["exec"]:
+        if runtime.live_exec.get(path) != entry["exec"]:
             return  # stale: a newer execution of this path supersedes it
-        if kind == "result":
+        if kind == "mark":
+            runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
+        elif kind == "result":
             try:
                 runtime.tree.apply_result(node, result_from_plain(entry["result"]))
             except ExecutionError as exc:
                 # the result did not match the task class signature: treat it
                 # as a system failure (deterministic at replay too)
                 runtime.tree.apply_failure(node, exc)
-        elif kind == "failure":
+        else:
             runtime.tree.apply_failure(node, WorkflowError(entry["error"]))
 
     # -- recovery -----------------------------------------------------------------------------------
 
-    def _stored(
-        self, iid: str
-    ) -> Tuple[Optional[Dict[str, Any]], List[Optional[Dict[str, Any]]]]:
-        """An instance's committed spec and journal (``None`` and nothing when
-        the store does not hold it; spec and meta commit together)."""
-        spec = self.store.get_committed(f"instance:{iid}:spec")
-        if spec is None:
-            return None, []
-        journal_len = self.store.get_committed(f"instance:{iid}:meta")["journal_len"]
-        return spec, self.store.get_committed_many(
-            f"instance:{iid}:journal:{n}" for n in range(journal_len)
-        )
-
-    def _replay(self, iid: str) -> Optional[_Runtime]:
-        spec, journal = self._stored(iid)
-        if spec is None:
-            return None
-        return self._replay_from(iid, spec, journal)
-
-    def _replay_from(
-        self, iid: str, spec: Dict[str, Any], journal: List[Optional[Dict[str, Any]]]
-    ) -> _Runtime:
-        runtime = self._fresh_runtime(iid, spec)
-        for entry in journal:
+    def _replay(self, iid: str, runtime: Optional[_Runtime] = None) -> Optional[_Runtime]:
+        """Bring ``runtime`` — a fresh one on ``iid``'s stored spec when none
+        is given, ``None`` when the store holds no such instance — up to the
+        stored journal, from the runtime's own cursor.  The only replay:
+        crash recovery, import, a settled instance's detail view and the
+        replay-agreement oracle start fresh; a standby's image resumes."""
+        if runtime is None:
+            spec = self.journal.spec(iid)
+            if spec is None:
+                return None
+            runtime = self._fresh_runtime(iid, spec)
+        for entry in self.journal.entries(iid, runtime.cursor):
             if entry is None:
                 break
-            self._replay_entry(runtime, entry)
-        # anything still in flight was unanswered at crash time: it will be
-        # re-dispatched (staggered, see _resume_flights) with the pin already
-        # abandoned — the original target may be what crashed
-        for flight in runtime.in_flight.values():
-            flight.redispatches += 1
+            self._apply_entry(runtime, entry)
+            runtime.cursor += 1
+            self._drain(runtime)
+            runtime.unsent.clear()  # a replay's flights go out by _resume_flights
         return runtime
-
-    def _replay_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        """Apply one journal entry to a replaying runtime.  Shared by crash
-        recovery (`_replay_from`) and the replication standby's incremental
-        warm image, which applies entries as they arrive instead of all at
-        once."""
-        self._note_key(runtime, entry)
-        if entry["type"] in ("result", "failure"):
-            runtime.in_flight.pop((entry["path"], entry["exec"]), None)
-            runtime.external.discard((entry["path"], entry["exec"]))
-        elif entry["type"] == "external":
-            runtime.in_flight.pop((entry["path"], entry["exec"]), None)
-            runtime.external.add((entry["path"], entry["exec"]))
-        self._apply_entry(runtime, entry)
-        self._drain(runtime)
-        runtime.unsent.clear()  # a replay's flights go out by _resume_flights
 
     def _resume_flights(self, runtime: _Runtime) -> None:
         """Re-send every flight that survived a recovery replay.
@@ -1608,14 +1421,11 @@ class ExecutionService(Service):
         if (
             runtime.in_flight
             or runtime.tree.status is WorkflowStatus.RUNNING
-            or any(buffered is runtime for buffered, _entry in self._jbuf)
+            or self.journal.pending(runtime.iid)
         ):
             return False
         del self._live[runtime.iid]
-        # a volatile service has no journal to rebuild a tree from: it is the
-        # one service that keeps its finished trees
-        if self.durable:
-            runtime.shed()
+        runtime.shed()
         return True
 
     def _adopt(self, runtime: _Runtime) -> None:
@@ -1624,6 +1434,12 @@ class ExecutionService(Service):
         an unfinished one has its flights re-sent and its deadlines re-armed."""
         self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
         if not self._settle(runtime):
+            # anything still in flight was unanswered when its coordinator
+            # stopped: it is re-dispatched (staggered, see _resume_flights)
+            # with the pin already abandoned — the original target may be
+            # what crashed
+            for flight in runtime.in_flight.values():
+                flight.redispatches += 1
             self._resume_flights(runtime)
             self._arm_deadlines(runtime)
 

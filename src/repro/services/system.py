@@ -49,7 +49,6 @@ class WorkflowSystem:
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         seed: int = 0,
-        durable: bool = True,
         dispatch_timeout: float = 30.0,
         sweep_interval: float = 10.0,
         registry: Optional[ImplementationRegistry] = None,
@@ -164,8 +163,6 @@ class WorkflowSystem:
                     lease_name="lease",
                     peer_names=replica_names,
                     repl_interval=repl_interval,
-                    durable=True,
-                    dispatch_timeout=dispatch_timeout,
                     sweep_interval=sweep_interval,
                     resilience=resilience,
                     journal_window=journal_window,
@@ -193,8 +190,6 @@ class WorkflowSystem:
                 self.broker,
                 repository_name="repository",
                 worker_names=worker_names,
-                durable=durable,
-                dispatch_timeout=dispatch_timeout,
                 sweep_interval=sweep_interval,
                 resilience=resilience,
                 journal_window=journal_window,
@@ -286,9 +281,7 @@ class WorkflowSystem:
                 continue  # node down / failover in progress: wait it out
             runtime = service.runtimes.get(iid)
             if runtime is None:
-                if service.durable:
-                    continue  # not yet recovered (or not yet replicated over)
-                break  # lost for good: the ablation outcome
+                continue  # not yet recovered (or not yet replicated over)
             if runtime.tree.status.value in TERMINAL:
                 break
         service = self.primary_execution()

@@ -104,9 +104,9 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     # --- execution service (coordination journal) ---------------------------
     CrashPoint("exec.instantiate.persisted", "src/repro/services/execution.py",
                "instance spec and meta committed, runtime not yet built"),
-    CrashPoint("exec.journal.pre", "src/repro/services/execution.py",
+    CrashPoint("exec.journal.pre", "src/repro/services/journal.py",
                "journal entry keyed and buffered, its batch not yet committed"),
-    CrashPoint("exec.journal.post", "src/repro/services/execution.py",
+    CrashPoint("exec.journal.post", "src/repro/services/journal.py",
                "journal batch committed, fsync and dependent sends not yet done"),
     CrashPoint("exec.reply.recv", "src/repro/services/execution.py",
                "worker reply received, before dedup against the journal"),

@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..services.execution import instance_ids
+from ..services.journal import Journal
 from ..txn import wal as wal_mod
 from ..txn.store import ObjectStore
 
@@ -130,36 +130,24 @@ def check_store_agreement(store: ObjectStore, phase: str = "") -> List[OracleVio
     ]
 
 
-def _journal_entries(
-    store: ObjectStore, iid: str
-) -> Tuple[Optional[Dict[str, Any]], List[Optional[Dict[str, Any]]]]:
-    meta = store.get_committed(f"instance:{iid}:meta")
-    if meta is None:
-        return None, []
-    journal = store.get_committed_many(
-        f"instance:{iid}:journal:{n}" for n in range(meta["journal_len"])
-    )
-    return meta, journal
-
-
 def check_journal_integrity(
     store: ObjectStore, phase: str = ""
 ) -> List[OracleViolation]:
     """Contiguity + script resolution + exactly-once over every instance's
     durable spec and journal."""
     violations: List[OracleViolation] = []
-    for iid in instance_ids(store):
-        digest = store.read_committed(f"instance:{iid}:spec")["script"]
-        if not store.exists(f"script:{digest}"):
+    stored = Journal(store)
+    for iid in stored.instances():
+        digest = stored.spec(iid)["script"]
+        if stored.script_text(digest) is None:
             violations.append(
                 OracleViolation(
                     "script-resolution", iid,
                     f"spec names script {digest} but the store holds no "
-                    f"script:{digest}", phase,
+                    f"text under it", phase,
                 )
             )
-        meta, journal = _journal_entries(store, iid)
-        if meta is None:
+        if stored.length(iid) is None:
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
@@ -167,12 +155,13 @@ def check_journal_integrity(
                 )
             )
             continue
+        journal = stored.entries(iid)
         holes = [n for n, entry in enumerate(journal) if entry is None]
         if holes:
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
-                    f"journal_len={meta['journal_len']} but entries "
+                    f"journal_len={len(journal)} but entries "
                     f"{holes[:5]} are missing", phase,
                 )
             )
@@ -207,8 +196,6 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
     outcome) ``runtimes`` holds for it — a live tree's or a settled
     instance's summary.  ``service`` is an ExecutionService; typed as Any to
     keep this module import-light."""
-    if not getattr(service, "durable", False):
-        return []
     violations: List[OracleViolation] = []
     for iid, runtime in sorted(service.runtimes.items()):
         shadow = service._replay(iid)
@@ -321,12 +308,10 @@ def check_epoch_fencing(
     violations: List[OracleViolation] = []
     writers: Dict[int, Dict[str, str]] = {}  # epoch -> writer -> first site
     for store in stores:
-        for iid in instance_ids(store):
-            meta, journal = _journal_entries(store, iid)
-            if meta is None:
-                continue
+        stored = Journal(store)
+        for iid in stored.instances():
             high = 0
-            for n, entry in enumerate(journal):
+            for n, entry in enumerate(stored.entries(iid)):
                 if entry is None:
                     continue
                 epoch = entry.get("epoch") or 0
@@ -426,12 +411,9 @@ def check_no_silent_drop(
             )
             continue
         error = runtime.tree.error or ""
-        if status == "failed" and error.startswith("overloaded") and getattr(
-            service, "durable", False
-        ):
-            meta, journal = _journal_entries(service.store, iid)
-            entries = [e for e in journal if e and e.get("type") == "overloaded"]
-            if meta is None or not entries:
+        if status == "failed" and error.startswith("overloaded"):
+            journal = Journal(service.store).entries(iid)
+            if not any(e and e.get("type") == "overloaded" for e in journal):
                 violations.append(
                     OracleViolation(
                         "no-silent-drop", iid,

@@ -11,13 +11,17 @@ and every way an instance enters or re-enters a service (instantiate, crash
 recovery, import, replication) rebuilds the same tree from it.
 """
 
+import ast
 import os
+import pathlib
 
 import pytest
 
+import repro
+from repro.core.errors import ExecutionError
 from repro.engine import outcome
 from repro.services import WorkflowSystem
-from repro.services.execution import instance_ids, script_digest
+from repro.services.journal import Journal, script_digest
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
@@ -38,12 +42,27 @@ def journal_len(store, iid):
     return store.get_committed(f"instance:{iid}:meta")["journal_len"]
 
 
-def tree_state(service, iid):
-    tree = service._full_runtime(iid).tree  # a replay, once the instance settled
+def tree_of(tree):
     return (
         tree.status.value,
         tree.root.machine.outcome,
         sorted((node.path, node.machine.state.value) for node in tree.walk()),
+    )
+
+
+def tree_state(service, iid):
+    return tree_of(service._full_runtime(iid).tree)  # a replay, once the instance settled
+
+
+def image_state(runtime):
+    """Everything of an unsettled runtime that a replay rebuilds."""
+    return (
+        tree_of(runtime.tree),
+        sorted(runtime.in_flight),
+        runtime.external,
+        runtime.exec_counter,
+        runtime.deadline_expiries,
+        runtime.journal_keys,
     )
 
 
@@ -78,7 +97,7 @@ class TestBarrierCost:
             system.run_until_terminal(iid)
         # the only thing that may grow is the instance id's own digits
         assert max(sizes[-10:]) <= min(sizes[:10]) + 64, (sizes[:3], sizes[-3:])
-        assert len(instance_ids(system.execution_store)) == 200
+        assert len(Journal(system.execution_store).instances()) == 200
 
 
 class TestLayout:
@@ -111,19 +130,52 @@ class TestLayout:
         assert not store.exists("instance-index")
         assert store.get_committed("instance-index", []) == [iid]  # derived
 
+    def test_only_the_journal_module_spells_a_stored_key(self):
+        """The layout has one owner: outside comments and docstrings, no
+        other file under ``src/repro`` holds a string literal (f-string
+        parts included) that starts with ``instance:`` or contains
+        ``:journal:``, and none of the journal's readers one that starts
+        with ``script:`` (the repository's ``script:<name>`` is its own
+        layout in its own store)."""
+        root = pathlib.Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel == "services/journal.py":
+                continue
+            reader = rel == "services/execution.py" or rel.startswith(("replication/", "sim/"))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = {
+                id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
+                    continue
+                if id(node) in docstrings:
+                    continue
+                text = node.value
+                if (
+                    text.startswith("instance:")
+                    or ":journal:" in text
+                    or (reader and text.startswith("script:"))
+                ):
+                    found.append((rel, node.lineno, text))
+        assert found == []
+
     def test_instances_enumerate_in_commit_order_across_recovery_and_compaction(self):
         system, root, inputs = chain_system(2)
         iids = [system.instantiate("chain", root, inputs) for _ in range(12)]
         for iid in iids:
             system.run_until_terminal(iid)
         store = system.execution_store
-        assert instance_ids(store) == iids
+        assert Journal(store).instances() == iids
         system.execution.compact()
-        assert instance_ids(store) == iids
+        assert Journal(store).instances() == iids
         store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
-        assert instance_ids(store) == iids
+        assert Journal(store).instances() == iids
         assert list(system.execution.runtimes) == iids
 
 
@@ -146,7 +198,7 @@ class TestSameTreeEveryWayIn:
         target.execution.import_instance(snapshot)
         assert tree_state(target.execution, iid) == tree_state(source.execution, iid)
         store = target.execution_store
-        assert instance_ids(store) == [iid]
+        assert Journal(store).instances() == [iid]
         assert journal_len(store, iid) == len(snapshot["journal"])
         assert check_journal_integrity(store) == []
         # and it survives a crash of its new home
@@ -154,6 +206,34 @@ class TestSameTreeEveryWayIn:
         target.execution_node.crash()
         target.execution_node.recover()
         assert tree_state(target.execution, iid) == tree_state(source.execution, iid)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda snapshot: snapshot["journal"].__setitem__(1, None),
+            lambda snapshot: snapshot["meta"].__setitem__(
+                "journal_len", snapshot["meta"]["journal_len"] + 3
+            ),
+        ],
+        ids=["a-hole-in-the-journal", "a-journal-len-that-is-not-the-journals"],
+    )
+    def test_import_refuses_a_forged_snapshot_before_anything_is_logged(self, forge):
+        source = WorkflowSystem(workers=2)
+        paper_order.default_registry(registry=source.registry)
+        source.deploy("order", paper_order.SCRIPT_TEXT)
+        iid = source.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        source.run_until_terminal(iid)
+        snapshot = source.execution.export_instance(iid)
+        forge(snapshot)
+
+        target = WorkflowSystem(workers=2)
+        store = target.execution_store
+        keys, logged = list(store.keys()), len(store.wal)
+        with pytest.raises(ExecutionError, match="journal_len"):
+            target.execution.import_instance(snapshot)
+        assert list(store.keys()) == keys and len(store.wal) == logged
+        assert target.execution.runtimes == {}
+        assert check_journal_integrity(store) == []
 
     @pytest.mark.parametrize(
         "point, survives",
@@ -239,7 +319,7 @@ class TestStandbyFoldsBatches:
         system = WorkflowSystem(replicas=3, lease_duration=30.0, repl_interval=5.0)
         paper_order.default_registry(registry=system.registry)
         system.deploy("order", paper_order.SCRIPT_TEXT)
-        applied = {"batches": 0, "resets": 0}
+        applied = {"batches": 0, "resets": 0, "images": 0}
 
         def watch(replica):
             original = replica.replicate
@@ -251,6 +331,17 @@ class TestStandbyFoldsBatches:
                     applied["resets"] += bool(batch["reset"])
                     assert check_store_agreement(replica.store) == []
                     assert check_journal_integrity(replica.store) == []
+                    # the image is the replay: resumed from each runtime's
+                    # cursor, it is what a cold replay of the store builds
+                    for iid, runtime in replica.runtimes.items():
+                        cold = replica._replay(iid)
+                        if runtime.settled:
+                            assert (
+                                runtime.tree.status, runtime.tree.root.machine.outcome
+                            ) == (cold.tree.status, cold.tree.root.machine.outcome)
+                        else:
+                            assert image_state(runtime) == image_state(cold)
+                            applied["images"] += 1
                 return reply
 
             replica.replicate = replicate
@@ -291,6 +382,7 @@ class TestStandbyFoldsBatches:
         system.clock.advance(20.0)
         assert applied["resets"] > bootstrap_resets
         assert applied["batches"] > 10
+        assert applied["images"] > 10
         new_primary = system.primary_execution()
         assert new_primary is not primary
         for replica in system.execution_replicas[1:]:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.errors import ExecutionError
 from repro.services import WorkflowSystem
-from repro.services.execution import script_digest
+from repro.services.journal import script_digest
 from repro.sim.oracles import check_journal_integrity
 from repro.workloads import paper_order
 

@@ -13,6 +13,7 @@ from repro.engine import plan as plan_mod
 from repro.engine.plan import compile_plan
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
+from repro.services.journal import script_digest
 from repro.sim import oracles
 from repro.workloads import chain, fan, paper_order, script_text
 
@@ -192,7 +193,7 @@ class TestPerScriptFacts:
         compiled = execution_mod._compiled(paper_order.SCRIPT_TEXT)
         assert walks == [compiled.script]
         assert lookups == [paper_order.ROOT_TASK]
-        assert compiled.digest == execution_mod.script_digest(paper_order.SCRIPT_TEXT)
+        assert compiled.digest == script_digest(paper_order.SCRIPT_TEXT)
         assert compiled.has_deadlines is False
 
     def test_reconfiguration_takes_the_new_texts_facts(self):

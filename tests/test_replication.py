@@ -294,7 +294,7 @@ class TestSettledGating:
     def test_journal_error_path_flushes_buffer(self):
         """Satellite regression: an exception raised between buffering a
         journal entry and the next barrier must flush the buffer, not
-        strand it (``_journal_guard``)."""
+        strand it (the error-path flush, ``ExecutionService._record``)."""
         system = replicated_system(replicas=0)
         iid = system.instantiate("order", paper_order.ROOT_TASK,
                                  {"order": "o-1"})
@@ -309,4 +309,4 @@ class TestSettledGating:
             service.reconfigure(iid, "not a script at all {{{")
         meta = service.store.get_committed(f"instance:{iid}:meta")
         assert meta["journal_len"] == before
-        assert not service._jbuf  # the guard drained the batch buffer
+        assert not service.journal.buffer  # the error path drained the buffer

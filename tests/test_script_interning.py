@@ -18,7 +18,7 @@ from repro.core.errors import ExecutionError
 from repro.engine import outcome
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
-from repro.services.execution import instance_ids, script_digest
+from repro.services.journal import Journal, script_digest
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.harness import SimHarness
@@ -119,14 +119,6 @@ class TestOneTextPerVersion:
             )
             assert forced <= CHAIN8_INSTANCE_BYTE_BUDGET < len(text) + forced, forced
 
-    def test_volatile_service_keeps_the_same_spec_shape_without_a_store(self):
-        system, text, root, inputs = chain_system(3, durable=False)
-        service = system.execution
-        iid = system.instantiate("chain", root, inputs)
-        assert service._volatile_scripts == {script_digest(text): text}
-        assert script_keys(system.execution_store) == []
-        assert system.run_until_terminal(iid)["status"] == "completed"
-
 
 class TestVersionBinding:
     def test_each_instance_replays_on_the_text_it_started_with(self):
@@ -205,7 +197,7 @@ class TestFirstUseBatchIsAtomic:
         # it brings the text along exactly when the crash lost it
         iid = system.instantiate("chain", root, inputs)
         assert (key in spec_record(store, iid).value) == (not survives)
-        for each in instance_ids(store):
+        for each in Journal(store).instances():
             assert system.run_until_terminal(each)["status"] == "completed"
         assert script_keys(store) == [key]
 

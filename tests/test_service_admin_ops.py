@@ -54,11 +54,3 @@ class TestCompaction:
         ).arm()
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"
-
-    def test_compact_on_volatile_system_is_noop(self):
-        system = WorkflowSystem(workers=1, durable=False)
-        paper_order.default_registry(registry=system.registry)
-        system.deploy("order", paper_order.SCRIPT_TEXT)
-        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})
-        system.run_until_terminal(iid)
-        assert system.execution_proxy().compact() == 0

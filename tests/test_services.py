@@ -6,6 +6,7 @@ import pytest
 from repro.core.errors import SchemaError, ValidationReport
 from repro.net import FaultPlan, LatencyModel
 from repro.services import WorkflowSystem
+from repro.txn.wal import WriteAheadLog
 from repro.workloads import paper_order, paper_trip
 
 
@@ -13,6 +14,26 @@ def order_system(**kwargs):
     system = WorkflowSystem(**kwargs)
     paper_order.default_registry(registry=system.registry)
     system.deploy("order", paper_order.SCRIPT_TEXT)
+    return system
+
+
+class NeverForcingLog(WriteAheadLog):
+    """The E14 ablation, "remove transactional propagation": a log whose
+    force is a no-op, under the unchanged execution service."""
+
+    def force(self) -> int:
+        return 0
+
+
+def ablated_order_system(**kwargs):
+    """An order system whose execution store never forces its log; a crash
+    of the execution node takes the store's unforced records with it, as the
+    sim harness's crash callback does for every store."""
+    system = order_system(**kwargs)
+    store, node = system.execution_store, system.execution_node
+    store.wal = NeverForcingLog()
+    crash_node = node.crash
+    node.crash = lambda: (store.crash(), crash_node())
     return system
 
 
@@ -211,7 +232,7 @@ class TestFaultTolerance:
         assert after["objects"] == before["objects"]
 
     def test_ablation_durable_false_loses_instance_on_crash(self):
-        system = order_system(workers=2, durable=False)
+        system = ablated_order_system(workers=2)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
         FaultPlan(system.clock).crash_at(
             system.execution_node, when=1.0, down_for=10.0
@@ -220,10 +241,11 @@ class TestFaultTolerance:
         assert result["status"] == "lost"
 
     def test_durable_false_without_crash_still_works(self):
-        system = order_system(workers=2, durable=False)
+        system = ablated_order_system(workers=2)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
         result = system.run_until_terminal(iid)
         assert result["status"] == "completed"
+        assert system.execution_store.wal.durable_length == 0
 
 
 class TestSweeperWorkingSet:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.instrument import IOPATH_STATS
 from repro.services import WorkflowSystem
-from repro.services.execution import instance_ids
+from repro.services.journal import Journal
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, crash_point
 from repro.sim.harness import SimHarness
@@ -48,7 +48,9 @@ def use_reference_writer(service):
     """Make ``service`` journal the way it did before the BATCH record.
 
     ``flush_journal`` below is ``ExecutionService.flush_journal`` of commit
-    b97b348, verbatim (``self`` spelled ``service``): one strict-2PL
+    b97b348, verbatim but for where the buffer lives (``self`` spelled
+    ``service``, ``_jbuf`` of ``(runtime, entry)`` now
+    ``service.journal.buffer`` of ``(iid, entry)``): one strict-2PL
     transaction per barrier — a shared lock and a read for each ``meta``, an
     exclusive lock per written key, ``BEGIN``, one ``UPDATE`` per entry and
     per ``meta``, ``COMMIT``, lock release.  The service's other durable
@@ -58,15 +60,15 @@ def use_reference_writer(service):
     store = service.store
 
     def flush_journal() -> int:
-        if not service._jbuf:
+        journal = service.journal
+        if not journal.buffer:
             service._post_barrier()  # replication still ships any unshipped suffix
             return 0
-        batch, service._jbuf = service._jbuf, []
+        batch, journal.buffer = journal.buffer, []
 
         def body(txn) -> None:
             lens = {}
-            for runtime, entry in batch:
-                iid = runtime.iid
+            for iid, entry in batch:
                 n = lens.get(iid)
                 if n is None:
                     n = txn.read(service.store, f"instance:{iid}:meta")["journal_len"]
@@ -77,7 +79,7 @@ def use_reference_writer(service):
 
         manager.run(body)
         IOPATH_STATS.journal_batches += 1
-        crash_point("exec.journal.post", service)
+        crash_point("exec.journal.post", store)
         service.store.sync()
         service._post_barrier()
         return len(batch)
@@ -147,7 +149,7 @@ class TestSameStateAsThePerRecordWriter:
         store.crash()
         node.crash()
         node.recover()
-        assert instance_ids(store) == iids
+        assert Journal(store).instances() == iids
         assert {iid: service.runtimes[iid].tree.root.machine.outcome for iid in iids} == before
         assert check_journal_integrity(store) == []
         # and the log goes on in the new format, one store holding both
