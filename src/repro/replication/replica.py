@@ -212,16 +212,8 @@ class ReplicatedExecutionService(ExecutionService):
         self._reset_volatile()
         if not self._image_valid:
             # the image ran ahead of the durable store (we were demoted while
-            # primary): rebuild from the local durable journal, like crash
-            # recovery — the _replay path also re-pins surviving flights
+            # primary): rebuild it from the local durable journal
             self._rebuild_image()
-        else:
-            # warm image: flights rebuilt by the standby's incremental replay
-            # are virgin; mark them as redispatches like crash recovery does
-            # (the original target may be what took the old primary down)
-            for runtime in self._live.values():
-                for flight in runtime.in_flight.values():
-                    flight.redispatches += 1
         # In-doubt two-phase participants prepared under the old primary are
         # decided by the replicated coordinator decision log (presumed abort).
         resolve_in_doubt(self.store, self._coordinator_decision)
@@ -237,10 +229,10 @@ class ReplicatedExecutionService(ExecutionService):
         # died with it, so every adopted non-terminal instance counts as
         # admitted and the controller starts this reign unpressured.
         self.admission.rebuild(self._running(), self._now())
-        # the image settled what had finished: only the rest has work to resume
+        # the image settled what had finished; the rest is taken in the way a
+        # crash recovery takes in its replays, warm image or cold rebuild
         for runtime in list(self._live.values()):
-            self._resume_flights(runtime)
-            self._arm_deadlines(runtime)
+            self._adopt(runtime)
         self._arm_sweeper()
         # Take over the public name: clients re-resolve to the new primary.
         self.broker.register(

@@ -1357,19 +1357,17 @@ class ExecutionService(Service):
         return runtime
 
     def _resume_flights(self, runtime: _Runtime) -> None:
-        """Re-send every flight that survived a recovery replay.
+        """Re-send every flight that survived a rebuild — crash recovery,
+        import, warm and cold promotion all come through here.
 
-        The naive version re-sent the whole herd in one burst (each flight
-        was marked a full ``dispatch_timeout`` overdue, so they also all
-        *re*-dispatched on the same later sweep tick).  Each flight instead
-        gets a deterministic jittered offset inside
-        ``policy.recovery_stagger``, spreading the post-recovery load over
-        the window; the jitter key includes the durable fencing epoch so
-        successive recoveries stagger differently.  (The in-memory
-        ``stats["recoveries"]`` counter is wrong for this: it restarts at the
-        same value on a freshly promoted standby, which would make
-        post-failover resends stagger identically to the dead primary's first
-        recovery — the epoch survives both restart and failover.)
+        Whatever is still in flight was unanswered when its coordinator
+        stopped, so each goes out as a *redispatch*: the pin is abandoned
+        (the original target may be what crashed) and the backoff carries on.
+        Not in one burst: each flight gets a deterministic jittered offset
+        inside ``policy.recovery_stagger``; the jitter key includes the
+        durable fencing epoch — which survives both restart and failover, as
+        ``stats["recoveries"]`` does not — so successive recoveries stagger
+        differently.
         """
         policy = self.resilience.policy
         epoch = self.epoch
@@ -1377,6 +1375,7 @@ class ExecutionService(Service):
         # has none of them left to send
         runtime.unsent.clear()
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
+            flight.redispatches += 1
             # a zero ``recovery_stagger`` makes every offset zero
             delay = (
                 0.0
@@ -1434,12 +1433,6 @@ class ExecutionService(Service):
         an unfinished one has its flights re-sent and its deadlines re-armed."""
         self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
         if not self._settle(runtime):
-            # anything still in flight was unanswered when its coordinator
-            # stopped: it is re-dispatched (staggered, see _resume_flights)
-            # with the pin already abandoned — the original target may be
-            # what crashed
-            for flight in runtime.in_flight.values():
-                flight.redispatches += 1
             self._resume_flights(runtime)
             self._arm_deadlines(runtime)
 

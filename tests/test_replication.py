@@ -252,6 +252,51 @@ class TestFailover:
         stores = [r.store for r in system.execution_replicas]
         assert oracles.check_epoch_fencing(stores) == []
 
+    @pytest.mark.parametrize("rebuild", ["crash-recovery", "cold-re-promotion"])
+    def test_a_flight_that_survived_a_rebuild_is_a_redispatch(self, rebuild):
+        """A pinned flight still unanswered when its coordinator stopped goes
+        out again off the pin and with its backoff carried on, whichever
+        rebuild it survived: (a) crash + recovery, (b) demotion and the cold
+        image rebuild of the re-promotion (which used to resend it on the
+        pin, as a first dispatch)."""
+        from repro.core.builder import ScriptBuilder, from_input, from_output
+        from repro.engine import outcome
+        from repro.lang import format_script
+
+        b = ScriptBuilder()
+        b.object_class("Data")
+        b.taskclass("T").input_set("main").outcome("ok", out="Data")
+        b.taskclass("Root").input_set("main").outcome("done", out="Data")
+        c = b.compound("wf", "Root")
+        c.task("only", "T").implementation(code="impl", location="worker-2").notify(
+            "main", from_input("wf", "main")
+        ).up()
+        c.output("done").object("out", from_output("only", "ok", "out")).up()
+        c.up()
+        system = WorkflowSystem(replicas=1, lease_duration=30, repl_interval=5)
+        system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
+        system.deploy("p", format_script(b.build()))
+        system.worker_nodes[1].crash()  # the pin: the flight stays unanswered
+        iid = system.instantiate("p", "wf", {})
+        service = system.execution
+        if rebuild == "crash-recovery":
+            system.execution_node.crash()
+            system.execution_node.recover()
+        else:
+            service._demote_self("regression test")
+        system.clock.advance(6)  # the lease is re-acquired at the next tick
+        assert service.is_primary()
+        flights = service.runtimes[iid].in_flight
+        assert {key: flight.redispatches for key, flight in flights.items()} == {
+            ("wf/only", 1): 1
+        }
+        # the resend (staggered) abandons the pin: the instance completes
+        # on the other worker while the pinned one is still down
+        assert self._run_to_terminal(system, iid)["status"] == "completed"
+        kinds = [event.kind for event in service.rlog.for_instance(iid)]
+        assert kinds.count("dispatch") == 1 and kinds.count("redispatch") == 1
+        assert system.workers[0].executed and not system.workers[1].executed
+
     def test_instantiate_rides_out_failover(self):
         system = replicated_system(replicas=2)
         system.clock.advance(6.0)
