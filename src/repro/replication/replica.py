@@ -9,7 +9,9 @@ them, and incrementally maintains a *warm image* — fully replayed instance
 trees, ready to dispatch, for the unsettled instances and the primary's own
 summary for the settled ones (``ExecutionService._settle``: a standby sheds a
 finished tree by the same rule) — so promotion is an epoch adoption plus a
-resend, not a cold replay, and a standby's memory follows what is live.
+resend, not a cold replay, and a standby's memory follows what is live.  The
+image is not a second replay kept in step with recovery's: each batch
+resumes the service's one ``_replay`` from the image's own cursor.
 
 Safety invariants, in the order they are enforced:
 
@@ -30,7 +32,8 @@ Promotion replays nothing in the common case: the standby adopts the grant's
 epoch, resolves in-doubt two-phase participants against the replicated
 coordinator decision log (``txn/recovery.py``), re-arms deadlines with their
 journaled *remaining* time, and resumes surviving flights through the
-recovery stagger — the same code path as single-node crash recovery.
+recovery stagger, as redispatches — each unsettled image is taken in through
+``_adopt``, the same code path as single-node crash recovery.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ Coordinates workflow instances with the paper's system-level guarantees:
   its redispatch cap is abandoned into an ordinary system failure.
 * **Automatic retries** of tasks that fail for system-level reasons, with the
   retry budget from the task's ``retries`` implementation property (§3).
-
-Experiment E14's ablation ("remove transactional propagation") is this same
-code over a log that never forces.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.schema import Script, TaskClass
-from ..core.values import ObjectRef
 from ..engine.events import WorkflowStatus
 from ..engine.instance import InstanceTree, SettledTree
 from ..engine.plan import ExecutionPlan, compile_plan
@@ -135,8 +131,7 @@ class _Runtime:
         # introduce deadlines)
         self.has_deadlines = True
         self.journal_keys: Set[Tuple] = set()
-        # how many entries of the instance's journal this runtime reflects:
-        # where _journal appends and where _replay resumes
+        # journal entries reflected so far: _journal appends, _replay resumes here
         self.cursor = 0
         # flights built by _drain and not yet handed to _send, in build order
         self.unsent: List[Tuple[Tuple[str, int], _InFlight]] = []
@@ -322,8 +317,7 @@ class ExecutionService(Service):
         self.runtimes = {}
         self._live = {}
         self._reset_volatile()
-        # the sweep chain and the flush timer died with the crash
-        self._sweep_armed = self._jflush_armed = False
+        self._sweep_armed = self._jflush_armed = False  # timers died with the crash
         for iid in self.journal.instances():
             runtime = self._replay(iid)
             if runtime is not None:
@@ -338,9 +332,9 @@ class ExecutionService(Service):
 
     def _reset_volatile(self) -> None:
         """Forget what does not outlive a process or a reign: what the fleet
-        was observed to do, and the journal entries still buffered — they
-        died like the volatile tree state they described; the durable
-        journal is truth."""
+        was observed to do, and the journal entries still buffered, as
+        volatile as the tree state they described — the durable journal is
+        truth."""
         self.health.reset()
         self._pending_acks.clear()
         self.journal.discard()
@@ -1203,23 +1197,19 @@ class ExecutionService(Service):
             # _full_runtime handed out): that runtime is the instance now
             self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
         runtime.cursor += 1
-        # buffered: becomes durable at the next barrier (flush_journal).  The
-        # buffer is as volatile as the runtime, so a crash loses them
-        # together — redelivered replies simply journal again after recovery.
-        self.journal.append(runtime.iid, entry)
+        self.journal.append(runtime.iid, entry)  # durable at the next barrier
         self._arm_journal_window()
 
     def _record(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
         """Journal ``entry``, apply it, dispatch what it made ready.
 
-        An exception between buffering an entry and the next durability
-        barrier must not strand the buffer: the tree has already applied the
-        entry, so losing it would let the in-memory state run ahead of the
-        durable journal for up to ``journal_window``.  Flushing on the error
-        path closes that gap — here and wherever else a handler journals.
-        ``SimulatedCrash`` is a BaseException and is deliberately *not*
-        caught: a machine crash loses the buffer together with the volatile
-        tree state it described, which is the modelled semantics."""
+        An exception between buffering an entry and the next barrier must
+        not strand the buffer: the tree has applied the entry, so the
+        in-memory state would run ahead of the durable journal for up to
+        ``journal_window``.  Hence the flush on the error path, here and
+        wherever else a handler journals.  ``SimulatedCrash`` is a
+        BaseException and deliberately *not* caught: a machine crash loses
+        the buffer together with the volatile tree state it described."""
         try:
             self._journal(runtime, entry)
             self._apply_entry(runtime, entry)
@@ -1306,10 +1296,9 @@ class ExecutionService(Service):
             return
         path = entry["path"]
         if kind != "mark":
-            # result / failure / external answer a flight.  Through
-            # _resolve_flight: workers still carrying its wave are parked in
-            # _pending_acks, so their late replies keep feeding the health
-            # registry (a plain pop for a flight a replay never sent)
+            # result / failure / external answer a flight: workers still
+            # carrying its wave are parked in _pending_acks, their late replies
+            # keep feeding health (a plain pop for a flight a replay never sent)
             flight_key = (path, entry["exec"])
             self._resolve_flight(runtime, flight_key)
             if kind == "external":
