@@ -337,7 +337,7 @@ class ExecutionService(Service):
         truth."""
         self.health.reset()
         self._pending_acks.clear()
-        self.journal.discard()
+        self.journal.buffer.clear()
 
     def _advance_epoch(self) -> int:
         """Durably advance the fencing epoch for this incarnation.
@@ -1094,6 +1094,11 @@ class ExecutionService(Service):
         exec_index = reply["execution_index"]
         flight_key = (path, exec_index)
         self._credit_reply(runtime, flight_key, reply)
+        # A settled instance is closed: every flight it ever sent is answered
+        # in its journal, so whatever still arrives for it is a duplicate.
+        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
+            self.stats["duplicate_replies"] += 1
+            return
         if not reply.get("ok"):
             kind, body = "failure", {"error": reply.get("error", "unknown")}
         elif reply.get("external"):
@@ -1103,11 +1108,6 @@ class ExecutionService(Service):
         else:
             kind, body = "result", {"result": reply["result"]}
         entry = {"type": kind, "path": path, "exec": exec_index, **body}
-        # A settled instance is closed: every flight it ever sent is answered
-        # in its journal, so whatever still arrives for it is a duplicate.
-        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
-            self.stats["duplicate_replies"] += 1
-            return
         try:
             # marks carried in the reply (the datagram copies may have been lost)
             for mark in reply.get("marks", ()):

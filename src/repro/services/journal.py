@@ -186,11 +186,6 @@ class Journal:
         store.sync()
         return len(batch)
 
-    def discard(self) -> None:
-        """Forget the buffered entries: they died with the process, or with
-        the reign that journaled them."""
-        self.buffer.clear()
-
     def pending(self, iid: str) -> bool:
         """Whether an entry of ``iid`` is still buffered."""
         return any(buffered == iid for buffered, _entry in self.buffer)
