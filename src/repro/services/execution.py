@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.schema import Script, TaskClass
@@ -666,8 +666,10 @@ class ExecutionService(Service):
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
             # terminal state can be observed between events (see the
-            # durability oracle) — flush inside the same event that applied it
-            self.flush_journal()
+            # durability oracle) — flush inside the same event that applied it.
+            # With no flight out nothing can happen to the instance that this
+            # barrier does not make durable: its record closes the journal.
+            self.flush_journal(() if runtime.in_flight else (runtime.iid,))
             # the terminal instance's window slot frees up: promote queued work
             self.admission.forget(runtime.iid)  # terminal while still queued
             self.admission.release(runtime.iid, self._now())
@@ -694,7 +696,9 @@ class ExecutionService(Service):
         except Exception:
             self.flush_journal()  # see _record
             raise
-        self.flush_journal()  # terminal outcome: durable before observable
+        # terminal outcome: durable before observable — and nothing was ever
+        # sent, so the same record closes the journal
+        self.flush_journal((runtime.iid,))
 
     def _promote_ready(self) -> None:
         """Dispatch queued instances into freed window slots.
@@ -1232,7 +1236,7 @@ class ExecutionService(Service):
             self.flush_journal()
             raise
 
-    def flush_journal(self) -> int:
+    def flush_journal(self, closed: Collection[str] = ()) -> int:
         """Durability barrier: commit every buffered journal entry
         (:meth:`Journal.commit <repro.services.journal.Journal.commit>`: one
         WAL record, one force, one fsync), then let replication ship the
@@ -1241,8 +1245,9 @@ class ExecutionService(Service):
         operation, and at the latest ``journal_window`` simulated seconds
         after the first buffered entry; recovery, replay and exactly-once
         dedup are as if each entry were committed as it is produced.
-        Returns the number of entries made durable."""
-        flushed = self.journal.commit() if self.journal.buffer else 0
+        ``closed`` names the instances the barrier leaves terminal with no
+        flight out.  Returns the number of entries made durable."""
+        flushed = self.journal.commit(closed) if self.journal.buffer else 0
         self._post_barrier()  # even when empty: any unshipped suffix goes out
         return flushed
 

@@ -29,7 +29,7 @@ next — changes in this file alone.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
@@ -162,12 +162,19 @@ class Journal:
         crash_point("exec.journal.pre", self.store)
         self.buffer.append((iid, entry))
 
-    def commit(self) -> int:
+    def commit(self, closed: Collection[str] = ()) -> int:
         """Make every buffered entry durable — the entries and each touched
-        instance's ``journal_len``, one WAL record, one force — then drain
-        the WAL's group-commit window.  The record is all-or-nothing (a torn
-        force drops it whole), so recovery sees a contiguous journal either
-        way.  Returns the number of entries committed."""
+        instance's ``meta``, one WAL record, one force — then drain the WAL's
+        group-commit window.  The record is all-or-nothing (a torn force
+        drops it whole), so recovery sees a contiguous journal either way.
+
+        ``closed`` names the instances this barrier leaves terminal with no
+        flight out: those among the touched get the ``closed`` mark beside
+        the length their last entry advanced — in the same record, so the
+        mark and the entry that earned it are durable or lost together.
+        Every other touched instance has its ``meta`` written without it,
+        which is how a later write reopens one.  Returns the number of
+        entries committed."""
         batch, self.buffer = self.buffer, []
         store = self.store
         writes: Dict[str, Any] = {}
@@ -179,7 +186,10 @@ class Journal:
             writes[f"instance:{iid}:journal:{n}"] = entry
             lens[iid] = n + 1
         for iid, n in lens.items():
-            writes[f"instance:{iid}:meta"] = {"journal_len": n}
+            writes[f"instance:{iid}:meta"] = (
+                {"journal_len": n, "closed": True} if iid in closed
+                else {"journal_len": n}
+            )
         store.commit_batch(writes)
         IOPATH_STATS.journal_batches += 1
         crash_point("exec.journal.post", store)

@@ -105,15 +105,24 @@ class TestLayout:
         system, root, inputs = chain_system(4)
         store = system.execution_store
         iid = system.instantiate("chain", root, inputs)
+        assert store.get_committed(f"instance:{iid}:meta") == {"journal_len": 0}
         system.run_until_terminal(iid)
         spec = store.get_committed(f"instance:{iid}:spec")
         assert set(spec) == {"script", "root_task", "input_set", "inputs"}
         text = script_text(chain(4))
         assert spec["script"] == script_digest(text)
         assert store.get_committed(f"script:{spec['script']}") == text
+        # only the length while the instance runs; the barrier that ended it
+        # wrote the mark beside the length, in the deciding entry's record
         assert store.get_committed(f"instance:{iid}:meta") == {
-            "journal_len": journal_len(store, iid)
+            "journal_len": journal_len(store, iid), "closed": True,
         }
+        last = f"instance:{iid}:journal:{journal_len(store, iid) - 1}"
+        closing = [
+            record.value for record in store.wal.durable_records() if last in record.value
+        ]
+        assert len(closing) == 1
+        assert closing[0][f"instance:{iid}:meta"]["closed"] is True
         spec_writes = [
             record for record in store.wal.durable_records()
             if record.kind == BATCH and f"instance:{iid}:spec" in record.value

@@ -44,8 +44,10 @@ from repro.workloads import fan, paper_order, script_text
 # -- the reference: the per-record writer BATCH replaced ---------------------------
 
 
-def use_reference_writer(service):
-    """Make ``service`` journal the way it did before the BATCH record.
+def use_reference_writer(service, marks=False):
+    """Make ``service`` journal the way it did before the BATCH record —
+    and, unless ``marks``, before the ``closed`` mark: a log written by any
+    earlier version of the service.
 
     ``flush_journal`` below is ``ExecutionService.flush_journal`` of commit
     b97b348, verbatim but for where the buffer lives (``self`` spelled
@@ -59,7 +61,7 @@ def use_reference_writer(service):
     manager = TransactionManager(f"{service.name}-tm")
     store = service.store
 
-    def flush_journal() -> int:
+    def flush_journal(closed=()) -> int:
         journal = service.journal
         if not journal.buffer:
             service._post_barrier()  # replication still ships any unshipped suffix
@@ -75,7 +77,10 @@ def use_reference_writer(service):
                 txn.write(service.store, f"instance:{iid}:journal:{n}", entry)
                 lens[iid] = n + 1
             for iid, n in lens.items():
-                txn.write(service.store, f"instance:{iid}:meta", {"journal_len": n})
+                meta = {"journal_len": n}
+                if marks and iid in closed:
+                    meta["closed"] = True
+                txn.write(service.store, f"instance:{iid}:meta", meta)
 
         manager.run(body)
         IOPATH_STATS.journal_batches += 1
@@ -95,14 +100,14 @@ def use_reference_writer(service):
     store.commit_batch = commit_batch
 
 
-def run_fans(width, instances, seed, *, reference=False):
+def run_fans(width, instances, seed, *, reference=False, marks=False):
     """``instances`` concurrent fan(width) instances to completion, so that
     journal batches mix entries of several instances."""
     workload = fan(width)
     _script, registry, root, inputs = workload
     system = WorkflowSystem(workers=3, seed=seed, registry=registry)
     if reference:
-        use_reference_writer(system.execution)
+        use_reference_writer(system.execution, marks)
         # the service's start already logged its epoch: wipe and start over,
         # so that the whole log is the reference writer's
         system.execution_store.wal.reset()
@@ -126,7 +131,9 @@ class TestSameStateAsThePerRecordWriter:
     )
     def test_both_writers_replay_to_the_same_state_key_for_key(self, width, instances, seed):
         batched, iids = run_fans(width, instances, seed)
-        reference, reference_iids = run_fans(width, instances, seed, reference=True)
+        reference, reference_iids = run_fans(
+            width, instances, seed, reference=True, marks=True
+        )
         assert iids == reference_iids
         new, old = batched.execution_store, reference.execution_store
         assert kinds(new) == {w.BATCH}
