@@ -4,14 +4,11 @@ A :class:`ReplicatedExecutionService` is an ordinary
 :class:`~repro.services.execution.ExecutionService` plus a role.  The
 **primary** (current lease holder) serves clients and, after every durability
 barrier, ships the newly durable suffix of its WAL to each standby over the
-ORB.  A **standby** appends the shipped records to its own stable log, forces
-them, and incrementally maintains a *warm image* — fully replayed instance
-trees, ready to dispatch, for the unsettled instances and the primary's own
-summary for the settled ones (``ExecutionService._settle``: a standby sheds a
-finished tree by the same rule) — so promotion is an epoch adoption plus a
-resend, not a cold replay, and a standby's memory follows what is live.  The
-image is not a second replay kept in step with recovery's: each batch
-resumes the service's one ``_replay`` from the image's own cursor.
+ORB.  A **standby** is a log follower and nothing more: it appends the
+shipped records to its own stable log, forces them, folds them into its
+store and acks.  It executes nothing and holds no runtime: the paper keeps
+dependencies "in persistent atomic objects" so that whoever holds the
+objects can carry on, and holding them is a standby's whole job.
 
 Safety invariants, in the order they are enforced:
 
@@ -28,18 +25,19 @@ Safety invariants, in the order they are enforced:
   full resync: anything the old primary journaled beyond the last replicated
   barrier was, by demote-before-ack, never acknowledged to anyone.
 
-Promotion replays nothing in the common case: the standby adopts the grant's
-epoch, resolves in-doubt two-phase participants against the replicated
-coordinator decision log (``txn/recovery.py``), re-arms deadlines with their
-journaled *remaining* time, and resumes surviving flights through the
-recovery stagger, as redispatches — each unsettled image is taken in through
-``_adopt``, the same code path as single-node crash recovery.
+Promotion *is* crash recovery's rebuild over the standby's own store: adopt
+the grant's epoch, resolve in-doubt two-phase participants against the
+replicated coordinator decision log (``txn/recovery.py``), then
+``ExecutionService._rebuild`` — closed instances are taken in by key, open
+ones replayed, their deadlines re-armed with the journaled *remaining* time
+and their surviving flights resumed, staggered, as redispatches.  Its cost
+is bounded by what was running, not by the store's history.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
@@ -71,8 +69,8 @@ def _wire(record: LogRecord) -> Tuple[str, Optional[Tuple[int, str]], Optional[s
 
 
 class ReplicatedExecutionService(ExecutionService):
-    """Execution service replica: primary when holding the lease, warm
-    standby otherwise."""
+    """Execution service replica: primary when holding the lease, a
+    follower of the primary's log otherwise."""
 
     def __init__(
         self,
@@ -107,9 +105,6 @@ class ReplicatedExecutionService(ExecutionService):
         # not one per barrier.
         self._ship_paused: Set[str] = set()
         self._shipping = False
-        # Standby-side: whether the warm image matches the local durable store
-        # (False after a demotion, when the image ran ahead of replication).
-        self._image_valid = False
         self._tick_armed = False
         self.repl_stats = {
             "pushes": 0,
@@ -140,14 +135,15 @@ class ReplicatedExecutionService(ExecutionService):
         self._reset_volatile()
         # the sweep chain, the flush timer and the tick died with the crash
         self._sweep_armed = self._jflush_armed = self._tick_armed = False
-        self._rebuild_image()
-        crash_point("exec.recover.replayed", self)
+        self._max_epoch_seen = max(self._max_epoch_seen, self._tail()["epoch"])
+        crash_point("exec.recover.replayed", self)  # a standby rebuilds when it is promoted
         self._try_acquire()
         self._arm_tick()
 
     def _reset_volatile(self) -> None:
-        """Also what a primary knew of its peers: a new reign starts every
-        peer from a full resync."""
+        """Also what a primary knew of its peers (a new reign resyncs them
+        all).  Every way into the standby role comes through here: a standby
+        holds no runtime."""
         super()._reset_volatile()
         self._standby_acked = {}
         self._ship_paused = set()
@@ -213,10 +209,6 @@ class ReplicatedExecutionService(ExecutionService):
         # not the sweep and flush timers: a re-promoted primary's chains may
         # still be alive
         self._reset_volatile()
-        if not self._image_valid:
-            # the image ran ahead of the durable store (we were demoted while
-            # primary): rebuild it from the local durable journal
-            self._rebuild_image()
         # In-doubt two-phase participants prepared under the old primary are
         # decided by the replicated coordinator decision log (presumed abort).
         resolve_in_doubt(self.store, self._coordinator_decision)
@@ -228,14 +220,7 @@ class ReplicatedExecutionService(ExecutionService):
         # promotion recovers into the same epoch lineage.
         self.store.commit_batch(self._tail_write(self.store.wal.last_durable_lsn, self.epoch))
         self.store.sync()
-        # Admission state never crosses a failover: the old primary's queue
-        # died with it, so every adopted non-terminal instance counts as
-        # admitted and the controller starts this reign unpressured.
-        self.admission.rebuild(self._running(), self._now())
-        # the image settled what had finished; the rest is taken in the way a
-        # crash recovery takes in its replays, warm image or cold rebuild
-        for runtime in list(self._live.values()):
-            self._adopt(runtime)
+        self._rebuild()  # what a crash recovery does with its store, over ours
         self._arm_sweeper()
         # Take over the public name: clients re-resolve to the new primary.
         self.broker.register(
@@ -258,7 +243,6 @@ class ReplicatedExecutionService(ExecutionService):
         # still-buffered entries dropped here — was never acknowledged; the
         # next resync from the rightful primary discards it wholesale.
         self._reset_volatile()
-        self._image_valid = False
 
     def _demote_peer(self, peer: str) -> None:
         """A push to ``peer`` failed.  An ISR member must be demoted at the
@@ -463,12 +447,16 @@ class ReplicatedExecutionService(ExecutionService):
         # cursor, so the primary re-ships idempotently.
         crash_point("repl.tail.apply", self)
         if batch.get("reset"):
-            self._local_reset()
+            # full resync: wipe local stable storage, a standby's whole state
+            self.repl_stats["resyncs"] += 1
+            self.store.wal.reset()
+            self.store.crash()  # rebuild cache/locks from the (now empty) log
         # Fold the batch alone into the committed cache: its cost is its own
         # length, not the log's.  A full replay of the local log would end in
         # the same cache (the store-agreement oracle holds us to that).  Our
         # tail is the *last* record of the same force: torn, it loses the tail
         # but no record the tail names, and the re-ship replays identically.
+        # The ack follows that force: no entry is applied to anything here.
         shipped = [
             (
                 kind,
@@ -479,49 +467,9 @@ class ReplicatedExecutionService(ExecutionService):
             for kind, txn, obj, value in batch["records"]
         ]
         shipped.append((BATCH, None, None, self._tail_write(batch["last_lsn"], epoch)))
-        self._refresh_image(self.journal.touched(self.store.ingest(shipped)))
-        self._image_valid = True
+        self.store.ingest(shipped)
         self.repl_stats["tail_applies"] += 1
         return {"ok": True, "have": batch["last_lsn"]}
-
-    def _local_reset(self) -> None:
-        """Full resync: wipe local stable storage and the warm image."""
-        self.repl_stats["resyncs"] += 1
-        self.store.wal.reset()
-        self.store.crash()  # rebuild cache/locks from the (now empty) log
-        self.runtimes = {}
-        self._live = {}
-
-    # -- warm image ---------------------------------------------------------------
-
-    def _refresh_image(self, iids: Iterable[str]) -> None:
-        """Bring the ready-to-promote image of instances ``iids`` up to the
-        local durable journal.
-
-        Incremental: each image resumes the service's one replay
-        (``_replay``) from its own cursor — so the image is, at every
-        barrier, exactly the tree a recovery replay would build.  A spec
-        names its script by digest; the text is in the local store by then,
-        shipped in the same record as the first spec that named it or inside
-        the checkpoint a resync starts from.  Standbys never dispatch:
-        flights accumulate in ``in_flight`` unsent until promotion resumes
-        them.  An instance whose replay ends settled sheds its tree like the
-        primary's does (``_settle``); should the primary write to it again,
-        its image restarts from entry 0."""
-        for iid in iids:
-            runtime = self._replay(iid, self._live.get(iid))
-            if runtime is not None:
-                self.runtimes[iid] = self._live[iid] = runtime
-                self._settle(runtime)
-
-    def _rebuild_image(self) -> None:
-        """Cold rebuild of the warm image from local durable state."""
-        self.runtimes = {}
-        self._live = {}
-        tail = self._tail()
-        self._max_epoch_seen = max(self._max_epoch_seen, tail["epoch"])
-        self._refresh_image(self.journal.instances())
-        self._image_valid = True
 
     # -- settlement ----------------------------------------------------------------
 
@@ -589,8 +537,7 @@ class ReplicatedExecutionService(ExecutionService):
             "isr": list(self.isr),
             "acked": dict(self._standby_acked),
             "tail": self._tail(),
-            "image_valid": self._image_valid,
-            "instances": sorted(self.runtimes),
+            "instances": sorted(self.journal.instances()),
             "settled": self.replication_settled(),
             "stats": dict(self.repl_stats),
         }

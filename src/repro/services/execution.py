@@ -16,12 +16,13 @@ Coordinates workflow instances with the paper's system-level guarantees:
   its dedup key, the flight it answers, the parked set, the tree — is
   :meth:`ExecutionService._apply_entry` and nothing else: the live handlers
   journal an entry and apply it, and :meth:`ExecutionService._replay` applies
-  the stored ones from a runtime's own cursor, for crash recovery, import,
-  detail views, the replay-agreement oracle and a standby's warm image alike.
+  the stored ones to a fresh tree, for crash recovery, a standby's
+  promotion, import, detail views and the oracles alike.
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
-  instance's journal over a fresh tree; because scheduling is deterministic,
-  the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
-  tasks are re-dispatched.
+  open instance's journal over a fresh tree; because scheduling is
+  deterministic, the rebuilt tree reaches exactly the pre-crash state, and
+  still-unfinished tasks are re-dispatched.  An instance the journal marks
+  *closed* is not replayed: recovery is bounded by what was running.
 * **Derived state is restored, not kept.**  A *settled* instance — terminal,
   journal flushed, no flight out (:meth:`ExecutionService._settle`) — sheds
   its tree, event bodies, dedup keys and counters and stays in ``runtimes``
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.schema import Script, TaskClass
@@ -117,7 +118,7 @@ class _Runtime:
 
     __slots__ = (
         "iid", "script", "tree", "in_flight", "external", "has_deadlines",
-        "journal_keys", "cursor", "unsent", "armed_deadlines",
+        "journal_keys", "unsent", "armed_deadlines",
         "deadline_expiries", "exec_counter", "live_exec",
     )
 
@@ -131,8 +132,6 @@ class _Runtime:
         # introduce deadlines)
         self.has_deadlines = True
         self.journal_keys: Set[Tuple] = set()
-        # journal entries reflected so far: _journal appends, _replay resumes here
-        self.cursor = 0
         # flights built by _drain and not yet handed to _send, in build order
         self.unsent: List[Tuple[Tuple[str, int], _InFlight]] = []
         self.armed_deadlines: Set[Tuple[str, int]] = set()
@@ -154,10 +153,29 @@ class _Runtime:
         timer closure still holding this runtime holds the summary too."""
         self.tree = self.tree.shed()
         del (
-            self.journal_keys, self.cursor, self.unsent,
+            self.journal_keys, self.unsent,
             self.armed_deadlines, self.deadline_expiries,
             self.exec_counter, self.live_exec,
         )
+
+
+class _ClosedRuntime(_Runtime):
+    """A closed instance as a rebuild finds it: settled, nothing out, its
+    summary — ``restore(iid)``: a replay's shed ``tree``, ``external`` — unread.
+    Its own class, so that a live runtime's attribute reads stay slot reads."""
+
+    __slots__ = ("restore",)
+    settled = True
+
+    def __init__(self, iid: str, restore: Callable[[str], Tuple[SettledTree, Set]]) -> None:
+        self.iid, self.in_flight, self.restore = iid, {}, restore
+
+    def __getattr__(self, name: str) -> Any:
+        # only an unset slot comes here: the summary's first read restores it
+        if name not in ("tree", "external"):
+            raise AttributeError(name)
+        self.tree, self.external = self.restore(self.iid)
+        return getattr(self, name)
 
 
 @dataclass
@@ -314,30 +332,38 @@ class ExecutionService(Service):
         self.stats["recoveries"] += 1
         crash_point("exec.recover.pre", self)
         self.epoch = self._advance_epoch()
-        self.runtimes = {}
-        self._live = {}
         self._reset_volatile()
         self._sweep_armed = self._jflush_armed = False  # timers died with the crash
-        for iid in self.journal.instances():
-            runtime = self._replay(iid)
-            if runtime is not None:
-                self._adopt(runtime)
-        # Admission state is volatile: the queue died with the process, so
-        # every rebuilt non-terminal instance counts as admitted (its journal
-        # is durable work the service must finish — _resume_flights already
-        # re-sent it, staggered) and the controller restarts unpressured.
-        self.admission.rebuild(self._running(), self._now())
+        self._rebuild()
         crash_point("exec.recover.replayed", self)
         self._arm_sweeper()
 
     def _reset_volatile(self) -> None:
-        """Forget what does not outlive a process or a reign: what the fleet
-        was observed to do, and the journal entries still buffered, as
-        volatile as the tree state they described — the durable journal is
-        truth."""
+        """Forget what does not outlive a process or a reign: every runtime,
+        what the fleet was observed to do, and the journal entries still
+        buffered, as volatile as the tree state they described — the durable
+        journal is truth."""
+        self.runtimes = {}
+        self._live = {}
         self.health.reset()
         self._pending_acks.clear()
         self.journal.buffer.clear()
+
+    def _rebuild(self) -> None:
+        """Take in every instance of the store — what a crash recovery and a
+        standby's promotion both are.  A closed one costs its key (its summary
+        waits for a reader), an open one a replay: bounded by what was running."""
+        for iid in self.journal.instances():
+            if not self.is_primary():
+                return  # the barrier of a resend deposed us: a standby holds nothing
+            if self.journal.closed(iid):
+                self.runtimes[iid] = _ClosedRuntime(iid, self._summary)
+            else:
+                self._adopt(self._replay(iid))
+        # Admission state is volatile: the queue died with the process or the
+        # old primary, so every rebuilt non-terminal instance counts as admitted
+        # (durable work, already re-sent) and the controller restarts unpressured.
+        self.admission.rebuild(self._running(), self._now())
 
     def _advance_epoch(self) -> int:
         """Durably advance the fencing epoch for this incarnation.
@@ -666,9 +692,8 @@ class ExecutionService(Service):
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
             # terminal state can be observed between events (see the
-            # durability oracle) — flush inside the same event that applied it.
-            # With no flight out nothing can happen to the instance that this
-            # barrier does not make durable: its record closes the journal.
+            # durability oracle) — flush inside the same event that applied it;
+            # with no flight out, the same record closes the journal
             self.flush_journal(() if runtime.in_flight else (runtime.iid,))
             # the terminal instance's window slot frees up: promote queued work
             self.admission.forget(runtime.iid)  # terminal while still queued
@@ -696,8 +721,7 @@ class ExecutionService(Service):
         except Exception:
             self.flush_journal()  # see _record
             raise
-        # terminal outcome: durable before observable — and nothing was ever
-        # sent, so the same record closes the journal
+        # terminal outcome, nothing ever sent: durable before observable, closed
         self.flush_journal((runtime.iid,))
 
     def _promote_ready(self) -> None:
@@ -776,10 +800,8 @@ class ExecutionService(Service):
                 path=node.path,
                 count=runtime.exec_counter.get(node.path, 0),
             ) -> None:
-                if not self.is_primary():
-                    return  # demoted: the new primary re-arms from its journal
                 if runtime is not self.runtimes.get(runtime.iid):
-                    return  # superseded by a recovery replay
+                    return  # superseded by a rebuild, or dropped at a demotion
                 if runtime.tree.status.value != "running":
                     return
                 try:
@@ -1200,7 +1222,6 @@ class ExecutionService(Service):
             # a settled instance is written to again (through the runtime
             # _full_runtime handed out): that runtime is the instance now
             self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        runtime.cursor += 1
         self.journal.append(runtime.iid, entry)  # durable at the next barrier
         self._arm_journal_window()
 
@@ -1245,8 +1266,8 @@ class ExecutionService(Service):
         operation, and at the latest ``journal_window`` simulated seconds
         after the first buffered entry; recovery, replay and exactly-once
         dedup are as if each entry were committed as it is produced.
-        ``closed`` names the instances the barrier leaves terminal with no
-        flight out.  Returns the number of entries made durable."""
+        ``closed``: the instances the barrier leaves terminal with no flight
+        out.  Returns the number of entries made durable."""
         flushed = self.journal.commit(closed) if self.journal.buffer else 0
         self._post_barrier()  # even when empty: any unshipped suffix goes out
         return flushed
@@ -1330,29 +1351,26 @@ class ExecutionService(Service):
 
     # -- recovery -----------------------------------------------------------------------------------
 
-    def _replay(self, iid: str, runtime: Optional[_Runtime] = None) -> Optional[_Runtime]:
-        """Bring ``runtime`` — a fresh one on ``iid``'s stored spec when none
-        is given, ``None`` when the store holds no such instance — up to the
-        stored journal, from the runtime's own cursor.  The only replay:
-        crash recovery, import, a settled instance's detail view and the
-        replay-agreement oracle start fresh; a standby's image resumes."""
-        if runtime is None:
-            spec = self.journal.spec(iid)
-            if spec is None:
-                return None
-            runtime = self._fresh_runtime(iid, spec)
-        for entry in self.journal.entries(iid, runtime.cursor):
+    def _replay(self, iid: str) -> Optional[_Runtime]:
+        """A fresh runtime on ``iid``'s stored spec, brought up to its stored
+        journal; ``None`` when the store holds no such instance.  The only
+        replay: a rebuild's open instances, import, a settled instance's
+        summary or detail view and the oracles."""
+        spec = self.journal.spec(iid)
+        if spec is None:
+            return None
+        runtime = self._fresh_runtime(iid, spec)
+        for entry in self.journal.entries(iid):
             if entry is None:
                 break
             self._apply_entry(runtime, entry)
-            runtime.cursor += 1
             self._drain(runtime)
-            runtime.unsent.clear()  # a replay's flights go out by _resume_flights
+        runtime.unsent.clear()  # a replay's flights go out by _resume_flights
         return runtime
 
     def _resume_flights(self, runtime: _Runtime) -> None:
         """Re-send every flight that survived a rebuild — crash recovery,
-        import, warm and cold promotion all come through here.
+        promotion and import all come through here.
 
         Whatever is still in flight was unanswered when its coordinator
         stopped, so each goes out as a *redispatch*: the pin is abandoned
@@ -1365,9 +1383,6 @@ class ExecutionService(Service):
         """
         policy = self.resilience.policy
         epoch = self.epoch
-        # every flight goes out from here, now or staggered: _dispatch_pending
-        # has none of them left to send
-        runtime.unsent.clear()
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
             flight.redispatches += 1
             # a zero ``recovery_stagger`` makes every offset zero
@@ -1389,10 +1404,8 @@ class ExecutionService(Service):
             )
 
             def fire(runtime=runtime, key=key) -> None:
-                if not self.is_primary():
-                    return  # demoted while the stagger timer was pending
                 if self.runtimes.get(runtime.iid) is not runtime:
-                    return  # superseded by another recovery replay
+                    return  # superseded by another rebuild, or dropped at a demotion
                 flight = runtime.in_flight.get(key)
                 if flight is not None:
                     self._send(runtime, key, flight)
@@ -1409,8 +1422,8 @@ class ExecutionService(Service):
         it that its durable journal does not already say.  It then leaves
         ``_live`` and sheds everything a replay rebuilds (:meth:`_Runtime.shed`);
         ``runtimes`` keeps the summary.  Applied wherever a runtime may have
-        finished — the sweeper, a recovery replay, an import, a standby's
-        image.  Returns whether ``runtime`` is settled."""
+        finished — the sweeper, a rebuild's replay, an import.  Returns
+        whether ``runtime`` is settled."""
         if (
             runtime.in_flight
             or runtime.tree.status is WorkflowStatus.RUNNING
@@ -1443,6 +1456,11 @@ class ExecutionService(Service):
             return self.runtimes[iid]
         except KeyError:
             raise ExecutionError(f"unknown workflow instance {iid!r}") from None
+
+    def _summary(self, iid: str) -> Tuple[SettledTree, Set[Tuple[str, int]]]:
+        """What a settled runtime keeps of ``iid``, from one replay."""
+        shadow = self._replay(iid)
+        return shadow.tree.shed(), shadow.external
 
     def _full_runtime(self, iid: str) -> _Runtime:
         """The instance with its tree.  For a settled instance that is a

@@ -7,10 +7,10 @@ and read back.  Per script version the store holds one write-once
 ``script:<digest>`` with the source text, content-addressed
 (:func:`script_digest`), so recovery and promotion never need the repository.
 Per instance: a write-once ``instance:<iid>:spec`` (the script's digest, root
-task, input set, inputs), an ``instance:<iid>:meta`` holding only
-``journal_len``, and one ``instance:<iid>:journal:<n>`` per entry.  The
-instances of a store are its ``spec`` keys, in commit order; no stored object
-grows with their number.
+task, input set, inputs), an ``instance:<iid>:meta`` holding ``journal_len``
+and, once the instance is finished for good, ``closed``, and one
+``instance:<iid>:journal:<n>`` per entry.  The instances of a store are its
+``spec`` keys, in commit order; no stored object grows with their number.
 
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
@@ -18,18 +18,22 @@ objects' only writer, and a journal must be atomic and durable, not isolated.
 A script's text rides in the record of the first spec that names it, so a
 torn force drops both or neither; a barrier's entries and the lengths they
 advance are one record too, whatever the script's size or the history's
-length.
+length — and so is the ``closed`` mark of an instance that barrier leaves
+terminal with no flight out (:meth:`Journal.commit`): "closed, but the
+deciding entry is missing" cannot be stored.  The mark is recorded derived
+state: a recovery or a promotion takes a closed instance in by its key and
+replays only the open ones.
 
 Nothing else under ``services``, ``replication`` or ``sim`` builds or parses
-one of these keys (``tests/test_journal_layout.py::TestLayout`` holds the
-source to that), so the layout — checkpoints and ``journal:<n>`` truncation
-next — changes in this file alone.
+one of these keys or the mark (``tests/test_journal_layout.py::TestLayout``
+holds the source to that), so the layout changes in this file alone: the
+mark was the first step, ``journal:<n>`` truncation and stored outcomes next.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
@@ -46,15 +50,6 @@ def script_digest(text: str) -> str:
 # spec fields an exported snapshot carries as they stand (the script, a
 # digest in the spec, crosses as its text)
 _SPEC_FIELDS = ("root_task", "input_set", "inputs")
-
-
-def _instances_of(keys: Iterable[str], part: str) -> Iterator[str]:
-    """The ``<iid>`` of every ``instance:<iid>:<part>`` among ``keys``, in
-    order (``part`` is ``"spec"`` or ``"meta"``)."""
-    prefix, suffix = "instance:", f":{part}"
-    for key in keys:
-        if key.startswith(prefix) and key.endswith(suffix):
-            yield key[len(prefix):-len(suffix)]
 
 
 class Journal:
@@ -167,14 +162,11 @@ class Journal:
         instance's ``meta``, one WAL record, one force — then drain the WAL's
         group-commit window.  The record is all-or-nothing (a torn force
         drops it whole), so recovery sees a contiguous journal either way.
-
         ``closed`` names the instances this barrier leaves terminal with no
-        flight out: those among the touched get the ``closed`` mark beside
-        the length their last entry advanced — in the same record, so the
-        mark and the entry that earned it are durable or lost together.
-        Every other touched instance has its ``meta`` written without it,
-        which is how a later write reopens one.  Returns the number of
-        entries committed."""
+        flight out: those among the touched get the mark beside their length
+        — durable or lost together with the entry that earned it; any other
+        touched instance has its ``meta`` written without it, which is how a
+        later write reopens one.  Returns the number of entries committed."""
         batch, self.buffer = self.buffer, []
         store = self.store
         writes: Dict[str, Any] = {}
@@ -207,13 +199,17 @@ class Journal:
         objects first committed (instantiation order; a crash replay, a
         checkpoint and a replication stream all preserve it).  This scan is
         the only instance index."""
-        return list(_instances_of(self.store.keys(), "spec"))
+        prefix, suffix = "instance:", ":spec"
+        return [
+            key[len(prefix):-len(suffix)] for key in self.store.keys()
+            if key.startswith(prefix) and key.endswith(suffix)
+        ]
 
-    def touched(self, keys: Iterable[str]) -> List[str]:
-        """The instances whose journals a set of installed ``keys`` advanced,
-        each once, in order (every journal batch rewrites the ``meta`` of the
-        instances it touches)."""
-        return list(dict.fromkeys(_instances_of(keys, "meta")))
+    def closed(self, iid: str) -> bool:
+        """Whether ``iid``'s last barrier left it terminal with no flight out
+        (:meth:`commit`): nobody who opens the store needs to replay it.  One
+        without the mark — open, imported, or older than the mark — is replayed."""
+        return self.store.get_committed(f"instance:{iid}:meta", {}).get("closed", False)
 
     def spec(self, iid: str) -> Optional[Dict[str, Any]]:
         return self.store.get_committed(f"instance:{iid}:spec")
@@ -228,9 +224,9 @@ class Journal:
         meta = self.store.get_committed(f"instance:{iid}:meta")
         return None if meta is None else meta["journal_len"]
 
-    def entries(self, iid: str, start: int = 0) -> List[Optional[Dict[str, Any]]]:
-        """``iid``'s committed entries from position ``start`` on, in order
-        (``None`` where the store holds none: a hole)."""
+    def entries(self, iid: str) -> List[Optional[Dict[str, Any]]]:
+        """``iid``'s committed entries, in order (``None`` where the store
+        holds none: a hole)."""
         return self.store.get_committed_many(
-            f"instance:{iid}:journal:{n}" for n in range(start, self.length(iid) or 0)
+            f"instance:{iid}:journal:{n}" for n in range(self.length(iid) or 0)
         )

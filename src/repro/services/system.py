@@ -80,9 +80,11 @@ class WorkflowSystem:
         :class:`~repro.replication.ReplicatedExecutionService` copies — one
         per node — plus a :class:`~repro.replication.LeaseService` arbiter.
         The first replica wins the bootstrap lease and registers itself under
-        the public ``"execution"`` name; the rest tail its WAL as warm
-        standbys and take over (with a fresh fencing epoch) when the lease
-        lapses.  ``replicas=0`` is the legacy unreplicated layout, unchanged.
+        the public ``"execution"`` name; the rest follow its WAL as standbys
+        — they hold the log and no runtime — and take over (with a fresh
+        fencing epoch, rebuilding the open instances from their own store)
+        when the lease lapses.  ``replicas=0`` is the legacy unreplicated
+        layout, unchanged.
 
         ``overload`` tunes the admission layer (docs/PROTOCOLS.md §13):
         bounded admission queue, adaptive concurrency window and priority

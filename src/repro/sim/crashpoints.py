@@ -121,7 +121,7 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     CrashPoint("exec.recover.pre", "src/repro/services/execution.py",
                "recovery entered, no instance replayed yet", recovery=True),
     CrashPoint("exec.recover.replayed", "src/repro/services/execution.py",
-               "all journals replayed, sweeper not yet re-armed",
+               "every open journal replayed, sweeper not yet re-armed",
                recovery=True),
     # --- worker ------------------------------------------------------------
     CrashPoint("worker.execute.pre", "src/repro/services/worker.py",

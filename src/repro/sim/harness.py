@@ -573,17 +573,19 @@ class SimHarness:
         for stores in self._stores.values():
             for store in stores:
                 found += oracles.check_store_agreement(store, phase)
+        services = system.execution_replicas or [system.execution]
+        exec_stores = [service.store for service in services]
         if system.execution_replicas:
-            exec_stores = [r.store for r in system.execution_replicas]
             found += oracles.check_epoch_fencing(exec_stores, phase)
             found += oracles.check_single_primary(
                 list(zip(system.replica_nodes, system.execution_replicas)),
                 system.clock.now, phase,
             )
-        else:
-            exec_stores = [system.execution_store]
         for store in exec_stores:
             found += oracles.check_journal_integrity(store, phase)
+        if deep:
+            for service in services:
+                found += oracles.check_closed_is_settled(service, phase)
         primary = system.primary_execution()
         if primary is not None:
             # terminals are only *recorded* once replicated to the full ISR

@@ -36,6 +36,11 @@ Oracles and the guarantees they police:
     paper's recovery guarantee checked *without* crashing: if replay
     disagrees with the service now, a crash right now would change history —
     and a summary that disagreed could not have been rebuilt.
+``closed-is-settled``
+    Every instance whose stored ``meta`` carries the ``closed`` mark — in the
+    primary's store and in every standby's — must replay cold through its
+    whole stored journal to a terminal tree with no flight out: a rebuild
+    takes it in unreplayed, so a mark on anything else silently drops work.
 ``durability``
     Once an instance has been *observed* terminal (the observation implies
     the deciding entry was journaled, because entries are journaled before
@@ -217,6 +222,26 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
                     phase,
                 )
             )
+    return violations
+
+
+def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolation]:
+    """What the ``closed`` mark promises of every instance carrying it in
+    ``service``'s store (a standby will do: the replay reads only the store):
+    the stored journal has no hole, and a cold replay of it ends terminal
+    with nothing in flight."""
+    violations: List[OracleViolation] = []
+    stored = service.journal
+    for iid in filter(stored.closed, stored.instances()):
+        shadow = service._replay(iid)
+        status, holes = shadow.tree.status.value, stored.entries(iid).count(None)
+        if holes or status not in TERMINAL_STATUSES or shadow.in_flight:
+            violations.append(OracleViolation(
+                "closed-is-settled", iid,
+                f"{service.store.name} marks the instance closed, but its journal has "
+                f"{holes} hole(s) and replays to status {status!r} with "
+                f"{sorted(shadow.in_flight)} still in flight", phase,
+            ))
     return violations
 
 

@@ -127,18 +127,17 @@ class ObjectStore:
     def ingest(
         self,
         entries: Iterable[Tuple[str, Optional[TransactionId], Optional[ObjectId], Any]],
-    ) -> List[str]:
+    ) -> None:
         """Append log records shipped from another store as ``(kind, txn,
         obj, value)``, make them durable in one force and fold them — and
         nothing before them — into the committed cache.  A transaction whose
-        COMMIT arrives in a later batch stays pending until then.  Returns
-        the keys the batch installed, in order."""
+        COMMIT arrives in a later batch stays pending until then."""
         wal = self.wal
         records = [wal.append(kind, txn, obj, value) for kind, txn, obj, value in entries]
         crash_point("store.ingest.pre", wal)  # torn: tears the force below
         wal.force()
         wal.sync()
-        return wal_mod.fold(records, self._committed, self._pending)
+        wal_mod.fold(records, self._committed, self._pending)
 
     def sync(self) -> bool:
         """The physical barrier: drain the WAL's pending mirror syncs.  The

@@ -289,7 +289,7 @@ def fold(
     records: Iterable[LogRecord],
     snapshot: Dict[str, Any],
     pending: Dict[TransactionId, List[LogRecord]],
-) -> List[str]:
+) -> None:
     """Advance a replay state over ``records``, in place.
 
     ``snapshot`` is the committed state so far and ``pending`` the logged
@@ -298,19 +298,15 @@ def fold(
     present (redo-only, presumed abort for the rest) — the standard recovery
     rule the execution service's guarantees rest on.  Folding a log in
     pieces, carrying both across the pieces, ends in the same state as
-    folding it whole.  Returns the keys installed, in order (every key of a
-    CHECKPOINT's snapshot counts as installed).
+    folding it whole.
     """
-    installed: List[str] = []
     for record in records:
         if record.kind == BATCH:
             snapshot.update(record.value)
-            installed.extend(record.value)
         elif record.kind == CHECKPOINT:
             snapshot.clear()
             snapshot.update(record.value or {})
             pending.clear()
-            installed.extend(snapshot)
         elif record.kind == BEGIN:
             pending[record.txn] = []
         elif record.kind == UPDATE:
@@ -318,12 +314,10 @@ def fold(
         elif record.kind == COMMIT:
             for update in pending.pop(record.txn, ()):
                 snapshot[update.obj.name] = update.value
-                installed.append(update.obj.name)
         elif record.kind == ABORT:
             pending.pop(record.txn, None)
         # PREPARE leaves the txn pending; outcome is resolved by the
         # coordinator (see repro.txn.recovery).
-    return installed
 
 
 def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:

@@ -145,7 +145,8 @@ class TestLayout:
         parts included) that starts with ``instance:`` or contains
         ``:journal:``, and none of the journal's readers one that starts
         with ``script:`` (the repository's ``script:<name>`` is its own
-        layout in its own store)."""
+        layout in its own store) or is the ``closed`` of a ``meta`` (they ask
+        ``Journal.closed``; a circuit breaker's state is not theirs)."""
         root = pathlib.Path(repro.__file__).parent
         found = []
         for path in sorted(root.rglob("*.py")):
@@ -167,7 +168,7 @@ class TestLayout:
                 if (
                     text.startswith("instance:")
                     or ":journal:" in text
-                    or (reader and text.startswith("script:"))
+                    or (reader and (text.startswith("script:") or text == "closed"))
                 ):
                     found.append((rel, node.lineno, text))
         assert found == []
@@ -340,20 +341,30 @@ class TestStandbyFoldsBatches:
                     applied["resets"] += bool(batch["reset"])
                     assert check_store_agreement(replica.store) == []
                     assert check_journal_integrity(replica.store) == []
-                    # the image is the replay: resumed from each runtime's
-                    # cursor, it is what a cold replay of the store builds
-                    for iid, runtime in replica.runtimes.items():
-                        cold = replica._replay(iid)
-                        if runtime.settled:
-                            assert (
-                                runtime.tree.status, runtime.tree.root.machine.outcome
-                            ) == (cold.tree.status, cold.tree.root.machine.outcome)
-                        else:
-                            assert image_state(runtime) == image_state(cold)
-                            applied["images"] += 1
+                    # a follower of the log builds nothing from it
+                    assert replica.runtimes == {} == replica._live
                 return reply
 
             replica.replicate = replicate
+            promote = replica._promote
+
+            def _promote(grant):
+                promote(grant)
+                # what a promotion builds is what a cold replay of the store
+                # builds: every open instance with its flights, every
+                # finished one with its verdict
+                assert list(replica.runtimes) == Journal(replica.store).instances()
+                for iid, runtime in replica.runtimes.items():
+                    cold = replica._replay(iid)
+                    if runtime.settled:
+                        assert (
+                            runtime.tree.status, runtime.tree.root.machine.outcome
+                        ) == (cold.tree.status, cold.tree.root.machine.outcome)
+                    else:
+                        assert image_state(runtime) == image_state(cold)
+                        applied["images"] += 1
+
+            replica._promote = _promote
 
         for replica in system.execution_replicas:
             watch(replica)
@@ -382,19 +393,29 @@ class TestStandbyFoldsBatches:
             assert standby.store.get_committed("probe-counter") == 1
 
         assert system.run_until_terminal(first)["status"] == "completed"
-        # Failover: the new primary starts every peer from a full resync,
-        # which wipes that standby's log and cache before the batch folds in.
+        # Failover with a dozen instances open: the new primary rebuilds them
+        # from its own store and starts every peer from a full resync, which
+        # wipes that standby's log and cache before the batch folds in.
+        assert applied["images"] == 0  # only the bootstrap promotion so far
+        opened = [
+            system.instantiate("order", paper_order.ROOT_TASK, {"order": f"open-{n}"})
+            for n in range(12)
+        ]
         system.execution_store.crash()
         system.execution_node.crash()
         second = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
         assert system.run_until_terminal(second)["status"] == "completed"
+        for iid in opened:
+            assert system.run_until_terminal(iid)["status"] == "completed"
         system.clock.advance(20.0)
         assert applied["resets"] > bootstrap_resets
         assert applied["batches"] > 10
         assert applied["images"] > 10
         new_primary = system.primary_execution()
         assert new_primary is not primary
+        everything = sorted([first, second, *opened])
+        assert sorted(new_primary.runtimes) == everything
         for replica in system.execution_replicas[1:]:
             assert replica.store.snapshot() == replay(replica.store.wal.durable_records())
-            assert sorted(replica.runtimes) == [first, second]
+            assert sorted(Journal(replica.store).instances()) == everything
             assert replica.store.get_committed("probe-counter") == 1

@@ -357,19 +357,23 @@ class TestWorkRequestBoundary:
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
         standby = system.execution_replicas[1]
         system.clock.advance(6.0)
-        # the warm image built these flights while its owner was a standby
-        warm = {
+        # a standby holds the journal and no runtime; the flights its store
+        # says are open, built here under the epoch a standby has
+        assert standby.runtimes == {}
+        assert iid in standby.repl_status()["instances"]
+        stale = {
             path: flight.request["epoch"]
-            for (path, _exec), flight in standby.runtimes[iid].in_flight.items()
+            for (path, _exec), flight in standby._replay(iid).in_flight.items()
         }
-        assert warm
+        assert stale
         system.execution_node.crash()
         before = len(executed)
         assert system.run_until_terminal(iid, max_time=2_000.0)["status"] == "completed"
         assert system.primary_execution() is standby
-        assert all(built_under < standby.epoch for built_under in warm.values())
+        assert all(built_under < standby.epoch for built_under in stale.values())
         resent = executed[before:]
-        assert all((path, standby.epoch) in resent for path in warm)
-        # nothing went out under the epoch it was built under
-        assert not set(warm.values()) & {epoch for _path, epoch in executed}
+        assert all((path, standby.epoch) in resent for path in stale)
+        # nothing went out under the epoch a standby has
+        assert not set(stale.values()) & {epoch for _path, epoch in executed}
+        assert standby.runtimes[iid].tree.status.value == "completed"
         assert standby.stats["fenced_replies"] == 0

@@ -13,7 +13,7 @@ from repro.engine import plan as plan_mod
 from repro.engine.plan import compile_plan
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
-from repro.services.journal import script_digest
+from repro.services.journal import Journal, script_digest
 from repro.sim import oracles
 from repro.workloads import chain, fan, paper_order, script_text
 
@@ -138,11 +138,16 @@ class TestRebuildsUseTheSharedPlan:
         system.clock.advance(6.0)
         plan = shared_plan(paper_order.SCRIPT_TEXT)
         standby = system.execution_replicas[1]
-        assert standby.runtimes[iid].tree.plan is plan  # the warm image
+        # a standby holds the text, not a tree built on it
+        assert standby.runtimes == {}
+        assert Journal(standby.store).script_text(script_digest(paper_order.SCRIPT_TEXT))
         system.execution_node.crash()
-        system.clock.advance(200.0)
+        while system.primary_execution() is None:
+            system.clock.advance(1.0)
         promoted = system.primary_execution()
         assert promoted is standby
+        assert promoted.runtimes[iid].tree.plan is plan  # what promotion built
+        system.clock.advance(200.0)
         assert promoted._full_runtime(iid).tree.plan is plan
         assert oracles.check_replay_agreement(promoted) == []
         assert promoted.status(iid)["status"] == "completed"

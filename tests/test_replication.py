@@ -12,6 +12,7 @@ from repro.net.node import Node
 from repro.orb.broker import CommFailure, Fenced
 from repro.replication import FailureDetector, LeaseService, Role
 from repro.services import WorkflowSystem
+from repro.services.journal import Journal
 from repro.services.worker import TaskWorker, WorkRequest
 from repro.txn.store import ObjectStore
 from repro.workloads import paper_order, paper_trip
@@ -173,9 +174,21 @@ class TestReplicatedHappyPath:
         for standby in system.execution_replicas[1:]:
             status = standby.repl_status()
             assert status["tail"]["lsn"] == target
-            # the warm image is ready to serve, not just the raw journal
-            assert iid in standby.runtimes
-            assert standby.runtimes[iid].tree.status.value == "completed"
+            # a follower holds the whole journal — closed, so not even a
+            # promotion will replay it — and nothing built from it
+            assert status["instances"] == [iid]
+            stored = Journal(standby.store)
+            assert stored.closed(iid)
+            assert stored.entries(iid) == Journal(primary.store).entries(iid)
+            assert standby.runtimes == {} == standby._live
+        # which is all it takes to serve: whoever wins the lease answers
+        system.execution_node.crash()
+        while system.primary_execution() is None:
+            system.clock.advance(1.0)
+        promoted = system.primary_execution()
+        assert promoted in system.execution_replicas[1:]
+        assert promoted.runtimes[iid].tree.status.value == "completed"
+        assert promoted.result(iid) == result
 
     def test_demoted_replica_fences_client_calls(self):
         system = replicated_system(replicas=2)
@@ -232,8 +245,11 @@ class TestFailover:
         assert old._max_epoch_seen >= new.epoch
         assert old.repl_status()["tail"]["lsn"] == \
             new.store.wal.last_durable_lsn
-        # the instance is visible from the resynced standby's warm image too
-        assert iid in old.runtimes
+        # the resynced standby holds the instance in its store, and none of
+        # the trees it had as a primary
+        assert old.repl_status()["instances"] == [iid]
+        assert Journal(old.store).entries(iid) == Journal(new.store).entries(iid)
+        assert old.runtimes == {} == old._live
 
     def test_failover_preserves_journal_exactly_once(self):
         from repro.sim import oracles
@@ -296,6 +312,81 @@ class TestFailover:
         kinds = [event.kind for event in service.rlog.for_instance(iid)]
         assert kinds.count("dispatch") == 1 and kinds.count("redispatch") == 1
         assert system.workers[0].executed and not system.workers[1].executed
+
+    def test_a_deposed_primary_keeps_no_tree(self):
+        """A standby holds no runtime, however it became one.  A demotion
+        used to leave ``runtimes`` / ``_live`` holding every tree, with their
+        armed deadline and stagger closures, until a re-promotion or a resync
+        happened to replace them."""
+        from repro.core.builder import ScriptBuilder, from_input, from_output
+        from repro.engine import outcome
+        from repro.lang import format_script
+
+        b = ScriptBuilder()
+        b.object_class("Data")
+        b.taskclass("Maybe").input_set("main").outcome("yes", out="Data")
+        b.taskclass("Gather").input_set("main", inp="Data").outcome(
+            "gathered", out="Data"
+        ).abort_outcome("timedOut")
+        b.taskclass("Root").input_set("main").outcome("done", out="Data").outcome("expired")
+        c = b.compound("wf", "Root")
+        c.task("maybe", "Maybe").implementation(code="maybe", location="worker-2").notify(
+            "main", from_input("wf", "main")
+        ).up()
+        c.task("gather", "Gather").implementation(code="gather", deadline="40").input(
+            "main", "inp", from_output("maybe", "yes", "out")
+        ).up()
+        c.output("done").object("out", from_output("gather", "gathered", "out")).up()
+        c.output("expired").notify(from_output("gather", "timedOut")).up()
+        c.up()
+        text = format_script(b.build())
+
+        def rebuilt(how):
+            system = WorkflowSystem(replicas=1, lease_duration=30, repl_interval=5)
+            system.registry.register("maybe", lambda ctx: outcome("yes", out="x"))
+            system.registry.register("gather", lambda ctx: outcome("gathered", out="y"))
+            system.deploy("p", text)
+            system.worker_nodes[1].crash()  # the pin: the flight stays unanswered
+            iid = system.instantiate("p", "wf", {})
+            how(system)
+            system.clock.advance(6)  # the lease is re-acquired at the next tick
+            service = system.execution
+            assert service.is_primary()
+            runtime = service.runtimes[iid]
+            state = (
+                runtime.tree.status.value,
+                sorted((node.path, node.machine.state.value) for node in runtime.tree.walk()),
+                sorted(runtime.in_flight),
+                {key: flight.redispatches for key, flight in runtime.in_flight.items()},
+                runtime.deadline_expiries,
+            )
+            return system, iid, state
+
+        def crash_and_recover(system):
+            system.execution_node.crash()
+            system.execution_node.recover()
+
+        def demote(system):
+            service = system.execution
+            old = dict(service.runtimes)
+            assert old and service.runtimes[next(iter(old))].armed_deadlines
+            service._demote_self("test")
+            assert service.role is Role.STANDBY
+            assert service.runtimes == {} == service._live
+            status = service.repl_status()
+            assert status["instances"] == sorted(old) and "image_valid" not in status
+
+        _system, _iid, recovered = rebuilt(crash_and_recover)
+        system, iid, repromoted = rebuilt(demote)
+        assert repromoted == recovered
+        assert repromoted[3] == {("wf/maybe", 1): 1}
+        # the old reign's deadline timer is still pending; its tree never saw
+        # the result, so were it to fire with effect it would abort `gather`
+        result = self._run_to_terminal(system, iid)
+        system.clock.advance(60)
+        assert (result["status"], result["outcome"]) == ("completed", "done")
+        kinds = [entry["type"] for entry in Journal(system.execution_store).entries(iid)]
+        assert "force_abort" not in kinds and kinds.count("deadline") == 1
 
     def test_instantiate_rides_out_failover(self):
         system = replicated_system(replicas=2)

@@ -18,10 +18,13 @@ from repro.engine.plan import PlanTracker
 from repro.lang import format_script
 from repro.overload import OverloadConfig
 from repro.services import WorkflowSystem
+from repro.services.journal import Journal
 from repro.sim.harness import WORKLOADS
 from repro.sim.oracles import check_replay_agreement
 from repro.workloads import chain, fan, paper_order, paper_trip, script_text
 from repro.workloads.traffic import cohort_script, traffic_registry
+
+from tests.test_closed_mark import count_fresh_trees
 
 SWEEP = 400.0  # longer than any of these instances runs: nothing settles early
 
@@ -206,13 +209,24 @@ class TestMemoryFollowsWhatIsLive:
         run(10)
         primary, standby = system.execution_replicas
         assert primary.is_primary() and not standby.is_primary()
-        for replica in (primary, standby):
-            assert len(replica.runtimes) == 10 and replica._live == {}
-            assert all(runtime.settled for runtime in replica.runtimes.values())
-        # the image keeps no replay position for a settled instance
-        assert not any(hasattr(runtime, "cursor") for runtime in standby.runtimes.values())
+        assert len(primary.runtimes) == 10 and primary._live == {}
+        assert all(runtime.settled for runtime in primary.runtimes.values())
+        # a standby retains no per-instance heap at all: the journals are in
+        # its store, and it has built nothing from them
+        assert standby.runtimes == {} == standby._live
+        assert len(Journal(standby.store).instances()) == 10
         gc.collect()
         assert tree_objects() == baseline
+        # nor does its promotion build a tree for an instance that is closed
+        system.execution_store.crash()
+        system.execution_node.crash()
+        system.clock.advance(60.0)
+        assert standby.is_primary()
+        assert len(standby.runtimes) == 10 and standby._live == {}
+        assert all(runtime.settled for runtime in standby.runtimes.values())
+        assert not any(hasattr(runtime, "journal_keys") for runtime in standby.runtimes.values())
+        assert tree_objects() == baseline  # no collection: nothing was built
+        assert standby.result("wf-7")["status"] == "completed"
 
     def test_growth_per_finished_instance_is_the_journal(self):
         system, run = fan_system()
@@ -464,13 +478,14 @@ class TestPromotionOfASettledImage:
         running = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-9"})
         system.clock.advance(6.0)
         standby = system.execution_replicas[1]
-        assert list(standby.runtimes) == done + [running]
-        assert list(standby._live) == [running]
-        assert all(standby.runtimes[iid].settled for iid in done)
-        flights = sorted(standby._live[running].in_flight)
+        stored = Journal(standby.store)
+        assert stored.instances() == done + [running]
+        assert [iid for iid in stored.instances() if not stored.closed(iid)] == [running]
+        assert standby.runtimes == {} == standby._live
+        flights = sorted(standby._replay(running).in_flight)  # what the store says is out
         assert flights
 
-        rebuilt, resumed = [], []
+        rebuilt, resumed, replayed = [], [], count_fresh_trees(standby)
         rebuild = standby.admission.rebuild
         resume = type(standby)._resume_flights
         monkeypatch.setattr(
@@ -487,6 +502,9 @@ class TestPromotionOfASettledImage:
         system.execution_node.crash()
         system.clock.advance(60.0)
         assert system.primary_execution() is standby
+        assert list(standby.runtimes) == done + [running]
+        assert all(standby.runtimes[iid].settled for iid in done)
+        assert replayed == [running]  # the closed were taken in by key
         assert rebuilt == [[running]]
         assert resumed == [(running, flights)]
         assert system.run_until_terminal(running, max_time=2_000.0)["status"] == "completed"

@@ -40,6 +40,8 @@ from repro.txn.store import ObjectStore
 from repro.txn.wal import WriteAheadLog, fold, replay
 from repro.workloads import fan, paper_order, script_text
 
+from tests.test_closed_mark import count_fresh_trees
+
 
 # -- the reference: the per-record writer BATCH replaced ---------------------------
 
@@ -152,10 +154,16 @@ class TestSameStateAsThePerRecordWriter:
         service, store, node = system.execution, system.execution_store, system.execution_node
         assert w.BATCH not in kinds(store)
         before = {iid: service.runtimes[iid].tree.root.machine.outcome for iid in iids}
+        results = {iid: service.result(iid) for iid in iids}
         del service.flush_journal, store.commit_batch  # recovery runs this PR's code
+        replayed = count_fresh_trees(service)
         store.crash()
         node.crash()
         node.recover()
+        # no mark anywhere in such a log: every instance is replayed, as ever
+        assert not any(Journal(store).closed(iid) for iid in iids)
+        assert replayed == iids
+        assert {iid: service.result(iid) for iid in iids} == results
         assert Journal(store).instances() == iids
         assert {iid: service.runtimes[iid].tree.root.machine.outcome for iid in iids} == before
         assert check_journal_integrity(store) == []
@@ -182,7 +190,20 @@ class TestSameStateAsThePerRecordWriter:
             if not key.startswith("_repl:tail:"):
                 assert standby.store.get_committed(key) == primary.store.get_committed(key), key
         assert check_store_agreement(standby.store) == []
+        # a log written before the mark has none: the standby holds nothing of
+        # it but the store, and its promotion replays the instance like any
+        # open one — to the same answer
+        assert standby.runtimes == {}
+        assert not Journal(standby.store).closed(iid)
+        before = primary.result(iid)
+        replayed = count_fresh_trees(standby)
+        system.execution_node.crash()
+        while system.primary_execution() is None:
+            system.clock.advance(1.0)
+        assert system.primary_execution() is standby
+        assert replayed == [iid]
         assert standby.runtimes[iid].tree.status.value == "completed"
+        assert standby.result(iid) == before
 
 
 # -- the record itself --------------------------------------------------------------
@@ -238,15 +259,14 @@ class TestTheRecord:
             data.draw(st.lists(st.integers(0, len(records)), max_size=4), label="cuts")
         )
         whole, whole_pending = {}, {}
-        whole_installed = fold(records, whole, whole_pending)
+        fold(records, whole, whole_pending)
         assert whole == replay(records)
-        snapshot, pending, installed = {}, {}, []
+        snapshot, pending = {}, {}
         for start, end in zip([0] + cuts, cuts + [len(records)]):
-            installed += fold(records[start:end], snapshot, pending)
+            fold(records[start:end], snapshot, pending)
         assert snapshot == whole
         assert list(snapshot) == list(whole)  # same key order
         assert pending == whole_pending
-        assert installed == whole_installed
 
     def test_a_batch_takes_effect_where_it_stands(self):
         t1, t2 = TransactionId(1), TransactionId(2)
@@ -412,4 +432,9 @@ class TestStandbyAcknowledgesWithOneForce:
                 assert store.get_committed(key) == primary.store.get_committed(key), key
         assert check_store_agreement(store) == []
         assert check_journal_integrity(store) == []
+        assert standby.runtimes == {} and Journal(store).closed(iid)
+        system.execution_node.crash()
+        while system.primary_execution() is None:
+            system.clock.advance(1.0)
+        assert system.primary_execution() is standby
         assert standby.runtimes[iid].tree.status.value == "completed"
