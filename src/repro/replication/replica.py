@@ -221,6 +221,8 @@ class ReplicatedExecutionService(ExecutionService):
         self.store.commit_batch(self._tail_write(self.store.wal.last_durable_lsn, self.epoch))
         self.store.sync()
         self._rebuild()  # what a crash recovery does with its store, over ours
+        if self.role is not Role.PRIMARY:
+            return  # the barrier of a resend deposed us: no sweeper, no public name
         self._arm_sweeper()
         # Take over the public name: clients re-resolve to the new primary.
         self.broker.register(

@@ -168,7 +168,9 @@ class _ClosedRuntime(_Runtime):
     settled = True
 
     def __init__(self, iid: str, restore: Callable[[str], Tuple[SettledTree, Set]]) -> None:
-        self.iid, self.in_flight, self.restore = iid, {}, restore
+        self.iid = iid
+        self.in_flight = {}
+        self.restore = restore
 
     def __getattr__(self, name: str) -> Any:
         # only an unset slot comes here: the summary's first read restores it
@@ -353,11 +355,12 @@ class ExecutionService(Service):
         """Take in every instance of the store — what a crash recovery and a
         standby's promotion both are.  A closed one costs its key (its summary
         waits for a reader), an open one a replay: bounded by what was running."""
+        restore = self._summary  # one bound method for every closed instance
         for iid in self.journal.instances():
             if not self.is_primary():
                 return  # the barrier of a resend deposed us: a standby holds nothing
             if self.journal.closed(iid):
-                self.runtimes[iid] = _ClosedRuntime(iid, self._summary)
+                self.runtimes[iid] = _ClosedRuntime(iid, restore)
             else:
                 self._adopt(self._replay(iid))
         # Admission state is volatile: the queue died with the process or the
@@ -800,6 +803,8 @@ class ExecutionService(Service):
                 path=node.path,
                 count=runtime.exec_counter.get(node.path, 0),
             ) -> None:
+                if not self.is_primary():
+                    return  # demoted: the new primary re-arms from its journal
                 if runtime is not self.runtimes.get(runtime.iid):
                     return  # superseded by a rebuild, or dropped at a demotion
                 if runtime.tree.status.value != "running":
@@ -1007,11 +1012,16 @@ class ExecutionService(Service):
                         f"evicted from queue at pressure {self.admission.pressure}",
                     )
             self._promote_ready()
-            for runtime in list(self._live.values()):
+            live = self._live
+            for runtime in list(live.values()):
                 if not runtime.in_flight:
                     self._settle(runtime)
                     continue
                 for key, flight in list(runtime.in_flight.items()):
+                    if self._live is not live:
+                        # a send's barrier deposed us and dropped every runtime
+                        self._sweep_armed = False
+                        return
                     if key not in runtime.in_flight or not flight.sent:
                         continue
                     if (
@@ -1219,6 +1229,10 @@ class ExecutionService(Service):
         entry["epoch"] = self.epoch
         entry["writer"] = self.name
         if runtime.iid not in self._live:
+            if not self.is_primary():
+                # deposed mid-event (a standby's _live is empty): nothing more
+                # is journaled under the stale epoch, no runtime is taken back
+                return
             # a settled instance is written to again (through the runtime
             # _full_runtime handed out): that runtime is the instance now
             self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
@@ -1404,6 +1418,8 @@ class ExecutionService(Service):
             )
 
             def fire(runtime=runtime, key=key) -> None:
+                if not self.is_primary():
+                    return  # demoted while the stagger timer was pending
                 if self.runtimes.get(runtime.iid) is not runtime:
                     return  # superseded by another rebuild, or dropped at a demotion
                 flight = runtime.in_flight.get(key)
@@ -1430,7 +1446,7 @@ class ExecutionService(Service):
             or self.journal.pending(runtime.iid)
         ):
             return False
-        del self._live[runtime.iid]
+        self._live.pop(runtime.iid, None)  # gone already after a mid-event demotion
         runtime.shed()
         return True
 

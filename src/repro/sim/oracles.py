@@ -234,7 +234,8 @@ def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolati
     stored = service.journal
     for iid in filter(stored.closed, stored.instances()):
         shadow = service._replay(iid)
-        status, holes = shadow.tree.status.value, stored.entries(iid).count(None)
+        status = shadow.tree.status.value
+        holes = stored.entries(iid).count(None)
         if holes or status not in TERMINAL_STATUSES or shadow.in_flight:
             violations.append(OracleViolation(
                 "closed-is-settled", iid,

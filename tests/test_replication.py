@@ -38,6 +38,32 @@ def replicated_system(replicas=3, workload=paper_order, name="order",
     return system
 
 
+def deadline_script():
+    """``wf``: ``maybe`` pinned to worker-2, then ``gather`` waiting on it
+    under a 40 s deadline."""
+    from repro.core.builder import ScriptBuilder, from_input, from_output
+    from repro.lang import format_script
+
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Maybe").input_set("main").outcome("yes", out="Data")
+    b.taskclass("Gather").input_set("main", inp="Data").outcome(
+        "gathered", out="Data"
+    ).abort_outcome("timedOut")
+    b.taskclass("Root").input_set("main").outcome("done", out="Data").outcome("expired")
+    c = b.compound("wf", "Root")
+    c.task("maybe", "Maybe").implementation(code="maybe", location="worker-2").notify(
+        "main", from_input("wf", "main")
+    ).up()
+    c.task("gather", "Gather").implementation(code="gather", deadline="40").input(
+        "main", "inp", from_output("maybe", "yes", "out")
+    ).up()
+    c.output("done").object("out", from_output("gather", "gathered", "out")).up()
+    c.output("expired").notify(from_output("gather", "timedOut")).up()
+    c.up()
+    return format_script(b.build())
+
+
 class TestLeaseService:
     def test_bootstrap_grant_advances_epoch(self):
         _, lease = lease_fixture()
@@ -318,28 +344,9 @@ class TestFailover:
         used to leave ``runtimes`` / ``_live`` holding every tree, with their
         armed deadline and stagger closures, until a re-promotion or a resync
         happened to replace them."""
-        from repro.core.builder import ScriptBuilder, from_input, from_output
         from repro.engine import outcome
-        from repro.lang import format_script
 
-        b = ScriptBuilder()
-        b.object_class("Data")
-        b.taskclass("Maybe").input_set("main").outcome("yes", out="Data")
-        b.taskclass("Gather").input_set("main", inp="Data").outcome(
-            "gathered", out="Data"
-        ).abort_outcome("timedOut")
-        b.taskclass("Root").input_set("main").outcome("done", out="Data").outcome("expired")
-        c = b.compound("wf", "Root")
-        c.task("maybe", "Maybe").implementation(code="maybe", location="worker-2").notify(
-            "main", from_input("wf", "main")
-        ).up()
-        c.task("gather", "Gather").implementation(code="gather", deadline="40").input(
-            "main", "inp", from_output("maybe", "yes", "out")
-        ).up()
-        c.output("done").object("out", from_output("gather", "gathered", "out")).up()
-        c.output("expired").notify(from_output("gather", "timedOut")).up()
-        c.up()
-        text = format_script(b.build())
+        text = deadline_script()
 
         def rebuilt(how):
             system = WorkflowSystem(replicas=1, lease_duration=30, repl_interval=5)
@@ -409,6 +416,131 @@ class TestFailover:
         system.execution_node.recover()
         result = self._run_to_terminal(system, iid)
         assert result["status"] == "completed"  # classic single-node recovery
+
+
+def depose_at_next_barrier(service):
+    """``service``'s next durability barrier deposes it after the force, inside
+    the event — what a fenced push or an unreachable lease service does from
+    ``_post_barrier``.  Returns the list that empties once it has happened."""
+    armed = [True]
+    flush = service.flush_journal
+
+    def deposing(*args):
+        flushed = flush(*args)
+        if armed and service.is_primary():
+            armed.clear()
+            service._demote_self("test")
+        return flushed
+
+    service.flush_journal = deposing
+    return armed
+
+
+class TestDeposedMidEvent:
+    """A barrier can depose the primary in the middle of an event; a demotion
+    drops every runtime, so the rest of that event runs on a standby — which
+    journals nothing, holds nothing and keeps no timer chain it cannot restart."""
+
+    @staticmethod
+    def pinned_script():
+        from repro.core.builder import ScriptBuilder, from_input, from_output
+        from repro.lang import format_script
+
+        b = ScriptBuilder()
+        b.object_class("Data")
+        b.taskclass("T").input_set("main").outcome("ok", out="Data")
+        b.taskclass("Root").input_set("main").outcome("done", out="Data")
+        for name, where in (("pinned", {"location": "worker-2"}), ("free", {})):
+            c = b.compound(name, "Root")
+            c.task("only", "T").implementation(code="impl", **where).notify(
+                "main", from_input(name, "main")
+            ).up()
+            c.output("done").object("out", from_output("only", "ok", "out")).up()
+            c.up()
+        return format_script(b.build())
+
+    def pinned_system(self, **kwargs):
+        from repro.engine import outcome
+
+        system = WorkflowSystem(lease_duration=30, repl_interval=5, **kwargs)
+        system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
+        system.deploy("p", self.pinned_script())
+        system.worker_nodes[1].crash()  # the pin: that flight stays unanswered
+        return system
+
+    def test_a_demotion_inside_a_sweep_leaves_a_sweeper_that_restarts(self):
+        """The sweep's redispatch takes the barrier that deposes; a finished,
+        not yet settled instance is later in the list the sweep walks.  That
+        used to raise out of the sweep with ``_sweep_armed`` still set: no
+        later reign redispatched, timed out or settled anything."""
+        system = self.pinned_system(replicas=1, dispatch_timeout=12, sweep_interval=10)
+        service = system.execution
+        stuck = system.instantiate("p", "pinned", {})
+        system.clock.advance(12)  # past the sweep at 10; overdue at the next
+        done = system.instantiate("p", "free", {})
+        system.clock.advance(7.9)
+        assert service.status(done)["status"] == "completed"
+        assert list(service._live) == [stuck, done]
+        armed = depose_at_next_barrier(service)
+        system.clock.advance(0.2)  # the sweep at 20: redispatch, barrier, deposed
+        assert not armed and service.repl_stats["demotions"] == 1
+        system.clock.advance(5)  # the lease is re-acquired at the next tick
+        assert service.is_primary() and list(service._live) == [stuck]
+        system.clock.advance(30)
+        # only a sweep settles an instance that finished live
+        assert service.status(stuck)["status"] == "completed" and service._live == {}
+
+    def test_nothing_is_journaled_after_the_barrier_that_deposed(self):
+        """The first send's barrier deposes; the same pump then comes to a task
+        whose deadline was never armed.  Journaling its expiry used to put the
+        runtime back into the standby's maps, commit the entry into its store
+        and arm a timer that later committed a ``force_abort`` there too."""
+        from repro.engine import outcome
+
+        system = WorkflowSystem(replicas=1, lease_duration=30, repl_interval=5)
+        system.registry.register("maybe", lambda ctx: outcome("yes", out="x"))
+        system.registry.register("gather", lambda ctx: outcome("gathered", out="y"))
+        system.deploy("p", deadline_script())
+        system.worker_nodes[1].crash()
+        system.lease_node.crash()  # it stays a standby: nothing re-promotes it
+        service = system.execution
+        armed = depose_at_next_barrier(service)
+        with pytest.raises(Fenced):
+            service.instantiate("p", "wf", "main", {})
+        assert not armed and service.role is Role.STANDBY
+        system.clock.advance(60)  # past the deadline
+        assert service.runtimes == {} == service._live and not service.journal.buffer
+        stored = Journal(service.store)
+        (iid,) = stored.instances()
+        assert stored.entries(iid) == [] and not stored.closed(iid)
+
+    def test_a_promotion_deposed_while_it_rebuilds_takes_no_name(self):
+        """A resend of the rebuild takes the barrier that deposes: the replica
+        is a standby again, so it arms no sweeper and does not take the public
+        name; the next grant promotes it for good."""
+        import dataclasses
+
+        from repro.resilience import ResilienceConfig
+
+        config = ResilienceConfig.for_timeouts(30.0, 10.0, seed=0)
+        config = dataclasses.replace(  # unstaggered: the rebuild itself resends
+            config, policy=dataclasses.replace(config.policy, recovery_stagger=0.0)
+        )
+        system = self.pinned_system(replicas=2, resilience=config)
+        iid = system.instantiate("p", "pinned", {})
+        standby = system.execution_replicas[1]
+        armed = depose_at_next_barrier(standby)
+        system.clock.advance(6)
+        system.execution_node.crash()
+        while armed:
+            system.clock.advance(5)
+        assert standby.repl_stats["promotions"] == 1 and standby.role is Role.STANDBY
+        assert standby.runtimes == {} == standby._live and not standby._sweep_armed
+        assert system.broker.resolve("execution").servant is not standby
+        system.clock.advance(5)
+        assert standby.is_primary() and standby._sweep_armed
+        assert system.broker.resolve("execution").servant is standby
+        assert system.run_until_terminal(iid)["status"] == "completed"
 
 
 class TestSettledGating:
