@@ -97,38 +97,28 @@ def _check_bare_effects(node: FlowNode, liveness: LivenessResult) -> List[Findin
 
 
 def _check_deadline(node: FlowNode) -> List[Finding]:
-    raw = node.decl.implementation.get("deadline")
-    if raw is None or node.taskclass is None:
+    implementation = node.decl.implementation
+    delay = implementation.deadline
+    unparsed = {known.keyword: text for known, text in implementation.ill_typed}
+    if node.taskclass is None or (delay is None and "deadline" not in unparsed):
         return []
-    spec = DIAGNOSTICS.require("W404")
-
-    def finding(message: str) -> Finding:
-        return Finding("W404", spec.severity, node.path, message)
-
+    raw = unparsed["deadline"] if delay is None else f"{delay:g}"
     if not node.taskclass.outputs_of_kind(OutputKind.ABORT):
-        return [
-            finding(
-                f"deadline {raw!r} can never arm: the task class declares no "
-                "abort outcome for the expiry to fire into"
-            )
-        ]
-    try:
-        delay = float(raw)
-    except (TypeError, ValueError):
-        return [
-            finding(
-                f"deadline {raw!r} is not a number and is silently ignored "
-                "by the execution service"
-            )
-        ]
-    if delay <= 0:
-        return [
-            finding(
-                f"deadline {raw!r} is non-positive: it lapses the instant it "
-                "is armed, aborting the task before inputs can arrive"
-            )
-        ]
-    return []
+        problem = (
+            "can never arm: the task class declares no abort outcome for the "
+            "expiry to fire into"
+        )
+    elif delay is None:
+        problem = "is not a number and is silently ignored by the execution service"
+    elif delay <= 0:
+        problem = (
+            "is non-positive: it lapses the instant it is armed, aborting the "
+            "task before inputs can arrive"
+        )
+    else:
+        return []
+    severity = DIAGNOSTICS.require("W404").severity
+    return [Finding("W404", severity, node.path, f"deadline {raw!r} {problem}")]
 
 
 # -- E402: abort paths over committed sibling effects --------------------------

@@ -127,6 +127,12 @@ DIAGNOSTICS.register(
     "W008", Severity.WARNING, "unused declaration",
     "Object class, task class or template never referenced.",
 )
+DIAGNOSTICS.register(
+    "W009", Severity.WARNING, "ill-typed implementation property",
+    "A well-known implementation property (core.schema.WELL_KNOWN_PROPERTIES) "
+    "whose text is not of its declared type: the clause carries the default "
+    "instead.  Unknown keywords stay legal — the clause is open.",
+)
 
 # -- typeflow (E1xx) ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import SchemaError
 
@@ -264,16 +264,77 @@ class InputSetBinding:
         return None
 
 
+# The fixed criticality vocabulary, in degrade order: under pressure the
+# execution service sheds hedged duplicates first, then new "low" admissions,
+# then new admissions of any class (docs/PROTOCOLS.md §13).
+CRITICALITY_CLASSES = ("low", "normal", "high")
+
+
+@dataclass(frozen=True)
+class WellKnownProperty:
+    """One keyword of the ``implementation`` clause that the system itself
+    reads.  Text that ``parse`` rejects or ``accepts`` refuses is outside
+    ``expects``: the clause then carries ``default``, and ``repro lint`` says
+    so (``W009``)."""
+
+    keyword: str
+    expects: str
+    default: object
+    parse: Callable[[str], object]
+    accepts: Callable[[object], bool] = lambda value: True
+
+    def read(self, text: str) -> object:
+        value = self.parse(text)
+        if not self.accepts(value):
+            raise ValueError(text)
+        return value
+
+
+# The one declaration of the well-known keywords: the typed attributes of
+# :class:`Implementation`, ``W009`` and the table in docs/LANGUAGE.md §4.3
+# (which says what each is for and who reads it) follow it.
+WELL_KNOWN_PROPERTIES: Tuple[WellKnownProperty, ...] = (
+    WellKnownProperty("code", "name", None, str),
+    WellKnownProperty("retries", "int", None, int),  # None: the engine's default
+    WellKnownProperty("priority", "int", 0, int),
+    WellKnownProperty("timeout", "float > 0 (wall s)", None, float, lambda v: v > 0),
+    WellKnownProperty("deadline", "float (sim s)", None, float),
+    WellKnownProperty("delay", "float >= 0 (sim s)", 0.0, float, lambda v: v >= 0),
+    WellKnownProperty("location", "name", None, str),
+    WellKnownProperty(
+        "criticality", "|".join(CRITICALITY_CLASSES), "normal", str, CRITICALITY_CLASSES.__contains__
+    ),
+)
+
+
 @dataclass(frozen=True)
 class Implementation:
     """The ``implementation`` clause: late-bound keyword/value pairs (§4.3).
 
-    Well-known keywords: ``code`` (implementation name resolved in the
-    registry at run time — may name a callable or another script), plus
-    ``location``, ``agent``, ``deadline``, ``priority``, ``retries``.
+    The clause is open — any keyword is legal and reaches the implementation
+    as text through ``ctx.properties`` — but the keywords of
+    :data:`WELL_KNOWN_PROPERTIES` are read by the system, so each is parsed
+    here, once per clause (a script shares its clauses with every instance),
+    into an attribute of its own name: ``clause.code``, ``clause.priority``,
+    ...  ``ill_typed`` holds ``(WellKnownProperty, text)`` for every one
+    whose text did not parse and was replaced by its default.
     """
 
     properties: Tuple[Tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        ill_typed = []
+        declared = dict(reversed(self.properties))  # like get(): the first wins
+        for known in WELL_KNOWN_PROPERTIES:
+            text = declared.get(known.keyword)
+            value = known.default
+            if text is not None:
+                try:
+                    value = known.read(text)
+                except ValueError:
+                    ill_typed.append((known, text))
+            object.__setattr__(self, known.keyword, value)
+        object.__setattr__(self, "ill_typed", tuple(ill_typed))
 
     @classmethod
     def of(cls, **properties: str) -> "Implementation":
@@ -284,10 +345,6 @@ class Implementation:
             if key == keyword:
                 return value
         return default
-
-    @property
-    def code(self) -> Optional[str]:
-        return self.get("code")
 
     def as_dict(self) -> Dict[str, str]:
         return dict(self.properties)

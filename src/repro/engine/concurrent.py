@@ -17,15 +17,8 @@ produces the same outcome, marks and output objects under both engines — the
 event log may interleave differently, but every dependency edge is still
 honoured (an event is only ever published after its producers').
 
-Knobs:
-
-* ``parallelism=N`` — worker thread count (``N <= 1`` degrades to the
-  sequential :class:`~repro.engine.local.LocalWorkflow` loop);
-* per-task ``"timeout"`` implementation property — wall-clock budget in
-  seconds, surfaced through :class:`~repro.engine.context.TaskContext`
-  (cooperative: implementations call ``ctx.check_timeout()`` at safe
-  points; the resulting :class:`~repro.core.errors.TaskTimeout` takes the
-  normal failure path of system retries then abort).
+``parallelism=N`` is the worker thread count (``N <= 1`` degrades to the
+sequential :class:`~repro.engine.local.LocalWorkflow` loop).
 
 Script-bound implementations (§4.4 sub-workflows) run sequentially inside
 the worker thread that picked the parent task up — several sub-workflows
@@ -104,11 +97,11 @@ class ConcurrentWorkflow(LocalWorkflow):
 
     # -- step budget (thread-safe) ---------------------------------------------
 
-    def _budget_remaining(self) -> int:
+    def budget_remaining(self) -> int:
         with self._cv:
             return self.max_steps - self.steps
 
-    def _charge_steps(self, count: int) -> None:
+    def charge_steps(self, count: int) -> None:
         with self._cv:
             self.steps += count
 
@@ -192,14 +185,6 @@ class ConcurrentEngine(LocalEngine):
         root_task: str,
         registry: ImplementationRegistry,
     ) -> ConcurrentWorkflow:
-        return ConcurrentWorkflow(
-            script,
-            root_task,
-            registry,
-            default_retries=self.default_retries,
-            max_repeats=self.max_repeats,
-            max_steps=self.max_steps,
-            parallelism=self.parallelism,
-            use_plan=self.use_plan,
-            sanitizer=self.sanitizer,
+        return super()._build(
+            script, root_task, registry, ConcurrentWorkflow, parallelism=self.parallelism
         )

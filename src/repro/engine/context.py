@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..core.errors import ExecutionError, TaskTimeout
-from ..core.schema import OutputKind, TaskClass
+from ..core.schema import OutputKind, OutputSpec, TaskClass
 from ..core.values import ObjectRef
 
 
@@ -90,6 +90,10 @@ class TaskContext:
             :meth:`check_timeout` (or consult :meth:`remaining`) at safe
             points; the raised :class:`~repro.core.errors.TaskTimeout` then
             follows the normal failure path (system retries, then abort).
+        registry: where :func:`~repro.engine.registry.run_task` resolved the
+            task's code; a script used as code (§4.4) resolves its own there.
+        workflow: the in-process workflow executing the task, if any: such a
+            script runs under its evaluator and on its remaining step budget.
     """
 
     def __init__(
@@ -104,6 +108,7 @@ class TaskContext:
         mark_sink: Optional[Callable[[str, Dict[str, ObjectRef]], None]] = None,
         timeout: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
+        workflow: Any = None,
     ) -> None:
         self.task_path = task_path
         self.taskclass = taskclass
@@ -116,6 +121,8 @@ class TaskContext:
         self.timeout = timeout
         self._clock = clock
         self.started_at = clock()
+        self.registry: Any = None
+        self.workflow = workflow
 
     def value(self, name: str, default: Any = None) -> Any:
         """Unwrap one input object's payload."""
@@ -163,6 +170,16 @@ class TaskContext:
         self._mark_sink(name, coerce_objects(self.taskclass, name, objects, self.task_path))
 
 
+def declared_output(taskclass: TaskClass, output_name: str, task_path: str) -> OutputSpec:
+    """The named output of ``taskclass`` — or the task's failure to have one."""
+    spec = taskclass.output(output_name)
+    if spec is None:
+        raise ExecutionError(
+            f"{task_path}: taskclass {taskclass.name!r} has no output {output_name!r}"
+        )
+    return spec
+
+
 def coerce_objects(
     taskclass: TaskClass, output_name: str, objects: Mapping[str, Any], task_path: str
 ) -> Dict[str, ObjectRef]:
@@ -172,7 +189,7 @@ def coerce_objects(
     plain values are wrapped in refs of the declared class.  This is the
     run-time enforcement of the task-class signature.
     """
-    spec = taskclass.output(output_name)
+    spec = taskclass.output(output_name)  # inline: this runs once per step
     if spec is None:
         raise ExecutionError(
             f"{task_path}: taskclass {taskclass.name!r} has no output {output_name!r}"

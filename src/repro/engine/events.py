@@ -75,6 +75,23 @@ class EventLog:
         kept._shed = len(self) - len(kept.entries)
         return kept
 
+    def outputs_of(
+        self, producer_path: str
+    ) -> Tuple[Dict[str, ObjectRef], List[Tuple[str, Dict[str, ObjectRef]]]]:
+        """What ``producer_path`` has released and ended with: the objects of
+        its outcome or abort outcome (none while it runs), and its marks in
+        order.  Asked of the root, this is an instance's result on any engine."""
+        objects: Dict[str, ObjectRef] = {}
+        marks = []
+        for entry in self.entries:
+            if entry.producer_path != producer_path:
+                continue
+            if entry.event.kind in (EventKind.OUTCOME, EventKind.ABORT):
+                objects = dict(entry.event.objects)
+            elif entry.event.kind is EventKind.MARK:
+                marks.append((entry.event.name, dict(entry.event.objects)))
+        return objects, marks
+
     # -- queries used by tests and benchmarks ------------------------------------
 
     def for_task(self, producer_path: str) -> List[LogEntry]:

@@ -124,20 +124,11 @@ class TaskNode:
         return True
 
     def retry_limit(self) -> int:
-        raw = self.decl.implementation.get("retries")
-        if raw is None:
-            return self.tree.default_retries
-        try:
-            return int(raw)
-        except ValueError:
-            return self.tree.default_retries
+        retries = self.decl.implementation.retries
+        return self.tree.default_retries if retries is None else retries
 
     def priority(self) -> int:
-        raw = self.decl.implementation.get("priority", "0")
-        try:
-            return int(raw)
-        except ValueError:
-            return 0
+        return self.decl.implementation.priority
 
     # -- input tracking ------------------------------------------------------------
 

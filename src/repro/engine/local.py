@@ -13,30 +13,16 @@ fault tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-from ..core.errors import BindingError, ExecutionError
+from ..core.errors import ExecutionError
 from ..core.schema import Script
-from ..core.selection import EventKind
-from ..core.values import ObjectRef
-from .context import PendingExternal, TaskContext, TaskResult, coerce_objects
+from ..core.states import TaskState
+from .context import PendingExternal, TaskContext, TaskResult, declared_output
 from .events import EventLog, WorkflowResult, WorkflowStatus
 from .instance import InstanceTree, TaskNode
 from .plan import ExecutionPlan
-from .registry import ImplementationRegistry, ScriptBinding
-
-
-def task_timeout(node: TaskNode) -> Optional[float]:
-    """Wall-clock budget from the task's ``"timeout"`` implementation
-    property (seconds); None when absent, unparsable or non-positive."""
-    raw = node.decl.implementation.get("timeout")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        return None
-    return value if value > 0 else None
+from .registry import ImplementationRegistry, run_task
 
 
 class LocalWorkflow:
@@ -92,14 +78,14 @@ class LocalWorkflow:
         exhausted and work remains, the tree fails without losing the ready
         node (it stays queued, visible to diagnostics and reconfiguration).
         """
-        if self._budget_remaining() <= 0:
+        if self.budget_remaining() <= 0:
             if self.tree.has_work():
                 self.tree.fail(f"exceeded max_steps={self.max_steps}")
             return False
         node = self.tree.take_ready()
         if node is None:
             return False
-        self._charge_steps(1)
+        self.charge_steps(1)
         self._execute(node)
         return True
 
@@ -111,10 +97,10 @@ class LocalWorkflow:
 
     # -- step budget -----------------------------------------------------------
 
-    def _budget_remaining(self) -> int:
+    def budget_remaining(self) -> int:
         return self.max_steps - self.steps
 
-    def _charge_steps(self, count: int) -> None:
+    def charge_steps(self, count: int) -> None:
         self.steps += count
 
     # -- queries ------------------------------------------------------------------
@@ -134,15 +120,7 @@ class LocalWorkflow:
         status = self.tree.status
         if status is WorkflowStatus.RUNNING:
             status = WorkflowStatus.STALLED
-        objects: Dict[str, ObjectRef] = {}
-        marks = []
-        for entry in self.tree.log.entries:
-            if entry.producer_path != root.path:
-                continue
-            if entry.event.kind in (EventKind.OUTCOME, EventKind.ABORT):
-                objects = dict(entry.event.objects)
-            elif entry.event.kind is EventKind.MARK:
-                marks.append((entry.event.name, dict(entry.event.objects)))
+        objects, marks = self.tree.log.outputs_of(root.path)
         return WorkflowResult(
             status=status,
             outcome=root.machine.outcome,
@@ -172,14 +150,7 @@ class LocalWorkflow:
         outcome, repeat outcome); objects are coerced against its signature.
         """
         node = self.tree.node_at(path)
-        spec = node.taskclass.output(output_name)
-        if spec is None:
-            raise ExecutionError(
-                f"{path}: taskclass {node.taskclass.name!r} has no output "
-                f"{output_name!r}"
-            )
-        from ..core.states import TaskState
-
+        spec = declared_output(node.taskclass, output_name, path)
         if node.machine.state is not TaskState.EXECUTING:
             raise ExecutionError(
                 f"{path}: not executing (state={node.machine.state.value})"
@@ -193,28 +164,21 @@ class LocalWorkflow:
         if begun is None:
             return  # stale: an ancestor terminated or repeated meanwhile
         input_set, inputs = begun
-        code = node.decl.implementation.code
-        try:
-            binding = self.registry.resolve(code)
-        except BindingError as exc:
-            self.tree.apply_failure(node, exc)
-            return
-        if isinstance(binding, ScriptBinding):
-            self._execute_subworkflow(node, binding, input_set, inputs)
-            return
+        implementation = node.decl.implementation
         context = TaskContext(
             task_path=node.path,
             taskclass=node.taskclass,
             input_set=input_set,
             inputs=inputs,
-            properties=node.decl.implementation.as_dict(),
+            properties=implementation.as_dict(),
             attempt=node.attempt + 1,
             repeats=node.machine.repeats,
             mark_sink=lambda name, objects: self.tree.apply_mark(node, name, objects),
-            timeout=task_timeout(node),
+            timeout=implementation.timeout,
+            workflow=self,
         )
         try:
-            result = binding(context)
+            result = run_task(self.registry, implementation.code, context)
         except Exception as exc:  # implementation failure -> system handling
             self.tree.apply_failure(node, exc)
             return
@@ -222,108 +186,11 @@ class LocalWorkflow:
             # parked: stays EXECUTING until complete_external() supplies the
             # outcome (long-running / interactive tasks, §1)
             return
-        if not isinstance(result, TaskResult):
-            self.tree.apply_failure(
-                node,
-                ExecutionError(
-                    f"{node.path}: implementation returned {type(result).__name__}, "
-                    f"expected TaskResult"
-                ),
-            )
-            return
         try:
             self.tree.apply_result(node, result)
         except ExecutionError as exc:
             # the result did not match the task class signature
             self.tree.apply_failure(node, exc)
-
-    def _execute_subworkflow(
-        self,
-        node: TaskNode,
-        binding: ScriptBinding,
-        input_set: str,
-        inputs: Mapping[str, ObjectRef],
-    ) -> None:
-        """Run a script bound as this task's implementation (§4.4: a compound
-        task used as code).  The sub-root's outputs become this task's.
-
-        The child draws on the *remaining* global step budget, and every
-        step it consumes is charged back to this workflow — nested script
-        bindings therefore share one budget instead of multiplying it.
-        """
-        remaining = self._budget_remaining()
-        if remaining <= 0:
-            self.tree.fail(f"exceeded max_steps={self.max_steps}")
-            return
-        sub = LocalWorkflow(
-            binding.script,
-            binding.task_name,
-            self.registry,
-            max_steps=remaining,
-            use_plan=self.use_plan,
-        )
-        try:
-            sub.start({name: ref for name, ref in inputs.items()}, input_set)
-            sub_result = sub.run_to_completion()
-        except Exception as exc:
-            self.tree.apply_failure(node, exc)
-            return
-        finally:
-            self._charge_steps(sub.steps)
-        for mark_name, mark_objects in sub_result.marks:
-            coerced = coerce_objects(
-                node.taskclass,
-                mark_name,
-                {k: v.value for k, v in mark_objects.items()},
-                node.path,
-            )
-            self.tree.apply_mark(node, mark_name, coerced)
-        if sub_result.status is WorkflowStatus.COMPLETED:
-            spec = node.taskclass.output(sub_result.outcome)
-            if spec is None:
-                self.tree.apply_failure(
-                    node,
-                    ExecutionError(
-                        f"{node.path}: sub-workflow finished in {sub_result.outcome!r}, "
-                        f"which {node.taskclass.name!r} does not declare"
-                    ),
-                )
-                return
-            self.tree.apply_result(
-                node,
-                TaskResult(
-                    spec.kind,
-                    sub_result.outcome,
-                    {k: v.value for k, v in sub_result.objects.items()},
-                ),
-            )
-        elif sub_result.status is WorkflowStatus.ABORTED:
-            spec = node.taskclass.output(sub_result.outcome)
-            if spec is None:
-                self.tree.apply_failure(
-                    node,
-                    ExecutionError(
-                        f"{node.path}: sub-workflow aborted in {sub_result.outcome!r}, "
-                        f"which {node.taskclass.name!r} does not declare"
-                    ),
-                )
-                return
-            self.tree.apply_result(
-                node,
-                TaskResult(
-                    spec.kind,
-                    sub_result.outcome,
-                    {k: v.value for k, v in sub_result.objects.items()},
-                ),
-            )
-        else:
-            self.tree.apply_failure(
-                node,
-                ExecutionError(
-                    f"{node.path}: sub-workflow ended {sub_result.status.value}: "
-                    f"{sub_result.error}"
-                ),
-            )
 
 
 class LocalEngine:
@@ -365,9 +232,12 @@ class LocalEngine:
         script: Script,
         root_task: str,
         registry: ImplementationRegistry,
+        workflow_class=LocalWorkflow,
+        **extra,
     ) -> LocalWorkflow:
-        """Workflow construction hook; subclasses swap the workflow class."""
-        return LocalWorkflow(
+        """Workflow construction hook; a subclass names its workflow class
+        and what that takes beyond this engine's settings."""
+        return workflow_class(
             script,
             root_task,
             registry,
@@ -376,6 +246,7 @@ class LocalEngine:
             max_steps=self.max_steps,
             use_plan=self.use_plan,
             sanitizer=self.sanitizer,
+            **extra,
         )
 
     def run(

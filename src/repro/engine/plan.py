@@ -368,12 +368,11 @@ class DispatchTemplate:
     taskclass: TaskClassWire
     code: Optional[str]
     properties: Tuple[Tuple[str, str], ...]
-
-    def property(self, keyword: str) -> Optional[str]:
-        for key, value in self.properties:
-            if key == keyword:
-                return value
-        return None
+    # what the clause's typed values say to the dispatcher and the worker
+    # (core.schema.WELL_KNOWN_PROPERTIES): read there once, carried here
+    location: Optional[str] = None
+    delay: float = 0.0
+    timeout: Optional[float] = None
 
 
 def dispatch_template(
@@ -385,7 +384,13 @@ def dispatch_template(
         return None
     implementation = decl.implementation
     return DispatchTemplate(
-        path, taskclass.wire, implementation.code, implementation.properties
+        path,
+        taskclass.wire,
+        implementation.code,
+        implementation.properties,
+        implementation.location,
+        implementation.delay,
+        implementation.timeout,
     )
 
 

@@ -8,8 +8,13 @@ paper supports online upgrade without editing scripts.
 A code name may resolve to:
 
 * a Python callable ``fn(ctx) -> TaskResult`` (the "executable" case), or
-* another *script* — a compound task used as the implementation (§4.4); the
-  engine runs it as a sub-workflow and maps its outcome back.
+* another *script* — a compound task used as the implementation (§4.4):
+  a :class:`ScriptBinding` is itself such a callable, which runs the script
+  as a sub-workflow and maps its outcome back.
+
+:func:`run_task` is the one place a task body is entered; the in-process
+engines and the distributed worker differ only in where a mark and the
+verdict go.
 
 Registries nest: instantiation-time bindings (the paper binds
 ``refAlarmCorrelator`` etc. per instantiation) are expressed as a child
@@ -21,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
-from ..core.errors import BindingError
+from ..core.errors import BindingError, ExecutionError
 from ..core.schema import Script
-from .context import TaskContext, TaskResult
+from .context import PendingExternal, TaskContext, TaskResult, declared_output
+from .events import WorkflowStatus
 
-TaskCallable = Callable[[TaskContext], TaskResult]
+TaskCallable = Callable[[TaskContext], Union[TaskResult, PendingExternal]]
 
 
 @dataclass(frozen=True)
@@ -35,15 +41,60 @@ class ScriptBinding:
     script: Script
     task_name: str
 
+    def __call__(self, ctx: TaskContext) -> TaskResult:
+        """Run the script as ``ctx``'s task body: the sub-root's marks are
+        released through ``ctx.mark`` and its outcome or abort outcome
+        becomes the output *of the calling task's class* that bears the same
+        name.  Under an in-process workflow the sub-run uses that workflow's
+        evaluator and what is left of its step budget, and is charged to it,
+        so nested bindings share one budget instead of multiplying it."""
+        from .local import LocalWorkflow  # local.py imports this module
 
-Binding = Union[TaskCallable, ScriptBinding]
+        host = ctx.workflow
+        options = {}
+        if host is not None:
+            # with nothing left the sub-run fails at its first step: a task failure
+            options = {"max_steps": host.budget_remaining(), "use_plan": host.use_plan}
+        sub = LocalWorkflow(self.script, self.task_name, ctx.registry, **options)
+        try:
+            sub.start(ctx.inputs, ctx.input_set)
+            result = sub.run_to_completion()
+        finally:
+            if host is not None:
+                host.charge_steps(sub.steps)
+        for mark_name, objects in result.marks:
+            ctx.mark(mark_name, **{k: v.value for k, v in objects.items()})
+        if result.status not in (WorkflowStatus.COMPLETED, WorkflowStatus.ABORTED):
+            raise ExecutionError(
+                f"{ctx.task_path}: sub-workflow ended {result.status.value}: {result.error}"
+            )
+        spec = declared_output(ctx.taskclass, result.outcome, ctx.task_path)
+        return TaskResult(
+            spec.kind, result.outcome, {k: v.value for k, v in result.objects.items()}
+        )
+
+
+def run_task(
+    registry: "ImplementationRegistry", code: Optional[str], ctx: TaskContext
+) -> Union[TaskResult, PendingExternal]:
+    """Execute the implementation bound to ``code`` once.  Whatever it
+    raises, and a return value that is not a verdict, is the caller's task
+    failure (system retries, then the first abort outcome — §3)."""
+    ctx.registry = registry
+    result = registry.resolve(code)(ctx)
+    if not isinstance(result, (TaskResult, PendingExternal)):
+        raise ExecutionError(
+            f"{ctx.task_path}: implementation returned {type(result).__name__}, "
+            f"expected TaskResult"
+        )
+    return result
 
 
 class ImplementationRegistry:
     """Name -> implementation mapping with parent fallback."""
 
     def __init__(self, parent: Optional["ImplementationRegistry"] = None) -> None:
-        self._bindings: Dict[str, Binding] = {}
+        self._bindings: Dict[str, TaskCallable] = {}
         self._parent = parent
 
     # -- registration ------------------------------------------------------------
@@ -84,7 +135,7 @@ class ImplementationRegistry:
 
     # -- resolution ----------------------------------------------------------------
 
-    def resolve(self, code_name: Optional[str]) -> Binding:
+    def resolve(self, code_name: Optional[str]) -> TaskCallable:
         if code_name is None:
             raise BindingError("task has no 'code' implementation property")
         registry: Optional[ImplementationRegistry] = self
@@ -93,13 +144,6 @@ class ImplementationRegistry:
                 return registry._bindings[code_name]
             registry = registry._parent
         raise BindingError(f"no implementation registered for code {code_name!r}")
-
-    def knows(self, code_name: str) -> bool:
-        try:
-            self.resolve(code_name)
-            return True
-        except BindingError:
-            return False
 
     def child(self, **bindings: TaskCallable) -> "ImplementationRegistry":
         """Instantiation-time overrides layered over this registry."""

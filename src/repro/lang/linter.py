@@ -22,6 +22,8 @@ or retired code.  The live ``W0xx`` codes:
   workflow silently loses the branch.
 * ``W008`` unused declaration (object class, task class or template never
   referenced).
+* ``W009`` a well-known implementation property whose text is not of its
+  declared type: the system runs on the default instead.
 
 ``W004`` and ``W006`` — draft checks documented in early versions of this
 module but never implemented — are *retired* in the registry: permanently
@@ -84,6 +86,17 @@ class Linter:
         if isinstance(decl, TaskDecl):
             if decl.implementation.code is None:
                 self._warn("W002", path, "no 'code' implementation property")
+        for known, text in decl.implementation.ill_typed:
+            if known.default is None:
+                in_force = "it is treated as absent"
+            else:
+                in_force = f"the default ({known.default}) is in force"
+            self._warn(
+                "W009",
+                path,
+                f"implementation property {known.keyword!r} is {text!r}, not "
+                f"{known.expects}: {in_force}",
+            )
         if not top_level:
             # a top-level task's inputs come from the environment at
             # instantiation time, so unbound sets are normal there

@@ -13,13 +13,9 @@ shed instance receiving a journaled decisive ``overloaded`` outcome.
 Nothing is ever silently dropped, and nothing already started is ever shed.
 """
 
+from ..core.schema import CRITICALITY_CLASSES
 from .admission import QUEUE, REJECT, SHED, START, AdmissionController
-from .config import (
-    CRITICALITY_CLASSES,
-    DEFAULT_CRITICALITY,
-    OverloadConfig,
-    criticality_of,
-)
+from .config import DEFAULT_CRITICALITY, OverloadConfig, criticality_of
 
 __all__ = [
     "AdmissionController",

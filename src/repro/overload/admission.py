@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .config import DEFAULT_CRITICALITY, OverloadConfig
+from .config import OverloadConfig
 
 # Verdicts returned by AdmissionController.decide().
 START = "start"

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# The fixed criticality vocabulary, in degrade order: under pressure the
-# service sheds hedged duplicates first, then new "low" admissions, then new
-# admissions of any class.  Scripts declare it as an implementation property
-# on the root task ("criticality" is "low"); anything absent or unknown is
-# "normal".
-CRITICALITY_CLASSES = ("low", "normal", "high")
-DEFAULT_CRITICALITY = "normal"
+from ..core.schema import Implementation
+
+# Scripts declare a criticality class as an implementation property on the
+# root task ("criticality" is "low"); anything absent or unknown is this.
+DEFAULT_CRITICALITY = Implementation().criticality
 
 
 def criticality_of(script, root_task: str) -> str:
@@ -31,8 +29,7 @@ def criticality_of(script, root_task: str) -> str:
     decl = script.tasks.get(root_task)
     if decl is None:
         return DEFAULT_CRITICALITY
-    raw = decl.implementation.get("criticality")
-    return raw if raw in CRITICALITY_CLASSES else DEFAULT_CRITICALITY
+    return decl.implementation.criticality
 
 
 @dataclass(frozen=True)

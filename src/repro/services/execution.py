@@ -52,7 +52,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
-from ..core.schema import Script, TaskClass
+from ..core.schema import OutputKind, Script, TaskClass
+from ..core.states import TaskState
+from ..engine.context import TaskResult, declared_output
 from ..engine.events import WorkflowStatus
 from ..engine.instance import InstanceTree, SettledTree
 from ..engine.plan import ExecutionPlan, compile_plan
@@ -216,6 +218,10 @@ _COMPILE_CACHE_MAX = 128
 # overload, when losers can accrue faster than the reap horizon drains them.
 _PENDING_ACK_CAP = 1024
 
+# How long (simulated seconds) a buffered journal entry may stay volatile
+# before a timer takes the durability barrier for it.
+_JOURNAL_WINDOW = 5.0
+
 
 def _dedup_key(entry: Dict[str, Any]) -> Optional[Tuple]:
     """The exactly-once identity of a journal entry: a handler refuses an
@@ -241,7 +247,7 @@ def _compiled(text: str) -> _Compiled:
             script,
             script_digest(text),
             has_deadlines=any(
-                decl.implementation.get("deadline") is not None
+                decl.implementation.deadline is not None
                 for _path, decl in script.walk_tasks()
             ),
         )
@@ -265,7 +271,6 @@ class ExecutionService(Service):
         worker_names: List[str],
         resilience: ResilienceConfig,
         sweep_interval: float = 10.0,
-        journal_window: float = 5.0,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
         super().__init__(name)
@@ -275,7 +280,6 @@ class ExecutionService(Service):
         self.worker_names = list(worker_names)
         self.journal = Journal(store)
         self.sweep_interval = sweep_interval
-        self.journal_window = journal_window
         self._jflush_armed = False
         self.resilience = resilience
         # every instance: the unsettled ones with their trees, the settled
@@ -470,23 +474,15 @@ class ExecutionService(Service):
     def result(self, iid: str) -> Dict[str, Any]:
         runtime = self._runtime(iid)
         tree = runtime.tree
-        objects: Dict[str, Any] = {}
-        marks: List[Dict[str, Any]] = []
-        from ..core.selection import EventKind
-
-        for entry in tree.log.entries:
-            if entry.producer_path != tree.root.path:
-                continue
-            if entry.event.kind in (EventKind.OUTCOME, EventKind.ABORT):
-                objects = refs_to_plain(entry.event.objects)
-            elif entry.event.kind is EventKind.MARK:
-                marks.append({"name": entry.event.name, "objects": refs_to_plain(entry.event.objects)})
+        objects, marks = tree.log.outputs_of(tree.root.path)
         return {
             "instance": iid,
             "status": tree.status.value,
             "outcome": tree.root.machine.outcome,
-            "objects": objects,
-            "marks": marks,
+            "objects": refs_to_plain(objects),
+            "marks": [
+                {"name": name, "objects": refs_to_plain(released)} for name, released in marks
+            ],
             "error": tree.error,
         }
 
@@ -617,14 +613,7 @@ class ExecutionService(Service):
         exec_index = runtime.live_exec.get(task_path, 0)
         if (task_path, exec_index) not in runtime.external:
             raise ExecutionError(f"{task_path}: not awaiting an external completion")
-        spec = node.taskclass.output(output_name)
-        if spec is None:
-            raise ExecutionError(
-                f"{task_path}: taskclass {node.taskclass.name!r} has no output "
-                f"{output_name!r}"
-            )
-        from ..engine.context import TaskResult
-
+        spec = declared_output(node.taskclass, output_name, task_path)
         result = TaskResult(spec.kind, output_name, dict(objects or {}))
         entry = {
             "type": "result",
@@ -764,13 +753,10 @@ class ExecutionService(Service):
             return
         if not runtime.has_deadlines:
             return  # script declares no deadline property: skip the tree walk
-        from ..core.schema import OutputKind
-        from ..core.states import TaskState
-
         journaled = False
         for node in runtime.tree.walk():
-            raw = node.decl.implementation.get("deadline")
-            if raw is None or node.machine.state is not TaskState.WAIT:
+            delay = node.decl.implementation.deadline
+            if delay is None or node.machine.state is not TaskState.WAIT:
                 continue
             if not node.taskclass.outputs_of_kind(OutputKind.ABORT):
                 continue
@@ -778,10 +764,6 @@ class ExecutionService(Service):
             # compound repeat rounds (machine.starts is not)
             key = (node.path, runtime.exec_counter.get(node.path, 0))
             if key in runtime.armed_deadlines:
-                continue
-            try:
-                delay = float(raw)
-            except ValueError:
                 continue
             expires_at = runtime.deadline_expiries.get(key)
             if expires_at is None:
@@ -916,7 +898,7 @@ class ExecutionService(Service):
         entirely, as before.  Hedges exclude workers already carrying this
         flight's current wave.
         """
-        pinned = flight.request["template"].property("location")
+        pinned = flight.request["template"].location
         if not hedge and pinned in self.worker_names and flight.redispatches == 0:
             if self.health.allows(pinned, now):
                 return pinned
@@ -946,10 +928,7 @@ class ExecutionService(Service):
         crash-safe; after a recovery the in-flight timer is simply re-armed.
         """
         flight.sent = True
-        try:
-            delay = float(flight.request["template"].property("delay") or "0")
-        except ValueError:
-            delay = 0.0
+        delay = flight.request["template"].delay
         # keep the sweeper quiet until the timer is genuinely overdue
         flight.dispatched_at = self._now() + delay
         flight.next_attempt_at = (
@@ -957,33 +936,20 @@ class ExecutionService(Service):
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
         taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
-        outcomes = [o for o in taskclass.outputs if o.kind.name == "OUTCOME"]
-        if not outcomes:
-            reply = {
-                "instance_id": runtime.iid,
-                "task_path": key[0],
-                "execution_index": key[1],
-                "ok": False,
-                "error": "system.timer task class declares no outcome",
-                "marks": [],
-            }
-            self.node.call_after(max(delay, 0.0), lambda: self._handle_reply(runtime.iid, reply))
-            return
-        from ..engine.context import TaskResult
-        from ..core.schema import OutputKind
-
-        result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
+        outcomes = taskclass.outputs_of_kind(OutputKind.OUTCOME)
         reply = {
             "instance_id": runtime.iid,
             "task_path": key[0],
             "execution_index": key[1],
-            "ok": True,
-            "result": result_to_plain(result),
             "marks": [],
-            "error": None,
         }
+        if outcomes:
+            result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
+            reply.update(ok=True, result=result_to_plain(result), error=None)
+        else:
+            reply.update(ok=False, error="system.timer task class declares no outcome")
         self.node.call_after(
-            max(delay, 0.0),
+            delay,
             lambda: self._handle_reply(runtime.iid, reply),
             label=f"timer-task:{key[0]}",
         )
@@ -1030,7 +996,7 @@ class ExecutionService(Service):
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < flight.next_attempt_at
                     ):
-                        pinned = flight.request["template"].property("location")
+                        pinned = flight.request["template"].location
                         if pinned in self.worker_names and flight.redispatches == 0:
                             flight.hedge_at = None  # honour the pin: no hedge
                         else:
@@ -1245,7 +1211,7 @@ class ExecutionService(Service):
         An exception between buffering an entry and the next barrier must
         not strand the buffer: the tree has applied the entry, so the
         in-memory state would run ahead of the durable journal for up to
-        ``journal_window``.  Hence the flush on the error path, here and
+        ``_JOURNAL_WINDOW``.  Hence the flush on the error path, here and
         wherever else a handler journals.  ``SimulatedCrash`` is a
         BaseException and deliberately *not* caught: a machine crash loses
         the buffer together with the volatile tree state it described."""
@@ -1277,7 +1243,7 @@ class ExecutionService(Service):
         WAL record, one force, one fsync), then let replication ship the
         newly durable suffix.  Taken before any dependent dispatch, when an
         instance reaches a terminal state, in every public mutating
-        operation, and at the latest ``journal_window`` simulated seconds
+        operation, and at the latest ``_JOURNAL_WINDOW`` simulated seconds
         after the first buffered entry; recovery, replay and exactly-once
         dedup are as if each entry were committed as it is produced.
         ``closed``: the instances the barrier leaves terminal with no flight
@@ -1298,7 +1264,7 @@ class ExecutionService(Service):
             if self.node is not None and self.node.alive:
                 self.flush_journal()
 
-        self.node.call_after(self.journal_window, fire, label=f"{self.name}-jflush")
+        self.node.call_after(_JOURNAL_WINDOW, fire, label=f"{self.name}-jflush")
 
     def _apply_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
         """What one journal entry does to an instance — its dedup key, the

@@ -53,9 +53,6 @@ class WorkflowSystem:
         sweep_interval: float = 10.0,
         registry: Optional[ImplementationRegistry] = None,
         resilience: Optional[ResilienceConfig] = None,
-        dup_rate: float = 0.0,
-        reorder_window: float = 0.0,
-        journal_window: float = 5.0,
         mirror_path: Optional[str] = None,
         replicas: int = 0,
         lease_duration: float = 60.0,
@@ -67,8 +64,7 @@ class WorkflowSystem:
         """``resilience`` tunes the adaptive dispatch layer (backoff, circuit
         breakers, health routing, hedging).  Defaults to
         ``ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval,
-        seed=seed)``.  ``dup_rate``/``reorder_window`` feed the network's
-        duplication and reordering fault model.
+        seed=seed)``.
 
         ``mirror_path`` attaches a real on-disk JSON-lines mirror to the
         execution store's WAL, so its fsyncs (one per durability barrier,
@@ -83,8 +79,7 @@ class WorkflowSystem:
         the public ``"execution"`` name; the rest follow its WAL as standbys
         — they hold the log and no runtime — and take over (with a fresh
         fencing epoch, rebuilding the open instances from their own store)
-        when the lease lapses.  ``replicas=0`` is the legacy unreplicated
-        layout, unchanged.
+        when the lease lapses.  ``replicas=0`` is the unreplicated layout.
 
         ``overload`` tunes the admission layer (docs/PROTOCOLS.md §13):
         bounded admission queue, adaptive concurrency window and priority
@@ -92,15 +87,10 @@ class WorkflowSystem:
         ``worker_lanes`` give every worker a finite-capacity profile (each
         task occupies one of ``worker_lanes`` lanes for
         ``worker_service_time`` virtual seconds) — 0 keeps workers
-        instantaneous, the legacy behaviour."""
+        instantaneous."""
         self.clock = EventClock()
         self.network = Network(
-            self.clock,
-            latency or LatencyModel(1.0, 0.5),
-            loss_rate,
-            seed,
-            dup_rate=dup_rate,
-            reorder_window=reorder_window,
+            self.clock, latency or LatencyModel(1.0, 0.5), loss_rate, seed
         )
         self.broker = ObjectBroker(self.clock, self.network)
         self.registry = registry or ImplementationRegistry()
@@ -148,7 +138,7 @@ class WorkflowSystem:
 
             replica_names = [f"execution-r{i + 1}" for i in range(replicas)]
             for i, rname in enumerate(replica_names):
-                # replica 1 keeps the legacy node name so nemesis schedules
+                # replica 1 keeps the unreplicated node name so nemesis schedules
                 # written against "execution-node" hit the bootstrap primary
                 node_name = "execution-node" if i == 0 else f"standby-node-{i + 1}"
                 node = Node(node_name, self.clock, self.network)
@@ -167,7 +157,6 @@ class WorkflowSystem:
                     repl_interval=repl_interval,
                     sweep_interval=sweep_interval,
                     resilience=resilience,
-                    journal_window=journal_window,
                     overload=overload,
                 )
                 self.replica_nodes.append(node)
@@ -194,7 +183,6 @@ class WorkflowSystem:
                 worker_names=worker_names,
                 sweep_interval=sweep_interval,
                 resilience=resilience,
-                journal_window=journal_window,
                 overload=overload,
             )
             self.execution_node.install(self.execution)

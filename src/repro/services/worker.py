@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TypedDict
 
-from ..core.schema import Script, TaskClass
+from ..core.schema import TaskClass
 from ..core.values import ObjectRef
-from ..engine.context import PendingExternal, TaskContext, TaskResult
+from ..engine.context import PendingExternal, TaskContext
 from ..engine.plan import DispatchTemplate
-from ..engine.registry import ImplementationRegistry, ScriptBinding
+from ..engine.registry import ImplementationRegistry, run_task
 from ..net.node import Message, Service
 from ..orb.broker import DelayedResult, Interface
 from ..sim.crashpoints import crash_point
@@ -64,7 +64,7 @@ class WorkRequest(TypedDict):
 
     instance_id: str
     execution_index: int
-    template: DispatchTemplate       # task path, task class, code, properties
+    template: DispatchTemplate       # task path, task class, code, clause
     input_set: str
     inputs: Tuple[Tuple[str, ObjectRef], ...]
     attempt: int
@@ -79,8 +79,8 @@ class TaskWorker(Service):
     """Executes implementations from a local registry.
 
     The worker resolves the script's abstract ``code`` names against its own
-    registry — the late binding of §3.  Sub-workflow (script) bindings are
-    executed in-process on the worker with a local engine.
+    registry — the late binding of §3.  A script bound as code (§4.4) is an
+    implementation like any other: it runs in-process, on this worker.
     """
 
     def __init__(
@@ -198,24 +198,16 @@ class TaskWorker(Service):
             attempt=request["attempt"],
             repeats=request["repeats"],
             mark_sink=mark_sink,
+            timeout=template.timeout,
         )
         try:
-            binding = self.registry.resolve(template.code)
-            if isinstance(binding, ScriptBinding):
-                result = self._run_subworkflow(binding, context)
-            else:
-                result = binding(context)
+            result = run_task(self.registry, template.code, context)
             if isinstance(result, PendingExternal):
                 # interactive / long-running task: parked at the execution
                 # service until an external completion arrives
                 return self._occupy_lane(
                     {**identity, "ok": True, "external": True, "marks": marks,
                      "error": None}
-                )
-            if not isinstance(result, TaskResult):
-                raise TypeError(
-                    f"implementation returned {type(result).__name__}, "
-                    f"expected TaskResult"
                 )
         except Exception as exc:
             return self._occupy_lane(
@@ -232,29 +224,3 @@ class TaskWorker(Service):
             "marks": marks,
             "error": None,
         })
-
-    def _run_subworkflow(self, binding: ScriptBinding, context: TaskContext) -> TaskResult:
-        from ..engine.local import LocalEngine  # local import: avoids a cycle
-
-        engine = LocalEngine(self.registry)
-        result = engine.run(
-            binding.script,
-            binding.task_name,
-            inputs=context.inputs,
-            input_set=context.input_set,
-        )
-        from ..engine.events import WorkflowStatus
-
-        if result.status in (WorkflowStatus.COMPLETED, WorkflowStatus.ABORTED):
-            root_class = binding.script.taskclass_of(
-                binding.script.tasks[binding.task_name]
-            )
-            spec = root_class.output(result.outcome)
-            return TaskResult(
-                spec.kind,
-                result.outcome,
-                {k: v.value for k, v in result.objects.items()},
-            )
-        raise RuntimeError(
-            f"sub-workflow ended {result.status.value}: {result.error}"
-        )

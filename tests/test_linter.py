@@ -161,6 +161,62 @@ class TestW008Unused:
         assert any(w.code == "W008" and w.location == "Spare" for w in warnings)
 
 
+class TestW009IllTypedProperty:
+    @staticmethod
+    def script(root=None, **properties):
+        b = base()
+        c = b.compound("wf", "Root")
+        if root:
+            c.implementation(**root)
+        c.task("a", "Stage").implementation(code="x", **properties).input(
+            "main", "inp", from_input("wf", "main", "inp")
+        ).up()
+        c.output("done").object("out", from_output("a", "done", "out")).up()
+        c.up()
+        return b.build()
+
+    @pytest.mark.parametrize(
+        "keyword, text, expects, default",
+        [
+            ("priority", "high", "int", 0),
+            ("retries", "x", "int", None),
+            ("deadline", "soon", "float", None),
+            ("timeout", "-1", "float > 0", None),
+            ("delay", "-2", "float >= 0", 0.0),
+            ("criticality", "urgent", "low|normal|high", "normal"),
+        ],
+    )
+    def test_says_keyword_text_expected_type_and_default(self, keyword, text, expects, default):
+        script = self.script(**{keyword: text})
+        [warning] = [w for w in lint_script(script) if w.code == "W009"]
+        assert warning.location == "wf/a"
+        in_force = "treated as absent" if default is None else f"default ({default})"
+        for part in (repr(keyword), repr(text), f"not {expects}", in_force):
+            assert part in warning.message
+        # what it names is the value the engines then read
+        assert getattr(script.tasks["wf"].tasks[0].implementation, keyword) == default
+
+    def test_a_compound_root_is_checked_too(self):
+        warnings = lint_script(self.script(root={"criticality": "urgent"}))
+        assert [(w.code, w.location) for w in warnings] == [("W009", "wf")]
+
+    def test_well_typed_and_unknown_keywords_are_silent(self):
+        # the clause is open by design: 'agent' and user data are legal
+        script = self.script(
+            root={"criticality": "high"},
+            priority="7", retries="0", deadline="30", timeout="2.5", delay="0",
+            location="worker-1", agent="ops", colour="blue",
+        )
+        assert lint_script(script) == []
+
+    def test_reaches_analyze_static(self):
+        from repro.analysis import analyze_script
+
+        report = analyze_script(self.script(priority="high"))
+        [finding] = report.by_code("W009")
+        assert finding.location == "wf/a"
+
+
 class TestCliLint:
     def test_lint_command(self, tmp_path, capsys):
         from repro.cli import main

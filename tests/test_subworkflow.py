@@ -4,7 +4,14 @@
 import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output
-from repro.engine import ImplementationRegistry, LocalEngine, WorkflowStatus, outcome
+from repro.engine import (
+    ConcurrentEngine,
+    ImplementationRegistry,
+    LocalEngine,
+    WorkflowStatus,
+    abort,
+    outcome,
+)
 from repro.services import WorkflowSystem
 from repro.lang import format_script
 
@@ -90,3 +97,117 @@ class TestDistributedSubWorkflow:
         result = system.run_until_terminal(iid)
         assert result["status"] == "completed"
         assert result["objects"]["out"]["value"] == "[[y]]"
+
+
+# -- one runner: the three engines agree on what a bound script does ---------------
+
+
+def bound_task(**properties):
+    """A top-level task bound to code ``subflow``: what it releases and how
+    it ends is the whole instance's result.  Two classes, because a class
+    that can abort may not release marks (§4.2): ``Releasing`` for
+    ``bound_task()``, ``Atomic`` for ``bound_task(atomic=...)``."""
+    atomic = properties.pop("atomic", False)
+    b = ScriptBuilder()
+    b.object_class("Data")
+    work = b.taskclass("Work").input_set("main", inp="Data").outcome("done", out="Data")
+    if atomic:
+        work.abort_outcome("failed")
+    else:
+        work.mark("early", preview="Data")
+    b.task("outer", "Work").implementation(code="subflow", **properties).up()
+    return b.build()
+
+
+def inner_compound(end):
+    """A compound that ends as its single leaf does, every leaf output mapped
+    upward.  ``done``: the leaf marks ``early`` first; ``failed``: an abort
+    outcome; ``weird``: an outcome the outer class does not declare."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    for name in ("Leaf", "Block"):
+        taskclass = b.taskclass(name).input_set("main", inp="Data")
+        if end == "done":
+            taskclass.mark("early", preview="Data").outcome("done", out="Data")
+        else:
+            taskclass.outcome("weird", out="Data").abort_outcome("failed")
+    c = b.compound("inner", "Block")
+    c.task("leaf", "Leaf").implementation(code="leaf").input(
+        "main", "inp", from_input("inner", "main", "inp")
+    ).up()
+    if end == "done":
+        c.output("early").object("preview", from_output("leaf", "early", "preview")).up()
+        c.output("done").object("out", from_output("leaf", "done", "out")).up()
+    else:
+        c.output("weird").object("out", from_output("leaf", "weird", "out")).up()
+        c.output("failed").notify(from_output("leaf", "failed")).up()
+    c.up()
+    return b.build()
+
+
+def leaf_ending(end):
+    def leaf(ctx):
+        if end == "failed":
+            return abort("failed")
+        if end == "done":
+            ctx.mark("early", preview=f"{ctx.value('inp')}?")
+        return outcome(end, out=f"{ctx.value('inp')}!")
+
+    return leaf
+
+
+def parity_case(name):
+    """``(outer script, registry, expected (status, outcome, values, marks))``."""
+    registry = ImplementationRegistry()
+    if name == "marks-released":
+        registry.register("leaf", leaf_ending("done"))
+        registry.register_script("subflow", inner_compound("done"))
+        early = [("early", {"preview": "x?"})]
+        return bound_task(), registry, ("completed", "done", {"out": "x!"}, early)
+    if name == "declared-abort":
+        registry.register("leaf", leaf_ending("failed"))
+        registry.register_script("subflow", inner_compound("failed"))
+        return bound_task(atomic=True), registry, ("aborted", "failed", {}, [])
+    if name == "undeclared-outcome":
+        # a task failure: retried, then the first abort outcome (§3)
+        registry.register("leaf", leaf_ending("weird"))
+        registry.register_script("subflow", inner_compound("weird"))
+        return bound_task(atomic=True), registry, ("aborted", "failed", {}, [])
+    assert name == "timeout-property"
+    registry.register("subflow", lambda ctx: outcome("done", out=ctx.timeout))
+    return bound_task(timeout="2.5"), registry, ("completed", "done", {"out": 2.5}, [])
+
+
+def run_on(engine, script, registry):
+    if engine == "distributed":
+        system = WorkflowSystem(workers=2, registry=registry)
+        system.deploy("outer", format_script(script))
+        result = system.run_until_terminal(system.instantiate("outer", "outer", {"inp": "x"}))
+        return (
+            result["status"],
+            result["outcome"],
+            {name: ref["value"] for name, ref in result["objects"].items()},
+            [
+                (mark["name"], {k: ref["value"] for k, ref in mark["objects"].items()})
+                for mark in result["marks"]
+            ],
+        )
+    if engine == "concurrent":
+        result = ConcurrentEngine(registry, parallelism=4).run(script, inputs={"inp": "x"})
+    else:
+        result = LocalEngine(registry).run(script, inputs={"inp": "x"})
+    return (
+        result.status.value,
+        result.outcome,
+        {name: ref.value for name, ref in result.objects.items()},
+        [(name, {k: ref.value for k, ref in objects.items()}) for name, objects in result.marks],
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["marks-released", "declared-abort", "undeclared-outcome", "timeout-property"]
+)
+def test_a_bound_script_behaves_the_same_on_every_engine(case):
+    script, registry, expected = parity_case(case)
+    for engine in ("local", "concurrent", "distributed"):
+        assert run_on(engine, script, registry) == expected, engine
