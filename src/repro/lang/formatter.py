@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.errors import SchemaError
 from ..core.schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
@@ -105,10 +106,25 @@ def _write_taskclass(w: _Writer, taskclass: TaskClass) -> None:
     w.line(";")
 
 
-def _write_implementation(w: _Writer, implementation: Implementation) -> None:
+def _quoted(text: str, keyword: str, path: str) -> str:
+    """``"text"`` — refused where it would not read back: the language has no
+    escapes, a string ends at the first ``"`` or ``”``, may not hold a newline
+    and is trimmed (docs/LANGUAGE.md §1)."""
+    if text != text.strip() or '"' in text or "”" in text or "\n" in text:
+        raise SchemaError(
+            f"implementation property {keyword!r}: no string literal spells {text!r} "
+            f"(a quote, a newline or an outer blank)",
+            path,
+        )
+    return f'"{text}"'
+
+
+def _write_implementation(w: _Writer, implementation: Implementation, path: str) -> None:
     if not implementation.properties:
         return
-    props = ", ".join(f'"{k}" is "{v}"' for k, v in implementation.properties)
+    props = ", ".join(
+        f"{_quoted(k, k, path)} is {_quoted(v, k, path)}" for k, v in implementation.properties
+    )
     w.line(f"implementation {{ {props} }};")
 
 
@@ -151,18 +167,18 @@ def _write_outputs_mapping(w: _Writer, script: Script, decl: CompoundTaskDecl) -
                     w.line(";")
 
 
-def _write_decl(w: _Writer, script: Script, decl: AnyTaskDecl) -> None:
+def _write_decl(w: _Writer, script: Script, decl: AnyTaskDecl, path: str) -> None:
     if isinstance(decl, CompoundTaskDecl):
         with w.block(f"compoundtask {decl.name} of taskclass {decl.taskclass_name}"):
-            _write_implementation(w, decl.implementation)
+            _write_implementation(w, decl.implementation, path)
             _write_input_sets(w, decl.input_sets)
             for child in decl.tasks:
-                _write_decl(w, script, child)
+                _write_decl(w, script, child, f"{path}/{child.name}")
             _write_outputs_mapping(w, script, decl)
         w.line(";")
     else:
         with w.block(f"task {decl.name} of taskclass {decl.taskclass_name}"):
-            _write_implementation(w, decl.implementation)
+            _write_implementation(w, decl.implementation, path)
             _write_input_sets(w, decl.input_sets)
         w.line(";")
 
@@ -178,17 +194,18 @@ def _write_template(w: _Writer, script: Script, template: TaskTemplate) -> None:
                 suffix = ";" if index < len(template.parameters) - 1 else ""
                 w.line(param + suffix)
         w.line(";")
-        _write_implementation(w, body.implementation)
+        _write_implementation(w, body.implementation, template.name)
         _write_input_sets(w, body.input_sets)
         if isinstance(body, CompoundTaskDecl):
             for child in body.tasks:
-                _write_decl(w, script, child)
+                _write_decl(w, script, child, f"{template.name}/{child.name}")
             _write_outputs_mapping(w, script, body)
     w.line(";")
 
 
 def format_script(script: Script) -> str:
-    """Render a script in canonical concrete syntax."""
+    """Render a script in canonical concrete syntax; :class:`SchemaError` for
+    an implementation property no string literal can spell."""
     w = _Writer()
     for name, parent in script.classes.items():
         if parent is None:
@@ -204,6 +221,6 @@ def format_script(script: Script) -> str:
         _write_template(w, script, template)
         w.line()
     for decl in script.tasks.values():
-        _write_decl(w, script, decl)
+        _write_decl(w, script, decl, decl.name)
         w.line()
     return w.text()

@@ -13,8 +13,8 @@ Tokenizes the textual syntax of §4.  Faithful to the paper's listings:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from ..core.errors import ParseError
 
@@ -61,11 +61,20 @@ KEYWORDS = frozenset(
 )
 
 _QUOTE_OPEN = {'"', "“"}   # " and “
-_QUOTE_CLOSE = {'"', "”"}  # " and ”
+
+# One item per match, after any blanks; the group that matched says which.
+# ``\w`` is exactly ``str.isalnum()`` or ``_`` (the start of a word is checked
+# in ``tokenize``); either closing quote ends either opening one, and no
+# string holds a newline.  Every text matches some alternative, so a match
+# never fails and never backtracks.
+_SCAN = re.compile(
+    r"""[ \t\r\n]*(?:(\w+)|([{}();,])|(["“][^"”\n]*["”])|(//[^\n]*|/\*.*?\*/)|(\Z)|(.))""",
+    re.DOTALL,
+)
+_WORD, _PUNCT, _STRING, _COMMENT, _END, _OTHER = range(1, 7)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     line: int
@@ -91,64 +100,38 @@ _SINGLE = {
 def tokenize(text: str) -> List[Token]:
     """Tokenize a whole script; raises :class:`ParseError` on bad input."""
     tokens: List[Token] = []
-    line, column = 1, 1
-    i, n = 0, len(text)
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+    # what ``Token(...)`` does, less the generated ``__new__``'s Python frame
+    new, emit, scan = tuple.__new__, tokens.append, _SCAN.match
+    keyword, ident = TokenType.KEYWORD, TokenType.IDENT
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    pos = counted = 0        # newlines before ``counted`` are in ``line`` already
+    while True:
+        found = scan(text, pos)
+        group = found.lastindex
+        start, pos = found.span(group)
+        if group == _COMMENT:
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line, start_col = line, column
-            advance(2)
-            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
-                advance()
-            if i + 1 >= n:
-                raise ParseError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, column))
-            advance()
-            continue
-        if ch in _QUOTE_OPEN:
-            start_line, start_col = line, column
-            advance()
-            start = i
-            while i < n and text[i] not in _QUOTE_CLOSE:
-                if text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                advance()
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            value = text[start:i]
-            advance()  # closing quote
-            tokens.append(Token(TokenType.STRING, value.strip(), start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, column
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance()
-            word = text[start:i]
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token(TokenType.EOF, "", line, column))
-    return tokens
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = pos  # no token holds a newline
+        column = start - line_start + 1
+        value = found[group]
+        if group == _WORD:
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            emit(new(Token, (keyword if value in KEYWORDS else ident, value, line, column)))
+        elif group == _PUNCT:
+            emit(new(Token, (_SINGLE[value], value, line, column)))
+        elif group == _STRING:
+            emit(new(Token, (TokenType.STRING, value[1:-1].strip(), line, column)))
+        elif group == _END:
+            emit(new(Token, (TokenType.EOF, "", line, column)))
+            return tokens
+        elif text.startswith("/*", start):
+            raise ParseError("unterminated block comment", line, column)
+        elif value in _QUOTE_OPEN:
+            raise ParseError("unterminated string", line, column)
+        else:
+            raise ParseError(f"unexpected character {value!r}", line, column)

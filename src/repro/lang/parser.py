@@ -45,7 +45,7 @@ are inconsistent about them)::
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from ..core.errors import ParseError
 from ..core.schema import (
@@ -69,6 +69,8 @@ from ..core.schema import (
 )
 from .lexer import Token, TokenType, tokenize
 
+T = TypeVar("T")
+
 
 class Parser:
     def __init__(self, tokens: List[Token]) -> None:
@@ -77,48 +79,70 @@ class Parser:
         self.script = Script()
 
     # -- token helpers --------------------------------------------------------------
+    #
+    # The EOF token ends the list and is never stepped over, so ``tokens[pos]``
+    # is always in range.
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type is not TokenType.EOF:
             self.pos += 1
         return token
 
     def error(self, message: str, token: Optional[Token] = None) -> ParseError:
-        token = token or self.peek()
+        token = token or self.tokens[self.pos]
         return ParseError(message, token.line, token.column)
 
+    def unexpected(self, wanted: str, token: Token) -> ParseError:
+        found = "end of input" if token.type is TokenType.EOF else repr(token.value)
+        return self.error(f"expected {wanted}, found {found}", token)
+
     def expect(self, type_: TokenType) -> Token:
-        token = self.peek()
+        """Step over a token of ``type_`` (never EOF)."""
+        token = self.tokens[self.pos]
         if token.type is not type_:
-            raise self.error(f"expected {type_.value!r}, found {token.value!r}")
-        return self.next()
+            raise self.unexpected(repr(type_.value), token)
+        self.pos += 1
+        return token
 
     def expect_keyword(self, word: str) -> Token:
-        token = self.peek()
-        if not token.is_keyword(word):
-            raise self.error(f"expected {word!r}, found {token.value!r}")
-        return self.next()
+        token = self.tokens[self.pos]
+        if token.type is not TokenType.KEYWORD or token.value != word:
+            raise self.unexpected(repr(word), token)
+        self.pos += 1
+        return token
 
     def accept_keyword(self, word: str) -> bool:
-        if self.peek().is_keyword(word):
-            self.next()
+        token = self.tokens[self.pos]
+        if token.type is TokenType.KEYWORD and token.value == word:
+            self.pos += 1
             return True
         return False
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type is not TokenType.IDENT:
-            raise self.error(f"expected {what}, found {token.value!r}")
-        return self.next().value
+            raise self.unexpected(what, token)
+        self.pos += 1
+        return token.value
 
     def skip_semis(self) -> None:
-        while self.peek().type in (TokenType.SEMI, TokenType.COMMA):
-            self.next()
+        while self.tokens[self.pos].type in (TokenType.SEMI, TokenType.COMMA):
+            self.pos += 1
+
+    def braced(self, parse_one: Callable[[], T]) -> Tuple[T, ...]:
+        """``"{" { one } "}"``, separators tolerated around every ``one``."""
+        self.expect(TokenType.LBRACE)
+        self.skip_semis()
+        items: List[T] = []
+        while not self._at_rbrace():
+            items.append(parse_one())
+            self.skip_semis()
+        self.expect(TokenType.RBRACE)
+        return tuple(items)
 
     # -- entry point ------------------------------------------------------------------
 
@@ -167,19 +191,9 @@ class Parser:
         outputs: List[OutputSpec] = []
         while not self._at_rbrace():
             if self.accept_keyword("inputs"):
-                self.expect(TokenType.LBRACE)
-                self.skip_semis()
-                while not self._at_rbrace():
-                    input_sets.append(self.parse_inputset_spec())
-                    self.skip_semis()
-                self.expect(TokenType.RBRACE)
+                input_sets.extend(self.braced(self.parse_inputset_spec))
             elif self.accept_keyword("outputs"):
-                self.expect(TokenType.LBRACE)
-                self.skip_semis()
-                while not self._at_rbrace():
-                    outputs.append(self.parse_output_spec())
-                    self.skip_semis()
-                self.expect(TokenType.RBRACE)
+                outputs.extend(self.braced(self.parse_output_spec))
             else:
                 raise self.error(
                     f"expected 'inputs' or 'outputs' in taskclass, found "
@@ -192,14 +206,12 @@ class Parser:
     def parse_inputset_spec(self) -> InputSetSpec:
         self.expect_keyword("input")
         name = self.expect_ident("input set name")
-        objects = self.parse_object_decls()
-        return InputSetSpec(name, objects)
+        return InputSetSpec(name, self.braced(self.parse_object_decl))
 
     def parse_output_spec(self) -> OutputSpec:
         kind = self.parse_output_kind()
         name = self.expect_ident("output name")
-        objects = self.parse_object_decls()
-        return OutputSpec(name, kind, objects)
+        return OutputSpec(name, kind, self.braced(self.parse_object_decl))
 
     def parse_output_kind(self) -> OutputKind:
         if self.accept_keyword("abort"):
@@ -213,19 +225,11 @@ class Parser:
         self.expect_keyword("outcome")
         return OutputKind.OUTCOME
 
-    def parse_object_decls(self) -> Tuple[ObjectDecl, ...]:
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        decls: List[ObjectDecl] = []
-        while not self._at_rbrace():
-            obj_name = self.expect_ident("object name")
-            self.expect_keyword("of")
-            self.expect_keyword("class")
-            class_name = self.expect_ident("class name")
-            decls.append(ObjectDecl(obj_name, class_name))
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
-        return tuple(decls)
+    def parse_object_decl(self) -> ObjectDecl:
+        obj_name = self.expect_ident("object name")
+        self.expect_keyword("of")
+        self.expect_keyword("class")
+        return ObjectDecl(obj_name, self.expect_ident("class name"))
 
     # -- task instances --------------------------------------------------------------------
 
@@ -254,28 +258,16 @@ class Parser:
 
     def parse_implementation(self) -> Implementation:
         self.expect_keyword("implementation")
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        properties: List[Tuple[str, str]] = []
-        while not self._at_rbrace():
-            key = self.expect(TokenType.STRING).value
-            self.expect_keyword("is")
-            value = self.expect(TokenType.STRING).value
-            properties.append((key, value))
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
-        return Implementation(tuple(properties))
+        return Implementation(self.braced(self.parse_property))
+
+    def parse_property(self) -> Tuple[str, str]:
+        key = self.expect(TokenType.STRING).value
+        self.expect_keyword("is")
+        return key, self.expect(TokenType.STRING).value
 
     def parse_inputs(self) -> Tuple[InputSetBinding, ...]:
         self.expect_keyword("inputs")
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        sets: List[InputSetBinding] = []
-        while not self._at_rbrace():
-            sets.append(self.parse_input_set_binding())
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
-        return tuple(sets)
+        return self.braced(self.parse_input_set_binding)
 
     def parse_input_set_binding(self) -> InputSetBinding:
         self.expect_keyword("input")
@@ -291,13 +283,13 @@ class Parser:
                 obj_name = self.expect_ident("input object name")
                 self.expect_keyword("from")
                 objects.append(
-                    InputObjectBinding(obj_name, self.parse_source_list(obj_name))
+                    InputObjectBinding(obj_name, self.braced(self.parse_object_source))
                 )
             elif token.is_keyword("notification"):
                 self.next()
                 self.expect_keyword("from")
                 notifications.append(
-                    NotificationBinding(self.parse_notification_source_list())
+                    NotificationBinding(self.braced(self.parse_notification_source))
                 )
             elif token.type is TokenType.IDENT:
                 # template shorthand:  i1 of task param1 if output success
@@ -312,16 +304,6 @@ class Parser:
         self.expect(TokenType.RBRACE)
         return InputSetBinding(name, tuple(objects), tuple(notifications))
 
-    def parse_source_list(self, consumer_object: str) -> Tuple[Source, ...]:
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        sources: List[Source] = []
-        while not self._at_rbrace():
-            sources.append(self.parse_object_source())
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
-        return tuple(sources)
-
     def parse_object_source(self) -> Source:
         object_name = self.expect_ident("source object name")
         self.expect_keyword("of")
@@ -330,18 +312,11 @@ class Parser:
         guard_kind, guard_name = self.parse_guard()
         return Source(task_name, object_name, guard_kind, guard_name)
 
-    def parse_notification_source_list(self) -> Tuple[Source, ...]:
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        sources: List[Source] = []
-        while not self._at_rbrace():
-            self.expect_keyword("task")
-            task_name = self.expect_ident("task name")
-            guard_kind, guard_name = self.parse_guard()
-            sources.append(Source(task_name, None, guard_kind, guard_name))
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
-        return tuple(sources)
+    def parse_notification_source(self) -> Source:
+        self.expect_keyword("task")
+        task_name = self.expect_ident("task name")
+        guard_kind, guard_name = self.parse_guard()
+        return Source(task_name, None, guard_kind, guard_name)
 
     def parse_guard(self) -> Tuple[GuardKind, Optional[str]]:
         if not self.accept_keyword("if"):
@@ -414,13 +389,13 @@ class Parser:
                     obj_name = self.expect_ident("output object name")
                     self.expect_keyword("from")
                     objects.append(
-                        OutputObjectBinding(obj_name, self.parse_source_list(obj_name))
+                        OutputObjectBinding(obj_name, self.braced(self.parse_object_source))
                     )
                 elif token.is_keyword("notification"):
                     self.next()
                     self.expect_keyword("from")
                     notifications.append(
-                        NotificationBinding(self.parse_notification_source_list())
+                        NotificationBinding(self.braced(self.parse_notification_source))
                     )
                 else:
                     raise self.error(
@@ -451,13 +426,7 @@ class Parser:
         self.expect(TokenType.LBRACE)
         self.skip_semis()
         self.expect_keyword("parameters")
-        self.expect(TokenType.LBRACE)
-        self.skip_semis()
-        parameters: List[str] = []
-        while not self._at_rbrace():
-            parameters.append(self.expect_ident("parameter name"))
-            self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        parameters = self.braced(lambda: self.expect_ident("parameter name"))
         self.skip_semis()
         implementation = Implementation()
         input_sets: Tuple[InputSetBinding, ...] = ()
@@ -490,7 +459,7 @@ class Parser:
             )
         else:
             body = TaskDecl(name, taskclass, implementation, input_sets)
-        return TaskTemplate(name, tuple(parameters), body)
+        return TaskTemplate(name, parameters, body)
 
     def parse_instantiation(self, into_compound) -> Union[TaskDecl, CompoundTaskDecl]:
         """``<name> of tasktemplate <template>(<args>)``."""
@@ -516,7 +485,7 @@ class Parser:
     # -- misc -------------------------------------------------------------------------------
 
     def _at_rbrace(self) -> bool:
-        return self.peek().type in (TokenType.RBRACE, TokenType.EOF)
+        return self.tokens[self.pos].type in (TokenType.RBRACE, TokenType.EOF)
 
 
 def parse(text: str) -> Script:

@@ -1,7 +1,14 @@
 """Detailed formatter coverage: compound templates, implementation property
 ordering, nested output kinds."""
 
-from repro.core.schema import OutputKind
+import dataclasses
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.errors import SchemaError
+from repro.core.schema import Implementation, OutputKind
 from repro.lang import compile_script, format_script, parse
 
 
@@ -99,6 +106,78 @@ class TestImplementationFormatting:
         text = 'taskclass T { outputs { outcome ok { } } } task t of taskclass T { }'
         rendered = format_script(parse(text))
         assert "implementation" not in rendered
+
+
+def with_property(keyword, value):
+    """A script whose nested task ``outer/inner`` carries one property."""
+    script = parse(
+        """
+        taskclass T { outputs { outcome ok { } } }
+        compoundtask outer of taskclass T { task inner of taskclass T { } }
+        """
+    )
+    outer = script.tasks["outer"]
+    inner = dataclasses.replace(
+        outer.tasks[0], implementation=Implementation(((keyword, value),))
+    )
+    script.tasks["outer"] = dataclasses.replace(outer, tasks=(inner,))
+    return script
+
+
+class TestUnspellableProperties:
+    """The language has no escapes: what no string literal reads back as
+    itself is refused, not written (it used to format to text that failed to
+    parse, or re-parsed as something else)."""
+
+    @pytest.mark.parametrize(
+        "value", ['say "hi"', "two\nlines", "a ” b", " padded ", "tab\t", "\xa0nbsp"]
+    )
+    def test_value_refused_naming_task_path_and_property(self, value):
+        with pytest.raises(SchemaError) as caught:
+            format_script(with_property("code", value))
+        assert caught.value.location == "outer/inner"
+        assert "'code'" in str(caught.value) and repr(value) in str(caught.value)
+
+    def test_keyword_refused_too(self):
+        with pytest.raises(SchemaError, match="outer/inner.*'co\"de'"):
+            format_script(with_property('co"de', "x"))
+
+    def test_template_body_is_named_by_the_template(self):
+        script = parse(COMPOUND_TEMPLATE)
+        template = script.templates["wrapper"]
+        leaf = dataclasses.replace(
+            template.body.tasks[0], implementation=Implementation((("code", '"'),))
+        )
+        script.templates["wrapper"] = dataclasses.replace(
+            template, body=dataclasses.replace(template.body, tasks=(leaf,))
+        )
+        with pytest.raises(SchemaError) as caught:
+            format_script(script)
+        assert caught.value.location == "wrapper/leaf"
+
+    @pytest.mark.parametrize("value", ["", "a “ b", "it's", "a\rb", "x // y", "/* z */", "a  b"])
+    def test_spellable_oddities_round_trip(self, value):
+        script = with_property("code", value)
+        assert parse(format_script(script)) == script
+
+    # every text the lexer can read: no closing quote, no newline, no outer blank
+    spellable = st.text(
+        alphabet=st.characters(blacklist_characters='"”\n'), max_size=20
+    ).map(str.strip)
+
+    @given(spellable, spellable)
+    def test_any_spellable_property_round_trips(self, keyword, value):
+        script = with_property(keyword, value)
+        assert parse(format_script(script)) == script
+
+    @given(st.text(max_size=12), st.text(max_size=12))
+    def test_written_means_reads_back(self, keyword, value):
+        script = with_property(keyword, value)
+        try:
+            text = format_script(script)
+        except SchemaError:
+            return
+        assert parse(text) == script
 
 
 class TestOutputKindRendering:

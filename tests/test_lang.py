@@ -59,6 +59,34 @@ class TestLexer:
         assert b_token.column == 9
 
 
+class TestEndOfInput:
+    """A parse error at the end of the text says so (it used to report
+    ``found ''``), at the position of the EOF token."""
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("task", "expected task name, found end of input", 1, 5),
+            ("task t of\n", "expected 'taskclass', found end of input", 2, 1),
+            ("taskclass T {", "expected '}', found end of input", 1, 14),
+            ("class A; // c\n  class", "expected class name, found end of input", 2, 8),
+        ],
+    )
+    def test_found_end_of_input(self, text, message, line, column):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        error = caught.value
+        assert (str(error), error.line, error.column) == (
+            f"line {line}, column {column}: {message}", line, column
+        )
+
+    def test_elsewhere_the_token_is_quoted_as_before(self):
+        with pytest.raises(ParseError, match="expected task name, found '{'"):
+            parse("task {")
+        with pytest.raises(ParseError, match="expected 'string', found 'x'"):
+            parse("taskclass T { } task t of taskclass T { implementation { x } }")
+
+
 class TestParserBasics:
     def test_class_declarations(self):
         script = parse("class Account; class Item;")
