@@ -35,12 +35,9 @@ def run_variant(durable: bool, crash: bool, seed: int = 0):
         sweep_interval=5.0,
     )
     if not durable:
-        # a crash of the execution node takes the store's unforced records
-        # with it, as the sim harness's crash callback does for every store
-        store, node = system.execution_store, system.execution_node
-        store.wal = NeverForcingLog()
-        crash_node = node.crash
-        node.crash = lambda: (store.crash(), crash_node())
+        # swap in a log that never forces: a crash of the execution node
+        # takes the store's unforced records with it
+        system.execution_store.wal = NeverForcingLog()
     paper_order.default_registry(registry=system.registry)
     system.deploy("order", paper_order.SCRIPT_TEXT)
     iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})

@@ -38,6 +38,7 @@ from .engine import ConcurrentEngine, LocalEngine
 from .engine.trace import render_summary, render_trace
 from .lang import compile_script, format_script, parse
 from .lang.dot import to_dot
+from .workloads import APPLICATIONS
 
 
 def _read(path: str) -> str:
@@ -119,7 +120,10 @@ def _sanitize_check(script, root_task, report, analysis) -> int:
     print(f"sanitizer: {len(sanitizer.findings)} dynamic finding(s)")
     for line in sanitizer.render():
         print(f"  {line}")
-    uncovered = sanitizer.check_coverage(report)
+    return _coverage_verdict(sanitizer.check_coverage(report))
+
+
+def _coverage_verdict(uncovered) -> int:
     for dyn in uncovered:
         print(
             "ANALYZER BUG: dynamic finding has no static counterpart — "
@@ -226,22 +230,16 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     the simulated distributed system) and verify every dynamic finding is
     predicted by a static one."""
     from .analysis import Sanitizer, analyze_script, to_sarif
-    from .workloads import paper_order, paper_service_impact, paper_trip
 
-    demos = {
-        "order": (paper_order, {"order": "order-1"}),
-        "trip": (paper_trip, {"user": "demo-user"}),
-        "service-impact": (paper_service_impact, {"alarmsSource": "alarm-feed"}),
-    }
-    module, inputs = demos[args.name]
-    script = module.build()
+    app = APPLICATIONS[args.name]
+    script = compile_script(app.text)
     report = analyze_script(script, source_name=args.name)
     sanitizer = Sanitizer()
     engine = ConcurrentEngine(
-        module.default_registry(), parallelism=args.parallelism, sanitizer=sanitizer
+        app.binder(), parallelism=args.parallelism, sanitizer=sanitizer
     )
     for _ in range(args.runs):
-        engine.run(script, module.ROOT_TASK, inputs=inputs)
+        engine.run(script, app.root_task, inputs=app.inputs(0))
     if args.nemesis:
         _sanitize_under_nemesis(args, sanitizer, script)
     print(
@@ -268,26 +266,16 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(log, fh, indent=2)
             fh.write("\n")
-    for dyn in uncovered:
-        print(
-            "ANALYZER BUG: dynamic finding has no static counterpart — "
-            f"please report this: {dyn.render()}"
-        )
-    if not uncovered:
-        print("every dynamic finding is statically predicted (dynamic <= static)")
-    return 1 if uncovered else 0
+    return _coverage_verdict(uncovered)
 
 
 def _sanitize_under_nemesis(args, sanitizer, script) -> None:
     """One deterministic nemesis run: crash a worker right after it executed
     a task but before the reply lands, forcing the at-least-once redispatch
     to run the task again — then scan the worker ledgers for duplicates."""
-    from .sim.harness import WORKLOADS, SimHarness
+    from .sim.harness import SimHarness
     from .sim.nemesis import CrashAtPoint, NemesisSchedule
 
-    if args.name not in WORKLOADS:
-        print(f"nemesis: workload {args.name!r} not simulated; skipping")
-        return
     schedule = NemesisSchedule(
         faults=[CrashAtPoint("worker.execute.post", at_hit=1)],
         name="sanitize-duplicate-effects",
@@ -306,7 +294,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_load(args: argparse.Namespace) -> int:
+def _run_load(args: argparse.Namespace):
     """Sustained-traffic generator against the simulated system: a seeded
     Poisson/burst arrival schedule with cohorts and hot-key skew, reported
     as the SLO view (docs/PROTOCOLS.md §13)."""
@@ -343,29 +331,40 @@ def cmd_load(args: argparse.Namespace) -> int:
         print(json.dumps(slo_report.to_plain(), indent=2, sort_keys=True))
     else:
         print(slo_report.render())
+    return slo_report
+
+
+def cmd_load(args: argparse.Namespace) -> int:
+    _run_load(args)
     return 0
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .workloads import paper_order, paper_service_impact, paper_trip
-
     if args.load:
-        return _demo_load(args)
-    demos = {
-        "order": (paper_order, {"order": "order-1"}),
-        "trip": (paper_trip, {"user": "demo-user"}),
-        "service-impact": (paper_service_impact, {"alarmsSource": "alarm-feed"}),
-    }
-    module, inputs = demos[args.name]
-    script = module.build()
-    registry = module.default_registry()
+        # Overload smoke: `load` with a short sustained burst against a
+        # capacity-limited system and tight admission bounds, so the whole
+        # §13 pipeline — queueing, controller, shedding, retry-after — runs
+        # in a couple of wall seconds.
+        slo_report = _run_load(build_parser().parse_args([
+            "load", "--rate", "1", "--duration", "120", "--drain", "300",
+            "--slo", "90", "--queue-capacity", "8", "--window", "8",
+            "--seed", str(args.seed), "--workers", str(args.workers),
+        ]))
+        healthy = (
+            slo_report.offered > 0
+            and slo_report.unfinished == 0
+            and slo_report.lost == 0
+            and slo_report.completed > 0
+        )
+        return 0 if healthy else 1
+    app = APPLICATIONS[args.name]
     if args.distributed:
-        return _demo_distributed(args, module, inputs, registry)
+        return _demo_distributed(args, app)
     if args.parallelism > 1:
-        engine = ConcurrentEngine(registry, parallelism=args.parallelism)
+        engine = ConcurrentEngine(app.binder(), parallelism=args.parallelism)
     else:
-        engine = LocalEngine(registry)
-    result = engine.run(script, inputs=inputs)
+        engine = LocalEngine(app.binder())
+    result = engine.run(compile_script(app.text), inputs=app.inputs(0))
     print(f"outcome: {result.outcome}\n")
     print(render_trace(result.log))
     print()
@@ -373,39 +372,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def _demo_load(args) -> int:
-    """Quick overload smoke for ``demo --load``: a short sustained burst
-    against a capacity-limited system with a tight admission config, so the
-    whole §13 pipeline — queueing, controller, shedding, retry-after — runs
-    in a couple of wall seconds."""
-    from .overload import OverloadConfig
-    from .services.system import WorkflowSystem
-    from .workloads import TrafficSpec, run_traffic, traffic_registry
-
-    spec = TrafficSpec(
-        rate=1.0, duration=120.0, drain=300.0, seed=args.seed, slo=90.0
-    )
-    system = WorkflowSystem(
-        workers=args.workers,
-        registry=traffic_registry(),
-        seed=args.seed,
-        overload=OverloadConfig(
-            queue_capacity=8, initial_window=8, min_window=2
-        ),
-        worker_service_time=1.0,
-    )
-    slo_report = run_traffic(system, spec)
-    print(slo_report.render())
-    healthy = (
-        slo_report.offered > 0
-        and slo_report.unfinished == 0
-        and slo_report.lost == 0
-        and slo_report.completed > 0
-    )
-    return 0 if healthy else 1
-
-
-def _demo_distributed(args, module, inputs, registry) -> int:
+def _demo_distributed(args, app) -> int:
     """Run a demo on the full simulated distributed system, optionally under
     chaos, and show the workflow trace alongside the dispatcher's resilience
     decisions (redispatches, hedges, breaker trips)."""
@@ -430,22 +397,21 @@ def _demo_distributed(args, module, inputs, registry) -> int:
         seed=args.seed,
         dispatch_timeout=args.dispatch_timeout,
         sweep_interval=args.sweep_interval,
-        registry=registry,
+        registry=app.binder(),
         resilience=resilience,
         replicas=args.replicas,
     )
     crasher = None
     if args.chaos_interval > 0.0:
-        crash_targets = list(system.worker_nodes)
         crasher = RandomCrasher(
             system.clock,
-            crash_targets,
+            system.worker_nodes,
             interval=args.chaos_interval,
             downtime=args.chaos_downtime,
             seed=args.seed,
         ).start()
-    system.deploy(args.name, module.SCRIPT_TEXT)
-    iid = system.instantiate(args.name, module.ROOT_TASK, inputs)
+    system.deploy(app.script_name, app.text)
+    iid = system.instantiate(app.script_name, app.root_task, app.inputs(0))
     result = system.run_until_terminal(iid, max_time=50_000.0)
     if crasher is not None:
         crasher.stop()
@@ -616,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every dynamic race/inversion/duplicate is statically predicted "
         "(exit 1 on an uncovered dynamic finding)",
     )
-    sanitize.add_argument("name", choices=["order", "trip", "service-impact"])
+    sanitize.add_argument("name", choices=list(APPLICATIONS))
     sanitize.add_argument(
         "--runs", type=int, default=5, metavar="N",
         help="sanitized concurrent runs with the real implementations "
@@ -651,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = commands.add_parser("demo", help="run a paper example")
     demo.add_argument(
         "name", nargs="?", default="order",
-        choices=["order", "trip", "service-impact"],
+        choices=list(APPLICATIONS),
     )
     demo.add_argument(
         "--load",
@@ -804,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every paper workload)",
     )
     chaos.add_argument(
-        "--workload", choices=["order", "trip", "service-impact"],
+        "--workload", choices=list(APPLICATIONS),
         default="order",
         help="paper application to run under chaos (default: order)",
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .clock import EventClock
 from .network import Network
@@ -48,8 +48,7 @@ class FaultPlan:
 
     def __init__(self, clock: EventClock) -> None:
         self.clock = clock
-        self._pending: List[CrashEvent] = []
-        self._nodes: Dict[str, Node] = {}
+        self._pending: List[Tuple[Node, CrashEvent]] = []
         self.history: List[CrashEvent] = []
         self.network_history: List[NetworkEvent] = []
         self._network_actions: List = []  # zero-arg closures run at arm()
@@ -59,8 +58,7 @@ class FaultPlan:
         """Crash ``node`` at virtual time ``when``; recover ``down_for`` later
         (never, if ``down_for`` is None)."""
         recover_time = None if down_for is None else when + down_for
-        self._pending.append(CrashEvent(node.name, when, recover_time))
-        self._nodes[node.name] = node
+        self._pending.append((node, CrashEvent(node.name, when, recover_time)))
         return self
 
     # -- network faults ------------------------------------------------------
@@ -161,8 +159,7 @@ class FaultPlan:
         if self._armed:
             return
         self._armed = True
-        for event in self._pending:
-            node = self._nodes[event.node]
+        for node, event in self._pending:
 
             def fire(node=node, event=event) -> None:
                 if node.alive:

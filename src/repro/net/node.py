@@ -1,10 +1,18 @@
 """Simulated processing nodes.
 
-A :class:`Node` models one machine of the paper's distributed environment: it
-hosts services, owns volatile state that is lost on crash, and owns *stable
-storage* (provided by ``repro.txn.store``) that survives crashes.  Crash and
-recovery are first-class operations so experiments can inject the "finite
-number of intervening processor crashes" the paper's guarantees refer to.
+A :class:`Node` models one machine of the paper's distributed environment.
+It owns three things: an endpoint on the network, the services installed on
+it (volatile: whatever they hold in memory is lost on crash) and its *stable
+storage* — every :class:`~repro.txn.store.ObjectStore` given to it with
+:meth:`Node.attach`.  :meth:`Node.crash` is the machine crash, whole: each
+attached store loses the unforced suffix of its log and rebuilds its cache
+and lock table from what was forced, then the endpoint detaches (datagrams
+in flight to the node are dropped, its timers never fire).
+:meth:`Node.recover` re-attaches under a new incarnation and runs every
+service's ``on_recover`` over those stores.  Nothing else in the tree says
+what a crash does to a machine; experiments inject the "finite number of
+intervening processor crashes" the paper's guarantees refer to by calling
+these two.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ class Node:
     """One simulated machine: endpoint on the network + service host.
 
     Volatile state (the services' in-memory attributes) must be rebuilt in
-    ``on_recover``; anything that must survive crashes belongs in the node's
-    stable store, which the crash deliberately leaves untouched.
+    ``on_recover``; anything that must survive crashes belongs in an attached
+    store, forced — the crash takes the rest.
     """
 
     def __init__(self, name: str, clock: EventClock, network: Network) -> None:
@@ -60,7 +68,7 @@ class Node:
         self.alive = True
         self.crash_count = 0
         self._services: Dict[str, Service] = {}
-        self.stable_store: Dict[str, Any] = {}
+        self._stores: List[Any] = []
         network.attach(name, self._receive, incarnation=self.crash_count)
 
     # -- service hosting ----------------------------------------------------
@@ -82,6 +90,17 @@ class Node:
 
     def services(self) -> List[Service]:
         return list(self._services.values())
+
+    # -- stable storage ---------------------------------------------------------
+
+    def attach(self, store: Any) -> Any:
+        """Put ``store`` (an ``ObjectStore``) on this machine's disk: it
+        crashes when the node does."""
+        self._stores.append(store)
+        return store
+
+    def stores(self) -> List[Any]:
+        return list(self._stores)
 
     # -- messaging ------------------------------------------------------------
 
@@ -121,16 +140,20 @@ class Node:
     # -- failure model -------------------------------------------------------------
 
     def crash(self) -> None:
-        """Crash the node: volatile state is lost, stable storage survives,
-        in-flight messages to the node will be dropped."""
+        """Crash the machine: every attached store drops what it had not
+        forced, volatile state is lost, in-flight messages to the node will
+        be dropped."""
         if not self.alive:
             return
+        for store in self._stores:
+            store.crash()
         self.alive = False
         self.crash_count += 1
         self.network.detach(self.name)
 
     def recover(self) -> None:
-        """Restart the node and let each service rebuild from stable storage.
+        """Restart the node and let each service rebuild from stable storage
+        (the attached stores, as the crash left them).
 
         Re-attaching with the bumped ``crash_count`` gives the endpoint a
         fresh incarnation: datagrams stamped for the pre-crash incarnation

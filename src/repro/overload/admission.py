@@ -22,8 +22,8 @@ state and nothing else:
   ========  ==========================================  ======================
   0         below target                                none
   1         above target                                suppress hedge duplicates
-  2         above ``shed_low_at`` × target              also shed new "low" arrivals
-  3         above ``shed_all_at`` × target              shed new arrivals of any class
+  2         above 2 × target (``SHED_LOW_AT``)          also shed new "low" arrivals
+  3         above 4 × target (``SHED_ALL_AT``)          shed new arrivals of any class
   ========  ==========================================  ======================
 
 * **counters** mirrored into ``ExecutionService.stats()``.
@@ -55,6 +55,10 @@ START = "start"
 QUEUE = "queue"
 SHED = "shed"
 REJECT = "reject"
+
+WINDOW_DECREASE = 0.8  # multiplicative shrink under standing delay
+SHED_LOW_AT = 2.0      # sojourn multiple of the target: shed new low-criticality
+SHED_ALL_AT = 4.0      # sojourn multiple of the target: shed new any-class
 
 
 class AdmissionController:
@@ -182,14 +186,14 @@ class AdmissionController:
             self._set_pressure(0, now, min_sojourn)
             self._resize(min(self.window + 1, cfg.max_window), now, "below target")
             return
-        if min_sojourn > cfg.shed_all_at * cfg.sojourn_target:
+        if min_sojourn > SHED_ALL_AT * cfg.sojourn_target:
             level = 3
-        elif min_sojourn > cfg.shed_low_at * cfg.sojourn_target:
+        elif min_sojourn > SHED_LOW_AT * cfg.sojourn_target:
             level = 2
         else:
             level = 1
         self._set_pressure(level, now, min_sojourn)
-        shrunk = max(cfg.min_window, int(self.window * cfg.window_decrease))
+        shrunk = max(cfg.min_window, int(self.window * WINDOW_DECREASE))
         self._resize(shrunk, now, f"min sojourn {min_sojourn:.1f} > target")
 
     def _set_pressure(self, level: int, now: float, min_sojourn: float) -> None:

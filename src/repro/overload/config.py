@@ -41,19 +41,17 @@ class OverloadConfig:
     the service is running at or below the knee of its latency curve and the
     concurrency window may grow.  A minimum above the target means even the
     luckiest arrival waited too long — a standing queue — so the window
-    shrinks multiplicatively and, as the excess grows past ``shed_low_at`` /
-    ``shed_all_at`` multiples of the target, the shed policy escalates.
+    shrinks multiplicatively and, as the excess grows past fixed multiples of
+    the target (``admission.SHED_LOW_AT`` / ``SHED_ALL_AT``), the shed policy
+    escalates.
     """
 
     queue_capacity: int = 256        # bounded admission queue; full -> Overloaded
     initial_window: int = 256        # admitted-concurrency window (instances)
     min_window: int = 8
     max_window: int = 1024
-    window_decrease: float = 0.8     # multiplicative shrink under standing delay
     sojourn_target: float = 30.0     # CoDel target for queue sojourn (virtual s)
     control_interval: float = 10.0   # delay-gradient controller tick period
-    shed_low_at: float = 2.0         # sojourn multiple: shed new low-criticality
-    shed_all_at: float = 4.0         # sojourn multiple: shed new any-class
     retry_after_base: float = 10.0   # scale of the deterministic retry hint
 
     def __post_init__(self) -> None:
@@ -61,9 +59,5 @@ class OverloadConfig:
             raise ValueError("queue_capacity must be >= 0")
         if not 0 < self.min_window <= self.initial_window <= self.max_window:
             raise ValueError("need 0 < min_window <= initial_window <= max_window")
-        if not 0.0 < self.window_decrease < 1.0:
-            raise ValueError("window_decrease must be in (0, 1)")
         if self.sojourn_target <= 0 or self.control_interval <= 0:
             raise ValueError("sojourn_target and control_interval must be positive")
-        if not 1.0 <= self.shed_low_at <= self.shed_all_at:
-            raise ValueError("need 1 <= shed_low_at <= shed_all_at")

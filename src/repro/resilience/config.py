@@ -33,8 +33,6 @@ class ResilienceConfig:
     # Hedging is safe because the journal applies exactly one reply per
     # (task path, execution index) — the loser is counted, not applied.
     hedge_delay: Optional[float] = None
-    ewma_alpha: float = 0.3          # smoothing of per-worker reply latency
-    event_limit: int = 2000          # bound on the resilience decision log
 
     @classmethod
     def for_timeouts(

@@ -59,11 +59,13 @@ class ResilienceEvent:
         return f"t={self.time:<8.1f} {glyph} {self.kind}{where}{who}{detail}"
 
 
+EVENT_LIMIT = 2000  # entries kept; older ones are dropped and counted
+
+
 class ResilienceLog:
     """Bounded chronological record of resilience decisions."""
 
-    def __init__(self, limit: int = 2000) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.entries: List[ResilienceEvent] = []
         self.counts: "Counter[str]" = Counter()
         self.dropped = 0
@@ -80,8 +82,8 @@ class ResilienceLog:
         event = ResilienceEvent(time, kind, instance, task, worker, detail)
         self.entries.append(event)
         self.counts[kind] += 1
-        if len(self.entries) > self.limit:
-            overflow = len(self.entries) - self.limit
+        if len(self.entries) > EVENT_LIMIT:
+            overflow = len(self.entries) - EVENT_LIMIT
             del self.entries[:overflow]
             self.dropped += overflow
         return event

@@ -56,6 +56,7 @@ class HealthRegistry:
     _INFLIGHT_WEIGHT = 0.5
     _STREAK_WEIGHT = 2.0
     _LATENCY_PRIOR = 1.0   # assumed EWMA before any observation
+    _EWMA_ALPHA = 0.3      # smoothing of per-worker reply latency
 
     def __init__(
         self,
@@ -98,11 +99,10 @@ class HealthRegistry:
         health.in_flight = max(0, health.in_flight - 1)
         health.replies += 1
         health.streak = 0
-        alpha = self.config.ewma_alpha
         if health.ewma_latency is None:
             health.ewma_latency = latency
         else:
-            health.ewma_latency += alpha * (latency - health.ewma_latency)
+            health.ewma_latency += self._EWMA_ALPHA * (latency - health.ewma_latency)
         if health.breaker.record_success(now) is BreakerState.CLOSED:
             self._transition(now, name, "breaker-close", "reply observed")
 

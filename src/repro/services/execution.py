@@ -121,7 +121,7 @@ class _Runtime:
     __slots__ = (
         "iid", "script", "tree", "in_flight", "external", "has_deadlines",
         "journal_keys", "unsent", "armed_deadlines",
-        "deadline_expiries", "exec_counter", "live_exec",
+        "deadline_expiries", "exec_counter",
     )
 
     def __init__(self, iid: str, script: Script, tree: InstanceTree) -> None:
@@ -144,7 +144,6 @@ class _Runtime:
         # unique across compound repeat rounds (children are rebuilt fresh), so
         # journal keys use this counter; replay reproduces it deterministically.
         self.exec_counter: Dict[str, int] = {}
-        self.live_exec: Dict[str, int] = {}
 
     @property
     def settled(self) -> bool:
@@ -157,7 +156,7 @@ class _Runtime:
         del (
             self.journal_keys, self.unsent,
             self.armed_deadlines, self.deadline_expiries,
-            self.exec_counter, self.live_exec,
+            self.exec_counter,
         )
 
 
@@ -309,7 +308,7 @@ class ExecutionService(Service):
             "shed": 0,
             "overload_rejections": 0,
         }
-        self.rlog = ResilienceLog(self.resilience.event_limit)
+        self.rlog = ResilienceLog()
         self.health = HealthRegistry(
             self.worker_names, self.resilience, log=self.rlog, stats=self.stats
         )
@@ -525,9 +524,9 @@ class ExecutionService(Service):
                     "starts": node.machine.starts,
                     "repeats": node.machine.repeats,
                     "marks": list(node.machine.marks_emitted),
-                    "in_flight": (node.path, runtime.live_exec.get(node.path))
+                    "in_flight": (node.path, runtime.exec_counter.get(node.path))
                     in runtime.in_flight,
-                    "awaiting_external": (node.path, runtime.live_exec.get(node.path))
+                    "awaiting_external": (node.path, runtime.exec_counter.get(node.path))
                     in runtime.external,
                 }
             )
@@ -610,7 +609,7 @@ class ExecutionService(Service):
         tasks).  Journaled like a worker result, so it survives crashes."""
         runtime = self._full_runtime(iid)
         node = runtime.tree.node_at(task_path)
-        exec_index = runtime.live_exec.get(task_path, 0)
+        exec_index = runtime.exec_counter.get(task_path, 0)
         if (task_path, exec_index) not in runtime.external:
             raise ExecutionError(f"{task_path}: not awaiting an external completion")
         spec = declared_output(node.taskclass, output_name, task_path)
@@ -656,7 +655,6 @@ class ExecutionService(Service):
             input_set, inputs = runtime.tree.begin_execution(node)
             exec_index = runtime.exec_counter.get(node.path, 0) + 1
             runtime.exec_counter[node.path] = exec_index
-            runtime.live_exec[node.path] = exec_index
             request = WorkRequest(
                 instance_id=runtime.iid,
                 execution_index=exec_index,
@@ -1315,7 +1313,7 @@ class ExecutionService(Service):
             node = runtime.tree.node_at(path)
         except ExecutionError:
             return
-        if runtime.live_exec.get(path) != entry["exec"]:
+        if runtime.exec_counter.get(path) != entry["exec"]:
             return  # stale: a newer execution of this path supersedes it
         if kind == "mark":
             runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))

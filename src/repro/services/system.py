@@ -10,9 +10,8 @@ experiments crash nodes and drop messages underneath.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..engine.events import WorkflowStatus
 from ..engine.registry import ImplementationRegistry
 from ..net.clock import EventClock
 from ..net.network import LatencyModel, Network
@@ -25,7 +24,6 @@ from ..replication import (
     LeaseService,
     REPLICA_INTERFACE,
     ReplicatedExecutionService,
-    Role,
 )
 from ..resilience import ResilienceConfig
 from ..txn.store import ObjectStore
@@ -33,11 +31,8 @@ from .execution import EXECUTION_INTERFACE, ExecutionService
 from .repository import REPOSITORY_INTERFACE, RepositoryService
 from .worker import WORKER_INTERFACE, ServiceProfile, TaskWorker
 
-TERMINAL = (
-    WorkflowStatus.COMPLETED.value,
-    WorkflowStatus.ABORTED.value,
-    WorkflowStatus.FAILED.value,
-)
+# The statuses an instance ends in — the one spelling under ``src/repro``.
+TERMINAL = ("completed", "aborted", "failed")
 
 
 class WorkflowSystem:
@@ -87,16 +82,22 @@ class WorkflowSystem:
         ``worker_lanes`` give every worker a finite-capacity profile (each
         task occupies one of ``worker_lanes`` lanes for
         ``worker_service_time`` virtual seconds) — 0 keeps workers
-        instantaneous."""
+        instantaneous.
+
+        Every machine is in ``nodes`` (name -> :class:`Node`, construction
+        order) with its stores attached, so a tool that addresses the system
+        generically walks that: ``for name, node in system.nodes.items()``
+        over ``node.stores()`` / ``node.services()``."""
         self.clock = EventClock()
         self.network = Network(
             self.clock, latency or LatencyModel(1.0, 0.5), loss_rate, seed
         )
         self.broker = ObjectBroker(self.clock, self.network)
         self.registry = registry or ImplementationRegistry()
+        self.nodes: Dict[str, Node] = {}
 
-        self.repository_node = Node("repository-node", self.clock, self.network)
-        self.repository_store = ObjectStore("repository-store")
+        self.repository_node = self._node("repository-node")
+        self.repository_store = self.repository_node.attach(ObjectStore("repository-store"))
         self.repository = RepositoryService("repository", self.repository_store)
         self.repository_node.install(self.repository)
         self.broker.register(
@@ -105,111 +106,117 @@ class WorkflowSystem:
 
         self.worker_nodes: List[Node] = []
         self.workers: List[TaskWorker] = []
-        worker_names: List[str] = []
         profile = (
             ServiceProfile(worker_service_time, worker_lanes)
             if worker_service_time > 0
             else None
         )
         for index in range(workers):
-            node = Node(f"worker-node-{index + 1}", self.clock, self.network)
+            node = self._node(f"worker-node-{index + 1}")
             worker = TaskWorker(f"worker-{index + 1}", self.registry, profile=profile)
             node.install(worker)
             name = f"worker-{index + 1}"
             self.broker.register(name, WORKER_INTERFACE, worker, node)
             self.worker_nodes.append(node)
             self.workers.append(worker)
-            worker_names.append(name)
 
-        resilience = resilience or ResilienceConfig.for_timeouts(
-            dispatch_timeout, sweep_interval, seed=seed
-        )
         self.lease_node: Optional[Node] = None
         self.lease: Optional[LeaseService] = None
-        self.replica_nodes: List[Node] = []
-        self.execution_replicas: List[ReplicatedExecutionService] = []
         if replicas > 0:
             # The arbiter comes up first: replicas acquire during on_start.
-            self.lease_node = Node("lease-node", self.clock, self.network)
-            self.lease_store = ObjectStore("lease-store")
+            self.lease_node = self._node("lease-node")
+            self.lease_store = self.lease_node.attach(ObjectStore("lease-store"))
             self.lease = LeaseService("lease", self.lease_store, duration=lease_duration)
             self.lease_node.install(self.lease)
             self.broker.register("lease", LEASE_INTERFACE, self.lease, self.lease_node)
 
-            replica_names = [f"execution-r{i + 1}" for i in range(replicas)]
-            for i, rname in enumerate(replica_names):
-                # replica 1 keeps the unreplicated node name so nemesis schedules
-                # written against "execution-node" hit the bootstrap primary
-                node_name = "execution-node" if i == 0 else f"standby-node-{i + 1}"
-                node = Node(node_name, self.clock, self.network)
-                store = ObjectStore(
-                    f"execution-store-r{i + 1}",
-                    mirror_path=mirror_path if i == 0 else None,
-                )
+        # The execution tier: one unfenced service under the public name, or
+        # ``replicas`` fenced ones that take that name by winning the lease.
+        settings = dict(
+            repository_name="repository",
+            worker_names=[worker.name for worker in self.workers],
+            sweep_interval=sweep_interval,
+            resilience=resilience
+            or ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval, seed=seed),
+            overload=overload,
+        )
+        replica_names = [f"execution-r{i + 1}" for i in range(replicas)]
+        self.replica_nodes: List[Node] = []
+        self.execution_replicas: List[ReplicatedExecutionService] = []
+        tier: List[Tuple[Node, ExecutionService]] = []
+        for i in range(max(replicas, 1)):
+            # replica 1 keeps the unreplicated node name so nemesis schedules
+            # written against "execution-node" hit the bootstrap primary
+            node = self._node("execution-node" if i == 0 else f"standby-node-{i + 1}")
+            store = node.attach(ObjectStore(
+                f"execution-store-r{i + 1}" if replicas else "execution-store",
+                mirror_path=mirror_path if i == 0 else None,
+            ))
+            if replicas:
                 service = ReplicatedExecutionService(
-                    rname,
-                    store,
-                    self.broker,
-                    repository_name="repository",
-                    worker_names=worker_names,
-                    lease_name="lease",
-                    peer_names=replica_names,
-                    repl_interval=repl_interval,
-                    sweep_interval=sweep_interval,
-                    resilience=resilience,
-                    overload=overload,
+                    replica_names[i], store, self.broker, lease_name="lease",
+                    peer_names=replica_names, repl_interval=repl_interval, **settings,
                 )
                 self.replica_nodes.append(node)
                 self.execution_replicas.append(service)
-                # every replica is reachable under its own (unfenced-stream)
-                # name before any on_start runs, so the bootstrap primary can
-                # ship to standbys installed after it
-                self.broker.register(
-                    rname, REPLICA_INTERFACE, service, node, fence=service._fence
-                )
-            for node, service in zip(self.replica_nodes, self.execution_replicas):
-                node.install(service)  # replica 1 wins the bootstrap lease
-            self.execution_node = self.replica_nodes[0]
-            self.execution_store = self.execution_replicas[0].store
-            self.execution: ExecutionService = self.execution_replicas[0]
-        else:
-            self.execution_node = Node("execution-node", self.clock, self.network)
-            self.execution_store = ObjectStore("execution-store", mirror_path=mirror_path)
-            self.execution = ExecutionService(
-                "execution",
-                self.execution_store,
-                self.broker,
-                repository_name="repository",
-                worker_names=worker_names,
-                sweep_interval=sweep_interval,
-                resilience=resilience,
-                overload=overload,
-            )
-            self.execution_node.install(self.execution)
-            self.broker.register(
-                "execution", EXECUTION_INTERFACE, self.execution, self.execution_node
-            )
+                interface, fence = REPLICA_INTERFACE, service._fence
+            else:
+                service = ExecutionService("execution", store, self.broker, **settings)
+                interface, fence = EXECUTION_INTERFACE, None
+            # reachable under its own name before any on_start runs, so the
+            # bootstrap primary can ship to standbys installed after it
+            self.broker.register(service.name, interface, service, node, fence=fence)
+            tier.append((node, service))
+        for node, service in tier:
+            node.install(service)  # replica 1 wins the bootstrap lease
+        self.execution_node, self.execution = tier[0]
+        self.execution_store = self.execution.store
 
-        self.client_node = Node("client-node", self.clock, self.network)
+        self.client_node = self._node("client-node")
+        # the system's own client: one stateless proxy per public name
+        self._repository_client = Proxy(self.broker, self.client_node, "repository")
+        self._execution_client = Proxy(self.broker, self.client_node, "execution")
+
+    def _node(self, name: str) -> Node:
+        node = self.nodes[name] = Node(name, self.clock, self.network)
+        return node
 
     def primary_execution(self) -> Optional[ExecutionService]:
         """The execution service currently owning the instances: the live
         primary replica when replicated, the single service otherwise (or
         None while no live primary exists — e.g. mid-failover)."""
-        if not self.execution_replicas:
-            return self.execution if self.execution_node.alive else None
-        for node, service in zip(self.replica_nodes, self.execution_replicas):
-            if node.alive and service.role is Role.PRIMARY:
+        for service in self.execution_replicas or (self.execution,):
+            if service.node.alive and service.is_primary():
                 return service
         return None
+
+    def fate(self, iid: str) -> Optional[Dict[str, Any]]:
+        """An instance's status / outcome / error, read directly off the
+        current primary (not through the ORB, so watching does not perturb
+        the experiment) — or None while there is no primary or the instance
+        is not there (not yet recovered, or not yet replicated over)."""
+        service = self.primary_execution()
+        runtime = service.runtimes.get(iid) if service is not None else None
+        if runtime is None:
+            return None
+        tree = runtime.tree
+        return {
+            "status": tree.status.value,
+            "outcome": tree.root.machine.outcome,
+            "error": tree.error,
+        }
 
     # -- client-side proxies (what the paper's browser tools talk to) ----------------
 
     def repository_proxy(self, from_node: Optional[Node] = None) -> Proxy:
-        return Proxy(self.broker, from_node or self.client_node, "repository")
+        if from_node is None:
+            return self._repository_client
+        return Proxy(self.broker, from_node, "repository")
 
     def execution_proxy(self, from_node: Optional[Node] = None) -> Proxy:
-        return Proxy(self.broker, from_node or self.client_node, "execution")
+        if from_node is None:
+            return self._execution_client
+        return Proxy(self.broker, from_node, "execution")
 
     # -- convenience client operations ---------------------------------------------------
 
@@ -258,21 +265,18 @@ class WorkflowSystem:
         """Advance simulated time until the instance terminates (or the time
         budget runs out — the result then reports its last observed state).
 
-        Status is read directly off the execution service (not through the
-        ORB) so monitoring does not perturb the experiment; when the
+        Status is read with :meth:`fate`, not through the ORB; when the
         execution node is down the system simply keeps running time forward,
         exactly as an operator would wait out an outage.
         """
-        deadline = self.clock.now + max_time
-        while self.clock.now < deadline:
-            self.clock.advance(check_every)
-            service = self.primary_execution()
-            if service is None:
-                continue  # node down / failover in progress: wait it out
-            runtime = service.runtimes.get(iid)
-            if runtime is None:
-                continue  # not yet recovered (or not yet replicated over)
-            if runtime.tree.status.value in TERMINAL:
+        clock = self.clock
+        now = clock.now
+        deadline = now + max_time
+        while now < deadline:
+            now += check_every
+            clock.run(until=now)  # lands on ``until`` exactly: ``now`` stays the clock's
+            fate = self.fate(iid)
+            if fate is not None and fate["status"] in TERMINAL:
                 break
         service = self.primary_execution()
         if service is not None and iid in service.runtimes:

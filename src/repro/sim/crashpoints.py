@@ -15,9 +15,10 @@ which are no-ops (one global load and a ``None`` check) unless a
 :class:`CrashPointInjector` is installed.  The injector maps ``scope``
 objects (stores, WALs, services, transaction managers) to simulated nodes;
 when an armed fault's point and hit count match, the injector crashes the
-owning node *mid-step* — stable storage drops its unforced WAL suffix, the
-volatile state evaporates — and raises :class:`SimulatedCrash` to unwind the
-Python stack exactly as a real machine failure would cut it short.
+owning node *mid-step* (:meth:`repro.net.node.Node.crash`: its stable storage
+drops its unforced WAL suffix, the volatile state evaporates) and raises
+:class:`SimulatedCrash` to unwind the Python stack exactly as a real machine
+failure would cut it short.
 
 ``SimulatedCrash`` derives from ``BaseException`` on purpose: servant code
 legitimately catches ``Exception`` (a worker converts implementation errors
@@ -192,10 +193,11 @@ class CrashPointInjector:
     harness does not target — are ignored, which keeps hit counting
     deterministic regardless of what else lives in the simulated world.
 
-    ``crash_callback(node_name, mode, scope)`` must perform the actual
-    crash: torn-force the WAL when ``mode == "torn"``, drop the unforced
-    suffix of every store on the node, detach the node, and (optionally)
-    schedule its recovery.  The injector then raises :class:`SimulatedCrash`.
+    ``crash_callback(node_name, fault, scope)`` must perform the actual
+    crash: torn-force the WAL when ``fault.mode == "torn"``, crash the node
+    (``Node.crash()`` — what that does to the node's stores is the node's
+    business) and, optionally, schedule its recovery.  The injector then
+    raises :class:`SimulatedCrash`.
     """
 
     def __init__(

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..workloads import APPLICATIONS
 from .crashpoints import CrashPoint, catalogue
 from .harness import SimHarness, SimReport
 from .nemesis import (
@@ -268,7 +269,7 @@ class ChaosSweep:
     # -- failover pass ---------------------------------------------------------
 
     #: Every paper workload must survive a failover (ISSUE 9 acceptance).
-    FAILOVER_WORKLOADS = ("order", "trip", "service-impact")
+    FAILOVER_WORKLOADS = tuple(APPLICATIONS)
 
     def failover_schedules(self) -> List[NemesisSchedule]:
         """The canonical failover scenarios: kill the primary mid-workload

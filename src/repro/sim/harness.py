@@ -27,15 +27,12 @@ machine's death exactly:
 1. for a ``torn`` fault at a WAL force, :meth:`WriteAheadLog.torn_force`
    first makes every pending record except the last durable — the classic
    torn write;
-2. every :class:`~repro.txn.store.ObjectStore` on the node crashes — the
-   unforced WAL suffix vanishes, the committed cache is rebuilt from the
-   durable log, the (volatile) lock table resets;
-3. the node itself crashes — network detached, timers dead, incarnation
-   bumped;
-4. recovery is scheduled ``downtime`` later (stores rebuild their caches,
-   the node re-attaches under its new incarnation, services replay their
-   journals) — unless ``downtime`` is None, in which case the machine stays
-   down and the liveness oracle is waived.
+2. the node crashes (:meth:`repro.net.node.Node.crash`, the one place that
+   says what that does to a machine's stores, endpoint and timers);
+3. recovery is scheduled ``downtime`` later (in-doubt probe transactions are
+   resolved, the node re-attaches under its new incarnation, services
+   replay their journals) — unless ``downtime`` is None, in which case the
+   machine stays down and the liveness oracle is waived.
 
 The :class:`~repro.sim.crashpoints.SimulatedCrash` that unwinds the Python
 stack is caught at the event-loop boundary in :meth:`SimHarness._advance`
@@ -47,19 +44,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.failures import FaultPlan
-from ..net.node import Node
 from ..orb.broker import CommFailure, Overloaded
 from ..overload import OverloadConfig
-from ..services.system import WorkflowSystem
+from ..services.system import TERMINAL, WorkflowSystem
 from ..txn import wal as wal_mod
 from ..txn.manager import TransactionManager
 from ..txn.store import ObjectStore
 from ..txn.wal import WriteAheadLog
-from ..workloads import paper_order, paper_service_impact, paper_trip
+from ..workloads import APPLICATIONS, Application
 from . import oracles
 from .crashpoints import (
     ArmedCrash,
@@ -83,36 +80,10 @@ from .nemesis import (
 )
 
 
-@dataclass(frozen=True)
-class Workload:
-    """A deployable script plus its implementations and per-instance inputs."""
-
-    name: str
-    script_name: str
-    text: str
-    root_task: str
-    binder: Callable[[Any], Any]          # registry -> registry (bind impls)
-    inputs: Callable[[int], Dict[str, Any]]  # instance index -> initial inputs
-
-
-WORKLOADS: Dict[str, Workload] = {
-    "order": Workload(
-        "order", "order", paper_order.SCRIPT_TEXT, paper_order.ROOT_TASK,
-        lambda reg: paper_order.default_registry(registry=reg),
-        lambda i: {"order": f"order-{i + 1}"},
-    ),
-    "trip": Workload(
-        "trip", "trip", paper_trip.SCRIPT_TEXT, paper_trip.ROOT_TASK,
-        lambda reg: paper_trip.default_registry(registry=reg),
-        lambda i: {"user": f"user-{i + 1}"},
-    ),
-    "service-impact": Workload(
-        "service-impact", "service-impact", paper_service_impact.SCRIPT_TEXT,
-        paper_service_impact.ROOT_TASK,
-        lambda reg: paper_service_impact.default_registry(registry=reg),
-        lambda i: {"alarmsSource": f"alarm-feed-{i + 1}"},
-    ),
-}
+# An armed fault waits this long after the instances end for late protocol
+# activity to reach it; a healable run gets this long to come back.
+SETTLE = 250.0
+QUIESCE_GRACE = 600.0
 
 
 @dataclass
@@ -140,23 +111,7 @@ class SimReport:
         return not self.violations
 
     def to_plain(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "workers": self.workers,
-            "schedule": self.schedule,
-            "instances": self.instances,
-            "violations": self.violations,
-            "crashes": self.crashes,
-            "fired": self.fired,
-            "unfired": self.unfired,
-            "points_visited": self.points_visited,
-            "network": self.network,
-            "end_time": self.end_time,
-            "replicas": self.replicas,
-            "replication": self.replication,
-            "spike": self.spike,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, fixed separators — the byte string
@@ -177,59 +132,37 @@ class SimReport:
         )
 
 
+@dataclass
 class SimHarness:
     """Run one nemesis schedule against one workload and report."""
 
-    def __init__(
-        self,
-        schedule: Optional[NemesisSchedule] = None,
-        workload: str = "order",
-        seed: int = 0,
-        workers: int = 2,
-        instances: int = 1,
-        max_time: float = 5_000.0,
-        quiesce_grace: float = 600.0,
-        check_every: float = 25.0,
-        settle: float = 250.0,
-        loss_rate: float = 0.0,
-        compact_every: Optional[float] = None,
-        probe_every: Optional[float] = None,
-        replicas: int = 0,
-        lease_duration: float = 60.0,
-        repl_interval: float = 5.0,
-        service_time: float = 0.0,
-        worker_lanes: int = 1,
-        overload: Optional[OverloadConfig] = None,
-    ) -> None:
-        if workload not in WORKLOADS:
+    schedule: NemesisSchedule = field(default_factory=NemesisSchedule)
+    workload: str = "order"
+    seed: int = 0
+    workers: int = 2
+    instances: int = 1
+    max_time: float = 5_000.0
+    check_every: float = 25.0
+    loss_rate: float = 0.0
+    compact_every: Optional[float] = None
+    probe_every: Optional[float] = None
+    replicas: int = 0
+    lease_duration: float = 60.0
+    repl_interval: float = 5.0
+    service_time: float = 0.0
+    worker_lanes: int = 1
+    overload: Optional[OverloadConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.workload not in APPLICATIONS:
             raise ValueError(
-                f"unknown workload {workload!r}; choose from {sorted(WORKLOADS)}"
+                f"unknown workload {self.workload!r}; choose from {sorted(APPLICATIONS)}"
             )
-        self.schedule = schedule or NemesisSchedule()
-        self.workload = workload
-        self.seed = seed
-        self.workers = workers
-        self.instances = instances
-        self.max_time = max_time
-        self.quiesce_grace = quiesce_grace
-        self.check_every = check_every
-        self.settle = settle
-        self.loss_rate = loss_rate
-        self.compact_every = compact_every
-        self.probe_every = probe_every
-        self.replicas = replicas
-        self.lease_duration = lease_duration
-        self.repl_interval = repl_interval
-        self.service_time = service_time
-        self.worker_lanes = worker_lanes
-        self.overload = overload
         # run state (populated by run())
         self._probe_manager: Optional[TransactionManager] = None
-        self._probe_stores: List[ObjectStore] = []
+        self._probes: List[ObjectStore] = []
         self._system: Optional[WorkflowSystem] = None
         self._injector: Optional[CrashPointInjector] = None
-        self._nodes: Dict[str, Node] = {}
-        self._stores: Dict[str, List[Any]] = {}
         self._crashes: List[Dict[str, Any]] = []
         self._violations: List[oracles.OracleViolation] = []
         self._violation_keys: Set[Tuple[str, str, str]] = set()
@@ -240,7 +173,7 @@ class SimHarness:
     # -- setup ----------------------------------------------------------------
 
     def run(self) -> SimReport:
-        spec = WORKLOADS[self.workload]
+        spec = APPLICATIONS[self.workload]
         system = WorkflowSystem(
             workers=self.workers, seed=self.seed, loss_rate=self.loss_rate,
             replicas=self.replicas, lease_duration=self.lease_duration,
@@ -250,65 +183,47 @@ class SimHarness:
         )
         spec.binder(system.registry)
         self._system = system
-        nodes = [
-            system.repository_node,
-            system.execution_node,
-            system.client_node,
-            *system.worker_nodes,
-        ]
-        if system.replica_nodes:
-            nodes += system.replica_nodes[1:]  # replica 1 IS execution-node
-        if system.lease_node is not None:
-            nodes.append(system.lease_node)
-        self._nodes = {node.name: node for node in nodes}
-        # Only the execution node (and, replicated, its peers plus the lease
-        # arbiter) owns chaos-targeted stable storage; the repository is
-        # deliberately left unbound so deploy-time visits do not shift hit
-        # counts (see CrashPointInjector docstring).
         injector = CrashPointInjector(self._on_crash)
-        if system.execution_replicas:
-            for node, service in zip(system.replica_nodes, system.execution_replicas):
-                self._stores[node.name] = [service.store]
-                injector.bind(service.store, node.name)
-                injector.bind(service.store.wal, node.name)
-                injector.bind(service, node.name)
-            self._stores["lease-node"] = [system.lease_store]
-            injector.bind(system.lease_store, "lease-node")
-            injector.bind(system.lease_store.wal, "lease-node")
-            injector.bind(system.lease, "lease-node")
-        else:
-            self._stores = {"execution-node": [system.execution_store]}
-            injector.bind(system.execution_store, "execution-node")
-            injector.bind(system.execution_store.wal, "execution-node")
-            injector.bind(system.execution, "execution-node")
-        for node, worker in zip(system.worker_nodes, system.workers):
-            injector.bind(worker, node.name)
         if self.probe_every is not None:
             # Two scratch stores on the execution node plus a manager whose
             # decision log is the execution store: the only code path in the
             # system that runs genuine two-phase commit, so the prepare/2PC
             # crash points (and in-doubt recovery) get exercised.
-            self._probe_stores = [ObjectStore("probe-a"), ObjectStore("probe-b")]
+            self._probes = [
+                system.execution_node.attach(ObjectStore(name))
+                for name in ("probe-a", "probe-b")
+            ]
             self._probe_manager = TransactionManager(
                 "probe-tm", decision_store=system.execution_store
             )
-            self._stores["execution-node"].extend(self._probe_stores)
-            for store in self._probe_stores:
-                injector.bind(store, "execution-node")
-                injector.bind(store.wal, "execution-node")
             injector.bind(self._probe_manager, "execution-node")
+        # Every store, log and service of every machine is a crash-point
+        # scope of that machine — but for the repository's, deliberately left
+        # unbound so deploy-time visits do not shift hit counts (see
+        # CrashPointInjector docstring).
+        for name, node in system.nodes.items():
+            if node is system.repository_node:
+                continue
+            for store in node.stores():
+                injector.bind(store, name)
+                injector.bind(store.wal, name)
+            for service in node.services():
+                injector.bind(service, name)
         self._injector = injector
         for fault in self.schedule.crash_faults():
             injector.arm(fault.to_armed())
+        # faults that strike at a time and find their victim then
+        strikes = {
+            CrashAtTime: lambda f: self._crash_node(f.node, None, "clean", f.downtime),
+            KillPrimary: self._kill_primary,
+            PartitionPrimary: self._partition_primary,
+            ResurrectStalePrimary: self._resurrect_replicas,
+        }
         plan = FaultPlan(system.clock)
         for fault in self.schedule.faults:
-            if isinstance(fault, CrashAtTime):
+            if type(fault) in strikes:
                 system.clock.call_at(
-                    fault.at,
-                    lambda f=fault: self._crash_node(
-                        f.node, point=None, mode="clean", downtime=f.downtime
-                    ),
-                    label=f"nemesis:crash:{fault.node}",
+                    fault.at, partial(strikes[type(fault)], fault), label=f"nemesis:{fault.kind}"
                 )
             elif isinstance(fault, Partition):
                 plan.partition_at(
@@ -322,24 +237,6 @@ class SimHarness:
             elif isinstance(fault, ReorderBurst):
                 plan.reorder_burst(
                     system.network, fault.at, fault.duration, fault.window
-                )
-            elif isinstance(fault, KillPrimary):
-                system.clock.call_at(
-                    fault.at,
-                    lambda f=fault: self._kill_primary(f),
-                    label="nemesis:kill-primary",
-                )
-            elif isinstance(fault, PartitionPrimary):
-                system.clock.call_at(
-                    fault.at,
-                    lambda f=fault: self._partition_primary(f),
-                    label="nemesis:partition-primary",
-                )
-            elif isinstance(fault, ResurrectStalePrimary):
-                system.clock.call_at(
-                    fault.at,
-                    self._resurrect_replicas,
-                    label="nemesis:resurrect",
                 )
             elif isinstance(fault, LoadSpike):
                 self._arm_load_spike(fault, spec)
@@ -357,21 +254,28 @@ class SimHarness:
             uninstall()
         return self._report(iids)
 
-    def _arm_compactor(self) -> None:
-        system = self._system
-        interval = float(self.compact_every)
+    def _every(self, interval: float, label: str, action: Callable[[], None]) -> None:
+        clock = self._system.clock
 
         def tick() -> None:
-            # reschedule first: a SimulatedCrash inside compact() must not
-            # silence all future compactions
-            system.clock.call_after(interval, tick, label="harness:compact")
+            # reschedule first: a SimulatedCrash inside the action must not
+            # silence all future ticks
+            clock.call_after(interval, tick, label=label)
+            action()
+
+        clock.call_after(interval, tick, label=label)
+
+    def _arm_compactor(self) -> None:
+        system = self._system
+
+        def compact() -> None:
             service = system.primary_execution()
             if service is not None:
                 # always the primary: compacting a demoted standby's store
                 # would fork its log from the stream the primary ships
                 service.compact()
 
-        system.clock.call_after(interval, tick, label="harness:compact")
+        self._every(float(self.compact_every), "harness:compact", compact)
 
     def _arm_prober(self) -> None:
         """Periodic 2PC probe: one transaction increments a counter in both
@@ -382,12 +286,10 @@ class SimHarness:
         anywhere inside the protocol must either commit both or neither
         once in-doubt participants are resolved."""
         system = self._system
-        interval = float(self.probe_every)
-        store_a, store_b = self._probe_stores
+        store_a, store_b = self._probes
         manager = self._probe_manager
 
-        def tick() -> None:
-            system.clock.call_after(interval, tick, label="harness:probe")
+        def probe() -> None:
             if not system.execution_node.alive:
                 return
 
@@ -406,9 +308,9 @@ class SimHarness:
             for store in (store_a, store_b, system.execution_store):
                 store.sync()
 
-        system.clock.call_after(interval, tick, label="harness:probe")
+        self._every(float(self.probe_every), "harness:probe", probe)
 
-    def _arm_load_spike(self, fault: LoadSpike, spec: Workload) -> None:
+    def _arm_load_spike(self, fault: LoadSpike, spec: Application) -> None:
         """Schedule the spike's submissions on the event clock.
 
         Each submission rides the ORB proxy directly — ``system.instantiate``
@@ -456,11 +358,9 @@ class SimHarness:
         mode: str,
         downtime: Optional[float],
     ) -> None:
-        node = self._nodes[node_name]
+        node = self._system.nodes[node_name]
         if not node.alive:
             return
-        for store in self._stores.get(node_name, ()):
-            store.crash()
         # the probe's transaction manager is in-memory: its active-transaction
         # table and cached commit decisions die with the machine (durable
         # decisions live in the decision store's log, nowhere else)
@@ -485,11 +385,9 @@ class SimHarness:
             )
 
     def _recover_node(self, node_name: str) -> None:
-        node = self._nodes[node_name]
+        node = self._system.nodes[node_name]
         if node.alive:
             return
-        for store in self._stores.get(node_name, ()):
-            store.recover()
         if node_name == "execution-node":
             self._resolve_in_doubt()
         node.recover()  # may raise SimulatedCrash via a recovery crash point
@@ -497,34 +395,22 @@ class SimHarness:
 
     # -- replication faults (resolved against the live system at fire time) -------
 
-    def _primary_node_name(self) -> Optional[str]:
-        """Node hosting the current primary, or None mid-failover."""
-        system = self._system
-        service = system.primary_execution()
-        if service is None:
-            return None
-        if not system.execution_replicas:
-            return system.execution_node.name
-        for node, candidate in zip(system.replica_nodes, system.execution_replicas):
-            if candidate is service:
-                return node.name
-        return None
-
     def _kill_primary(self, fault: KillPrimary) -> None:
-        name = self._primary_node_name()
-        if name is None:
+        primary = self._system.primary_execution()
+        if primary is None:
             return  # no live primary this instant: the fault fizzles
         self._crash_node(
-            name, point="nemesis:kill-primary", mode="clean",
+            primary.node.name, point="nemesis:kill-primary", mode="clean",
             downtime=fault.downtime,
         )
 
     def _partition_primary(self, fault: PartitionPrimary) -> None:
-        name = self._primary_node_name()
-        if name is None:
+        primary = self._system.primary_execution()
+        if primary is None:
             return
+        name = primary.node.name
         network = self._system.network
-        network.partition({name}, set(self._nodes) - {name})
+        network.partition({name}, set(self._system.nodes) - {name})
         if fault.heal_after is not None:
             self._system.clock.call_after(
                 fault.heal_after,
@@ -532,13 +418,12 @@ class SimHarness:
                 label="nemesis:heal-primary",
             )
 
-    def _resurrect_replicas(self) -> None:
+    def _resurrect_replicas(self, _fault: ResurrectStalePrimary) -> None:
         """Recover every still-downed replica (the stale-primary return)."""
         system = self._system
-        nodes = system.replica_nodes or [system.execution_node]
-        for node in nodes:
-            if not node.alive:
-                self._recover_node(node.name)
+        for service in system.execution_replicas or [system.execution]:
+            if not service.node.alive:
+                self._recover_node(service.node.name)
 
     def _resolve_in_doubt(self) -> None:
         """Finish 2PC for transactions caught between PREPARE and the
@@ -547,7 +432,7 @@ class SimHarness:
         the log is all a redo-only participant needs."""
         if self._probe_manager is None:
             return
-        for store in self._probe_stores:
+        for store in self._probes:
             for tid in list(store.in_doubt()):
                 committed = self._probe_manager.decision(tid)
                 store.wal.append(
@@ -570,18 +455,15 @@ class SimHarness:
     def _check(self, phase: str, deep: bool = False) -> None:
         system = self._system
         found: List[oracles.OracleViolation] = []
-        for stores in self._stores.values():
-            for store in stores:
+        for node in system.nodes.values():
+            for store in node.stores():
                 found += oracles.check_store_agreement(store, phase)
         services = system.execution_replicas or [system.execution]
-        exec_stores = [service.store for service in services]
+        journals = [service.store for service in services]
         if system.execution_replicas:
-            found += oracles.check_epoch_fencing(exec_stores, phase)
-            found += oracles.check_single_primary(
-                list(zip(system.replica_nodes, system.execution_replicas)),
-                system.clock.now, phase,
-            )
-        for store in exec_stores:
+            found += oracles.check_epoch_fencing(journals, phase)
+            found += oracles.check_single_primary(services, system.clock.now, phase)
+        for store in journals:
             found += oracles.check_journal_integrity(store, phase)
         if deep:
             for service in services:
@@ -597,8 +479,8 @@ class SimHarness:
             found += oracles.check_durability(
                 primary, self._terminal_seen, phase
             )
-            if self._probe_stores and system.execution_node.alive:
-                found += oracles.check_atomic_commit(*self._probe_stores, phase=phase)
+            if self._probes and system.execution_node.alive:
+                found += oracles.check_atomic_commit(*self._probes, phase=phase)
             if deep:
                 found += oracles.check_replay_agreement(primary, phase)
         self._record(found)
@@ -618,30 +500,22 @@ class SimHarness:
                 continue
 
     def _all_alive(self) -> bool:
-        return all(node.alive for node in self._nodes.values())
+        return all(node.alive for node in self._system.nodes.values())
 
     def _all_terminal(self, iids: List[str]) -> bool:
-        service = self._system.primary_execution()
-        if service is None:
-            return False
-        for iid in iids:
-            runtime = service.runtimes.get(iid)
-            if runtime is None:
-                return False
-            if runtime.tree.status.value not in oracles.TERMINAL_STATUSES:
-                return False
-        return True
+        fates = map(self._system.fate, iids)
+        return all(fate is not None and fate["status"] in TERMINAL for fate in fates)
 
     def _await_recovery(self) -> None:
         """Wait out an outage after a crash interrupted a client call."""
-        deadline = self._system.clock.now + self.quiesce_grace
+        deadline = self._system.clock.now + QUIESCE_GRACE
         while self._system.clock.now < deadline:
             if self._all_alive():
                 return
             self._advance(self.check_every)
             self._check("continuous")
 
-    def _deploy(self, spec: Workload) -> None:
+    def _deploy(self, spec: Application) -> None:
         for _ in range(5):
             try:
                 self._system.deploy(spec.script_name, spec.text)
@@ -650,7 +524,7 @@ class SimHarness:
                 self._await_recovery()
         raise RuntimeError("could not deploy workload script")
 
-    def _instantiate_all(self, spec: Workload) -> List[str]:
+    def _instantiate_all(self, spec: Application) -> List[str]:
         iids: List[str] = []
         for index in range(self.instances):
             iid = self._instantiate_one(spec, index, iids)
@@ -660,7 +534,7 @@ class SimHarness:
         return iids
 
     def _instantiate_one(
-        self, spec: Workload, index: int, known: List[str]
+        self, spec: Application, index: int, known: List[str]
     ) -> Optional[str]:
         """Instantiate once, riding out crashes mid-call.
 
@@ -712,13 +586,13 @@ class SimHarness:
                 # (compaction ticks, sweeps) a bounded chance to hit them
                 if terminal_since is None:
                     terminal_since = system.clock.now
-                elif system.clock.now - terminal_since >= self.settle:
+                elif system.clock.now - terminal_since >= SETTLE:
                     break
             else:
                 terminal_since = None
         healable = self._healable()
         if healable:
-            guard = system.clock.now + self.quiesce_grace
+            guard = system.clock.now + QUIESCE_GRACE
             while system.clock.now < guard:
                 if self._all_alive() and self._all_terminal(
                     iids + sorted(self._spike_submitted)
@@ -763,18 +637,8 @@ class SimHarness:
 
     def _report(self, iids: List[str]) -> SimReport:
         system = self._system
-        service = system.primary_execution()
-        instances: Dict[str, Dict[str, Any]] = {}
-        for iid in iids:
-            runtime = service.runtimes.get(iid) if service is not None else None
-            if runtime is None:
-                instances[iid] = {"status": "lost", "outcome": None, "error": None}
-            else:
-                instances[iid] = {
-                    "status": runtime.tree.status.value,
-                    "outcome": runtime.tree.root.machine.outcome,
-                    "error": runtime.tree.error,
-                }
+        lost = {"status": "lost", "outcome": None, "error": None}
+        instances = {iid: system.fate(iid) or lost for iid in iids}
         return SimReport(
             workload=self.workload,
             seed=self.seed,
@@ -791,15 +655,15 @@ class SimHarness:
             replicas=self.replicas,
             replication={
                 svc.name: {
-                    "node": node.name,
-                    "alive": node.alive,
+                    "node": svc.node.name,
+                    "alive": svc.node.alive,
                     "role": svc.role.value,
                     "epoch": svc.epoch,
                     "promotions": svc.repl_stats["promotions"],
                     "demotions": svc.repl_stats["demotions"],
                     "resyncs": svc.repl_stats["resyncs"],
                 }
-                for node, svc in zip(system.replica_nodes, system.execution_replicas)
+                for svc in system.execution_replicas
             },
             spike={
                 "accepted": len(self._spike_submitted),

@@ -76,14 +76,13 @@ Replication oracles (``replicas > 0`` only; docs/PROTOCOLS.md §12):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..services.journal import Journal
+from ..services.system import TERMINAL
 from ..txn import wal as wal_mod
 from ..txn.store import ObjectStore
-
-TERMINAL_STATUSES = ("completed", "aborted", "failed")
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,7 @@ class OracleViolation:
     phase: str = ""  # when it was detected: "continuous" | "recovery" | "quiescence"
 
     def to_plain(self) -> Dict[str, str]:
-        return {
-            "oracle": self.oracle,
-            "subject": self.subject,
-            "detail": self.detail,
-            "phase": self.phase,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         where = f" [{self.phase}]" if self.phase else ""
@@ -236,7 +230,7 @@ def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolati
         shadow = service._replay(iid)
         status = shadow.tree.status.value
         holes = stored.entries(iid).count(None)
-        if holes or status not in TERMINAL_STATUSES or shadow.in_flight:
+        if holes or status not in TERMINAL or shadow.in_flight:
             violations.append(OracleViolation(
                 "closed-is-settled", iid,
                 f"{service.store.name} marks the instance closed, but its journal has "
@@ -261,7 +255,7 @@ def observe_terminal(
     """
     for iid, runtime in service.runtimes.items():
         status = runtime.tree.status.value
-        if status in TERMINAL_STATUSES and iid not in recorded:
+        if status in TERMINAL and iid not in recorded:
             recorded[iid] = (status, runtime.tree.root.machine.outcome)
 
 
@@ -373,18 +367,18 @@ def check_epoch_fencing(
 
 
 def check_single_primary(
-    replicas: List[Tuple[Any, Any]], now: float, phase: str = ""
+    replicas: List[Any], now: float, phase: str = ""
 ) -> List[OracleViolation]:
     """At most one live replica may act as primary under an unexpired lease.
 
-    ``replicas`` is ``[(node, service), ...]``.  A deposed primary that has
+    ``replicas`` are the replicated services.  A deposed primary that has
     not yet noticed its lease lapsed is legal (its local expiry is in the
     past); two replicas both believing they hold *currently valid* leases is
     the split-brain the lease arbiter exists to prevent.
     """
     holders: List[Tuple[str, int]] = []
-    for node, service in replicas:
-        if not node.alive or not service.is_primary():
+    for service in replicas:
+        if not service.node.alive or not service.is_primary():
             continue
         lease = getattr(service, "lease", None) or {}
         if lease.get("holder") == service.name and lease.get("expires_at", 0.0) > now:
@@ -427,7 +421,7 @@ def check_no_silent_drop(
             )
             continue
         status = runtime.tree.status.value
-        if status not in TERMINAL_STATUSES:
+        if status not in TERMINAL:
             violations.append(
                 OracleViolation(
                     "no-silent-drop", iid,
@@ -467,7 +461,7 @@ def check_liveness(
             )
             continue
         status = runtime.tree.status.value
-        if status not in TERMINAL_STATUSES:
+        if status not in TERMINAL:
             detail = (
                 f"status {status!r} with {len(runtime.in_flight)} in-flight "
                 f"and {len(runtime.external)} external tasks after quiescence"

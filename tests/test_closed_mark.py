@@ -66,7 +66,6 @@ class TestRebuildsAreBoundedByWhatIsOpen:
         statuses = {iid: service.status(iid) for iid in done}
 
         built = count_fresh_trees(service)
-        store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert built == running  # 3, whatever the history
@@ -121,7 +120,6 @@ class TestRebuildsAreBoundedByWhatIsOpen:
         assert evaluations(replicas=2, lease_duration=30.0) == alone
 
         built = count_fresh_trees(standby)
-        system.execution_store.crash()
         system.execution_node.crash()
         while system.primary_execution() is None:
             system.clock.advance(1.0)
@@ -156,7 +154,6 @@ class TestTheMarkAndItsEntryAreOneRecord:
         def crash(_node_name, fault, scope):
             if fault.mode == "torn":
                 scope.torn_force()
-            victim.store.crash()
             node.crash()
 
         injector = CrashPointInjector(crash)

@@ -182,7 +182,6 @@ class TestLayout:
         assert Journal(store).instances() == iids
         system.execution.compact()
         assert Journal(store).instances() == iids
-        store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert Journal(store).instances() == iids
@@ -212,7 +211,6 @@ class TestSameTreeEveryWayIn:
         assert journal_len(store, iid) == len(snapshot["journal"])
         assert check_journal_integrity(store) == []
         # and it survives a crash of its new home
-        store.crash()
         target.execution_node.crash()
         target.execution_node.recover()
         assert tree_state(target.execution, iid) == tree_state(source.execution, iid)
@@ -262,7 +260,6 @@ class TestSameTreeEveryWayIn:
         store, node, service = system.execution_store, system.execution_node, system.execution
 
         def crash(_node_name, _fault, _scope):
-            store.crash()
             node.crash()
 
         injector = CrashPointInjector(crash)
@@ -308,7 +305,6 @@ class TestSameTreeEveryWayIn:
                 f"script:{digest}"
             ]
             if crash:
-                store.crash()
                 system.execution_node.crash()
                 system.execution_node.recover()
             state = tree_state(system.execution, iid)
@@ -401,7 +397,6 @@ class TestStandbyFoldsBatches:
             system.instantiate("order", paper_order.ROOT_TASK, {"order": f"open-{n}"})
             for n in range(12)
         ]
-        system.execution_store.crash()
         system.execution_node.crash()
         second = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
         assert system.run_until_terminal(second)["status"] == "completed"

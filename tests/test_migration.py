@@ -121,7 +121,6 @@ class TestExportImport:
         assert list(import_record(iid).value)[0] == key
         assert check_journal_integrity(store) == []
 
-        store.crash()
         target.execution_node.crash()
         target.execution_node.recover()  # replays from its own store alone
         result = target.run_until_terminal(iid, max_time=10_000)

@@ -5,6 +5,10 @@ import pytest
 from repro.net.clock import EventClock
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node, NodeCrashed, Service
+from repro.txn import wal as wal_mod
+from repro.txn.ids import ObjectId, TransactionId
+from repro.txn.locks import LockMode
+from repro.txn.store import ObjectStore
 
 
 class Recorder(Service):
@@ -22,6 +26,16 @@ class Recorder(Service):
 
     def on_recover(self):
         self.recovered += 1
+
+
+def half_done(store, writes):
+    """Leave ``writes`` as a machine crash finds an interrupted commit: logged
+    and locked, visible in the cache, not forced."""
+    txn = TransactionId(1)
+    for key in writes:
+        store.locks.acquire(txn, ObjectId(key), LockMode.EXCLUSIVE)
+    store.wal.append(wal_mod.BATCH, None, None, writes)
+    store._committed.update(writes)
 
 
 @pytest.fixture
@@ -107,13 +121,67 @@ class TestCrashRecover:
         node.crash()
         assert node.crash_count == 1
 
-    def test_stable_store_survives_crash(self, world):
+    def test_attached_stores_keep_exactly_their_forced_prefix(self, world):
+        """Of every attached store, the forced prefix — and exactly that."""
         clock, net = world
         node = Node("a", clock, net)
-        node.stable_store["k"] = "v"
+        stores = [node.attach(ObjectStore(name)) for name in ("s1", "s2")]
+        for n, store in enumerate(stores):
+            store.commit_batch({"forced": n})
+            half_done(store, {"unforced": n})
+            assert len(store.wal) == store.wal.durable_length + 1
+        node.crash()
+        for n, store in enumerate(stores):
+            assert store.snapshot() == {"forced": n}
+            assert len(store.wal) == store.wal.durable_length == 1
+            assert store.locks.holders(ObjectId("unforced")) == {}  # died with the machine
+        node.recover()
+        assert [store.snapshot() for store in stores] == [{"forced": 0}, {"forced": 1}]
+
+    def test_store_crash_then_node_crash_is_node_crash_alone(self, world):
+        """The frozen benchmark's order: a second crash of a store loses
+        nothing more and folds to the same cache."""
+        clock, net = world
+
+        def crashed(store_first):
+            node = Node("a" if store_first else "b", clock, net)
+            store = node.attach(ObjectStore("s"))
+            store.commit_batch({"k": 1, "gone": 0})
+            store.commit_batch({"k": 2})
+            half_done(store, {"k": 3})
+            if store_first:
+                assert store.crash() == 1
+            node.crash()
+            return store.snapshot(), list(store.wal.durable_records()), len(store.wal)
+
+        assert crashed(store_first=True) == crashed(store_first=False)
+        assert crashed(store_first=True)[0] == {"k": 2, "gone": 0}
+
+    def test_recovery_presents_the_folded_store_to_on_recover(self, world):
+        clock, net = world
+        node = Node("a", clock, net)
+        store = node.attach(ObjectStore("s"))
+
+        class Reader(Service):
+            seen = None
+
+            def on_recover(self):
+                self.seen = store.snapshot()
+
+        reader = node.install(Reader("reader"))
+        store.commit_batch({"k": "forced"})
+        half_done(store, {"k": "unforced"})
+        assert store.get_committed("k") == "unforced"  # the live cache ran ahead
         node.crash()
         node.recover()
-        assert node.stable_store["k"] == "v"
+        assert reader.seen == {"k": "forced"}
+
+    def test_a_node_without_stores_still_crashes(self, world):
+        clock, net = world
+        node = Node("a", clock, net)
+        assert node.stores() == []
+        node.crash()
+        assert not node.alive
 
 
 class TestTimers:

@@ -120,7 +120,6 @@ class TestRebuildsUseTheSharedPlan:
         iids = [system.instantiate("wl", root, inputs) for _ in range(3)]
         system.run_until_terminal(iids[0])
         plan = shared_plan(script_text(workload))
-        system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         service = system.execution
@@ -214,7 +213,6 @@ class TestPerScriptFacts:
         assert execution_mod._compiled(with_deadline).has_deadlines is True
         assert runtime.has_deadlines is True
         # and so does the replay of the journaled reconfiguration
-        system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert system.execution.runtimes[iid].has_deadlines is True

@@ -71,7 +71,6 @@ def spec_record(store, iid):
 
 
 def crash_and_recover(system):
-    system.execution_store.crash()
     system.execution_node.crash()
     system.execution_node.recover()
 
@@ -174,7 +173,6 @@ class TestFirstUseBatchIsAtomic:
         def crash(_node_name, fault, _scope):
             if fault.mode == "torn":
                 store.wal.torn_force()
-            store.crash()
             node.crash()
 
         injector = CrashPointInjector(crash)
@@ -211,7 +209,6 @@ class TestStandbysHoldEveryVersion:
 
     def fail_over(self, system):
         old = system.primary_execution()
-        system.execution_store.crash()
         system.execution_node.crash()
         system.clock.advance(200.0)
         promoted = system.primary_execution()

@@ -27,13 +27,9 @@ class NeverForcingLog(WriteAheadLog):
 
 def ablated_order_system(**kwargs):
     """An order system whose execution store never forces its log; a crash
-    of the execution node takes the store's unforced records with it, as the
-    sim harness's crash callback does for every store."""
+    of the execution node takes the store's unforced records with it."""
     system = order_system(**kwargs)
-    store, node = system.execution_store, system.execution_node
-    store.wal = NeverForcingLog()
-    crash_node = node.crash
-    node.crash = lambda: (store.crash(), crash_node())
+    system.execution_store.wal = NeverForcingLog()
     return system
 
 

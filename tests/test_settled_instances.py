@@ -19,7 +19,7 @@ from repro.lang import format_script
 from repro.overload import OverloadConfig
 from repro.services import WorkflowSystem
 from repro.services.journal import Journal
-from repro.sim.harness import WORKLOADS
+from repro.workloads import APPLICATIONS
 from repro.sim.oracles import check_replay_agreement
 from repro.workloads import chain, fan, paper_order, paper_trip, script_text
 from repro.workloads.traffic import cohort_script, traffic_registry
@@ -51,7 +51,7 @@ def settle(system):
 
 def _catalogue(name):
     def build():
-        spec = WORKLOADS[name]
+        spec = APPLICATIONS[name]
         system = WorkflowSystem(workers=2, sweep_interval=SWEEP)
         spec.binder(system.registry)
         system.deploy(spec.script_name, spec.text)
@@ -152,7 +152,6 @@ class TestSameAnswers:
         iid = submit()
         system.run_until_terminal(iid, max_time=SWEEP / 2)
         before = views(system.execution, iid)
-        system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert system.execution.runtimes[iid].settled
@@ -195,7 +194,6 @@ class TestMemoryFollowsWhatIsLive:
         gc.collect()  # the oracle-free run made no cyclic garbage, but be fair
         assert tree_objects() == baseline
 
-        system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert len(service.runtimes) == 40 and service._live == {}
@@ -218,7 +216,6 @@ class TestMemoryFollowsWhatIsLive:
         gc.collect()
         assert tree_objects() == baseline
         # nor does its promotion build a tree for an instance that is closed
-        system.execution_store.crash()
         system.execution_node.crash()
         system.clock.advance(60.0)
         assert standby.is_primary()
@@ -433,7 +430,6 @@ class TestOperationsOnASettledInstance:
         settle(system)
         assert reopened.settled and iid not in service._live
         assert views(service, iid) == before
-        system.execution_store.crash()
         system.execution_node.crash()
         system.execution_node.recover()
         assert views(service, iid) == before

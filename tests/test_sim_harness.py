@@ -305,7 +305,7 @@ class TestTwoPhaseCommitProbe:
         report = harness.run()
         assert report.ok, report.violations
         assert ["%s" % point, "execution-node"] in report.fired
-        store_a, store_b = harness._probe_stores
+        store_a, store_b = harness._probes
         assert store_a.get_committed("probe-counter", 0) == \
             store_b.get_committed("probe-counter", 0)
         assert not list(store_a.in_doubt())

@@ -157,7 +157,6 @@ class TestSameStateAsThePerRecordWriter:
         results = {iid: service.result(iid) for iid in iids}
         del service.flush_journal, store.commit_batch  # recovery runs this PR's code
         replayed = count_fresh_trees(service)
-        store.crash()
         node.crash()
         node.recover()
         # no mark anywhere in such a log: every instance is replayed, as ever
@@ -405,7 +404,6 @@ class TestStandbyAcknowledgesWithOneForce:
 
         def crash(_node_name, _fault, scope):
             scope.torn_force()  # the tail, last record of the force, is torn away
-            store.crash()
             node.crash()
 
         injector = CrashPointInjector(crash)
