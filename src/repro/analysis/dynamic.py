@@ -158,10 +158,8 @@ class Sanitizer:
         original_start = tree._start_node
         sanitizer = self
 
-        def publish(scope, node, kind, name, objects, local_name=None):
-            event = original_publish(
-                scope, node, kind, name, objects, local_name=local_name
-            )
+        def publish(scope, node, kind, name, objects):
+            event = original_publish(scope, node, kind, name, objects)
             vc = sanitizer._node_vc.get(node.path)
             stamped = vc.copy() if vc is not None else VectorClock()
             sanitizer._event_vc[(scope.path, event.seq)] = stamped

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..orb.marshal import transferable
 from .schema import (
@@ -276,6 +276,9 @@ class Scope:
         self.path = path
         self.events: List[WorkflowEvent] = []
         self._seq = itertools.count(1)
+        # the engine's compound node whose inner scope this is, stamped by
+        # the node itself; None for a root scope
+        self.owner_node: Optional[Any] = None
 
     def publish(
         self,

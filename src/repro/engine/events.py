@@ -63,7 +63,9 @@ class EventLog:
         self, time: float, scope_path: str, producer_path: str, event: WorkflowEvent
     ) -> LogEntry:
         with self._append_lock:
-            entry = LogEntry(len(self), time, scope_path, producer_path, event)
+            entry = LogEntry(
+                len(self.entries) + self._shed, time, scope_path, producer_path, event
+            )
             self.entries.append(entry)
             return entry
 

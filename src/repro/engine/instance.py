@@ -115,14 +115,6 @@ class TaskNode:
     def is_compound(self) -> bool:
         return isinstance(self, CompoundNode)
 
-    def ancestors_executing(self) -> bool:
-        node = self.parent
-        while node is not None:
-            if node.machine.state is not TaskState.EXECUTING:
-                return False
-            node = node.parent
-        return True
-
     def retry_limit(self) -> int:
         retries = self.decl.implementation.retries
         return self.tree.default_retries if retries is None else retries
@@ -165,8 +157,11 @@ class TaskNode:
     def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
         if not self.alive or self.machine.state is not TaskState.WAIT:
             return None
-        if not self.ancestors_executing():
-            return None
+        node = self.parent
+        while node is not None:  # every ancestor executing
+            if node.machine.state is not TaskState.EXECUTING:
+                return None
+            node = node.parent
         if self.env_inputs is not None:
             return self.env_inputs
         return self.tracker.ready()
@@ -203,6 +198,11 @@ class CompoundNode(TaskNode):
         self.children: List[TaskNode] = []
         self._by_name: Dict[str, TaskNode] = {}
         self.output_watchers: List[Union[TaskInputTracker, PlanTracker]] = []
+        # set whenever the watchers are (re)installed: an output satisfied
+        # at install time (a mapping with no sources, or one the replayed
+        # history fills) is due without any offer changing it, so the next
+        # look scans them all
+        self.watchers_installed = True
         self.emitted_outputs: set = set()
         # plan mode: firing tables for this compound's inner scope, over
         # positions in ``children`` / ``output_watchers``
@@ -228,7 +228,7 @@ class CompoundNode(TaskNode):
         """Index constituents by name, and by the events they listen to, so
         pump() offers each event only where it can matter (E13 hot path).
         Runs whenever ``children`` changes."""
-        self._by_name = {child.local_name: child for child in self.children}
+        self._by_name = {child.decl.name: child for child in self.children}
         if self.tree.use_plan:
             self._recompile_plan()
             return
@@ -286,6 +286,7 @@ class CompoundNode(TaskNode):
         """Fresh output watchers, replayed from the inner scope; emitted
         outputs stay emitted."""
         self.output_watchers = watchers
+        self.watchers_installed = True
         for event in self.inner_scope.events:
             for watcher in watchers:
                 watcher.offer(event)
@@ -436,7 +437,7 @@ class InstanceTree:
 
     def node_at(self, path: str) -> TaskNode:
         parts = [p for p in path.split("/") if p]
-        if not parts or parts[0] != self.root.local_name:
+        if not parts or parts[0] != self.root.decl.name:
             raise ExecutionError(f"no instance at path {path!r}")
         node: TaskNode = self.root
         for part in parts[1:]:
@@ -520,10 +521,7 @@ class InstanceTree:
         self._publish(node.outer_scope, node, EventKind.INPUT, input_set, inputs)
         if isinstance(node, CompoundNode):
             # Constituents source the compound's inputs via `if input <set>`.
-            self._publish(
-                node.inner_scope, node, EventKind.INPUT, input_set, inputs,
-                local_name=node.local_name,
-            )
+            self._publish(node.inner_scope, node, EventKind.INPUT, input_set, inputs)
 
     # -- event machinery ------------------------------------------------------------------
 
@@ -534,9 +532,8 @@ class InstanceTree:
         kind: EventKind,
         name: str,
         objects: Mapping[str, ObjectRef],
-        local_name: Optional[str] = None,
     ) -> WorkflowEvent:
-        producer = local_name or node.local_name
+        producer = node.decl.name  # the scope-local name, in either scope
         event = scope.publish(producer, kind, name, objects)
         HOTPATH_STATS.publishes += 1
         self.log.record(self.now(), scope.path, node.path, event)
@@ -554,7 +551,7 @@ class InstanceTree:
                 self._pending.clear()
                 return
             scope, _producer, event = self._pending.popleft()
-            owner = self._scope_owner(scope)
+            owner = scope.owner_node
             if owner is not None:
                 if self.use_plan:
                     # compiled firing table: touch only consumers with a slot
@@ -583,10 +580,6 @@ class InstanceTree:
                 if self.root.alive and self.root.machine.state is TaskState.WAIT:
                     self.root.tracker.offer(event)
                     self._enqueue_if_ready(self.root)
-
-    def _scope_owner(self, scope: Scope) -> Optional[CompoundNode]:
-        # CompoundNodes stamp themselves onto the scopes they own.
-        return getattr(scope, "owner_node", None)
 
     def _enqueue_if_ready(self, node: TaskNode) -> None:
         if node.queued or node.claimed:
@@ -796,16 +789,26 @@ class InstanceTree:
     def _evaluate_outputs(self, compound: CompoundNode, event: WorkflowEvent) -> None:
         if compound.machine.state is not TaskState.EXECUTING:
             return
-        decl = compound.compound_decl
+        # A look at the outputs emits every due one (or leaves EXECUTING), so
+        # an output can only have become due since the last look where this
+        # event's offer changed a watcher, or where the watchers were
+        # installed since — the compound's own start is the first event then.
+        changed = compound.watchers_installed
+        watchers = compound.output_watchers
         if self.use_plan and compound.watcher_routing is not None:
             # firing table for the output mappings: only watchers with a slot
             # fed by this exact event are touched
             key = (event.producer, event.kind, event.name)
             for position in compound.watcher_routing.get(key, ()):
-                compound.output_watchers[position].offer(event)
+                if watchers[position].offer(event):
+                    changed = True
         else:
-            for binding, watcher in zip(decl.outputs, compound.output_watchers):
-                watcher.offer(event)
+            for watcher in watchers:
+                if watcher.offer(event):
+                    changed = True
+        if not changed:
+            return
+        compound.watchers_installed = False  # a repeat below installs anew
         # marks first (they do not terminate), then repeat, then terminal
         self._emit_satisfied_outputs(compound, OutputKind.MARK)
         if compound.machine.state is not TaskState.EXECUTING:
@@ -815,8 +818,7 @@ class InstanceTree:
         self._emit_satisfied_outputs(compound, OutputKind.OUTCOME, OutputKind.ABORT)
 
     def _emit_satisfied_outputs(self, compound: CompoundNode, *kinds: OutputKind) -> bool:
-        decl = compound.compound_decl
-        for binding, watcher in zip(decl.outputs, compound.output_watchers):
+        for binding, watcher in zip(compound.decl.outputs, compound.output_watchers):
             spec = compound.taskclass.output(binding.name)
             if spec is None or spec.kind not in kinds:
                 continue

@@ -74,7 +74,7 @@ from ..core.selection import (
     event_kind_for,
 )
 from ..core.values import ObjectRef
-from ..orb.marshal import transferable
+from ..orb.marshal import sealed
 
 # One firing-table key: (scope-local producer name, event kind, event name).
 EventKey = Tuple[str, EventKind, str]
@@ -357,12 +357,13 @@ def firing_routing(tables: Sequence[TaskTable]) -> Mapping[EventKey, Tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-@transferable
+@sealed
 @dataclass(frozen=True)
 class DispatchTemplate:
     """Everything a worker needs to run one simple task that is fixed per
-    script.  Deeply immutable plain data: every dispatch of the task carries
-    this one object, and the ORB passes it by reference."""
+    script.  Deeply immutable plain data, checked once when it is built:
+    every dispatch of the task carries this one object, and the ORB passes
+    it by reference without looking inside."""
 
     task_path: str
     taskclass: TaskClassWire
@@ -458,8 +459,9 @@ class PlanTracker:
     def __init__(self, table: TaskTable) -> None:
         self.table = table
         self.mask = 0
-        self.values: List[Optional[ObjectRef]] = [None] * table.slot_count
-        self.best: List[Optional[int]] = [None] * table.slot_count
+        slots = len(table.slots)
+        self.values: List[Optional[ObjectRef]] = [None] * slots
+        self.best: List[Optional[int]] = [None] * slots
 
     def offer(self, event: WorkflowEvent) -> bool:
         groups = self.table.entries.get((event.producer, event.kind, event.name))

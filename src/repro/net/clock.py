@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 
@@ -22,31 +21,21 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation substrate."""
 
 
-@dataclass(eq=False)
-class _ScheduledEvent:
-    time: float
-    action: Callable[[], Any]
-    cancelled: bool = False
-    label: str = ""
-
-
 class EventHandle:
-    """Handle returned by :meth:`EventClock.call_at`; allows cancellation."""
+    """One scheduled event, and the handle :meth:`EventClock.call_at`
+    returns for it: ``cancel()`` keeps it from running."""
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("time", "action", "cancelled", "label")
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+    def __init__(self, time: float, action: Callable[[], Any], label: str = "") -> None:
+        self.time = time
+        self.action = action
+        self.cancelled = False
+        self.label = label
 
     def cancel(self) -> None:
         """Cancel the event.  Cancelling an already-run event is a no-op."""
-        self._event.cancelled = True
+        self.cancelled = True
 
 
 class EventClock:
@@ -61,17 +50,13 @@ class EventClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        # current virtual time: read it freely, only the clock advances it
+        self.now = float(start)
         # heap of (time, priority, seq, event): seq is unique, so tuples
         # compare in C and the event itself is never compared
-        self._queue: List[Tuple[float, int, int, _ScheduledEvent]] = []
+        self._queue: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
 
     def call_at(
         self,
@@ -81,13 +66,13 @@ class EventClock:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``action`` to run at virtual time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event at {when!r}, clock already at {self._now!r}"
+                f"cannot schedule event at {when!r}, clock already at {self.now!r}"
             )
-        event = _ScheduledEvent(float(when), action, label=label)
+        event = EventHandle(float(when), action, label)
         heapq.heappush(self._queue, (event.time, priority, next(self._seq), event))
-        return EventHandle(event)
+        return event
 
     def call_after(
         self,
@@ -99,7 +84,7 @@ class EventClock:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, action, priority=priority, label=label)
+        return self.call_at(self.now + delay, action, priority=priority, label=label)
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
@@ -111,7 +96,7 @@ class EventClock:
             event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
-            self._now = event.time
+            self.now = event.time
             event.action()
             return True
         return False
@@ -136,14 +121,14 @@ class EventClock:
                     heapq.heappop(self._queue)
                     continue
                 if until is not None and head.time > until:
-                    self._now = until
+                    self.now = until
                     break
                 if not self.step():
                     break
                 executed += 1
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
         return executed
@@ -152,4 +137,4 @@ class EventClock:
         """Run all events within the next ``delta`` time units."""
         if delta < 0:
             raise SimulationError(f"negative delta {delta!r}")
-        return self.run(until=self._now + delta)
+        return self.run(until=self.now + delta)

@@ -105,7 +105,9 @@ class Network:
         self._rng = random.Random(seed)
         self._endpoints: Dict[str, Callable[[Message], None]] = {}
         self._incarnations: Dict[str, int] = {}
-        self._partitions: Set[FrozenSet[str]] = set()
+        # severed endpoint pairs; empty on a healthy network, which is what
+        # every partition check tests first
+        self.partitions: Set[FrozenSet[str]] = set()
 
     # -- endpoint management -------------------------------------------------
 
@@ -142,7 +144,7 @@ class Network:
         for a in group_a:
             for b in group_b:
                 if a != b:
-                    self._partitions.add(frozenset((a, b)))
+                    self.partitions.add(frozenset((a, b)))
 
     def heal(self, group_a: Optional[Set[str]] = None, group_b: Optional[Set[str]] = None) -> None:
         """Heal partitions.
@@ -156,20 +158,20 @@ class Network:
           partial-heal experiments pass vacuously.)
         """
         if group_a is None and group_b is None:
-            self._partitions.clear()
+            self.partitions.clear()
             return
         if group_a is None or group_b is None:
             touched = set(group_a if group_a is not None else group_b)
-            self._partitions = {
-                pair for pair in self._partitions if not (pair & touched)
+            self.partitions = {
+                pair for pair in self.partitions if not (pair & touched)
             }
             return
         for a in group_a:
             for b in group_b:
-                self._partitions.discard(frozenset((a, b)))
+                self.partitions.discard(frozenset((a, b)))
 
     def partitioned(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._partitions
+        return frozenset((a, b)) in self.partitions
 
     # -- sending ----------------------------------------------------------------
 
@@ -188,7 +190,7 @@ class Network:
         Shared by :meth:`send` and the ORB's datagram legs so every message
         path in the system sees one failure model.
         """
-        if self.partitioned(source, destination):
+        if self.partitions and self.partitioned(source, destination):
             self.stats.dropped_partition += 1
             return None
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
@@ -223,7 +225,7 @@ class Network:
 
     def _deliver(self, message: Message, incarnation: int = 0) -> None:
         # Partition may have formed while the message was in flight.
-        if self.partitioned(message.source, message.destination):
+        if self.partitions and self.partitioned(message.source, message.destination):
             self.stats.dropped_partition += 1
             return
         receiver = self._endpoints.get(message.destination)

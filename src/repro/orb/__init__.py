@@ -15,7 +15,14 @@ from .broker import (
     ObjectNotFound,
     Overloaded,
 )
-from .marshal import MarshalError, is_transferable, marshal, marshal_call, transferable
+from .marshal import (
+    MarshalError,
+    is_transferable,
+    marshal,
+    marshal_call,
+    sealed,
+    transferable,
+)
 from .proxy import Proxy, call_with_backoff
 
 __all__ = [
@@ -33,5 +40,6 @@ __all__ = [
     "is_transferable",
     "marshal",
     "marshal_call",
+    "sealed",
     "transferable",
 ]

@@ -21,6 +21,7 @@ messaging where the engine needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..net.clock import EventClock
@@ -231,14 +232,17 @@ class ObjectBroker:
                     self.stats.failures += 1
                     if on_error is not None:
                         failure = Fenced(f"{target}.{operation}: {reason}")
-                        self._reply(registration.node, caller, lambda: on_error(failure))
+                        self._datagram(
+                            registration.node, caller, partial(on_error, failure), "orb-reply"
+                        )
                     return
             try:
                 outcome = getattr(registration.servant, operation)(*m_args)
             except Exception as exc:  # marshalled back as the error reply
                 if on_error is not None:
-                    error = exc  # bind: `exc` is cleared when the block exits
-                    self._reply(registration.node, caller, lambda: on_error(error))
+                    self._datagram(
+                        registration.node, caller, partial(on_error, exc), "orb-reply"
+                    )
                 return
             delay = 0.0
             if isinstance(outcome, DelayedResult):
@@ -247,7 +251,9 @@ class ObjectBroker:
             if on_reply is None:
                 return
             if delay <= 0.0:
-                self._reply(registration.node, caller, lambda: on_reply(result))
+                self._datagram(
+                    registration.node, caller, partial(on_reply, result), "orb-reply"
+                )
                 return
             # modelled service time: the reply leg departs only when the
             # servant finishes the work — and not at all if its node crashed
@@ -257,7 +263,9 @@ class ObjectBroker:
 
             def depart() -> None:
                 if registration.node.alive and registration.node.crash_count == stamp:
-                    self._reply(registration.node, caller, lambda: on_reply(result))
+                    self._datagram(
+                        registration.node, caller, partial(on_reply, result), "orb-reply"
+                    )
 
             self.clock.call_after(delay, depart, label=f"orb-svc:{target}.{operation}")
 
@@ -265,13 +273,6 @@ class ObjectBroker:
         if not caller.alive:
             raise CommFailure(f"caller node {caller.name!r} is down")
         self._datagram(caller, registration.node, perform, f"orb-req:{target}.{operation}")
-
-    def _reply(self, from_node: Node, to_node: Node, deliver: Callable[[], None]) -> None:
-        def guarded() -> None:
-            if to_node.alive:
-                deliver()
-
-        self._datagram(from_node, to_node, guarded, "orb-reply")
 
     def _datagram(
         self, from_node: Node, to_node: Node, deliver: Callable[[], None], label: str
@@ -283,6 +284,8 @@ class ObjectBroker:
         single failure model, and stamps the leg with the destination's
         incarnation: a reply addressed to a coordinator that crashed and
         recovered in flight is dropped as stale, exactly like a raw datagram.
+        A reply leg needs no guard of its own: ``deliver`` runs only while the
+        destination is alive, in the incarnation it was sent to.
         """
         net = self.network
         net.stats.sent += 1
@@ -293,7 +296,7 @@ class ObjectBroker:
         stamp = to_node.crash_count
 
         def attempt() -> None:
-            if net.partitioned(from_node.name, to_node.name):
+            if net.partitions and net.partitioned(from_node.name, to_node.name):
                 net.stats.dropped_partition += 1
                 return
             if not to_node.alive:

@@ -19,13 +19,18 @@ Two speed layers sit on top of those semantics (docs/PROTOCOLS.md §11):
   namedtuples / frozensets whose members marshal to themselves, and frozen
   ``@transferable`` dataclasses with immutable fields — are returned *by
   reference*: sharing an immutable value cannot leak mutable state, so the
-  copy would buy nothing.  Mutable containers (lists, sets, dicts, mutable
-  dataclasses, ``__marshal__`` protocol classes) are structurally copied.
+  copy would buy nothing.  A ``@sealed`` type is checked deeply immutable
+  once, when an instance is built, and crosses by reference with no walk at
+  all.  Mutable containers (lists, sets, dicts, mutable dataclasses,
+  ``__marshal__`` protocol classes) are structurally copied; an exact dict
+  or list is copied by one loop that descends straight into nested exact
+  dicts and lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..core.instrument import IOPATH_STATS
@@ -46,8 +51,14 @@ _DISPATCH: Dict[type, Callable[[Any, int], Any]] = {}
 # transferable one.
 _IMMUTABLE_CHECK: Dict[type, Optional[Callable[[Any, int], bool]]] = {}
 
-# exact types whose values are immutable with no walk at all
-_PRIM_EXACT = frozenset(_PRIMITIVES)
+# Exact types whose values are immutable with no walk at all: the primitives
+# and every @sealed type.  A dict or list member of one of these types is its
+# own copy.
+_BY_REFERENCE: Set[type] = set(_PRIMITIVES)
+
+# deeper than this is refused as a probable cycle
+_MAX_DEPTH = 100
+_TOO_DEEP = "value too deeply nested (possible cycle)"
 
 
 class MarshalError(TypeError):
@@ -69,6 +80,32 @@ def transferable(cls: Type) -> Type:
     return cls
 
 
+def sealed(cls: Type) -> Type:
+    """Class decorator for a frozen dataclass of plain data: every instance
+    is checked deeply immutable once, when it is built (a mutable member
+    raises :class:`MarshalError` there), and from then on crosses the ORB by
+    reference with no immutability walk.  A sealed type is transferable."""
+    if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+        raise TypeError(f"{cls.__qualname__}: only a frozen dataclass can be sealed")
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    build = cls.__init__
+
+    @functools.wraps(build)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        build(self, *args, **kwargs)
+        for name in names:
+            value = getattr(self, name)
+            if not _items_immutable((value,), 0):
+                raise MarshalError(
+                    f"{cls.__qualname__}.{name}: a {type(value).__qualname__} "
+                    f"is not deeply immutable, so it cannot be sealed"
+                )
+
+    cls.__init__ = __init__
+    _BY_REFERENCE.add(cls)
+    return transferable(cls)
+
+
 def is_transferable(cls: Type) -> bool:
     return cls in _TRANSFERABLE
 
@@ -76,8 +113,8 @@ def is_transferable(cls: Type) -> bool:
 def marshal(value: Any, _depth: int = 0) -> Any:
     """Return ``value`` as the far side may see it: a structural copy, or
     the value itself when it is deeply immutable (sharing is unobservable)."""
-    if _depth > 100:
-        raise MarshalError("value too deeply nested (possible cycle)")
+    if _depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
     cls = type(value)
     handler = _DISPATCH.get(cls)
     if handler is None:
@@ -94,7 +131,55 @@ def marshal(value: Any, _depth: int = 0) -> Any:
 
 def marshal_call(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
     """Marshal a full argument list."""
+    if len(args) == 1 and not kwargs:  # every deferred invocation
+        return (marshal(args[0]),), {}
     return tuple(marshal(a) for a in args), {k: marshal(v) for k, v in kwargs.items()}
+
+
+# -- exact dict and list: one loop per container -----------------------------------
+#
+# The shape of every request and reply record.  A member that crosses by
+# reference is kept as it stands, a nested exact dict or list is copied by
+# the same loop one level down, and only any other member goes back through
+# marshal — so the depth guard is kept here, for the levels marshal no
+# longer sees.
+
+
+def _copy_dict(value: dict, depth: int) -> dict:
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    copy = {}
+    for k, v in value.items():
+        if type(k) not in _BY_REFERENCE:
+            k = marshal(k, depth + 1)
+        cls = type(v)
+        if cls in _BY_REFERENCE:
+            copy[k] = v
+        elif cls is dict:
+            copy[k] = _copy_dict(v, depth + 1)
+        elif cls is list:
+            copy[k] = _copy_list(v, depth + 1)
+        else:
+            copy[k] = marshal(v, depth + 1)
+    return copy
+
+
+def _copy_list(value: list, depth: int) -> list:
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    copy = []
+    append = copy.append
+    for v in value:
+        cls = type(v)
+        if cls in _BY_REFERENCE:
+            append(v)
+        elif cls is dict:
+            append(_copy_dict(v, depth + 1))
+        elif cls is list:
+            append(_copy_list(v, depth + 1))
+        else:
+            append(marshal(v, depth + 1))
+    return copy
 
 
 # -- zero-copy immutability walk ---------------------------------------------------
@@ -106,11 +191,11 @@ def marshal_call(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Tuple[A
 
 def _items_immutable(value: Any, depth: int) -> bool:
     """Every member of an iterable is deeply immutable."""
-    if depth > 100:
+    if depth > _MAX_DEPTH:
         return False  # give up; the copy path enforces the real limit
     for item in value:
         cls = type(item)
-        if cls in _PRIM_EXACT:
+        if cls in _BY_REFERENCE:
             continue
         try:
             check = _IMMUTABLE_CHECK[cls]
@@ -127,7 +212,7 @@ def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
     be deeply immutable, None when they must always be copied.  Mirrors the
     marshal handlers exactly — a checker may return True only where the
     corresponding handler would return the value by reference."""
-    if issubclass(cls, _PRIMITIVES):
+    if cls in _BY_REFERENCE or issubclass(cls, _PRIMITIVES):
         return lambda value, depth: True
     if cls is tuple or cls is frozenset:
         return _items_immutable
@@ -142,12 +227,12 @@ def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
         names = tuple(f.name for f in dataclasses.fields(cls))
 
         def check_fields(value: Any, depth: int) -> bool:
-            if depth > 100:
+            if depth > _MAX_DEPTH:
                 return False
             for name in names:
                 item = getattr(value, name)
                 icls = type(item)
-                if icls in _PRIM_EXACT:
+                if icls in _BY_REFERENCE:
                     continue
                 try:
                     check = _IMMUTABLE_CHECK[icls]
@@ -168,10 +253,12 @@ def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
 def _build_handler(cls: type) -> Callable[[Any, int], Any]:
     """Classify ``cls`` once and return its specialized marshal handler.
 
-    The classification order mirrors the original isinstance chain exactly,
-    so per-type dispatch is observationally identical to it (modulo the
-    documented by-reference returns for immutables)."""
-    if issubclass(cls, _PRIMITIVES):
+    The classification order mirrors the original isinstance chain, so
+    per-type dispatch is observationally identical to it (modulo the
+    documented by-reference returns for immutables), with one exception: a
+    transferable class's ``__marshal__`` protocol is consulted before the
+    dict branch, so a dict subclass that defines it is copied through it."""
+    if cls in _BY_REFERENCE or issubclass(cls, _PRIMITIVES):
         return lambda value, depth: value
 
     if issubclass(cls, (list, tuple)):
@@ -181,12 +268,8 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
                     return value
                 return tuple(marshal(v, depth + 1) for v in value)
             return handle_tuple
-        # exact list and dict, the shapes of every request and reply record:
-        # a primitive member is its own copy, so only containers recurse
         if cls is list:
-            return lambda value, depth: [
-                v if type(v) in _PRIM_EXACT else marshal(v, depth + 1) for v in value
-            ]
+            return _copy_list
         if hasattr(cls, "_fields"):
             # namedtuple-style: the constructor takes the fields positionally,
             # not a single iterable
@@ -206,34 +289,22 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
             return handle_frozenset
         return lambda value, depth: cls(marshal(v, depth + 1) for v in value)
 
+    if cls in _TRANSFERABLE and hasattr(cls, "__marshal__"):
+        # the protocol decides what crosses, for a dict subclass too: its
+        # raw items need not be transferable themselves
+        def handle_protocol(value, depth):
+            state = marshal(value.__marshal__(), depth + 1)
+            return cls.__unmarshal__(state)
+        return handle_protocol
+
     if issubclass(cls, dict):
-        if cls is dict:
-            return lambda value, depth: {
-                (k if type(k) in _PRIM_EXACT else marshal(k, depth + 1)): (
-                    v if type(v) in _PRIM_EXACT else marshal(v, depth + 1)
-                )
-                for k, v in value.items()
-            }
-        def handle_dict_subclass(value, depth):
-            copied_items = {
-                marshal(k, depth + 1): marshal(v, depth + 1) for k, v in value.items()
-            }
-            if hasattr(value, "__marshal__") and cls in _TRANSFERABLE:
-                state = marshal(value.__marshal__(), depth + 1)
-                return cls.__unmarshal__(state)
-            if cls in _TRANSFERABLE:
-                # registered dict subclass: preserve the type instead of
-                # silently decaying to a plain dict
-                return cls(copied_items)
-            return copied_items
-        return handle_dict_subclass
+        if cls is not dict and cls in _TRANSFERABLE:
+            # registered dict subclass: preserve the type instead of
+            # silently decaying to a plain dict
+            return lambda value, depth: cls(_copy_dict(value, depth))
+        return _copy_dict
 
     if cls in _TRANSFERABLE:
-        if hasattr(cls, "__marshal__"):
-            def handle_protocol(value, depth):
-                state = marshal(value.__marshal__(), depth + 1)
-                return cls.__unmarshal__(state)
-            return handle_protocol
         if dataclasses.is_dataclass(cls):
             names = [f.name for f in dataclasses.fields(cls)]
             frozen = cls.__dataclass_params__.frozen

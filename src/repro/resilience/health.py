@@ -154,13 +154,34 @@ class HealthRegistry:
         (progress beats caution; the paper's §3 liveness guarantee wins).
         Returns None only when ``exclude`` rules out every worker.
         """
-        excluded = set(exclude)
-        candidates = [n for n in self._names if n not in excluded]
-        if not candidates:
+        excluded = set(exclude) if exclude else ()
+        workers = self.workers
+        best = best_admitted = None  # (score, name): lowest wins, first on a tie
+        for name in self._names:
+            if name in excluded:
+                continue
+            health = workers[name]
+            # score(name), inlined (tests/test_route_model.py routes by it)
+            latency = health.ewma_latency
+            if latency is None:
+                latency = self._LATENCY_PRIOR
+            key = (
+                latency
+                + self._INFLIGHT_WEIGHT * health.in_flight
+                + self._STREAK_WEIGHT * health.streak,
+                name,
+            )
+            if best is None or key < best:
+                best = key
+            # a closed breaker admits with no side effect; any other is asked,
+            # every candidate's, because a half-open admission takes a probe
+            breaker = health.breaker
+            if breaker.opened_at is None or breaker.allow(now):
+                if best_admitted is None or key < best_admitted:
+                    best_admitted = key
+        if best is None:
             return None
-        admitted = [n for n in candidates if self.workers[n].breaker.allow(now)]
-        pool = admitted or candidates
-        return min(pool, key=lambda n: (self.score(n), n))
+        return (best_admitted or best)[1]
 
     # -- reporting ---------------------------------------------------------------------
 

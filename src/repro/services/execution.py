@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
@@ -873,7 +874,7 @@ class ExecutionService(Service):
                 worker,
                 "execute",
                 (flight.request,),
-                on_reply=lambda reply, iid=runtime.iid: self._handle_reply(iid, reply),
+                on_reply=partial(self._handle_reply, runtime.iid),
             )
         except CommFailure:
             pass  # sweeper retries

@@ -5,17 +5,22 @@ zero-copy fast path for deeply immutable values (docs/PROTOCOLS.md §11)."""
 
 import collections
 import dataclasses
+import importlib
+import threading
 import typing
 
 import pytest
 
 from repro.core.values import ObjectRef
 from repro.engine import outcome
-from repro.engine.plan import compile_plan
-from repro.orb import MarshalError, is_transferable, marshal, marshal_call, transferable
+from repro.engine.plan import DispatchTemplate, compile_plan
+from repro.orb import MarshalError, is_transferable, marshal, marshal_call, sealed, transferable
 from repro.services import WorkflowSystem
 from repro.services.worker import TaskWorker, WorkRequest
 from repro.workloads import chain, paper_order, script_text
+
+# the module itself: the package's ``repro.orb.marshal`` is the function
+marshal_module = importlib.import_module("repro.orb.marshal")
 
 
 @transferable
@@ -157,28 +162,57 @@ class TestZeroCopyFastPath:
 
 
 class TestPlainContainers:
-    """Exact dicts and lists — every request and reply record — copy their
-    primitive members in place; only containers go back through marshal."""
+    """Exact dicts and lists — every request and reply record — are copied
+    by one loop per container: a primitive member is kept as it stands and
+    a nested exact dict or list is copied one level down by the same loop;
+    only any other member goes back through marshal."""
 
-    def test_only_containers_recurse(self, monkeypatch):
-        import importlib
-
-        marshal_mod = importlib.import_module("repro.orb.marshal")
-        depths = []
-        original = marshal_mod.marshal
+    @staticmethod
+    def record_marshal_calls(monkeypatch):
+        """Every ``marshal`` call from here on, as (value, depth)."""
+        calls = []
+        original = marshal_module.marshal
 
         def counting(value, _depth=0):
-            depths.append(_depth)
+            calls.append((value, _depth))
             return original(value, _depth)
 
-        monkeypatch.setattr(marshal_mod, "marshal", counting)
-        record = {"a": 1, "b": "x", 3: None, "c": [1.5, True, b"y", {"d": None}], "e": (1, 2)}
-        copy = counting(record)
+        monkeypatch.setattr(marshal_module, "marshal", counting)
+        return calls
+
+    def test_no_marshal_call_per_plain_member(self, monkeypatch):
+        calls = self.record_marshal_calls(monkeypatch)
+        record = {
+            "a": 1, "b": "x", 3: None,
+            "c": [1.5, True, b"y", {"d": None, "f": [[2]]}],
+            "e": (1, 2),
+        }
+        copy = marshal_module.marshal(record)
         assert copy == record and copy is not record
         assert copy["c"] is not record["c"] and copy["c"][3] is not record["c"][3]
+        assert copy["c"][3]["f"][0] is not record["c"][3]["f"][0]
         assert copy["e"] is record["e"]  # immutable tuple: by reference
-        # the record, its list, the list's dict, the tuple: no call per primitive
-        assert sorted(depths) == [0, 1, 1, 2]
+        # the record itself, then only the tuple: no call for a primitive,
+        # a nested dict or a nested list
+        assert calls == [(record, 0), ((1, 2), 1)]
+
+    def test_nested_containers_keep_the_depth_of_their_level(self, monkeypatch):
+        """A member that does go back through marshal is told how deep it
+        sits, although the dicts and lists above it never called marshal."""
+        calls = self.record_marshal_calls(monkeypatch)
+        marshal_module.marshal({"a": [{"b": [(1, [2])]}]})
+        # record 0, list 1, dict 2, list 3: only the tuple (4) calls marshal,
+        # and the tuple's copy calls it for both its members (5)
+        assert [depth for _value, depth in calls] == [0, 4, 5, 5]
+
+    def test_self_containing_dict_and_list_hit_the_depth_guard(self):
+        own_dict = {}
+        own_dict["self"] = own_dict
+        own_list = []
+        own_list.append(own_list)
+        for cyclic in (own_dict, own_list):
+            with pytest.raises(MarshalError, match="deeply nested"):
+                marshal(cyclic)
 
     def test_primitive_subclasses_and_refused_members_still_go_through_marshal(self):
         import enum
@@ -234,6 +268,19 @@ class Headers(dict):
     """Registered dict subclass: the subclass type must survive the copy."""
 
 
+@transferable
+class LockTable(dict):
+    """Registered dict subclass whose protocol says what crosses: the names
+    of its locks, not the locks."""
+
+    def __marshal__(self):
+        return {"names": sorted(self)}
+
+    @classmethod
+    def __unmarshal__(cls, state):
+        return cls({name: threading.Lock() for name in state["names"]})
+
+
 class AnonymousBag(dict):
     """Unregistered dict subclass: decays to a plain dict on the far side."""
 
@@ -278,6 +325,67 @@ class TestDictSubclasses:
         copy = marshal(AnonymousBag({"k": "v"}))
         assert type(copy) is dict
         assert copy == {"k": "v"}
+
+
+class TestDictSubclassProtocol:
+    def test_protocol_takes_precedence_over_the_raw_items(self):
+        """Regression: a transferable dict subclass with ``__marshal__`` was
+        refused when its raw items were not transferable, because its items
+        were copied before the protocol was looked at."""
+        original = LockTable(a=threading.Lock())
+        copy = marshal(original)
+        assert type(copy) is LockTable
+        assert list(copy) == ["a"]
+        assert copy["a"] is not original["a"]
+
+    def test_without_the_protocol_the_raw_items_must_cross(self):
+        with pytest.raises(MarshalError):
+            marshal(Headers(a=threading.Lock()))
+
+
+class TestSealed:
+    """A sealed type is checked deeply immutable once, when it is built,
+    and then crosses by reference with no immutability walk."""
+
+    def _template(self):
+        script = chain(1)[0]
+        return compile_plan(script, analyze=False).by_path["pipeline/t1"].template
+
+    def test_template_crosses_by_reference_with_no_walk(self, monkeypatch):
+        template = self._template()
+        walks = []
+        walk = marshal_module._items_immutable
+
+        def counting(value, depth):
+            walks.append(value)
+            return walk(value, depth)
+
+        monkeypatch.setattr(marshal_module, "_items_immutable", counting)
+        assert marshal(template) is template
+        assert marshal({"template": template})["template"] is template
+        assert marshal([template])[0] is template
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("properties", (("k", ["v"]),)), ("taskclass", ["t", (), ()]), ("code", {"x": 1})],
+        ids=["list in properties", "list taskclass", "dict code"],
+    )
+    def test_template_with_a_mutable_member_is_refused(self, field, value):
+        template = self._template()
+        with pytest.raises(MarshalError, match="not deeply immutable"):
+            dataclasses.replace(template, **{field: value})
+
+    def test_only_a_frozen_dataclass_can_be_sealed(self):
+        with pytest.raises(TypeError):
+
+            @sealed
+            @dataclasses.dataclass
+            class Mutable:
+                n: int
+
+    def test_sealed_type_is_transferable(self):
+        assert is_transferable(DispatchTemplate)
 
 
 class TestMarshalCall:
