@@ -42,8 +42,6 @@ from .core import (
     ref,
 )
 from .engine import (
-    ConcurrentEngine,
-    ConcurrentWorkflow,
     ImplementationRegistry,
     LocalEngine,
     LocalWorkflow,
@@ -72,8 +70,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
-    "ConcurrentEngine",
-    "ConcurrentWorkflow",
     "GuardKind",
     "HealthRegistry",
     "ImplementationRegistry",

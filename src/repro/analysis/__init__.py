@@ -17,8 +17,8 @@ Five checkers, one unified report:
   ready, which input sets are unsatisfiable, and which root outcomes are
   statically unreachable;
 * :mod:`repro.analysis.interference` (``W3xx``) — pairs of tasks that may be
-  simultaneously enabled under the concurrent engine and touch the same
-  object reference: races the instance-tree lock cannot see;
+  simultaneously enabled (in flight together on two worker nodes) and touch
+  the same object reference: races no coordination layer can see;
 * :mod:`repro.analysis.recovery` (``W401``/``E402``/``W404``) — bare (non
   transactional) effects reachable under at-least-once dispatch, abort
   paths that cannot compensate committed sibling effects, and degenerate
@@ -48,9 +48,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.schema import Script
-from .dynamic import DynamicFinding, Sanitizer, sanitized_exploration
+from .dynamic import DynamicFinding, Sanitizer, sanitized_exploration, sanitized_run
 from .findings import Finding, Severity, StaticReport
-from .interference import check_interference
+from .interference import check_interference, enabled_pairs
 from .liveness import LivenessResult, check_liveness
 from .lockorder import check_lockorder
 from .recovery import check_recovery
@@ -116,7 +116,9 @@ __all__ = [
     "StaticReport",
     "analyze_script",
     "sanitized_exploration",
+    "sanitized_run",
     "check_interference",
+    "enabled_pairs",
     "check_liveness",
     "check_lockorder",
     "check_recovery",

@@ -29,19 +29,21 @@ Three detectors, one :class:`Sanitizer`:
   applied twice (the journal deduplicates only the reply).
 
 The sanitizer attaches by *instance-level method wrapping* — it replaces
-bound methods on one tree / one lock manager.  Unsanitized runs execute
-the original methods with zero added branches, which is what keeps the
-"0 overhead when disabled" guarantee honest.
+bound methods on one tree, one execution service or one lock manager.
+Unsanitized runs execute the original methods with zero added branches,
+which is what keeps the "0 overhead when disabled" guarantee honest.
 
-All tree hooks run under the instance-tree lock, so the clock tables need
-no locking of their own; the lock-manager hooks piggyback on the manager's
-callers the same way.
+Concurrency is tasks on different worker nodes of the simulated system
+(:func:`sanitized_run`), so a schedule is a seed: the same seed replays the
+same interleaving, and the same findings, byte for byte.  Every hook runs
+on the one thread that drives the simulation, so the clock tables need no
+locking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.schema import CompoundTaskDecl, Script, TaskClass
 from ..core.selection import source_matches
@@ -123,11 +125,12 @@ class DynamicFinding:
 
 
 class Sanitizer:
-    """Vector-clock / lockset observer for one (or several) engine runs.
+    """Vector-clock / lockset observer for one (or several) runs.
 
-    Attach with :meth:`attach_tree` / :meth:`attach_locks`, run the
-    workflow, then read :attr:`findings` (plus :meth:`scan_workers` for
-    duplicate effects) and gate with :meth:`check_coverage`.
+    Attach with :meth:`attach_tree` / :meth:`attach_service` /
+    :meth:`attach_locks`, run the workflow, then read :attr:`findings`
+    (plus :meth:`scan_workers` for duplicate effects) and gate with
+    :meth:`check_coverage`.
     """
 
     def __init__(self) -> None:
@@ -148,7 +151,6 @@ class Sanitizer:
         self._reported_inversions: Set[FrozenSet[str]] = set()
         self._reported_duplicates: Set[Tuple[str, str, int]] = set()
         self.trees_attached = 0
-        self.managers_attached = 0
 
     # -- instance-tree hooks (races) ----------------------------------------------
 
@@ -177,6 +179,34 @@ class Sanitizer:
         tree._publish = publish
         tree._start_node = start_node
         self.trees_attached += 1
+
+    def attach_service(self, service) -> None:
+        """Wrap ``service._new_tree`` in place: every tree the execution
+        service builds from now on — live, replayed after a crash or
+        restored for a read — is attached before its root starts."""
+        original_new_tree = service._new_tree
+        attach_tree = self.attach_tree
+
+        def new_tree(script, root_task, plan):
+            tree = original_new_tree(script, root_task, plan)
+            attach_tree(tree)
+            return tree
+
+        service._new_tree = new_tree
+
+    def attach_harness(self, harness) -> None:
+        """Wrap ``harness._deploy`` in place on one ``SimHarness``: every
+        execution service of the system it builds is attached before the
+        workload is deployed, and stays attached through every crash."""
+        original_deploy = harness._deploy
+
+        def deploy(spec):
+            system = harness._system
+            for service in system.execution_replicas or [system.execution]:
+                self.attach_service(service)
+            original_deploy(spec)
+
+        harness._deploy = deploy
 
     def _on_start(
         self, node, input_set: str, inputs: Mapping[str, ObjectRef]
@@ -306,7 +336,6 @@ class Sanitizer:
         manager.acquire = acquire
         manager.transfer_all = transfer_all
         manager.release_all = release_all
-        self.managers_attached += 1
 
     def _note_attempt(self, txn: str, obj: str) -> None:
         subject = self._subject(txn)
@@ -414,56 +443,67 @@ def _covers(static_finding, dyn: DynamicFinding) -> bool:
     return related <= subjects
 
 
+def sanitized_run(
+    sanitizer: Sanitizer,
+    script: Script,
+    root_task: str,
+    registry,
+    inputs: Mapping[str, object],
+    input_set: str = "main",
+    seed: int = 0,
+) -> Dict[str, Any]:
+    """Run one instance of ``script`` to its end on a simulated distributed
+    system seeded ``seed``, with ``sanitizer`` attached to the execution
+    service's trees, then scan the workers' ledgers for duplicate effects.
+    The seed fixes the network latencies, so the order in which concurrent
+    tasks' replies land: one seed is one schedule, replayed exactly.
+    Returns the instance's result (``ExecutionService.result``)."""
+    from ..lang import format_script
+    from ..services.system import WorkflowSystem
+
+    system = WorkflowSystem(seed=seed, registry=registry)
+    sanitizer.attach_service(system.execution)
+    system.deploy(root_task, format_script(script))
+    iid = system.instantiate(root_task, root_task, inputs, input_set)
+    result = system.run_until_terminal(iid)
+    sanitizer.scan_workers(system.workers, script)
+    return result
+
+
 def sanitized_exploration(
     script: Script,
     root_task: Optional[str] = None,
     input_set: str = "main",
     analysis=None,
-    parallelism: int = 4,
     repeats: int = 3,
-    sanitizer: Optional[Sanitizer] = None,
 ) -> Sanitizer:
-    """Re-run the outcome explorer's witness assignments under a sanitized
-    concurrent engine.
+    """Re-run the outcome explorer's witness assignments on the simulated
+    system under the sanitizer.
 
     :func:`repro.core.analysis.analyze_outcomes` already found, for every
     reachable outcome, one assignment of implementation choices that
-    produces it; this replays each witness ``repeats`` times on the
-    thread-pooled engine with the sanitizer attached, so the dynamic race
-    detector observes real concurrent interleavings of every reachable
-    behaviour.  Returns the sanitizer (accumulating if one is passed in).
+    produces it; this replays each witness under ``repeats`` seeds
+    (:func:`sanitized_run`, seeds ``0 … repeats-1``), so the dynamic race
+    detector observes several schedules of every reachable behaviour.
+    Returns the sanitizer.
     """
-    from ..core.analysis import _UniversalRegistry, _synthetic_impl, analyze_outcomes
-    from ..core.errors import ExecutionError
-    from ..engine.concurrent import ConcurrentEngine
+    from ..core.analysis import (
+        _UniversalRegistry,
+        _synthetic_impl,
+        analyze_outcomes,
+        witness_start,
+    )
 
-    if root_task is None:
-        if len(script.tasks) != 1:
-            raise ExecutionError("script has several top-level tasks; name one")
-        root_task = next(iter(script.tasks))
+    root_task, input_set, inputs = witness_start(script, root_task, input_set)
     if analysis is None:
         analysis = analyze_outcomes(script, root_task, input_set=input_set)
-    if sanitizer is None:
-        sanitizer = Sanitizer()
-    root_class = script.taskclass_of(script.tasks[root_task])
-    spec = root_class.input_set(input_set)
-    if spec is None and root_class.input_sets:
-        spec = root_class.input_sets[0]
-        input_set = spec.name
-    inputs = (
-        {obj.name: f"<{obj.name}>" for obj in spec.objects} if spec is not None else {}
-    )
+    sanitizer = Sanitizer()
     for choices in analysis.reachable.values():
         registry = _UniversalRegistry(_synthetic_impl(choices))
-        engine = ConcurrentEngine(
-            registry,
-            default_retries=0,
-            max_repeats=2,
-            parallelism=parallelism,
-            sanitizer=sanitizer,
-        )
-        for _ in range(repeats):
-            engine.run(script, root_task, inputs=inputs, input_set=input_set)
+        for seed in range(repeats):
+            sanitized_run(
+                sanitizer, script, root_task, registry, inputs, input_set, seed=seed
+            )
     return sanitizer
 
 

@@ -1,14 +1,15 @@
 """Concurrency-interference analysis (``W3xx``).
 
-Under :class:`~repro.engine.concurrent.ConcurrentWorkflow`, every dispatch
-cycle drains *all* ready tasks and runs them on worker threads — two tasks
+The execution service puts *every* ready task in flight in one pass
+(``ExecutionService._drain`` takes what ``InstanceTree.peek_ready()`` lists),
+and each flight runs on whichever worker node the router picks — two tasks
 with no happens-before ordering in the dependency graph can execute at the
-same time (the enablement relation the engine exposes as
-:func:`repro.engine.concurrent.enabled_pairs`).  The instance tree's lock
-serialises engine bookkeeping, but the task *implementations* run outside
-it; if two simultaneously-enabled tasks hold the same object reference,
-their implementations may race on the shared object and no layer of the
-system can detect it.  This pass finds those pairs statically.
+same time on different nodes (the enablement relation :func:`enabled_pairs`
+reads off the tree).  The service serialises the coordination state, but
+the task *implementations* run on the workers; if two simultaneously-enabled
+tasks hold the same object reference, their implementations may race on the
+shared object and no layer of the system can detect it.  This pass finds
+those pairs statically.
 
 Method:
 
@@ -23,19 +24,20 @@ Method:
   chasing references through compound input ports and output mappings — and
   a pair that may overlap while sharing an origin is reported as ``W301``.
 
-This is a *may* analysis: every pair the concurrent engine can genuinely
-co-schedule is reported (soundness is property-tested against
-``ConcurrentWorkflow.drain_ready()``), at the price of possible false
-positives when dataflow values rule an overlap out dynamically.
+This is a *may* analysis: every pair one drain pass can genuinely put in
+flight together is reported (soundness is property-tested against
+:func:`enabled_pairs`), at the price of possible false positives when
+dataflow values rule an overlap out dynamically.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.schema import (
     GuardKind,
     InputSetBinding,
+    OutputBinding,
     OutputKind,
     Script,
     Source,
@@ -52,6 +54,21 @@ Origin = Tuple[str, str]
 
 _START = "s"
 _END = "e"
+
+
+def enabled_pairs(tree) -> Set[FrozenSet[str]]:
+    """The pairs of simple tasks of ``tree`` (an
+    :class:`~repro.engine.instance.InstanceTree`) that are *simultaneously
+    enabled* now: both would go into flight in the same pass of
+    ``ExecutionService._drain``, and so may execute at the same time on two
+    worker nodes.  The single definition of the enablement relation whose
+    every pair, over every schedule, the ``W301`` findings must include."""
+    ready = tree.peek_ready()
+    return {
+        frozenset((a.path, b.path))
+        for i, a in enumerate(ready)
+        for b in ready[i + 1 :]
+    }
 
 
 def _is_final_guard(source: Source, owner: FlowNode) -> bool:
@@ -102,9 +119,10 @@ def _conjunct_pred(
 
 
 def _binding_preds(
-    binding: InputSetBinding, owner: FlowNode
+    binding: Union[InputSetBinding, OutputBinding], owner: FlowNode
 ) -> Dict[str, str]:
-    """path -> strongest guaranteed predecessor strength for one input set."""
+    """path -> strongest guaranteed predecessor strength for one input set
+    (or one output mapping of the compound ``owner``)."""
     preds: Dict[str, str] = {}
     conjuncts: List[Sequence[Source]] = [obj.sources for obj in binding.objects]
     conjuncts.extend(notif.sources for notif in binding.notifications)
@@ -153,33 +171,15 @@ def _happens_before(liveness: LivenessResult) -> "nx.DiGraph":
                     graph.add_edge((strength, path), (_START, node.path))
             if node.is_compound:
                 produced = liveness.facts.get(node.scope, set())
-                final_preds: List[Dict[str, str]] = []
-                for binding in node.decl.outputs:
-                    spec = (
-                        node.taskclass.output(binding.name)
-                        if node.taskclass is not None
-                        else None
-                    )
-                    if spec is None or spec.kind not in (
-                        OutputKind.OUTCOME,
-                        OutputKind.ABORT,
-                    ):
-                        continue
-                    if (node.local, "output", binding.name) not in produced:
-                        continue  # can never fire; doesn't constrain the end
-                    preds: Dict[str, str] = {}
-                    conjuncts: List[Sequence[Source]] = [
-                        obj.sources for obj in binding.objects
-                    ]
-                    conjuncts.extend(n.sources for n in binding.notifications)
-                    for sources in conjuncts:
-                        pred = _conjunct_pred(sources, node)
-                        if pred is None:
-                            continue
-                        strength, path = pred
-                        if preds.get(path) != _END:
-                            preds[path] = strength
-                    final_preds.append(preds)
+                taskclass = node.taskclass
+                finals = {o.name for o in taskclass.final_outputs()} if taskclass else set()
+                final_preds = [
+                    _binding_preds(binding, node)
+                    for binding in node.decl.outputs
+                    # an output that can never fire does not constrain the end
+                    if binding.name in finals
+                    and (node.local, "output", binding.name) in produced
+                ]
                 for path, strength in _intersect_preds(final_preds).items():
                     graph.add_edge((strength, path), (_END, node.path))
     return graph
@@ -345,8 +345,9 @@ def _check_root(root, liveness, graph, resolver, spec) -> List[Finding]:
                     severity=spec.severity,
                     location=f"{a.path} <-> {b.path}",
                     message=(
-                        "tasks may be simultaneously enabled under the "
-                        f"concurrent engine and share object reference(s) "
+                        "tasks may be simultaneously enabled (in flight "
+                        "together on two worker nodes) and share object "
+                        f"reference(s) "
                         f"{refs}; implementations may race on the shared "
                         "object"
                     ),

@@ -8,7 +8,8 @@ natural (and documented) acquisition order is their declaration order in
 the input set — the same order :class:`~repro.engine.context.TaskContext`
 presents them in.
 
-Two atomic tasks that the concurrent engine may co-schedule and that lock
+Two atomic tasks that may be in flight together (``W301``'s enablement
+relation, :func:`repro.analysis.interference.enabled_pairs`) and that lock
 two shared objects in opposite declaration orders can therefore deadlock:
 A holds x and waits for y while B holds y and waits for x.  The runtime
 :class:`~repro.txn.locks.LockManager` detects the waits-for cycle only
@@ -98,7 +99,7 @@ def check_lockorder(
     script: Script, liveness: Optional[LivenessResult] = None
 ) -> List[Finding]:
     """All ``E403`` findings: potential AB-BA deadlocks between atomic
-    tasks the concurrent engine may co-schedule."""
+    tasks that may be in flight together."""
     import networkx as nx
 
     if liveness is None:

@@ -209,9 +209,9 @@ DIAGNOSTICS.register(
 DIAGNOSTICS.register(
     "W301", Severity.WARNING, "concurrent shared-object access",
     "Two tasks with no happens-before ordering may be simultaneously "
-    "enabled by the concurrent engine while holding the same object "
-    "reference; the implementations may race on the shared object, which "
-    "the instance-tree lock cannot prevent.",
+    "enabled (in flight together on two worker nodes) while holding the "
+    "same object reference; the implementations may race on the shared "
+    "object, which no coordination layer can prevent.",
 )
 
 # -- recovery safety and deadlock (E4xx / W4xx) --------------------------------

@@ -34,7 +34,7 @@ from typing import List, Optional
 from .core.errors import ParseError, ValidationReport
 from .core.graph import structure_summary
 from .core.schema import CompoundTaskDecl
-from .engine import ConcurrentEngine, LocalEngine
+from .engine import LocalEngine
 from .engine.trace import render_summary, render_trace
 from .lang import compile_script, format_script, parse
 from .lang.dot import to_dot
@@ -225,26 +225,26 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Run a paper workload with the runtime sanitizer attached (real
-    implementations, thread-pooled engine, optionally a nemesis schedule on
-    the simulated distributed system) and verify every dynamic finding is
+    """Run a paper workload on the simulated distributed system with the
+    runtime sanitizer attached (real implementations, one run per seed,
+    optionally a nemesis schedule) and verify every dynamic finding is
     predicted by a static one."""
-    from .analysis import Sanitizer, analyze_script, to_sarif
+    from .analysis import Sanitizer, analyze_script, sanitized_run, to_sarif
 
     app = APPLICATIONS[args.name]
     script = compile_script(app.text)
     report = analyze_script(script, source_name=args.name)
     sanitizer = Sanitizer()
-    engine = ConcurrentEngine(
-        app.binder(), parallelism=args.parallelism, sanitizer=sanitizer
-    )
-    for _ in range(args.runs):
-        engine.run(script, app.root_task, inputs=app.inputs(0))
+    seeds = range(args.seed, args.seed + args.runs)
+    for seed in seeds:
+        sanitized_run(
+            sanitizer, script, app.root_task, app.binder(), app.inputs(0), seed=seed
+        )
     if args.nemesis:
         _sanitize_under_nemesis(args, sanitizer, script)
     print(
         f"{args.name}: {len(sanitizer.findings)} dynamic finding(s) over "
-        f"{args.runs} sanitized concurrent run(s)"
+        f"{args.runs} sanitized run(s), seeds {seeds.start}..{seeds.stop - 1}"
         + (" + 1 nemesis schedule" if args.nemesis else "")
     )
     for line in sanitizer.render():
@@ -258,6 +258,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
             "sanitizer": {
                 "workload": args.name,
                 "runs": args.runs,
+                "seed": args.seed,
                 "nemesis": bool(args.nemesis),
                 "dynamicFindings": [f.render() for f in sanitizer.findings],
                 "uncovered": [f.render() for f in uncovered],
@@ -270,9 +271,10 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _sanitize_under_nemesis(args, sanitizer, script) -> None:
-    """One deterministic nemesis run: crash a worker right after it executed
-    a task but before the reply lands, forcing the at-least-once redispatch
-    to run the task again — then scan the worker ledgers for duplicates."""
+    """One deterministic nemesis run, watched by the sanitizer: crash a
+    worker right after it executed a task but before the reply lands,
+    forcing the at-least-once redispatch to run the task again — then scan
+    the worker ledgers for duplicates."""
     from .sim.harness import SimHarness
     from .sim.nemesis import CrashAtPoint, NemesisSchedule
 
@@ -280,9 +282,8 @@ def _sanitize_under_nemesis(args, sanitizer, script) -> None:
         faults=[CrashAtPoint("worker.execute.post", at_hit=1)],
         name="sanitize-duplicate-effects",
     )
-    harness = SimHarness(
-        schedule=schedule, workload=args.name, seed=args.seed, workers=2
-    )
+    harness = SimHarness(schedule=schedule, workload=args.name, seed=args.seed, workers=2)
+    sanitizer.attach_harness(harness)
     sim_report = harness.run()
     sanitizer.scan_workers(harness._system.workers, script)
     print(f"nemesis: {sim_report.summary()}")
@@ -360,11 +361,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     app = APPLICATIONS[args.name]
     if args.distributed:
         return _demo_distributed(args, app)
-    if args.parallelism > 1:
-        engine = ConcurrentEngine(app.binder(), parallelism=args.parallelism)
-    else:
-        engine = LocalEngine(app.binder())
-    result = engine.run(compile_script(app.text), inputs=app.inputs(0))
+    result = LocalEngine(app.binder()).run(compile_script(app.text), inputs=app.inputs(0))
     print(f"outcome: {result.outcome}\n")
     print(render_trace(result.log))
     print()
@@ -533,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--sanitize",
         action="store_true",
-        help="re-run every reachable witness on the thread-pooled engine "
-        "with the runtime sanitizer (vector clocks + locksets) attached; "
-        "exit 1 if any dynamic finding lacks a static counterpart",
+        help="re-run every reachable witness on the simulated distributed "
+        "system under three seeds with the runtime sanitizer (vector clocks "
+        "+ locksets) attached; exit 1 if any dynamic finding lacks a static "
+        "counterpart",
     )
     analyze.set_defaults(fn=cmd_analyze)
 
@@ -585,12 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("name", choices=list(APPLICATIONS))
     sanitize.add_argument(
         "--runs", type=int, default=5, metavar="N",
-        help="sanitized concurrent runs with the real implementations "
-        "(default: 5)",
-    )
-    sanitize.add_argument(
-        "--parallelism", type=int, default=4, metavar="N",
-        help="thread-pool width for the sanitized runs (default: 4)",
+        help="sanitized runs with the real implementations on the simulated "
+        "distributed system, one per seed --seed .. --seed+N-1 (default: 5)",
     )
     sanitize.add_argument(
         "--nemesis",
@@ -600,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and scan worker ledgers for duplicate effects",
     )
     sanitize.add_argument(
-        "--seed", type=int, default=0, help="nemesis run seed (default: 0)"
+        "--seed", type=int, default=0,
+        help="first seed of the sanitized runs, and the nemesis run's seed "
+        "(default: 0)",
     )
     sanitize.add_argument(
         "--output", metavar="FILE",
@@ -626,13 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sustained traffic burst against a capacity-limited system with "
         "tight admission bounds (exit 1 if any admitted work is lost or "
         "left unfinished)",
-    )
-    demo.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run independent ready tasks on N worker threads (default: 1, sequential)",
     )
     demo.add_argument(
         "--distributed",

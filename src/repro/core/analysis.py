@@ -103,6 +103,27 @@ def _synthetic_impl(choices: Mapping[str, str]):
     return impl
 
 
+def witness_start(
+    script: Script, root_task: Optional[str], input_set: str
+) -> Tuple[str, str, Dict[str, str]]:
+    """Where every witness run starts: the root task (the script's only one
+    when none is named), the input set (the root class's first when it has
+    no ``input_set``) and a placeholder value per input object."""
+    if root_task is None:
+        if len(script.tasks) != 1:
+            raise ExecutionError("script has several top-level tasks; name one")
+        root_task = next(iter(script.tasks))
+    root_class = script.taskclass_of(script.tasks[root_task])
+    spec = root_class.input_set(input_set)
+    if spec is None and root_class.input_sets:
+        spec = root_class.input_sets[0]
+        input_set = spec.name
+    inputs = (
+        {obj.name: f"<{obj.name}>" for obj in spec.objects} if spec is not None else {}
+    )
+    return root_task, input_set, inputs
+
+
 def analyze_outcomes(
     script: Script,
     root_task: Optional[str] = None,
@@ -111,22 +132,11 @@ def analyze_outcomes(
 ) -> OutcomeAnalysis:
     """Explore every combination of constituent outcomes; classify the root
     task's declared outcomes as reachable or unreachable."""
-    if root_task is None:
-        if len(script.tasks) != 1:
-            raise ExecutionError("script has several top-level tasks; name one")
-        root_task = next(iter(script.tasks))
+    root_task, input_set, inputs = witness_start(script, root_task, input_set)
     root = script.tasks[root_task]
     root_class = script.taskclass_of(root)
     tasks = _simple_tasks(script, root, root_task)
     spaces = [(path, _choice_space(taskclass)) for path, taskclass in tasks]
-
-    spec = root_class.input_set(input_set)
-    if spec is None and root_class.input_sets:
-        spec = root_class.input_sets[0]
-        input_set = spec.name
-    inputs = (
-        {obj.name: f"<{obj.name}>" for obj in spec.objects} if spec is not None else {}
-    )
 
     analysis = OutcomeAnalysis(root_task, 0, False)
     declared = [o.name for o in root_class.final_outputs()]

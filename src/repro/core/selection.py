@@ -73,9 +73,7 @@ class HotpathStats:
     call here, each candidate examined by the compiled
     :class:`~repro.engine.plan.PlanTracker`).  ``source_evals / publishes``
     is therefore the per-publish readiness re-evaluation cost the plan
-    compiler exists to shrink.  Counters are best-effort under the
-    concurrent engine (unsynchronised increments) — they instrument
-    benchmarks, not semantics.
+    compiler exists to shrink.  They instrument benchmarks, not semantics.
     """
 
     __slots__ = ("publishes", "source_evals")

@@ -1,13 +1,11 @@
 """Workflow execution engines (DESIGN.md subsystem S7).
 
-``LocalEngine`` runs instances deterministically in-process;
-``ConcurrentEngine`` executes independent ready tasks in parallel on a
-bounded thread pool (:mod:`repro.engine.concurrent`); the distributed
-engine lives behind :mod:`repro.services` and adds persistence, transactions
-and crash recovery on the same semantics (:mod:`repro.engine.instance`).
+``LocalEngine`` runs instances deterministically in-process; the
+distributed engine lives behind :mod:`repro.services`, runs independent
+tasks concurrently on worker nodes and adds persistence, transactions and
+crash recovery on the same semantics (:mod:`repro.engine.instance`).
 """
 
-from .concurrent import ConcurrentEngine, ConcurrentWorkflow, enabled_pairs
 from .context import (
     PendingExternal,
     TaskContext,
@@ -27,8 +25,6 @@ from .registry import ImplementationRegistry, ScriptBinding, TaskCallable
 
 __all__ = [
     "CompoundNode",
-    "ConcurrentEngine",
-    "ConcurrentWorkflow",
     "EventLog",
     "ExecutionPlan",
     "ImplementationRegistry",
@@ -49,7 +45,6 @@ __all__ = [
     "abort",
     "coerce_objects",
     "compile_plan",
-    "enabled_pairs",
     "outcome",
     "pending",
     "render_summary",

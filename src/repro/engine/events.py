@@ -9,7 +9,6 @@ against — e.g. "t4 started only after both t2 and t3 finished" (Fig. 1).
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,27 +46,23 @@ class LogEntry:
 class EventLog:
     """Chronological record of everything a workflow instance did.
 
-    Appends are serialised by a lock so the concurrent engine
-    (:mod:`repro.engine.concurrent`) can record events from several worker
-    threads; ``seq`` numbers remain dense and strictly increasing.  Readers
-    are unaffected: entries are append-only and never mutated.
+    ``seq`` numbers are dense and strictly increasing; entries are
+    append-only and never mutated.
     """
 
     def __init__(self) -> None:
         self.entries: List[LogEntry] = []
-        self._append_lock = threading.Lock()
         # entries a shed() left behind: counted, no longer held
         self._shed = 0
 
     def record(
         self, time: float, scope_path: str, producer_path: str, event: WorkflowEvent
     ) -> LogEntry:
-        with self._append_lock:
-            entry = LogEntry(
-                len(self.entries) + self._shed, time, scope_path, producer_path, event
-            )
-            self.entries.append(entry)
-            return entry
+        entry = LogEntry(
+            len(self.entries) + self._shed, time, scope_path, producer_path, event
+        )
+        self.entries.append(entry)
+        return entry
 
     def shed(self, producer_path: str) -> "EventLog":
         """A log of the same length that holds only ``producer_path``'s own

@@ -16,7 +16,6 @@ execute; everything else lives here, so both engines share one semantics.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import (
@@ -97,9 +96,6 @@ class TaskNode:
             self.tracker = self._new_tracker()
         self.alive = True
         self.queued = False
-        # drained from the ready queue but not yet begun (concurrent engine):
-        # blocks re-enqueueing until the executor claims or releases the node
-        self.claimed = False
         self.attempt = 0           # system-retry counter
         self.chosen: Optional[Tuple[str, Dict[str, ObjectRef]]] = None
         # environment-supplied inputs (root task only): override the tracker
@@ -168,10 +164,6 @@ class TaskNode:
 
     def deactivate(self) -> None:
         self.alive = False
-        # release any drain claim: a claimed node whose ancestor terminates
-        # or repeats would otherwise stay claimed forever if the engine never
-        # gets around to try_begin_execution (it re-checks readiness anyway)
-        self.claimed = False
 
     def unlink(self) -> None:
         """Cut this dead node out of the reference cycles it closes (node →
@@ -340,12 +332,10 @@ class SettledTree(NamedTuple):
 class InstanceTree:
     """A running workflow instance (engine-independent semantics).
 
-    All state-mutating entry points (``start``, ``take_ready``,
-    ``drain_ready``, ``begin_execution``, ``apply_*``, ``force_abort``,
-    ``reconfigure``) serialise on one re-entrant tree lock, so engines may
-    call them from several threads; task implementations always run
-    *outside* the lock.  Single-threaded engines pay one uncontended
-    acquire per call.
+    Single-threaded: an engine calls ``start``, then ``take_ready`` /
+    ``begin_execution`` for each task it runs and ``apply_*`` with what the
+    task did.  Concurrency is tasks on different worker nodes, never two
+    threads in one tree (docs/PROTOCOLS.md §6).
     """
 
     def __init__(
@@ -382,7 +372,6 @@ class InstanceTree:
             else None
         )
         self.root_scope = Scope("")
-        self.lock = threading.RLock()
         self.status = WorkflowStatus.RUNNING
         self.error: Optional[str] = None
         # heap of (-priority, arrival number, node): highest priority first,
@@ -454,34 +443,21 @@ class InstanceTree:
         Every node, scope, tracker and queued entry is unlinked, so their
         memory returns as the caller drops the tree — by reference count,
         without a cycle collection."""
-        with self.lock:
-            settled = SettledTree(
-                self.status,
-                self.error,
-                SettledRoot(self.root.path, self.root.machine),
-                self.log.shed(self.root.path),
-            )
-            self.root.unlink()
-            self._ready.clear()
-            self._pending.clear()
-            return settled
-
-    # -- observation ------------------------------------------------------------------
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Let a :class:`repro.analysis.dynamic.Sanitizer` observe this tree
-        (instance-level method wrapping: the unsanitized path stays
-        hook-free)."""
-        sanitizer.attach_tree(self)
+        settled = SettledTree(
+            self.status,
+            self.error,
+            SettledRoot(self.root.path, self.root.machine),
+            self.log.shed(self.root.path),
+        )
+        self.root.unlink()
+        self._ready.clear()
+        self._pending.clear()
+        return settled
 
     # -- starting ----------------------------------------------------------------------
 
     def start(self, input_set: str, inputs: Mapping[str, object]) -> None:
         """Kick off the root task with environment-supplied inputs."""
-        with self.lock:
-            self._start(input_set, inputs)
-
-    def _start(self, input_set: str, inputs: Mapping[str, object]) -> None:
         spec = self.root.taskclass.input_set(input_set)
         if spec is None and self.root.taskclass.input_sets:
             raise ExecutionError(
@@ -540,12 +516,8 @@ class InstanceTree:
         self._pending.append((scope, producer, event))
         return event
 
-    def pump(self) -> None:
-        """Propagate all pending events to listeners; fill the ready queue."""
-        with self.lock:
-            self._pump()
-
     def _pump(self) -> None:
+        """Propagate all pending events to listeners; fill the ready queue."""
         while self._pending:
             if self.status is not WorkflowStatus.RUNNING:
                 self._pending.clear()
@@ -582,7 +554,7 @@ class InstanceTree:
                     self._enqueue_if_ready(self.root)
 
     def _enqueue_if_ready(self, node: TaskNode) -> None:
-        if node.queued or node.claimed:
+        if node.queued:
             return
         readiness = node.ready()
         if readiness is None:
@@ -606,112 +578,79 @@ class InstanceTree:
     def take_ready(self) -> Optional[TaskNode]:
         """Next simple task to execute (highest priority first, FIFO within a
         priority level).  Returns None when nothing is ready."""
-        with self.lock:
-            self._pump()
-            # loop, not recursion: a wide fan-out whose ancestor terminated
-            # mid-flight leaves thousands of stale nodes queued, and popping
-            # each one recursively would blow the stack (RecursionError)
-            while self._ready:
-                node = heappop(self._ready)[2]
-                node.queued = False
-                if node.ready() is None:  # stale (ancestor terminated meanwhile)
-                    continue
-                return node
-            return None
-
-    def drain_ready(self, limit: Optional[int] = None) -> List[TaskNode]:
-        """Pop every currently-ready simple task (priority order), up to
-        ``limit``.  Drained nodes are *claimed*: they stay out of the ready
-        queue until an engine begins them (``try_begin_execution``), so two
-        concurrent drains can never hand the same node to two executors."""
-        with self.lock:
-            batch: List[TaskNode] = []
-            while limit is None or len(batch) < limit:
-                node = self.take_ready()
-                if node is None:
-                    break
-                node.claimed = True
-                batch.append(node)
-            return batch
+        self._pump()
+        # loop, not recursion: a wide fan-out whose ancestor terminated
+        # mid-flight leaves thousands of stale nodes queued, and popping
+        # each one recursively would blow the stack (RecursionError)
+        while self._ready:
+            node = heappop(self._ready)[2]
+            node.queued = False
+            if node.ready() is None:  # stale (ancestor terminated meanwhile)
+                continue
+            return node
+        return None
 
     def peek_ready(self) -> List[TaskNode]:
         """Every simple task currently ready to execute, in the order
-        ``take_ready`` would hand them out, without dequeuing or claiming any
-        of them.  This *is* the concurrent engine's enablement
-        relation: ``drain_ready()`` returns exactly these nodes (claimed),
-        and any two of them may run simultaneously.  The static interference
-        analysis (:mod:`repro.analysis.interference`) over-approximates the
-        set of pairs this method can ever return together."""
-        with self.lock:
-            self._pump()
-            return [
-                node for _, _, node in sorted(self._ready) if node.ready() is not None
-            ]
+        ``take_ready`` would hand them out, without dequeuing any of them —
+        the set one pass of ``ExecutionService._drain`` puts in flight
+        together.  The enablement relation the static interference
+        analysis bounds (:func:`repro.analysis.interference.enabled_pairs`)
+        is read off this list."""
+        self._pump()
+        return [node for _, _, node in sorted(self._ready) if node.ready() is not None]
 
     def has_work(self) -> bool:
-        with self.lock:
-            self._pump()
-            return bool(self._ready) and self.status is WorkflowStatus.RUNNING
+        """Is a task ready to run?  Stale heads are dropped as ``take_ready``
+        drops them: a queue of dead nodes holds no work."""
+        self._pump()
+        ready = self._ready
+        while ready and ready[0][2].ready() is None:
+            heappop(ready)[2].queued = False
+        return bool(ready) and self.status is WorkflowStatus.RUNNING
 
     # -- applying execution results (called by engines) ------------------------------------
 
     def begin_execution(self, node: TaskNode) -> Tuple[str, Dict[str, ObjectRef]]:
-        """Transition a ready node into EXECUTING; returns (set, inputs)."""
-        with self.lock:
-            begun = self.try_begin_execution(node)
-            if begun is None:
-                raise ExecutionError(f"{node.path}: not ready")
-            return begun
-
-    def try_begin_execution(
-        self, node: TaskNode
-    ) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
-        """Like :meth:`begin_execution`, but returns None when the node went
-        stale between being dequeued/drained and being begun (an ancestor
-        terminated or repeated in the meantime — possible under concurrent
-        execution).  Always releases the node's drain claim."""
-        with self.lock:
-            node.claimed = False
-            readiness = node.ready()
-            if readiness is None:
-                return None
-            input_set, inputs = readiness
-            self._start_node(node, input_set, inputs)
-            return input_set, inputs
+        """Transition the node ``take_ready`` just returned into EXECUTING;
+        returns (set, inputs)."""
+        readiness = node.ready()
+        if readiness is None:
+            raise ExecutionError(f"{node.path}: not ready")
+        self._start_node(node, *readiness)
+        return readiness
 
     def apply_mark(self, node: TaskNode, name: str, objects: Dict[str, ObjectRef]) -> None:
-        with self.lock:
-            if not node.alive:
-                return
-            node.machine.mark(name)
-            self._publish(node.outer_scope, node, EventKind.MARK, name, objects)
-            self._pump()
+        if not node.alive:
+            return
+        node.machine.mark(name)
+        self._publish(node.outer_scope, node, EventKind.MARK, name, objects)
+        self._pump()
 
     def apply_result(self, node: TaskNode, result: TaskResult) -> None:
         """Apply a terminal/repeat result produced by an implementation."""
-        with self.lock:
-            if not node.alive or node.machine.state is not TaskState.EXECUTING:
-                return  # stale result (e.g. enclosing compound repeated/terminated)
-            objects = coerce_objects(node.taskclass, result.name, result.objects, node.path)
-            if result.kind is OutputKind.OUTCOME:
-                node.machine.complete(result.name)
-                self._publish(node.outer_scope, node, EventKind.OUTCOME, result.name, objects)
-            elif result.kind is OutputKind.ABORT:
-                node.machine.abort(result.name)
-                self._publish(node.outer_scope, node, EventKind.ABORT, result.name, objects)
-            elif result.kind is OutputKind.REPEAT:
-                if node.machine.repeats + 1 > self.max_repeats:
-                    self.fail(f"{node.path}: exceeded max_repeats={self.max_repeats}")
-                    return
-                node.machine.repeat(result.name)
-                self._publish(node.outer_scope, node, EventKind.REPEAT, result.name, objects)
-                node.reset_inputs()
-                self._enqueue_if_ready(node)
-            else:
-                raise ExecutionError(
-                    f"{node.path}: result kind {result.kind} is not terminal"
-                )
-            self._after_node_event(node)
+        if not node.alive or node.machine.state is not TaskState.EXECUTING:
+            return  # stale result (e.g. enclosing compound repeated/terminated)
+        objects = coerce_objects(node.taskclass, result.name, result.objects, node.path)
+        if result.kind is OutputKind.OUTCOME:
+            node.machine.complete(result.name)
+            self._publish(node.outer_scope, node, EventKind.OUTCOME, result.name, objects)
+        elif result.kind is OutputKind.ABORT:
+            node.machine.abort(result.name)
+            self._publish(node.outer_scope, node, EventKind.ABORT, result.name, objects)
+        elif result.kind is OutputKind.REPEAT:
+            if node.machine.repeats + 1 > self.max_repeats:
+                self.fail(f"{node.path}: exceeded max_repeats={self.max_repeats}")
+                return
+            node.machine.repeat(result.name)
+            self._publish(node.outer_scope, node, EventKind.REPEAT, result.name, objects)
+            node.reset_inputs()
+            self._enqueue_if_ready(node)
+        else:
+            raise ExecutionError(
+                f"{node.path}: result kind {result.kind} is not terminal"
+            )
+        self._after_node_event(node)
 
     def apply_failure(self, node: TaskNode, error: BaseException) -> bool:
         """System-level failure of an executing task.
@@ -720,51 +659,49 @@ class InstanceTree:
         retries); False if the failure was surfaced (abort outcome published
         or workflow failed).
         """
-        with self.lock:
-            if not node.alive or node.machine.state is not TaskState.EXECUTING:
-                return False
-            if node.machine.marked:
-                # Results already released: cannot pretend nothing happened.
-                self.fail(f"{node.path}: failed after producing a mark: {error!r}")
-                return False
-            node.attempt += 1
-            if node.attempt <= node.retry_limit():
-                node.machine.system_retry()
-                node.reset_inputs()
-                self._enqueue_if_ready(node)
-                self._pump()
-                return True
-            aborts = node.taskclass.outputs_of_kind(OutputKind.ABORT)
-            if aborts:
-                spec = aborts[0]
-                objects = {
-                    o.name: ObjectRef(o.class_name, None, node.path, spec.name)
-                    for o in spec.objects
-                }
-                node.machine.abort(spec.name)
-                self._publish(node.outer_scope, node, EventKind.ABORT, spec.name, objects)
-                self._after_node_event(node)
-                return False
-            self.fail(f"{node.path}: retries exhausted: {error!r}")
+        if not node.alive or node.machine.state is not TaskState.EXECUTING:
             return False
+        if node.machine.marked:
+            # Results already released: cannot pretend nothing happened.
+            self.fail(f"{node.path}: failed after producing a mark: {error!r}")
+            return False
+        node.attempt += 1
+        if node.attempt <= node.retry_limit():
+            node.machine.system_retry()
+            node.reset_inputs()
+            self._enqueue_if_ready(node)
+            self._pump()
+            return True
+        aborts = node.taskclass.outputs_of_kind(OutputKind.ABORT)
+        if aborts:
+            spec = aborts[0]
+            objects = {
+                o.name: ObjectRef(o.class_name, None, node.path, spec.name)
+                for o in spec.objects
+            }
+            node.machine.abort(spec.name)
+            self._publish(node.outer_scope, node, EventKind.ABORT, spec.name, objects)
+            self._after_node_event(node)
+            return False
+        self.fail(f"{node.path}: retries exhausted: {error!r}")
+        return False
 
     def force_abort(self, path: str, abort_name: Optional[str] = None) -> None:
         """Abort a task from the outside (timer expiry / user abort, Fig. 3)."""
-        with self.lock:
-            node = self.node_at(path)
-            aborts = node.taskclass.outputs_of_kind(OutputKind.ABORT)
-            if abort_name is None:
-                if not aborts:
-                    raise ExecutionError(f"{path}: taskclass declares no abort outcome")
-                abort_name = aborts[0].name
-            node.machine.abort(abort_name)
-            objects = {
-                o.name: ObjectRef(o.class_name, None, node.path, abort_name)
-                for o in node.taskclass.output(abort_name).objects
-            }
-            self._publish(node.outer_scope, node, EventKind.ABORT, abort_name, objects)
-            self._after_node_event(node)
-            self._pump()
+        node = self.node_at(path)
+        aborts = node.taskclass.outputs_of_kind(OutputKind.ABORT)
+        if abort_name is None:
+            if not aborts:
+                raise ExecutionError(f"{path}: taskclass declares no abort outcome")
+            abort_name = aborts[0].name
+        node.machine.abort(abort_name)
+        objects = {
+            o.name: ObjectRef(o.class_name, None, node.path, abort_name)
+            for o in node.taskclass.output(abort_name).objects
+        }
+        self._publish(node.outer_scope, node, EventKind.ABORT, abort_name, objects)
+        self._after_node_event(node)
+        self._pump()
 
     def _after_node_event(self, node: TaskNode) -> None:
         if node.machine.terminal and isinstance(node, CompoundNode):
@@ -779,10 +716,9 @@ class InstanceTree:
         self._pump()
 
     def fail(self, error: str) -> None:
-        with self.lock:
-            if self.status is WorkflowStatus.RUNNING:
-                self.status = WorkflowStatus.FAILED
-                self.error = error
+        if self.status is WorkflowStatus.RUNNING:
+            self.status = WorkflowStatus.FAILED
+            self.error = error
 
     # -- compound output mapping --------------------------------------------------------------
 
@@ -885,40 +821,39 @@ class InstanceTree:
         replay).  Raises :class:`ReconfigurationError` without any effect if
         a rule is violated — the transactional all-or-nothing behaviour.
         """
-        with self.lock:
-            root_name = self.root.local_name
-            if root_name not in new_script.tasks:
-                raise ReconfigurationError(
-                    f"new script lost the running root task {root_name!r}"
-                )
-            plan: List[Callable[[], None]] = []
-            self._plan_reconfigure(
-                self.root, new_script.tasks[root_name], new_script, plan
+        root_name = self.root.local_name
+        if root_name not in new_script.tasks:
+            raise ReconfigurationError(
+                f"new script lost the running root task {root_name!r}"
             )
-            # all checks passed: apply
-            self.script = new_script
-            # the shared plan describes the script this tree was built from;
-            # from here on the tree compiles its own tables against its live
-            # scopes, even if a later reconfiguration restores that script
-            self.plan = None
-            for action in plan:
-                action()
-            # a queued task's priority may have changed with its declaration
-            self._ready = [
-                (-node.priority(), arrival, node) for _, arrival, node in self._ready
-            ]
-            heapify(self._ready)
-            if self.use_plan:
-                # Recompile every live scope: a decl change anywhere can alter
-                # the event vocabulary siblings were compiled against (e.g. a
-                # compound's output mappings feed its siblings' firing
-                # tables).  Scope histories are folded into the vocabulary,
-                # so replayed trackers cannot lose past matches.
-                self._compile_root_plan()
-                for node in self.walk():
-                    if isinstance(node, CompoundNode) and node.alive:
-                        node._recompile_plan()
-            self._pump()
+        plan: List[Callable[[], None]] = []
+        self._plan_reconfigure(
+            self.root, new_script.tasks[root_name], new_script, plan
+        )
+        # all checks passed: apply
+        self.script = new_script
+        # the shared plan describes the script this tree was built from;
+        # from here on the tree compiles its own tables against its live
+        # scopes, even if a later reconfiguration restores that script
+        self.plan = None
+        for action in plan:
+            action()
+        # a queued task's priority may have changed with its declaration
+        self._ready = [
+            (-node.priority(), arrival, node) for _, arrival, node in self._ready
+        ]
+        heapify(self._ready)
+        if self.use_plan:
+            # Recompile every live scope: a decl change anywhere can alter
+            # the event vocabulary siblings were compiled against (e.g. a
+            # compound's output mappings feed its siblings' firing
+            # tables).  Scope histories are folded into the vocabulary,
+            # so replayed trackers cannot lose past matches.
+            self._compile_root_plan()
+            for node in self.walk():
+                if isinstance(node, CompoundNode) and node.alive:
+                    node._recompile_plan()
+        self._pump()
 
     def _plan_reconfigure(
         self,

@@ -3,11 +3,10 @@
 Runs a workflow instance deterministically in one process: ready tasks
 execute synchronously, one at a time, in priority/FIFO order.  This engine is
 the reference implementation of the language semantics — fast enough for
-property-based testing and used by most examples.  Two other engines build
-on the same :class:`~repro.engine.instance.InstanceTree` semantics: the
-concurrent engine (:mod:`repro.engine.concurrent`) dispatches all
-independent ready tasks in parallel on a thread pool, and the distributed
-execution service (:mod:`repro.services`) adds the paper's system-level
+property-based testing and used by most examples.  The distributed execution
+service (:mod:`repro.services`) builds on the same
+:class:`~repro.engine.instance.InstanceTree` semantics: it runs independent
+ready tasks concurrently on worker nodes and adds the paper's system-level
 fault tolerance.
 """
 
@@ -53,8 +52,6 @@ class LocalWorkflow:
         self.registry = registry
         self.max_steps = max_steps
         self.steps = 0
-        self.use_plan = use_plan
-        self.sanitizer = sanitizer
         self.tree = InstanceTree(
             script,
             root_task,
@@ -64,7 +61,8 @@ class LocalWorkflow:
             plan=plan,
         )
         if sanitizer is not None:
-            self.tree.attach_sanitizer(sanitizer)
+            # instance-level method wrapping: the unsanitized path stays hook-free
+            sanitizer.attach_tree(self.tree)
 
     # -- control ---------------------------------------------------------------
 
@@ -78,14 +76,14 @@ class LocalWorkflow:
         exhausted and work remains, the tree fails without losing the ready
         node (it stays queued, visible to diagnostics and reconfiguration).
         """
-        if self.budget_remaining() <= 0:
+        if self.steps >= self.max_steps:
             if self.tree.has_work():
                 self.tree.fail(f"exceeded max_steps={self.max_steps}")
             return False
         node = self.tree.take_ready()
         if node is None:
             return False
-        self.charge_steps(1)
+        self.steps += 1
         self._execute(node)
         return True
 
@@ -94,14 +92,6 @@ class LocalWorkflow:
             if not self.step():
                 break
         return self.result()
-
-    # -- step budget -----------------------------------------------------------
-
-    def budget_remaining(self) -> int:
-        return self.max_steps - self.steps
-
-    def charge_steps(self, count: int) -> None:
-        self.steps += count
 
     # -- queries ------------------------------------------------------------------
 
@@ -160,10 +150,7 @@ class LocalWorkflow:
     # -- execution ----------------------------------------------------------------------
 
     def _execute(self, node: TaskNode) -> None:
-        begun = self.tree.try_begin_execution(node)
-        if begun is None:
-            return  # stale: an ancestor terminated or repeated meanwhile
-        input_set, inputs = begun
+        input_set, inputs = self.tree.begin_execution(node)
         implementation = node.decl.implementation
         context = TaskContext(
             task_path=node.path,
@@ -224,29 +211,15 @@ class LocalEngine:
                     f"script has {len(script.tasks)} top-level tasks; name one"
                 )
             root_task = next(iter(script.tasks))
-        registry = self.registry.child(**(bindings or {}))
-        return self._build(script, root_task, registry)
-
-    def _build(
-        self,
-        script: Script,
-        root_task: str,
-        registry: ImplementationRegistry,
-        workflow_class=LocalWorkflow,
-        **extra,
-    ) -> LocalWorkflow:
-        """Workflow construction hook; a subclass names its workflow class
-        and what that takes beyond this engine's settings."""
-        return workflow_class(
+        return LocalWorkflow(
             script,
             root_task,
-            registry,
+            self.registry.child(**(bindings or {})),
             default_retries=self.default_retries,
             max_repeats=self.max_repeats,
             max_steps=self.max_steps,
             use_plan=self.use_plan,
             sanitizer=self.sanitizer,
-            **extra,
         )
 
     def run(

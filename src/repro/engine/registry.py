@@ -12,9 +12,8 @@ A code name may resolve to:
   a :class:`ScriptBinding` is itself such a callable, which runs the script
   as a sub-workflow and maps its outcome back.
 
-:func:`run_task` is the one place a task body is entered; the in-process
-engines and the distributed worker differ only in where a mark and the
-verdict go.
+:func:`run_task` is the one place a task body is entered; the local engine
+and the distributed worker differ only in where a mark and the verdict go.
 
 Registries nest: instantiation-time bindings (the paper binds
 ``refAlarmCorrelator`` etc. per instantiation) are expressed as a child
@@ -54,14 +53,14 @@ class ScriptBinding:
         options = {}
         if host is not None:
             # with nothing left the sub-run fails at its first step: a task failure
-            options = {"max_steps": host.budget_remaining(), "use_plan": host.use_plan}
+            options = {"max_steps": host.max_steps - host.steps, "use_plan": host.tree.use_plan}
         sub = LocalWorkflow(self.script, self.task_name, ctx.registry, **options)
         try:
             sub.start(ctx.inputs, ctx.input_set)
             result = sub.run_to_completion()
         finally:
             if host is not None:
-                host.charge_steps(sub.steps)
+                host.steps += sub.steps
         for mark_name, objects in result.marks:
             ctx.mark(mark_name, **{k: v.value for k, v in objects.items()})
         if result.status not in (WorkflowStatus.COMPLETED, WorkflowStatus.ABORTED):

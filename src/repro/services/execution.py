@@ -637,12 +637,17 @@ class ExecutionService(Service):
         script = compiled.script
         if compiled.plan is None:
             compiled.plan = compile_plan(script, analyze=False)
-        tree = InstanceTree(script, spec["root_task"], now=self._now, plan=compiled.plan)
+        tree = self._new_tree(script, spec["root_task"], compiled.plan)
         runtime = _Runtime(iid, script, tree)
         runtime.has_deadlines = compiled.has_deadlines
         tree.start(spec["input_set"], spec["inputs"])
         self._drain(runtime)
         return runtime
+
+    def _new_tree(self, script: Script, root_task: str, plan: ExecutionPlan) -> InstanceTree:
+        """The one place this service builds an instance tree, unstarted;
+        ``Sanitizer.attach_service`` wraps it to watch every root start."""
+        return InstanceTree(script, root_task, now=self._now, plan=plan)
 
     def _now(self) -> float:
         return self.node.clock.now if self.node is not None else 0.0

@@ -1,18 +1,21 @@
-"""Tests for the concurrent engine: equivalence with the sequential
-reference engine, genuine parallel dispatch, and the supporting machinery
-(drain_ready claims, thread-safe budget, cooperative task timeouts)."""
+"""Concurrent execution: tasks with no mutual dependency run at the same time
+on different worker nodes of the simulated distributed system (§3, Fig. 1:
+"t2 and t3 can be performed concurrently") — the one concurrent engine.
+
+Covers equivalence with the sequential reference engine, genuine overlap of
+independent tasks on distinct workers, the life-cycle features (system
+retries, repeats, parked external tasks) under concurrent dispatch, and
+cooperative task timeouts under the local engine and a distributed worker.
+"""
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
 from repro.core import ScriptBuilder, TaskTimeout, from_input, from_output
 from repro.engine import (
-    ConcurrentEngine,
-    ConcurrentWorkflow,
     ImplementationRegistry,
     LocalEngine,
     WorkflowStatus,
@@ -20,15 +23,17 @@ from repro.engine import (
     pending,
     repeat,
 )
+from repro.lang import format_script
+from repro.services import WorkflowSystem
 from repro.workloads import generators, paper_order, paper_service_impact, paper_trip
 from tests.conftest import build_pipeline_script, stage_registry
 
 
 def fingerprint(result):
-    """Everything the language semantics promise: outcome, output objects,
-    marks — engine-independent (the event log interleaving is not)."""
+    """Everything the language semantics promise: status, outcome, output
+    objects, marks — engine-independent (the event log interleaving is not)."""
     return (
-        result.status,
+        result.status.value,
         result.outcome,
         {name: ref.value for name, ref in result.objects.items()},
         [
@@ -36,6 +41,32 @@ def fingerprint(result):
             for name, objects in result.marks
         ],
     )
+
+
+def distributed_fingerprint(result):
+    """:func:`fingerprint` of an ``ExecutionService.result`` reply."""
+    return (
+        result["status"],
+        result["outcome"],
+        {name: ref["value"] for name, ref in result["objects"].items()},
+        [
+            (mark["name"], {k: ref["value"] for k, ref in mark["objects"].items()})
+            for mark in result["marks"]
+        ],
+    )
+
+
+def deploy(script, registry, root=None, inputs=None, **system_kwargs):
+    """A system running one instance of ``script``: (system, iid)."""
+    system = WorkflowSystem(registry=registry, **system_kwargs)
+    root = root or next(iter(script.tasks))
+    system.deploy("wf", format_script(script))
+    return system, system.instantiate("wf", root, inputs or {})
+
+
+def run_distributed(script, registry, root=None, inputs=None, **system_kwargs):
+    system, iid = deploy(script, registry, root, inputs, **system_kwargs)
+    return system, iid, system.run_until_terminal(iid)
 
 
 class TestSequentialEquivalence:
@@ -50,39 +81,41 @@ class TestSequentialEquivalence:
     )
     def test_paper_examples_identical(self, module, inputs):
         script = module.build()
-        registry = module.default_registry()
-        sequential = LocalEngine(registry).run(script, inputs=inputs)
-        concurrent = ConcurrentEngine(registry, parallelism=4).run(script, inputs=inputs)
-        assert fingerprint(concurrent) == fingerprint(sequential)
+        sequential = LocalEngine(module.default_registry()).run(script, inputs=inputs)
+        _, _, concurrent = run_distributed(
+            script, module.default_registry(), inputs=inputs, workers=3
+        )
+        assert distributed_fingerprint(concurrent) == fingerprint(sequential)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_dags_identical_across_seeds(self, seed):
         script, registry, root, inputs = generators.random_dag(24, max_deps=3, seed=seed)
         sequential = LocalEngine(registry).run(script, root, inputs=inputs)
-        concurrent = ConcurrentEngine(registry, parallelism=4).run(
-            script, root, inputs=inputs
-        )
-        rerun = ConcurrentEngine(registry, parallelism=4).run(script, root, inputs=inputs)
-        assert fingerprint(concurrent) == fingerprint(sequential)
-        assert fingerprint(rerun) == fingerprint(sequential)
+        # two schedules: the seed fixes the network latencies, and with them
+        # the order in which the concurrent tasks' replies land
+        for system_seed in (seed, seed + 100):
+            _, _, concurrent = run_distributed(
+                script, registry, root, inputs, workers=3, seed=system_seed
+            )
+            assert distributed_fingerprint(concurrent) == fingerprint(sequential)
 
     def test_fan_out_identical(self):
         script, registry, root, inputs = generators.fan(8)
         sequential = LocalEngine(registry).run(script, root, inputs=inputs)
-        concurrent = ConcurrentEngine(registry, parallelism=4).run(
-            script, root, inputs=inputs
-        )
-        assert fingerprint(concurrent) == fingerprint(sequential)
-        assert concurrent.stats["steps"] == sequential.stats["steps"]
+        system, _, concurrent = run_distributed(script, registry, root, inputs, workers=3)
+        assert distributed_fingerprint(concurrent) == fingerprint(sequential)
+        executions = sum(len(worker.executed) for worker in system.workers)
+        assert executions == sequential.stats["steps"]
 
     def test_pipeline_still_honours_dependency_order(self):
         script = build_pipeline_script(4)
-        result = ConcurrentEngine(stage_registry(), parallelism=4).run(
-            script, inputs={"inp": "x"}
+        system, iid, result = run_distributed(
+            script, stage_registry(), inputs={"inp": "x"}, workers=3
         )
-        assert result.completed
-        assert result.value("out") == "x++++"
-        assert result.log.started_order() == [
+        assert result["status"] == "completed"
+        assert result["objects"]["out"]["value"] == "x++++"
+        log = system.execution._full_runtime(iid).tree.log
+        assert log.started_order() == [
             "pipeline",
             "pipeline/t1",
             "pipeline/t2",
@@ -93,41 +126,42 @@ class TestSequentialEquivalence:
 
 class TestParallelDispatch:
     def test_independent_tasks_overlap(self):
-        script, _, root, inputs = generators.fan(6)
-        registry = ImplementationRegistry()
-        lock = threading.Lock()
-        active = {"now": 0, "peak": 0}
-
-        def sleepy(ctx):
-            with lock:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            time.sleep(0.03)
-            with lock:
-                active["now"] -= 1
-            first = next(iter(ctx.inputs.values()), None)
-            return outcome("done", out=first.value if first else "x")
-
-        registry.register("stage", sleepy)
-        result = ConcurrentEngine(registry, parallelism=4).run(script, root, inputs=inputs)
-        assert result.completed
-        assert active["peak"] >= 2  # the fan's workers genuinely overlapped
+        """At one simulated instant several of the fan's workers are in
+        flight together, on distinct worker nodes."""
+        script, registry, root, inputs = generators.fan(6)
+        system, iid = deploy(script, registry, root, inputs, workers=3)
+        runtime = system.execution.runtimes[iid]
+        peak_flights = peak_workers = 0
+        while system.fate(iid)["status"] == "running":
+            system.clock.run(until=system.clock.now + 0.1)
+            flights = runtime.in_flight.values()
+            peak_flights = max(peak_flights, len(flights))
+            peak_workers = max(
+                peak_workers, len({w for flight in flights for w in flight.sent_to})
+            )
+        assert system.fate(iid)["status"] == "completed"
+        assert peak_flights == 6  # every worker task dispatched in one pass
+        assert peak_workers >= 2  # ... and served by distinct nodes at once
 
     def test_parallelism_one_degrades_to_sequential_loop(self):
         script = build_pipeline_script(3)
-        result = ConcurrentEngine(stage_registry(), parallelism=1).run(
-            script, inputs={"inp": "x"}
+        system, _, result = run_distributed(
+            script, stage_registry(), inputs={"inp": "x"}, workers=1
         )
-        assert result.completed
-        assert result.value("out") == "x+++"
+        assert result["status"] == "completed"
+        assert result["objects"]["out"]["value"] == "x+++"
+        assert [path for _, path, _ in system.workers[0].executed] == [
+            "pipeline/t1", "pipeline/t2", "pipeline/t3",
+        ]
 
     def test_step_budget_enforced(self):
+        """The budget binds even when the whole fan is ready at once: the
+        run fails at the budget, not after draining the ready set."""
         script, registry, root, inputs = generators.fan(8)
-        result = ConcurrentEngine(registry, parallelism=4, max_steps=3).run(
-            script, root, inputs=inputs
-        )
+        result = LocalEngine(registry, max_steps=3).run(script, root, inputs=inputs)
         assert result.status is WorkflowStatus.FAILED
         assert "max_steps=3" in result.error
+        assert result.stats["steps"] == 3
 
     def test_system_retries_still_work(self):
         script = build_pipeline_script(2)
@@ -139,9 +173,9 @@ class TestParallelDispatch:
             return outcome("done", out=f"{ctx.value('inp')}+")
 
         registry.register("stage", flaky)
-        result = ConcurrentEngine(registry, parallelism=4).run(script, inputs={"inp": "x"})
-        assert result.completed
-        assert result.value("out") == "x++"
+        _, _, result = run_distributed(script, registry, inputs={"inp": "x"})
+        assert result["status"] == "completed"
+        assert result["objects"]["out"]["value"] == "x++"
 
     def test_repeat_outcomes_still_loop(self):
         b = ScriptBuilder()
@@ -169,71 +203,80 @@ class TestParallelDispatch:
             return outcome("done", out=ctx.value("inp"))
 
         registry = ImplementationRegistry().register("loop", loop)
-        result = ConcurrentEngine(registry, parallelism=4).run(b.build(), inputs={"inp": "s"})
-        assert result.completed
-        assert result.value("out") == "s+++"
+        _, _, result = run_distributed(b.build(), registry, inputs={"inp": "s"})
+        assert result["status"] == "completed"
+        assert result["objects"]["out"]["value"] == "s+++"
 
     def test_pending_external_stalls_and_resumes(self):
         script = build_pipeline_script(2)
         registry = ImplementationRegistry()
         registry.register("stage", lambda ctx: pending("waiting for a human"))
-        wf = ConcurrentEngine(registry, parallelism=4).workflow(script)
-        assert isinstance(wf, ConcurrentWorkflow)
-        wf.start({"inp": "x"})
-        first = wf.run_to_completion()
-        assert first.status is WorkflowStatus.STALLED
-        wf.complete_external("pipeline/t1", "done", out="by-hand")
+        system, iid = deploy(script, registry, inputs={"inp": "x"})
+        system.clock.run(until=system.clock.now + 100.0)
+        client = system.execution_proxy()
+        assert client.external_tasks(iid) == ["pipeline/t1"]
+        assert client.status(iid)["status"] == "running"
+        client.complete_task(iid, "pipeline/t1", "done", {"out": "by-hand"})
         registry.register("stage", lambda ctx: outcome("done", out=f"{ctx.value('inp')}+"))
-        result = wf.run_to_completion()
-        assert result.completed
-        assert result.value("out") == "by-hand+"
+        result = system.run_until_terminal(iid)
+        assert result["status"] == "completed"
+        assert result["objects"]["out"]["value"] == "by-hand+"
+
+
+def slow_script():
+    b = ScriptBuilder()
+    b.object_class("Data")
+    (
+        b.taskclass("Slow")
+        .input_set("main", inp="Data")
+        .outcome("done", out="Data")
+        .abort_outcome("tooSlow")
+    )
+    b.taskclass("Root").input_set("main", inp="Data").abort_outcome("gaveUp")
+    c = b.compound("wf", "Root")
+    c.task("slow", "Slow").implementation(
+        code="slow", timeout="0.01", retries="0"
+    ).input("main", "inp", from_input("wf", "main", "inp")).up()
+    c.output("gaveUp").notify(from_output("slow", "tooSlow")).up()
+    c.up()
+    return b.build()
+
+
+def quick_script():
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Quick").input_set("main", inp="Data").outcome("done", out="Data")
+    b.taskclass("Root").input_set("main", inp="Data").outcome("done", out="Data")
+    c = b.compound("wf", "Root")
+    c.task("quick", "Quick").implementation(code="quick", timeout="5").input(
+        "main", "inp", from_input("wf", "main", "inp")
+    ).up()
+    c.output("done").object("out", from_output("quick", "done", "out")).up()
+    c.up()
+    return b.build()
 
 
 class TestTaskTimeout:
     def test_cooperative_timeout_aborts_task(self):
-        b = ScriptBuilder()
-        b.object_class("Data")
-        (
-            b.taskclass("Slow")
-            .input_set("main", inp="Data")
-            .outcome("done", out="Data")
-            .abort_outcome("tooSlow")
-        )
-        b.taskclass("Root").input_set("main", inp="Data").abort_outcome("gaveUp")
-        c = b.compound("wf", "Root")
-        c.task("slow", "Slow").implementation(
-            code="slow", timeout="0.01", retries="0"
-        ).input("main", "inp", from_input("wf", "main", "inp")).up()
-        c.output("gaveUp").notify(from_output("slow", "tooSlow")).up()
-        c.up()
-
-        seen = {}
+        seen = []
 
         def slow(ctx):
-            seen["timeout"] = ctx.timeout
+            seen.append(ctx.timeout)
             time.sleep(0.03)
             ctx.check_timeout()  # cooperative check: raises TaskTimeout
             return outcome("done", out="never")
 
         registry = ImplementationRegistry().register("slow", slow)
-        result = ConcurrentEngine(registry, parallelism=2).run(b.build(), inputs={"inp": "x"})
-        # the timeout failed the task; retries=0 surfaced its abort outcome
-        assert result.status is WorkflowStatus.ABORTED
-        assert result.outcome == "gaveUp"
-        assert seen["timeout"] == pytest.approx(0.01)
+        local = LocalEngine(registry).run(slow_script(), inputs={"inp": "x"})
+        _, _, distributed = run_distributed(slow_script(), registry, inputs={"inp": "x"})
+        # the timeout failed the task; retries=0 surfaced its abort outcome,
+        # on the local engine and on a distributed worker alike
+        assert local.status is WorkflowStatus.ABORTED and local.outcome == "gaveUp"
+        assert distributed["status"] == "aborted"
+        assert distributed["outcome"] == "gaveUp"
+        assert seen == [pytest.approx(0.01)] * 2
 
     def test_timeout_visible_in_context_and_sequential_engine(self):
-        b = ScriptBuilder()
-        b.object_class("Data")
-        b.taskclass("Quick").input_set("main", inp="Data").outcome("done", out="Data")
-        b.taskclass("Root").input_set("main", inp="Data").outcome("done", out="Data")
-        c = b.compound("wf", "Root")
-        c.task("quick", "Quick").implementation(code="quick", timeout="5").input(
-            "main", "inp", from_input("wf", "main", "inp")
-        ).up()
-        c.output("done").object("out", from_output("quick", "done", "out")).up()
-        c.up()
-
         def quick(ctx):
             assert ctx.timeout == pytest.approx(5.0)
             assert ctx.remaining() is not None and ctx.remaining() > 0
@@ -242,9 +285,12 @@ class TestTaskTimeout:
             return outcome("done", out="fast")
 
         registry = ImplementationRegistry().register("quick", quick)
-        result = LocalEngine(registry).run(b.build(), inputs={"inp": "x"})
+        result = LocalEngine(registry).run(quick_script(), inputs={"inp": "x"})
         assert result.completed
         assert result.value("out") == "fast"
+        _, _, distributed = run_distributed(quick_script(), registry, inputs={"inp": "x"})
+        assert distributed["status"] == "completed"
+        assert distributed["objects"]["out"]["value"] == "fast"
 
     def test_check_timeout_raises_tasktimeout(self):
         from repro.engine.context import TaskContext
@@ -261,30 +307,3 @@ class TestTaskTimeout:
         assert ctx.timed_out
         with pytest.raises(TaskTimeout):
             ctx.check_timeout()
-
-
-class TestDrainReady:
-    def test_drain_claims_and_begin_releases(self):
-        script, registry, root, inputs = generators.fan(4)
-        wf = LocalEngine(registry).workflow(script, root)
-        wf.start(inputs)
-        # execute the source so the four workers become ready together
-        assert wf.step()
-        drained = wf.tree.drain_ready()
-        assert sorted(n.local_name for n in drained) == ["w1", "w2", "w3", "w4"]
-        assert all(n.claimed for n in drained)
-        # claimed nodes cannot be drained twice
-        assert wf.tree.drain_ready() == []
-        for node in drained:
-            begun = wf.tree.try_begin_execution(node)
-            assert begun is not None
-            assert not node.claimed
-
-    def test_drain_respects_limit(self):
-        script, registry, root, inputs = generators.fan(4)
-        wf = LocalEngine(registry).workflow(script, root)
-        wf.start(inputs)
-        assert wf.step()
-        batch = wf.tree.drain_ready(limit=2)
-        assert len(batch) == 2
-        assert len(wf.tree.drain_ready()) == 2  # the rest, on the next drain

@@ -49,9 +49,9 @@ def test_networkx_is_loaded_by_the_diagnostics_only():
 # what ``sys.stdlib_module_names`` (3.10+) would say of the modules this
 # package imports, for the 3.9 leg of CI
 STDLIB_39 = {
-    "__future__", "argparse", "collections", "concurrent", "dataclasses", "enum", "functools",
+    "__future__", "argparse", "collections", "dataclasses", "enum", "functools",
     "hashlib", "heapq", "importlib", "itertools", "json", "math", "os", "pathlib", "random",
-    "re", "sys", "threading", "time", "types", "typing", "zlib",
+    "re", "sys", "time", "types", "typing", "zlib",
 }
 
 

@@ -13,7 +13,7 @@ from repro.core.selection import (
     WorkflowEvent,
 )
 from repro.core.values import ObjectRef
-from repro.engine import ConcurrentEngine, LocalEngine, compile_plan
+from repro.engine import LocalEngine, compile_plan
 from repro.engine.plan import (
     PlanTracker,
     compile_bindings,
@@ -21,6 +21,8 @@ from repro.engine.plan import (
     effective_input_sets,
 )
 from repro.workloads import generators, paper_order, paper_service_impact, paper_trip
+from tests.test_concurrent_engine import distributed_fingerprint, run_distributed
+from tests.test_concurrent_engine import fingerprint as plain_fingerprint
 
 PAPER = [
     (paper_order, {"order": "order-1"}),
@@ -100,16 +102,17 @@ class TestConcurrentEquivalence:
         "module,inputs", PAPER, ids=["order", "trip", "service-impact"]
     )
     def test_paper_workloads_same_fingerprint(self, module, inputs):
-        """The concurrent engine's log may interleave, but the semantics
-        (outcome, objects, marks) must match under both paths."""
-        script, registry = module.build(), module.default_registry()
-        plan_run = ConcurrentEngine(registry, parallelism=4, use_plan=True).run(
+        """The distributed system runs plans with tasks in flight together
+        on worker nodes; its log may interleave, but the semantics (outcome,
+        objects, marks) must match the interpretive path's."""
+        script = module.build()
+        _, _, plan_run = run_distributed(
+            script, module.default_registry(), inputs=inputs, workers=3
+        )
+        interp_run = LocalEngine(module.default_registry(), use_plan=False).run(
             script, inputs=inputs
         )
-        interp_run = ConcurrentEngine(registry, parallelism=4, use_plan=False).run(
-            script, inputs=inputs
-        )
-        assert fingerprint(plan_run) == fingerprint(interp_run)
+        assert distributed_fingerprint(plan_run) == plain_fingerprint(interp_run)
 
 
 class TestTableLayout:

@@ -5,10 +5,10 @@ Two soundness obligations, exercised over generated workloads:
 * *liveness*: anything the real engine actually does must be statically
   possible — a completed run's outcome is never "unreachable", a task that
   ran is never "dead";
-* *interference*: any pair of tasks the engine would hand out in one
-  ``drain_ready()`` cycle while sharing an object reference must be a
-  ``W301`` pair (the static may-concurrent relation over-approximates the
-  engine's real enablement relation).
+* *interference*: any pair of tasks one drain pass would put in flight
+  together (``enabled_pairs``, read off ``peek_ready()``) while sharing an
+  object reference must be a ``W301`` pair (the static may-concurrent
+  relation over-approximates the real enablement relation).
 
 Plus robustness: the analyser never raises an internal error on anything
 the front end compiles (generators reused from the front-end fuzzer).
@@ -19,17 +19,16 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import analyze_script, check_interference, check_liveness
+from repro.analysis import (
+    analyze_script,
+    check_interference,
+    check_liveness,
+    enabled_pairs,
+)
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.errors import ParseError, SchemaError, ValidationReport
 from repro.core.selection import EventKind
-from repro.engine import (
-    ImplementationRegistry,
-    LocalEngine,
-    LocalWorkflow,
-    enabled_pairs,
-    outcome,
-)
+from repro.engine import ImplementationRegistry, LocalEngine, LocalWorkflow, outcome
 from repro.lang import compile_script
 
 from tests.test_fuzz_frontend import fragments
@@ -115,7 +114,7 @@ def build_fanout(n, edges):
 
 def _unordered_pairs(n, edges):
     """Ground truth for the fan-out shape: {i, j} can be simultaneously
-    enabled by ``drain_ready()`` iff neither transitively precedes the other
+    enabled by one drain pass iff neither transitively precedes the other
     (run every predecessor of both, leave both unexecuted)."""
     ancestors = {j: set() for j in range(1, n + 1)}
     for i, j in sorted(edges):  # edges go low -> high, one pass suffices
@@ -136,7 +135,7 @@ def test_interference_is_exact_on_fanout_shapes(shape):
     * *sound*: every simultaneously enabled pair one engine run exposes is
       reported;
     * *precise*: every reported pair is genuinely concurrently-enabled per
-      ``drain_ready()`` semantics — some schedule co-enables it (equivalent,
+      ``peek_ready()`` semantics — some schedule co-enables it (equivalent,
       for these shapes, to neither task transitively preceding the other).
     """
     n, edges = shape

@@ -5,9 +5,9 @@ Three obligations over generated workloads:
 
 * *robustness*: the analyser never raises on randomly shaped lock scripts
   (arbitrary per-task acquisition orders over a shared object pool);
-* *deadlock soundness*: when implementations genuinely lock their declared
-  inputs in declaration order under the concurrent engine, every dynamic
-  lock finding the sanitizer records — inversions and real
+* *deadlock soundness*: when two lockers take their declared inputs in
+  declaration order, in any interleaving of their acquisition steps, every
+  dynamic lock finding the sanitizer records — inversions and real
   ``DeadlockError`` cycles — is predicted by a static E403;
 * *duplicate soundness*: under seeded transient failures the engine's
   automatic retries (§3) re-run implementations; every non-atomic task that
@@ -16,16 +16,14 @@ Three obligations over generated workloads:
 
 from __future__ import annotations
 
-import threading
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Sanitizer, analyze_script
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.engine import ImplementationRegistry, LocalEngine, outcome
-from repro.engine.concurrent import ConcurrentEngine
-from repro.txn.locks import DeadlockError, LockManager, LockMode
+from repro.txn.locks import LockManager
+from tests.conftest import interleave_lockers
 
 settings.register_profile(
     "repro-recovery", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -90,64 +88,24 @@ def test_analyzer_never_raises_on_random_lock_scripts(orders):
         assert len(set(finding.related)) == 2  # a cycle names two tasks
 
 
-@given(lock_pairs())
-@settings(max_examples=60)
-def test_runtime_lock_findings_are_statically_predicted(orders):
-    """Barrier-rendezvous both constituents after their first acquisition,
-    then let them contend for the rest: whatever the lockset sanitizer
-    observes must be covered by the static E403 analysis."""
+@given(lock_pairs(), st.lists(st.integers(0, 1), max_size=12))
+@settings(max_examples=100)
+def test_runtime_lock_findings_are_statically_predicted(orders, schedule):
+    """Interleave the two constituents' acquisition steps as ``schedule``
+    says, against the sanitized lock manager: whatever the lockset
+    sanitizer observes must be covered by the static E403 analysis."""
     script = build_lock_script(orders)
     report = analyze_script(script, include_lint=False)
     sanitizer = Sanitizer()
     manager = LockManager()
     sanitizer.attach_locks(manager)
-    barrier = threading.Barrier(2, timeout=2.0)
-    deadlocks = []
-
-    def rendezvous():
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-
-    def locker(txn, order):
-        # ``acquire(wait=True)`` never blocks — it enqueues a waiter and
-        # returns.  A real two-phase locker would stop at the first
-        # un-granted lock, so only keep acquiring while every earlier lock
-        # in the declared order was actually granted.
-        def impl(ctx):
-            sanitizer.bind_txn(txn, ctx.task_path)
-            held_first = manager.try_acquire(txn, order[0], LockMode.EXCLUSIVE)
-            try:
-                if not held_first:
-                    manager.acquire(txn, order[0], LockMode.EXCLUSIVE, wait=True)
-            except DeadlockError:
-                deadlocks.append(ctx.task_path)
-            rendezvous()  # both attempted their first lock before proceeding
-            if held_first:
-                try:
-                    for obj in order[1:]:
-                        if manager.try_acquire(txn, obj, LockMode.EXCLUSIVE):
-                            continue
-                        manager.acquire(txn, obj, LockMode.EXCLUSIVE, wait=True)
-                        break  # now waiting: stop acquiring later locks
-                except DeadlockError:
-                    deadlocks.append(ctx.task_path)
-            rendezvous()  # both done attempting before anyone releases
-            manager.release_all(txn)
-            return outcome("ok", out="v")
-
-        return impl
-
-    registry = ImplementationRegistry()
+    lockers = {}
     for idx, order in enumerate(orders, 1):
-        registry.register(f"impl{idx}", locker(f"txn-{idx}", order))
-    engine = ConcurrentEngine(registry, parallelism=2, sanitizer=sanitizer)
-    inputs = {o: f"v-{o}" for order in orders for o in order}
-    result = engine.run(script, "wf", inputs=inputs)
-    assert result.completed, result.error
+        sanitizer.bind_txn(f"txn-{idx}", f"wf/t{idx}")
+        lockers[f"txn-{idx}"] = order
+    trace = interleave_lockers(manager, lockers, schedule)
     assert sanitizer.check_coverage(report) == []
-    if deadlocks:
+    if any(step[2] == "deadlock" for step in trace):
         assert report.by_code("E403"), "a real deadlock demands a static E403"
 
 

@@ -1,8 +1,8 @@
 """The instance-tree ready queue: stale-node draining must not recurse
-(RecursionError on wide fan-outs), claimed nodes must be released when an
-ancestor terminates underneath them, and the heap hands tasks out in exactly
-the order the former whole-queue scan did, at a cost that does not grow with
-the script's width (docs/PROTOCOLS.md §10)."""
+(RecursionError on wide fan-outs), a queue holding only stale nodes has no
+work, and the heap hands tasks out in exactly the order the former
+whole-queue scan did, at a cost that does not grow with the script's width
+(docs/PROTOCOLS.md §10)."""
 
 import sys
 from collections import deque
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import ScriptBuilder, from_input, from_output
+from repro.engine import WorkflowStatus, outcome, pending
 from repro.engine.instance import InstanceTree, TaskNode
 from repro.engine.local import LocalWorkflow
 from repro.engine.registry import ImplementationRegistry
@@ -53,32 +54,54 @@ class TestTakeReadyIsIterative:
         assert got is workers[-1]
 
 
-class TestDrainClaimRelease:
-    def test_root_termination_unclaims_drained_nodes(self):
-        """drain_ready claims nodes; a terminating ancestor must release
-        those claims so nothing stays claimed-forever on a dead subtree."""
-        wf = fan_workflow(4)
-        drained = wf.tree.drain_ready()
-        assert len(drained) == 4 and all(n.claimed for n in drained)
-        wf.tree.node_at("fan").deactivate()
-        assert all(not n.claimed for n in drained)
-        assert wf.tree.drain_ready() == []
-        for node in drained:
-            assert wf.tree.try_begin_execution(node) is None
-            assert not node.claimed
+def stale_tail_workflow(max_steps):
+    """``c`` (children ``a`` and ``b``, ``b`` at priority -1) outputs
+    ``done`` from ``a`` alone; its sibling ``d`` consumes ``c.done`` and
+    parks.  Two steps run ``a`` (which ends ``c``, so the queued ``b`` goes
+    stale) and park ``d``: what is left in the heap is the dead ``r/c/b``."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Stage").input_set("main", inp="Data").outcome("done", out="Data")
+    b.taskclass("Root").input_set("main", inp="Data").outcome("done", out="Data")
+    root = b.compound("r", "Root")
+    c = root.compound("c", "Root").input("main", "inp", from_input("r", "main", "inp"))
+    c.task("a", "Stage").implementation(code="stage").input(
+        "main", "inp", from_input("c", "main", "inp")
+    ).up()
+    c.task("b", "Stage").implementation(code="stage", priority="-1").input(
+        "main", "inp", from_input("c", "main", "inp")
+    ).up()
+    c.output("done").object("out", from_output("a", "done", "out")).up()
+    c.up()
+    root.task("d", "Stage").implementation(code="park").input(
+        "main", "inp", from_output("c", "done", "out")
+    ).up()
+    root.output("done").object("out", from_output("d", "done", "out")).up()
+    root.up()
+    registry = ImplementationRegistry()
+    registry.register("stage", lambda ctx: outcome("done", out=ctx.value("inp")))
+    registry.register("park", lambda ctx: pending("awaiting a human"))
+    wf = LocalWorkflow(b.build(), "r", registry, max_steps=max_steps)
+    wf.start({"inp": "x"})
+    return wf
 
-    def test_repeat_releases_claims_in_subtree(self):
-        """The same release applies when a compound repeats (children are
-        deactivated and rebuilt) rather than terminating."""
-        script, registry, root, inputs = generators.fan(3)
-        wf = LocalWorkflow(script, root, registry)
-        wf.start(inputs)
-        assert wf.step()
-        drained = wf.tree.drain_ready()
-        assert drained and all(n.claimed for n in drained)
-        for node in drained:
-            node.deactivate()
-        assert all(not n.claimed for n in drained)
+
+class TestStaleHeadsAreNoWork:
+    def test_only_stale_entries_left_means_stalled(self):
+        wf = stale_tail_workflow(max_steps=100)
+        assert wf.step() and wf.step()  # a, then d parks
+        assert wf.tree.node_at("r/d").machine.state.value == "executing"
+        assert not wf.tree.has_work()
+        assert wf.status is WorkflowStatus.STALLED
+
+    @pytest.mark.parametrize("max_steps", [2, 100])
+    def test_budget_is_not_blamed_for_a_stall(self, max_steps):
+        """With the budget spent on exactly the two real steps the run
+        stalls, as it does with budget to spare — the dead ``b`` is not work
+        the budget cut off."""
+        result = stale_tail_workflow(max_steps).run_to_completion()
+        assert result.status is WorkflowStatus.STALLED
+        assert result.error is None
 
 
 # -- order equivalence with the former max-scan --------------------------------------
@@ -132,6 +155,19 @@ def grouped_tree(groups):
     return tree
 
 
+def take_all(tree, limit=None):
+    """Up to ``limit`` nodes off the ready queue (all of them by default),
+    each begun as an engine would before taking the next."""
+    taken = []
+    while limit is None or len(taken) < limit:
+        node = tree.take_ready()
+        if node is None:
+            break
+        tree.begin_execution(node)
+        taken.append(node)
+    return taken
+
+
 priorities = st.one_of(
     st.integers(-2, 3).map(str), st.sampled_from(["high", "", "1.5", "0x2"])
 )
@@ -157,11 +193,10 @@ class TestHeapOrderEqualsMaxScan:
             expected.append(node.path)
         assert [node.path for node in tree.peek_ready()] == expected
         taken = []
-        for limit in limits:
-            batch = tree.drain_ready(limit)
-            assert len(batch) <= limit
-            taken += batch
-        taken += tree.drain_ready()
+        for limit in limits:  # interleave peeks with takes
+            taken += take_all(tree, limit)
+            assert [node.path for node in tree.peek_ready()] == expected[len(taken):]
+        taken += take_all(tree)
         assert [node.path for node in taken] == expected
         assert not tree.has_work()
 
@@ -170,7 +205,7 @@ class TestHeapOrderEqualsMaxScan:
         assert [node.priority() for node in tree.walk() if not node.is_compound] == [
             0, 0, 0, -1, 1,
         ]
-        assert [node.local_name for node in tree.drain_ready()] == [
+        assert [node.local_name for node in take_all(tree)] == [
             "t4", "t0", "t1", "t2", "t3",
         ]
 

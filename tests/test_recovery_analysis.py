@@ -4,16 +4,16 @@ lockset/vector-clock sanitizer.
 Covers: the static checkers' positive and negative cases, the diagnostic
 registry entries, strict admission on the new error codes, the dynamic
 sanitizer (races, lock inversions, deadlocks, duplicate effects) and the
-static-superset guarantee — including the barrier-rendezvous fixture that
-provokes a static E403 cycle into a real ``DeadlockError`` under the
-concurrent engine, proving the static finding genuine.
+static-superset guarantee — including the fixture whose static E403 cycle
+every interleaving that takes both first locks before either second one
+turns into a real ``DeadlockError``, proving the static finding genuine.
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     DIAGNOSTICS,
@@ -23,13 +23,14 @@ from repro.analysis import (
     check_lockorder,
     check_recovery,
     sanitized_exploration,
+    sanitized_run,
 )
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.selection import HOTPATH_STATS
-from repro.engine import ImplementationRegistry, LocalEngine, outcome
-from repro.engine.concurrent import ConcurrentEngine
+from repro.engine import LocalEngine
 from repro.lang import format_script
 from repro.txn.locks import DeadlockError, LockManager, LockMode
+from tests.conftest import interleave_lockers
 
 
 # -- fixture scripts -----------------------------------------------------------
@@ -283,13 +284,26 @@ def test_vector_clock_orderings():
 
 
 def test_sanitizer_sees_fanout_race_and_pipeline_order(pipeline_script, pipeline_registry):
-    # ordered pipeline: no races, dynamic findings empty
+    # ordered pipeline: no races under any schedule, dynamic findings empty
     sanitizer = Sanitizer()
-    engine = ConcurrentEngine(pipeline_registry, parallelism=4, sanitizer=sanitizer)
-    for _ in range(3):
-        engine.run(pipeline_script, inputs={"inp": "seed"})
+    for seed in range(3):
+        result = sanitized_run(
+            sanitizer, pipeline_script, "pipeline", pipeline_registry,
+            {"inp": "seed"}, seed=seed,
+        )
+        assert result["status"] == "completed"
     assert sanitizer.findings == []
     assert sanitizer.trees_attached == 3
+    # fan-out: the workers all hold the source's output, in flight together
+    from repro.workloads import fan
+
+    script, registry, root, inputs = fan(3)
+    sanitizer = Sanitizer()
+    sanitized_run(sanitizer, script, root, registry, inputs)
+    assert {f.subjects for f in sanitizer.findings} == {
+        ("fan/w1", "fan/w2"), ("fan/w1", "fan/w3"), ("fan/w2", "fan/w3"),
+    }
+    assert sanitizer.check_coverage(analyze_script(script)) == []
 
 
 def test_sanitized_exploration_covers_paper_order():
@@ -310,9 +324,12 @@ def test_sanitized_exploration_covers_paper_order():
 
 
 def test_sanitizer_zero_hooks_when_disabled():
-    """The default path carries no sanitizer hooks at all: tree methods are
-    the plain class attributes unless a sanitizer is attached."""
+    """The default path carries no sanitizer hooks at all: tree and
+    execution-service methods are the plain class attributes unless a
+    sanitizer is attached."""
     from repro.engine.instance import InstanceTree
+    from repro.services import WorkflowSystem
+    from repro.services.execution import ExecutionService
     from tests.conftest import build_pipeline_script, stage_registry
 
     script = build_pipeline_script(2)
@@ -322,6 +339,41 @@ def test_sanitizer_zero_hooks_when_disabled():
     sanitizer = Sanitizer()
     wf_sanitized = LocalEngine(stage_registry(), sanitizer=sanitizer).workflow(script)
     assert wf_sanitized.tree._publish is not InstanceTree._publish
+
+    system = WorkflowSystem(registry=stage_registry())
+    service = system.execution
+    assert not vars(service).keys() & {"_new_tree", "_publish", "_start_node"}
+    assert service._new_tree.__func__ is ExecutionService._new_tree
+    system.deploy("p", format_script(script))
+    iid = system.instantiate("p", "pipeline", {"inp": "x"})
+    tree = service.runtimes[iid].tree
+    assert tree._publish.__func__ is InstanceTree._publish
+    assert tree._start_node.__func__ is InstanceTree._start_node
+    sanitizer.attach_service(service)
+    assert "_new_tree" in vars(service)  # the wrapper lives on this one service
+
+
+def test_trip_exploration_observes_the_thread_pools_pairs():
+    """The seeded schedules of the simulated system observe at least the
+    three ``W301`` pairs of the trip workload that the thread-pooled engine
+    they replaced did (it saw 3 of the 7 static pairs; the schedules see 6),
+    every one of them statically predicted."""
+    from repro.workloads import paper_trip
+
+    script = paper_trip.build()
+    report = analyze_script(script)
+    sanitizer = sanitized_exploration(script, paper_trip.ROOT_TASK)
+    flights = "tripReservation/businessReservation/checkFlightReservation"
+    hotel = "tripReservation/businessReservation/hotelReservation"
+    observed = {f.subjects for f in sanitizer.findings if f.kind == "race"}
+    assert {
+        (f"{flights}/queryAirlineOne", f"{flights}/queryAirlineTwo"),
+        (f"{flights}/queryAirlineOne", hotel),
+        (f"{flights}/queryAirlineTwo", hotel),
+    } <= observed
+    static = {tuple(sorted(f.related)) for f in report.by_code("W301")}
+    assert observed <= static and len(static) == 7
+    assert sanitizer.check_coverage(report) == []
 
 
 # -- sanitizer: locksets and the E403 fixture ----------------------------------
@@ -345,12 +397,16 @@ def test_lock_hooks_record_inversion_and_deadlock():
         assert finding.code == "E403"
 
 
-def test_static_e403_cycle_is_provoked_at_runtime():
-    """Satellite fixture: the static E403 pair really deadlocks under the
-    concurrent engine.  Both implementations lock their declared inputs in
-    declaration order; a barrier rendezvous after the first acquisition
-    forces the AB-BA interleaving, LockManager raises DeadlockError, and
-    the dynamic finding is covered by the static E403."""
+@given(st.lists(st.integers(0, 1), max_size=6))
+@example([0, 1, 0, 1])  # a, bb, a, bb: both first locks, then the cycle
+@settings(deadline=None, max_examples=50)
+def test_static_e403_cycle_is_provoked_at_runtime(schedule):
+    """Satellite fixture: the static E403 pair really deadlocks.  Both
+    constituents lock their declared inputs in declaration order (``a``:
+    x then y, ``bb``: y then x); an interleaving of their steps deadlocks
+    exactly when both hold their first lock before either asks for its
+    second, and then LockManager raises DeadlockError, the sanitizer
+    reports it, and the static E403 covers it."""
     script = _atomic_pair_script(invert=True)
     report = analyze_script(script, include_lint=False)
     assert [f.location for f in report.by_code("E403")] == ["wf/a <-> wf/bb"]
@@ -358,36 +414,25 @@ def test_static_e403_cycle_is_provoked_at_runtime():
     sanitizer = Sanitizer()
     manager = LockManager()
     sanitizer.attach_locks(manager)
-    barrier = threading.Barrier(2, timeout=10.0)
-    deadlocks = []
-
-    def locker(txn, first, second):
-        def impl(ctx):
-            sanitizer.bind_txn(txn, ctx.task_path)
-            manager.acquire(txn, first, LockMode.EXCLUSIVE, wait=True)
-            barrier.wait()  # both hold their first lock before either proceeds
-            try:
-                manager.acquire(txn, second, LockMode.EXCLUSIVE, wait=True)
-            except DeadlockError:
-                deadlocks.append(ctx.task_path)
-            finally:
-                barrier.wait()  # both attempted before anyone releases
-                manager.release_all(txn)
-            return outcome("ok", out="v")
-
-        return impl
-
-    registry = ImplementationRegistry()
-    registry.register("implA", locker("txn-a", "x", "y"))
-    registry.register("implB", locker("txn-b", "y", "x"))
-    engine = ConcurrentEngine(registry, parallelism=2, sanitizer=sanitizer)
-    result = engine.run(script, "wf", inputs={"x": "vx", "y": "vy"})
-    assert result.completed, result.error
-    assert deadlocks, "the AB-BA rendezvous must provoke a DeadlockError"
-    lock_findings = [
-        f for f in sanitizer.findings if f.kind in ("deadlock", "lock-inversion")
-    ]
-    assert lock_findings
+    sanitizer.bind_txn("txn-a", "wf/a")
+    sanitizer.bind_txn("txn-b", "wf/bb")
+    trace = interleave_lockers(
+        manager, {"txn-a": ("x", "y"), "txn-b": ("y", "x")}, schedule
+    )
+    asked = {
+        (txn, obj): index
+        for index, (txn, obj, what) in enumerate(trace)
+        if what in ("granted", "waiting", "deadlock")
+    }
+    both_firsts = max(asked["txn-a", "x"], asked["txn-b", "y"])
+    any_second = min(asked["txn-a", "y"], asked["txn-b", "x"])
+    deadlocked = [obj for _txn, obj, what in trace if what == "deadlock"]
+    assert bool(deadlocked) == (both_firsts < any_second)
+    kinds = {f.kind for f in sanitizer.findings}
+    if deadlocked:
+        assert "deadlock" in kinds
+    for finding in sanitizer.findings:
+        assert finding.subjects == ("wf/a", "wf/bb")
     assert sanitizer.check_coverage(report) == []
 
 
@@ -436,7 +481,8 @@ def test_duplicate_effect_scan_flags_nonatomic_only():
 def test_nemesis_duplicate_is_statically_predicted():
     """A worker crash after execute but before the reply forces the
     at-least-once redispatch to run the task again on the simulated
-    system; the resulting ledger duplicate must be predicted by W401."""
+    system; the resulting ledger duplicate must be predicted by W401.  The
+    sanitizer watches the run's trees too, without perturbing it."""
     from repro.sim.harness import SimHarness
     from repro.sim.nemesis import CrashAtPoint, NemesisSchedule
     from repro.workloads import paper_order
@@ -446,11 +492,16 @@ def test_nemesis_duplicate_is_statically_predicted():
         name="dup-effects",
     )
     harness = SimHarness(schedule=schedule, workload="order", seed=0, workers=2)
+    sanitizer = Sanitizer()
+    sanitizer.attach_harness(harness)
     sim_report = harness.run()
     assert sim_report.ok, sim_report.violations
+    unobserved = SimHarness(schedule=schedule, workload="order", seed=0, workers=2)
+    assert unobserved.run().fingerprint() == sim_report.fingerprint()
     script = paper_order.build()
-    sanitizer = Sanitizer()
     sanitizer.scan_workers(harness._system.workers, script)
+    assert sanitizer.trees_attached >= 1
+    assert {f.kind for f in sanitizer.findings} == {"race", "duplicate-effect"}
     duplicates = [f for f in sanitizer.findings if f.kind == "duplicate-effect"]
     assert duplicates, "the crash-after-execute schedule must duplicate a task"
     report = analyze_script(script)

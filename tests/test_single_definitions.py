@@ -1,6 +1,7 @@
 """AST tripwires: what a crash does to a store, the shape of the execution
 tier and the terminal statuses are each written down in one file under
-``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``)."""
+``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``), and
+concurrency is tasks on worker nodes, never threads in one process."""
 
 import ast
 import pathlib
@@ -60,3 +61,23 @@ def test_the_terminal_statuses_are_spelled_once():
             if members == {"completed", "aborted", "failed"}:
                 spelled.append(rel)
     assert spelled == ["services/system.py"]
+
+
+def test_no_module_starts_a_thread():
+    """One engine: tasks run concurrently on the simulated system's worker
+    nodes, so nothing under ``src/repro`` imports a thread library."""
+    threaded = []
+    for rel, tree in sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            threaded += [
+                (rel, name) for name in names
+                if name.split(".")[0] in ("threading", "_thread")
+                or name.startswith("concurrent.futures") or name == "concurrent"
+            ]
+    assert threaded == []

@@ -2,15 +2,14 @@
 interference, SARIF rendering, CLI exit codes and strict admission.
 
 The seeded race fixture at the bottom is the acceptance case: a script the
-interference checker flags (W301) *and* whose raciness a concurrent-engine
-stress test demonstrates with a barrier — both tasks really do run at the
-same time.
+interference checker flags (W301) *and* whose raciness the distributed
+system demonstrates — both tasks really are in flight at the same time, on
+two worker nodes, holding the same object.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 from jsonschema import validate as jsonschema_validate
@@ -23,19 +22,14 @@ from repro.analysis import (
     check_interference,
     check_liveness,
     check_typeflow,
+    enabled_pairs,
     to_sarif,
 )
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.analysis import analyze_outcomes
 from repro.core.errors import SchemaError
 from repro.core.schema import Implementation, TaskDecl
-from repro.engine import (
-    ConcurrentEngine,
-    ImplementationRegistry,
-    LocalWorkflow,
-    enabled_pairs,
-    outcome,
-)
+from repro.engine import ImplementationRegistry, LocalWorkflow, outcome
 from repro.lang import format_script
 from repro.services.repository import RepositoryService
 from repro.txn.store import ObjectStore
@@ -347,7 +341,7 @@ def test_interference_silent_on_pure_chain(pipeline_script):
 
 
 def test_observed_enabled_pairs_are_statically_predicted():
-    """Every pair the concurrent engine would hand out together must be a
+    """Every pair one drain pass would put in flight together must be a
     W301 pair (here every task shares the env object, so may-concurrent
     equals must-report)."""
     script = _fanout_script(3)
@@ -715,23 +709,25 @@ def test_race_fixture_is_flagged_statically():
 
 
 def test_race_fixture_really_races_under_concurrent_engine():
-    """Both tasks must be in flight at the same instant: each blocks on a
-    two-party barrier that only the *other* task can release.  A sequential
-    engine would deadlock here (the barrier would time out)."""
-    barrier = threading.Barrier(2)
-    meetings = []
-
-    def rendezvous(ctx):
-        barrier.wait(timeout=10)  # BrokenBarrierError => not concurrent
-        meetings.append(ctx.value("acct"))
-        return outcome("ok")
+    """Both tasks are in flight at the same simulated instant, on two
+    distinct worker nodes, each holding the same account reference: the
+    distributed system really runs the W301 pair concurrently."""
+    from repro.services import WorkflowSystem
 
     registry = ImplementationRegistry()
-    registry.register("credit", rendezvous)
-    registry.register("debit", rendezvous)
-    result = ConcurrentEngine(registry, parallelism=2).run(
-        _race_script(), inputs={"acct": "acct-1"}
-    )
-    assert result.completed and result.outcome == "done"
-    # both implementations passed the barrier holding the same object ref
-    assert meetings == ["acct-1", "acct-1"]
+    registry.register("credit", lambda ctx: outcome("ok"))
+    registry.register("debit", lambda ctx: outcome("ok"))
+    system = WorkflowSystem(workers=2, registry=registry)
+    system.deploy("transfer", format_script(_race_script()))
+    iid = system.instantiate("transfer", "transfer", {"acct": "acct-1"})
+    together = list(system.execution.runtimes[iid].in_flight.values())
+    assert {flight.request["template"].task_path for flight in together} == {
+        "transfer/credit", "transfer/debit",
+    }
+    # both requests carry the one account object, to two different workers
+    assert {
+        dict(flight.request["inputs"])["acct"].value for flight in together
+    } == {"acct-1"}
+    assert len({w for flight in together for w in flight.sent_to}) == 2
+    result = system.run_until_terminal(iid)
+    assert result["status"] == "completed" and result["outcome"] == "done"

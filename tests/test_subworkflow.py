@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.engine import (
-    ConcurrentEngine,
     ImplementationRegistry,
     LocalEngine,
     WorkflowStatus,
@@ -99,7 +98,7 @@ class TestDistributedSubWorkflow:
         assert result["objects"]["out"]["value"] == "[[y]]"
 
 
-# -- one runner: the three engines agree on what a bound script does ---------------
+# -- one runner: both engines agree on what a bound script does -------------------
 
 
 def bound_task(**properties):
@@ -192,10 +191,7 @@ def run_on(engine, script, registry):
                 for mark in result["marks"]
             ],
         )
-    if engine == "concurrent":
-        result = ConcurrentEngine(registry, parallelism=4).run(script, inputs={"inp": "x"})
-    else:
-        result = LocalEngine(registry).run(script, inputs={"inp": "x"})
+    result = LocalEngine(registry).run(script, inputs={"inp": "x"})
     return (
         result.status.value,
         result.outcome,
@@ -209,5 +205,5 @@ def run_on(engine, script, registry):
 )
 def test_a_bound_script_behaves_the_same_on_every_engine(case):
     script, registry, expected = parity_case(case)
-    for engine in ("local", "concurrent", "distributed"):
+    for engine in ("local", "distributed"):
         assert run_on(engine, script, registry) == expected, engine
