@@ -494,6 +494,15 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def positive_int(text: str) -> int:
+    """An option that counts something there must be at least one of: a
+    value below 1 is a usage error (exit 2), not a traceback further in."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="workflow scripting language tools"
@@ -582,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("name", choices=list(APPLICATIONS))
     sanitize.add_argument(
-        "--runs", type=int, default=5, metavar="N",
+        "--runs", type=positive_int, default=5, metavar="N",
         help="sanitized runs with the real implementations on the simulated "
         "distributed system, one per seed --seed .. --seed+N-1 (default: 5)",
     )
@@ -630,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         "execution service, worker pool) instead of the local engine",
     )
     demo.add_argument(
-        "--workers", type=int, default=3, metavar="N",
+        "--workers", type=positive_int, default=3, metavar="N",
         help="worker-node pool size for --distributed (default: 3)",
     )
     demo.add_argument(
@@ -695,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival-generation horizon in virtual seconds (default: 300)",
     )
     load.add_argument(
-        "--cohorts", type=int, default=3, metavar="N",
+        "--cohorts", type=positive_int, default=3, metavar="N",
         help="user cohorts cycling high/normal/low criticality (default: 3)",
     )
     load.add_argument(
@@ -717,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 120)",
     )
     load.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=positive_int, default=2, metavar="N",
         help="worker-node pool size (default: 2)",
     )
     load.add_argument(
@@ -726,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity that makes overload possible (default: 1)",
     )
     load.add_argument(
-        "--lanes", type=int, default=1, metavar="N",
+        "--lanes", type=positive_int, default=1, metavar="N",
         help="concurrent service lanes per worker (default: 1)",
     )
     load.add_argument(
@@ -735,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 16)",
     )
     load.add_argument(
-        "--window", type=int, default=16, metavar="N",
+        "--window", type=positive_int, default=16, metavar="N",
         help="initial admitted-concurrency window (default: 16); a window "
         "no run can fill is the no-admission-control ablation",
     )
@@ -767,9 +776,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=2, metavar="N",
         help="execution-service replicas for the failover pass (default: 2)",
     )
-    chaos.add_argument("--workers", type=int, default=2, metavar="N")
+    chaos.add_argument("--workers", type=positive_int, default=2, metavar="N")
     chaos.add_argument(
-        "--instances", type=int, default=1, metavar="N",
+        "--instances", type=positive_int, default=1, metavar="N",
         help="concurrent workflow instances per run (default: 1)",
     )
     chaos.add_argument(

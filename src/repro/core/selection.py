@@ -1,13 +1,15 @@
 """Input-dependency satisfaction: events, source matching, trackers.
 
 This module is the run-time meaning of §4.3's dataflow and notification
-dependencies, shared by both engines:
+dependencies:
 
 * Producers emit :class:`WorkflowEvent`\\ s into their *scope* (the enclosing
   compound): a terminal ``OUTCOME``/``ABORT``, an early ``MARK``, a
   ``REPEAT``, or an ``INPUT`` event recording that an input set was satisfied
   (other tasks may source objects "from an input to another task instance").
-* Consumers hold a :class:`TaskInputTracker`; every event is *offered* to it.
+* A consumer's readiness is what a :class:`TaskInputTracker` offered every
+  event of its scope says — the executable specification the engine's
+  compiled trackers (:mod:`repro.engine.plan`) are held to.
   An input object binding keeps the **first alternative in its declared list**
   among those available (§4.3: order is significant); a notification binding
   is satisfied by any alternative; an input set is satisfied when all its
@@ -66,14 +68,14 @@ def event_kind_for(kind: OutputKind) -> EventKind:
 
 
 class HotpathStats:
-    """Counters for the event hot path, shared by both tracker families.
+    """Counters for the event hot path.
 
     ``publishes`` counts events entering scopes; ``source_evals`` counts
-    individual source-alternative examinations (each :func:`source_matches`
-    call here, each candidate examined by the compiled
-    :class:`~repro.engine.plan.PlanTracker`).  ``source_evals / publishes``
-    is therefore the per-publish readiness re-evaluation cost the plan
-    compiler exists to shrink.  They instrument benchmarks, not semantics.
+    individual source-alternative examinations: each candidate the engine's
+    compiled :class:`~repro.engine.plan.PlanTracker` examines, and each
+    :func:`source_matches` call the specification trackers below make.
+    ``source_evals / publishes`` is therefore the per-publish readiness
+    re-evaluation cost.  They instrument benchmarks, not semantics.
     """
 
     __slots__ = ("publishes", "source_evals")

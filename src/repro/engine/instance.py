@@ -3,7 +3,8 @@
 This module turns a validated :class:`~repro.core.schema.Script` into a tree
 of live task instances and drives all engine-independent semantics:
 
-* input satisfaction and deterministic selection (via ``core.selection``),
+* input satisfaction and deterministic selection (``engine.plan``'s
+  compiled trackers, held to the ``core.selection`` specification),
 * the Fig. 3 life-cycle (via ``core.states``),
 * event propagation through nested compound scopes,
 * compound output mapping, including mark, repeat and abort outputs,
@@ -27,27 +28,21 @@ from typing import (
     NamedTuple,
     Optional,
     Tuple,
-    Union,
 )
 
 from ..core.errors import ExecutionError, ReconfigurationError
 from ..core.schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
-    InputSetBinding,
-    NotificationBinding,
     OutputKind,
     Script,
     TaskClass,
-    TaskDecl,
 )
 from ..core.selection import (
     HOTPATH_STATS,
     EventKind,
     Scope,
-    TaskInputTracker,
     WorkflowEvent,
-    event_kind_for,
 )
 from ..core.states import TaskState, TaskStateMachine
 from ..core.values import ObjectRef
@@ -65,7 +60,6 @@ from .plan import (
     compile_scope,
     dispatch_template,
     root_scope_vocabulary,
-    watch_binding,
 )
 
 
@@ -87,13 +81,11 @@ class TaskNode:
         self.tree = tree
         self.machine = TaskStateMachine(path, taskclass)
         self.outer_scope: Scope = parent.inner_scope if parent else tree.root_scope
-        # compiled input table and dispatch template (plan mode); assigned,
-        # with the tracker over the table, by the enclosing scope's plan
+        # compiled input table and dispatch template; assigned, with the
+        # tracker over the table, by the enclosing scope's plan
         # (re)compilation (or the tree, for the root node)
         self.plan_table: Optional[TaskTable] = None
         self.template: Optional[DispatchTemplate] = None
-        if not tree.use_plan:
-            self.tracker = self._new_tracker()
         self.alive = True
         self.queued = False
         self.attempt = 0           # system-retry counter
@@ -120,34 +112,11 @@ class TaskNode:
 
     # -- input tracking ------------------------------------------------------------
 
-    def interests(self) -> set:
-        """Producer names this node's input bindings can ever match — used
-        by the tree's event-routing index so an event is only offered to
-        nodes that might consume it."""
-        names = set()
-        for binding in self.decl.input_sets:
-            for obj in binding.objects:
-                for source in obj.sources:
-                    names.add(source.task_name)
-            for notif in binding.notifications:
-                for source in notif.sources:
-                    names.add(source.task_name)
-        return names
-
-    def _new_tracker(self) -> Union[TaskInputTracker, PlanTracker]:
-        if self.tree.use_plan and self.plan_table is not None:
-            return PlanTracker(self.plan_table)
-        bindings = self.decl.input_sets
-        if not bindings and not self.taskclass.input_sets:
-            # A task class without input sets starts unconditionally once its
-            # enclosing compound is executing.
-            bindings = (InputSetBinding(""),)
-        return TaskInputTracker(bindings)
-
     def reset_inputs(self) -> None:
-        """Rebuild the tracker and replay the scope history into it (used
-        after repeat outcomes, system retries and reconfiguration)."""
-        self.tracker = self._new_tracker()
+        """A fresh tracker over the node's compiled table, replayed from the
+        scope history (at install, and after repeat outcomes, system retries
+        and reconfiguration)."""
+        self.tracker = PlanTracker(self.plan_table)
         self.outer_scope.replay_into(self.tracker)
 
     def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
@@ -189,17 +158,17 @@ class CompoundNode(TaskNode):
         super().__init__(decl, taskclass, path, parent, tree)
         self.children: List[TaskNode] = []
         self._by_name: Dict[str, TaskNode] = {}
-        self.output_watchers: List[Union[TaskInputTracker, PlanTracker]] = []
+        self.output_watchers: List[PlanTracker] = []
         # set whenever the watchers are (re)installed: an output satisfied
         # at install time (a mapping with no sources, or one the replayed
         # history fills) is due without any offer changing it, so the next
         # look scans them all
         self.watchers_installed = True
         self.emitted_outputs: set = set()
-        # plan mode: firing tables for this compound's inner scope, over
-        # positions in ``children`` / ``output_watchers``
+        # firing tables for this compound's inner scope, over positions in
+        # ``children`` / ``output_watchers``
         self.plan_routing: Mapping[EventKey, Tuple[int, ...]] = {}
-        self.watcher_routing: Optional[Mapping[EventKey, Tuple[int, ...]]] = None
+        self.watcher_routing: Mapping[EventKey, Tuple[int, ...]] = {}
         self._build_inside()
 
     @property
@@ -211,24 +180,8 @@ class CompoundNode(TaskNode):
         self.children = [
             self.tree._make_node(child, self) for child in self.compound_decl.tasks
         ]
-        if not self.tree.use_plan:
-            self._rebuild_watchers()
         self.emitted_outputs = set()
-        self._rebuild_routing()
-
-    def _rebuild_routing(self) -> None:
-        """Index constituents by name, and by the events they listen to, so
-        pump() offers each event only where it can matter (E13 hot path).
-        Runs whenever ``children`` changes."""
-        self._by_name = {child.decl.name: child for child in self.children}
-        if self.tree.use_plan:
-            self._recompile_plan()
-            return
-        index: Dict[str, List[TaskNode]] = {}
-        for child in self.children:
-            for producer in child.interests():
-                index.setdefault(producer, []).append(child)
-        self.routing = index
+        self._recompile_plan()
 
     # -- plan compilation (incrementalized hot path) -------------------------
 
@@ -249,11 +202,13 @@ class CompoundNode(TaskNode):
         )
 
     def _recompile_plan(self) -> None:
-        """(Re)install every child's input table, this scope's firing table
-        and the output-watcher tables.  Safe to call on a live scope: WAIT
-        children get a fresh tracker replayed from the scope history, which
-        is observably identical to the tracker state they already held (a
-        tracker is a pure fold of its scope's event history)."""
+        """Index the constituents by name and (re)install every child's
+        input table, this scope's firing table and the output watchers, each
+        replayed from the scope history (emitted outputs stay emitted).  Runs
+        whenever ``children`` changes, and is safe on a live scope: a
+        tracker is a pure fold of its scope's history, so a WAIT child's
+        fresh one holds the state the old one did."""
+        self._by_name = {child.decl.name: child for child in self.children}
         scope = self._scope_plan()
         self.plan_routing = scope.routing
         for child, table, template in zip(self.children, scope.tables, scope.templates):
@@ -263,21 +218,7 @@ class CompoundNode(TaskNode):
                 child.reset_inputs()
                 self.tree._enqueue_if_ready(child)
         self.watcher_routing = scope.watch_routing
-        self._install_watchers([PlanTracker(t) for t in scope.watch_tables])
-
-    def _rebuild_watchers(self) -> None:
-        """Interpretive mode's output watchers (plan mode installs its own
-        with the rest of the scope, in ``_recompile_plan``)."""
-        self._install_watchers(
-            [TaskInputTracker([watch_binding(b)]) for b in self.compound_decl.outputs]
-        )
-
-    def _install_watchers(
-        self, watchers: List[Union[TaskInputTracker, PlanTracker]]
-    ) -> None:
-        """Fresh output watchers, replayed from the inner scope; emitted
-        outputs stay emitted."""
-        self.output_watchers = watchers
+        self.output_watchers = watchers = [PlanTracker(t) for t in scope.watch_tables]
         self.watchers_installed = True
         for event in self.inner_scope.events:
             for watcher in watchers:
@@ -346,7 +287,6 @@ class InstanceTree:
         now: Callable[[], float] = lambda: 0.0,
         default_retries: int = 3,
         max_repeats: int = 1000,
-        use_plan: bool = True,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         if root_task not in script.tasks:
@@ -356,19 +296,12 @@ class InstanceTree:
         self.now = now
         self.default_retries = default_retries
         self.max_repeats = max_repeats
-        # plan mode (default): route events and track input satisfaction via
-        # compiled firing tables/bitmasks; False falls back to the
-        # interpretive trackers (kept for differential testing)
-        self.use_plan = bool(use_plan)
         # the script's compiled plan, shared read-only with every other tree
         # of the script; usable only for the script and root it was compiled
         # from, and dropped for good at the first reconfiguration
         self.plan = (
             plan
-            if plan is not None
-            and self.use_plan
-            and plan.script is script
-            and root_task in plan.root_tasks
+            if plan is not None and plan.script is script and root_task in plan.root_tasks
             else None
         )
         self.root_scope = Scope("")
@@ -381,8 +314,7 @@ class InstanceTree:
         self._pending: Deque[Tuple[Scope, str, WorkflowEvent]] = deque()
         self.nodes_created = 0
         self.root = self._make_node(script.tasks[root_task], None)
-        if self.use_plan:
-            self._compile_root_plan()
+        self._compile_root_plan()
 
     # -- tree construction ------------------------------------------------------------
 
@@ -525,27 +457,17 @@ class InstanceTree:
             scope, _producer, event = self._pending.popleft()
             owner = scope.owner_node
             if owner is not None:
-                if self.use_plan:
-                    # compiled firing table: touch only consumers with a slot
-                    # this exact (producer, kind, name) event can advance;
-                    # consumers are in child-declaration order, the same
-                    # order the interpretive index offers in (skipped ones
-                    # would have been no-op offers)
-                    key = (event.producer, event.kind, event.name)
-                    children = owner.children
-                    for position in owner.plan_routing.get(key, ()):
-                        child = children[position]
-                        if child.alive and child.machine.state is TaskState.WAIT:
-                            child.tracker.offer(event)
-                            self._enqueue_if_ready(child)
-                else:
-                    # inner-scope event: offer to interested constituents and
-                    # the owner's output watchers (routing index keeps this
-                    # sparse)
-                    for child in list(owner.routing.get(event.producer, ())):
-                        if child.alive and child.machine.state is TaskState.WAIT:
-                            child.tracker.offer(event)
-                            self._enqueue_if_ready(child)
+                # compiled firing table: touch only consumers with a slot this
+                # exact (producer, kind, name) event can advance, in
+                # child-declaration order; for any other consumer the offer
+                # would change nothing
+                key = (event.producer, event.kind, event.name)
+                children = owner.children
+                for position in owner.plan_routing.get(key, ()):
+                    child = children[position]
+                    if child.alive and child.machine.state is TaskState.WAIT:
+                        child.tracker.offer(event)
+                        self._enqueue_if_ready(child)
                 self._evaluate_outputs(owner, event)
             else:
                 # root scope: only the root listens (self-references included)
@@ -731,17 +653,12 @@ class InstanceTree:
         # installed since — the compound's own start is the first event then.
         changed = compound.watchers_installed
         watchers = compound.output_watchers
-        if self.use_plan and compound.watcher_routing is not None:
-            # firing table for the output mappings: only watchers with a slot
-            # fed by this exact event are touched
-            key = (event.producer, event.kind, event.name)
-            for position in compound.watcher_routing.get(key, ()):
-                if watchers[position].offer(event):
-                    changed = True
-        else:
-            for watcher in watchers:
-                if watcher.offer(event):
-                    changed = True
+        # firing table for the output mappings: only watchers with a slot fed
+        # by this exact event are touched
+        key = (event.producer, event.kind, event.name)
+        for position in compound.watcher_routing.get(key, ()):
+            if watchers[position].offer(event):
+                changed = True
         if not changed:
             return
         compound.watchers_installed = False  # a repeat below installs anew
@@ -843,16 +760,15 @@ class InstanceTree:
             (-node.priority(), arrival, node) for _, arrival, node in self._ready
         ]
         heapify(self._ready)
-        if self.use_plan:
-            # Recompile every live scope: a decl change anywhere can alter
-            # the event vocabulary siblings were compiled against (e.g. a
-            # compound's output mappings feed its siblings' firing
-            # tables).  Scope histories are folded into the vocabulary,
-            # so replayed trackers cannot lose past matches.
-            self._compile_root_plan()
-            for node in self.walk():
-                if isinstance(node, CompoundNode) and node.alive:
-                    node._recompile_plan()
+        # Recompile every live scope: a decl change anywhere can alter the
+        # event vocabulary siblings were compiled against (e.g. a compound's
+        # output mappings feed its siblings' firing tables).  Scope histories
+        # are folded into the vocabulary, so replayed trackers and watchers
+        # cannot lose past matches.
+        self._compile_root_plan()
+        for node in self.walk():
+            if isinstance(node, CompoundNode) and node.alive:
+                node._recompile_plan()
         self._pump()
 
     def _plan_reconfigure(
@@ -872,7 +788,7 @@ class InstanceTree:
             n.decl = d
             if ic:
                 if isinstance(n.parent, CompoundNode):
-                    n.parent._rebuild_routing()
+                    n.parent._recompile_plan()
                 if n.machine.state is TaskState.WAIT:
                     n.reset_inputs()
                     self._enqueue_if_ready(n)
@@ -897,7 +813,7 @@ class InstanceTree:
                     if victim is not None:
                         victim.deactivate()
                         c.children.remove(victim)
-                        c._rebuild_routing()
+                        c._recompile_plan()
 
                 plan.append(drop)
             for child in node.children:
@@ -910,17 +826,7 @@ class InstanceTree:
                 def grow(c: CompoundNode = node, d: AnyTaskDecl = added) -> None:
                     fresh = self._make_node(d, c)
                     c.children.append(fresh)
-                    c._rebuild_routing()
-                    c.inner_scope.replay_into(fresh.tracker)
-                    self._enqueue_if_ready(fresh)
+                    # replays the scope history into fresh, queues it if ready
+                    c._recompile_plan()
 
                 plan.append(grow)
-            if not self.use_plan and new_decl.outputs != node.compound_decl.outputs:
-                # (plan mode recompiles every live scope, watchers included,
-                # once all actions have run)
-
-                def rewatch(c: CompoundNode = node) -> None:
-                    # c.decl is already the new decl (update_decl ran first)
-                    c._rebuild_watchers()
-
-                plan.append(rewatch)

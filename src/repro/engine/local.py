@@ -45,7 +45,6 @@ class LocalWorkflow:
         default_retries: int = 3,
         max_repeats: int = 1000,
         max_steps: int = 100_000,
-        use_plan: bool = True,
         plan: Optional[ExecutionPlan] = None,
         sanitizer=None,
     ) -> None:
@@ -57,7 +56,6 @@ class LocalWorkflow:
             root_task,
             default_retries=default_retries,
             max_repeats=max_repeats,
-            use_plan=use_plan,
             plan=plan,
         )
         if sanitizer is not None:
@@ -189,14 +187,12 @@ class LocalEngine:
         default_retries: int = 3,
         max_repeats: int = 1000,
         max_steps: int = 100_000,
-        use_plan: bool = True,
         sanitizer=None,
     ) -> None:
         self.registry = registry or ImplementationRegistry()
         self.default_retries = default_retries
         self.max_repeats = max_repeats
         self.max_steps = max_steps
-        self.use_plan = use_plan
         self.sanitizer = sanitizer
 
     def workflow(
@@ -218,7 +214,6 @@ class LocalEngine:
             default_retries=self.default_retries,
             max_repeats=self.max_repeats,
             max_steps=self.max_steps,
-            use_plan=self.use_plan,
             sanitizer=self.sanitizer,
         )
 

@@ -1,11 +1,12 @@
 """Plan compilation: dense incremental execution structures for the engine.
 
-The interpretive hot path re-derives everything from the declaration graph
-on every published event: each event is offered to every interested
-constituent, and each offer re-scans the full alternative-source lists of
-every input binding (``core.selection``).  Correct, but O(scope) work per
-publish.  Following the DistAlgo incrementalization playbook ("From Clarity
-to Efficiency for Distributed Algorithms"), this module compiles a parsed
+Read literally, §3/§4.3 re-derive readiness from the declaration graph on
+every published event: each event is offered to every constituent, and
+each offer walks the full alternative-source lists of every input binding.
+:class:`~repro.core.selection.TaskInputTracker` is that reading, kept as the
+executable specification; it costs O(scope) work per publish.  Following
+the DistAlgo incrementalization playbook ("From Clarity to Efficiency for
+Distributed Algorithms"), this module compiles a parsed
 :class:`~repro.core.schema.Script` once into:
 
 * **integer task ids** — every task instance in the tree gets a dense id;
@@ -17,29 +18,34 @@ to Efficiency for Distributed Algorithms"), this module compiles a parsed
   consumer slots it can advance, with the source-alternative indices
   preserved so §4.3's earliest-listed-alternative rule still applies.
 
-:class:`PlanTracker` is the drop-in runtime replacement for
-:class:`~repro.core.selection.TaskInputTracker`: ``offer`` is a single dict
-lookup plus work proportional to the slots the event actually feeds.
+:class:`PlanTracker` is the engine's only tracker: ``offer`` is a single
+dict lookup plus work proportional to the slots the event actually feeds.
 :class:`~repro.engine.instance.InstanceTree` consults the same tables to
 route events only to affected nodes (``_pump``) and to skip output watchers
 an event cannot satisfy.
 
-Equivalence guarantee
----------------------
+Meeting the specification
+-------------------------
 
-The compiled path is *observably identical* to the interpretive path — same
-events, same order, same chosen input sets and values — because:
+Every compiled tracker gives the ``ready()`` that a ``TaskInputTracker`` over
+the same bindings, offered the scope's whole history, gives — the same
+chosen input set and the same values in the same order — because:
 
 * the static vocabulary over-approximates the events a producer can publish
-  (declared outputs plus declared/bound input sets), and every runtime
-  event's object keys are a subset of the statically recorded ones, so a
-  source is pruned from the firing table only when it could never match;
+  (declared outputs plus declared/bound input sets), widened by the events
+  a live scope has actually carried (:func:`augment_vocabulary`), and every
+  runtime event's object keys are a subset of the recorded ones, so a source
+  is pruned from the firing table only when it could never match;
 * within a slot, candidates fire in declared source order with the same
   earliest-alternative/refresh semantics as
   :class:`~repro.core.selection.InputObjectTracker`;
-* consumers are visited in child-declaration order, exactly the order the
-  interpretive routing index offers events in; consumers skipped by the
-  firing table would have been no-op offers.
+* a consumer the firing table skips is one for which the specification's
+  offer would change nothing.
+
+``tests/test_plan_specification.py`` holds every live tracker and output
+watcher to that statement after every step or event, on generated,
+adversarial, paper and reconfigured instances and on the execution
+service's replayed trees.
 
 The liveness fixpoint (:func:`repro.analysis.liveness.check_liveness`) is
 reused to *annotate* firing entries as statically live or dead in the plan
@@ -240,8 +246,8 @@ class SetPlan:
 
     name: str
     mask: int
-    # (object binding name, slot index) in declaration order — dict insertion
-    # order of the chosen values must match the interpretive tracker's
+    # (object binding name, slot index) in declaration order — the insertion
+    # order of TaskInputTracker's chosen values, which the specification fixes
     layout: Tuple[Tuple[str, int], ...]
 
 
@@ -266,9 +272,9 @@ class TaskTable:
 def effective_input_sets(
     decl: AnyTaskDecl, taskclass: TaskClass
 ) -> Tuple[InputSetBinding, ...]:
-    """The bindings a node's tracker is actually built from (mirror of
-    ``TaskNode._new_tracker``): a class without input sets starts
-    unconditionally via the anonymous always-satisfied set."""
+    """The bindings a node's tracker is built from: a class without input
+    sets starts unconditionally once its enclosing compound is executing,
+    via the anonymous always-satisfied set."""
     bindings = tuple(decl.input_sets)
     if not bindings and not taskclass.input_sets:
         return (InputSetBinding(""),)
@@ -443,15 +449,16 @@ def compile_scope(
 
 
 class PlanTracker:
-    """Drop-in replacement for :class:`~repro.core.selection.TaskInputTracker`
+    """The input tracker of one task instance (or one output watcher),
     driven by a compiled :class:`TaskTable`.
 
     ``offer`` does one dict lookup and then touches only the slots the event
-    can actually advance; satisfaction is a bitmask compare.  Semantics match
-    the interpretive trackers exactly: earliest-listed source alternative
-    wins (a refresh of the current best replaces the value), notifications
-    latch on first match, and ``ready`` returns the first declared satisfied
-    set with values laid out in declaration order.
+    can actually advance; satisfaction is a bitmask compare.  Its
+    specification is :class:`~repro.core.selection.TaskInputTracker` over the
+    same bindings: earliest-listed source alternative wins (a refresh of the
+    current best replaces the value), notifications latch on first match,
+    and ``ready`` returns the first declared satisfied set with values laid
+    out in declaration order.
     """
 
     __slots__ = ("table", "mask", "values", "best")

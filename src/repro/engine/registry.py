@@ -44,16 +44,16 @@ class ScriptBinding:
         """Run the script as ``ctx``'s task body: the sub-root's marks are
         released through ``ctx.mark`` and its outcome or abort outcome
         becomes the output *of the calling task's class* that bears the same
-        name.  Under an in-process workflow the sub-run uses that workflow's
-        evaluator and what is left of its step budget, and is charged to it,
-        so nested bindings share one budget instead of multiplying it."""
+        name.  Under an in-process workflow the sub-run gets what is left of
+        that workflow's step budget, and is charged to it, so nested
+        bindings share one budget instead of multiplying it."""
         from .local import LocalWorkflow  # local.py imports this module
 
         host = ctx.workflow
         options = {}
         if host is not None:
             # with nothing left the sub-run fails at its first step: a task failure
-            options = {"max_steps": host.max_steps - host.steps, "use_plan": host.tree.use_plan}
+            options = {"max_steps": host.max_steps - host.steps}
         sub = LocalWorkflow(self.script, self.task_name, ctx.registry, **options)
         try:
             sub.start(ctx.inputs, ctx.input_set)

@@ -5,18 +5,21 @@ event's offer changed a watcher, or the watchers were installed since the
 last look (the compound's own start, a repeat's fresh inner world, a
 reconfiguration).  These are the outputs such a gate could miss — due with
 no offer changing anything, or two due from one event, or due again after
-a repeat — each run on the plan path and the interpretive path, gated and
-with the gate held open (a look at every inner event, as before the gate):
-all four logs must be identical, and must say what the script means.
+a repeat — each run on a tree that compiles its own scopes and on one built
+on the script's shared plan, gated and with the gate held open (a look at
+every inner event, as before the gate), every tracker and watcher checked
+against the specification: all four logs must be identical, and must say
+what the script means.
 """
 
 import pytest
 
-from repro.engine import ImplementationRegistry, LocalEngine, outcome
+from repro.engine import ImplementationRegistry, outcome
 from repro.engine.instance import CompoundNode
 from repro.lang import compile_script, parse
 
 from tests.test_plan_differential import canonical_log
+from tests.test_plan_specification import SpecificationCheck, checked_run
 
 
 def script(signature: str, outputs: str) -> str:
@@ -75,15 +78,18 @@ def every_look(monkeypatch):
 
 def run_four(monkeypatch, text, agains=0, validate=True):
     compiled = compile_script(text) if validate else parse(text)
+    check = SpecificationCheck()
 
-    def run(use_plan):
-        engine = LocalEngine(registry(agains), use_plan=use_plan, max_repeats=10)
-        return engine.run(compiled, "outer", inputs={"inp": "x"})
+    def run(shared_plan):
+        workload = (compiled, registry(agains), "outer", {"inp": "x"})
+        return checked_run(check, workload, shared_plan, max_repeats=10)
 
-    gated = [run(True), run(False)]
+    gated = [run(False), run(True)]
     with monkeypatch.context() as patch:
         every_look(patch)
-        open_gate = [run(True), run(False)]
+        open_gate = [run(False), run(True)]
+    # (an instance decided by its own start is never running and quiescent)
+    assert check.mismatches == []
     logs = [canonical_log(result.log) for result in gated + open_gate]
     assert all(log == logs[0] for log in logs[1:])
     for result in gated + open_gate[1:]:

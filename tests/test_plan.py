@@ -1,5 +1,7 @@
-"""Plan compilation: table layout, firing tables, runtime equivalence of the
-compiled (plan) and interpretive engine paths, and the ``repro plan`` dump."""
+"""Plan compilation: table layout, firing tables, runtime equivalence of a
+tree on the script's shared plan and one that compiles its own scopes, the
+compiled tracker against the specification tracker, and the ``repro plan``
+dump."""
 
 import json
 
@@ -13,7 +15,7 @@ from repro.core.selection import (
     WorkflowEvent,
 )
 from repro.core.values import ObjectRef
-from repro.engine import LocalEngine, compile_plan
+from repro.engine import LocalEngine, LocalWorkflow, compile_plan
 from repro.engine.plan import (
     PlanTracker,
     compile_bindings,
@@ -61,16 +63,25 @@ def fingerprint(result):
     )
 
 
+def shared_plan_run(script, registry, root, inputs):
+    """A local run on the script's shared plan, as the execution service
+    builds its trees (``LocalEngine`` compiles each tree's own scopes)."""
+    plan = compile_plan(script, root_task=root, analyze=False)
+    seeded = LocalWorkflow(script, root, registry, plan=plan)
+    seeded.start(inputs)
+    return seeded.run_to_completion()
+
+
 class TestSequentialByteIdentity:
     @pytest.mark.parametrize(
         "module,inputs", PAPER, ids=["order", "trip", "service-impact"]
     )
     def test_paper_workloads_byte_identical(self, module, inputs):
         script, registry = module.build(), module.default_registry()
-        plan_run = LocalEngine(registry, use_plan=True).run(script, inputs=inputs)
-        interp_run = LocalEngine(registry, use_plan=False).run(script, inputs=inputs)
-        assert canonical_log(plan_run.log) == canonical_log(interp_run.log)
-        assert plan_run.stats["steps"] == interp_run.stats["steps"]
+        shared_run = shared_plan_run(script, registry, module.ROOT_TASK, inputs)
+        compiled_run = LocalEngine(registry).run(script, inputs=inputs)
+        assert canonical_log(shared_run.log) == canonical_log(compiled_run.log)
+        assert shared_run.stats["steps"] == compiled_run.stats["steps"]
 
     @pytest.mark.parametrize(
         "workload",
@@ -79,21 +90,15 @@ class TestSequentialByteIdentity:
     )
     def test_generated_workloads_byte_identical(self, workload):
         script, registry, root, inputs = workload
-        plan_run = LocalEngine(registry, use_plan=True).run(script, root, inputs=inputs)
-        interp_run = LocalEngine(registry, use_plan=False).run(script, root, inputs=inputs)
-        assert canonical_log(plan_run.log) == canonical_log(interp_run.log)
+        shared_run = shared_plan_run(script, registry, root, inputs)
+        compiled_run = LocalEngine(registry).run(script, root, inputs=inputs)
+        assert canonical_log(shared_run.log) == canonical_log(compiled_run.log)
 
     def test_seeded_plan_byte_identical(self):
         """A precompiled ExecutionPlan passed as a table cache changes nothing."""
-        from repro.engine.instance import InstanceTree
-        from repro.engine.local import LocalWorkflow
-
         script, registry, root, inputs = generators.fan(6)
-        plan = compile_plan(script, root_task=root, analyze=False)
-        seeded = LocalWorkflow(script, root, registry, plan=plan)
-        seeded.start(inputs)
-        seeded_result = seeded.run_to_completion()
-        plain = LocalEngine(registry, use_plan=False).run(script, root, inputs=inputs)
+        seeded_result = shared_plan_run(script, registry, root, inputs)
+        plain = LocalEngine(registry).run(script, root, inputs=inputs)
         assert canonical_log(seeded_result.log) == canonical_log(plain.log)
 
 
@@ -104,15 +109,13 @@ class TestConcurrentEquivalence:
     def test_paper_workloads_same_fingerprint(self, module, inputs):
         """The distributed system runs plans with tasks in flight together
         on worker nodes; its log may interleave, but the semantics (outcome,
-        objects, marks) must match the interpretive path's."""
+        objects, marks) must match the local engine's."""
         script = module.build()
         _, _, plan_run = run_distributed(
             script, module.default_registry(), inputs=inputs, workers=3
         )
-        interp_run = LocalEngine(module.default_registry(), use_plan=False).run(
-            script, inputs=inputs
-        )
-        assert distributed_fingerprint(plan_run) == plain_fingerprint(interp_run)
+        local_run = LocalEngine(module.default_registry()).run(script, inputs=inputs)
+        assert distributed_fingerprint(plan_run) == plain_fingerprint(local_run)
 
 
 class TestTableLayout:
@@ -181,7 +184,7 @@ class TestTableLayout:
 
 class TestPlanTrackerSemantics:
     def _compiled_pair(self):
-        """The same bindings as an interpretive tracker and a PlanTracker."""
+        """The same bindings as the specification tracker and a PlanTracker."""
         script, _, root, _ = generators.fan(3)
         decl = script.tasks[root]
         taskclass = script.taskclass_of(decl)
@@ -200,7 +203,7 @@ class TestPlanTrackerSemantics:
         return WorkflowEvent(producer, EventKind.OUTCOME, name, refs, seq)
 
     def test_same_fold_as_interpretive(self):
-        interp, plan = self._compiled_pair()
+        spec, plan = self._compiled_pair()
         events = [
             self._event("w2", seq=1),
             self._event("w1", seq=2, out="first"),
@@ -208,9 +211,9 @@ class TestPlanTrackerSemantics:
             self._event("w1", seq=4, out="refreshed"),  # refresh of current best
         ]
         for event in events:
-            assert interp.offer(event) == plan.offer(event)
-            assert (interp.ready() is None) == (plan.ready() is None)
-        assert interp.ready() == plan.ready()
+            assert spec.offer(event) == plan.offer(event)
+            assert (spec.ready() is None) == (plan.ready() is None)
+        assert spec.ready() == plan.ready()
         name, values = plan.ready()
         assert name == "main"
         assert values["inp"].value == "refreshed"

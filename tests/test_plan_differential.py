@@ -1,5 +1,9 @@
-"""Differential property tests: the compiled-plan engine path must produce a
-byte-identical event log to the interpretive path on every compilable script.
+"""Differential property tests of the compiled plan's two routes, each held
+to the specification: a tree on the script's shared plan (how the execution
+service builds one) and a tree that compiles its own scopes (how the local
+engine does) must log byte-identical events, and every compiled tracker of
+both must meet ``TaskInputTracker`` after every step
+(``tests/test_plan_specification.py``).
 
 Two script families drive the comparison: random DAGs from the workload
 generators (structural diversity: fan-in alternatives, notification edges,
@@ -9,9 +13,9 @@ retries — the paths where trackers are reset and replayed)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import LocalEngine
 from repro.workloads import generators
 
+from tests.test_plan_specification import SpecificationCheck, checked_run
 from tests.test_properties_engine import adversarial_script, behaviours, make_registry
 
 settings.register_profile("repro-plan-diff", deadline=None)
@@ -38,33 +42,32 @@ def canonical_log(log):
     ]
 
 
-def run_both(script, registry, root, inputs):
-    plan_run = LocalEngine(registry, use_plan=True, max_repeats=10, max_steps=5_000).run(
-        script, root, inputs=inputs
+def run_both(workload):
+    check = SpecificationCheck()
+    shared_run, compiled_run = (
+        checked_run(check, workload, shared_plan, max_repeats=10, max_steps=5_000)
+        for shared_plan in (True, False)
     )
-    interp_run = LocalEngine(
-        registry, use_plan=False, max_repeats=10, max_steps=5_000
-    ).run(script, root, inputs=inputs)
-    return plan_run, interp_run
+    check.verify()
+    return shared_run, compiled_run
 
 
 @given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 1_000))
 def test_random_dags_byte_identical(n, max_deps, seed):
-    script, registry, root, inputs = generators.random_dag(n, max_deps=max_deps, seed=seed)
-    plan_run, interp_run = run_both(script, registry, root, inputs)
-    assert canonical_log(plan_run.log) == canonical_log(interp_run.log)
-    assert plan_run.status == interp_run.status
-    assert plan_run.outcome == interp_run.outcome
+    shared_run, compiled_run = run_both(generators.random_dag(n, max_deps=max_deps, seed=seed))
+    assert canonical_log(shared_run.log) == canonical_log(compiled_run.log)
+    assert shared_run.status == compiled_run.status
+    assert shared_run.outcome == compiled_run.outcome
 
 
 @given(st.integers(1, 5), st.lists(behaviours, min_size=1, max_size=5))
 def test_adversarial_chains_byte_identical(n, plans):
-    """Aborts, repeats and crashes exercise tracker reset/replay; the plan
-    path must fold the identical history to the identical state."""
-    script = adversarial_script(n)
-    registry = make_registry(n, plans)
-    plan_run, interp_run = run_both(script, registry, None, {"inp": "s"})
-    assert canonical_log(plan_run.log) == canonical_log(interp_run.log)
-    assert plan_run.status == interp_run.status
-    assert plan_run.outcome == interp_run.outcome
-    assert plan_run.stats["steps"] == interp_run.stats["steps"]
+    """Aborts, repeats and crashes exercise tracker reset/replay; both routes
+    must fold the identical history to the identical state."""
+    shared_run, compiled_run = run_both(
+        (adversarial_script(n), make_registry(n, plans), "wf", {"inp": "s"})
+    )
+    assert canonical_log(shared_run.log) == canonical_log(compiled_run.log)
+    assert shared_run.status == compiled_run.status
+    assert shared_run.outcome == compiled_run.outcome
+    assert shared_run.stats["steps"] == compiled_run.stats["steps"]

@@ -18,21 +18,20 @@ from repro.engine.registry import ImplementationRegistry
 from repro.workloads import generators
 
 
-def fan_workflow(width, use_plan=True):
+def fan_workflow(width):
     script, registry, root, inputs = generators.fan(width)
-    wf = LocalWorkflow(script, root, registry, use_plan=use_plan)
+    wf = LocalWorkflow(script, root, registry)
     wf.start(inputs)
     assert wf.step()  # run the source; all width workers become ready
     return wf
 
 
 class TestTakeReadyIsIterative:
-    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "interpretive"])
-    def test_wide_fanout_of_stale_nodes(self, use_plan):
+    def test_wide_fanout_of_stale_nodes(self):
         """Abort the root while ~2000 workers sit in the ready queue: every
         queued node is stale, and take_ready must skip them all in one call
         without growing the stack per node."""
-        wf = fan_workflow(2000, use_plan=use_plan)
+        wf = fan_workflow(2000)
         assert len(wf.tree.peek_ready()) == 2000
         wf.tree.node_at("fan").deactivate()
         limit = sys.getrecursionlimit()

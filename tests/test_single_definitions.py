@@ -1,7 +1,8 @@
 """AST tripwires: what a crash does to a store, the shape of the execution
 tier and the terminal statuses are each written down in one file under
-``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``), and
-concurrency is tasks on worker nodes, never threads in one process."""
+``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``),
+concurrency is tasks on worker nodes, never threads in one process, and the
+compiled plan is the one evaluator."""
 
 import ast
 import pathlib
@@ -81,3 +82,34 @@ def test_no_module_starts_a_thread():
                 or name.startswith("concurrent.futures") or name == "concurrent"
             ]
     assert threaded == []
+
+
+
+def identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            yield node.arg
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_evaluator_mode_is_left():
+    """The compiled plan is the only evaluator: nothing selects another."""
+    assert [rel for rel, tree in sources() if "use_plan" in set(identifiers(tree))] == []
+
+
+def test_no_engine_or_service_runs_a_specification_tracker():
+    """The trackers of ``core/selection.py`` specify readiness; the engine
+    runs ``PlanTracker``s held to them (``tests/test_plan_specification.py``)."""
+    spec = {"TaskInputTracker", "InputSetTracker", "InputObjectTracker", "NotificationTracker"}
+    found = [
+        (rel, name)
+        for rel, tree in sources()
+        if rel.startswith(("engine/", "services/"))
+        for name in sorted(spec & set(identifiers(tree)))
+    ]
+    assert found == []

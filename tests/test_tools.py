@@ -127,3 +127,38 @@ class TestCli:
         assert main(["demo", demo]) == 0
         out = capsys.readouterr().out
         assert "outcome:" in out
+
+    def test_load_rejects_a_zero_window(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["load", "--window", "0"])
+        assert exit_info.value.code == 2
+        assert "--window: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_distributed_demo_rejects_zero_workers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "order", "--distributed", "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_sanitize_rejects_zero_runs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sanitize", "order", "--runs", "0"])
+        assert exit_info.value.code == 2
+        assert "--runs: must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["load", "--workers", "0"],
+            ["load", "--lanes", "-1"],
+            ["load", "--cohorts", "0"],
+            ["chaos-sweep", "--workers", "0"],
+            ["chaos-sweep", "--instances", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_other_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
