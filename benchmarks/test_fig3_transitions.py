@@ -127,11 +127,11 @@ def test_fig3_transition_throughput(benchmark):
         return m
 
     m = benchmark(full_cycle)
-    assert m.terminal
+    assert m.terminal and (m.starts, m.repeats, m.outcome) == (2, 1, "Outcome1")
     report(
         "F3: Fig. 3 transitions",
-        ["path", "transitions"],
-        [("wait->exec->mark->repeat->exec->outcome", len(m.history))],
+        ["path", "starts", "repeats", "outcome"],
+        [("wait->exec->mark->repeat->exec->outcome", m.starts, m.repeats, m.outcome)],
     )
 
 

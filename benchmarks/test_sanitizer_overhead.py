@@ -5,16 +5,20 @@ Two claims backing ``docs/ANALYSIS.md``:
 * **disabled = free**: an unsanitized engine carries no hooks at all — the
   instance tree's ``_publish``/``_start_node`` are the pristine class
   methods, so the default path pays zero branches for the feature;
-* **enabled <= 1.7x the Python calls**: with vector clocks and the access
+* **enabled adds <= 5,900 Python calls**: with vector clocks and the access
   history threaded through every publish/start, one run of the fan-heavy
-  hotpath workload makes at most 1.7x the Python-level calls of a plain run
-  (10,434 vs 16,043 under pytest on 3.11, 1.538x).  Calls
-  repeat to the call where wall clocks spread: the gate used to be a 2.5x
-  wall-clock budget, which a shared host misses and meets by turns (2.47 to
-  2.59 here), so the wall ratio is still measured and printed, not asserted.
+  hotpath workload makes at most 5,900 Python-level calls more than a plain
+  run (7,516 plain vs 13,124 sanitized under pytest on 3.11.7: 5,608 added;
+  3.12 unverified).  The gate is the calls the sanitizer *adds*, not their
+  ratio to the plain run's: a cheaper plain run raises the ratio with the
+  sanitizer unchanged — 5,608 added calls were 1.621x of 9,035 plain calls
+  and are 1.746x of 7,516.  Calls repeat to the call where wall clocks
+  spread: the gate used to be a 2.5x wall-clock budget, which a shared host
+  misses and meets by turns (2.47 to 2.59), so the wall ratio is still
+  measured and printed, not asserted; so is the call ratio.
 
-Writes both ratios to ``BENCH_sanitizer.json`` (override with the
-``BENCH_SANITIZER`` environment variable).
+Writes the counts and both ratios to ``BENCH_sanitizer.json`` (override
+with the ``BENCH_SANITIZER`` environment variable).
 """
 
 import json
@@ -28,6 +32,8 @@ from repro.engine.instance import InstanceTree
 from repro.workloads import fan
 
 from .conftest import report
+
+ADDED_CALLS_BUDGET = 5_900
 
 
 def measure(sanitized, repeats=5):
@@ -79,13 +85,17 @@ def test_sanitizer_overhead_within_budget():
     ratio = sanitized_s / plain_s
     plain_calls = count_calls(sanitized=False)
     sanitized_calls = count_calls(sanitized=True)
+    added_calls = sanitized_calls - plain_calls
     call_ratio = sanitized_calls / plain_calls
     report(
         "sanitizer overhead on fan(64)",
-        ["mode", "python calls", "ratio (gated)", "best wall s", "ratio (printed)"],
+        ["mode", "python calls", "added (gated)", "call ratio", "best wall s", "wall ratio"],
         [
-            ("plain", plain_calls, "1.00", f"{plain_s:.4f}", "1.00"),
-            ("sanitized", sanitized_calls, f"{call_ratio:.3f}", f"{sanitized_s:.4f}", f"{ratio:.2f}"),
+            ("plain", plain_calls, 0, "1.00", f"{plain_s:.4f}", "1.00"),
+            (
+                "sanitized", sanitized_calls, added_calls, f"{call_ratio:.3f}",
+                f"{sanitized_s:.4f}", f"{ratio:.2f}",
+            ),
         ],
     )
     out = os.environ.get("BENCH_SANITIZER", "BENCH_sanitizer.json")
@@ -98,15 +108,16 @@ def test_sanitizer_overhead_within_budget():
                 "overhead_ratio": round(ratio, 3),
                 "plain_calls": plain_calls,
                 "sanitized_calls": sanitized_calls,
+                "added_calls": added_calls,
                 "call_ratio": round(call_ratio, 3),
-                "budget": 1.7,
+                "added_calls_budget": ADDED_CALLS_BUDGET,
             },
             fh,
             indent=2,
             sort_keys=True,
         )
     print(f"   wrote {out}")
-    assert call_ratio <= 1.7, (
-        f"a sanitized run makes {call_ratio:.3f}x the Python calls of a plain one "
-        f"({sanitized_calls} vs {plain_calls}); the budget is 1.7x"
+    assert added_calls <= ADDED_CALLS_BUDGET, (
+        f"a sanitized run makes {added_calls} Python calls more than a plain one "
+        f"({sanitized_calls} vs {plain_calls}); the budget is {ADDED_CALLS_BUDGET}"
     )

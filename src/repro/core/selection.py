@@ -44,7 +44,10 @@ from .schema import (
 from .values import ObjectRef
 
 
-class EventKind(enum.Enum):
+class EventKind(str, enum.Enum):
+    """A ``str`` mix-in: a member hashes as its value, in C (``Enum.__hash__``
+    is a Python call, and every firing-table key holds a kind)."""
+
     OUTCOME = "outcome"
     ABORT = "abort"
     MARK = "mark"

@@ -16,8 +16,7 @@ life-cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .errors import ExecutionError
 from .schema import OutputKind, TaskClass
@@ -34,21 +33,14 @@ class IllegalTransition(ExecutionError):
     """A transition not permitted by Fig. 3 was attempted."""
 
 
-@dataclass
-class TransitionRecord:
-    """One observed transition, for event logs and experiment assertions."""
-
-    from_state: TaskState
-    to_state: TaskState
-    label: str
-
-
 class TaskStateMachine:
     """Life-cycle driver for one task instance.
 
     The machine validates output names and kinds against the task class, so an
     implementation cannot terminate a task in an output its class does not
-    declare — the run-time half of the language's type checking.
+    declare — the run-time half of the language's type checking.  It keeps
+    no transition history: the instance's event log is the record of what a
+    task did.
     """
 
     def __init__(self, task_path: str, taskclass: TaskClass) -> None:
@@ -60,7 +52,6 @@ class TaskStateMachine:
         self.marks_emitted: List[str] = []
         self.repeats = 0
         self.starts = 0
-        self.history: List[TransitionRecord] = []
 
     # -- queries ------------------------------------------------------------------
 
@@ -77,38 +68,41 @@ class TaskStateMachine:
 
     def start(self) -> None:
         """WAIT -> EXECUTING (an input set was satisfied)."""
-        self._require(TaskState.WAIT, "start")
-        self._move(TaskState.EXECUTING, "start")
+        if self.state is not TaskState.WAIT:
+            self._refuse("start", TaskState.WAIT)
+        self.state = TaskState.EXECUTING
         self.starts += 1
 
     def mark(self, name: str) -> None:
         """Emit a mark output during execution.  Each mark may be produced
         once per execution (§4.2: "may be produced once")."""
-        self._require(TaskState.EXECUTING, f"mark {name!r}")
-        spec = self._output(name, OutputKind.MARK)
+        if self.state is not TaskState.EXECUTING:
+            self._refuse(f"mark {name!r}", TaskState.EXECUTING)
+        self._output(name, OutputKind.MARK)
         if name in self.marks_emitted:
             raise IllegalTransition(
                 f"{self.task_path}: mark {name!r} already produced this execution"
             )
         self.marked = True
         self.marks_emitted.append(name)
-        self.history.append(TransitionRecord(self.state, self.state, f"mark:{name}"))
 
     def repeat(self, name: str) -> None:
         """EXECUTING -> WAIT via a repeat outcome."""
-        self._require(TaskState.EXECUTING, f"repeat {name!r}")
+        if self.state is not TaskState.EXECUTING:
+            self._refuse(f"repeat {name!r}", TaskState.EXECUTING)
         self._output(name, OutputKind.REPEAT)
         self.repeats += 1
         self.marks_emitted = []   # a new execution may emit its marks again
         self.marked = False       # the next execution regains abort rights
-        self._move(TaskState.WAIT, f"repeat:{name}")
+        self.state = TaskState.WAIT
 
     def complete(self, name: str) -> None:
         """EXECUTING -> COMPLETED in a (non-abort) outcome."""
-        self._require(TaskState.EXECUTING, f"complete {name!r}")
+        if self.state is not TaskState.EXECUTING:
+            self._refuse(f"complete {name!r}", TaskState.EXECUTING)
         self._output(name, OutputKind.OUTCOME)
         self.outcome = name
-        self._move(TaskState.COMPLETED, f"outcome:{name}")
+        self.state = TaskState.COMPLETED
 
     def abort(self, name: str) -> None:
         """WAIT or EXECUTING -> ABORTED in an abort outcome.
@@ -124,19 +118,20 @@ class TaskStateMachine:
             )
         self._output(name, OutputKind.ABORT)
         self.outcome = name
-        self._move(TaskState.ABORTED, f"abort:{name}")
+        self.state = TaskState.ABORTED
 
     def system_retry(self) -> None:
         """EXECUTING -> WAIT silently: the execution environment re-runs a
         task that hit a *system-level* problem (server crash, transaction
         abort) without surfacing any output event (§3).  Forbidden once a
         mark has been released."""
-        self._require(TaskState.EXECUTING, "system retry")
+        if self.state is not TaskState.EXECUTING:
+            self._refuse("system retry", TaskState.EXECUTING)
         if self.marked:
             raise IllegalTransition(
                 f"{self.task_path}: cannot silently retry after a mark output"
             )
-        self._move(TaskState.WAIT, "system-retry")
+        self.state = TaskState.WAIT
 
     def reset_for_retry(self) -> None:
         """ABORTED -> WAIT: the system-level automatic retry of §3.
@@ -145,7 +140,7 @@ class TaskStateMachine:
         if self.state is not TaskState.ABORTED:
             raise IllegalTransition(f"{self.task_path}: retry of non-aborted task")
         self.outcome = None
-        self._move(TaskState.WAIT, "retry")
+        self.state = TaskState.WAIT
 
     # -- persistence --------------------------------------------------------------
 
@@ -169,12 +164,11 @@ class TaskStateMachine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _require(self, state: TaskState, action: str) -> None:
-        if self.state is not state:
-            raise IllegalTransition(
-                f"{self.task_path}: {action} in state {self.state.value!r} "
-                f"(requires {state.value!r})"
-            )
+    def _refuse(self, action: str, required: TaskState) -> None:
+        raise IllegalTransition(
+            f"{self.task_path}: {action} in state {self.state.value!r} "
+            f"(requires {required.value!r})"
+        )
 
     def _output(self, name: str, kind: OutputKind):
         spec = self.taskclass.output(name)
@@ -189,7 +183,3 @@ class TaskStateMachine:
                 f"not a {kind.value}"
             )
         return spec
-
-    def _move(self, to_state: TaskState, label: str) -> None:
-        self.history.append(TransitionRecord(self.state, to_state, label))
-        self.state = to_state

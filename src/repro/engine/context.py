@@ -195,13 +195,13 @@ def coerce_objects(
             f"{task_path}: taskclass {taskclass.name!r} has no output {output_name!r}"
         )
     declared = {o.name: o for o in spec.objects}
-    missing = sorted(set(declared) - set(objects))
-    if missing:
-        raise ExecutionError(
-            f"{task_path}: output {output_name!r} is missing objects {missing}"
-        )
-    extra = sorted(set(objects) - set(declared))
-    if extra:
+    if declared.keys() != objects.keys():
+        missing = sorted(set(declared) - set(objects))
+        if missing:
+            raise ExecutionError(
+                f"{task_path}: output {output_name!r} is missing objects {missing}"
+            )
+        extra = sorted(set(objects) - set(declared))
         raise ExecutionError(
             f"{task_path}: output {output_name!r} got undeclared objects {extra}"
         )

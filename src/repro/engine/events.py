@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.selection import EventKind, WorkflowEvent
 from ..core.values import ObjectRef
@@ -24,8 +24,7 @@ class WorkflowStatus(enum.Enum):
     FAILED = "failed"         # unrecoverable implementation/system failure
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One event, globally timestamped and path-qualified."""
 
     seq: int
@@ -58,8 +57,9 @@ class EventLog:
     def record(
         self, time: float, scope_path: str, producer_path: str, event: WorkflowEvent
     ) -> LogEntry:
-        entry = LogEntry(
-            len(self.entries) + self._shed, time, scope_path, producer_path, event
+        # tuple.__new__ builds the record without a Python-level __new__ frame
+        entry = tuple.__new__(
+            LogEntry, (len(self.entries) + self._shed, time, scope_path, producer_path, event)
         )
         self.entries.append(entry)
         return entry

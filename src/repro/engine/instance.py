@@ -119,14 +119,20 @@ class TaskNode:
         self.tracker = PlanTracker(self.plan_table)
         self.outer_scope.replay_into(self.tracker)
 
-    def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
+    def startable(self) -> bool:
+        """Whether :meth:`ready` answers, without building the inputs."""
         if not self.alive or self.machine.state is not TaskState.WAIT:
-            return None
+            return False
         node = self.parent
         while node is not None:  # every ancestor executing
             if node.machine.state is not TaskState.EXECUTING:
-                return None
+                return False
             node = node.parent
+        return self.env_inputs is not None or self.tracker.first_satisfied() is not None
+
+    def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
+        if not self.startable():
+            return None
         if self.env_inputs is not None:
             return self.env_inputs
         return self.tracker.ready()
@@ -273,10 +279,10 @@ class SettledTree(NamedTuple):
 class InstanceTree:
     """A running workflow instance (engine-independent semantics).
 
-    Single-threaded: an engine calls ``start``, then ``take_ready`` /
-    ``begin_execution`` for each task it runs and ``apply_*`` with what the
-    task did.  Concurrency is tasks on different worker nodes, never two
-    threads in one tree (docs/PROTOCOLS.md §6).
+    Single-threaded: an engine calls ``start``, then ``begin_next`` for each
+    task it runs and ``apply_*`` with what the task did.  Concurrency is
+    tasks on different worker nodes, never two threads in one tree
+    (docs/PROTOCOLS.md §6).
     """
 
     def __init__(
@@ -308,8 +314,8 @@ class InstanceTree:
         self.status = WorkflowStatus.RUNNING
         self.error: Optional[str] = None
         # heap of (-priority, arrival number, node): highest priority first,
-        # FIFO within a priority level
-        self._ready: List[Tuple[int, int, TaskNode]] = []
+        # FIFO within a priority level; empty between tree calls: nothing is ready
+        self.ready_heap: List[Tuple[int, int, TaskNode]] = []
         self._arrivals = 0
         self._pending: Deque[Tuple[Scope, str, WorkflowEvent]] = deque()
         self.nodes_created = 0
@@ -382,7 +388,7 @@ class InstanceTree:
             self.log.shed(self.root.path),
         )
         self.root.unlink()
-        self._ready.clear()
+        self.ready_heap.clear()
         self._pending.clear()
         return settled
 
@@ -478,18 +484,17 @@ class InstanceTree:
     def _enqueue_if_ready(self, node: TaskNode) -> None:
         if node.queued:
             return
-        readiness = node.ready()
-        if readiness is None:
-            return
         if isinstance(node, CompoundNode):
             # compounds start internally: no user code runs for them
-            input_set, inputs = readiness
-            self._start_node(node, input_set, inputs)
-            self._scan_children(node)
-        else:
+            readiness = node.ready()
+            if readiness is not None:
+                self._start_node(node, *readiness)
+                self._scan_children(node)
+        elif node.startable():
+            # queued by the mask alone: its inputs are chosen when it starts
             node.queued = True
             self._arrivals += 1
-            heappush(self._ready, (-node.priority(), self._arrivals, node))
+            heappush(self.ready_heap, (-node.priority(), self._arrivals, node))
 
     def _scan_children(self, compound: CompoundNode) -> None:
         """After a compound starts, children with no (or trivially satisfied)
@@ -497,50 +502,44 @@ class InstanceTree:
         for child in compound.children:
             self._enqueue_if_ready(child)
 
-    def take_ready(self) -> Optional[TaskNode]:
-        """Next simple task to execute (highest priority first, FIFO within a
-        priority level).  Returns None when nothing is ready."""
+    def begin_next(self) -> Optional[Tuple[TaskNode, Tuple[str, Dict[str, ObjectRef]]]]:
+        """Dequeue the next simple task (highest priority first, FIFO within
+        a priority level) and start it; returns it with the (set, inputs) it
+        started on, chosen here from what it holds now, or None."""
         self._pump()
         # loop, not recursion: a wide fan-out whose ancestor terminated
         # mid-flight leaves thousands of stale nodes queued, and popping
         # each one recursively would blow the stack (RecursionError)
-        while self._ready:
-            node = heappop(self._ready)[2]
+        while self.ready_heap:
+            node = heappop(self.ready_heap)[2]
             node.queued = False
-            if node.ready() is None:  # stale (ancestor terminated meanwhile)
+            readiness = node.ready()
+            if readiness is None:  # stale (ancestor terminated meanwhile)
                 continue
-            return node
+            self._start_node(node, *readiness)
+            return node, readiness
         return None
 
     def peek_ready(self) -> List[TaskNode]:
         """Every simple task currently ready to execute, in the order
-        ``take_ready`` would hand them out, without dequeuing any of them —
+        ``begin_next`` would hand them out, without dequeuing any of them —
         the set one pass of ``ExecutionService._drain`` puts in flight
         together.  The enablement relation the static interference
         analysis bounds (:func:`repro.analysis.interference.enabled_pairs`)
         is read off this list."""
         self._pump()
-        return [node for _, _, node in sorted(self._ready) if node.ready() is not None]
+        return [node for _, _, node in sorted(self.ready_heap) if node.startable()]
 
     def has_work(self) -> bool:
-        """Is a task ready to run?  Stale heads are dropped as ``take_ready``
+        """Is a task ready to run?  Stale heads are dropped as ``begin_next``
         drops them: a queue of dead nodes holds no work."""
         self._pump()
-        ready = self._ready
-        while ready and ready[0][2].ready() is None:
+        ready = self.ready_heap
+        while ready and not ready[0][2].startable():
             heappop(ready)[2].queued = False
         return bool(ready) and self.status is WorkflowStatus.RUNNING
 
     # -- applying execution results (called by engines) ------------------------------------
-
-    def begin_execution(self, node: TaskNode) -> Tuple[str, Dict[str, ObjectRef]]:
-        """Transition the node ``take_ready`` just returned into EXECUTING;
-        returns (set, inputs)."""
-        readiness = node.ready()
-        if readiness is None:
-            raise ExecutionError(f"{node.path}: not ready")
-        self._start_node(node, *readiness)
-        return readiness
 
     def apply_mark(self, node: TaskNode, name: str, objects: Dict[str, ObjectRef]) -> None:
         if not node.alive:
@@ -756,10 +755,10 @@ class InstanceTree:
         for action in plan:
             action()
         # a queued task's priority may have changed with its declaration
-        self._ready = [
-            (-node.priority(), arrival, node) for _, arrival, node in self._ready
+        self.ready_heap = [
+            (-node.priority(), arrival, node) for _, arrival, node in self.ready_heap
         ]
-        heapify(self._ready)
+        heapify(self.ready_heap)
         # Recompile every live scope: a decl change anywhere can alter the
         # event vocabulary siblings were compiled against (e.g. a compound's
         # output mappings feed its siblings' firing tables).  Scope histories

@@ -12,11 +12,12 @@ fault tolerance.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.schema import Script
 from ..core.states import TaskState
+from ..core.values import ObjectRef
 from .context import PendingExternal, TaskContext, TaskResult, declared_output
 from .events import EventLog, WorkflowResult, WorkflowStatus
 from .instance import InstanceTree, TaskNode
@@ -78,11 +79,11 @@ class LocalWorkflow:
             if self.tree.has_work():
                 self.tree.fail(f"exceeded max_steps={self.max_steps}")
             return False
-        node = self.tree.take_ready()
-        if node is None:
+        taken = self.tree.begin_next()
+        if taken is None:
             return False
         self.steps += 1
-        self._execute(node)
+        self._execute(*taken)
         return True
 
     def run_to_completion(self) -> WorkflowResult:
@@ -147,8 +148,8 @@ class LocalWorkflow:
 
     # -- execution ----------------------------------------------------------------------
 
-    def _execute(self, node: TaskNode) -> None:
-        input_set, inputs = self.tree.begin_execution(node)
+    def _execute(self, node: TaskNode, readiness: Tuple[str, Dict[str, ObjectRef]]) -> None:
+        input_set, inputs = readiness
         implementation = node.decl.implementation
         context = TaskContext(
             task_path=node.path,

@@ -505,16 +505,20 @@ class PlanTracker:
             changed |= self.offer(event)
         return changed
 
-    def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
+    def first_satisfied(self) -> Optional[SetPlan]:
+        """The set :meth:`ready` answers with: a mask test, no values built."""
         mask = self.mask
         for set_plan in self.table.sets:
-            required = set_plan.mask
-            if mask & required == required:
-                values = self.values
-                return set_plan.name, {
-                    name: values[index] for name, index in set_plan.layout
-                }
+            if mask & set_plan.mask == set_plan.mask:
+                return set_plan
         return None
+
+    def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
+        set_plan = self.first_satisfied()
+        if set_plan is None:
+            return None
+        values = self.values
+        return set_plan.name, {name: values[index] for name, index in set_plan.layout}
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,10 @@ class EventClock:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self.now + delay, action, priority=priority, label=label)
+        # call_at's checks hold by construction: push directly
+        event = EventHandle(self.now + delay, action, label)
+        heapq.heappush(self._queue, (event.time, priority, next(self._seq), event))
+        return event
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""

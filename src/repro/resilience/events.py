@@ -12,9 +12,9 @@ that are never truncated.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 # Event kinds (the closed vocabulary used by the execution service):
 #   dispatch, redispatch, hedge, timeout, failover, abandon, stagger,
@@ -66,7 +66,9 @@ class ResilienceLog:
     """Bounded chronological record of resilience decisions."""
 
     def __init__(self) -> None:
-        self.entries: List[ResilienceEvent] = []
+        # the newest EVENT_LIMIT events; appending to a full deque drops the
+        # oldest in O(1)
+        self.entries: Deque[ResilienceEvent] = deque(maxlen=EVENT_LIMIT)
         self.counts: "Counter[str]" = Counter()
         self.dropped = 0
 
@@ -80,12 +82,10 @@ class ResilienceLog:
         detail: str = "",
     ) -> ResilienceEvent:
         event = ResilienceEvent(time, kind, instance, task, worker, detail)
+        if len(self.entries) == EVENT_LIMIT:
+            self.dropped += 1
         self.entries.append(event)
         self.counts[kind] += 1
-        if len(self.entries) > EVENT_LIMIT:
-            overflow = len(self.entries) - EVENT_LIMIT
-            del self.entries[:overflow]
-            self.dropped += overflow
         return event
 
     def for_instance(self, instance: str) -> List[ResilienceEvent]:

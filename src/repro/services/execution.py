@@ -46,7 +46,6 @@ Coordinates workflow instances with the paper's system-level guarantees:
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,7 +59,7 @@ from ..engine.events import WorkflowStatus
 from ..engine.instance import InstanceTree, SettledTree
 from ..engine.plan import ExecutionPlan, compile_plan
 from ..lang import compile_script
-from ..net.node import Message, Service
+from ..net.node import Message, Node, Service
 from ..orb.broker import CommFailure, Interface, ObjectBroker, Overloaded
 from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
@@ -102,10 +101,11 @@ class _InFlight:
     dispatched_at: float
     redispatches: int = 0
     sent: bool = False
-    # resilience bookkeeping: when this flight becomes overdue (per-flight
-    # backoff deadline), when an un-answered flight earns a hedge, whether a
-    # hedge has been sent, and per-worker send times of the current wave
-    next_attempt_at: float = math.inf
+    # resilience bookkeeping: when this flight becomes overdue (its backoff
+    # deadline, None until _overdue_at reads it), when an un-answered flight
+    # earns a hedge, whether a hedge has been sent, and per-worker send times
+    # of the current wave
+    next_attempt_at: Optional[float] = None
     hedge_at: Optional[float] = None
     hedged: bool = False
     sent_to: Dict[str, float] = field(default_factory=dict)
@@ -324,6 +324,13 @@ class ExecutionService(Service):
         self._pending_acks: Dict[Tuple[str, str, int, str], float] = {}
         # readers of the former stored index (benchmarks/bench) still find it
         store.derive("instance-index", self.journal.instances)
+        # the one clock reading, in C with no Python frame (every tree event
+        # is stamped with it); float() reads 0.0 until the service is bound
+        self._now: Callable[[], float] = float
+
+    def bind(self, node: Node) -> None:
+        super().bind(node)
+        self._now = partial(getattr, node.clock, "now")
 
     # -- life-cycle -------------------------------------------------------------------
 
@@ -649,41 +656,42 @@ class ExecutionService(Service):
         ``Sanitizer.attach_service`` wraps it to watch every root start."""
         return InstanceTree(script, root_task, now=self._now, plan=plan)
 
-    def _now(self) -> float:
-        return self.node.clock.now if self.node is not None else 0.0
-
     def _drain(self, runtime: _Runtime) -> None:
         """Begin execution of every ready task; queue the work requests."""
+        node = self.node
+        now = self._now()  # constant within an event
         while True:
-            node = runtime.tree.take_ready()
-            if node is None:
+            taken = runtime.tree.begin_next()
+            if taken is None:
                 break
-            input_set, inputs = runtime.tree.begin_execution(node)
-            exec_index = runtime.exec_counter.get(node.path, 0) + 1
-            runtime.exec_counter[node.path] = exec_index
+            task, (input_set, inputs) = taken
+            exec_index = runtime.exec_counter.get(task.path, 0) + 1
+            runtime.exec_counter[task.path] = exec_index
             request = WorkRequest(
                 instance_id=runtime.iid,
                 execution_index=exec_index,
-                template=node.template,
+                template=task.template,
                 input_set=input_set,
                 inputs=tuple(inputs.items()),
-                attempt=node.attempt + 1,
-                repeats=node.machine.repeats,
-                reply_to=self.node.name if self.node else "",
+                attempt=task.attempt + 1,
+                repeats=task.machine.repeats,
+                reply_to=node.name if node else "",
                 epoch=self.epoch,
             )
-            key = (node.path, exec_index)
-            flight = runtime.in_flight[key] = _InFlight(request, self._now())
+            key = (task.path, exec_index)
+            flight = runtime.in_flight[key] = _InFlight(request, now)
             runtime.unsent.append((key, flight))
 
     def _dispatch_pending(self, runtime: _Runtime) -> None:
-        self._drain(runtime)
+        if runtime.tree.ready_heap:  # a step that made nothing ready skips the drain
+            self._drain(runtime)
         if runtime.unsent and runtime.iid not in self.admission.queue:
             # an instance still waiting in the admission queue keeps its
             # flights built-but-unsent; promotion dispatches them
             unsent, runtime.unsent = runtime.unsent, []
-            for key, flight in unsent:
-                self._send(runtime, key, flight)
+            for index, (key, flight) in enumerate(unsent):
+                # nothing is journaled between the sends: the first one's barrier serves all
+                self._send(runtime, key, flight, barrier=not index)
         self._arm_deadlines(runtime)
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
@@ -821,6 +829,7 @@ class ExecutionService(Service):
         key: Tuple[str, int],
         flight: _InFlight,
         hedge: bool = False,
+        barrier: bool = True,
     ) -> None:
         if not self.is_primary():
             # Demoted *mid-event* (e.g. the durability barrier below demoted
@@ -831,8 +840,10 @@ class ExecutionService(Service):
         # reply) depends on every journal entry that made it ready.  Were the
         # send to outrun the journal, a crash could replay a shorter journal
         # while the reply to the *longer* history arrives and is deduped —
-        # wedging the instance.  Flush-before-send makes that impossible.
-        self.flush_journal()
+        # wedging the instance.  Flush-before-send makes that impossible (a
+        # batch's later sends pass ``barrier=False``: its first one took it).
+        if barrier:
+            self.flush_journal()
         if flight.request["template"].code == "system.timer":
             self._arm_timer_task(runtime, key, flight)
             return
@@ -851,12 +862,9 @@ class ExecutionService(Service):
             self.stats["hedges"] += 1
             self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
         else:
-            keymat = f"{runtime.iid}:{key[0]}:{key[1]}"
             flight.dispatched_at = now
             flight.sent = True
-            flight.next_attempt_at = cfg.policy.next_attempt_at(
-                keymat, flight.redispatches, now
-            )
+            flight.next_attempt_at = None  # computed when the sweeper reads it
             flight.hedge_at = (
                 now + cfg.hedge_delay
                 if cfg.hedge_delay is not None and not flight.hedged
@@ -994,11 +1002,12 @@ class ExecutionService(Service):
                         return
                     if key not in runtime.in_flight or not flight.sent:
                         continue
+                    overdue_at = self._overdue_at(runtime, key, flight)
                     if (
                         self.admission.allow_hedge()
                         and not flight.hedged
                         and flight.hedge_at is not None
-                        and flight.hedge_at <= now < flight.next_attempt_at
+                        and flight.hedge_at <= now < overdue_at
                     ):
                         pinned = flight.request["template"].location
                         if pinned in self.worker_names and flight.redispatches == 0:
@@ -1007,7 +1016,7 @@ class ExecutionService(Service):
                             self._send(runtime, key, flight, hedge=True)
                     if key not in runtime.in_flight:
                         continue
-                    if now >= flight.next_attempt_at:
+                    if now >= overdue_at:
                         for worker in list(flight.sent_to):
                             self.health.on_timeout(worker, now)
                             self.rlog.record(
@@ -1034,6 +1043,16 @@ class ExecutionService(Service):
             self._arm_sweeper()
 
         self.node.call_after(self.sweep_interval, sweep, label=f"{self.name}-sweep")
+
+    def _overdue_at(self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight) -> float:
+        """The backoff deadline of ``flight``'s last send, a function of the
+        send alone, computed at the sweeper's first read after it (no
+        redispatch comes between the two)."""
+        if flight.next_attempt_at is None:
+            flight.next_attempt_at = self.resilience.policy.next_attempt_at(
+                f"{runtime.iid}:{key[0]}:{key[1]}", flight.redispatches, flight.dispatched_at
+            )
+        return flight.next_attempt_at
 
     def _abandon(
         self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
@@ -1245,9 +1264,9 @@ class ExecutionService(Service):
         """Durability barrier: commit every buffered journal entry
         (:meth:`Journal.commit <repro.services.journal.Journal.commit>`: one
         WAL record, one force, one fsync), then let replication ship the
-        newly durable suffix.  Taken before any dependent dispatch, when an
-        instance reaches a terminal state, in every public mutating
-        operation, and at the latest ``_JOURNAL_WINDOW`` simulated seconds
+        newly durable suffix.  Taken once before each batch of dependent
+        dispatches, when an instance reaches a terminal state, in every
+        public mutating operation, and at the latest ``_JOURNAL_WINDOW`` simulated seconds
         after the first buffered entry; recovery, replay and exactly-once
         dedup are as if each entry were committed as it is produced.
         ``closed``: the instances the barrier leaves terminal with no flight

@@ -103,9 +103,10 @@ class TaskWorker(Service):
         # still holds (fencing here is a liveness/efficiency aid; safety
         # rests on the lease and the journal, see docs/PROTOCOLS.md §12).
         self.fence_epoch = 0
-        # dispatch template -> (task class, properties), keyed by value: the
-        # same template arrives with every dispatch of its task
-        self._decoded: Dict[DispatchTemplate, Tuple[TaskClass, Dict[str, str]]] = {}
+        # id(template) -> (template, (task class, properties)): the ORB passes
+        # a template by reference, so its identity finds it without hashing it;
+        # the entry holds the template, so the id is not reused while it lives
+        self._decoded: Dict[int, Tuple[DispatchTemplate, Tuple[TaskClass, Dict[str, str]]]] = {}
 
     def on_recover(self) -> None:
         # The crash destroyed the backlog: queued-but-unfinished work died
@@ -124,16 +125,15 @@ class TaskWorker(Service):
         return DelayedResult(reply, finish - now)
 
     def _decode(self, template: DispatchTemplate) -> Tuple[TaskClass, Dict[str, str]]:
-        decoded = self._decoded.get(template)
-        if decoded is None:
+        held = self._decoded.get(id(template))
+        if held is None:
             if len(self._decoded) >= _TEMPLATE_MEMO_MAX:
                 del self._decoded[next(iter(self._decoded))]
-            decoded = (
-                TaskClass.from_wire(template.taskclass),
-                dict(template.properties),
+            held = self._decoded[id(template)] = (
+                template,
+                (TaskClass.from_wire(template.taskclass), dict(template.properties)),
             )
-            self._decoded[template] = decoded
-        return decoded
+        return held[1]
 
     def execute(self, request: WorkRequest) -> Dict[str, Any]:
         """Run one task; returns a plain-data reply.

@@ -6,7 +6,7 @@ alternative.  ``core.selection.TaskInputTracker`` is that definition,
 executable.  The engine never builds one: it runs ``PlanTracker``s over
 compiled tables and offers each event only where a firing table says it can
 matter.  :class:`SpecificationCheck` holds it to the definition after every
-step or event of a tree:
+step or event of a tree and before every dequeue:
 
 * each live WAIT node's tracker gives the ``ready()`` a ``TaskInputTracker``
   over the node's effective input sets gives when offered the node's whole
@@ -16,20 +16,23 @@ step or event of a tree:
   compound's inner scope.
 
 The specification tracker is offered every event, so a route missing from a
-firing table shows up as a mismatch; the two mutation tests at the end make
-sure it does.  ``tests/test_plan_differential.py`` runs the same check over
+firing table shows up as a mismatch; the mutation tests at the end make
+sure it does, on a local run and inside one drain of the execution service.  ``tests/test_plan_differential.py`` runs the same check over
 hypothesis-drawn scripts.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.selection import TaskInputTracker
+from repro.core.builder import ScriptBuilder, from_input, from_output
+from repro.core.selection import EventKind, TaskInputTracker
 from repro.core.states import TaskState
 from repro.engine import ImplementationRegistry, WorkflowStatus, outcome, pending
 from repro.engine.instance import CompoundNode, InstanceTree
 from repro.engine.local import LocalWorkflow
-from repro.engine.plan import compile_plan, effective_input_sets, watch_binding
-from repro.lang import compile_script
+from repro.engine.plan import PlanTracker, compile_plan, effective_input_sets, watch_binding
+from repro.lang import compile_script, format_script
 from repro.services import WorkflowSystem
 from repro.workloads import APPLICATIONS, generators, paper_order, paper_service_impact, paper_trip
 
@@ -54,7 +57,7 @@ class SpecificationCheck:
     ``(where, compiled, specified)``."""
 
     CHECKED = (
-        "start", "take_ready", "apply_mark", "apply_result", "apply_failure",
+        "start", "begin_next", "apply_mark", "apply_result", "apply_failure",
         "force_abort", "reconfigure",
     )
 
@@ -63,13 +66,21 @@ class SpecificationCheck:
         self.mismatches = []
 
     def attach_tree(self, tree):
-        """Check ``tree`` after each call that offers events."""
+        """Check ``tree`` after each call that offers events, and before each
+        ``begin_next`` dequeues."""
         for name in self.CHECKED:
-            setattr(tree, name, self._checked(tree, getattr(tree, name)))
+            setattr(tree, name, self._checked(tree, name, getattr(tree, name)))
         return tree
 
-    def _checked(self, tree, method):
+    def _checked(self, tree, name, method):
         def checked(*args, **kwargs):
+            if name == "begin_next":
+                # begin_next pumps, dequeues and starts, and the start leaves
+                # its INPUT events pending; pump first and check here, so a
+                # task readied by the previous start's events is compared
+                # while it still waits
+                tree._pump()
+                self.check(tree)
             result = method(*args, **kwargs)
             self.check(tree)
             return result
@@ -316,6 +327,83 @@ def test_a_child_route_dropped_from_pump_is_caught(monkeypatch):
     check = SpecificationCheck()
     checked_run(check, generators.random_dag(8, seed=0))
     assert "dag/t1" in {where for where, _compiled, _specified in check.mismatches}
+
+
+def test_every_task_the_service_starts_is_checked_just_before_its_dequeue(monkeypatch):
+    """One drain dequeues and starts a batch of tasks, and each start leaves
+    its INPUT events pending; the check before each dequeue still runs, so
+    no start follows another unchecked."""
+    check = watch_every_tree(monkeypatch)
+    trace = []
+    check_tree = check.check
+
+    def traced_check(tree):
+        checks = check.checks
+        check_tree(tree)
+        if check.checks > checks:
+            trace.append("check")
+
+    check.check = traced_check
+    begin_next = InstanceTree.begin_next
+
+    def traced_begin_next(tree):
+        taken = begin_next(tree)
+        if taken is not None:
+            trace.append(taken[0].path)
+        return taken
+
+    monkeypatch.setattr(InstanceTree, "begin_next", traced_begin_next)
+    script, registry, root, inputs = generators.fan(8)
+    system = WorkflowSystem(registry=registry)
+    system.deploy("fan", format_script(script))
+    iid = system.instantiate("fan", root, inputs)
+    assert system.run_until_terminal(iid)["status"] == "completed"
+    starts = [i for i, step in enumerate(trace) if step != "check"]
+    assert len(starts) == 10  # source, eight branches, sink
+    assert [trace[i - 1] for i in starts] == ["check"] * len(starts)
+    check.verify()
+
+
+def input_chain_script():
+    """``b`` takes ``a``'s input (``inp of task a if input main``), so it is
+    readied by ``a``'s start and starts in the drain that started ``a``."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Stage").input_set("main", inp="Data").outcome("done", out="Data")
+    root = b.compound("r", "Stage")
+    root.task("a", "Stage").implementation(code="stage").input(
+        "main", "inp", from_input("r", "main", "inp")
+    ).up()
+    root.task("b", "Stage").implementation(code="stage").input(
+        "main", "inp", from_input("a", "main", "inp")
+    ).up()
+    root.output("done").object("out", from_output("b", "done", "out")).up()
+    root.up()
+    return b.build()
+
+
+def test_a_wrong_value_from_a_siblings_start_is_caught_on_the_service(monkeypatch):
+    """Mutate the compiled trackers: ``a``'s INPUT event reaches them with
+    another value.  ``b`` is ready on it only between two dequeues of one
+    drain, and the check there must see it."""
+    original = PlanTracker.offer
+
+    def mutated(tracker, event):
+        if event.kind is EventKind.INPUT and event.producer == "a":
+            event = replace(event, objects={
+                name: replace(ref, value="corrupted") for name, ref in event.objects.items()
+            })
+        return original(tracker, event)
+
+    monkeypatch.setattr(PlanTracker, "offer", mutated)
+    check = watch_every_tree(monkeypatch)
+    registry = ImplementationRegistry()
+    registry.register("stage", lambda ctx: outcome("done", out=ctx.value("inp")))
+    system = WorkflowSystem(registry=registry)
+    system.deploy("chain", format_script(input_chain_script()))
+    iid = system.instantiate("chain", "r", {"inp": "seed"})
+    system.run_until_terminal(iid)
+    assert "r/b" in {where for where, _compiled, _specified in check.mismatches}
 
 
 def test_a_watcher_route_dropped_from_evaluate_outputs_is_caught(monkeypatch):

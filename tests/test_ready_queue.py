@@ -29,7 +29,7 @@ def fan_workflow(width):
 class TestTakeReadyIsIterative:
     def test_wide_fanout_of_stale_nodes(self):
         """Abort the root while ~2000 workers sit in the ready queue: every
-        queued node is stale, and take_ready must skip them all in one call
+        queued node is stale, and begin_next must skip them all in one call
         without growing the stack per node."""
         wf = fan_workflow(2000)
         assert len(wf.tree.peek_ready()) == 2000
@@ -37,7 +37,7 @@ class TestTakeReadyIsIterative:
         limit = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(400)  # far below the stale-queue depth
-            assert wf.tree.take_ready() is None
+            assert wf.tree.begin_next() is None
         finally:
             sys.setrecursionlimit(limit)
         assert wf.tree.peek_ready() == []
@@ -49,7 +49,7 @@ class TestTakeReadyIsIterative:
         workers = wf.tree.peek_ready()
         for node in workers[:-1]:
             node.deactivate()  # stale, still queued
-        got = wf.tree.take_ready()
+        got, _readiness = wf.tree.begin_next()
         assert got is workers[-1]
 
 
@@ -159,11 +159,10 @@ def take_all(tree, limit=None):
     each begun as an engine would before taking the next."""
     taken = []
     while limit is None or len(taken) < limit:
-        node = tree.take_ready()
-        if node is None:
+        begun = tree.begin_next()
+        if begun is None:
             break
-        tree.begin_execution(node)
-        taken.append(node)
+        taken.append(begun[0])
     return taken
 
 
@@ -241,7 +240,7 @@ class TestCostIsLogarithmicInWidth:
         )
         wf = fan_workflow(self.WIDTH)
         Probe.compared = 0
-        assert wf.tree.take_ready() is not None
+        assert wf.tree.begin_next() is not None
         # a sift over a heap of 256 is 8 levels deep, two entries a level,
         # one == and one < an entry; the scan compared all 256
         assert 0 < Probe.compared <= 4 * self.WIDTH.bit_length()

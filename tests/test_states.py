@@ -40,13 +40,6 @@ class TestHappyPath:
         assert m.outcome == "done"
         assert m.terminal
 
-    def test_history_records_transitions(self):
-        m = machine()
-        m.start()
-        m.complete("done")
-        labels = [t.label for t in m.history]
-        assert labels == ["start", "outcome:done"]
-
 
 class TestAborts:
     def test_abort_from_wait(self):

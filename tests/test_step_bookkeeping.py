@@ -1,0 +1,256 @@
+"""Each step's bookkeeping is done once, and what is deferred is still right.
+
+* **One barrier per drained batch.**  The reply that releases a fan-out
+  takes one durability barrier for every flight it dispatches, and a send on
+  its own (a sweeper redispatch) still takes its own before its datagram
+  leaves.
+* **The backoff deadline is computed when the sweeper reads it**, from what
+  the send fixed — the flight key, the redispatch count and ``dispatched_at``
+  — never from the clock at the read.
+* **Readiness is computed at the dequeue**: a queued node starts on what it
+  holds when it starts, not on what it held when it was queued.
+* **The resilience log is bounded** and keeps its newest entries in order.
+"""
+
+from repro.core.builder import ScriptBuilder, from_input, from_output
+from repro.core.selection import EventKind
+from repro.engine import outcome
+from repro.engine.instance import InstanceTree
+from repro.lang import format_script
+from repro.net import FaultPlan
+from repro.resilience import ResilienceConfig, render_resilience
+from repro.resilience.events import EVENT_LIMIT, ResilienceLog
+from repro.services import WorkflowSystem, execution
+from repro.workloads import generators
+
+from tests.test_timer_tasks import timeout_script
+
+
+def fan_system(width=8, **kwargs):
+    script, registry, root, inputs = generators.fan(width)
+    system = WorkflowSystem(registry=registry, **kwargs)
+    system.deploy("fan", format_script(script))
+    return system, root, inputs
+
+
+def count_calls(owner, name, counts):
+    """Wrap ``owner.name`` (an instance attribute from here on) so that
+    ``counts[name]`` counts its calls."""
+    original = getattr(owner, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+
+
+# -- one barrier per drained batch ---------------------------------------------------------
+
+
+class TestOneBarrierPerBatch:
+    def test_the_reply_that_releases_a_fan_out_takes_one_barrier(self):
+        system, root, inputs = fan_system(8)
+        service = system.execution
+        counts = {}
+        count_calls(service, "flush_journal", counts)
+        count_calls(service.journal, "commit", counts)
+        replies = []
+        handle = service._handle_reply
+
+        def observed(iid, reply):
+            before = (dict(counts), service.stats["dispatches"])
+            handle(iid, reply)
+            replies.append((reply["task_path"], before, dict(counts), service.stats["dispatches"]))
+
+        service._handle_reply = observed
+        iid = system.instantiate("fan", root, inputs)
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        (release,) = [r for r in replies if r[0] == "fan/source"]
+        _path, (counts_before, sent_before), counts_after, sent_after = release
+        assert sent_after - sent_before == 8
+        assert counts_after["flush_journal"] - counts_before["flush_journal"] == 1
+        assert counts_after["commit"] - counts_before["commit"] == 1
+
+    def test_a_sweeper_redispatch_commits_what_is_buffered_before_it_leaves(self, monkeypatch):
+        # no journal-window timer: a reply that dispatches nothing leaves its
+        # entry buffered until the next barrier
+        monkeypatch.setattr(execution, "_JOURNAL_WINDOW", 1e9)
+        system, root, inputs = fan_system(
+            8, workers=2, sweep_interval=5.0,
+            resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
+        )
+        service = system.execution
+        FaultPlan(system.clock).crash_at(system.worker_nodes[1], when=0.5, down_for=500.0).arm()
+        seen = []
+        send = service._send
+        invoke = system.broker.invoke_deferred
+        buffered = []
+
+        def traced_send(runtime, key, flight, hedge=False, barrier=True):
+            buffered[:] = list(service.journal.buffer) if flight.redispatches else []
+            send(runtime, key, flight, hedge=hedge, barrier=barrier)
+
+        def traced_invoke(caller, target, operation, args=(), **kwargs):
+            if operation == "execute" and buffered:
+                iid = args[0]["instance_id"]
+                committed = service.journal.entries(iid)
+                seen.append((
+                    list(service.journal.buffer),
+                    all(entry in committed for _iid, entry in buffered),
+                ))
+            return invoke(caller, target, operation, args, **kwargs)
+
+        service._send = traced_send
+        system.broker.invoke_deferred = traced_invoke
+        iid = system.instantiate("fan", root, inputs)
+        assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
+        assert service.stats["redispatches"] >= 1
+        assert seen, "no redispatch found an entry still buffered"
+        assert all(left == [] and durable for left, durable in seen)
+
+
+# -- the backoff deadline, computed when read ---------------------------------------------
+
+
+class DeadlineAudit:
+    """Records what each send of a service fixes and holds every deadline
+    the sweeper reads to it.  ``kinds`` counts the reads by the send they
+    follow: ``first``, ``redispatch`` (the sweeper's), ``resume`` (a rebuilt
+    flight's first send) and ``timer``."""
+
+    def __init__(self, service):
+        self.service = service
+        self.sends = {}  # id(flight) -> (flight, sends, redispatches, dispatched_at)
+        self.kinds = {}
+        self.mismatches = []
+        send, overdue_at = service._send, service._overdue_at
+
+        def audited_send(runtime, key, flight, hedge=False, barrier=True):
+            send(runtime, key, flight, hedge=hedge, barrier=barrier)
+            if not hedge and flight.sent:
+                known = self.sends.get(id(flight))
+                count = 1 if known is None else known[1] + 1
+                self.sends[id(flight)] = (flight, count, flight.redispatches, flight.dispatched_at)
+
+        def audited_overdue_at(runtime, key, flight):
+            deadline = overdue_at(runtime, key, flight)
+            _flight, count, redispatches, dispatched_at = self.sends[id(flight)]
+            policy = service.resilience.policy
+            if flight.request["template"].code == "system.timer":
+                kind, expected = "timer", dispatched_at + policy.base_delay
+            else:
+                kind = "first" if count == 1 and not redispatches else (
+                    "resume" if count == 1 else "redispatch"
+                )
+                expected = policy.next_attempt_at(
+                    f"{runtime.iid}:{key[0]}:{key[1]}", redispatches, dispatched_at
+                )
+            self.kinds[kind] = self.kinds.get(kind, 0) + 1
+            if deadline != expected:
+                self.mismatches.append((kind, key, deadline, expected))
+            return deadline
+
+        service._send = audited_send
+        service._overdue_at = audited_overdue_at
+
+
+class TestDeadlineComputedWhenRead:
+    def test_first_sends_redispatches_and_resumed_flights(self):
+        system, root, inputs = fan_system(
+            8, workers=2, sweep_interval=5.0,
+            resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
+        )
+        audit = DeadlineAudit(system.execution)
+        plan = FaultPlan(system.clock)
+        # the fleet is away long enough for the sweeper to read deadlines
+        # after first sends, after resends and after its own redispatches
+        for node in system.worker_nodes:
+            plan.crash_at(node, when=0.5, down_for=120.0)
+        plan.crash_at(system.execution_node, when=8.0, down_for=4.0)
+        plan.arm()
+        iid = system.instantiate("fan", root, inputs)
+        assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
+        assert audit.mismatches == []
+        assert {"first", "redispatch", "resume"} <= set(audit.kinds), audit.kinds
+
+    def test_timer_tasks(self):
+        system = WorkflowSystem(workers=1)
+        system.registry.register("fetch", lambda ctx: outcome("empty"))
+        system.registry.register("process", lambda ctx: outcome("timedOut"))
+        system.deploy("wf", format_script(timeout_script()))
+        audit = DeadlineAudit(system.execution)
+        iid = system.instantiate("wf", "wf", {})
+        assert system.run_until_terminal(iid, max_time=5_000)["outcome"] == "gaveUp"
+        assert audit.mismatches == []
+        assert audit.kinds.get("timer"), audit.kinds
+
+
+# -- readiness at the dequeue ---------------------------------------------------------------
+
+
+def two_source_tree():
+    """``t`` takes ``x`` from ``a`` or, second choice, from ``b``; ``b`` runs
+    first (higher priority), so ``t`` is queued on ``b``'s value before ``a``
+    offers the better one."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Stage").input_set("main", inp="Data").outcome("done", out="Data")
+    b.taskclass("Use").input_set("main", x="Data").outcome("done", out="Data")
+    root = b.compound("r", "Stage")
+    for name, priority in (("a", "0"), ("b", "1")):
+        root.task(name, "Stage").implementation(code="stage", priority=priority).input(
+            "main", "inp", from_input("r", "main", "inp")
+        ).up()
+    root.task("t", "Use").implementation(code="use").input(
+        "main", "x", from_output("a", "done", "out"), from_output("b", "done", "out")
+    ).up()
+    root.output("done").object("out", from_output("t", "done", "out")).up()
+    root.up()
+    tree = InstanceTree(b.build(), "r")
+    tree.start("main", {"inp": "seed"})
+    return tree
+
+
+class TestReadinessAtTheDequeue:
+    def test_a_queued_node_starts_on_the_better_alternative_offered_meanwhile(self):
+        tree = two_source_tree()
+        b_node, _ = tree.begin_next()
+        a_node, _ = tree.begin_next()
+        assert (b_node.local_name, a_node.local_name) == ("b", "a")
+        tree.apply_result(b_node, outcome("done", out="from-b"))
+        t = tree.node_at("r/t")
+        assert t.queued  # ready on b's value
+        tree.apply_result(a_node, outcome("done", out="from-a"))
+        node, (input_set, inputs) = tree.begin_next()
+        assert node is t and input_set == "main"
+        assert inputs["x"].value == "from-a"
+        started = tree.log.first("r/t", EventKind.INPUT)
+        assert started.event.objects["x"].value == "from-a"
+
+
+# -- the bounded resilience log --------------------------------------------------------------
+
+
+class TestResilienceLogBound:
+    def test_keeps_the_newest_entries_in_order_and_counts_the_dropped(self):
+        log = ResilienceLog()
+        extra = 7
+        for n in range(EVENT_LIMIT + extra):
+            kind = "dispatch" if n % 2 else "timeout"
+            log.record(float(n), kind, f"wf-{n % 3}", f"t{n}", "w1")
+        assert len(log) == EVENT_LIMIT
+        assert [e.time for e in log.entries] == [
+            float(n) for n in range(extra, EVENT_LIMIT + extra)
+        ]
+        assert log.dropped == extra
+        assert sum(log.summary().values()) == EVENT_LIMIT + extra
+        assert [e.time for e in log.for_instance("wf-1")] == [
+            float(n) for n in range(extra, EVENT_LIMIT + extra) if n % 3 == 1
+        ]
+        assert all(e.kind == "dispatch" for e in log.of_kind("dispatch"))
+        assert len(log.of_kind("dispatch")) + len(log.of_kind("timeout")) == EVENT_LIMIT
+        rendered = render_resilience(log.for_instance("wf-2"))
+        assert rendered.startswith("-- resilience --")
+        assert rendered.count("\n") == len(log.for_instance("wf-2"))
