@@ -63,7 +63,7 @@ from .resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
-from .services import WorkflowSystem
+from .services import SystemSpec, WorkflowSystem
 
 __version__ = "1.0.0"
 
@@ -83,6 +83,7 @@ __all__ = [
     "SchemaError",
     "Script",
     "ScriptBuilder",
+    "SystemSpec",
     "TaskContext",
     "TaskResult",
     "TaskState",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from .core.errors import ParseError, ValidationReport
@@ -38,7 +39,10 @@ from .engine import LocalEngine
 from .engine.trace import render_summary, render_trace
 from .lang import compile_script, format_script, parse
 from .lang.dot import to_dot
-from .workloads import APPLICATIONS
+from .overload import OverloadConfig
+from .services.system import SystemSpec, WorkflowSystem
+from .sim.explorer import ChaosSweep
+from .workloads import APPLICATIONS, TrafficSpec
 
 
 def _read(path: str) -> str:
@@ -189,8 +193,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json
-
     from .analysis import analyze_script, load_scripts, to_sarif
 
     sources = []
@@ -282,7 +284,7 @@ def _sanitize_under_nemesis(args, sanitizer, script) -> None:
         faults=[CrashAtPoint("worker.execute.post", at_hit=1)],
         name="sanitize-duplicate-effects",
     )
-    harness = SimHarness(schedule=schedule, workload=args.name, seed=args.seed, workers=2)
+    harness = SimHarness(schedule, workload=args.name, system=SystemSpec(seed=args.seed))
     sanitizer.attach_harness(harness)
     sim_report = harness.run()
     sanitizer.scan_workers(harness._system.workers, script)
@@ -295,62 +297,50 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_load(args: argparse.Namespace):
+def _run_load(traffic: TrafficSpec, system: SystemSpec, as_json: bool = False):
     """Sustained-traffic generator against the simulated system: a seeded
     Poisson/burst arrival schedule with cohorts and hot-key skew, reported
     as the SLO view (docs/PROTOCOLS.md §13)."""
-    from .overload import OverloadConfig
-    from .services.system import WorkflowSystem
-    from .workloads import TrafficSpec, run_traffic, traffic_registry
+    from .workloads import run_traffic, traffic_registry
 
-    spec = TrafficSpec(
-        arrival=args.arrival,
-        rate=args.rate,
-        duration=args.duration,
-        cohorts=args.cohorts,
-        skew=args.skew,
-        seed=args.seed,
-        drain=args.drain,
-        slo=args.slo,
-    )
-    overload = OverloadConfig(
-        queue_capacity=args.queue_capacity,
-        initial_window=args.window,
-        min_window=max(1, args.window // 4),
-        max_window=max(args.window, OverloadConfig.max_window),
-    )
-    system = WorkflowSystem(
-        workers=args.workers,
-        registry=traffic_registry(),
-        seed=args.seed,
-        overload=overload,
-        worker_service_time=args.service_time,
-        worker_lanes=args.lanes,
-    )
-    slo_report = run_traffic(system, spec)
-    if args.json:
+    slo_report = run_traffic(WorkflowSystem(system, registry=traffic_registry()), traffic)
+    if as_json:
         print(json.dumps(slo_report.to_plain(), indent=2, sort_keys=True))
     else:
         print(slo_report.render())
     return slo_report
 
 
+def _window_bounds(window: int) -> dict:
+    """The admission window bounds the ``--window`` option stands for."""
+    return dict(
+        initial_window=window,
+        min_window=max(1, window // 4),
+        max_window=max(window, OverloadConfig.max_window),
+    )
+
+
 def cmd_load(args: argparse.Namespace) -> int:
-    _run_load(args)
+    overload = from_options(args, OverloadConfig, **_window_bounds(args.window))
+    system = from_options(args, SystemSpec, overload=overload)
+    _run_load(from_options(args, TrafficSpec), system, args.json)
     return 0
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    system = from_options(args, SystemSpec)
     if args.load:
         # Overload smoke: `load` with a short sustained burst against a
         # capacity-limited system and tight admission bounds, so the whole
         # §13 pipeline — queueing, controller, shedding, retry-after — runs
         # in a couple of wall seconds.
-        slo_report = _run_load(build_parser().parse_args([
-            "load", "--rate", "1", "--duration", "120", "--drain", "300",
-            "--slo", "90", "--queue-capacity", "8", "--window", "8",
-            "--seed", str(args.seed), "--workers", str(args.workers),
-        ]))
+        slo_report = _run_load(
+            TrafficSpec(rate=1.0, duration=120.0, drain=300.0, slo=90.0, seed=system.seed),
+            SystemSpec(
+                workers=system.workers, seed=system.seed, worker_service_time=1.0,
+                overload=OverloadConfig(queue_capacity=8, **_window_bounds(8)),
+            ),
+        )
         healthy = (
             slo_report.offered > 0
             and slo_report.unfinished == 0
@@ -360,7 +350,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         return 0 if healthy else 1
     app = APPLICATIONS[args.name]
     if args.distributed:
-        return _demo_distributed(args, app)
+        return _demo_distributed(args, system, app)
     result = LocalEngine(app.binder()).run(compile_script(app.text), inputs=app.inputs(0))
     print(f"outcome: {result.outcome}\n")
     print(render_trace(result.log))
@@ -369,35 +359,23 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def _demo_distributed(args, app) -> int:
+def _demo_distributed(args, spec: SystemSpec, app) -> int:
     """Run a demo on the full simulated distributed system, optionally under
     chaos, and show the workflow trace alongside the dispatcher's resilience
     decisions (redispatches, hedges, breaker trips)."""
     from .net.failures import RandomCrasher
     from .resilience import ResilienceConfig
-    from .services.system import WorkflowSystem
 
     resilience = ResilienceConfig.for_timeouts(
-        args.dispatch_timeout,
-        args.sweep_interval,
-        seed=args.seed,
+        spec.dispatch_timeout,
+        spec.sweep_interval,
+        seed=spec.seed,
         hedging=args.hedge_delay != 0.0,
         max_redispatches=args.max_redispatches,
     )
     if args.hedge_delay is not None and args.hedge_delay > 0.0:
-        import dataclasses
-
-        resilience = dataclasses.replace(resilience, hedge_delay=args.hedge_delay)
-    system = WorkflowSystem(
-        workers=args.workers,
-        loss_rate=args.loss_rate,
-        seed=args.seed,
-        dispatch_timeout=args.dispatch_timeout,
-        sweep_interval=args.sweep_interval,
-        registry=app.binder(),
-        resilience=resilience,
-        replicas=args.replicas,
-    )
+        resilience = replace(resilience, hedge_delay=args.hedge_delay)
+    system = WorkflowSystem(spec, registry=app.binder(), resilience=resilience)
     crasher = None
     if args.chaos_interval > 0.0:
         crasher = RandomCrasher(
@@ -405,7 +383,7 @@ def _demo_distributed(args, app) -> int:
             system.worker_nodes,
             interval=args.chaos_interval,
             downtime=args.chaos_downtime,
-            seed=args.seed,
+            seed=spec.seed,
         ).start()
     system.deploy(app.script_name, app.text)
     iid = system.instantiate(app.script_name, app.root_task, app.inputs(0))
@@ -416,7 +394,7 @@ def _demo_distributed(args, app) -> int:
     service = system.primary_execution() or system.execution
     print(service.trace(iid))
     print()
-    if args.replicas > 0:
+    if spec.replicas > 0:
         for replica in system.execution_replicas:
             status = replica.repl_status()
             print(
@@ -441,8 +419,9 @@ def _demo_distributed(args, app) -> int:
 
 def cmd_chaos_sweep(args: argparse.Namespace) -> int:
     from .sim.crashpoints import catalogue
-    from .sim.explorer import ChaosSweep, replay
+    from .sim.explorer import replay
 
+    sweep = from_options(args, ChaosSweep)
     if args.list_points:
         print(f"{'crash point':<30} {'file':<30} protocol step")
         for point in catalogue():
@@ -469,15 +448,6 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
         print("MISMATCH: the replay diverged from the recorded run")
         return 1
 
-    sweep = ChaosSweep(
-        workload=args.workload,
-        workers=args.workers,
-        instances=args.instances,
-        base_seed=args.seed,
-        max_time=args.max_time,
-        out_dir=args.out,
-        verbose=args.verbose,
-    )
     failures = 0
     if args.mode in ("all", "exhaustive"):
         result = sweep.exhaustive()
@@ -494,13 +464,59 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def positive_int(text: str) -> int:
-    """An option that counts something there must be at least one of: a
-    value below 1 is a usage error (exit 2), not a traceback further in."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low):
+    """An argparse type for a number of ``low``'s type no smaller than
+    ``low``: a value below it is a usage error (exit 2), not a traceback
+    further in."""
+
+    def parse(text: str):
+        value = type(low)(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = type(low).__name__  # argparse names the type in its errors
+    return parse
+
+
+# what an option's value is called in --help, by the unit of its field
+_METAVARS = {"count": "N", "s": "T", "share": "P", "1/s": "R", "dir": "DIR"}
+
+
+def field_option(parser: argparse.ArgumentParser, table: type, name: str,
+                 flag: Optional[str] = None, **overrides) -> None:
+    """Add the option for field ``name`` of the settings table ``table``
+    (``repro.settings``): spelling, type, choices, help and default are the
+    field's unless this subcommand says otherwise in ``flag`` / ``overrides``.
+    The option's value lands under the field's name for :func:`from_options`."""
+    item = next(item for item in fields(table) if item.name == name)
+    option = dict(dest=name, default=item.default,
+                  help=item.metadata["help"] + " (default: %(default)s)")
+    if isinstance(item.default, bool):
+        option["action"] = "store_true"
+    else:
+        option.update(
+            type=str if item.default is None else type(item.default),
+            metavar=_METAVARS.get(item.metadata["unit"]),
+            choices=item.metadata.get("choices"),
+        )
+    option.update(overrides)
+    parser.add_argument(flag or "--" + name.replace("_", "-"), **option)
+
+
+def from_options(args: argparse.Namespace, table: type, **values):
+    """Build ``table`` from the options named after its fields, plus
+    ``values``.  A value the table refuses is a usage error (exit 2) that
+    names the option."""
+    names = {item.name for item in fields(table)}
+    given = {name: value for name, value in vars(args).items() if name in names}
+    try:
+        return table(**given, **values)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        flags = {action.dest: action.option_strings[0]
+                 for action in args.parser._actions if action.option_strings}
+        args.parser.error(f"argument {flags[name]}: {reason}" if name in flags else str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("name", choices=list(APPLICATIONS))
     sanitize.add_argument(
-        "--runs", type=positive_int, default=5, metavar="N",
+        "--runs", type=at_least(1), default=5, metavar="N",
         help="sanitized runs with the real implementations on the simulated "
         "distributed system, one per seed --seed .. --seed+N-1 (default: 5)",
     )
@@ -638,41 +654,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on the full simulated distributed system (repository, "
         "execution service, worker pool) instead of the local engine",
     )
-    demo.add_argument(
-        "--workers", type=positive_int, default=3, metavar="N",
-        help="worker-node pool size for --distributed (default: 3)",
-    )
-    demo.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="execution-service replicas for --distributed (0 = the legacy "
-        "unreplicated service; N > 0 adds a lease arbiter, one primary and "
-        "N-1 hot standbys with lease-fenced failover)",
-    )
-    demo.add_argument(
-        "--loss-rate", type=float, default=0.0, metavar="P",
-        help="message-loss probability for --distributed (default: 0)",
-    )
+    field_option(demo, SystemSpec, "workers", default=3)
+    field_option(demo, SystemSpec, "replicas")
+    field_option(demo, SystemSpec, "loss_rate")
     demo.add_argument(
         "--chaos-interval", type=float, default=0.0, metavar="T",
         help="mean virtual time between random worker crashes "
         "(0 disables chaos; --distributed only)",
     )
     demo.add_argument(
-        "--chaos-downtime", type=float, default=20.0, metavar="T",
+        "--chaos-downtime", type=at_least(0.0), default=20.0, metavar="T",
         help="how long a chaos-crashed worker stays down (default: 20)",
     )
-    demo.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for latency, loss, chaos and dispatch jitter (default: 0)",
-    )
-    demo.add_argument(
-        "--dispatch-timeout", type=float, default=30.0, metavar="T",
-        help="base redispatch delay for --distributed (default: 30)",
-    )
-    demo.add_argument(
-        "--sweep-interval", type=float, default=10.0, metavar="T",
-        help="dispatcher sweep period for --distributed (default: 10)",
-    )
+    field_option(demo, SystemSpec, "seed")
+    field_option(demo, SystemSpec, "dispatch_timeout")
+    field_option(demo, SystemSpec, "sweep_interval")
     demo.add_argument(
         "--hedge-delay", type=float, default=None, metavar="T",
         help="hedged-dispatch delay (0 disables hedging; default: "
@@ -683,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="redispatch cap before a flight is abandoned as a system "
         "failure (default: 40)",
     )
-    demo.set_defaults(fn=cmd_demo)
+    demo.set_defaults(fn=cmd_demo, parser=demo)
 
     load = commands.add_parser(
         "load",
@@ -691,60 +687,15 @@ def build_parser() -> argparse.ArgumentParser:
         "a seeded arrival schedule and print the SLO report "
         "(goodput, sojourn percentiles, shed/refusal counts by class)",
     )
+    for name in ("arrival", "rate", "duration", "cohorts", "skew", "seed", "drain"):
+        field_option(load, TrafficSpec, name)
+    field_option(load, TrafficSpec, "slo", default=120.0)
+    field_option(load, SystemSpec, "workers")
+    field_option(load, SystemSpec, "worker_service_time", "--service-time", default=1.0)
+    field_option(load, SystemSpec, "worker_lanes", "--lanes")
+    field_option(load, OverloadConfig, "queue_capacity", default=16)
     load.add_argument(
-        "--arrival", choices=["poisson", "burst"], default="poisson",
-        help="inter-arrival shape (default: poisson)",
-    )
-    load.add_argument(
-        "--rate", type=float, default=0.5, metavar="R",
-        help="mean arrivals per virtual second, off-burst (default: 0.5)",
-    )
-    load.add_argument(
-        "--duration", type=float, default=300.0, metavar="T",
-        help="arrival-generation horizon in virtual seconds (default: 300)",
-    )
-    load.add_argument(
-        "--cohorts", type=positive_int, default=3, metavar="N",
-        help="user cohorts cycling high/normal/low criticality (default: 3)",
-    )
-    load.add_argument(
-        "--skew", type=float, default=0.5, metavar="P",
-        help="probability an arrival is premium-cohort / hot-key (default: 0.5)",
-    )
-    load.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the whole schedule; same seed, same report "
-        "fingerprint (default: 0)",
-    )
-    load.add_argument(
-        "--drain", type=float, default=600.0, metavar="T",
-        help="extra virtual time for admitted work to finish (default: 600)",
-    )
-    load.add_argument(
-        "--slo", type=float, default=120.0, metavar="T",
-        help="sojourn bound for SLO goodput; 0 counts raw completions "
-        "(default: 120)",
-    )
-    load.add_argument(
-        "--workers", type=positive_int, default=2, metavar="N",
-        help="worker-node pool size (default: 2)",
-    )
-    load.add_argument(
-        "--service-time", type=float, default=1.0, metavar="T",
-        help="virtual seconds of worker occupancy per task; the finite "
-        "capacity that makes overload possible (default: 1)",
-    )
-    load.add_argument(
-        "--lanes", type=positive_int, default=1, metavar="N",
-        help="concurrent service lanes per worker (default: 1)",
-    )
-    load.add_argument(
-        "--queue-capacity", type=int, default=16, metavar="N",
-        help="bounded admission queue; full means Overloaded refusals "
-        "(default: 16)",
-    )
-    load.add_argument(
-        "--window", type=positive_int, default=16, metavar="N",
+        "--window", type=at_least(1), default=16, metavar="N",
         help="initial admitted-concurrency window (default: 16); a window "
         "no run can fill is the no-admission-control ablation",
     )
@@ -752,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the full SLO report as canonical JSON",
     )
-    load.set_defaults(fn=cmd_load)
+    load.set_defaults(fn=cmd_load, parser=load)
 
     chaos = commands.add_parser(
         "chaos-sweep",
@@ -767,38 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
         "replicated kill/partition/resurrect-the-primary scenarios over "
         "every paper workload)",
     )
+    field_option(chaos, ChaosSweep, "workload")
     chaos.add_argument(
-        "--workload", choices=list(APPLICATIONS),
-        default="order",
-        help="paper application to run under chaos (default: order)",
-    )
-    chaos.add_argument(
-        "--replicas", type=int, default=2, metavar="N",
+        "--replicas", type=at_least(1), default=2, metavar="N",
         help="execution-service replicas for the failover pass (default: 2)",
     )
-    chaos.add_argument("--workers", type=positive_int, default=2, metavar="N")
+    field_option(chaos, ChaosSweep, "workers")
+    field_option(chaos, ChaosSweep, "instances")
     chaos.add_argument(
-        "--instances", type=positive_int, default=1, metavar="N",
-        help="concurrent workflow instances per run (default: 1)",
-    )
-    chaos.add_argument(
-        "--seeds", type=int, default=64, metavar="N",
+        "--seeds", type=at_least(1), default=64, metavar="N",
         help="random-sweep seed count (default: 64)",
     )
-    chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed for both passes (default: 0)",
-    )
-    chaos.add_argument(
-        "--max-time", type=float, default=5_000.0, metavar="T",
-        help="virtual-time budget per run before an instance counts as "
-        "stuck (default: 5000)",
-    )
-    chaos.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="directory for shrunk repro JSON files (written only on "
-        "violation)",
-    )
+    field_option(chaos, ChaosSweep, "base_seed", "--seed")
+    field_option(chaos, ChaosSweep, "max_time")
+    field_option(chaos, ChaosSweep, "out_dir", "--out")
     chaos.add_argument(
         "--replay", default=None, metavar="FILE",
         help="re-run a recorded repro file and verify the report matches "
@@ -808,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-points", action="store_true",
         help="print the crash-point catalogue and exit",
     )
-    chaos.add_argument("--verbose", action="store_true")
-    chaos.set_defaults(fn=cmd_chaos_sweep)
+    field_option(chaos, ChaosSweep, "verbose")
+    chaos.set_defaults(fn=cmd_chaos_sweep, parser=chaos)
 
     return parser
 

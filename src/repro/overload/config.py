@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.schema import Implementation
+from ..settings import require, setting
 
 # Scripts declare a criticality class as an implementation property on the
 # root task ("criticality" is "low"); anything absent or unknown is this.
@@ -46,18 +47,20 @@ class OverloadConfig:
     escalates.
     """
 
-    queue_capacity: int = 256        # bounded admission queue; full -> Overloaded
-    initial_window: int = 256        # admitted-concurrency window (instances)
-    min_window: int = 8
-    max_window: int = 1024
-    sojourn_target: float = 30.0     # CoDel target for queue sojourn (virtual s)
-    control_interval: float = 10.0   # delay-gradient controller tick period
-    retry_after_base: float = 10.0   # scale of the deterministic retry hint
+    queue_capacity: int = setting(
+        256, "bounded admission queue; full means Overloaded refusals", "count"
+    )
+    initial_window: int = setting(256, "admitted-concurrency window", "count")
+    min_window: int = setting(8, "smallest window the controller shrinks to", "count")
+    max_window: int = setting(1024, "largest window the controller grows to", "count")
+    sojourn_target: float = setting(30.0, "CoDel target for queue sojourn", "s")
+    control_interval: float = setting(10.0, "delay-gradient controller tick period", "s")
+    retry_after_base: float = setting(10.0, "scale of the deterministic retry hint", "s")
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 0:
-            raise ValueError("queue_capacity must be >= 0")
-        if not 0 < self.min_window <= self.initial_window <= self.max_window:
-            raise ValueError("need 0 < min_window <= initial_window <= max_window")
-        if self.sojourn_target <= 0 or self.control_interval <= 0:
-            raise ValueError("sojourn_target and control_interval must be positive")
+        require(self, "queue_capacity", self.queue_capacity >= 0, "must be at least 0")
+        require(self, "initial_window",
+                0 < self.min_window <= self.initial_window <= self.max_window,
+                "need 0 < min_window <= initial_window <= max_window")
+        for name in ("sojourn_target", "control_interval"):
+            require(self, name, getattr(self, name) > 0, "must be positive")

@@ -20,7 +20,7 @@ from .serialization import (
     result_from_plain,
     result_to_plain,
 )
-from .system import TERMINAL, WorkflowSystem
+from .system import TERMINAL, SystemSpec, WorkflowSystem
 from .worker import WORKER_INTERFACE, TaskWorker, WorkRequest
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "RECONFIGURE_SCRIPT",
     "REPOSITORY_INTERFACE",
     "RepositoryService",
+    "SystemSpec",
     "TERMINAL",
     "TaskWorker",
     "WORKER_INTERFACE",

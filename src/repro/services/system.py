@@ -10,6 +10,7 @@ experiments crash nodes and drop messages underneath.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.registry import ImplementationRegistry
@@ -26,6 +27,7 @@ from ..replication import (
     ReplicatedExecutionService,
 )
 from ..resilience import ResilienceConfig
+from ..settings import from_plain, require, setting
 from ..txn.store import ObjectStore
 from .execution import EXECUTION_INTERFACE, ExecutionService
 from .repository import REPOSITORY_INTERFACE, RepositoryService
@@ -35,62 +37,86 @@ from .worker import WORKER_INTERFACE, ServiceProfile, TaskWorker
 TERMINAL = ("completed", "aborted", "failed")
 
 
+@dataclass(frozen=True)
+class SystemSpec:
+    """One deployment of the simulated system: topology, time scales (virtual
+    seconds) and the resilience / overload bundles.  ``WorkflowSystem(spec)``
+    builds what it says; the sim harness, the sweeps and the CLI describe a
+    system with one of these, and every value is checked here, once."""
+
+    workers: int = setting(2, "worker-node pool size", "count")
+    latency: Optional[LatencyModel] = setting(
+        None, "per-hop network latency; None is LatencyModel(1.0, 0.5)"
+    )
+    loss_rate: float = setting(0.0, "message-loss probability", "share")
+    seed: int = setting(0, "seed for latency, loss and dispatch jitter")
+    dispatch_timeout: float = setting(30.0, "base redispatch delay", "s")
+    sweep_interval: float = setting(10.0, "dispatcher sweep period", "s")
+    resilience: Optional[ResilienceConfig] = setting(
+        None, "backoff, breakers, health routing, hedging; None is "
+        "ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval, seed=seed)"
+    )
+    mirror_path: Optional[str] = setting(
+        None, "on-disk JSON-lines mirror of the execution WAL, so each fsync "
+        "(docs/PROTOCOLS.md §11) has physical cost", "path"
+    )
+    replicas: int = setting(
+        0, "execution-service replicas (docs/PROTOCOLS.md §12); 0 is unreplicated, "
+        "N adds a lease arbiter and N-1 hot standbys with fenced failover", "count"
+    )
+    lease_duration: float = setting(60.0, "primary lease term", "s")
+    repl_interval: float = setting(5.0, "log-shipping and lease-renewal tick", "s")
+    overload: Optional[OverloadConfig] = setting(
+        None, "admission queue, window and shedding (docs/PROTOCOLS.md §13); "
+        "None is OverloadConfig()"
+    )
+    worker_service_time: float = setting(
+        0.0, "worker occupancy per task, the capacity that makes overload "
+        "possible; 0 keeps workers instantaneous", "s"
+    )
+    worker_lanes: int = setting(1, "concurrent service lanes per worker", "count")
+
+    def __post_init__(self) -> None:
+        require(self, "workers", self.workers >= 1, "must be at least 1")
+        require(self, "loss_rate", 0.0 <= self.loss_rate < 1.0, "must be in [0, 1)")
+        for name in ("dispatch_timeout", "sweep_interval", "lease_duration", "repl_interval"):
+            require(self, name, getattr(self, name) > 0, "must be positive")
+        require(self, "replicas", self.replicas >= 0, "must be at least 0")
+        require(self, "worker_service_time", self.worker_service_time >= 0, "must be at least 0")
+        require(self, "worker_lanes", self.worker_lanes >= 1, "must be at least 1")
+
+    def to_plain(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_plain(cls, data: Mapping[str, Any]) -> "SystemSpec":
+        return from_plain(cls, data)
+
+
 class WorkflowSystem:
     """The full distributed workflow system, simulated on one event clock."""
 
     def __init__(
         self,
-        workers: int = 2,
-        latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
-        seed: int = 0,
-        dispatch_timeout: float = 30.0,
-        sweep_interval: float = 10.0,
+        spec: SystemSpec = SystemSpec(),
         registry: Optional[ImplementationRegistry] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        mirror_path: Optional[str] = None,
-        replicas: int = 0,
-        lease_duration: float = 60.0,
-        repl_interval: float = 5.0,
-        overload: Optional[OverloadConfig] = None,
-        worker_service_time: float = 0.0,
-        worker_lanes: int = 1,
+        **changes: Any,
     ) -> None:
-        """``resilience`` tunes the adaptive dispatch layer (backoff, circuit
-        breakers, health routing, hedging).  Defaults to
-        ``ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval,
-        seed=seed)``.
-
-        ``mirror_path`` attaches a real on-disk JSON-lines mirror to the
-        execution store's WAL, so its fsyncs (one per durability barrier,
-        docs/PROTOCOLS.md §11) have physical cost; benchmarks use this to
-        measure fsyncs/step honestly.
-
-        ``replicas`` > 0 builds a replicated execution service instead of a
-        standalone one (docs/PROTOCOLS.md §12): that many
-        :class:`~repro.replication.ReplicatedExecutionService` copies — one
-        per node — plus a :class:`~repro.replication.LeaseService` arbiter.
-        The first replica wins the bootstrap lease and registers itself under
-        the public ``"execution"`` name; the rest follow its WAL as standbys
-        — they hold the log and no runtime — and take over (with a fresh
-        fencing epoch, rebuilding the open instances from their own store)
-        when the lease lapses.  ``replicas=0`` is the unreplicated layout.
-
-        ``overload`` tunes the admission layer (docs/PROTOCOLS.md §13):
-        bounded admission queue, adaptive concurrency window and priority
-        shedding on the execution service.  ``worker_service_time`` /
-        ``worker_lanes`` give every worker a finite-capacity profile (each
-        task occupies one of ``worker_lanes`` lanes for
-        ``worker_service_time`` virtual seconds) — 0 keeps workers
-        instantaneous.
+        """Build the system ``spec`` describes, with ``changes`` (fields of
+        :class:`SystemSpec` by name) applied to it: ``WorkflowSystem(replicas=2)``
+        is ``WorkflowSystem(SystemSpec(replicas=2))``.
 
         Every machine is in ``nodes`` (name -> :class:`Node`, construction
         order) with its stores attached, so a tool that addresses the system
         generically walks that: ``for name, node in system.nodes.items()``
-        over ``node.stores()`` / ``node.services()``."""
+        over ``node.stores()`` / ``node.services()``.  With replicas, the
+        first replica wins the bootstrap lease and registers itself under
+        the public ``"execution"`` name; the rest hold the log and no
+        runtime until they take over with a fresh fencing epoch."""
+        self.spec = spec = replace(spec, **changes)
         self.clock = EventClock()
         self.network = Network(
-            self.clock, latency or LatencyModel(1.0, 0.5), loss_rate, seed
+            self.clock, spec.latency or LatencyModel(1.0, 0.5), spec.loss_rate, spec.seed
         )
         self.broker = ObjectBroker(self.clock, self.network)
         self.registry = registry or ImplementationRegistry()
@@ -107,11 +133,11 @@ class WorkflowSystem:
         self.worker_nodes: List[Node] = []
         self.workers: List[TaskWorker] = []
         profile = (
-            ServiceProfile(worker_service_time, worker_lanes)
-            if worker_service_time > 0
+            ServiceProfile(spec.worker_service_time, spec.worker_lanes)
+            if spec.worker_service_time > 0
             else None
         )
-        for index in range(workers):
+        for index in range(spec.workers):
             node = self._node(f"worker-node-{index + 1}")
             worker = TaskWorker(f"worker-{index + 1}", self.registry, profile=profile)
             node.install(worker)
@@ -122,11 +148,11 @@ class WorkflowSystem:
 
         self.lease_node: Optional[Node] = None
         self.lease: Optional[LeaseService] = None
-        if replicas > 0:
+        if spec.replicas > 0:
             # The arbiter comes up first: replicas acquire during on_start.
             self.lease_node = self._node("lease-node")
             self.lease_store = self.lease_node.attach(ObjectStore("lease-store"))
-            self.lease = LeaseService("lease", self.lease_store, duration=lease_duration)
+            self.lease = LeaseService("lease", self.lease_store, duration=spec.lease_duration)
             self.lease_node.install(self.lease)
             self.broker.register("lease", LEASE_INTERFACE, self.lease, self.lease_node)
 
@@ -135,27 +161,28 @@ class WorkflowSystem:
         settings = dict(
             repository_name="repository",
             worker_names=[worker.name for worker in self.workers],
-            sweep_interval=sweep_interval,
-            resilience=resilience
-            or ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval, seed=seed),
-            overload=overload,
+            sweep_interval=spec.sweep_interval,
+            resilience=spec.resilience or ResilienceConfig.for_timeouts(
+                spec.dispatch_timeout, spec.sweep_interval, seed=spec.seed
+            ),
+            overload=spec.overload,
         )
-        replica_names = [f"execution-r{i + 1}" for i in range(replicas)]
+        replica_names = [f"execution-r{i + 1}" for i in range(spec.replicas)]
         self.replica_nodes: List[Node] = []
         self.execution_replicas: List[ReplicatedExecutionService] = []
         tier: List[Tuple[Node, ExecutionService]] = []
-        for i in range(max(replicas, 1)):
+        for i in range(max(spec.replicas, 1)):
             # replica 1 keeps the unreplicated node name so nemesis schedules
             # written against "execution-node" hit the bootstrap primary
             node = self._node("execution-node" if i == 0 else f"standby-node-{i + 1}")
             store = node.attach(ObjectStore(
-                f"execution-store-r{i + 1}" if replicas else "execution-store",
-                mirror_path=mirror_path if i == 0 else None,
+                f"execution-store-r{i + 1}" if spec.replicas else "execution-store",
+                mirror_path=spec.mirror_path if i == 0 else None,
             ))
-            if replicas:
+            if spec.replicas:
                 service = ReplicatedExecutionService(
                     replica_names[i], store, self.broker, lease_name="lease",
-                    peer_names=replica_names, repl_interval=repl_interval, **settings,
+                    peer_names=replica_names, repl_interval=spec.repl_interval, **settings,
                 )
                 self.replica_nodes.append(node)
                 self.execution_replicas.append(service)

@@ -15,9 +15,10 @@ Two passes, in the FoundationDB tradition:
 
 Any run whose oracles report a violation is **shrunk** — faults are
 greedily dropped while the violation persists — and the minimal schedule is
-written as a JSON repro file containing the harness configuration and the
-report fingerprint.  ``replay()`` re-runs a repro file and demands the new
-report match the recorded fingerprint byte-for-byte (same canonical JSON),
+written as a JSON repro file containing the harness (``SimHarness.to_plain``:
+its schedule and system spec nested) and the report fingerprint.
+``replay()`` re-runs a repro file and demands the new report match the
+recorded fingerprint byte-for-byte (same canonical JSON),
 which the determinism of the substrate guarantees for an unchanged tree.
 """
 
@@ -26,9 +27,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..services.system import SystemSpec
+from ..settings import require, setting
 from ..workloads import APPLICATIONS
 from .crashpoints import CrashPoint, catalogue
 from .harness import SimHarness, SimReport
@@ -65,8 +68,7 @@ class SweepFailure:
     """One violating schedule, after shrinking."""
 
     name: str
-    schedule: Dict[str, Any]          # shrunk schedule, plain form
-    harness: Dict[str, Any]           # SimHarness kwargs that reproduce it
+    harness: Dict[str, Any]           # the shrunk SimHarness, plain form
     violations: List[Dict[str, str]]
     fingerprint: str                  # of the shrunk run's report
     report: Dict[str, Any]
@@ -75,7 +77,6 @@ class SweepFailure:
     def to_plain(self) -> Dict[str, Any]:
         return {
             "name": self.name,
-            "schedule": self.schedule,
             "harness": self.harness,
             "violations": self.violations,
             "fingerprint": self.fingerprint,
@@ -108,35 +109,33 @@ class SweepResult:
         return "\n".join(lines)
 
 
+@dataclass
 class ChaosSweep:
     """Run the exhaustive and random sweeps; shrink and record violations."""
 
-    def __init__(
-        self,
-        workload: str = "order",
-        workers: int = 2,
-        instances: int = 1,
-        base_seed: int = 0,
-        downtime: float = 30.0,
-        max_time: float = 5_000.0,
-        out_dir: Optional[str] = None,
-        verbose: bool = False,
-    ) -> None:
-        self.workload = workload
-        self.workers = workers
-        self.instances = instances
-        self.base_seed = base_seed
-        self.downtime = downtime
-        self.max_time = max_time
-        self.out_dir = out_dir
-        self.verbose = verbose
+    workload: str = setting(
+        "order", "paper application to run under chaos", choices=tuple(APPLICATIONS)
+    )
+    workers: int = setting(2, "worker-node pool size", "count")
+    instances: int = setting(1, "concurrent workflow instances per run", "count")
+    base_seed: int = setting(0, "base seed of every pass")
+    downtime: float = setting(30.0, "how long a crashed node stays down", "s")
+    max_time: float = setting(
+        5_000.0, "virtual-time budget per run before an instance counts as stuck", "s"
+    )
+    out_dir: Optional[str] = setting(
+        None, "directory for shrunk repro JSON files (written only on violation)", "dir"
+    )
+    verbose: bool = setting(False, "print every run's summary")
+
+    def __post_init__(self) -> None:
+        require(self, "workers", self.workers >= 1, "must be at least 1")
+        require(self, "instances", self.instances >= 1, "must be at least 1")
 
     # -- exhaustive pass -------------------------------------------------------
 
-    def plan_for_point(
-        self, point: CrashPoint, mode: str = "clean"
-    ) -> Tuple[NemesisSchedule, Dict[str, Any]]:
-        """The schedule + harness configuration that makes ``point`` fire."""
+    def plan_for_point(self, point: CrashPoint, mode: str = "clean") -> SimHarness:
+        """The harness (schedule and system) that makes ``point`` fire."""
         faults: List[Any] = []
         replicated = point.name.startswith(_NEEDS_REPLICAS)
         if point.recovery or point.name == "repl.lease.grant":
@@ -149,19 +148,17 @@ class ChaosSweep:
         faults.append(CrashAtPoint(point.name, mode=mode, downtime=self.downtime))
         suffix = "-torn" if mode == "torn" else ""
         schedule = NemesisSchedule(faults, name=f"point:{point.name}{suffix}")
-        kwargs = self._harness_kwargs(seed=self.base_seed)
+        changes: Dict[str, Any] = {}
         if point.name.startswith(_NEEDS_COMPACTOR):
-            kwargs["compact_every"] = 40.0
+            changes["compact_every"] = 40.0
         if point.name.startswith(_NEEDS_PROBE):
-            kwargs["probe_every"] = 15.0
-        if replicated:
-            # a short lease keeps the forced failover inside the time budget
-            kwargs["replicas"] = 2
-            kwargs["lease_duration"] = 30.0
+            changes["probe_every"] = 15.0
         if point.name == "exec.mark.recv" and self.workload == "order":
             # the order workload emits no marks; the trip workload does
-            kwargs["workload"] = "trip"
-        return schedule, kwargs
+            changes["workload"] = "trip"
+        return self._harness(
+            schedule, self.base_seed, replicas=2 if replicated else 0, **changes
+        )
 
     def exhaustive(self) -> SweepResult:
         """One run per crash point (torn variants included)."""
@@ -169,16 +166,14 @@ class ChaosSweep:
         for point in catalogue():
             modes = ["clean"] + (["torn"] if point.torn else [])
             for mode in modes:
-                schedule, kwargs = self.plan_for_point(point, mode)
-                report = self._run(schedule, kwargs)
+                harness = self.plan_for_point(point, mode)
+                report = self._run(harness)
                 result.reports.append(report)
                 self._log(report)
                 if not any(fired[0] == point.name for fired in report.fired):
                     result.unreached.append(f"{point.name} ({mode})")
                 if report.violations:
-                    result.failures.append(
-                        self._shrink_and_record(schedule, kwargs, report)
-                    )
+                    result.failures.append(self._shrink_and_record(harness, report))
         return result
 
     # -- random pass -------------------------------------------------------------
@@ -253,17 +248,14 @@ class ChaosSweep:
         result = SweepResult()
         for index in range(seeds):
             seed = self.base_seed + index
-            schedule = self.random_schedule(seed)
-            kwargs = self._harness_kwargs(seed=seed)
-            kwargs["compact_every"] = 60.0
-            kwargs["probe_every"] = 25.0
-            report = self._run(schedule, kwargs)
+            harness = self._harness(
+                self.random_schedule(seed), seed, compact_every=60.0, probe_every=25.0
+            )
+            report = self._run(harness)
             result.reports.append(report)
             self._log(report)
             if report.violations:
-                result.failures.append(
-                    self._shrink_and_record(schedule, kwargs, report)
-                )
+                result.failures.append(self._shrink_and_record(harness, report))
         return result
 
     # -- failover pass ---------------------------------------------------------
@@ -300,11 +292,10 @@ class ChaosSweep:
         visited: set = set()
         for workload in self.FAILOVER_WORKLOADS:
             for schedule in self.failover_schedules():
-                kwargs = self._harness_kwargs(seed=self.base_seed)
-                kwargs["workload"] = workload
-                kwargs["replicas"] = replicas
-                kwargs["lease_duration"] = 30.0
-                report = self._run(schedule, kwargs)
+                harness = self._harness(
+                    schedule, self.base_seed, replicas=replicas, workload=workload
+                )
+                report = self._run(harness)
                 result.reports.append(report)
                 self._log(report)
                 visited |= {
@@ -312,9 +303,7 @@ class ChaosSweep:
                     if count > 0
                 }
                 if report.violations:
-                    result.failures.append(
-                        self._shrink_and_record(schedule, kwargs, report)
-                    )
+                    result.failures.append(self._shrink_and_record(harness, report))
         for point in catalogue():
             if point.name.startswith(_NEEDS_REPLICAS) and point.name not in visited:
                 result.unreached.append(f"{point.name} (failover sweep)")
@@ -322,42 +311,34 @@ class ChaosSweep:
 
     # -- shrinking + repro files ---------------------------------------------------
 
-    def shrink(
-        self, schedule: NemesisSchedule, kwargs: Dict[str, Any]
-    ) -> Tuple[NemesisSchedule, SimReport]:
+    def shrink(self, harness: SimHarness) -> Tuple[SimHarness, SimReport]:
         """Greedily drop faults while the run still violates an oracle."""
-        current = schedule
-        report = self._run(current, kwargs)
+        current = harness
+        report = self._run(current)
         changed = True
-        while changed and len(current.faults) > 1:
+        while changed and len(current.schedule.faults) > 1:
             changed = False
-            for index in range(len(current.faults)):
-                candidate = current.without(index)
-                candidate_report = self._run(candidate, kwargs)
+            for index in range(len(current.schedule.faults)):
+                candidate = replace(current, schedule=current.schedule.without(index))
+                candidate_report = self._run(candidate)
                 if candidate_report.violations:
                     current, report = candidate, candidate_report
                     changed = True
                     break
         return current, report
 
-    def _shrink_and_record(
-        self,
-        schedule: NemesisSchedule,
-        kwargs: Dict[str, Any],
-        report: SimReport,
-    ) -> SweepFailure:
-        shrunk, shrunk_report = self.shrink(schedule, kwargs)
+    def _shrink_and_record(self, harness: SimHarness, report: SimReport) -> SweepFailure:
+        shrunk, shrunk_report = self.shrink(harness)
         failure = SweepFailure(
-            name=schedule.name,
-            schedule=shrunk.to_plain(),
-            harness=dict(kwargs),
+            name=harness.schedule.name,
+            harness=shrunk.to_plain(),
             violations=list(shrunk_report.violations),
             fingerprint=shrunk_report.fingerprint(),
             report=shrunk_report.to_plain(),
         )
         if self.out_dir:
             os.makedirs(self.out_dir, exist_ok=True)
-            slug = schedule.name.replace(":", "-").replace(".", "-")
+            slug = failure.name.replace(":", "-").replace(".", "-")
             path = os.path.join(self.out_dir, f"repro-{slug}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(failure.to_plain(), fh, indent=2, sort_keys=True)
@@ -367,17 +348,21 @@ class ChaosSweep:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _harness_kwargs(self, seed: int) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "workers": self.workers,
-            "instances": self.instances,
-            "seed": seed,
-            "max_time": self.max_time,
-        }
+    def _harness(
+        self, schedule: NemesisSchedule, seed: int, replicas: int = 0, **changes: Any
+    ) -> SimHarness:
+        system = SystemSpec(workers=self.workers, seed=seed, replicas=replicas)
+        if replicas:
+            # a short lease keeps a forced failover inside the time budget
+            system = replace(system, lease_duration=30.0)
+        changes.setdefault("workload", self.workload)
+        return SimHarness(
+            schedule, instances=self.instances, max_time=self.max_time,
+            system=system, **changes,
+        )
 
-    def _run(self, schedule: NemesisSchedule, kwargs: Dict[str, Any]) -> SimReport:
-        return SimHarness(schedule=schedule, **kwargs).run()
+    def _run(self, harness: SimHarness) -> SimReport:
+        return harness.run()
 
     def _log(self, report: SimReport) -> None:
         if self.verbose:
@@ -392,8 +377,7 @@ def replay(path: str) -> Tuple[bool, str, str, SimReport]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    schedule = NemesisSchedule.from_plain(data["schedule"])
-    report = SimHarness(schedule=schedule, **data["harness"]).run()
+    report = SimHarness.from_plain(data["harness"]).run()
     recorded = data["fingerprint"]
     fresh = report.fingerprint()
     return fresh == recorded, recorded, fresh, report

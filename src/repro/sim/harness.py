@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.failures import FaultPlan
 from ..orb.broker import CommFailure, Overloaded
-from ..overload import OverloadConfig
-from ..services.system import TERMINAL, WorkflowSystem
+from ..services.system import TERMINAL, SystemSpec, WorkflowSystem
 from ..txn import wal as wal_mod
 from ..txn.manager import TransactionManager
 from ..txn.store import ObjectStore
@@ -138,51 +137,50 @@ class SimHarness:
 
     schedule: NemesisSchedule = field(default_factory=NemesisSchedule)
     workload: str = "order"
-    seed: int = 0
-    workers: int = 2
     instances: int = 1
     max_time: float = 5_000.0
     check_every: float = 25.0
-    loss_rate: float = 0.0
     compact_every: Optional[float] = None
     probe_every: Optional[float] = None
-    replicas: int = 0
-    lease_duration: float = 60.0
-    repl_interval: float = 5.0
-    service_time: float = 0.0
-    worker_lanes: int = 1
-    overload: Optional[OverloadConfig] = None
+    system: SystemSpec = field(default_factory=SystemSpec)
 
     def __post_init__(self) -> None:
         if self.workload not in APPLICATIONS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; choose from {sorted(APPLICATIONS)}"
             )
-        # run state (populated by run())
+
+    def to_plain(self) -> Dict[str, Any]:
+        """JSON-ready form, the schedule and the system spec nested: what a
+        repro file records and :meth:`from_plain` reads back."""
+        plain = {item.name: getattr(self, item.name) for item in fields(self)}
+        plain.update(schedule=self.schedule.to_plain(), system=self.system.to_plain())
+        return plain
+
+    @classmethod
+    def from_plain(cls, data: Dict[str, Any]) -> "SimHarness":
+        return cls(**{
+            **data,
+            "schedule": NemesisSchedule.from_plain(data["schedule"]),
+            "system": SystemSpec.from_plain(data["system"]),
+        })
+
+    # -- setup ----------------------------------------------------------------
+
+    def run(self) -> SimReport:
+        """One run on a fresh system; a harness may be run again."""
+        spec = APPLICATIONS[self.workload]
+        system = WorkflowSystem(self.system)
+        spec.binder(system.registry)
+        self._system = system
         self._probe_manager: Optional[TransactionManager] = None
         self._probes: List[ObjectStore] = []
-        self._system: Optional[WorkflowSystem] = None
-        self._injector: Optional[CrashPointInjector] = None
         self._crashes: List[Dict[str, Any]] = []
         self._violations: List[oracles.OracleViolation] = []
         self._violation_keys: Set[Tuple[str, str, str]] = set()
         self._terminal_seen: Dict[str, Tuple[str, Optional[str]]] = {}
         self._spike_submitted: Dict[str, str] = {}
         self._spike_refused: int = 0
-
-    # -- setup ----------------------------------------------------------------
-
-    def run(self) -> SimReport:
-        spec = APPLICATIONS[self.workload]
-        system = WorkflowSystem(
-            workers=self.workers, seed=self.seed, loss_rate=self.loss_rate,
-            replicas=self.replicas, lease_duration=self.lease_duration,
-            repl_interval=self.repl_interval, overload=self.overload,
-            worker_service_time=self.service_time,
-            worker_lanes=self.worker_lanes,
-        )
-        spec.binder(system.registry)
-        self._system = system
         injector = CrashPointInjector(self._on_crash)
         if self.probe_every is not None:
             # Two scratch stores on the execution node plus a manager whose
@@ -641,8 +639,8 @@ class SimHarness:
         instances = {iid: system.fate(iid) or lost for iid in iids}
         return SimReport(
             workload=self.workload,
-            seed=self.seed,
-            workers=self.workers,
+            seed=self.system.seed,
+            workers=self.system.workers,
             schedule=self.schedule.to_plain(),
             instances=instances,
             violations=[v.to_plain() for v in self._violations],
@@ -652,7 +650,7 @@ class SimHarness:
             points_visited=dict(sorted(self._injector.visits.items())),
             network=system.network.stats.as_dict(),
             end_time=system.clock.now,
-            replicas=self.replicas,
+            replicas=self.system.replicas,
             replication={
                 svc.name: {
                     "node": svc.node.name,

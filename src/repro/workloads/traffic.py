@@ -31,6 +31,7 @@ from ..lang import format_script
 from ..orb import CommFailure, Overloaded, call_with_backoff
 from ..resilience import RetryPolicy
 from ..services.system import TERMINAL
+from ..settings import require, setting
 from .generators import _noop_registry
 
 # Cohort index -> criticality class, cycling.  Cohort 0 is the premium tier:
@@ -38,35 +39,34 @@ from .generators import _noop_registry
 COHORT_CRITICALITY = ("high", "normal", "low")
 
 
+ARRIVALS = ("poisson", "burst")
+
+
 @dataclass(frozen=True)
 class TrafficSpec:
     """One reproducible traffic scenario."""
 
-    arrival: str = "poisson"     # "poisson" | "burst"
-    rate: float = 0.5            # mean arrivals per virtual second (off-burst)
-    duration: float = 300.0      # arrival-generation horizon
-    cohorts: int = 3             # user cohorts, cycling high/normal/low
-    skew: float = 0.5            # probability an arrival touches the hot key
-    seed: int = 0
-    script_length: int = 3       # pipeline stages per instance
-    burst_factor: float = 8.0    # burst mode: peak rate multiplier
-    burst_period: float = 60.0   # burst mode: cycle length
-    burst_duty: float = 0.25     # burst mode: fraction of the cycle at peak
-    drain: float = 600.0         # extra time to let admitted work finish
-    max_attempts: int = 4        # client patience with Overloaded refusals
-    slo: float = 0.0             # goodput latency bound; 0 = raw completions
+    arrival: str = setting("poisson", "inter-arrival shape", choices=ARRIVALS)
+    rate: float = setting(0.5, "mean arrivals per virtual second, off-burst", "1/s")
+    duration: float = setting(300.0, "arrival-generation horizon", "s")
+    cohorts: int = setting(3, "user cohorts cycling high/normal/low criticality", "count")
+    skew: float = setting(0.5, "probability an arrival is premium-cohort / hot-key", "share")
+    seed: int = setting(0, "seed for the whole schedule; same seed, same report fingerprint")
+    script_length: int = setting(3, "pipeline stages per instance", "count")
+    burst_factor: float = setting(8.0, "burst mode: peak rate multiplier")
+    burst_period: float = setting(60.0, "burst mode: cycle length", "s")
+    burst_duty: float = setting(0.25, "burst mode: fraction of the cycle at peak", "share")
+    drain: float = setting(600.0, "extra virtual time for admitted work to finish", "s")
+    max_attempts: int = setting(4, "client patience with Overloaded refusals", "count")
+    slo: float = setting(0.0, "sojourn bound for SLO goodput; 0 counts raw completions", "s")
 
     def __post_init__(self) -> None:
-        if self.arrival not in ("poisson", "burst"):
-            raise ValueError("arrival must be 'poisson' or 'burst'")
-        if self.rate <= 0 or self.duration <= 0:
-            raise ValueError("rate and duration must be positive")
-        if self.cohorts < 1:
-            raise ValueError("cohorts must be >= 1")
-        if not 0.0 <= self.skew <= 1.0:
-            raise ValueError("skew must be in [0, 1]")
-        if not 0.0 < self.burst_duty < 1.0:
-            raise ValueError("burst_duty must be in (0, 1)")
+        require(self, "arrival", self.arrival in ARRIVALS, f"must be one of {ARRIVALS}")
+        for name in ("rate", "duration"):
+            require(self, name, getattr(self, name) > 0, "must be positive")
+        require(self, "cohorts", self.cohorts >= 1, "must be at least 1")
+        require(self, "skew", 0.0 <= self.skew <= 1.0, "must be in [0, 1]")
+        require(self, "burst_duty", 0.0 < self.burst_duty < 1.0, "must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from repro.replication import Role
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
 from repro.services.journal import Journal
+from repro.services.system import SystemSpec
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.harness import SimHarness
@@ -314,7 +315,8 @@ class TestClosedIsSettledOracle:
             return original(service, phase)
 
         monkeypatch.setattr(oracles, "check_closed_is_settled", check)
-        report = SimHarness(replicas=2, lease_duration=30.0, instances=2).run()
+        system = SystemSpec(replicas=2, lease_duration=30.0)
+        report = SimHarness(system=system, instances=2).run()
         assert report.ok, report.violations
         at_the_end = {name: marked for name, phase, marked in checked if phase == "quiescence"}
         assert set(at_the_end) == {"execution-r1", "execution-r2"}

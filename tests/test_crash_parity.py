@@ -9,11 +9,12 @@ import pytest
 
 from repro.net.failures import FaultPlan
 from repro.services import WorkflowSystem
+from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import APPLICATIONS
 
-SHAPE = dict(workers=2, seed=11, replicas=2)
+SHAPE = SystemSpec(workers=2, seed=11, replicas=2)
 # off every timer's grid, so neither path's scheduling order can matter
 AT, DOWNTIME = 7.3, 41.9
 VICTIMS = {
@@ -38,14 +39,14 @@ def test_fault_plan_and_nemesis_crash_the_same_machine(workload, victim):
     node_name = VICTIMS[victim]
     harness = SimHarness(
         NemesisSchedule([CrashAtTime(at=AT, node=node_name, downtime=DOWNTIME)]),
-        workload=workload, **SHAPE,
+        workload=workload, system=SHAPE,
     )
     report = harness.run()
     assert report.ok, report.violations
     assert [(c["node"], c["time"]) for c in report.crashes] == [(node_name, AT)]
 
     app = APPLICATIONS[workload]
-    system = WorkflowSystem(**SHAPE)
+    system = WorkflowSystem(SHAPE)
     app.binder(system.registry)
     plan = FaultPlan(system.clock)
     plan.crash_at(system.nodes[node_name], when=AT, down_for=DOWNTIME).arm()

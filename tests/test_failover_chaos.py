@@ -8,6 +8,7 @@ from repro.sim.crashpoints import catalogue, point_named
 from repro.sim.explorer import ChaosSweep
 
 FAILOVER_WORKLOADS = ChaosSweep.FAILOVER_WORKLOADS
+from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import (
     KillPrimary,
@@ -19,6 +20,8 @@ from repro.sim.nemesis import (
 )
 
 REPLICATION_POINTS = [p.name for p in catalogue() if p.name.startswith("repl.")]
+REPLICATED = SystemSpec(replicas=2)
+SHORT_LEASE = SystemSpec(replicas=2, lease_duration=30.0)
 
 
 class TestReplicationFaults:
@@ -41,11 +44,11 @@ class TestReplicationFaults:
         healed = NemesisSchedule(
             [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=50.0)]
         )
-        assert not SimHarness(schedule=dead, replicas=2)._healable()
-        assert SimHarness(schedule=healed, replicas=2)._healable()
+        assert not SimHarness(schedule=dead, system=REPLICATED)._healable()
+        assert SimHarness(schedule=healed, system=REPLICATED)._healable()
         # an unhealed partition never heals by itself
         cut = NemesisSchedule([PartitionPrimary(at=10.0, heal_after=None)])
-        assert not SimHarness(schedule=cut, replicas=2)._healable()
+        assert not SimHarness(schedule=cut, system=REPLICATED)._healable()
         assert cut.network_quiet_at() == float("inf")
 
 
@@ -55,9 +58,7 @@ class TestReplicatedHarness:
             [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=200.0)],
             name="kill-resurrect",
         )
-        report = SimHarness(
-            schedule=schedule, replicas=2, lease_duration=30.0, instances=2
-        ).run()
+        report = SimHarness(schedule=schedule, system=SHORT_LEASE, instances=2).run()
         assert report.ok, report.violations
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -74,9 +75,7 @@ class TestReplicatedHarness:
         schedule = NemesisSchedule(
             [PartitionPrimary(at=10.0, heal_after=150.0)], name="cut-heal"
         )
-        report = SimHarness(
-            schedule=schedule, replicas=2, lease_duration=30.0
-        ).run()
+        report = SimHarness(schedule=schedule, system=SHORT_LEASE).run()
         assert report.ok, report.violations
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -89,11 +88,10 @@ class TestReplicatedHarness:
         schedule = NemesisSchedule(
             [KillPrimary(at=10.0, downtime=60.0)], name="det-failover"
         )
-        first = SimHarness(schedule=schedule, replicas=2, seed=13).run()
+        system = SystemSpec(replicas=2, seed=13)
+        first = SimHarness(schedule=schedule, system=system).run()
         second = SimHarness(
-            schedule=NemesisSchedule.from_json(schedule.to_json()),
-            replicas=2,
-            seed=13,
+            schedule=NemesisSchedule.from_json(schedule.to_json()), system=system
         ).run()
         assert first.ok, first.violations
         assert first.fingerprint() == second.fingerprint()
@@ -104,9 +102,7 @@ class TestReplicatedHarness:
             [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=200.0)],
             name="kill-resurrect",
         )
-        report = SimHarness(
-            schedule=schedule, replicas=2, lease_duration=30.0, workload=workload
-        ).run()
+        report = SimHarness(schedule=schedule, system=SHORT_LEASE, workload=workload).run()
         assert report.ok, report.violations
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -127,9 +123,9 @@ class TestReplicationCrashPoints:
     def test_plans_for_replication_points_use_replicas(self):
         sweep = ChaosSweep()
         for name in REPLICATION_POINTS:
-            schedule, kwargs = sweep.plan_for_point(point_named(name))
-            assert kwargs["replicas"] >= 2, name
-            crashes = [f.point for f in schedule.crash_faults()]
+            harness = sweep.plan_for_point(point_named(name))
+            assert harness.system.replicas >= 2, name
+            crashes = [f.point for f in harness.schedule.crash_faults()]
             assert name in crashes
             if name != "repl.tail.apply":
                 # a driver crash of the primary forces the grant/promotion
@@ -139,8 +135,7 @@ class TestReplicationCrashPoints:
     @pytest.mark.parametrize("name", REPLICATION_POINTS)
     def test_each_replication_point_fires_clean(self, name):
         sweep = ChaosSweep()
-        schedule, kwargs = sweep.plan_for_point(point_named(name))
-        report = sweep._run(schedule, kwargs)
+        report = sweep._run(sweep.plan_for_point(point_named(name)))
         assert report.ok, report.violations
         assert report.points_visited.get(name, 0) > 0, f"{name} never reached"
 

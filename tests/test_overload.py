@@ -18,6 +18,7 @@ from repro.overload import (
     criticality_of,
 )
 from repro.services import WorkflowSystem
+from repro.services.system import SystemSpec
 from repro.services.execution import _PENDING_ACK_CAP
 from repro.workloads import (
     TrafficSpec,
@@ -410,10 +411,10 @@ class TestChaosNoSilentDrop:
             name="spike+worker-crash",
         )
         harness = SimHarness(
-            schedule=schedule, workload="order", seed=3, instances=2,
-            service_time=2.0,
-            overload=OverloadConfig(
-                queue_capacity=8, initial_window=8, min_window=2
+            schedule=schedule, workload="order", instances=2,
+            system=SystemSpec(
+                seed=3, worker_service_time=2.0,
+                overload=OverloadConfig(queue_capacity=8, initial_window=8, min_window=2),
             ),
         )
         report = harness.run()
@@ -430,9 +431,10 @@ class TestChaosNoSilentDrop:
                 schedule=NemesisSchedule(
                     [LoadSpike(at=25.0, duration=50.0, rate=0.8)], name="spike"
                 ),
-                workload="order", seed=7, instances=1, service_time=1.0,
-                overload=OverloadConfig(
-                    queue_capacity=4, initial_window=4, min_window=2
+                workload="order", instances=1,
+                system=SystemSpec(
+                    seed=7, worker_service_time=1.0,
+                    overload=OverloadConfig(queue_capacity=4, initial_window=4, min_window=2),
                 ),
             )
             return harness.run()

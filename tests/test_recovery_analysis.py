@@ -491,12 +491,12 @@ def test_nemesis_duplicate_is_statically_predicted():
         faults=[CrashAtPoint("worker.execute.post", at_hit=1)],
         name="dup-effects",
     )
-    harness = SimHarness(schedule=schedule, workload="order", seed=0, workers=2)
+    harness = SimHarness(schedule=schedule, workload="order")
     sanitizer = Sanitizer()
     sanitizer.attach_harness(harness)
     sim_report = harness.run()
     assert sim_report.ok, sim_report.violations
-    unobserved = SimHarness(schedule=schedule, workload="order", seed=0, workers=2)
+    unobserved = SimHarness(schedule=schedule, workload="order")
     assert unobserved.run().fingerprint() == sim_report.fingerprint()
     script = paper_order.build()
     sanitizer.scan_workers(harness._system.workers, script)

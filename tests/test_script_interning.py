@@ -19,6 +19,7 @@ from repro.engine import outcome
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
 from repro.services.journal import Journal, script_digest
+from repro.services.system import SystemSpec
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.harness import SimHarness
@@ -325,7 +326,9 @@ class TestScriptResolutionOracle:
         assert script_digest(text) in violation.detail
 
     def test_the_harness_holds_every_replica_store_to_it(self):
-        harness = SimHarness(workload="order", replicas=2, lease_duration=30.0)
+        harness = SimHarness(
+            workload="order", system=SystemSpec(replicas=2, lease_duration=30.0)
+        )
         assert harness.run().ok
         standby = harness._system.execution_replicas[1]
         (key,) = script_keys(standby.store)

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.services.system import SystemSpec
 from repro.sim import oracles
 from repro.sim.crashpoints import (
     ArmedCrash,
@@ -244,9 +245,10 @@ class TestHarnessRuns:
             ],
             name="det",
         )
-        first = SimHarness(schedule=schedule, seed=7).run()
+        first = SimHarness(schedule=schedule, system=SystemSpec(seed=7)).run()
         second = SimHarness(
-            schedule=NemesisSchedule.from_json(schedule.to_json()), seed=7
+            schedule=NemesisSchedule.from_json(schedule.to_json()),
+            system=SystemSpec(seed=7),
         ).run()
         assert first.to_json() == second.to_json()
         assert first.fingerprint() == second.fingerprint()
@@ -324,19 +326,16 @@ class TestExhaustiveSweep:
     def test_plan_for_point_policies(self):
         sweep = ChaosSweep()
         # recovery-only points get a paired driver crash
-        schedule, kwargs = sweep.plan_for_point(point_named("exec.recover.pre"))
-        assert [f.point for f in schedule.crash_faults()] == [
+        harness = sweep.plan_for_point(point_named("exec.recover.pre"))
+        assert [f.point for f in harness.schedule.crash_faults()] == [
             "exec.journal.post", "exec.recover.pre",
         ]
         # compaction points enable the compactor
-        _, kwargs = sweep.plan_for_point(point_named("exec.compact.pre"))
-        assert kwargs["compact_every"]
+        assert sweep.plan_for_point(point_named("exec.compact.pre")).compact_every
         # 2PC points enable the probe
-        _, kwargs = sweep.plan_for_point(point_named("txn.2pc.prepared"))
-        assert kwargs["probe_every"]
+        assert sweep.plan_for_point(point_named("txn.2pc.prepared")).probe_every
         # the mark point reroutes to the trip workload (order emits no marks)
-        _, kwargs = sweep.plan_for_point(point_named("exec.mark.recv"))
-        assert kwargs["workload"] == "trip"
+        assert sweep.plan_for_point(point_named("exec.mark.recv")).workload == "trip"
 
 
 class TestRandomSweep:
@@ -363,8 +362,9 @@ class _FakeSweep(ChaosSweep):
         super().__init__()
         self.runs = 0
 
-    def _run(self, schedule, kwargs):
+    def _run(self, harness):
         self.runs += 1
+        schedule = harness.schedule
         bad = any(
             isinstance(f, CrashAtTime) and f.node == "worker-node-2"
             for f in schedule.faults
@@ -390,10 +390,10 @@ class TestShrinking:
             ],
             name="triple",
         )
-        shrunk, report = sweep.shrink(schedule, {})
-        assert len(shrunk) == 1
-        assert isinstance(shrunk.faults[0], CrashAtTime)
-        assert shrunk.faults[0].node == "worker-node-2"
+        shrunk, report = sweep.shrink(SimHarness(schedule))
+        assert len(shrunk.schedule) == 1
+        assert isinstance(shrunk.schedule.faults[0], CrashAtTime)
+        assert shrunk.schedule.faults[0].node == "worker-node-2"
         assert report.violations
 
     def test_shrink_keeps_irreducible_schedule(self):
@@ -402,19 +402,13 @@ class TestShrinking:
             [CrashAtTime(at=10.0, node="worker-node-2", downtime=30.0)],
             name="single",
         )
-        shrunk, _ = sweep.shrink(schedule, {})
-        assert len(shrunk) == 1
+        shrunk, _ = sweep.shrink(SimHarness(schedule))
+        assert len(shrunk.schedule) == 1
 
 
 class TestReproFiles:
-    def test_violating_run_is_shrunk_recorded_and_replayed(
-        self, tmp_path, monkeypatch
-    ):
-        """End-to-end repro pipeline with a synthetic invariant violation:
-        a patched journal oracle always fires, the sweep shrinks the
-        schedule to one fault, writes the repro file, and replay()
-        reproduces the recorded report byte-for-byte."""
-
+    @staticmethod
+    def force_violations(monkeypatch):
         def always_violates(store, phase=""):
             return [
                 oracles.OracleViolation(
@@ -424,20 +418,31 @@ class TestReproFiles:
             ]
 
         monkeypatch.setattr(oracles, "check_journal_integrity", always_violates)
+
+    FORCED = NemesisSchedule(
+        [
+            CrashAtPoint("exec.journal.post", downtime=30.0),
+            LossBurst(at=5.0, duration=20.0, rate=0.1),
+        ],
+        name="forced",
+    )
+
+    def test_violating_run_is_shrunk_recorded_and_replayed(
+        self, tmp_path, monkeypatch
+    ):
+        """End-to-end repro pipeline with a synthetic invariant violation:
+        a patched journal oracle always fires, the sweep shrinks the
+        schedule to one fault, writes the repro file, and replay()
+        reproduces the recorded report byte-for-byte."""
+        self.force_violations(monkeypatch)
         sweep = ChaosSweep(out_dir=str(tmp_path))
-        schedule = NemesisSchedule(
-            [
-                CrashAtPoint("exec.journal.post", downtime=30.0),
-                LossBurst(at=5.0, duration=20.0, rate=0.1),
-            ],
-            name="forced",
-        )
-        kwargs = sweep._harness_kwargs(seed=3)
-        report = sweep._run(schedule, kwargs)
+        harness = sweep._harness(self.FORCED, seed=3)
+        report = sweep._run(harness)
         assert report.violations
-        failure = sweep._shrink_and_record(schedule, kwargs, report)
+        failure = sweep._shrink_and_record(harness, report)
         assert failure.repro_path and os.path.exists(failure.repro_path)
-        assert len(failure.schedule["faults"]) == 1  # shrunk to one fault
+        # shrunk to one fault
+        assert len(failure.harness["schedule"]["faults"]) == 1
         with open(failure.repro_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         assert data["fingerprint"] == failure.fingerprint
@@ -445,21 +450,32 @@ class TestReproFiles:
         assert reproduced
         assert recorded == fresh
 
+    def test_replicated_violation_is_recorded_and_replayed(self, tmp_path, monkeypatch):
+        """The repro file carries the whole system spec: a forced violation
+        on a replicated, short-lease harness replays byte for byte."""
+        self.force_violations(monkeypatch)
+        sweep = ChaosSweep(out_dir=str(tmp_path))
+        harness = SimHarness(
+            self.FORCED, system=SystemSpec(replicas=2, lease_duration=30.0)
+        )
+        failure = sweep._shrink_and_record(harness, sweep._run(harness))
+        with open(failure.repro_path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert data["harness"]["system"]["replicas"] == 2
+        assert data["harness"]["system"]["lease_duration"] == 30.0
+        assert SimHarness.from_plain(data["harness"]).system == harness.system
+        reproduced, recorded, fresh, report = replay(failure.repro_path)
+        assert reproduced and recorded == fresh == failure.fingerprint
+        assert report.replicas == 2
+
     def test_replay_detects_fingerprint_mismatch(self, tmp_path):
         schedule = NemesisSchedule(
             [CrashAtPoint("exec.reply.recv", downtime=30.0)], name="clean"
         )
-        harness_kwargs = {
-            "workload": "order", "workers": 2, "instances": 1,
-            "seed": 5, "max_time": 5000.0,
-        }
-        report = SimHarness(schedule=schedule, **harness_kwargs).run()
+        harness = SimHarness(schedule, system=SystemSpec(seed=5))
+        report = harness.run()
         path = tmp_path / "repro.json"
-        good = {
-            "schedule": schedule.to_plain(),
-            "harness": harness_kwargs,
-            "fingerprint": report.fingerprint(),
-        }
+        good = {"harness": harness.to_plain(), "fingerprint": report.fingerprint()}
         path.write_text(json.dumps(good), encoding="utf-8")
         reproduced, recorded, fresh, _ = replay(str(path))
         assert reproduced and recorded == fresh

@@ -1,8 +1,10 @@
 """Tests for the tooling layer: DOT export, trace rendering, CLI."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.engine import LocalEngine
 from repro.engine.trace import render_summary, render_trace
 from repro.lang.dot import to_dot
@@ -162,3 +164,115 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["load", "--rate", "0"], "--rate"),
+            (["load", "--duration", "-5"], "--duration"),
+            (["load", "--skew", "2"], "--skew"),
+            (["load", "--queue-capacity", "-1"], "--queue-capacity"),
+            (["demo", "order", "--distributed", "--loss-rate", "1.5"], "--loss-rate"),
+            (["demo", "order", "--distributed", "--replicas", "-1"], "--replicas"),
+            (["demo", "order", "--distributed", "--sweep-interval", "0"], "--sweep-interval"),
+            (
+                ["demo", "order", "--distributed", "--chaos-interval", "5",
+                 "--chaos-downtime", "-1"],
+                "--chaos-downtime",
+            ),
+            (["chaos-sweep", "--mode", "random", "--seeds", "-3"], "--seeds"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_bad_values_are_usage_errors_naming_the_option(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err
+        assert "Traceback" not in err
+
+
+# Every (subcommand, option, default[, choices]) the command line had before
+# its options were read off the settings tables: spellings, defaults and
+# choices are kept, a subcommand's own default written at its call.
+OPTIONS = [
+    ("validate", "script", None),
+    ("format", "script", None),
+    ("format", "--in-place", False),
+    ("inspect", "script", None),
+    ("analyze", "script", None),
+    ("analyze", "task", None),
+    ("analyze", "--max-cases", 20000),
+    ("analyze", "--static", False),
+    ("analyze", "--sanitize", False),
+    ("lint", "scripts", None),
+    ("lint", "--format", "text", ["text", "json", "sarif"]),
+    ("lint", "--output", None),
+    ("lint", "--strict", False),
+    ("plan", "script", None),
+    ("plan", "task", None),
+    ("plan", "--json", False),
+    ("plan", "--no-liveness", False),
+    ("sanitize", "name", None, ["order", "trip", "service-impact"]),
+    ("sanitize", "--runs", 5),
+    ("sanitize", "--nemesis", False),
+    ("sanitize", "--seed", 0),
+    ("sanitize", "--output", None),
+    ("dot", "script", None),
+    ("dot", "task", None),
+    ("demo", "name", "order", ["order", "trip", "service-impact"]),
+    ("demo", "--load", False),
+    ("demo", "--distributed", False),
+    ("demo", "--workers", 3),
+    ("demo", "--replicas", 0),
+    ("demo", "--loss-rate", 0.0),
+    ("demo", "--chaos-interval", 0.0),
+    ("demo", "--chaos-downtime", 20.0),
+    ("demo", "--seed", 0),
+    ("demo", "--dispatch-timeout", 30.0),
+    ("demo", "--sweep-interval", 10.0),
+    ("demo", "--hedge-delay", None),
+    ("demo", "--max-redispatches", 40),
+    ("load", "--arrival", "poisson", ["poisson", "burst"]),
+    ("load", "--rate", 0.5),
+    ("load", "--duration", 300.0),
+    ("load", "--cohorts", 3),
+    ("load", "--skew", 0.5),
+    ("load", "--seed", 0),
+    ("load", "--drain", 600.0),
+    ("load", "--slo", 120.0),
+    ("load", "--workers", 2),
+    ("load", "--service-time", 1.0),
+    ("load", "--lanes", 1),
+    ("load", "--queue-capacity", 16),
+    ("load", "--window", 16),
+    ("load", "--json", False),
+    ("chaos-sweep", "--mode", "all", ["all", "exhaustive", "random", "failover"]),
+    ("chaos-sweep", "--workload", "order", ["order", "trip", "service-impact"]),
+    ("chaos-sweep", "--replicas", 2),
+    ("chaos-sweep", "--workers", 2),
+    ("chaos-sweep", "--instances", 1),
+    ("chaos-sweep", "--seeds", 64),
+    ("chaos-sweep", "--seed", 0),
+    ("chaos-sweep", "--max-time", 5000.0),
+    ("chaos-sweep", "--out", None),
+    ("chaos-sweep", "--replay", None),
+    ("chaos-sweep", "--list-points", False),
+    ("chaos-sweep", "--verbose", False),
+]
+
+
+def test_every_option_keeps_its_spelling_default_and_choices():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            row = (name, (action.option_strings or [action.dest])[0], action.default)
+            found.append(row + ((list(action.choices),) if action.choices else ()))
+    assert found == OPTIONS
+    # equal and of the same type: 5000.0 stays a float, 3 an int
+    assert [type(row[2]) for row in found] == [type(row[2]) for row in OPTIONS]

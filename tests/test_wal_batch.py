@@ -30,6 +30,7 @@ from repro.services import WorkflowSystem
 from repro.services.journal import Journal
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, crash_point
+from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
 from repro.txn import wal as w
@@ -351,8 +352,8 @@ class TestSingleWriterGuard:
             return original(self, writes)
 
         monkeypatch.setattr(ObjectStore, "commit_batch", spy)
-        for kwargs in ({}, {"replicas": 2, "lease_duration": 30.0}):
-            report = SimHarness(probe_every=15.0, compact_every=40.0, **kwargs).run()
+        for system in (SystemSpec(), SystemSpec(replicas=2, lease_duration=30.0)):
+            report = SimHarness(probe_every=15.0, compact_every=40.0, system=system).run()
             assert report.ok, report.violations
         assert {name for name, _locked in seen} >= {"execution-store", "lease-store"}
         assert not any(locked for _name, locked in seen)
