@@ -9,8 +9,8 @@ system: with the durable journal the workflow must *always* complete; the
 cost is visible as extra virtual time and re-dispatches.
 """
 
-from repro.net import FaultPlan, RandomCrasher
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule, RandomCrashes
 from repro.workloads import paper_order
 
 from .conftest import report
@@ -27,18 +27,11 @@ def run_under_faults(crash_interval=None, loss_rate=0.0, seed=0):
     paper_order.default_registry(registry=system.registry)
     system.deploy("order", paper_order.SCRIPT_TEXT)
     iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})
-    crasher = None
     if crash_interval is not None:
-        crasher = RandomCrasher(
-            system.clock,
-            [system.execution_node] + system.worker_nodes,
-            interval=crash_interval,
-            downtime=25.0,
-            seed=seed,
-        ).start()
+        nodes = ("execution-node",) + tuple(node.name for node in system.worker_nodes)
+        chaos = RandomCrashes(nodes, crash_interval, downtime=25.0, seed=seed)
+        NemesisSchedule([chaos]).arm(system)
     result = system.run_until_terminal(iid, max_time=100_000)
-    if crasher:
-        crasher.stop()
     return result, system
 
 
@@ -116,11 +109,11 @@ def test_e10_targeted_worst_case(benchmark):
         paper_order.default_registry(registry=system.registry)
         system.deploy("order", paper_order.SCRIPT_TEXT)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})
-        plan = FaultPlan(system.clock)
-        plan.crash_at(system.execution_node, when=2.0, down_for=30.0)
-        plan.crash_at(system.worker_nodes[0], when=4.0, down_for=200.0)
-        plan.crash_at(system.execution_node, when=80.0, down_for=30.0)
-        plan.arm()
+        NemesisSchedule([
+            CrashAtTime(2.0, "execution-node", downtime=30.0),
+            CrashAtTime(4.0, "worker-node-1", downtime=200.0),
+            CrashAtTime(80.0, "execution-node", downtime=30.0),
+        ]).arm(system)
         return system.run_until_terminal(iid, max_time=100_000)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

@@ -12,8 +12,8 @@ service commits is durable — and shows:
   cost.
 """
 
-from repro.net import FaultPlan
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.txn.wal import WriteAheadLog
 from repro.workloads import paper_order
 
@@ -42,9 +42,7 @@ def run_variant(durable: bool, crash: bool, seed: int = 0):
     system.deploy("order", paper_order.SCRIPT_TEXT)
     iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o"})
     if crash:
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=2.0, down_for=30.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(2.0, "execution-node", downtime=30.0)]).arm(system)
     result = system.run_until_terminal(iid, max_time=20_000)
     # every durable write of the service is one self-committing WAL record
     journal_writes = system.execution_store.wal.durable_length

@@ -1,14 +1,15 @@
 """Adaptive dispatch resilience vs the fixed-interval baseline.
 
-A stream of order instances arrives while ``RandomCrasher`` repeatedly takes
-worker nodes down.  The baseline is the fixed-interval dispatcher as a set of
-ordinary values (``FIXED_INTERVAL``): every attempt awaited the same
-``dispatch_timeout``, no hedging, no redispatch cap, no recovery stagger — so
-a dispatch that lands on a dead worker stalls its instance for a full timeout
-(or several).  The adaptive defaults hedge slow flights and back off with
-deterministic jitter — same chaos, same seeds, strictly better mean
-completion time (11.60 vs 9.62 virtual seconds; 13.52 if the baseline keeps
-``RetryPolicy``'s default 30-second base delay instead of the system's 20).
+A stream of order instances arrives while a ``RandomCrashes`` nemesis
+repeatedly takes worker nodes down.  The baseline is the fixed-interval
+dispatcher as a set of ordinary values (``FIXED_INTERVAL``): every attempt
+awaited the same ``dispatch_timeout``, no hedging, no redispatch cap, no
+recovery stagger — so a dispatch that lands on a dead worker stalls its
+instance for a full timeout (or several).  The adaptive defaults hedge slow
+flights and back off with deterministic jitter — same chaos, same seeds,
+strictly better mean completion time (11.60 vs 9.62 virtual seconds; 13.52
+if the baseline keeps ``RetryPolicy``'s default 30-second base delay instead
+of the system's 20).
 
 Both arms route by worker health.  The baseline used to be a separate code
 path that also rotated over workers blindly (crc32 of the flight key); it
@@ -22,9 +23,9 @@ import json
 import os
 
 from repro.core.selection import EventKind
-from repro.net import RandomCrasher
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import NemesisSchedule, RandomCrashes
 from repro.workloads import paper_order
 
 from .conftest import report
@@ -59,13 +60,8 @@ def run_stream(resilience, interval, downtime, chaos_seed, instances, gap):
     )
     paper_order.default_registry(registry=system.registry)
     system.deploy("order", paper_order.SCRIPT_TEXT)
-    crasher = RandomCrasher(
-        system.clock,
-        system.worker_nodes,  # workers only: the coordinator's journal stays put
-        interval=interval,
-        downtime=downtime,
-        seed=chaos_seed,
-    ).start()
+    workers = tuple(node.name for node in system.worker_nodes)  # the journal stays put
+    crashes = NemesisSchedule([RandomCrashes(workers, interval, downtime, chaos_seed)]).arm(system)
     arrivals, iids = [], []
     for i in range(instances):
         arrivals.append(system.clock.now)
@@ -85,8 +81,7 @@ def run_stream(resilience, interval, downtime, chaos_seed, instances, gap):
             if e.event.kind is EventKind.OUTCOME and "/" not in e.producer_path
         )
         latencies.append(done - arrived)
-    crasher.stop()
-    assert len(crasher.injected) > 0  # chaos actually happened
+    assert len(crashes) > 0  # chaos actually happened
     return latencies, system, iids
 
 

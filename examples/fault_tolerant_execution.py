@@ -3,15 +3,17 @@
 
 The serviceImpactApplication runs on the full simulated workflow system —
 repository node, execution-service node and two worker nodes behind the ORB —
-while the experiment crashes the execution node mid-run, crashes a worker and
-drops 15% of all messages.  The transactional journal brings the instance
-back exactly where it was (the paper's §3 system-level fault tolerance).
+while a nemesis schedule (``repro.sim.nemesis``, the one way faults are
+injected) crashes the execution node mid-run and crashes a worker, and the
+network drops 15% of all messages.  The transactional journal brings the
+instance back exactly where it was (the paper's §3 system-level fault
+tolerance).
 
 Run:  python examples/fault_tolerant_execution.py
 """
 
-from repro.net import FaultPlan
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import paper_service_impact
 
 
@@ -37,10 +39,10 @@ def main() -> None:
 
     print("arming failures: execution node crash @t=3 (down 40), "
           "worker-1 crash @t=5 (down 60), 15% message loss")
-    plan = FaultPlan(system.clock)
-    plan.crash_at(system.execution_node, when=3.0, down_for=40.0)
-    plan.crash_at(system.worker_nodes[0], when=5.0, down_for=60.0)
-    plan.arm()
+    crashes = NemesisSchedule([
+        CrashAtTime(3.0, "execution-node", downtime=40.0),
+        CrashAtTime(5.0, "worker-node-1", downtime=60.0),
+    ]).arm(system)
 
     result = system.run_until_terminal(iid, max_time=20_000)
 
@@ -49,7 +51,8 @@ def main() -> None:
     if result["objects"]:
         report = result["objects"].get("resolutionReport", {}).get("value")
         print(f"report  : {report}")
-    print(f"\nexecution-service stats: {system.execution.stats}")
+    print(f"\ncrashes injected       : {[(c['node'], c['time']) for c in crashes]}")
+    print(f"execution-service stats: {system.execution.stats}")
     print(f"network stats          : {system.network.stats.as_dict()}")
     print(f"virtual time elapsed   : {system.clock.now:.1f}")
     assert result["status"] == "completed"

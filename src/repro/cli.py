@@ -363,8 +363,8 @@ def _demo_distributed(args, spec: SystemSpec, app) -> int:
     """Run a demo on the full simulated distributed system, optionally under
     chaos, and show the workflow trace alongside the dispatcher's resilience
     decisions (redispatches, hedges, breaker trips)."""
-    from .net.failures import RandomCrasher
     from .resilience import ResilienceConfig
+    from .sim.nemesis import NemesisSchedule, RandomCrashes
 
     resilience = ResilienceConfig.for_timeouts(
         spec.dispatch_timeout,
@@ -376,20 +376,15 @@ def _demo_distributed(args, spec: SystemSpec, app) -> int:
     if args.hedge_delay is not None and args.hedge_delay > 0.0:
         resilience = replace(resilience, hedge_delay=args.hedge_delay)
     system = WorkflowSystem(spec, registry=app.binder(), resilience=resilience)
-    crasher = None
+    crashes = None
     if args.chaos_interval > 0.0:
-        crasher = RandomCrasher(
-            system.clock,
-            system.worker_nodes,
-            interval=args.chaos_interval,
-            downtime=args.chaos_downtime,
-            seed=spec.seed,
-        ).start()
+        workers = tuple(node.name for node in system.worker_nodes)
+        crashes = NemesisSchedule(
+            [RandomCrashes(workers, args.chaos_interval, args.chaos_downtime, spec.seed)]
+        ).arm(system)
     system.deploy(app.script_name, app.text)
     iid = system.instantiate(app.script_name, app.root_task, app.inputs(0))
     result = system.run_until_terminal(iid, max_time=50_000.0)
-    if crasher is not None:
-        crasher.stop()
     print(f"outcome: {result.get('outcome')}  (status: {result['status']})\n")
     service = system.primary_execution() or system.execution
     print(service.trace(iid))
@@ -412,8 +407,8 @@ def _demo_distributed(args, spec: SystemSpec, app) -> int:
         f"breaker-trips={stats['breaker_trips']} abandoned={stats['abandoned']} "
         f"recoveries={stats['recoveries']}"
     )
-    if crasher is not None:
-        print(f"chaos: {len(crasher.injected)} worker crashes injected")
+    if crashes is not None:
+        print(f"chaos: {len(crashes)} worker crashes injected")
     return 0 if result["status"] == "completed" else 1
 
 

@@ -7,23 +7,18 @@ bit-for-bit.
 """
 
 from .clock import EventClock, EventHandle, SimulationError
-from .failures import CrashEvent, FaultPlan, NetworkEvent, RandomCrasher
 from .network import LatencyModel, Message, Network, NetworkStats
 from .node import Node, NodeCrashed, Service
 
 __all__ = [
-    "CrashEvent",
-    "NetworkEvent",
     "EventClock",
     "EventHandle",
-    "FaultPlan",
     "LatencyModel",
     "Message",
     "Network",
     "NetworkStats",
     "Node",
     "NodeCrashed",
-    "RandomCrasher",
     "Service",
     "SimulationError",
 ]

@@ -10,9 +10,9 @@ and lock table from what was forced, then the endpoint detaches (datagrams
 in flight to the node are dropped, its timers never fire).
 :meth:`Node.recover` re-attaches under a new incarnation and runs every
 service's ``on_recover`` over those stores.  Nothing else in the tree says
-what a crash does to a machine; experiments inject the "finite number of
-intervening processor crashes" the paper's guarantees refer to by calling
-these two.
+what a crash does to a machine; the "finite number of intervening processor
+crashes" the paper's guarantees refer to are injected as nemesis faults,
+whose interpreter (:mod:`repro.sim.nemesis`) is what calls these two.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ Layers over the existing clock/network/txn stack:
   ``exec.journal.post``, …) where a schedule can kill a node mid-step,
   including torn-write injection at WAL force sites;
 * :mod:`repro.sim.nemesis` — declarative, composable, JSON-serialisable
-  fault schedules (crash-at-point, partition/heal, loss/dup/reorder bursts);
+  fault schedules (crash-at-point, timed and random crashes, partition/heal,
+  loss/dup/reorder bursts, primary faults) and the one interpreter that arms
+  them, on any system — the only way faults are injected;
 * :mod:`repro.sim.oracles` — invariant oracles checked continuously and at
   quiescence (exactly-once application, durability, journal/store
   agreement, liveness);

@@ -3,10 +3,10 @@
 A :class:`SimHarness` runs one workload on a fresh
 :class:`~repro.services.system.WorkflowSystem` while a
 :class:`~repro.sim.nemesis.NemesisSchedule` injects faults underneath it —
-crash-at-protocol-step faults through the crash-point injector, time-based
-faults (crashes, partitions, loss/dup/reorder bursts, load spikes) through
-the existing :class:`~repro.net.failures.FaultPlan` and the event clock —
-and the invariant oracles of
+armed by the same :class:`~repro.sim.nemesis.Nemesis` interpreter that arms
+a schedule on any system, plus the two kinds only the harness can arm:
+crash-at-protocol-step faults through the crash-point injector and load
+spikes of its own workload — and the invariant oracles of
 :mod:`repro.sim.oracles` watch the whole run.  The result is a
 :class:`SimReport`: final instance outcomes, every violation, every crash,
 network counters, and a fingerprint over the canonical JSON form so two runs
@@ -21,18 +21,20 @@ same stack above it.
 Crash mechanics
 ---------------
 
-When a crash fires (at a point or a scheduled time) the harness plays the
-machine's death exactly:
+When a crash fires (at a point or a scheduled time) the machine dies
+exactly:
 
 1. for a ``torn`` fault at a WAL force, :meth:`WriteAheadLog.torn_force`
    first makes every pending record except the last durable — the classic
    torn write;
-2. the node crashes (:meth:`repro.net.node.Node.crash`, the one place that
-   says what that does to a machine's stores, endpoint and timers);
-3. recovery is scheduled ``downtime`` later (in-doubt probe transactions are
-   resolved, the node re-attaches under its new incarnation, services
-   replay their journals) — unless ``downtime`` is None, in which case the
-   machine stays down and the liveness oracle is waived.
+2. the interpreter crashes the node (:meth:`repro.net.node.Node.crash`, the
+   one place that says what that does to a machine's stores, endpoint and
+   timers) and logs the crash;
+3. recovery is scheduled ``downtime`` later — unless ``downtime`` is None,
+   in which case the machine stays down and the liveness oracle is waived.
+   Around it the harness adds what it owns: in-doubt probe transactions are
+   resolved before the node re-attaches under its new incarnation and its
+   services replay their journals, and the oracles look at the result.
 
 The :class:`~repro.sim.crashpoints.SimulatedCrash` that unwinds the Python
 stack is caught at the event-loop boundary in :meth:`SimHarness._advance`
@@ -48,7 +50,6 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..net.failures import FaultPlan
 from ..orb.broker import CommFailure, Overloaded
 from ..services.system import TERMINAL, SystemSpec, WorkflowSystem
 from ..txn import wal as wal_mod
@@ -64,19 +65,7 @@ from .crashpoints import (
     install,
     uninstall,
 )
-from .nemesis import (
-    CrashAtPoint,
-    CrashAtTime,
-    DupBurst,
-    KillPrimary,
-    LoadSpike,
-    LossBurst,
-    NemesisSchedule,
-    Partition,
-    PartitionPrimary,
-    ReorderBurst,
-    ResurrectStalePrimary,
-)
+from .nemesis import CrashAtPoint, LoadSpike, Nemesis, NemesisSchedule
 
 
 # An armed fault waits this long after the instances end for late protocol
@@ -175,7 +164,6 @@ class SimHarness:
         self._system = system
         self._probe_manager: Optional[TransactionManager] = None
         self._probes: List[ObjectStore] = []
-        self._crashes: List[Dict[str, Any]] = []
         self._violations: List[oracles.OracleViolation] = []
         self._violation_keys: Set[Tuple[str, str, str]] = set()
         self._terminal_seen: Dict[str, Tuple[str, Optional[str]]] = {}
@@ -208,37 +196,15 @@ class SimHarness:
             for service in node.services():
                 injector.bind(service, name)
         self._injector = injector
-        for fault in self.schedule.crash_faults():
-            injector.arm(fault.to_armed())
-        # faults that strike at a time and find their victim then
-        strikes = {
-            CrashAtTime: lambda f: self._crash_node(f.node, None, "clean", f.downtime),
-            KillPrimary: self._kill_primary,
-            PartitionPrimary: self._partition_primary,
-            ResurrectStalePrimary: self._resurrect_replicas,
-        }
-        plan = FaultPlan(system.clock)
-        for fault in self.schedule.faults:
-            if type(fault) in strikes:
-                system.clock.call_at(
-                    fault.at, partial(strikes[type(fault)], fault), label=f"nemesis:{fault.kind}"
-                )
-            elif isinstance(fault, Partition):
-                plan.partition_at(
-                    system.network, fault.at, set(fault.group_a),
-                    set(fault.group_b), fault.heal_after,
-                )
-            elif isinstance(fault, LossBurst):
-                plan.loss_burst(system.network, fault.at, fault.duration, fault.rate)
-            elif isinstance(fault, DupBurst):
-                plan.dup_burst(system.network, fault.at, fault.duration, fault.rate)
-            elif isinstance(fault, ReorderBurst):
-                plan.reorder_burst(
-                    system.network, fault.at, fault.duration, fault.window
-                )
-            elif isinstance(fault, LoadSpike):
-                self._arm_load_spike(fault, spec)
-        plan.arm()
+        self._nemesis = Nemesis(
+            system,
+            before_recover=self._resolve_in_doubt,
+            after_recover=lambda _node: self._check("recovery", deep=True),
+        )
+        self._nemesis.arm(self.schedule, owned={
+            CrashAtPoint: lambda fault: injector.arm(fault.to_armed()),
+            LoadSpike: partial(self._arm_load_spike, spec=spec),
+        })
         if self.compact_every is not None:
             self._arm_compactor()
         if self.probe_every is not None:
@@ -345,91 +311,22 @@ class SimHarness:
         """Injector callback: make the crash real before the stack unwinds."""
         if fault.mode == "torn" and isinstance(scope, WriteAheadLog):
             scope.torn_force()
-        self._crash_node(
-            node_name, point=fault.point, mode=fault.mode, downtime=fault.downtime
-        )
+        self._nemesis.strike(node_name, fault.downtime, point=fault.point, mode=fault.mode)
 
-    def _crash_node(
-        self,
-        node_name: str,
-        point: Optional[str],
-        mode: str,
-        downtime: Optional[float],
-    ) -> None:
-        node = self._system.nodes[node_name]
-        if not node.alive:
+    def _resolve_in_doubt(self, node_name: str) -> None:
+        """Before the execution node comes back, finish 2PC for transactions
+        caught between PREPARE and the decision: presumed abort unless the
+        coordinator's decision log (the execution store) says commit.
+        Completing the record and re-replaying the log is all a redo-only
+        participant needs."""
+        if node_name != "execution-node" or self._probe_manager is None:
             return
         # the probe's transaction manager is in-memory: its active-transaction
-        # table and cached commit decisions die with the machine (durable
-        # decisions live in the decision store's log, nowhere else)
-        if node_name == "execution-node" and self._probe_manager is not None:
-            self._probe_manager._active.clear()
-            self._probe_manager._decisions.clear()
-        node.crash()
-        self._crashes.append(
-            {
-                "node": node_name,
-                "time": self._system.clock.now,
-                "point": point,
-                "mode": mode,
-                "downtime": downtime,
-            }
-        )
-        if downtime is not None:
-            self._system.clock.call_after(
-                downtime,
-                lambda: self._recover_node(node_name),
-                label=f"harness:recover:{node_name}",
-            )
-
-    def _recover_node(self, node_name: str) -> None:
-        node = self._system.nodes[node_name]
-        if node.alive:
-            return
-        if node_name == "execution-node":
-            self._resolve_in_doubt()
-        node.recover()  # may raise SimulatedCrash via a recovery crash point
-        self._check("recovery", deep=True)
-
-    # -- replication faults (resolved against the live system at fire time) -------
-
-    def _kill_primary(self, fault: KillPrimary) -> None:
-        primary = self._system.primary_execution()
-        if primary is None:
-            return  # no live primary this instant: the fault fizzles
-        self._crash_node(
-            primary.node.name, point="nemesis:kill-primary", mode="clean",
-            downtime=fault.downtime,
-        )
-
-    def _partition_primary(self, fault: PartitionPrimary) -> None:
-        primary = self._system.primary_execution()
-        if primary is None:
-            return
-        name = primary.node.name
-        network = self._system.network
-        network.partition({name}, set(self._system.nodes) - {name})
-        if fault.heal_after is not None:
-            self._system.clock.call_after(
-                fault.heal_after,
-                lambda: network.heal({name}),  # every edge touching the victim
-                label="nemesis:heal-primary",
-            )
-
-    def _resurrect_replicas(self, _fault: ResurrectStalePrimary) -> None:
-        """Recover every still-downed replica (the stale-primary return)."""
-        system = self._system
-        for service in system.execution_replicas or [system.execution]:
-            if not service.node.alive:
-                self._recover_node(service.node.name)
-
-    def _resolve_in_doubt(self) -> None:
-        """Finish 2PC for transactions caught between PREPARE and the
-        decision: presumed abort unless the coordinator's decision log (the
-        execution store) says commit.  Completing the record and re-replaying
-        the log is all a redo-only participant needs."""
-        if self._probe_manager is None:
-            return
+        # table and cached commit decisions died with the machine (durable
+        # decisions live in the decision store's log, nowhere else); nothing
+        # reads them while the node is down
+        self._probe_manager._active.clear()
+        self._probe_manager._decisions.clear()
         for store in self._probes:
             for tid in list(store.in_doubt()):
                 committed = self._probe_manager.decision(tid)
@@ -588,7 +485,7 @@ class SimHarness:
                     break
             else:
                 terminal_since = None
-        healable = self._healable()
+        healable = self.schedule.heals()
         if healable:
             guard = system.clock.now + QUIESCE_GRACE
             while system.clock.now < guard:
@@ -614,23 +511,6 @@ class SimHarness:
                     "is healthy and the network is quiet", "quiescence",
                 )])
 
-    def _healable(self) -> bool:
-        """Liveness is only owed when every fault eventually heals."""
-        resurrects = [
-            f.at for f in self.schedule.faults
-            if isinstance(f, ResurrectStalePrimary)
-        ]
-        for fault in self.schedule.faults:
-            if isinstance(fault, (CrashAtPoint, CrashAtTime)) and fault.downtime is None:
-                return False
-            if isinstance(fault, KillPrimary) and fault.downtime is None:
-                # a later resurrection brings the victim back
-                if not any(at > fault.at for at in resurrects):
-                    return False
-            if isinstance(fault, (Partition, PartitionPrimary)) and fault.heal_after is None:
-                return False
-        return True
-
     # -- reporting -------------------------------------------------------------------
 
     def _report(self, iids: List[str]) -> SimReport:
@@ -644,7 +524,7 @@ class SimHarness:
             schedule=self.schedule.to_plain(),
             instances=instances,
             violations=[v.to_plain() for v in self._violations],
-            crashes=self._crashes,
+            crashes=self._nemesis.crashes,
             fired=[[point, node] for point, node in self._injector.fired],
             unfired=[fault.point for fault in self._injector.pending()],
             points_visited=dict(sorted(self._injector.visits.items())),

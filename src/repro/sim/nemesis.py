@@ -1,26 +1,33 @@
-"""Declarative nemesis schedules.
+"""Declarative nemesis schedules and the one interpreter that arms them.
 
 A :class:`NemesisSchedule` is a composable, JSON-serialisable list of fault
-declarations — the "nemesis" of Jepsen terminology.  Schedules are pure
-data: the harness interprets them against a live :class:`WorkflowSystem`
-(crash-at-point faults arm the crash-point injector; time-based faults ride
-the existing :class:`~repro.net.failures.FaultPlan` and the network's
-loss/dup/reorder knobs).  Because they are pure data they round-trip through
-repro files, shrink by dropping elements, and diff meaningfully in CI logs.
+declarations — the "nemesis" of Jepsen terminology — and the only way
+anything in the repository injects a fault.  Schedules are pure data, so
+they round-trip through repro files, shrink by dropping elements, and diff
+meaningfully in CI logs.  :class:`Nemesis` interprets one against a live
+:class:`~repro.services.system.WorkflowSystem`: ``schedule.arm(system)`` arms
+every time-based fault on any system and returns the log of the crashes it
+makes; the sim harness arms the same way and adds only what it owns (crash
+points, load spikes, the 2PC probe's in-doubt resolution before a recovery
+and the oracle check after one).
 
 Fault kinds::
 
     crash_at_point   kill a node the Nth time a named protocol step runs
-                     (mode "torn" also tears the in-progress WAL force)
+                     (mode "torn" also tears the in-progress WAL force;
+                     needs the harness's crash-point injector)
     crash_at_time    classic wall-clock crash of a named node
+    random_crashes   from the moment it is armed, crash a randomly chosen
+                     node after each exponentially distributed gap
     partition        sever two node groups, optionally healing later
     loss_burst       raise the datagram loss rate for a while
     dup_burst        duplicate datagrams for a while
     reorder_burst    delay ~half of all datagrams by up to a window
     load_spike       submit extra workflow instances at a sustained rate
-                     (drives the overload/admission layer, §13)
+                     (drives the overload/admission layer, §13; needs the
+                     harness's workload)
 
-Replication faults (only meaningful with ``replicas > 0``; the harness
+Replication faults (only meaningful with ``replicas > 0``; the interpreter
 resolves "the primary" against the live system at fire time, because which
 replica holds the lease depends on the history of earlier faults)::
 
@@ -30,15 +37,25 @@ replica holds the lease depends on the history of earlier faults)::
     resurrect_stale_primary   recover every replica still down at ``at`` —
                               the classic stale-primary-returns scenario the
                               fencing epoch must neutralise
+
+A crash that finds its node already down does nothing: it is not logged and
+schedules no recovery.  Recoveries are scheduled by the crash that made them
+necessary, ``downtime`` after it.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
-from .crashpoints import ArmedCrash, point_named
+from ..settings import require
+from .crashpoints import ArmedCrash
+
+if TYPE_CHECKING:
+    from ..services.system import WorkflowSystem
 
 
 @dataclass(frozen=True)
@@ -54,24 +71,12 @@ class CrashAtPoint:
     kind = "crash_at_point"
 
     def __post_init__(self) -> None:
-        ArmedCrash(  # validates point name, mode, torn capability, at_hit
-            point=self.point, at_hit=self.at_hit, mode=self.mode,
-            node=self.node, downtime=self.downtime,
-        )
+        self.to_armed()  # validates point name, mode, torn capability, at_hit
 
     def to_armed(self) -> ArmedCrash:
         return ArmedCrash(
             point=self.point, at_hit=self.at_hit, mode=self.mode,
             node=self.node, downtime=self.downtime,
-        )
-
-    def describe(self) -> str:
-        tear = " (torn write)" if self.mode == "torn" else ""
-        who = self.node or "first visitor"
-        down = "forever" if self.downtime is None else f"{self.downtime}"
-        return (
-            f"crash {who} at {self.point} hit {self.at_hit}{tear}, "
-            f"down {down}"
         )
 
 
@@ -85,9 +90,25 @@ class CrashAtTime:
 
     kind = "crash_at_time"
 
-    def describe(self) -> str:
-        down = "forever" if self.downtime is None else f"{self.downtime}"
-        return f"crash {self.node} at t={self.at}, down {down}"
+
+@dataclass(frozen=True)
+class RandomCrashes:
+    """From the moment the schedule is armed, crash one of ``nodes`` (chosen
+    uniformly) after each exponentially distributed gap of mean
+    ``interval``; each victim comes back ``downtime`` after its strike.  The
+    chain never ends.  Every draw comes from ``random.Random(seed)``: one
+    ``expovariate`` per gap, one ``choice`` per strike."""
+
+    nodes: Tuple[str, ...]
+    interval: float
+    downtime: float
+    seed: int = 0
+
+    kind = "random_crashes"
+
+    def __post_init__(self) -> None:
+        require(self, "nodes", len(self.nodes) > 0, "must name at least one node")
+        require(self, "interval", self.interval > 0, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,13 +123,6 @@ class Partition:
 
     kind = "partition"
 
-    def describe(self) -> str:
-        heal = "never healed" if self.heal_after is None else f"healed +{self.heal_after}"
-        return (
-            f"partition {sorted(self.group_a)} | {sorted(self.group_b)} "
-            f"at t={self.at}, {heal}"
-        )
-
 
 @dataclass(frozen=True)
 class LossBurst:
@@ -117,9 +131,6 @@ class LossBurst:
     rate: float
 
     kind = "loss_burst"
-
-    def describe(self) -> str:
-        return f"loss rate {self.rate} during [{self.at}, {self.at + self.duration})"
 
 
 @dataclass(frozen=True)
@@ -130,9 +141,6 @@ class DupBurst:
 
     kind = "dup_burst"
 
-    def describe(self) -> str:
-        return f"dup rate {self.rate} during [{self.at}, {self.at + self.duration})"
-
 
 @dataclass(frozen=True)
 class ReorderBurst:
@@ -141,12 +149,6 @@ class ReorderBurst:
     window: float
 
     kind = "reorder_burst"
-
-    def describe(self) -> str:
-        return (
-            f"reorder window {self.window} during "
-            f"[{self.at}, {self.at + self.duration})"
-        )
 
 
 @dataclass(frozen=True)
@@ -168,29 +170,21 @@ class LoadSpike:
 
     kind = "load_spike"
 
-    def describe(self) -> str:
-        return (
-            f"load spike {self.rate}/s during [{self.at}, {self.at + self.duration})"
-        )
-
 
 @dataclass(frozen=True)
 class KillPrimary:
     """Crash whichever replica is the *current* primary at time ``at``.
 
     Unlike :class:`CrashAtTime` the victim is not named up front: the
-    harness asks the live system for the lease holder when the fault fires,
-    so a schedule can kill the second primary of a run (the one elected by
-    an earlier failover) without knowing its node name in advance."""
+    interpreter asks the live system for the lease holder when the fault
+    fires, so a schedule can kill the second primary of a run (the one
+    elected by an earlier failover) without knowing its node name in
+    advance."""
 
     at: float
     downtime: Optional[float] = 30.0
 
     kind = "kill_primary"
-
-    def describe(self) -> str:
-        down = "forever" if self.downtime is None else f"{self.downtime}"
-        return f"crash current primary at t={self.at}, down {down}"
 
 
 @dataclass(frozen=True)
@@ -205,10 +199,6 @@ class PartitionPrimary:
 
     kind = "partition_primary"
 
-    def describe(self) -> str:
-        heal = "never healed" if self.heal_after is None else f"healed +{self.heal_after}"
-        return f"isolate current primary at t={self.at}, {heal}"
-
 
 @dataclass(frozen=True)
 class ResurrectStalePrimary:
@@ -222,14 +212,11 @@ class ResurrectStalePrimary:
 
     kind = "resurrect_stale_primary"
 
-    def describe(self) -> str:
-        return f"resurrect downed replicas at t={self.at}"
-
 
 _FAULT_TYPES: Dict[str, Type] = {
     cls.kind: cls
-    for cls in (CrashAtPoint, CrashAtTime, Partition, LossBurst, DupBurst,
-                ReorderBurst, LoadSpike, KillPrimary, PartitionPrimary,
+    for cls in (CrashAtPoint, CrashAtTime, RandomCrashes, Partition, LossBurst,
+                DupBurst, ReorderBurst, LoadSpike, KillPrimary, PartitionPrimary,
                 ResurrectStalePrimary)
 }
 
@@ -249,10 +236,8 @@ def fault_from_plain(data: Dict[str, Any]) -> Fault:
         cls = _FAULT_TYPES[kind]
     except KeyError:
         raise ValueError(f"unknown fault kind {kind!r}") from None
-    if cls is Partition:
-        data["group_a"] = tuple(data["group_a"])
-        data["group_b"] = tuple(data["group_b"])
-    return cls(**data)
+    # JSON has no tuples: node-name groups come back as lists
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass
@@ -279,30 +264,23 @@ class NemesisSchedule:
     def crash_faults(self) -> List[CrashAtPoint]:
         return [f for f in self.faults if isinstance(f, CrashAtPoint)]
 
-    def network_quiet_at(self) -> float:
-        """Earliest time after which no *time-based* fault is still active
-        (unhealed partitions count as never quiet)."""
-        quiet = 0.0
+    def heals(self) -> bool:
+        """Whether every fault ends: a crash whose ``downtime`` is None or a
+        partition whose ``heal_after`` is None never does, unless it is a
+        killed primary that a later resurrection brings back."""
+        resurrections = [f.at for f in self.faults if isinstance(f, ResurrectStalePrimary)]
         for fault in self.faults:
-            if isinstance(fault, (LossBurst, DupBurst, ReorderBurst, LoadSpike)):
-                quiet = max(quiet, fault.at + fault.duration)
-            elif isinstance(fault, Partition):
-                if fault.heal_after is None:
-                    return float("inf")
-                quiet = max(quiet, fault.at + fault.heal_after)
-            elif isinstance(fault, PartitionPrimary):
-                if fault.heal_after is None:
-                    return float("inf")
-                quiet = max(quiet, fault.at + fault.heal_after)
-            elif isinstance(fault, (CrashAtTime, KillPrimary,
-                                    ResurrectStalePrimary)):
-                quiet = max(quiet, fault.at)
-        return quiet
+            if isinstance(fault, KillPrimary) and any(at > fault.at for at in resurrections):
+                continue
+            if None in (getattr(fault, "downtime", 0.0), getattr(fault, "heal_after", 0.0)):
+                return False
+        return True
 
-    def describe(self) -> str:
-        if not self.faults:
-            return "(no faults)"
-        return "; ".join(fault.describe() for fault in self.faults)
+    def arm(self, system: "WorkflowSystem") -> List[Dict[str, Any]]:
+        """Arm every fault on ``system``'s clock; returns the crash log,
+        filled in as the crashes happen.  ``ValueError`` if the schedule
+        holds a kind only the sim harness can arm."""
+        return Nemesis(system).arm(self)
 
     # -- serialisation ------------------------------------------------------
 
@@ -325,3 +303,170 @@ class NemesisSchedule:
     @classmethod
     def from_json(cls, text: str) -> "NemesisSchedule":
         return cls.from_plain(json.loads(text))
+
+
+def _nothing(_node: str) -> None:
+    pass
+
+
+class Nemesis:
+    """The interpreter: arms a schedule's faults on one live system and logs
+    every crash it makes as ``{"node", "time", "point", "mode",
+    "downtime"}``.
+
+    ``before_recover`` and ``after_recover`` run around each recovery it
+    makes (of a node that is down), with the node's name.  :meth:`strike`
+    is public so a caller that finds its own victims (the harness's crash
+    points) crashes them the same way.
+    """
+
+    def __init__(
+        self,
+        system: "WorkflowSystem",
+        before_recover: Callable[[str], None] = _nothing,
+        after_recover: Callable[[str], None] = _nothing,
+    ) -> None:
+        self.system = system
+        self.before_recover = before_recover
+        self.after_recover = after_recover
+        self.crashes: List[Dict[str, Any]] = []
+
+    def arm(
+        self,
+        schedule: NemesisSchedule,
+        owned: Optional[Dict[Type, Callable[[Fault], None]]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Arm ``schedule``; ``owned`` maps the fault kinds the caller arms
+        itself to the function that does.  Any other kind this interpreter
+        cannot arm is refused (``ValueError``) before anything is armed.
+
+        Registration order is part of the behaviour — events at one instant
+        run in the order they were registered — so it is fixed: strikes and
+        owned faults in schedule order, then the network episodes, each of
+        which registers its heal or restore when it starts."""
+        owned = owned or {}
+        now = {RandomCrashes: self._random_crashes, **owned}
+        strikes = {
+            CrashAtTime: lambda f: self.strike(f.node, f.downtime),
+            KillPrimary: self._kill_primary,
+            PartitionPrimary: self._partition_primary,
+            ResurrectStalePrimary: self._resurrect,
+        }
+        episodes = {
+            Partition: self._partition,
+            LossBurst: lambda f: self._burst(f, "loss_rate", f.rate),
+            DupBurst: lambda f: self._burst(f, "dup_rate", f.rate),
+            ReorderBurst: lambda f: self._burst(f, "reorder_window", f.window),
+        }
+        for fault in schedule.faults:
+            if not any(type(fault) in table for table in (now, strikes, episodes)):
+                raise ValueError(f"a {fault.kind} fault needs the sim harness to arm it")
+        for fault in schedule.faults:
+            if type(fault) in now:
+                now[type(fault)](fault)
+            elif type(fault) in strikes:
+                self._at(fault, strikes[type(fault)])
+        for fault in schedule.faults:
+            if type(fault) in episodes:
+                self._at(fault, episodes[type(fault)])
+        return self.crashes
+
+    def _at(self, fault: Fault, action: Callable[[Fault], None]) -> None:
+        self.system.clock.call_at(fault.at, partial(action, fault), label=f"nemesis:{fault.kind}")
+
+    # -- crashes and recoveries -------------------------------------------------
+
+    def strike(
+        self,
+        name: str,
+        downtime: Optional[float],
+        point: Optional[str] = None,
+        mode: str = "clean",
+    ) -> None:
+        """Crash node ``name`` if it is up, log it and schedule its recovery
+        ``downtime`` later (never, if None)."""
+        node = self.system.nodes[name]
+        if not node.alive:
+            return
+        node.crash()
+        self.crashes.append(
+            {"node": name, "time": self.system.clock.now, "point": point, "mode": mode,
+             "downtime": downtime}
+        )
+        if downtime is not None:
+            self.system.clock.call_after(
+                downtime, partial(self._recover, name), label=f"nemesis:recover:{name}"
+            )
+
+    def _recover(self, name: str) -> None:
+        node = self.system.nodes[name]
+        if node.alive:
+            return
+        self.before_recover(name)
+        node.recover()  # may raise SimulatedCrash via a recovery crash point
+        self.after_recover(name)
+
+    def _random_crashes(self, fault: RandomCrashes) -> None:
+        rng = random.Random(fault.seed)
+        clock = self.system.clock
+
+        def schedule_next() -> None:
+            gap = rng.expovariate(1.0 / fault.interval)
+            clock.call_after(gap, hit, label="nemesis:random-crash")
+
+        def hit() -> None:
+            self.strike(rng.choice(fault.nodes), fault.downtime)
+            schedule_next()
+
+        schedule_next()
+
+    # -- replication faults (resolved against the live system at fire time) -------
+
+    def _kill_primary(self, fault: KillPrimary) -> None:
+        primary = self.system.primary_execution()
+        if primary is not None:  # no live primary this instant: the fault fizzles
+            self.strike(primary.node.name, fault.downtime, point="nemesis:kill-primary")
+
+    def _partition_primary(self, fault: PartitionPrimary) -> None:
+        primary = self.system.primary_execution()
+        if primary is None:
+            return
+        name = primary.node.name
+        network = self.system.network
+        network.partition({name}, set(self.system.nodes) - {name})
+        if fault.heal_after is not None:
+            self.system.clock.call_after(
+                fault.heal_after,
+                partial(network.heal, {name}),  # every edge touching the victim
+                label="nemesis:heal-primary",
+            )
+
+    def _resurrect(self, _fault: ResurrectStalePrimary) -> None:
+        """Recover every still-downed replica (the stale-primary return)."""
+        system = self.system
+        for service in system.execution_replicas or [system.execution]:
+            self._recover(service.node.name)
+
+    # -- network episodes -----------------------------------------------------------
+
+    def _partition(self, fault: Partition) -> None:
+        network = self.system.network
+        group_a, group_b = set(fault.group_a), set(fault.group_b)
+        network.partition(group_a, group_b)
+        if fault.heal_after is not None:
+            self.system.clock.call_at(
+                fault.at + fault.heal_after, partial(network.heal, group_a, group_b),
+                label="nemesis:heal",
+            )
+
+    def _burst(self, fault: Fault, knob: str, value: float) -> None:
+        """Set a network knob for ``fault.duration``, then restore the value
+        it had when the burst began (bursts may nest; last restore wins,
+        which is fine for the disjoint bursts schedules generate)."""
+        network = self.system.network
+        previous = getattr(network, knob)
+        setattr(network, knob, value)
+        self.system.clock.call_at(
+            fault.at + fault.duration, partial(setattr, network, knob, previous),
+            label=f"nemesis:{fault.kind}-end",
+        )

@@ -5,42 +5,57 @@ instances all complete despite continuous random crashes of every node,
 message loss and a partition episode — the only casualty is time.
 """
 
+import json
+
 import pytest
 
-from repro.net import RandomCrasher
 from repro.services import WorkflowSystem
+from repro.services.system import SystemSpec
+from repro.sim.explorer import replay
+from repro.sim.harness import SimHarness
+from repro.sim.nemesis import NemesisSchedule, RandomCrashes
 from repro.workloads import paper_order, paper_trip
+
+FLEET = SystemSpec(workers=3, loss_rate=0.10, seed=42, dispatch_timeout=20.0, sweep_interval=5.0)
+FLEET_CHAOS = RandomCrashes(
+    ("execution-node", "worker-node-1", "worker-node-2", "worker-node-3"),
+    interval=40.0, downtime=20.0, seed=7,
+)
 
 
 class TestChaosFleet:
     def test_ten_orders_under_sustained_chaos(self):
-        system = WorkflowSystem(
-            workers=3,
-            loss_rate=0.10,
-            seed=42,
-            dispatch_timeout=20.0,
-            sweep_interval=5.0,
-        )
+        system = WorkflowSystem(FLEET)
         paper_order.default_registry(registry=system.registry)
         system.deploy("order", paper_order.SCRIPT_TEXT)
         iids = [
             system.instantiate("order", paper_order.ROOT_TASK, {"order": f"o-{i}"})
             for i in range(10)
         ]
-        crasher = RandomCrasher(
-            system.clock,
-            [system.execution_node] + system.worker_nodes,
-            interval=40.0,
-            downtime=20.0,
-            seed=7,
-        ).start()
+        crashes = NemesisSchedule([FLEET_CHAOS]).arm(system)
         for iid in iids:
             result = system.run_until_terminal(iid, max_time=100_000)
             assert result["status"] == "completed", iid
             assert result["outcome"] == "orderCompleted"
-        crasher.stop()
-        assert len(crasher.injected) > 0  # chaos actually happened
+        assert len(crashes) > 0  # chaos actually happened
         assert system.execution.stats["recoveries"] > 0
+
+    def test_the_fleets_chaos_passes_every_oracle_and_replays(self, tmp_path):
+        """The same chaos under the sim harness, where the oracles watch
+        every crash and recovery; its repro file replays byte for byte."""
+        harness = SimHarness(
+            NemesisSchedule([FLEET_CHAOS], name="fleet-chaos"),
+            workload="order", instances=10, system=FLEET,
+        )
+        report = harness.run()
+        assert report.ok, report.violations
+        assert {c["node"] for c in report.crashes} >= {"execution-node"}
+        assert all(info["status"] == "completed" for info in report.instances.values())
+        path = tmp_path / "repro-fleet-chaos.json"
+        repro = {"harness": harness.to_plain(), "fingerprint": report.fingerprint()}
+        path.write_text(json.dumps(repro))
+        reproduced, recorded, fresh, _report = replay(str(path))
+        assert reproduced, (recorded, fresh)
 
     def test_trip_app_with_loops_under_chaos(self):
         system = WorkflowSystem(
@@ -58,15 +73,11 @@ class TestChaosFleet:
         )
         system.deploy("trip", paper_trip.SCRIPT_TEXT)
         iid = system.instantiate("trip", paper_trip.ROOT_TASK, {"user": "chaos"})
-        crasher = RandomCrasher(
-            system.clock,
-            [system.execution_node] + system.worker_nodes,
-            interval=60.0,
-            downtime=25.0,
-            seed=11,
-        ).start()
+        NemesisSchedule([RandomCrashes(
+            ("execution-node", "worker-node-1", "worker-node-2"),
+            interval=60.0, downtime=25.0, seed=11,
+        )]).arm(system)
         result = system.run_until_terminal(iid, max_time=200_000)
-        crasher.stop()
         assert result["status"] == "completed"
         assert result["outcome"] == "tripArranged"
         # the loop + compensation semantics held under chaos

@@ -1,13 +1,12 @@
-"""A machine crash means one thing however it is scheduled: the same
-fixed-time crash of the same node, driven once through ``FaultPlan.crash_at``
-on a hand-built system and once through a ``CrashAtTime`` nemesis inside the
-sim harness, must leave the same committed stores and the same instance
-fates.  (Before ``Node`` owned its stores the first crashed the endpoint only
-and the second also dropped each store's unforced log suffix.)"""
+"""A machine crash means one thing however it is armed: the same fixed-time
+crash of the same node, armed once with ``NemesisSchedule.arm`` on a plain
+system and once inside the sim harness, must leave the same committed stores,
+the same crash log and the same instance fates — so what the harness adds
+around a crash (crash points, in-doubt resolution, the oracle check after a
+recovery) does not change what the crash does."""
 
 import pytest
 
-from repro.net.failures import FaultPlan
 from repro.services import WorkflowSystem
 from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
@@ -36,25 +35,21 @@ def stable_state(system):
 @pytest.mark.parametrize("victim", sorted(VICTIMS))
 @pytest.mark.parametrize("workload", sorted(APPLICATIONS))
 def test_fault_plan_and_nemesis_crash_the_same_machine(workload, victim):
-    node_name = VICTIMS[victim]
-    harness = SimHarness(
-        NemesisSchedule([CrashAtTime(at=AT, node=node_name, downtime=DOWNTIME)]),
-        workload=workload, system=SHAPE,
-    )
+    schedule = NemesisSchedule([CrashAtTime(at=AT, node=VICTIMS[victim], downtime=DOWNTIME)])
+    harness = SimHarness(schedule, workload=workload, system=SHAPE)
     report = harness.run()
     assert report.ok, report.violations
-    assert [(c["node"], c["time"]) for c in report.crashes] == [(node_name, AT)]
+    assert [(c["node"], c["time"]) for c in report.crashes] == [(VICTIMS[victim], AT)]
 
     app = APPLICATIONS[workload]
     system = WorkflowSystem(SHAPE)
     app.binder(system.registry)
-    plan = FaultPlan(system.clock)
-    plan.crash_at(system.nodes[node_name], when=AT, down_for=DOWNTIME).arm()
+    crashes = schedule.arm(system)
     system.deploy(app.script_name, app.text)
     iid = system.instantiate(app.script_name, app.root_task, app.inputs(0))
     system.clock.run(until=report.end_time)
 
-    assert [(e.node, e.crash_time) for e in plan.history] == [(node_name, AT)]
+    assert crashes == report.crashes
     assert {iid: system.fate(iid)} == report.instances
     assert report.instances[iid]["status"] == "completed"
     assert stable_state(system) == stable_state(harness._system)

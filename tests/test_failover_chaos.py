@@ -20,7 +20,6 @@ from repro.sim.nemesis import (
 )
 
 REPLICATION_POINTS = [p.name for p in catalogue() if p.name.startswith("repl.")]
-REPLICATED = SystemSpec(replicas=2)
 SHORT_LEASE = SystemSpec(replicas=2, lease_duration=30.0)
 
 
@@ -44,12 +43,10 @@ class TestReplicationFaults:
         healed = NemesisSchedule(
             [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=50.0)]
         )
-        assert not SimHarness(schedule=dead, system=REPLICATED)._healable()
-        assert SimHarness(schedule=healed, system=REPLICATED)._healable()
+        assert not dead.heals()
+        assert healed.heals()
         # an unhealed partition never heals by itself
-        cut = NemesisSchedule([PartitionPrimary(at=10.0, heal_after=None)])
-        assert not SimHarness(schedule=cut, system=REPLICATED)._healable()
-        assert cut.network_quiet_at() == float("inf")
+        assert not NemesisSchedule([PartitionPrimary(at=10.0, heal_after=None)]).heals()
 
 
 class TestReplicatedHarness:

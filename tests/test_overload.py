@@ -451,4 +451,3 @@ class TestChaosNoSilentDrop:
         )
         again = NemesisSchedule.from_json(schedule.to_json())
         assert again.faults == schedule.faults
-        assert schedule.network_quiet_at() == 30.0

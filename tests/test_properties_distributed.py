@@ -5,8 +5,8 @@ post-hoc recovery replay reproduces the exact result."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.net import FaultPlan
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import paper_order
 
 # pin settings per test (profiles are process-global; another module's
@@ -28,9 +28,7 @@ def run_order(crash_at=None, down_for=30.0, loss=0.0, seed=0, workers=2):
     system.deploy("order", paper_order.SCRIPT_TEXT)
     iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "p"})
     if crash_at is not None:
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=crash_at, down_for=down_for
-        ).arm()
+        NemesisSchedule([CrashAtTime(crash_at, "execution-node", downtime=down_for)]).arm(system)
     result = system.run_until_terminal(iid, max_time=50_000)
     return system, iid, result
 

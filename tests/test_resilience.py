@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FaultPlan, RandomCrasher
 from repro.resilience import (
     BreakerConfig,
     BreakerState,
@@ -20,6 +19,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule, RandomCrashes
 from repro.workloads import paper_order
 
 
@@ -248,10 +248,9 @@ class TestAbandonment:
                 10.0, 5.0, max_redispatches=3
             ),
         )
-        plan = FaultPlan(system.clock)
-        for node in system.worker_nodes:
-            plan.crash_at(node, when=0.1)  # permanent
-        plan.arm()
+        NemesisSchedule(  # permanent
+            [CrashAtTime(0.1, node.name, downtime=None) for node in system.worker_nodes]
+        ).arm(system)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "doomed"})
         result = system.run_until_terminal(iid, max_time=5_000)
         assert result["status"] in ("aborted", "failed")
@@ -268,10 +267,9 @@ class TestAbandonment:
                 10.0, 5.0, max_redispatches=None
             ),
         )
-        plan = FaultPlan(system.clock)
-        for node in system.worker_nodes:
-            plan.crash_at(node, when=0.1, down_for=200.0)
-        plan.arm()
+        NemesisSchedule(
+            [CrashAtTime(0.1, node.name, downtime=200.0) for node in system.worker_nodes]
+        ).arm(system)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "patient"})
         result = system.run_until_terminal(iid, max_time=20_000)
         assert result["status"] == "completed"
@@ -285,9 +283,7 @@ class TestRecoveryStagger:
             system.instantiate("order", paper_order.ROOT_TASK, {"order": f"s-{i}"})
             for i in range(4)
         ]
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=1.0, down_for=30.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(1.0, "execution-node", downtime=30.0)]).arm(system)
         for iid in iids:
             result = system.run_until_terminal(iid, max_time=20_000)
             assert result["status"] == "completed"
@@ -306,9 +302,7 @@ class TestRecoveryStagger:
                 system.instantiate("order", paper_order.ROOT_TASK, {"order": f"d-{i}"})
                 for i in range(3)
             ]
-            FaultPlan(system.clock).crash_at(
-                system.execution_node, when=1.0, down_for=30.0
-            ).arm()
+            NemesisSchedule([CrashAtTime(1.0, "execution-node", downtime=30.0)]).arm(system)
             for iid in iids:
                 system.run_until_terminal(iid, max_time=20_000)
             return [
@@ -331,17 +325,11 @@ class TestHedging:
             system.instantiate("order", paper_order.ROOT_TASK, {"order": f"h-{i}"})
             for i in range(10)
         ]
-        crasher = RandomCrasher(
-            system.clock,
-            system.worker_nodes,      # workers only: the journal stays put
-            interval=10.0,
-            downtime=30.0,
-            seed=7,
-        ).start()
+        workers = tuple(node.name for node in system.worker_nodes)  # the journal stays put
+        NemesisSchedule([RandomCrashes(workers, interval=10.0, downtime=30.0, seed=7)]).arm(system)
         for iid in iids:
             result = system.run_until_terminal(iid, max_time=100_000)
             assert result["status"] == "completed", iid
-        crasher.stop()
         return system, iids
 
     def test_hedged_duplicates_never_double_apply(self):
@@ -365,9 +353,7 @@ class TestHedging:
 
     def test_breaker_trips_reported_in_stats(self):
         system = order_system(workers=2, dispatch_timeout=10.0, sweep_interval=5.0)
-        FaultPlan(system.clock).crash_at(
-            system.worker_nodes[0], when=0.1, down_for=400.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(0.1, "worker-node-1", downtime=400.0)]).arm(system)
         iids = [
             system.instantiate("order", paper_order.ROOT_TASK, {"order": f"b-{i}"})
             for i in range(4)
@@ -412,10 +398,9 @@ class TestFixedIntervalValues:
         )
         # the whole fleet is away for the first two attempts of the first
         # tasks: each worker times out twice, one short of tripping a breaker
-        plan = FaultPlan(system.clock)
-        for node in system.worker_nodes:
-            plan.crash_at(node, when=0.1, down_for=35.0)
-        plan.arm()
+        NemesisSchedule(
+            [CrashAtTime(0.1, node.name, downtime=35.0) for node in system.worker_nodes]
+        ).arm(system)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "fixed"})
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"

@@ -1,7 +1,7 @@
 """Tests for the execution service's monitoring and maintenance operations."""
 
-from repro.net import FaultPlan
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import paper_order
 
 
@@ -49,8 +49,8 @@ class TestCompaction:
         system, iid = started_system()
         system.clock.advance(3.0)  # partial progress
         system.execution_proxy().compact()
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=system.clock.now + 1.0, down_for=20.0
-        ).arm()
+        NemesisSchedule(
+            [CrashAtTime(system.clock.now + 1.0, "execution-node", downtime=20.0)]
+        ).arm(system)
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"

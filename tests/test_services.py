@@ -4,8 +4,9 @@ repository, execution service, workers, crash recovery, reconfiguration."""
 import pytest
 
 from repro.core.errors import SchemaError, ValidationReport
-from repro.net import FaultPlan, LatencyModel
+from repro.net import LatencyModel
 from repro.services import WorkflowSystem
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.txn.wal import WriteAheadLog
 from repro.workloads import paper_order, paper_trip
 
@@ -154,9 +155,7 @@ class TestFaultTolerance:
     def test_execution_node_crash_recovers_and_completes(self):
         system = order_system(workers=2)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=2.0, down_for=50.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(2.0, "execution-node", downtime=50.0)]).arm(system)
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"
         assert system.execution.stats["recoveries"] == 1
@@ -164,9 +163,7 @@ class TestFaultTolerance:
     def test_worker_crash_redispatches_elsewhere(self):
         system = order_system(workers=2, dispatch_timeout=20.0, sweep_interval=5.0)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
-        FaultPlan(system.clock).crash_at(
-            system.worker_nodes[0], when=0.5, down_for=500.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(0.5, "worker-node-1", downtime=500.0)]).arm(system)
         result = system.run_until_terminal(iid, max_time=10_000)
         assert result["status"] == "completed"
         # the adaptive dispatcher moves work off a dead worker via a hedge,
@@ -186,11 +183,11 @@ class TestFaultTolerance:
     def test_repeated_crashes_still_complete(self):
         system = order_system(workers=2)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
-        plan = FaultPlan(system.clock)
-        plan.crash_at(system.execution_node, when=2.0, down_for=20.0)
-        plan.crash_at(system.execution_node, when=60.0, down_for=20.0)
-        plan.crash_at(system.worker_nodes[1], when=5.0, down_for=100.0)
-        plan.arm()
+        NemesisSchedule([
+            CrashAtTime(2.0, "execution-node", downtime=20.0),
+            CrashAtTime(60.0, "execution-node", downtime=20.0),
+            CrashAtTime(5.0, "worker-node-2", downtime=100.0),
+        ]).arm(system)
         result = system.run_until_terminal(iid, max_time=20_000)
         assert result["status"] == "completed"
         assert system.execution.stats["recoveries"] == 2
@@ -230,9 +227,7 @@ class TestFaultTolerance:
     def test_ablation_durable_false_loses_instance_on_crash(self):
         system = ablated_order_system(workers=2)
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
-        FaultPlan(system.clock).crash_at(
-            system.execution_node, when=1.0, down_for=10.0
-        ).arm()
+        NemesisSchedule([CrashAtTime(1.0, "execution-node", downtime=10.0)]).arm(system)
         result = system.run_until_terminal(iid, max_time=3_000)
         assert result["status"] == "lost"
 

@@ -36,6 +36,23 @@ def test_only_the_node_crashes_a_store():
     }
 
 
+def test_only_the_nemesis_takes_a_machine_down_or_up():
+    """Every injected fault is a nemesis fault: one interpreter calls
+    ``crash`` / ``recover`` on a node (or hands either to the clock), so no
+    module under ``net/`` and not the CLI injects one of its own."""
+    callers = set()
+    for rel, tree in sources():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("crash", "recover")
+                and "node" in ast.unparse(node.value).lower()
+            ):
+                callers.add(rel)
+    assert callers == {"sim/nemesis.py"}
+    assert not any(rel.startswith("net/") or rel == "cli.py" for rel in callers)
+
+
 def test_only_the_system_pairs_replicas_with_their_nodes():
     """A replica's node is ``service.node``; nobody else zips the two lists."""
     both = []

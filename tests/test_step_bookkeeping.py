@@ -17,10 +17,10 @@ from repro.core.selection import EventKind
 from repro.engine import outcome
 from repro.engine.instance import InstanceTree
 from repro.lang import format_script
-from repro.net import FaultPlan
 from repro.resilience import ResilienceConfig, render_resilience
 from repro.resilience.events import EVENT_LIMIT, ResilienceLog
 from repro.services import WorkflowSystem, execution
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import generators
 
 from tests.test_timer_tasks import timeout_script
@@ -82,7 +82,7 @@ class TestOneBarrierPerBatch:
             resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
         )
         service = system.execution
-        FaultPlan(system.clock).crash_at(system.worker_nodes[1], when=0.5, down_for=500.0).arm()
+        NemesisSchedule([CrashAtTime(0.5, "worker-node-2", downtime=500.0)]).arm(system)
         seen = []
         send = service._send
         invoke = system.broker.invoke_deferred
@@ -163,13 +163,12 @@ class TestDeadlineComputedWhenRead:
             resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
         )
         audit = DeadlineAudit(system.execution)
-        plan = FaultPlan(system.clock)
         # the fleet is away long enough for the sweeper to read deadlines
         # after first sends, after resends and after its own redispatches
-        for node in system.worker_nodes:
-            plan.crash_at(node, when=0.5, down_for=120.0)
-        plan.crash_at(system.execution_node, when=8.0, down_for=4.0)
-        plan.arm()
+        NemesisSchedule(
+            [CrashAtTime(0.5, node.name, downtime=120.0) for node in system.worker_nodes]
+            + [CrashAtTime(8.0, "execution-node", downtime=4.0)]
+        ).arm(system)
         iid = system.instantiate("fan", root, inputs)
         assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
         assert audit.mismatches == []
