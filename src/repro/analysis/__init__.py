@@ -27,6 +27,13 @@ Five checkers, one unified report:
   deadlocks: simultaneously-enabled atomic tasks locking shared objects in
   opposite declaration order.
 
+Liveness, interference, recovery and lock order read one artifact: the
+script compiled once into the plan the engine runs
+(:func:`repro.engine.plan.compile_plan`) — its firing tables, set masks and
+watch tables — so a verdict is about the engine's own tables, not a model of
+them.  Typeflow alone reads the declarations: it must also judge scripts
+that do not compile.
+
 The static passes are may-analyses: they over-approximate the engine.  The
 runtime sanitizer (:mod:`repro.analysis.dynamic`) watches real executions
 (vector clocks, locksets, worker execution ledgers) and checks the
@@ -48,6 +55,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.schema import Script
+from ..engine.plan import compile_plan
 from .dynamic import DynamicFinding, Sanitizer, sanitized_exploration, sanitized_run
 from .findings import Finding, Severity, StaticReport
 from .interference import check_interference, enabled_pairs
@@ -77,15 +85,16 @@ def analyze_script(
     """
     findings = list(check_typeflow(script))
     liveness: Optional[LivenessResult] = None
-    # liveness/interference assume a semantically valid script; on typeflow
-    # errors the flow model would be built over dangling names, so the deeper
-    # passes are skipped (the report already fails on the E1xx findings).
+    # the deeper passes read the compiled plan, and only a semantically
+    # valid script compiles; on typeflow errors they are skipped (the report
+    # already fails on the E1xx findings).
     if not any(f.severity is Severity.ERROR for f in findings):
-        liveness = check_liveness(script, root_task=root_task, input_set=input_set)
+        plan = compile_plan(script, root_task)
+        liveness = check_liveness(plan, input_set)
         findings.extend(liveness.findings)
-        findings.extend(check_interference(script, liveness))
-        findings.extend(check_recovery(script, liveness))
-        findings.extend(check_lockorder(script, liveness))
+        findings.extend(check_interference(plan, liveness))
+        findings.extend(check_recovery(plan, liveness))
+        findings.extend(check_lockorder(plan, liveness))
     if include_lint:
         from ..lang.linter import lint_script
 

@@ -45,9 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.schema import CompoundTaskDecl, Script, TaskClass
+from ..core.schema import Script
 from ..core.selection import source_matches
 from ..core.values import ObjectRef
+from ..engine.plan import ExecutionPlan, compile_plan
 from ..txn.locks import DeadlockError, LockManager, LockMode
 from .findings import StaticReport
 
@@ -382,10 +383,12 @@ class Sanitizer:
 
     # -- duplicate effects (worker ledger scan) ------------------------------------
 
-    def scan_workers(self, workers: Sequence, script: Script) -> None:
+    def scan_workers(self, workers: Sequence, plan: ExecutionPlan) -> None:
         """Scan :attr:`TaskWorker.executed` ledgers for task executions the
         at-least-once dispatch ran more than once; duplicates on non-atomic
-        tasks are bare effects applied twice (dynamic ``W401``)."""
+        tasks of ``plan`` are bare effects applied twice (dynamic ``W401``).
+        A path the plan does not hold (a task grown from a template) is
+        skipped."""
         counts: Dict[Tuple[str, str, int], int] = {}
         for worker in workers:
             for triple in getattr(worker, "executed", []):
@@ -394,8 +397,8 @@ class Sanitizer:
             if count < 2 or triple in self._reported_duplicates:
                 continue
             instance, path, index = triple
-            taskclass = _taskclass_at(script, path)
-            if taskclass is None or taskclass.is_atomic:
+            task = plan.task_at(path)
+            if task is None or task.taskclass.is_atomic:
                 continue  # transactional effects roll back; not a bare duplicate
             self._reported_duplicates.add(triple)
             self.findings.append(
@@ -466,7 +469,7 @@ def sanitized_run(
     system.deploy(root_task, format_script(script))
     iid = system.instantiate(root_task, root_task, inputs, input_set)
     result = system.run_until_terminal(iid)
-    sanitizer.scan_workers(system.workers, script)
+    sanitizer.scan_workers(system.workers, compile_plan(script))
     return result
 
 
@@ -506,21 +509,3 @@ def sanitized_exploration(
             )
     return sanitizer
 
-
-def _taskclass_at(script: Script, path: str) -> Optional[TaskClass]:
-    """Resolve a runtime task path (``root/child/...``) to its task class;
-    None when the path does not name a declared task."""
-    parts = [p for p in path.split("/") if p]
-    if not parts:
-        return None
-    decl = script.tasks.get(parts[0])
-    for part in parts[1:]:
-        if not isinstance(decl, CompoundTaskDecl):
-            return None
-        decl = decl.task(part)
-    if decl is None:
-        return None
-    try:
-        return script.taskclass_of(decl)
-    except Exception:
-        return None

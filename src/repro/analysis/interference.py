@@ -13,16 +13,18 @@ those pairs statically.
 
 Method:
 
-* build a conservative happens-before relation over task starts and ends —
-  an edge is added only when it holds on *every* execution (all alternative
-  sources of a binding agree on the producer, intersected across the input
-  sets the task can actually start through, and across a compound's
-  producible final outputs);
+* build a conservative happens-before relation over task starts and ends,
+  read off the compiled plan (:mod:`repro.engine.plan`) — an edge is added
+  only when it holds on *every* execution (every firing-table key that can
+  fill a slot names the same producer, intersected across the input sets
+  the task can actually start through, and across a compound's producible
+  final outputs);
 * two startable simple tasks neither of whose ends reaches the other's
   start *may* overlap;
 * each task's consumed object references are resolved to their origin —
-  chasing references through compound input ports and output mappings — and
-  a pair that may overlap while sharing an origin is reported as ``W301``.
+  chasing the keys that fill its slots through compound input ports and
+  output mappings — and a pair that may overlap while sharing an origin is
+  reported as ``W301``.
 
 This is a *may* analysis: every pair one drain pass can genuinely put in
 flight together is reported (soundness is property-tested against
@@ -32,18 +34,19 @@ dataflow values rule an overlap out dynamically.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.schema import (
-    GuardKind,
-    InputSetBinding,
-    OutputBinding,
-    OutputKind,
-    Script,
-    Source,
-)
+from ..core.selection import EventKind
+from ..engine.plan import EventKey, ExecutionPlan, PlannedTask, TaskTable
 from .findings import Finding
-from .liveness import FlowNode, LivenessResult, check_liveness
+from .liveness import (
+    FINAL_KINDS,
+    LivenessResult,
+    check_liveness,
+    output_key,
+    set_slots,
+    slot_feeds,
+)
 from .registry import DIAGNOSTICS
 
 if TYPE_CHECKING:
@@ -71,66 +74,29 @@ def enabled_pairs(tree) -> Set[FrozenSet[str]]:
     }
 
 
-def _is_final_guard(source: Source, owner: FlowNode) -> bool:
-    """True when the source can only fire at its producer's termination."""
-    producer_class = owner.sibling_class(source.task_name)
-    if producer_class is None:
-        return False
-    if source.guard_kind is GuardKind.OUTPUT:
-        out = producer_class.output(source.guard_name)
-        return out is not None and out.kind in (OutputKind.OUTCOME, OutputKind.ABORT)
-    if source.guard_kind is GuardKind.ANY:
-        candidates = [
-            out
-            for out in producer_class.outputs
-            if out.kind in (OutputKind.OUTCOME, OutputKind.MARK)
-            and source.object_name is not None
-            and out.object(source.object_name) is not None
-        ]
-        return bool(candidates) and all(
-            out.kind is OutputKind.OUTCOME for out in candidates
-        )
-    return False  # `if input` fires at the producer's start
+def _set_preds(plan: ExecutionPlan, scope: str, table: TaskTable, mask: int) -> Dict[str, str]:
+    """path -> strongest guaranteed predecessor strength for one set of
+    ``table``: an input set of a task in ``scope``, or an output mapping of
+    the compound at ``scope``.
 
-
-def _conjunct_pred(
-    sources: Sequence[Source], owner: FlowNode
-) -> Optional[Tuple[str, str]]:
-    """Guaranteed predecessor of a conjunct, as (start|end, producer path).
-
-    Only meaningful when every alternative names the same producer: whichever
-    alternative fires, that producer acted first.  Mixed producers guarantee
-    nothing (the conjunct may be satisfied by either), so no edge.
+    A slot guarantees a predecessor only when every key that can fill it
+    names the same producer: whichever fires, that producer acted first —
+    at its end when every key is a final output, else at its start.  Mixed
+    producers guarantee nothing (the slot may be filled by either).
     """
-    producers = {source.task_name for source in sources}
-    if len(producers) != 1:
-        return None
-    producer = producers.pop()
-    if producer == owner.local:
-        return None  # the enclosing compound; covered by the parent edge
-    if owner.sibling_class(producer) is None:
-        return None
-    strength = (
-        _END
-        if all(_is_final_guard(source, owner) for source in sources)
-        else _START
-    )
-    return strength, f"{owner.path}/{producer}"
-
-
-def _binding_preds(
-    binding: Union[InputSetBinding, OutputBinding], owner: FlowNode
-) -> Dict[str, str]:
-    """path -> strongest guaranteed predecessor strength for one input set
-    (or one output mapping of the compound ``owner``)."""
+    owner = plan.by_path[scope].local
+    feeds = slot_feeds(table)
     preds: Dict[str, str] = {}
-    conjuncts: List[Sequence[Source]] = [obj.sources for obj in binding.objects]
-    conjuncts.extend(notif.sources for notif in binding.notifications)
-    for sources in conjuncts:
-        pred = _conjunct_pred(sources, owner)
-        if pred is None:
+    for slot in set_slots(mask):
+        keys = {key for key, _obj in feeds[slot]}
+        producers = {producer for producer, _kind, _name in keys}
+        if len(producers) != 1:
             continue
-        strength, path = pred
+        (producer,) = producers
+        if producer == owner:
+            continue  # the enclosing compound; covered by the parent edge
+        strength = _END if all(kind in FINAL_KINDS for _p, kind, _n in keys) else _START
+        path = f"{scope}/{producer}"
         if preds.get(path) != _END:
             preds[path] = strength
     return preds
@@ -150,38 +116,32 @@ def _intersect_preds(all_preds: List[Dict[str, str]]) -> Dict[str, str]:
     return merged
 
 
-def _happens_before(liveness: LivenessResult) -> "nx.DiGraph":
+def _happens_before(plan: ExecutionPlan, liveness: LivenessResult) -> "nx.DiGraph":
     import networkx as nx
 
     graph = nx.DiGraph()
-    for root in liveness.roots:
-        for node in root.walk():
-            graph.add_edge((_START, node.path), (_END, node.path))
-            for child in node.children:
-                graph.add_edge((_START, node.path), (_START, child.path))
-            if node.parent is not None:
-                owner = node.parent
-                startable = liveness.startable.get(node.path, set())
-                per_set = [
-                    _binding_preds(binding, owner)
-                    for binding in node.decl.input_sets
-                    if binding.name in startable
-                ]
-                for path, strength in _intersect_preds(per_set).items():
-                    graph.add_edge((strength, path), (_START, node.path))
-            if node.is_compound:
-                produced = liveness.facts.get(node.scope, set())
-                taskclass = node.taskclass
-                finals = {o.name for o in taskclass.final_outputs()} if taskclass else set()
-                final_preds = [
-                    _binding_preds(binding, node)
-                    for binding in node.decl.outputs
-                    # an output that can never fire does not constrain the end
-                    if binding.name in finals
-                    and (node.local, "output", binding.name) in produced
-                ]
-                for path, strength in _intersect_preds(final_preds).items():
-                    graph.add_edge((strength, path), (_END, node.path))
+    for task in plan.tasks:
+        graph.add_edge((_START, task.path), (_END, task.path))
+        if task.scope:
+            graph.add_edge((_START, task.scope), (_START, task.path))
+            startable = liveness.startable[task.path]
+            per_set = [
+                _set_preds(plan, task.scope, task.table, set_plan.mask)
+                for set_plan in task.table.sets
+                if set_plan.name in startable
+            ]
+            for path, strength in _intersect_preds(per_set).items():
+                graph.add_edge((strength, path), (_START, task.path))
+        if task.compound:
+            produced = liveness.facts.get(task.scope, set())
+            final_preds = []
+            for watch in plan.scopes[task.path].watch_tables:
+                key = output_key(task, watch)
+                # an output that can never fire does not constrain the end
+                if key[1] in FINAL_KINDS and key in produced:
+                    final_preds.append(_set_preds(plan, task.path, watch, watch.sets[0].mask))
+            for path, strength in _intersect_preds(final_preds).items():
+                graph.add_edge((strength, path), (_END, task.path))
     return graph
 
 
@@ -189,169 +149,145 @@ class _OriginResolver:
     """Chases an object reference back to the task (or environment input)
     that created it, through compound input ports and output mappings."""
 
-    def __init__(self, liveness: LivenessResult) -> None:
-        self.liveness = liveness
-        self._memo: Dict[Tuple[str, str, Optional[str], Optional[str], str], FrozenSet[Origin]] = {}
-        self._active: Set[Tuple[str, str, Optional[str], Optional[str], str]] = set()
+    def __init__(self, plan: ExecutionPlan) -> None:
+        self.plan = plan
+        self._memo: Dict[Tuple[str, EventKey, str], FrozenSet[Origin]] = {}
+        self._active: Set[Tuple[str, EventKey, str]] = set()
 
-    def source_origins(self, owner: FlowNode, source: Source) -> FrozenSet[Origin]:
-        if source.object_name is None:
-            return frozenset()
-        key = (
-            owner.path,
-            source.task_name,
-            source.guard_name,
-            source.object_name,
-            source.guard_kind.value,
-        )
-        if key in self._memo:
-            return self._memo[key]
-        if key in self._active:
+    def slot_origins(self, scope: str, table: TaskTable, slot: int) -> FrozenSet[Origin]:
+        """Origins of the object that fills ``slot`` of ``table``, a consumer
+        in ``scope``."""
+        origins: Set[Origin] = set()
+        for key, obj in slot_feeds(table)[slot]:
+            if obj is not None:
+                origins.update(self._event_origins(scope, key, obj))
+        return frozenset(origins)
+
+    def _event_origins(self, scope: str, key: EventKey, obj: str) -> FrozenSet[Origin]:
+        memo_key = (scope, key, obj)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        if memo_key in self._active:
             return frozenset()  # reference cycle: no base origin
-        self._active.add(key)
+        self._active.add(memo_key)
         try:
-            result = self._resolve(owner, source)
+            result = self._resolve(scope, key, obj)
         finally:
-            self._active.discard(key)
-        self._memo[key] = result
+            self._active.discard(memo_key)
+        self._memo[memo_key] = result
         return result
 
-    def _resolve(self, owner: FlowNode, source: Source) -> FrozenSet[Origin]:
-        obj = source.object_name
-        assert obj is not None
-        if source.task_name == owner.local:
-            # the enclosing compound: objects flow in through its input port
-            if source.guard_kind is not GuardKind.INPUT:
-                return frozenset()
-            return self._input_port_origins(owner, source.guard_name, obj)
-        producer = next(
-            (c for c in owner.children if c.local == source.task_name), None
-        )
-        if producer is None:
-            return frozenset()
-        if source.guard_kind is GuardKind.INPUT:
-            # the object the producer itself received
-            return self._input_port_origins(producer, source.guard_name, obj)
-        if not producer.is_compound:
-            return frozenset({(producer.path, obj)})
-        # compound producer: chase through its output mapping(s)
-        if source.guard_kind is GuardKind.OUTPUT:
-            names = [source.guard_name]
-        else:  # ANY: any outcome/mark carrying the object
-            names = [
-                out.name
-                for out in (producer.taskclass.outputs if producer.taskclass else ())
-                if out.kind in (OutputKind.OUTCOME, OutputKind.MARK)
-                and out.object(obj) is not None
-            ]
-        origins: Set[Origin] = set()
-        for name in names:
-            binding = producer.decl.output(name)
-            if binding is None:
-                continue
-            mapped = binding.object(obj)
-            if mapped is None:
-                continue
-            for alt in mapped.sources:
-                origins.update(self.source_origins(producer, alt))
-        return frozenset(origins)
+    def _resolve(self, scope: str, key: EventKey, obj: str) -> FrozenSet[Origin]:
+        producer, kind, name = key
+        # a constituent, or else the enclosing compound itself
+        task = self.plan.by_path.get(f"{scope}/{producer}", self.plan.by_path[scope])
+        if kind is EventKind.INPUT:
+            # the object the producer itself received (the enclosing
+            # compound's objects flow in through its input port)
+            return self._port_origins(task, name, obj)
+        if not task.compound:
+            return frozenset({(task.path, obj)})
+        # compound producer: chase through its output mapping
+        return self._bound_origins(task.path, self.plan.scopes[task.path].watch_tables, name, obj)
 
-    def _input_port_origins(
-        self, node: FlowNode, set_name: Optional[str], obj: str
-    ) -> FrozenSet[Origin]:
-        if node.parent is None:
+    def _port_origins(self, task: PlannedTask, set_name: str, obj: str) -> FrozenSet[Origin]:
+        if not task.scope:
             return frozenset({("<env>", obj)})
-        candidates = (
-            [b for b in node.decl.input_sets if b.name == set_name]
-            if set_name is not None
-            else list(node.decl.input_sets)
-        )
-        origins: Set[Origin] = set()
-        for binding in candidates:
-            bound = binding.object(obj)
-            if bound is None:
-                continue
-            for alt in bound.sources:
-                origins.update(self.source_origins(node.parent, alt))
-        return frozenset(origins)
+        return self._bound_origins(task.scope, (task.table,), set_name, obj)
+
+    def _bound_origins(
+        self, scope: str, tables: Sequence[TaskTable], set_name: str, obj: str
+    ) -> FrozenSet[Origin]:
+        """Origins of ``obj`` as the set ``set_name`` of one of ``tables``
+        (consumers in ``scope``) binds it."""
+        for table in tables:
+            for set_plan in table.sets:
+                if set_plan.name == set_name:
+                    for name, slot in set_plan.layout:
+                        if name == obj:
+                            return self.slot_origins(scope, table, slot)
+        return frozenset()
+
+
+def trees(plan: ExecutionPlan) -> List[List[PlannedTask]]:
+    """The tasks of each top-level task's tree, in plan order."""
+    grouped: Dict[str, List[PlannedTask]] = {}
+    for task in plan.tasks:
+        grouped.setdefault(task.path.split("/", 1)[0], []).append(task)
+    return list(grouped.values())
+
+
+def may_overlap(
+    tasks: List[PlannedTask], graph: "nx.DiGraph"
+) -> Iterator[Tuple[PlannedTask, PlannedTask]]:
+    """The pairs of ``tasks`` (in order) neither of whose ends reaches the
+    other's start in the happens-before ``graph``."""
+    import networkx as nx
+
+    reach = {task.path: nx.descendants(graph, (_END, task.path)) for task in tasks}
+    for i, a in enumerate(tasks):
+        for b in tasks[i + 1 :]:
+            if (_START, b.path) in reach[a.path] or (_START, a.path) in reach[b.path]:
+                continue  # one ends before the other starts on every execution
+            yield a, b
 
 
 def _consumed_origins(
-    node: FlowNode, liveness: LivenessResult, resolver: _OriginResolver
+    task: PlannedTask, liveness: LivenessResult, resolver: _OriginResolver
 ) -> FrozenSet[Origin]:
-    """Origins of every object reference ``node`` may receive as input."""
-    if node.parent is None:
+    """Origins of every object reference ``task`` may receive as input."""
+    if not task.scope:
         return frozenset()
-    startable = liveness.startable.get(node.path, set())
+    startable = liveness.startable[task.path]
     origins: Set[Origin] = set()
-    for binding in node.decl.input_sets:
-        if binding.name not in startable:
-            continue
-        for obj in binding.objects:
-            for source in obj.sources:
-                origins.update(resolver.source_origins(node.parent, source))
+    for set_plan in task.table.sets:
+        if set_plan.name in startable:
+            for _name, slot in set_plan.layout:
+                origins.update(resolver.slot_origins(task.scope, task.table, slot))
     return frozenset(origins)
 
 
 def check_interference(
-    script: Script, liveness: Optional[LivenessResult] = None
+    plan: ExecutionPlan, liveness: Optional[LivenessResult] = None
 ) -> List[Finding]:
     """All ``W3xx`` findings: potentially racy concurrently-enabled pairs."""
     if liveness is None:
-        liveness = check_liveness(script)
-    graph = _happens_before(liveness)
-    resolver = _OriginResolver(liveness)
+        liveness = check_liveness(plan)
+    graph = _happens_before(plan, liveness)
+    resolver = _OriginResolver(plan)
     spec = DIAGNOSTICS.require("W301")
     findings: List[Finding] = []
-    for root in liveness.roots:
-        findings.extend(
-            _check_root(root, liveness, graph, resolver, spec)
-        )
+    for tree in trees(plan):
+        findings.extend(_check_tree(tree, liveness, graph, resolver, spec))
     return findings
 
 
-def _check_root(root, liveness, graph, resolver, spec) -> List[Finding]:
-    import networkx as nx
-
+def _check_tree(tree, liveness, graph, resolver, spec) -> List[Finding]:
     simple = [
-        node
-        for node in root.walk()
-        if not node.is_compound and liveness.may_start(node.path)
+        task for task in tree if not task.compound and liveness.may_start(task.path)
     ]
-    reach: Dict[str, Set] = {
-        node.path: nx.descendants(graph, (_END, node.path))
-        for node in simple
-        if (_END, node.path) in graph
-    }
     shared: Dict[str, FrozenSet[Origin]] = {
-        node.path: _consumed_origins(node, liveness, resolver) for node in simple
+        task.path: _consumed_origins(task, liveness, resolver) for task in simple
     }
     findings: List[Finding] = []
-    for i, a in enumerate(simple):
-        for b in simple[i + 1 :]:
-            if (_START, b.path) in reach.get(a.path, set()):
-                continue  # a's end precedes b's start on every execution
-            if (_START, a.path) in reach.get(b.path, set()):
-                continue
-            common = shared[a.path] & shared[b.path]
-            if not common:
-                continue
-            refs = ", ".join(
-                f"{obj!r} from {origin}" for origin, obj in sorted(common)
+    for a, b in may_overlap(simple, graph):
+        common = shared[a.path] & shared[b.path]
+        if not common:
+            continue
+        refs = ", ".join(f"{obj!r} from {origin}" for origin, obj in sorted(common))
+        findings.append(
+            Finding(
+                code="W301",
+                severity=spec.severity,
+                location=f"{a.path} <-> {b.path}",
+                message=(
+                    "tasks may be simultaneously enabled (in flight "
+                    "together on two worker nodes) and share object "
+                    f"reference(s) "
+                    f"{refs}; implementations may race on the shared "
+                    "object"
+                ),
+                related=(a.path, b.path),
             )
-            findings.append(
-                Finding(
-                    code="W301",
-                    severity=spec.severity,
-                    location=f"{a.path} <-> {b.path}",
-                    message=(
-                        "tasks may be simultaneously enabled (in flight "
-                        "together on two worker nodes) and share object "
-                        f"reference(s) "
-                        f"{refs}; implementations may race on the shared "
-                        "object"
-                    ),
-                    related=(a.path, b.path),
-                )
-            )
+        )
     return findings

@@ -1,17 +1,23 @@
-"""Static liveness / stall analysis (``E2xx``).
+"""Static liveness / stall analysis (``E2xx``) over the compiled plan.
 
 Computes, without executing anything, which task instances can ever become
 ready, which bound input sets are unsatisfiable, and which root outcomes are
-statically unreachable.  The model is a fixpoint over *producible events*:
+statically unreachable.  It reads the tables the engine runs
+(:mod:`repro.engine.plan`): a *fact* is a firing-table key
+``(producer, EventKind, name)`` that an event of one scope can carry, and the
+model is a fixpoint over producible facts:
 
-* the root task is startable (the environment supplies one input set, the
+* a root task is startable (the environment supplies one input set, the
   same default rule as :func:`repro.core.analysis.analyze_outcomes`);
-* a startable task may publish an ``INPUT`` event for each satisfiable set,
-  and — implementations being opaque — any of its declared outputs;
-* a startable compound publishes whatever mapped outputs its inner events
-  can satisfy;
-* an input set (or output mapping) is satisfiable when every binding has at
-  least one producible alternative **and** the alternatives can be chosen
+* a startable task publishes an ``INPUT`` key for each set it can start
+  through, and — implementations being opaque — every output
+  :func:`~repro.engine.plan.producible_events` lists for it (a mark only
+  when a non-abort final can follow it);
+* a startable compound publishes each output whose watch table
+  (``ScopePlan.watch_tables``) its inner facts satisfy;
+* a set — an input set or an output mapping, one ``SetPlan`` — is
+  satisfiable when every bit of its mask has a producible key among those
+  its slot's firing groups list, **and** the keys can be chosen
   consistently: a task instance terminates in exactly one final output per
   round, so a conjunction that needs two different outcomes of the same
   producer (the ghost-path mistake of the paper's Fig. 7 family) is
@@ -27,70 +33,46 @@ cross-checks these verdicts against the dynamic explorer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.schema import (
-    AnyTaskDecl,
-    CompoundTaskDecl,
-    GuardKind,
-    InputSetBinding,
-    OutputKind,
-    Script,
-    Source,
-    TaskClass,
-)
+from ..core.schema import OutputKind
+from ..core.selection import EventKind, event_kind_for
+from ..engine.plan import EventKey, ExecutionPlan, PlannedTask, TaskTable, producible_events
 from .findings import Finding
 from .registry import DIAGNOSTICS
 
-# One producible event: (producer local name, "input" | "output", event name)
-Fact = Tuple[str, str, str]
+#: the event kinds that end a producer's round
+FINAL_KINDS = (EventKind.OUTCOME, EventKind.ABORT)
 
 # How many alternative combinations a consistency search may explore before
-# falling back to the per-binding over-approximation.
+# falling back to the per-slot over-approximation.
 _COMBO_CAP = 4096
 
+#: one way to fill a slot: a firing-table key and the object the slot reads
+#: off that event (None for a notification)
+Feed = Tuple[EventKey, Optional[str]]
 
-class FlowNode:
-    """One task instance in the static flow tree (mirrors the engine's
-    :class:`~repro.engine.instance.TaskNode` structure, declaration-only)."""
 
-    def __init__(
-        self,
-        decl: AnyTaskDecl,
-        script: Script,
-        parent: Optional["FlowNode"],
-    ) -> None:
-        self.decl = decl
-        self.parent = parent
-        self.path = f"{parent.path}/{decl.name}" if parent else decl.name
-        self.local = decl.name
-        self.scope = parent.path if parent else ""
-        self.taskclass: Optional[TaskClass] = script.taskclasses.get(
-            decl.taskclass_name
-        )
-        self.children: List["FlowNode"] = []
-        if isinstance(decl, CompoundTaskDecl):
-            self.children = [FlowNode(child, script, self) for child in decl.tasks]
+def slot_feeds(table: TaskTable) -> List[List[Feed]]:
+    """Per slot of ``table``, every key its firing groups list, with the
+    object each source alternative reads (the inverse of ``entries``)."""
+    feeds: List[List[Feed]] = [[] for _ in table.slots]
+    for key, groups in table.entries.items():
+        for index, _bit, _notification, candidates in groups:
+            feeds[index].extend((key, obj) for _source, obj in candidates)
+    return feeds
 
-    @property
-    def is_compound(self) -> bool:
-        return isinstance(self.decl, CompoundTaskDecl)
 
-    def walk(self) -> List["FlowNode"]:
-        nodes = [self]
-        for child in self.children:
-            nodes.extend(child.walk())
-        return nodes
+def set_slots(mask: int) -> List[int]:
+    """The slot indices a ``SetPlan.mask`` demands."""
+    return [index for index in range(mask.bit_length()) if mask >> index & 1]
 
-    def sibling_class(self, local_name: str) -> Optional[TaskClass]:
-        """Task class of ``local_name`` as resolved from inside this compound
-        (a constituent, or the compound itself for ``if input`` sources)."""
-        if local_name == self.local:
-            return self.taskclass
-        for child in self.children:
-            if child.local == local_name:
-                return child.taskclass
-        return None
+
+def output_key(compound: PlannedTask, watch: TaskTable) -> EventKey:
+    """The key the compound's output mapping ``watch`` (one of its scope's
+    ``watch_tables``) publishes into the compound's enclosing scope."""
+    name = watch.sets[0].name
+    return compound.local, event_kind_for(compound.taskclass.output(name).kind), name
 
 
 @dataclass
@@ -105,174 +87,94 @@ class LivenessResult:
     dead_tasks: List[str] = field(default_factory=list)
     reachable_outcomes: Set[str] = field(default_factory=set)
     unreachable_outcomes: List[str] = field(default_factory=list)
-    root: Optional[FlowNode] = None
-    # every analysed top-level flow tree (multi-root scripts have several)
-    roots: List[FlowNode] = field(default_factory=list)
-    # scope path -> producible facts there (see module docstring)
-    facts: Dict[str, Set[Fact]] = field(default_factory=dict)
+    # scope path -> producible firing-table keys there (see module docstring)
+    facts: Dict[str, Set[EventKey]] = field(default_factory=dict)
 
     def may_start(self, path: str) -> bool:
         return bool(self.startable.get(path))
 
 
-@dataclass(frozen=True)
-class _Requirement:
-    """What one chosen source alternative demands of its producer."""
-
-    producer: str
-    # acceptable final outputs of the producer (None = unconstrained)
-    finals: Optional[FrozenSet[str]]
-    # acceptable input sets of the producer (None = unconstrained)
-    inputs: Optional[FrozenSet[str]]
-
-
 class _LivenessPass:
-    def __init__(self, script: Script, root_task: str, input_set: str) -> None:
-        self.script = script
-        self.root = FlowNode(script.tasks[root_task], script, None)
+    def __init__(self, plan: ExecutionPlan, input_set: str) -> None:
+        self.plan = plan
         self.input_set = input_set
-        # scope path -> producible facts in that scope
-        self.facts: Dict[str, Set[Fact]] = {}
-        # task path -> startable set names
-        self.startable: Dict[str, Set[str]] = {
-            node.path: set() for node in self.root.walk()
+        self.facts: Dict[str, Set[EventKey]] = {}
+        self.startable: Dict[str, Set[str]] = {task.path: set() for task in plan.tasks}
+        # (scope, producer name) -> producer id: a compound names itself in
+        # its inner scope, and a constituent of the same name shadows it
+        # there, as in the scope's vocabulary
+        self._ids: Dict[Tuple[str, str], int] = {}
+        for task in plan.tasks:
+            if task.compound:
+                self._ids[(task.path, task.local)] = task.task_id
+            if task.scope:
+                self._ids[(task.scope, task.local)] = task.task_id
+        # producers a repeat output lets restart through another input set
+        self._restarts = {
+            task.task_id
+            for task in plan.tasks
+            if task.taskclass.outputs_of_kind(OutputKind.REPEAT)
         }
-        # (scope, producer local) -> has the producer a repeat output?
-        self._node_at: Dict[str, FlowNode] = {
-            node.path: node for node in self.root.walk()
-        }
+        self._options: Dict[int, List[List[EventKey]]] = {}
 
-    # -- fact helpers -----------------------------------------------------------
-
-    def _add_fact(self, scope: str, fact: Fact) -> bool:
+    def _add_fact(self, scope: str, key: EventKey) -> bool:
         bucket = self.facts.setdefault(scope, set())
-        if fact in bucket:
+        if key in bucket:
             return False
-        bucket.add(fact)
+        bucket.add(key)
         return True
 
     # -- satisfiability ---------------------------------------------------------
 
-    def _source_options(
-        self, node: FlowNode, source: Source, scope_owner: FlowNode, scope: str
-    ) -> Optional[_Requirement]:
-        """Requirement if ``source`` is producible right now, else None."""
-        facts = self.facts.get(scope, set())
-        producer_class = scope_owner.sibling_class(source.task_name)
-        if producer_class is None:
-            return None  # unknown producer: typeflow's E101, never satisfiable
-        if source.guard_kind is GuardKind.INPUT:
-            if (source.task_name, "input", source.guard_name) not in facts:
-                return None
-            spec = producer_class.input_set(source.guard_name)
-            if spec is None:
-                return None
-            if source.object_name is not None and spec.object(source.object_name) is None:
-                return None
-            return _Requirement(
-                source.task_name, None, frozenset({source.guard_name})
-            )
-        if source.guard_kind is GuardKind.OUTPUT:
-            out = producer_class.output(source.guard_name)
-            if out is None:
-                return None
-            if (source.task_name, "output", source.guard_name) not in facts:
-                return None
-            if source.object_name is not None and out.object(source.object_name) is None:
-                return None
-            if out.kind in (OutputKind.OUTCOME, OutputKind.ABORT):
-                finals: Optional[FrozenSet[str]] = frozenset({source.guard_name})
-            else:
-                # marks precede non-abort termination and a class with marks
-                # declares no aborts (schema rule); repeats precede any final
-                finals = None
-            return _Requirement(source.task_name, finals, None)
-        # ANY guard: any producible outcome/mark carrying the object
-        candidates = [
-            out
-            for out in producer_class.outputs
-            if out.kind in (OutputKind.OUTCOME, OutputKind.MARK)
-            and source.object_name is not None
-            and out.object(source.object_name) is not None
-            and (source.task_name, "output", out.name) in facts
-        ]
-        if not candidates:
-            return None
-        if any(out.kind is OutputKind.MARK for out in candidates):
-            finals = None
-        else:
-            finals = frozenset(out.name for out in candidates)
-        return _Requirement(source.task_name, finals, None)
+    def _satisfiable(self, scope: str, table: TaskTable, mask: int) -> bool:
+        """Can every slot of ``mask`` pick a producible key consistently?
 
-    def _conjunction_satisfiable(
-        self,
-        node: FlowNode,
-        bindings: Sequence[Sequence[Source]],
-        scope_owner: FlowNode,
-        scope: str,
-    ) -> bool:
-        """Can every binding pick a producible alternative consistently?
-
-        Consistency: per producer, the intersection of demanded final
-        outputs must be non-empty (a task terminates once per round), and —
-        unless the producer has a repeat output, letting it restart with a
-        different set — the intersection of demanded input sets likewise.
+        Consistency: per producer, one final output (a task terminates once
+        per round) and — unless the producer has a repeat output, letting it
+        restart with a different set — one input set.
         """
-        options: List[List[_Requirement]] = []
-        for sources in bindings:
-            viable = []
-            for source in sources:
-                req = self._source_options(node, source, scope_owner, scope)
-                if req is not None:
-                    viable.append(req)
-            if not viable:
+        options = self._options.get(id(table))
+        if options is None:
+            options = self._options[id(table)] = [
+                list(dict.fromkeys(key for key, _obj in feeds))
+                for feeds in slot_feeds(table)
+            ]
+        facts = self.facts.get(scope, set())
+        viable: List[List[EventKey]] = []
+        for slot in set_slots(mask):
+            keys = [key for key in options[slot] if key in facts]
+            if not keys:
                 return False
-            options.append(viable)
+            viable.append(keys)
 
         budget = [_COMBO_CAP]
 
-        def producer_repeats(local: str) -> bool:
-            cls = scope_owner.sibling_class(local)
-            return cls is not None and bool(cls.outputs_of_kind(OutputKind.REPEAT))
-
-        def search(
-            index: int,
-            finals: Dict[str, FrozenSet[str]],
-            inputs: Dict[str, FrozenSet[str]],
-        ) -> bool:
-            if budget[0] <= 0:
-                return True  # cap hit: accept (over-approximate, stays sound)
-            if index == len(options):
-                return True
-            for req in options[index]:
+        def search(index: int, chosen: Dict[Tuple[int, bool], str]) -> bool:
+            if budget[0] <= 0 or index == len(viable):
+                return True  # a cap hit accepts: over-approximate, stays sound
+            for producer, kind, name in viable[index]:
                 budget[0] -= 1
-                new_finals = finals
-                if req.finals is not None:
-                    merged = finals.get(req.producer, req.finals) & req.finals
-                    if not merged:
-                        continue
-                    new_finals = dict(finals)
-                    new_finals[req.producer] = merged
-                new_inputs = inputs
-                if req.inputs is not None and not producer_repeats(req.producer):
-                    merged_in = inputs.get(req.producer, req.inputs) & req.inputs
-                    if not merged_in:
-                        continue
-                    new_inputs = dict(inputs)
-                    new_inputs[req.producer] = merged_in
-                if search(index + 1, new_finals, new_inputs):
+                pid = self._ids[(scope, producer)]
+                if kind in FINAL_KINDS:
+                    constraint: Optional[Tuple[int, bool]] = (pid, True)
+                elif kind is EventKind.INPUT and pid not in self._restarts:
+                    constraint = (pid, False)
+                else:
+                    # marks precede non-abort termination and a class with
+                    # marks declares no aborts (schema rule); repeats precede
+                    # any final
+                    constraint = None
+                if constraint is None:
+                    narrowed = chosen
+                elif chosen.get(constraint, name) != name:
+                    continue
+                else:
+                    narrowed = {**chosen, constraint: name}
+                if search(index + 1, narrowed):
                     return True
             return False
 
-        return search(0, {}, {})
-
-    def _set_satisfiable(self, node: FlowNode, binding: InputSetBinding) -> bool:
-        scope_owner = node.parent if node.parent is not None else None
-        if scope_owner is None:
-            return True  # root: environment supplies the inputs
-        groups: List[Sequence[Source]] = [obj.sources for obj in binding.objects]
-        groups.extend(notif.sources for notif in binding.notifications)
-        return self._conjunction_satisfiable(node, groups, scope_owner, node.scope)
+        return search(0, {})
 
     # -- the fixpoint -----------------------------------------------------------
 
@@ -280,68 +182,52 @@ class _LivenessPass:
         changed = True
         while changed:
             changed = False
-            for node in self.root.walk():
-                changed |= self._step(node)
+            for task in self.plan.tasks:
+                changed |= self._step(task)
 
-    def _candidate_sets(self, node: FlowNode) -> List[InputSetBinding]:
-        if node.decl.input_sets:
-            return list(node.decl.input_sets)
-        if node.taskclass is not None and not node.taskclass.input_sets:
-            # no input sets at all: starts unconditionally with its parent
-            return [InputSetBinding("")]
-        return []
-
-    def _step(self, node: FlowNode) -> bool:
+    def _step(self, task: PlannedTask) -> bool:
         changed = False
-        startable = self.startable[node.path]
-        if node.parent is None:
-            chosen = self._root_input_set()
+        startable = self.startable[task.path]
+        if not task.scope:
+            chosen = self._root_input_set(task)
             if chosen not in startable:
                 startable.add(chosen)
                 changed = True
-        elif self.startable[node.parent.path]:
-            for binding in self._candidate_sets(node):
-                if binding.name in startable:
-                    continue
-                if self._set_satisfiable(node, binding):
-                    startable.add(binding.name)
+        elif self.startable[task.scope]:
+            for set_plan in task.table.sets:
+                if set_plan.name not in startable and self._satisfiable(
+                    task.scope, task.table, set_plan.mask
+                ):
+                    startable.add(set_plan.name)
                     changed = True
         if not startable:
             return changed
-        # publish INPUT facts
         for set_name in startable:
-            changed |= self._add_fact(node.scope, (node.local, "input", set_name))
-            if node.is_compound:
-                changed |= self._add_fact(node.path, (node.local, "input", set_name))
-        # publish outputs
-        if node.taskclass is None:
-            return changed
-        if not node.is_compound:
-            finals = node.taskclass.final_outputs()
-            markable = not finals or any(
-                out.kind is not OutputKind.ABORT for out in finals
-            )
-            for out in node.taskclass.outputs:
-                if out.kind is OutputKind.MARK and not markable:
+            changed |= self._add_fact(task.scope, (task.local, EventKind.INPUT, set_name))
+            if task.compound:
+                changed |= self._add_fact(task.path, (task.local, EventKind.INPUT, set_name))
+        if not task.compound:
+            finals = task.taskclass.final_outputs()
+            markable = not finals or any(out.kind is not OutputKind.ABORT for out in finals)
+            for event in producible_events(task.taskclass, task.decl, True):
+                if event.kind is EventKind.INPUT or (
+                    event.kind is EventKind.MARK and not markable
+                ):
                     continue
-                changed |= self._add_fact(node.scope, (node.local, "output", out.name))
+                changed |= self._add_fact(task.scope, (task.local, event.kind, event.name))
         else:
-            decl = node.decl  # CompoundTaskDecl
-            for binding in decl.outputs:
-                fact = (node.local, "output", binding.name)
-                if fact in self.facts.get(node.scope, set()):
-                    continue
-                groups: List[Sequence[Source]] = [
-                    obj.sources for obj in binding.objects
-                ]
-                groups.extend(notif.sources for notif in binding.notifications)
-                if self._conjunction_satisfiable(node, groups, node, node.path):
-                    changed |= self._add_fact(node.scope, fact)
+            produced = self.facts.get(task.scope, set())
+            for watch in self.plan.scopes[task.path].watch_tables:
+                key = output_key(task, watch)
+                if key not in produced and self._satisfiable(
+                    task.path, watch, watch.sets[0].mask
+                ):
+                    changed |= self._add_fact(task.scope, key)
         return changed
 
-    def _root_input_set(self) -> str:
-        taskclass = self.root.taskclass
-        if taskclass is None or not taskclass.input_sets:
+    def _root_input_set(self, root: PlannedTask) -> str:
+        taskclass = root.taskclass
+        if not taskclass.input_sets:
             return ""
         if taskclass.input_set(self.input_set) is not None:
             return self.input_set
@@ -350,11 +236,12 @@ class _LivenessPass:
     # -- findings ----------------------------------------------------------------
 
     def report(self) -> LivenessResult:
+        plan = self.plan
+        first = plan.by_path[plan.root_tasks[0]]
         result = LivenessResult(
-            root_task=self.root.local,
-            input_set=self._root_input_set(),
+            root_task=first.local,
+            input_set=self._root_input_set(first),
             startable=self.startable,
-            root=self.root,
             facts=self.facts,
         )
 
@@ -362,99 +249,82 @@ class _LivenessPass:
             spec = DIAGNOSTICS.require(code)
             result.findings.append(Finding(code, spec.severity, location, message))
 
-        for node in self.root.walk():
-            startable = self.startable[node.path]
-            if node.parent is None:
+        for task in plan.tasks:
+            if not task.scope:
                 continue
-            parent_alive = bool(self.startable[node.parent.path])
+            startable = self.startable[task.path]
             if not startable:
-                result.dead_tasks.append(node.path)
-                if parent_alive:
+                result.dead_tasks.append(task.path)
+                if self.startable[task.scope]:
                     # only the topmost dead task is reported; its descendants
                     # are dead as a consequence, not as separate bugs
                     finding(
                         "E201",
-                        node.path,
+                        task.path,
                         "task can never become ready: every alternative source "
                         "of every input set is transitively unsatisfiable",
                     )
                 continue
-            for binding in node.decl.input_sets:
-                if binding.name not in startable:
+            for set_plan in task.table.sets:
+                if set_plan.name not in startable:
                     finding(
                         "E203",
-                        node.path,
-                        f"input set {binding.name!r} can never be satisfied; "
+                        task.path,
+                        f"input set {set_plan.name!r} can never be satisfied; "
                         f"the task only starts via "
                         f"{', '.join(sorted(repr(s) for s in startable))}",
                     )
-            if node.is_compound and node.taskclass is not None:
-                produced = self.facts.get(node.scope, set())
-                for binding in node.decl.outputs:
-                    if (node.local, "output", binding.name) not in produced:
+            if task.compound:
+                produced = self.facts.get(task.scope, set())
+                for watch in plan.scopes[task.path].watch_tables:
+                    if output_key(task, watch) not in produced:
                         finding(
                             "E204",
-                            node.path,
-                            f"output mapping {binding.name!r} can never fire",
+                            task.path,
+                            f"output mapping {watch.sets[0].name!r} can never fire",
                         )
 
-        # root outcomes
-        root_class = self.root.taskclass
-        if root_class is not None:
-            produced = self.facts.get("", set())
-            for out in root_class.final_outputs():
-                if (self.root.local, "output", out.name) in produced or (
-                    not self.root.is_compound
-                ):
-                    result.reachable_outcomes.add(out.name)
+        produced = self.facts.get("", set())
+        for name in plan.root_tasks:
+            root = plan.by_path[name]
+            finals = root.taskclass.final_outputs()
+            reachable: Set[str] = set()
+            unreachable: List[str] = []
+            for out in finals:
+                key = (root.local, event_kind_for(out.kind), out.name)
+                if key in produced or not root.compound:
+                    reachable.add(out.name)
                 else:
-                    result.unreachable_outcomes.append(out.name)
+                    unreachable.append(out.name)
                     finding(
                         "E202",
-                        self.root.path,
+                        root.path,
                         f"root outcome {out.name!r} is statically unreachable "
                         f"through the output mapping",
                     )
-            if root_class.final_outputs() and not result.reachable_outcomes:
+            if finals and not reachable:
                 finding(
                     "E200",
-                    self.root.path,
+                    root.path,
                     "no final output of the root task is statically "
                     "producible: the workflow is guaranteed to stall",
                 )
+            if root is first:
+                result.reachable_outcomes = reachable
+                result.unreachable_outcomes = unreachable
         return result
 
 
-def check_liveness(
-    script: Script,
-    root_task: Optional[str] = None,
-    input_set: str = "main",
-) -> LivenessResult:
-    """Run the static liveness pass; see :class:`LivenessResult`.
+def check_liveness(plan: ExecutionPlan, input_set: str = "main") -> LivenessResult:
+    """Run the static liveness pass over ``plan``; see :class:`LivenessResult`.
 
-    With several top-level tasks and no ``root_task``, each top-level
-    compound is analysed independently and the findings are merged (the
-    per-root details come from the first).
+    Every top-level task of the plan is analysed, each started through
+    ``input_set`` (or its first declared set); the findings cover them all,
+    while ``root_task``, ``input_set`` and the root outcomes are the first
+    one's.
     """
-    if root_task is None:
-        roots = list(script.tasks)
-    else:
-        if root_task not in script.tasks:
-            raise KeyError(f"script has no top-level task {root_task!r}")
-        roots = [root_task]
-    results: List[LivenessResult] = []
-    for name in roots:
-        run = _LivenessPass(script, name, input_set)
-        run.run()
-        results.append(run.report())
-    if not results:
+    if not plan.root_tasks:
         return LivenessResult(root_task="", input_set=input_set)
-    merged = results[0]
-    merged.roots = [r.root for r in results if r.root is not None]
-    for extra in results[1:]:
-        merged.findings.extend(extra.findings)
-        merged.startable.update(extra.startable)
-        merged.dead_tasks.extend(extra.dead_tasks)
-        for scope, facts in extra.facts.items():
-            merged.facts.setdefault(scope, set()).update(facts)
-    return merged
+    run = _LivenessPass(plan, input_set)
+    run.run()
+    return run.report()

@@ -37,12 +37,12 @@ cases surface here too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..core.schema import Script
+from ..engine.plan import ExecutionPlan, PlannedTask
 from .findings import Finding
-from .interference import _END, _START, Origin, _OriginResolver, _happens_before
-from .liveness import FlowNode, LivenessResult, check_liveness
+from .interference import Origin, _OriginResolver, _happens_before, may_overlap, trees
+from .liveness import LivenessResult, check_liveness
 from .registry import DIAGNOSTICS
 
 #: one acquisition profile: origins in declaration order (deduplicated)
@@ -50,26 +50,23 @@ Profile = Tuple[Origin, ...]
 
 
 def acquisition_profiles(
-    node: FlowNode, liveness: LivenessResult, resolver: _OriginResolver
+    task: PlannedTask, liveness: LivenessResult, resolver: _OriginResolver
 ) -> List[Profile]:
-    """Every lock-acquisition order ``node`` can exhibit: one profile per
+    """Every lock-acquisition order ``task`` can exhibit: one profile per
     startable input set, input objects in declaration order, each resolved
-    to its origin set (a multi-origin alternative contributes every origin
-    at that position — over-approximate, sound for a may-analysis)."""
-    if node.parent is None:
+    to its origin set (a multi-origin slot contributes every origin at that
+    position — over-approximate, sound for a may-analysis)."""
+    if not task.scope:
         return []
     profiles: List[Profile] = []
-    startable = liveness.startable.get(node.path, set())
-    for binding in node.decl.input_sets:
-        if binding.name not in startable:
+    startable = liveness.startable[task.path]
+    for set_plan in task.table.sets:
+        if set_plan.name not in startable:
             continue
         ordered: List[Origin] = []
         seen: Set[Origin] = set()
-        for obj in binding.objects:
-            position: Set[Origin] = set()
-            for source in obj.sources:
-                position.update(resolver.source_origins(node.parent, source))
-            for origin in sorted(position):
+        for _name, slot in set_plan.layout:
+            for origin in sorted(resolver.slot_origins(task.scope, task.table, slot)):
                 if origin not in seen:
                     seen.add(origin)
                     ordered.append(origin)
@@ -96,59 +93,45 @@ def _inverted_pair(
 
 
 def check_lockorder(
-    script: Script, liveness: Optional[LivenessResult] = None
+    plan: ExecutionPlan, liveness: Optional[LivenessResult] = None
 ) -> List[Finding]:
     """All ``E403`` findings: potential AB-BA deadlocks between atomic
     tasks that may be in flight together."""
-    import networkx as nx
-
     if liveness is None:
-        liveness = check_liveness(script)
-    graph = _happens_before(liveness)
-    resolver = _OriginResolver(liveness)
+        liveness = check_liveness(plan)
+    graph = _happens_before(plan, liveness)
+    resolver = _OriginResolver(plan)
     spec = DIAGNOSTICS.require("E403")
     findings: List[Finding] = []
-    for root in liveness.roots:
+    for tree in trees(plan):
         atomic = [
-            node
-            for node in root.walk()
-            if not node.is_compound
-            and node.taskclass is not None
-            and node.taskclass.is_atomic
-            and liveness.may_start(node.path)
+            task
+            for task in tree
+            if not task.compound
+            and task.taskclass.is_atomic
+            and liveness.may_start(task.path)
         ]
-        reach: Dict[str, Set] = {
-            node.path: nx.descendants(graph, (_END, node.path))
-            for node in atomic
-            if (_END, node.path) in graph
-        }
         profiles = {
-            node.path: acquisition_profiles(node, liveness, resolver)
-            for node in atomic
+            task.path: acquisition_profiles(task, liveness, resolver) for task in atomic
         }
-        for i, a in enumerate(atomic):
-            for b in atomic[i + 1 :]:
-                if (_START, b.path) in reach.get(a.path, set()):
-                    continue  # ordered: a always ends before b starts
-                if (_START, a.path) in reach.get(b.path, set()):
-                    continue
-                inverted = _inverted_pair(profiles[a.path], profiles[b.path])
-                if inverted is None:
-                    continue
-                (ox, nx_), (oy, ny) = inverted
-                findings.append(
-                    Finding(
-                        code="E403",
-                        severity=spec.severity,
-                        location=f"{a.path} <-> {b.path}",
-                        message=(
-                            "atomic tasks may run concurrently and lock "
-                            f"{nx_!r} (from {ox}) and {ny!r} (from {oy}) in "
-                            "opposite declaration order; under strict 2PL "
-                            "this can deadlock at run time "
-                            "(LockManager DeadlockError)"
-                        ),
-                        related=(a.path, b.path),
-                    )
+        for a, b in may_overlap(atomic, graph):
+            inverted = _inverted_pair(profiles[a.path], profiles[b.path])
+            if inverted is None:
+                continue
+            (ox, nx_), (oy, ny) = inverted
+            findings.append(
+                Finding(
+                    code="E403",
+                    severity=spec.severity,
+                    location=f"{a.path} <-> {b.path}",
+                    message=(
+                        "atomic tasks may run concurrently and lock "
+                        f"{nx_!r} (from {ox}) and {ny!r} (from {oy}) in "
+                        "opposite declaration order; under strict 2PL "
+                        "this can deadlock at run time "
+                        "(LockManager DeadlockError)"
+                    ),
+                    related=(a.path, b.path),
                 )
+            )
     return findings

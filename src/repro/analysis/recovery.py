@@ -35,11 +35,13 @@ Three checks, all computed over the liveness pass's may-startable relation
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional
 
-from ..core.schema import OutputKind, Script, Source
+from ..core.schema import OutputKind
+from ..core.selection import EventKind
+from ..engine.plan import EventKey, ExecutionPlan, PlannedTask, TaskTable
 from .findings import Finding
-from .liveness import FlowNode, LivenessResult, check_liveness
+from .liveness import LivenessResult, check_liveness, output_key, set_slots, slot_feeds
 from .registry import DIAGNOSTICS
 
 #: implementation codes the execution service handles itself — the task
@@ -48,32 +50,31 @@ _SERVICE_CODES = frozenset({"system.timer"})
 
 
 def check_recovery(
-    script: Script, liveness: Optional[LivenessResult] = None
+    plan: ExecutionPlan, liveness: Optional[LivenessResult] = None
 ) -> List[Finding]:
     """All recovery-safety findings: ``W401``, ``E402``, ``W404``."""
     if liveness is None:
-        liveness = check_liveness(script)
+        liveness = check_liveness(plan)
     findings: List[Finding] = []
-    for root in liveness.roots:
-        for node in root.walk():
-            findings.extend(_check_bare_effects(node, liveness))
-            findings.extend(_check_deadline(node))
-            if node.is_compound:
-                findings.extend(_check_abort_compensation(node, liveness))
+    for task in plan.tasks:
+        findings.extend(_check_bare_effects(task, liveness))
+        findings.extend(_check_deadline(task))
+        if task.compound:
+            findings.extend(_check_abort_compensation(plan, task, liveness))
     return findings
 
 
 # -- W401: bare effects under at-least-once dispatch ---------------------------
 
 
-def _check_bare_effects(node: FlowNode, liveness: LivenessResult) -> List[Finding]:
-    if node.is_compound or node.taskclass is None:
+def _check_bare_effects(task: PlannedTask, liveness: LivenessResult) -> List[Finding]:
+    if task.compound:
         return []
-    if not liveness.may_start(node.path):
+    if not liveness.may_start(task.path):
         return []  # dead task: E201 already covers it
-    if node.taskclass.is_atomic:
+    if task.taskclass.is_atomic:
         return []  # transactional effects: commit-or-rollback, applied once
-    code = node.decl.implementation.code
+    code = task.decl.implementation.code
     if code is None or code in _SERVICE_CODES:
         return []
     spec = DIAGNOSTICS.require("W401")
@@ -81,7 +82,7 @@ def _check_bare_effects(node: FlowNode, liveness: LivenessResult) -> List[Findin
         Finding(
             code="W401",
             severity=spec.severity,
-            location=node.path,
+            location=task.path,
             message=(
                 f"non-atomic task bound to {code!r} is reachable under "
                 "at-least-once dispatch: a redispatch or hedge may run the "
@@ -96,14 +97,14 @@ def _check_bare_effects(node: FlowNode, liveness: LivenessResult) -> List[Findin
 # -- W404: degenerate deadlines ------------------------------------------------
 
 
-def _check_deadline(node: FlowNode) -> List[Finding]:
-    implementation = node.decl.implementation
+def _check_deadline(task: PlannedTask) -> List[Finding]:
+    implementation = task.decl.implementation
     delay = implementation.deadline
     unparsed = {known.keyword: text for known, text in implementation.ill_typed}
-    if node.taskclass is None or (delay is None and "deadline" not in unparsed):
+    if delay is None and "deadline" not in unparsed:
         return []
     raw = unparsed["deadline"] if delay is None else f"{delay:g}"
-    if not node.taskclass.outputs_of_kind(OutputKind.ABORT):
+    if not task.taskclass.outputs_of_kind(OutputKind.ABORT):
         problem = (
             "can never arm: the task class declares no abort outcome for the "
             "expiry to fire into"
@@ -118,126 +119,83 @@ def _check_deadline(node: FlowNode) -> List[Finding]:
     else:
         return []
     severity = DIAGNOSTICS.require("W404").severity
-    return [Finding("W404", severity, node.path, f"deadline {raw!r} {problem}")]
+    return [Finding("W404", severity, task.path, f"deadline {raw!r} {problem}")]
 
 
 # -- E402: abort paths over committed sibling effects --------------------------
 
 
-def _source_demands_abort(source: Source, constituent: FlowNode) -> bool:
-    """True when ``source`` can only fire via ``constituent``'s abort."""
-    if source.task_name != constituent.local or constituent.taskclass is None:
-        return False
-    if source.guard_kind.value != "output" or source.guard_name is None:
-        return False
-    out = constituent.taskclass.output(source.guard_name)
-    return out is not None and out.kind is OutputKind.ABORT
+def _demands_abort(key: EventKey, constituent: PlannedTask) -> bool:
+    """True when ``key`` is ``constituent``'s abort."""
+    producer, kind, _name = key
+    return producer == constituent.local and kind is EventKind.ABORT
 
 
-def _conjunct_avoidable(
-    sources: Sequence[Source],
-    constituent: FlowNode,
-    producible: Set,
-) -> bool:
-    """Can this conjunct be satisfied without demanding the constituent's
-    abort?  (Producibility per the liveness facts of the enclosing scope.)"""
-    for source in sources:
-        if _source_demands_abort(source, constituent):
-            continue
-        if source.guard_kind.value == "input":
-            fact = (source.task_name, "input", source.guard_name)
-            if fact in producible:
-                return True
-        elif source.guard_name is not None:
-            fact = (source.task_name, "output", source.guard_name)
-            if fact in producible:
-                return True
-        else:
-            # unguarded: any producible outcome/mark of the producer
-            if any(
-                kind == "output" and producer == source.task_name
-                for producer, kind, _name in producible
-            ):
-                return True
-    return False
-
-
-def _consumes_commit(node: FlowNode, constituent: FlowNode) -> bool:
-    """Does ``node`` (a sibling) consume a committed (non-abort) result of
-    ``constituent``?  Such a consumer is the compensation hook: it observes
-    the committed effects and can undo them (trip's ``flightCancellation``
-    consuming ``plane of task flightReservation``)."""
-    for binding in node.decl.input_sets:
-        groups: List[Sequence[Source]] = [obj.sources for obj in binding.objects]
-        groups.extend(notif.sources for notif in binding.notifications)
-        for sources in groups:
-            for source in sources:
-                if source.task_name != constituent.local:
-                    continue
-                if not _source_demands_abort(source, constituent):
-                    return True
-    return False
+def _consumes_commit(table: TaskTable, constituent: PlannedTask) -> bool:
+    """Does a sibling with input ``table`` consume a committed (non-abort)
+    result of ``constituent``?  Such a consumer is the compensation hook: it
+    observes the committed effects and can undo them (trip's
+    ``flightCancellation`` consuming ``plane of task flightReservation``)."""
+    return any(
+        key[0] == constituent.local and not _demands_abort(key, constituent)
+        for key in table.entries
+    )
 
 
 def _check_abort_compensation(
-    compound: FlowNode, liveness: LivenessResult
+    plan: ExecutionPlan, compound: PlannedTask, liveness: LivenessResult
 ) -> List[Finding]:
-    if compound.taskclass is None or not liveness.may_start(compound.path):
+    if not liveness.may_start(compound.path):
         return []
     producible = liveness.facts.get(compound.scope, set())
     inner = liveness.facts.get(compound.path, set())
-    abort_bindings = [
-        binding
-        for binding in compound.decl.outputs
-        if (spec := compound.taskclass.output(binding.name)) is not None
-        and spec.kind is OutputKind.ABORT
-        and (compound.local, "output", binding.name) in producible
-    ]
-    if not abort_bindings:
+    abort_watches = []
+    for watch in plan.scopes[compound.path].watch_tables:
+        key = output_key(compound, watch)
+        if key[1] is EventKind.ABORT and key in producible:
+            abort_watches.append(watch)
+    if not abort_watches:
         return []
-    spec404 = DIAGNOSTICS.require("E402")
+    spec402 = DIAGNOSTICS.require("E402")
+    children = [task for task in plan.tasks if task.scope == compound.path]
     findings: List[Finding] = []
-    for constituent in compound.children:
-        if constituent.is_compound or constituent.taskclass is None:
-            continue
-        if not constituent.taskclass.is_atomic:
+    for constituent in children:
+        if constituent.compound or not constituent.taskclass.is_atomic:
             continue  # bare effects: W401's department, not E402's
         if not liveness.may_start(constituent.path):
             continue
-        commits = [
-            out
-            for out in constituent.taskclass.final_outputs()
-            if out.kind is OutputKind.OUTCOME
-            and (constituent.local, "output", out.name) in inner
-        ]
-        if not commits:
+        if not any(
+            (constituent.local, EventKind.OUTCOME, out.name) in inner
+            for out in constituent.taskclass.outputs_of_kind(OutputKind.OUTCOME)
+        ):
             continue  # the constituent can never commit
         if any(
-            sibling is not constituent and _consumes_commit(sibling, constituent)
-            for sibling in compound.children
+            sibling is not constituent and _consumes_commit(sibling.table, constituent)
+            for sibling in children
         ):
             continue  # a compensation hook observes the committed result
         uncompensated = []
-        for binding in abort_bindings:
-            groups: List[Sequence[Source]] = [
-                obj.sources for obj in binding.objects
-            ]
-            groups.extend(notif.sources for notif in binding.notifications)
+        for watch in abort_watches:
+            feeds = slot_feeds(watch)
             # the abort can fire independently of the constituent's fate
-            # when every conjunct has a producible alternative that does
-            # not demand the constituent's abort
+            # when every slot has a producible key (per the liveness facts of
+            # the compound's scope) that does not demand the constituent's
+            # abort
             if all(
-                _conjunct_avoidable(sources, constituent, inner)
-                for sources in groups
+                any(
+                    key in inner and not _demands_abort(key, constituent)
+                    for key, _obj in feeds[slot]
+                )
+                for slot in set_slots(watch.sets[0].mask)
             ):
-                uncompensated.append(binding.name)
+                uncompensated.append(watch.sets[0].name)
         if not uncompensated:
             continue
         names = ", ".join(repr(n) for n in sorted(uncompensated))
         findings.append(
             Finding(
                 code="E402",
-                severity=spec404.severity,
+                severity=spec402.severity,
                 location=f"{compound.path} -> {constituent.path}",
                 message=(
                     f"abort outcome(s) {names} can fire after atomic "

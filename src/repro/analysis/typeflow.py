@@ -14,10 +14,10 @@ type-correct.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
-from ..core.graph import Validator, _ScopeInfo
-from ..core.schema import Script, TaskClass
+from ..core.graph import Validator
+from ..core.schema import Script
 from .findings import Finding
 from .registry import DIAGNOSTICS
 
@@ -50,8 +50,7 @@ def check_typeflow(script: Script) -> List[Finding]:
 
 def _check_template(script: Script, template) -> Iterator[Finding]:
     body = template.body
-    taskclass = script.taskclasses.get(body.taskclass_name)
-    if taskclass is None:
+    if body.taskclass_name not in script.taskclasses:
         spec = DIAGNOSTICS.require("E107")
         yield Finding(
             code="E107",
@@ -60,7 +59,6 @@ def _check_template(script: Script, template) -> Iterator[Finding]:
             message=f"body uses unknown taskclass {body.taskclass_name!r}",
         )
         return
-    validator = Validator(script, placeholders=template.parameters)
-    names: Dict[str, Tuple[TaskClass, bool]] = {body.name: (taskclass, False)}
-    validator._validate_decl(body, _ScopeInfo(names, f"template {template.name}"))
+    validator = Validator(script)
+    validator.validate_template(template)
     yield from _to_findings(validator.coded, prefix=f"template {template.name}/")

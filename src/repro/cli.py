@@ -35,7 +35,7 @@ from typing import List, Optional
 from .core.errors import ParseError, ValidationReport
 from .core.graph import structure_summary
 from .core.schema import CompoundTaskDecl
-from .engine import LocalEngine
+from .engine import LocalEngine, compile_plan
 from .engine.trace import render_summary, render_trace
 from .lang import compile_script, format_script, parse
 from .lang.dot import to_dot
@@ -94,7 +94,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .engine.plan import compile_plan
+    from .analysis import check_liveness
 
     try:
         script = compile_script(_read(args.script))
@@ -102,14 +102,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     try:
-        plan = compile_plan(script, root_task=args.task, analyze=not args.no_liveness)
+        plan = compile_plan(script, root_task=args.task)
     except KeyError as exc:
         print(f"ERROR: {exc.args[0]}", file=sys.stderr)
         return 1
+    liveness = check_liveness(plan)
     if args.json:
-        print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(plan.as_dict(liveness), indent=2, sort_keys=True))
     else:
-        print(plan.render())
+        print(plan.render(liveness))
     return 0
 
 
@@ -287,7 +288,7 @@ def _sanitize_under_nemesis(args, sanitizer, script) -> None:
     harness = SimHarness(schedule, workload=args.name, system=SystemSpec(seed=args.seed))
     sanitizer.attach_harness(harness)
     sim_report = harness.run()
-    sanitizer.scan_workers(harness._system.workers, script)
+    sanitizer.scan_workers(harness._system.workers, compile_plan(script))
     print(f"nemesis: {sim_report.summary()}")
 
 
@@ -587,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("script", help="path to a .wf script")
     plan.add_argument("task", nargs="?", help="top-level task (default: all)")
     plan.add_argument("--json", action="store_true", help="JSON instead of text")
-    plan.add_argument(
-        "--no-liveness",
-        action="store_true",
-        help="skip the liveness fixpoint (no live/dead annotations)",
-    )
     plan.set_defaults(fn=cmd_plan)
 
     sanitize = commands.add_parser(

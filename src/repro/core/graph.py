@@ -10,8 +10,7 @@ figure-regeneration benchmarks and by the structural diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import SchemaError, ValidationReport
 from .schema import (
@@ -25,6 +24,7 @@ from .schema import (
     Source,
     TaskClass,
     TaskDecl,
+    TaskTemplate,
 )
 
 if TYPE_CHECKING:
@@ -33,13 +33,9 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
-@dataclass
-class _ScopeInfo:
-    """Names visible to source resolution at one nesting level."""
-
-    # local name -> (taskclass, is_enclosing_compound)
-    names: Dict[str, Tuple[TaskClass, bool]]
-    where: str
+# the names source resolution sees at one nesting level: local name -> task
+# class (constituents and, inside a compound, the compound itself)
+Scope = Dict[str, TaskClass]
 
 
 class Validator:
@@ -47,33 +43,37 @@ class Validator:
 
     Each error also carries a stable diagnostic code (``E1xx``, declared in
     :mod:`repro.analysis.registry`) in :attr:`coded` so the static analyser
-    can merge validation into its unified report.  ``placeholders`` names
-    producers to skip silently — the template parameters of a
-    :class:`~repro.core.schema.TaskTemplate` body, opaque until
-    instantiation.
+    can merge validation into its unified report.
     """
 
-    def __init__(
-        self, script: Script, placeholders: Iterable[str] = ()
-    ) -> None:
+    def __init__(self, script: Script) -> None:
         self.script = script
         self.errors: List[SchemaError] = []
         self.coded: List[Tuple[str, str, str]] = []  # (code, location, message)
-        self.placeholders: Set[str] = set(placeholders)
+        # producers to skip silently: a template body's parameters
+        self.placeholders: Set[str] = set()
 
     # -- public ------------------------------------------------------------------
 
     def validate(self) -> List[SchemaError]:
         self._validate_class_hierarchy()
         self._validate_taskclasses()
-        root_names: Dict[str, Tuple[TaskClass, bool]] = {}
+        root: Scope = {}
         for decl in self.script.tasks.values():
             taskclass = self.script.taskclasses.get(decl.taskclass_name)
             if taskclass is not None:
-                root_names[decl.name] = (taskclass, False)
-        root = _ScopeInfo(root_names, "<script>")
+                root[decl.name] = taskclass
         for decl in self.script.tasks.values():
             self._validate_decl(decl, root)
+        return self.errors
+
+    def validate_template(self, template: TaskTemplate) -> List[SchemaError]:
+        """Check ``template``'s body alone, its parameters opaque producers
+        until instantiation (:meth:`validate` leaves bodies to it)."""
+        self.placeholders = set(template.parameters)
+        body = template.body
+        taskclass = self.script.taskclasses.get(body.taskclass_name)
+        self._validate_decl(body, {} if taskclass is None else {body.name: taskclass})
         return self.errors
 
     # -- object classes -------------------------------------------------------------
@@ -112,7 +112,7 @@ class Validator:
 
     # -- declarations --------------------------------------------------------------
 
-    def _validate_decl(self, decl: AnyTaskDecl, scope: _ScopeInfo) -> None:
+    def _validate_decl(self, decl: AnyTaskDecl, scope: Scope) -> None:
         taskclass = self.script.taskclasses.get(decl.taskclass_name)
         if taskclass is None:
             self._error(f"unknown taskclass {decl.taskclass_name!r}", decl.name)
@@ -122,7 +122,7 @@ class Validator:
             self._validate_compound(decl, taskclass)
 
     def _validate_input_sets(
-        self, decl: AnyTaskDecl, taskclass: TaskClass, scope: _ScopeInfo
+        self, decl: AnyTaskDecl, taskclass: TaskClass, scope: Scope
     ) -> None:
         for binding in decl.input_sets:
             spec = taskclass.input_set(binding.name)
@@ -160,15 +160,14 @@ class Validator:
                     )
 
     def _validate_compound(self, decl: CompoundTaskDecl, taskclass: TaskClass) -> None:
-        inner_names: Dict[str, Tuple[TaskClass, bool]] = {}
+        inner: Scope = {}
         for child in decl.tasks:
             child_class = self.script.taskclasses.get(child.taskclass_name)
             if child_class is None:
                 self._error(f"unknown taskclass {child.taskclass_name!r}", child.name)
             else:
-                inner_names[child.name] = (child_class, False)
-        inner_names[decl.name] = (taskclass, True)
-        inner = _ScopeInfo(inner_names, decl.name)
+                inner[child.name] = child_class
+        inner[decl.name] = taskclass
         for child in decl.tasks:
             self._validate_decl(child, inner)
         # outputs mapping
@@ -230,7 +229,7 @@ class Validator:
         source: Source,
         obj_spec: Optional[ObjectDecl],
         decl: AnyTaskDecl,
-        scope: _ScopeInfo,
+        scope: Scope,
         context: str,
         consumer_name: Optional[str] = None,
     ) -> None:
@@ -238,13 +237,12 @@ class Validator:
         consumer = consumer_name or decl.name
         if source.task_name in self.placeholders:
             return  # template parameter: producer opaque until instantiation
-        entry = scope.names.get(source.task_name)
-        if entry is None:
+        producer_class = scope.get(source.task_name)
+        if producer_class is None:
             self._error(
                 f"source names unknown task {source.task_name!r}", where, code="E101"
             )
             return
-        producer_class, _is_enclosing = entry
         if source.object_name is None and source.guard_kind is GuardKind.ANY:
             self._error("notification source must carry an `if` guard", where, code="E102")
             return

@@ -47,17 +47,19 @@ watcher to that statement after every step or event, on generated,
 adversarial, paper and reconfigured instances and on the execution
 service's replayed trees.
 
-The liveness fixpoint (:func:`repro.analysis.liveness.check_liveness`) is
-reused to *annotate* firing entries as statically live or dead in the plan
-dump (``repro plan``).  Dead entries are **not** pruned from the runtime
-tables: liveness is a may-analysis of the script alone, while the engine
-also admits out-of-band events (``force_abort`` can publish an abort the
-fixpoint never saw), so pruning would be unsound.
+The plan is also what the static analyzers read (:mod:`repro.analysis`):
+the liveness fixpoint (:func:`repro.analysis.liveness.check_liveness`) runs
+over these firing tables and set masks, and the plan dump (``repro plan``)
+takes its result to mark firing entries statically live or dead.  Nothing
+here calls the analyzer, and dead entries are **not** pruned from the
+runtime tables: liveness is a may-analysis of the script alone, while the
+engine also admits out-of-band events (``force_abort`` can publish an abort
+the fixpoint never saw), so pruning would be unsound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -534,11 +536,11 @@ class PlannedTask:
     path: str
     scope: str  # enclosing scope path ("" = root scope)
     local: str
-    taskclass: str
+    decl: AnyTaskDecl
+    taskclass: TaskClass
     compound: bool
     table: TaskTable
     template: Optional[DispatchTemplate]  # None for compounds
-    startable: Tuple[str, ...]  # liveness: input sets this task can start via
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,15 +548,18 @@ class ExecutionPlan:
     """A whole script compiled: tasks with ids, tables and dispatch
     templates, and one :class:`ScopePlan` per compound.  Read-only, so one
     plan backs every instance of ``script`` (see ``InstanceTree.plan`` for
-    when an instance stops using it)."""
+    when an instance stops using it).
+
+    The dumps (:meth:`stats`, :meth:`as_dict`, :meth:`render`) take the
+    plan's :class:`~repro.analysis.liveness.LivenessResult` and read its
+    ``facts`` (scope path -> producible event keys) and ``startable`` (task
+    path -> input-set names)."""
 
     script: Script
     root_tasks: Tuple[str, ...]
     tasks: Tuple[PlannedTask, ...]
     by_path: Mapping[str, PlannedTask]
     scopes: Mapping[str, ScopePlan]  # compound path -> its inner scope
-    # scope path -> producible liveness facts there (empty if not analysed)
-    facts: Mapping[str, Set[Tuple[str, str, str]]] = field(default_factory=dict)
 
     def task_at(self, path: str) -> Optional[PlannedTask]:
         return self.by_path.get(path)
@@ -564,11 +569,6 @@ class ExecutionPlan:
         return {path: scope.watch_tables for path, scope in self.scopes.items()}
 
     # -- derived firing view ------------------------------------------------
-
-    def _key_live(self, scope: str, key: EventKey) -> bool:
-        producer, kind, name = key
-        fact_kind = "input" if kind is EventKind.INPUT else "output"
-        return (producer, fact_kind, name) in self.facts.get(scope, set())
 
     def firing_table(self, scope: str) -> Dict[EventKey, List[Tuple[str, FiringGroup]]]:
         """Scope firing table: event key -> [(consumer label, group), ...].
@@ -588,13 +588,14 @@ class ExecutionPlan:
                     firing.setdefault(key, []).append((label, group))
         return firing
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self, liveness) -> Dict[str, int]:
         scopes = {task.scope for task in self.tasks} | set(self.watch_tables)
         keys = dead = 0
         for scope in scopes:
+            live = liveness.facts.get(scope, ())
             for key in self.firing_table(scope):
                 keys += 1
-                if self.facts and not self._key_live(scope, key):
+                if key not in live:
                     dead += 1
         return {
             "tasks": len(self.tasks),
@@ -610,7 +611,7 @@ class ExecutionPlan:
 
     # -- dumps --------------------------------------------------------------
 
-    def as_dict(self) -> Dict[str, object]:
+    def as_dict(self, liveness) -> Dict[str, object]:
         def dump_table(table: TaskTable) -> Dict[str, object]:
             return {
                 "sets": [
@@ -654,15 +655,15 @@ class ExecutionPlan:
 
         return {
             "roots": list(self.root_tasks),
-            "stats": self.stats(),
+            "stats": self.stats(liveness),
             "tasks": [
                 {
                     "id": task.task_id,
                     "path": task.path,
                     "scope": task.scope,
-                    "taskclass": task.taskclass,
+                    "taskclass": task.taskclass.name,
                     "compound": task.compound,
-                    "startable": list(task.startable),
+                    "startable": sorted(liveness.startable[task.path]),
                     "table": dump_table(task.table),
                 }
                 for task in self.tasks
@@ -673,26 +674,22 @@ class ExecutionPlan:
             },
         }
 
-    def render(self) -> str:
-        stats = self.stats()
+    def render(self, liveness) -> str:
+        stats = self.stats(liveness)
         lines = [
             f"execution plan: {stats['tasks']} tasks, {stats['slots']} slots, "
-            f"{stats['firing_keys']} firing keys"
-            + (
-                f" ({stats['dead_keys']} statically dead)"
-                if self.facts
-                else " (liveness not analysed)"
-            )
+            f"{stats['firing_keys']} firing keys ({stats['dead_keys']} statically dead)"
         ]
         for task in self.tasks:
             kind = "compound" if task.compound else "simple"
-            startable = (
-                " startable via {" + ", ".join(sorted(task.startable)) + "}"
-                if task.startable
-                else (" DEAD (never ready)" if self.facts else "")
+            startable = liveness.startable[task.path]
+            via = (
+                " startable via {" + ", ".join(sorted(startable)) + "}"
+                if startable
+                else " DEAD (never ready)"
             )
             lines.append(
-                f"task {task.task_id}: {task.path} [{task.taskclass}, {kind}]{startable}"
+                f"task {task.task_id}: {task.path} [{task.taskclass.name}, {kind}]{via}"
             )
             for set_plan in task.table.sets:
                 lines.append(
@@ -708,6 +705,7 @@ class ExecutionPlan:
             firing = self.firing_table(scope)
             if not firing:
                 continue
+            live = liveness.facts.get(scope, ())
             lines.append(f"scope {scope or '<root>'}:")
             for key in sorted(
                 firing, key=lambda k: (k[0], k[1].value, k[2])
@@ -718,44 +716,23 @@ class ExecutionPlan:
                     srcs = ",".join(str(c[0]) for c in candidates)
                     mark = "~" if notif else ""
                     targets.append(f"{consumer}{mark}[slot {slot} src {srcs}]")
-                dead = ""
-                if self.facts and not self._key_live(scope, key):
-                    dead = "  DEAD"
                 lines.append(
                     f"  ({producer}, {kind.value}, {name}) -> "
                     + "; ".join(targets)
-                    + dead
+                    + ("" if key in live else "  DEAD")
                 )
         return "\n".join(lines)
 
 
-def compile_plan(
-    script: Script,
-    root_task: Optional[str] = None,
-    input_set: str = "main",
-    analyze: bool = True,
-) -> ExecutionPlan:
-    """Compile ``script`` into an :class:`ExecutionPlan`.
-
-    With ``analyze=True`` the liveness fixpoint annotates which firing
-    entries are statically producible (dump/diagnostic only — see module
-    docstring for why dead entries stay in the runtime tables).
-    """
+def compile_plan(script: Script, root_task: Optional[str] = None) -> ExecutionPlan:
+    """Compile ``script`` (every top-level task, or only ``root_task``) into
+    an :class:`ExecutionPlan`."""
     if root_task is None:
         roots = list(script.tasks)
     else:
         if root_task not in script.tasks:
             raise KeyError(f"script has no top-level task {root_task!r}")
         roots = [root_task]
-
-    facts: Dict[str, Set[Tuple[str, str, str]]] = {}
-    startable: Dict[str, Set[str]] = {}
-    if analyze:
-        from ..analysis.liveness import check_liveness
-
-        liveness = check_liveness(script, root_task=root_task, input_set=input_set)
-        facts = liveness.facts
-        startable = liveness.startable
 
     tasks: List[PlannedTask] = []
     scopes: Dict[str, ScopePlan] = {}
@@ -774,11 +751,11 @@ def compile_plan(
                 path=path,
                 scope=scope,
                 local=decl.name,
-                taskclass=taskclass.name,
+                decl=decl,
+                taskclass=taskclass,
                 compound=isinstance(decl, CompoundTaskDecl),
                 table=table,
                 template=template,
-                startable=tuple(sorted(startable.get(path, ()))),
             )
         )
         if isinstance(decl, CompoundTaskDecl):
@@ -808,5 +785,4 @@ def compile_plan(
         tasks=tuple(tasks),
         by_path=MappingProxyType({task.path: task for task in tasks}),
         scopes=MappingProxyType(scopes),
-        facts=facts,
     )

@@ -643,7 +643,7 @@ class ExecutionService(Service):
         compiled = _compiled(text)
         script = compiled.script
         if compiled.plan is None:
-            compiled.plan = compile_plan(script, analyze=False)
+            compiled.plan = compile_plan(script)
         tree = self._new_tree(script, spec["root_task"], compiled.plan)
         runtime = _Runtime(iid, script, tree)
         runtime.has_deadlines = compiled.has_deadlines

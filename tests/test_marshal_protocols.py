@@ -349,7 +349,7 @@ class TestSealed:
 
     def _template(self):
         script = chain(1)[0]
-        return compile_plan(script, analyze=False).by_path["pipeline/t1"].template
+        return compile_plan(script).by_path["pipeline/t1"].template
 
     def test_template_crosses_by_reference_with_no_walk(self, monkeypatch):
         template = self._template()
@@ -409,7 +409,7 @@ class TestWorkRequestBoundary:
 
     def _request(self, value):
         script = chain(1)[0]
-        template = compile_plan(script, analyze=False).by_path["pipeline/t1"].template
+        template = compile_plan(script).by_path["pipeline/t1"].template
         return WorkRequest(
             instance_id="wf-1", execution_index=1, template=template,
             input_set="main", inputs=(("inp", ObjectRef("Data", value)),),

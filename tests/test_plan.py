@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.analysis import check_liveness
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.selection import (
     HOTPATH_STATS,
@@ -66,7 +67,7 @@ def fingerprint(result):
 def shared_plan_run(script, registry, root, inputs):
     """A local run on the script's shared plan, as the execution service
     builds its trees (``LocalEngine`` compiles each tree's own scopes)."""
-    plan = compile_plan(script, root_task=root, analyze=False)
+    plan = compile_plan(script, root_task=root)
     seeded = LocalWorkflow(script, root, registry, plan=plan)
     seeded.start(inputs)
     return seeded.run_to_completion()
@@ -121,7 +122,7 @@ class TestConcurrentEquivalence:
 class TestTableLayout:
     def test_fan_sink_bitmask_layout(self):
         script, _, root, _ = generators.fan(4)
-        plan = compile_plan(script, root_task=root, analyze=False)
+        plan = compile_plan(script, root_task=root)
         sink = plan.task_at("fan/sink")
         assert sink is not None and not sink.compound
         (set_plan,) = sink.table.sets
@@ -137,7 +138,7 @@ class TestTableLayout:
 
     def test_task_ids_are_dense_and_ordered(self):
         script, _, root, _ = generators.chain(5)
-        plan = compile_plan(script, root_task=root, analyze=False)
+        plan = compile_plan(script, root_task=root)
         assert [t.task_id for t in plan.tasks] == list(range(len(plan.tasks)))
         assert plan.tasks[0].path == "pipeline"
         assert plan.tasks[0].compound
@@ -154,7 +155,7 @@ class TestTableLayout:
         decl = script.tasks["wf"].task("free")
         sets = effective_input_sets(decl, script.taskclass_of(decl))
         assert len(sets) == 1 and sets[0].name == ""
-        plan = compile_plan(script, analyze=False)
+        plan = compile_plan(script)
         free = plan.task_at("wf/free")
         assert free.table.sets[0].mask == 0  # always satisfied
         assert free.table.slot_count == 0
@@ -175,11 +176,11 @@ class TestTableLayout:
         c.output("done").object("out", from_output("a", "done", "out")).up()
         c.up()
         plan = compile_plan(b.build())
-        a = plan.task_at("wf/a")
-        assert a.startable == ()  # liveness: never ready
-        rendered = plan.render()
+        liveness = check_liveness(plan)
+        assert liveness.startable["wf/a"] == set()  # never ready
+        rendered = plan.render(liveness)
         assert "DEAD" in rendered
-        assert plan.stats()["dead_keys"] > 0
+        assert plan.stats(liveness)["dead_keys"] > 0
 
 
 class TestPlanTrackerSemantics:
@@ -237,7 +238,7 @@ class TestPlanCli:
         text = capsys.readouterr().out
         assert "execution plan:" in text
         assert "scope fan:" in text
-        assert main(["plan", str(path), "--json", "--no-liveness"]) == 0
+        assert main(["plan", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["roots"] == ["fan"]
         assert payload["stats"]["tasks"] == len(payload["tasks"])

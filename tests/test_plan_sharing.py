@@ -71,7 +71,7 @@ class TestCompiledOnce:
 
     def test_plan_is_read_only(self):
         script = fan(3)[0]
-        plan = compile_plan(script, analyze=False)
+        plan = compile_plan(script)
         scope = plan.scopes["fan"]
         table = scope.tables[0]
         key = next(iter(table.entries))
@@ -96,7 +96,7 @@ class TestReconfigurationLeavesTheSharedPlan:
             first = system.instantiate("wl", root, inputs) if reconfigure_first else None
             second = system.instantiate("wl", root, inputs)
             plan = shared_plan(text)
-            before = compile_plan(service.runtimes[second].script, analyze=False)
+            before = compile_plan(service.runtimes[second].script)
             if reconfigure_first:
                 head, _sep, tail = text.rpartition('"code" is "stage"')
                 system.execution_proxy().reconfigure(first, head + '"code" is "stage2"' + tail)

@@ -143,7 +143,7 @@ def checked_run(check, workload, shared_plan=False, **options):
     service's route) or on tables the tree compiles itself (the local
     engine's)."""
     script, registry, root, inputs = workload
-    plan = compile_plan(script, root_task=root, analyze=False) if shared_plan else None
+    plan = compile_plan(script, root_task=root) if shared_plan else None
     wf = LocalWorkflow(script, root, registry, plan=plan, **options)
     check.attach_tree(wf.tree)
     wf.start(inputs)

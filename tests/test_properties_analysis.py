@@ -28,8 +28,15 @@ from repro.analysis import (
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.errors import ParseError, SchemaError, ValidationReport
 from repro.core.selection import EventKind
-from repro.engine import ImplementationRegistry, LocalEngine, LocalWorkflow, outcome
+from repro.engine import (
+    ImplementationRegistry,
+    LocalEngine,
+    LocalWorkflow,
+    compile_plan,
+    outcome,
+)
 from repro.lang import compile_script
+from repro.workloads import generators
 
 from tests.test_fuzz_frontend import fragments
 from tests.test_properties_engine import (
@@ -53,15 +60,32 @@ def test_analyzer_never_raises_on_compilable_fuzz_output(text):
     analyze_script(script)
 
 
-@given(st.integers(1, 5), st.lists(behaviours, min_size=1, max_size=5))
-def test_executed_behaviour_is_statically_possible(n, plans):
+# the adversarial ``Wild`` chain (aborts, repeats, crash retries) under
+# drawn behaviours, and the random DAGs of test_plan_differential.py
+executed_workloads = st.one_of(
+    st.builds(
+        lambda n, plans: (adversarial_script(n), make_registry(n, plans), "wf", {"inp": "s"}),
+        st.integers(1, 5),
+        st.lists(behaviours, min_size=1, max_size=5),
+    ),
+    st.builds(
+        lambda n, max_deps, seed: generators.random_dag(n, max_deps=max_deps, seed=seed),
+        st.integers(2, 16),
+        st.integers(1, 3),
+        st.integers(0, 1_000),
+    ),
+)
+
+
+@given(executed_workloads)
+def test_executed_behaviour_is_statically_possible(workload):
     """The static may-analysis over-approximates the engine: whatever one
     concrete run did cannot have been declared impossible."""
-    script = adversarial_script(n)
-    liveness = check_liveness(script)
+    script, registry, root, inputs = workload
+    liveness = check_liveness(compile_plan(script))
     assert liveness.dead_tasks == []
-    result = LocalEngine(make_registry(n, plans), max_repeats=10, max_steps=5_000).run(
-        script, inputs={"inp": "s"}
+    result = LocalEngine(registry, max_repeats=10, max_steps=5_000).run(
+        script, root, inputs=inputs
     )
     if result.completed:
         # the engine terminated in a declared outcome, so the stall analysis
@@ -74,8 +98,9 @@ def test_executed_behaviour_is_statically_possible(n, plans):
         entry.producer_path
         for entry in result.log.entries
         if entry.event.kind is EventKind.INPUT
-        and entry.producer_path.startswith("wf/")
+        and entry.producer_path.startswith(f"{root}/")
     }
+    assert started
     for path in started:
         assert liveness.may_start(path)
 
@@ -140,7 +165,7 @@ def test_interference_is_exact_on_fanout_shapes(shape):
     """
     n, edges = shape
     script = build_fanout(n, edges)
-    static_pairs = {frozenset(f.related) for f in check_interference(script)}
+    static_pairs = {frozenset(f.related) for f in check_interference(compile_plan(script))}
     assert static_pairs == _unordered_pairs(n, edges)
     registry = ImplementationRegistry()
     registry.register("impl", lambda ctx: outcome("ok", out=ctx.value("inp")))

@@ -27,7 +27,7 @@ from repro.analysis import (
 )
 from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.selection import HOTPATH_STATS
-from repro.engine import LocalEngine
+from repro.engine import LocalEngine, compile_plan
 from repro.lang import format_script
 from repro.txn.locks import DeadlockError, LockManager, LockMode
 from tests.conftest import interleave_lockers
@@ -140,7 +140,7 @@ def test_new_codes_registered():
 
 
 def test_w401_flags_reachable_nonatomic_tasks(pipeline_script):
-    findings = check_recovery(pipeline_script)
+    findings = check_recovery(compile_plan(pipeline_script))
     flagged = {f.location for f in _codes(findings, "W401")}
     assert flagged == {"pipeline/t1", "pipeline/t2", "pipeline/t3"}
 
@@ -160,7 +160,7 @@ def test_w401_spares_atomic_and_timer_tasks():
         .notify("main", from_input("wf", "main")).up())
     (wf.output("done").object("out", from_output("tx", "ok", "out")).up())
     wf.up()
-    findings = check_recovery(b.build())
+    findings = check_recovery(compile_plan(b.build()))
     assert not _codes(findings, "W401")
 
 
@@ -168,14 +168,14 @@ def test_w401_spares_atomic_and_timer_tasks():
 
 
 def test_e402_fires_on_uncompensated_commit():
-    findings = check_recovery(_uncompensated_script())
+    findings = check_recovery(compile_plan(_uncompensated_script()))
     e402 = _codes(findings, "E402")
     assert [f.location for f in e402] == ["wf -> wf/pay"]
     assert e402[0].related == ("wf", "wf/pay")
 
 
 def test_e402_silent_when_commit_is_consumed():
-    findings = check_recovery(_uncompensated_script(compensated=True))
+    findings = check_recovery(compile_plan(_uncompensated_script(compensated=True)))
     assert not _codes(findings, "E402")
 
 
@@ -194,7 +194,7 @@ def test_e402_silent_when_abort_demands_the_constituents_abort():
     (wf.output("done").object("out", from_output("pay", "paid", "receipt")).up()
        .output("failed").notify(from_output("pay", "payFailed")).up())
     wf.up()
-    findings = check_recovery(b.build())
+    findings = check_recovery(compile_plan(b.build()))
     assert not _codes(findings, "E402")
 
 
@@ -202,7 +202,7 @@ def test_e402_silent_when_abort_demands_the_constituents_abort():
 
 
 def test_w404_three_degenerate_shapes_and_one_healthy():
-    findings = check_recovery(_deadline_script())
+    findings = check_recovery(compile_plan(_deadline_script()))
     w404 = {f.location: f.message for f in _codes(findings, "W404")}
     assert set(w404) == {"wf/unarmable", "wf/unparsable", "wf/degenerate"}
     assert "never arm" in w404["wf/unarmable"]
@@ -214,20 +214,20 @@ def test_w404_three_degenerate_shapes_and_one_healthy():
 
 
 def test_e403_fires_on_inverted_acquisition_order():
-    findings = check_lockorder(_atomic_pair_script(invert=True))
+    findings = check_lockorder(compile_plan(_atomic_pair_script(invert=True)))
     e403 = _codes(findings, "E403")
     assert [f.location for f in e403] == ["wf/a <-> wf/bb"]
     assert e403[0].related == ("wf/a", "wf/bb")
 
 
 def test_e403_silent_on_consistent_order():
-    assert not check_lockorder(_atomic_pair_script(invert=False))
+    assert not check_lockorder(compile_plan(_atomic_pair_script(invert=False)))
 
 
 def test_e403_silent_on_ordered_tasks(pipeline_script):
     # pipeline stages are happens-before ordered; even inverted declaration
     # orders could never overlap (and these tasks are not atomic anyway)
-    assert not check_lockorder(pipeline_script)
+    assert not check_lockorder(compile_plan(pipeline_script))
 
 
 def test_shipped_scripts_stay_error_clean():
@@ -461,7 +461,7 @@ def test_duplicate_effect_scan_flags_nonatomic_only():
     # atomic task executed twice: protected by the txn manager, not flagged
     sanitizer.scan_workers(
         [_FakeWorker([("i1", "wf/a", 1)]), _FakeWorker([("i1", "wf/a", 1)])],
-        script,
+        compile_plan(script),
     )
     assert sanitizer.findings == []
     # bare task executed twice: flagged once, attributed to the path
@@ -470,7 +470,7 @@ def test_duplicate_effect_scan_flags_nonatomic_only():
             _FakeWorker([("i1", "wf2/bare", 1), ("i1", "wf2/bare", 1)]),
             _FakeWorker([("i2", "unknown/task", 1)] * 2),
         ],
-        bare_script,
+        compile_plan(bare_script),
     )
     assert [f.kind for f in sanitizer.findings] == ["duplicate-effect"]
     assert sanitizer.findings[0].subjects == ("wf2/bare",)
@@ -499,7 +499,7 @@ def test_nemesis_duplicate_is_statically_predicted():
     unobserved = SimHarness(schedule=schedule, workload="order")
     assert unobserved.run().fingerprint() == sim_report.fingerprint()
     script = paper_order.build()
-    sanitizer.scan_workers(harness._system.workers, script)
+    sanitizer.scan_workers(harness._system.workers, compile_plan(script))
     assert sanitizer.trees_attached >= 1
     assert {f.kind for f in sanitizer.findings} == {"race", "duplicate-effect"}
     duplicates = [f for f in sanitizer.findings if f.kind == "duplicate-effect"]

@@ -2,7 +2,7 @@
 tier and the terminal statuses are each written down in one file under
 ``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``),
 concurrency is tasks on worker nodes, never threads in one process, and the
-compiled plan is the one evaluator."""
+compiled plan is the one evaluator and what the static analyzers read."""
 
 import ast
 import pathlib
@@ -130,3 +130,49 @@ def test_no_engine_or_service_runs_a_specification_tracker():
         for name in sorted(spec & set(identifiers(tree)))
     ]
     assert found == []
+
+
+def test_the_static_analyzers_read_the_compiled_plan():
+    """``engine/plan.py`` compiles a script into the tables the engine runs,
+    and its ``_static_match`` is the one static source matcher: nothing under
+    ``analysis/`` keeps a task tree of its own or matches a source's guard
+    against a producer's class by local name."""
+    trees, matchers = [], []
+    for rel, tree in sources():
+        if not rel.startswith("analysis/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                kept = {
+                    target.attr
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and ast.unparse(target.value) == "self"
+                }
+                if kept & {"parent", "children"}:
+                    trees.append((rel, node.name))
+        names = set(identifiers(tree))
+        matchers += [
+            (rel, name)
+            for name in sorted(names & {"guard_kind", "guard_name", "sibling_class", "taskclass_of"})
+        ]
+    assert trees == []
+    assert matchers == []
+    defined = [
+        rel
+        for rel, tree in sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_static_match"
+    ]
+    assert defined == ["engine/plan.py"]
+    # and the dependency runs one way: the analyzers import the plan
+    upward = [
+        (rel, node.module)
+        for rel, tree in sources()
+        if rel.startswith("engine/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith(("analysis", "repro.analysis"))
+    ]
+    assert upward == []

@@ -9,7 +9,9 @@ two worker nodes, holding the same object.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
 from jsonschema import validate as jsonschema_validate
@@ -29,10 +31,13 @@ from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.analysis import analyze_outcomes
 from repro.core.errors import SchemaError
 from repro.core.schema import Implementation, TaskDecl
-from repro.engine import ImplementationRegistry, LocalWorkflow, outcome
+from repro.core.selection import EventKind
+from repro.engine import ImplementationRegistry, LocalWorkflow, compile_plan, outcome
+from repro.engine import plan as plan_module
 from repro.lang import format_script
 from repro.services.repository import RepositoryService
 from repro.txn.store import ObjectStore
+from repro.workloads import generators, paper_trip
 
 
 def codes(findings):
@@ -186,7 +191,7 @@ def _ghost_script():
 
 
 def test_liveness_unreachable_outcome_ghost_path():
-    result = check_liveness(_ghost_script())
+    result = check_liveness(compile_plan(_ghost_script()))
     assert result.unreachable_outcomes == ["ghostPath"]
     assert "E202" in codes(result.findings)
     assert sorted(result.reachable_outcomes) == ["done"]
@@ -194,7 +199,7 @@ def test_liveness_unreachable_outcome_ghost_path():
 
 def test_liveness_agrees_with_dynamic_explorer_on_ghost_path():
     script = _ghost_script()
-    static = check_liveness(script)
+    static = check_liveness(compile_plan(script))
     dynamic = analyze_outcomes(script, "wf")
     assert set(static.reachable_outcomes) == set(dynamic.reachable)
     assert set(static.unreachable_outcomes) == set(dynamic.unreachable)
@@ -208,7 +213,7 @@ def test_static_agrees_with_dynamic_on_paper_workloads(workload):
 
     module = importlib.import_module(f"repro.workloads.{workload}")
     script = module.build()
-    static = check_liveness(script)
+    static = check_liveness(compile_plan(script))
     dynamic = analyze_outcomes(script, None)
     assert set(static.reachable_outcomes) == set(dynamic.reachable)
     assert set(static.unreachable_outcomes) == set(dynamic.unreachable)
@@ -229,7 +234,7 @@ def test_liveness_dead_cycle():
     ).up()
     c.output("done").object("out", from_output("a", "ok", "out")).up()
     c.up()
-    result = check_liveness(b.build())
+    result = check_liveness(compile_plan(b.build()))
     assert result.dead_tasks == ["wf/b", "wf/c"]
     assert codes(result.findings).count("E201") == 2
 
@@ -245,7 +250,7 @@ def test_liveness_guaranteed_stall():
     ).up()
     c.output("done").object("out", from_output("b", "ok", "out")).up()
     c.up()
-    result = check_liveness(b.build())
+    result = check_liveness(compile_plan(b.build()))
     assert "E200" in codes(result.findings)
     assert not result.reachable_outcomes
 
@@ -270,7 +275,7 @@ def test_liveness_unsatisfiable_input_set():
     two.up()
     c.output("done").object("out", from_output("two", "ok", "out")).up()
     c.up()
-    result = check_liveness(b.build())
+    result = check_liveness(compile_plan(b.build()))
     assert "E203" in codes(result.findings)
     assert "wf/two" not in result.dead_tasks  # startable via 'main'
 
@@ -295,10 +300,31 @@ def test_liveness_dead_output_mapping_of_nested_compound():
     inner.up()
     c.output("done").object("out", from_output("in", "fine", "out")).up()
     c.up()
-    result = check_liveness(b.build())
+    result = check_liveness(compile_plan(b.build()))
     assert any(
         f.code == "E204" and "never" in f.message for f in result.findings
     )
+
+
+def test_the_verdict_follows_the_engines_firing_tables(monkeypatch):
+    """Mutate the plan: every table ``compile_bindings`` builds loses the
+    entry for ``t1``'s ``done``, the only one feeding ``t2``'s slot.  The
+    script is unchanged, so only an analyzer reading the compiled tables
+    can call ``t2`` dead (and ``t3``, which waits on it)."""
+    original = plan_module.compile_bindings
+    lost = ("t1", EventKind.OUTCOME, "done")
+
+    def mutated(input_sets, vocabulary):
+        table = original(input_sets, vocabulary)
+        entries = {key: groups for key, groups in table.entries.items() if key != lost}
+        return dataclasses.replace(table, entries=MappingProxyType(entries))
+
+    script, _registry, _root, _inputs = generators.chain(3)
+    assert analyze_script(script).by_code("E201") == []
+    monkeypatch.setattr(plan_module, "compile_bindings", mutated)
+    report = analyze_script(script)
+    assert [f.location for f in report.by_code("E201")] == ["pipeline/t2", "pipeline/t3"]
+    assert report.liveness.dead_tasks == ["pipeline/t2", "pipeline/t3"]
 
 
 # -- concurrency interference (W3xx) -------------------------------------------
@@ -324,7 +350,7 @@ def _fanout_script(n=2, ordered=False):
 
 
 def test_interference_flags_parallel_shared_object():
-    findings = check_interference(_fanout_script(2))
+    findings = check_interference(compile_plan(_fanout_script(2)))
     assert codes(findings) == ["W301"]
     (finding,) = findings
     assert set(finding.related) == {"wf/t1", "wf/t2"}
@@ -333,11 +359,11 @@ def test_interference_flags_parallel_shared_object():
 
 def test_interference_silent_when_ordered():
     # the notification edge orders t1 before t2: no race despite sharing
-    assert check_interference(_fanout_script(2, ordered=True)) == []
+    assert check_interference(compile_plan(_fanout_script(2, ordered=True))) == []
 
 
 def test_interference_silent_on_pure_chain(pipeline_script):
-    assert check_interference(pipeline_script) == []
+    assert check_interference(compile_plan(pipeline_script)) == []
 
 
 def test_observed_enabled_pairs_are_statically_predicted():
@@ -346,7 +372,7 @@ def test_observed_enabled_pairs_are_statically_predicted():
     equals must-report)."""
     script = _fanout_script(3)
     static_pairs = {
-        frozenset(f.related) for f in check_interference(script)
+        frozenset(f.related) for f in check_interference(compile_plan(script))
     }
     registry = ImplementationRegistry()
     for i in range(3):
@@ -547,6 +573,21 @@ def test_analyze_script_skips_deep_passes_on_invalid_script():
     assert report.liveness is None
 
 
+def test_analyze_script_compiles_the_plan_once(monkeypatch):
+    """Every deeper pass reads the one plan ``analyze_script`` compiled."""
+    built = []
+    original = plan_module.ExecutionPlan.__init__
+
+    def counting(plan, *args, **kwargs):
+        built.append(plan)
+        original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(plan_module.ExecutionPlan, "__init__", counting)
+    report = analyze_script(paper_trip.build())
+    assert report.liveness is not None and report.by_code("W301")
+    assert len(built) == 1
+
+
 def test_report_renders_text_and_dict():
     report = _sample_report()
     text = report.render_text()
@@ -702,7 +743,7 @@ def _race_script():
 
 
 def test_race_fixture_is_flagged_statically():
-    findings = check_interference(_race_script())
+    findings = check_interference(compile_plan(_race_script()))
     assert codes(findings) == ["W301"]
     assert set(findings[0].related) == {"transfer/credit", "transfer/debit"}
     assert "acct" in findings[0].message

@@ -213,7 +213,6 @@ OPTIONS = [
     ("plan", "script", None),
     ("plan", "task", None),
     ("plan", "--json", False),
-    ("plan", "--no-liveness", False),
     ("sanitize", "name", None, ["order", "trip", "service-impact"]),
     ("sanitize", "--runs", 5),
     ("sanitize", "--nemesis", False),
