@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..orb.marshal import transferable
 from .schema import (
@@ -99,18 +98,19 @@ HOTPATH_STATS = HotpathStats()
 
 
 @transferable
-@dataclass(frozen=True)
-class WorkflowEvent:
+class WorkflowEvent(NamedTuple):
     """Something a task did, visible to its scope.
 
     ``producer`` is the scope-local task name (engines translate instance
-    paths to local names when publishing into a scope).
+    paths to local names when publishing into a scope).  A tuple, built by
+    :meth:`Scope.publish` with ``tuple.__new__``; ``objects`` is the
+    publisher's own copy.
     """
 
     producer: str
     kind: EventKind
     name: str
-    objects: Mapping[str, ObjectRef] = field(default_factory=dict)
+    objects: Mapping[str, ObjectRef]
     seq: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -290,7 +290,9 @@ class Scope:
         name: str,
         objects: Optional[Mapping[str, ObjectRef]] = None,
     ) -> WorkflowEvent:
-        event = WorkflowEvent(producer, kind, name, dict(objects or {}), next(self._seq))
+        event = tuple.__new__(
+            WorkflowEvent, (producer, kind, name, dict(objects or {}), next(self._seq))
+        )
         self.events.append(event)
         return event
 

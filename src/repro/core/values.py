@@ -8,16 +8,15 @@ provenance is what makes event logs and experiment assertions meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..orb.marshal import transferable
 
 
 @transferable
-@dataclass(frozen=True)
-class ObjectRef:
-    """A typed reference to an application object."""
+class ObjectRef(NamedTuple):
+    """A typed reference to an application object.  A tuple: immutable, and
+    built on the hot path by ``tuple.__new__`` without a Python frame."""
 
     class_name: str
     value: Any = None
@@ -25,7 +24,7 @@ class ObjectRef:
     via: Optional[str] = None           # output or input-set name
 
     def with_provenance(self, task_path: str, via: str) -> "ObjectRef":
-        return ObjectRef(self.class_name, self.value, task_path, via)
+        return tuple.__new__(ObjectRef, (self.class_name, self.value, task_path, via))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         origin = f" from {self.produced_by}.{self.via}" if self.produced_by else ""

@@ -21,37 +21,37 @@ class the task class declares for that slot; pre-built refs pass through.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
 
 from ..core.errors import ExecutionError, TaskTimeout
 from ..core.schema import OutputKind, OutputSpec, TaskClass
 from ..core.values import ObjectRef
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    """Terminal (or repeat) result of one task execution."""
+class TaskResult(NamedTuple):
+    """Terminal (or repeat) result of one task execution.  A tuple: the
+    helpers below build it with ``tuple.__new__``, without a Python frame."""
 
     kind: OutputKind
     name: str
-    objects: Dict[str, Any] = field(default_factory=dict)
+    objects: Dict[str, Any]
 
 
 def outcome(name: str, **objects: Any) -> TaskResult:
     """Terminate in the named (non-abort) outcome."""
-    return TaskResult(OutputKind.OUTCOME, name, objects)
+    return tuple.__new__(TaskResult, (OutputKind.OUTCOME, name, objects))
 
 
 def abort(name: str, **objects: Any) -> TaskResult:
     """Terminate in the named abort outcome (no effects happened)."""
-    return TaskResult(OutputKind.ABORT, name, objects)
+    return tuple.__new__(TaskResult, (OutputKind.ABORT, name, objects))
 
 
 def repeat(name: str, **objects: Any) -> TaskResult:
     """Finish this execution through the named repeat outcome; the task
     re-enters WAIT and may execute again."""
-    return TaskResult(OutputKind.REPEAT, name, objects)
+    return tuple.__new__(TaskResult, (OutputKind.REPEAT, name, objects))
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,7 @@ def coerce_objects(
             f"{task_path}: output {output_name!r} got undeclared objects {extra}"
         )
     coerced: Dict[str, ObjectRef] = {}
+    new = tuple.__new__
     for name, value in objects.items():
         decl = declared[name]
         if isinstance(value, ObjectRef):
@@ -214,7 +215,6 @@ def coerce_objects(
                     f"{task_path}: object {name!r} of output {output_name!r} has "
                     f"class {value.class_name!r}, expected {decl.class_name!r}"
                 )
-            coerced[name] = value.with_provenance(task_path, output_name)
-        else:
-            coerced[name] = ObjectRef(decl.class_name, value, task_path, output_name)
+            value = value.value
+        coerced[name] = new(ObjectRef, (decl.class_name, value, task_path, output_name))
     return coerced

@@ -117,7 +117,8 @@ class TaskNode:
         scope history (at install, and after repeat outcomes, system retries
         and reconfiguration)."""
         self.tracker = PlanTracker(self.plan_table)
-        self.outer_scope.replay_into(self.tracker)
+        if self.outer_scope.events:  # a tree being built has no history yet
+            self.outer_scope.replay_into(self.tracker)
 
     def startable(self) -> bool:
         """Whether :meth:`ready` answers, without building the inputs."""
@@ -128,7 +129,7 @@ class TaskNode:
             if node.machine.state is not TaskState.EXECUTING:
                 return False
             node = node.parent
-        return self.env_inputs is not None or self.tracker.first_satisfied() is not None
+        return self.env_inputs is not None or self.tracker.satisfied
 
     def ready(self) -> Optional[Tuple[str, Dict[str, ObjectRef]]]:
         if not self.startable():
@@ -145,7 +146,7 @@ class TaskNode:
         parent → children, node → tree → root, node → scope → owner), so it
         is freed when the last reference to it goes, not at the next cycle
         collection.  Whoever still holds it sees a node that is not alive."""
-        self.deactivate()
+        self.alive = False
         self.parent = self.tree = self.outer_scope = None
 
 
@@ -222,7 +223,8 @@ class CompoundNode(TaskNode):
             child.template = template
             if child.alive and child.machine.state is TaskState.WAIT:
                 child.reset_inputs()
-                self.tree._enqueue_if_ready(child)
+                if child.tracker.satisfied:  # only a satisfied child can start
+                    self.tree._enqueue_if_ready(child)
         self.watcher_routing = scope.watch_routing
         self.output_watchers = watchers = [PlanTracker(t) for t in scope.watch_tables]
         self.watchers_installed = True
@@ -248,6 +250,8 @@ class CompoundNode(TaskNode):
             node.deactivate()
 
     def unlink(self) -> None:
+        """One pass over the subtree: each node is marked dead once, by its
+        own ``unlink``."""
         super().unlink()
         for node in self.children:
             node.unlink()
@@ -455,7 +459,13 @@ class InstanceTree:
         return event
 
     def _pump(self) -> None:
-        """Propagate all pending events to listeners; fill the ready queue."""
+        """Propagate all pending events to listeners; fill the ready queue.
+
+        A waiting consumer is queued only on the offer that flips its
+        tracker to satisfied.  One satisfied before is queued already, or
+        waits for an ancestor to start (``_scan_children`` queues it then);
+        it is still offered the event, since a better alternative may
+        arrive before it starts."""
         while self._pending:
             if self.status is not WorkflowStatus.RUNNING:
                 self._pending.clear()
@@ -472,14 +482,24 @@ class InstanceTree:
                 for position in owner.plan_routing.get(key, ()):
                     child = children[position]
                     if child.alive and child.machine.state is TaskState.WAIT:
-                        child.tracker.offer(event)
-                        self._enqueue_if_ready(child)
-                self._evaluate_outputs(owner, event)
+                        tracker = child.tracker
+                        if tracker.satisfied:
+                            tracker.offer(event)
+                        elif tracker.offer(event) and tracker.satisfied:
+                            self._enqueue_if_ready(child)
+                # an output can become due only through a watcher this event
+                # routes to, or through watchers installed since the last look
+                if owner.watchers_installed or key in owner.watcher_routing:
+                    self._evaluate_outputs(owner, event)
             else:
                 # root scope: only the root listens (self-references included)
-                if self.root.alive and self.root.machine.state is TaskState.WAIT:
-                    self.root.tracker.offer(event)
-                    self._enqueue_if_ready(self.root)
+                root = self.root
+                if root.alive and root.machine.state is TaskState.WAIT:
+                    tracker = root.tracker
+                    if tracker.satisfied:
+                        tracker.offer(event)
+                    elif tracker.offer(event) and tracker.satisfied:
+                        self._enqueue_if_ready(root)
 
     def _enqueue_if_ready(self, node: TaskNode) -> None:
         if node.queued:
@@ -497,10 +517,13 @@ class InstanceTree:
             heappush(self.ready_heap, (-node.priority(), self._arrivals, node))
 
     def _scan_children(self, compound: CompoundNode) -> None:
-        """After a compound starts, children with no (or trivially satisfied)
-        dependencies become eligible without any further event."""
+        """After a compound starts, children already satisfied (no inputs, or
+        a set with no slots) become eligible without any further event; the
+        rest are queued by ``_pump`` when their tracker flips.  Environment
+        inputs are the root's alone, and the root is nobody's child."""
         for child in compound.children:
-            self._enqueue_if_ready(child)
+            if child.tracker.satisfied:
+                self._enqueue_if_ready(child)
 
     def begin_next(self) -> Optional[Tuple[TaskNode, Tuple[str, Dict[str, ObjectRef]]]]:
         """Dequeue the next simple task (highest priority first, FIFO within

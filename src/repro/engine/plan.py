@@ -461,9 +461,15 @@ class PlanTracker:
     current best replaces the value), notifications latch on first match,
     and ``ready`` returns the first declared satisfied set with values laid
     out in declaration order.
+
+    ``satisfied`` is whether some set is: kept up to date by ``offer`` rather
+    than re-tested by every reader (DistAlgo's incrementalization of a wait
+    condition).  Masks only grow, so it flips once per tracker, on the offer
+    that completes a set's mask — or at construction, for a set with no
+    slots — and the engine enqueues a waiting node on that flip alone.
     """
 
-    __slots__ = ("table", "mask", "values", "best")
+    __slots__ = ("table", "mask", "values", "best", "satisfied")
 
     def __init__(self, table: TaskTable) -> None:
         self.table = table
@@ -471,6 +477,11 @@ class PlanTracker:
         slots = len(table.slots)
         self.values: List[Optional[ObjectRef]] = [None] * slots
         self.best: List[Optional[int]] = [None] * slots
+        self.satisfied = False
+        for set_plan in table.sets:
+            if not set_plan.mask:
+                self.satisfied = True
+                break
 
     def offer(self, event: WorkflowEvent) -> bool:
         groups = self.table.entries.get((event.producer, event.kind, event.name))
@@ -499,6 +510,12 @@ class PlanTracker:
                 self.values[index] = value
                 self.mask |= bit
                 break
+        if changed and not self.satisfied:  # a bit set here always reports a change
+            mask = self.mask
+            for set_plan in self.table.sets:
+                if mask & set_plan.mask == set_plan.mask:
+                    self.satisfied = True
+                    break
         return changed
 
     def offer_all(self, events: Iterable[WorkflowEvent]) -> bool:

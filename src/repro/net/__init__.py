@@ -6,13 +6,12 @@ DESIGN.md §2).  Everything is driven by one deterministic
 bit-for-bit.
 """
 
-from .clock import EventClock, EventHandle, SimulationError
+from .clock import EventClock, SimulationError
 from .network import LatencyModel, Message, Network, NetworkStats
 from .node import Node, NodeCrashed, Service
 
 __all__ = [
     "EventClock",
-    "EventHandle",
     "LatencyModel",
     "Message",
     "Network",

@@ -6,8 +6,10 @@ clock so that failures (crashes, partitions, timeouts) can be injected and
 replayed exactly.  All components of the simulated world (`repro.net.node`,
 `repro.net.network`, the distributed engine) share one :class:`EventClock`.
 
-Events are ordered by ``(time, priority, sequence)``; the sequence number
-makes scheduling deterministic for events at the same instant.
+Events are ordered by ``(time, sequence)``: events at the same instant run
+in the order they were scheduled.  An event is a plain heap entry, never a
+handle: nothing cancels one (a crashed node's timers are suppressed by the
+node when they fire, ``Node.call_after``).
 """
 
 from __future__ import annotations
@@ -19,23 +21,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation substrate."""
-
-
-class EventHandle:
-    """One scheduled event, and the handle :meth:`EventClock.call_at`
-    returns for it: ``cancel()`` keeps it from running."""
-
-    __slots__ = ("time", "action", "cancelled", "label")
-
-    def __init__(self, time: float, action: Callable[[], Any], label: str = "") -> None:
-        self.time = time
-        self.action = action
-        self.cancelled = False
-        self.label = label
-
-    def cancel(self) -> None:
-        """Cancel the event.  Cancelling an already-run event is a no-op."""
-        self.cancelled = True
 
 
 class EventClock:
@@ -52,57 +37,40 @@ class EventClock:
     def __init__(self, start: float = 0.0) -> None:
         # current virtual time: read it freely, only the clock advances it
         self.now = float(start)
-        # heap of (time, priority, seq, event): seq is unique, so tuples
-        # compare in C and the event itself is never compared
-        self._queue: List[Tuple[float, int, int, EventHandle]] = []
+        # heap of (time, seq, action, label): seq is unique, so entries
+        # compare in C and the action is never compared; the label names
+        # the event for a reader of the queue
+        self._queue: List[Tuple[float, int, Callable[[], Any], str]] = []
         self._seq = itertools.count()
         self._running = False
 
-    def call_at(
-        self,
-        when: float,
-        action: Callable[[], Any],
-        priority: int = 0,
-        label: str = "",
-    ) -> EventHandle:
+    def call_at(self, when: float, action: Callable[[], Any], label: str = "") -> None:
         """Schedule ``action`` to run at virtual time ``when``."""
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule event at {when!r}, clock already at {self.now!r}"
             )
-        event = EventHandle(float(when), action, label)
-        heapq.heappush(self._queue, (event.time, priority, next(self._seq), event))
-        return event
+        heapq.heappush(self._queue, (float(when), next(self._seq), action, label))
 
-    def call_after(
-        self,
-        delay: float,
-        action: Callable[[], Any],
-        priority: int = 0,
-        label: str = "",
-    ) -> EventHandle:
+    def call_after(self, delay: float, action: Callable[[], Any], label: str = "") -> None:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         # call_at's checks hold by construction: push directly
-        event = EventHandle(self.now + delay, action, label)
-        heapq.heappush(self._queue, (event.time, priority, next(self._seq), event))
-        return event
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), action, label))
 
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return sum(1 for *_key, event in self._queue if not event.cancelled)
+        """Number of events still queued."""
+        return len(self._queue)
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.action()
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _seq, action, _label = heapq.heappop(self._queue)
+        self.now = time
+        action()
+        return True
 
     def run(
         self,
@@ -115,19 +83,15 @@ class EventClock:
             raise SimulationError("clock is already running (re-entrant run())")
         self._running = True
         executed = 0
+        queue = self._queue
         try:
-            while self._queue:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                head = self._queue[0][3]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and head.time > until:
+                if until is not None and queue[0][0] > until:
                     self.now = until
                     break
-                if not self.step():
-                    break
+                self.step()
                 executed += 1
             else:
                 if until is not None and until > self.now:

@@ -125,7 +125,7 @@ class Node:
 
     # -- timers -----------------------------------------------------------------
 
-    def call_after(self, delay: float, action: Callable[[], Any], label: str = "") -> Any:
+    def call_after(self, delay: float, action: Callable[[], Any], label: str = "") -> None:
         """Schedule a local timer.  The action is suppressed if the node is
         down when it fires (a crashed machine's timers do not run)."""
         self._check_alive()
@@ -135,7 +135,7 @@ class Node:
             if self.alive and self.crash_count == epoch:
                 action()
 
-        return self.clock.call_after(delay, guarded, label=label or f"timer@{self.name}")
+        self.clock.call_after(delay, guarded, label=label or f"timer@{self.name}")
 
     # -- failure model -------------------------------------------------------------
 

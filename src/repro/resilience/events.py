@@ -13,8 +13,7 @@ that are never truncated.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence
 
 # Event kinds (the closed vocabulary used by the execution service):
 #   dispatch, redispatch, hedge, timeout, failover, abandon, stagger,
@@ -40,9 +39,9 @@ _GLYPH = {
 }
 
 
-@dataclass(frozen=True)
-class ResilienceEvent:
-    """One timestamped dispatch-layer decision."""
+class ResilienceEvent(NamedTuple):
+    """One timestamped dispatch-layer decision (a tuple, built by
+    :meth:`ResilienceLog.record` with ``tuple.__new__``)."""
 
     time: float
     kind: str
@@ -81,7 +80,7 @@ class ResilienceLog:
         worker: str = "",
         detail: str = "",
     ) -> ResilienceEvent:
-        event = ResilienceEvent(time, kind, instance, task, worker, detail)
+        event = tuple.__new__(ResilienceEvent, (time, kind, instance, task, worker, detail))
         if len(self.entries) == EVENT_LIMIT:
             self.dropped += 1
         self.entries.append(event)

@@ -29,7 +29,9 @@ def ref_to_plain(ref: ObjectRef) -> Dict[str, Any]:
 
 
 def ref_from_plain(data: Mapping[str, Any]) -> ObjectRef:
-    return ObjectRef(data["class"], data["value"], data.get("produced_by"), data.get("via"))
+    return tuple.__new__(
+        ObjectRef, (data["class"], data["value"], data.get("produced_by"), data.get("via"))
+    )
 
 
 def refs_to_plain(objects: Mapping[str, ObjectRef]) -> Dict[str, Dict[str, Any]]:
@@ -57,4 +59,4 @@ def result_from_plain(data: Mapping[str, Any]) -> TaskResult:
             objects[name] = ref_from_plain(item)
         else:
             objects[name] = item["value"]
-    return TaskResult(_KINDS[data["kind"]], data["name"], objects)
+    return tuple.__new__(TaskResult, (_KINDS[data["kind"]], data["name"], objects))

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 from ..core.instrument import IOPATH_STATS
 from ..sim.crashpoints import crash_point
@@ -58,9 +57,9 @@ _KINDS = {BEGIN, UPDATE, PREPARE, COMMIT, ABORT, BATCH, CHECKPOINT}
 _ENCODE = json.JSONEncoder(default=repr, separators=(",", ":")).encode
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One durable log record."""
+class LogRecord(NamedTuple):
+    """One durable log record (a tuple, built by :meth:`WriteAheadLog.append`
+    with ``tuple.__new__``)."""
 
     lsn: int
     kind: str
@@ -108,7 +107,7 @@ class WriteAheadLog:
     ) -> LogRecord:
         if kind not in _KINDS:
             raise ValueError(f"unknown log record kind {kind!r}")
-        record = LogRecord(self._next_lsn, kind, txn, obj, value)
+        record = tuple.__new__(LogRecord, (self._next_lsn, kind, txn, obj, value))
         self._next_lsn += 1
         self._records.append(record)
         return record

@@ -21,8 +21,6 @@ sure it does, on a local run and inside one drain of the execution service.  ``t
 hypothesis-drawn scripts.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.builder import ScriptBuilder, from_input, from_output
@@ -390,8 +388,8 @@ def test_a_wrong_value_from_a_siblings_start_is_caught_on_the_service(monkeypatc
 
     def mutated(tracker, event):
         if event.kind is EventKind.INPUT and event.producer == "a":
-            event = replace(event, objects={
-                name: replace(ref, value="corrupted") for name, ref in event.objects.items()
+            event = event._replace(objects={
+                name: ref._replace(value="corrupted") for name, ref in event.objects.items()
             })
         return original(tracker, event)
 

@@ -1,8 +1,10 @@
 """AST tripwires: what a crash does to a store, the shape of the execution
 tier and the terminal statuses are each written down in one file under
 ``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``),
-concurrency is tasks on worker nodes, never threads in one process, and the
-compiled plan is the one evaluator and what the static analyzers read."""
+concurrency is tasks on worker nodes, never threads in one process, the
+compiled plan is the one evaluator and what the static analyzers read, the
+records a step builds are tuples and a clock event is a heap entry with no
+handle and no priority."""
 
 import ast
 import pathlib
@@ -176,3 +178,37 @@ def test_the_static_analyzers_read_the_compiled_plan():
         and (node.module or "").startswith(("analysis", "repro.analysis"))
     ]
     assert upward == []
+
+
+def test_the_records_a_step_builds_are_tuples():
+    """Built on the hot path by ``tuple.__new__``, never by a dataclass's
+    Python-level ``__init__``."""
+    from repro.core.selection import WorkflowEvent
+    from repro.core.values import ObjectRef
+    from repro.engine.context import TaskResult
+    from repro.engine.events import LogEntry
+    from repro.resilience.events import ResilienceEvent
+    from repro.txn.wal import LogRecord
+
+    records = (WorkflowEvent, TaskResult, ObjectRef, ResilienceEvent, LogRecord, LogEntry)
+    assert [r.__name__ for r in records if not issubclass(r, tuple)] == []
+
+
+def test_a_clock_event_has_no_handle_and_no_priority():
+    """Nothing cancels a clock event and events at one instant run in the
+    order they were scheduled: no module names a handle type or passes the
+    clock a priority."""
+    named, prioritised = [], []
+    for rel, tree in sources():
+        if "EventHandle" in set(identifiers(tree)):
+            named.append(rel)
+        prioritised += [
+            (rel, ast.unparse(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("call_at", "call_after")
+            and any(keyword.arg == "priority" for keyword in node.keywords)
+        ]
+    assert named == []
+    assert prioritised == []

@@ -9,20 +9,33 @@
   — never from the clock at the read.
 * **Readiness is computed at the dequeue**: a queued node starts on what it
   holds when it starts, not on what it held when it was queued.
+* **Readiness is tested when a mask completes**: a tracker's ``satisfied``
+  flag is what its masks say after every offer, and a waiting node is queued
+  on its flip alone.
 * **The resilience log is bounded** and keeps its newest entries in order.
+* **Pinned, not fixed: the new instance's spec is not fsynced before
+  ``instantiate`` answers.**
 """
+
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import ScriptBuilder, from_input, from_output
 from repro.core.selection import EventKind
 from repro.engine import outcome
 from repro.engine.instance import InstanceTree
+from repro.engine.plan import PlanTracker
 from repro.lang import format_script
 from repro.resilience import ResilienceConfig, render_resilience
 from repro.resilience.events import EVENT_LIMIT, ResilienceLog
 from repro.services import WorkflowSystem, execution
 from repro.sim.nemesis import CrashAtTime, NemesisSchedule
-from repro.workloads import generators
+from repro.workloads import APPLICATIONS, generators
 
+from tests.test_plan_specification import WORKLOADS, SpecificationCheck, checked_run
 from tests.test_timer_tasks import timeout_script
 
 
@@ -229,6 +242,74 @@ class TestReadinessAtTheDequeue:
         assert started.event.objects["x"].value == "from-a"
 
 
+# -- readiness tested on mask completion ----------------------------------------------------
+
+
+def flag_audit(patch, wrong):
+    """Hold every tracker's ``satisfied`` flag to its masks after each
+    ``offer`` and ``offer_all``; ``wrong`` collects the trackers it missed."""
+    for name in ("offer", "offer_all"):
+        original = getattr(PlanTracker, name)
+
+        def audited(tracker, events, original=original):
+            changed = original(tracker, events)
+            if tracker.satisfied != (tracker.first_satisfied() is not None):
+                wrong.append((tracker.table.sets, tracker.mask, tracker.satisfied))
+            return changed
+
+        patch.setattr(PlanTracker, name, audited)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["random_dag"] + sorted(WORKLOADS)),
+    st.integers(2, 16),
+    st.integers(0, 1_000),
+    st.booleans(),
+)
+def test_the_satisfied_flag_is_what_the_masks_say(name, size, seed, shared_plan):
+    workload = (
+        generators.random_dag(size, seed=seed) if name == "random_dag"
+        else generators.fan(size) if name == "fan"
+        else WORKLOADS[name]()
+    )
+    wrong = []
+    check = SpecificationCheck()
+    with pytest.MonkeyPatch.context() as patch:
+        flag_audit(patch, wrong)
+        result = checked_run(check, workload, shared_plan)
+    assert wrong == []
+    assert result.completed
+    check.verify()
+
+
+def skip_the_enqueue_on_the_flip(monkeypatch):
+    """Mutate the engine: ``_pump`` asks to queue a node only on its flip,
+    and that call is dropped."""
+    enqueue = InstanceTree._enqueue_if_ready
+    pump = InstanceTree._pump.__code__
+
+    def mutated(tree, node):
+        if sys._getframe(1).f_code is not pump:
+            enqueue(tree, node)
+
+    monkeypatch.setattr(InstanceTree, "_enqueue_if_ready", mutated)
+
+
+@pytest.mark.parametrize("workload", [lambda: generators.fan(8), generators.diamond],
+                         ids=["fan(8)", "diamond"])
+def test_a_skipped_enqueue_on_the_flip_is_caught(monkeypatch, workload):
+    skip_the_enqueue_on_the_flip(monkeypatch)
+    script, registry, root, inputs = workload()
+    system = WorkflowSystem(registry=registry)
+    system.deploy("w", format_script(script))
+    iid = system.instantiate("w", root, inputs)
+    # every tracker is still right, so the specification check has nothing
+    # to see: what shows the lost enqueue is a run that stalls
+    assert system.run_until_terminal(iid, max_time=500.0)["status"] == "running"
+    assert system.execution.status(iid)["status"] == "stalled"
+
+
 # -- the bounded resilience log --------------------------------------------------------------
 
 
@@ -253,3 +334,47 @@ class TestResilienceLogBound:
         rendered = render_resilience(log.for_instance("wf-2"))
         assert rendered.startswith("-- resilience --")
         assert rendered.count("\n") == len(log.for_instance("wf-2"))
+
+
+# -- pinned: instantiate answers before the spec is fsynced ----------------------------------
+
+
+GENERATED = {"fan(8)": lambda: generators.fan(8), "chain(8)": lambda: generators.chain(8)}
+
+
+def deployed_with_mirror(name, mirror_path):
+    """A system writing its WAL mirror to ``mirror_path`` with ``name`` (a
+    generated workload or a paper application) deployed; returns it with
+    the script name, root task and inputs of one instance."""
+    if name in GENERATED:
+        script, registry, root, inputs = GENERATED[name]()
+        system = WorkflowSystem(registry=registry, mirror_path=mirror_path)
+        system.deploy("w", format_script(script))
+        return system, "w", root, inputs
+    app = APPLICATIONS[name]
+    system = WorkflowSystem(mirror_path=mirror_path)
+    app.binder(system.registry)
+    system.deploy(app.script_name, app.text)
+    return system, app.script_name, app.root_task, app.inputs(0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Journal.create forces the spec/meta row, but its fsync waits for a later "
+    "barrier: flush_journal takes store.sync() only with a non-empty buffer, so "
+    "instantiate returns the iid and sends the first dispatch with the row unsynced "
+    "(docs/PROTOCOLS.md §11; closing it costs one fsync per instance)",
+)
+@pytest.mark.parametrize("name", sorted(GENERATED) + sorted(APPLICATIONS))
+def test_instantiate_fsyncs_the_new_spec_before_it_answers(tmp_path, monkeypatch, name):
+    system, deployed, root, inputs = deployed_with_mirror(name, str(tmp_path / "wal.jsonl"))
+    fsyncs = []
+    fsync = os.fsync
+
+    def counted(fd):
+        fsyncs.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    system.instantiate(deployed, root, inputs)
+    assert len(fsyncs) >= 1
