@@ -188,7 +188,10 @@ class Network:
         stay deterministic under a fixed seed.
 
         Shared by :meth:`send` and the ORB's datagram legs so every message
-        path in the system sees one failure model.
+        path in the system sees one failure model.  With no partition, loss,
+        duplication or reordering set it is one latency draw, ``[base]`` or
+        ``[base + jitter * random()]``, which the ORB's ``_datagram`` takes
+        itself without these frames (docs/PROTOCOLS.md §3).
         """
         if self.partitions and self.partitioned(source, destination):
             self.stats.dropped_partition += 1

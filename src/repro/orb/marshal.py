@@ -21,7 +21,8 @@ Two speed layers sit on top of those semantics (docs/PROTOCOLS.md §11):
   reference*: sharing an immutable value cannot leak mutable state, so the
   copy would buy nothing.  A ``@sealed`` type is checked deeply immutable
   once, when an instance is built, and crosses by reference with no walk at
-  all.  Mutable containers (lists, sets, dicts, mutable dataclasses,
+  all; so does a record its builder proved plain (:func:`plain_twin`).
+  Mutable containers (lists, sets, dicts, mutable dataclasses,
   ``__marshal__`` protocol classes) are structurally copied; an exact dict
   or list is copied by one loop that descends straight into nested exact
   dicts and lists.
@@ -31,11 +32,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, TypeVar
 
 from ..core.instrument import IOPATH_STATS
 
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
+
+T = TypeVar("T")
 
 # Types explicitly allowed to cross the wire by structural copy.
 _TRANSFERABLE: Set[type] = set()
@@ -51,10 +54,11 @@ _DISPATCH: Dict[type, Callable[[Any, int], Any]] = {}
 # transferable one.
 _IMMUTABLE_CHECK: Dict[type, Optional[Callable[[Any, int], bool]]] = {}
 
-# Exact types whose values are immutable with no walk at all: the primitives
-# and every @sealed type.  A dict or list member of one of these types is its
-# own copy.
-_BY_REFERENCE: Set[type] = set(_PRIMITIVES)
+# Exact types whose values are immutable with no walk at all: the primitives,
+# every @sealed type and every plain twin.  A dict or list member of one of
+# these types is its own copy.  Builders read it to prove a record plain;
+# only this module adds to it.
+BY_REFERENCE: Set[type] = set(_PRIMITIVES)
 
 # deeper than this is refused as a probable cycle
 _MAX_DEPTH = 100
@@ -102,8 +106,38 @@ def sealed(cls: Type) -> Type:
                 )
 
     cls.__init__ = __init__
-    _BY_REFERENCE.add(cls)
+    BY_REFERENCE.add(cls)
     return transferable(cls)
+
+
+def plain_twin(record: Type[T]) -> Type[T]:
+    """The by-reference twin of the ``NamedTuple`` type ``record``: a
+    subclass whose instances cross the ORB with one test and no walk.
+
+    A builder that has checked every leaf of a record is of a
+    :data:`BY_REFERENCE` type builds it as the twin, with ``tuple.__new__``;
+    anything else is built as ``record`` and takes the walk.  The twin's own
+    constructors (``Twin(...)``, ``_make``, ``_replace``) prove their value by
+    the immutability walk and return a plain ``record`` when it fails, so no
+    twin ever holds a mutable member."""
+
+    def prove(fields: Any) -> Any:
+        value = tuple.__new__(record, fields)
+        return tuple.__new__(twin, value) if _items_immutable(value, 0) else value
+
+    def __new__(cls: type, *args: Any, **kwargs: Any) -> Any:
+        return prove(record(*args, **kwargs))
+
+    twin = type(record.__name__, (record,), {
+        "__slots__": (),
+        "__new__": __new__,
+        "_make": classmethod(lambda cls, iterable: prove(iterable)),
+        "__doc__": f"A {record.__name__} proven plain when it was built.",
+        "__module__": record.__module__,
+        "__qualname__": f"{record.__qualname__}.plain",
+    })
+    BY_REFERENCE.add(twin)
+    return twin
 
 
 def is_transferable(cls: Type) -> bool:
@@ -113,9 +147,14 @@ def is_transferable(cls: Type) -> bool:
 def marshal(value: Any, _depth: int = 0) -> Any:
     """Return ``value`` as the far side may see it: a structural copy, or
     the value itself when it is deeply immutable (sharing is unobservable)."""
+    cls = type(value)
+    if cls in BY_REFERENCE:  # a primitive, a sealed type, a proven record
+        if not _depth:
+            IOPATH_STATS.marshal_calls += 1
+            IOPATH_STATS.marshal_fast_hits += 1
+        return value
     if _depth > _MAX_DEPTH:
         raise MarshalError(_TOO_DEEP)
-    cls = type(value)
     handler = _DISPATCH.get(cls)
     if handler is None:
         handler = _build_handler(cls)
@@ -131,14 +170,15 @@ def marshal(value: Any, _depth: int = 0) -> Any:
 
 def marshal_call(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
     """Marshal a full argument list."""
-    if len(args) == 1 and not kwargs:  # every deferred invocation
+    if len(args) == 1 and not kwargs:
         return (marshal(args[0]),), {}
     return tuple(marshal(a) for a in args), {k: marshal(v) for k, v in kwargs.items()}
 
 
 # -- exact dict and list: one loop per container -----------------------------------
 #
-# The shape of every request and reply record.  A member that crosses by
+# The shape of what a client call carries and gets back (a step's own
+# messages are records, see plain_twin).  A member that crosses by
 # reference is kept as it stands, a nested exact dict or list is copied by
 # the same loop one level down, and only any other member goes back through
 # marshal — so the depth guard is kept here, for the levels marshal no
@@ -150,10 +190,10 @@ def _copy_dict(value: dict, depth: int) -> dict:
         raise MarshalError(_TOO_DEEP)
     copy = {}
     for k, v in value.items():
-        if type(k) not in _BY_REFERENCE:
+        if type(k) not in BY_REFERENCE:
             k = marshal(k, depth + 1)
         cls = type(v)
-        if cls in _BY_REFERENCE:
+        if cls in BY_REFERENCE:
             copy[k] = v
         elif cls is dict:
             copy[k] = _copy_dict(v, depth + 1)
@@ -171,7 +211,7 @@ def _copy_list(value: list, depth: int) -> list:
     append = copy.append
     for v in value:
         cls = type(v)
-        if cls in _BY_REFERENCE:
+        if cls in BY_REFERENCE:
             append(v)
         elif cls is dict:
             append(_copy_dict(v, depth + 1))
@@ -195,7 +235,7 @@ def _items_immutable(value: Any, depth: int) -> bool:
         return False  # give up; the copy path enforces the real limit
     for item in value:
         cls = type(item)
-        if cls in _BY_REFERENCE:
+        if cls in BY_REFERENCE:
             continue
         try:
             check = _IMMUTABLE_CHECK[cls]
@@ -212,7 +252,7 @@ def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
     be deeply immutable, None when they must always be copied.  Mirrors the
     marshal handlers exactly — a checker may return True only where the
     corresponding handler would return the value by reference."""
-    if cls in _BY_REFERENCE or issubclass(cls, _PRIMITIVES):
+    if cls in BY_REFERENCE or issubclass(cls, _PRIMITIVES):
         return lambda value, depth: True
     if cls is tuple or cls is frozenset:
         return _items_immutable
@@ -232,7 +272,7 @@ def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
             for name in names:
                 item = getattr(value, name)
                 icls = type(item)
-                if icls in _BY_REFERENCE:
+                if icls in BY_REFERENCE:
                     continue
                 try:
                     check = _IMMUTABLE_CHECK[icls]
@@ -257,8 +297,9 @@ def _build_handler(cls: type) -> Callable[[Any, int], Any]:
     per-type dispatch is observationally identical to it (modulo the
     documented by-reference returns for immutables), with one exception: a
     transferable class's ``__marshal__`` protocol is consulted before the
-    dict branch, so a dict subclass that defines it is copied through it."""
-    if cls in _BY_REFERENCE or issubclass(cls, _PRIMITIVES):
+    dict branch, so a dict subclass that defines it is copied through it.
+    (``marshal`` returns a ``BY_REFERENCE`` type's value before it asks.)"""
+    if issubclass(cls, _PRIMITIVES):  # a subclass of a primitive
         return lambda value, depth: value
 
     if issubclass(cls, (list, tuple)):

@@ -46,6 +46,7 @@ from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
 from ..txn.wal import BATCH, LogRecord
 from ..services.execution import EXECUTION_INTERFACE, ExecutionService
+from ..services.worker import WorkReply
 
 REPLICA_INTERFACE = Interface(
     "WorkflowExecutionReplica",
@@ -265,8 +266,8 @@ class ReplicatedExecutionService(ExecutionService):
         else:
             self._demote_self("stale epoch at the lease service")
 
-    def _on_fenced_reply(self, reply: Dict[str, Any]) -> None:
-        epoch = reply.get("epoch", 0)
+    def _on_fenced_reply(self, reply: WorkReply) -> None:
+        epoch = reply.epoch
         if epoch > self.epoch:
             # the worker has served a newer primary: we are deposed and the
             # lease message just has not reached us yet

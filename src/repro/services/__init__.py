@@ -21,11 +21,12 @@ from .serialization import (
     result_to_plain,
 )
 from .system import TERMINAL, SystemSpec, WorkflowSystem
-from .worker import WORKER_INTERFACE, TaskWorker, WorkRequest
+from .worker import WORKER_INTERFACE, MarkRecord, TaskWorker, WorkReply, WorkRequest
 
 __all__ = [
     "EXECUTION_INTERFACE",
     "ExecutionService",
+    "MarkRecord",
     "MONITOR_SCRIPT",
     "RECONFIGURE_SCRIPT",
     "REPOSITORY_INTERFACE",
@@ -34,6 +35,7 @@ __all__ = [
     "TERMINAL",
     "TaskWorker",
     "WORKER_INTERFACE",
+    "WorkReply",
     "WorkRequest",
     "WorkflowSystem",
     "admin_registry",

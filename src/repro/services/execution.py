@@ -67,12 +67,14 @@ from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
 from .journal import Journal, script_digest
 from .serialization import (
+    ref_to_plain,
     refs_from_plain,
     refs_to_plain,
     result_from_plain,
+    result_from_wire,
     result_to_plain,
 )
-from .worker import WorkRequest
+from .worker import MarkRecord, WorkReply, WorkRequest, work_reply, work_request
 
 EXECUTION_INTERFACE = Interface(
     "WorkflowExecution",
@@ -221,6 +223,17 @@ _PENDING_ACK_CAP = 1024
 # How long (simulated seconds) a buffered journal entry may stay volatile
 # before a timer takes the durability barrier for it.
 _JOURNAL_WINDOW = 5.0
+
+
+def _mark_entry(mark: MarkRecord) -> Dict[str, Any]:
+    """The journal entry of a mark, from its datagram or its reply alike."""
+    return {
+        "type": "mark",
+        "path": mark.task_path,
+        "exec": mark.execution_index,
+        "name": mark.name,
+        "objects": {name: ref_to_plain(ref) for name, ref in mark.objects},
+    }
 
 
 def _dedup_key(entry: Dict[str, Any]) -> Optional[Tuple]:
@@ -667,16 +680,16 @@ class ExecutionService(Service):
             task, (input_set, inputs) = taken
             exec_index = runtime.exec_counter.get(task.path, 0) + 1
             runtime.exec_counter[task.path] = exec_index
-            request = WorkRequest(
-                instance_id=runtime.iid,
-                execution_index=exec_index,
-                template=task.template,
-                input_set=input_set,
-                inputs=tuple(inputs.items()),
-                attempt=task.attempt + 1,
-                repeats=task.machine.repeats,
-                reply_to=node.name if node else "",
-                epoch=self.epoch,
+            request = work_request(
+                runtime.iid,
+                exec_index,
+                task.template,
+                input_set,
+                inputs,
+                task.attempt + 1,
+                task.machine.repeats,
+                node.name if node else "",
+                self.epoch,
             )
             key = (task.path, exec_index)
             flight = runtime.in_flight[key] = _InFlight(request, now)
@@ -844,14 +857,15 @@ class ExecutionService(Service):
         # batch's later sends pass ``barrier=False``: its first one took it).
         if barrier:
             self.flush_journal()
-        if flight.request["template"].code == "system.timer":
+        if flight.request.template.code == "system.timer":
             self._arm_timer_task(runtime, key, flight)
             return
         if not self.worker_names:
             raise ExecutionError("no workers configured")
         # stamp at send time, not build time: a flight drained before a
         # promotion must carry the promoted epoch when it finally goes out
-        flight.request["epoch"] = self.epoch
+        if flight.request.epoch != self.epoch:
+            flight.request = flight.request._replace(epoch=self.epoch)
         now = self._now()
         cfg = self.resilience
         worker = self._route(runtime, key, flight, hedge, now)
@@ -910,7 +924,7 @@ class ExecutionService(Service):
         entirely, as before.  Hedges exclude workers already carrying this
         flight's current wave.
         """
-        pinned = flight.request["template"].location
+        pinned = flight.request.template.location
         if not hedge and pinned in self.worker_names and flight.redispatches == 0:
             if self.health.allows(pinned, now):
                 return pinned
@@ -940,26 +954,23 @@ class ExecutionService(Service):
         crash-safe; after a recovery the in-flight timer is simply re-armed.
         """
         flight.sent = True
-        delay = flight.request["template"].delay
+        delay = flight.request.template.delay
         # keep the sweeper quiet until the timer is genuinely overdue
         flight.dispatched_at = self._now() + delay
         flight.next_attempt_at = (
             flight.dispatched_at + self.resilience.policy.base_delay
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
-        taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
+        taskclass = TaskClass.from_wire(flight.request.template.taskclass)
         outcomes = taskclass.outputs_of_kind(OutputKind.OUTCOME)
-        reply = {
-            "instance_id": runtime.iid,
-            "task_path": key[0],
-            "execution_index": key[1],
-            "marks": [],
-        }
         if outcomes:
             result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
-            reply.update(ok=True, result=result_to_plain(result), error=None)
+            reply = work_reply(runtime.iid, key[0], key[1], None, True, result, (), None)
         else:
-            reply.update(ok=False, error="system.timer task class declares no outcome")
+            reply = work_reply(
+                runtime.iid, key[0], key[1], None, False, None, (),
+                "system.timer task class declares no outcome",
+            )
         self.node.call_after(
             delay,
             lambda: self._handle_reply(runtime.iid, reply),
@@ -1009,7 +1020,7 @@ class ExecutionService(Service):
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < overdue_at
                     ):
-                        pinned = flight.request["template"].location
+                        pinned = flight.request.template.location
                         if pinned in self.worker_names and flight.redispatches == 0:
                             flight.hedge_at = None  # honour the pin: no hedge
                         else:
@@ -1024,7 +1035,7 @@ class ExecutionService(Service):
                             )
                         flight.sent_to.clear()
                         if cfg.policy.exhausted(flight.redispatches) and (
-                            flight.request["template"].code != "system.timer"
+                            flight.request.template.code != "system.timer"
                         ):
                             self._abandon(runtime, key, flight, now)
                             continue
@@ -1081,31 +1092,24 @@ class ExecutionService(Service):
     # -- replies and marks ----------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, dict) and payload.get("type") == "mark":
-            self._handle_mark(payload)
+        if isinstance(message.payload, MarkRecord):
+            self._handle_mark(message.payload)
 
-    def _handle_mark(self, payload: Dict[str, Any]) -> None:
+    def _handle_mark(self, mark: MarkRecord) -> None:
         if not self.is_primary():
             return  # demoted: the current primary owns this instance now
         crash_point("exec.mark.recv", self)
-        runtime = self.runtimes.get(payload.get("instance_id", ""))
+        runtime = self.runtimes.get(mark.instance_id)
         if runtime is None or runtime.settled:
             return  # a settled instance is closed (see _handle_reply)
-        entry = {
-            "type": "mark",
-            "path": payload["task_path"],
-            "exec": payload["execution_index"],
-            "name": payload["name"],
-            "objects": payload["objects"],
-        }
+        entry = _mark_entry(mark)
         if _dedup_key(entry) not in runtime.journal_keys:
             self._record(runtime, entry)
 
-    def _handle_reply(self, iid: str, reply: Dict[str, Any]) -> None:
+    def _handle_reply(self, iid: str, reply: WorkReply) -> None:
         if not self.is_primary():
             return  # demoted: late replies belong to the current primary
-        if reply.get("fenced"):
+        if reply.fenced:
             # a worker refused a stale-epoch dispatch: never journaled as a
             # task failure — the flight stays open for the rightful primary
             self.stats["fenced_replies"] += 1
@@ -1115,8 +1119,8 @@ class ExecutionService(Service):
         runtime = self.runtimes.get(iid)
         if runtime is None:
             return
-        path = reply["task_path"]
-        exec_index = reply["execution_index"]
+        path = reply.task_path
+        exec_index = reply.execution_index
         flight_key = (path, exec_index)
         self._credit_reply(runtime, flight_key, reply)
         # A settled instance is closed: every flight it ever sent is answered
@@ -1124,25 +1128,27 @@ class ExecutionService(Service):
         if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
             self.stats["duplicate_replies"] += 1
             return
-        if not reply.get("ok"):
-            kind, body = "failure", {"error": reply.get("error", "unknown")}
-        elif reply.get("external"):
+        result = None
+        if not reply.ok:
+            kind = "failure"
+            entry = {"type": kind, "path": path, "exec": exec_index, "error": reply.error}
+        elif reply.external:
             # the task parked itself awaiting an external completion; stop
             # the sweeper from re-dispatching it and remember it durably
-            kind, body = "external", {}
+            kind = "external"
+            entry = {"type": kind, "path": path, "exec": exec_index}
         else:
-            kind, body = "result", {"result": reply["result"]}
-        entry = {"type": kind, "path": path, "exec": exec_index, **body}
+            # rebuilt once: journaled in its plain form, applied as it stands
+            kind = "result"
+            result = result_from_wire(reply.result)
+            entry = {
+                "type": kind, "path": path, "exec": exec_index,
+                "result": result_to_plain(result),
+            }
         try:
             # marks carried in the reply (the datagram copies may have been lost)
-            for mark in reply.get("marks", ()):
-                mark_entry = {
-                    "type": "mark",
-                    "path": path,
-                    "exec": exec_index,
-                    "name": mark["name"],
-                    "objects": mark["objects"],
-                }
+            for mark in reply.marks:
+                mark_entry = _mark_entry(mark)
                 if _dedup_key(mark_entry) not in runtime.journal_keys:
                     self._journal(runtime, mark_entry)
                     self._apply_entry(runtime, mark_entry)
@@ -1150,7 +1156,7 @@ class ExecutionService(Service):
                 self.stats["duplicate_replies"] += 1
                 return
             self._journal(runtime, entry)
-            self._apply_entry(runtime, entry)
+            self._apply_entry(runtime, entry, result)
             if kind == "external":
                 return  # nothing became ready
             crash_point("exec.reply.applied", self)
@@ -1159,18 +1165,18 @@ class ExecutionService(Service):
             self.flush_journal()  # see _record
             raise
 
-    def _on_fenced_reply(self, reply: Dict[str, Any]) -> None:
+    def _on_fenced_reply(self, reply: WorkReply) -> None:
         """Hook for replication: a fenced reply carries the highest epoch the
         worker has seen, evidence that a newer primary exists."""
 
     def _credit_reply(
-        self, runtime: _Runtime, flight_key: Tuple[str, int], reply: Dict[str, Any]
+        self, runtime: _Runtime, flight_key: Tuple[str, int], reply: WorkReply
     ) -> None:
         """Health accounting for any reply, duplicates included: the worker
         demonstrably served the request, so credit its latency and close its
         breaker — even when the journal then discards the reply as a
         duplicate (e.g. a hedge that lost the race)."""
-        worker = reply.get("worker")
+        worker = reply.worker
         if not worker:
             return  # timer-task self-replies carry no worker
         now = self._now()
@@ -1289,11 +1295,14 @@ class ExecutionService(Service):
 
         self.node.call_after(_JOURNAL_WINDOW, fire, label=f"{self.name}-jflush")
 
-    def _apply_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+    def _apply_entry(
+        self, runtime: _Runtime, entry: Dict[str, Any], result: Optional[TaskResult] = None
+    ) -> None:
         """What one journal entry does to an instance — its dedup key, the
         flight it answers, the parked set, the tree.  The only definition:
         a live handler comes here with the entry it journaled, :meth:`_replay`
-        with the stored ones."""
+        with the stored ones.  ``result``: the :class:`TaskResult` a reply's
+        ``result`` entry was journaled from, so only a replay decodes one."""
         kind = entry["type"]
         key = _dedup_key(entry)
         if key is not None:
@@ -1344,7 +1353,9 @@ class ExecutionService(Service):
             runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
         elif kind == "result":
             try:
-                runtime.tree.apply_result(node, result_from_plain(entry["result"]))
+                runtime.tree.apply_result(
+                    node, result if result is not None else result_from_plain(entry["result"])
+                )
             except ExecutionError as exc:
                 # the result did not match the task class signature: treat it
                 # as a system failure (deterministic at replay too)
@@ -1391,7 +1402,7 @@ class ExecutionService(Service):
             # a zero ``recovery_stagger`` makes every offset zero
             delay = (
                 0.0
-                if flight.request["template"].code == "system.timer"
+                if flight.request.template.code == "system.timer"
                 else policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
             )
             if delay <= 0.0:

@@ -49,7 +49,15 @@ def result_to_plain(result: TaskResult) -> Dict[str, Any]:
             objects[name] = {"__ref__": True, **ref_to_plain(value)}
         else:
             objects[name] = {"__ref__": False, "value": value}
-    return {"kind": result.kind.name, "name": result.name, "objects": objects}
+    # ``_name_`` is the member's name, read without the ``name`` property's frames
+    return {"kind": result.kind._name_, "name": result.name, "objects": objects}
+
+
+def result_from_wire(wire: Tuple[str, str, Tuple[Tuple[str, Any], ...]]) -> TaskResult:
+    """A :class:`TaskResult` from the wire form a worker's reply carries,
+    ``(kind name, output name, ((object, ref-or-value), ...))``."""
+    kind, name, objects = wire
+    return tuple.__new__(TaskResult, (_KINDS[kind], name, dict(objects)))
 
 
 def result_from_plain(data: Mapping[str, Any]) -> TaskResult:

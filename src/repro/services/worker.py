@@ -15,18 +15,18 @@ are also included in the final reply in case the datagram is lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TypedDict
+from dataclasses import dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.schema import TaskClass
 from ..core.values import ObjectRef
-from ..engine.context import PendingExternal, TaskContext
+from ..engine.context import PendingExternal, TaskContext, TaskResult
 from ..engine.plan import DispatchTemplate
 from ..engine.registry import ImplementationRegistry, run_task
-from ..net.node import Message, Service
+from ..net.node import Service
 from ..orb.broker import DelayedResult, Interface
+from ..orb.marshal import BY_REFERENCE, marshal, plain_twin
 from ..sim.crashpoints import crash_point
-from .serialization import refs_to_plain, result_to_plain
 
 WORKER_INTERFACE = Interface("TaskWorker", ("execute",))
 
@@ -56,11 +56,11 @@ class ServiceProfile:
             raise ValueError("lanes must be >= 1")
 
 
-class WorkRequest(TypedDict):
-    """One dispatch as it crosses the ORB (docs/PROTOCOLS.md §11): a plain
-    dict, so the ORB copies it, but everything in it is immutable except the
-    application values inside ``inputs`` — the template and immutable inputs
-    cross by reference, and only a mutable input value is copied."""
+class WorkRequest(NamedTuple):
+    """One dispatch as it crosses the ORB (docs/PROTOCOLS.md §11).  Built by
+    :func:`work_request`, which proves it plain when every leaf is of a
+    by-reference type: the ORB then passes it with one test.  Otherwise it
+    takes the walk, and only a mutable input value is copied."""
 
     instance_id: str
     execution_index: int
@@ -73,6 +73,138 @@ class WorkRequest(TypedDict):
     # Fencing epoch of the dispatching execution-service incarnation at send
     # time; 0 means unfenced.  See docs/PROTOCOLS.md §12.
     epoch: int
+
+
+class MarkRecord(NamedTuple):
+    """One early-released mark, as the worker sent it the moment the
+    implementation marked it: a datagram to the execution service, and the
+    same record again inside the reply."""
+
+    instance_id: str
+    task_path: str
+    execution_index: int
+    name: str
+    objects: Tuple[Tuple[str, ObjectRef], ...]
+
+    service = "execution"  # the node routes the datagram by it
+
+
+class WorkReply(NamedTuple):
+    """A worker's answer to one :class:`WorkRequest`, built by
+    :func:`work_reply`.  ``result`` is the task's result in wire form,
+    ``(kind name, output name, ((object, ref-or-value), ...))``, or None when
+    the task failed, parked itself (``external``) or was refused (``fenced``,
+    with the highest ``epoch`` the worker has seen)."""
+
+    instance_id: str
+    task_path: str
+    execution_index: int
+    worker: Optional[str]            # None: a timer task's own reply
+    ok: bool
+    result: Optional[Tuple[str, str, Tuple[Tuple[str, Any], ...]]]
+    marks: Tuple[MarkRecord, ...]
+    error: Optional[str]
+    external: bool = False
+    fenced: bool = False
+    epoch: int = 0
+
+
+# The twins a builder returns when it proved a record plain: every leaf of a
+# by-reference type, ``ObjectRef``s field by field.
+PlainWorkRequest = plain_twin(WorkRequest)
+PlainMarkRecord = plain_twin(MarkRecord)
+PlainWorkReply = plain_twin(WorkReply)
+
+
+def _plain_objects(items: Tuple[Tuple[str, Any], ...]) -> bool:
+    """The plain proof of a record's objects: every name, every raw value
+    and all four fields of every ``ObjectRef`` is of a by-reference type."""
+    plain = BY_REFERENCE
+    for name, ref in items:
+        if type(name) not in plain:
+            return False
+        if type(ref) is ObjectRef:
+            if not (
+                type(ref.class_name) in plain and type(ref.value) in plain
+                and type(ref.produced_by) in plain and type(ref.via) in plain
+            ):
+                return False
+        elif type(ref) not in plain:
+            return False
+    return True
+
+
+def work_request(
+    instance_id: str,
+    execution_index: int,
+    template: DispatchTemplate,
+    input_set: str,
+    inputs: Dict[str, ObjectRef],
+    attempt: int,
+    repeats: int,
+    reply_to: str,
+    epoch: int,
+) -> WorkRequest:
+    """A dispatch, as its plain twin when every leaf is proven plain."""
+    items = tuple(inputs.items())
+    proven = BY_REFERENCE.issuperset((
+        type(instance_id), type(execution_index), type(template), type(input_set),
+        type(attempt), type(repeats), type(reply_to), type(epoch),
+    )) and _plain_objects(items)
+    return tuple.__new__(PlainWorkRequest if proven else WorkRequest, (
+        instance_id, execution_index, template, input_set, items,
+        attempt, repeats, reply_to, epoch,
+    ))
+
+
+def mark_record(
+    instance_id: str,
+    task_path: str,
+    execution_index: int,
+    name: str,
+    objects: Dict[str, ObjectRef],
+) -> MarkRecord:
+    """A mark, as its plain twin when every leaf is proven plain."""
+    items = tuple(objects.items())
+    proven = BY_REFERENCE.issuperset(
+        (type(instance_id), type(task_path), type(execution_index), type(name))
+    ) and _plain_objects(items)
+    return tuple.__new__(
+        PlainMarkRecord if proven else MarkRecord,
+        (instance_id, task_path, execution_index, name, items),
+    )
+
+
+def work_reply(
+    instance_id: str,
+    task_path: str,
+    execution_index: int,
+    worker: Optional[str],
+    ok: bool,
+    result: Optional[TaskResult],
+    marks: Sequence[MarkRecord],
+    error: Optional[str],
+    external: bool = False,
+    fenced: bool = False,
+    epoch: int = 0,
+) -> WorkReply:
+    """A reply carrying ``result`` in wire form, as its plain twin when every
+    leaf is proven plain and every mark was."""
+    marks = tuple(marks)
+    proven = BY_REFERENCE.issuperset((
+        type(instance_id), type(task_path), type(execution_index), type(worker),
+        type(ok), type(error), type(external), type(fenced), type(epoch),
+        *map(type, marks),  # a mark is proven when it is built
+    ))
+    wire = None
+    if result is not None:
+        items = tuple(result.objects.items())
+        wire = (result.kind._name_, result.name, items)
+        proven = proven and type(result.name) in BY_REFERENCE and _plain_objects(items)
+    return tuple.__new__(PlainWorkReply if proven else WorkReply, (
+        instance_id, task_path, execution_index, worker, ok, wire,
+        marks, error, external, fenced, epoch,
+    ))
 
 
 class TaskWorker(Service):
@@ -113,7 +245,7 @@ class TaskWorker(Service):
         # with the process, so the lanes come back empty.
         self._lane_busy = [0.0] * self.profile.lanes
 
-    def _occupy_lane(self, reply: Dict[str, Any]) -> Any:
+    def _occupy_lane(self, reply: WorkReply) -> Any:
         """Charge this request to the earliest-free lane and delay its reply
         until the lane would actually have finished it."""
         if self.profile.service_time <= 0 or self.node is None:
@@ -135,68 +267,50 @@ class TaskWorker(Service):
             )
         return held[1]
 
-    def execute(self, request: WorkRequest) -> Dict[str, Any]:
-        """Run one task; returns a plain-data reply.
-
-        Reply shape: ``{"ok": bool, "result": ..., "marks": [...],
-        "error": str | None}`` plus the request's identity echo.  A request
-        carrying a stale fencing epoch gets ``{"ok": False, "fenced": True,
-        "epoch": <highest seen>}`` instead, without executing anything.
-        """
-        template = request["template"]
+    def execute(self, request: WorkRequest) -> WorkReply:
+        """Run one task; returns its :class:`WorkReply`, which echoes the
+        request's identity and names this worker (the execution service's
+        health registry attributes latency and liveness to it).  A request
+        carrying a stale fencing epoch is refused without executing anything:
+        ``fenced`` set, with the highest epoch seen."""
+        template = request.template
         task_path = template.task_path
-        identity = {
-            "instance_id": request["instance_id"],
-            "task_path": task_path,
-            "execution_index": request["execution_index"],
-            # which worker served the request: the execution service's
-            # health registry attributes latency/liveness observations to it
-            "worker": self.name,
-        }
-        epoch = request["epoch"]
+        iid = request.instance_id
+        index = request.execution_index
+        epoch = request.epoch
         if epoch:
             if epoch < self.fence_epoch:
-                return {
-                    **identity,
-                    "ok": False,
-                    "fenced": True,
-                    "epoch": self.fence_epoch,
-                    "error": f"fenced: epoch {epoch} < {self.fence_epoch}",
-                    "marks": [],
-                }
+                return work_reply(
+                    iid, task_path, index, self.name, False, None, (),
+                    f"fenced: epoch {epoch} < {self.fence_epoch}",
+                    fenced=True, epoch=self.fence_epoch,
+                )
             self.fence_epoch = epoch
         crash_point("worker.execute.pre", self)
-        self.executed.append(
-            (request["instance_id"], task_path, request["execution_index"])
-        )
-        marks: List[Dict[str, Any]] = []
+        self.executed.append((iid, task_path, index))
+        marks: List[MarkRecord] = []
 
-        def mark_sink(mark_name: str, objects) -> None:
-            entry = {
-                "instance_id": request["instance_id"],
-                "task_path": task_path,
-                "execution_index": request["execution_index"],
-                "name": mark_name,
-                "objects": refs_to_plain(objects),
-            }
-            marks.append(entry)
+        def mark_sink(mark_name: str, objects: Dict[str, ObjectRef]) -> None:
+            mark = mark_record(iid, task_path, index, mark_name, objects)
+            if type(mark) is not PlainMarkRecord:
+                # crosses as it is now: the implementation may change its
+                # objects after marking, and neither leg may see that
+                mark = marshal(mark)
+            marks.append(mark)
             # Early release: push the mark out immediately (may be lost; the
-            # final reply re-carries it).
+            # final reply re-carries the same record).
             if self.node is not None and self.node.alive:
-                self.node.send(
-                    request["reply_to"],
-                    {"service": "execution", "type": "mark", **entry},
-                )
+                self.node.send(request.reply_to, mark)
 
         taskclass, properties = self._decode(template)
         context = TaskContext(
             task_path=task_path,
             taskclass=taskclass,
-            input_set=request["input_set"],
-            inputs=dict(request["inputs"]),
+            input_set=request.input_set,
+            inputs=dict(request.inputs),
             properties=properties,  # copied by the context
-            attempt=request["attempt"],
-            repeats=request["repeats"],
+            attempt=request.attempt,
+            repeats=request.repeats,
             mark_sink=mark_sink,
             timeout=template.timeout,
         )
@@ -205,22 +319,18 @@ class TaskWorker(Service):
             if isinstance(result, PendingExternal):
                 # interactive / long-running task: parked at the execution
                 # service until an external completion arrives
-                return self._occupy_lane(
-                    {**identity, "ok": True, "external": True, "marks": marks,
-                     "error": None}
-                )
+                return self._occupy_lane(work_reply(
+                    iid, task_path, index, self.name, True, None, marks, None,
+                    external=True,
+                ))
         except Exception as exc:
             return self._occupy_lane(
-                {**identity, "ok": False, "error": repr(exc), "marks": marks}
+                work_reply(iid, task_path, index, self.name, False, None, marks, repr(exc))
             )
         # Crash here = the work happened but the reply never left: the
         # at-least-once redispatch will run the task again on some worker,
         # and only the journal's exactly-once application protects the tree.
         crash_point("worker.execute.post", self)
-        return self._occupy_lane({
-            **identity,
-            "ok": True,
-            "result": result_to_plain(result),
-            "marks": marks,
-            "error": None,
-        })
+        return self._occupy_lane(
+            work_reply(iid, task_path, index, self.name, True, result, marks, None)
+        )

@@ -16,7 +16,7 @@ from repro.engine import outcome
 from repro.engine.plan import DispatchTemplate, compile_plan
 from repro.orb import MarshalError, is_transferable, marshal, marshal_call, sealed, transferable
 from repro.services import WorkflowSystem
-from repro.services.worker import TaskWorker, WorkRequest
+from repro.services.worker import PlainWorkRequest, TaskWorker, WorkRequest, work_request
 from repro.workloads import chain, paper_order, script_text
 
 # the module itself: the package's ``repro.orb.marshal`` is the function
@@ -403,33 +403,36 @@ class TestMarshalCall:
 
 
 class TestWorkRequestBoundary:
-    """What a dispatch is on the wire (docs/PROTOCOLS.md §11): the static
-    template crosses by reference, mutable application values by copy, and
-    the fencing epoch is the one at send time."""
+    """What a dispatch is on the wire (docs/PROTOCOLS.md §11): a request
+    proven plain when built crosses whole by reference, the static template
+    always does, mutable application values cross by copy, and the fencing
+    epoch is the one at send time."""
 
     def _request(self, value):
         script = chain(1)[0]
         template = compile_plan(script).by_path["pipeline/t1"].template
-        return WorkRequest(
-            instance_id="wf-1", execution_index=1, template=template,
-            input_set="main", inputs=(("inp", ObjectRef("Data", value)),),
-            attempt=1, repeats=0, reply_to="execution-node", epoch=1,
+        return work_request(
+            "wf-1", 1, template, "main", {"inp": ObjectRef("Data", value)},
+            1, 0, "execution-node", 1,
         )
 
     def test_immutable_parts_cross_by_reference(self):
         request = self._request("payload")
+        assert type(request) is PlainWorkRequest
         ((copy,), _kwargs) = marshal_call((request,), {})
-        assert copy == request and copy is not request  # the dict itself is copied
-        assert copy["template"] is request["template"]
-        assert copy["inputs"] is request["inputs"]
+        assert copy is request  # proven plain when built: no walk, no copy
+        # the same fields unproven take the walk, which agrees
+        walked = WorkRequest(*request)
+        assert marshal(walked) is walked
 
     @pytest.mark.parametrize("value", [["a"], {"k": ["a"]}], ids=["list", "dict"])
     def test_mutable_input_is_copied_the_template_is_not(self, value):
         request = self._request(value)
+        assert type(request) is WorkRequest  # not proven: takes the walk
         copy = marshal(request)
-        assert copy == request
-        assert copy["template"] is request["template"]
-        assert copy["inputs"][0][1].value is not value
+        assert copy == request and copy is not request
+        assert copy.template is request.template
+        assert copy.inputs[0][1].value is not value
 
     def test_worker_mutation_is_invisible_to_the_coordinator(self):
         def mutate(ctx):
@@ -455,7 +458,7 @@ class TestWorkRequestBoundary:
         execute = TaskWorker.execute
 
         def recording(self, request):
-            executed.append((request["template"].task_path, request["epoch"]))
+            executed.append((request.template.task_path, request.epoch))
             return execute(self, request)
 
         monkeypatch.setattr(TaskWorker, "execute", recording)
@@ -470,7 +473,7 @@ class TestWorkRequestBoundary:
         assert standby.runtimes == {}
         assert iid in standby.repl_status()["instances"]
         stale = {
-            path: flight.request["epoch"]
+            path: flight.request.epoch
             for (path, _exec), flight in standby._replay(iid).in_flight.items()
         }
         assert stale

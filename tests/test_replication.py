@@ -160,14 +160,14 @@ class TestWorkerFencing:
             template=DispatchTemplate("t", taskclass.wire, None, ()),
             input_set="main", inputs=(), attempt=0,
             repeats=0, reply_to="execution-node", epoch=epoch,
-        )  # a plain dict: the one wire form
+        )
 
     def test_stale_epoch_refused_without_executing(self):
         worker = TaskWorker("w1", registry=None)
         worker.fence_epoch = 5
         reply = worker.execute(self._request(epoch=3))
-        assert reply["fenced"] and not reply["ok"]
-        assert reply["epoch"] == 5
+        assert reply.fenced and not reply.ok
+        assert reply.epoch == 5
         assert worker.executed == []
 
     def test_higher_epoch_raises_the_fence(self):
@@ -175,7 +175,7 @@ class TestWorkerFencing:
         worker.execute(self._request(epoch=4))
         assert worker.fence_epoch == 4
         reply = worker.execute(self._request(epoch=2))
-        assert reply.get("fenced")
+        assert reply.fenced
 
 
 class TestReplicatedHappyPath:

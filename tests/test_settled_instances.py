@@ -17,7 +17,8 @@ from repro.engine.instance import TaskNode
 from repro.engine.plan import PlanTracker
 from repro.lang import format_script
 from repro.overload import OverloadConfig
-from repro.services import WorkflowSystem
+from repro.services import MarkRecord, WorkflowSystem, result_from_plain
+from repro.services.worker import work_reply
 from repro.services.journal import Journal
 from repro.workloads import APPLICATIONS
 from repro.sim.oracles import check_replay_agreement
@@ -306,12 +307,10 @@ class TestClosed:
         entry = self.last_result(system, iid)
         before = self.observed(system, iid)
         duplicates = service.stats["duplicate_replies"]
-        service._handle_reply(iid, {
-            "instance_id": iid, "task_path": entry["path"],
-            "execution_index": entry["exec"], "ok": True,
-            "result": entry["result"], "marks": [], "error": None,
-            "worker": service.worker_names[0],
-        })
+        service._handle_reply(iid, work_reply(
+            iid, entry["path"], entry["exec"], service.worker_names[0], True,
+            result_from_plain(entry["result"]), (), None,
+        ))
         assert service.stats["duplicate_replies"] == duplicates + 1
         assert self.observed(system, iid) == before
 
@@ -320,23 +319,20 @@ class TestClosed:
         service = system.execution
         entry = self.last_result(system, iid)
         before = self.observed(system, iid)
-        service._handle_reply(iid, {
-            "instance_id": iid, "task_path": entry["path"],
-            "execution_index": entry["exec"] + 7, "ok": False,
-            "error": "late", "marks": [{"name": "m", "objects": {}}],
-            "worker": service.worker_names[0],
-        })
+        late = entry["exec"] + 7
+        service._handle_reply(iid, work_reply(
+            iid, entry["path"], late, service.worker_names[0], False, None,
+            (MarkRecord(iid, entry["path"], late, "m", ()),), "late",
+        ))
         assert self.observed(system, iid) == before
 
     def test_a_late_mark_datagram_journals_nothing(self):
         system, iid = self.settled_order()
         entry = self.last_result(system, iid)
         before = self.observed(system, iid)
-        system.execution._handle_mark({
-            "type": "mark", "instance_id": iid, "task_path": entry["path"],
-            "execution_index": entry["exec"], "name": "never-journaled",
-            "objects": {},
-        })
+        system.execution._handle_mark(
+            MarkRecord(iid, entry["path"], entry["exec"], "never-journaled", ())
+        )
         assert self.observed(system, iid) == before
 
     def test_a_hedge_losers_reply_still_credits_its_worker(self):
@@ -347,12 +343,10 @@ class TestClosed:
         ack = (iid, entry["path"], entry["exec"], loser)
         service._pending_acks[ack] = system.clock.now - 3.0
         before = self.observed(system, iid)
-        service._handle_reply(iid, {
-            "instance_id": iid, "task_path": entry["path"],
-            "execution_index": entry["exec"], "ok": True,
-            "result": entry["result"], "marks": [], "error": None,
-            "worker": loser,
-        })
+        service._handle_reply(iid, work_reply(
+            iid, entry["path"], entry["exec"], loser, True,
+            result_from_plain(entry["result"]), (), None,
+        ))
         assert ack not in service._pending_acks  # health saw the latency
         assert self.observed(system, iid) == before
 
