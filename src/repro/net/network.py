@@ -189,10 +189,17 @@ class Network:
 
         Shared by :meth:`send` and the ORB's datagram legs so every message
         path in the system sees one failure model.  With no partition, loss,
-        duplication or reordering set it is one latency draw, ``[base]`` or
-        ``[base + jitter * random()]``, which the ORB's ``_datagram`` takes
-        itself without these frames (docs/PROTOCOLS.md §3).
+        duplication or reordering set *now* (read at every send: a nemesis
+        burst changes them mid-run) it is one latency draw, ``[base]`` or
+        ``[base + jitter * random()]``: :meth:`LatencyModel.sample` to the
+        bit, since ``uniform(0.0, j)`` is ``0.0 + (j - 0.0) * random()``
+        (docs/PROTOCOLS.md §3).
         """
+        if not (self.partitions or self.loss_rate or self.dup_rate or self.reorder_window):
+            latency = self.latency
+            if latency.jitter <= 0:
+                return [latency.base]
+            return [latency.base + latency.jitter * self._rng.random()]
         if self.partitions and self.partitioned(source, destination):
             self.stats.dropped_partition += 1
             return None

@@ -286,26 +286,13 @@ class ObjectBroker:
         recovered in flight is dropped as stale, exactly like a raw datagram.
         A reply leg needs no guard of its own: ``deliver`` runs only while the
         destination is alive, in the incarnation it was sent to.
-
-        On a network with no partition, loss, duplication or reordering set
-        *now* (read at every send: a nemesis burst changes them mid-run),
-        ``sample_delays`` reduces to one latency draw, taken here without its
-        frames: ``base + jitter * random()`` is ``LatencyModel.sample`` to the
-        bit, since ``uniform(0.0, j)`` is ``0.0 + (j - 0.0) * random()``.
         """
         net = self.network
         net.stats.sent += 1
-        if net.partitions or net.loss_rate or net.dup_rate or net.reorder_window:
-            delays = net.sample_delays(from_node.name, to_node.name)
-            if delays is None:
-                self.stats.failures += 1
-                return
-        else:
-            latency = net.latency
-            jitter = latency.jitter
-            delays = (
-                latency.base if jitter <= 0 else latency.base + jitter * net._rng.random(),
-            )
+        delays = net.sample_delays(from_node.name, to_node.name)
+        if delays is None:
+            self.stats.failures += 1
+            return
         stamp = to_node.crash_count
 
         def attempt() -> None:

@@ -21,7 +21,8 @@ Two speed layers sit on top of those semantics (docs/PROTOCOLS.md §11):
   reference*: sharing an immutable value cannot leak mutable state, so the
   copy would buy nothing.  A ``@sealed`` type is checked deeply immutable
   once, when an instance is built, and crosses by reference with no walk at
-  all; so does a record its builder proved plain (:func:`plain_twin`).
+  all; so does a record its builder proved plain (:func:`plain_twin`,
+  :class:`PlainDict`).
   Mutable containers (lists, sets, dicts, mutable dataclasses,
   ``__marshal__`` protocol classes) are structurally copied; an exact dict
   or list is copied by one loop that descends straight into nested exact
@@ -55,9 +56,9 @@ _DISPATCH: Dict[type, Callable[[Any, int], Any]] = {}
 _IMMUTABLE_CHECK: Dict[type, Optional[Callable[[Any, int], bool]]] = {}
 
 # Exact types whose values are immutable with no walk at all: the primitives,
-# every @sealed type and every plain twin.  A dict or list member of one of
-# these types is its own copy.  Builders read it to prove a record plain;
-# only this module adds to it.
+# every @sealed type, every plain twin and PlainDict.  A dict or list member
+# of one of these types is its own copy.  Builders read it to prove a record
+# plain; only this module adds to it.
 BY_REFERENCE: Set[type] = set(_PRIMITIVES)
 
 # deeper than this is refused as a probable cycle
@@ -140,6 +141,45 @@ def plain_twin(record: Type[T]) -> Type[T]:
     return twin
 
 
+class PlainDict(dict):
+    """A read-only dict whose keys and values are all deeply immutable, so
+    it crosses the ORB by reference with one test and no walk.  A step's
+    request is one when proven: a record that is still a dict to whatever
+    reads one.
+
+    A builder that has checked every leaf is of a :data:`BY_REFERENCE` type
+    builds it with ``dict.__new__(PlainDict)`` and ``dict.update``; the
+    class's own constructor (and so ``copy``, ``deepcopy`` and ``pickle``)
+    proves its value by the immutability walk and returns a plain ``dict``
+    when it fails, so no ``PlainDict`` ever holds a mutable member.  Every
+    method that would change it raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        value = dict(*args, **kwargs)
+        if not (_items_immutable(value, 0) and _items_immutable(value.values(), 0)):
+            return value
+        plain = dict.__new__(cls)
+        dict.update(plain, value)
+        return plain
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        pass  # filled by __new__
+
+    def __reduce__(self) -> Any:
+        return PlainDict, (dict(self),)
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("a PlainDict is read-only: build another")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+BY_REFERENCE.add(PlainDict)
+
+
 def is_transferable(cls: Type) -> bool:
     return cls in _TRANSFERABLE
 
@@ -170,19 +210,17 @@ def marshal(value: Any, _depth: int = 0) -> Any:
 
 def marshal_call(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
     """Marshal a full argument list."""
-    if len(args) == 1 and not kwargs:
-        return (marshal(args[0]),), {}
-    return tuple(marshal(a) for a in args), {k: marshal(v) for k, v in kwargs.items()}
+    return tuple(map(marshal, args)), {k: marshal(v) for k, v in kwargs.items()}
 
 
 # -- exact dict and list: one loop per container -----------------------------------
 #
-# The shape of what a client call carries and gets back (a step's own
-# messages are records, see plain_twin).  A member that crosses by
-# reference is kept as it stands, a nested exact dict or list is copied by
-# the same loop one level down, and only any other member goes back through
-# marshal — so the depth guard is kept here, for the levels marshal no
-# longer sees.
+# The shape of what a client call carries and gets back, and of a step's
+# request when it was not proven plain (see PlainDict).  A member that
+# crosses by reference is kept as it stands, a nested exact dict or list is
+# copied by the same loop one level down, and only any other member goes
+# back through marshal — so the depth guard is kept here, for the levels
+# marshal no longer sees.
 
 
 def _copy_dict(value: dict, depth: int) -> dict:

@@ -857,15 +857,16 @@ class ExecutionService(Service):
         # batch's later sends pass ``barrier=False``: its first one took it).
         if barrier:
             self.flush_journal()
-        if flight.request.template.code == "system.timer":
+        if flight.request["template"].code == "system.timer":
             self._arm_timer_task(runtime, key, flight)
             return
         if not self.worker_names:
             raise ExecutionError("no workers configured")
         # stamp at send time, not build time: a flight drained before a
         # promotion must carry the promoted epoch when it finally goes out
-        if flight.request.epoch != self.epoch:
-            flight.request = flight.request._replace(epoch=self.epoch)
+        # (a request is read-only once proven: the new epoch makes a new one)
+        if flight.request["epoch"] != self.epoch:
+            flight.request = type(flight.request)(flight.request, epoch=self.epoch)
         now = self._now()
         cfg = self.resilience
         worker = self._route(runtime, key, flight, hedge, now)
@@ -924,7 +925,7 @@ class ExecutionService(Service):
         entirely, as before.  Hedges exclude workers already carrying this
         flight's current wave.
         """
-        pinned = flight.request.template.location
+        pinned = flight.request["template"].location
         if not hedge and pinned in self.worker_names and flight.redispatches == 0:
             if self.health.allows(pinned, now):
                 return pinned
@@ -954,14 +955,14 @@ class ExecutionService(Service):
         crash-safe; after a recovery the in-flight timer is simply re-armed.
         """
         flight.sent = True
-        delay = flight.request.template.delay
+        delay = flight.request["template"].delay
         # keep the sweeper quiet until the timer is genuinely overdue
         flight.dispatched_at = self._now() + delay
         flight.next_attempt_at = (
             flight.dispatched_at + self.resilience.policy.base_delay
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
-        taskclass = TaskClass.from_wire(flight.request.template.taskclass)
+        taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
         outcomes = taskclass.outputs_of_kind(OutputKind.OUTCOME)
         if outcomes:
             result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
@@ -1020,7 +1021,7 @@ class ExecutionService(Service):
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < overdue_at
                     ):
-                        pinned = flight.request.template.location
+                        pinned = flight.request["template"].location
                         if pinned in self.worker_names and flight.redispatches == 0:
                             flight.hedge_at = None  # honour the pin: no hedge
                         else:
@@ -1035,7 +1036,7 @@ class ExecutionService(Service):
                             )
                         flight.sent_to.clear()
                         if cfg.policy.exhausted(flight.redispatches) and (
-                            flight.request.template.code != "system.timer"
+                            flight.request["template"].code != "system.timer"
                         ):
                             self._abandon(runtime, key, flight, now)
                             continue
@@ -1402,7 +1403,7 @@ class ExecutionService(Service):
             # a zero ``recovery_stagger`` makes every offset zero
             delay = (
                 0.0
-                if flight.request.template.code == "system.timer"
+                if flight.request["template"].code == "system.timer"
                 else policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
             )
             if delay <= 0.0:

@@ -16,7 +16,7 @@ are also included in the final reply in case the datagram is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypedDict
 
 from ..core.schema import TaskClass
 from ..core.values import ObjectRef
@@ -25,7 +25,7 @@ from ..engine.plan import DispatchTemplate
 from ..engine.registry import ImplementationRegistry, run_task
 from ..net.node import Service
 from ..orb.broker import DelayedResult, Interface
-from ..orb.marshal import BY_REFERENCE, marshal, plain_twin
+from ..orb.marshal import BY_REFERENCE, PlainDict, marshal, plain_twin
 from ..sim.crashpoints import crash_point
 
 WORKER_INTERFACE = Interface("TaskWorker", ("execute",))
@@ -56,11 +56,12 @@ class ServiceProfile:
             raise ValueError("lanes must be >= 1")
 
 
-class WorkRequest(NamedTuple):
-    """One dispatch as it crosses the ORB (docs/PROTOCOLS.md §11).  Built by
-    :func:`work_request`, which proves it plain when every leaf is of a
-    by-reference type: the ORB then passes it with one test.  Otherwise it
-    takes the walk, and only a mutable input value is copied."""
+class WorkRequest(TypedDict):
+    """One dispatch as it crosses the ORB (docs/PROTOCOLS.md §11), built by
+    :func:`work_request`: a read-only :class:`PlainDict` when every leaf is
+    proven of a by-reference type, which the ORB passes with one test;
+    otherwise a plain dict, which takes the walk, and only a mutable input
+    value is copied."""
 
     instance_id: str
     execution_index: int
@@ -111,7 +112,6 @@ class WorkReply(NamedTuple):
 
 # The twins a builder returns when it proved a record plain: every leaf of a
 # by-reference type, ``ObjectRef``s field by field.
-PlainWorkRequest = plain_twin(WorkRequest)
 PlainMarkRecord = plain_twin(MarkRecord)
 PlainWorkReply = plain_twin(WorkReply)
 
@@ -145,16 +145,21 @@ def work_request(
     reply_to: str,
     epoch: int,
 ) -> WorkRequest:
-    """A dispatch, as its plain twin when every leaf is proven plain."""
+    """A dispatch, as a :class:`PlainDict` when every leaf is proven plain."""
     items = tuple(inputs.items())
     proven = BY_REFERENCE.issuperset((
         type(instance_id), type(execution_index), type(template), type(input_set),
         type(attempt), type(repeats), type(reply_to), type(epoch),
     )) and _plain_objects(items)
-    return tuple.__new__(PlainWorkRequest if proven else WorkRequest, (
-        instance_id, execution_index, template, input_set, items,
-        attempt, repeats, reply_to, epoch,
-    ))
+    # filled by dict's own update: a PlainDict's refuses, and its
+    # constructor would walk what was just proven
+    request = dict.__new__(PlainDict) if proven else {}
+    dict.update(
+        request, instance_id=instance_id, execution_index=execution_index,
+        template=template, input_set=input_set, inputs=items, attempt=attempt,
+        repeats=repeats, reply_to=reply_to, epoch=epoch,
+    )
+    return request
 
 
 def mark_record(
@@ -273,11 +278,11 @@ class TaskWorker(Service):
         health registry attributes latency and liveness to it).  A request
         carrying a stale fencing epoch is refused without executing anything:
         ``fenced`` set, with the highest epoch seen."""
-        template = request.template
+        template = request["template"]
         task_path = template.task_path
-        iid = request.instance_id
-        index = request.execution_index
-        epoch = request.epoch
+        iid = request["instance_id"]
+        index = request["execution_index"]
+        epoch = request["epoch"]
         if epoch:
             if epoch < self.fence_epoch:
                 return work_reply(
@@ -300,17 +305,17 @@ class TaskWorker(Service):
             # Early release: push the mark out immediately (may be lost; the
             # final reply re-carries the same record).
             if self.node is not None and self.node.alive:
-                self.node.send(request.reply_to, mark)
+                self.node.send(request["reply_to"], mark)
 
         taskclass, properties = self._decode(template)
         context = TaskContext(
             task_path=task_path,
             taskclass=taskclass,
-            input_set=request.input_set,
-            inputs=dict(request.inputs),
+            input_set=request["input_set"],
+            inputs=dict(request["inputs"]),
             properties=properties,  # copied by the context
-            attempt=request.attempt,
-            repeats=request.repeats,
+            attempt=request["attempt"],
+            repeats=request["repeats"],
             mark_sink=mark_sink,
             timeout=template.timeout,
         )

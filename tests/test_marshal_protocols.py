@@ -16,11 +16,12 @@ from repro.engine import outcome
 from repro.engine.plan import DispatchTemplate, compile_plan
 from repro.orb import MarshalError, is_transferable, marshal, marshal_call, sealed, transferable
 from repro.services import WorkflowSystem
-from repro.services.worker import PlainWorkRequest, TaskWorker, WorkRequest, work_request
+from repro.services.worker import TaskWorker, WorkRequest, work_request
 from repro.workloads import chain, paper_order, script_text
 
 # the module itself: the package's ``repro.orb.marshal`` is the function
 marshal_module = importlib.import_module("repro.orb.marshal")
+PlainDict = marshal_module.PlainDict
 
 
 @transferable
@@ -418,21 +419,24 @@ class TestWorkRequestBoundary:
 
     def test_immutable_parts_cross_by_reference(self):
         request = self._request("payload")
-        assert type(request) is PlainWorkRequest
+        assert type(request) is PlainDict
         ((copy,), _kwargs) = marshal_call((request,), {})
         assert copy is request  # proven plain when built: no walk, no copy
-        # the same fields unproven take the walk, which agrees
-        walked = WorkRequest(*request)
-        assert marshal(walked) is walked
+        # the same fields unproven take the walk, which copies only the dict
+        walked = WorkRequest(**request)
+        copy = marshal(walked)
+        assert copy == walked and copy is not walked
+        assert copy["template"] is walked["template"]
+        assert copy["inputs"] is walked["inputs"]
 
     @pytest.mark.parametrize("value", [["a"], {"k": ["a"]}], ids=["list", "dict"])
     def test_mutable_input_is_copied_the_template_is_not(self, value):
         request = self._request(value)
-        assert type(request) is WorkRequest  # not proven: takes the walk
+        assert type(request) is dict  # not proven: takes the walk
         copy = marshal(request)
         assert copy == request and copy is not request
-        assert copy.template is request.template
-        assert copy.inputs[0][1].value is not value
+        assert copy["template"] is request["template"]
+        assert copy["inputs"][0][1].value is not value
 
     def test_worker_mutation_is_invisible_to_the_coordinator(self):
         def mutate(ctx):
@@ -453,12 +457,43 @@ class TestWorkRequestBoundary:
         _input_set, held = tree.node_at("pipeline/t1").chosen
         assert held["inp"].value == ["original"]
 
+    def test_a_flight_resent_under_a_new_epoch_is_a_new_proven_request(self, monkeypatch):
+        executed = []
+        execute = TaskWorker.execute
+
+        def recording(self, request):
+            executed.append((type(request), request["epoch"]))
+            return execute(self, request)
+
+        monkeypatch.setattr(TaskWorker, "execute", recording)
+        _script, registry, root, inputs = workload = chain(1)
+        system = WorkflowSystem(
+            workers=1, registry=registry, dispatch_timeout=5.0, sweep_interval=2.0
+        )
+        system.deploy("chain", script_text(workload))
+        invoke, lost = system.broker.invoke_deferred, []
+
+        def lose_first_dispatch(caller, target, operation, args=(), **kwargs):
+            if operation == "execute" and not lost:
+                lost.append(args[0])  # the request leg is lost
+                return
+            invoke(caller, target, operation, args, **kwargs)
+
+        system.broker.invoke_deferred = lose_first_dispatch
+        iid = system.instantiate("chain", root, inputs)
+        (sent,) = lost
+        built_under = system.execution.epoch
+        system.execution.epoch = built_under + 3  # as a promotion would
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        assert type(sent) is PlainDict and sent["epoch"] == built_under  # never changed in place
+        assert executed == [(PlainDict, built_under + 3)]
+
     def test_epoch_is_stamped_when_a_flight_is_resent_after_promotion(self, monkeypatch):
         executed = []
         execute = TaskWorker.execute
 
         def recording(self, request):
-            executed.append((request.template.task_path, request.epoch))
+            executed.append((request["template"].task_path, request["epoch"]))
             return execute(self, request)
 
         monkeypatch.setattr(TaskWorker, "execute", recording)
@@ -473,7 +508,7 @@ class TestWorkRequestBoundary:
         assert standby.runtimes == {}
         assert iid in standby.repl_status()["instances"]
         stale = {
-            path: flight.request.epoch
+            path: flight.request["epoch"]
             for (path, _exec), flight in standby._replay(iid).in_flight.items()
         }
         assert stale

@@ -762,12 +762,12 @@ def test_race_fixture_really_races_under_concurrent_engine():
     system.deploy("transfer", format_script(_race_script()))
     iid = system.instantiate("transfer", "transfer", {"acct": "acct-1"})
     together = list(system.execution.runtimes[iid].in_flight.values())
-    assert {flight.request.template.task_path for flight in together} == {
+    assert {flight.request["template"].task_path for flight in together} == {
         "transfer/credit", "transfer/debit",
     }
     # both requests carry the one account object, to two different workers
     assert {
-        dict(flight.request.inputs)["acct"].value for flight in together
+        dict(flight.request["inputs"])["acct"].value for flight in together
     } == {"acct-1"}
     assert len({w for flight in together for w in flight.sent_to}) == 2
     result = system.run_until_terminal(iid)

@@ -107,7 +107,7 @@ class TestOneBarrierPerBatch:
 
         def traced_invoke(caller, target, operation, args=(), **kwargs):
             if operation == "execute" and buffered:
-                iid = args[0].instance_id
+                iid = args[0]["instance_id"]
                 committed = service.journal.entries(iid)
                 seen.append((
                     list(service.journal.buffer),
@@ -151,7 +151,7 @@ class DeadlineAudit:
             deadline = overdue_at(runtime, key, flight)
             _flight, count, redispatches, dispatched_at = self.sends[id(flight)]
             policy = service.resilience.policy
-            if flight.request.template.code == "system.timer":
+            if flight.request["template"].code == "system.timer":
                 kind, expected = "timer", dispatched_at + policy.base_delay
             else:
                 kind = "first" if count == 1 and not redispatches else (

@@ -11,8 +11,10 @@
   ``Network.sample_delays``; with any fault set, legs take the general path.
 """
 
+import copy as copy_module
 import importlib
 import inspect
+import pickle
 import sys
 import types
 
@@ -27,6 +29,7 @@ from repro.engine.context import TaskResult
 from repro.engine.plan import compile_plan
 from repro.net import EventClock, LatencyModel, Network, Node
 from repro.orb import ObjectBroker, marshal
+from repro.orb.marshal import PlainDict
 from repro.services import WorkflowSystem
 from repro.services import worker as worker_module
 from repro.services.journal import Journal
@@ -64,7 +67,11 @@ outputs = st.dictionaries(st.text(max_size=3), st.one_of(values, refs), max_size
 
 def demoted(record):
     """``record`` rebuilt as plain record types all the way down, so the walk
-    looks inside instead of trusting a twin."""
+    looks inside instead of trusting a twin.  A proven request becomes the
+    tuple of its keys and values: the walk never passes a dict by reference,
+    but would pass all of those."""
+    if type(record) is PlainDict:
+        return tuple(demoted(item) for pair in record.items() for item in pair)
     if isinstance(record, tuple) and type(record) in marshal_module.BY_REFERENCE:
         base = type(record).__mro__[1]
         return tuple.__new__(base, tuple(demoted(item) for item in record))
@@ -112,7 +119,7 @@ class TestPlainProof:
             worker_module.PlainMarkRecord
         )
         request = worker_module.work_request("wf", 1, TEMPLATE, "main", {"inp": ref}, 1, 0, "x", 0)
-        assert type(request) is worker_module.PlainWorkRequest
+        assert type(request) is PlainDict
         assert marshal(request) is request
 
     @pytest.mark.parametrize("ref", [
@@ -124,18 +131,40 @@ class TestPlainProof:
     ], ids=["list value", "nested list", "list class", "list producer", "dict via"])
     def test_a_mutable_leaf_takes_the_walk_and_is_copied(self, ref):
         request = worker_module.work_request("wf", 1, TEMPLATE, "main", {"inp": ref}, 1, 0, "x", 0)
-        assert type(request) is worker_module.WorkRequest
+        assert type(request) is dict
         copy = marshal(request)
-        assert copy == request and copy.inputs[0][1] is not ref
+        assert copy == request and copy["inputs"][0][1] is not ref
 
     def test_a_twins_own_constructors_prove_by_the_walk(self):
-        plain = worker_module.PlainWorkRequest
+        plain = worker_module.PlainMarkRecord
+        mark = worker_module.mark_record("wf", "t", 1, "m", {})
+        assert type(mark._replace(name="n")) is plain
+        assert type(plain(*mark)) is plain
+        mutable = mark._replace(objects=(("c", ObjectRef("Data", [1])),))
+        assert type(mutable) is worker_module.MarkRecord
+        assert type(plain(*mutable)) is worker_module.MarkRecord
+
+    def test_a_proven_request_is_read_only_and_its_copies_are_proven_anew(self):
         request = worker_module.work_request("wf", 1, TEMPLATE, "main", {}, 1, 0, "x", 0)
-        assert type(request._replace(epoch=3)) is plain
-        assert type(plain(*request)) is plain
-        mutable = request._replace(inputs=(("inp", ObjectRef("Data", [1])),))
-        assert type(mutable) is worker_module.WorkRequest
-        assert type(plain(*mutable)) is worker_module.WorkRequest
+        for change in (
+            lambda: request.__setitem__("epoch", 3), lambda: request.__delitem__("epoch"),
+            lambda: request.update(epoch=3), lambda: request.setdefault("new", 1),
+            lambda: request.pop("epoch"), request.popitem, request.clear,
+        ):
+            with pytest.raises(TypeError):
+                change()
+        with pytest.raises(TypeError):
+            request |= {"epoch": 3}
+        assert request["epoch"] == 0
+        for copy in (
+            PlainDict(request, epoch=3), copy_module.copy(request),
+            copy_module.deepcopy(request), pickle.loads(pickle.dumps(request)),
+        ):
+            assert type(copy) is PlainDict
+        restamped = PlainDict(request, epoch=3)
+        assert restamped["epoch"] == 3 and request["epoch"] == 0
+        mutable = PlainDict(request, inputs=(("inp", ObjectRef("Data", [1])),))
+        assert type(mutable) is dict
 
     def test_a_proof_that_ignores_the_ref_value_is_caught(self):
         """Seeded mutation: the builders' proof with ``ObjectRef.value``
@@ -160,7 +189,7 @@ class TestPlainProof:
         finally:
             del sys.modules[mutant.__name__]
             marshal_module.BY_REFERENCE.difference_update({
-                mutant.PlainWorkRequest, mutant.PlainMarkRecord, mutant.PlainWorkReply,
+                mutant.PlainMarkRecord, mutant.PlainWorkReply,
             })
 
 
@@ -289,6 +318,18 @@ def broker_pair(seed, latency, **faults):
     return clock, network, broker, Node("a", clock, network), Node("b", clock, network)
 
 
+class RecordingLatency(LatencyModel):
+    """A latency model that notes when the general path draws from it."""
+
+    def __init__(self, base, jitter, now):
+        super().__init__(base, jitter)
+        self.now, self.drawn_at = now, []
+
+    def sample(self, rng):
+        self.drawn_at.append(self.now())
+        return super().sample(rng)
+
+
 class TestOneDrawLeg:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,14 +338,17 @@ class TestOneDrawLeg:
         jitter=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
         legs=st.integers(1, 20),
     )
-    def test_a_healthy_leg_draws_what_sample_delays_draws(self, seed, base, jitter, legs):
+    def test_a_healthy_leg_draws_what_the_general_path_draws(self, seed, base, jitter, legs):
         clock, network, broker, a, b = broker_pair(seed, LatencyModel(base, jitter))
-        network.sample_delays = None  # the fast path must not reach it
+        latency = network.latency = RecordingLatency(base, jitter, lambda: clock.now)
         drawn = []
         clock.call_after = lambda delay, action, label="": drawn.append(delay)
         for _ in range(legs):
             broker._datagram(a, b, lambda: None, "leg")
+        assert latency.drawn_at == []  # one draw, not the general path
+        # the general path, taken because of a partition no leg crosses
         reference = Network(EventClock(), LatencyModel(base, jitter), seed=seed)
+        reference.partition({"x"}, {"y"})
         expected = [delay for _ in range(legs) for delay in reference.sample_delays("a", "b")]
         assert drawn == expected
         assert network._rng.getstate() == reference._rng.getstate()
@@ -317,11 +361,10 @@ class TestOneDrawLeg:
     ])
     def test_a_fault_set_at_construction_takes_the_general_path(self, faults, counter):
         clock, network, broker, a, b = broker_pair(5, LatencyModel(1.0, 0.5), **faults)
-        sample, sampled = network.sample_delays, []
-        network.sample_delays = lambda *ends: sampled.append(ends) or sample(*ends)
+        latency = network.latency = RecordingLatency(1.0, 0.5, lambda: clock.now)
         for _ in range(40):
             broker._datagram(a, b, lambda: None, "leg")
-        assert len(sampled) == 40
+        assert latency.drawn_at
         assert getattr(network.stats, counter) > 0
 
     def test_a_partition_takes_the_general_path(self):
@@ -343,13 +386,10 @@ class TestOneDrawLeg:
         system = WorkflowSystem(workers=2, registry=registry, seed=3)
         system.deploy("fan", script_text(workload))
         network = system.network
-        sample, sampled_at = network.sample_delays, []
-
-        def sampled(*ends):
-            sampled_at.append(system.clock.now)
-            return sample(*ends)
-
-        network.sample_delays = sampled
+        latency = network.latency = RecordingLatency(
+            network.latency.base, network.latency.jitter, lambda: system.clock.now
+        )
+        sampled_at = latency.drawn_at
         NemesisSchedule([burst]).arm(system)
         iids = [system.instantiate("fan", root, inputs)]
         system.clock.advance(4.0)
