@@ -58,17 +58,17 @@ class Overloaded(CommFailure):
 
 @dataclass(frozen=True)
 class DelayedResult:
-    """A servant's way of modelling finite capacity: the returned ``value``
-    is the reply, but it departs ``delay`` simulated seconds after the
-    request was delivered (queueing + service time at the servant).  The
-    synchronous :meth:`ObjectBroker.invoke` path unwraps it immediately
-    (the caller blocks through the delay, which is only accounted); the
-    deferred path holds the reply leg back, and drops it if the servant's
-    node crashes or restarts before the modelled work completes — exactly
-    as a real backlog dies with its process."""
+    """A servant's way of modelling finite capacity: its answer leaves in
+    ``parts``, each ``(delay, value)`` departing ``delay`` simulated seconds
+    after the request was delivered (queueing + service time at the
+    servant).  The synchronous :meth:`ObjectBroker.invoke` path blocks
+    through the longest delay (only accounted, like the rtt) and returns the
+    parts' values as one tuple.  The deferred path sends each part as its
+    own reply leg — one with no delay at once — and drops a delayed one if
+    the servant's node crashes or restarts before the modelled work
+    completes, exactly as a real backlog dies with its process."""
 
-    value: Any
-    delay: float
+    parts: Tuple[Tuple[float, Any], ...]
 
 
 class BadInterface(TypeError):
@@ -198,8 +198,8 @@ class ObjectBroker:
         if isinstance(result, DelayedResult):
             # synchronous caller: blocks through the modelled service time
             # (accounted, like the rtt; the event itself runs to completion)
-            self.stats.simulated_rtt += result.delay
-            result = result.value
+            self.stats.simulated_rtt += max(delay for delay, _value in result.parts)
+            result = tuple(value for _delay, value in result.parts)
         return marshal(result) if remote else result
 
     # -- deferred (asynchronous) invocation ------------------------------------------
@@ -244,35 +244,38 @@ class ObjectBroker:
                         registration.node, caller, partial(on_error, exc), "orb-reply"
                     )
                 return
-            delay = 0.0
-            if isinstance(outcome, DelayedResult):
-                delay, outcome = outcome.delay, outcome.value
-            result = marshal(outcome)
-            if on_reply is None:
-                return
-            if delay <= 0.0:
-                self._datagram(
-                    registration.node, caller, partial(on_reply, result), "orb-reply"
-                )
-                return
-            # modelled service time: the reply leg departs only when the
-            # servant finishes the work — and not at all if its node crashed
-            # (or crashed-and-recovered) in the meantime, because the queued
-            # work died with the process
+            # each part of the answer is its own reply leg; one with modelled
+            # service time departs only when the servant finishes that work —
+            # and not at all if its node crashed (or crashed-and-recovered) in
+            # the meantime, because the queued work died with the process
+            parts = outcome.parts if isinstance(outcome, DelayedResult) else ((0.0, outcome),)
             stamp = registration.node.crash_count
-
-            def depart() -> None:
-                if registration.node.alive and registration.node.crash_count == stamp:
-                    self._datagram(
-                        registration.node, caller, partial(on_reply, result), "orb-reply"
+            for delay, value in parts:
+                result = marshal(value)
+                if on_reply is None:
+                    continue
+                deliver = partial(on_reply, result)
+                if delay <= 0.0:
+                    self._datagram(registration.node, caller, deliver, "orb-reply")
+                else:
+                    self.clock.call_after(
+                        delay,
+                        partial(self._depart, registration.node, stamp, caller, deliver),
+                        label=f"orb-svc:{target}.{operation}",
                     )
-
-            self.clock.call_after(delay, depart, label=f"orb-svc:{target}.{operation}")
 
         # request leg: rides the datagram network (loss, latency, partitions)
         if not caller.alive:
             raise CommFailure(f"caller node {caller.name!r} is down")
         self._datagram(caller, registration.node, perform, f"orb-req:{target}.{operation}")
+
+    def _depart(
+        self, node: Node, stamp: int, caller: Node, deliver: Callable[[], None]
+    ) -> None:
+        """A delayed part of an answer leaves, if its servant's node is still
+        the incarnation that took the work on."""
+        if node.alive and node.crash_count == stamp:
+            self._datagram(node, caller, deliver, "orb-reply")
 
     def _datagram(
         self, from_node: Node, to_node: Node, deliver: Callable[[], None], label: str

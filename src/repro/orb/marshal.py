@@ -188,7 +188,9 @@ def marshal(value: Any, _depth: int = 0) -> Any:
     """Return ``value`` as the far side may see it: a structural copy, or
     the value itself when it is deeply immutable (sharing is unobservable)."""
     cls = type(value)
-    if cls in BY_REFERENCE:  # a primitive, a sealed type, a proven record
+    if cls in BY_REFERENCE or (  # a primitive, a sealed type, a proven record
+        cls is tuple and BY_REFERENCE.issuperset(map(type, value))  # a batch of them
+    ):
         if not _depth:
             IOPATH_STATS.marshal_calls += 1
             IOPATH_STATS.marshal_fast_hits += 1

@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.schema import OutputKind, Script, TaskClass
@@ -702,9 +702,7 @@ class ExecutionService(Service):
             # an instance still waiting in the admission queue keeps its
             # flights built-but-unsent; promotion dispatches them
             unsent, runtime.unsent = runtime.unsent, []
-            for index, (key, flight) in enumerate(unsent):
-                # nothing is journaled between the sends: the first one's barrier serves all
-                self._send(runtime, key, flight, barrier=not index)
+            self._post(runtime, unsent)
         self._arm_deadlines(runtime)
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
@@ -836,27 +834,52 @@ class ExecutionService(Service):
             # to resume the *remaining* deadline — flush it right away
             self.flush_journal()
 
+    def _post(
+        self,
+        runtime: _Runtime,
+        flights: Sequence[Tuple[Tuple[str, int], _InFlight]],
+        hedge: bool = False,
+    ) -> None:
+        """Send ``flights``: one durability barrier, each flight routed and
+        accounted on its own (:meth:`_send`), then one work message per
+        worker carrying that worker's requests in first-routed order.  A
+        drained batch posts once; the sweeper, a resumed flight and a
+        stagger timer post one flight each."""
+        # Durability barrier: a dispatched task's execution (and eventual
+        # reply) depends on every journal entry that made it ready.  Were the
+        # send to outrun the journal, a crash could replay a shorter journal
+        # while the reply to the *longer* history arrives and is deduped —
+        # wedging the instance.  Flush-before-send makes that impossible;
+        # nothing is journaled between a batch's sends, so one serves all.
+        self.flush_journal()
+        if not self.is_primary():
+            # Demoted *mid-event* — by this barrier (a fenced push, the lease
+            # service unreachable) or an earlier one, whose demotion left
+            # nothing buffered for this one to commit: nothing may leave
+            # under the stale epoch.
+            return
+        outbox: Dict[str, List[WorkRequest]] = {}
+        for key, flight in flights:
+            self._send(runtime, key, flight, outbox, hedge)
+        for worker, requests in outbox.items():
+            try:
+                self.broker.invoke_deferred(
+                    self.node, worker, "perform", (tuple(requests),),
+                    on_reply=self._handle_replies,
+                )
+            except CommFailure:
+                pass  # sweeper retries
+
     def _send(
         self,
         runtime: _Runtime,
         key: Tuple[str, int],
         flight: _InFlight,
+        outbox: Dict[str, List[WorkRequest]],
         hedge: bool = False,
-        barrier: bool = True,
     ) -> None:
-        if not self.is_primary():
-            # Demoted *mid-event* (e.g. the durability barrier below demoted
-            # us because the lease service was unreachable): the rest of this
-            # scheduling pump must not dispatch under the stale epoch.
-            return
-        # Durability barrier: a dispatched task's execution (and eventual
-        # reply) depends on every journal entry that made it ready.  Were the
-        # send to outrun the journal, a crash could replay a shorter journal
-        # while the reply to the *longer* history arrives and is deduped —
-        # wedging the instance.  Flush-before-send makes that impossible (a
-        # batch's later sends pass ``barrier=False``: its first one took it).
-        if barrier:
-            self.flush_journal()
+        """One flight's part of a :meth:`_post`: its route, its accounting
+        and its request, added to ``outbox`` under the chosen worker."""
         if flight.request["template"].code == "system.timer":
             self._arm_timer_task(runtime, key, flight)
             return
@@ -896,16 +919,7 @@ class ExecutionService(Service):
         self.health.on_dispatch(worker, now)
         flight.sent_to[worker] = now
         self.stats["dispatches"] += 1
-        try:
-            self.broker.invoke_deferred(
-                self.node,
-                worker,
-                "execute",
-                (flight.request,),
-                on_reply=partial(self._handle_reply, runtime.iid),
-            )
-        except CommFailure:
-            pass  # sweeper retries
+        outbox.setdefault(worker, []).append(flight.request)
 
     def _route(
         self,
@@ -1025,7 +1039,7 @@ class ExecutionService(Service):
                         if pinned in self.worker_names and flight.redispatches == 0:
                             flight.hedge_at = None  # honour the pin: no hedge
                         else:
-                            self._send(runtime, key, flight, hedge=True)
+                            self._post(runtime, ((key, flight),), hedge=True)
                     if key not in runtime.in_flight:
                         continue
                     if now >= overdue_at:
@@ -1042,7 +1056,7 @@ class ExecutionService(Service):
                             continue
                         flight.redispatches += 1
                         self.stats["redispatches"] += 1
-                        self._send(runtime, key, flight)
+                        self._post(runtime, ((key, flight),))
             if self._pending_acks:
                 # hedge losers that never replied: count the timeout so a
                 # dead hedge target still trips its breaker
@@ -1106,6 +1120,12 @@ class ExecutionService(Service):
         entry = _mark_entry(mark)
         if _dedup_key(entry) not in runtime.journal_keys:
             self._record(runtime, entry)
+
+    def _handle_replies(self, replies: Tuple[WorkReply, ...]) -> None:
+        """One reply leg of a worker: each reply is handled as if it had
+        come alone."""
+        for reply in replies:
+            self._handle_reply(reply.instance_id, reply)
 
     def _handle_reply(self, iid: str, reply: WorkReply) -> None:
         if not self.is_primary():
@@ -1407,7 +1427,7 @@ class ExecutionService(Service):
                 else policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
             )
             if delay <= 0.0:
-                self._send(runtime, key, flight)
+                self._post(runtime, ((key, flight),))
                 continue
             self.stats["staggered"] += 1
             self.rlog.record(
@@ -1425,7 +1445,7 @@ class ExecutionService(Service):
                     return  # superseded by another rebuild, or dropped at a demotion
                 flight = runtime.in_flight.get(key)
                 if flight is not None:
-                    self._send(runtime, key, flight)
+                    self._post(runtime, ((key, flight),))
 
             self.node.call_after(delay, fire, label=f"stagger:{key[0]}")
 

@@ -28,7 +28,9 @@ from ..orb.broker import DelayedResult, Interface
 from ..orb.marshal import BY_REFERENCE, PlainDict, marshal, plain_twin
 from ..sim.crashpoints import crash_point
 
-WORKER_INTERFACE = Interface("TaskWorker", ("execute",))
+# One operation: a drained batch's requests for this worker, answered in one
+# reply leg per finish instant (docs/PROTOCOLS.md §11, §13).
+WORKER_INTERFACE = Interface("TaskWorker", ("perform",))
 
 # Bound on a worker's decoded-template memo; the oldest entry goes first.
 _TEMPLATE_MEMO_MAX = 4096
@@ -250,17 +252,6 @@ class TaskWorker(Service):
         # with the process, so the lanes come back empty.
         self._lane_busy = [0.0] * self.profile.lanes
 
-    def _occupy_lane(self, reply: WorkReply) -> Any:
-        """Charge this request to the earliest-free lane and delay its reply
-        until the lane would actually have finished it."""
-        if self.profile.service_time <= 0 or self.node is None:
-            return reply
-        now = self.node.clock.now
-        lane = min(range(len(self._lane_busy)), key=self._lane_busy.__getitem__)
-        finish = max(now, self._lane_busy[lane]) + self.profile.service_time
-        self._lane_busy[lane] = finish
-        return DelayedResult(reply, finish - now)
-
     def _decode(self, template: DispatchTemplate) -> Tuple[TaskClass, Dict[str, str]]:
         held = self._decoded.get(id(template))
         if held is None:
@@ -271,6 +262,36 @@ class TaskWorker(Service):
                 (TaskClass.from_wire(template.taskclass), dict(template.properties)),
             )
         return held[1]
+
+    def perform(self, requests: Tuple[WorkRequest, ...]) -> Any:
+        """The ORB operation: run a batch's requests through :meth:`execute`
+        in batch order and answer with their replies.
+
+        With no service time every reply leaves together, as one tuple.
+        Otherwise each request is charged to the earliest-free lane in batch
+        order — what as many separate requests arriving now would pay — and
+        the replies leave as a :class:`DelayedResult` with one part per
+        finish instant; a refused (``fenced``) reply occupies no lane and
+        leaves at once.  A crash point that fires mid-batch ends the batch:
+        the rest never runs and no reply leaves."""
+        execute = self.execute  # through the instance: a tracer may wrap the method
+        service_time = self.profile.service_time
+        if service_time <= 0 or self.node is None:
+            return tuple(map(execute, requests))
+        now = self.node.clock.now
+        busy = self._lane_busy
+        lanes = range(len(busy))
+        parts: Dict[float, List[WorkReply]] = {}
+        for request in requests:
+            reply = execute(request)
+            finish = now
+            if not reply.fenced:
+                lane = min(lanes, key=busy.__getitem__)
+                finish = busy[lane] = max(now, busy[lane]) + service_time
+            parts.setdefault(finish, []).append(reply)
+        return DelayedResult(
+            tuple((finish - now, tuple(replies)) for finish, replies in parts.items())
+        )
 
     def execute(self, request: WorkRequest) -> WorkReply:
         """Run one task; returns its :class:`WorkReply`, which echoes the
@@ -324,18 +345,14 @@ class TaskWorker(Service):
             if isinstance(result, PendingExternal):
                 # interactive / long-running task: parked at the execution
                 # service until an external completion arrives
-                return self._occupy_lane(work_reply(
+                return work_reply(
                     iid, task_path, index, self.name, True, None, marks, None,
                     external=True,
-                ))
+                )
         except Exception as exc:
-            return self._occupy_lane(
-                work_reply(iid, task_path, index, self.name, False, None, marks, repr(exc))
-            )
+            return work_reply(iid, task_path, index, self.name, False, None, marks, repr(exc))
         # Crash here = the work happened but the reply never left: the
         # at-least-once redispatch will run the task again on some worker,
         # and only the journal's exactly-once application protects the tree.
         crash_point("worker.execute.post", self)
-        return self._occupy_lane(
-            work_reply(iid, task_path, index, self.name, True, result, marks, None)
-        )
+        return work_reply(iid, task_path, index, self.name, True, result, marks, None)

@@ -268,13 +268,12 @@ class TestClosedIsSettledOracle:
         assert "liveness" in fired and report.instances["wf-1"]["status"] == "running"
 
     def test_it_fires_when_a_terminal_instance_is_marked_with_a_flight_out(self):
-        """``random_dag(12, seed=1)`` is the script that ends with flights
-        out: the root's outcome is ``t12``'s while ``t8`` (and, at times,
-        ``t11``, ``t6``) still run.  None of the paper scripts does — under
-        the honest journal an instance like this stays unmarked until its
-        last flight is answered."""
+        """``random_dag(12, seed=5)`` is a script that ends with a flight
+        out: the root's outcome is decided while ``t11`` still runs.  None of
+        the paper scripts does — under the honest journal an instance like
+        this stays unmarked until its last flight is answered."""
         def run(journal_class):
-            system, root, inputs = deployed(random_dag(12, seed=1), workers=2)
+            system, root, inputs = deployed(random_dag(12, seed=5), workers=2)
             service = system.execution
             service.journal = journal_class(service.store)
             service.journal.service = service
@@ -290,7 +289,7 @@ class TestClosedIsSettledOracle:
             service._dispatch_pending = _dispatch_pending
             iid = system.instantiate("wl", root, inputs)
             assert system.run_until_terminal(iid)["status"] == "completed"
-            assert out_at_the_end and ("dag/t8", 1) in out_at_the_end[0]
+            assert out_at_the_end and ("dag/t11", 1) in out_at_the_end[0]
             return service, iid, found
 
         service, iid, found = run(Journal)

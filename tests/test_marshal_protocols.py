@@ -474,14 +474,14 @@ class TestWorkRequestBoundary:
         invoke, lost = system.broker.invoke_deferred, []
 
         def lose_first_dispatch(caller, target, operation, args=(), **kwargs):
-            if operation == "execute" and not lost:
+            if operation == "perform" and not lost:
                 lost.append(args[0])  # the request leg is lost
                 return
             invoke(caller, target, operation, args, **kwargs)
 
         system.broker.invoke_deferred = lose_first_dispatch
         iid = system.instantiate("chain", root, inputs)
-        (sent,) = lost
+        ((sent,),) = lost  # a batch of one
         built_under = system.execution.epoch
         system.execution.epoch = built_under + 3  # as a promotion would
         assert system.run_until_terminal(iid)["status"] == "completed"

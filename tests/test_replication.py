@@ -514,6 +514,46 @@ class TestDeposedMidEvent:
         (iid,) = stored.instances()
         assert stored.entries(iid) == [] and not stored.closed(iid)
 
+    def test_a_dispatch_whose_own_barrier_deposes_does_not_leave(self):
+        """The send of ``pipeline/t2`` takes the barrier that deposes the
+        primary.  Its request used to leave anyway, to a worker, under the
+        epoch the barrier had just lost."""
+        from repro.workloads import chain, script_text
+
+        _script, registry, root, inputs = workload = chain(3)
+        system = WorkflowSystem(
+            workers=3, replicas=2, registry=registry, lease_duration=30.0, repl_interval=5.0
+        )
+        system.deploy("chain", script_text(workload))
+        service = system.execution
+        flush, deposed = service.flush_journal, []
+
+        def deposing(*args):
+            flushed = flush(*args)
+            about_to_send = any(
+                key == ("pipeline/t2", 1) and not flight.sent
+                for runtime in service._live.values()
+                for key, flight in runtime.in_flight.items()
+            )
+            if about_to_send and not deposed:
+                deposed.append(service.epoch)
+                service._demote_self("test")
+            return flushed
+
+        invoke, sent = system.broker.invoke_deferred, []
+
+        def watched(caller, target, operation, args=(), **kwargs):
+            if caller is service.node and target in service.worker_names:
+                sent.append((target, service.is_primary()))
+            return invoke(caller, target, operation, args, **kwargs)
+
+        service.flush_journal = deposing
+        system.broker.invoke_deferred = watched
+        iid = system.instantiate("chain", root, inputs)
+        assert system.run_until_terminal(iid, max_time=2_000.0)["status"] == "completed"
+        assert deposed and service.repl_stats["demotions"] == 1
+        assert sent and all(primary for _worker, primary in sent), sent
+
     def test_a_promotion_deposed_while_it_rebuilds_takes_no_name(self):
         """A resend of the rebuild takes the barrier that deposes: the replica
         is a standby again, so it arms no sweeper and does not take the public

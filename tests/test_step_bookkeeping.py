@@ -97,17 +97,18 @@ class TestOneBarrierPerBatch:
         service = system.execution
         NemesisSchedule([CrashAtTime(0.5, "worker-node-2", downtime=500.0)]).arm(system)
         seen = []
-        send = service._send
+        post = service._post
         invoke = system.broker.invoke_deferred
         buffered = []
 
-        def traced_send(runtime, key, flight, hedge=False, barrier=True):
-            buffered[:] = list(service.journal.buffer) if flight.redispatches else []
-            send(runtime, key, flight, hedge=hedge, barrier=barrier)
+        def traced_post(runtime, flights, hedge=False):
+            redispatch = any(flight.redispatches for _key, flight in flights)
+            buffered[:] = list(service.journal.buffer) if redispatch else []
+            post(runtime, flights, hedge=hedge)
 
         def traced_invoke(caller, target, operation, args=(), **kwargs):
-            if operation == "execute" and buffered:
-                iid = args[0]["instance_id"]
+            if operation == "perform" and buffered:
+                (iid,) = {request["instance_id"] for request in args[0]}
                 committed = service.journal.entries(iid)
                 seen.append((
                     list(service.journal.buffer),
@@ -115,7 +116,7 @@ class TestOneBarrierPerBatch:
                 ))
             return invoke(caller, target, operation, args, **kwargs)
 
-        service._send = traced_send
+        service._post = traced_post
         system.broker.invoke_deferred = traced_invoke
         iid = system.instantiate("fan", root, inputs)
         assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
@@ -140,8 +141,8 @@ class DeadlineAudit:
         self.mismatches = []
         send, overdue_at = service._send, service._overdue_at
 
-        def audited_send(runtime, key, flight, hedge=False, barrier=True):
-            send(runtime, key, flight, hedge=hedge, barrier=barrier)
+        def audited_send(runtime, key, flight, outbox, hedge=False):
+            send(runtime, key, flight, outbox, hedge=hedge)
             if not hedge and flight.sent:
                 known = self.sends.get(id(flight))
                 count = 1 if known is None else known[1] + 1
