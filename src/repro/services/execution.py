@@ -510,11 +510,13 @@ class ExecutionService(Service):
         return sorted(self.runtimes)
 
     def reconfigure(self, iid: str, new_script_text: str) -> bool:
-        """Atomically apply a modified script to the *running* instance."""
-        self._record_if_legal(
-            self._full_runtime(iid),
-            {"type": "reconfig", "script_text": new_script_text},
-        )
+        """Atomically apply a modified script to the *running* instance.  The
+        journal stores the text once per version, like a deployed one's: a
+        digest that already names other text is refused before anything is
+        applied or logged."""
+        runtime = self._full_runtime(iid)
+        self.journal.check_script(new_script_text)
+        self._record_if_legal(runtime, {"type": "reconfig", "script_text": new_script_text})
         self.flush_journal()  # client observes the reconfiguration as durable
         return True
 

@@ -12,28 +12,41 @@ and, once the instance is finished for good, ``closed``, and one
 ``instance:<iid>:journal:<n>`` per entry.  The instances of a store are its
 ``spec`` keys, in commit order; no stored object grows with their number.
 
+An entry is stored positionally, as ``[type, *fields]`` in the order of
+:data:`ENTRY_FIELDS` (:func:`encode_entry`), and read back as exactly the
+dict that was appended (:func:`decode_entry`): key names are spelled by the
+table, not by every row.  In a ``result``'s object map a plain value is
+stored as ``[value]`` and a reference as its ref dict without the
+``__ref__`` tag; a ``reconfig`` names its text by digest and the text goes
+to ``script:<digest>`` in the same record, only when the store lacks it.  A
+stored dict — every entry of a log written before the positional form, or
+one the table cannot spell exactly — reads back as itself, so one store may
+hold both.  ``spec`` and ``meta`` keep their dict shapes.
+
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
 objects' only writer, and a journal must be atomic and durable, not isolated.
-A script's text rides in the record of the first spec that names it, so a
-torn force drops both or neither; a barrier's entries and the lengths they
-advance are one record too, whatever the script's size or the history's
-length — and so is the ``closed`` mark of an instance that barrier leaves
-terminal with no flight out (:meth:`Journal.commit`): "closed, but the
-deciding entry is missing" cannot be stored.  The mark is recorded derived
-state: a recovery or a promotion takes a closed instance in by its key and
-replays only the open ones.
+A script's text rides in the record of the first spec or ``reconfig`` entry
+that names it, so a torn force drops both or neither; a barrier's entries
+and the lengths they advance are one record too, whatever the script's size
+or the history's length — and so is the ``closed`` mark of an instance that
+barrier leaves terminal with no flight out (:meth:`Journal.commit`): "closed,
+but the deciding entry is missing" cannot be stored.  The mark is recorded
+derived state: a recovery or a promotion takes a closed instance in by its
+key and replays only the open ones.
 
 Nothing else under ``services``, ``replication`` or ``sim`` builds or parses
-one of these keys or the mark (``tests/test_journal_layout.py::TestLayout``
-holds the source to that), so the layout changes in this file alone: the
-mark was the first step, ``journal:<n>`` truncation and stored outcomes next.
+one of these keys, the mark or a stored entry
+(``tests/test_journal_layout.py::TestLayout`` holds the source to the keys),
+so the layout changes in this file alone: the mark was the first step, the
+positional entry the second, ``journal:<n>`` truncation and stored outcomes
+next.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Collection, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple, Union
 
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
@@ -50,6 +63,89 @@ def script_digest(text: str) -> str:
 # spec fields an exported snapshot carries as they stand (the script, a
 # digest in the spec, crosses as its text)
 _SPEC_FIELDS = ("root_task", "input_set", "inputs")
+
+# Every journal entry type (docs/PROTOCOLS.md §4.1) and its fields after
+# ``type``, in the order the service builds them: the stored row is
+# ``[type, *fields]`` in this order.
+ENTRY_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "result": ("path", "exec", "result", "epoch", "writer"),
+    "failure": ("path", "exec", "error", "epoch", "writer"),
+    "mark": ("path", "exec", "name", "objects", "epoch", "writer"),
+    "external": ("path", "exec", "epoch", "writer"),
+    "reconfig": ("script_text", "epoch", "writer"),
+    "force_abort": ("path", "name", "epoch", "writer"),
+    "deadline": ("path", "exec", "expires_at", "epoch", "writer"),
+    "overloaded": ("reason", "criticality", "epoch", "writer"),
+}
+# an entry's keys, in the order its stored row holds their values
+_ENTRY_KEYS = {kind: ("type", *fields) for kind, fields in ENTRY_FIELDS.items()}
+# where a row holds the two fields with a codec of their own
+_RESULT_AT = _ENTRY_KEYS["result"].index("result")
+_TEXT_AT = _ENTRY_KEYS["reconfig"].index("script_text")
+
+Row = Union[List[Any], Dict[str, Any]]
+
+
+def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
+    """``entry`` as it is stored: ``[type, *fields]`` (:data:`ENTRY_FIELDS`).
+    A ``result``'s ``{kind, name, objects}`` becomes ``[kind, name,
+    objects]``, each object ``[value]`` or its ref dict untagged; a
+    ``reconfig``'s text becomes its digest, and ``digest -> text`` goes into
+    ``scripts`` for the caller to intern.  An entry the table cannot spell
+    exactly — an unknown type, a field missing or extra, an object map of
+    another shape — is stored as the dict it is."""
+    kind = entry.get("type")
+    fields = ENTRY_FIELDS.get(kind)
+    if fields is None or len(entry) != len(fields) + 1:
+        return entry
+    try:  # a lookup that fails below means a shape the table cannot spell
+        row = [kind, *map(entry.__getitem__, fields)]
+        if kind == "result":
+            result = row[_RESULT_AT]
+            if len(result) != 3:
+                return entry
+            objects: Dict[str, Any] = {}
+            for name, item in result["objects"].items():
+                tag = item.get("__ref__")
+                if tag is False and len(item) == 2:
+                    objects[name] = [item["value"]]
+                elif tag is True:
+                    objects[name] = ref = item.copy()
+                    del ref["__ref__"]
+                else:
+                    return entry
+            row[_RESULT_AT] = [result["kind"], result["name"], objects]
+        elif kind == "reconfig":
+            text = row[_TEXT_AT]
+            row[_TEXT_AT] = digest = script_digest(text)
+            if scripts.setdefault(digest, text) != text:
+                raise ExecutionError(f"script digest {digest} names two texts in one batch")
+    except (KeyError, TypeError, AttributeError):
+        return entry
+    return row
+
+
+def decode_entry(row: Row, script_text: Callable[[str], Optional[str]]) -> Dict[str, Any]:
+    """The entry ``row`` was encoded from (:func:`encode_entry`): equal to
+    the dict that was appended, keys in the table's order.  A stored dict is
+    its own entry.  ``script_text`` resolves a ``reconfig``'s digest (a
+    digest the store holds no text for reads back as ``None``)."""
+    if isinstance(row, dict):
+        return row
+    kind = row[0]
+    entry = dict(zip(_ENTRY_KEYS[kind], row))
+    if kind == "result":
+        output_kind, name, stored = row[_RESULT_AT]
+        objects: Dict[str, Any] = {}
+        for key, item in stored.items():
+            objects[key] = (
+                {"__ref__": True, **item} if isinstance(item, dict)
+                else {"__ref__": False, "value": item[0]}
+            )
+        entry["result"] = {"kind": output_kind, "name": name, "objects": objects}
+    elif kind == "reconfig":
+        entry["script_text"] = script_text(row[_TEXT_AT])
+    return entry
 
 
 class Journal:
@@ -114,8 +210,9 @@ class Journal:
         """Commit a :meth:`snapshot` taken elsewhere under the id it had
         there (``digest`` is its script text's :func:`script_digest`).  The
         snapshot comes from outside the service: one whose journal is not
-        what its own ``journal_len`` says, entry for entry, is refused before
-        anything is logged."""
+        what its own ``journal_len`` says, entry for entry, or holds an entry
+        of a type or with a field :data:`ENTRY_FIELDS` does not know, is
+        refused before anything is logged."""
         iid, meta = snapshot["instance"], snapshot["meta"]
         entries = list(snapshot["journal"])
         if meta["journal_len"] != len(entries) or not all(
@@ -125,14 +222,25 @@ class Journal:
                 f"{iid}: snapshot journal does not match its journal_len "
                 f"({meta['journal_len']}) entry for entry"
             )
-        script_write = self._intern(digest, meta["script_text"])
+        for n, entry in enumerate(entries):
+            keys = _ENTRY_KEYS.get(entry.get("type"))
+            if keys is None or entry.keys() - keys:
+                raise ExecutionError(
+                    f"{iid}: snapshot journal entry {n} has an unknown type or "
+                    f"field: {sorted(entry)}"
+                )
+        scripts = {digest: meta["script_text"]}
+        rows = [encode_entry(entry, scripts) for entry in entries]
+        script_writes: Dict[str, str] = {}
+        for each, text in scripts.items():
+            script_writes.update(self._intern(each, text))
         self.store.commit_batch({
-            **script_write,
+            **script_writes,
             f"instance:{iid}:spec": {
                 "script": digest, **{name: meta[name] for name in _SPEC_FIELDS},
             },
             f"instance:{iid}:meta": {"journal_len": len(entries)},
-            **{f"instance:{iid}:journal:{n}": e for n, e in enumerate(entries)},
+            **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},
         })
 
     def _intern(self, digest: str, text: str) -> Dict[str, str]:
@@ -150,6 +258,12 @@ class Journal:
             )
         return {}
 
+    def check_script(self, text: str) -> None:
+        """Refuse ``text`` if its digest already names other text in the
+        store — what :meth:`commit` would refuse for a ``reconfig`` entry
+        carrying it, asked before the entry is applied or buffered."""
+        self._intern(script_digest(text), text)
+
     def append(self, iid: str, entry: Dict[str, Any]) -> None:
         """Buffer ``entry`` as the next of ``iid``'s journal; it becomes
         durable at the next :meth:`commit`."""
@@ -158,10 +272,12 @@ class Journal:
         self.buffer.append((iid, entry))
 
     def commit(self, closed: Collection[str] = ()) -> int:
-        """Make every buffered entry durable — the entries and each touched
-        instance's ``meta``, one WAL record, one force — then drain the WAL's
-        group-commit window.  The record is all-or-nothing (a torn force
-        drops it whole), so recovery sees a contiguous journal either way.
+        """Make every buffered entry durable — the entries in their stored
+        form (:func:`encode_entry`), each touched instance's ``meta`` and the
+        text of any ``reconfig`` the store lacks, one WAL record, one force —
+        then drain the WAL's group-commit window.  The record is
+        all-or-nothing (a torn force drops it whole), so recovery sees a
+        contiguous journal either way.
         ``closed`` names the instances this barrier leaves terminal with no
         flight out: those among the touched get the mark beside their length
         — durable or lost together with the entry that earned it; any other
@@ -171,17 +287,20 @@ class Journal:
         store = self.store
         writes: Dict[str, Any] = {}
         lens: Dict[str, int] = {}
+        scripts: Dict[str, str] = {}
         for iid, entry in batch:
             n = lens.get(iid)
             if n is None:
                 n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
-            writes[f"instance:{iid}:journal:{n}"] = entry
+            writes[f"instance:{iid}:journal:{n}"] = encode_entry(entry, scripts)
             lens[iid] = n + 1
         for iid, n in lens.items():
             writes[f"instance:{iid}:meta"] = (
                 {"journal_len": n, "closed": True} if iid in closed
                 else {"journal_len": n}
             )
+        for digest, text in scripts.items():
+            writes.update(self._intern(digest, text))
         store.commit_batch(writes)
         IOPATH_STATS.journal_batches += 1
         crash_point("exec.journal.post", store)
@@ -225,8 +344,13 @@ class Journal:
         return None if meta is None else meta["journal_len"]
 
     def entries(self, iid: str) -> List[Optional[Dict[str, Any]]]:
-        """``iid``'s committed entries, in order (``None`` where the store
-        holds none: a hole)."""
-        return self.store.get_committed_many(
-            f"instance:{iid}:journal:{n}" for n in range(self.length(iid) or 0)
-        )
+        """``iid``'s committed entries, in order, each the dict that was
+        appended (:func:`decode_entry`; ``None`` where the store holds none:
+        a hole)."""
+        script_text = self.script_text
+        return [
+            None if row is None else decode_entry(row, script_text)
+            for row in self.store.get_committed_many(
+                f"instance:{iid}:journal:{n}" for n in range(self.length(iid) or 0)
+            )
+        ]

@@ -132,8 +132,9 @@ def check_store_agreement(store: ObjectStore, phase: str = "") -> List[OracleVio
 def check_journal_integrity(
     store: ObjectStore, phase: str = ""
 ) -> List[OracleViolation]:
-    """Contiguity + script resolution + exactly-once over every instance's
-    durable spec and journal."""
+    """Contiguity + script resolution (the spec's script and every
+    ``reconfig``'s) + exactly-once over every instance's durable spec and
+    journal."""
     violations: List[OracleViolation] = []
     stored = Journal(store)
     for iid in stored.instances():
@@ -169,6 +170,14 @@ def check_journal_integrity(
             if entry is None:
                 continue
             kind = entry.get("type")
+            if kind == "reconfig" and entry["script_text"] is None:
+                violations.append(
+                    OracleViolation(
+                        "script-resolution", iid,
+                        f"journal entry {n} reconfigures to a script the "
+                        f"store holds no text for", phase,
+                    )
+                )
             if kind in ("result", "failure"):
                 key = ("result", entry["path"], entry["exec"])
             elif kind == "mark":

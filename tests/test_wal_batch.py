@@ -143,8 +143,14 @@ class TestSameStateAsThePerRecordWriter:
         assert kinds(old) == {w.BEGIN, w.UPDATE, w.COMMIT}
         new_state, old_state = replay(new.wal.durable_records()), replay(old.wal.durable_records())
         assert list(new_state) == list(old_state)  # same keys, same commit order
+        # the journal's entries are read back through the journal (the
+        # reference stored them as dicts, the journal stores them by
+        # position); every other object is compared as it is stored
+        for iid in iids:
+            assert Journal(new).entries(iid) == Journal(old).entries(iid), iid
         for key in old_state:
-            assert new_state[key] == old_state[key], key
+            if ":journal:" not in key:
+                assert new_state[key] == old_state[key], key
         assert new.snapshot() == new_state and old.snapshot() == old_state
         # one record per barrier where the reference wrote an envelope
         barriers = sum(1 for r in old.wal.durable_records() if r.kind == w.COMMIT)
