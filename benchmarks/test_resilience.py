@@ -1,15 +1,13 @@
 """Adaptive dispatch resilience vs the fixed-interval baseline.
 
 A stream of order instances arrives while a ``RandomCrashes`` nemesis
-repeatedly takes worker nodes down.  The baseline is the fixed-interval
-dispatcher as a set of ordinary values (``FIXED_INTERVAL``): every attempt
-awaited the same ``dispatch_timeout``, no hedging, no redispatch cap, no
-recovery stagger — so a dispatch that lands on a dead worker stalls its
-instance for a full timeout (or several).  The adaptive defaults hedge slow
-flights and back off with deterministic jitter — same chaos, same seeds,
-strictly better mean completion time (11.60 vs 9.62 virtual seconds; 13.52
-if the baseline keeps ``RetryPolicy``'s default 30-second base delay instead
-of the system's 20).
+repeatedly takes worker nodes down.  Both arms resend an unanswered flight
+``dispatch_timeout`` after its send.  The baseline is the plain dispatcher
+as a set of ordinary values (``FIXED_INTERVAL``): no hedging, no redispatch
+cap, no recovery stagger — so a dispatch that lands on a dead worker stalls
+its instance for a full timeout (or several).  The defaults hedge slow
+flights — same chaos, same seeds, strictly better mean completion time
+(11.53 vs 9.53 virtual seconds).
 
 Both arms route by worker health.  The baseline used to be a separate code
 path that also rotated over workers blindly (crc32 of the flight key); it
@@ -23,7 +21,7 @@ import json
 import os
 
 from repro.core.selection import EventKind
-from repro.resilience import ResilienceConfig, RetryPolicy
+from repro.resilience import ResilienceConfig
 from repro.services import WorkflowSystem
 from repro.sim.nemesis import NemesisSchedule, RandomCrashes
 from repro.workloads import paper_order
@@ -33,16 +31,7 @@ from .conftest import report
 SCENARIO = dict(interval=40.0, downtime=20.0, chaos_seed=7, instances=10, gap=15.0)
 DISPATCH_TIMEOUT = 20.0
 
-FIXED_INTERVAL = ResilienceConfig(
-    policy=RetryPolicy(
-        base_delay=DISPATCH_TIMEOUT,
-        multiplier=1.0,
-        jitter=0.0,
-        max_redispatches=None,
-        recovery_stagger=0.0,
-    ),
-    hedge_delay=None,
-)
+FIXED_INTERVAL = ResilienceConfig(hedge_delay=None, max_redispatches=None, recovery_stagger=0.0)
 
 
 def run_stream(resilience, interval, downtime, chaos_seed, instances, gap):
@@ -161,8 +150,8 @@ def test_resilience_beats_fixed_interval_baseline(benchmark):
 
 
 def test_resilience_severity_sweep(benchmark):
-    """Harsher chaos engages more of the machinery (breakers trip, backoff
-    caps kick in) while every instance still completes."""
+    """Harsher chaos engages more of the machinery (breakers trip) while
+    every instance still completes."""
     rows = []
     for label, interval, downtime, gap in (
         ("mild", 40.0, 20.0, 15.0),

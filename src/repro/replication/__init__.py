@@ -10,12 +10,11 @@ epoch, and stale-epoch traffic is rejected at the ORB boundary, so a
 resurrected old primary can never split-brain the journal.
 """
 
-from .lease import LEASE_INTERFACE, FailureDetector, LeaseService
+from .lease import LEASE_INTERFACE, LeaseService
 from .replica import REPLICA_INTERFACE, ReplicatedExecutionService, Role
 
 __all__ = [
     "LEASE_INTERFACE",
-    "FailureDetector",
     "LeaseService",
     "REPLICA_INTERFACE",
     "ReplicatedExecutionService",

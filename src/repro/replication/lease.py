@@ -17,10 +17,7 @@ PacificA/Chubby: a primary that cannot renew before ``expires_at`` stops
 acknowledging work (it self-demotes), and a standby acquires the moment the
 lease has visibly expired.  Both sides read the same simulated clock
 (``net/clock.py``), so "expired for the arbiter" and "expired for the
-holder" cannot disagree.  The :class:`FailureDetector` augments that with
-the resilience layer's breaker machinery for *reporting*: consecutive missed
-renewals trip a per-holder circuit breaker, which `lease_info` surfaces so
-operators (and tests) can see suspicion building before the lease lapses.
+holder" cannot disagree.
 
 The service also tracks the **in-sync replica set (ISR)**: the primary
 enlists a standby once it has acked the full durable prefix and demotes it
@@ -32,11 +29,10 @@ be promoted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..net.node import Service
 from ..orb.broker import Interface
-from ..resilience import BreakerConfig, BreakerState, CircuitBreaker
 from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
 
@@ -46,41 +42,6 @@ LEASE_INTERFACE = Interface(
 )
 
 _FRESH = {"holder": None, "epoch": 0, "expires_at": 0.0}
-
-
-class FailureDetector:
-    """Suspicion accounting over lease renewals.
-
-    Reuses the resilience layer's :class:`CircuitBreaker`: each missed
-    renewal window is recorded as a failure, each renewal as a success.  An
-    open breaker means the holder is *suspected* — purely informational
-    here (safety comes from the lease expiry itself), but it gives
-    ``lease_info`` an operator-readable liveness signal and gives tests a
-    hook to assert the detector converges.
-    """
-
-    def __init__(self) -> None:
-        self._breakers: Dict[str, CircuitBreaker] = {}
-
-    def _breaker(self, holder: str) -> CircuitBreaker:
-        breaker = self._breakers.get(holder)
-        if breaker is None:
-            breaker = CircuitBreaker(BreakerConfig(), name=f"lease:{holder}")
-            self._breakers[holder] = breaker
-        return breaker
-
-    def renewal(self, holder: str, now: float) -> None:
-        self._breaker(holder).record_success(now)
-
-    def missed(self, holder: str, now: float) -> None:
-        self._breaker(holder).record_failure(now)
-
-    def suspected(self, holder: str, now: float) -> bool:
-        breaker = self._breakers.get(holder)
-        return breaker is not None and breaker.state(now) is not BreakerState.CLOSED
-
-    def snapshot(self, now: float) -> Dict[str, str]:
-        return {name: b.state(now).value for name, b in self._breakers.items()}
 
 
 class LeaseService(Service):
@@ -95,7 +56,6 @@ class LeaseService(Service):
         super().__init__(name)
         self.store = store
         self.duration = duration
-        self.detector = FailureDetector()
         self.stats = {"grants": 0, "renewals": 0, "refusals": 0, "demotions": 0}
 
     # -- helpers ---------------------------------------------------------------
@@ -146,8 +106,6 @@ class LeaseService(Service):
             # a lagging replica must not be promoted: its durable prefix may
             # be missing acknowledged barriers
             return self._refuse(lease, "candidate not in the in-sync set")
-        if lease["holder"] is not None and lease["holder"] != candidate:
-            self.detector.missed(lease["holder"], now)  # expired: suspect it
         # The grant point.  A crash here loses nothing: the grant was never
         # persisted nor returned, and the candidate simply retries.
         crash_point("repl.lease.grant", self)
@@ -159,7 +117,6 @@ class LeaseService(Service):
         if candidate not in isr:
             isr = isr + [candidate]
         self._persist(granted, isr)
-        self.detector.renewal(candidate, now)
         self.stats["grants"] += 1
         return {"granted": True, "isr": isr, **granted}
 
@@ -172,11 +129,9 @@ class LeaseService(Service):
         if lease["holder"] != holder or lease["epoch"] != epoch:
             return self._refuse(lease, "not the current holder")
         if now >= lease["expires_at"]:
-            self.detector.missed(holder, now)
             return self._refuse(lease, "lease expired; re-acquire")
         lease["expires_at"] = now + self.duration
         self._persist(lease, self._isr())
-        self.detector.renewal(holder, now)
         self.stats["renewals"] += 1
         return {"granted": True, "isr": self._isr(), **lease}
 
@@ -200,7 +155,6 @@ class LeaseService(Service):
             return False  # stale primary: its view of the ISR is obsolete
         isr = [name for name in self._isr() if name != peer]
         self._persist(lease, isr)
-        self.detector.missed(peer, self._now())
         self.stats["demotions"] += 1
         return True
 
@@ -213,7 +167,6 @@ class LeaseService(Service):
         isr = self._isr()
         if peer not in isr:
             self._persist(lease, isr + [peer])
-        self.detector.renewal(peer, self._now())
         return True
 
     def lease_info(self) -> Dict[str, Any]:
@@ -222,6 +175,5 @@ class LeaseService(Service):
             **lease,
             "now": self._now(),
             "isr": self._isr(),
-            "suspected": self.detector.snapshot(self._now()),
             "stats": dict(self.stats),
         }

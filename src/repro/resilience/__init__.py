@@ -1,4 +1,4 @@
-"""Dispatch resilience: adaptive retries, circuit breakers, health routing.
+"""Dispatch resilience: redispatch, circuit breakers, health routing, hedging.
 
 The paper (§3) places fault tolerance at *two* levels: applications express
 alternatives/compensation in the script, while the execution environment
@@ -7,10 +7,14 @@ network failures.  This package is the system half grown up — the naive
 fixed-timeout/blind-rotation dispatch loop of the execution service replaced
 by a production-grade resilience layer:
 
-* :mod:`repro.resilience.policy` — :class:`RetryPolicy`: exponential backoff
-  with deterministic seeded jitter, per-flight next-attempt deadlines, a
-  redispatch cap that surfaces a system failure instead of retrying forever,
-  and deterministic post-recovery staggering (no thundering herd).
+* :mod:`repro.resilience.config` — :class:`ResilienceConfig`: the
+  dispatcher's values beyond its one redispatch interval (``dispatch_timeout``
+  after each send): a redispatch cap that surfaces a system failure instead
+  of retrying forever, deterministic post-recovery staggering (no thundering
+  herd), the breaker settings and the hedge delay.
+* :mod:`repro.resilience.policy` — :class:`RetryPolicy`: the client's
+  exponential backoff with deterministic seeded jitter, for retrying an
+  ``Overloaded`` refusal (:func:`repro.orb.call_with_backoff`).
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`: per-worker
   closed/open/half-open breakers driven by timeouts and reply observations.
 * :mod:`repro.resilience.health` — :class:`HealthRegistry`: EWMA reply
@@ -20,11 +24,10 @@ by a production-grade resilience layer:
   decision (dispatch, redispatch, hedge, breaker transition, failover,
   abandonment, stagger) as a timestamped event, renderable next to the
   workflow trace.
-* :class:`ResilienceConfig` bundles the knobs; a fixed-interval dispatcher
-  is one setting of them (see :mod:`repro.resilience.config`).
 
-Everything is deterministic under the simulation's seeds: jitter is derived
-by hashing ``(seed, flight key, attempt)``, never from a live RNG.
+Everything is deterministic under the simulation's seeds: stagger offsets
+and the client's jitter are derived by hashing the seed with a key, never
+from a live RNG.
 """
 
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker

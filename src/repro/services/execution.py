@@ -33,13 +33,13 @@ Coordinates workflow instances with the paper's system-level guarantees:
   to worker nodes through deferred ORB invocations (which ride the lossy
   network); a periodic sweeper re-dispatches anything unanswered; duplicate
   replies are deduplicated against the journal.
-* **Adaptive dispatch resilience** (:mod:`repro.resilience`): each flight
-  carries its own next-attempt deadline from a jittered exponential-backoff
-  :class:`~repro.resilience.RetryPolicy`; routing is health-aware (EWMA
-  latency, in-flight counts, per-worker circuit breakers) instead of blind
-  rotation; slow flights are optionally *hedged* — duplicated to a second
-  worker, safe because the journal applies exactly one reply; a flight past
-  its redispatch cap is abandoned into an ordinary system failure.
+* **Adaptive dispatch resilience** (:mod:`repro.resilience`): a flight
+  unanswered ``dispatch_timeout`` after its send is resent; routing is
+  health-aware (EWMA latency, in-flight counts, per-worker circuit breakers)
+  instead of blind rotation; slow flights are optionally *hedged* —
+  duplicated to a second worker, safe because the journal applies exactly
+  one reply; a flight past its redispatch cap is abandoned into an ordinary
+  system failure.
 * **Automatic retries** of tasks that fail for system-level reasons, with the
   retry budget from the task's ``retries`` implementation property (§3).
 """
@@ -103,11 +103,9 @@ class _InFlight:
     dispatched_at: float
     redispatches: int = 0
     sent: bool = False
-    # resilience bookkeeping: when this flight becomes overdue (its backoff
-    # deadline, None until _overdue_at reads it), when an un-answered flight
-    # earns a hedge, whether a hedge has been sent, and per-worker send times
-    # of the current wave
-    next_attempt_at: Optional[float] = None
+    # resilience bookkeeping: when an un-answered flight earns a hedge,
+    # whether a hedge has been sent, and per-worker send times of the
+    # current wave
     hedge_at: Optional[float] = None
     hedged: bool = False
     sent_to: Dict[str, float] = field(default_factory=dict)
@@ -284,6 +282,7 @@ class ExecutionService(Service):
         worker_names: List[str],
         resilience: ResilienceConfig,
         sweep_interval: float = 10.0,
+        dispatch_timeout: float = 30.0,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
         super().__init__(name)
@@ -293,6 +292,8 @@ class ExecutionService(Service):
         self.worker_names = list(worker_names)
         self.journal = Journal(store)
         self.sweep_interval = sweep_interval
+        # a flight unanswered this long after its send is resent
+        self.dispatch_timeout = dispatch_timeout
         self._jflush_armed = False
         self.resilience = resilience
         # every instance: the unsettled ones with their trees, the settled
@@ -904,7 +905,6 @@ class ExecutionService(Service):
         else:
             flight.dispatched_at = now
             flight.sent = True
-            flight.next_attempt_at = None  # computed when the sweeper reads it
             flight.hedge_at = (
                 now + cfg.hedge_delay
                 if cfg.hedge_delay is not None and not flight.hedged
@@ -974,9 +974,6 @@ class ExecutionService(Service):
         delay = flight.request["template"].delay
         # keep the sweeper quiet until the timer is genuinely overdue
         flight.dispatched_at = self._now() + delay
-        flight.next_attempt_at = (
-            flight.dispatched_at + self.resilience.policy.base_delay
-        )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
         taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
         outcomes = taskclass.outputs_of_kind(OutputKind.OUTCOME)
@@ -1030,7 +1027,7 @@ class ExecutionService(Service):
                         return
                     if key not in runtime.in_flight or not flight.sent:
                         continue
-                    overdue_at = self._overdue_at(runtime, key, flight)
+                    overdue_at = flight.dispatched_at + self.dispatch_timeout
                     if (
                         self.admission.allow_hedge()
                         and not flight.hedged
@@ -1051,7 +1048,7 @@ class ExecutionService(Service):
                                 now, "timeout", runtime.iid, key[0], worker
                             )
                         flight.sent_to.clear()
-                        if cfg.policy.exhausted(flight.redispatches) and (
+                        if cfg.exhausted(flight.redispatches) and (
                             flight.request["template"].code != "system.timer"
                         ):
                             self._abandon(runtime, key, flight, now)
@@ -1062,25 +1059,14 @@ class ExecutionService(Service):
             if self._pending_acks:
                 # hedge losers that never replied: count the timeout so a
                 # dead hedge target still trips its breaker
-                horizon = cfg.policy.base_delay
                 for ack_key, sent_at in list(self._pending_acks.items()):
-                    if now - sent_at >= horizon:
+                    if now - sent_at >= self.dispatch_timeout:
                         del self._pending_acks[ack_key]
                         self.health.on_timeout(ack_key[3], now)
             self._sweep_armed = False
             self._arm_sweeper()
 
         self.node.call_after(self.sweep_interval, sweep, label=f"{self.name}-sweep")
-
-    def _overdue_at(self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight) -> float:
-        """The backoff deadline of ``flight``'s last send, a function of the
-        send alone, computed at the sweeper's first read after it (no
-        redispatch comes between the two)."""
-        if flight.next_attempt_at is None:
-            flight.next_attempt_at = self.resilience.policy.next_attempt_at(
-                f"{runtime.iid}:{key[0]}:{key[1]}", flight.redispatches, flight.dispatched_at
-            )
-        return flight.next_attempt_at
 
     def _abandon(
         self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
@@ -1411,14 +1397,14 @@ class ExecutionService(Service):
 
         Whatever is still in flight was unanswered when its coordinator
         stopped, so each goes out as a *redispatch*: the pin is abandoned
-        (the original target may be what crashed) and the backoff carries on.
-        Not in one burst: each flight gets a deterministic jittered offset
-        inside ``policy.recovery_stagger``; the jitter key includes the
+        (the original target may be what crashed) and the redispatch count
+        carries on.  Not in one burst: each flight gets a deterministic
+        offset inside ``recovery_stagger``; the hashed key includes the
         durable fencing epoch — which survives both restart and failover, as
         ``stats["recoveries"]`` does not — so successive recoveries stagger
         differently.
         """
-        policy = self.resilience.policy
+        resilience = self.resilience
         epoch = self.epoch
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
             flight.redispatches += 1
@@ -1426,7 +1412,7 @@ class ExecutionService(Service):
             delay = (
                 0.0
                 if flight.request["template"].code == "system.timer"
-                else policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
+                else resilience.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
             )
             if delay <= 0.0:
                 self._post(runtime, ((key, flight),))

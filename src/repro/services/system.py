@@ -49,11 +49,13 @@ class SystemSpec:
         None, "per-hop network latency; None is LatencyModel(1.0, 0.5)"
     )
     loss_rate: float = setting(0.0, "message-loss probability", "share")
-    seed: int = setting(0, "seed for latency, loss and dispatch jitter")
-    dispatch_timeout: float = setting(30.0, "base redispatch delay", "s")
+    seed: int = setting(0, "seed for latency, loss and recovery stagger")
+    dispatch_timeout: float = setting(
+        30.0, "redispatch interval: a flight unanswered this long after its send is resent", "s"
+    )
     sweep_interval: float = setting(10.0, "dispatcher sweep period", "s")
     resilience: Optional[ResilienceConfig] = setting(
-        None, "backoff, breakers, health routing, hedging; None is "
+        None, "redispatch cap, recovery stagger, breakers, hedging; None is "
         "ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval, seed=seed)"
     )
     mirror_path: Optional[str] = setting(
@@ -162,6 +164,7 @@ class WorkflowSystem:
             repository_name="repository",
             worker_names=[worker.name for worker in self.workers],
             sweep_interval=spec.sweep_interval,
+            dispatch_timeout=spec.dispatch_timeout,
             resilience=spec.resilience or ResilienceConfig.for_timeouts(
                 spec.dispatch_timeout, spec.sweep_interval, seed=spec.seed
             ),

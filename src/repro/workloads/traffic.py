@@ -240,7 +240,10 @@ def run_traffic(
     clock, drives the clock until the horizon passes and admitted work
     drains, then assembles the SLO report.  Submissions go through the ORB
     like any client's would; cohort scripts resolve the ``stage`` code, so
-    build the system with :func:`traffic_registry`.
+    build the system with :func:`traffic_registry`.  ``policy`` is the
+    clients' backoff after an ``Overloaded`` refusal (the system's own
+    dispatcher does not back off); ``RetryPolicy(seed=spec.seed)`` unless
+    given.
     """
     clock = system.clock
     policy = policy or RetryPolicy(seed=spec.seed)

@@ -10,7 +10,7 @@ from repro.net.clock import EventClock
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node
 from repro.orb.broker import CommFailure, Fenced
-from repro.replication import FailureDetector, LeaseService, Role
+from repro.replication import LeaseService, Role
 from repro.services import WorkflowSystem
 from repro.services.journal import Journal
 from repro.services.worker import TaskWorker, WorkRequest
@@ -140,16 +140,6 @@ class TestLeaseService:
         info = lease.lease_info()
         assert info["holder"] == "r1"
         assert sorted(info["isr"]) == ["r1", "r2"]
-
-
-class TestFailureDetector:
-    def test_suspects_after_misses(self):
-        detector = FailureDetector()
-        for t in range(10):
-            detector.missed("r1", float(t))
-        assert detector.suspected("r1", 10.0)
-        detector.renewal("r1", 11.0)
-        assert not detector.suspected("r1", 11.0)
 
 
 class TestWorkerFencing:
@@ -563,9 +553,8 @@ class TestDeposedMidEvent:
         from repro.resilience import ResilienceConfig
 
         config = ResilienceConfig.for_timeouts(30.0, 10.0, seed=0)
-        config = dataclasses.replace(  # unstaggered: the rebuild itself resends
-            config, policy=dataclasses.replace(config.policy, recovery_stagger=0.0)
-        )
+        # unstaggered: the rebuild itself resends
+        config = dataclasses.replace(config, recovery_stagger=0.0)
         system = self.pinned_system(replicas=2, resilience=config)
         iid = system.instantiate("p", "pinned", {})
         standby = system.execution_replicas[1]

@@ -1,6 +1,7 @@
 """Unit + integration tests for the adaptive dispatch resilience layer.
 
-Covers the retry policy (backoff shape, deterministic jitter), per-worker
+Covers the client's retry policy (backoff shape, deterministic jitter), the
+dispatcher's redispatch cap and recovery stagger values, per-worker
 circuit breakers (state machine), health-aware routing, post-recovery
 staggering, the redispatch cap (abandonment), and — end to end — that hedged
 duplicate dispatches are never applied twice.
@@ -19,7 +20,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.services import WorkflowSystem
-from repro.sim.nemesis import CrashAtTime, NemesisSchedule, RandomCrashes
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule, Partition, RandomCrashes
 from repro.workloads import paper_order
 
 
@@ -46,15 +47,11 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_delay=7.0, jitter=0.0)
         assert policy.delay("any-key", 3) == policy.raw_delay(3)
 
-    def test_next_attempt_at_is_absolute(self):
-        policy = RetryPolicy(base_delay=10.0, jitter=0.0)
-        assert policy.next_attempt_at("k", 0, now=100.0) == 110.0
-
     def test_exhausted_respects_cap_and_none(self):
-        capped = RetryPolicy(max_redispatches=3)
+        capped = ResilienceConfig(max_redispatches=3)
         assert not capped.exhausted(2)
         assert capped.exhausted(3)
-        unbounded = RetryPolicy(max_redispatches=None)
+        unbounded = ResilienceConfig(max_redispatches=None)
         assert not unbounded.exhausted(10**6)
 
     def test_validation(self):
@@ -66,14 +63,14 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.0)
 
     def test_stagger_in_window_and_deterministic(self):
-        policy = RetryPolicy(recovery_stagger=5.0, seed=9)
-        offsets = {policy.stagger(f"i-{n}:/t:0:1") for n in range(50)}
+        config = ResilienceConfig(recovery_stagger=5.0, seed=9)
+        offsets = {config.stagger(f"i-{n}:/t:0:1") for n in range(50)}
         assert all(0.0 <= o < 5.0 for o in offsets)
         assert len(offsets) > 25  # actually spread, not collapsed on one value
-        assert policy.stagger("i-1:/t:0:1") == policy.stagger("i-1:/t:0:1")
+        assert config.stagger("i-1:/t:0:1") == config.stagger("i-1:/t:0:1")
 
     def test_stagger_disabled_window(self):
-        assert RetryPolicy(recovery_stagger=0.0).stagger("k") == 0.0
+        assert ResilienceConfig(recovery_stagger=0.0).stagger("k") == 0.0
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -88,11 +85,15 @@ class TestRetryPolicy:
         raw = a.raw_delay(attempt)
         assert raw * 0.7 <= a.delay(key, attempt) <= raw * 1.3
 
-    @given(key=st.text(min_size=1, max_size=40))
+    @given(key=st.text(min_size=1, max_size=40), hint=st.floats(0.0, 100.0))
     @settings(max_examples=100, deadline=None)
-    def test_schedule_matches_per_attempt_delays(self, key):
+    def test_schedule_matches_per_attempt_delays(self, key, hint):
+        # the client's overload schedule: the jittered delay of its own key,
+        # never earlier than the service's retry-after hint
         policy = RetryPolicy(base_delay=5.0, jitter=0.15, seed=3)
-        assert policy.schedule(key, 6) == [policy.delay(key, n) for n in range(6)]
+        for n in range(6):
+            delay = policy.delay(f"overload:{key}", n)
+            assert policy.overload_backoff(key, n, hint) == max(hint, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +368,45 @@ class TestHedging:
         assert names == {"worker-1", "worker-2"}
 
 
-def fixed_interval(dispatch_timeout):
-    """The fixed-interval dispatcher as ordinary values: every attempt awaited
-    the same delay, no hedge, no abandonment, no recovery stagger."""
-    return ResilienceConfig(
-        policy=RetryPolicy(
-            base_delay=dispatch_timeout,
-            multiplier=1.0,
-            jitter=0.0,
-            max_redispatches=None,
-            recovery_stagger=0.0,
-        ),
-        hedge_delay=None,
-    )
+# the plain dispatcher as ordinary values: no hedge, no abandonment, no
+# recovery stagger (every attempt is awaited the system's dispatch_timeout)
+FIXED_INTERVAL = ResilienceConfig(hedge_delay=None, max_redispatches=None, recovery_stagger=0.0)
 
 
 class TestFixedIntervalValues:
     def test_schedule_is_constant_and_unbounded(self):
-        policy = fixed_interval(20.0).policy
-        assert policy.schedule("wf-1:/a:1", 8) == [20.0] * 8
-        assert not policy.exhausted(10**6)
-        assert policy.stagger("wf-1:/a:1:3") == 0.0
+        assert WorkflowSystem(dispatch_timeout=20.0).execution.dispatch_timeout == 20.0
+        assert not FIXED_INTERVAL.exhausted(10**6)
+        assert FIXED_INTERVAL.stagger("wf-1:/a:1:3") == 0.0
+
+    def test_the_default_dispatcher_waits_the_same_interval_every_time(self):
+        # every work leg is dropped: under the defaults (hedging, breakers
+        # and all) a flight's second and third redispatches each follow the
+        # one before by dispatch_timeout, to within one sweep — the wait
+        # does not grow
+        system = order_system(workers=2, dispatch_timeout=20.0, sweep_interval=5.0)
+        workers = tuple(node.name for node in system.worker_nodes)
+        NemesisSchedule(
+            [Partition(system.clock.now, ("execution-node",), workers, heal_after=300.0)]
+        ).arm(system)
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "cut"})
+        assert system.run_until_terminal(iid, max_time=10_000)["status"] == "completed"
+        redispatched = {}
+        for event in system.execution.rlog.for_instance(iid):
+            if event.kind == "redispatch":
+                redispatched.setdefault(event.task, []).append(event.time)
+        retried = [times for times in redispatched.values() if len(times) >= 3]
+        assert retried, redispatched
+        for first, second, third in (times[:3] for times in retried):
+            assert 20.0 <= second - first < 25.0, (first, second, third)
+            assert 20.0 <= third - second < 25.0, (first, second, third)
 
     def test_constant_delay_and_no_adaptive_activity(self):
         system = order_system(
             workers=2,
             dispatch_timeout=20.0,
             sweep_interval=5.0,
-            resilience=fixed_interval(20.0),
+            resilience=FIXED_INTERVAL,
         )
         # the whole fleet is away for the first two attempts of the first
         # tasks: each worker times out twice, one short of tripping a breaker

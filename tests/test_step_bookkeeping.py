@@ -4,9 +4,9 @@
   takes one durability barrier for every flight it dispatches, and a send on
   its own (a sweeper redispatch) still takes its own before its datagram
   leaves.
-* **The backoff deadline is computed when the sweeper reads it**, from what
-  the send fixed — the flight key, the redispatch count and ``dispatched_at``
-  — never from the clock at the read.
+* **A flight is resent ``dispatch_timeout`` after its send**: at the first
+  sweep at or after what the send fixed (``dispatched_at``, which a timer
+  task sets to when its timer fires), whatever kind of send it was.
 * **Readiness is computed at the dequeue**: a queued node starts on what it
   holds when it starts, not on what it held when it was queued.
 * **Readiness is tested when a mask completes**: a tracker's ``satisfied``
@@ -91,7 +91,7 @@ class TestOneBarrierPerBatch:
         # entry buffered until the next barrier
         monkeypatch.setattr(execution, "_JOURNAL_WINDOW", 1e9)
         system, root, inputs = fan_system(
-            8, workers=2, sweep_interval=5.0,
+            8, workers=2, sweep_interval=5.0, dispatch_timeout=20.0,
             resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
         )
         service = system.execution
@@ -125,63 +125,59 @@ class TestOneBarrierPerBatch:
         assert all(left == [] and durable for left, durable in seen)
 
 
-# -- the backoff deadline, computed when read ---------------------------------------------
+# -- the redispatch deadline, fixed by the send -------------------------------------------
 
 
 class DeadlineAudit:
-    """Records what each send of a service fixes and holds every deadline
-    the sweeper reads to it.  ``kinds`` counts the reads by the send they
-    follow: ``first``, ``redispatch`` (the sweeper's), ``resume`` (a rebuilt
-    flight's first send) and ``timer``."""
+    """Records every send of a service and holds each sweeper resend to the
+    send before it: the resend leaves at the first sweep at or after that
+    send's ``dispatched_at + dispatch_timeout``.  ``kinds`` counts the sends
+    that were followed by a resend, by kind: ``first``, ``redispatch`` (the
+    sweeper's), ``resume`` (a rebuilt flight's first send); ``timer`` counts
+    timer arms, which their timer answers before they are due."""
 
     def __init__(self, service):
         self.service = service
-        self.sends = {}  # id(flight) -> (flight, sends, redispatches, dispatched_at)
+        self.sends = {}  # id(flight) -> (flight, kind, dispatched_at)
         self.kinds = {}
         self.mismatches = []
-        send, overdue_at = service._send, service._overdue_at
+        send = service._send
 
         def audited_send(runtime, key, flight, outbox, hedge=False):
+            now = service._now()
             send(runtime, key, flight, outbox, hedge=hedge)
-            if not hedge and flight.sent:
-                known = self.sends.get(id(flight))
-                count = 1 if known is None else known[1] + 1
-                self.sends[id(flight)] = (flight, count, flight.redispatches, flight.dispatched_at)
-
-        def audited_overdue_at(runtime, key, flight):
-            deadline = overdue_at(runtime, key, flight)
-            _flight, count, redispatches, dispatched_at = self.sends[id(flight)]
-            policy = service.resilience.policy
+            if hedge or not flight.sent:
+                return
+            known = self.sends.get(id(flight))
             if flight.request["template"].code == "system.timer":
-                kind, expected = "timer", dispatched_at + policy.base_delay
+                kind = "timer"
+                self.kinds[kind] = self.kinds.get(kind, 0) + 1
+            elif known is None:
+                kind = "resume" if flight.redispatches else "first"
             else:
-                kind = "first" if count == 1 and not redispatches else (
-                    "resume" if count == 1 else "redispatch"
-                )
-                expected = policy.next_attempt_at(
-                    f"{runtime.iid}:{key[0]}:{key[1]}", redispatches, dispatched_at
-                )
-            self.kinds[kind] = self.kinds.get(kind, 0) + 1
-            if deadline != expected:
-                self.mismatches.append((kind, key, deadline, expected))
-            return deadline
+                kind = "redispatch"
+                _flight, previous, dispatched_at = known
+                self.kinds[previous] = self.kinds.get(previous, 0) + 1
+                deadline = dispatched_at + service.dispatch_timeout
+                if not deadline <= now < deadline + service.sweep_interval:
+                    self.mismatches.append((previous, key, now, deadline))
+            self.sends[id(flight)] = (flight, kind, flight.dispatched_at)
 
         service._send = audited_send
-        service._overdue_at = audited_overdue_at
 
 
 class TestDeadlineComputedWhenRead:
     def test_first_sends_redispatches_and_resumed_flights(self):
         system, root, inputs = fan_system(
-            8, workers=2, sweep_interval=5.0,
+            8, workers=2, sweep_interval=5.0, dispatch_timeout=20.0,
             resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
         )
         audit = DeadlineAudit(system.execution)
-        # the fleet is away long enough for the sweeper to read deadlines
-        # after first sends, after resends and after its own redispatches
+        # the fleet is away long enough for the sweeper to resend after
+        # first sends, after resumed sends and after its own redispatches
         NemesisSchedule(
             [CrashAtTime(0.5, node.name, downtime=120.0) for node in system.worker_nodes]
-            + [CrashAtTime(8.0, "execution-node", downtime=4.0)]
+            + [CrashAtTime(30.0, "execution-node", downtime=4.0)]
         ).arm(system)
         iid = system.instantiate("fan", root, inputs)
         assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
