@@ -12,6 +12,12 @@ interpreter-version-specific — compare two trees under one interpreter::
 Prints one JSON object: the three unreplicated workloads, ``fan(64)`` behind
 a hot standby (what a standby costs the primary per step) and, under
 ``"compile"``, the calls one ``compile_script`` of each script text makes.
+Beside each workload's calls it prints ``mirror_bytes_per_step``: the bytes
+the primary's WAL mirror grows by per journaled step over as many more
+instances, run uncounted, each measured from just after its ``instantiate``
+is synced to its terminal barrier (instantiate excluded, as
+``tests/test_journal_layout.py::TestBarrierCost`` measures).  Those are
+exact on any interpreter.
 """
 
 from __future__ import annotations
@@ -74,9 +80,8 @@ def calls_per_step(generator, size, instances, system_kwargs):
 
     script, registry, root, inputs = getattr(generators, generator)(size)
     with tempfile.TemporaryDirectory() as tmp:
-        system = WorkflowSystem(
-            registry=registry, mirror_path=os.path.join(tmp, "wal.jsonl"), **system_kwargs
-        )
+        mirror = os.path.join(tmp, "wal.jsonl")
+        system = WorkflowSystem(registry=registry, mirror_path=mirror, **system_kwargs)
         system.deploy("w", format_script(script))
         system.run_until_terminal(system.instantiate("w", root, inputs))  # warm, uncounted
         counter = CallCounter()
@@ -90,8 +95,25 @@ def calls_per_step(generator, size, instances, system_kwargs):
             sys.setprofile(None)
         calls = counter.calls
         steps = sum(system.execution.journal.length(iid) for iid in iids)
+        mirror_bytes = mirror_bytes_per_step(system, mirror, root, inputs, instances)
         system.execution_store.wal.close()
-    return {"calls": calls, "steps": steps, "calls_per_step": round(calls / steps, 2)}
+    return {
+        "calls": calls, "steps": steps, "calls_per_step": round(calls / steps, 2),
+        "mirror_bytes_per_step": mirror_bytes,
+    }
+
+
+def mirror_bytes_per_step(system, mirror, root, inputs, instances):
+    store = system.execution_store
+    written = steps = 0
+    for _ in range(instances):
+        iid = system.instantiate("w", root, inputs)
+        store.sync()
+        before = os.path.getsize(mirror)
+        system.run_until_terminal(iid)
+        written += os.path.getsize(mirror) - before
+        steps += system.execution.journal.length(iid)
+    return round(written / steps, 2)
 
 
 def main() -> None:

@@ -9,11 +9,13 @@ and read back.  Per script version the store holds one write-once
 Per instance: a write-once ``instance:<iid>:spec`` (the script's digest, root
 task, input set, inputs), an ``instance:<iid>:meta`` holding ``journal_len``
 and, once the instance is finished for good, ``closed``, and one
-``instance:<iid>:journal:<n>`` per entry.  The instances of a store are its
-``spec`` keys, in commit order; no stored object grows with their number.
+``instance:<iid>:journal:<n>`` *segment* per barrier that touched it: the
+entries ``n … n+k-1`` that barrier made durable.  The instances of a store
+are its ``spec`` keys, in commit order; no stored object grows with their
+number.
 
-An entry is stored positionally, as ``[type, *fields]`` in the order of
-:data:`ENTRY_FIELDS` (:func:`encode_entry`), and read back as exactly the
+An entry is stored positionally, as a row ``[type, *fields]`` in the order
+of :data:`ENTRY_FIELDS` (:func:`encode_entry`), and read back as exactly the
 dict that was appended (:func:`decode_entry`): key names are spelled by the
 table, not by every row.  In a ``result``'s object map a plain value is
 stored as ``[value]`` and a reference as its ref dict without the
@@ -23,11 +25,21 @@ stored dict — every entry of a log written before the positional form, or
 one the table cannot spell exactly — reads back as itself, so one store may
 hold both.  ``spec`` and ``meta`` keep their dict shapes.
 
+A segment of one entry is that entry's row (:func:`encode_segment`), so a
+store holding one key per entry — dict rows, or rows written before
+segments — reads each key as a one-entry segment.  A segment of several
+entries that share their ``epoch`` and ``writer``, as a barrier's always do,
+is ``[epoch, writer, *rows without them]``: a fan-out's outcomes pay for one
+key and one stamp.  Any other run of entries (an imported journal may mix
+stamps) is ``[None, *rows]``.  A row starts with its type string and a dict
+row is a dict, so the first element tells the three apart
+(:func:`segment_rows`).
+
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
 objects' only writer, and a journal must be atomic and durable, not isolated.
 A script's text rides in the record of the first spec or ``reconfig`` entry
-that names it, so a torn force drops both or neither; a barrier's entries
+that names it, so a torn force drops both or neither; a barrier's segments
 and the lengths they advance are one record too, whatever the script's size
 or the history's length — and so is the ``closed`` mark of an instance that
 barrier leaves terminal with no flight out (:meth:`Journal.commit`): "closed,
@@ -36,11 +48,11 @@ derived state: a recovery or a promotion takes a closed instance in by its
 key and replays only the open ones.
 
 Nothing else under ``services``, ``replication`` or ``sim`` builds or parses
-one of these keys, the mark or a stored entry
+one of these keys, the mark, a stored entry or a segment
 (``tests/test_journal_layout.py::TestLayout`` holds the source to the keys),
 so the layout changes in this file alone: the mark was the first step, the
-positional entry the second, ``journal:<n>`` truncation and stored outcomes
-next.
+positional entry the second, the segment the third; truncating the segments
+below a stored state image, and stored outcomes, come next.
 """
 
 from __future__ import annotations
@@ -148,6 +160,39 @@ def decode_entry(row: Row, script_text: Callable[[str], Optional[str]]) -> Dict[
     return entry
 
 
+def encode_segment(rows: List[Row]) -> Any:
+    """One stored value for ``rows``, consecutive entries of one journal
+    (:func:`encode_entry`): the row itself when there is one; ``[epoch,
+    writer, *rows without them]`` when every row is positional and ends in
+    the same ``int`` epoch and ``str`` writer (so equal means identical);
+    else ``[None, *rows]``.  It makes no call per row."""
+    if len(rows) == 1:
+        return rows[0]
+    stamp = rows[0][-2:] if type(rows[0]) is list else None
+    if stamp is not None and type(stamp[0]) is int and type(stamp[1]) is str:
+        shared = stamp.copy()
+        for row in rows:
+            if (
+                type(row) is not list or row[-2:] != stamp
+                or type(row[-2]) is not int or type(row[-1]) is not str
+            ):
+                break
+            shared.append(row[:-2])
+        else:
+            return shared
+    return [None, *rows]
+
+
+def segment_rows(segment: Any) -> List[Row]:
+    """The rows :func:`encode_segment` stored as ``segment``, in order."""
+    if isinstance(segment, dict) or isinstance(segment[0], str):
+        return [segment]  # one row: a stored dict, or [type, *fields]
+    if segment[0] is None:
+        return segment[1:]
+    epoch, writer, *rows = segment
+    return [[*row, epoch, writer] for row in rows]
+
+
 class Journal:
     """The instances of one execution store: create, append, commit, read.
 
@@ -231,17 +276,16 @@ class Journal:
                 )
         scripts = {digest: meta["script_text"]}
         rows = [encode_entry(entry, scripts) for entry in entries]
-        script_writes: Dict[str, str] = {}
+        writes: Dict[str, Any] = {}
         for each, text in scripts.items():
-            script_writes.update(self._intern(each, text))
-        self.store.commit_batch({
-            **script_writes,
-            f"instance:{iid}:spec": {
-                "script": digest, **{name: meta[name] for name in _SPEC_FIELDS},
-            },
-            f"instance:{iid}:meta": {"journal_len": len(entries)},
-            **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},
-        })
+            writes.update(self._intern(each, text))
+        writes[f"instance:{iid}:spec"] = {
+            "script": digest, **{name: meta[name] for name in _SPEC_FIELDS},
+        }
+        writes[f"instance:{iid}:meta"] = {"journal_len": len(entries)}
+        if rows:
+            writes[f"instance:{iid}:journal:0"] = encode_segment(rows)
+        self.store.commit_batch(writes)
 
     def _intern(self, digest: str, text: str) -> Dict[str, str]:
         """The write that makes ``text`` durable under ``digest``, to ride in
@@ -272,8 +316,9 @@ class Journal:
         self.buffer.append((iid, entry))
 
     def commit(self, closed: Collection[str] = ()) -> int:
-        """Make every buffered entry durable — the entries in their stored
-        form (:func:`encode_entry`), each touched instance's ``meta`` and the
+        """Make every buffered entry durable — one segment per touched
+        instance holding its entries in their stored form
+        (:func:`encode_segment`), each touched instance's ``meta`` and the
         text of any ``reconfig`` the store lacks, one WAL record, one force —
         then drain the WAL's group-commit window.  The record is
         all-or-nothing (a torn force drops it whole), so recovery sees a
@@ -286,14 +331,22 @@ class Journal:
         batch, self.buffer = self.buffer, []
         store = self.store
         writes: Dict[str, Any] = {}
-        lens: Dict[str, int] = {}
+        segments: Dict[str, List[Row]] = {}
         scripts: Dict[str, str] = {}
         for iid, entry in batch:
-            n = lens.get(iid)
-            if n is None:
-                n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
-            writes[f"instance:{iid}:journal:{n}"] = encode_entry(entry, scripts)
-            lens[iid] = n + 1
+            rows = segments.get(iid)
+            if rows is None:
+                segments[iid] = [encode_entry(entry, scripts)]
+            else:
+                rows.append(encode_entry(entry, scripts))
+        lens: Dict[str, int] = {}
+        for iid, rows in segments.items():
+            n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
+            # a lone entry is its own segment: no call for a chain's step
+            writes[f"instance:{iid}:journal:{n}"] = (
+                rows[0] if len(rows) == 1 else encode_segment(rows)
+            )
+            lens[iid] = n + len(rows)
         for iid, n in lens.items():
             writes[f"instance:{iid}:meta"] = (
                 {"journal_len": n, "closed": True} if iid in closed
@@ -345,12 +398,21 @@ class Journal:
 
     def entries(self, iid: str) -> List[Optional[Dict[str, Any]]]:
         """``iid``'s committed entries, in order, each the dict that was
-        appended (:func:`decode_entry`; ``None`` where the store holds none:
-        a hole)."""
-        script_text = self.script_text
-        return [
-            None if row is None else decode_entry(row, script_text)
-            for row in self.store.get_committed_many(
-                f"instance:{iid}:journal:{n}" for n in range(self.length(iid) or 0)
-            )
-        ]
+        appended (:func:`decode_entry`; ``None`` at a position where no
+        segment starts or covers it: a hole).  The walk goes segment by
+        segment from position 0 while the position is below ``journal_len``,
+        so a segment that runs past it is read whole: the list is then
+        longer than ``journal_len``, which the contiguity oracle reports."""
+        length = self.length(iid) or 0
+        read, script_text = self.store.get_committed, self.script_text
+        prefix = f"instance:{iid}:journal:"
+        found: List[Optional[Dict[str, Any]]] = []
+        while len(found) < length:
+            segment = read(f"{prefix}{len(found)}")
+            if segment is None:
+                found.append(None)
+            elif isinstance(segment, dict) or isinstance(segment[0], str):
+                found.append(decode_entry(segment, script_text))  # one row (segment_rows)
+            else:
+                found += [decode_entry(row, script_text) for row in segment_rows(segment)]
+        return found

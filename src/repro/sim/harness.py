@@ -378,6 +378,7 @@ class SimHarness:
                 found += oracles.check_atomic_commit(*self._probes, phase=phase)
             if deep:
                 found += oracles.check_replay_agreement(primary, phase)
+                found += oracles.check_settled_is_closed(primary, phase)
         self._record(found)
 
     # -- driving --------------------------------------------------------------------

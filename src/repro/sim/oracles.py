@@ -16,8 +16,9 @@ Oracles and the guarantees they police:
 ``journal-contiguity``
     Every instance in the store (every durable ``instance:<iid>:spec``) must
     have its meta object and journal entries ``0..journal_len-1`` all
-    present.  A gap means the instantiate or journal-append record
-    committed non-atomically.
+    present, and no more: its segments must end at ``journal_len``.  A gap
+    or an overrun means the instantiate or journal-append record committed
+    non-atomically.
 ``script-resolution``
     Every durable spec names its script by digest, and that
     ``script:<digest>`` must be present in the *same* store — on the primary
@@ -41,6 +42,11 @@ Oracles and the guarantees they police:
     primary's store and in every standby's — must replay cold through its
     whole stored journal to a terminal tree with no flight out: a rebuild
     takes it in unreplayed, so a mark on anything else silently drops work.
+``settled-is-closed``
+    The converse, on the primary: every runtime it holds settled (terminal,
+    flushed, nothing out), except an imported one, carries the ``closed``
+    mark in its store.  Without it a rebuild replays the instance again:
+    recovery would no longer be bounded by what was running.
 ``durability``
     Once an instance has been *observed* terminal (the observation implies
     the deciding entry was journaled, because entries are journaled before
@@ -77,7 +83,7 @@ Replication oracles (``replicas > 0`` only; docs/PROTOCOLS.md §12):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from ..services.journal import Journal
 from ..services.system import TERMINAL
@@ -147,7 +153,8 @@ def check_journal_integrity(
                     f"text under it", phase,
                 )
             )
-        if stored.length(iid) is None:
+        length = stored.length(iid)
+        if length is None:
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
@@ -161,8 +168,16 @@ def check_journal_integrity(
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
-                    f"journal_len={len(journal)} but entries "
+                    f"journal_len={length} but entries "
                     f"{holes[:5]} are missing", phase,
+                )
+            )
+        if len(journal) > length:
+            violations.append(
+                OracleViolation(
+                    "journal-contiguity", iid,
+                    f"journal_len={length} but its segments hold "
+                    f"{len(journal)} entries", phase,
                 )
             )
         seen: Dict[Tuple, int] = {}
@@ -247,6 +262,26 @@ def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolati
                 f"{sorted(shadow.in_flight)} still in flight", phase,
             ))
     return violations
+
+
+def check_settled_is_closed(
+    service: Any, phase: str = "", imported: Collection[str] = ()
+) -> List[OracleViolation]:
+    """The converse of :func:`check_closed_is_settled`, on a primary: every
+    runtime ``service`` holds settled carries the ``closed`` mark in its
+    store, which is what keeps it out of the next rebuild's replays.  The
+    ``imported`` ids are exempt: an adopted journal is stored unmarked and
+    replayed at every rebuild, by design."""
+    stored = service.journal
+    return [
+        OracleViolation(
+            "settled-is-closed", iid,
+            f"{service.store.name} holds the instance settled, but its meta "
+            f"carries no closed mark: every rebuild would replay it", phase,
+        )
+        for iid, runtime in service.runtimes.items()
+        if runtime.settled and iid not in imported and not stored.closed(iid)
+    ]
 
 
 def observe_terminal(

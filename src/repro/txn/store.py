@@ -62,13 +62,6 @@ class ObjectStore:
         — with ``view()``, a value computed from other committed objects."""
         self._derived[key] = view
 
-    def get_committed_many(self, keys: Iterable[str], default: Any = None) -> List[Any]:
-        """Batched committed read: one store round-trip for a whole key range
-        (an instance journal, a scan) instead of one ``get_committed`` per
-        key.  Missing keys yield ``default`` at their position."""
-        committed = self._committed
-        return [committed.get(key, default) for key in keys]
-
     def exists(self, key: str) -> bool:
         return key in self._committed
 

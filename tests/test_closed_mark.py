@@ -6,7 +6,8 @@ opens the store afterwards — a crash recovery, a standby's promotion — takes
 a closed instance in by its key and replays only the open ones, and a
 standby, which only follows the log, replays nothing at all.  These tests
 count replays instead of timing them, tear the deciding force, and show that
-the ``closed-is-settled`` oracle fires on a journal that marks too eagerly.
+the ``closed-is-settled`` oracle fires on a journal that marks too eagerly
+and its converse, ``settled-is-closed``, on one that never marks.
 """
 
 import pytest
@@ -21,7 +22,9 @@ from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import CrashAtPoint, NemesisSchedule
-from repro.sim.oracles import check_closed_is_settled, check_journal_integrity
+from repro.sim.oracles import (
+    check_closed_is_settled, check_journal_integrity, check_settled_is_closed,
+)
 from repro.workloads import chain, fan, random_dag, script_text
 
 
@@ -320,3 +323,53 @@ class TestClosedIsSettledOracle:
         at_the_end = {name: marked for name, phase, marked in checked if phase == "quiescence"}
         assert set(at_the_end) == {"execution-r1", "execution-r2"}
         assert all(marked == ["wf-1", "wf-2"] for marked in at_the_end.values())
+
+
+class NeverCloses(Journal):
+    """Seeded fault: ``Journal.commit`` ignoring ``closed``."""
+
+    def commit(self, closed=()):
+        return super().commit(())
+
+
+class TestSettledIsClosedOracle:
+    """The converse of ``closed-is-settled``: whatever a primary holds
+    settled carries the mark that keeps it out of the next rebuild."""
+
+    @pytest.mark.parametrize("workload", ["order", "trip", "service-impact"])
+    def test_it_fires_when_the_barrier_ignores_closed(self, workload, monkeypatch):
+        honest = SimHarness(workload=workload, instances=2).run()
+        assert honest.ok, honest.violations
+        monkeypatch.setattr(execution_mod, "Journal", NeverCloses)
+        report = SimHarness(workload=workload, instances=2).run()
+        fired = {(violation["oracle"], violation["subject"]) for violation in report.violations}
+        assert fired == {("settled-is-closed", "wf-1"), ("settled-is-closed", "wf-2")}
+
+    def test_the_harness_runs_it_on_the_primary_at_every_deep_check(self, monkeypatch):
+        from repro.sim import oracles
+
+        checked = []
+        original = oracles.check_settled_is_closed
+
+        def check(service, phase=""):
+            checked.append((service.name, phase))
+            return original(service, phase)
+
+        monkeypatch.setattr(oracles, "check_settled_is_closed", check)
+        schedule = NemesisSchedule([CrashAtPoint("exec.reply.applied", at_hit=3, downtime=30.0)])
+        report = SimHarness(schedule=schedule, instances=2).run()
+        assert report.ok, report.violations
+        assert checked == [("execution", "recovery"), ("execution", "quiescence")]
+
+    def test_an_imported_instance_is_exempt(self):
+        system, root, inputs = deployed(chain(3), workers=2)
+        iid = system.instantiate("wl", root, inputs)
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        snapshot = system.execution.export_instance(iid)
+        target, _root, _inputs = deployed(chain(3), workers=2)
+        target.execution.import_instance(snapshot)
+        service = target.execution
+        assert service.runtimes[iid].settled and not service.journal.closed(iid)
+        (violation,) = check_settled_is_closed(service)
+        assert (violation.oracle, violation.subject) == ("settled-is-closed", iid)
+        assert check_settled_is_closed(service, imported=[iid]) == []

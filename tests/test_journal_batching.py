@@ -4,9 +4,10 @@ The I/O core coalesces journal appends into one transaction per durability
 barrier and WAL mirror fsyncs into one sync per barrier.  These tests pin
 the two properties that make that safe:
 
-* **Equivalence** — the durable journal a run leaves behind is
-  byte-identical to the per-entry reference's (:func:`_flush_every_entry`:
-  the same service, made to commit each entry as it is produced), and
+* **Equivalence** — the durable journal a run leaves behind reads back
+  (``Journal.entries``) byte-identical to the per-entry reference's
+  (:func:`_flush_every_entry`: the same service, made to commit each entry
+  as it is produced), and
   replay lands on the same (status, outcome).  Batching changes *when*
   entries become durable, never *what* becomes durable.
 * **Crash atomicity** — a crash (clean or torn) anywhere around a batch
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.instrument import IOPATH_STATS
 from repro.services import WorkflowSystem
+from repro.services.journal import Journal
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import CrashAtPoint, NemesisSchedule
 from repro.workloads import fan, paper_order, script_text
@@ -54,12 +56,12 @@ def _run_fan(width, *, per_entry=False, seed=0):
 
 
 def _durable_journal(system, iid):
-    """The instance's durable journal as canonical bytes."""
-    store = system.execution_store
-    meta = store.get_committed(f"instance:{iid}:meta")
-    entries = store.get_committed_many(
-        f"instance:{iid}:journal:{n}" for n in range(meta["journal_len"])
-    )
+    """The instance's durable journal, read back entry by entry, as
+    canonical bytes.  Read through ``Journal.entries``: a barrier stores its
+    entries as one segment per instance, so the per-entry reference and a
+    batched run store the same entries under different keys."""
+    entries = Journal(system.execution_store).entries(iid)
+    assert len(entries) == system.execution.journal.length(iid)
     assert None not in entries, "durable journal has holes"
     return json.dumps(entries, sort_keys=True).encode()
 
@@ -108,8 +110,8 @@ class TestDifferentialEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(width=st.integers(min_value=1, max_value=8), seed=st.integers(0, 1000))
     def test_hypothesis_differential(self, width, seed):
-        """Random widths and network seeds: the batched journal is always
-        byte-identical to the per-entry journal of the same universe."""
+        """Random widths and network seeds: the batched journal always reads
+        back byte-identical to the per-entry journal of the same universe."""
         batched_sys, batched_iid, batched = _run_fan(width, seed=seed)
         plain_sys, plain_iid, plain = _run_fan(width, per_entry=True, seed=seed)
         assert batched["status"] == plain["status"] == "completed"

@@ -18,6 +18,11 @@ pin what that rests on:
 * **A reconfiguration names its text by digest.**  The text is stored once
   per version, in the record of the first entry that names it, and a digest
   that names other text is refused before anything is applied or logged.
+* **One segment per instance per barrier.**  Over interleaved barriers on
+  one to four instances, every entry type, dict rows among positional ones
+  and mixed stamps, ``Journal.entries`` reads back exactly what was
+  appended, also through JSON and through export and import; a store
+  already holding one key per entry (dicts, or rows) reads on.
 """
 
 import copy
@@ -37,7 +42,10 @@ from repro.services.journal import ENTRY_FIELDS, Journal, decode_entry, encode_e
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
+from repro.txn.store import ObjectStore
 from repro.workloads import APPLICATIONS, chain, paper_order, script_text
+
+from tests.test_journal_layout import journal_keys
 
 PROTOCOL_TYPES = {
     "result", "failure", "mark", "external", "reconfig", "force_abort", "deadline", "overloaded",
@@ -225,9 +233,10 @@ def test_every_entry_a_paper_application_journals_reads_back_as_appended(name, m
             stored = Journal(store).entries(iid)
             assert stored == appended[iid], iid
             assert [list(entry) for entry in stored] == [list(entry) for entry in appended[iid]]
-        raw = primary.store.get_committed_many(
-            key for key in primary.store.keys() if key.startswith(f"instance:{iid}:journal:")
-        )
+        raw = [
+            primary.store.get_committed(key) for key in primary.store.keys()
+            if key.startswith(f"instance:{iid}:journal:")
+        ]
         assert all(isinstance(row, list) for row in raw)
     kinds = {entry["type"] for entries in appended.values() for entry in entries}
     assert "result" in kinds
@@ -392,3 +401,166 @@ class TestReconfigByDigest:
         assert Journal(store).entries(iid) == snapshot["journal"]
         assert check_journal_integrity(store) == []
         assert target.run_until_terminal(iid)["objects"]["out"]["value"] == "reconfigured"
+
+
+# -- segments: one stored value per instance per barrier ---------------------------------
+
+SCRIPT = "script s { }"
+STAMPS = st.tuples(FIELD_VALUES["epoch"], FIELD_VALUES["writer"])
+
+
+@st.composite
+def any_entry(draw):
+    """An entry of any type of the table, or — now and then — one the table
+    cannot spell, a field short (stored as the dict it is, and still one an
+    import accepts)."""
+    kind = draw(st.sampled_from(sorted(ENTRY_FIELDS)))
+    entry = draw(entries_of(kind))
+    if draw(st.integers(0, 5)) == 0:
+        del entry[draw(st.sampled_from(ENTRY_FIELDS[kind]))]
+    return entry
+
+
+@st.composite
+def barriers(draw, instances):
+    """Interleaved barriers over ``instances`` instances: each a list of
+    ``(instance index, entry)``, the entries stamped alike (as the service
+    stamps a barrier's) unless drawn otherwise."""
+    drawn = []
+    for _ in range(draw(st.integers(1, 6))):
+        epoch, writer = draw(STAMPS)
+        shared = draw(st.booleans()) or draw(st.booleans())
+        barrier = []
+        for _ in range(draw(st.integers(1, 6))):
+            entry = draw(any_entry())
+            if shared and "epoch" in entry:
+                entry.update(epoch=epoch, writer=writer)
+            barrier.append((draw(st.integers(0, instances - 1)), entry))
+        drawn.append(barrier)
+    return drawn
+
+
+class PlainStore:
+    """What the WAL mirror's replay holds of ``store``: its committed
+    objects through JSON, read the way ``Journal`` reads a store."""
+
+    def __init__(self, store):
+        self._committed = json.loads(json.dumps(store.snapshot()))
+
+    def get_committed(self, key, default=None):
+        return self._committed.get(key, default)
+
+    def keys(self):
+        return self._committed.keys()
+
+
+def created(store, count):
+    journal = Journal(store)
+    return journal, [
+        journal.create(script_digest(SCRIPT), SCRIPT, "root", "main", {})[0]
+        for _ in range(count)
+    ]
+
+
+class TestSegmentRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 4))
+    def test_interleaved_barriers_read_back_as_appended(self, data, count):
+        store = ObjectStore("exec")
+        journal, iids = created(store, count)
+        appended = {iid: [] for iid in iids}
+        for barrier in data.draw(barriers(count)):
+            touched = set()
+            for index, entry in barrier:
+                journal.append(iids[index], entry)
+                appended[iids[index]].append(copy.deepcopy(entry))
+                touched.add(iids[index])
+            written = len(store.wal)
+            assert journal.commit() == len(barrier)
+            # one record, one segment per instance the barrier touched
+            (record,) = list(store.wal.all_records())[written:]
+            assert sum(":journal:" in key for key in record.value) == len(touched)
+        mirrored = Journal(PlainStore(store))
+        for iid in iids:
+            assert journal.entries(iid) == appended[iid]
+            assert journal.length(iid) == len(appended[iid])
+            assert [list(entry) for entry in journal.entries(iid)] == [
+                list(entry) for entry in appended[iid]
+            ]
+            assert mirrored.entries(iid) == json.loads(json.dumps(appended[iid]))
+            # export -> import: one segment, the same entries
+            target = ObjectStore("target")
+            Journal(target).adopt(journal.snapshot(iid), script_digest(SCRIPT))
+            assert Journal(target).entries(iid) == appended[iid]
+            assert journal_keys(target, iid) == ([0] if appended[iid] else [])
+
+    def test_a_multi_entry_segment_shares_one_stamp_and_keeps_a_dict_row_behind_the_marker(self):
+        store = ObjectStore("exec")
+        journal, (iid,) = created(store, 1)
+        stamp = {"epoch": 2, "writer": "execution"}
+        results = [
+            {"type": "external", "path": f"p{n}", "exec": 1, **stamp} for n in range(3)
+        ]
+        for entry in results:
+            journal.append(iid, entry)
+        journal.commit()
+        assert store.get_committed(f"instance:{iid}:journal:0") == [
+            2, "execution", ["external", "p0", 1], ["external", "p1", 1], ["external", "p2", 1],
+        ]
+        odd = {"type": "external", "path": "q", **stamp}  # no exec: stored as a dict
+        journal.append(iid, results[0])
+        journal.append(iid, odd)
+        journal.commit()
+        assert store.get_committed(f"instance:{iid}:journal:3") == [
+            None, ["external", "p0", 1, 2, "execution"], odd,
+        ]
+        assert journal.entries(iid) == [*results, results[0], odd]
+
+    def test_adopt_writes_one_segment_whatever_the_stamps(self):
+        store = ObjectStore("exec")
+        journal, (iid,) = created(store, 1)
+        entries = [
+            {"type": "external", "path": "a", "exec": 1, "epoch": 1, "writer": "execution-1"},
+            {"type": "external", "path": "b", "exec": 1, "epoch": 2, "writer": "execution-2"},
+            {"type": "external", "path": "c", "exec": 1, "epoch": 2, "writer": "execution-2"},
+        ]
+        for entry in entries:
+            journal.append(iid, entry)
+        journal.commit()
+        snapshot = journal.snapshot(iid)
+        target = ObjectStore("target")
+        Journal(target).adopt(snapshot, script_digest(SCRIPT))
+        assert journal_keys(target, iid) == [0]
+        assert target.get_committed(f"instance:{iid}:journal:0")[0] is None  # mixed stamps
+        assert Journal(target).entries(iid) == entries
+        assert Journal(target).snapshot(iid) == snapshot
+        assert check_journal_integrity(target) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_a_store_holding_one_key_per_entry_reads_each_as_a_segment(self, data):
+        """Per-entry keys — dicts, as logs before the positional form hold
+        them, and positional rows, as logs before segments do — then
+        segments on top: one journal."""
+        store = ObjectStore("exec")
+        journal, (iid,) = created(store, 1)
+        old = data.draw(st.lists(any_entry(), min_size=1, max_size=6))
+        scripts = {}
+        rows = [
+            entry if data.draw(st.booleans()) else encode_entry(entry, scripts)
+            for entry in old
+        ]
+        store.commit_batch({
+            **{f"script:{digest}": text for digest, text in scripts.items()},
+            **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},
+            f"instance:{iid}:meta": {"journal_len": len(rows)},
+        })
+        new = []
+        for barrier in data.draw(barriers(1)):
+            for _index, entry in barrier:
+                journal.append(iid, entry)
+                new.append(copy.deepcopy(entry))
+            journal.commit()
+        assert journal.entries(iid) == old + new
+        assert Journal(PlainStore(store)).entries(iid) == json.loads(json.dumps(old + new))
+        assert journal.length(iid) == len(old + new)

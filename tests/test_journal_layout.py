@@ -2,13 +2,16 @@
 
 Per script version the store holds one ``script:<digest>``; per instance a
 write-once ``instance:<iid>:spec`` naming it, an ``instance:<iid>:meta``
-carrying only ``journal_len`` and one ``instance:<iid>:journal:<n>`` per
-entry; the instances of a store are its spec keys in commit order
-(docs/PROTOCOLS.md §9.3).  These tests pin what
-that layout is for: a journal barrier is one WAL record whose size depends
-on its entries — not on the script, not on how many instances came before —
-and every way an instance enters or re-enters a service (instantiate, crash
-recovery, import, replication) rebuilds the same tree from it.
+carrying ``journal_len`` and, once the instance is closed, the ``closed``
+mark, and one ``instance:<iid>:journal:<n>`` segment per barrier that
+touched it, holding that barrier's entries from position ``n`` on; the
+instances of a store are its spec keys in commit order (docs/PROTOCOLS.md
+§4.1, §9.3).  These tests pin what that layout is for: a journal barrier is
+one WAL record whose size depends on its entries — not on the script, not
+on how many instances came before — and every way an instance enters or
+re-enters a service (instantiate, crash recovery, import, replication)
+rebuilds the same tree from it.  A segment whose key is lost, or which runs
+past ``journal_len``, is reported by the contiguity oracle.
 """
 
 import ast
@@ -21,25 +24,39 @@ import repro
 from repro.core.errors import ExecutionError
 from repro.engine import outcome
 from repro.services import WorkflowSystem
-from repro.services.journal import Journal, script_digest
+from repro.services.journal import Journal, script_digest, segment_rows
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
-from repro.sim.oracles import check_journal_integrity, check_store_agreement
+from repro.sim.oracles import (
+    check_closed_is_settled, check_journal_integrity, check_settled_is_closed, check_store_agreement,
+)
 from repro.txn.ids import TransactionId
 from repro.txn.wal import BATCH, replay
-from repro.workloads import chain, paper_order, script_text
+from repro.workloads import chain, fan, paper_order, script_text
 
 
-# Mirror bytes per journaled step of a chain(8) instance, instantiate excluded.
+# Mirror bytes per journaled step, instantiate excluded: a chain(8) instance
+# (one entry per barrier) and a fan(64) one (a fan-out's outcomes share one
+# barrier, so one segment).
 CHAIN8_BYTES_PER_STEP_CEILING = 220
+FAN64_BYTES_PER_STEP_CEILING = 72
 
 
-def chain_system(length, **kwargs):
-    workload = chain(length)
+def deployed_system(workload, **kwargs):
     _script, registry, root, inputs = workload
     system = WorkflowSystem(workers=2, registry=registry, **kwargs)
     system.deploy("chain", script_text(workload))
     return system, root, inputs
+
+
+def chain_system(length, **kwargs):
+    return deployed_system(chain(length), **kwargs)
+
+
+def journal_keys(store, iid):
+    """The positions ``iid``'s journal segments start at, ascending."""
+    prefix = f"instance:{iid}:journal:"
+    return sorted(int(key[len(prefix):]) for key in store.keys() if key.startswith(prefix))
 
 
 def journal_len(store, iid):
@@ -71,9 +88,11 @@ def image_state(runtime):
 
 
 class TestBarrierCost:
-    def _mirror_bytes_per_step(self, length, tmp_path):
-        mirror = str(tmp_path / f"wal-{length}.jsonl")
-        system, root, inputs = chain_system(length, mirror_path=mirror)
+    def _mirror_bytes_per_step(self, workload, width, tmp_path):
+        """Per journaled step of one instance of ``workload``, a chain or
+        fan of ``width`` tasks, which journals at least ``width`` steps."""
+        mirror = str(tmp_path / f"wal-{workload[2]}-{width}.jsonl")
+        system, root, inputs = deployed_system(workload, mirror_path=mirror)
         store = system.execution_store
         iid = system.instantiate("chain", root, inputs)
         store.sync()
@@ -81,7 +100,7 @@ class TestBarrierCost:
         assert system.run_until_terminal(iid)["status"] == "completed"
         store.wal.close()
         steps = journal_len(store, iid)
-        assert steps >= length
+        assert steps >= width
         return (os.path.getsize(mirror) - before) / steps
 
     def test_chain8_entries_stay_under_the_byte_ceiling(self, tmp_path):
@@ -89,11 +108,18 @@ class TestBarrierCost:
         codec's table: 200.9 mirror bytes per step for chain(8), 295.9 when
         each entry was stored as its dict.  An entry growing back trips
         this here."""
-        assert self._mirror_bytes_per_step(8, tmp_path) <= CHAIN8_BYTES_PER_STEP_CEILING
+        assert self._mirror_bytes_per_step(chain(8), 8, tmp_path) <= CHAIN8_BYTES_PER_STEP_CEILING
+
+    def test_fan64_segments_stay_under_the_byte_ceiling(self, tmp_path):
+        """A barrier writes one segment per instance, its entries sharing
+        one key and one stamp: 65.4 mirror bytes per step for fan(64),
+        104.4 with one key and stamp per entry.  Entries split back into
+        keys of their own trip this here."""
+        assert self._mirror_bytes_per_step(fan(64), 64, tmp_path) <= FAN64_BYTES_PER_STEP_CEILING
 
     def test_wal_bytes_per_step_do_not_depend_on_script_size(self, tmp_path):
-        short = self._mirror_bytes_per_step(8, tmp_path)
-        long = self._mirror_bytes_per_step(32, tmp_path)
+        short = self._mirror_bytes_per_step(chain(8), 8, tmp_path)
+        long = self._mirror_bytes_per_step(chain(32), 32, tmp_path)
         assert abs(long - short) / short < 0.10, (short, long)
 
     def test_instantiate_transaction_does_not_grow_with_instances(self):
@@ -128,7 +154,10 @@ class TestLayout:
         assert store.get_committed(f"instance:{iid}:meta") == {
             "journal_len": journal_len(store, iid), "closed": True,
         }
-        last = f"instance:{iid}:journal:{journal_len(store, iid) - 1}"
+        # the closing segment is the last one, and it holds the last entry
+        start = journal_keys(store, iid)[-1]
+        last = f"instance:{iid}:journal:{start}"
+        assert start + len(segment_rows(store.get_committed(last))) == journal_len(store, iid)
         closing = [
             record.value for record in store.wal.durable_records() if last in record.value
         ]
@@ -197,6 +226,79 @@ class TestLayout:
         system.execution_node.recover()
         assert Journal(store).instances() == iids
         assert list(system.execution.runtimes) == iids
+
+
+class TestContiguityUnderSegments:
+    """What the contiguity oracle sees of a journal stored as segments:
+    ``fan(8)`` journals its source, then its eight outcomes in the one
+    barrier whose reply releases the sink, then the sink — three segments,
+    at positions 0, 1 and 9."""
+
+    @staticmethod
+    def fan8():
+        system, root, inputs = deployed_system(fan(8))
+        return system, system.instantiate("chain", root, inputs)
+
+    def test_a_lost_middle_segment_is_reported_at_its_first_position(self):
+        system, iid = self.fan8()
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        store = system.execution_store
+        assert journal_keys(store, iid) == [0, 1, 9]
+        assert check_journal_integrity(store) == []
+        del store._committed[f"instance:{iid}:journal:1"]  # seeded: behind the store's back
+        (violation,) = check_journal_integrity(store)
+        assert (violation.oracle, violation.subject) == ("journal-contiguity", iid)
+        assert "entries [1, 2, 3, 4, 5] are missing" in violation.detail
+
+    def test_a_segment_running_past_journal_len_is_reported_not_truncated(self):
+        system, iid = self.fan8()
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        store = system.execution_store
+        last = f"instance:{iid}:journal:9"
+        row = store.get_committed(last)
+        forged = [row[-2], row[-1], row[:-2], ["external", "fan/forged", 1]]
+        store._committed[last] = forged  # seeded: one entry more than meta says
+        entries = Journal(store).entries(iid)
+        assert len(entries) == journal_len(store, iid) + 1
+        assert entries[-1]["path"] == "fan/forged"
+        (violation,) = check_journal_integrity(store)
+        assert (violation.oracle, violation.subject) == ("journal-contiguity", iid)
+        assert "journal_len=10 but its segments hold 11 entries" in violation.detail
+
+    def test_a_torn_release_barrier_drops_its_segment_with_its_meta(self):
+        system, iid = self.fan8()
+        store, node, service = system.execution_store, system.execution_node, system.execution
+
+        def crash(_node_name, _fault, scope):
+            scope.torn_force()
+            node.crash()
+
+        injector = CrashPointInjector(crash)
+        injector.bind(store.wal, node.name)
+        commit = service.journal.commit
+
+        def tear_the_release_barrier(closed=()):
+            if len(service.journal.buffer) == 8 and not injector.fired:
+                injector.arm(ArmedCrash("wal.force.pre", mode="torn"))
+            return commit(closed)
+
+        service.journal.commit = tear_the_release_barrier
+        crashpoints.install(injector)
+        try:
+            with pytest.raises(SimulatedCrash):
+                system.clock.advance(100.0)
+        finally:
+            crashpoints.uninstall()
+        assert injector.fired == [("wal.force.pre", node.name)]
+        # the source's segment and the length it advanced, nothing of the eight
+        assert journal_keys(store, iid) == [0] and journal_len(store, iid) == 1
+        assert check_journal_integrity(store) == [] and check_store_agreement(store) == []
+        node.recover()
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        assert len(Journal(store).entries(iid)) == journal_len(store, iid) == 10
+        assert check_journal_integrity(store) == [] and check_store_agreement(store) == []
+        assert check_closed_is_settled(system.execution) == []
+        assert check_settled_is_closed(system.execution) == []
 
 
 class TestSameTreeEveryWayIn:

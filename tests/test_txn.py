@@ -32,23 +32,6 @@ class TestStore:
     def test_get_committed_default(self, store):
         assert store.get_committed("nope", 42) == 42
 
-    def test_get_committed_many_preserves_order_and_defaults(self, store, tm):
-        with tm.begin() as txn:
-            txn.write(store, "a", 1)
-            txn.write(store, "c", 3)
-        assert store.get_committed_many(["a", "b", "c"]) == [1, None, 3]
-        assert store.get_committed_many(["b"], default=0) == [0]
-        assert store.get_committed_many([]) == []
-
-    def test_get_committed_many_matches_per_key_reads(self, store, tm):
-        with tm.begin() as txn:
-            for i in range(8):
-                txn.write(store, f"journal:{i}", {"n": i})
-        keys = [f"journal:{i}" for i in range(10)]
-        assert store.get_committed_many(keys) == [
-            store.get_committed(k) for k in keys
-        ]
-
     def test_crash_loses_unforced_state_only(self, store, tm):
         with tm.begin() as txn:
             txn.write(store, "x", 1)

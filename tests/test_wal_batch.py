@@ -11,9 +11,10 @@ so they commit as a single ``BATCH`` record through
   checkpoints, aborted and in-doubt transactions and a torn tail; a torn
   force drops a lone BATCH whole.
 * **Same committed state.**  The writer this replaced — kept here verbatim
-  as the reference — and the BATCH writer replay to the same state key for
-  key, and a log written entirely in the old format still recovers and
-  still ingests on a standby.
+  as the reference — and the BATCH writer replay to the same journals entry
+  for entry, every other object key for key, and one journal segment per
+  barrier and instance it touched; a log written entirely in the old format
+  still recovers and still ingests on a standby.
 * **The single-writer assumption is checked.**  A BATCH on a key an open
   transaction holds is refused before the log is touched.
 * **A standby acknowledges with one force.**  Its tail is the last record
@@ -123,6 +124,21 @@ def run_fans(width, instances, seed, *, reference=False, marks=False):
     return system, iids
 
 
+def segment_starts(store):
+    """Per committed transaction of a reference log and per instance it
+    wrote entries of, the key of the first of them: where the journal
+    stores that barrier's segment."""
+    written, starts = {}, set()
+    for record in store.wal.durable_records():
+        if record.kind == w.UPDATE and ":journal:" in record.obj.name:
+            prefix, _sep, n = record.obj.name.rpartition(":")
+            first = written.setdefault(record.txn, {})
+            first[prefix] = min(first.get(prefix, int(n)), int(n))
+        elif record.kind == w.COMMIT:
+            starts.update(f"{prefix}:{n}" for prefix, n in written.pop(record.txn, {}).items())
+    return starts
+
+
 def kinds(store):
     return {record.kind for record in store.wal.durable_records()}
 
@@ -142,15 +158,19 @@ class TestSameStateAsThePerRecordWriter:
         assert kinds(new) == {w.BATCH}
         assert kinds(old) == {w.BEGIN, w.UPDATE, w.COMMIT}
         new_state, old_state = replay(new.wal.durable_records()), replay(old.wal.durable_records())
-        assert list(new_state) == list(old_state)  # same keys, same commit order
         # the journal's entries are read back through the journal (the
-        # reference stored them as dicts, the journal stores them by
-        # position); every other object is compared as it is stored
+        # reference stored one dict per key, the journal one positional
+        # segment per barrier and instance); every other object is compared
+        # as it is stored, key for key, in the same commit order
         for iid in iids:
             assert Journal(new).entries(iid) == Journal(old).entries(iid), iid
-        for key in old_state:
-            if ":journal:" not in key:
-                assert new_state[key] == old_state[key], key
+        others = [key for key in old_state if ":journal:" not in key]
+        assert [key for key in new_state if ":journal:" not in key] == others
+        for key in others:
+            assert new_state[key] == old_state[key], key
+        # one segment per (barrier, touched instance), keyed by the first
+        # position that barrier wrote for it
+        assert {key for key in new_state if ":journal:" in key} == segment_starts(old)
         assert new.snapshot() == new_state and old.snapshot() == old_state
         # one record per barrier where the reference wrote an envelope
         barriers = sum(1 for r in old.wal.durable_records() if r.kind == w.COMMIT)
