@@ -4,14 +4,18 @@
 The paper motivates the language with applications that "may contain long
 periods of inactivity, often due to the constituent applications requiring
 user interactions" (§1).  Here the `approve` task parks itself with
-``pending()``; the workflow survives an execution-node crash while parked,
-and a (simulated) manager later supplies the decision through the execution
-service — journaled like any other result.
+``pending()``.  On the in-process engine the run stalls until the decision
+is supplied from outside.  On the distributed system the workflow survives
+an execution-node crash while parked, and a (simulated) manager later
+supplies the decision through the execution service — journaled like any
+other result.  A second request is withdrawn while it waits: the execution
+service aborts the parked task from the outside (Fig. 3's abort-from-wait),
+journaled too.
 
 Run:  python examples/human_approval.py
 """
 
-from repro import ImplementationRegistry, compile_script, outcome, pending
+from repro import ImplementationRegistry, LocalEngine, compile_script, outcome, pending
 from repro.services import WorkflowSystem
 
 SCRIPT = """
@@ -31,7 +35,8 @@ taskclass ManagerApproval
     outputs
     {
         outcome approved { decision of class Decision };
-        outcome denied { }
+        outcome denied { };
+        abort outcome withdrawn { }
     }
 };
 
@@ -47,7 +52,8 @@ taskclass Purchase
     outputs
     {
         outcome purchased { confirmation of class Confirmation };
-        outcome declined { }
+        outcome declined { };
+        outcome withdrawn { }
     }
 };
 
@@ -78,7 +84,8 @@ compoundtask purchase of taskclass Purchase
             outputobject confirmation from
             { confirmation of task placeOrder if output placed }
         };
-        outcome declined { notification from { task approve if output denied } }
+        outcome declined { notification from { task approve if output denied } };
+        outcome withdrawn { notification from { task approve if output withdrawn } }
     }
 };
 """
@@ -94,6 +101,17 @@ def main() -> None:
         "refPlaceOrder",
         lambda ctx: outcome("placed", confirmation=f"PO#{ctx.value('decision')}"),
     )
+
+    # in process first: the parked task stalls the run until the decision
+    # is supplied from outside
+    workflow = LocalEngine(registry).workflow(compile_script(SCRIPT))
+    workflow.start({"request": "a desk"})
+    workflow.run_to_completion()
+    print(f"local engine     : {workflow.status.value} at purchase/approve")
+    workflow.complete_external("purchase/approve", "approved", decision="approved-by-lead")
+    local = workflow.run_to_completion()
+    print(f"                   {local.outcome}, {local.value('confirmation')}\n")
+    assert local.outcome == "purchased"
 
     system = WorkflowSystem(workers=2, registry=registry)
     system.deploy("purchase", SCRIPT)
@@ -119,6 +137,14 @@ def main() -> None:
     print(f"\noutcome      : {result['outcome']}")
     print(f"confirmation : {result['objects']['confirmation']['value']}")
     assert result["outcome"] == "purchased"
+
+    print("\na second request is withdrawn while it waits for the manager.")
+    other = system.instantiate("purchase", "purchase", {"request": "1 chair"})
+    system.clock.advance(50.0)
+    system.execution_proxy().force_abort(other, "purchase/approve")  # Fig. 3 abort
+    result = system.run_until_terminal(other, max_time=5_000)
+    print(f"outcome      : {result['outcome']}")
+    assert result["outcome"] == "withdrawn"
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .core import (
     from_input,
     from_output,
     from_task,
-    ref,
 )
 from .engine import (
     ImplementationRegistry,
@@ -102,7 +101,6 @@ __all__ = [
     "parse",
     "pending",
     "PendingExternal",
-    "ref",
     "repeat",
     "__version__",
 ]

@@ -56,7 +56,7 @@ from typing import Optional
 
 from ..core.schema import Script
 from ..engine.plan import compile_plan
-from .dynamic import DynamicFinding, Sanitizer, sanitized_exploration, sanitized_run
+from .dynamic import DynamicFinding, Sanitizer, sanitized_run
 from .findings import Finding, Severity, StaticReport
 from .interference import check_interference, enabled_pairs
 from .liveness import LivenessResult, check_liveness
@@ -124,7 +124,6 @@ __all__ = [
     "Severity",
     "StaticReport",
     "analyze_script",
-    "sanitized_exploration",
     "sanitized_run",
     "check_interference",
     "enabled_pairs",

@@ -6,8 +6,7 @@ The static passes (:mod:`repro.analysis.interference`,
 watches what the engine actually *does* and checks the containment the
 analyzer promises: **every dynamic finding must be predicted by a static
 one** (dynamic ⊆ static).  A dynamic finding with no static counterpart is
-an analyzer bug, and ``repro analyze --sanitize`` / ``repro sanitize`` exit
-non-zero on it.
+an analyzer bug, and ``repro sanitize`` exits non-zero on it.
 
 Three detectors, one :class:`Sanitizer`:
 
@@ -81,9 +80,6 @@ class VectorClock:
     def increment(self, path: str) -> None:
         self.clock[path] = self.clock.get(path, 0) + 1
 
-    def leq(self, other: "VectorClock") -> bool:
-        return all(tick <= other.clock.get(path, 0) for path, tick in self.clock.items())
-
     def concurrent(self, other: "VectorClock") -> bool:
         # single pass over both clocks (this runs O(accesses^2) per token
         # on fan-heavy workloads, so it is the sanitizer's hottest loop)
@@ -106,9 +102,6 @@ class VectorClock:
                 if tick > get(path, 0):
                     return True
         return False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"VC({self.clock!r})"
 
 
 @dataclass(frozen=True)
@@ -472,40 +465,4 @@ def sanitized_run(
     sanitizer.scan_workers(system.workers, compile_plan(script))
     return result
 
-
-def sanitized_exploration(
-    script: Script,
-    root_task: Optional[str] = None,
-    input_set: str = "main",
-    analysis=None,
-    repeats: int = 3,
-) -> Sanitizer:
-    """Re-run the outcome explorer's witness assignments on the simulated
-    system under the sanitizer.
-
-    :func:`repro.core.analysis.analyze_outcomes` already found, for every
-    reachable outcome, one assignment of implementation choices that
-    produces it; this replays each witness under ``repeats`` seeds
-    (:func:`sanitized_run`, seeds ``0 … repeats-1``), so the dynamic race
-    detector observes several schedules of every reachable behaviour.
-    Returns the sanitizer.
-    """
-    from ..core.analysis import (
-        _UniversalRegistry,
-        _synthetic_impl,
-        analyze_outcomes,
-        witness_start,
-    )
-
-    root_task, input_set, inputs = witness_start(script, root_task, input_set)
-    if analysis is None:
-        analysis = analyze_outcomes(script, root_task, input_set=input_set)
-    sanitizer = Sanitizer()
-    for choices in analysis.reachable.values():
-        registry = _UniversalRegistry(_synthetic_impl(choices))
-        for seed in range(repeats):
-            sanitized_run(
-                sanitizer, script, root_task, registry, inputs, input_set, seed=seed
-            )
-    return sanitizer
 

@@ -73,9 +73,6 @@ class StaticReport:
     def warnings(self) -> List[Finding]:
         return [f for f in self.findings if f.severity is Severity.WARNING]
 
-    def by_code(self, code: str) -> List[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     @property
     def ok(self) -> bool:
         """True when no error-severity finding was produced."""

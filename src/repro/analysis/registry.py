@@ -16,7 +16,7 @@ may still reference them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from .findings import Severity
 
@@ -69,19 +69,10 @@ class DiagnosticRegistry:
             raise KeyError(f"diagnostic code {code!r} is not registered")
         return spec
 
-    def get(self, code: str) -> Optional[DiagnosticSpec]:
-        return self._specs.get(code)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._specs
-
     def specs(self) -> Iterator[DiagnosticSpec]:
         """All live specs, ordered by code (stable for SARIF rule arrays)."""
         for code in sorted(self._specs):
             yield self._specs[code]
-
-    def retired(self) -> Dict[str, str]:
-        return dict(self._retired)
 
     def rule_index(self, code: str) -> int:
         """Position of ``code`` in :meth:`specs` order (SARIF ``ruleIndex``)."""

@@ -114,31 +114,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sanitize_check(script, root_task, report, analysis) -> int:
-    """Run the dynamic sanitizer over the explorer's witness assignments and
-    gate on the static-superset guarantee (0 = every dynamic finding is
-    statically predicted, 1 = analyzer bug)."""
-    from .analysis import sanitized_exploration
-
-    sanitizer = sanitized_exploration(script, root_task, analysis=analysis)
-    print()
-    print(f"sanitizer: {len(sanitizer.findings)} dynamic finding(s)")
-    for line in sanitizer.render():
-        print(f"  {line}")
-    return _coverage_verdict(sanitizer.check_coverage(report))
-
-
-def _coverage_verdict(uncovered) -> int:
-    for dyn in uncovered:
-        print(
-            "ANALYZER BUG: dynamic finding has no static counterpart — "
-            f"please report this: {dyn.render()}"
-        )
-    if not uncovered:
-        print("every dynamic finding is statically predicted (dynamic <= static)")
-    return 1 if uncovered else 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_script
 
@@ -146,10 +121,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_script(script, root_task=args.task, source_name=args.script)
     if args.static:
         print(report.render_text())
-        code = 0 if report.ok else 1
-        if args.sanitize:
-            code = max(code, _sanitize_check(script, args.task, report, None))
-        return code
+        return 0 if report.ok else 1
 
     # side-by-side: the static may-analysis against the dynamic explorer,
     # which *executes* the workflow under every implementation choice.
@@ -187,10 +159,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     if not disagreement:
         print("static and dynamic reachability agree")
-    code = 1 if disagreement or analysis.unreachable or not report.ok else 0
-    if args.sanitize:
-        code = max(code, _sanitize_check(script, args.task, report, analysis))
-    return code
+    return 1 if disagreement or analysis.unreachable or not report.ok else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -270,7 +239,14 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(log, fh, indent=2)
             fh.write("\n")
-    return _coverage_verdict(uncovered)
+    for dyn in uncovered:
+        print(
+            "ANALYZER BUG: dynamic finding has no static counterpart — "
+            f"please report this: {dyn.render()}"
+        )
+    if not uncovered:
+        print("every dynamic finding is statically predicted (dynamic <= static)")
+    return 1 if uncovered else 0
 
 
 def _sanitize_under_nemesis(args, sanitizer, script) -> None:
@@ -547,14 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="static analysis only: skip the dynamic explorer and the "
         "side-by-side comparison",
-    )
-    analyze.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="re-run every reachable witness on the simulated distributed "
-        "system under three seeds with the runtime sanitizer (vector clocks "
-        "+ locksets) attached; exit 1 if any dynamic finding lacks a static "
-        "counterpart",
     )
     analyze.set_defaults(fn=cmd_analyze)
 

@@ -45,7 +45,6 @@ from .schema import (
     Source,
     TaskClass,
     TaskDecl,
-    TaskTemplate,
 )
 
 
@@ -98,10 +97,6 @@ class TaskClassBuilder:
     def mark(self, name: str, **objects: str) -> "TaskClassBuilder":
         return self._output(name, OutputKind.MARK, objects)
 
-    def done(self) -> "ScriptBuilder":
-        self._parent._finalize(self)
-        return self._parent
-
     def _finish(self) -> TaskClass:
         return TaskClass(self._name, tuple(self._input_sets), tuple(self._outputs))
 
@@ -130,11 +125,6 @@ class _InputsMixin:
         """Add one notification dependency (alternatives) to ``set_name``."""
         _, notifications = self._set(set_name)
         notifications.append(NotificationBinding(tuple(sources)))
-        return self
-
-    def empty_input_set(self, set_name: str):
-        """Declare an input set with no dependencies (starts immediately)."""
-        self._set(set_name)
         return self
 
     def _built_input_sets(self) -> Tuple[InputSetBinding, ...]:
@@ -238,11 +228,6 @@ class CompoundBuilder(_InputsMixin):
         self._tasks.append(builder)
         return builder
 
-    def add(self, decl: Union[TaskDecl, CompoundTaskDecl]) -> "CompoundBuilder":
-        """Add a pre-built declaration (e.g. a template instantiation)."""
-        self._tasks.append(decl)
-        return self
-
     def output(self, name: str) -> OutputBuilder:
         builder = OutputBuilder(self, name)
         self._outputs.append(builder)
@@ -294,25 +279,10 @@ class ScriptBuilder:
         self._pending.append(builder)
         return builder
 
-    def task(self, name: str, taskclass: str) -> TaskBuilder:
-        builder = TaskBuilder(self, name, taskclass)
-        self._pending.append(builder)
-        return builder
-
     def compound(self, name: str, taskclass: str) -> CompoundBuilder:
         builder = CompoundBuilder(self, name, taskclass)
         self._pending.append(builder)
         return builder
-
-    def template(
-        self, name: str, parameters: Tuple[str, ...], body: Union[TaskDecl, CompoundTaskDecl]
-    ) -> "ScriptBuilder":
-        self._script.add_template(TaskTemplate(name, tuple(parameters), body))
-        return self
-
-    def instantiate(self, instance: str, template: str, *arguments: str) -> "ScriptBuilder":
-        self._script.instantiate_template(instance, template, tuple(arguments))
-        return self
 
     # -- registration hooks used by sub-builders -----------------------------------
 
@@ -331,8 +301,3 @@ class ScriptBuilder:
         while self._pending:
             self._finalize(self._pending[0])
         return check(self._script) if validate else self._script
-
-    @property
-    def script(self) -> Script:
-        """The script under construction (not yet validated)."""
-        return self._script

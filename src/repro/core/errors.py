@@ -41,15 +41,6 @@ class ExecutionError(WorkflowError):
     """Error during workflow instance execution."""
 
 
-class TaskFailure(ExecutionError):
-    """A task implementation raised an unexpected exception."""
-
-    def __init__(self, task: str, cause: BaseException) -> None:
-        self.task = task
-        self.cause = cause
-        super().__init__(f"task {task!r} implementation failed: {cause!r}")
-
-
 class BindingError(ExecutionError):
     """No implementation could be bound for a task's code name."""
 

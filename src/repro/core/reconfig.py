@@ -40,24 +40,6 @@ def _split(path: str) -> List[str]:
     return [part for part in path.split("/") if part]
 
 
-def _find(script: Script, path: str) -> AnyTaskDecl:
-    parts = _split(path)
-    if not parts:
-        raise ReconfigurationError(f"path {path!r} does not name a task")
-    try:
-        decl: AnyTaskDecl = script.tasks[parts[0]]
-    except KeyError:
-        raise ReconfigurationError(f"no top-level task {parts[0]!r}") from None
-    for part in parts[1:]:
-        if not isinstance(decl, CompoundTaskDecl):
-            raise ReconfigurationError(f"{decl.name!r} is not a compound task")
-        child = decl.task(part)
-        if child is None:
-            raise ReconfigurationError(f"{decl.name!r} has no constituent {part!r}")
-        decl = child
-    return decl
-
-
 def _rebuild(script: Script, path: str, fn: Callable[[AnyTaskDecl], AnyTaskDecl]) -> Script:
     """Return a new script where the declaration at ``path`` is ``fn(old)``;
     every compound on the way down is rebuilt, everything else is shared."""
@@ -100,11 +82,6 @@ def _rebuild(script: Script, path: str, fn: Callable[[AnyTaskDecl], AnyTaskDecl]
 class Change:
     """One atomic reconfiguration step."""
 
-    description: str = ""
-
-    def apply(self, script: Script) -> Script:
-        raise NotImplementedError
-
     def apply_checked(self, script: Script) -> Script:
         """Apply, then validate the result; raise without effect if invalid."""
         result = self.apply(script)
@@ -112,7 +89,7 @@ class Change:
         if errors:
             summary = "; ".join(str(e) for e in errors[:3])
             raise ReconfigurationError(
-                f"change {self.description or type(self).__name__!r} would break "
+                f"change {type(self).__name__} would break "
                 f"the schema: {summary}"
             )
         return result
@@ -125,10 +102,6 @@ class AddTask(Change):
 
     compound_path: str
     decl: AnyTaskDecl
-
-    @property
-    def description(self) -> str:
-        return f"add task {self.decl.name!r} to {self.compound_path!r}"
 
     def apply(self, script: Script) -> Script:
         def add(decl: AnyTaskDecl) -> AnyTaskDecl:
@@ -150,10 +123,6 @@ class RemoveTask(Change):
 
     compound_path: str
     task_name: str
-
-    @property
-    def description(self) -> str:
-        return f"remove task {self.task_name!r} from {self.compound_path!r}"
 
     def apply(self, script: Script) -> Script:
         def remove(decl: AnyTaskDecl) -> AnyTaskDecl:
@@ -186,11 +155,6 @@ class AddDependency(Change):
     input_set: str
     object_name: Optional[str]       # None => notification dependency
     sources: Tuple[Source, ...]
-
-    @property
-    def description(self) -> str:
-        what = f"object {self.object_name!r}" if self.object_name else "notification"
-        return f"add {what} dependency to {self.task_path!r}.{self.input_set}"
 
     def apply(self, script: Script) -> Script:
         def add(decl: AnyTaskDecl) -> AnyTaskDecl:
@@ -233,15 +197,6 @@ class RemoveDependency(Change):
     input_set: str
     object_name: Optional[str] = None
     notification_index: Optional[int] = None
-
-    @property
-    def description(self) -> str:
-        what = (
-            f"object {self.object_name!r}"
-            if self.object_name
-            else f"notification #{self.notification_index}"
-        )
-        return f"remove {what} dependency from {self.task_path!r}.{self.input_set}"
 
     def apply(self, script: Script) -> Script:
         def remove(decl: AnyTaskDecl) -> AnyTaskDecl:
@@ -296,14 +251,6 @@ class AddTemplateInstances(Change):
     template_name: str
     instances: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (name, args)...
 
-    @property
-    def description(self) -> str:
-        names = ", ".join(name for name, _ in self.instances)
-        return (
-            f"instantiate template {self.template_name!r} as [{names}] in "
-            f"{self.compound_path!r}"
-        )
-
     def apply(self, script: Script) -> Script:
         try:
             template = script.templates[self.template_name]
@@ -338,10 +285,6 @@ class ReplaceOutputMapping(Change):
     compound_path: str
     output: "OutputBinding"
 
-    @property
-    def description(self) -> str:
-        return f"replace output {self.output.name!r} of {self.compound_path!r}"
-
     def apply(self, script: Script) -> Script:
         def rewire(decl: AnyTaskDecl) -> AnyTaskDecl:
             if not isinstance(decl, CompoundTaskDecl):
@@ -364,10 +307,6 @@ class ReplaceImplementation(Change):
 
     task_path: str
     implementation: Implementation
-
-    @property
-    def description(self) -> str:
-        return f"replace implementation of {self.task_path!r}"
 
     def apply(self, script: Script) -> Script:
         def swap(decl: AnyTaskDecl) -> AnyTaskDecl:

@@ -340,30 +340,28 @@ class Implementation:
     def of(cls, **properties: str) -> "Implementation":
         return cls(tuple(sorted((k, str(v)) for k, v in properties.items())))
 
-    def get(self, keyword: str, default: Optional[str] = None) -> Optional[str]:
-        for key, value in self.properties:
-            if key == keyword:
-                return value
-        return default
-
     def as_dict(self) -> Dict[str, str]:
         return dict(self.properties)
 
 
-@dataclass(frozen=True)
-class TaskDecl:
-    """A (simple) task instance (``task`` construct)."""
-
-    name: str
-    taskclass_name: str
-    implementation: Implementation = field(default_factory=Implementation)
-    input_sets: Tuple[InputSetBinding, ...] = ()
+class _BindsInputSets:
+    """What a simple and a compound task declaration share: input sets."""
 
     def input_set(self, name: str) -> Optional[InputSetBinding]:
         for binding in self.input_sets:
             if binding.name == name:
                 return binding
         return None
+
+
+@dataclass(frozen=True)
+class TaskDecl(_BindsInputSets):
+    """A (simple) task instance (``task`` construct)."""
+
+    name: str
+    taskclass_name: str
+    implementation: Implementation = field(default_factory=Implementation)
+    input_sets: Tuple[InputSetBinding, ...] = ()
 
     @property
     def is_compound(self) -> bool:
@@ -398,15 +396,9 @@ class OutputBinding:
     objects: Tuple[OutputObjectBinding, ...] = ()
     notifications: Tuple[NotificationBinding, ...] = ()
 
-    def object(self, name: str) -> Optional[OutputObjectBinding]:
-        for binding in self.objects:
-            if binding.name == name:
-                return binding
-        return None
-
 
 @dataclass(frozen=True)
-class CompoundTaskDecl:
+class CompoundTaskDecl(_BindsInputSets):
     """A compound task instance (``compoundtask`` construct, §4.4)."""
 
     name: str
@@ -424,12 +416,6 @@ class CompoundTaskDecl:
             raise SchemaError(
                 "constituent task shadows the compound's own name", self.name
             )
-
-    def input_set(self, name: str) -> Optional[InputSetBinding]:
-        for binding in self.input_sets:
-            if binding.name == name:
-                return binding
-        return None
 
     def task(self, name: str) -> Optional[Union[TaskDecl, "CompoundTaskDecl"]]:
         for task in self.tasks:
@@ -601,17 +587,6 @@ class Script:
         if template.name in self.templates:
             raise SchemaError(f"template {template.name!r} already declared")
         self.templates[template.name] = template
-
-    def instantiate_template(
-        self, instance_name: str, template_name: str, arguments: Tuple[str, ...]
-    ) -> AnyTaskDecl:
-        try:
-            template = self.templates[template_name]
-        except KeyError:
-            raise SchemaError(f"unknown template {template_name!r}", instance_name) from None
-        decl = template.instantiate(instance_name, arguments)
-        self.add_task(decl)
-        return decl
 
     # -- lookups -----------------------------------------------------------------
 

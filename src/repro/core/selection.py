@@ -90,9 +90,6 @@ class HotpathStats:
         self.publishes = 0
         self.source_evals = 0
 
-    def evals_per_publish(self) -> float:
-        return self.source_evals / self.publishes if self.publishes else 0.0
-
 
 HOTPATH_STATS = HotpathStats()
 
@@ -112,9 +109,6 @@ class WorkflowEvent(NamedTuple):
     name: str
     objects: Mapping[str, ObjectRef]
     seq: int = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<event #{self.seq} {self.producer}.{self.kind.value}:{self.name}>"
 
 
 def source_matches(source, event: WorkflowEvent) -> Optional[ObjectRef]:

@@ -59,11 +59,6 @@ class TaskStateMachine:
     def terminal(self) -> bool:
         return self.state in (TaskState.COMPLETED, TaskState.ABORTED)
 
-    @property
-    def can_abort(self) -> bool:
-        """Marks forfeit the right to abort (§4.2)."""
-        return not self.terminal and not self.marked
-
     # -- transitions ---------------------------------------------------------------
 
     def start(self) -> None:

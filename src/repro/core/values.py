@@ -23,14 +23,3 @@ class ObjectRef(NamedTuple):
     produced_by: Optional[str] = None   # task path, e.g. "order/dispatch"
     via: Optional[str] = None           # output or input-set name
 
-    def with_provenance(self, task_path: str, via: str) -> "ObjectRef":
-        return tuple.__new__(ObjectRef, (self.class_name, self.value, task_path, via))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        origin = f" from {self.produced_by}.{self.via}" if self.produced_by else ""
-        return f"<{self.class_name}:{self.value!r}{origin}>"
-
-
-def ref(class_name: str, value: Any = None) -> ObjectRef:
-    """Convenience constructor used by task implementations."""
-    return ObjectRef(class_name, value)

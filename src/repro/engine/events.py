@@ -33,14 +33,6 @@ class LogEntry(NamedTuple):
     producer_path: str
     event: WorkflowEvent
 
-    @property
-    def kind(self) -> EventKind:
-        return self.event.kind
-
-    @property
-    def name(self) -> str:
-        return self.event.name
-
 
 class EventLog:
     """Chronological record of everything a workflow instance did.

@@ -129,9 +129,6 @@ class LocalWorkflow:
     def reconfigure(self, new_script: Script) -> None:
         self.tree.reconfigure(new_script)
 
-    def force_abort(self, path: str, abort_name: Optional[str] = None) -> None:
-        self.tree.force_abort(path, abort_name)
-
     def complete_external(self, path: str, output_name: str, **objects) -> None:
         """Supply the outcome of a task parked by :func:`repro.engine.pending`.
 

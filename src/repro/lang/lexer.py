@@ -83,9 +83,6 @@ class Token(NamedTuple):
     def is_keyword(self, word: str) -> bool:
         return self.type is TokenType.KEYWORD and self.value == word
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{self.type.value}:{self.value!r}@{self.line}:{self.column}>"
-
 
 _SINGLE = {
     "{": TokenType.LBRACE,

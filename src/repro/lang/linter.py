@@ -53,9 +53,6 @@ class LintWarning:
     location: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.code} {self.location}: {self.message}"
-
 
 class Linter:
     def __init__(self, script: Script) -> None:

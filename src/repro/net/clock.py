@@ -59,10 +59,6 @@ class EventClock:
         # call_at's checks hold by construction: push directly
         heapq.heappush(self._queue, (self.now + delay, next(self._seq), action, label))
 
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
-
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
         if not self._queue:

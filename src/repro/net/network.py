@@ -129,13 +129,6 @@ class Network:
         """Remove an endpoint (e.g. on node crash)."""
         self._endpoints.pop(name, None)
 
-    def is_attached(self, name: str) -> bool:
-        return name in self._endpoints
-
-    def incarnation(self, name: str) -> int:
-        """The endpoint's current incarnation (last attached value)."""
-        return self._incarnations.get(name, 0)
-
     # -- partitions -----------------------------------------------------------
 
     def partition(self, group_a: Set[str], group_b: Set[str]) -> None:

@@ -82,12 +82,6 @@ class Node:
             service.on_start()
         return service
 
-    def service(self, name: str) -> Service:
-        try:
-            return self._services[name]
-        except KeyError:
-            raise SimulationError(f"no service {name!r} on node {self.name!r}") from None
-
     def services(self) -> List[Service]:
         return list(self._services.values())
 

@@ -17,7 +17,6 @@ from .broker import (
 )
 from .marshal import (
     MarshalError,
-    is_transferable,
     marshal,
     marshal_call,
     sealed,
@@ -37,7 +36,6 @@ __all__ = [
     "Overloaded",
     "Proxy",
     "call_with_backoff",
-    "is_transferable",
     "marshal",
     "marshal_call",
     "sealed",

@@ -141,9 +141,6 @@ class ObjectBroker:
         interface.validate_servant(servant)
         self._registry[name] = _Registration(name, interface, servant, node, fence)
 
-    def unregister(self, name: str) -> None:
-        self._registry.pop(name, None)
-
     def resolve(self, name: str) -> _Registration:
         try:
             return self._registry[name]

@@ -180,10 +180,6 @@ class PlainDict(dict):
 BY_REFERENCE.add(PlainDict)
 
 
-def is_transferable(cls: Type) -> bool:
-    return cls in _TRANSFERABLE
-
-
 def marshal(value: Any, _depth: int = 0) -> Any:
     """Return ``value`` as the far side may see it: a structural copy, or
     the value itself when it is deeply immutable (sharing is unobservable)."""

@@ -38,9 +38,6 @@ class Proxy:
         call.__name__ = operation
         return call
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Proxy {self._target} from {self._caller.name if self._caller else '?'}>"
-
 
 def call_with_backoff(
     clock: Any,

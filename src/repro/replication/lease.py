@@ -38,7 +38,7 @@ from ..txn.store import ObjectStore
 
 LEASE_INTERFACE = Interface(
     "ReplicationLease",
-    ("acquire", "renew", "release", "demote", "enlist", "lease_info"),
+    ("acquire", "renew", "demote", "enlist"),
 )
 
 _FRESH = {"holder": None, "epoch": 0, "expires_at": 0.0}
@@ -135,15 +135,6 @@ class LeaseService(Service):
         self.stats["renewals"] += 1
         return {"granted": True, "isr": self._isr(), **lease}
 
-    def release(self, holder: str, epoch: int) -> bool:
-        """Voluntary release (planned handover): expire the lease now."""
-        lease = self._lease()
-        if lease["holder"] != holder or lease["epoch"] != epoch:
-            return False
-        lease["expires_at"] = self._now()
-        self._persist(lease, self._isr())
-        return True
-
     def demote(self, peer: str, epoch: int) -> bool:
         """Primary (holding ``epoch``) reports that ``peer`` failed to ack a
         replication push: remove it from the ISR.  The primary must not ack
@@ -168,12 +159,3 @@ class LeaseService(Service):
         if peer not in isr:
             self._persist(lease, isr + [peer])
         return True
-
-    def lease_info(self) -> Dict[str, Any]:
-        lease = self._lease()
-        return {
-            **lease,
-            "now": self._now(),
-            "isr": self._isr(),
-            "stats": dict(self.stats),
-        }

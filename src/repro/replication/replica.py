@@ -302,8 +302,8 @@ class ReplicatedExecutionService(ExecutionService):
         now = self._now()
         if now >= self.lease["expires_at"]:
             # Fail-safe self-demotion: we could not renew in time, so another
-            # replica may already hold a newer lease.  Both sides read the
-            # same simulated clock, so this fires before any new grant.
+            # replica may already hold a newer lease (granted first when the
+            # term is not a multiple of the tick: see _on_fenced_reply).
             self._demote_self("lease expired without renewal")
             return
         try:

@@ -92,14 +92,8 @@ class ResilienceLog:
         carry no instance and are included for context)."""
         return [e for e in self.entries if e.instance in ("", instance)]
 
-    def of_kind(self, kind: str) -> List[ResilienceEvent]:
-        return [e for e in self.entries if e.kind == kind]
-
     def summary(self) -> Dict[str, int]:
         return dict(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def render_resilience(

@@ -80,9 +80,6 @@ class HealthRegistry:
             for name in self._names
         }
 
-    def health(self, name: str) -> WorkerHealth:
-        return self.workers[name]
-
     # -- observations --------------------------------------------------------------
 
     def on_dispatch(self, name: str, now: float) -> None:
@@ -128,18 +125,6 @@ class HealthRegistry:
 
     # -- routing --------------------------------------------------------------------
 
-    def score(self, name: str) -> float:
-        """Lower is healthier.  Deterministic."""
-        health = self.workers[name]
-        latency = (
-            health.ewma_latency if health.ewma_latency is not None else self._LATENCY_PRIOR
-        )
-        return (
-            latency
-            + self._INFLIGHT_WEIGHT * health.in_flight
-            + self._STREAK_WEIGHT * health.streak
-        )
-
     def allows(self, name: str, now: float) -> bool:
         """Would the breaker admit a dispatch to ``name``?  (Peek only —
         does not consume a half-open probe slot.)"""
@@ -161,7 +146,7 @@ class HealthRegistry:
             if name in excluded:
                 continue
             health = workers[name]
-            # score(name), inlined (tests/test_route_model.py routes by it)
+            # the score: lower is healthier (tests/test_route_model.py::reference_score)
             latency = health.ewma_latency
             if latency is None:
                 latency = self._LATENCY_PRIOR

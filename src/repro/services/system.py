@@ -286,9 +286,6 @@ class WorkflowSystem:
     def status(self, iid: str) -> Dict[str, Any]:
         return self.execution_proxy().status(iid)
 
-    def result(self, iid: str) -> Dict[str, Any]:
-        return self.execution_proxy().result(iid)
-
     def run_until_terminal(
         self, iid: str, max_time: float = 100_000.0, check_every: float = 25.0
     ) -> Dict[str, Any]:

@@ -222,9 +222,6 @@ class CrashPointInjector:
         self.armed.append(fault)
         return fault
 
-    def node_for(self, scope: Any) -> Optional[str]:
-        return self._scopes.get(id(scope))
-
     # -- the hot path -------------------------------------------------------
 
     def visit(self, name: str, scope: Any) -> None:
@@ -263,10 +260,6 @@ def install(injector: CrashPointInjector) -> None:
 def uninstall() -> None:
     global _active
     _active = None
-
-
-def active_injector() -> Optional[CrashPointInjector]:
-    return _active
 
 
 def crash_point(name: str, scope: Any = None) -> None:

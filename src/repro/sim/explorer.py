@@ -90,10 +90,6 @@ class SweepResult:
     failures: List[SweepFailure] = field(default_factory=list)
     unreached: List[str] = field(default_factory=list)  # points that never fired
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def summary(self) -> str:
         lines = [
             f"{len(self.reports)} runs, {len(self.failures)} violating "

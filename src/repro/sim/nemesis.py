@@ -249,20 +249,10 @@ class NemesisSchedule:
 
     # -- composition --------------------------------------------------------
 
-    def add(self, fault: Fault) -> "NemesisSchedule":
-        self.faults.append(fault)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
     def without(self, index: int) -> "NemesisSchedule":
         """A copy with the ``index``-th fault dropped (shrinking step)."""
         kept = [f for i, f in enumerate(self.faults) if i != index]
         return NemesisSchedule(kept, name=f"{self.name}-drop{index}")
-
-    def crash_faults(self) -> List[CrashAtPoint]:
-        return [f for f in self.faults if isinstance(f, CrashAtPoint)]
 
     def heals(self) -> bool:
         """Whether every fault ends: a crash whose ``downtime`` is None or a

@@ -103,10 +103,6 @@ class OracleViolation:
     def to_plain(self) -> Dict[str, str]:
         return asdict(self)
 
-    def __str__(self) -> str:
-        where = f" [{self.phase}]" if self.phase else ""
-        return f"{self.oracle}({self.subject}){where}: {self.detail}"
-
 
 def check_store_agreement(store: ObjectStore, phase: str = "") -> List[OracleViolation]:
     """Committed cache == replay of the durable log.

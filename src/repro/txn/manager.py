@@ -259,9 +259,6 @@ class TransactionManager:
             elif txn.state is TransactionState.ABORTED:
                 self.stats["aborted"] += 1
 
-    def active(self) -> List[Transaction]:
-        return list(self._active.values())
-
     # -- coordinator decisions -----------------------------------------------------
 
     def record_decision(self, tid: TransactionId, committed: bool) -> None:

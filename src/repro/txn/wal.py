@@ -254,13 +254,6 @@ class WriteAheadLog:
                 low = middle + 1
         return records[low : self._forced_upto]
 
-    @property
-    def first_retained_lsn(self) -> int:
-        """LSN of the oldest record still in the log (0 when empty).  A
-        replication cursor pointing before this has been checkpoint-truncated
-        away and the follower needs a full resync."""
-        return self._records[0].lsn if self._records else 0
-
     # -- compaction ---------------------------------------------------------------
 
     def checkpoint(self, snapshot: Dict[str, Any]) -> None:

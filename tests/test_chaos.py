@@ -121,7 +121,6 @@ class TestWorkerMigration:
         new_node = Node("worker-node-new", system.clock, system.network)
         migrated = TaskWorker("worker-1b", system.registry)
         new_node.install(migrated)
-        system.broker.unregister("worker-1")
         system.broker.register("worker-1", WORKER_INTERFACE, migrated, new_node)
 
         iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "m-1"})

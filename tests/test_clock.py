@@ -108,6 +108,5 @@ class TestRunControl:
         clock = EventClock()
         clock.call_at(1.0, lambda: None)
         clock.call_at(2.0, lambda: None)
-        assert clock.pending() == 2
-        clock.step()
-        assert clock.pending() == 1
+        assert clock.step() and clock.step()
+        assert clock.step() is False

@@ -4,6 +4,7 @@ stale results, event-log helpers, multi-root scripts."""
 import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output
+from repro.core.schema import Implementation, TaskDecl
 from repro.core.selection import EventKind
 from repro.core.states import TaskState
 from repro.engine import (
@@ -217,9 +218,9 @@ class TestMultiRootScripts:
     def test_each_root_runs_independently(self):
         b = ScriptBuilder()
         b.taskclass("T").input_set("main").outcome("ok")
-        b.task("first", "T").implementation(code="a").up()
-        b.task("second", "T").implementation(code="b").up()
-        script = b.build()
+        script = b.build(validate=False)
+        script.add_task(TaskDecl("first", "T", Implementation.of(code="a")))
+        script.add_task(TaskDecl("second", "T", Implementation.of(code="b")))
         calls = []
         reg = ImplementationRegistry()
         reg.register("a", lambda ctx: calls.append("a") or outcome("ok"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output, from_task
+from repro.core.schema import Implementation, TaskDecl
 from repro.core.selection import EventKind
 from repro.engine import (
     ImplementationRegistry,
@@ -55,9 +56,9 @@ class TestBasicExecution:
     def test_run_requires_unique_root_or_name(self):
         b = ScriptBuilder()
         b.taskclass("T").outcome("ok")
-        b.task("a", "T").implementation(code="c").up()
-        b.task("b", "T").implementation(code="c").up()
-        script = b.build()
+        script = b.build(validate=False)
+        script.add_task(TaskDecl("a", "T", Implementation.of(code="c")))
+        script.add_task(TaskDecl("b", "T", Implementation.of(code="c")))
         reg = ImplementationRegistry().register("c", lambda ctx: outcome("ok"))
         with pytest.raises(Exception):
             LocalEngine(reg).run(script)
@@ -345,7 +346,7 @@ class TestAbortsAndStalls:
         wf.start({})
         wf.run_to_completion()
         assert wf.status is WorkflowStatus.STALLED
-        wf.force_abort("wf/t")  # timer/user abort (Fig. 3 abort-from-wait)
+        wf.tree.force_abort("wf/t")  # timer/user abort (Fig. 3 abort-from-wait)
         result = wf.run_to_completion()
         assert result.completed
         assert result.outcome == "expired"

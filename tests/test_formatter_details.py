@@ -100,7 +100,7 @@ class TestImplementationFormatting:
         script = parse(text)
         again = parse(format_script(script))
         assert again.tasks["t"].implementation == script.tasks["t"].implementation
-        assert again.tasks["t"].implementation.get("location") == "worker-2"
+        assert again.tasks["t"].implementation.as_dict()["location"] == "worker-2"
 
     def test_empty_implementation_omitted(self):
         text = 'taskclass T { outputs { outcome ok { } } } task t of taskclass T { }'

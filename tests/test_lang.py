@@ -127,7 +127,7 @@ class TestParserBasics:
         )
         impl = script.tasks["t"].implementation
         assert impl.code == "refT"
-        assert impl.get("priority") == "5"
+        assert impl.as_dict()["priority"] == "5"
 
     def test_sources_with_guards(self):
         script = parse(

@@ -213,7 +213,7 @@ class TestW009IllTypedProperty:
         from repro.analysis import analyze_script
 
         report = analyze_script(self.script(priority="high"))
-        [finding] = report.by_code("W009")
+        [finding] = [f for f in report.findings if f.code == "W009"]
         assert finding.location == "wf/a"
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core.values import ObjectRef
 from repro.engine import outcome
 from repro.engine.plan import DispatchTemplate, compile_plan
-from repro.orb import MarshalError, is_transferable, marshal, marshal_call, sealed, transferable
+from repro.orb import MarshalError, marshal, marshal_call, sealed, transferable
 from repro.services import WorkflowSystem
 from repro.services.worker import TaskWorker, WorkRequest, work_request
 from repro.workloads import chain, paper_order, script_text
@@ -51,7 +51,7 @@ class Envelope:
 
 class TestTransferableDataclasses:
     def test_registered(self):
-        assert is_transferable(Money)
+        assert Money in marshal_module._TRANSFERABLE
 
     def test_frozen_immutable_passes_by_reference(self):
         """Zero-copy fast path: a frozen dataclass whose fields are all
@@ -386,7 +386,7 @@ class TestSealed:
                 n: int
 
     def test_sealed_type_is_transferable(self):
-        assert is_transferable(DispatchTemplate)
+        assert DispatchTemplate in marshal_module._TRANSFERABLE
 
 
 class TestMarshalCall:

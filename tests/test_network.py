@@ -250,9 +250,3 @@ class TestIncarnations:
         net.attach("b", got.append, incarnation=3)
         clock.run()
         assert len(got) == 1
-
-    def test_incarnation_query(self):
-        clock, net = make()
-        assert net.incarnation("b") == 0
-        net.attach("b", lambda m: None, incarnation=5)
-        assert net.incarnation("b") == 5

@@ -389,7 +389,7 @@ class TestReconfigureUnderTraffic:
         runtime = service._full_runtime(iid)
         # applied exactly once: visible in the instance's tree and journaled once
         upgraded = runtime.tree.script.tasks[root0].task(f"t{spec.script_length}")
-        assert upgraded.implementation.get("tier") == "upgraded"
+        assert upgraded.implementation.as_dict()["tier"] == "upgraded"
         entries = service.export_instance(iid)["journal"]
         assert sum(1 for e in entries if e["type"] == "reconfig") == 1
         # nothing lost while reconfiguration raced the generator

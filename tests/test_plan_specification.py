@@ -256,7 +256,7 @@ def test_a_recompiled_scope_routes_an_event_shape_no_declaration_has_left():
     check.attach_tree(wf.tree)
     wf.start({"inp": "a"})
     assert wf.step()  # z parks; x and y wait on it
-    wf.force_abort("r/x", "cancelled")
+    wf.tree.force_abort("r/x", "cancelled")
     wf.reconfigure(reborn_script(1))
     wf.reconfigure(reborn_script(2))
     result = wf.run_to_completion()

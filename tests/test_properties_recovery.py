@@ -84,7 +84,7 @@ def lock_pairs(draw):
 @settings(max_examples=100)
 def test_analyzer_never_raises_on_random_lock_scripts(orders):
     report = analyze_script(build_lock_script(orders))
-    for finding in report.by_code("E403"):
+    for finding in [f for f in report.findings if f.code == "E403"]:
         assert len(set(finding.related)) == 2  # a cycle names two tasks
 
 
@@ -106,7 +106,9 @@ def test_runtime_lock_findings_are_statically_predicted(orders, schedule):
     trace = interleave_lockers(manager, lockers, schedule)
     assert sanitizer.check_coverage(report) == []
     if any(step[2] == "deadlock" for step in trace):
-        assert report.by_code("E403"), "a real deadlock demands a static E403"
+        assert any(f.code == "E403" for f in report.findings), (
+            "a real deadlock demands a static E403"
+        )
 
 
 # -- duplicate effects under automatic retries ---------------------------------
@@ -149,7 +151,7 @@ def test_retry_duplicates_are_statically_predicted(shape):
     n, atomic, failing = shape
     script = build_retry_script(n, atomic)
     report = analyze_script(script, include_lint=False)
-    w401 = {f.location for f in report.by_code("W401")}
+    w401 = {f.location for f in report.findings if f.code == "W401"}
     counts = {}
 
     def impl_for(fails_first):

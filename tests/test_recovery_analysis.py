@@ -22,7 +22,6 @@ from repro.analysis import (
     analyze_script,
     check_lockorder,
     check_recovery,
-    sanitized_exploration,
     sanitized_run,
 )
 from repro.core import ScriptBuilder, from_input, from_output
@@ -274,7 +273,7 @@ def test_vector_clock_orderings():
 
     a = VectorClock({"p": 1})
     b = VectorClock({"p": 2, "q": 1})
-    assert a.leq(b) and not b.leq(a)
+    assert not a.concurrent(b) and not b.concurrent(a)
     c = VectorClock({"q": 1})
     assert a.concurrent(c)
     d = a.copy()
@@ -306,12 +305,23 @@ def test_sanitizer_sees_fanout_race_and_pipeline_order(pipeline_script, pipeline
     assert sanitizer.check_coverage(analyze_script(script)) == []
 
 
-def test_sanitized_exploration_covers_paper_order():
-    from repro.workloads import paper_order
+def seeded_runs(name, seeds=5):
+    """A paper application's seeded runs under one sanitizer, as ``repro
+    sanitize`` makes them: real implementations, one schedule per seed."""
+    from repro.lang import compile_script
+    from repro.workloads import APPLICATIONS
 
-    script = paper_order.build()
+    app = APPLICATIONS[name]
+    script = compile_script(app.text)
+    sanitizer = Sanitizer()
+    for seed in range(seeds):
+        sanitized_run(sanitizer, script, app.root_task, app.binder(), app.inputs(0), seed=seed)
+    return script, sanitizer
+
+
+def test_seeded_runs_cover_paper_order():
+    script, sanitizer = seeded_runs("order")
     report = analyze_script(script)
-    sanitizer = sanitized_exploration(script, paper_order.ROOT_TASK)
     races = [f for f in sanitizer.findings if f.kind == "race"]
     assert races, "the order workload's documented §3 race must be observed"
     assert {f.subjects for f in races} <= {
@@ -358,11 +368,8 @@ def test_trip_exploration_observes_the_thread_pools_pairs():
     three ``W301`` pairs of the trip workload that the thread-pooled engine
     they replaced did (it saw 3 of the 7 static pairs; the schedules see 6),
     every one of them statically predicted."""
-    from repro.workloads import paper_trip
-
-    script = paper_trip.build()
+    script, sanitizer = seeded_runs("trip")
     report = analyze_script(script)
-    sanitizer = sanitized_exploration(script, paper_trip.ROOT_TASK)
     flights = "tripReservation/businessReservation/checkFlightReservation"
     hotel = "tripReservation/businessReservation/hotelReservation"
     observed = {f.subjects for f in sanitizer.findings if f.kind == "race"}
@@ -371,7 +378,7 @@ def test_trip_exploration_observes_the_thread_pools_pairs():
         (f"{flights}/queryAirlineOne", hotel),
         (f"{flights}/queryAirlineTwo", hotel),
     } <= observed
-    static = {tuple(sorted(f.related)) for f in report.by_code("W301")}
+    static = {tuple(sorted(f.related)) for f in report.findings if f.code == "W301"}
     assert observed <= static and len(static) == 7
     assert sanitizer.check_coverage(report) == []
 
@@ -409,7 +416,7 @@ def test_static_e403_cycle_is_provoked_at_runtime(schedule):
     reports it, and the static E403 covers it."""
     script = _atomic_pair_script(invert=True)
     report = analyze_script(script, include_lint=False)
-    assert [f.location for f in report.by_code("E403")] == ["wf/a <-> wf/bb"]
+    assert [f.location for f in report.findings if f.code == "E403"] == ["wf/a <-> wf/bb"]
 
     sanitizer = Sanitizer()
     manager = LockManager()

@@ -125,9 +125,9 @@ class TestLeaseService:
         _, lease = lease_fixture()
         grant = lease.acquire("r1")
         lease.enlist("r2", grant["epoch"])
-        assert "r2" in lease.lease_info()["isr"]
+        assert "r2" in lease.store.get_committed("isr")
         lease.demote("r2", grant["epoch"])
-        assert "r2" not in lease.lease_info()["isr"]
+        assert "r2" not in lease.store.get_committed("isr")
         # a stale primary cannot edit the membership it no longer owns
         assert not lease.demote("r1", grant["epoch"] - 1)
 
@@ -137,9 +137,8 @@ class TestLeaseService:
         lease.enlist("r2", grant["epoch"])
         lease.store.crash()
         lease.store.recover()
-        info = lease.lease_info()
-        assert info["holder"] == "r1"
-        assert sorted(info["isr"]) == ["r1", "r2"]
+        assert lease.store.get_committed("lease")["holder"] == "r1"
+        assert sorted(lease.store.get_committed("isr")) == ["r1", "r2"]
 
 
 class TestWorkerFencing:
@@ -607,3 +606,159 @@ class TestSettledGating:
         meta = service.store.get_committed(f"instance:{iid}:meta")
         assert meta["journal_len"] == before
         assert not service.journal.buffer  # the error path drained the buffer
+
+
+def parked_script(ship_code="ship"):
+    """``wf``: ``approve`` parks awaiting an external completion (or a forced
+    ``withdrawn``), then ``ship`` runs on its decision."""
+    from repro.core.builder import ScriptBuilder, from_input, from_output
+    from repro.lang import format_script
+
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Approve").input_set("main").outcome("approved", decision="Data").abort_outcome(
+        "withdrawn"
+    )
+    b.taskclass("Ship").input_set("main", decision="Data").outcome("shipped", out="Data")
+    b.taskclass("Root").input_set("main").outcome("done", out="Data").outcome("withdrawn")
+    c = b.compound("wf", "Root")
+    c.task("approve", "Approve").implementation(code="approve").notify(
+        "main", from_input("wf", "main")
+    ).up()
+    c.task("ship", "Ship").implementation(code=ship_code).input(
+        "main", "decision", from_output("approve", "approved", "decision")
+    ).up()
+    c.output("done").object("out", from_output("ship", "shipped", "out")).up()
+    c.output("withdrawn").notify(from_output("approve", "withdrawn")).up()
+    c.up()
+    return format_script(b.build())
+
+
+def parked_system(replicas):
+    from repro.engine import outcome, pending
+
+    system = WorkflowSystem(replicas=replicas, lease_duration=30, repl_interval=5)
+    system.registry.register("approve", lambda ctx: pending("waiting for a human"))
+    system.registry.register(
+        "ship", lambda ctx: outcome("shipped", out=f"shipped:{ctx.value('decision')}")
+    )
+    system.registry.register(
+        "ship2", lambda ctx: outcome("shipped", out=f"v2:{ctx.value('decision')}")
+    )
+    system.deploy("approval", parked_script())
+    return system
+
+
+def parked_instance(system):
+    iid = system.instantiate("approval", "wf", {})
+    system.clock.advance(10)  # parked at approve; a standby is enlisted
+    assert system.execution_proxy().external_tasks(iid) == ["wf/approve"]
+    return iid
+
+
+def complete_op(service, iid):
+    service.complete_task(iid, "wf/approve", "approved", {"decision": "yes"})
+    return "result", ("done", "shipped:yes")
+
+
+def force_abort_op(service, iid):
+    service.force_abort(iid, "wf/approve")
+    return "force_abort", ("withdrawn", None)
+
+
+def reconfigure_op(service, iid):
+    service.reconfigure(iid, parked_script(ship_code="ship2"))
+    return "reconfig", ("done", "v2:yes")
+
+
+def import_op(service, iid):
+    source = parked_system(replicas=0)
+    snapshot = source.execution.export_instance(parked_instance(source))
+    assert snapshot["instance"] == iid  # the first instance of wf anywhere
+    service.import_instance(snapshot)
+    return None, ("done", "shipped:yes")
+
+
+CLIENT_OPS = [complete_op, force_abort_op, reconfigure_op, import_op]
+
+
+class TestReplicatedClientOps:
+    """A primary's synchronous admin operations (PROTOCOLS §12): each answers
+    only once every in-sync standby holds what it journaled, raises
+    ``Fenced`` when serving it deposed the primary, and what it journaled
+    survives the promotion that follows."""
+
+    @staticmethod
+    def instance_for(op, system):
+        if op is import_op:  # it brings its own, from an unreplicated system
+            system.clock.advance(10)  # a standby is enlisted
+            return "wf-1"
+        return parked_instance(system)
+
+    @pytest.mark.parametrize("op", CLIENT_OPS, ids=lambda op: op.__name__)
+    def test_answers_once_the_standby_holds_it_and_survives_a_promotion(self, op):
+        system = parked_system(replicas=2)
+        iid = self.instance_for(op, system)
+        primary, standby = system.execution_replicas
+        kind, (outcome_name, value) = op(system.execution_proxy(), iid)
+        # no clock advance: the answer itself vouches for the standby's copy
+        held = Journal(standby.store).entries(iid)
+        assert held == Journal(primary.store).entries(iid) and held
+        if kind is not None:
+            assert held[-1]["type"] == kind
+        system.execution_node.crash()
+        while system.primary_execution() is None:
+            system.clock.advance(1.0)
+        assert system.primary_execution() is standby
+        if system.execution_proxy().external_tasks(iid):
+            complete_op(system.execution_proxy(), iid)
+        result = system.run_until_terminal(iid, max_time=2_000.0)
+        assert (result["status"], result["outcome"]) == ("completed", outcome_name)
+        assert result["objects"].get("out", {}).get("value") == value
+
+    @pytest.mark.parametrize("op", CLIENT_OPS, ids=lambda op: op.__name__)
+    def test_raises_fenced_when_serving_it_deposed_the_primary(self, op):
+        system = parked_system(replicas=2)
+        iid = self.instance_for(op, system)
+        primary = system.execution
+        armed = depose_at_next_barrier(primary)
+        with pytest.raises(Fenced):
+            op(primary, iid)
+        assert not armed and primary.role is Role.STANDBY
+
+
+class TestWorkerFence:
+    """A deposed primary whose work reply comes back fenced with a higher
+    epoch demotes itself there and then (PROTOCOLS §12), before its own lease
+    tick would, and records the fence's epoch.  The schedule reaches that
+    path through a primary that outlives its lease until its next tick (an
+    open defect, PROTOCOLS §12); only the outcome is asserted."""
+
+    def test_a_fenced_work_reply_demotes_a_deposed_primary(self):
+        from repro.engine import outcome
+        from repro.sim.nemesis import CrashAtTime, NemesisSchedule, Partition
+
+        system = WorkflowSystem(
+            replicas=2, workers=1, lease_duration=30, repl_interval=25,
+            dispatch_timeout=8, sweep_interval=4,
+        )
+        system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
+        system.deploy("p", TestDeposedMidEvent.pinned_script())
+        old, new = system.execution_replicas
+        NemesisSchedule([
+            # the standby's ticks move to 11 + 25k: it polls at 61, the old
+            # primary (renewed at 25, so leased until 55) ticks again at 75
+            CrashAtTime(1.0, "standby-node-2", downtime=10.0),
+            # the first send is lost; the old primary's resends reach the
+            # worker only after the new primary's have raised its fence
+            Partition(2.0, ("execution-node",), ("worker-node-1",), heal_after=63.0),
+            Partition(26.0, ("execution-node",), ("lease-node", "standby-node-2")),
+        ]).arm(system)
+        system.clock.advance(3.0)
+        system.instantiate("p", "free", {})
+        system.clock.advance(62.0 - system.clock.now)
+        assert new.is_primary() and new.epoch == 2
+        system.clock.advance(74.0 - system.clock.now)
+        assert old.role is Role.STANDBY and old.stats["fenced_replies"] >= 1
+        assert old._max_epoch_seen == 2  # the fence's epoch, not its own
+        assert old.runtimes == {} == old._live

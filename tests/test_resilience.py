@@ -195,7 +195,7 @@ class TestHealthRouting:
         reg = registry()
         for t in (1.0, 2.0, 3.0):
             reg.on_timeout("w1", now=t)   # trips w1's breaker
-        assert reg.health("w1").breaker.state(3.0) is BreakerState.OPEN
+        assert reg.workers["w1"].breaker.state(3.0) is BreakerState.OPEN
         for _ in range(20):
             assert reg.route(now=4.0) != "w1"
 
@@ -220,8 +220,8 @@ class TestHealthRouting:
         for t in (1.0, 2.0, 3.0):
             reg.on_timeout("w1", now=t)
         reg.reset()
-        assert reg.health("w1").breaker.state(4.0) is BreakerState.CLOSED
-        assert reg.health("w1").streak == 0
+        assert reg.workers["w1"].breaker.state(4.0) is BreakerState.CLOSED
+        assert reg.workers["w1"].streak == 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ class TestRecoveryStagger:
             assert result["status"] == "completed"
         assert system.execution.stats["recoveries"] >= 1
         assert system.execution.stats["staggered"] >= 2
-        stagger_events = system.execution.rlog.of_kind("stagger")
+        stagger_events = [e for e in system.execution.rlog.entries if e.kind == "stagger"]
         # each event's detail carries its jittered offset ("resend +d.dd");
         # distinct offsets mean the herd actually spread over the window
         offsets = {e.detail for e in stagger_events}
@@ -308,7 +308,8 @@ class TestRecoveryStagger:
                 system.run_until_terminal(iid, max_time=20_000)
             return [
                 (e.time, e.instance, e.task)
-                for e in system.execution.rlog.of_kind("stagger")
+                for e in system.execution.rlog.entries
+                if e.kind == "stagger"
             ]
 
         assert run() == run()

@@ -4,7 +4,7 @@
 as the model: it listed the candidates, asked every candidate's breaker
 ``allow`` (a half-open admission takes a probe slot, chosen or not), and
 took the minimum ``(score, name)`` over the admitted, or over all candidates
-when none was admitted.  ``route`` now scores and admits in one pass and asks
+when none was admitted; ``reference_score`` is the score it ranked by.  ``route`` now scores and admits in one pass and asks
 only a breaker that is not closed.  Driven through the same breaker states,
 half-open probe counts, EWMA / in-flight / streak values and ``exclude``
 sets, the two must choose the same worker and leave every breaker the same.
@@ -35,7 +35,20 @@ def reference_route(
         return None
     admitted = [n for n in candidates if self.workers[n].breaker.allow(now)]
     pool = admitted or candidates
-    return min(pool, key=lambda n: (self.score(n), n))
+    return min(pool, key=lambda n: (reference_score(self, n), n))
+
+
+def reference_score(self: HealthRegistry, name: str) -> float:
+    """Lower is healthier.  Deterministic."""
+    health = self.workers[name]
+    latency = (
+        health.ewma_latency if health.ewma_latency is not None else self._LATENCY_PRIOR
+    )
+    return (
+        latency
+        + self._INFLIGHT_WEIGHT * health.in_flight
+        + self._STREAK_WEIGHT * health.streak
+    )
 
 
 # -- the state machine ------------------------------------------------------------------

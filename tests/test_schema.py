@@ -118,8 +118,7 @@ class TestImplementation:
     def test_of_and_get(self):
         impl = Implementation.of(code="refX", priority="3")
         assert impl.code == "refX"
-        assert impl.get("priority") == "3"
-        assert impl.get("missing", "d") == "d"
+        assert impl.as_dict() == {"code": "refX", "priority": "3"}
 
     def test_as_dict(self):
         assert Implementation.of(code="c").as_dict() == {"code": "c"}
@@ -227,13 +226,3 @@ class TestTemplates:
     def test_duplicate_parameters_rejected(self):
         with pytest.raises(SchemaError):
             TaskTemplate("t", ("p", "p"), TaskDecl("b", "TC"))
-
-    def test_script_instantiate_registers_task(self):
-        script = Script()
-        script.add_template(self.make_template())
-        decl = script.instantiate_template("inst", "tmpl", ("x",))
-        assert script.tasks["inst"] is decl
-
-    def test_script_instantiate_unknown_template(self):
-        with pytest.raises(SchemaError):
-            Script().instantiate_template("inst", "ghost", ())

@@ -111,7 +111,8 @@ class TestMarks:
         m = TaskStateMachine("t", tc)
         m.start()
         m.mark("early")
-        assert not m.can_abort
+        with pytest.raises(IllegalTransition, match="after producing a mark"):
+            m.abort("failed")
 
     def test_mark_name_must_be_mark_kind(self):
         m = machine()
@@ -149,7 +150,7 @@ class TestRepeats:
         m.start()
         m.mark("early")
         m.repeat("again")
-        assert m.can_abort
+        assert not m.terminal and not m.marked  # a mark binds its own execution only
 
     def test_repeat_name_must_be_repeat_kind(self):
         m = machine()

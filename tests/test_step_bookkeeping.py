@@ -317,7 +317,7 @@ class TestResilienceLogBound:
         for n in range(EVENT_LIMIT + extra):
             kind = "dispatch" if n % 2 else "timeout"
             log.record(float(n), kind, f"wf-{n % 3}", f"t{n}", "w1")
-        assert len(log) == EVENT_LIMIT
+        assert len(log.entries) == EVENT_LIMIT
         assert [e.time for e in log.entries] == [
             float(n) for n in range(extra, EVENT_LIMIT + extra)
         ]
@@ -326,8 +326,8 @@ class TestResilienceLogBound:
         assert [e.time for e in log.for_instance("wf-1")] == [
             float(n) for n in range(extra, EVENT_LIMIT + extra) if n % 3 == 1
         ]
-        assert all(e.kind == "dispatch" for e in log.of_kind("dispatch"))
-        assert len(log.of_kind("dispatch")) + len(log.of_kind("timeout")) == EVENT_LIMIT
+        kinds = [e.kind for e in log.entries]
+        assert kinds.count("dispatch") + kinds.count("timeout") == EVENT_LIMIT
         rendered = render_resilience(log.for_instance("wf-2"))
         assert rendered.startswith("-- resilience --")
         assert rendered.count("\n") == len(log.for_instance("wf-2"))

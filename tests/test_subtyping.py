@@ -18,20 +18,20 @@ def hierarchy_builder():
 
 class TestHierarchy:
     def test_is_subclass_reflexive(self):
-        script = hierarchy_builder().script
+        script = hierarchy_builder().build(validate=False)
         assert script.is_subclass("Account", "Account")
 
     def test_is_subclass_direct_and_transitive(self):
-        script = hierarchy_builder().script
+        script = hierarchy_builder().build(validate=False)
         assert script.is_subclass("SavingsAccount", "Account")
         assert script.is_subclass("JuniorSavings", "Account")
 
     def test_is_subclass_not_reversed(self):
-        script = hierarchy_builder().script
+        script = hierarchy_builder().build(validate=False)
         assert not script.is_subclass("Account", "SavingsAccount")
 
     def test_unrelated_classes(self):
-        script = hierarchy_builder().script
+        script = hierarchy_builder().build(validate=False)
         assert not script.is_subclass("Loan", "Account")
 
 

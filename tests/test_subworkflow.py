@@ -4,6 +4,7 @@
 import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output
+from repro.core.schema import Implementation, TaskDecl
 from repro.engine import (
     ImplementationRegistry,
     LocalEngine,
@@ -114,8 +115,9 @@ def bound_task(**properties):
         work.abort_outcome("failed")
     else:
         work.mark("early", preview="Data")
-    b.task("outer", "Work").implementation(code="subflow", **properties).up()
-    return b.build()
+    script = b.build(validate=False)
+    script.add_task(TaskDecl("outer", "Work", Implementation.of(code="subflow", **properties)))
+    return script
 
 
 def inner_compound(end):

@@ -205,7 +205,6 @@ OPTIONS = [
     ("analyze", "task", None),
     ("analyze", "--max-cases", 20000),
     ("analyze", "--static", False),
-    ("analyze", "--sanitize", False),
     ("lint", "scripts", None),
     ("lint", "--format", "text", ["text", "json", "sarif"]),
     ("lint", "--output", None),

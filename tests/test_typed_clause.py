@@ -99,7 +99,7 @@ class TestTypedClause:
         assert (clause.timeout, clause.deadline, clause.delay) == (2.5, 30.0, 0.5)
         assert (clause.location, clause.criticality) == ("worker-1", "high")
         assert clause.ill_typed == ()
-        assert clause.get("agent") == "ops"  # user data stays text
+        assert clause.as_dict()["agent"] == "ops"  # user data stays text
 
     @pytest.mark.parametrize(
         "keyword, text",

@@ -47,7 +47,7 @@ class TestHappyPath:
 class TestNameResolution:
     def test_unknown_taskclass(self):
         b = base_builder()
-        b.task("t", "Ghost").up()
+        b.build(validate=False).add_task(TaskDecl("t", "Ghost"))
         assert any("unknown taskclass 'Ghost'" in e for e in errors_of(b))
 
     def test_unknown_source_task(self):
@@ -124,7 +124,7 @@ class TestInputSetCoverage:
     def test_missing_object_binding(self):
         b = base_builder()
         decl = TaskDecl("t", "Stage", input_sets=(InputSetBinding("main"),))
-        b.script.add_task(decl)
+        b.build(validate=False).add_task(decl)
         assert any("does not bind object 'inp'" in e for e in errors_of(b))
 
     def test_unknown_object_binding(self):
@@ -146,13 +146,13 @@ class TestInputSetCoverage:
                 ),
             ),
         )
-        b.script.add_task(decl)
+        b.build(validate=False).add_task(decl)
         assert any("binds unknown object 'extra'" in e for e in errors_of(b))
 
     def test_unknown_input_set_name(self):
         b = base_builder()
         decl = TaskDecl("t", "Stage", input_sets=(InputSetBinding("ghost"),))
-        b.script.add_task(decl)
+        b.build(validate=False).add_task(decl)
         assert any("has no input set 'ghost'" in e for e in errors_of(b))
 
 
@@ -225,8 +225,9 @@ class TestRepeatPrivacy:
 class TestValidationReport:
     def test_check_raises_aggregated_report(self):
         b = base_builder()
-        b.task("t", "Ghost").up()
-        b.task("u", "Phantom").up()
+        script = b.build(validate=False)
+        script.add_task(TaskDecl("t", "Ghost"))
+        script.add_task(TaskDecl("u", "Phantom"))
         with pytest.raises(ValidationReport) as info:
             b.build()
         assert len(info.value.errors) == 2

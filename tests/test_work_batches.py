@@ -242,7 +242,9 @@ class TestFailuresPerLeg:
         (fan_out,) = [messages for messages in posts if len(messages) > 1]
         lost = sorted(path for _worker, paths in fan_out for path in paths)
         assert len(lost) == 8
-        redispatched = {event.task: event.time for event in service.rlog.of_kind("redispatch")}
+        redispatched = {
+            event.task: event.time for event in service.rlog.entries if event.kind == "redispatch"
+        }
         assert sorted(redispatched) == lost
         # every lost flight is due dispatch_timeout after the burst's send:
         # all go at the first sweep at or after it
