@@ -1,5 +1,6 @@
 """Python calls per journaled step through the full distributed stack, and
-per ``compile_script`` of a script text (what a deploy pays ahead of it).
+Python calls and line events per ``compile_script`` of a script text (what a
+deploy pays ahead of it).
 
 An exact stand-in for CPU cost on a noisy host: under ``PYTHONHASHSEED=0``
 the count repeats to the call, so a refactor of the service path can be held
@@ -11,7 +12,9 @@ interpreter-version-specific — compare two trees under one interpreter::
 
 Prints one JSON object: the three unreplicated workloads, ``fan(64)`` behind
 a hot standby (what a standby costs the primary per step) and, under
-``"compile"``, the calls one ``compile_script`` of each script text makes.
+``"compile"``, the calls and the line events one ``compile_script`` of each
+script text makes.  A loop that runs inside one call (a lexer's, say) is one
+call however long it runs; its line events count every pass.
 Beside each workload's calls it prints ``mirror_bytes_per_step``: the bytes
 the primary's WAL mirror grows by per journaled step over as many more
 instances, run uncounted, each measured from just after its ``instantiate``
@@ -49,6 +52,21 @@ class CallCounter:
             self.calls += 1
 
 
+class LineCounter:
+    """A ``sys.settrace`` hook counting line events in Python frames.  Like
+    :class:`CallCounter`, installed inline where it is used."""
+
+    lines = 0
+
+    def __call__(self, frame, event, arg):
+        return self.local
+
+    def local(self, frame, event, arg):
+        if event == "line":
+            self.lines += 1
+        return self.local
+
+
 def calls_per_compile():
     from repro import workloads
     from repro.lang import compile_script
@@ -69,7 +87,13 @@ def calls_per_compile():
             compile_script(text)
         finally:
             sys.setprofile(None)
-        counts[label] = counter.calls
+        lines = LineCounter()
+        sys.settrace(lines)
+        try:
+            compile_script(text)
+        finally:
+            sys.settrace(None)
+        counts[label] = {"calls": counter.calls, "line_events": lines.lines}
     return counts
 
 

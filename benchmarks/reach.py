@@ -4,8 +4,8 @@ the ones kept unreached, and a check that the two agree.
 The product surface is :data:`SURFACE`, one shell command per line: the
 examples, the paper's figures and experiments, the end-to-end benchmark,
 every ``repro`` call and benchmark gate in ``.github/workflows/ci.yml``, the
-chaos sweeps, :func:`fault_runs` (the ``SimHarness`` fault kinds) and
-``calls_per_step.py``.  No line depends on another having run.  Each runs with a ``sitecustomize`` on ``PYTHONPATH``
+chaos sweeps, :func:`fault_runs` (the ``SimHarness`` fault kinds),
+``calls_per_step.py`` and ``recovery_curve.py``.  No line depends on another having run.  Each runs with a ``sitecustomize`` on ``PYTHONPATH``
 that installs ``sys.setprofile`` / ``threading.setprofile`` and, at exit,
 writes every code object it saw under ``src/repro`` — so subprocesses (the
 benchmark's children) are counted too.  A function is every ``def`` at
@@ -76,6 +76,7 @@ BENCH_SANITIZER={tmp}/BENCH_sanitizer.json python -m pytest benchmarks/test_sani
 python -m pytest benchmarks/test_ablation_dispatch.py -q -p no:cacheprovider
 python benchmarks/reach.py --fault-runs
 python benchmarks/calls_per_step.py
+python benchmarks/recovery_curve.py
 """
 
 TIER1 = "python -m pytest tests -x -q -p no:cacheprovider"

@@ -31,6 +31,7 @@ class _DotWriter:
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.depth = 0
+        self.clusters = 0  # numbered in emission order: a str hash is salted per process
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -75,7 +76,8 @@ def _emit_decl(
 ) -> None:
     taskclass = script.taskclasses.get(decl.taskclass_name)
     if isinstance(decl, CompoundTaskDecl):
-        w.line(f"subgraph cluster_{abs(hash(path)) % 10**8} {{")
+        w.clusters += 1
+        w.line(f"subgraph cluster_{w.clusters} {{")
         w.depth += 1
         w.line(f"label={_quote(decl.name)};")
         w.line("style=rounded;")

@@ -1,6 +1,6 @@
 """Lexer for the workflow scripting language.
 
-Tokenizes the textual syntax of §4.  Faithful to the paper's listings:
+Reads the textual syntax of §4.  Faithful to the paper's listings:
 
 * identifiers are letters/digits/underscores (starting with a letter or _),
 * strings accept straight (``"``) **and** the typographic quotes that appear
@@ -8,6 +8,23 @@ Tokenizes the textual syntax of §4.  Faithful to the paper's listings:
 * ``;`` separates clauses (the parser treats it permissively),
 * ``//`` line comments and ``/* ... */`` block comments are an extension so
   example scripts can be annotated.
+
+One pattern, ``_LEXEME``, is the whole lexical grammar, read two ways:
+
+* **The lexeme pass** (:data:`lexemes`, one ``findall``) is what the parser
+  reads: the text of every lexeme in order, blanks and comments consumed
+  inside each match, with no kind and no position.  A lexeme's kind is in its
+  text: punctuation and (reserved) keywords are compared as spelt, a string
+  starts with a quote and an identifier with a letter or ``_``
+  (:func:`is_identifier`, :func:`is_string`).  Anything else — a stray
+  character, a word that starts with a digit, a string or block comment left
+  open — is a lexeme too, one the parser accepts nowhere.  The end of the
+  text is the empty lexeme.
+* **The positioned view** (:func:`tokenize`) takes the same matches one at
+  a time, counts lines and columns and raises at the first lexical error.
+  The parser calls it only on its error path: a lexical error anywhere in
+  the text is reported before a syntax error, as when the text was tokenized
+  first, and a syntax error takes its position from it.
 """
 
 from __future__ import annotations
@@ -33,45 +50,43 @@ class TokenType(enum.Enum):
 
 
 KEYWORDS = frozenset(
-    {
-        "class",
-        "extends",
-        "taskclass",
-        "task",
-        "compoundtask",
-        "tasktemplate",
-        "parameters",
-        "implementation",
-        "is",
-        "inputs",
-        "outputs",
-        "input",
-        "output",
-        "inputobject",
-        "outputobject",
-        "notification",
-        "from",
-        "of",
-        "if",
-        "outcome",
-        "abort",
-        "repeat",
-        "mark",
-    }
+    "class extends taskclass task compoundtask tasktemplate parameters implementation"
+    " is inputs outputs input output inputobject outputobject notification from of"
+    " if outcome abort repeat mark".split()
 )
 
-_QUOTE_OPEN = {'"', "“"}   # " and “
+_QUOTE_OPEN = frozenset('"“')   # " and “
+_QUOTE_CLOSE = frozenset('"”')  # " and ”
 
-# One item per match, after any blanks; the group that matched says which.
-# ``\w`` is exactly ``str.isalnum()`` or ``_`` (the start of a word is checked
-# in ``tokenize``); either closing quote ends either opening one, and no
-# string holds a newline.  Every text matches some alternative, so a match
-# never fails and never backtracks.
-_SCAN = re.compile(
-    r"""[ \t\r\n]*(?:(\w+)|([{}();,])|(["“][^"”\n]*["”])|(//[^\n]*|/\*.*?\*/)|(\Z)|(.))""",
+# Blanks and comments, then one lexeme.  ``\w`` is exactly ``str.isalnum()``
+# or ``_`` (the start of a word is checked by ``is_identifier``); either
+# closing quote ends either opening one, and no string holds a newline.  A
+# string or block comment left open is one lexeme to the end of its line or
+# of the text, and every other position matches ``\Z`` or ``.``, so a match
+# never fails and never backtracks, and each character is read a bounded
+# number of times.  A text that ends in blanks or a comment yields a second
+# empty lexeme after the first, which nothing reads.
+_LEXEME = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*(\w+|[{}();,]|["“][^"”\n]*["”]?|/\*.*|\Z|.)""",
     re.DOTALL,
 )
-_WORD, _PUNCT, _STRING, _COMMENT, _END, _OTHER = range(1, 7)
+
+#: The lexemes of a text, in order, ending in the empty lexeme.
+lexemes = _LEXEME.findall
+
+
+def is_identifier(lexeme: str) -> bool:
+    return (lexeme[:1].isalpha() or lexeme[:1] == "_") and lexeme not in KEYWORDS
+
+
+def is_string(lexeme: str) -> bool:
+    """A quoted string, closed (an open one is one character shorter)."""
+    return lexeme[:1] in _QUOTE_OPEN and len(lexeme) > 1 and lexeme[-1] in _QUOTE_CLOSE
+
+
+def string_value(lexeme: str) -> str:
+    """What a string lexeme says: inside the quotes, trimmed."""
+    return lexeme[1:-1].strip()
 
 
 class Token(NamedTuple):
@@ -84,51 +99,39 @@ class Token(NamedTuple):
         return self.type is TokenType.KEYWORD and self.value == word
 
 
-_SINGLE = {
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    ";": TokenType.SEMI,
-    ",": TokenType.COMMA,
-}
+_SINGLE = {mark: TokenType(mark) for mark in "{}();,"}
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize a whole script; raises :class:`ParseError` on bad input."""
+    """The lexemes of ``text`` with their kinds and positions, ending in one
+    EOF token; raises :class:`ParseError` at the first lexical error."""
     tokens: List[Token] = []
-    # what ``Token(...)`` does, less the generated ``__new__``'s Python frame
-    new, emit, scan = tuple.__new__, tokens.append, _SCAN.match
-    keyword, ident = TokenType.KEYWORD, TokenType.IDENT
     line, line_start = 1, 0  # line_start: offset of the current line's first character
     pos = counted = 0        # newlines before ``counted`` are in ``line`` already
     while True:
-        found = scan(text, pos)
-        group = found.lastindex
-        start, pos = found.span(group)
-        if group == _COMMENT:
-            continue
+        found = _LEXEME.match(text, pos)
+        start, pos = found.span(1)
         newlines = text.count("\n", counted, start)
         if newlines:
             line += newlines
             line_start = text.rfind("\n", counted, start) + 1
         counted = pos  # no token holds a newline
         column = start - line_start + 1
-        value = found[group]
-        if group == _WORD:
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise ParseError(f"unexpected character {value[0]!r}", line, column)
-            emit(new(Token, (keyword if value in KEYWORDS else ident, value, line, column)))
-        elif group == _PUNCT:
-            emit(new(Token, (_SINGLE[value], value, line, column)))
-        elif group == _STRING:
-            emit(new(Token, (TokenType.STRING, value[1:-1].strip(), line, column)))
-        elif group == _END:
-            emit(new(Token, (TokenType.EOF, "", line, column)))
+        lexeme = found[1]
+        if lexeme in _SINGLE:
+            tokens.append(Token(_SINGLE[lexeme], lexeme, line, column))
+        elif lexeme in KEYWORDS:
+            tokens.append(Token(TokenType.KEYWORD, lexeme, line, column))
+        elif is_identifier(lexeme):
+            tokens.append(Token(TokenType.IDENT, lexeme, line, column))
+        elif is_string(lexeme):
+            tokens.append(Token(TokenType.STRING, string_value(lexeme), line, column))
+        elif not lexeme:
+            tokens.append(Token(TokenType.EOF, "", line, column))
             return tokens
-        elif text.startswith("/*", start):
+        elif lexeme.startswith("/*"):
             raise ParseError("unterminated block comment", line, column)
-        elif value in _QUOTE_OPEN:
+        elif lexeme[0] in _QUOTE_OPEN:
             raise ParseError("unterminated string", line, column)
         else:
-            raise ParseError(f"unexpected character {value!r}", line, column)
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, column)

@@ -5,6 +5,14 @@ Parses the §4 syntax directly into the validated schema model
 formatter (:mod:`repro.lang.formatter`) round-trips and the repository
 service stores exactly what was parsed.
 
+The parser reads the text's lexemes (:data:`repro.lang.lexer.lexemes`, one
+``findall``): plain strings, compared as spelt, with no token objects and no
+positions.  Positions exist only on the error path: :meth:`Parser.error`
+asks :func:`~repro.lang.lexer.tokenize` for the token under the cursor,
+which raises instead when the text holds a lexical error anywhere, so a
+lexical error is reported before any syntax or schema error, as when the
+whole text was tokenized first.
+
 The grammar accepted (EBNF, ``;`` is a permissive separator — stray or
 missing semicolons between clauses are tolerated, as the paper's own listings
 are inconsistent about them)::
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
-from ..core.errors import ParseError
+from ..core.errors import ParseError, SchemaError
 from ..core.schema import (
     CompoundTaskDecl,
     GuardKind,
@@ -67,144 +75,147 @@ from ..core.schema import (
     TaskDecl,
     TaskTemplate,
 )
-from .lexer import Token, TokenType, tokenize
+from .lexer import is_identifier, is_string, lexemes, string_value, tokenize
 
 T = TypeVar("T")
 
+_BLOCK_END = ("}", "")  # what ends a braced block's items: its "}", or the text
+
 
 class Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.lexemes = lexemes(text)
         self.pos = 0
         self.script = Script()
 
-    # -- token helpers --------------------------------------------------------------
+    # -- lexeme helpers -------------------------------------------------------------
     #
-    # The EOF token ends the list and is never stepped over, so ``tokens[pos]``
-    # is always in range.
+    # The first empty lexeme ends the text and is never stepped over, so
+    # ``lexemes[pos]`` is always in range.  Keywords are reserved, so a
+    # lexeme equal to one is that keyword.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.lexemes[self.pos]
 
-    def next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
-            self.pos += 1
-        return token
-
-    def error(self, message: str, token: Optional[Token] = None) -> ParseError:
-        token = token or self.tokens[self.pos]
+    def error(self, message: str) -> ParseError:
+        """``message`` at the lexeme under the cursor — unless the text holds
+        a lexical error, which :func:`tokenize` raises instead."""
+        token = tokenize(self.text)[self.pos]
         return ParseError(message, token.line, token.column)
 
-    def unexpected(self, wanted: str, token: Token) -> ParseError:
-        found = "end of input" if token.type is TokenType.EOF else repr(token.value)
-        return self.error(f"expected {wanted}, found {found}", token)
+    def found(self) -> str:
+        lexeme = self.lexemes[self.pos]
+        if not lexeme:
+            return "end of input"
+        return repr(string_value(lexeme) if is_string(lexeme) else lexeme)
 
-    def expect(self, type_: TokenType) -> Token:
-        """Step over a token of ``type_`` (never EOF)."""
-        token = self.tokens[self.pos]
-        if token.type is not type_:
-            raise self.unexpected(repr(type_.value), token)
+    def unexpected(self, wanted: str) -> ParseError:
+        return self.error(f"expected {wanted}, found {self.found()}")
+
+    def expect(self, lexeme: str) -> None:
+        """Step over ``lexeme``, a keyword or a punctuation mark."""
+        if self.lexemes[self.pos] != lexeme:
+            raise self.unexpected(repr(lexeme))
         self.pos += 1
-        return token
 
-    def expect_keyword(self, word: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.KEYWORD or token.value != word:
-            raise self.unexpected(repr(word), token)
-        self.pos += 1
-        return token
-
-    def accept_keyword(self, word: str) -> bool:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.KEYWORD and token.value == word:
+    def accept(self, lexeme: str) -> bool:
+        if self.lexemes[self.pos] == lexeme:
             self.pos += 1
             return True
         return False
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.IDENT:
-            raise self.unexpected(what, token)
+        lexeme = self.lexemes[self.pos]
+        if not is_identifier(lexeme):
+            raise self.unexpected(what)
         self.pos += 1
-        return token.value
+        return lexeme
+
+    def expect_string(self) -> str:
+        lexeme = self.lexemes[self.pos]
+        if not is_string(lexeme):
+            raise self.unexpected("'string'")
+        self.pos += 1
+        return string_value(lexeme)
 
     def skip_semis(self) -> None:
-        while self.tokens[self.pos].type in (TokenType.SEMI, TokenType.COMMA):
+        while self.lexemes[self.pos] in (";", ","):
             self.pos += 1
 
     def braced(self, parse_one: Callable[[], T]) -> Tuple[T, ...]:
         """``"{" { one } "}"``, separators tolerated around every ``one``."""
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
         items: List[T] = []
-        while not self._at_rbrace():
+        while self.lexemes[self.pos] not in _BLOCK_END:
             items.append(parse_one())
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return tuple(items)
 
     # -- entry point ------------------------------------------------------------------
 
     def parse_script(self) -> Script:
-        self.skip_semis()
-        while self.peek().type is not TokenType.EOF:
-            self.parse_item()
+        try:
             self.skip_semis()
+            while self.peek():
+                self.parse_item()
+                self.skip_semis()
+        except SchemaError:
+            tokenize(self.text)  # a lexical error anywhere is reported first
+            raise
         return self.script
 
     def parse_item(self) -> None:
-        token = self.peek()
-        if token.is_keyword("class"):
+        lexeme = self.peek()
+        if lexeme == "class":
             self.parse_class()
-        elif token.is_keyword("taskclass"):
+        elif lexeme == "taskclass":
             self.script.add_taskclass(self.parse_taskclass())
-        elif token.is_keyword("task"):
+        elif lexeme == "task":
             self.script.add_task(self.parse_task())
-        elif token.is_keyword("compoundtask"):
+        elif lexeme == "compoundtask":
             self.script.add_task(self.parse_compoundtask())
-        elif token.is_keyword("tasktemplate"):
+        elif lexeme == "tasktemplate":
             self.script.add_template(self.parse_template())
-        elif token.type is TokenType.IDENT:
+        elif is_identifier(lexeme):
             self.parse_instantiation(into_compound=None)
         else:
-            raise self.error(f"unexpected {token.value!r} at top level")
+            raise self.error(f"unexpected {self.found()} at top level")
 
     # -- classes ------------------------------------------------------------------------
 
     def parse_class(self) -> None:
-        self.expect_keyword("class")
+        self.expect("class")
         name = self.expect_ident("class name")
         extends = None
-        if self.accept_keyword("extends"):
+        if self.accept("extends"):
             extends = self.expect_ident("superclass name")
         self.script.add_class(name, extends)
 
     # -- task classes ----------------------------------------------------------------------
 
     def parse_taskclass(self) -> TaskClass:
-        self.expect_keyword("taskclass")
+        self.expect("taskclass")
         name = self.expect_ident("taskclass name")
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
         input_sets: List[InputSetSpec] = []
         outputs: List[OutputSpec] = []
-        while not self._at_rbrace():
-            if self.accept_keyword("inputs"):
+        while self.lexemes[self.pos] not in _BLOCK_END:
+            if self.accept("inputs"):
                 input_sets.extend(self.braced(self.parse_inputset_spec))
-            elif self.accept_keyword("outputs"):
+            elif self.accept("outputs"):
                 outputs.extend(self.braced(self.parse_output_spec))
             else:
-                raise self.error(
-                    f"expected 'inputs' or 'outputs' in taskclass, found "
-                    f"{self.peek().value!r}"
-                )
+                raise self.unexpected("'inputs' or 'outputs' in taskclass")
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return TaskClass(name, tuple(input_sets), tuple(outputs))
 
     def parse_inputset_spec(self) -> InputSetSpec:
-        self.expect_keyword("input")
+        self.expect("input")
         name = self.expect_ident("input set name")
         return InputSetSpec(name, self.braced(self.parse_object_decl))
 
@@ -214,153 +225,145 @@ class Parser:
         return OutputSpec(name, kind, self.braced(self.parse_object_decl))
 
     def parse_output_kind(self) -> OutputKind:
-        if self.accept_keyword("abort"):
-            self.expect_keyword("outcome")
+        if self.accept("abort"):
+            self.expect("outcome")
             return OutputKind.ABORT
-        if self.accept_keyword("repeat"):
-            self.expect_keyword("outcome")
+        if self.accept("repeat"):
+            self.expect("outcome")
             return OutputKind.REPEAT
-        if self.accept_keyword("mark"):
+        if self.accept("mark"):
             return OutputKind.MARK
-        self.expect_keyword("outcome")
+        self.expect("outcome")
         return OutputKind.OUTCOME
 
     def parse_object_decl(self) -> ObjectDecl:
         obj_name = self.expect_ident("object name")
-        self.expect_keyword("of")
-        self.expect_keyword("class")
+        self.expect("of")
+        self.expect("class")
         return ObjectDecl(obj_name, self.expect_ident("class name"))
 
     # -- task instances --------------------------------------------------------------------
 
     def parse_task(self) -> TaskDecl:
-        self.expect_keyword("task")
+        self.expect("task")
         name = self.expect_ident("task name")
-        self.expect_keyword("of")
-        self.expect_keyword("taskclass")
+        self.expect("of")
+        self.expect("taskclass")
         taskclass = self.expect_ident("taskclass name")
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
         implementation = Implementation()
         input_sets: Tuple[InputSetBinding, ...] = ()
-        while not self._at_rbrace():
-            if self.peek().is_keyword("implementation"):
+        while self.lexemes[self.pos] not in _BLOCK_END:
+            if self.peek() == "implementation":
                 implementation = self.parse_implementation()
-            elif self.peek().is_keyword("inputs"):
+            elif self.peek() == "inputs":
                 input_sets = self.parse_inputs()
             else:
-                raise self.error(
-                    f"expected 'implementation' or 'inputs', found {self.peek().value!r}"
-                )
+                raise self.unexpected("'implementation' or 'inputs'")
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return TaskDecl(name, taskclass, implementation, input_sets)
 
     def parse_implementation(self) -> Implementation:
-        self.expect_keyword("implementation")
+        self.expect("implementation")
         return Implementation(self.braced(self.parse_property))
 
     def parse_property(self) -> Tuple[str, str]:
-        key = self.expect(TokenType.STRING).value
-        self.expect_keyword("is")
-        return key, self.expect(TokenType.STRING).value
+        key = self.expect_string()
+        self.expect("is")
+        return key, self.expect_string()
 
     def parse_inputs(self) -> Tuple[InputSetBinding, ...]:
-        self.expect_keyword("inputs")
+        self.expect("inputs")
         return self.braced(self.parse_input_set_binding)
 
     def parse_input_set_binding(self) -> InputSetBinding:
-        self.expect_keyword("input")
+        self.expect("input")
         name = self.expect_ident("input set name")
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
         objects: List[InputObjectBinding] = []
         notifications: List[NotificationBinding] = []
-        while not self._at_rbrace():
-            token = self.peek()
-            if token.is_keyword("inputobject"):
-                self.next()
+        while self.lexemes[self.pos] not in _BLOCK_END:
+            if self.accept("inputobject"):
                 obj_name = self.expect_ident("input object name")
-                self.expect_keyword("from")
+                self.expect("from")
                 objects.append(
                     InputObjectBinding(obj_name, self.braced(self.parse_object_source))
                 )
-            elif token.is_keyword("notification"):
-                self.next()
-                self.expect_keyword("from")
+            elif self.accept("notification"):
+                self.expect("from")
                 notifications.append(
                     NotificationBinding(self.braced(self.parse_notification_source))
                 )
-            elif token.type is TokenType.IDENT:
+            elif is_identifier(self.peek()):
                 # template shorthand:  i1 of task param1 if output success
                 source = self.parse_object_source()
                 objects.append(InputObjectBinding(source.object_name, (source,)))
             else:
-                raise self.error(
-                    f"expected 'inputobject', 'notification' or a shorthand "
-                    f"source, found {token.value!r}"
+                raise self.unexpected(
+                    "'inputobject', 'notification' or a shorthand source"
                 )
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return InputSetBinding(name, tuple(objects), tuple(notifications))
 
     def parse_object_source(self) -> Source:
         object_name = self.expect_ident("source object name")
-        self.expect_keyword("of")
-        self.expect_keyword("task")
+        self.expect("of")
+        self.expect("task")
         task_name = self.expect_ident("task name")
         guard_kind, guard_name = self.parse_guard()
         return Source(task_name, object_name, guard_kind, guard_name)
 
     def parse_notification_source(self) -> Source:
-        self.expect_keyword("task")
+        self.expect("task")
         task_name = self.expect_ident("task name")
         guard_kind, guard_name = self.parse_guard()
         return Source(task_name, None, guard_kind, guard_name)
 
     def parse_guard(self) -> Tuple[GuardKind, Optional[str]]:
-        if not self.accept_keyword("if"):
+        if not self.accept("if"):
             return GuardKind.ANY, None
-        if self.accept_keyword("output"):
+        if self.accept("output"):
             return GuardKind.OUTPUT, self.expect_ident("output name")
-        if self.accept_keyword("input"):
+        if self.accept("input"):
             return GuardKind.INPUT, self.expect_ident("input set name")
-        raise self.error(f"expected 'output' or 'input' after 'if'")
+        raise self.error("expected 'output' or 'input' after 'if'")
 
     # -- compound tasks --------------------------------------------------------------------
 
     def parse_compoundtask(self) -> CompoundTaskDecl:
-        self.expect_keyword("compoundtask")
+        self.expect("compoundtask")
         name = self.expect_ident("compound task name")
-        self.expect_keyword("of")
-        self.expect_keyword("taskclass")
+        self.expect("of")
+        self.expect("taskclass")
         taskclass = self.expect_ident("taskclass name")
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
         implementation = Implementation()
         input_sets: Tuple[InputSetBinding, ...] = ()
         tasks: List[Union[TaskDecl, CompoundTaskDecl]] = []
         outputs: Tuple[OutputBinding, ...] = ()
-        while not self._at_rbrace():
-            token = self.peek()
-            if token.is_keyword("implementation"):
+        while self.lexemes[self.pos] not in _BLOCK_END:
+            lexeme = self.peek()
+            if lexeme == "implementation":
                 implementation = self.parse_implementation()
-            elif token.is_keyword("inputs"):
+            elif lexeme == "inputs":
                 input_sets = self.parse_inputs()
-            elif token.is_keyword("task"):
+            elif lexeme == "task":
                 tasks.append(self.parse_task())
-            elif token.is_keyword("compoundtask"):
+            elif lexeme == "compoundtask":
                 tasks.append(self.parse_compoundtask())
-            elif token.is_keyword("outputs"):
+            elif lexeme == "outputs":
                 outputs = self.parse_outputs_mapping()
-            elif token.type is TokenType.IDENT:
+            elif is_identifier(lexeme):
                 tasks.append(self.parse_instantiation(into_compound=tasks))
             else:
-                raise self.error(
-                    f"unexpected {token.value!r} inside compound task"
-                )
+                raise self.error(f"unexpected {self.found()} inside compound task")
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return CompoundTaskDecl(
             name=name,
             taskclass_name=taskclass,
@@ -371,83 +374,74 @@ class Parser:
         )
 
     def parse_outputs_mapping(self) -> Tuple[OutputBinding, ...]:
-        self.expect_keyword("outputs")
-        self.expect(TokenType.LBRACE)
+        self.expect("outputs")
+        self.expect("{")
         self.skip_semis()
         bindings: List[OutputBinding] = []
-        while not self._at_rbrace():
+        while self.lexemes[self.pos] not in _BLOCK_END:
             _kind = self.parse_output_kind()  # kind is declared by the class
             name = self.expect_ident("output name")
-            self.expect(TokenType.LBRACE)
+            self.expect("{")
             self.skip_semis()
             objects: List[OutputObjectBinding] = []
             notifications: List[NotificationBinding] = []
-            while not self._at_rbrace():
-                token = self.peek()
-                if token.is_keyword("outputobject"):
-                    self.next()
+            while self.lexemes[self.pos] not in _BLOCK_END:
+                if self.accept("outputobject"):
                     obj_name = self.expect_ident("output object name")
-                    self.expect_keyword("from")
+                    self.expect("from")
                     objects.append(
                         OutputObjectBinding(obj_name, self.braced(self.parse_object_source))
                     )
-                elif token.is_keyword("notification"):
-                    self.next()
-                    self.expect_keyword("from")
+                elif self.accept("notification"):
+                    self.expect("from")
                     notifications.append(
                         NotificationBinding(self.braced(self.parse_notification_source))
                     )
                 else:
-                    raise self.error(
-                        f"expected 'outputobject' or 'notification', found "
-                        f"{token.value!r}"
-                    )
+                    raise self.unexpected("'outputobject' or 'notification'")
                 self.skip_semis()
-            self.expect(TokenType.RBRACE)
+            self.expect("}")
             bindings.append(OutputBinding(name, tuple(objects), tuple(notifications)))
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         return tuple(bindings)
 
     # -- templates -----------------------------------------------------------------------
 
     def parse_template(self) -> TaskTemplate:
-        self.expect_keyword("tasktemplate")
-        if self.peek().is_keyword("compoundtask"):
-            compound = True
-            self.next()
-        else:
-            self.expect_keyword("task")
-            compound = False
+        self.expect("tasktemplate")
+        compound = self.accept("compoundtask")
+        if not compound:
+            self.expect("task")
         name = self.expect_ident("template name")
-        self.expect_keyword("of")
-        self.expect_keyword("taskclass")
+        self.expect("of")
+        self.expect("taskclass")
         taskclass = self.expect_ident("taskclass name")
-        self.expect(TokenType.LBRACE)
+        self.expect("{")
         self.skip_semis()
-        self.expect_keyword("parameters")
+        self.expect("parameters")
         parameters = self.braced(lambda: self.expect_ident("parameter name"))
         self.skip_semis()
         implementation = Implementation()
         input_sets: Tuple[InputSetBinding, ...] = ()
         tasks: List[Union[TaskDecl, CompoundTaskDecl]] = []
         outputs: Tuple[OutputBinding, ...] = ()
-        while not self._at_rbrace():
-            token = self.peek()
-            if token.is_keyword("implementation"):
+        while self.lexemes[self.pos] not in _BLOCK_END:
+            lexeme = self.peek()
+            if lexeme == "implementation":
                 implementation = self.parse_implementation()
-            elif token.is_keyword("inputs"):
+            elif lexeme == "inputs":
                 input_sets = self.parse_inputs()
-            elif compound and token.is_keyword("task"):
+            elif compound and lexeme == "task":
                 tasks.append(self.parse_task())
-            elif compound and token.is_keyword("compoundtask"):
+            elif compound and lexeme == "compoundtask":
                 tasks.append(self.parse_compoundtask())
-            elif compound and token.is_keyword("outputs"):
+            elif compound and lexeme == "outputs":
                 outputs = self.parse_outputs_mapping()
             else:
-                raise self.error(f"unexpected {token.value!r} in template body")
+                raise self.error(f"unexpected {self.found()} in template body")
             self.skip_semis()
-        self.expect(TokenType.RBRACE)
+        self.expect("}")
         if compound:
             body: Union[TaskDecl, CompoundTaskDecl] = CompoundTaskDecl(
                 name=name,
@@ -464,16 +458,15 @@ class Parser:
     def parse_instantiation(self, into_compound) -> Union[TaskDecl, CompoundTaskDecl]:
         """``<name> of tasktemplate <template>(<args>)``."""
         instance_name = self.expect_ident("instance name")
-        self.expect_keyword("of")
-        self.expect_keyword("tasktemplate")
+        self.expect("of")
+        self.expect("tasktemplate")
         template_name = self.expect_ident("template name")
-        self.expect(TokenType.LPAREN)
+        self.expect("(")
         arguments: List[str] = []
-        while self.peek().type is not TokenType.RPAREN:
+        while self.peek() != ")":
             arguments.append(self.expect_ident("template argument"))
-            if self.peek().type is TokenType.COMMA:
-                self.next()
-        self.expect(TokenType.RPAREN)
+            self.accept(",")
+        self.expect(")")
         if template_name not in self.script.templates:
             raise self.error(f"unknown tasktemplate {template_name!r}")
         template = self.script.templates[template_name]
@@ -482,12 +475,7 @@ class Parser:
             self.script.add_task(decl)
         return decl
 
-    # -- misc -------------------------------------------------------------------------------
-
-    def _at_rbrace(self) -> bool:
-        return self.tokens[self.pos].type in (TokenType.RBRACE, TokenType.EOF)
-
 
 def parse(text: str) -> Script:
     """Parse a script from source text (no semantic validation)."""
-    return Parser(tokenize(text)).parse_script()
+    return Parser(text).parse_script()

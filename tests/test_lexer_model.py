@@ -6,12 +6,11 @@ character at a time and counted lines and columns as it went.  The lexer now
 takes one regex match per token and derives positions from offsets, so the
 two must produce the same tokens (type, value, line, column) for every text
 either accepts and the same ``ParseError`` (message, line, column) for every
-text either refuses — and one ``Parser`` fed by each must build equal scripts.
+text either refuses — and one parser fed by each must build equal scripts.
+The parser now reads lexemes, not tokens, so that one is the token parser it
+replaced, kept verbatim in ``tests/test_parser_model.py``.
 """
 
-import ast
-import glob
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -22,17 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ParseError, SchemaError
-from repro.lang import Parser, format_script, tokenize
+from repro.lang import tokenize
 from repro.lang.lexer import KEYWORDS, TokenType
-from repro.workloads import (
-    chain,
-    diamond,
-    fan,
-    paper_order,
-    paper_service_impact,
-    paper_trip,
-    random_dag,
-)
+from tests.test_parser_model import SCRIPTS, ReferenceParser, example_scripts
 
 # -- the parent's lexer, verbatim ------------------------------------------------------
 
@@ -142,7 +133,7 @@ def lexed(lexer, text):
 
 def parsed(lexer, text):
     try:
-        return Parser(lexer(text)).parse_script()
+        return ReferenceParser(lexer(text)).parse_script()
     except (ParseError, SchemaError) as error:
         return (type(error).__name__, str(error))
 
@@ -269,8 +260,9 @@ class TestSameTokens:
         assert not tokenize("tasks")[0].is_keyword("tasks")
 
     def test_scan_time_stays_linear_on_hostile_input(self):
-        # every match succeeds at once, so nothing is ever scanned twice: the
-        # repository service reads scripts from outside
+        # every match succeeds at once, so no character is read more than a
+        # bounded number of times: the repository service reads scripts from
+        # outside
         for text in ("/**/" * 20000 + "@", "/*" * 40000, '"' + "a" * 100000,
                      "/* " * 30000 + "*/ @", "// x\n" * 20000 + "@", " " * 100000 + "@"):
             with pytest.raises(ParseError):
@@ -278,37 +270,6 @@ class TestSameTokens:
 
 
 # -- one parser, two lexers ------------------------------------------------------------
-
-
-def example_scripts():
-    """Every module-level script text an ``examples/*.py`` file carries."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    for path in sorted(glob.glob(os.path.join(here, os.pardir, "examples", "*.py"))):
-        with open(path, encoding="utf-8") as handle:
-            module = ast.parse(handle.read())
-        for node in module.body:
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-                and "taskclass" in node.value.value
-            ):
-                yield pytest.param(node.value.value, id=os.path.basename(path))
-
-
-SCRIPTS = [
-    pytest.param(paper_order.SCRIPT_TEXT, id="order"),
-    pytest.param(paper_trip.SCRIPT_TEXT, id="trip"),
-    pytest.param(paper_service_impact.SCRIPT_TEXT, id="service-impact"),
-    pytest.param(format_script(chain(32)[0]), id="chain(32)"),
-    pytest.param(format_script(fan(64)[0]), id="fan(64)"),
-    pytest.param(format_script(diamond()[0]), id="diamond"),
-    *(
-        pytest.param(format_script(random_dag(24, seed=seed)[0]), id=f"random_dag(24, seed={seed})")
-        for seed in range(4)
-    ),
-    *example_scripts(),
-]
 
 
 class TestSameScripts:

@@ -1,6 +1,9 @@
 """Tests for the tooling layer: DOT export, trace rendering, CLI."""
 
 import argparse
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,8 @@ from repro.engine import LocalEngine
 from repro.engine.trace import render_summary, render_trace
 from repro.lang.dot import to_dot
 from repro.workloads import paper_order, paper_trip
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestDotExport:
@@ -43,6 +48,20 @@ class TestDotExport:
     def test_nested_compounds_become_clusters(self):
         dot = to_dot(paper_trip.build())
         assert dot.count("subgraph cluster_") == 3  # trip, BR, CFR
+
+    def test_same_text_under_any_hash_seed(self):
+        # str hashes are salted per process: no name in the output may use one
+        program = (
+            "import sys; from repro.lang.dot import to_dot; "
+            "from repro.workloads import paper_trip; sys.stdout.write(to_dot(paper_trip.build()))"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            outputs.append(subprocess.run([sys.executable, "-c", program], env=env,
+                                          capture_output=True, text=True, check=True).stdout)
+        assert outputs[0] == outputs[1] == to_dot(paper_trip.build())
 
     def test_named_task_selection(self):
         script = paper_order.build()
