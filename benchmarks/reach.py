@@ -264,8 +264,8 @@ def collect(commands, jobs: int = JOBS) -> set:
 
 def fault_runs() -> None:
     """The ``SimHarness`` fault kinds the CLI sweeps do not arm: loss, dup +
-    reorder, a partition, a lossy network, a replica crash, compaction +
-    probes, worker lanes under random crashes, a load spike."""
+    reorder, a partition, a lossy network, a replica crash, compaction,
+    worker lanes under random crashes, a load spike."""
     from repro.services.system import SystemSpec
     from repro.sim import SimHarness
     from repro.sim.nemesis import (
@@ -280,7 +280,7 @@ def fault_runs() -> None:
         (NemesisSchedule(), {}, {"loss_rate": 0.1}),
         (NemesisSchedule([CrashAtTime(10.0, "execution-node", downtime=30.0)]), {},
          {"replicas": 2}),
-        (NemesisSchedule(), {"compact_every": 20.0, "probe_every": 15.0}, {}),
+        (NemesisSchedule(), {"compact_every": 20.0}, {}),
         (NemesisSchedule([RandomCrashes(("worker-node-1", "worker-node-2"), 20.0, 10.0, seed=3)]),
          {"max_time": 400.0}, {"worker_lanes": 2}),
         (NemesisSchedule([LoadSpike(5.0, 20.0, 0.5)]), {}, {}),

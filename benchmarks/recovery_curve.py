@@ -15,12 +15,16 @@ are left open, then:
   (``ReplicatedExecutionService._promote``).
 
 Per run it reports the store's keys and the WAL's in-memory records just
-before the crash, and, counted inside the rebuild alone, the Python calls,
-the store keys handed to a scan (what ``ObjectStore.keys`` returned),
-journal entries decoded and scripts compiled.  Those are exact and repeat to
-the unit, so CI gates each one's slope per settled instance between
-successive history lengths; the milliseconds spent in the rebuild and in the
-store's WAL replay are printed, not gated::
+before the crash, the distinct scripts among the open instances, and,
+counted inside the rebuild alone, the Python calls, the store keys handed to
+a scan (what ``ObjectStore.keys`` returned), journal entries decoded and
+scripts compiled.  The execution service's compiled-script cache is
+process-wide, so it is emptied just before the crash: the rebuild compiles
+what a restarted process would.  The counts are exact and repeat to the
+unit, so CI gates each one's slope per settled instance between successive
+history lengths, and the compiles against the open instances' scripts; the
+milliseconds spent in the rebuild and in the store's WAL replay are
+printed, not gated::
 
     python benchmarks/recovery_curve.py            # this tree
     python benchmarks/recovery_curve.py ../parent/src
@@ -84,7 +88,8 @@ class RebuildCounter:
 
 def run(mode: str, settled: int) -> dict:
     from repro.replication.replica import ReplicatedExecutionService
-    from repro.services import ExecutionService, WorkflowSystem
+    from repro.services import ExecutionService, WorkflowSystem, execution
+    from repro.services.journal import Journal
     from repro.workloads import generators, script_text
 
     workload = generators.chain(8)
@@ -99,7 +104,8 @@ def run(mode: str, settled: int) -> dict:
     primary = system.primary_execution()
     store = primary.store
     row = {"mode": mode, "settled": settled,
-           "store_keys": len(store.keys()), "wal_records": len(store.wal)}
+           "store_keys": len(store.keys()), "wal_records": len(store.wal),
+           "open_scripts": len({Journal(store).spec(iid)["script"] for iid in opened})}
 
     if mode == "recovery":
         target = ExecutionService.on_recover
@@ -109,6 +115,7 @@ def run(mode: str, settled: int) -> dict:
     else:
         target = ReplicatedExecutionService._promote
     counter = RebuildCounter(target)
+    execution._COMPILE_CACHE.clear()
     sys.setprofile(counter)
     try:
         if mode == "recovery":

@@ -6,12 +6,14 @@ that transfers a sum of money from customer account A to customer account B
 by debiting A and crediting B)."
 
 Here the workflow's `transfer` task is bound to an implementation that runs
-an actual ACID transaction — with a *nested* transaction for the debit step
-(§2: "possibly containing nested transactions within") — against a durable
-account store.  When the transfer cannot proceed (insufficient funds), the
-transaction aborts, nothing is written, and the task reports its *abort
-outcome*: exactly the mapping between committed/aborted transactions and
-task outcomes the paper describes.
+an actual ACID transaction against a durable account store: the debit and
+the credit commit together or not at all.  When the transfer cannot proceed
+(insufficient funds), the transaction aborts, nothing is written, and the
+task reports its *abort outcome*: exactly the mapping between
+committed/aborted transactions and task outcomes the paper describes.  (The
+paper lets an atomic task contain nested transactions; how a task
+implementation structures its own transaction is its business, and this
+one needs a single flat one.)
 
 Run:  python examples/bank_transfer.py
 """
@@ -81,7 +83,7 @@ compoundtask payment of taskclass Payment
 def build_bank():
     """A durable account store with two customers."""
     store = ObjectStore("bank")
-    manager = TransactionManager("bank-tm", decision_store=store)
+    manager = TransactionManager("bank-tm")
     with manager.begin() as txn:
         txn.write(store, "account:A", 100.0)
         txn.write(store, "account:B", 10.0)
@@ -96,16 +98,11 @@ def make_registry(store, manager):
         src, dst, amount = ctx.value("order")
         txn = manager.begin()
         try:
-            # debit inside a nested transaction — its effects stay
-            # provisional until the whole transfer commits
-            debit = txn.begin_nested()
-            balance = debit.read(store, f"account:{src}")
+            balance = txn.read(store, f"account:{src}")
             if balance < amount:
-                debit.abort()
-                txn.abort()
+                txn.abort(reason="insufficient funds")
                 return abort("insufficientFunds")
-            debit.write(store, f"account:{src}", balance - amount)
-            debit.commit()
+            txn.write(store, f"account:{src}", balance - amount)
             txn.write(store, f"account:{dst}", txn.read(store, f"account:{dst}") + amount)
             txn.commit()
         except TransactionAborted:

@@ -8,7 +8,7 @@ and never executes task code (contrast :mod:`repro.core.analysis`, which
 explores behaviour by running the real engine against synthetic
 implementations — the two cross-check each other in ``repro analyze``).
 
-Five checkers, one unified report:
+Four checkers, one unified report:
 
 * :mod:`repro.analysis.typeflow` (``E1xx``) — every alternative source of
   every input checked against the producing output's declared object class,
@@ -22,12 +22,9 @@ Five checkers, one unified report:
 * :mod:`repro.analysis.recovery` (``W401``/``E402``/``W404``) — bare (non
   transactional) effects reachable under at-least-once dispatch, abort
   paths that cannot compensate committed sibling effects, and degenerate
-  deadlines;
-* :mod:`repro.analysis.lockorder` (``E403``) — potential strict-2PL
-  deadlocks: simultaneously-enabled atomic tasks locking shared objects in
-  opposite declaration order.
+  deadlines.
 
-Liveness, interference, recovery and lock order read one artifact: the
+Liveness, interference and recovery read one artifact: the
 script compiled once into the plan the engine runs
 (:func:`repro.engine.plan.compile_plan`) — its firing tables, set masks and
 watch tables — so a verdict is about the engine's own tables, not a model of
@@ -36,9 +33,9 @@ that do not compile.
 
 The static passes are may-analyses: they over-approximate the engine.  The
 runtime sanitizer (:mod:`repro.analysis.dynamic`) watches real executions
-(vector clocks, locksets, worker execution ledgers) and checks the
-containment — every dynamic race/inversion/duplicate-effect must be
-predicted by a static ``W301``/``E403``/``W401`` finding.
+(vector clocks, worker execution ledgers) and checks the containment —
+every dynamic race/duplicate-effect must be predicted by a static
+``W301``/``W401`` finding.
 
 Legacy lint diagnostics (``W0xx``, :mod:`repro.lang.linter`) are merged into
 the same report; every code lives in the central
@@ -60,7 +57,6 @@ from .dynamic import DynamicFinding, Sanitizer, sanitized_run
 from .findings import Finding, Severity, StaticReport
 from .interference import check_interference, enabled_pairs
 from .liveness import LivenessResult, check_liveness
-from .lockorder import check_lockorder
 from .recovery import check_recovery
 from .registry import DIAGNOSTICS, DiagnosticRegistry, DiagnosticSpec
 from .sarif import to_sarif
@@ -94,7 +90,6 @@ def analyze_script(
         findings.extend(liveness.findings)
         findings.extend(check_interference(plan, liveness))
         findings.extend(check_recovery(plan, liveness))
-        findings.extend(check_lockorder(plan, liveness))
     if include_lint:
         from ..lang.linter import lint_script
 
@@ -128,7 +123,6 @@ __all__ = [
     "check_interference",
     "enabled_pairs",
     "check_liveness",
-    "check_lockorder",
     "check_recovery",
     "check_typeflow",
     "iter_embedded_scripts",

@@ -1,14 +1,14 @@
 """Runtime sanitizer: the dynamic half of the recovery/concurrency analysis.
 
 The static passes (:mod:`repro.analysis.interference`,
-:mod:`repro.analysis.recovery`, :mod:`repro.analysis.lockorder`) are
+:mod:`repro.analysis.recovery`) are
 *may*-analyses — they over-approximate what the engine can do.  This module
 watches what the engine actually *does* and checks the containment the
 analyzer promises: **every dynamic finding must be predicted by a static
 one** (dynamic ⊆ static).  A dynamic finding with no static counterpart is
 an analyzer bug, and ``repro sanitize`` exits non-zero on it.
 
-Three detectors, one :class:`Sanitizer`:
+Two detectors, one :class:`Sanitizer`:
 
 * **races** (dynamic ``W301``) — vector clocks threaded through the
   instance tree.  A task's clock is the join of its parent compound's
@@ -16,11 +16,6 @@ Three detectors, one :class:`Sanitizer`:
   one tick of its own; events are stamped with their publisher's clock.
   Two tasks that start with *incomparable* clocks while holding the same
   object reference (same provenance token) raced on it.
-* **lock inversions and deadlocks** (dynamic ``E403``) — locksets threaded
-  through :class:`~repro.txn.locks.LockManager`.  Acquisition-order edges
-  are recorded per transaction; an AB-BA pair of edges from two different
-  tasks is an inversion, and a runtime ``DeadlockError`` is the same
-  finding caught the hard way.
 * **duplicate effects** (dynamic ``W401``) — no hooks at all: the
   :class:`~repro.services.worker.TaskWorker` execution ledger is scanned
   after the run for ``(instance, path, execution_index)`` triples executed
@@ -28,7 +23,7 @@ Three detectors, one :class:`Sanitizer`:
   applied twice (the journal deduplicates only the reply).
 
 The sanitizer attaches by *instance-level method wrapping* — it replaces
-bound methods on one tree, one execution service or one lock manager.
+bound methods on one tree or one execution service.
 Unsanitized runs execute the original methods with zero added branches,
 which is what keeps the "0 overhead when disabled" guarantee honest.
 
@@ -42,13 +37,12 @@ locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.schema import Script
 from ..core.selection import source_matches
 from ..core.values import ObjectRef
 from ..engine.plan import ExecutionPlan, compile_plan
-from ..txn.locks import DeadlockError, LockManager, LockMode
 from .findings import StaticReport
 
 #: provenance token identifying one shared object reference: producer,
@@ -109,7 +103,7 @@ class DynamicFinding:
     """One runtime observation, tagged with the static code that must
     predict it."""
 
-    kind: str                    # "race" | "lock-inversion" | "deadlock" | "duplicate-effect"
+    kind: str                    # "race" | "duplicate-effect"
     code: str                    # the static code expected to cover it
     subjects: Tuple[str, ...]    # task paths involved (sorted)
     detail: str
@@ -119,10 +113,10 @@ class DynamicFinding:
 
 
 class Sanitizer:
-    """Vector-clock / lockset observer for one (or several) runs.
+    """Vector-clock observer for one (or several) runs.
 
-    Attach with :meth:`attach_tree` / :meth:`attach_service` /
-    :meth:`attach_locks`, run the workflow, then read :attr:`findings`
+    Attach with :meth:`attach_tree` / :meth:`attach_service`, run the
+    workflow, then read :attr:`findings`
     (plus :meth:`scan_workers` for duplicate effects) and gate with
     :meth:`check_coverage`.
     """
@@ -138,11 +132,6 @@ class Sanitizer:
         self._ref_names: Dict[int, Tuple[ObjectRef, str, VectorClock]] = {}
         self._race_details: Dict[AccessToken, str] = {}
         self._race_pairs: Set[Tuple[str, str]] = set()
-        # lock bookkeeping
-        self._txn_paths: Dict[str, str] = {}
-        self._held_order: Dict[str, List[str]] = {}
-        self._lock_edges: Dict[Tuple[str, str], Set[str]] = {}
-        self._reported_inversions: Set[FrozenSet[str]] = set()
         self._reported_duplicates: Set[Tuple[str, str, int]] = set()
         self.trees_attached = 0
 
@@ -283,97 +272,6 @@ class Sanitizer:
                     )
             history.append((path, vc))
 
-    # -- lock-manager hooks (inversions, deadlocks) --------------------------------
-
-    def bind_txn(self, txn: str, task_path: str) -> None:
-        """Name the task on whose behalf ``txn`` acquires locks — the
-        subject reported for that transaction's inversions/deadlocks."""
-        self._txn_paths[txn] = task_path
-
-    def _subject(self, txn: str) -> str:
-        return self._txn_paths.get(txn, txn)
-
-    def attach_locks(self, manager: LockManager) -> None:
-        """Wrap ``try_acquire``/``acquire``/``transfer_all``/``release_all``
-        on ``manager`` in place."""
-        original_try = manager.try_acquire
-        original_acquire = manager.acquire
-        original_transfer = manager.transfer_all
-        original_release = manager.release_all
-        sanitizer = self
-
-        def try_acquire(txn: str, obj: str, mode: LockMode = LockMode.EXCLUSIVE) -> bool:
-            sanitizer._note_attempt(txn, obj)
-            granted = original_try(txn, obj, mode)
-            if granted:
-                sanitizer._note_granted(txn, obj)
-            return granted
-
-        def acquire(txn: str, obj: str, mode: LockMode = LockMode.EXCLUSIVE, wait: bool = False):
-            try:
-                return original_acquire(txn, obj, mode, wait)
-            except DeadlockError as error:
-                sanitizer._note_deadlock(error)
-                raise
-
-        def transfer_all(child: str, parent: str) -> None:
-            held = sanitizer._held_order.pop(child, [])
-            order = sanitizer._held_order.setdefault(parent, [])
-            order.extend(obj for obj in held if obj not in order)
-            original_transfer(child, parent)
-
-        def release_all(txn: str):
-            sanitizer._held_order.pop(txn, None)
-            return original_release(txn)
-
-        manager.try_acquire = try_acquire
-        manager.acquire = acquire
-        manager.transfer_all = transfer_all
-        manager.release_all = release_all
-
-    def _note_attempt(self, txn: str, obj: str) -> None:
-        subject = self._subject(txn)
-        for held in self._held_order.get(txn, []):
-            if held == obj:
-                continue
-            self._lock_edges.setdefault((held, obj), set()).add(subject)
-            inverse = self._lock_edges.get((obj, held), set())
-            for other in inverse:
-                if other == subject:
-                    continue
-                pair = frozenset((subject, other))
-                if pair in self._reported_inversions:
-                    continue
-                self._reported_inversions.add(pair)
-                self.findings.append(
-                    DynamicFinding(
-                        kind="lock-inversion",
-                        code="E403",
-                        subjects=tuple(sorted(pair)),
-                        detail=(
-                            f"observed lock orders {held!r}->{obj!r} and "
-                            f"{obj!r}->{held!r} on the same two objects"
-                        ),
-                    )
-                )
-
-    def _note_granted(self, txn: str, obj: str) -> None:
-        order = self._held_order.setdefault(txn, [])
-        if obj not in order:
-            order.append(obj)
-
-    def _note_deadlock(self, error: DeadlockError) -> None:
-        involved = set(error.cycle) | {error.txn}
-        subjects = tuple(sorted({self._subject(txn) for txn in involved}))
-        self.findings.append(
-            DynamicFinding(
-                kind="deadlock",
-                code="E403",
-                subjects=subjects,
-                detail=f"LockManager waits-for cycle: {' -> '.join(error.cycle)}",
-            )
-        )
-
     # -- duplicate effects (worker ledger scan) ------------------------------------
 
     def scan_workers(self, workers: Sequence, plan: ExecutionPlan) -> None:
@@ -429,14 +327,7 @@ def _covers(static_finding, dyn: DynamicFinding) -> bool:
     subjects = set(dyn.subjects)
     if dyn.kind == "duplicate-effect":
         return static_finding.location in subjects
-    related = set(static_finding.related)
-    if not related:
-        return False
-    if dyn.kind == "race":
-        return related == subjects
-    # lock-inversion / deadlock: the static pair must lie on the observed
-    # cycle (longer cycles list more than two subjects)
-    return related <= subjects
+    return set(static_finding.related) == subjects
 
 
 def sanitized_run(

@@ -205,7 +205,7 @@ DIAGNOSTICS.register(
     "object, which no coordination layer can prevent.",
 )
 
-# -- recovery safety and deadlock (E4xx / W4xx) --------------------------------
+# -- recovery safety (E4xx / W4xx) ---------------------------------------------
 
 DIAGNOSTICS.register(
     "W401", Severity.WARNING, "bare effects may apply twice",
@@ -220,13 +220,6 @@ DIAGNOSTICS.register(
     "already committed, and no other constituent consumes that "
     "constituent's committed results: the abort claims no effects "
     "happened while committed effects stand uncompensated.",
-)
-DIAGNOSTICS.register(
-    "E403", Severity.ERROR, "potential lock-order deadlock",
-    "Two simultaneously-enabled atomic tasks acquire locks on the same "
-    "two (or more) objects in opposite declaration order; under strict "
-    "two-phase locking the runtime can only discover the resulting "
-    "deadlock the hard way (DeadlockError).",
 )
 DIAGNOSTICS.register(
     "W404", Severity.WARNING, "ineffective or degenerate deadline",

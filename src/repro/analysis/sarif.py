@@ -82,7 +82,7 @@ def to_sarif(
                 "locations": [location],
             }
             if finding.related:
-                # pair-shaped findings (W301/E402/E403) point at every task
+                # pair-shaped findings (W301/E402) point at every task
                 # in the pair, so CI annotates *both* ends, not just one
                 result["relatedLocations"] = [
                     {

@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize = commands.add_parser(
         "sanitize",
         help="run a paper workload under the runtime sanitizer and verify "
-        "every dynamic race/inversion/duplicate is statically predicted "
+        "every dynamic race/duplicate is statically predicted "
         "(exit 1 on an uncovered dynamic finding)",
     )
     sanitize.add_argument("name", choices=list(APPLICATIONS))

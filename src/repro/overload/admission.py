@@ -37,9 +37,9 @@ before anything is persisted, and promotions dispatch the queued instance's
 already-persisted runtime.
 
 What is *never* shed, regardless of pressure: instances that have already
-started (their flights, journal entries and 2PC participation are live
-state — killing them forfeits work already paid for, the classic metastable
-mistake), and anything already journaled.  Shedding applies to work the
+started (their flights and journal entries are live state — killing them
+forfeits work already paid for, the classic metastable mistake), and
+anything already journaled.  Shedding applies to work the
 service has not yet invested in.
 """
 

@@ -26,8 +26,7 @@ Safety invariants, in the order they are enforced:
   barrier was, by demote-before-ack, never acknowledged to anyone.
 
 Promotion *is* crash recovery's rebuild over the standby's own store: adopt
-the grant's epoch, resolve in-doubt two-phase participants against the
-replicated coordinator decision log (``txn/recovery.py``), then
+the grant's epoch, rebuild the committed cache from the durable log, then
 ``ExecutionService._rebuild`` — closed instances are taken in by key, open
 ones replayed, their deadlines re-armed with the journaled *remaining* time
 and their surviving flights resumed, staggered, as redispatches.  Its cost
@@ -42,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
 from ..txn.ids import ObjectId, TransactionId
-from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
 from ..txn.wal import BATCH, LogRecord
 from ..services.execution import EXECUTION_INTERFACE, ExecutionService
@@ -210,9 +208,6 @@ class ReplicatedExecutionService(ExecutionService):
         # not the sweep and flush timers: a re-promoted primary's chains may
         # still be alive
         self._reset_volatile()
-        # In-doubt two-phase participants prepared under the old primary are
-        # decided by the replicated coordinator decision log (presumed abort).
-        resolve_in_doubt(self.store, self._coordinator_decision)
         self.store.recover()
         self.role = Role.PRIMARY
         self.repl_stats["promotions"] += 1
@@ -230,11 +225,6 @@ class ReplicatedExecutionService(ExecutionService):
             self.alias, REPLICA_INTERFACE, self, self.node, fence=self._fence
         )
         crash_point("repl.promote.post", self)
-
-    def _coordinator_decision(self, tid: TransactionId) -> bool:
-        return bool(
-            self.store.get_committed(f"_decision:{tid.origin}:{tid.number}", False)
-        )
 
     def _demote_self(self, reason: str, seen_epoch: int = 0) -> None:
         if self.role is not Role.PRIMARY:

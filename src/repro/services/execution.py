@@ -724,8 +724,8 @@ class ExecutionService(Service):
         Journaled before it takes effect like every other outcome, so replay
         and recovery reproduce the shed exactly and the no-silent-drop oracle
         can hold the service to it.  Only instances that have not dispatched
-        anything are ever shed — started work (flights, 2PC participation,
-        journaled progress) is never thrown away."""
+        anything are ever shed — started work (flights, journaled progress)
+        is never thrown away."""
         self.admission.on_shed(runtime.iid, criticality, self._now(), reason)
         self.stats["shed"] += 1
         entry = {

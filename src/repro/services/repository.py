@@ -32,12 +32,11 @@ class RepositoryService(Service):
         self,
         name: str,
         store: ObjectStore,
-        manager: Optional[TransactionManager] = None,
         strict_admission: bool = False,
     ) -> None:
         super().__init__(name)
         self.store = store
-        self.manager = manager or TransactionManager(f"{name}-tm")
+        self.manager = TransactionManager(f"{name}-tm")
         # opt-in: also run the whole-script static analyser on submission and
         # reject scripts with any error-severity finding (unreachable
         # outcomes, dead tasks, guaranteed stalls) — not just invalid ones

@@ -2,10 +2,9 @@
 
 The durability story of the execution stack rests on a handful of precise
 boundaries — "the WAL force is the durability point", "the journal write
-commits before the tree mutates", "2PC participants are in doubt between
-PREPARE and the decision".  Sampling random crash *times* almost never lands
-on those boundaries; this module lets a simulation schedule land on them
-*every* time.
+commits before the tree mutates", "a standby acks only what it forced".
+Sampling random crash *times* almost never lands on those boundaries; this
+module lets a simulation schedule land on them *every* time.
 
 Protocol code is instrumented with calls like::
 
@@ -13,8 +12,8 @@ Protocol code is instrumented with calls like::
 
 which are no-ops (one global load and a ``None`` check) unless a
 :class:`CrashPointInjector` is installed.  The injector maps ``scope``
-objects (stores, WALs, services, transaction managers) to simulated nodes;
-when an armed fault's point and hit count match, the injector crashes the
+objects (stores, WALs, services) to simulated nodes; when an armed
+fault's point and hit count match, the injector crashes the
 owning node *mid-step* (:meth:`repro.net.node.Node.crash`: its stable storage
 drops its unforced WAL suffix, the volatile state evaporates) and raises
 :class:`SimulatedCrash` to unwind the Python stack exactly as a real machine
@@ -79,29 +78,12 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     CrashPoint("wal.checkpoint.post", "src/repro/txn/wal.py",
                "log truncated to the checkpoint"),
     # --- object store (transactional application) ---------------------------
-    CrashPoint("store.log_updates.post", "src/repro/txn/store.py",
-               "BEGIN/UPDATE records appended, still volatile"),
-    CrashPoint("store.prepare.pre", "src/repro/txn/store.py",
-               "before the PREPARE vote is logged"),
-    CrashPoint("store.prepare.post", "src/repro/txn/store.py",
-               "PREPARE vote forced (participant now in doubt)"),
     CrashPoint("store.commit.pre", "src/repro/txn/store.py",
                "before the COMMIT (or self-committing BATCH) record is appended"),
     CrashPoint("store.commit.forced", "src/repro/txn/store.py",
                "COMMIT/BATCH durable, after-images not yet installed"),
     CrashPoint("store.commit.post", "src/repro/txn/store.py",
                "after-images installed in the committed cache"),
-    CrashPoint("store.abort.pre", "src/repro/txn/store.py",
-               "before the ABORT record is logged"),
-    # --- transaction manager (commit protocol) ------------------------------
-    CrashPoint("txn.commit.pre", "src/repro/txn/manager.py",
-               "top-level commit entered, nothing logged yet"),
-    CrashPoint("txn.2pc.prepared", "src/repro/txn/manager.py",
-               "every participant voted, decision not yet recorded"),
-    CrashPoint("txn.2pc.decided", "src/repro/txn/manager.py",
-               "commit decision forced, phase 2 not yet run"),
-    CrashPoint("txn.commit.post", "src/repro/txn/manager.py",
-               "top-level commit complete"),
     # --- execution service (coordination journal) ---------------------------
     CrashPoint("exec.instantiate.persisted", "src/repro/services/execution.py",
                "instance spec and meta committed, runtime not yet built"),
@@ -187,11 +169,11 @@ class CrashPointInjector:
     """Routes crash-point visits to armed faults.
 
     The harness binds protocol-layer *scopes* (an ``ObjectStore``, its
-    ``WriteAheadLog``, an ``ExecutionService``, a ``TaskWorker``, a
-    ``TransactionManager``) to the simulated node that hosts them.  Visits
-    from unbound scopes — e.g. the repository store, which the chaos
-    harness does not target — are ignored, which keeps hit counting
-    deterministic regardless of what else lives in the simulated world.
+    ``WriteAheadLog``, an ``ExecutionService``, a ``TaskWorker``) to the
+    simulated node that hosts them.  Visits from unbound scopes — the
+    repository's store and log, which the chaos harness does not target —
+    are ignored, which keeps hit counting deterministic regardless of what
+    else lives in the simulated world.
 
     ``crash_callback(node_name, fault, scope)`` must perform the actual
     crash: torn-force the WAL when ``fault.mode == "torn"``, crash the node

@@ -6,8 +6,8 @@ Two passes, in the FoundationDB tradition:
    a torn-write variant for every point that supports it), each killing the
    owning node exactly at that protocol step.  Recovery-only points are
    paired with a preceding driver crash (``on_recover`` only runs after
-   one); points only reachable through compaction or two-phase commit get
-   the harness's compactor/2PC-probe enabled.
+   one); points only reachable through compaction get the harness's
+   compactor enabled.
 2. **Random nemesis sweep** — seeded random schedules composing one to
    three faults (crash-at-point, timed crashes, partitions, loss/dup/
    reorder bursts).  Each seed is an independent, fully reproducible
@@ -50,9 +50,6 @@ from .nemesis import (
 
 #: Points only visited when the harness drives compaction.
 _NEEDS_COMPACTOR = ("wal.checkpoint.", "exec.compact.")
-#: Points only visited by the harness's two-store 2PC probe, the one
-#: locking writer it binds (journal, lease and standby tail commit BATCHes).
-_NEEDS_PROBE = ("store.prepare.", "store.abort.", "store.log_updates.", "txn.")
 #: Points only visited with a replicated execution service.  The lease
 #: grant and the promotion points additionally need a failover (the
 #: bootstrap grant/promotion happen before the injector is installed), which
@@ -147,8 +144,6 @@ class ChaosSweep:
         changes: Dict[str, Any] = {}
         if point.name.startswith(_NEEDS_COMPACTOR):
             changes["compact_every"] = 40.0
-        if point.name.startswith(_NEEDS_PROBE):
-            changes["probe_every"] = 15.0
         if point.name == "exec.mark.recv" and self.workload == "order":
             # the order workload emits no marks; the trip workload does
             changes["workload"] = "trip"
@@ -245,7 +240,7 @@ class ChaosSweep:
         for index in range(seeds):
             seed = self.base_seed + index
             harness = self._harness(
-                self.random_schedule(seed), seed, compact_every=60.0, probe_every=25.0
+                self.random_schedule(seed), seed, compact_every=60.0
             )
             report = self._run(harness)
             result.reports.append(report)

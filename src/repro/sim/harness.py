@@ -32,9 +32,8 @@ exactly:
    timers) and logs the crash;
 3. recovery is scheduled ``downtime`` later — unless ``downtime`` is None,
    in which case the machine stays down and the liveness oracle is waived.
-   Around it the harness adds what it owns: in-doubt probe transactions are
-   resolved before the node re-attaches under its new incarnation and its
-   services replay their journals, and the oracles look at the result.
+   After it, once the node has re-attached under its new incarnation and its
+   services have replayed their journals, the oracles look at the result.
 
 The :class:`~repro.sim.crashpoints.SimulatedCrash` that unwinds the Python
 stack is caught at the event-loop boundary in :meth:`SimHarness._advance`
@@ -48,13 +47,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..orb.broker import CommFailure, Overloaded
 from ..services.system import TERMINAL, SystemSpec, WorkflowSystem
-from ..txn import wal as wal_mod
-from ..txn.manager import TransactionManager
-from ..txn.store import ObjectStore
 from ..txn.wal import WriteAheadLog
 from ..workloads import APPLICATIONS, Application
 from . import oracles
@@ -130,7 +126,6 @@ class SimHarness:
     max_time: float = 5_000.0
     check_every: float = 25.0
     compact_every: Optional[float] = None
-    probe_every: Optional[float] = None
     system: SystemSpec = field(default_factory=SystemSpec)
 
     def __post_init__(self) -> None:
@@ -162,27 +157,12 @@ class SimHarness:
         system = WorkflowSystem(self.system)
         spec.binder(system.registry)
         self._system = system
-        self._probe_manager: Optional[TransactionManager] = None
-        self._probes: List[ObjectStore] = []
         self._violations: List[oracles.OracleViolation] = []
         self._violation_keys: Set[Tuple[str, str, str]] = set()
         self._terminal_seen: Dict[str, Tuple[str, Optional[str]]] = {}
         self._spike_submitted: Dict[str, str] = {}
         self._spike_refused: int = 0
         injector = CrashPointInjector(self._on_crash)
-        if self.probe_every is not None:
-            # Two scratch stores on the execution node plus a manager whose
-            # decision log is the execution store: the only code path in the
-            # system that runs genuine two-phase commit, so the prepare/2PC
-            # crash points (and in-doubt recovery) get exercised.
-            self._probes = [
-                system.execution_node.attach(ObjectStore(name))
-                for name in ("probe-a", "probe-b")
-            ]
-            self._probe_manager = TransactionManager(
-                "probe-tm", decision_store=system.execution_store
-            )
-            injector.bind(self._probe_manager, "execution-node")
         # Every store, log and service of every machine is a crash-point
         # scope of that machine — but for the repository's, deliberately left
         # unbound so deploy-time visits do not shift hit counts (see
@@ -197,9 +177,7 @@ class SimHarness:
                 injector.bind(service, name)
         self._injector = injector
         self._nemesis = Nemesis(
-            system,
-            before_recover=self._resolve_in_doubt,
-            after_recover=lambda _node: self._check("recovery", deep=True),
+            system, after_recover=lambda _node: self._check("recovery", deep=True)
         )
         self._nemesis.arm(self.schedule, owned={
             CrashAtPoint: lambda fault: injector.arm(fault.to_armed()),
@@ -207,8 +185,6 @@ class SimHarness:
         })
         if self.compact_every is not None:
             self._arm_compactor()
-        if self.probe_every is not None:
-            self._arm_prober()
         install(injector)
         try:
             self._deploy(spec)
@@ -218,61 +194,21 @@ class SimHarness:
             uninstall()
         return self._report(iids)
 
-    def _every(self, interval: float, label: str, action: Callable[[], None]) -> None:
-        clock = self._system.clock
-
-        def tick() -> None:
-            # reschedule first: a SimulatedCrash inside the action must not
-            # silence all future ticks
-            clock.call_after(interval, tick, label=label)
-            action()
-
-        clock.call_after(interval, tick, label=label)
-
     def _arm_compactor(self) -> None:
         system = self._system
+        clock, interval = system.clock, float(self.compact_every)
 
-        def compact() -> None:
+        def tick() -> None:
+            # reschedule first: a SimulatedCrash inside the compaction must
+            # not silence all future ticks
+            clock.call_after(interval, tick, label="harness:compact")
             service = system.primary_execution()
             if service is not None:
                 # always the primary: compacting a demoted standby's store
                 # would fork its log from the stream the primary ships
                 service.compact()
 
-        self._every(float(self.compact_every), "harness:compact", compact)
-
-    def _arm_prober(self) -> None:
-        """Periodic 2PC probe: one transaction increments a counter in both
-        probe stores (two participants → genuine two-phase commit, with the
-        decision forced in the execution store's log), then a second
-        transaction writes and deliberately aborts.  The atomic-commit
-        oracle later demands the two counters never diverge — a crash
-        anywhere inside the protocol must either commit both or neither
-        once in-doubt participants are resolved."""
-        system = self._system
-        store_a, store_b = self._probes
-        manager = self._probe_manager
-
-        def probe() -> None:
-            if not system.execution_node.alive:
-                return
-
-            def body(txn) -> None:
-                a = txn.read(store_a, "probe-counter", 0)
-                b = txn.read(store_b, "probe-counter", 0)
-                txn.write(store_a, "probe-counter", a + 1)
-                txn.write(store_b, "probe-counter", b + 1)
-
-            manager.run(body)
-            scratch = manager.begin()
-            scratch.write(store_b, "probe-scratch", system.clock.now)
-            scratch.abort(reason="probe abort")
-            # the physical barrier of every store the probe forced records
-            # in (the coordinator's decisions go to the execution store)
-            for store in (store_a, store_b, system.execution_store):
-                store.sync()
-
-        self._every(float(self.probe_every), "harness:probe", probe)
+        clock.call_after(interval, tick, label="harness:compact")
 
     def _arm_load_spike(self, fault: LoadSpike, spec: Application) -> None:
         """Schedule the spike's submissions on the event clock.
@@ -313,30 +249,6 @@ class SimHarness:
             scope.torn_force()
         self._nemesis.strike(node_name, fault.downtime, point=fault.point, mode=fault.mode)
 
-    def _resolve_in_doubt(self, node_name: str) -> None:
-        """Before the execution node comes back, finish 2PC for transactions
-        caught between PREPARE and the decision: presumed abort unless the
-        coordinator's decision log (the execution store) says commit.
-        Completing the record and re-replaying the log is all a redo-only
-        participant needs."""
-        if node_name != "execution-node" or self._probe_manager is None:
-            return
-        # the probe's transaction manager is in-memory: its active-transaction
-        # table and cached commit decisions died with the machine (durable
-        # decisions live in the decision store's log, nowhere else); nothing
-        # reads them while the node is down
-        self._probe_manager._active.clear()
-        self._probe_manager._decisions.clear()
-        for store in self._probes:
-            for tid in list(store.in_doubt()):
-                committed = self._probe_manager.decision(tid)
-                store.wal.append(
-                    wal_mod.COMMIT if committed else wal_mod.ABORT, tid
-                )
-                store.wal.force()
-                store.sync()
-                store.recover()
-
     # -- oracle plumbing ----------------------------------------------------------
 
     def _record(self, found: List[oracles.OracleViolation]) -> None:
@@ -374,8 +286,6 @@ class SimHarness:
             found += oracles.check_durability(
                 primary, self._terminal_seen, phase
             )
-            if self._probes and system.execution_node.alive:
-                found += oracles.check_atomic_commit(*self._probes, phase=phase)
             if deep:
                 found += oracles.check_replay_agreement(primary, phase)
                 found += oracles.check_settled_is_closed(primary, phase)

@@ -8,8 +8,7 @@ meaningfully in CI logs.  :class:`Nemesis` interprets one against a live
 :class:`~repro.services.system.WorkflowSystem`: ``schedule.arm(system)`` arms
 every time-based fault on any system and returns the log of the crashes it
 makes; the sim harness arms the same way and adds only what it owns (crash
-points, load spikes, the 2PC probe's in-doubt resolution before a recovery
-and the oracle check after one).
+points, load spikes and the oracle check after a recovery).
 
 Fault kinds::
 
@@ -304,8 +303,8 @@ class Nemesis:
     every crash it makes as ``{"node", "time", "point", "mode",
     "downtime"}``.
 
-    ``before_recover`` and ``after_recover`` run around each recovery it
-    makes (of a node that is down), with the node's name.  :meth:`strike`
+    ``after_recover`` runs after each recovery it makes (of a node that is
+    down), with the node's name.  :meth:`strike`
     is public so a caller that finds its own victims (the harness's crash
     points) crashes them the same way.
     """
@@ -313,11 +312,9 @@ class Nemesis:
     def __init__(
         self,
         system: "WorkflowSystem",
-        before_recover: Callable[[str], None] = _nothing,
         after_recover: Callable[[str], None] = _nothing,
     ) -> None:
         self.system = system
-        self.before_recover = before_recover
         self.after_recover = after_recover
         self.crashes: List[Dict[str, Any]] = []
 
@@ -392,7 +389,6 @@ class Nemesis:
         node = self.system.nodes[name]
         if node.alive:
             return
-        self.before_recover(name)
         node.recover()  # may raise SimulatedCrash via a recovery crash point
         self.after_recover(name)
 

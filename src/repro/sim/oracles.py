@@ -329,30 +329,6 @@ def check_durability(
     return violations
 
 
-def check_atomic_commit(
-    store_a: ObjectStore,
-    store_b: ObjectStore,
-    key: str = "probe-counter",
-    phase: str = "",
-) -> List[OracleViolation]:
-    """2PC atomicity: the probe counter incremented in both participant
-    stores under one transaction must never diverge.  Only meaningful once
-    in-doubt participants have been resolved (the harness checks after
-    recovery resolution, never mid-outage)."""
-    a = store_a.get_committed(key, 0)
-    b = store_b.get_committed(key, 0)
-    if a == b:
-        return []
-    return [
-        OracleViolation(
-            "atomic-commit",
-            f"{store_a.name}+{store_b.name}",
-            f"{key} diverged: {store_a.name}={a} {store_b.name}={b}",
-            phase,
-        )
-    ]
-
-
 def check_epoch_fencing(
     stores: List[ObjectStore], phase: str = ""
 ) -> List[OracleViolation]:

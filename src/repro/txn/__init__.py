@@ -1,14 +1,17 @@
 """Transactional substrate: the OTSArjuna analogue (see DESIGN.md §2).
 
-Provides persistent atomic objects, strict-2PL locking, write-ahead logging,
-one- and two-phase commit, and crash recovery.  The workflow execution
-service builds its "tasks eventually receive their inputs" guarantee on these
-primitives, exactly as the paper builds on Arjuna/OTS.
+Provides a durable object store with a write-ahead log, strict-2PL locking
+without waiting, flat one-phase transactions, and crash recovery by redo
+replay.  The repository service stores scripts under these transactions.
+The execution service keeps its dependency journal in the same kind of
+store, but as self-committing BATCH records
+(:meth:`ObjectStore.commit_batch`): one writer, one record per durability
+barrier.  Replaying those records is what backs the paper's claim that
+tasks eventually receive their inputs despite a finite number of crashes.
 """
 
-from .atomic import AtomicObject
 from .ids import IdSource, ObjectId, TransactionId
-from .locks import DeadlockError, LockConflict, LockManager, LockMode
+from .locks import LockConflict, LockManager, LockMode
 from .manager import (
     RetriesExhausted,
     Transaction,
@@ -16,13 +19,10 @@ from .manager import (
     TransactionManager,
     TransactionState,
 )
-from .recovery import recover_with_coordinator, resolve_in_doubt
 from .store import NoSuchObject, ObjectStore
-from .wal import LogRecord, WriteAheadLog, in_doubt, replay
+from .wal import LogRecord, WriteAheadLog, replay
 
 __all__ = [
-    "AtomicObject",
-    "DeadlockError",
     "IdSource",
     "LockConflict",
     "LockManager",
@@ -38,8 +38,5 @@ __all__ = [
     "TransactionManager",
     "TransactionState",
     "WriteAheadLog",
-    "in_doubt",
-    "recover_with_coordinator",
     "replay",
-    "resolve_in_doubt",
 ]

@@ -62,9 +62,6 @@ class ObjectStore:
         — with ``view()``, a value computed from other committed objects."""
         self._derived[key] = view
 
-    def exists(self, key: str) -> bool:
-        return key in self._committed
-
     def keys(self) -> KeysView[str]:
         return self._committed.keys()
 
@@ -78,14 +75,6 @@ class ObjectStore:
         self.wal.append(wal_mod.BEGIN, txn)
         for key, value in writes.items():
             self.wal.append(wal_mod.UPDATE, txn, ObjectId(key), value)
-        crash_point("store.log_updates.post", self)
-
-    def prepare(self, txn: TransactionId) -> None:
-        """2PC vote: force a PREPARE record."""
-        crash_point("store.prepare.pre", self)
-        self.wal.append(wal_mod.PREPARE, txn)
-        self.wal.force()
-        crash_point("store.prepare.post", self)
 
     def commit(self, txn: TransactionId, writes: Dict[str, Any]) -> None:
         """Force the COMMIT record, then install the after-images."""
@@ -110,12 +99,6 @@ class ObjectStore:
         self._committed.update(writes)
         self._pending.pop(txn, None)
         crash_point("store.commit.post", self)
-
-    def abort(self, txn: TransactionId) -> None:
-        crash_point("store.abort.pre", self)
-        self.wal.append(wal_mod.ABORT, txn)
-        self.wal.force()
-        self._pending.pop(txn, None)
 
     def ingest(
         self,
@@ -145,7 +128,7 @@ class ObjectStore:
 
         The lock table is volatile too — locks held by transactions that were
         in flight at crash time die with them, so recovery-time transactions
-        start against a clean table instead of deadlocking on ghosts.
+        start against a clean table instead of conflicting with ghosts.
         """
         lost = self.wal.lose_unforced()
         self.recover()
@@ -158,10 +141,6 @@ class ObjectStore:
         pending: Dict[TransactionId, List[LogRecord]] = {}
         wal_mod.fold(self.wal.durable_records(), committed, pending)
         self._committed, self._pending = committed, pending
-
-    def in_doubt(self) -> Iterable[TransactionId]:
-        """Transactions prepared here whose outcome is unknown locally."""
-        return wal_mod.in_doubt(self.wal.durable_records())
 
     def checkpoint(self) -> None:
         """Compact the log around the current committed snapshot."""

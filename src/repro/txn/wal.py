@@ -24,7 +24,6 @@ Record kinds::
 
     BEGIN    txn
     UPDATE   txn, object, after-image
-    PREPARE  txn                     (2PC participant vote)
     COMMIT   txn
     ABORT    txn
     BATCH    {object: after-image, ...}   (self-committing, one writer)
@@ -44,13 +43,12 @@ from .ids import ObjectId, TransactionId
 
 BEGIN = "BEGIN"
 UPDATE = "UPDATE"
-PREPARE = "PREPARE"
 COMMIT = "COMMIT"
 ABORT = "ABORT"
 BATCH = "BATCH"
 CHECKPOINT = "CHECKPOINT"
 
-_KINDS = {BEGIN, UPDATE, PREPARE, COMMIT, ABORT, BATCH, CHECKPOINT}
+_KINDS = {BEGIN, UPDATE, COMMIT, ABORT, BATCH, CHECKPOINT}
 
 # one encoder for every mirror row (``json.dumps`` builds one per call),
 # without the default separators' padding
@@ -222,9 +220,6 @@ class WriteAheadLog:
         """Iterate records that survived (i.e. were forced)."""
         return iter(self._records[: self._forced_upto])
 
-    def all_records(self) -> Iterator[LogRecord]:
-        return iter(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -308,8 +303,6 @@ def fold(
                 snapshot[update.obj.name] = update.value
         elif record.kind == ABORT:
             pending.pop(record.txn, None)
-        # PREPARE leaves the txn pending; outcome is resolved by the
-        # coordinator (see repro.txn.recovery).
 
 
 def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:
@@ -317,16 +310,3 @@ def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:
     snapshot: Dict[str, Any] = {}
     fold(records, snapshot, {})
     return snapshot
-
-
-def in_doubt(records: Iterable[LogRecord]) -> List[TransactionId]:
-    """Transactions that PREPAREd but have no COMMIT/ABORT in the stream."""
-    prepared: Dict[TransactionId, bool] = {}
-    for record in records:
-        if record.kind == PREPARE:
-            prepared[record.txn] = True
-        elif record.kind in (COMMIT, ABORT) and record.txn in prepared:
-            del prepared[record.txn]
-        elif record.kind == CHECKPOINT:
-            prepared.clear()
-    return sorted(prepared)

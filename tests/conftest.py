@@ -47,7 +47,7 @@ def store():
 
 @pytest.fixture
 def manager(store):
-    return TransactionManager("test-tm", decision_store=store)
+    return TransactionManager("test-tm")
 
 
 def build_pipeline_script(length: int = 2):
@@ -89,58 +89,3 @@ def pipeline_registry():
 def local_engine(pipeline_registry):
     return LocalEngine(pipeline_registry)
 
-
-def interleave_lockers(manager, lockers, schedule):
-    """Drive two-phase lockers against ``manager`` one acquisition step at a
-    time, in an order ``schedule`` picks — a deterministic stand-in for two
-    threads racing on a lock table.
-
-    ``lockers`` maps a transaction to the objects it locks, in order.  A
-    locker's step asks for its next object (``acquire(wait=True)``); while
-    that request waits, the locker is blocked; once it holds every object,
-    or its request closed a waits-for cycle (``DeadlockError``), its next
-    step releases everything.  Each entry of ``schedule`` picks, modulo
-    their number, one of the lockers able to move; when ``schedule`` runs
-    out the first able locker moves, until all are done (a waiter is
-    granted by the other's release, so one always can).
-
-    Returns the trace, one entry per step: ``(txn, object, "granted" |
-    "waiting" | "deadlock")`` for a request, ``(txn, object, "woken")`` when
-    a waiting request was granted meanwhile, ``(txn, None, "released")``."""
-    from repro.txn.locks import DeadlockError, LockMode
-
-    held = {txn: 0 for txn in lockers}      # objects acquired so far
-    waiting = {}                            # txn -> object it queues for
-    done = set()
-    trace = []
-    picks = iter(schedule)
-    while len(done) < len(lockers):
-        able = [
-            txn for txn in lockers
-            if txn not in done
-            and (txn not in waiting or manager.mode_of(txn, waiting[txn]) is not None)
-        ]
-        txn = able[next(picks, 0) % len(able)]
-        order = lockers[txn]
-        if txn in waiting:  # granted by the other's release
-            trace.append((txn, waiting.pop(txn), "woken"))
-            held[txn] += 1
-        elif held[txn] < len(order):
-            obj = order[held[txn]]
-            try:
-                manager.acquire(txn, obj, LockMode.EXCLUSIVE, wait=True)
-            except DeadlockError:
-                trace.append((txn, obj, "deadlock"))
-                held[txn] = len(order)  # aborted: release next
-                continue
-            if manager.mode_of(txn, obj) is None:
-                waiting[txn] = obj
-                trace.append((txn, obj, "waiting"))
-            else:
-                held[txn] += 1
-                trace.append((txn, obj, "granted"))
-        else:
-            manager.release_all(txn)
-            done.add(txn)
-            trace.append((txn, None, "released"))
-    return trace

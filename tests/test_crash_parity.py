@@ -2,8 +2,8 @@
 crash of the same node, armed once with ``NemesisSchedule.arm`` on a plain
 system and once inside the sim harness, must leave the same committed stores,
 the same crash log and the same instance fates — so what the harness adds
-around a crash (crash points, in-doubt resolution, the oracle check after a
-recovery) does not change what the crash does."""
+around a crash (crash points, the oracle check after a recovery) does not
+change what the crash does."""
 
 import pytest
 

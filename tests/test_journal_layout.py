@@ -129,7 +129,7 @@ class TestBarrierCost:
         for _ in range(200):
             before = len(wal)
             iid = system.instantiate("chain", root, inputs)
-            records = list(wal.all_records())[before:]
+            records = list(wal.durable_records())[before:]
             sizes.append(sum(len(record.to_json()) for record in records))
             system.run_until_terminal(iid)
         # the only thing that may grow is the instance id's own digits
@@ -176,7 +176,7 @@ class TestLayout:
             "instance-counter", f"instance:{iid}:spec", f"instance:{iid}:meta",
         }
         assert {record.kind for record in store.wal.durable_records()} == {BATCH}
-        assert not store.exists("instance-index")
+        assert "instance-index" not in store.keys()
         assert store.get_committed("instance-index", []) == [iid]  # derived
 
     def test_only_the_journal_module_spells_a_stored_key(self):
@@ -385,7 +385,7 @@ class TestSameTreeEveryWayIn:
                 service.instantiate("chain", root, "main", inputs)
         finally:
             crashpoints.uninstall()
-        present = [store.exists(f"instance:wf-1:{part}") for part in ("spec", "meta")]
+        present = [f"instance:wf-1:{part}" in store.keys() for part in ("spec", "meta")]
         assert present == [survives, survives]
         assert check_journal_integrity(store) == []
         node.recover()
@@ -484,19 +484,19 @@ class TestStandbyFoldsBatches:
         bootstrap_resets = applied["resets"]
         assert bootstrap_resets == 2  # each standby's first batch is a full one
 
-        # A two-phase transaction with the execution store as a participant,
-        # shipped between its PREPARE and its COMMIT: the standby must carry
-        # it, undecided, from one batch to the next.
+        # A transaction on the execution store whose updates are durable,
+        # and shipped, before its COMMIT: the standby must carry it,
+        # undecided, from one batch to the next.
         tid = TransactionId(1, "probe-tm")
         writes = {"probe-counter": 1}
         primary.store.log_updates(tid, writes)
-        primary.store.prepare(tid)
+        primary.store.wal.force()
         primary.flush_journal()
         standbys = system.execution_replicas[1:]
         for standby in standbys:
             assert standby.store.wal.last_durable_lsn > 0
-            assert not standby.store.exists("probe-counter")
-            assert list(standby.store.in_doubt()) == [tid]
+            assert "probe-counter" not in standby.store.keys()
+            assert list(standby.store._pending) == [tid]
         primary.store.commit(tid, writes)
         primary.flush_journal()
         for standby in standbys:

@@ -1,9 +1,9 @@
-"""Unit tests for the strict-2PL lock manager."""
+"""Unit tests for the strict-2PL lock manager (non-blocking)."""
 
 import pytest
 
 from repro.txn.ids import ObjectId, TransactionId
-from repro.txn.locks import DeadlockError, LockConflict, LockManager, LockMode
+from repro.txn.locks import LockConflict, LockManager, LockMode
 
 T1, T2, T3 = TransactionId(1), TransactionId(2), TransactionId(3)
 A, B = ObjectId("a"), ObjectId("b")
@@ -14,10 +14,15 @@ def locks():
     return LockManager()
 
 
+def mode_of(locks, txn, obj):
+    entry = locks._table.get(obj)
+    return entry.holders.get(txn) if entry is not None else None
+
+
 class TestBasicModes:
     def test_exclusive_acquire(self, locks):
         assert locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        assert locks.mode_of(T1, A) is LockMode.EXCLUSIVE
+        assert mode_of(locks, T1, A) is LockMode.EXCLUSIVE
 
     def test_shared_locks_compatible(self, locks):
         assert locks.try_acquire(T1, A, LockMode.SHARED)
@@ -38,7 +43,7 @@ class TestBasicModes:
     def test_upgrade_by_sole_holder(self, locks):
         locks.try_acquire(T1, A, LockMode.SHARED)
         assert locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        assert locks.mode_of(T1, A) is LockMode.EXCLUSIVE
+        assert mode_of(locks, T1, A) is LockMode.EXCLUSIVE
 
     def test_upgrade_refused_with_other_sharers(self, locks):
         locks.try_acquire(T1, A, LockMode.SHARED)
@@ -49,7 +54,7 @@ class TestBasicModes:
         locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
         assert locks.try_acquire(T1, A, LockMode.SHARED)
         # holding exclusive already covers shared
-        assert locks.mode_of(T1, A) is LockMode.EXCLUSIVE
+        assert mode_of(locks, T1, A) is LockMode.EXCLUSIVE
 
 
 class TestConflictsAndRelease:
@@ -66,64 +71,22 @@ class TestConflictsAndRelease:
         assert locks.try_acquire(T2, A, LockMode.EXCLUSIVE)
         assert locks.try_acquire(T2, B, LockMode.EXCLUSIVE)
 
-    def test_held_by_tracks_objects(self, locks):
+    def test_release_all_empties_the_table(self, locks):
         locks.try_acquire(T1, A, LockMode.SHARED)
+        locks.try_acquire(T2, A, LockMode.SHARED)
         locks.try_acquire(T1, B, LockMode.EXCLUSIVE)
-        assert locks.held_by(T1) == {A, B}
-
-    def test_release_grants_to_fifo_waiter(self, locks):
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.acquire(T2, A, LockMode.EXCLUSIVE, wait=True)
-        grants = locks.release_all(T1)
-        assert (T2, A) in grants
-        assert locks.mode_of(T2, A) is LockMode.EXCLUSIVE
-
-    def test_release_grants_multiple_compatible_shared_waiters(self, locks):
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.acquire(T2, A, LockMode.SHARED, wait=True)
-        locks.acquire(T3, A, LockMode.SHARED, wait=True)
-        grants = locks.release_all(T1)
-        assert {(T2, A), (T3, A)} <= set(grants)
+        locks.release_all(T1)
+        assert set(locks._table) == {A}
+        locks.release_all(T2)
+        assert not locks._table and not locks._held
 
 
 class TestQueriesHaveNoSideEffects:
     def test_query_on_unknown_object_leaves_table_unchanged(self, locks):
         locks.try_acquire(T1, A, LockMode.SHARED)
         before = dict(locks._table)
-        assert locks.holders(B) == {}
-        assert locks.mode_of(T1, B) is None
-        assert locks.mode_of(T2, ObjectId("never-locked")) is None
-        assert locks.held_by(T3) == set()
+        locks.refuse_if_held(["b", "never-locked"])
+        with pytest.raises(LockConflict):
+            locks.refuse_if_held(["a"])
         assert locks._table == before
         assert T3 not in locks._held
-
-
-class TestDeadlock:
-    def test_two_party_deadlock_detected(self, locks):
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.try_acquire(T2, B, LockMode.EXCLUSIVE)
-        locks.acquire(T1, B, LockMode.EXCLUSIVE, wait=True)  # T1 waits on T2
-        with pytest.raises(DeadlockError):
-            locks.acquire(T2, A, LockMode.EXCLUSIVE, wait=True)
-
-    def test_three_party_cycle_detected(self, locks):
-        C = ObjectId("c")
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.try_acquire(T2, B, LockMode.EXCLUSIVE)
-        locks.try_acquire(T3, C, LockMode.EXCLUSIVE)
-        locks.acquire(T1, B, LockMode.EXCLUSIVE, wait=True)
-        locks.acquire(T2, C, LockMode.EXCLUSIVE, wait=True)
-        with pytest.raises(DeadlockError):
-            locks.acquire(T3, A, LockMode.EXCLUSIVE, wait=True)
-
-    def test_waiting_without_cycle_is_fine(self, locks):
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.acquire(T2, A, LockMode.EXCLUSIVE, wait=True)  # no cycle
-        assert locks.mode_of(T2, A) is None  # still waiting
-
-    def test_release_clears_waits_for_edges(self, locks):
-        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
-        locks.acquire(T2, A, LockMode.EXCLUSIVE, wait=True)
-        locks.release_all(T2)  # waiter gives up
-        locks.release_all(T1)
-        assert locks.try_acquire(T3, A, LockMode.EXCLUSIVE)

@@ -241,8 +241,8 @@ def test_lock_table_never_incompatible(operations):
             locks.release_all(txn)
         else:
             locks.try_acquire(txn, ObjectId(f"o{obj_n}"), mode)
-        for obj in range(3):
-            holders = locks.holders(ObjectId(f"o{obj}"))
+        for entry in locks._table.values():
+            holders = entry.holders
             exclusives = [t for t, m in holders.items() if m is LockMode.EXCLUSIVE]
             if exclusives:
                 assert len(holders) == 1

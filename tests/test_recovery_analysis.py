@@ -1,26 +1,20 @@
-"""Recovery-safety and deadlock analysis (E4xx/W4xx) plus the runtime
-lockset/vector-clock sanitizer.
+"""Recovery-safety analysis (E4xx/W4xx) plus the runtime vector-clock
+sanitizer.
 
 Covers: the static checkers' positive and negative cases, the diagnostic
 registry entries, strict admission on the new error codes, the dynamic
-sanitizer (races, lock inversions, deadlocks, duplicate effects) and the
-static-superset guarantee — including the fixture whose static E403 cycle
-every interleaving that takes both first locks before either second one
-turns into a real ``DeadlockError``, proving the static finding genuine.
+sanitizer (races, duplicate effects) and the static-superset guarantee.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import (
     DIAGNOSTICS,
     Sanitizer,
     Severity,
     analyze_script,
-    check_lockorder,
     check_recovery,
     sanitized_run,
 )
@@ -28,16 +22,14 @@ from repro.core import ScriptBuilder, from_input, from_output
 from repro.core.selection import HOTPATH_STATS
 from repro.engine import LocalEngine, compile_plan
 from repro.lang import format_script
-from repro.txn.locks import DeadlockError, LockManager, LockMode
-from tests.conftest import interleave_lockers
 
 
 # -- fixture scripts -----------------------------------------------------------
 
 
 def _atomic_pair_script(invert: bool = True):
-    """Two atomic constituents locking env objects x and y; ``invert``
-    declares them in opposite orders (the E403 shape)."""
+    """Two atomic constituents reading env objects x and y; ``invert``
+    declares them in opposite orders."""
     b = ScriptBuilder()
     b.object_classes("Data")
     (b.taskclass("AtomicXY")
@@ -131,7 +123,6 @@ def _codes(findings, code):
 def test_new_codes_registered():
     assert DIAGNOSTICS.require("W401").severity is Severity.WARNING
     assert DIAGNOSTICS.require("E402").severity is Severity.ERROR
-    assert DIAGNOSTICS.require("E403").severity is Severity.ERROR
     assert DIAGNOSTICS.require("W404").severity is Severity.WARNING
 
 
@@ -209,28 +200,8 @@ def test_w404_three_degenerate_shapes_and_one_healthy():
     assert "non-positive" in w404["wf/degenerate"]
 
 
-# -- E403: lock-order inversions -----------------------------------------------
-
-
-def test_e403_fires_on_inverted_acquisition_order():
-    findings = check_lockorder(compile_plan(_atomic_pair_script(invert=True)))
-    e403 = _codes(findings, "E403")
-    assert [f.location for f in e403] == ["wf/a <-> wf/bb"]
-    assert e403[0].related == ("wf/a", "wf/bb")
-
-
-def test_e403_silent_on_consistent_order():
-    assert not check_lockorder(compile_plan(_atomic_pair_script(invert=False)))
-
-
-def test_e403_silent_on_ordered_tasks(pipeline_script):
-    # pipeline stages are happens-before ordered; even inverted declaration
-    # orders could never overlap (and these tasks are not atomic anyway)
-    assert not check_lockorder(compile_plan(pipeline_script))
-
-
 def test_shipped_scripts_stay_error_clean():
-    """No E402/E403 false positives on the paper workloads (acceptance:
+    """No E402 false positives on the paper workloads (acceptance:
     `repro lint` on clean workloads introduces no new errors)."""
     from repro.workloads import paper_order, paper_service_impact, paper_trip
 
@@ -240,18 +211,6 @@ def test_shipped_scripts_stay_error_clean():
 
 
 # -- strict admission ----------------------------------------------------------
-
-
-def test_strict_admission_rejects_e403():
-    from repro.core.errors import SchemaError
-    from repro.services.repository import RepositoryService
-    from repro.txn import ObjectStore
-
-    text = format_script(_atomic_pair_script(invert=True))
-    strict = RepositoryService("repo", ObjectStore("sx"), strict_admission=True)
-    with pytest.raises(SchemaError, match="E403"):
-        strict.store_script("deadlocky", text)
-    assert strict.list_scripts() == []
 
 
 def test_strict_admission_rejects_e402():
@@ -380,66 +339,6 @@ def test_trip_exploration_observes_the_thread_pools_pairs():
     } <= observed
     static = {tuple(sorted(f.related)) for f in report.findings if f.code == "W301"}
     assert observed <= static and len(static) == 7
-    assert sanitizer.check_coverage(report) == []
-
-
-# -- sanitizer: locksets and the E403 fixture ----------------------------------
-
-
-def test_lock_hooks_record_inversion_and_deadlock():
-    sanitizer = Sanitizer()
-    manager = LockManager()
-    sanitizer.attach_locks(manager)
-    sanitizer.bind_txn("t1", "wf/a")
-    sanitizer.bind_txn("t2", "wf/bb")
-    manager.acquire("t1", "x", LockMode.EXCLUSIVE, wait=True)
-    manager.acquire("t2", "y", LockMode.EXCLUSIVE, wait=True)
-    manager.acquire("t1", "y", LockMode.EXCLUSIVE, wait=True)  # t1 waits on t2
-    with pytest.raises(DeadlockError):
-        manager.acquire("t2", "x", LockMode.EXCLUSIVE, wait=True)
-    kinds = {f.kind for f in sanitizer.findings}
-    assert kinds == {"lock-inversion", "deadlock"}
-    for finding in sanitizer.findings:
-        assert finding.subjects == ("wf/a", "wf/bb")
-        assert finding.code == "E403"
-
-
-@given(st.lists(st.integers(0, 1), max_size=6))
-@example([0, 1, 0, 1])  # a, bb, a, bb: both first locks, then the cycle
-@settings(deadline=None, max_examples=50)
-def test_static_e403_cycle_is_provoked_at_runtime(schedule):
-    """Satellite fixture: the static E403 pair really deadlocks.  Both
-    constituents lock their declared inputs in declaration order (``a``:
-    x then y, ``bb``: y then x); an interleaving of their steps deadlocks
-    exactly when both hold their first lock before either asks for its
-    second, and then LockManager raises DeadlockError, the sanitizer
-    reports it, and the static E403 covers it."""
-    script = _atomic_pair_script(invert=True)
-    report = analyze_script(script, include_lint=False)
-    assert [f.location for f in report.findings if f.code == "E403"] == ["wf/a <-> wf/bb"]
-
-    sanitizer = Sanitizer()
-    manager = LockManager()
-    sanitizer.attach_locks(manager)
-    sanitizer.bind_txn("txn-a", "wf/a")
-    sanitizer.bind_txn("txn-b", "wf/bb")
-    trace = interleave_lockers(
-        manager, {"txn-a": ("x", "y"), "txn-b": ("y", "x")}, schedule
-    )
-    asked = {
-        (txn, obj): index
-        for index, (txn, obj, what) in enumerate(trace)
-        if what in ("granted", "waiting", "deadlock")
-    }
-    both_firsts = max(asked["txn-a", "x"], asked["txn-b", "y"])
-    any_second = min(asked["txn-a", "y"], asked["txn-b", "x"])
-    deadlocked = [obj for _txn, obj, what in trace if what == "deadlock"]
-    assert bool(deadlocked) == (both_firsts < any_second)
-    kinds = {f.kind for f in sanitizer.findings}
-    if deadlocked:
-        assert "deadlock" in kinds
-    for finding in sanitizer.findings:
-        assert finding.subjects == ("wf/a", "wf/bb")
     assert sanitizer.check_coverage(report) == []
 
 

@@ -65,7 +65,7 @@ def script_keys(store):
 
 def spec_record(store, iid):
     (record,) = [
-        record for record in store.wal.all_records()
+        record for record in store.wal.durable_records()
         if record.kind == BATCH and f"instance:{iid}:spec" in record.value
     ]
     return record
@@ -187,7 +187,7 @@ class TestFirstUseBatchIsAtomic:
         finally:
             crashpoints.uninstall()
         key = f"script:{script_digest(text)}"
-        assert [store.exists(key), store.exists("instance:wf-1:spec")] == [survives, survives]
+        assert [key in store.keys(), "instance:wf-1:spec" in store.keys()] == [survives, survives]
         assert check_journal_integrity(store) == []
         assert check_store_agreement(store) == []
         node.recover()

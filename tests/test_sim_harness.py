@@ -2,7 +2,7 @@
 
 Covers the crash-point plumbing, torn-write injection, nemesis schedule
 serialisation, full harness runs under crash schedules (including crashes
-mid-compaction and mid-2PC), replay determinism, the chaos explorer's
+mid-compaction), replay determinism, the chaos explorer's
 exhaustive and random sweeps, greedy shrinking, and repro-file round trips.
 """
 
@@ -288,32 +288,6 @@ class TestCompactionCrashes:
         assert not oracles.check_journal_integrity(store)
 
 
-class TestTwoPhaseCommitProbe:
-    @pytest.mark.parametrize(
-        "point",
-        [
-            "store.prepare.pre",
-            "store.prepare.post",
-            "txn.2pc.prepared",
-            "txn.2pc.decided",
-            "store.abort.pre",
-        ],
-    )
-    def test_probe_counters_never_diverge_across_2pc_crashes(self, point):
-        schedule = NemesisSchedule(
-            [CrashAtPoint(point, downtime=30.0)], name=f"2pc:{point}"
-        )
-        harness = SimHarness(schedule=schedule, probe_every=15.0)
-        report = harness.run()
-        assert report.ok, report.violations
-        assert ["%s" % point, "execution-node"] in report.fired
-        store_a, store_b = harness._probes
-        assert store_a.get_committed("probe-counter", 0) == \
-            store_b.get_committed("probe-counter", 0)
-        assert not list(store_a.in_doubt())
-        assert not list(store_b.in_doubt())
-
-
 class TestExhaustiveSweep:
     def test_every_crash_point_fires_and_no_oracle_trips(self):
         sweep = ChaosSweep()
@@ -331,8 +305,6 @@ class TestExhaustiveSweep:
         assert crashes == ["exec.journal.post", "exec.recover.pre"]
         # compaction points enable the compactor
         assert sweep.plan_for_point(point_named("exec.compact.pre")).compact_every
-        # 2PC points enable the probe
-        assert sweep.plan_for_point(point_named("txn.2pc.prepared")).probe_every
         # the mark point reroutes to the trip workload (order emits no marks)
         assert sweep.plan_for_point(point_named("exec.mark.recv")).workload == "trip"
 

@@ -1,16 +1,14 @@
-"""Unit tests for stores, transactions, 2PC and recovery."""
+"""Unit tests for stores, flat transactions and recovery."""
 
 import pytest
 
 from repro.txn import (
-    AtomicObject,
     NoSuchObject,
     ObjectStore,
     RetriesExhausted,
     TransactionAborted,
     TransactionManager,
     TransactionState,
-    recover_with_coordinator,
 )
 
 
@@ -21,7 +19,7 @@ def store():
 
 @pytest.fixture
 def tm(store):
-    return TransactionManager("tm", decision_store=store)
+    return TransactionManager("tm")
 
 
 class TestStore:
@@ -66,7 +64,7 @@ class TestTransactions:
         txn = tm.begin()
         txn.write(store, "x", "v")
         txn.abort()
-        assert not store.exists("x")
+        assert "x" not in store.keys()
 
     def test_read_own_writes(self, store, tm):
         txn = tm.begin()
@@ -77,7 +75,7 @@ class TestTransactions:
     def test_isolation_uncommitted_invisible(self, store, tm):
         txn = tm.begin()
         txn.write(store, "x", 1)
-        assert not store.exists("x")
+        assert "x" not in store.keys()
         txn.commit()
 
     def test_write_write_conflict_aborts_second(self, store, tm):
@@ -118,7 +116,7 @@ class TestTransactions:
             with tm.begin() as txn:
                 txn.write(store, "x", 1)
                 raise RuntimeError("boom")
-        assert not store.exists("x")
+        assert "x" not in store.keys()
 
     def test_operations_after_commit_rejected(self, store, tm):
         txn = tm.begin()
@@ -126,11 +124,21 @@ class TestTransactions:
         with pytest.raises(TransactionAborted):
             txn.write(store, "x", 1)
 
+    def test_writes_to_two_stores_are_refused(self, store, tm):
+        other = ObjectStore("s2")
+        with pytest.raises(ValueError, match="more than one store"):
+            with tm.begin() as txn:
+                txn.write(store, "x", 1)
+                txn.write(other, "y", 2)
+        assert txn.state is TransactionState.ABORTED
+        assert "x" not in store.keys() and "y" not in other.keys()
+        assert not store.locks._table and not other.locks._table
+
     def test_crash_before_commit_loses_writes(self, store, tm):
         txn = tm.begin()
         txn.write(store, "x", 1)
         store.crash()  # node dies mid-transaction
-        assert not store.exists("x")
+        assert "x" not in store.keys()
 
     def test_stats_track_outcomes(self, store, tm):
         with tm.begin() as txn:
@@ -174,76 +182,3 @@ class TestRunWithRetries:
     def test_run_propagates_application_errors(self, store, tm):
         with pytest.raises(ValueError):
             tm.run(lambda txn: (_ for _ in ()).throw(ValueError("app")))
-
-
-class TestTwoPhaseCommit:
-    def test_commit_spans_two_stores(self, tm):
-        s1, s2 = ObjectStore("s1"), ObjectStore("s2")
-        txn = tm.begin()
-        txn.write(s1, "x", 1)
-        txn.write(s2, "y", 2)
-        txn.commit()
-        assert s1.read_committed("x") == 1
-        assert s2.read_committed("y") == 2
-
-    def test_participants_log_prepare(self, tm):
-        s1, s2 = ObjectStore("s1"), ObjectStore("s2")
-        txn = tm.begin()
-        txn.write(s1, "x", 1)
-        txn.write(s2, "y", 2)
-        txn.commit()
-        kinds1 = [r.kind for r in s1.wal.durable_records()]
-        assert "PREPARE" in kinds1 and "COMMIT" in kinds1
-
-    def test_in_doubt_participant_resolves_commit(self, tm):
-        s1, s2 = ObjectStore("s1"), ObjectStore("s2")
-        txn = tm.begin()
-        txn.write(s1, "x", 1)
-        txn.write(s2, "y", 2)
-        txn.commit()
-        # simulate s2 crashing right after PREPARE: rebuild it from a log
-        # that has no COMMIT record
-        s2b = ObjectStore("s2b")
-        tid = txn.tid
-        s2b.log_updates(tid, {"y": 2})
-        s2b.prepare(tid)
-        s2b.crash()
-        assert list(s2b.in_doubt()) == [tid]
-        decisions = recover_with_coordinator(s2b, tm)
-        assert decisions[tid] is True
-        assert s2b.read_committed("y") == 2
-
-    def test_in_doubt_without_decision_presumed_abort(self, store):
-        lonely = TransactionManager("other", decision_store=ObjectStore("d"))
-        s = ObjectStore("s")
-        from repro.txn import TransactionId
-
-        tid = TransactionId(77, "gone")
-        s.log_updates(tid, {"x": 1})
-        s.prepare(tid)
-        decisions = recover_with_coordinator(s, lonely)
-        assert decisions[tid] is False
-        assert not s.exists("x")
-
-
-class TestAtomicObject:
-    def test_initial_value_durable(self, store, tm):
-        counter = AtomicObject(store, "c", initial=0)
-        store.crash()
-        assert counter.peek() == 0
-
-    def test_modify_read_modify_write(self, store, tm):
-        counter = AtomicObject(store, "c", initial=10)
-        with tm.begin() as txn:
-            new = counter.modify(txn, lambda v: v + 5)
-        assert new == 15
-        assert counter.peek() == 15
-
-    def test_existing_object_not_reinitialised(self, store, tm):
-        AtomicObject(store, "c", initial=1)
-        again = AtomicObject(store, "c", initial=99)
-        assert again.peek() == 1
-
-    def test_peek_missing_returns_none(self, store):
-        obj = AtomicObject(store, "ghost", create=False)
-        assert obj.peek() is None

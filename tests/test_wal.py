@@ -4,7 +4,7 @@ import pytest
 
 from repro.txn.ids import ObjectId, TransactionId
 from repro.txn import wal as w
-from repro.txn.wal import WriteAheadLog, in_doubt, replay
+from repro.txn.wal import WriteAheadLog, replay
 
 T1, T2 = TransactionId(1), TransactionId(2)
 A, B = ObjectId("a"), ObjectId("b")
@@ -122,7 +122,7 @@ class TestCheckpoint:
         )
         log.checkpoint({"a": 299})
         assert comparisons == []
-        assert [r.kind for r in log.all_records()] == [w.CHECKPOINT]
+        assert [r.kind for r in log.durable_records()] == [w.CHECKPOINT]
         assert log.durable_length == 1
 
     def test_replay_after_checkpoint_and_more_commits(self):
@@ -136,28 +136,6 @@ class TestCheckpoint:
 
 
 class TestInDoubt:
-    def test_prepared_without_outcome_is_in_doubt(self):
-        log = WriteAheadLog()
-        log.append(w.BEGIN, T1)
-        log.append(w.UPDATE, T1, A, 1)
-        log.append(w.PREPARE, T1)
-        log.force()
-        assert in_doubt(log.durable_records()) == [T1]
-
-    def test_committed_prepare_not_in_doubt(self):
-        log = WriteAheadLog()
-        log.append(w.PREPARE, T1)
-        log.append(w.COMMIT, T1)
-        log.force()
-        assert in_doubt(log.durable_records()) == []
-
-    def test_aborted_prepare_not_in_doubt(self):
-        log = WriteAheadLog()
-        log.append(w.PREPARE, T1)
-        log.append(w.ABORT, T1)
-        log.force()
-        assert in_doubt(log.durable_records()) == []
-
     def test_json_serialization_of_records(self):
         log = WriteAheadLog()
         record = log.append(w.UPDATE, T1, A, {"x": 1})
@@ -402,11 +380,11 @@ class TestCheckpointUnderGroupCommit:
             log.append(w.COMMIT, T1)
             log.force()
         before = log.last_durable_lsn
-        assert next(log.all_records()).lsn == 1
+        assert next(log.durable_records()).lsn == 1
         log.checkpoint({"x": 1})
         # truncation discards superseded records but never renumbers: the
         # checkpoint record carries the next LSN and becomes the log's root
-        assert next(log.all_records()).lsn == before + 1
+        assert next(log.durable_records()).lsn == before + 1
         assert log.last_durable_lsn == before + 1
         log.append(w.BEGIN, T2)
         log.append(w.COMMIT, T2)
@@ -464,7 +442,6 @@ class TestShippingCursor:
         log = WriteAheadLog()
         log.append(w.BEGIN, T1)
         log.append(w.UPDATE, T1, A, "v1")
-        log.append(w.PREPARE, T1)
         log.append(w.BEGIN, T2)
         log.append(w.UPDATE, T2, B, "v2")
         log.append(w.COMMIT, T2)

@@ -33,11 +33,12 @@ from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, crash_point
 from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
+from repro.sim.nemesis import KillPrimary, NemesisSchedule
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
 from repro.txn import wal as w
 from repro.txn.ids import ObjectId, TransactionId
 from repro.txn.locks import LockConflict
-from repro.txn.manager import TransactionManager
+from repro.txn.manager import Transaction, TransactionManager
 from repro.txn.store import ObjectStore
 from repro.txn.wal import WriteAheadLog, fold, replay
 from repro.workloads import fan, paper_order, script_text
@@ -240,8 +241,8 @@ KEYS = ("a", "b", "c")
 @st.composite
 def mixed_logs(draw):
     """A durable record stream mixing locking transactions (committed,
-    aborted, prepared and left in doubt, or cut off), BATCH records and
-    CHECKPOINTs, interleaved, ending in a torn force."""
+    aborted, or cut off), BATCH records and CHECKPOINTs, interleaved,
+    ending in a torn force."""
     streams = []
     for number in range(draw(st.integers(1, 5))):
         tid = TransactionId(number + 1, "tm")
@@ -254,10 +255,8 @@ def mixed_logs(draw):
             records.append(
                 (w.UPDATE, tid, ObjectId(draw(st.sampled_from(KEYS))), draw(st.integers(0, 9)))
             )
-        fate = draw(st.sampled_from(["commit", "abort", "in-doubt", "2pc-commit", "cut"]))
-        if fate in ("in-doubt", "2pc-commit"):
-            records.append((w.PREPARE, tid, None, None))
-        if fate in ("commit", "2pc-commit"):
+        fate = draw(st.sampled_from(["commit", "abort", "cut"]))
+        if fate == "commit":
             records.append((w.COMMIT, tid, None, None))
         elif fate == "abort":
             records.append((w.ABORT, tid, None, None))
@@ -358,7 +357,7 @@ class TestSingleWriterGuard:
         with pytest.raises(LockConflict):
             store.commit_batch({"other": 1, "probe-counter": 2})
         assert len(store.wal) == log_length  # refused before the log was touched
-        assert not store.exists("other")
+        assert "other" not in store.keys()
         assert store.get_committed("probe-counter") == 0
         # keys nobody holds are unaffected; and so is the key, once released
         store.commit_batch({"other": 1})
@@ -367,9 +366,9 @@ class TestSingleWriterGuard:
         assert store.get_committed("probe-counter") == 2
 
     def test_journal_lease_and_tail_writes_never_meet_a_lock(self, monkeypatch):
-        """With the 2PC probe (the one locking writer the harness runs)
-        and compaction on, replicated: every BATCH finds its store's lock
-        table empty, so the guard is one truthiness test."""
+        """With compaction on, unreplicated and replicated: every BATCH
+        finds its store's lock table empty, so the guard is one truthiness
+        test."""
         seen = []
         original = ObjectStore.commit_batch
 
@@ -379,10 +378,30 @@ class TestSingleWriterGuard:
 
         monkeypatch.setattr(ObjectStore, "commit_batch", spy)
         for system in (SystemSpec(), SystemSpec(replicas=2, lease_duration=30.0)):
-            report = SimHarness(probe_every=15.0, compact_every=40.0, system=system).run()
+            report = SimHarness(compact_every=40.0, system=system).run()
             assert report.ok, report.violations
         assert {name for name, _locked in seen} >= {"execution-store", "lease-store"}
         assert not any(locked for _name, locked in seen)
+
+    def test_only_the_repository_commits_transactions(self, monkeypatch):
+        """The premise of a one-phase, one-store ``Transaction``: through a
+        replicated run with compaction and a failover, every transaction
+        that commits touches the repository's store and no other.  The
+        execution path (journal, lease, standby tail) commits BATCHes."""
+        touched = []
+        original = Transaction.commit
+
+        def spy(txn):
+            touched.append(sorted(store.name for store in txn._touched))
+            return original(txn)
+
+        monkeypatch.setattr(Transaction, "commit", spy)
+        schedule = NemesisSchedule([KillPrimary(at=10.0)], name="failover")
+        system = SystemSpec(replicas=2, lease_duration=30.0)
+        report = SimHarness(schedule, compact_every=20.0, system=system).run()
+        assert report.ok, report.violations
+        assert report.replication["execution-r2"]["promotions"] == 1
+        assert touched and all(names == ["repository-store"] for names in touched)
 
 
 # -- a standby acknowledges with one force -----------------------------------------------
