@@ -17,10 +17,11 @@ are left open, then:
 Per run it reports the store's keys and the WAL's in-memory records just
 before the crash, the distinct scripts among the open instances, and,
 counted inside the rebuild alone, the Python calls, the store keys handed to
-a scan (what ``ObjectStore.keys`` returned), journal entries decoded and
-scripts compiled.  The execution service's compiled-script cache is
-process-wide, so it is emptied just before the crash: the rebuild compiles
-what a restarted process would.  The counts are exact and repeat to the
+a scan (what ``ObjectStore.keys`` returned), WAL records handed to
+``wal.fold`` (a replay of the log inside the rebuild), journal entries
+decoded and scripts compiled.  The execution service's compiled-script
+cache is process-wide, so it is emptied just before the crash: the rebuild
+compiles what a restarted process would.  The counts are exact and repeat to the
 unit, so CI gates each one's slope per settled instance between successive
 history lengths, and the compiles against the open instances' scripts; the
 milliseconds spent in the rebuild and in the store's WAL replay are
@@ -36,6 +37,7 @@ stderr.  Stdlib only; about a minute on a 2-core host.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import sys
 import time
@@ -45,7 +47,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 HISTORY = (250, 1000, 4000)  # settled instances
 OPEN = 16                    # instances left open at the crash
 OPEN_FOR = 6.0               # simulated seconds they run before it
-COUNTS = ("store_keys", "wal_records", "calls", "keys_scanned", "entries_decoded", "compiles")
+COUNTS = ("store_keys", "wal_records", "calls", "keys_scanned", "records_folded",
+          "entries_decoded", "compiles")
 
 
 class RebuildCounter:
@@ -55,14 +58,17 @@ class RebuildCounter:
     def __init__(self, target):
         from repro.lang import compile_script
         from repro.services import journal
+        from repro.txn import wal
         from repro.txn.store import ObjectStore
 
         self.target = target.__code__
         self.keys = ObjectStore.keys.__code__
+        self.fold = wal.fold.__code__
         self.decode = journal.decode_entry.__code__
         self.compile = compile_script.__code__
         self.inside = False
-        self.calls = self.keys_scanned = self.entries_decoded = self.compiles = 0
+        self.calls = self.keys_scanned = self.records_folded = 0
+        self.entries_decoded = self.compiles = 0
         self.seconds = 0.0
         self.started = 0.0
 
@@ -78,6 +84,9 @@ class RebuildCounter:
                 self.entries_decoded += 1
             elif code is self.compile:
                 self.compiles += 1
+            elif code is self.fold:
+                # a list or a list iterator, not yet consumed
+                self.records_folded += operator.length_hint(frame.f_locals["records"])
         elif event == "return" and self.inside:
             if code is self.keys:
                 self.keys_scanned += len(arg)
@@ -135,6 +144,7 @@ def run(mode: str, settled: int) -> dict:
     if any(rebuilt.journal.closed(iid) for iid in opened):
         raise SystemExit(f"{mode}: an instance meant to be open at the crash had closed")
     row.update(calls=counter.calls, keys_scanned=counter.keys_scanned,
+               records_folded=counter.records_folded,
                entries_decoded=counter.entries_decoded, compiles=counter.compiles,
                rebuild_ms=round(counter.seconds * 1000, 3))
     return row

@@ -13,11 +13,11 @@ The epoch is the replication protocol's whole safety story in one integer
   full resync discards wholesale.
 
 Failure detection is implicit and lease-based, in the spirit of
-PacificA/Chubby: a primary that cannot renew before ``expires_at`` stops
-acknowledging work (it self-demotes), and a standby acquires the moment the
-lease has visibly expired.  Both sides read the same simulated clock
-(``net/clock.py``), so "expired for the arbiter" and "expired for the
-holder" cannot disagree.
+PacificA/Chubby: a primary acts only while ``now < expires_at``
+(``ReplicatedExecutionService.is_primary``), and a standby is granted the
+lease once ``now >= expires_at`` — the same clock (``net/clock.py``) read
+by both sides, so the old holder has stopped acting by the first instant
+another can be granted the next epoch.
 
 The service also tracks the **in-sync replica set (ISR)**: the primary
 enlists a standby once it has acked the full durable prefix and demotes it

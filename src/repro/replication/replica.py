@@ -25,12 +25,17 @@ Safety invariants, in the order they are enforced:
   full resync: anything the old primary journaled beyond the last replicated
   barrier was, by demote-before-ack, never acknowledged to anyone.
 
+* **Primacy is the lease.**  A replica acts only while ``is_primary()``:
+  the primary role and ``now < expires_at`` on the clock it shares with the
+  arbiter, which grants the next epoch only once ``now >= expires_at``.
+
 Promotion *is* crash recovery's rebuild over the standby's own store: adopt
-the grant's epoch, rebuild the committed cache from the durable log, then
-``ExecutionService._rebuild`` — closed instances are taken in by key, open
-ones replayed, their deadlines re-armed with the journaled *remaining* time
-and their surviving flights resumed, staggered, as redispatches.  Its cost
-is bounded by what was running, not by the store's history.
+the grant's epoch, then ``ExecutionService._rebuild`` — closed instances are
+taken in by key, open ones replayed, their deadlines re-armed with the
+journaled *remaining* time and their surviving flights resumed, staggered,
+as redispatches.  Its cost is bounded by what was running, not by the
+store's history; the committed cache needs no rebuild, ``ObjectStore.ingest``
+has kept it equal to a replay of the durable log.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from ..txn.ids import ObjectId, TransactionId
 from ..txn.store import ObjectStore
 from ..txn.wal import BATCH, LogRecord
 from ..services.execution import EXECUTION_INTERFACE, ExecutionService
-from ..services.worker import WorkReply
 
 REPLICA_INTERFACE = Interface(
     "WorkflowExecutionReplica",
@@ -93,8 +97,8 @@ class ReplicatedExecutionService(ExecutionService):
         self.role = Role.STANDBY
         self.lease: Dict[str, Any] = {"holder": None, "epoch": 0, "expires_at": 0.0}
         self.isr: List[str] = []
-        # Highest epoch this replica has ever observed (grants, pushes,
-        # fenced replies): its floor for accepting replication traffic.
+        # Highest epoch this replica has ever observed (grants, pushes):
+        # its floor for accepting replication traffic.
         self._max_epoch_seen = 0
         # Primary-side: last primary-LSN each peer acked (volatile — a new
         # primary starts every peer from a full resync).
@@ -148,12 +152,16 @@ class ReplicatedExecutionService(ExecutionService):
         self._ship_paused = set()
 
     def is_primary(self) -> bool:
-        return self.role is Role.PRIMARY
+        """Primary role and an unexpired lease, read off the clock the
+        arbiter shares: the complement of ``LeaseService.acquire``'s grant
+        condition (``now >= expires_at``), so no instant has two replicas
+        answering True.  Pure — the oracles and the system read it too."""
+        return self.role is Role.PRIMARY and self._now() < self.lease["expires_at"]
 
     def _fence(self, operation: str) -> Optional[str]:
         """ORB gatekeeper: while not primary, refuse everything except the
         replication stream and status introspection."""
-        if operation in _UNFENCED_OPS or self.role is Role.PRIMARY:
+        if operation in _UNFENCED_OPS or self.is_primary():
             return None
         return f"{self.name} is a standby (epoch {self._max_epoch_seen})"
 
@@ -208,7 +216,6 @@ class ReplicatedExecutionService(ExecutionService):
         # not the sweep and flush timers: a re-promoted primary's chains may
         # still be alive
         self._reset_volatile()
-        self.store.recover()
         self.role = Role.PRIMARY
         self.repl_stats["promotions"] += 1
         self.repl_stats["promoted_at"] = self._now()
@@ -217,7 +224,7 @@ class ReplicatedExecutionService(ExecutionService):
         self.store.commit_batch(self._tail_write(self.store.wal.last_durable_lsn, self.epoch))
         self.store.sync()
         self._rebuild()  # what a crash recovery does with its store, over ours
-        if self.role is not Role.PRIMARY:
+        if not self.is_primary():
             return  # the barrier of a resend deposed us: no sweeper, no public name
         self._arm_sweeper()
         # Take over the public name: clients re-resolve to the new primary.
@@ -256,13 +263,6 @@ class ReplicatedExecutionService(ExecutionService):
         else:
             self._demote_self("stale epoch at the lease service")
 
-    def _on_fenced_reply(self, reply: WorkReply) -> None:
-        epoch = reply.epoch
-        if epoch > self.epoch:
-            # the worker has served a newer primary: we are deposed and the
-            # lease message just has not reached us yet
-            self._demote_self("worker fence: a newer primary exists", epoch)
-
     # -- periodic replication tick ----------------------------------------------
 
     def _arm_tick(self) -> None:
@@ -289,11 +289,9 @@ class ReplicatedExecutionService(ExecutionService):
             self._try_acquire()
 
     def _primary_tick(self) -> None:
-        now = self._now()
-        if now >= self.lease["expires_at"]:
-            # Fail-safe self-demotion: we could not renew in time, so another
-            # replica may already hold a newer lease (granted first when the
-            # term is not a multiple of the tick: see _on_fenced_reply).
+        if not self.is_primary():
+            # The lease lapsed without renewal: this replica stopped acting
+            # at the expiry instant (is_primary); drop its runtimes.
             self._demote_self("lease expired without renewal")
             return
         try:
@@ -307,12 +305,7 @@ class ReplicatedExecutionService(ExecutionService):
         self.isr = list(reply["isr"])
         self._ship_paused = set()  # retry peers that failed since last tick
         self._post_barrier()  # catch-up push to any lagging peer
-        self._enlist_caught_up()
-
-    def _enlist_caught_up(self) -> None:
         for peer in self.peer_names:
-            if self.role is not Role.PRIMARY:
-                return
             self._maybe_enlist(peer)
 
     def _maybe_enlist(self, peer: str) -> None:
@@ -320,7 +313,7 @@ class ReplicatedExecutionService(ExecutionService):
         prefix — eagerly, not just on the tick, so a primary that dies right
         after bootstrap already left an eligible successor behind.  Failure
         is benign: a too-small ISR only costs availability, never safety."""
-        if self.role is not Role.PRIMARY or peer in self.isr:
+        if peer in self.isr or not self.is_primary():
             return
         if self._standby_acked.get(peer, -1) < self.store.wal.last_durable_lsn:
             return
@@ -333,18 +326,18 @@ class ReplicatedExecutionService(ExecutionService):
     # -- log shipping (primary side) ---------------------------------------------
 
     def _post_barrier(self) -> None:
-        if self.role is not Role.PRIMARY or self._shipping:
+        if self._shipping:
             return
         self._shipping = True  # demotion paths below may themselves barrier
         try:
             target = self.store.wal.last_durable_lsn
             for peer in self.peer_names:
-                if self.role is not Role.PRIMARY:
-                    return
                 if peer in self._ship_paused:
                     continue
                 if self._standby_acked.get(peer, -1) >= target:
                     continue
+                if not self.is_primary():
+                    return  # nothing ships from a standby or a lapsed lease
                 self._ship_to(peer)
         finally:
             self._shipping = False
@@ -470,7 +463,7 @@ class ReplicatedExecutionService(ExecutionService):
         """True once every in-sync standby acked the full durable prefix.
         The harness gates durability observations on this: an acknowledged
         outcome must survive the loss of any single replica."""
-        if self.role is not Role.PRIMARY:
+        if not self.is_primary():
             return False
         target = self.store.wal.last_durable_lsn
         return all(
@@ -485,7 +478,7 @@ class ReplicatedExecutionService(ExecutionService):
         """Raised-on-demotion barrier for synchronous mutating operations: if
         serving this call demoted us (lease unreachable, fenced push), the
         client must not take the reply as acknowledged."""
-        if self.role is not Role.PRIMARY:
+        if not self.is_primary():
             raise Fenced(
                 f"{self.name}: demoted while serving "
                 f"(epoch {self.epoch} superseded)"

@@ -1122,7 +1122,6 @@ class ExecutionService(Service):
             # a worker refused a stale-epoch dispatch: never journaled as a
             # task failure — the flight stays open for the rightful primary
             self.stats["fenced_replies"] += 1
-            self._on_fenced_reply(reply)
             return
         crash_point("exec.reply.recv", self)
         runtime = self.runtimes.get(iid)
@@ -1173,10 +1172,6 @@ class ExecutionService(Service):
         except Exception:
             self.flush_journal()  # see _record
             raise
-
-    def _on_fenced_reply(self, reply: WorkReply) -> None:
-        """Hook for replication: a fenced reply carries the highest epoch the
-        worker has seen, evidence that a newer primary exists."""
 
     def _credit_reply(
         self, runtime: _Runtime, flight_key: Tuple[str, int], reply: WorkReply

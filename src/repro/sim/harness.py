@@ -269,7 +269,7 @@ class SimHarness:
         journals = [service.store for service in services]
         if system.execution_replicas:
             found += oracles.check_epoch_fencing(journals, phase)
-            found += oracles.check_single_primary(services, system.clock.now, phase)
+            found += oracles.check_single_primary(services, phase)
         for store in journals:
             found += oracles.check_journal_integrity(store, phase)
         if deep:

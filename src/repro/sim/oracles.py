@@ -74,10 +74,8 @@ Replication oracles (``replicas > 0`` only; docs/PROTOCOLS.md §12):
     Across all replica stores, every fencing epoch maps to at most one
     writer name.  Two writers sharing an epoch is split-brain made durable.
 ``single-primary``
-    At any observation point, at most one *live* replica may hold the
-    PRIMARY role under an unexpired lease.  (A demoted-but-not-yet-ticked
-    stale primary with an expired lease is legal; one actively holding an
-    overlapping lease is not.)
+    At any observation point, at most one *live* replica may answer
+    ``is_primary()`` — the primary role inside an unexpired lease.
 """
 
 from __future__ import annotations
@@ -382,31 +380,26 @@ def check_epoch_fencing(
     return violations
 
 
-def check_single_primary(
-    replicas: List[Any], now: float, phase: str = ""
-) -> List[OracleViolation]:
-    """At most one live replica may act as primary under an unexpired lease.
+def check_single_primary(replicas: List[Any], phase: str = "") -> List[OracleViolation]:
+    """At most one live replica may act as primary: answer ``is_primary()``.
 
-    ``replicas`` are the replicated services.  A deposed primary that has
-    not yet noticed its lease lapsed is legal (its local expiry is in the
-    past); two replicas both believing they hold *currently valid* leases is
+    ``replicas`` are the replicated services.  A replica is primary only
+    inside its lease, and the arbiter grants the next epoch only once that
+    lease has expired, so two live replicas answering True at one instant is
     the split-brain the lease arbiter exists to prevent.
     """
-    holders: List[Tuple[str, int]] = []
-    for service in replicas:
-        if not service.node.alive or not service.is_primary():
-            continue
-        lease = getattr(service, "lease", None) or {}
-        if lease.get("holder") == service.name and lease.get("expires_at", 0.0) > now:
-            holders.append((service.name, service.epoch))
+    holders = [
+        (service.name, service.epoch)
+        for service in replicas
+        if service.node.alive and service.is_primary()
+    ]
     if len(holders) <= 1:
         return []
     detail = ", ".join(f"{name} (epoch {epoch})" for name, epoch in sorted(holders))
     return [
         OracleViolation(
             "single-primary", "lease",
-            f"{len(holders)} live replicas hold the primary role under "
-            f"unexpired leases: {detail}", phase,
+            f"{len(holders)} live replicas act as primary at once: {detail}", phase,
         )
     ]
 

@@ -407,6 +407,77 @@ class TestFailover:
         assert result["status"] == "completed"  # classic single-node recovery
 
 
+class TestPromotionCache:
+    """Promotion does not rebuild the committed cache from the log: whichever
+    way a replica reached it, its cache at promotion already equals a fresh
+    fold of its durable log (``ObjectStore.ingest`` folds every shipped
+    batch; a crash replays; a primary's own commits install what they force)."""
+
+    @staticmethod
+    def watch_promotions(monkeypatch):
+        from repro.replication.replica import ReplicatedExecutionService
+        from repro.txn import wal
+
+        seen = []
+        promote = ReplicatedExecutionService._promote
+
+        def checked(self, grant):
+            store = self.store
+            committed, pending = {}, {}
+            wal.fold(store.wal.durable_records(), committed, pending)
+            seen.append((self.name, (store._committed, store._pending) == (committed, pending)))
+            promote(self, grant)
+
+        monkeypatch.setattr(ReplicatedExecutionService, "_promote", checked)
+        return seen
+
+    def fail_over(self, system, iid):
+        system.execution_node.crash()
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        return system.primary_execution()
+
+    def test_after_a_full_resync(self, monkeypatch):
+        seen = self.watch_promotions(monkeypatch)
+        system = replicated_system(replicas=2)
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        system.clock.advance(6.0)
+        primary, standby = system.execution_replicas
+        assert self.fail_over(system, iid) is standby
+        assert standby.repl_stats["resyncs"] == 1
+        assert seen == [(primary.name, True), (standby.name, True)]
+
+    def test_after_a_standby_crash_and_recovery(self, monkeypatch):
+        seen = self.watch_promotions(monkeypatch)
+        system = replicated_system(replicas=2)
+        primary, standby = system.execution_replicas
+        system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        system.clock.advance(6.0)
+        assert standby.repl_stats["resyncs"] == 1
+        standby.node.crash()  # its cache is replayed from its own log
+        standby.node.recover()
+        applied = standby.repl_stats["tail_applies"]
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
+        system.clock.advance(1.0)
+        # later batches are folded onto the replay, with no resync between
+        assert standby.repl_stats["tail_applies"] > applied
+        assert standby.stats["recoveries"] == 1 and standby.repl_stats["resyncs"] == 1
+        assert self.fail_over(system, iid) is standby
+        assert seen == [(primary.name, True), (standby.name, True)]
+
+    def test_for_a_re_promoted_primary_without_a_resync(self, monkeypatch):
+        seen = self.watch_promotions(monkeypatch)
+        system = replicated_system(replicas=2)
+        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        system.clock.advance(1.0)
+        primary = system.execution
+        primary._demote_self("test")
+        system.clock.advance(5.0)  # its lease is re-acquired at the next tick
+        assert primary.is_primary() and primary.epoch == 2
+        assert primary.repl_stats["resyncs"] == 0
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        assert seen == [(primary.name, True)] * 2
+
+
 def depose_at_next_barrier(service):
     """``service``'s next durability barrier deposes it after the force, inside
     the event — what a fenced push or an unreachable lease service does from
@@ -727,14 +798,13 @@ class TestReplicatedClientOps:
         assert not armed and primary.role is Role.STANDBY
 
 
-class TestWorkerFence:
-    """A deposed primary whose work reply comes back fenced with a higher
-    epoch demotes itself there and then (PROTOCOLS §12), before its own lease
-    tick would, and records the fence's epoch.  The schedule reaches that
-    path through a primary that outlives its lease until its next tick (an
-    open defect, PROTOCOLS §12); only the outcome is asserted."""
+class TestLeaseExpiry:
+    """A primary acts only inside its lease (PROTOCOLS §12): ``is_primary()``
+    turns False at the expiry instant, not at the next lease tick, so with a
+    term that is not a multiple of the tick no work leaves a lapsed primary
+    and no worker fence ever has to refuse one."""
 
-    def test_a_fenced_work_reply_demotes_a_deposed_primary(self):
+    def test_a_lapsed_primary_stops_acting_at_its_expiry(self):
         from repro.engine import outcome
         from repro.sim.nemesis import CrashAtTime, NemesisSchedule, Partition
 
@@ -745,20 +815,35 @@ class TestWorkerFence:
         system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
         system.deploy("p", TestDeposedMidEvent.pinned_script())
         old, new = system.execution_replicas
+        sent = []  # (time, epochs) of every work message the old primary sends
+        invoke = system.broker.invoke_deferred
+
+        def watched(caller, target, operation, args=(), **kwargs):
+            if operation == "perform" and caller is old.node:
+                sent.append((system.clock.now, {r["epoch"] for r in args[0]}))
+            return invoke(caller, target, operation, args, **kwargs)
+
+        system.broker.invoke_deferred = watched
         NemesisSchedule([
             # the standby's ticks move to 11 + 25k: it polls at 61, the old
             # primary (renewed at 25, so leased until 55) ticks again at 75
             CrashAtTime(1.0, "standby-node-2", downtime=10.0),
-            # the first send is lost; the old primary's resends reach the
-            # worker only after the new primary's have raised its fence
+            # the old primary's sends are lost until the partition heals
             Partition(2.0, ("execution-node",), ("worker-node-1",), heal_after=63.0),
             Partition(26.0, ("execution-node",), ("lease-node", "standby-node-2")),
         ]).arm(system)
         system.clock.advance(3.0)
-        system.instantiate("p", "free", {})
+        iid = system.instantiate("p", "free", {})
+        system.clock.advance(55.0 - 1e-6 - system.clock.now)
+        assert old.is_primary() and old.lease["expires_at"] == 55.0
+        system.clock.advance(55.0 - system.clock.now)
+        # the expiry, not the tick at 75, ends its reign: the role lingers
+        assert not old.is_primary() and old.role is Role.PRIMARY
         system.clock.advance(62.0 - system.clock.now)
         assert new.is_primary() and new.epoch == 2
-        system.clock.advance(74.0 - system.clock.now)
-        assert old.role is Role.STANDBY and old.stats["fenced_replies"] >= 1
-        assert old._max_epoch_seen == 2  # the fence's epoch, not its own
-        assert old.runtimes == {} == old._live
+        system.clock.advance(76.0 - system.clock.now)
+        assert old.role is Role.STANDBY and old.runtimes == {} == old._live
+        assert sent and all(epochs == {1} for _, epochs in sent)
+        assert max(at for at, _ in sent) < 55.0
+        assert old.stats["fenced_replies"] == 0 == new.stats["fenced_replies"]
+        assert system.run_until_terminal(iid, max_time=500.0)["status"] == "completed"
