@@ -74,6 +74,7 @@ BENCH_FAILOVER={tmp}/BENCH_failover.json python -m pytest benchmarks/test_failov
 BENCH_OVERLOAD={tmp}/BENCH_overload.json python -m pytest benchmarks/test_overload.py -q -p no:cacheprovider
 BENCH_SANITIZER={tmp}/BENCH_sanitizer.json python -m pytest benchmarks/test_sanitizer_overhead.py -q -p no:cacheprovider
 python -m pytest benchmarks/test_ablation_dispatch.py -q -p no:cacheprovider
+python benchmarks/mutants.py --must-catch
 python benchmarks/reach.py --fault-runs
 python benchmarks/calls_per_step.py
 python benchmarks/recovery_curve.py

@@ -398,8 +398,8 @@ class ExecutionService(Service):
 
         The counter lives in the service's own store so a recovered service
         never reuses an epoch it already journaled under — the property the
-        recovery stagger key and the journal's epoch-monotonicity oracle
-        rely on.  Replicated services override this: their epoch is the
+        recovery stagger key and the single-writer-per-epoch oracle rely
+        on.  Replicated services override this: their epoch is the
         lease epoch, granted by the lease service."""
         advanced = self.store.get_committed("exec-epoch", 0) + 1
         self.store.commit_batch({"exec-epoch": advanced})
@@ -457,7 +457,6 @@ class ExecutionService(Service):
         iid, spec = self.journal.create(
             compiled.digest, text, root_task, input_set, inputs
         )
-        crash_point("exec.instantiate.persisted", self)
         runtime = self._fresh_runtime(iid, spec)
         self.runtimes[iid] = self._live[iid] = runtime
         if verdict == "shed":
@@ -616,10 +615,8 @@ class ExecutionService(Service):
         does each script version, once, however many specs name it).
         Returns the number of live log records after compaction.
         """
-        crash_point("exec.compact.pre", self)
         self.flush_journal()  # fold buffered entries into the checkpoint
         self.store.checkpoint()
-        crash_point("exec.compact.post", self)
         return len(self.store.wal)
 
     def complete_task(
@@ -722,10 +719,10 @@ class ExecutionService(Service):
         """Decisive ``overloaded`` outcome for a not-yet-started instance.
 
         Journaled before it takes effect like every other outcome, so replay
-        and recovery reproduce the shed exactly and the no-silent-drop oracle
-        can hold the service to it.  Only instances that have not dispatched
-        anything are ever shed — started work (flights, journaled progress)
-        is never thrown away."""
+        and recovery reproduce the shed exactly
+        (``tests/test_overload.py::TestShedding``).  Only instances that have
+        not dispatched anything are ever shed — started work (flights,
+        journaled progress) is never thrown away."""
         self.admission.on_shed(runtime.iid, criticality, self._now(), reason)
         self.stats["shed"] += 1
         entry = {
@@ -1123,7 +1120,6 @@ class ExecutionService(Service):
             # task failure — the flight stays open for the rightful primary
             self.stats["fenced_replies"] += 1
             return
-        crash_point("exec.reply.recv", self)
         runtime = self.runtimes.get(iid)
         if runtime is None:
             return
@@ -1223,8 +1219,8 @@ class ExecutionService(Service):
 
     def _journal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
         # Provenance stamp: which incarnation wrote this entry.  Inert for
-        # dedup keys and replay; the epoch-monotonicity and single-writer
-        # oracles (sim/oracles.py) audit these fields across failovers.
+        # dedup keys and replay; the single-writer-per-epoch oracle
+        # (sim/oracles.py) audits these fields across failovers.
         entry["epoch"] = self.epoch
         entry["writer"] = self.name
         if runtime.iid not in self._live:

@@ -312,7 +312,6 @@ class Journal:
         """Buffer ``entry`` as the next of ``iid``'s journal; it becomes
         durable at the next :meth:`commit`."""
         IOPATH_STATS.journal_entries += 1
-        crash_point("exec.journal.pre", self.store)
         self.buffer.append((iid, entry))
 
     def commit(self, closed: Collection[str] = ()) -> int:

@@ -312,7 +312,6 @@ class TaskWorker(Service):
                     fenced=True, epoch=self.fence_epoch,
                 )
             self.fence_epoch = epoch
-        crash_point("worker.execute.pre", self)
         self.executed.append((iid, task_path, index))
         marks: List[MarkRecord] = []
 

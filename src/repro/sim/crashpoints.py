@@ -26,9 +26,15 @@ crash must not be convertible into an application-level reply.
 
 Every crash point is declared once in :data:`CATALOGUE` so the chaos
 explorer can enumerate them exhaustively and the docs can render the
-name → file → protocol-step table (docs/PROTOCOLS.md §9).  ``crash_point``
-rejects undeclared names, so the catalogue cannot silently drift from the
+name → file → protocol-step table (docs/PROTOCOLS.md §9.1, held to the
+catalogue by ``tests/test_sim_harness.py``).  ``crash_point`` rejects
+undeclared names, so the catalogue cannot silently drift from the
 instrumentation.
+
+A point stays only while it earns its probe: a seeded mutant it alone
+catches (``benchmarks/mutants.py``), or a crash state no other point
+reaches — a report of its own in the exhaustive sweep of ``order`` x1,
+``order`` x3 or ``trip`` x2 (EXPERIMENTS.md E16).
 """
 
 from __future__ import annotations
@@ -71,44 +77,22 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
                "before any appended record becomes durable", torn=True),
     CrashPoint("wal.force.post", "src/repro/txn/wal.py",
                "all appended records durable, force returning"),
-    CrashPoint("wal.checkpoint.pre", "src/repro/txn/wal.py",
-               "before the CHECKPOINT record is appended"),
     CrashPoint("wal.checkpoint.forced", "src/repro/txn/wal.py",
                "CHECKPOINT durable, pre-checkpoint records not yet truncated"),
-    CrashPoint("wal.checkpoint.post", "src/repro/txn/wal.py",
-               "log truncated to the checkpoint"),
     # --- object store (transactional application) ---------------------------
-    CrashPoint("store.commit.pre", "src/repro/txn/store.py",
-               "before the COMMIT (or self-committing BATCH) record is appended"),
-    CrashPoint("store.commit.forced", "src/repro/txn/store.py",
-               "COMMIT/BATCH durable, after-images not yet installed"),
-    CrashPoint("store.commit.post", "src/repro/txn/store.py",
-               "after-images installed in the committed cache"),
     # --- execution service (coordination journal) ---------------------------
-    CrashPoint("exec.instantiate.persisted", "src/repro/services/execution.py",
-               "instance spec and meta committed, runtime not yet built"),
-    CrashPoint("exec.journal.pre", "src/repro/services/journal.py",
-               "journal entry keyed and buffered, its batch not yet committed"),
     CrashPoint("exec.journal.post", "src/repro/services/journal.py",
                "journal batch committed, fsync and dependent sends not yet done"),
-    CrashPoint("exec.reply.recv", "src/repro/services/execution.py",
-               "worker reply received, before dedup against the journal"),
     CrashPoint("exec.reply.applied", "src/repro/services/execution.py",
                "reply journaled and applied, successors not yet dispatched"),
     CrashPoint("exec.mark.recv", "src/repro/services/execution.py",
                "early-release mark received, before dedup"),
-    CrashPoint("exec.compact.pre", "src/repro/services/execution.py",
-               "compaction requested, checkpoint not yet started"),
-    CrashPoint("exec.compact.post", "src/repro/services/execution.py",
-               "store checkpoint complete"),
     CrashPoint("exec.recover.pre", "src/repro/services/execution.py",
                "recovery entered, no instance replayed yet", recovery=True),
     CrashPoint("exec.recover.replayed", "src/repro/services/execution.py",
-               "every open journal replayed, sweeper not yet re-armed",
-               recovery=True),
+               "every open journal replayed (a replica has none until it is "
+               "promoted), sweeper not yet re-armed", recovery=True),
     # --- worker ------------------------------------------------------------
-    CrashPoint("worker.execute.pre", "src/repro/services/worker.py",
-               "work request accepted, implementation not yet run"),
     CrashPoint("worker.execute.post", "src/repro/services/worker.py",
                "implementation finished, reply not yet sent"),
     # --- replication (hot standby + lease failover) -------------------------

@@ -49,7 +49,7 @@ from .nemesis import (
 )
 
 #: Points only visited when the harness drives compaction.
-_NEEDS_COMPACTOR = ("wal.checkpoint.", "exec.compact.")
+_NEEDS_COMPACTOR = ("wal.checkpoint.",)
 #: Points only visited with a replicated execution service.  The lease
 #: grant and the promotion points additionally need a failover (the
 #: bootstrap grant/promotion happen before the injector is installed), which

@@ -40,6 +40,10 @@ replica holds the lease depends on the history of earlier faults)::
 A crash that finds its node already down does nothing: it is not logged and
 schedules no recovery.  Recoveries are scheduled by the crash that made them
 necessary, ``downtime`` after it.
+
+Every kind keeps its place with a seeded mutant only a schedule holding it
+catches (``benchmarks/mutants.py``), or a written reason (EXPERIMENTS.md
+E16).
 """
 
 from __future__ import annotations
@@ -160,8 +164,7 @@ class LoadSpike:
     any client's, so the overload layer sees the spike exactly as it would
     see a traffic storm.  ``Overloaded`` refusals are counted, not retried
     (the nemesis is an impatient client).  Spike instances are tracked by
-    the no-silent-drop oracle: every admitted one must reach a decisive
-    terminal state."""
+    the liveness oracle: every admitted one must reach a terminal state."""
 
     at: float
     duration: float

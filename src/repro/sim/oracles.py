@@ -51,31 +51,29 @@ Oracles and the guarantees they police:
     Once an instance has been *observed* terminal (the observation implies
     the deciding entry was journaled, because entries are journaled before
     they are applied), no later crash/recovery may change its status or
-    outcome.
+    outcome.  On a run whose faults never end (a primary killed for good)
+    it is the only check of an outcome: ``liveness`` waits for a healed
+    cluster.
 ``liveness``
     Once every node is healthy and the network is quiet, every instance
-    must reach a terminal status within the quiescence grace period.
-    Stuck-forever is a real bug (lost wakeup, un-redispatched flight), not
-    an acceptable outcome of a finite fault schedule.
-``no-silent-drop``
-    Every instance the execution service *accepted* under load (returned an
-    id for, instead of refusing with ``Overloaded``) must end in a decisive
-    journaled terminal state — completed, aborted, failed, or a journaled
-    ``overloaded`` shed.  Turning work away loudly is legal; losing it
-    quietly is the overload bug this layer exists to prevent (§13).
+    the execution service accepted — the workload's, and each load-spike
+    submission it returned an id for instead of refusing with
+    ``Overloaded`` — must be terminal within the quiescence grace period.
+    Stuck-forever is a real bug (lost wakeup, un-redispatched flight), and
+    an accepted instance that never ends is the silent drop the overload
+    layer exists to prevent (§13): turning work away loudly is legal.
 
 Replication oracles (``replicas > 0`` only; docs/PROTOCOLS.md §12):
 
-``epoch-monotone``
-    Within each instance journal — on every replica's store — the fencing
-    epoch stamped on successive entries must be non-decreasing.  A decrease
-    means a stale primary appended after a successor was elected.
 ``single-writer-per-epoch``
     Across all replica stores, every fencing epoch maps to at most one
     writer name.  Two writers sharing an epoch is split-brain made durable.
 ``single-primary``
     At any observation point, at most one *live* replica may answer
     ``is_primary()`` — the primary role inside an unexpired lease.
+
+Each oracle keeps its place with a seeded mutant it alone catches
+(``benchmarks/mutants.py``), or a written reason (EXPERIMENTS.md E16).
 """
 
 from __future__ import annotations
@@ -330,37 +328,19 @@ def check_durability(
 def check_epoch_fencing(
     stores: List[ObjectStore], phase: str = ""
 ) -> List[OracleViolation]:
-    """Fencing-epoch safety over the durable journals of every replica.
-
-    *Monotonicity*: within one instance journal, entry epochs never
-    decrease — a decrease means a deposed primary appended after its
-    successor.  *Single writer per epoch*: across all stores, an epoch is
-    owned by exactly one writer name — two writers sharing an epoch is
-    split-brain made durable.  Entries without an epoch stamp (epoch 0)
-    predate replication and are skipped.
+    """Fencing-epoch safety over the durable journals of every replica:
+    across all stores, an epoch is owned by exactly one writer name — two
+    writers sharing an epoch is split-brain made durable.  Entries without
+    an epoch stamp (epoch 0) predate replication and are skipped.
     """
     violations: List[OracleViolation] = []
     writers: Dict[int, Dict[str, str]] = {}  # epoch -> writer -> first site
     for store in stores:
         stored = Journal(store)
         for iid in stored.instances():
-            high = 0
             for n, entry in enumerate(stored.entries(iid)):
-                if entry is None:
-                    continue
-                epoch = entry.get("epoch") or 0
-                if not epoch:
-                    continue
-                if epoch < high:
-                    violations.append(
-                        OracleViolation(
-                            "epoch-monotone", iid,
-                            f"journal entry {n} in {store.name} carries epoch "
-                            f"{epoch} after an entry with epoch {high}", phase,
-                        )
-                    )
-                high = max(high, epoch)
-                writer = entry.get("writer")
+                epoch = entry and entry.get("epoch")
+                writer = epoch and entry.get("writer")
                 if writer:
                     writers.setdefault(epoch, {}).setdefault(
                         writer, f"{store.name}:{iid}:{n}"
@@ -404,76 +384,30 @@ def check_single_primary(replicas: List[Any], phase: str = "") -> List[OracleVio
     ]
 
 
-def check_no_silent_drop(
-    service: Any, submitted: Mapping[str, str], phase: str = "quiescence"
-) -> List[OracleViolation]:
-    """Overload honesty (docs/PROTOCOLS.md §13): every instance the service
-    *accepted* — returned an id for, instead of raising ``Overloaded`` — must
-    end in a decisive, journaled terminal state.  Shedding is allowed;
-    vanishing is not.  A shed instance must both be terminal in memory and
-    carry its ``overloaded`` entry in the durable journal, so a crash cannot
-    resurrect it into limbo.
-
-    ``submitted`` maps instance id -> a short provenance label (e.g.
-    ``"spike@120.0"``) used in violation messages.
-    """
-    violations: List[OracleViolation] = []
-    for iid, origin in sorted(submitted.items()):
-        runtime = service.runtimes.get(iid)
-        if runtime is None:
-            violations.append(
-                OracleViolation(
-                    "no-silent-drop", iid,
-                    f"accepted instance ({origin}) is gone from the execution "
-                    f"service without a decisive outcome", phase,
-                )
-            )
-            continue
-        status = runtime.tree.status.value
-        if status not in TERMINAL:
-            violations.append(
-                OracleViolation(
-                    "no-silent-drop", iid,
-                    f"accepted instance ({origin}) never reached a decisive "
-                    f"state: status {status!r}", phase,
-                )
-            )
-            continue
-        error = runtime.tree.error or ""
-        if status == "failed" and error.startswith("overloaded"):
-            journal = Journal(service.store).entries(iid)
-            if not any(e and e.get("type") == "overloaded" for e in journal):
-                violations.append(
-                    OracleViolation(
-                        "no-silent-drop", iid,
-                        f"instance ({origin}) was shed in memory but its "
-                        f"journal records no 'overloaded' entry — the shed "
-                        f"would not survive a crash", phase,
-                    )
-                )
-    return violations
-
-
 def check_liveness(
-    service: Any, expected: List[str], phase: str = "quiescence"
+    service: Any, accepted: Mapping[str, str], phase: str = "quiescence"
 ) -> List[OracleViolation]:
-    """Every expected instance must be present and terminal."""
+    """Every accepted instance must be present and terminal.  ``accepted``
+    maps each instance id the service returned to a short provenance label
+    (``"workload"``, ``"spike@120.0"``) used in violation messages."""
     violations: List[OracleViolation] = []
-    for iid in expected:
+    for iid, origin in accepted.items():
         runtime = service.runtimes.get(iid)
         if runtime is None:
             violations.append(
                 OracleViolation(
                     "liveness", iid,
-                    "instance missing from a healthy execution service", phase,
+                    f"accepted instance ({origin}) missing from a healthy "
+                    f"execution service", phase,
                 )
             )
             continue
         status = runtime.tree.status.value
         if status not in TERMINAL:
             detail = (
-                f"status {status!r} with {len(runtime.in_flight)} in-flight "
-                f"and {len(runtime.external)} external tasks after quiescence"
+                f"accepted instance ({origin}) has status {status!r} with "
+                f"{len(runtime.in_flight)} in-flight and {len(runtime.external)} "
+                f"external tasks after quiescence"
             )
             violations.append(OracleViolation("liveness", iid, detail, phase))
     return violations

@@ -92,13 +92,10 @@ class ObjectStore:
     def _force_and_install(
         self, kind: str, txn: Optional[TransactionId], value: Any, writes: Dict[str, Any]
     ) -> None:
-        crash_point("store.commit.pre", self)
         self.wal.append(kind, txn, None, value)
         self.wal.force()
-        crash_point("store.commit.forced", self)
         self._committed.update(writes)
         self._pending.pop(txn, None)
-        crash_point("store.commit.post", self)
 
     def ingest(
         self,

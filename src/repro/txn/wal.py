@@ -15,8 +15,8 @@ Group commit (see docs/PROTOCOLS.md §11): ``force()`` advances simulated
 durability (``_forced_upto``) and writes its records to the mirror through a
 persistent handle, but leaves the fsync to :meth:`sync` — the physical
 barrier, which the store's owner issues at the end of each mutating
-operation, so adjacent forces share one fsync.  At most ``group_max`` forces
-wait for it.  Every crash path (:meth:`lose_unforced`, :meth:`torn_force`)
+operation, so adjacent forces share one fsync.  At most :data:`GROUP_MAX`
+forces wait for it.  Every crash path (:meth:`lose_unforced`, :meth:`torn_force`)
 syncs the pending mirror rows first, so post-mortem the file is still exactly
 the durable prefix.
 
@@ -39,6 +39,10 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 from ..core.instrument import IOPATH_STATS
 from ..sim.crashpoints import crash_point
 from .ids import ObjectId, TransactionId
+
+#: Forces that may wait for one fsync before :meth:`WriteAheadLog._mirror`
+#: issues it itself.
+GROUP_MAX = 128
 
 
 BEGIN = "BEGIN"
@@ -85,13 +89,12 @@ class WriteAheadLog:
     :meth:`sync` is the physical barrier behind it.
     """
 
-    def __init__(self, mirror_path: Optional[str] = None, group_max: int = 128) -> None:
+    def __init__(self, mirror_path: Optional[str] = None) -> None:
         self._records: List[LogRecord] = []
         self._forced_upto = 0  # index one past the last durable record
         self._next_lsn = 1
         self._mirror_path = mirror_path
         self._mirror_fh = None  # persistent handle, opened on first mirror write
-        self.group_max = max(1, group_max)
         self._pending_syncs = 0  # forces mirrored but not yet fsynced
 
     # -- append/force ------------------------------------------------------------
@@ -116,7 +119,7 @@ class WriteAheadLog:
         This is the simulated durability point — ``_forced_upto`` advances
         here, bracketed by the ``wal.force.pre/post`` crash points.  The
         physical fsync of the mirror file waits for the next :meth:`sync`
-        barrier (or until ``group_max`` forces are pending)."""
+        barrier (or until :data:`GROUP_MAX` forces are pending)."""
         crash_point("wal.force.pre", self)
         IOPATH_STATS.wal_forces += 1
         start = self._forced_upto
@@ -166,7 +169,7 @@ class WriteAheadLog:
             fh.write("".join(record.to_json() + "\n" for record in self._records[start:end]))
             fh.flush()  # visible to same-host readers; durability is the fsync
         self._pending_syncs += 1
-        if self._pending_syncs >= self.group_max:
+        if self._pending_syncs >= GROUP_MAX:
             self.sync()
 
     def sync(self) -> bool:
@@ -262,14 +265,12 @@ class WriteAheadLog:
         post-compaction state); the truncation itself only discards records
         the checkpoint already covers.  There is no half-compacted state.
         """
-        crash_point("wal.checkpoint.pre", self)
         self.append(CHECKPOINT, value=snapshot)
         self.force()
         self.sync()  # compaction is a durability barrier: drain the window
         crash_point("wal.checkpoint.forced", self)
         del self._records[:-1]  # the CHECKPOINT is the record appended above
         self._forced_upto = len(self._records)
-        crash_point("wal.checkpoint.post", self)
 
 
 def fold(

@@ -184,7 +184,7 @@ class TestTheMarkAndItsEntryAreOneRecord:
     @pytest.mark.parametrize(
         "point, mode, replicas, survives",
         [
-            ("store.commit.pre", "clean", 0, False),
+            ("wal.force.pre", "clean", 0, False),
             ("wal.force.pre", "torn", 0, False),  # a lone BATCH, torn away whole
             ("store.ingest.pre", "clean", 2, False),
             # the follower's tail is the torn record; what it names is durable

@@ -159,11 +159,12 @@ class TestTornGroupCommit:
 
     @pytest.mark.parametrize("at_hit", [1, 4])
     def test_crash_with_entries_still_buffered(self, at_hit):
-        """exec.journal.pre fires at buffer time — before the entry reaches
-        any transaction.  Crashing there drops the buffered tail; recovery
-        replays the shorter durable journal and the instance recovers."""
+        """exec.reply.applied fires with the reply's entry buffered — before
+        it reaches any record.  Crashing there drops the buffered tail;
+        recovery replays the shorter durable journal and the instance
+        recovers."""
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.journal.pre", at_hit=at_hit, downtime=30.0)],
+            [CrashAtPoint("exec.reply.applied", at_hit=at_hit, downtime=30.0)],
             name=f"buffered-crash-{at_hit}",
         )
         report = SimHarness(schedule=schedule).run()

@@ -329,7 +329,7 @@ class TestReconfigByDigest:
     @pytest.mark.parametrize(
         "point, mode, survives",
         [
-            ("store.commit.pre", "clean", False),
+            ("wal.force.pre", "clean", False),
             ("wal.force.pre", "torn", False),
             ("exec.journal.post", "clean", True),
         ],

@@ -359,12 +359,8 @@ class TestSameTreeEveryWayIn:
     @pytest.mark.parametrize(
         "point, survives",
         [
-            ("store.commit.pre", False),
             ("wal.force.pre", False),
             ("wal.force.post", True),
-            ("store.commit.forced", True),
-            ("store.commit.post", True),
-            ("exec.instantiate.persisted", True),
         ],
     )
     def test_crash_around_instantiate_keeps_spec_and_meta_together(self, point, survives):

@@ -1,6 +1,6 @@
 """Overload robustness (docs/PROTOCOLS.md §13): bounded admission, the
 delay-gradient controller, priority shedding, the traffic generator, and
-the no-silent-drop guarantee under chaos.
+the liveness oracle over every accepted instance under chaos.
 """
 
 import pytest

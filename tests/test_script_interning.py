@@ -160,11 +160,9 @@ class TestFirstUseBatchIsAtomic:
     @pytest.mark.parametrize(
         "point, mode, survives",
         [
-            ("store.commit.pre", "clean", False),
+            ("wal.force.pre", "clean", False),
             ("wal.force.pre", "torn", False),
-            ("store.commit.forced", "clean", True),
-            ("store.commit.post", "clean", True),
-            ("exec.instantiate.persisted", "clean", True),
+            ("wal.force.post", "clean", True),
         ],
     )
     def test_text_and_first_spec_are_both_durable_or_neither(self, point, mode, survives):

@@ -465,3 +465,28 @@ class TestRepeatRoundExecutionIdentity:
         result = system.run_until_terminal(iid, max_time=100_000)
         assert result["status"] == "completed"
         assert result["outcome"] == "tripArranged"
+
+
+def test_an_entry_for_a_superseded_execution_changes_nothing():
+    """A journal entry whose execution index is not the path's current one
+    (a late answer to an execution the path has moved past) is applied to
+    nothing: the task and its current flight stay as they were, and the
+    instance completes."""
+    from repro.workloads import generators, script_text
+
+    workload = generators.chain(3)
+    _script, registry, root, inputs = workload
+    system = WorkflowSystem(registry=registry, workers=1)
+    system.deploy("chain", script_text(workload))
+    iid = system.instantiate("chain", root, inputs)
+    service = system.execution
+    runtime = service.runtimes[iid]
+    (path, current), = runtime.in_flight
+    node = runtime.tree.node_at(path)
+    state = node.machine.state
+    service._apply_entry(
+        runtime, {"type": "failure", "path": path, "exec": current - 1, "error": "late"}
+    )
+    assert node.machine.state is state
+    assert list(runtime.in_flight) == [(path, current)]
+    assert system.run_until_terminal(iid)["status"] == "completed"

@@ -29,6 +29,7 @@ from repro.sim.nemesis import (
     CrashAtPoint,
     CrashAtTime,
     DupBurst,
+    LoadSpike,
     LossBurst,
     NemesisSchedule,
     Partition,
@@ -57,6 +58,25 @@ class TestCatalogue:
             assert f'crash_point("{point.name}"' in source, (
                 f"{point.name} not instrumented in {point.module}"
             )
+
+    def test_the_protocols_table_renders_the_catalogue(self):
+        """docs/PROTOCOLS.md §9.1 lists every crash point in catalogue order
+        with the catalogue's file, step and flags, and nothing else."""
+        path = os.path.join(REPO_ROOT, "docs", "PROTOCOLS.md")
+        with open(path, "r", encoding="utf-8") as fh:
+            section = fh.read().split("### 9.1 Crash points", 1)[1].split("\n### ", 1)[0]
+        rows = [
+            [cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        expected = [
+            [f"`{point.name}`", f"`{point.module[len('src/repro/'):]}`", point.step,
+             ", ".join(flag for flag, on in (("torn", point.torn),
+                                             ("recovery", point.recovery)) if on)]
+            for point in catalogue()
+        ]
+        assert rows == expected
 
     def test_point_named_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -237,6 +257,23 @@ class TestHarnessRuns:
             info["status"] == "lost" for info in report.instances.values()
         )
 
+    def test_a_crash_mid_instantiate_never_adopts_a_spike_instance(self):
+        """After a crash inside ``instantiate`` the harness takes the oldest
+        instance it does not know yet as the workload's, never one a load
+        spike submitted (``wf-10`` sorts before ``wf-2``)."""
+        schedule = NemesisSchedule([
+            CrashAtPoint("wal.force.pre", downtime=10.0),
+            LoadSpike(at=0.0, duration=60.0, rate=0.5),
+        ])
+        harness = SimHarness(
+            schedule, workload="order", instances=3,
+            system=SystemSpec(seed=0, workers=2),
+        )
+        report = harness.run()
+        assert len(report.instances) == 3
+        assert not set(report.instances) & set(harness._spike_submitted)
+        assert report.ok, report.violations
+
     def test_replay_determinism_identical_fingerprints(self):
         schedule = NemesisSchedule(
             [
@@ -262,11 +299,7 @@ class TestCompactionCrashes:
     @pytest.mark.parametrize(
         "point",
         [
-            "exec.compact.pre",
-            "wal.checkpoint.pre",
             "wal.checkpoint.forced",
-            "wal.checkpoint.post",
-            "exec.compact.post",
         ],
     )
     def test_crash_during_compaction_recovers_whole(self, point):
@@ -304,7 +337,7 @@ class TestExhaustiveSweep:
         crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
         assert crashes == ["exec.journal.post", "exec.recover.pre"]
         # compaction points enable the compactor
-        assert sweep.plan_for_point(point_named("exec.compact.pre")).compact_every
+        assert sweep.plan_for_point(point_named("wal.checkpoint.forced")).compact_every
         # the mark point reroutes to the trip workload (order emits no marks)
         assert sweep.plan_for_point(point_named("exec.mark.recv")).workload == "trip"
 
@@ -441,7 +474,7 @@ class TestReproFiles:
 
     def test_replay_detects_fingerprint_mismatch(self, tmp_path):
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.reply.recv", downtime=30.0)], name="clean"
+            [CrashAtPoint("exec.reply.applied", downtime=30.0)], name="clean"
         )
         harness = SimHarness(schedule, system=SystemSpec(seed=5))
         report = harness.run()

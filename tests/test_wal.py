@@ -108,6 +108,30 @@ class TestCheckpoint:
         assert len(log) == 1
         assert replay(log.durable_records()) == {"a": 9}
 
+    def test_a_crash_inside_the_checkpoints_force_keeps_the_log(self):
+        """A crash before the CHECKPOINT is durable finds the log it was
+        compacting still whole: truncation waits for the force."""
+        from repro.sim.crashpoints import (
+            ArmedCrash, CrashPointInjector, SimulatedCrash, install, uninstall,
+        )
+        from repro.txn.store import ObjectStore
+
+        store = ObjectStore("s")
+        for i in range(3):
+            store.commit_batch({"a": i, f"k{i}": i})
+        before = store.snapshot()
+        injector = CrashPointInjector(lambda _node, _fault, _scope: store.crash())
+        injector.bind(store.wal, "node")
+        injector.arm(ArmedCrash("wal.force.pre"))
+        install(injector)
+        try:
+            with pytest.raises(SimulatedCrash):
+                store.checkpoint()
+        finally:
+            uninstall()
+        assert store.snapshot() == before
+        assert replay(store.wal.durable_records()) == before
+
     def test_compaction_compares_no_records(self, monkeypatch):
         """The CHECKPOINT is the record just appended: finding it must not
         walk the log comparing records (``list.index`` did, once per
@@ -242,10 +266,11 @@ class TestGroupCommit:
         assert log.sync() is False  # barrier is idempotent
         assert len(fsyncs) == 1
 
-    def test_auto_sync_at_group_max(self):
+    def test_auto_sync_at_group_max(self, monkeypatch):
         from repro.core.instrument import IOPATH_STATS
 
-        log = WriteAheadLog(group_max=3)
+        monkeypatch.setattr(w, "GROUP_MAX", 3)
+        log = WriteAheadLog()
         IOPATH_STATS.reset()
         for _ in range(7):
             log.append(w.BEGIN, T1)
