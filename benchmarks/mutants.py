@@ -96,10 +96,12 @@ MUTANTS: Tuple[Mutant, ...] = (
        must=True, check="tests/test_step_bookkeeping.py"),
     _m("redispatch-without-barrier", "tier-1; described in CHANGES.md",
        (EXEC,
-        "        self.flush_journal()\n        if not self.is_primary():\n"
-        "            # Demoted *mid-event*",
-        "        if not flights[0][1].redispatches:\n            self.flush_journal()\n"
-        "        if not self.is_primary():\n            # Demoted *mid-event*"),
+        "                    if kind is Dispatch:\n"
+        "                        self.flush_journal((effect.runtime.iid,) if effect.closes else ())",
+        "                    if kind is Dispatch and not (\n"
+        "                        effect.flights and effect.flights[0][1].redispatches\n"
+        "                    ):\n"
+        "                        self.flush_journal((effect.runtime.iid,) if effect.closes else ())"),
        must=True, check="tests/test_step_bookkeeping.py"),
     _m("readiness-cached-at-enqueue", "tier-1; described in CHANGES.md",
        (INSTANCE,
@@ -134,16 +136,22 @@ MUTANTS: Tuple[Mutant, ...] = (
         '                else {"journal_len": n}',
         '                {"journal_len": n}'),
        must=True, check="run:fault-free:order"),
+    # the shell answers without the post-barrier primacy check (before the
+    # one answer rule: the replica's reconfigure override dropped)
     _m("reconfigure-override-dropped", "tier-1; described in CHANGES.md",
-       (REPLICA,
-        "    def reconfigure(self, *args: Any, **kwargs: Any) -> bool:\n"
-        "        ok = super().reconfigure(*args, **kwargs)\n"
-        "        self._ensure_group_ack()\n        return ok\n\n", ""),
+       (EXEC,
+        "                        if type(effects[-1]) is Answer:\n"
+        "                            raise Fenced(",
+        "                        if type(effects[-1]) is Answer:\n"
+        "                            return effects[-1].value\n"
+        "                            raise Fenced("),
        must=True, check="tests/test_replication.py"),
     _m("no-primacy-recheck-after-barrier", "single-primary; described in CHANGES.md",
        (EXEC,
-        "        if not self.is_primary():\n            # Demoted *mid-event* — by this barrier",
-        "        if False:\n            # Demoted *mid-event* — by this barrier"),
+        "                    if not self.is_primary():\n"
+        "                        if type(effects[-1]) is Answer:",
+        "                    if False:\n"
+        "                        if type(effects[-1]) is Answer:"),
        must=True, check="tests/test_replication.py"),
     _m("tick-only-primacy", "single-primary, partition_primary; described in CHANGES.md",
        (REPLICA,
@@ -205,29 +213,22 @@ MUTANTS: Tuple[Mutant, ...] = (
     # added after the first deletion: the described bug of PROTOCOLS §9.3
     _m("closed-with-flights-out",
        "closed-is-settled; tests/test_closed_mark.py (random_dag(12, seed=1))",
-       (EXEC, "            self.flush_journal(() if runtime.in_flight else (runtime.iid,))",
-        "            self.flush_journal((runtime.iid,))"),
+       (EXEC, "            effects.append(Dispatch(runtime, closes=not runtime.in_flight))",
+        "            effects.append(Dispatch(runtime, closes=True))"),
        must=True, check="run:exhaustive:tripx2:worker.execute.post"),
     _m("terminal-barrier-deferred", "durability",
-       (EXEC,
-        "            self.flush_journal(() if runtime.in_flight else (runtime.iid,))\n"
-        "            # the terminal instance's window slot",
-        "            self._arm_journal_window()\n"
-        "            # the terminal instance's window slot")),
+       (EXEC, "            effects.append(Dispatch(runtime, closes=not runtime.in_flight))\n", "")),
     _m("no-redispatch", "liveness, loss_burst, partition",
-       (EXEC, "                    if now >= overdue_at:\n", "                    if False:\n")),
+       (EXEC, "        for worker in list(flight.sent_to):\n            self.health.on_timeout(",
+        "        return []\n        for worker in list(flight.sent_to):\n"
+        "            self.health.on_timeout(")),
     _m("queued-never-promoted", "no-silent-drop, load_spike",
        (EXEC, "                promoted = self.admission.promote_ready(self._now())",
         "                promoted = []"),
        must=True, check="run:scenario:spike-tight-admission"),
     _m("shed-not-journaled", "no-silent-drop, load_spike",
-       (EXEC,
-        "        try:\n            self._journal(runtime, entry)\n"
-        "            self._apply_entry(runtime, entry)\n        except Exception:\n"
-        "            self.flush_journal()  # see _record\n            raise\n"
-        "        # terminal outcome, nothing ever sent",
-        "        self._apply_entry(runtime, entry)\n"
-        "        # terminal outcome, nothing ever sent")),
+       (EXEC, "        return [Journal(runtime, entry), Dispatch(runtime, closes=True)]",
+        "        return [Dispatch(runtime, closes=True)]")),
     _m("promote-under-seen-epoch", "single-writer-per-epoch, kill_primary",
        (REPLICA, '        self.epoch = grant["epoch"]\n        self.isr =',
         "        self.epoch = self._max_epoch_seen or grant[\"epoch\"]\n        self.isr ="),
@@ -245,22 +246,42 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        if runtime.exec_counter.get(path) != entry[\"exec\"]:\n"
         "            return  # stale: a newer execution of this path supersedes it\n", ""),
        must=True, check="tests/test_services.py"),
-    _m("promotion-skips-rebuild", "kill_primary",
-       (REPLICA, "        self._rebuild()  # what a crash recovery does with its store, over ours\n", "")),
-    _m("recovered-replica-skips-resync", "resurrect_stale_primary",
+    _m("promotion-skips-rebuild", "kill_primary; liveness on the successor of a primary "
+       "killed for good",
+       (REPLICA, "        self._rebuild()  # what a crash recovery does with its store, over ours\n", ""),
+       must=True, check="run:failover:kill-forever:order"),
+    _m("recovered-replica-skips-resync", "resurrect_stale_primary; a tail a deposed epoch left",
        (REPLICA,
-        "            if tail[\"epoch\"] != epoch:\n", "            if False:\n")),
+        "            if tail[\"epoch\"] != epoch:\n", "            if False:\n"),
+       must=True, check="tests/test_replication.py"),
     _m("worker-ignores-fence", "partition_primary, resurrect_stale_primary",
        ("services/worker.py", "            if epoch < self.fence_epoch:", "            if False:")),
     _m("recovery-skips-resume", "crash_at_time, random_crashes",
-       (EXEC, "        if not self._settle(runtime):\n            self._resume_flights(runtime)",
-        "        if not self._settle(runtime):\n            pass")),
+       (EXEC, "        for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):",
+        "        for key, flight in ():")),
     _m("mark-not-deduped", "exactly-once, exec.mark.recv",
        (EXEC,
-        "        entry = _mark_entry(mark)\n"
-        "        if _dedup_key(entry) not in runtime.journal_keys:\n"
-        "            self._record(runtime, entry)",
-        "        entry = _mark_entry(mark)\n        self._record(runtime, entry)")),
+        "        if _dedup_key(entry) in runtime.journal_keys:\n            return []\n"
+        "        return self._record(runtime, entry)",
+        "        return self._record(runtime, entry)")),
+    # -- values: consistent with the journal, wrong against the fault-free run ------
+    _m("start-inputs-cached-with-plan", "refinement (an instance started on another's inputs)",
+       (EXEC, '        tree.start(spec["input_set"], spec["inputs"])',
+        '        tree.start(spec["input_set"], compiled.__dict__.setdefault("inputs", spec["inputs"]))'),
+       must=True, check="run:fault-free:order"),
+    _m("wire-result-drops-an-object", "refinement (a reply's objects lost in the wire decode)",
+       ("services/serialization.py",
+        "    return tuple.__new__(TaskResult, (_KINDS[kind], name, dict(objects)))",
+        "    return tuple.__new__(TaskResult, (_KINDS[kind], name, dict(objects[1:])))"),
+       must=True, check="run:fault-free:order"),
+    _m("reply-marks-dropped", "refinement (a reply's marks dropped: only the datagram copies "
+       "count); surfaces as a mark applied after its task's result",
+       (EXEC, "        for mark in reply.marks:", "        for mark in reply.marks[:0]:")),
+    _m("worker-memoises-inputs-by-path", "refinement (a reply computed on another instance's "
+       "inputs)",
+       ("services/worker.py", '            inputs=dict(request["inputs"]),',
+        '            inputs=dict(self.__dict__.setdefault(task_path, request["inputs"])),'),
+       must=True, check="run:fault-free:order"),
     # -- one per crash-point class ---------------------------------------------------
     _m("checkpoint-truncates-before-force", "wal.checkpoint.*, exec.compact.*",
        ("txn/wal.py",
@@ -328,8 +349,8 @@ def checker_runs():
         for schedule in sweep.failover_schedules():
             runs.append((f"{schedule.name}:{workload}", sweep._harness(
                 schedule, 0, replicas=2, workload=workload)))
-        # a failover that never heals (the old primary stays dead), so the
-        # liveness oracle never runs
+        # a failover that never heals (the old primary stays dead): the
+        # liveness oracle holds the successor to every instance
         forever = NemesisSchedule([KillPrimary(at=10.0, downtime=None)])
         runs.append((f"failover:kill-forever:{workload}", sweep._harness(
             forever, 0, replicas=2, workload=workload)))

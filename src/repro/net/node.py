@@ -119,9 +119,10 @@ class Node:
 
     # -- timers -----------------------------------------------------------------
 
-    def call_after(self, delay: float, action: Callable[[], Any], label: str = "") -> None:
-        """Schedule a local timer.  The action is suppressed if the node is
-        down when it fires (a crashed machine's timers do not run)."""
+    def call_at(self, when: float, action: Callable[[], Any], label: str = "") -> None:
+        """Schedule a local timer at ``when``.  The action is suppressed if
+        the node is down when it fires (a crashed machine's timers do not
+        run)."""
         self._check_alive()
         epoch = self.crash_count
 
@@ -129,7 +130,10 @@ class Node:
             if self.alive and self.crash_count == epoch:
                 action()
 
-        self.clock.call_after(delay, guarded, label=label or f"timer@{self.name}")
+        self.clock.call_at(when, guarded, label=label or f"timer@{self.name}")
+
+    def call_after(self, delay: float, action: Callable[[], Any], label: str = "") -> None:
+        self.call_at(self.clock.now + delay, action, label)
 
     # -- failure model -------------------------------------------------------------
 

@@ -28,6 +28,11 @@ Safety invariants, in the order they are enforced:
 * **Primacy is the lease.**  A replica acts only while ``is_primary()``:
   the primary role and ``now < expires_at`` on the clock it shares with the
   arbiter, which grants the next epoch only once ``now >= expires_at``.
+* **One answer rule.**  The replica changes what the service's shell
+  (``ExecutionService._perform``) does only through ``is_primary()``,
+  ``_post_barrier()`` (shipping) and its life cycle; it overrides no client
+  operation.  The shell re-checks primacy after every barrier and refuses a
+  client's answer with ``Fenced`` when serving it deposed the replica.
 
 Promotion *is* crash recovery's rebuild over the standby's own store: adopt
 the grant's epoch, then ``ExecutionService._rebuild`` — closed instances are
@@ -43,7 +48,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
+from ..orb.broker import CommFailure, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
 from ..txn.ids import ObjectId, TransactionId
 from ..txn.store import ObjectStore
@@ -472,44 +477,14 @@ class ReplicatedExecutionService(ExecutionService):
             if peer in self.isr
         )
 
-    # -- client-facing overrides ----------------------------------------------------
-
-    def _ensure_group_ack(self) -> None:
-        """Raised-on-demotion barrier for synchronous mutating operations: if
-        serving this call demoted us (lease unreachable, fenced push), the
-        client must not take the reply as acknowledged."""
-        if not self.is_primary():
-            raise Fenced(
-                f"{self.name}: demoted while serving "
-                f"(epoch {self.epoch} superseded)"
-            )
+    # -- the tracer's name for a replica's instantiations ---------------------------
 
     def instantiate(self, *args: Any, **kwargs: Any) -> str:
-        iid = super().instantiate(*args, **kwargs)
-        self.flush_journal()  # ship the meta even when nothing dispatched yet
-        self._ensure_group_ack()
-        return iid
-
-    def reconfigure(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().reconfigure(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def force_abort(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().force_abort(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def complete_task(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().complete_task(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def import_instance(self, snapshot: Dict[str, Any]) -> str:
-        iid = super().import_instance(snapshot)
-        self.flush_journal()
-        self._ensure_group_ack()
-        return iid
+        """:meth:`ExecutionService.instantiate`, under this class's own name
+        (``benchmarks/bench`` traces a replica's instantiations here).  Its
+        answer ships the new spec and is refused if serving it deposed us —
+        the one answer rule of :meth:`ExecutionService._perform`."""
+        return super().instantiate(*args, **kwargs)
 
     # -- introspection ---------------------------------------------------------------
 

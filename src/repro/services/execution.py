@@ -5,43 +5,39 @@ Coordinates workflow instances with the paper's system-level guarantees:
 * **Durable coordination state.**  Everything needed to reconstruct an
   instance — script text, initial inputs, and a journal of task results,
   marks, failures, reconfigurations and forced aborts — is recorded in
-  persistent atomic objects, atomically and durably, *before* it takes
-  effect on the in-memory instance tree.  This is the paper's "records
-  inter-task dependencies in persistent atomic objects and uses atomic
-  transactions for propagating coordination information".  The objects, the
-  records that commit them and every read of them belong to one
+  persistent atomic objects, durably, *before* it takes effect outside the
+  service.  The store's layout belongs to one
   :class:`~repro.services.journal.Journal` per store; this module never
   names a stored key.
-* **One definition of a step.**  What a journal entry does to an instance —
-  its dedup key, the flight it answers, the parked set, the tree — is
-  :meth:`ExecutionService._apply_entry` and nothing else: the live handlers
-  journal an entry and apply it, and :meth:`ExecutionService._replay` applies
-  the stored ones to a fresh tree, for crash recovery, a standby's
-  promotion, import, detail views and the oracles alike.
+* **The coordinator decides, one shell acts.**  :class:`_Coordinator` has one
+  method per input event (reply, mark, timer, administrative operation,
+  instantiation, shed).  Each updates the instance through the one
+  definition of a step, :meth:`_Coordinator._apply_entry`, and the drain, and
+  returns what must happen as :class:`Journal`, :class:`Dispatch`,
+  :class:`Arm` and :class:`Answer` records; it names no node, broker or
+  store.  :meth:`ExecutionService._perform` carries them out in order:
+  entries are buffered, a dispatch takes the durability barrier and
+  re-checks primacy before anything leaves, timers are armed, and an answer
+  is refused (``Fenced``) when a barrier deposed the service
+  (docs/PROTOCOLS.md §4, §12).  :meth:`ExecutionService._replay` applies the
+  stored entries to a fresh tree — recovery, promotion, import, detail views
+  and the oracles alike.
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   open instance's journal over a fresh tree; because scheduling is
   deterministic, the rebuilt tree reaches exactly the pre-crash state, and
   still-unfinished tasks are re-dispatched.  An instance the journal marks
   *closed* is not replayed: recovery is bounded by what was running.
 * **Derived state is restored, not kept.**  A *settled* instance — terminal,
-  journal flushed, no flight out (:meth:`ExecutionService._settle`) — sheds
-  its tree, event bodies, dedup keys and counters and stays in ``runtimes``
-  as a summary that answers ``status``, ``result`` and every poller; a detail
-  view or a late administrative operation replays the journal, the way
-  recovery does.  Memory follows what is live, not what ever ran.
-* **At-least-once dispatch, exactly-once application.**  Tasks are dispatched
-  to worker nodes through deferred ORB invocations (which ride the lossy
-  network); a periodic sweeper re-dispatches anything unanswered; duplicate
-  replies are deduplicated against the journal.
-* **Adaptive dispatch resilience** (:mod:`repro.resilience`): a flight
-  unanswered ``dispatch_timeout`` after its send is resent; routing is
-  health-aware (EWMA latency, in-flight counts, per-worker circuit breakers)
-  instead of blind rotation; slow flights are optionally *hedged* —
-  duplicated to a second worker, safe because the journal applies exactly
-  one reply; a flight past its redispatch cap is abandoned into an ordinary
-  system failure.
-* **Automatic retries** of tasks that fail for system-level reasons, with the
-  retry budget from the task's ``retries`` implementation property (§3).
+  journal flushed, no flight out (:meth:`_Coordinator._settle`) — sheds
+  its tree and keeps a summary that answers ``status``, ``result`` and every
+  poller; a detail view or a late administrative operation replays the
+  journal, the way recovery does.
+* **At-least-once dispatch, exactly-once application**, with adaptive
+  resilience (:mod:`repro.resilience`): an unanswered flight is resent
+  ``dispatch_timeout`` after its send, routed by worker health, optionally
+  hedged, and abandoned into an ordinary system failure past its redispatch
+  cap; the journal applies exactly one reply.  Tasks that fail for
+  system-level reasons are retried per their ``retries`` property (§3).
 """
 
 from __future__ import annotations
@@ -49,7 +45,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.schema import OutputKind, Script, TaskClass
@@ -60,12 +58,12 @@ from ..engine.instance import InstanceTree, SettledTree
 from ..engine.plan import ExecutionPlan, compile_plan
 from ..lang import compile_script
 from ..net.node import Message, Node, Service
-from ..orb.broker import CommFailure, Interface, ObjectBroker, Overloaded
+from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, Overloaded
 from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
 from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
-from .journal import Journal, script_digest
+from .journal import Journal as JournalStore, script_digest
 from .serialization import (
     ref_to_plain,
     refs_from_plain,
@@ -76,25 +74,52 @@ from .serialization import (
 )
 from .worker import MarkRecord, WorkReply, WorkRequest, work_reply, work_request
 
-EXECUTION_INTERFACE = Interface(
-    "WorkflowExecution",
-    (
-        "instantiate",
-        "status",
-        "result",
-        "list_instances",
-        "reconfigure",
-        "force_abort",
-        "complete_task",
-        "external_tasks",
-        "trace",
-        "tasks",
-        "compact",
-        "export_instance",
-        "import_instance",
-        "resilience_report",
-    ),
-)
+EXECUTION_INTERFACE = Interface("WorkflowExecution", (
+    "instantiate", "status", "result", "list_instances", "reconfigure", "force_abort",
+    "complete_task", "external_tasks", "trace", "tasks", "compact", "export_instance",
+    "import_instance", "resilience_report",
+))
+
+
+# -- effects: what the coordinator decides, as data ------------------------------------
+
+
+class Journal(NamedTuple):
+    """Buffer ``entry`` as the next of ``runtime``'s journal entries; it is
+    durable at the next barrier."""
+
+    runtime: "_Runtime"
+    entry: Dict[str, Any]
+
+
+class Dispatch(NamedTuple):
+    """Take the durability barrier, then — still primary — send ``flights``
+    (a drained batch is the runtime's former ``unsent`` list).  ``closes``:
+    the barrier leaves ``runtime`` terminal with no flight out.  With no
+    flights it is a barrier alone."""
+
+    runtime: "_Runtime"
+    flights: Sequence[Tuple[Tuple[str, int], "_InFlight"]] = ()
+    hedge: bool = False
+    closes: bool = False
+
+
+class Arm(NamedTuple):
+    """Fire the timer ``key`` (its kind first) at time ``at``
+    (:meth:`ExecutionService._fire`)."""
+
+    key: Tuple
+    at: float
+
+
+class Answer(NamedTuple):
+    """Answer the client with ``value`` — unless a barrier deposed the
+    service, which then raises ``Fenced`` instead."""
+
+    value: Any
+
+
+Effect = Union[Journal, Dispatch, Arm, Answer]
 
 
 @dataclass
@@ -152,7 +177,7 @@ class _Runtime:
 
     def shed(self) -> None:
         """Drop everything a replay of the journal rebuilds.  In place, so a
-        timer closure still holding this runtime holds the summary too."""
+        timer key still holding this runtime holds the summary too."""
         self.tree = self.tree.shed()
         del (
             self.journal_keys, self.unsent,
@@ -191,7 +216,7 @@ class _Compiled:
     script: Script
     digest: str
     # False when no task declaration carries a ``deadline`` implementation
-    # property: _arm_deadlines can skip its whole-tree walk
+    # property: _arm_deadlines' whole-tree walk is skipped
     has_deadlines: bool
     plan: Optional[ExecutionPlan] = None
     _criticality: Dict[str, str] = field(default_factory=dict)
@@ -226,16 +251,13 @@ _JOURNAL_WINDOW = 5.0
 def _mark_entry(mark: MarkRecord) -> Dict[str, Any]:
     """The journal entry of a mark, from its datagram or its reply alike."""
     return {
-        "type": "mark",
-        "path": mark.task_path,
-        "exec": mark.execution_index,
-        "name": mark.name,
-        "objects": {name: ref_to_plain(ref) for name, ref in mark.objects},
+        "type": "mark", "path": mark.task_path, "exec": mark.execution_index,
+        "name": mark.name, "objects": {name: ref_to_plain(ref) for name, ref in mark.objects},
     }
 
 
 def _dedup_key(entry: Dict[str, Any]) -> Optional[Tuple]:
-    """The exactly-once identity of a journal entry: a handler refuses an
+    """The exactly-once identity of a journal entry: an event refuses an
     entry whose key the runtime already holds, :meth:`_apply_entry` records
     it.  ``external`` / ``reconfig`` / ``force_abort`` entries have none."""
     kind = entry["type"]
@@ -270,27 +292,505 @@ def _compiled(text: str) -> _Compiled:
     return compiled
 
 
-class ExecutionService(Service):
-    """The workflow execution service servant."""
+class _Coordinator:
+    """The decide half of the execution service: one method per input event
+    (``_on_*``, :meth:`_shed`, :meth:`_resume`) updates the runtimes and
+    returns the effect records :meth:`ExecutionService._perform` carries out.
+    It names no node, broker or store (``tests/test_decide.py`` runs it
+    without them; ``tests/test_single_definitions.py`` keeps it so); its
+    state is set up by :class:`ExecutionService`."""
+
+    # -- input events ------------------------------------------------------------------
+
+    def _on_reply(self, iid: str, reply: WorkReply) -> List[Effect]:
+        if reply.fenced:
+            # a worker refused a stale-epoch dispatch: never journaled as a
+            # task failure — the flight stays open for the rightful primary
+            self.stats["fenced_replies"] += 1
+            return []
+        runtime = self.runtimes.get(iid)
+        if runtime is None:
+            return []
+        path = reply.task_path
+        exec_index = reply.execution_index
+        flight_key = (path, exec_index)
+        worker = reply.worker
+        if worker:  # timer-task self-replies carry no worker
+            # Health accounting for any reply, duplicates included: the
+            # worker demonstrably served the request, so credit its latency
+            # and close its breaker — even when the journal then discards the
+            # reply as a duplicate (e.g. a hedge that lost the race).
+            flight = runtime.in_flight.get(flight_key)
+            sent_at = flight.sent_to.pop(worker, None) if flight is not None else None
+            if sent_at is None:
+                sent_at = self._pending_acks.pop((iid, path, exec_index, worker), None)
+            if sent_at is not None:
+                now = self._now()
+                self.health.on_reply(worker, now - sent_at, now)
+        # A settled instance is closed: every flight it ever sent is answered
+        # in its journal, so whatever still arrives for it is a duplicate.
+        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
+            self.stats["duplicate_replies"] += 1
+            return []
+        effects: List[Effect] = []
+        # marks carried in the reply (the datagram copies may have been lost)
+        for mark in reply.marks:
+            mark_entry = _mark_entry(mark)
+            if _dedup_key(mark_entry) not in runtime.journal_keys:
+                effects.append(Journal(runtime, mark_entry))
+                self._apply_entry(runtime, mark_entry)
+        result = None
+        if not reply.ok:
+            entry = {"type": "failure", "path": path, "exec": exec_index, "error": reply.error}
+        elif reply.external:
+            # the task parked itself awaiting an external completion; stop
+            # the sweeper from re-dispatching it and remember it durably
+            if flight_key in runtime.external:
+                self.stats["duplicate_replies"] += 1
+            else:
+                entry = {"type": "external", "path": path, "exec": exec_index}
+                effects.append(Journal(runtime, entry))
+                self._apply_entry(runtime, entry)
+            return effects  # nothing became ready
+        else:
+            # rebuilt once: journaled in its plain form, applied as it stands
+            result = result_from_wire(reply.result)
+            entry = {
+                "type": "result", "path": path, "exec": exec_index,
+                "result": result_to_plain(result),
+            }
+        effects.append(Journal(runtime, entry))
+        self._apply_entry(runtime, entry, result)
+        self._dispatch_pending(runtime, effects)
+        return effects
+
+    def _on_mark(self, mark: MarkRecord) -> List[Effect]:
+        runtime = self.runtimes.get(mark.instance_id)
+        if runtime is None or runtime.settled:
+            return []  # a settled instance is closed (see _on_reply)
+        entry = _mark_entry(mark)
+        if _dedup_key(entry) in runtime.journal_keys:
+            return []
+        return self._record(runtime, entry)
+
+    def _on_deadline(self, runtime: _Runtime, path: str, count: int) -> List[Effect]:
+        """Fig. 3's abort-from-WAIT by timer (:meth:`_arm_deadlines`)."""
+        if runtime.tree.status is not WorkflowStatus.RUNNING:
+            return []
+        try:
+            task = runtime.tree.node_at(path)
+        except Exception:
+            return []
+        if (
+            not task.alive
+            or task.machine.state is not TaskState.WAIT
+            or runtime.exec_counter.get(path, 0) != count
+        ):
+            return []
+        return self._record(runtime, {"type": "force_abort", "path": path, "name": None})
+
+    def _on_stagger(self, runtime: _Runtime, key: Tuple[str, int]) -> List[Effect]:
+        """A staggered resend of a rebuilt flight (:meth:`_resume`) is due."""
+        flight = runtime.in_flight.get(key)
+        return [] if flight is None else [Dispatch(runtime, ((key, flight),))]
+
+    def _on_overdue(
+        self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
+    ) -> List[Effect]:
+        """One sent flight at a sweep: hedge it once it earned a hedge, resend
+        it ``dispatch_timeout`` after its send, abandon it past the cap."""
+        overdue_at = flight.dispatched_at + self.dispatch_timeout
+        if now < overdue_at:
+            if (
+                self.admission.allow_hedge()
+                and not flight.hedged
+                and flight.hedge_at is not None
+                and flight.hedge_at <= now
+            ):
+                pinned = flight.request["template"].location
+                if pinned in self.worker_names and flight.redispatches == 0:
+                    flight.hedge_at = None  # honour the pin: no hedge
+                else:
+                    return [Dispatch(runtime, ((key, flight),), hedge=True)]
+            return []
+        for worker in list(flight.sent_to):
+            self.health.on_timeout(worker, now)
+            self.rlog.record(now, "timeout", runtime.iid, key[0], worker)
+        flight.sent_to.clear()
+        if self.resilience.exhausted(flight.redispatches) and (
+            flight.request["template"].code != "system.timer"
+        ):
+            return self._abandon(runtime, key, flight, now)
+        flight.redispatches += 1
+        self.stats["redispatches"] += 1
+        return [Dispatch(runtime, ((key, flight),))]
+
+    def _on_admin(self, runtime: _Runtime, entry: Dict[str, Any]) -> List[Effect]:
+        """An administrative operation's entry (``reconfig``, ``force_abort``,
+        an external task's ``result``), answered once it is durable."""
+        effects = self._record(runtime, entry)
+        effects += (Dispatch(runtime), Answer(True))
+        return effects
+
+    def _on_complete(self, runtime: _Runtime, task_path: str, output_name: str,
+                     objects: Optional[Dict[str, Any]]) -> List[Effect]:
+        task = runtime.tree.node_at(task_path)
+        exec_index = runtime.exec_counter.get(task_path, 0)
+        if (task_path, exec_index) not in runtime.external:
+            raise ExecutionError(f"{task_path}: not awaiting an external completion")
+        spec = declared_output(task.taskclass, output_name, task_path)
+        result = TaskResult(spec.kind, output_name, dict(objects or {}))
+        return self._on_admin(runtime, {
+            "type": "result", "path": task_path, "exec": exec_index,
+            "result": result_to_plain(result),
+        })
+
+    def _admit(self, compiled: _Compiled, root_task: str) -> Tuple[str, str]:
+        """The admission verdict for a new instance of ``root_task``, taken
+        BEFORE anything is persisted: a rejected arrival leaves no trace but
+        the typed refusal, so the client's cooperative backoff is the whole
+        cost.  Shed verdicts, by contrast, persist the instance and journal a
+        decisive ``overloaded`` outcome — the caller gets an instance id whose
+        fate is queryable, never a silent drop."""
+        criticality = compiled.criticality(root_task)
+        now = self._now()
+        verdict = self.admission.decide(criticality, now)
+        if verdict == "reject":
+            hint = self.admission.retry_after(now)
+            self.admission.on_reject(now, hint)
+            self.stats["overload_rejections"] += 1
+            raise Overloaded(
+                f"{self.name}: admission queue full "
+                f"({len(self.admission.queue)}/{self.overload.queue_capacity})",
+                retry_after=hint,
+            )
+        return verdict, criticality
+
+    def _on_instantiate(self, runtime: _Runtime, verdict: str, criticality: str) -> List[Effect]:
+        """Start, queue or shed a new instance; answer its id."""
+        iid = runtime.iid
+        self.runtimes[iid] = self._live[iid] = runtime
+        effects: List[Effect] = []
+        if verdict == "shed":
+            effects = self._shed(runtime, criticality, f"pressure {self.admission.pressure}")
+        elif verdict == "queue":
+            # flights stay built-but-unsent until a window slot frees up;
+            # the sweeper skips unsent flights, so nothing retransmits early
+            self.admission.enqueue(iid, criticality, self._now())
+        else:
+            self.admission.on_start(iid, self._now())
+            self._dispatch_pending(runtime, effects)
+        effects.append(Answer(iid))
+        return effects
+
+    def _shed(self, runtime: _Runtime, criticality: str, reason: str) -> List[Effect]:
+        """Decisive ``overloaded`` outcome for a not-yet-started instance.
+
+        Journaled before it takes effect like every other outcome, so replay
+        and recovery reproduce the shed exactly
+        (``tests/test_overload.py::TestShedding``).  Only instances that have
+        not dispatched anything are ever shed — started work (flights,
+        journaled progress) is never thrown away."""
+        self.admission.on_shed(runtime.iid, criticality, self._now(), reason)
+        self.stats["shed"] += 1
+        entry = {"type": "overloaded", "reason": reason, "criticality": criticality}
+        self._apply_entry(runtime, entry)
+        # terminal outcome, nothing ever sent: durable before observable, closed
+        return [Journal(runtime, entry), Dispatch(runtime, closes=True)]
+
+    def _resume(self, runtime: _Runtime) -> List[Effect]:
+        """Re-send every flight that survived a rebuild — crash recovery,
+        promotion and import all come through here — and re-arm deadlines.
+
+        Whatever is still in flight was unanswered when its coordinator
+        stopped, so each goes out as a *redispatch*: the pin is abandoned
+        (the original target may be what crashed) and the redispatch count
+        carries on.  Not in one burst: each flight gets a deterministic
+        offset inside ``recovery_stagger``; the hashed key includes the
+        durable fencing epoch — which survives both restart and failover, as
+        ``stats["recoveries"]`` does not — so successive recoveries stagger
+        differently."""
+        effects: List[Effect] = []
+        now = self._now()
+        for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
+            flight.redispatches += 1
+            # a zero ``recovery_stagger`` makes every offset zero
+            delay = (
+                0.0
+                if flight.request["template"].code == "system.timer"
+                else self.resilience.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{self.epoch}")
+            )
+            if delay <= 0.0:
+                effects.append(Dispatch(runtime, ((key, flight),)))
+                continue
+            self.stats["staggered"] += 1
+            self.rlog.record(now, "stagger", runtime.iid, key[0], detail=f"resend +{delay:.2f}")
+            effects.append(Arm(("stagger", runtime, key), now + delay))
+        if runtime.has_deadlines:
+            self._arm_deadlines(runtime, effects)
+        return effects
+
+    # -- what an applied entry leads to ----------------------------------------------------
+
+    def _record(self, runtime: _Runtime, entry: Dict[str, Any]) -> List[Effect]:
+        """Apply ``entry``, journal it, dispatch what it made ready.  Applied
+        first: an entry the tree refuses (an illegal ``reconfig`` or
+        ``force_abort``) raises with no effect and nothing journaled — were
+        it journaled, every later replay would raise on it."""
+        self._apply_entry(runtime, entry)
+        effects: List[Effect] = [Journal(runtime, entry)]
+        self._dispatch_pending(runtime, effects)
+        return effects
+
+    def _dispatch_pending(self, runtime: _Runtime, effects: List[Effect]) -> None:
+        if runtime.tree.ready_heap:  # a step that made nothing ready skips the drain
+            self._drain(runtime)
+        if runtime.unsent and runtime.iid not in self.admission.queue:
+            # an instance still waiting in the admission queue keeps its
+            # flights built-but-unsent; promotion dispatches them
+            effects.append(Dispatch(runtime, runtime.unsent))
+            runtime.unsent = []
+        if runtime.has_deadlines:  # a reconfiguration may introduce deadlines
+            self._arm_deadlines(runtime, effects)
+        if runtime.tree.status is not WorkflowStatus.RUNNING:
+            # terminal barrier: the deciding entry must be durable before the
+            # terminal state can be observed between events (see the
+            # durability oracle); with no flight out, the same record closes
+            # the journal
+            effects.append(Dispatch(runtime, closes=not runtime.in_flight))
+            # the terminal instance's window slot frees up: promote queued work
+            self.admission.forget(runtime.iid)  # terminal while still queued
+            self.admission.release(runtime.iid, self._now())
+            self._promote_ready(effects)
+
+    def _promote_ready(self, effects: List[Effect]) -> None:
+        """Dispatch queued instances into freed window slots.
+
+        Iterative with a re-entrancy guard: a promoted instance that is
+        terminal frees its slot and would otherwise recurse back in here;
+        the outer loop picks the freed slot up instead."""
+        if self._promoting:
+            return
+        self._promoting = True
+        try:
+            while True:
+                promoted = self.admission.promote_ready(self._now())
+                if not promoted:
+                    return
+                for iid, _criticality, _sojourn in promoted:
+                    runtime = self._live.get(iid)  # queued, so unsettled
+                    if runtime is None:
+                        self.admission.release(iid, self._now())
+                        continue
+                    self._dispatch_pending(runtime, effects)
+        finally:
+            self._promoting = False
+
+    def _arm_deadlines(self, runtime: _Runtime, effects: List[Effect]) -> None:
+        """Fig. 3's abort-from-WAIT by timer: a task whose ``deadline``
+        implementation property expires while it still waits for inputs is
+        force-aborted into its first abort outcome.  The abort is journaled,
+        so recovery replays it.  Timers themselves are volatile, but the
+        *absolute expiry* is journaled the first time a deadline is armed,
+        so a recovered task resumes with its remaining deadline (and a
+        deadline that lapsed during the outage fires immediately) instead of
+        being granted a fresh full one."""
+        journaled = False
+        now = self._now()
+        for task in runtime.tree.walk():
+            delay = task.decl.implementation.deadline
+            if delay is None or task.machine.state is not TaskState.WAIT:
+                continue
+            if not task.taskclass.outputs_of_kind(OutputKind.ABORT):
+                continue
+            # key by the per-path execution counter, which is unique across
+            # compound repeat rounds (machine.starts is not)
+            key = (task.path, runtime.exec_counter.get(task.path, 0))
+            if key in runtime.armed_deadlines:
+                continue
+            expires_at = runtime.deadline_expiries.get(key)
+            if expires_at is None:
+                expires_at = now + delay
+                entry = {
+                    "type": "deadline", "path": task.path, "exec": key[1],
+                    "expires_at": expires_at,
+                }
+                effects.append(Journal(runtime, entry))
+                self._apply_entry(runtime, entry)
+                journaled = True
+            runtime.armed_deadlines.add(key)
+            effects.append(Arm(("deadline", runtime) + key, now + max(0.0, expires_at - now)))
+        if journaled:
+            # a deadline's absolute expiry must survive a crash for recovery
+            # to resume the *remaining* deadline — a barrier right away
+            effects.append(Dispatch(runtime))
+
+    def _abandon(
+        self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
+    ) -> List[Effect]:
+        """The redispatch cap is spent: stop retransmitting and surface a
+        system failure for the task.  From here the paper's §3 semantics take
+        over — automatic retries per the task's ``retries`` property, then
+        its first declared abort outcome — so the workflow still terminates
+        decisively instead of retrying forever."""
+        self.stats["abandoned"] += 1
+        self.rlog.record(
+            now, "abandon", runtime.iid, key[0],
+            detail=f"redispatch cap ({flight.redispatches}) spent",
+        )
+        return self._record(runtime, {
+            "type": "failure", "path": key[0], "exec": key[1],
+            "error": f"dispatch abandoned after {flight.redispatches} redispatches",
+        })
+
+    # -- the instance ------------------------------------------------------------------------
+
+    def _drain(self, runtime: _Runtime) -> None:
+        """Begin execution of every ready task; queue the work requests."""
+        now = self._now()  # constant within an event
+        while True:
+            taken = runtime.tree.begin_next()
+            if taken is None:
+                break
+            task, (input_set, inputs) = taken
+            exec_index = runtime.exec_counter.get(task.path, 0) + 1
+            runtime.exec_counter[task.path] = exec_index
+            request = work_request(
+                runtime.iid, exec_index, task.template, input_set, inputs,
+                task.attempt + 1, task.machine.repeats, self._origin, self.epoch,
+            )
+            key = (task.path, exec_index)
+            flight = runtime.in_flight[key] = _InFlight(request, now)
+            runtime.unsent.append((key, flight))
+
+    def _apply_entry(
+        self, runtime: _Runtime, entry: Dict[str, Any], result: Optional[TaskResult] = None
+    ) -> None:
+        """What one journal entry does to an instance — its dedup key, the
+        flight it answers, the parked set, the tree.  The only definition:
+        a live event comes here with the entry it journals,
+        :meth:`ExecutionService._replay` with the stored ones.  ``result``:
+        the :class:`TaskResult` a reply's ``result`` entry was journaled
+        from, so only a replay decodes one."""
+        kind = entry["type"]
+        key = _dedup_key(entry)
+        if key is not None:
+            runtime.journal_keys.add(key)
+        if kind == "deadline":
+            # inert for the tree: remembers the absolute expiry so recovery
+            # re-arms the timer with the *remaining* deadline
+            runtime.deadline_expiries[(entry["path"], entry["exec"])] = entry[
+                "expires_at"
+            ]
+            return
+        if kind == "reconfig":
+            compiled = _compiled(entry["script_text"])
+            runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
+            runtime.script = compiled.script
+            runtime.has_deadlines = compiled.has_deadlines
+            return
+        if kind == "force_abort":
+            runtime.tree.force_abort(entry["path"], entry.get("name"))
+            return
+        if kind == "overloaded":
+            # decisive shed outcome: the whole instance fails terminally
+            # before any of its tasks dispatched.  Clearing the flight table
+            # keeps replay identical to the live path, where nothing was sent.
+            runtime.in_flight.clear()
+            runtime.unsent.clear()
+            runtime.external.clear()
+            runtime.tree.fail(f"overloaded: {entry['reason']}")
+            return
+        path = entry["path"]
+        if kind != "mark":
+            # result / failure / external answer a flight: workers still
+            # carrying its wave are parked in _pending_acks, their late replies
+            # keep feeding health (a plain pop for a flight a replay never sent)
+            flight_key = (path, entry["exec"])
+            self._resolve_flight(runtime, flight_key)
+            if kind == "external":
+                runtime.external.add(flight_key)
+                return
+            runtime.external.discard(flight_key)
+        try:
+            task = runtime.tree.node_at(path)
+        except ExecutionError:
+            return
+        if runtime.exec_counter.get(path) != entry["exec"]:
+            return  # stale: a newer execution of this path supersedes it
+        if kind == "mark":
+            runtime.tree.apply_mark(task, entry["name"], refs_from_plain(entry["objects"]))
+        elif kind == "result":
+            try:
+                runtime.tree.apply_result(
+                    task, result if result is not None else result_from_plain(entry["result"])
+                )
+            except ExecutionError as exc:
+                # the result did not match the task class signature: treat it
+                # as a system failure (deterministic at replay too)
+                runtime.tree.apply_failure(task, exc)
+        else:
+            runtime.tree.apply_failure(task, WorkflowError(entry["error"]))
+
+    def _resolve_flight(self, runtime: _Runtime, flight_key: Tuple[str, int]) -> None:
+        """Retire a flight; any other workers still carrying its current
+        wave (hedge losers) are parked in ``_pending_acks`` so their late
+        replies still feed the health registry."""
+        flight = runtime.in_flight.pop(flight_key, None)
+        if flight is not None:
+            for worker, sent_at in flight.sent_to.items():
+                self._pending_acks[
+                    (runtime.iid, flight_key[0], flight_key[1], worker)
+                ] = sent_at
+            flight.sent_to.clear()
+            # Hard cap behind the sweeper's age-based reaping: under sustained
+            # overload hedge losers can accumulate faster than the horizon
+            # drains them, and an unbounded table is exactly the kind of
+            # hidden queue this layer exists to remove.  Oldest entries go
+            # first — their workers already took the latency hit.
+            if len(self._pending_acks) > _PENDING_ACK_CAP:
+                overflow = sorted(
+                    self._pending_acks.items(), key=lambda kv: (kv[1], kv[0])
+                )[: len(self._pending_acks) - _PENDING_ACK_CAP]
+                for ack_key, _sent_at in overflow:
+                    del self._pending_acks[ack_key]
+
+    def _settle(self, runtime: _Runtime) -> bool:
+        """The one rule about finished instances (docs/PROTOCOLS.md §4.2).
+
+        An instance is *settled* once it is terminal, has no flight out and
+        none of its journal entries is still buffered: nothing can happen to
+        it that its durable journal does not already say.  It then leaves
+        ``_live`` and sheds everything a replay rebuilds (:meth:`_Runtime.shed`);
+        ``runtimes`` keeps the summary.  Applied wherever a runtime may have
+        finished — the sweeper, a rebuild's replay, an import.  Returns
+        whether ``runtime`` is settled."""
+        if (
+            runtime.in_flight
+            or runtime.tree.status is WorkflowStatus.RUNNING
+            or self.journal.pending(runtime.iid)
+        ):
+            return False
+        self._live.pop(runtime.iid, None)  # gone already after a mid-event demotion
+        runtime.shed()
+        return True
+
+
+class ExecutionService(_Coordinator, Service):
+    """The workflow execution service servant: the shell that performs what
+    its :class:`_Coordinator` half decides."""
 
     def __init__(
-        self,
-        name: str,
-        store: ObjectStore,
-        broker: ObjectBroker,
-        repository_name: str,
-        worker_names: List[str],
-        resilience: ResilienceConfig,
-        sweep_interval: float = 10.0,
-        dispatch_timeout: float = 30.0,
-        overload: Optional[OverloadConfig] = None,
+        self, name: str, store: ObjectStore, broker: ObjectBroker, repository_name: str,
+        worker_names: List[str], resilience: ResilienceConfig, sweep_interval: float = 10.0,
+        dispatch_timeout: float = 30.0, overload: Optional[OverloadConfig] = None,
     ) -> None:
         super().__init__(name)
         self.store = store
         self.broker = broker
         self.repository_name = repository_name
         self.worker_names = list(worker_names)
-        self.journal = Journal(store)
+        self.journal = JournalStore(store)
         self.sweep_interval = sweep_interval
         # a flight unanswered this long after its send is resent
         self.dispatch_timeout = dispatch_timeout
@@ -309,20 +809,11 @@ class ExecutionService(Service):
         # journal (docs/PROTOCOLS.md §12).
         self.epoch = 0
         self._sweep_armed = False
-        self.stats = {
-            "dispatches": 0,
-            "redispatches": 0,
-            "duplicate_replies": 0,
-            "recoveries": 0,
-            "hedges": 0,
-            "breaker_trips": 0,
-            "abandoned": 0,
-            "failovers": 0,
-            "staggered": 0,
-            "fenced_replies": 0,
-            "shed": 0,
-            "overload_rejections": 0,
-        }
+        self.stats = dict.fromkeys((
+            "dispatches", "redispatches", "duplicate_replies", "recoveries", "hedges",
+            "breaker_trips", "abandoned", "failovers", "staggered", "fenced_replies",
+            "shed", "overload_rejections",
+        ), 0)
         self.rlog = ResilienceLog()
         self.health = HealthRegistry(
             self.worker_names, self.resilience, log=self.rlog, stats=self.stats
@@ -341,10 +832,15 @@ class ExecutionService(Service):
         # the one clock reading, in C with no Python frame (every tree event
         # is stamped with it); float() reads 0.0 until the service is bound
         self._now: Callable[[], float] = float
+        self._origin = ""  # the node name a work request asks replies to
+        # called with each effect the shell performed (tests read the
+        # Dispatch records here); None: nobody is listening
+        self.tap: Optional[Callable[[Effect], None]] = None
 
     def bind(self, node: Node) -> None:
         super().bind(node)
         self._now = partial(getattr, node.clock, "now")
+        self._origin = node.name
 
     # -- life-cycle -------------------------------------------------------------------
 
@@ -382,12 +878,10 @@ class ExecutionService(Service):
         waits for a reader), an open one a replay: bounded by what was running."""
         restore = self._summary  # one bound method for every closed instance
         for iid in self.journal.instances():
-            if not self.is_primary():
-                return  # the barrier of a resend deposed us: a standby holds nothing
             if self.journal.closed(iid):
                 self.runtimes[iid] = _ClosedRuntime(iid, restore)
-            else:
-                self._adopt(self._replay(iid))
+            elif not self._adopt(self._replay(iid)):
+                return  # the barrier of a resend deposed us: a standby holds nothing
         # Admission state is volatile: the queue died with the process or the
         # old primary, so every rebuilt non-terminal instance counts as admitted
         # (durable work, already re-sent) and the controller restarts unpressured.
@@ -420,55 +914,25 @@ class ExecutionService(Service):
         return True
 
     def _post_barrier(self) -> None:
-        """Hook run after every durability barrier; replication ships the
-        newly durable log suffix here.  No-op standalone."""
+        """Hook run after every durability barrier and before every answer;
+        replication ships the newly durable log suffix here.  No-op
+        standalone."""
 
     # -- ORB operations ---------------------------------------------------------------------
 
-    def instantiate(
-        self,
-        script_name: str,
-        root_task: str,
-        input_set: str = "main",
-        inputs: Optional[Dict[str, Any]] = None,
-    ) -> str:
+    def instantiate(self, script_name: str, root_task: str, input_set: str = "main",
+                    inputs: Optional[Dict[str, Any]] = None) -> str:
         """Create and start a workflow instance from a stored script."""
         text = self.broker.invoke(
             self.node, self.repository_name, "get_script", script_name
         )
         compiled = _compiled(text)
-        # Admission decision BEFORE anything is persisted: a rejected arrival
-        # leaves no trace but the typed refusal, so the client's cooperative
-        # backoff is the whole cost.  Shed verdicts, by contrast, persist the
-        # instance and journal a decisive ``overloaded`` outcome — the caller
-        # gets an instance id whose fate is queryable, never a silent drop.
-        criticality = compiled.criticality(root_task)
-        now = self._now()
-        verdict = self.admission.decide(criticality, now)
-        if verdict == "reject":
-            hint = self.admission.retry_after(now)
-            self.admission.on_reject(now, hint)
-            self.stats["overload_rejections"] += 1
-            raise Overloaded(
-                f"{self.name}: admission queue full "
-                f"({len(self.admission.queue)}/{self.overload.queue_capacity})",
-                retry_after=hint,
-            )
+        verdict, criticality = self._admit(compiled, root_task)
         iid, spec = self.journal.create(
             compiled.digest, text, root_task, input_set, inputs
         )
         runtime = self._fresh_runtime(iid, spec)
-        self.runtimes[iid] = self._live[iid] = runtime
-        if verdict == "shed":
-            self._shed(runtime, criticality, f"pressure {self.admission.pressure}")
-        elif verdict == "queue":
-            self.admission.enqueue(iid, criticality, now)
-            # flights stay built-but-unsent until a window slot frees up;
-            # the sweeper skips unsent flights, so nothing retransmits early
-        else:
-            self.admission.on_start(iid, now)
-            self._dispatch_pending(runtime)
-        return iid
+        return self._perform(self._on_instantiate(runtime, verdict, criticality))
 
     def status(self, iid: str) -> Dict[str, Any]:
         runtime = self._runtime(iid)
@@ -516,17 +980,23 @@ class ExecutionService(Service):
         applied or logged."""
         runtime = self._full_runtime(iid)
         self.journal.check_script(new_script_text)
-        self._record_if_legal(runtime, {"type": "reconfig", "script_text": new_script_text})
-        self.flush_journal()  # client observes the reconfiguration as durable
-        return True
+        return self._perform(
+            self._on_admin(runtime, {"type": "reconfig", "script_text": new_script_text})
+        )
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
-        self._record_if_legal(
+        return self._perform(self._on_admin(
             self._full_runtime(iid),
             {"type": "force_abort", "path": task_path, "name": abort_name},
-        )
-        self.flush_journal()  # client observes the abort as durable
-        return True
+        ))
+
+    def complete_task(self, iid: str, task_path: str, output_name: str,
+                      objects: Optional[Dict[str, Any]] = None) -> bool:
+        """Supply the outcome of a parked external task (§1's interactive
+        tasks).  Journaled like a worker result, so it survives crashes."""
+        return self._perform(self._on_complete(
+            self._full_runtime(iid), task_path, output_name, objects
+        ))
 
     def external_tasks(self, iid: str) -> List[str]:
         """Paths of tasks parked awaiting an external completion."""
@@ -537,22 +1007,15 @@ class ExecutionService(Service):
         runtime = self._full_runtime(iid)
         rows: List[Dict[str, Any]] = []
         for node in runtime.tree.walk():
-            rows.append(
-                {
-                    "path": node.path,
-                    "taskclass": node.taskclass.name,
-                    "compound": node.is_compound,
-                    "state": node.machine.state.value,
-                    "outcome": node.machine.outcome,
-                    "starts": node.machine.starts,
-                    "repeats": node.machine.repeats,
-                    "marks": list(node.machine.marks_emitted),
-                    "in_flight": (node.path, runtime.exec_counter.get(node.path))
-                    in runtime.in_flight,
-                    "awaiting_external": (node.path, runtime.exec_counter.get(node.path))
-                    in runtime.external,
-                }
-            )
+            machine, key = node.machine, (node.path, runtime.exec_counter.get(node.path))
+            rows.append({
+                "path": node.path, "taskclass": node.taskclass.name,
+                "compound": node.is_compound, "state": machine.state.value,
+                "outcome": machine.outcome, "starts": machine.starts,
+                "repeats": machine.repeats, "marks": list(machine.marks_emitted),
+                "in_flight": key in runtime.in_flight,
+                "awaiting_external": key in runtime.external,
+            })
         return rows
 
     def trace(self, iid: str) -> str:
@@ -604,7 +1067,7 @@ class ExecutionService(Service):
             # queue and takes a window slot directly
             self.admission.on_start(iid, self._now())
         self._adopt(runtime)
-        return iid
+        return self._perform([Answer(iid)])
 
     def compact(self) -> int:
         """Checkpoint the durable store: fold the WAL into a snapshot.
@@ -619,33 +1082,291 @@ class ExecutionService(Service):
         self.store.checkpoint()
         return len(self.store.wal)
 
-    def complete_task(
-        self,
-        iid: str,
-        task_path: str,
-        output_name: str,
-        objects: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Supply the outcome of a parked external task (§1's interactive
-        tasks).  Journaled like a worker result, so it survives crashes."""
-        runtime = self._full_runtime(iid)
-        node = runtime.tree.node_at(task_path)
-        exec_index = runtime.exec_counter.get(task_path, 0)
-        if (task_path, exec_index) not in runtime.external:
-            raise ExecutionError(f"{task_path}: not awaiting an external completion")
-        spec = declared_output(node.taskclass, output_name, task_path)
-        result = TaskResult(spec.kind, output_name, dict(objects or {}))
-        entry = {
-            "type": "result",
-            "path": task_path,
-            "exec": exec_index,
-            "result": result_to_plain(result),
-        }
-        self._record(runtime, entry)
-        self.flush_journal()  # client observes the completion as durable
+    # -- input events: each decided, then performed ------------------------------------------
+
+    def on_message(self, message: Message) -> None:
+        if isinstance(message.payload, MarkRecord):
+            self._handle_mark(message.payload)
+
+    def _handle_mark(self, mark: MarkRecord) -> None:
+        if self.is_primary():  # demoted: the current primary owns this instance now
+            crash_point("exec.mark.recv", self)
+            self._perform(self._on_mark(mark))
+
+    def _handle_replies(self, replies: Tuple[WorkReply, ...]) -> None:
+        """One reply leg of a worker: each reply is handled as if it had
+        come alone."""
+        for reply in replies:
+            self._handle_reply(reply.instance_id, reply)
+
+    def _handle_reply(self, iid: str, reply: WorkReply) -> None:
+        if self.is_primary():  # demoted: late replies belong to the current primary
+            effects = self._on_reply(iid, reply)
+            if effects and not (reply.ok and reply.external):
+                crash_point("exec.reply.applied", self)  # a result or failure applied
+            self._perform(effects)
+
+    def _fire(self, key: Tuple) -> None:
+        """The one timer entry (an :class:`Arm` record's key): a crashed
+        node's timers never fire (``Node.call_at``), and only a primary acts
+        on one — but for the journal window, which commits what a deposed
+        primary still buffered."""
+        kind = key[0]
+        if kind == "window":
+            self._jflush_armed = False
+            self.flush_journal()
+        elif kind == "timer":
+            self._handle_reply(*key[1:])  # a timer task's reply, handled as any
+        elif not self.is_primary():
+            if kind == "sweep":
+                self._sweep_armed = False  # the chain dies; promotion re-arms it
+        elif kind == "sweep":
+            alive = self._sweep()
+            self._sweep_armed = False
+            if alive:
+                self._arm_sweeper()
+        elif self.runtimes.get(key[1].iid) is not key[1]:
+            pass  # the runtime was superseded by a rebuild, or dropped at a demotion
+        elif kind == "deadline":
+            self._perform(self._on_deadline(*key[1:]))
+        else:
+            self._perform(self._on_stagger(*key[1:]))
+
+    def _sweep(self) -> bool:
+        """The sweeper's round: the overload controller's tick, then each
+        sent flight decided (:meth:`_on_overdue`) and performed on its own —
+        a resend's route reads the health the timeouts before it wrote.
+        Returns False when a barrier deposed the service mid-round."""
+        now = self._now()
+        # Overload controller tick: adjust the window from the sojourn
+        # signal, shed queued low-criticality work once pressure says so,
+        # and promote into any headroom the adjustment opened up.
+        self.admission.control(now)
+        for victim_iid, victim_class in self.admission.evict_low(now):
+            victim = self._live.get(victim_iid)  # queued, so unsettled
+            if victim is not None:
+                self._perform(self._shed(
+                    victim, victim_class,
+                    f"evicted from queue at pressure {self.admission.pressure}",
+                ))
+        promoted: List[Effect] = []
+        self._promote_ready(promoted)
+        self._perform(promoted)
+        for runtime in list(self._live.values()):
+            if not runtime.in_flight:
+                self._settle(runtime)
+                continue
+            for key, flight in list(runtime.in_flight.items()):
+                if key in runtime.in_flight and flight.sent and not self._perform(
+                    self._on_overdue(runtime, key, flight, now)
+                ):
+                    return False  # a send's barrier deposed us and dropped every runtime
+        if self._pending_acks:
+            # hedge losers that never replied: count the timeout so a
+            # dead hedge target still trips its breaker
+            for ack_key, sent_at in list(self._pending_acks.items()):
+                if now - sent_at >= self.dispatch_timeout:
+                    del self._pending_acks[ack_key]
+                    self.health.on_timeout(ack_key[3], now)
         return True
 
-    # -- dispatching -------------------------------------------------------------------------
+    # -- the shell -----------------------------------------------------------------------------
+
+    def _perform(self, effects: List[Effect]) -> Any:
+        """Carry out what the coordinator decided, in order: a
+        :class:`Journal` record is buffered, a :class:`Dispatch` takes the
+        durability barrier, re-checks primacy and sends, an :class:`Arm`
+        arms its timer, an :class:`Answer` ships what is durable
+        (:meth:`_post_barrier`), re-checks primacy and is returned.  A barrier
+        that deposed the service ends the list — nothing more is journaled,
+        sent or armed under the stale epoch — and refuses an answer due with
+        ``Fenced``.  Returns the answer, else whether the service is still
+        primary.  An exception flushes what is buffered: the tree applied
+        it, and must not run ahead of the journal (a ``SimulatedCrash``, a
+        BaseException, loses both)."""
+        try:
+            for effect in effects:
+                kind = type(effect)
+                if kind is Journal:
+                    self._journal(*effect)
+                elif kind is Arm:
+                    self._arm(*effect)
+                else:
+                    if kind is Dispatch:
+                        self.flush_journal((effect.runtime.iid,) if effect.closes else ())
+                    else:
+                        self._post_barrier()
+                    if not self.is_primary():
+                        if type(effects[-1]) is Answer:
+                            raise Fenced(
+                                f"{self.name}: demoted while serving "
+                                f"(epoch {self.epoch} superseded)"
+                            )
+                        return False
+                    if kind is Answer:
+                        return effect.value
+                    if effect.flights:
+                        self._post(*effect[:3])
+                if self.tap is not None:
+                    self.tap(effect)
+        except Exception:
+            self.flush_journal()
+            raise
+        return True
+
+    def _journal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        # Provenance stamp: which incarnation wrote this entry.  Inert for
+        # dedup keys and replay; the single-writer-per-epoch oracle
+        # (sim/oracles.py) audits these fields across failovers.
+        entry["epoch"] = self.epoch
+        entry["writer"] = self.name
+        if runtime.iid not in self._live:
+            # a settled instance is written to again (through the runtime
+            # _full_runtime handed out): that runtime is the instance now
+            self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
+        self.journal.append(runtime.iid, entry)  # durable at the next barrier
+        if not self._jflush_armed and self.node is not None and self.node.alive:
+            # bound how long a buffered entry may stay volatile: one flush
+            # timer per non-empty buffer, armed when the first entry lands
+            self._jflush_armed = True
+            self._arm(("window",), self._now() + _JOURNAL_WINDOW)
+
+    def flush_journal(self, closed: Collection[str] = ()) -> int:
+        """Durability barrier: commit every buffered journal entry
+        (:meth:`Journal.commit <repro.services.journal.Journal.commit>`: one
+        WAL record, one force, one fsync), then let replication ship the
+        newly durable suffix.  Taken once before each batch of dependent
+        dispatches, when an instance reaches a terminal state, in every
+        public mutating operation, and at the latest ``_JOURNAL_WINDOW`` simulated seconds
+        after the first buffered entry; recovery, replay and exactly-once
+        dedup are as if each entry were committed as it is produced.
+        ``closed``: the instances the barrier leaves terminal with no flight
+        out.  Returns the number of entries made durable."""
+        flushed = self.journal.commit(closed) if self.journal.buffer else 0
+        self._post_barrier()  # even when empty: any unshipped suffix goes out
+        return flushed
+
+    def _post(
+        self, runtime: _Runtime, flights: Sequence[Tuple[Tuple[str, int], _InFlight]],
+        hedge: bool = False,
+    ) -> None:
+        """Send ``flights`` behind a barrier already taken: each flight
+        routed and accounted on its own (:meth:`_send`), then one work
+        message per worker carrying that worker's requests in first-routed
+        order.  A drained batch posts once; the sweeper, a resumed flight
+        and a stagger timer post one flight each.  The barrier comes first
+        because a dispatched task's execution (and eventual reply) depends on
+        every journal entry that made it ready: were the send to outrun the
+        journal, a crash could replay a shorter journal while the reply to
+        the *longer* history arrives and is deduped — wedging the instance."""
+        outbox: Dict[str, List[WorkRequest]] = {}
+        for key, flight in flights:
+            self._send(runtime, key, flight, outbox, hedge)
+        for worker, requests in outbox.items():
+            try:
+                self.broker.invoke_deferred(
+                    self.node, worker, "perform", (tuple(requests),),
+                    on_reply=self._handle_replies,
+                )
+            except CommFailure:
+                pass  # sweeper retries
+
+    def _send(self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight,
+              outbox: Dict[str, List[WorkRequest]], hedge: bool = False) -> None:
+        """One flight's part of a :meth:`_post`: its route, its accounting
+        and its request, added to ``outbox`` under the chosen worker."""
+        now = self._now()
+        template = flight.request["template"]
+        if template.code == "system.timer":
+            # Built-in timer tasks (§4.2: "a set for an exceptional input
+            # such as a timer enabling a task to wait for normal inputs with
+            # a timeout") never go to a worker: the service answers their
+            # first declared outcome after the ``delay`` property elapses,
+            # through the ordinary reply path — journaled and crash-safe;
+            # after a recovery the in-flight timer is simply re-armed.
+            flight.sent = True
+            # keep the sweeper quiet until the timer is genuinely overdue
+            flight.dispatched_at = now + template.delay
+            flight.hedge_at = None  # timer tasks never go to a worker: no hedging
+            outcomes = TaskClass.from_wire(template.taskclass).outputs_of_kind(OutputKind.OUTCOME)
+            if outcomes:
+                result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
+                reply = work_reply(runtime.iid, key[0], key[1], None, True, result, (), None)
+            else:
+                reply = work_reply(
+                    runtime.iid, key[0], key[1], None, False, None, (),
+                    "system.timer task class declares no outcome",
+                )
+            self._arm(("timer", runtime.iid, reply), now + template.delay)
+            return
+        if not self.worker_names:
+            raise ExecutionError("no workers configured")
+        # stamp at send time, not build time: a flight drained before a
+        # promotion must carry the promoted epoch when it finally goes out
+        # (a request is read-only once proven: the new epoch makes a new one)
+        if flight.request["epoch"] != self.epoch:
+            flight.request = type(flight.request)(flight.request, epoch=self.epoch)
+        cfg = self.resilience
+        worker = self._route(runtime, key, flight, hedge, now)
+        if worker is None:
+            return  # hedge with no distinct worker available: skip
+        if hedge:
+            flight.hedged = True
+            self.stats["hedges"] += 1
+            self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
+        else:
+            flight.dispatched_at = now
+            flight.sent = True
+            flight.hedge_at = (
+                now + cfg.hedge_delay
+                if cfg.hedge_delay is not None and not flight.hedged
+                else None
+            )
+            self.rlog.record(
+                now, "redispatch" if flight.redispatches else "dispatch", runtime.iid,
+                key[0], worker, detail=f"attempt {flight.redispatches + 1}",
+            )
+        self.health.on_dispatch(worker, now)
+        flight.sent_to[worker] = now
+        self.stats["dispatches"] += 1
+        outbox.setdefault(worker, []).append(flight.request)
+
+    def _route(self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight,
+               hedge: bool, now: float) -> Optional[str]:
+        """Health-aware worker choice.
+
+        The `location` implementation property pins the *first* attempt
+        (§4.3's placement keywords) — unless the pinned worker's breaker is
+        open, in which case the pin fails over immediately to the healthiest
+        alternative (recorded as a ``failover`` event) rather than burning a
+        whole timeout on a known-bad worker.  Redispatches abandon the pin
+        entirely, as before.  Hedges exclude workers already carrying this
+        flight's current wave.
+        """
+        pinned = flight.request["template"].location
+        if not hedge and pinned in self.worker_names and flight.redispatches == 0:
+            if self.health.allows(pinned, now):
+                return pinned
+            alternative = self.health.route(now, exclude={pinned})
+            self.stats["failovers"] += 1
+            self.rlog.record(
+                now, "failover", runtime.iid, key[0], alternative or pinned,
+                detail=f"pin {pinned} breaker open",
+            )
+            return alternative or pinned
+        exclude = set(flight.sent_to) if hedge else ()
+        return self.health.route(now, exclude=exclude)
+
+    def _arm(self, key: Tuple, at: float) -> None:
+        self.node.call_at(at, partial(self._fire, key), label=f"{self.name}:{key[0]}")
+
+    def _arm_sweeper(self) -> None:
+        if self.node is None or not self.node.alive or self._sweep_armed:
+            return
+        self._sweep_armed = True
+        self._arm(("sweep",), self._now() + self.sweep_interval)
+
+    # -- recovery -----------------------------------------------------------------------------------
 
     def _fresh_runtime(self, iid: str, spec: Dict[str, Any]) -> _Runtime:
         """A started tree for ``spec``, built on the script's shared plan
@@ -669,702 +1390,6 @@ class ExecutionService(Service):
         ``Sanitizer.attach_service`` wraps it to watch every root start."""
         return InstanceTree(script, root_task, now=self._now, plan=plan)
 
-    def _drain(self, runtime: _Runtime) -> None:
-        """Begin execution of every ready task; queue the work requests."""
-        node = self.node
-        now = self._now()  # constant within an event
-        while True:
-            taken = runtime.tree.begin_next()
-            if taken is None:
-                break
-            task, (input_set, inputs) = taken
-            exec_index = runtime.exec_counter.get(task.path, 0) + 1
-            runtime.exec_counter[task.path] = exec_index
-            request = work_request(
-                runtime.iid,
-                exec_index,
-                task.template,
-                input_set,
-                inputs,
-                task.attempt + 1,
-                task.machine.repeats,
-                node.name if node else "",
-                self.epoch,
-            )
-            key = (task.path, exec_index)
-            flight = runtime.in_flight[key] = _InFlight(request, now)
-            runtime.unsent.append((key, flight))
-
-    def _dispatch_pending(self, runtime: _Runtime) -> None:
-        if runtime.tree.ready_heap:  # a step that made nothing ready skips the drain
-            self._drain(runtime)
-        if runtime.unsent and runtime.iid not in self.admission.queue:
-            # an instance still waiting in the admission queue keeps its
-            # flights built-but-unsent; promotion dispatches them
-            unsent, runtime.unsent = runtime.unsent, []
-            self._post(runtime, unsent)
-        self._arm_deadlines(runtime)
-        if runtime.tree.status is not WorkflowStatus.RUNNING:
-            # terminal barrier: the deciding entry must be durable before the
-            # terminal state can be observed between events (see the
-            # durability oracle) — flush inside the same event that applied it;
-            # with no flight out, the same record closes the journal
-            self.flush_journal(() if runtime.in_flight else (runtime.iid,))
-            # the terminal instance's window slot frees up: promote queued work
-            self.admission.forget(runtime.iid)  # terminal while still queued
-            self.admission.release(runtime.iid, self._now())
-            self._promote_ready()
-
-    def _shed(self, runtime: _Runtime, criticality: str, reason: str) -> None:
-        """Decisive ``overloaded`` outcome for a not-yet-started instance.
-
-        Journaled before it takes effect like every other outcome, so replay
-        and recovery reproduce the shed exactly
-        (``tests/test_overload.py::TestShedding``).  Only instances that have
-        not dispatched anything are ever shed — started work (flights,
-        journaled progress) is never thrown away."""
-        self.admission.on_shed(runtime.iid, criticality, self._now(), reason)
-        self.stats["shed"] += 1
-        entry = {
-            "type": "overloaded",
-            "reason": reason,
-            "criticality": criticality,
-        }
-        try:
-            self._journal(runtime, entry)
-            self._apply_entry(runtime, entry)
-        except Exception:
-            self.flush_journal()  # see _record
-            raise
-        # terminal outcome, nothing ever sent: durable before observable, closed
-        self.flush_journal((runtime.iid,))
-
-    def _promote_ready(self) -> None:
-        """Dispatch queued instances into freed window slots.
-
-        Iterative with a re-entrancy guard: a promoted instance can complete
-        synchronously (timer-free scripts on a quiet network), which frees
-        its slot and would otherwise recurse back in here; the outer loop
-        picks the freed slot up instead."""
-        if self._promoting:
-            return
-        self._promoting = True
-        try:
-            while True:
-                promoted = self.admission.promote_ready(self._now())
-                if not promoted:
-                    return
-                for iid, _criticality, _sojourn in promoted:
-                    runtime = self._live.get(iid)  # queued, so unsettled
-                    if runtime is None:
-                        self.admission.release(iid, self._now())
-                        continue
-                    self._dispatch_pending(runtime)
-        finally:
-            self._promoting = False
-
-    def _arm_deadlines(self, runtime: _Runtime) -> None:
-        """Fig. 3's abort-from-WAIT by timer: a task whose ``deadline``
-        implementation property expires while it still waits for inputs is
-        force-aborted into its first abort outcome.  The abort is journaled,
-        so recovery replays it.  Timers themselves are volatile, but the
-        *absolute expiry* is journaled the first time a deadline is armed,
-        so a recovered task resumes with its remaining deadline (and a
-        deadline that lapsed during the outage fires immediately) instead of
-        being granted a fresh full one."""
-        if self.node is None or not self.node.alive:
-            return
-        if not runtime.has_deadlines:
-            return  # script declares no deadline property: skip the tree walk
-        journaled = False
-        for node in runtime.tree.walk():
-            delay = node.decl.implementation.deadline
-            if delay is None or node.machine.state is not TaskState.WAIT:
-                continue
-            if not node.taskclass.outputs_of_kind(OutputKind.ABORT):
-                continue
-            # key by the per-path execution counter, which is unique across
-            # compound repeat rounds (machine.starts is not)
-            key = (node.path, runtime.exec_counter.get(node.path, 0))
-            if key in runtime.armed_deadlines:
-                continue
-            expires_at = runtime.deadline_expiries.get(key)
-            if expires_at is None:
-                expires_at = self._now() + delay
-                entry = {
-                    "type": "deadline",
-                    "path": node.path,
-                    "exec": key[1],
-                    "expires_at": expires_at,
-                }
-                self._journal(runtime, entry)
-                self._apply_entry(runtime, entry)
-                journaled = True
-            delay = max(0.0, expires_at - self._now())
-            runtime.armed_deadlines.add(key)
-
-            def fire(
-                runtime=runtime,
-                path=node.path,
-                count=runtime.exec_counter.get(node.path, 0),
-            ) -> None:
-                if not self.is_primary():
-                    return  # demoted: the new primary re-arms from its journal
-                if runtime is not self.runtimes.get(runtime.iid):
-                    return  # superseded by a rebuild, or dropped at a demotion
-                if runtime.tree.status.value != "running":
-                    return
-                try:
-                    live = runtime.tree.node_at(path)
-                except Exception:
-                    return
-                if (
-                    not live.alive
-                    or live.machine.state is not TaskState.WAIT
-                    or runtime.exec_counter.get(path, 0) != count
-                ):
-                    return
-                self._record_if_legal(
-                    runtime, {"type": "force_abort", "path": path, "name": None}
-                )
-
-            self.node.call_after(delay, fire, label=f"deadline:{node.path}")
-        if journaled:
-            # a deadline's absolute expiry must survive a crash for recovery
-            # to resume the *remaining* deadline — flush it right away
-            self.flush_journal()
-
-    def _post(
-        self,
-        runtime: _Runtime,
-        flights: Sequence[Tuple[Tuple[str, int], _InFlight]],
-        hedge: bool = False,
-    ) -> None:
-        """Send ``flights``: one durability barrier, each flight routed and
-        accounted on its own (:meth:`_send`), then one work message per
-        worker carrying that worker's requests in first-routed order.  A
-        drained batch posts once; the sweeper, a resumed flight and a
-        stagger timer post one flight each."""
-        # Durability barrier: a dispatched task's execution (and eventual
-        # reply) depends on every journal entry that made it ready.  Were the
-        # send to outrun the journal, a crash could replay a shorter journal
-        # while the reply to the *longer* history arrives and is deduped —
-        # wedging the instance.  Flush-before-send makes that impossible;
-        # nothing is journaled between a batch's sends, so one serves all.
-        self.flush_journal()
-        if not self.is_primary():
-            # Demoted *mid-event* — by this barrier (a fenced push, the lease
-            # service unreachable) or an earlier one, whose demotion left
-            # nothing buffered for this one to commit: nothing may leave
-            # under the stale epoch.
-            return
-        outbox: Dict[str, List[WorkRequest]] = {}
-        for key, flight in flights:
-            self._send(runtime, key, flight, outbox, hedge)
-        for worker, requests in outbox.items():
-            try:
-                self.broker.invoke_deferred(
-                    self.node, worker, "perform", (tuple(requests),),
-                    on_reply=self._handle_replies,
-                )
-            except CommFailure:
-                pass  # sweeper retries
-
-    def _send(
-        self,
-        runtime: _Runtime,
-        key: Tuple[str, int],
-        flight: _InFlight,
-        outbox: Dict[str, List[WorkRequest]],
-        hedge: bool = False,
-    ) -> None:
-        """One flight's part of a :meth:`_post`: its route, its accounting
-        and its request, added to ``outbox`` under the chosen worker."""
-        if flight.request["template"].code == "system.timer":
-            self._arm_timer_task(runtime, key, flight)
-            return
-        if not self.worker_names:
-            raise ExecutionError("no workers configured")
-        # stamp at send time, not build time: a flight drained before a
-        # promotion must carry the promoted epoch when it finally goes out
-        # (a request is read-only once proven: the new epoch makes a new one)
-        if flight.request["epoch"] != self.epoch:
-            flight.request = type(flight.request)(flight.request, epoch=self.epoch)
-        now = self._now()
-        cfg = self.resilience
-        worker = self._route(runtime, key, flight, hedge, now)
-        if worker is None:
-            return  # hedge with no distinct worker available: skip
-        if hedge:
-            flight.hedged = True
-            self.stats["hedges"] += 1
-            self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
-        else:
-            flight.dispatched_at = now
-            flight.sent = True
-            flight.hedge_at = (
-                now + cfg.hedge_delay
-                if cfg.hedge_delay is not None and not flight.hedged
-                else None
-            )
-            self.rlog.record(
-                now,
-                "redispatch" if flight.redispatches else "dispatch",
-                runtime.iid,
-                key[0],
-                worker,
-                detail=f"attempt {flight.redispatches + 1}",
-            )
-        self.health.on_dispatch(worker, now)
-        flight.sent_to[worker] = now
-        self.stats["dispatches"] += 1
-        outbox.setdefault(worker, []).append(flight.request)
-
-    def _route(
-        self,
-        runtime: _Runtime,
-        key: Tuple[str, int],
-        flight: _InFlight,
-        hedge: bool,
-        now: float,
-    ) -> Optional[str]:
-        """Health-aware worker choice.
-
-        The `location` implementation property pins the *first* attempt
-        (§4.3's placement keywords) — unless the pinned worker's breaker is
-        open, in which case the pin fails over immediately to the healthiest
-        alternative (recorded as a ``failover`` event) rather than burning a
-        whole timeout on a known-bad worker.  Redispatches abandon the pin
-        entirely, as before.  Hedges exclude workers already carrying this
-        flight's current wave.
-        """
-        pinned = flight.request["template"].location
-        if not hedge and pinned in self.worker_names and flight.redispatches == 0:
-            if self.health.allows(pinned, now):
-                return pinned
-            alternative = self.health.route(now, exclude={pinned})
-            self.stats["failovers"] += 1
-            self.rlog.record(
-                now,
-                "failover",
-                runtime.iid,
-                key[0],
-                alternative or pinned,
-                detail=f"pin {pinned} breaker open",
-            )
-            return alternative or pinned
-        exclude = set(flight.sent_to) if hedge else ()
-        return self.health.route(now, exclude=exclude)
-
-    def _arm_timer_task(self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight) -> None:
-        """Built-in timer tasks (§4.2: "a set for an exceptional input such
-        as a timer enabling a task to wait for normal inputs with a
-        timeout").
-
-        A task whose implementation names the reserved code ``system.timer``
-        never goes to a worker: the execution service fires its first
-        declared outcome after the ``delay`` property elapses.  The firing
-        goes through the ordinary reply path, so it is journaled and
-        crash-safe; after a recovery the in-flight timer is simply re-armed.
-        """
-        flight.sent = True
-        delay = flight.request["template"].delay
-        # keep the sweeper quiet until the timer is genuinely overdue
-        flight.dispatched_at = self._now() + delay
-        flight.hedge_at = None  # timer tasks never go to a worker: no hedging
-        taskclass = TaskClass.from_wire(flight.request["template"].taskclass)
-        outcomes = taskclass.outputs_of_kind(OutputKind.OUTCOME)
-        if outcomes:
-            result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
-            reply = work_reply(runtime.iid, key[0], key[1], None, True, result, (), None)
-        else:
-            reply = work_reply(
-                runtime.iid, key[0], key[1], None, False, None, (),
-                "system.timer task class declares no outcome",
-            )
-        self.node.call_after(
-            delay,
-            lambda: self._handle_reply(runtime.iid, reply),
-            label=f"timer-task:{key[0]}",
-        )
-
-    def _arm_sweeper(self) -> None:
-        if self.node is None or not self.node.alive or self._sweep_armed:
-            return
-        self._sweep_armed = True
-
-        def sweep() -> None:
-            if not self.is_primary():
-                # demoted to standby: let the chain die; promotion re-arms it
-                self._sweep_armed = False
-                return
-            now = self._now()
-            cfg = self.resilience
-            # Overload controller tick: adjust the window from the sojourn
-            # signal, shed queued low-criticality work once pressure says so,
-            # and promote into any headroom the adjustment opened up.
-            self.admission.control(now)
-            for victim_iid, victim_class in self.admission.evict_low(now):
-                victim = self._live.get(victim_iid)  # queued, so unsettled
-                if victim is not None:
-                    self._shed(
-                        victim, victim_class,
-                        f"evicted from queue at pressure {self.admission.pressure}",
-                    )
-            self._promote_ready()
-            live = self._live
-            for runtime in list(live.values()):
-                if not runtime.in_flight:
-                    self._settle(runtime)
-                    continue
-                for key, flight in list(runtime.in_flight.items()):
-                    if self._live is not live:
-                        # a send's barrier deposed us and dropped every runtime
-                        self._sweep_armed = False
-                        return
-                    if key not in runtime.in_flight or not flight.sent:
-                        continue
-                    overdue_at = flight.dispatched_at + self.dispatch_timeout
-                    if (
-                        self.admission.allow_hedge()
-                        and not flight.hedged
-                        and flight.hedge_at is not None
-                        and flight.hedge_at <= now < overdue_at
-                    ):
-                        pinned = flight.request["template"].location
-                        if pinned in self.worker_names and flight.redispatches == 0:
-                            flight.hedge_at = None  # honour the pin: no hedge
-                        else:
-                            self._post(runtime, ((key, flight),), hedge=True)
-                    if key not in runtime.in_flight:
-                        continue
-                    if now >= overdue_at:
-                        for worker in list(flight.sent_to):
-                            self.health.on_timeout(worker, now)
-                            self.rlog.record(
-                                now, "timeout", runtime.iid, key[0], worker
-                            )
-                        flight.sent_to.clear()
-                        if cfg.exhausted(flight.redispatches) and (
-                            flight.request["template"].code != "system.timer"
-                        ):
-                            self._abandon(runtime, key, flight, now)
-                            continue
-                        flight.redispatches += 1
-                        self.stats["redispatches"] += 1
-                        self._post(runtime, ((key, flight),))
-            if self._pending_acks:
-                # hedge losers that never replied: count the timeout so a
-                # dead hedge target still trips its breaker
-                for ack_key, sent_at in list(self._pending_acks.items()):
-                    if now - sent_at >= self.dispatch_timeout:
-                        del self._pending_acks[ack_key]
-                        self.health.on_timeout(ack_key[3], now)
-            self._sweep_armed = False
-            self._arm_sweeper()
-
-        self.node.call_after(self.sweep_interval, sweep, label=f"{self.name}-sweep")
-
-    def _abandon(
-        self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
-    ) -> None:
-        """The redispatch cap is spent: stop retransmitting and surface a
-        system failure for the task.  From here the paper's §3 semantics take
-        over — automatic retries per the task's ``retries`` property, then
-        its first declared abort outcome — so the workflow still terminates
-        decisively instead of retrying forever."""
-        self.stats["abandoned"] += 1
-        self.rlog.record(
-            now,
-            "abandon",
-            runtime.iid,
-            key[0],
-            detail=f"redispatch cap ({flight.redispatches}) spent",
-        )
-        entry = {
-            "type": "failure",
-            "path": key[0],
-            "exec": key[1],
-            "error": f"dispatch abandoned after {flight.redispatches} redispatches",
-        }
-        self._record(runtime, entry)
-
-    # -- replies and marks ----------------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if isinstance(message.payload, MarkRecord):
-            self._handle_mark(message.payload)
-
-    def _handle_mark(self, mark: MarkRecord) -> None:
-        if not self.is_primary():
-            return  # demoted: the current primary owns this instance now
-        crash_point("exec.mark.recv", self)
-        runtime = self.runtimes.get(mark.instance_id)
-        if runtime is None or runtime.settled:
-            return  # a settled instance is closed (see _handle_reply)
-        entry = _mark_entry(mark)
-        if _dedup_key(entry) not in runtime.journal_keys:
-            self._record(runtime, entry)
-
-    def _handle_replies(self, replies: Tuple[WorkReply, ...]) -> None:
-        """One reply leg of a worker: each reply is handled as if it had
-        come alone."""
-        for reply in replies:
-            self._handle_reply(reply.instance_id, reply)
-
-    def _handle_reply(self, iid: str, reply: WorkReply) -> None:
-        if not self.is_primary():
-            return  # demoted: late replies belong to the current primary
-        if reply.fenced:
-            # a worker refused a stale-epoch dispatch: never journaled as a
-            # task failure — the flight stays open for the rightful primary
-            self.stats["fenced_replies"] += 1
-            return
-        runtime = self.runtimes.get(iid)
-        if runtime is None:
-            return
-        path = reply.task_path
-        exec_index = reply.execution_index
-        flight_key = (path, exec_index)
-        self._credit_reply(runtime, flight_key, reply)
-        # A settled instance is closed: every flight it ever sent is answered
-        # in its journal, so whatever still arrives for it is a duplicate.
-        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:
-            self.stats["duplicate_replies"] += 1
-            return
-        result = None
-        if not reply.ok:
-            kind = "failure"
-            entry = {"type": kind, "path": path, "exec": exec_index, "error": reply.error}
-        elif reply.external:
-            # the task parked itself awaiting an external completion; stop
-            # the sweeper from re-dispatching it and remember it durably
-            kind = "external"
-            entry = {"type": kind, "path": path, "exec": exec_index}
-        else:
-            # rebuilt once: journaled in its plain form, applied as it stands
-            kind = "result"
-            result = result_from_wire(reply.result)
-            entry = {
-                "type": kind, "path": path, "exec": exec_index,
-                "result": result_to_plain(result),
-            }
-        try:
-            # marks carried in the reply (the datagram copies may have been lost)
-            for mark in reply.marks:
-                mark_entry = _mark_entry(mark)
-                if _dedup_key(mark_entry) not in runtime.journal_keys:
-                    self._journal(runtime, mark_entry)
-                    self._apply_entry(runtime, mark_entry)
-            if kind == "external" and flight_key in runtime.external:
-                self.stats["duplicate_replies"] += 1
-                return
-            self._journal(runtime, entry)
-            self._apply_entry(runtime, entry, result)
-            if kind == "external":
-                return  # nothing became ready
-            crash_point("exec.reply.applied", self)
-            self._dispatch_pending(runtime)
-        except Exception:
-            self.flush_journal()  # see _record
-            raise
-
-    def _credit_reply(
-        self, runtime: _Runtime, flight_key: Tuple[str, int], reply: WorkReply
-    ) -> None:
-        """Health accounting for any reply, duplicates included: the worker
-        demonstrably served the request, so credit its latency and close its
-        breaker — even when the journal then discards the reply as a
-        duplicate (e.g. a hedge that lost the race)."""
-        worker = reply.worker
-        if not worker:
-            return  # timer-task self-replies carry no worker
-        now = self._now()
-        flight = runtime.in_flight.get(flight_key)
-        sent_at = flight.sent_to.pop(worker, None) if flight is not None else None
-        if sent_at is None:
-            sent_at = self._pending_acks.pop(
-                (runtime.iid, flight_key[0], flight_key[1], worker), None
-            )
-        if sent_at is not None:
-            self.health.on_reply(worker, now - sent_at, now)
-
-    def _resolve_flight(
-        self, runtime: _Runtime, flight_key: Tuple[str, int]
-    ) -> Optional[_InFlight]:
-        """Retire a flight; any other workers still carrying its current
-        wave (hedge losers) are parked in ``_pending_acks`` so their late
-        replies still feed the health registry."""
-        flight = runtime.in_flight.pop(flight_key, None)
-        if flight is not None:
-            for worker, sent_at in flight.sent_to.items():
-                self._pending_acks[
-                    (runtime.iid, flight_key[0], flight_key[1], worker)
-                ] = sent_at
-            flight.sent_to.clear()
-            # Hard cap behind the sweeper's age-based reaping: under sustained
-            # overload hedge losers can accumulate faster than the horizon
-            # drains them, and an unbounded table is exactly the kind of
-            # hidden queue this layer exists to remove.  Oldest entries go
-            # first — their workers already took the latency hit.
-            if len(self._pending_acks) > _PENDING_ACK_CAP:
-                overflow = sorted(
-                    self._pending_acks.items(), key=lambda kv: (kv[1], kv[0])
-                )[: len(self._pending_acks) - _PENDING_ACK_CAP]
-                for ack_key, _sent_at in overflow:
-                    del self._pending_acks[ack_key]
-        return flight
-
-    # -- journal ----------------------------------------------------------------------------------
-
-    def _journal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        # Provenance stamp: which incarnation wrote this entry.  Inert for
-        # dedup keys and replay; the single-writer-per-epoch oracle
-        # (sim/oracles.py) audits these fields across failovers.
-        entry["epoch"] = self.epoch
-        entry["writer"] = self.name
-        if runtime.iid not in self._live:
-            if not self.is_primary():
-                # deposed mid-event (a standby's _live is empty): nothing more
-                # is journaled under the stale epoch, no runtime is taken back
-                return
-            # a settled instance is written to again (through the runtime
-            # _full_runtime handed out): that runtime is the instance now
-            self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        self.journal.append(runtime.iid, entry)  # durable at the next barrier
-        self._arm_journal_window()
-
-    def _record(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        """Journal ``entry``, apply it, dispatch what it made ready.
-
-        An exception between buffering an entry and the next barrier must
-        not strand the buffer: the tree has applied the entry, so the
-        in-memory state would run ahead of the durable journal for up to
-        ``_JOURNAL_WINDOW``.  Hence the flush on the error path, here and
-        wherever else a handler journals.  ``SimulatedCrash`` is a
-        BaseException and deliberately *not* caught: a machine crash loses
-        the buffer together with the volatile tree state it described."""
-        try:
-            self._journal(runtime, entry)
-            self._apply_entry(runtime, entry)
-            self._dispatch_pending(runtime)
-        except Exception:
-            self.flush_journal()
-            raise
-
-    def _record_if_legal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        """:meth:`_record` for an administrative entry the tree may refuse
-        (``reconfig``, ``force_abort``): applied first — an illegal one raises
-        without effect — and journaled as what stood.  Journaled first, a
-        refused entry would be left in the buffer for the error-path flush to
-        make durable, and every later replay would raise on it."""
-        try:
-            self._apply_entry(runtime, entry)
-            self._journal(runtime, entry)
-            self._dispatch_pending(runtime)
-        except Exception:
-            self.flush_journal()
-            raise
-
-    def flush_journal(self, closed: Collection[str] = ()) -> int:
-        """Durability barrier: commit every buffered journal entry
-        (:meth:`Journal.commit <repro.services.journal.Journal.commit>`: one
-        WAL record, one force, one fsync), then let replication ship the
-        newly durable suffix.  Taken once before each batch of dependent
-        dispatches, when an instance reaches a terminal state, in every
-        public mutating operation, and at the latest ``_JOURNAL_WINDOW`` simulated seconds
-        after the first buffered entry; recovery, replay and exactly-once
-        dedup are as if each entry were committed as it is produced.
-        ``closed``: the instances the barrier leaves terminal with no flight
-        out.  Returns the number of entries made durable."""
-        flushed = self.journal.commit(closed) if self.journal.buffer else 0
-        self._post_barrier()  # even when empty: any unshipped suffix goes out
-        return flushed
-
-    def _arm_journal_window(self) -> None:
-        """Bound how long a buffered entry may stay volatile: one flush timer
-        per non-empty buffer, armed when the first entry lands."""
-        if self._jflush_armed or self.node is None or not self.node.alive:
-            return
-        self._jflush_armed = True
-
-        def fire() -> None:
-            self._jflush_armed = False
-            if self.node is not None and self.node.alive:
-                self.flush_journal()
-
-        self.node.call_after(_JOURNAL_WINDOW, fire, label=f"{self.name}-jflush")
-
-    def _apply_entry(
-        self, runtime: _Runtime, entry: Dict[str, Any], result: Optional[TaskResult] = None
-    ) -> None:
-        """What one journal entry does to an instance — its dedup key, the
-        flight it answers, the parked set, the tree.  The only definition:
-        a live handler comes here with the entry it journaled, :meth:`_replay`
-        with the stored ones.  ``result``: the :class:`TaskResult` a reply's
-        ``result`` entry was journaled from, so only a replay decodes one."""
-        kind = entry["type"]
-        key = _dedup_key(entry)
-        if key is not None:
-            runtime.journal_keys.add(key)
-        if kind == "deadline":
-            # inert for the tree: remembers the absolute expiry so recovery
-            # re-arms the timer with the *remaining* deadline
-            runtime.deadline_expiries[(entry["path"], entry["exec"])] = entry[
-                "expires_at"
-            ]
-            return
-        if kind == "reconfig":
-            compiled = _compiled(entry["script_text"])
-            runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
-            runtime.script = compiled.script
-            runtime.has_deadlines = compiled.has_deadlines
-            return
-        if kind == "force_abort":
-            runtime.tree.force_abort(entry["path"], entry.get("name"))
-            return
-        if kind == "overloaded":
-            # decisive shed outcome: the whole instance fails terminally
-            # before any of its tasks dispatched.  Clearing the flight table
-            # keeps replay identical to the live path, where nothing was sent.
-            runtime.in_flight.clear()
-            runtime.unsent.clear()
-            runtime.external.clear()
-            runtime.tree.fail(f"overloaded: {entry['reason']}")
-            return
-        path = entry["path"]
-        if kind != "mark":
-            # result / failure / external answer a flight: workers still
-            # carrying its wave are parked in _pending_acks, their late replies
-            # keep feeding health (a plain pop for a flight a replay never sent)
-            flight_key = (path, entry["exec"])
-            self._resolve_flight(runtime, flight_key)
-            if kind == "external":
-                runtime.external.add(flight_key)
-                return
-            runtime.external.discard(flight_key)
-        try:
-            node = runtime.tree.node_at(path)
-        except ExecutionError:
-            return
-        if runtime.exec_counter.get(path) != entry["exec"]:
-            return  # stale: a newer execution of this path supersedes it
-        if kind == "mark":
-            runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
-        elif kind == "result":
-            try:
-                runtime.tree.apply_result(
-                    node, result if result is not None else result_from_plain(entry["result"])
-                )
-            except ExecutionError as exc:
-                # the result did not match the task class signature: treat it
-                # as a system failure (deterministic at replay too)
-                runtime.tree.apply_failure(node, exc)
-        else:
-            runtime.tree.apply_failure(node, WorkflowError(entry["error"]))
-
-    # -- recovery -----------------------------------------------------------------------------------
-
     def _replay(self, iid: str) -> Optional[_Runtime]:
         """A fresh runtime on ``iid``'s stored spec, brought up to its stored
         journal; ``None`` when the store holds no such instance.  The only
@@ -1379,85 +1404,18 @@ class ExecutionService(Service):
                 break
             self._apply_entry(runtime, entry)
             self._drain(runtime)
-        runtime.unsent.clear()  # a replay's flights go out by _resume_flights
+        runtime.unsent.clear()  # a replay's flights go out by _resume
         return runtime
 
-    def _resume_flights(self, runtime: _Runtime) -> None:
-        """Re-send every flight that survived a rebuild — crash recovery,
-        promotion and import all come through here.
-
-        Whatever is still in flight was unanswered when its coordinator
-        stopped, so each goes out as a *redispatch*: the pin is abandoned
-        (the original target may be what crashed) and the redispatch count
-        carries on.  Not in one burst: each flight gets a deterministic
-        offset inside ``recovery_stagger``; the hashed key includes the
-        durable fencing epoch — which survives both restart and failover, as
-        ``stats["recoveries"]`` does not — so successive recoveries stagger
-        differently.
-        """
-        resilience = self.resilience
-        epoch = self.epoch
-        for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
-            flight.redispatches += 1
-            # a zero ``recovery_stagger`` makes every offset zero
-            delay = (
-                0.0
-                if flight.request["template"].code == "system.timer"
-                else resilience.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
-            )
-            if delay <= 0.0:
-                self._post(runtime, ((key, flight),))
-                continue
-            self.stats["staggered"] += 1
-            self.rlog.record(
-                self._now(),
-                "stagger",
-                runtime.iid,
-                key[0],
-                detail=f"resend +{delay:.2f}",
-            )
-
-            def fire(runtime=runtime, key=key) -> None:
-                if not self.is_primary():
-                    return  # demoted while the stagger timer was pending
-                if self.runtimes.get(runtime.iid) is not runtime:
-                    return  # superseded by another rebuild, or dropped at a demotion
-                flight = runtime.in_flight.get(key)
-                if flight is not None:
-                    self._post(runtime, ((key, flight),))
-
-            self.node.call_after(delay, fire, label=f"stagger:{key[0]}")
-
-    # -- settled instances ----------------------------------------------------------------------------
-
-    def _settle(self, runtime: _Runtime) -> bool:
-        """The one rule about finished instances (docs/PROTOCOLS.md §4.2).
-
-        An instance is *settled* once it is terminal, has no flight out and
-        none of its journal entries is still buffered: nothing can happen to
-        it that its durable journal does not already say.  It then leaves
-        ``_live`` and sheds everything a replay rebuilds (:meth:`_Runtime.shed`);
-        ``runtimes`` keeps the summary.  Applied wherever a runtime may have
-        finished — the sweeper, a rebuild's replay, an import.  Returns
-        whether ``runtime`` is settled."""
-        if (
-            runtime.in_flight
-            or runtime.tree.status is WorkflowStatus.RUNNING
-            or self.journal.pending(runtime.iid)
-        ):
-            return False
-        self._live.pop(runtime.iid, None)  # gone already after a mid-event demotion
-        runtime.shed()
-        return True
-
-    def _adopt(self, runtime: _Runtime) -> None:
+    def _adopt(self, runtime: _Runtime) -> bool:
         """Take in a runtime replayed from a journal.  A finished one is
         settled on the spot, so a recovery holds one finished tree at a time;
-        an unfinished one has its flights re-sent and its deadlines re-armed."""
+        an unfinished one has its flights re-sent and its deadlines re-armed.
+        Returns whether the service is still primary."""
         self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        if not self._settle(runtime):
-            self._resume_flights(runtime)
-            self._arm_deadlines(runtime)
+        return self._settle(runtime) or self._perform(self._resume(runtime))
+
+    # -- settled instances ----------------------------------------------------------------------------
 
     def _running(self) -> List[str]:
         return [

@@ -20,20 +20,19 @@ dict that was appended (:func:`decode_entry`): key names are spelled by the
 table, not by every row.  In a ``result``'s object map a plain value is
 stored as ``[value]`` and a reference as its ref dict without the
 ``__ref__`` tag; a ``reconfig`` names its text by digest and the text goes
-to ``script:<digest>`` in the same record, only when the store lacks it.  A
-stored dict — every entry of a log written before the positional form, or
-one the table cannot spell exactly — reads back as itself, so one store may
-hold both.  ``spec`` and ``meta`` keep their dict shapes.
+to ``script:<digest>`` in the same record, only when the store lacks it.  An
+entry the table cannot spell exactly is refused: every entry the service
+journals carries its ``epoch`` and ``writer``.  ``spec`` and ``meta`` keep
+their dict shapes.
 
 A segment of one entry is that entry's row (:func:`encode_segment`), so a
-store holding one key per entry — dict rows, or rows written before
-segments — reads each key as a one-entry segment.  A segment of several
+store holding one key per entry — rows written before segments — reads each
+key as a one-entry segment.  A segment of several
 entries that share their ``epoch`` and ``writer``, as a barrier's always do,
 is ``[epoch, writer, *rows without them]``: a fan-out's outcomes pay for one
 key and one stamp.  Any other run of entries (an imported journal may mix
-stamps) is ``[None, *rows]``.  A row starts with its type string and a dict
-row is a dict, so the first element tells the three apart
-(:func:`segment_rows`).
+stamps) is ``[None, *rows]``.  A row starts with its type string, so the first
+element tells the three apart (:func:`segment_rows`).
 
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
@@ -58,7 +57,7 @@ below a stored state image, and stored outcomes, come next.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Collection, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
@@ -95,7 +94,7 @@ _ENTRY_KEYS = {kind: ("type", *fields) for kind, fields in ENTRY_FIELDS.items()}
 _RESULT_AT = _ENTRY_KEYS["result"].index("result")
 _TEXT_AT = _ENTRY_KEYS["reconfig"].index("script_text")
 
-Row = Union[List[Any], Dict[str, Any]]
+Row = List[Any]
 
 
 def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
@@ -105,17 +104,19 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
     ``reconfig``'s text becomes its digest, and ``digest -> text`` goes into
     ``scripts`` for the caller to intern.  An entry the table cannot spell
     exactly — an unknown type, a field missing or extra, an object map of
-    another shape — is stored as the dict it is."""
+    another shape — is refused (``ExecutionError``)."""
     kind = entry.get("type")
     fields = ENTRY_FIELDS.get(kind)
-    if fields is None or len(entry) != len(fields) + 1:
-        return entry
-    try:  # a lookup that fails below means a shape the table cannot spell
+    # every shape the table cannot spell ends in the one refusal below: a
+    # lookup that fails, or a check that raises KeyError like one
+    try:
+        if len(entry) != len(fields) + 1:  # TypeError for an unknown type
+            raise KeyError(kind)
         row = [kind, *map(entry.__getitem__, fields)]
         if kind == "result":
             result = row[_RESULT_AT]
             if len(result) != 3:
-                return entry
+                raise KeyError("result")
             objects: Dict[str, Any] = {}
             for name, item in result["objects"].items():
                 tag = item.get("__ref__")
@@ -125,7 +126,7 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
                     objects[name] = ref = item.copy()
                     del ref["__ref__"]
                 else:
-                    return entry
+                    raise KeyError(name)
             row[_RESULT_AT] = [result["kind"], result["name"], objects]
         elif kind == "reconfig":
             text = row[_TEXT_AT]
@@ -133,17 +134,15 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
             if scripts.setdefault(digest, text) != text:
                 raise ExecutionError(f"script digest {digest} names two texts in one batch")
     except (KeyError, TypeError, AttributeError):
-        return entry
+        raise ExecutionError(f"a journal entry the table cannot spell: {entry!r}") from None
     return row
 
 
 def decode_entry(row: Row, script_text: Callable[[str], Optional[str]]) -> Dict[str, Any]:
     """The entry ``row`` was encoded from (:func:`encode_entry`): equal to
-    the dict that was appended, keys in the table's order.  A stored dict is
-    its own entry.  ``script_text`` resolves a ``reconfig``'s digest (a
-    digest the store holds no text for reads back as ``None``)."""
-    if isinstance(row, dict):
-        return row
+    the dict that was appended, keys in the table's order.  ``script_text``
+    resolves a ``reconfig``'s digest (a digest the store holds no text for
+    reads back as ``None``)."""
     kind = row[0]
     entry = dict(zip(_ENTRY_KEYS[kind], row))
     if kind == "result":
@@ -168,14 +167,11 @@ def encode_segment(rows: List[Row]) -> Any:
     else ``[None, *rows]``.  It makes no call per row."""
     if len(rows) == 1:
         return rows[0]
-    stamp = rows[0][-2:] if type(rows[0]) is list else None
-    if stamp is not None and type(stamp[0]) is int and type(stamp[1]) is str:
+    stamp = rows[0][-2:]
+    if type(stamp[0]) is int and type(stamp[1]) is str:
         shared = stamp.copy()
         for row in rows:
-            if (
-                type(row) is not list or row[-2:] != stamp
-                or type(row[-2]) is not int or type(row[-1]) is not str
-            ):
+            if row[-2:] != stamp or type(row[-2]) is not int or type(row[-1]) is not str:
                 break
             shared.append(row[:-2])
         else:
@@ -185,8 +181,8 @@ def encode_segment(rows: List[Row]) -> Any:
 
 def segment_rows(segment: Any) -> List[Row]:
     """The rows :func:`encode_segment` stored as ``segment``, in order."""
-    if isinstance(segment, dict) or isinstance(segment[0], str):
-        return [segment]  # one row: a stored dict, or [type, *fields]
+    if isinstance(segment[0], str):
+        return [segment]  # one row: [type, *fields]
     if segment[0] is None:
         return segment[1:]
     epoch, writer, *rows = segment
@@ -256,8 +252,9 @@ class Journal:
         there (``digest`` is its script text's :func:`script_digest`).  The
         snapshot comes from outside the service: one whose journal is not
         what its own ``journal_len`` says, entry for entry, or holds an entry
-        of a type or with a field :data:`ENTRY_FIELDS` does not know, is
-        refused before anything is logged."""
+        of a type :data:`ENTRY_FIELDS` does not know, or with a field it does
+        not spell or missing one it does, is refused before anything is
+        logged."""
         iid, meta = snapshot["instance"], snapshot["meta"]
         entries = list(snapshot["journal"])
         if meta["journal_len"] != len(entries) or not all(
@@ -269,10 +266,10 @@ class Journal:
             )
         for n, entry in enumerate(entries):
             keys = _ENTRY_KEYS.get(entry.get("type"))
-            if keys is None or entry.keys() - keys:
+            if keys is None or entry.keys() != set(keys):
                 raise ExecutionError(
                     f"{iid}: snapshot journal entry {n} has an unknown type or "
-                    f"field: {sorted(entry)}"
+                    f"field, or lacks one: {sorted(entry)}"
                 )
         scripts = {digest: meta["script_text"]}
         rows = [encode_entry(entry, scripts) for entry in entries]
@@ -410,7 +407,7 @@ class Journal:
             segment = read(f"{prefix}{len(found)}")
             if segment is None:
                 found.append(None)
-            elif isinstance(segment, dict) or isinstance(segment[0], str):
+            elif isinstance(segment[0], str):
                 found.append(decode_entry(segment, script_text))  # one row (segment_rows)
             else:
                 found += [decode_entry(row, script_text) for row in segment_rows(segment)]

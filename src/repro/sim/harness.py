@@ -31,7 +31,8 @@ exactly:
    one place that says what that does to a machine's stores, endpoint and
    timers) and logs the crash;
 3. recovery is scheduled ``downtime`` later — unless ``downtime`` is None,
-   in which case the machine stays down and the liveness oracle is waived.
+   in which case the machine stays down and the liveness oracle is waived
+   (but for a killed primary of a replicated run: its successor owes it).
    After it, once the node has re-attached under its new incarnation and its
    services have replayed their journals, the oracles look at the result.
 
@@ -47,7 +48,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
 from ..orb.broker import CommFailure, Overloaded
 from ..services.system import TERMINAL, SystemSpec, WorkflowSystem
@@ -61,7 +62,7 @@ from .crashpoints import (
     install,
     uninstall,
 )
-from .nemesis import CrashAtPoint, LoadSpike, Nemesis, NemesisSchedule
+from .nemesis import CrashAtPoint, KillPrimary, LoadSpike, Nemesis, NemesisSchedule
 
 
 # An armed fault waits this long after the instances end for late protocol
@@ -162,6 +163,7 @@ class SimHarness:
         self._terminal_seen: Dict[str, Tuple[str, Optional[str]]] = {}
         self._spike_submitted: Dict[str, str] = {}
         self._spike_refused: int = 0
+        self._reference: Dict[Tuple, Any] = {}  # check_refinement's memo
         injector = CrashPointInjector(self._on_crash)
         # Every store, log and service of every machine is a crash-point
         # scope of that machine — but for the repository's, deliberately left
@@ -289,6 +291,9 @@ class SimHarness:
             if deep:
                 found += oracles.check_replay_agreement(primary, phase)
                 found += oracles.check_settled_is_closed(primary, phase)
+                found += oracles.check_refinement(
+                    primary, system.registry, self._reference, phase
+                )
         self._record(found)
 
     # -- driving --------------------------------------------------------------------
@@ -305,8 +310,9 @@ class SimHarness:
             except SimulatedCrash:
                 continue
 
-    def _all_alive(self) -> bool:
-        return all(node.alive for node in self._system.nodes.values())
+    def _all_alive(self, gone: Collection[str] = ()) -> bool:
+        """Every node is alive, but those in ``gone``."""
+        return all(node.alive for name, node in self._system.nodes.items() if name not in gone)
 
     def _all_terminal(self, iids: List[str]) -> bool:
         fates = map(self._system.fate, iids)
@@ -396,18 +402,27 @@ class SimHarness:
                     break
             else:
                 terminal_since = None
-        healable = self.schedule.heals()
+        healable, gone = self.schedule.heals(), set()
+        if not healable and self.system.replicas:
+            # a primary killed for good excuses nothing its live successor owes
+            healable = NemesisSchedule([
+                fault for fault in self.schedule.faults if not isinstance(fault, KillPrimary)
+            ]).heals()
+            gone = {
+                crash["node"] for crash in self._nemesis.crashes
+                if crash["point"] == "nemesis:kill-primary" and crash["downtime"] is None
+            }
         if healable:
             guard = system.clock.now + QUIESCE_GRACE
             while system.clock.now < guard:
-                if self._all_alive() and self._all_terminal(
+                if self._all_alive(gone) and self._all_terminal(
                     iids + sorted(self._spike_submitted)
                 ):
                     break
                 self._advance(self.check_every)
                 self._check("continuous")
         self._check("quiescence", deep=True)
-        if healable and self._all_alive():
+        if healable and self._all_alive(gone):
             primary = system.primary_execution()
             if primary is not None:
                 accepted = dict.fromkeys(iids, "workload")
@@ -416,8 +431,8 @@ class SimHarness:
             else:
                 self._record([oracles.OracleViolation(
                     "liveness", "primary",
-                    "no replica holds the primary role although every node "
-                    "is healthy and the network is quiet", "quiescence",
+                    "no replica holds the primary role although every fault "
+                    "that can end has ended and the network is quiet", "quiescence",
                 )])
 
     # -- reporting -------------------------------------------------------------------

@@ -32,11 +32,24 @@ Oracles and the guarantees they police:
     the journal, not after.
 ``replay-agreement``
     For every instance, replaying its durable journal from scratch must
-    reproduce the status and outcome the service holds for it: the live
-    tree's, or the summary a settled instance was shed down to.  This is the
-    paper's recovery guarantee checked *without* crashing: if replay
-    disagrees with the service now, a crash right now would change history —
-    and a summary that disagreed could not have been rebuilt.
+    reproduce the answer the service holds for it — status, outcome, output
+    objects by value and marks (:func:`answer_of`) — of the live tree, or of
+    the summary a settled instance was shed down to.  This is the paper's
+    recovery guarantee checked *without* crashing: if replay disagrees with
+    the service now, a crash right now would change history — and a summary
+    that disagreed could not have been rebuilt.
+``refinement``
+    Every faulted run must be one the fault-free semantics could produce.  A
+    terminal instance whose journal records no ``failure``, ``overloaded``,
+    ``force_abort`` or ``reconfig`` entry answers exactly what a
+    :class:`~repro.engine.LocalEngine` run of the same script, root, inputs
+    and implementations answers — but for the values, where the script binds
+    an object from two producers' alternatives (the first to publish wins:
+    the schedule's choice); any other instance's root outcome is one
+    :func:`repro.core.analysis.analyze_outcomes` finds reachable.  The
+    structural oracles above see the journal's shape; this one sees its
+    values (a reply's objects lost on the way in, a task run on another
+    instance's inputs).
 ``closed-is-settled``
     Every instance whose stored ``meta`` carries the ``closed`` mark — in the
     primary's store and in every standby's — must replay cold through its
@@ -51,11 +64,12 @@ Oracles and the guarantees they police:
     Once an instance has been *observed* terminal (the observation implies
     the deciding entry was journaled, because entries are journaled before
     they are applied), no later crash/recovery may change its status or
-    outcome.  On a run whose faults never end (a primary killed for good)
-    it is the only check of an outcome: ``liveness`` waits for a healed
-    cluster.
+    outcome.  On a run whose faults never end (a node down for good) it is
+    the only check of an outcome.
 ``liveness``
-    Once every node is healthy and the network is quiet, every instance
+    Once every fault that can end has ended and the network is quiet — a
+    primary killed for good excuses nothing its live successor owes — every
+    instance
     the execution service accepted — the workload's, and each load-spike
     submission it returned an id for instead of refusing with
     ``Overloaded`` — must be terminal within the quiescence grace period.
@@ -206,11 +220,30 @@ def check_journal_integrity(
     return violations
 
 
+def answer_of(tree: Any) -> Tuple[str, Optional[str], Dict[str, Any], List[Tuple[str, Dict]]]:
+    """What an instance answers a client (``ExecutionService.result``), by
+    value: status, outcome, output objects and marks — the shape of
+    ``tests/test_concurrent_engine.py::fingerprint``.  ``tree``: a live or
+    settled tree, or a ``LocalEngine`` result."""
+    if hasattr(tree, "root"):
+        objects, marks = tree.log.outputs_of(tree.root.path)
+        status, outcome = tree.status, tree.root.machine.outcome
+    else:
+        objects, marks = tree.objects, tree.marks
+        status, outcome = tree.status, tree.outcome
+    return (
+        status.value,
+        outcome,
+        {name: ref.value for name, ref in objects.items()},
+        [(name, {key: ref.value for key, ref in released.items()}) for name, released in marks],
+    )
+
+
 def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolation]:
-    """Replaying each instance's durable journal must land on the (status,
-    outcome) ``runtimes`` holds for it — a live tree's or a settled
-    instance's summary.  ``service`` is an ExecutionService; typed as Any to
-    keep this module import-light."""
+    """Replaying each instance's durable journal must land on the answer
+    ``runtimes`` holds for it — a live tree's or a settled instance's
+    summary.  ``service`` is an ExecutionService; typed as Any to keep this
+    module import-light."""
     violations: List[OracleViolation] = []
     for iid, runtime in sorted(service.runtimes.items()):
         shadow = service._replay(iid)
@@ -222,8 +255,7 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
                 )
             )
             continue
-        live = (runtime.tree.status.value, runtime.tree.root.machine.outcome)
-        replayed = (shadow.tree.status.value, shadow.tree.root.machine.outcome)
+        live, replayed = answer_of(runtime.tree), answer_of(shadow.tree)
         if live != replayed:
             violations.append(
                 OracleViolation(
@@ -233,6 +265,81 @@ def check_replay_agreement(service: Any, phase: str = "") -> List[OracleViolatio
                 )
             )
     return violations
+
+
+# entries after which a fault-free run is no longer the reference
+_DEPARTURES = frozenset({"failure", "overloaded", "force_abort", "reconfig"})
+
+
+def _races(script: Any) -> bool:
+    """Whether some object is bound from alternatives of two or more
+    producers: which one an instance takes is then the schedule's choice
+    (the first to publish), and the fault-free run is one answer of several."""
+    for _path, decl in script.walk_tasks():
+        bindings = [obj for input_set in decl.input_sets for obj in input_set.objects]
+        bindings += [obj for output in getattr(decl, "outputs", ()) for obj in output.objects]
+        if any(len({source.task_name for source in binding.sources}) > 1 for binding in bindings):
+            return True
+    return False
+
+
+def check_refinement(
+    service: Any, registry: Any, reference: Dict[Tuple, Any], phase: str = ""
+) -> List[OracleViolation]:
+    """Each terminal instance answers what the fault-free semantics could.
+    ``registry``: the implementations the workers run; ``reference``: the
+    caller's memo of reference answers, kept across checks of one run."""
+    from ..core.analysis import analyze_outcomes
+    from ..engine import LocalEngine
+    from ..lang import compile_script
+
+    violations: List[OracleViolation] = []
+    stored = service.journal
+    for iid, runtime in sorted(service.runtimes.items()):
+        answer = answer_of(runtime.tree)
+        spec = stored.spec(iid)
+        entries = stored.entries(iid)
+        if answer[0] not in TERMINAL or spec is None or None in entries:
+            continue  # still running, or journal-contiguity's to report
+        text = stored.script_text(spec["script"])
+        departed = False
+        for entry in entries:
+            departed = departed or entry["type"] in _DEPARTURES
+            if entry["type"] == "reconfig":
+                text = entry["script_text"]
+        start = (spec["root_task"], spec["input_set"])
+        if ("races", text) not in reference:
+            reference["races", text] = _races(compile_script(text))
+        if departed:
+            key = ("reachable", text) + start
+            if key not in reference:
+                reference[key] = set(analyze_outcomes(compile_script(text), *start).reachable)
+            if answer[1] is None or answer[1] in reference[key]:
+                continue
+            detail = f"root outcome {answer[1]!r} is not reachable: {sorted(reference[key])}"
+        else:
+            key = ("answer", text) + start + (repr(sorted(spec["inputs"].items())),)
+            if key not in reference:
+                reference[key] = answer_of(LocalEngine(registry).run(
+                    compile_script(text), spec["root_task"], inputs=spec["inputs"],
+                    input_set=spec["input_set"],
+                ))
+            expected = reference[key]
+            if reference["races", text]:
+                # the values are the schedule's choice; what is released is not
+                answer, expected = _shape(answer), _shape(expected)
+            if answer == expected:
+                continue
+            detail = f"answers {answer}, the fault-free run {expected}"
+        violations.append(OracleViolation("refinement", iid, detail, phase))
+    return violations
+
+
+def _shape(answer: Tuple) -> Tuple:
+    """An answer without its values: status, outcome, the output objects'
+    names and each mark's name with its objects' names."""
+    status, outcome, objects, marks = answer
+    return status, outcome, sorted(objects), [(name, sorted(released)) for name, released in marks]
 
 
 def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolation]:

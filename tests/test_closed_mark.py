@@ -262,7 +262,7 @@ class TestClosedIsSettledOracle:
         honest = SimHarness(schedule=self.MID_RUN_CRASH, workload=workload).run()
         assert honest.ok, honest.violations
         assert honest.crashes
-        monkeypatch.setattr(execution_mod, "Journal", EveryBarrierCloses)
+        monkeypatch.setattr(execution_mod, "JournalStore", EveryBarrierCloses)
         report = SimHarness(schedule=self.MID_RUN_CRASH, workload=workload).run()
         fired = {violation["oracle"] for violation in report.violations}
         assert "closed-is-settled" in fired, report.violations
@@ -282,14 +282,17 @@ class TestClosedIsSettledOracle:
             service.journal.service = service
             found = oracle_after_every_barrier(service)
             out_at_the_end = []
-            dispatch = service._dispatch_pending
 
-            def _dispatch_pending(runtime):
-                dispatch(runtime)
-                if runtime.tree.status.value != "running" and runtime.in_flight:
+            def tap(effect):
+                # the terminal barrier of an instance with flights out
+                runtime = getattr(effect, "runtime", None)
+                if (
+                    type(effect) is execution_mod.Dispatch and not effect.flights
+                    and runtime.tree.status.value != "running" and runtime.in_flight
+                ):
                     out_at_the_end.append(sorted(runtime.in_flight))
 
-            service._dispatch_pending = _dispatch_pending
+            service.tap = tap
             iid = system.instantiate("wl", root, inputs)
             assert system.run_until_terminal(iid)["status"] == "completed"
             assert out_at_the_end and ("dag/t11", 1) in out_at_the_end[0]
@@ -340,7 +343,7 @@ class TestSettledIsClosedOracle:
     def test_it_fires_when_the_barrier_ignores_closed(self, workload, monkeypatch):
         honest = SimHarness(workload=workload, instances=2).run()
         assert honest.ok, honest.violations
-        monkeypatch.setattr(execution_mod, "Journal", NeverCloses)
+        monkeypatch.setattr(execution_mod, "JournalStore", NeverCloses)
         report = SimHarness(workload=workload, instances=2).run()
         fired = {(violation["oracle"], violation["subject"]) for violation in report.violations}
         assert fired == {("settled-is-closed", "wf-1"), ("settled-is-closed", "wf-2")}

@@ -9,20 +9,21 @@ pin what that rests on:
   after the JSON round trip the WAL mirror puts a row through — including
   plain outputs that are lists, dicts, dicts holding a ``"__ref__"`` key and
   ``None``, and refs without ``produced_by`` / ``via``.  An entry the table
-  cannot spell is stored as the dict it is, and reads back as itself.
+  cannot spell is refused: the service journals none.
 * **What the service journals.**  Every entry the paper's three
   applications append reads back from ``Journal.entries`` equal to the dict
   appended, key order included, on the primary and on a standby.
 * **Outside input is checked.**  ``Journal.adopt`` refuses a snapshot with
-  an entry of an unknown type or field before anything is logged.
+  an entry of an unknown type or field, or one missing a field, before
+  anything is logged.
 * **A reconfiguration names its text by digest.**  The text is stored once
   per version, in the record of the first entry that names it, and a digest
   that names other text is refused before anything is applied or logged.
 * **One segment per instance per barrier.**  Over interleaved barriers on
-  one to four instances, every entry type, dict rows among positional ones
-  and mixed stamps, ``Journal.entries`` reads back exactly what was
-  appended, also through JSON and through export and import; a store
-  already holding one key per entry (dicts, or rows) reads on.
+  one to four instances, every entry type and mixed stamps,
+  ``Journal.entries`` reads back exactly what was appended, also through
+  JSON and through export and import; a store already holding one row per
+  key reads on.
 """
 
 import copy
@@ -195,8 +196,12 @@ class TestRoundTrip:
              "plain-object-key-extra", "plain-object-value-missing"],
     )
     def test_an_entry_the_table_cannot_spell_is_stored_as_itself(self, entry):
-        row, decoded, scripts = round_trip(entry)
-        assert row is entry and decoded is entry and scripts == {}
+        """Such an entry is refused and nothing is interned (it was stored as
+        the dict it was while the codec kept dict rows)."""
+        scripts = {}
+        with pytest.raises(ExecutionError, match="cannot spell"):
+            encode_entry(entry, scripts)
+        assert scripts == {}
 
 
 # -- what the service journals ---------------------------------------------------------
@@ -247,8 +252,9 @@ def test_every_entry_a_paper_application_journals_reads_back_as_appended(name, m
     [
         lambda entry: entry.__setitem__("type", "rumour"),
         lambda entry: entry.__setitem__("extra", 1),
+        lambda entry: entry.__delitem__("writer"),
     ],
-    ids=["unknown-type", "unknown-field"],
+    ids=["unknown-type", "unknown-field", "missing-field"],
 )
 def test_adopt_refuses_an_unknown_entry_before_anything_is_logged(forge):
     source = WorkflowSystem(workers=2)
@@ -411,14 +417,8 @@ STAMPS = st.tuples(FIELD_VALUES["epoch"], FIELD_VALUES["writer"])
 
 @st.composite
 def any_entry(draw):
-    """An entry of any type of the table, or — now and then — one the table
-    cannot spell, a field short (stored as the dict it is, and still one an
-    import accepts)."""
-    kind = draw(st.sampled_from(sorted(ENTRY_FIELDS)))
-    entry = draw(entries_of(kind))
-    if draw(st.integers(0, 5)) == 0:
-        del entry[draw(st.sampled_from(ENTRY_FIELDS[kind]))]
-    return entry
+    """An entry of any type of the table."""
+    return draw(entries_of(draw(st.sampled_from(sorted(ENTRY_FIELDS)))))
 
 
 @st.composite
@@ -494,7 +494,7 @@ class TestSegmentRoundTrip:
             assert Journal(target).entries(iid) == appended[iid]
             assert journal_keys(target, iid) == ([0] if appended[iid] else [])
 
-    def test_a_multi_entry_segment_shares_one_stamp_and_keeps_a_dict_row_behind_the_marker(self):
+    def test_a_multi_entry_segment_shares_one_stamp_and_keeps_other_stamps_behind_the_marker(self):
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
         stamp = {"epoch": 2, "writer": "execution"}
@@ -507,12 +507,12 @@ class TestSegmentRoundTrip:
         assert store.get_committed(f"instance:{iid}:journal:0") == [
             2, "execution", ["external", "p0", 1], ["external", "p1", 1], ["external", "p2", 1],
         ]
-        odd = {"type": "external", "path": "q", **stamp}  # no exec: stored as a dict
+        odd = {"type": "external", "path": "q", "exec": 1, "epoch": 3, "writer": "execution"}
         journal.append(iid, results[0])
         journal.append(iid, odd)
         journal.commit()
         assert store.get_committed(f"instance:{iid}:journal:3") == [
-            None, ["external", "p0", 1, 2, "execution"], odd,
+            None, ["external", "p0", 1, 2, "execution"], ["external", "q", 1, 3, "execution"],
         ]
         assert journal.entries(iid) == [*results, results[0], odd]
 
@@ -539,17 +539,13 @@ class TestSegmentRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_a_store_holding_one_key_per_entry_reads_each_as_a_segment(self, data):
-        """Per-entry keys — dicts, as logs before the positional form hold
-        them, and positional rows, as logs before segments do — then
-        segments on top: one journal."""
+        """Per-entry keys — positional rows, as logs before segments hold
+        them — then segments on top: one journal."""
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
         old = data.draw(st.lists(any_entry(), min_size=1, max_size=6))
         scripts = {}
-        rows = [
-            entry if data.draw(st.booleans()) else encode_entry(entry, scripts)
-            for entry in old
-        ]
+        rows = [encode_entry(entry, scripts) for entry in old]
         store.commit_batch({
             **{f"script:{digest}": text for digest, text in scripts.items()},
             **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},

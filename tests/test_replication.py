@@ -483,16 +483,15 @@ def depose_at_next_barrier(service):
     the event — what a fenced push or an unreachable lease service does from
     ``_post_barrier``.  Returns the list that empties once it has happened."""
     armed = [True]
-    flush = service.flush_journal
+    ship = service._post_barrier
 
-    def deposing(*args):
-        flushed = flush(*args)
+    def deposing():
+        ship()
         if armed and service.is_primary():
             armed.clear()
             service._demote_self("test")
-        return flushed
 
-    service.flush_journal = deposing
+    service._post_barrier = deposing
     return armed
 
 
@@ -640,6 +639,49 @@ class TestDeposedMidEvent:
         assert standby.is_primary() and standby._sweep_armed
         assert system.broker.resolve("execution").servant is standby
         assert system.run_until_terminal(iid)["status"] == "completed"
+
+
+class TestStaleTailResync:
+    def test_a_tail_left_by_a_deposed_epoch_is_reset(self):
+        """A standby whose persisted tail names an older epoch than the
+        primary's answers a non-reset batch with ``resync``, even where the
+        cursors agree: what followed the last replicated barrier of a deposed
+        reign was never acknowledged.  The primary then resets it, and the
+        standby's store ends equal to the primary's."""
+        system = replicated_system(replicas=2)
+        primary, standby = system.execution_replicas
+        first = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-1"})
+        system.run_until_terminal(first)
+        system.clock.advance(6.0)
+        assert primary._standby_acked[standby.name] == primary.store.wal.last_durable_lsn
+        tail = standby._tail()
+        assert tail["epoch"] == primary.epoch
+        # the tail a standby of the deposed reign kept, at the same cursor
+        standby.store.commit_batch(standby._tail_write(tail["lsn"], primary.epoch - 1))
+        resyncs = standby.repl_stats["resyncs"]
+        replies = []
+        replicate = standby.replicate
+
+        def answered(batch):
+            reply = replicate(batch)
+            replies.append((batch["reset"], reply.get("ok"), reply.get("resync")))
+            return reply
+
+        standby.replicate = answered
+        second = system.instantiate("order", paper_order.ROOT_TASK, {"order": "o-2"})
+        system.run_until_terminal(second)
+        system.clock.advance(6.0)
+        assert replies[:2] == [(False, False, True), (True, True, None)]
+        assert standby.repl_stats["resyncs"] == resyncs + 1
+        tails = (f"_repl:tail:{primary.name}", f"_repl:tail:{standby.name}")
+
+        def held(store):
+            return {key: value for key, value in store.snapshot().items() if key not in tails}
+
+        assert held(standby.store) == held(primary.store)
+        assert standby._tail() == {
+            "lsn": primary.store.wal.last_durable_lsn, "epoch": primary.epoch,
+        }
 
 
 class TestSettledGating:

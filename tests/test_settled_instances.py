@@ -477,13 +477,13 @@ class TestPromotionOfASettledImage:
 
         rebuilt, resumed, replayed = [], [], count_fresh_trees(standby)
         rebuild = standby.admission.rebuild
-        resume = type(standby)._resume_flights
+        resume = type(standby)._resume
         monkeypatch.setattr(
             standby.admission, "rebuild",
             lambda iids, now: (rebuilt.append(sorted(iids)), rebuild(iids, now))[1],
         )
         monkeypatch.setattr(
-            type(standby), "_resume_flights",
+            type(standby), "_resume",
             lambda self, runtime: (
                 resumed.append((runtime.iid, sorted(runtime.in_flight))),
                 resume(self, runtime),

@@ -3,8 +3,9 @@ tier and the terminal statuses are each written down in one file under
 ``src/repro`` (in the style of ``test_journal_layout.py::TestLayout``),
 concurrency is tasks on worker nodes, never threads in one process, the
 compiled plan is the one evaluator and what the static analyzers read, the
-records a step builds are tuples and a clock event is a heap entry with no
-handle and no priority."""
+records a step builds are tuples, a clock event is a heap entry with no
+handle and no priority, and the execution service's decide half acts on
+nothing: it returns effect records for its shell to perform."""
 
 import ast
 import pathlib
@@ -212,3 +213,22 @@ def test_a_clock_event_has_no_handle_and_no_priority():
         ]
     assert named == []
     assert prioritised == []
+
+
+def test_the_decide_half_performs_nothing():
+    """``services/execution.py``'s ``_Coordinator`` decides and returns effect
+    records; only the shell (``ExecutionService``) acts on them: no method of
+    the decide half names the node, the broker or the store, arms a timer,
+    visits a crash point or takes a barrier."""
+    forbidden = {
+        "node", "broker", "store", "call_after", "call_at", "crash_point",
+        "flush_journal", "commit", "_post_barrier", "invoke_deferred",
+    }
+    (tree,) = [tree for rel, tree in sources() if rel == "services/execution.py"]
+    (decide,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_Coordinator"
+    ]
+    methods = {node.name for node in decide.body if isinstance(node, ast.FunctionDef)}
+    assert {"_on_reply", "_on_mark", "_on_deadline", "_on_admin", "_apply_entry"} <= methods
+    assert sorted(forbidden & set(identifiers(decide))) == []

@@ -32,6 +32,7 @@ from repro.lang import format_script
 from repro.resilience import ResilienceConfig, render_resilience
 from repro.resilience.events import EVENT_LIMIT, ResilienceLog
 from repro.services import WorkflowSystem, execution
+from repro.services.execution import Dispatch
 from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import APPLICATIONS, generators
 
@@ -97,27 +98,26 @@ class TestOneBarrierPerBatch:
         service = system.execution
         NemesisSchedule([CrashAtTime(0.5, "worker-node-2", downtime=500.0)]).arm(system)
         seen = []
-        post = service._post
-        invoke = system.broker.invoke_deferred
+        flush = service.flush_journal
         buffered = []
 
-        def traced_post(runtime, flights, hedge=False):
-            redispatch = any(flight.redispatches for _key, flight in flights)
-            buffered[:] = list(service.journal.buffer) if redispatch else []
-            post(runtime, flights, hedge=hedge)
+        def traced_flush(closed=()):
+            buffered[:] = list(service.journal.buffer)
+            return flush(closed)
 
-        def traced_invoke(caller, target, operation, args=(), **kwargs):
-            if operation == "perform" and buffered:
-                (iid,) = {request["instance_id"] for request in args[0]}
-                committed = service.journal.entries(iid)
+        def tap(effect):
+            # a redispatch has left: what its barrier found buffered is durable
+            if type(effect) is Dispatch and buffered and any(
+                flight.redispatches for _key, flight in effect.flights
+            ):
+                committed = service.journal.entries(effect.runtime.iid)
                 seen.append((
                     list(service.journal.buffer),
                     all(entry in committed for _iid, entry in buffered),
                 ))
-            return invoke(caller, target, operation, args, **kwargs)
 
-        service._post = traced_post
-        system.broker.invoke_deferred = traced_invoke
+        service.flush_journal = traced_flush
+        service.tap = tap
         iid = system.instantiate("fan", root, inputs)
         assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
         assert service.stats["redispatches"] >= 1
@@ -129,25 +129,29 @@ class TestOneBarrierPerBatch:
 
 
 class DeadlineAudit:
-    """Records every send of a service and holds each sweeper resend to the
-    send before it: the resend leaves at the first sweep at or after that
-    send's ``dispatched_at + dispatch_timeout``.  ``kinds`` counts the sends
-    that were followed by a resend, by kind: ``first``, ``redispatch`` (the
-    sweeper's), ``resume`` (a rebuilt flight's first send); ``timer`` counts
-    timer arms, which their timer answers before they are due."""
+    """Reads every :class:`Dispatch` record a service performs (its ``tap``)
+    and holds each sweeper resend to the send before it: the resend leaves
+    at the first sweep at or after that send's ``dispatched_at +
+    dispatch_timeout``.  ``kinds`` counts the sends that were followed by a
+    resend, by kind: ``first``, ``redispatch`` (the sweeper's), ``resume`` (a
+    rebuilt flight's first send); ``timer`` counts timer arms, which their
+    timer answers before they are due."""
 
     def __init__(self, service):
         self.service = service
         self.sends = {}  # id(flight) -> (flight, kind, dispatched_at)
         self.kinds = {}
         self.mismatches = []
-        send = service._send
+        service.tap = self.performed
 
-        def audited_send(runtime, key, flight, outbox, hedge=False):
-            now = service._now()
-            send(runtime, key, flight, outbox, hedge=hedge)
-            if hedge or not flight.sent:
-                return
+    def performed(self, effect):
+        if type(effect) is not Dispatch or effect.hedge:
+            return
+        service = self.service
+        now = service._now()
+        for key, flight in effect.flights:
+            if not flight.sent:
+                continue
             known = self.sends.get(id(flight))
             if flight.request["template"].code == "system.timer":
                 kind = "timer"
@@ -162,8 +166,6 @@ class DeadlineAudit:
                 if not deadline <= now < deadline + service.sweep_interval:
                     self.mismatches.append((previous, key, now, deadline))
             self.sends[id(flight)] = (flight, kind, flight.dispatched_at)
-
-        service._send = audited_send
 
 
 class TestDeadlineComputedWhenRead:

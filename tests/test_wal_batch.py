@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.instrument import IOPATH_STATS
 from repro.services import WorkflowSystem
-from repro.services.journal import Journal
+from repro.services.journal import Journal, encode_entry
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, crash_point
 from repro.services.system import SystemSpec
@@ -57,7 +57,8 @@ def use_reference_writer(service, marks=False):
     ``flush_journal`` below is ``ExecutionService.flush_journal`` of commit
     b97b348, verbatim but for where the buffer lives (``self`` spelled
     ``service``, ``_jbuf`` of ``(runtime, entry)`` now
-    ``service.journal.buffer`` of ``(iid, entry)``): one strict-2PL
+    ``service.journal.buffer`` of ``(iid, entry)``) and for each entry's
+    stored form (its positional row, as the journal reads every entry): one strict-2PL
     transaction per barrier — a shared lock and a read for each ``meta``, an
     exclusive lock per written key, ``BEGIN``, one ``UPDATE`` per entry and
     per ``meta``, ``COMMIT``, lock release.  The service's other durable
@@ -79,7 +80,7 @@ def use_reference_writer(service, marks=False):
                 n = lens.get(iid)
                 if n is None:
                     n = txn.read(service.store, f"instance:{iid}:meta")["journal_len"]
-                txn.write(service.store, f"instance:{iid}:journal:{n}", entry)
+                txn.write(service.store, f"instance:{iid}:journal:{n}", encode_entry(entry, {}))
                 lens[iid] = n + 1
             for iid, n in lens.items():
                 meta = {"journal_len": n}
@@ -160,8 +161,8 @@ class TestSameStateAsThePerRecordWriter:
         assert kinds(old) == {w.BEGIN, w.UPDATE, w.COMMIT}
         new_state, old_state = replay(new.wal.durable_records()), replay(old.wal.durable_records())
         # the journal's entries are read back through the journal (the
-        # reference stored one dict per key, the journal one positional
-        # segment per barrier and instance); every other object is compared
+        # reference stored one row per key, the journal one segment per
+        # barrier and instance); every other object is compared
         # as it is stored, key for key, in the same commit order
         for iid in iids:
             assert Journal(new).entries(iid) == Journal(old).entries(iid), iid

@@ -20,6 +20,7 @@ from repro.net.network import LatencyModel
 from repro.orb.broker import DelayedResult
 from repro.resilience import ResilienceConfig
 from repro.services import WorkflowSystem
+from repro.services.execution import Dispatch
 from repro.services.worker import ServiceProfile, TaskWorker
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
@@ -42,22 +43,24 @@ def deployed(workload, **kwargs):
 
 
 def watch_posts(service):
-    """Every ``_post`` of ``service`` as the list of messages it sent:
-    ``(worker, task paths)`` per message, in send order."""
-    posts = []
-    post, invoke = service._post, service.broker.invoke_deferred
-
-    def watched_post(runtime, flights, hedge=False):
-        posts.append([])
-        post(runtime, flights, hedge=hedge)
+    """Every :class:`Dispatch` of ``service`` that sent flights (read from its
+    ``tap``), as the list of messages it sent: ``(worker, task paths)`` per
+    message, in send order."""
+    posts, messages = [], []
+    invoke = service.broker.invoke_deferred
 
     def watched_invoke(caller, target, operation, args=(), **kwargs):
-        if operation == "perform" and posts:
-            posts[-1].append((target, [r["template"].task_path for r in args[0]]))
+        if operation == "perform":
+            messages.append((target, [r["template"].task_path for r in args[0]]))
         return invoke(caller, target, operation, args, **kwargs)
 
-    service._post = watched_post
+    def tap(effect):
+        if type(effect) is Dispatch and effect.flights:
+            posts.append(messages[:])
+            messages.clear()
+
     service.broker.invoke_deferred = watched_invoke
+    service.tap = tap
     return posts
 
 
