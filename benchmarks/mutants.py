@@ -131,10 +131,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        store.commit_batch(writes)"),
        must=True, check="tests/test_journal_codec.py"),
     _m("commit-ignores-closed", "settled-is-closed; described in CHANGES.md",
-       (JOURNAL,
-        '                {"journal_len": n, "closed": True} if iid in closed\n'
-        '                else {"journal_len": n}',
-        '                {"journal_len": n}'),
+       (JOURNAL, '                    "journal_len": n + len(rows), "closed": iid in closed,',
+        '                    "journal_len": n + len(rows), "closed": False,'),
        must=True, check="run:fault-free:order"),
     # the shell answers without the post-barrier primacy check (before the
     # one answer rule: the replica's reconfigure override dropped)
@@ -207,9 +205,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        name, output_kind, stored = row[_RESULT_AT]")),
     _m("every-barrier-closes", "closed-is-settled; tests/test_closed_mark.py",
        (JOURNAL,
-        '                {"journal_len": n, "closed": True} if iid in closed\n'
-        '                else {"journal_len": n}',
-        '                {"journal_len": n, "closed": True}')),
+        "            if tail.ended or iid in closed:\n"
+        '                writes[f"instance:{iid}:meta"] = {\n'
+        '                    "journal_len": n + len(rows), "closed": iid in closed,',
+        "            if True:\n"
+        '                writes[f"instance:{iid}:meta"] = {\n'
+        '                    "journal_len": n + len(rows), "closed": True,')),
     # added after the first deletion: the described bug of PROTOCOLS §9.3
     _m("closed-with-flights-out",
        "closed-is-settled; tests/test_closed_mark.py (random_dag(12, seed=1))",
@@ -296,8 +297,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        for digest, text in scripts.items():\n"
         "            writes.update(self._intern(digest, text))\n"
         "        metas = {key: writes.pop(key) for key in list(writes) if key.endswith(':meta')}\n"
-        "        store.commit_batch(metas)\n        store.commit_batch(writes)"),
-       must=True, check="run:random:order:20"),
+        "        if metas:\n            store.commit_batch(metas)\n"
+        "        store.commit_batch(writes)"),
+       must=True, check="tests/test_closed_mark.py"),
+    # -- the stored form: what a barrier leaves out ----------------------------------
+    _m("row-drops-a-changed-stamp", "the journal's stored form (a promotion's stamp lost)",
+       (JOURNAL, "        elif stamp is not None and epoch == stamp[0] and writer == stamp[1]:",
+        "        elif stamp is not None:"),
+       must=True, check="tests/test_journal_codec.py"),
+    _m("terminal-barrier-omits-meta", "journal_len exact for an ended instance "
+       "(random_dag(12, seed=5) ends with a flight out)",
+       (JOURNAL, "            if tail.ended or iid in closed:", "            if iid in closed:"),
+       must=True, check="tests/test_closed_mark.py"),
     _m("standby-tail-before-records", "store.ingest.pre (torn)",
        (REPLICA,
         "        shipped.append((BATCH, None, None, self._tail_write(batch[\"last_lsn\"], epoch)))",

@@ -124,6 +124,9 @@ class ReplicatedExecutionService(ExecutionService):
             "fenced_pushes": 0,
             "promoted_at": None,
         }
+        # why this replica last stopped being primary, under which epoch and
+        # when: {"reason", "epoch", "at"}, or None
+        self.last_demotion: Optional[Dict[str, Any]] = None
 
     # -- life-cycle -------------------------------------------------------------
 
@@ -243,6 +246,7 @@ class ReplicatedExecutionService(ExecutionService):
             return
         self.role = Role.STANDBY
         self.repl_stats["demotions"] += 1
+        self.last_demotion = {"reason": reason, "epoch": self.epoch, "at": self._now()}
         self._max_epoch_seen = max(self._max_epoch_seen, seen_epoch, self.epoch)
         # Anything journaled past the last replicated barrier — including the
         # still-buffered entries dropped here — was never acknowledged; the
@@ -501,4 +505,5 @@ class ReplicatedExecutionService(ExecutionService):
             "instances": sorted(self.journal.instances()),
             "settled": self.replication_settled(),
             "stats": dict(self.repl_stats),
+            "last_demotion": dict(self.last_demotion) if self.last_demotion else None,
         }

@@ -63,7 +63,7 @@ from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
 from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
-from .journal import Journal as JournalStore, script_digest
+from .journal import Journal as JournalStore, Tail, script_digest
 from .serialization import (
     ref_to_plain,
     refs_from_plain,
@@ -147,7 +147,7 @@ class _Runtime:
     __slots__ = (
         "iid", "script", "tree", "in_flight", "external", "has_deadlines",
         "journal_keys", "unsent", "armed_deadlines",
-        "deadline_expiries", "exec_counter",
+        "deadline_expiries", "exec_counter", "tail",
     )
 
     def __init__(self, iid: str, script: Script, tree: InstanceTree) -> None:
@@ -170,6 +170,9 @@ class _Runtime:
         # unique across compound repeat rounds (children are rebuilt fresh), so
         # journal keys use this counter; replay reproduces it deterministically.
         self.exec_counter: Dict[str, int] = {}
+        # where the durable journal ends: a new instance's is empty, a
+        # replay's is the journal it read (_replay)
+        self.tail = Tail()
 
     @property
     def settled(self) -> bool:
@@ -182,7 +185,7 @@ class _Runtime:
         del (
             self.journal_keys, self.unsent,
             self.armed_deadlines, self.deadline_expiries,
-            self.exec_counter,
+            self.exec_counter, self.tail,
         )
 
 
@@ -527,7 +530,7 @@ class _Coordinator:
             self.rlog.record(now, "stagger", runtime.iid, key[0], detail=f"resend +{delay:.2f}")
             effects.append(Arm(("stagger", runtime, key), now + delay))
         if runtime.has_deadlines:
-            self._arm_deadlines(runtime, effects)
+            self._arm_deadlines(runtime, effects, ())
         return effects
 
     # -- what an applied entry leads to ----------------------------------------------------
@@ -545,13 +548,15 @@ class _Coordinator:
     def _dispatch_pending(self, runtime: _Runtime, effects: List[Effect]) -> None:
         if runtime.tree.ready_heap:  # a step that made nothing ready skips the drain
             self._drain(runtime)
+        flights = ()
         if runtime.unsent and runtime.iid not in self.admission.queue:
             # an instance still waiting in the admission queue keeps its
             # flights built-but-unsent; promotion dispatches them
-            effects.append(Dispatch(runtime, runtime.unsent))
-            runtime.unsent = []
+            flights, runtime.unsent = runtime.unsent, []
         if runtime.has_deadlines:  # a reconfiguration may introduce deadlines
-            self._arm_deadlines(runtime, effects)
+            self._arm_deadlines(runtime, effects, flights)
+        elif flights:
+            effects.append(Dispatch(runtime, flights))
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             # terminal barrier: the deciding entry must be durable before the
             # terminal state can be observed between events (see the
@@ -586,7 +591,10 @@ class _Coordinator:
         finally:
             self._promoting = False
 
-    def _arm_deadlines(self, runtime: _Runtime, effects: List[Effect]) -> None:
+    def _arm_deadlines(
+        self, runtime: _Runtime, effects: List[Effect],
+        flights: Sequence[Tuple[Tuple[str, int], _InFlight]],
+    ) -> None:
         """Fig. 3's abort-from-WAIT by timer: a task whose ``deadline``
         implementation property expires while it still waits for inputs is
         force-aborted into its first abort outcome.  The abort is journaled,
@@ -594,7 +602,13 @@ class _Coordinator:
         *absolute expiry* is journaled the first time a deadline is armed,
         so a recovered task resumes with its remaining deadline (and a
         deadline that lapsed during the outage fires immediately) instead of
-        being granted a fresh full one."""
+        being granted a fresh full one.
+
+        The expiries are journaled ahead of the step's dispatch of
+        ``flights``, so that one barrier makes both durable; a step that
+        sends nothing takes a barrier of its own.  The timers are armed after
+        it: nothing is armed under an epoch the barrier deposed."""
+        arms: List[Effect] = []
         journaled = False
         now = self._now()
         for task in runtime.tree.walk():
@@ -619,11 +633,12 @@ class _Coordinator:
                 self._apply_entry(runtime, entry)
                 journaled = True
             runtime.armed_deadlines.add(key)
-            effects.append(Arm(("deadline", runtime) + key, now + max(0.0, expires_at - now)))
-        if journaled:
+            arms.append(Arm(("deadline", runtime) + key, now + max(0.0, expires_at - now)))
+        if flights or journaled:
             # a deadline's absolute expiry must survive a crash for recovery
             # to resume the *remaining* deadline — a barrier right away
-            effects.append(Dispatch(runtime))
+            effects.append(Dispatch(runtime, flights))
+        effects += arms
 
     def _abandon(
         self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight, now: float
@@ -1224,7 +1239,13 @@ class ExecutionService(_Coordinator, Service):
             # a settled instance is written to again (through the runtime
             # _full_runtime handed out): that runtime is the instance now
             self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        self.journal.append(runtime.iid, entry)  # durable at the next barrier
+        tail = runtime.tail
+        if runtime.tree.status is not WorkflowStatus.RUNNING:
+            # terminal for good: each barrier that touches it from now on
+            # seals its meta with the exact length (the decide half has run,
+            # so this is the tree the barrier leaves)
+            tail.ended = True
+        self.journal.append(runtime.iid, entry, tail)  # durable at the next barrier
         if not self._jflush_armed and self.node is not None and self.node.alive:
             # bound how long a buffered entry may stay volatile: one flush
             # timer per non-empty buffer, armed when the first entry lands
@@ -1399,12 +1420,12 @@ class ExecutionService(_Coordinator, Service):
         if spec is None:
             return None
         runtime = self._fresh_runtime(iid, spec)
-        for entry in self.journal.entries(iid):
-            if entry is None:
-                break
+        entries = self.journal.entries(iid)
+        for entry in entries:
             self._apply_entry(runtime, entry)
             self._drain(runtime)
         runtime.unsent.clear()  # a replay's flights go out by _resume
+        runtime.tail = Tail.after(entries)
         return runtime
 
     def _adopt(self, runtime: _Runtime) -> bool:

@@ -7,12 +7,18 @@ and read back.  Per script version the store holds one write-once
 ``script:<digest>`` with the source text, content-addressed
 (:func:`script_digest`), so recovery and promotion never need the repository.
 Per instance: a write-once ``instance:<iid>:spec`` (the script's digest, root
-task, input set, inputs), an ``instance:<iid>:meta`` holding ``journal_len``
-and, once the instance is finished for good, ``closed``, and one
-``instance:<iid>:journal:<n>`` *segment* per barrier that touched it: the
-entries ``n … n+k-1`` that barrier made durable.  The instances of a store
-are its ``spec`` keys, in commit order; no stored object grows with their
-number.
+task, input set, inputs), one ``instance:<iid>:journal:<n>`` *segment* per
+barrier that touched it — the entries ``n … n+k-1`` that barrier made
+durable — and an ``instance:<iid>:meta``, a seal rather than a counter.  The
+segments are the journal of a running instance: read from position 0 to the
+first position no segment starts at, they say how long it is.  ``meta`` is
+written when the instance is born (``journal_len`` 0) and by every barrier
+that leaves it terminal (its exact ``journal_len`` and ``closed``: whether
+no flight is out); a barrier that writes to an instance after it ended, which
+reopens a closed one, is such a barrier too.  No other barrier writes it, so
+``journal_len`` is exact for an ended instance and a lower bound while it
+runs.  The instances of a store are its ``spec`` keys, in commit order; no
+stored object grows with their number.
 
 An entry is stored positionally, as a row ``[type, *fields]`` in the order
 of :data:`ENTRY_FIELDS` (:func:`encode_entry`), and read back as exactly the
@@ -25,24 +31,25 @@ entry the table cannot spell exactly is refused: every entry the service
 journals carries its ``epoch`` and ``writer``.  ``spec`` and ``meta`` keep
 their dict shapes.
 
-A segment of one entry is that entry's row (:func:`encode_segment`), so a
-store holding one key per entry — rows written before segments — reads each
-key as a one-entry segment.  A segment of several
-entries that share their ``epoch`` and ``writer``, as a barrier's always do,
-is ``[epoch, writer, *rows without them]``: a fan-out's outcomes pay for one
-key and one stamp.  Any other run of entries (an imported journal may mix
-stamps) is ``[None, *rows]``.  A row starts with its type string, so the first
-element tells the three apart (:func:`segment_rows`).
+A segment has one form (:func:`encode_segment`): the list of its rows, or
+the row itself when there is one (a row starts with its type string, a list
+of rows with a row).  A row ends in its ``epoch, writer`` only where they
+differ from the entry's before it in the instance's journal — its first
+entry, the first after a promotion or a recovery — and the reader carries
+the stamp forward.  The writer takes the previous stamp and the next
+position from the instance's :class:`Tail`, which its runtime rebuilds from
+the durable journal whenever it replays.
 
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
 objects' only writer, and a journal must be atomic and durable, not isolated.
 A script's text rides in the record of the first spec or ``reconfig`` entry
 that names it, so a torn force drops both or neither; a barrier's segments
-and the lengths they advance are one record too, whatever the script's size
-or the history's length — and so is the ``closed`` mark of an instance that
-barrier leaves terminal with no flight out (:meth:`Journal.commit`): "closed,
-but the deciding entry is missing" cannot be stored.  The mark is recorded
+and the seals it writes are one record too, whatever the script's size or
+the history's length — so the ``closed`` mark of an instance that barrier
+leaves terminal with no flight out (:meth:`Journal.commit`) is durable or
+lost with the deciding entry: "closed, but the deciding entry is missing"
+cannot be stored.  The mark is recorded
 derived state: a recovery or a promotion takes a closed instance in by its
 key and replays only the open ones.
 
@@ -50,7 +57,8 @@ Nothing else under ``services``, ``replication`` or ``sim`` builds or parses
 one of these keys, the mark, a stored entry or a segment
 (``tests/test_journal_layout.py::TestLayout`` holds the source to the keys),
 so the layout changes in this file alone: the mark was the first step, the
-positional entry the second, the segment the third; truncating the segments
+positional entry the second, the segment the third, ``meta`` as a seal and
+the stamp written where it changes the fourth; truncating the segments
 below a stored state image, and stored outcomes, come next.
 """
 
@@ -95,6 +103,7 @@ _RESULT_AT = _ENTRY_KEYS["result"].index("result")
 _TEXT_AT = _ENTRY_KEYS["reconfig"].index("script_text")
 
 Row = List[Any]
+Stamp = Tuple[int, str]
 
 
 def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
@@ -138,13 +147,19 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
     return row
 
 
-def decode_entry(row: Row, script_text: Callable[[str], Optional[str]]) -> Dict[str, Any]:
+def decode_entry(
+    row: Row, script_text: Callable[[str], Optional[str]], stamp: Optional[Stamp] = None
+) -> Dict[str, Any]:
     """The entry ``row`` was encoded from (:func:`encode_entry`): equal to
     the dict that was appended, keys in the table's order.  ``script_text``
     resolves a ``reconfig``'s digest (a digest the store holds no text for
-    reads back as ``None``)."""
+    reads back as ``None``); a row stored without its ``epoch, writer``
+    (:func:`encode_segment`) takes ``stamp``, the entry's before it."""
     kind = row[0]
-    entry = dict(zip(_ENTRY_KEYS[kind], row))
+    keys = _ENTRY_KEYS[kind]
+    entry = dict(zip(keys, row))
+    if len(row) < len(keys):
+        entry["epoch"], entry["writer"] = stamp
     if kind == "result":
         output_kind, name, stored = row[_RESULT_AT]
         objects: Dict[str, Any] = {}
@@ -159,34 +174,54 @@ def decode_entry(row: Row, script_text: Callable[[str], Optional[str]]) -> Dict[
     return entry
 
 
-def encode_segment(rows: List[Row]) -> Any:
+class Tail:
+    """Where one instance's durable journal ends, as the runtime that writes
+    it knows it: ``length``, the position the next segment starts at;
+    ``stamp``, the ``(epoch, writer)`` of the last entry when that is an
+    ``int`` and a ``str`` (else ``None``: the next row spells its own);
+    ``ended``, set by the owner once the instance is terminal, so that every
+    barrier that touches it writes its ``meta``.  Built empty for a new
+    instance (the class defaults: no call) and by :meth:`after` from the
+    journal a replay read — never kept across a crash, a demotion or a
+    promotion, which all replay."""
+
+    length = 0
+    stamp: Optional[Stamp] = None
+    ended = False
+
+    @classmethod
+    def after(cls, entries: List[Dict[str, Any]]) -> "Tail":
+        """The tail of a journal that holds ``entries``."""
+        tail = cls()
+        if entries:
+            epoch, writer = entries[-1]["epoch"], entries[-1]["writer"]
+            tail.length = len(entries)
+            if type(epoch) is int and type(writer) is str:
+                tail.stamp = (epoch, writer)
+        return tail
+
+
+def encode_segment(rows: List[Row], stamp: Optional[Stamp]) -> Tuple[Any, Optional[Stamp]]:
     """One stored value for ``rows``, consecutive entries of one journal
-    (:func:`encode_entry`): the row itself when there is one; ``[epoch,
-    writer, *rows without them]`` when every row is positional and ends in
-    the same ``int`` epoch and ``str`` writer (so equal means identical);
-    else ``[None, *rows]``.  It makes no call per row."""
-    if len(rows) == 1:
-        return rows[0]
-    stamp = rows[0][-2:]
-    if type(stamp[0]) is int and type(stamp[1]) is str:
-        shared = stamp.copy()
-        for row in rows:
-            if row[-2:] != stamp or type(row[-2]) is not int or type(row[-1]) is not str:
-                break
-            shared.append(row[:-2])
+    (:func:`encode_entry`) whose entry before them had ``stamp``: each row
+    loses its trailing ``epoch, writer`` when they equal the entry's before
+    it, and the segment is the list of rows — the row itself when there is
+    one.  Returns the segment and the stamp of its last row.  Rows are
+    changed in place."""
+    for row in rows:
+        epoch, writer = row[-2], row[-1]
+        if type(epoch) is not int or type(writer) is not str:
+            stamp = None  # spelled out, and so is the next row's
+        elif stamp is not None and epoch == stamp[0] and writer == stamp[1]:
+            del row[-2:]
         else:
-            return shared
-    return [None, *rows]
+            stamp = (epoch, writer)
+    return (rows[0] if len(rows) == 1 else rows), stamp
 
 
 def segment_rows(segment: Any) -> List[Row]:
     """The rows :func:`encode_segment` stored as ``segment``, in order."""
-    if isinstance(segment[0], str):
-        return [segment]  # one row: [type, *fields]
-    if segment[0] is None:
-        return segment[1:]
-    epoch, writer, *rows = segment
-    return [[*row, epoch, writer] for row in rows]
+    return [segment] if isinstance(segment[0], str) else segment
 
 
 class Journal:
@@ -199,6 +234,8 @@ class Journal:
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
         self.buffer: List[Tuple[str, Dict[str, Any]]] = []
+        # the tail each buffered instance was appended at, until the commit
+        self._tails: Dict[str, Tail] = {}
 
     # -- writing ----------------------------------------------------------------
 
@@ -281,7 +318,7 @@ class Journal:
         }
         writes[f"instance:{iid}:meta"] = {"journal_len": len(entries)}
         if rows:
-            writes[f"instance:{iid}:journal:0"] = encode_segment(rows)
+            writes[f"instance:{iid}:journal:0"] = encode_segment(rows, None)[0]
         self.store.commit_batch(writes)
 
     def _intern(self, digest: str, text: str) -> Dict[str, str]:
@@ -305,26 +342,28 @@ class Journal:
         carrying it, asked before the entry is applied or buffered."""
         self._intern(script_digest(text), text)
 
-    def append(self, iid: str, entry: Dict[str, Any]) -> None:
-        """Buffer ``entry`` as the next of ``iid``'s journal; it becomes
-        durable at the next :meth:`commit`."""
+    def append(self, iid: str, entry: Dict[str, Any], tail: Tail) -> None:
+        """Buffer ``entry`` as the next of ``iid``'s journal, whose durable
+        end is ``tail``; it becomes durable at the next :meth:`commit`."""
         IOPATH_STATS.journal_entries += 1
         self.buffer.append((iid, entry))
+        self._tails[iid] = tail
 
     def commit(self, closed: Collection[str] = ()) -> int:
         """Make every buffered entry durable — one segment per touched
-        instance holding its entries in their stored form
-        (:func:`encode_segment`), each touched instance's ``meta`` and the
-        text of any ``reconfig`` the store lacks, one WAL record, one force —
-        then drain the WAL's group-commit window.  The record is
-        all-or-nothing (a torn force drops it whole), so recovery sees a
-        contiguous journal either way.
-        ``closed`` names the instances this barrier leaves terminal with no
-        flight out: those among the touched get the mark beside their length
-        — durable or lost together with the entry that earned it; any other
-        touched instance has its ``meta`` written without it, which is how a
-        later write reopens one.  Returns the number of entries committed."""
+        instance at its tail's position, holding its entries in their stored
+        form (:func:`encode_segment`), and the text of any ``reconfig`` the
+        store lacks, one WAL record, one force — then drain the WAL's
+        group-commit window.  The record is all-or-nothing (a torn force
+        drops it whole), so recovery sees a contiguous journal either way.
+        A touched instance whose tail has ``ended`` — this barrier leaves it
+        terminal, or writes to it after it ended, which reopens a closed one
+        — also gets its ``meta``: its length, and ``closed`` when ``closed``
+        names it (no flight out), durable or lost together with the entry
+        that earned it.  Every other barrier writes segments alone.  Returns
+        the number of entries committed."""
         batch, self.buffer = self.buffer, []
+        tails, self._tails = self._tails, {}
         store = self.store
         writes: Dict[str, Any] = {}
         segments: Dict[str, List[Row]] = {}
@@ -335,22 +374,21 @@ class Journal:
                 segments[iid] = [encode_entry(entry, scripts)]
             else:
                 rows.append(encode_entry(entry, scripts))
-        lens: Dict[str, int] = {}
+        ends: List[Tuple[Tail, int, Optional[Stamp]]] = []
         for iid, rows in segments.items():
-            n = store.read_committed(f"instance:{iid}:meta")["journal_len"]
-            # a lone entry is its own segment: no call for a chain's step
-            writes[f"instance:{iid}:journal:{n}"] = (
-                rows[0] if len(rows) == 1 else encode_segment(rows)
-            )
-            lens[iid] = n + len(rows)
-        for iid, n in lens.items():
-            writes[f"instance:{iid}:meta"] = (
-                {"journal_len": n, "closed": True} if iid in closed
-                else {"journal_len": n}
-            )
+            tail = tails[iid]
+            n = tail.length
+            writes[f"instance:{iid}:journal:{n}"], stamp = encode_segment(rows, tail.stamp)
+            ends.append((tail, n + len(rows), stamp))
+            if tail.ended or iid in closed:
+                writes[f"instance:{iid}:meta"] = {
+                    "journal_len": n + len(rows), "closed": iid in closed,
+                }
         for digest, text in scripts.items():
             writes.update(self._intern(digest, text))
         store.commit_batch(writes)
+        for tail, length, stamp in ends:
+            tail.length, tail.stamp = length, stamp
         IOPATH_STATS.journal_batches += 1
         crash_point("exec.journal.post", store)
         store.sync()
@@ -373,11 +411,39 @@ class Journal:
             if key.startswith(prefix) and key.endswith(suffix)
         ]
 
+    def segments(self) -> Dict[str, List[int]]:
+        """Every instance of the store, in :meth:`instances` order, with the
+        positions its stored segments start at, ascending — from the same
+        one key scan.  A position the walk of :meth:`entries` does not reach
+        is a hole."""
+        found: Dict[str, List[int]] = {}
+        starts: Dict[str, List[int]] = {}
+        prefix, suffix = "instance:", ":spec"
+        for key in self.store.keys():
+            if not key.startswith(prefix):
+                continue
+            if key.endswith(suffix):
+                iid = key[len(prefix):-len(suffix)]
+                found[iid] = starts.setdefault(iid, [])
+                continue
+            head, journal, position = key.rpartition(":journal:")
+            if journal:
+                starts.setdefault(head[len(prefix):], []).append(int(position))
+        for positions in found.values():
+            positions.sort()
+        return found
+
     def closed(self, iid: str) -> bool:
         """Whether ``iid``'s last barrier left it terminal with no flight out
         (:meth:`commit`): nobody who opens the store needs to replay it.  One
         without the mark — open, imported, or older than the mark — is replayed."""
         return self.store.get_committed(f"instance:{iid}:meta", {}).get("closed", False)
+
+    def ended(self, iid: str) -> bool:
+        """Whether a barrier that left ``iid`` terminal wrote its ``meta``
+        (closed or not): its ``journal_len`` is then exact, not a lower
+        bound."""
+        return "closed" in self.store.get_committed(f"instance:{iid}:meta", {})
 
     def spec(self, iid: str) -> Optional[Dict[str, Any]]:
         return self.store.get_committed(f"instance:{iid}:spec")
@@ -388,27 +454,27 @@ class Journal:
 
     def length(self, iid: str) -> Optional[int]:
         """``iid``'s committed ``journal_len`` (``None`` without a ``meta``;
-        spec and meta commit together)."""
+        spec and meta commit together): exact once the instance
+        :meth:`ended`, a lower bound while it runs."""
         meta = self.store.get_committed(f"instance:{iid}:meta")
         return None if meta is None else meta["journal_len"]
 
-    def entries(self, iid: str) -> List[Optional[Dict[str, Any]]]:
+    def entries(self, iid: str) -> List[Dict[str, Any]]:
         """``iid``'s committed entries, in order, each the dict that was
-        appended (:func:`decode_entry`; ``None`` at a position where no
-        segment starts or covers it: a hole).  The walk goes segment by
-        segment from position 0 while the position is below ``journal_len``,
-        so a segment that runs past it is read whole: the list is then
-        longer than ``journal_len``, which the contiguity oracle reports."""
-        length = self.length(iid) or 0
+        appended (:func:`decode_entry`).  The walk goes segment by segment
+        from position 0 to the first position where no segment starts,
+        carrying each row's stamp to the next; it does not read ``meta``, so
+        a segment past a lost one is not reached (:meth:`segments` finds
+        it), and one running past ``journal_len`` is read whole."""
         read, script_text = self.store.get_committed, self.script_text
         prefix = f"instance:{iid}:journal:"
-        found: List[Optional[Dict[str, Any]]] = []
-        while len(found) < length:
+        found: List[Dict[str, Any]] = []
+        stamp: Optional[Stamp] = None
+        while True:
             segment = read(f"{prefix}{len(found)}")
             if segment is None:
-                found.append(None)
-            elif isinstance(segment[0], str):
-                found.append(decode_entry(segment, script_text))  # one row (segment_rows)
-            else:
-                found += [decode_entry(row, script_text) for row in segment_rows(segment)]
-        return found
+                return found
+            for row in segment_rows(segment):
+                entry = decode_entry(row, script_text, stamp)
+                stamp = (entry["epoch"], entry["writer"])
+                found.append(entry)

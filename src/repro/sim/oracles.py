@@ -15,10 +15,11 @@ Oracles and the guarantees they police:
     the log cannot reproduce (a lost write after the next crash).
 ``journal-contiguity``
     Every instance in the store (every durable ``instance:<iid>:spec``) must
-    have its meta object and journal entries ``0..journal_len-1`` all
-    present, and no more: its segments must end at ``journal_len``.  A gap
-    or an overrun means the instantiate or journal-append record committed
-    non-atomically.
+    have its meta object, and its segments, walked from position 0, must
+    reach ``journal_len`` and every stored segment (one key scan finds
+    them); an instance a barrier left terminal (its ``meta`` written then)
+    must end exactly at ``journal_len``.  A gap or an overrun means the
+    instantiate or journal-append record committed non-atomically.
 ``script-resolution``
     Every durable spec names its script by digest, and that
     ``script:<digest>`` must be present in the *same* store — on the primary
@@ -149,7 +150,7 @@ def check_journal_integrity(
     journal."""
     violations: List[OracleViolation] = []
     stored = Journal(store)
-    for iid in stored.instances():
+    for iid, starts in stored.segments().items():
         digest = stored.spec(iid)["script"]
         if stored.script_text(digest) is None:
             violations.append(
@@ -169,8 +170,11 @@ def check_journal_integrity(
             )
             continue
         journal = stored.entries(iid)
-        holes = [n for n, entry in enumerate(journal) if entry is None]
-        if holes:
+        # the walk ends at its first missing position: a segment starting
+        # past it, or a journal_len past it, says entries are missing there
+        end = max([length, *starts])
+        if end > len(journal):
+            holes = list(range(len(journal), end))
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
@@ -178,7 +182,7 @@ def check_journal_integrity(
                     f"{holes[:5]} are missing", phase,
                 )
             )
-        if len(journal) > length:
+        if len(journal) > length and stored.ended(iid):
             violations.append(
                 OracleViolation(
                     "journal-contiguity", iid,
@@ -299,7 +303,7 @@ def check_refinement(
         answer = answer_of(runtime.tree)
         spec = stored.spec(iid)
         entries = stored.entries(iid)
-        if answer[0] not in TERMINAL or spec is None or None in entries:
+        if answer[0] not in TERMINAL or spec is None or len(entries) < (stored.length(iid) or 0):
             continue  # still running, or journal-contiguity's to report
         text = stored.script_text(spec["script"])
         departed = False
@@ -352,12 +356,12 @@ def check_closed_is_settled(service: Any, phase: str = "") -> List[OracleViolati
     for iid in filter(stored.closed, stored.instances()):
         shadow = service._replay(iid)
         status = shadow.tree.status.value
-        holes = stored.entries(iid).count(None)
-        if holes or status not in TERMINAL or shadow.in_flight:
+        missing = stored.length(iid) - len(stored.entries(iid))
+        if missing > 0 or status not in TERMINAL or shadow.in_flight:
             violations.append(OracleViolation(
                 "closed-is-settled", iid,
-                f"{service.store.name} marks the instance closed, but its journal has "
-                f"{holes} hole(s) and replays to status {status!r} with "
+                f"{service.store.name} marks the instance closed, but its journal lacks "
+                f"{max(missing, 0)} of its entries and replays to status {status!r} with "
                 f"{sorted(shadow.in_flight)} still in flight", phase,
             ))
     return violations

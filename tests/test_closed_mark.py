@@ -186,6 +186,8 @@ class TestTheMarkAndItsEntryAreOneRecord:
         [
             ("wal.force.pre", "clean", 0, False),
             ("wal.force.pre", "torn", 0, False),  # a lone BATCH, torn away whole
+            # just after the deciding force: entry and mark are both durable
+            ("wal.force.post", "clean", 0, True),
             ("store.ingest.pre", "clean", 2, False),
             # the follower's tail is the torn record; what it names is durable
             ("store.ingest.pre", "torn", 2, True),
@@ -274,7 +276,9 @@ class TestClosedIsSettledOracle:
         """``random_dag(12, seed=5)`` is a script that ends with a flight
         out: the root's outcome is decided while ``t11`` still runs.  None of
         the paper scripts does — under the honest journal an instance like
-        this stays unmarked until its last flight is answered."""
+        this stays unmarked until its last flight is answered, and the
+        terminal barrier still writes its ``meta``: its exact length, not
+        closed."""
         def run(journal_class):
             system, root, inputs = deployed(random_dag(12, seed=5), workers=2)
             service = system.execution
@@ -291,6 +295,9 @@ class TestClosedIsSettledOracle:
                     and runtime.tree.status.value != "running" and runtime.in_flight
                 ):
                     out_at_the_end.append(sorted(runtime.in_flight))
+                    stored = Journal(service.store)
+                    assert stored.ended(runtime.iid)
+                    assert stored.length(runtime.iid) == len(stored.entries(runtime.iid))
 
             service.tap = tap
             iid = system.instantiate("wl", root, inputs)

@@ -138,12 +138,14 @@ class TestEvents:
         service = coordinator()
         runtime = started(service, deadline_script("30"), "wf", {})
         effects = service._on_instantiate(runtime, "start", "normal")
-        assert kinds(effects) == ["Dispatch", "Journal", "Arm", "Dispatch", "Answer"]
-        assert effects[1].entry == {
+        # the expiry rides in the step's own barrier, ahead of its send; the
+        # timer is armed once that barrier is taken
+        assert kinds(effects) == ["Journal", "Dispatch", "Arm", "Answer"]
+        assert effects[0].entry == {
             "type": "deadline", "path": "wf/gather", "exec": 0, "expires_at": 30.0,
         }
+        assert flight_paths(effects[1]) == ["wf/maybe"]
         assert effects[2] == Arm(("deadline", runtime, "wf/gather", 0), 30.0)
-        assert effects[3] == Dispatch(runtime)  # the expiry is made durable at once
         # the timer fires: the waiting task is force-aborted, the instance ends
         # with ``maybe`` still out, so the terminal barrier does not close it
         effects = service._on_deadline(runtime, "wf/gather", 0)

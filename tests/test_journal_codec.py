@@ -20,10 +20,12 @@ pin what that rests on:
   per version, in the record of the first entry that names it, and a digest
   that names other text is refused before anything is applied or logged.
 * **One segment per instance per barrier.**  Over interleaved barriers on
-  one to four instances, every entry type and mixed stamps,
-  ``Journal.entries`` reads back exactly what was appended, also through
-  JSON and through export and import; a store already holding one row per
-  key reads on.
+  one to four instances, every entry type, stamps that change mid-journal
+  (a promotion) and crashes between barriers, ``Journal.entries`` reads back
+  exactly what was appended, also through JSON and through export and
+  import; a row spells its ``epoch, writer`` only where they change, and
+  ``meta`` is written only for an instance a barrier leaves terminal.  A
+  store already holding one row per key reads on.
 """
 
 import copy
@@ -39,7 +41,9 @@ from repro.engine import outcome
 from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
 from repro.services import journal as journal_mod
-from repro.services.journal import ENTRY_FIELDS, Journal, decode_entry, encode_entry, script_digest
+from repro.services.journal import (
+    ENTRY_FIELDS, Journal, Tail, decode_entry, encode_entry, script_digest,
+)
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
@@ -212,9 +216,9 @@ def record_appends(monkeypatch):
     appended = {}
     append = Journal.append
 
-    def recording(self, iid, entry):
+    def recording(self, iid, entry, tail):
         appended.setdefault(iid, []).append(copy.deepcopy(entry))
-        append(self, iid, entry)
+        append(self, iid, entry, tail)
 
     monkeypatch.setattr(Journal, "append", recording)
     return appended
@@ -425,7 +429,8 @@ def any_entry(draw):
 def barriers(draw, instances):
     """Interleaved barriers over ``instances`` instances: each a list of
     ``(instance index, entry)``, the entries stamped alike (as the service
-    stamps a barrier's) unless drawn otherwise."""
+    stamps a barrier's) unless drawn otherwise, so that a stamp changes
+    between barriers (a promotion) and, now and then, within one."""
     drawn = []
     for _ in range(draw(st.integers(1, 6))):
         epoch, writer = draw(STAMPS)
@@ -462,59 +467,122 @@ def created(store, count):
     ]
 
 
+def stamps_spelled(store, iid):
+    """How many of ``iid``'s stored rows spell their ``epoch, writer``."""
+    spelled = 0
+    for n in journal_keys(store, iid):
+        segment = store.get_committed(f"instance:{iid}:journal:{n}")
+        rows = [segment] if isinstance(segment[0], str) else segment
+        spelled += sum(len(row) == len(ENTRY_FIELDS[row[0]]) + 1 for row in rows)
+    return spelled
+
+
+def stamp_changes(entries):
+    """Where a row must spell its stamp: the first entry, and each entry
+    whose ``(epoch, writer)`` differs from the one before it."""
+    before, changes = None, 0
+    for entry in entries:
+        stamp = (entry["epoch"], entry["writer"])
+        changes += stamp != before
+        before = stamp
+    return changes
+
+
 class TestSegmentRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), count=st.integers(1, 4))
     def test_interleaved_barriers_read_back_as_appended(self, data, count):
+        """Each barrier is one record holding one segment per instance it
+        touched, and ``meta`` only for those it ends; between barriers the
+        store may crash, losing what was buffered, and the tails are then
+        rebuilt from the durable journal, as a recovery does."""
         store = ObjectStore("exec")
         journal, iids = created(store, count)
+        tails = {iid: Tail() for iid in iids}
         appended = {iid: [] for iid in iids}
         for barrier in data.draw(barriers(count)):
-            touched = set()
+            touched, ending = set(), set()
             for index, entry in barrier:
-                journal.append(iids[index], entry)
-                appended[iids[index]].append(copy.deepcopy(entry))
-                touched.add(iids[index])
+                iid = iids[index]
+                if data.draw(st.integers(0, 4)) == 0:
+                    tails[iid].ended = True  # the owner saw it end
+                journal.append(iid, entry, tails[iid])
+                appended[iid].append(copy.deepcopy(entry))
+                touched.add(iid)
+                if tails[iid].ended:
+                    ending.add(iid)
+            if data.draw(st.integers(0, 5)) == 0:
+                # a crash before the barrier: the buffer is lost with the
+                # entries it held, and every tail is rebuilt from the store
+                # (an instance that ended stays ended: its owner replays it
+                # to a terminal tree)
+                store.crash()
+                journal = Journal(store)
+                for index, _entry in barrier:
+                    appended[iids[index]].pop()
+                for iid in iids:
+                    tails[iid] = Tail.after(journal.entries(iid))
+                    tails[iid].ended = journal.ended(iid)
+                continue
+            closed = {iid for iid in ending if data.draw(st.booleans())}
             written = len(store.wal)
-            assert journal.commit() == len(barrier)
-            # one record, one segment per instance the barrier touched
+            assert journal.commit(closed) == len(barrier)
             (record,) = list(store.wal.durable_records())[written:]
             assert sum(":journal:" in key for key in record.value) == len(touched)
+            assert {key.split(":")[1] for key in record.value if key.endswith(":meta")} == ending
+            for iid in ending:
+                assert journal.length(iid) == len(appended[iid]) and journal.ended(iid)
+                assert journal.closed(iid) == (iid in closed)
         mirrored = Journal(PlainStore(store))
         for iid in iids:
             assert journal.entries(iid) == appended[iid]
-            assert journal.length(iid) == len(appended[iid])
             assert [list(entry) for entry in journal.entries(iid)] == [
                 list(entry) for entry in appended[iid]
             ]
             assert mirrored.entries(iid) == json.loads(json.dumps(appended[iid]))
+            assert journal.length(iid) <= len(appended[iid])
+            # a row spells its stamp exactly where it changes
+            assert stamps_spelled(store, iid) == stamp_changes(appended[iid])
             # export -> import: one segment, the same entries
             target = ObjectStore("target")
             Journal(target).adopt(journal.snapshot(iid), script_digest(SCRIPT))
             assert Journal(target).entries(iid) == appended[iid]
+            assert Journal(target).length(iid) == len(appended[iid])
             assert journal_keys(target, iid) == ([0] if appended[iid] else [])
+        # (drawn entries may repeat one another: exactly-once is not asked)
+        assert [
+            violation for violation in check_journal_integrity(store)
+            if violation.oracle == "journal-contiguity"
+        ] == []
 
-    def test_a_multi_entry_segment_shares_one_stamp_and_keeps_other_stamps_behind_the_marker(self):
+    def test_a_multi_entry_segment_shares_one_stamp_and_keeps_a_changed_one_on_its_row(self):
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
+        tail = Tail()
         stamp = {"epoch": 2, "writer": "execution"}
         results = [
             {"type": "external", "path": f"p{n}", "exec": 1, **stamp} for n in range(3)
         ]
         for entry in results:
-            journal.append(iid, entry)
+            journal.append(iid, entry, tail)
         journal.commit()
         assert store.get_committed(f"instance:{iid}:journal:0") == [
-            2, "execution", ["external", "p0", 1], ["external", "p1", 1], ["external", "p2", 1],
+            ["external", "p0", 1, 2, "execution"], ["external", "p1", 1], ["external", "p2", 1],
         ]
         odd = {"type": "external", "path": "q", "exec": 1, "epoch": 3, "writer": "execution"}
-        journal.append(iid, results[0])
-        journal.append(iid, odd)
+        journal.append(iid, results[0], tail)
+        journal.append(iid, odd, tail)
         journal.commit()
+        # the stamp carries across segments: only the promotion spells one
         assert store.get_committed(f"instance:{iid}:journal:3") == [
-            None, ["external", "p0", 1, 2, "execution"], ["external", "q", 1, 3, "execution"],
+            ["external", "p0", 1], ["external", "q", 1, 3, "execution"],
         ]
-        assert journal.entries(iid) == [*results, results[0], odd]
+        journal.append(iid, {**odd, "path": "r"}, tail)
+        journal.commit()
+        assert store.get_committed(f"instance:{iid}:journal:5") == ["external", "r", 1]
+        assert journal.entries(iid) == [*results, results[0], odd, {**odd, "path": "r"}]
+        # no barrier ended it: meta is still what its birth wrote
+        assert store.get_committed(f"instance:{iid}:meta") == {"journal_len": 0}
 
     def test_adopt_writes_one_segment_whatever_the_stamps(self):
         store = ObjectStore("exec")
@@ -524,14 +592,19 @@ class TestSegmentRoundTrip:
             {"type": "external", "path": "b", "exec": 1, "epoch": 2, "writer": "execution-2"},
             {"type": "external", "path": "c", "exec": 1, "epoch": 2, "writer": "execution-2"},
         ]
+        tail = Tail()
         for entry in entries:
-            journal.append(iid, entry)
+            journal.append(iid, entry, tail)
         journal.commit()
         snapshot = journal.snapshot(iid)
         target = ObjectStore("target")
         Journal(target).adopt(snapshot, script_digest(SCRIPT))
         assert journal_keys(target, iid) == [0]
-        assert target.get_committed(f"instance:{iid}:journal:0")[0] is None  # mixed stamps
+        assert target.get_committed(f"instance:{iid}:journal:0") == [
+            ["external", "a", 1, 1, "execution-1"],
+            ["external", "b", 1, 2, "execution-2"],
+            ["external", "c", 1],
+        ]
         assert Journal(target).entries(iid) == entries
         assert Journal(target).snapshot(iid) == snapshot
         assert check_journal_integrity(target) == []
@@ -539,8 +612,9 @@ class TestSegmentRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_a_store_holding_one_key_per_entry_reads_each_as_a_segment(self, data):
-        """Per-entry keys — positional rows, as logs before segments hold
-        them — then segments on top: one journal."""
+        """Per-entry keys — positional rows, each spelling its stamp, as
+        logs before segments hold them — then segments on top: one
+        journal."""
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
         old = data.draw(st.lists(any_entry(), min_size=1, max_size=6))
@@ -551,10 +625,12 @@ class TestSegmentRoundTrip:
             **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},
             f"instance:{iid}:meta": {"journal_len": len(rows)},
         })
+        tail = Tail.after(journal.entries(iid))
+        tail.ended = True
         new = []
         for barrier in data.draw(barriers(1)):
             for _index, entry in barrier:
-                journal.append(iid, entry)
+                journal.append(iid, entry, tail)
                 new.append(copy.deepcopy(entry))
             journal.commit()
         assert journal.entries(iid) == old + new

@@ -2,16 +2,18 @@
 
 Per script version the store holds one ``script:<digest>``; per instance a
 write-once ``instance:<iid>:spec`` naming it, an ``instance:<iid>:meta``
-carrying ``journal_len`` and, once the instance is closed, the ``closed``
-mark, and one ``instance:<iid>:journal:<n>`` segment per barrier that
-touched it, holding that barrier's entries from position ``n`` on; the
+sealed at its birth and by the barrier that ends it (``journal_len`` and,
+at the end, whether it is ``closed``), and one
+``instance:<iid>:journal:<n>`` segment per barrier that touched it, holding
+that barrier's entries from position ``n`` on; the
 instances of a store are its spec keys in commit order (docs/PROTOCOLS.md
 §4.1, §9.3).  These tests pin what that layout is for: a journal barrier is
 one WAL record whose size depends on its entries — not on the script, not
 on how many instances came before — and every way an instance enters or
 re-enters a service (instantiate, crash recovery, import, replication)
 rebuilds the same tree from it.  A segment whose key is lost, or which runs
-past ``journal_len``, is reported by the contiguity oracle.
+past an ended instance's ``journal_len``, is reported by the contiguity
+oracle.
 """
 
 import ast
@@ -38,8 +40,8 @@ from repro.workloads import chain, fan, paper_order, script_text
 # Mirror bytes per journaled step, instantiate excluded: a chain(8) instance
 # (one entry per barrier) and a fan(64) one (a fan-out's outcomes share one
 # barrier, so one segment).
-CHAIN8_BYTES_PER_STEP_CEILING = 220
-FAN64_BYTES_PER_STEP_CEILING = 72
+CHAIN8_BYTES_PER_STEP_CEILING = 170
+FAN64_BYTES_PER_STEP_CEILING = 70
 
 
 def deployed_system(workload, **kwargs):
@@ -105,16 +107,19 @@ class TestBarrierCost:
 
     def test_chain8_entries_stay_under_the_byte_ceiling(self, tmp_path):
         """A journal entry is stored by position, key names spelled by the
-        codec's table: 200.9 mirror bytes per step for chain(8), 295.9 when
-        each entry was stored as its dict.  An entry growing back trips
-        this here."""
+        codec's table, its stamp only where it changes, and a barrier that
+        ends nothing writes no ``meta``: 154.5 mirror bytes per step for
+        chain(8), 200.9 with a stamp per row and a ``meta`` per barrier,
+        295.9 when each entry was stored as its dict.  An entry growing back
+        trips this here."""
         assert self._mirror_bytes_per_step(chain(8), 8, tmp_path) <= CHAIN8_BYTES_PER_STEP_CEILING
 
     def test_fan64_segments_stay_under_the_byte_ceiling(self, tmp_path):
         """A barrier writes one segment per instance, its entries sharing
-        one key and one stamp: 65.4 mirror bytes per step for fan(64),
-        104.4 with one key and stamp per entry.  Entries split back into
-        keys of their own trip this here."""
+        one key and one stamp: 63.8 mirror bytes per step for fan(64), 65.4
+        with a stamp per segment and a ``meta`` per barrier, 104.4 with one
+        key and stamp per entry.  Entries split back into keys of their own
+        trip this here."""
         assert self._mirror_bytes_per_step(fan(64), 64, tmp_path) <= FAN64_BYTES_PER_STEP_CEILING
 
     def test_wal_bytes_per_step_do_not_depend_on_script_size(self, tmp_path):
@@ -250,13 +255,29 @@ class TestContiguityUnderSegments:
         assert (violation.oracle, violation.subject) == ("journal-contiguity", iid)
         assert "entries [1, 2, 3, 4, 5] are missing" in violation.detail
 
+    def test_a_lost_middle_segment_of_a_running_instance_is_reported_too(self):
+        """While an instance runs its ``meta`` says nothing past its birth:
+        the segment keys the walk does not reach tell the hole."""
+        system, root, inputs = chain_system(6)
+        iid = system.instantiate("chain", root, inputs)
+        store = system.execution_store
+        while len(journal_keys(store, iid)) < 3:
+            system.clock.advance(0.5)
+        assert system.execution.status(iid)["status"] == "running"
+        assert journal_len(store, iid) == 0 and not Journal(store).ended(iid)
+        assert check_journal_integrity(store) == []
+        del store._committed[f"instance:{iid}:journal:1"]  # seeded: behind the store's back
+        (violation,) = check_journal_integrity(store)
+        assert (violation.oracle, violation.subject) == ("journal-contiguity", iid)
+        assert "entries [1] are missing" in violation.detail
+
     def test_a_segment_running_past_journal_len_is_reported_not_truncated(self):
         system, iid = self.fan8()
         assert system.run_until_terminal(iid)["status"] == "completed"
         store = system.execution_store
         last = f"instance:{iid}:journal:9"
         row = store.get_committed(last)
-        forged = [row[-2], row[-1], row[:-2], ["external", "fan/forged", 1]]
+        forged = [row, ["external", "fan/forged", 1]]
         store._committed[last] = forged  # seeded: one entry more than meta says
         entries = Journal(store).entries(iid)
         assert len(entries) == journal_len(store, iid) + 1
@@ -290,8 +311,10 @@ class TestContiguityUnderSegments:
         finally:
             crashpoints.uninstall()
         assert injector.fired == [("wal.force.pre", node.name)]
-        # the source's segment and the length it advanced, nothing of the eight
-        assert journal_keys(store, iid) == [0] and journal_len(store, iid) == 1
+        # the source's segment, nothing of the eight; meta is still what the
+        # instance's birth wrote (no barrier has ended it)
+        assert journal_keys(store, iid) == [0] and journal_len(store, iid) == 0
+        assert len(Journal(store).entries(iid)) == 1
         assert check_journal_integrity(store) == [] and check_store_agreement(store) == []
         node.recover()
         assert system.run_until_terminal(iid)["status"] == "completed"

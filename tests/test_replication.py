@@ -571,7 +571,10 @@ class TestDeposedMidEvent:
         assert service.runtimes == {} == service._live and not service.journal.buffer
         stored = Journal(service.store)
         (iid,) = stored.instances()
-        assert stored.entries(iid) == [] and not stored.closed(iid)
+        # the expiry rode in the deposing barrier itself, ahead of the send;
+        # nothing (no force_abort) came after it
+        assert [entry["type"] for entry in stored.entries(iid)] == ["deadline"]
+        assert not stored.closed(iid)
 
     def test_a_dispatch_whose_own_barrier_deposes_does_not_leave(self):
         """The send of ``pipeline/t2`` takes the barrier that deposes the
@@ -889,3 +892,34 @@ class TestLeaseExpiry:
         assert max(at for at, _ in sent) < 55.0
         assert old.stats["fenced_replies"] == 0 == new.stats["fenced_replies"]
         assert system.run_until_terminal(iid, max_time=500.0)["status"] == "completed"
+
+
+class TestLastDemotion:
+    """``repl_status()["last_demotion"]`` keeps why a replica last stopped
+    being primary, the epoch it served under and when."""
+
+    def test_a_refused_renewal_and_a_fenced_push_each_leave_their_reason(self):
+        system = replicated_system(replicas=2)
+        primary, standby = system.execution_replicas
+        assert primary.repl_status()["last_demotion"] is None
+        # the arbiter moved on under a grant this primary never saw: its next
+        # renewal (the tick at 5) is refused
+        lease = system.lease
+        lease._persist({**lease._lease(), "epoch": primary.epoch + 1}, lease._isr())
+        system.clock.advance(6.0)
+        assert primary.role is Role.STANDBY
+        assert primary.repl_status()["last_demotion"] == {
+            "reason": "lease renewal refused", "epoch": 1, "at": 5.0,
+        }
+
+        system = replicated_system(replicas=2)
+        primary, standby = system.execution_replicas
+        system.clock.advance(1.0)
+        # the standby has seen a newer epoch: the next push is fenced
+        standby._max_epoch_seen = primary.epoch + 1
+        with pytest.raises(Fenced):
+            primary.instantiate("order", paper_order.ROOT_TASK, "main", {"order": "o-1"})
+        assert primary.role is Role.STANDBY
+        assert primary.repl_status()["last_demotion"] == {
+            "reason": f"push fenced by {standby.name}", "epoch": 1, "at": 1.0,
+        }
