@@ -20,7 +20,8 @@ the primary's WAL mirror grows by per journaled step over as many more
 instances, run uncounted, each measured from just after its ``instantiate``
 is synced to its terminal barrier (instantiate excluded, as
 ``tests/test_journal_layout.py::TestBarrierCost`` measures).  Those are
-exact on any interpreter.
+exact on any interpreter.  Under ``"trip"`` it prints the same figure for
+the paper's trip script, whose rows carry deep paths and mark refs.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def calls_per_step(generator, size, instances, system_kwargs):
             sys.setprofile(None)
         calls = counter.calls
         steps = sum(system.execution.journal.length(iid) for iid in iids)
-        mirror_bytes = mirror_bytes_per_step(system, mirror, root, inputs, instances)
+        mirror_bytes = mirror_bytes_per_step(system, "w", mirror, root, lambda n: inputs, instances)
         system.execution_store.wal.close()
     return {
         "calls": calls, "steps": steps, "calls_per_step": round(calls / steps, 2),
@@ -127,11 +128,12 @@ def calls_per_step(generator, size, instances, system_kwargs):
     }
 
 
-def mirror_bytes_per_step(system, mirror, root, inputs, instances):
+def mirror_bytes_per_step(system, script_name, mirror, root, inputs, instances):
+    """``inputs(n)``: the inputs of the ``n``-th instance."""
     store = system.execution_store
     written = steps = 0
-    for _ in range(instances):
-        iid = system.instantiate("w", root, inputs)
+    for n in range(instances):
+        iid = system.instantiate(script_name, root, inputs(n))
         store.sync()
         before = os.path.getsize(mirror)
         system.run_until_terminal(iid)
@@ -140,12 +142,30 @@ def mirror_bytes_per_step(system, mirror, root, inputs, instances):
     return round(written / steps, 2)
 
 
+def trip_mirror_bytes_per_step(instances=10):
+    from repro.services import WorkflowSystem
+    from repro.workloads import APPLICATIONS
+
+    app = APPLICATIONS["trip"]
+    with tempfile.TemporaryDirectory() as tmp:
+        mirror = os.path.join(tmp, "wal.jsonl")
+        system = WorkflowSystem(workers=2, mirror_path=mirror)
+        app.binder(system.registry)
+        system.deploy(app.script_name, app.text)
+        measured = mirror_bytes_per_step(
+            system, app.script_name, mirror, app.root_task, app.inputs, instances
+        )
+        system.execution_store.wal.close()
+    return {"mirror_bytes_per_step": measured}
+
+
 def main() -> None:
     src = sys.argv[1] if len(sys.argv) > 1 else os.path.join(HERE, os.pardir, "src")
     sys.path.insert(0, os.path.abspath(src))
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("warning: set PYTHONHASHSEED=0 for repeatable counts", file=sys.stderr)
     report = {label: calls_per_step(*rest) for label, *rest in WORKLOADS}
+    report["trip"] = trip_mirror_bytes_per_step()
     report["compile"] = calls_per_compile()
     print(json.dumps(report, indent=2))
 

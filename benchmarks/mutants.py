@@ -8,7 +8,8 @@ mutant is run against
 
 * the *checker*: :func:`checker_runs`, every run one ``SimHarness`` under the
   harness oracles — the exhaustive crash-point sweep of ``order`` x1,
-  ``order`` x3 and ``trip`` x2, CI's 64 random schedules, the failover
+  ``order`` x3 and ``trip`` x2 (each WAL force point also at its last hit,
+  ``@last``), CI's 64 random schedules, the failover
   sweep, one run per other fault kind, two tier-1 scenarios (a load spike
   under tight admission, a lease term off the lease tick) and fault-free
   runs.  A run *catches*
@@ -114,12 +115,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if readiness is None:  # stale"),
        must=True, check="tests/test_step_bookkeeping.py"),
     _m("unwrapped-plain-values", "replay-agreement; described in CHANGES.md",
-       (JOURNAL, '                    objects[name] = [item["value"]]',
-        '                    objects[name] = item["value"]'),
+       (JOURNAL, '                        objects[key] = [item["value"]]',
+        '                        objects[key] = item["value"]'),
        must=True, check="tests/test_closed_mark.py"),
     _m("unresolved-digest", "script-resolution; described in CHANGES.md",
-       (JOURNAL, '        entry["script_text"] = script_text(row[_TEXT_AT])',
-        '        entry["script_text"] = row[_TEXT_AT]'),
+       (JOURNAL, '        stored["script_text"] = script_text(stored["script_text"])',
+        '        stored["script_text"] = stored["script_text"]'),
        must=True, check="tests/test_journal_codec.py"),
     _m("no-check-script", "tier-1; described in CHANGES.md",
        (EXEC, "        self.journal.check_script(new_script_text)\n", ""),
@@ -201,8 +202,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        if runtime.settled:"),
        must=True, check="run:kind:dup-reorder:order"),
     _m("result-fields-swapped-in-decode", "replay-agreement",
-       (JOURNAL, "        output_kind, name, stored = row[_RESULT_AT]",
-        "        name, output_kind, stored = row[_RESULT_AT]")),
+       (JOURNAL, '            "kind": output, "name": stored.pop("name"),',
+        '            "kind": stored.pop("name"), "name": output,')),
     _m("every-barrier-closes", "closed-is-settled; tests/test_closed_mark.py",
        (JOURNAL,
         "            if tail.ended or iid in closed:\n"
@@ -299,11 +300,21 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        metas = {key: writes.pop(key) for key in list(writes) if key.endswith(':meta')}\n"
         "        if metas:\n            store.commit_batch(metas)\n"
         "        store.commit_batch(writes)"),
-       must=True, check="tests/test_closed_mark.py"),
+       must=True, check="run:exhaustive:orderx1:wal.force.pre@last"),
     # -- the stored form: what a barrier leaves out ----------------------------------
     _m("row-drops-a-changed-stamp", "the journal's stored form (a promotion's stamp lost)",
        (JOURNAL, "        elif stamp is not None and epoch == stamp[0] and writer == stamp[1]:",
         "        elif stamp is not None:"),
+       must=True, check="tests/test_journal_codec.py"),
+    _m("ref-via-dropped-when-it-differs", "the journal's stored form (a ref's own "
+       "output name read back for another's)",
+       (JOURNAL, '                if item["via"] != name:\n                    ref["via"] = item["via"]\n',
+        ""),
+       must=True, check="tests/test_journal_codec.py"),
+    _m("abort-under-the-outcome-code", "the journal's stored form (a result's output kind "
+       "read back as another)",
+       (JOURNAL, "                row[0] = _RESULT_CODE[result[\"kind\"]]",
+        "                row[0] = _RESULT_CODE[result[\"kind\"].replace(\"ABORT\", \"OUTCOME\")]"),
        must=True, check="tests/test_journal_codec.py"),
     _m("terminal-barrier-omits-meta", "journal_len exact for an ended instance "
        "(random_dag(12, seed=5) ends with a flight out)",
@@ -337,7 +348,7 @@ def checker_runs():
     from repro.overload import OverloadConfig
     from repro.services.system import SystemSpec
     from repro.sim import SimHarness
-    from repro.sim.crashpoints import catalogue
+    from repro.sim.crashpoints import SimulatedCrash, catalogue
     from repro.sim.explorer import ChaosSweep
     from repro.sim.nemesis import (
         CrashAtTime, DupBurst, KillPrimary, LoadSpike, LossBurst, NemesisSchedule,
@@ -352,6 +363,13 @@ def checker_runs():
                 suffix = "/torn" if mode == "torn" else ""
                 runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}",
                              sweep.plan_for_point(point, mode)))
+        try:
+            last = sweep.plans_at_last_hit()
+        except (Exception, SimulatedCrash):  # a mutant that fails the fault-free run has
+            last = []                        # no last hit: the fault-free runs report it
+        for point, mode, harness in last:
+            suffix = "/torn" if mode == "torn" else ""
+            runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}@last", harness))
     sweep = ChaosSweep("order")
     for seed in range(64):  # CI's random pass
         runs.append((f"random:order:{seed}",

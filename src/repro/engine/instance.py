@@ -366,18 +366,24 @@ class InstanceTree:
         visit(self.root)
         return result
 
-    def node_at(self, path: str) -> TaskNode:
-        parts = [p for p in path.split("/") if p]
-        if not parts or parts[0] != self.root.decl.name:
-            raise ExecutionError(f"no instance at path {path!r}")
-        node: TaskNode = self.root
-        for part in parts[1:]:
+    def find(self, path: str) -> Optional[TaskNode]:
+        """The node at ``path`` (empty levels skipped), or ``None``."""
+        parts = filter(None, path.split("/"))
+        node: Optional[TaskNode] = self.root
+        if next(parts, None) != node.decl.name:
+            return None
+        for part in parts:
             if not isinstance(node, CompoundNode):
-                raise ExecutionError(f"no instance at path {path!r}")
-            child = node.child(part)
-            if child is None:
-                raise ExecutionError(f"no instance at path {path!r}")
-            node = child
+                return None
+            node = node.child(part)
+            if node is None:
+                return None
+        return node
+
+    def node_at(self, path: str) -> TaskNode:
+        node = self.find(path)
+        if node is None:
+            raise ExecutionError(f"no instance at path {path!r}")
         return node
 
     def shed(self) -> SettledTree:

@@ -145,7 +145,7 @@ class _Runtime:
     needs it again replays (:meth:`ExecutionService._full_runtime`)."""
 
     __slots__ = (
-        "iid", "script", "tree", "in_flight", "external", "has_deadlines",
+        "iid", "script", "tree", "in_flight", "external", "deadlines",
         "journal_keys", "unsent", "armed_deadlines",
         "deadline_expiries", "exec_counter", "tail",
     )
@@ -156,9 +156,9 @@ class _Runtime:
         self.tree: Union[InstanceTree, SettledTree] = tree
         self.in_flight: Dict[Tuple[str, int], _InFlight] = {}
         self.external: Set[Tuple[str, int]] = set()  # parked tasks
-        # the current script's _Compiled.has_deadlines (a reconfiguration may
-        # introduce deadlines)
-        self.has_deadlines = True
+        # the current script's deadline tasks under this root
+        # (_Compiled.deadlines; a reconfiguration may introduce some)
+        self.deadlines: Tuple[Tuple[str, float], ...] = ()
         self.journal_keys: Set[Tuple] = set()
         # flights built by _drain and not yet handed to _send, in build order
         self.unsent: List[Tuple[Tuple[str, int], _InFlight]] = []
@@ -173,6 +173,7 @@ class _Runtime:
         # where the durable journal ends: a new instance's is empty, a
         # replay's is the journal it read (_replay)
         self.tail = Tail()
+        self.tail.root = tree.root.path
 
     @property
     def settled(self) -> bool:
@@ -218,9 +219,11 @@ class _Compiled:
 
     script: Script
     digest: str
-    # False when no task declaration carries a ``deadline`` implementation
-    # property: _arm_deadlines' whole-tree walk is skipped
-    has_deadlines: bool
+    # root task -> the paths below it (itself included) whose declaration
+    # carries a ``deadline`` implementation property and whose class has an
+    # abort outcome, each with its deadline, in declaration order: the
+    # tasks _arm_deadlines looks up (a root with none skips it)
+    deadlines: Dict[str, Tuple[Tuple[str, float], ...]]
     plan: Optional[ExecutionPlan] = None
     _criticality: Dict[str, str] = field(default_factory=dict)
 
@@ -279,14 +282,13 @@ def _compiled(text: str) -> _Compiled:
     compiled = _COMPILE_CACHE.get(text)
     if compiled is None:
         script = compile_script(text)
-        compiled = _Compiled(
-            script,
-            script_digest(text),
-            has_deadlines=any(
-                decl.implementation.deadline is not None
-                for _path, decl in script.walk_tasks()
-            ),
-        )
+        deadlines: Dict[str, Tuple[Tuple[str, float], ...]] = {}
+        for path, decl in script.walk_tasks():
+            delay = decl.implementation.deadline
+            if delay is not None and script.taskclass_of(decl).outputs_of_kind(OutputKind.ABORT):
+                root = path.partition("/")[0]
+                deadlines[root] = (*deadlines.get(root, ()), (path, delay))
+        compiled = _Compiled(script, script_digest(text), deadlines)
         if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
             _COMPILE_CACHE.popitem(last=False)
         _COMPILE_CACHE[text] = compiled
@@ -380,12 +382,10 @@ class _Coordinator:
         """Fig. 3's abort-from-WAIT by timer (:meth:`_arm_deadlines`)."""
         if runtime.tree.status is not WorkflowStatus.RUNNING:
             return []
-        try:
-            task = runtime.tree.node_at(path)
-        except Exception:
-            return []
+        task = runtime.tree.find(path)
         if (
-            not task.alive
+            task is None
+            or not task.alive
             or task.machine.state is not TaskState.WAIT
             or runtime.exec_counter.get(path, 0) != count
         ):
@@ -529,7 +529,7 @@ class _Coordinator:
             self.stats["staggered"] += 1
             self.rlog.record(now, "stagger", runtime.iid, key[0], detail=f"resend +{delay:.2f}")
             effects.append(Arm(("stagger", runtime, key), now + delay))
-        if runtime.has_deadlines:
+        if runtime.deadlines:
             self._arm_deadlines(runtime, effects, ())
         return effects
 
@@ -553,7 +553,7 @@ class _Coordinator:
             # an instance still waiting in the admission queue keeps its
             # flights built-but-unsent; promotion dispatches them
             flights, runtime.unsent = runtime.unsent, []
-        if runtime.has_deadlines:  # a reconfiguration may introduce deadlines
+        if runtime.deadlines:  # a reconfiguration may introduce deadlines
             self._arm_deadlines(runtime, effects, flights)
         elif flights:
             effects.append(Dispatch(runtime, flights))
@@ -611,22 +611,21 @@ class _Coordinator:
         arms: List[Effect] = []
         journaled = False
         now = self._now()
-        for task in runtime.tree.walk():
-            delay = task.decl.implementation.deadline
-            if delay is None or task.machine.state is not TaskState.WAIT:
-                continue
-            if not task.taskclass.outputs_of_kind(OutputKind.ABORT):
+        find = runtime.tree.find
+        for path, delay in runtime.deadlines:
+            task = find(path)
+            if task is None or task.machine.state is not TaskState.WAIT:
                 continue
             # key by the per-path execution counter, which is unique across
             # compound repeat rounds (machine.starts is not)
-            key = (task.path, runtime.exec_counter.get(task.path, 0))
+            key = (path, runtime.exec_counter.get(path, 0))
             if key in runtime.armed_deadlines:
                 continue
             expires_at = runtime.deadline_expiries.get(key)
             if expires_at is None:
                 expires_at = now + delay
                 entry = {
-                    "type": "deadline", "path": task.path, "exec": key[1],
+                    "type": "deadline", "path": path, "exec": key[1],
                     "expires_at": expires_at,
                 }
                 effects.append(Journal(runtime, entry))
@@ -702,7 +701,7 @@ class _Coordinator:
             compiled = _compiled(entry["script_text"])
             runtime.tree.reconfigure(compiled.script)  # raises without effect if illegal
             runtime.script = compiled.script
-            runtime.has_deadlines = compiled.has_deadlines
+            runtime.deadlines = compiled.deadlines.get(runtime.tree.root.path, ())
             return
         if kind == "force_abort":
             runtime.tree.force_abort(entry["path"], entry.get("name"))
@@ -727,9 +726,8 @@ class _Coordinator:
                 runtime.external.add(flight_key)
                 return
             runtime.external.discard(flight_key)
-        try:
-            task = runtime.tree.node_at(path)
-        except ExecutionError:
+        task = runtime.tree.find(path)
+        if task is None:
             return
         if runtime.exec_counter.get(path) != entry["exec"]:
             return  # stale: a newer execution of this path supersedes it
@@ -1401,7 +1399,7 @@ class ExecutionService(_Coordinator, Service):
             compiled.plan = compile_plan(script)
         tree = self._new_tree(script, spec["root_task"], compiled.plan)
         runtime = _Runtime(iid, script, tree)
-        runtime.has_deadlines = compiled.has_deadlines
+        runtime.deadlines = compiled.deadlines.get(spec["root_task"], ())
         tree.start(spec["input_set"], spec["inputs"])
         self._drain(runtime)
         return runtime
@@ -1425,7 +1423,7 @@ class ExecutionService(_Coordinator, Service):
             self._apply_entry(runtime, entry)
             self._drain(runtime)
         runtime.unsent.clear()  # a replay's flights go out by _resume
-        runtime.tail = Tail.after(entries)
+        runtime.tail = Tail.after(spec["root_task"], entries)
         return runtime
 
     def _adopt(self, runtime: _Runtime) -> bool:

@@ -6,39 +6,52 @@ information"; a :class:`Journal` is where those objects are named, written
 and read back.  Per script version the store holds one write-once
 ``script:<digest>`` with the source text, content-addressed
 (:func:`script_digest`), so recovery and promotion never need the repository.
-Per instance: a write-once ``instance:<iid>:spec`` (the script's digest, root
-task, input set, inputs), one ``instance:<iid>:journal:<n>`` *segment* per
-barrier that touched it — the entries ``n … n+k-1`` that barrier made
-durable — and an ``instance:<iid>:meta``, a seal rather than a counter.  The
-segments are the journal of a running instance: read from position 0 to the
-first position no segment starts at, they say how long it is.  ``meta`` is
-written when the instance is born (``journal_len`` 0) and by every barrier
-that leaves it terminal (its exact ``journal_len`` and ``closed``: whether
-no flight is out); a barrier that writes to an instance after it ended, which
-reopens a closed one, is such a barrier too.  No other barrier writes it, so
+Per instance: a write-once ``instance:<iid>:spec``, the list ``[digest,
+root_task, input_set, inputs]`` (:meth:`Journal.spec` reads it back as a
+dict), one ``instance:<iid>:journal:<n>`` *segment* per barrier that touched
+it — the entries ``n … n+k-1`` that barrier made durable — and an
+``instance:<iid>:meta``, a seal rather than a counter.  The segments are the
+journal of a running instance: read from position 0 to the first position
+no segment starts at, they say how long it is.  ``meta`` is written when the
+instance is born (``journal_len`` 0) and by every barrier that leaves it
+terminal (its exact ``journal_len`` and ``closed``: whether no flight is
+out); a barrier that writes to an instance after it ended, which reopens a
+closed one, is such a barrier too.  No other barrier writes it, so
 ``journal_len`` is exact for an ended instance and a lower bound while it
 runs.  The instances of a store are its ``spec`` keys, in commit order; no
 stored object grows with their number.
 
-An entry is stored positionally, as a row ``[type, *fields]`` in the order
-of :data:`ENTRY_FIELDS` (:func:`encode_entry`), and read back as exactly the
-dict that was appended (:func:`decode_entry`): key names are spelled by the
-table, not by every row.  In a ``result``'s object map a plain value is
-stored as ``[value]`` and a reference as its ref dict without the
-``__ref__`` tag; a ``reconfig`` names its text by digest and the text goes
-to ``script:<digest>`` in the same record, only when the store lacks it.  An
-entry the table cannot spell exactly is refused: every entry the service
-journals carries its ``epoch`` and ``writer``.  ``spec`` and ``meta`` keep
-their dict shapes.
+An entry is stored positionally, as a row ``[code, *fields]``
+(:func:`encode_entry`), and read back as exactly the dict that was appended
+(:func:`decode_entry`).  A row says only what its instance does not already
+know:
+
+* ``code`` is the entry's position in :data:`CODES`, one per entry type of
+  :data:`ENTRY_FIELDS` and, for a ``result``, one per output kind — so the
+  row spells neither the type nor the kind, and a ``result``'s output name
+  and objects stand in its row where the ``result`` field stands;
+* a ``path`` is stored below the instance's root task (the spec's, which no
+  entry changes): ``root/a/b`` as ``a/b``, the root itself as ``""``;
+* in a ``result``'s or a ``mark``'s object map a plain value is ``[value]``
+  and a reference its ref dict without the ``__ref__`` tag, without
+  ``produced_by`` when that is the row's path and without ``via`` when that
+  is the row's output or mark name;
+* a ``reconfig`` names its text by digest, and the text goes to
+  ``script:<digest>`` in the same record, only when the store lacks it.
+
+An entry the table cannot spell exactly is refused — a field missing or
+extra, a path not under the root, a ref without its four fields: every
+entry the service journals carries its ``epoch`` and ``writer``.  ``meta``
+keeps its dict shape.
 
 A segment has one form (:func:`encode_segment`): the list of its rows, or
-the row itself when there is one (a row starts with its type string, a list
-of rows with a row).  A row ends in its ``epoch, writer`` only where they
+the row itself when there is one (a row starts with its code, a list of
+rows with a row).  A row ends in its ``epoch, writer`` only where they
 differ from the entry's before it in the instance's journal — its first
 entry, the first after a promotion or a recovery — and the reader carries
-the stamp forward.  The writer takes the previous stamp and the next
-position from the instance's :class:`Tail`, which its runtime rebuilds from
-the durable journal whenever it replays.
+the stamp forward.  The writer takes the root, the previous stamp and the
+next position from the instance's :class:`Tail`, which its runtime rebuilds
+from the durable journal whenever it replays.
 
 Every write is one self-committing WAL record
 (:meth:`~repro.txn.store.ObjectStore.commit_batch`): the service is the
@@ -58,8 +71,9 @@ one of these keys, the mark, a stored entry or a segment
 (``tests/test_journal_layout.py::TestLayout`` holds the source to the keys),
 so the layout changes in this file alone: the mark was the first step, the
 positional entry the second, the segment the third, ``meta`` as a seal and
-the stamp written where it changes the fourth; truncating the segments
-below a stored state image, and stored outcomes, come next.
+the stamp written where it changes the fourth, a row without what its
+instance knows the fifth; truncating the segments below a stored state
+image, and stored outcomes, come next.
 """
 
 from __future__ import annotations
@@ -69,6 +83,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
+from ..core.schema import OutputKind
 from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
 
@@ -79,13 +94,14 @@ def script_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
+# what an ``instance:<iid>:spec`` list holds, in order
+_SPEC_KEYS = ("script", "root_task", "input_set", "inputs")
 # spec fields an exported snapshot carries as they stand (the script, a
 # digest in the spec, crosses as its text)
-_SPEC_FIELDS = ("root_task", "input_set", "inputs")
+_SPEC_FIELDS = _SPEC_KEYS[1:]
 
 # Every journal entry type (docs/PROTOCOLS.md §4.1) and its fields after
-# ``type``, in the order the service builds them: the stored row is
-# ``[type, *fields]`` in this order.
+# ``type``, in the order the service builds them.
 ENTRY_FIELDS: Dict[str, Tuple[str, ...]] = {
     "result": ("path", "exec", "result", "epoch", "writer"),
     "failure": ("path", "exec", "error", "epoch", "writer"),
@@ -96,24 +112,44 @@ ENTRY_FIELDS: Dict[str, Tuple[str, ...]] = {
     "deadline": ("path", "exec", "expires_at", "epoch", "writer"),
     "overloaded": ("reason", "criticality", "epoch", "writer"),
 }
-# an entry's keys, in the order its stored row holds their values
-_ENTRY_KEYS = {kind: ("type", *fields) for kind, fields in ENTRY_FIELDS.items()}
-# where a row holds the two fields with a codec of their own
-_RESULT_AT = _ENTRY_KEYS["result"].index("result")
-_TEXT_AT = _ENTRY_KEYS["reconfig"].index("script_text")
+# The stored row's first item: its position here.  One code per entry type,
+# in the table's order, and for a ``result`` one per output kind
+# (``OutputKind``'s member names, the ``kind`` of ``result_to_plain``).
+CODES: Tuple[Tuple[str, Optional[str]], ...] = tuple(
+    (kind, output)
+    for kind in ENTRY_FIELDS
+    for output in (tuple(OutputKind.__members__) if kind == "result" else (None,))
+)
+_CODE_OF = {kind: code for code, (kind, output) in enumerate(CODES) if output is None}
+_RESULT_CODE = {output: code for code, (_kind, output) in enumerate(CODES) if output}
+# the fields each code's row holds after the code: a ``result``'s output
+# name and objects stand where its ``result`` field stands
+_ROW_FIELDS = tuple(
+    tuple(
+        part for field in ENTRY_FIELDS[kind]
+        for part in (("name", "objects") if field == "result" else (field,))
+    )
+    for kind, _output in CODES
+)
+# where a row holds the fields with a codec of their own
+_PATH_AT, _NAME_AT, _OBJECTS_AT, _TEXT_AT = 1, 3, 4, 1
 
 Row = List[Any]
 Stamp = Tuple[int, str]
 
 
-def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
-    """``entry`` as it is stored: ``[type, *fields]`` (:data:`ENTRY_FIELDS`).
-    A ``result``'s ``{kind, name, objects}`` becomes ``[kind, name,
-    objects]``, each object ``[value]`` or its ref dict untagged; a
+def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str], root: str) -> Row:
+    """``entry``, of an instance whose root task is ``root``, as it is
+    stored: ``[code, *fields]`` (:data:`CODES`, :data:`ENTRY_FIELDS`).  A
+    ``path`` goes below ``root``; a ``result``'s ``{kind, name, objects}``
+    becomes its code and ``name, objects``; in a ``result``'s or a
+    ``mark``'s objects a plain value becomes ``[value]`` and a ref its dict
+    untagged, less the ``produced_by`` and ``via`` the row already says.  A
     ``reconfig``'s text becomes its digest, and ``digest -> text`` goes into
     ``scripts`` for the caller to intern.  An entry the table cannot spell
-    exactly — an unknown type, a field missing or extra, an object map of
-    another shape — is refused (``ExecutionError``)."""
+    exactly — an unknown type or output kind, a field missing or extra, a
+    path not under ``root``, an object map of another shape — is refused
+    (``ExecutionError``)."""
     kind = entry.get("type")
     fields = ENTRY_FIELDS.get(kind)
     # every shape the table cannot spell ends in the one refusal below: a
@@ -121,22 +157,46 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
     try:
         if len(entry) != len(fields) + 1:  # TypeError for an unknown type
             raise KeyError(kind)
-        row = [kind, *map(entry.__getitem__, fields)]
-        if kind == "result":
-            result = row[_RESULT_AT]
-            if len(result) != 3:
-                raise KeyError("result")
+        # (a ``result``'s code is its output kind's, set below)
+        row = [_CODE_OF.get(kind), *map(entry.__getitem__, fields)]
+        if fields[0] == "path":
+            path = row[_PATH_AT]
+            if path == root:
+                row[_PATH_AT] = ""
+            elif path.startswith(root + "/") and path != root + "/":
+                row[_PATH_AT] = path[len(root) + 1:]
+            else:
+                raise KeyError(path)
+        if kind == "result" or kind == "mark":
+            if kind == "result":
+                result = row[_NAME_AT]
+                if len(result) != 3:
+                    raise KeyError("result")
+                row[0] = _RESULT_CODE[result["kind"]]
+                name, given = result["name"], result["objects"]
+                row[_NAME_AT:_NAME_AT + 1] = name, None
+            else:
+                name, given = row[_NAME_AT], row[_OBJECTS_AT]
+            tagged = kind == "result"
             objects: Dict[str, Any] = {}
-            for name, item in result["objects"].items():
-                tag = item.get("__ref__")
-                if tag is False and len(item) == 2:
-                    objects[name] = [item["value"]]
-                elif tag is True:
-                    objects[name] = ref = item.copy()
-                    del ref["__ref__"]
-                else:
-                    raise KeyError(name)
-            row[_RESULT_AT] = [result["kind"], result["name"], objects]
+            for key, item in given.items():
+                size = len(item)
+                if tagged:
+                    tag = item.get("__ref__")
+                    if tag is False and size == 2:
+                        objects[key] = [item["value"]]
+                        continue
+                    if tag is not True:
+                        raise KeyError(key)
+                    size -= 1
+                if size != 4:
+                    raise KeyError(key)
+                objects[key] = ref = {"class": item["class"], "value": item["value"]}
+                if item["produced_by"] != path:
+                    ref["produced_by"] = item["produced_by"]
+                if item["via"] != name:
+                    ref["via"] = item["via"]
+            row[_OBJECTS_AT] = objects
         elif kind == "reconfig":
             text = row[_TEXT_AT]
             row[_TEXT_AT] = digest = script_digest(text)
@@ -148,51 +208,72 @@ def encode_entry(entry: Dict[str, Any], scripts: Dict[str, str]) -> Row:
 
 
 def decode_entry(
-    row: Row, script_text: Callable[[str], Optional[str]], stamp: Optional[Stamp] = None
+    row: Row, script_text: Callable[[str], Optional[str]], root: str,
+    stamp: Optional[Stamp] = None,
 ) -> Dict[str, Any]:
-    """The entry ``row`` was encoded from (:func:`encode_entry`): equal to
-    the dict that was appended, keys in the table's order.  ``script_text``
-    resolves a ``reconfig``'s digest (a digest the store holds no text for
-    reads back as ``None``); a row stored without its ``epoch, writer``
-    (:func:`encode_segment`) takes ``stamp``, the entry's before it."""
-    kind = row[0]
-    keys = _ENTRY_KEYS[kind]
-    entry = dict(zip(keys, row))
-    if len(row) < len(keys):
-        entry["epoch"], entry["writer"] = stamp
-    if kind == "result":
-        output_kind, name, stored = row[_RESULT_AT]
+    """The entry ``row`` was encoded from (:func:`encode_entry`) for an
+    instance whose root task is ``root``: equal to the dict that was
+    appended, keys in the table's order, a ref's fields in
+    ``ref_to_plain``'s.  ``script_text`` resolves a ``reconfig``'s digest (a
+    digest the store holds no text for reads back as ``None``); a row
+    stored without its ``epoch, writer`` (:func:`encode_segment`) takes
+    ``stamp``, the entry's before it."""
+    code = row[0]
+    kind, output = CODES[code]
+    fields = _ROW_FIELDS[code]
+    stored = dict(zip(fields, row[1:]))
+    if len(row) <= len(fields):
+        stored["epoch"], stored["writer"] = stamp
+    if "path" in stored:
+        below = stored["path"]
+        stored["path"] = path = f"{root}/{below}" if below else root
+    if "objects" in stored:
+        name = stored["name"]
         objects: Dict[str, Any] = {}
-        for key, item in stored.items():
-            objects[key] = (
-                {"__ref__": True, **item} if isinstance(item, dict)
-                else {"__ref__": False, "value": item[0]}
-            )
-        entry["result"] = {"kind": output_kind, "name": name, "objects": objects}
+        for key, item in stored["objects"].items():
+            if isinstance(item, list):
+                objects[key] = {"__ref__": False, "value": item[0]}
+                continue
+            ref = {
+                "class": item["class"], "value": item["value"],
+                "produced_by": item.get("produced_by", path), "via": item.get("via", name),
+            }
+            objects[key] = {"__ref__": True, **ref} if output else ref
+        stored["objects"] = objects
+    if output:
+        stored["result"] = {
+            "kind": output, "name": stored.pop("name"), "objects": stored.pop("objects"),
+        }
     elif kind == "reconfig":
-        entry["script_text"] = script_text(row[_TEXT_AT])
+        stored["script_text"] = script_text(stored["script_text"])
+    entry = {"type": kind}
+    for field in ENTRY_FIELDS[kind]:
+        entry[field] = stored[field]
     return entry
 
 
 class Tail:
     """Where one instance's durable journal ends, as the runtime that writes
-    it knows it: ``length``, the position the next segment starts at;
+    it knows it: ``root``, the instance's root task, which its rows' paths
+    are stored below; ``length``, the position the next segment starts at;
     ``stamp``, the ``(epoch, writer)`` of the last entry when that is an
     ``int`` and a ``str`` (else ``None``: the next row spells its own);
     ``ended``, set by the owner once the instance is terminal, so that every
-    barrier that touches it writes its ``meta``.  Built empty for a new
-    instance (the class defaults: no call) and by :meth:`after` from the
-    journal a replay read — never kept across a crash, a demotion or a
-    promotion, which all replay."""
+    barrier that touches it writes its ``meta``.  Built for a new instance
+    with the class defaults and its ``root`` set (no call), and by
+    :meth:`after` from the journal a replay read — never kept across a
+    crash, a demotion or a promotion, which all replay."""
 
+    root: str
     length = 0
     stamp: Optional[Stamp] = None
     ended = False
 
     @classmethod
-    def after(cls, entries: List[Dict[str, Any]]) -> "Tail":
-        """The tail of a journal that holds ``entries``."""
+    def after(cls, root: str, entries: List[Dict[str, Any]]) -> "Tail":
+        """The tail of a journal under ``root`` that holds ``entries``."""
         tail = cls()
+        tail.root = root
         if entries:
             epoch, writer = entries[-1]["epoch"], entries[-1]["writer"]
             tail.length = len(entries)
@@ -221,7 +302,7 @@ def encode_segment(rows: List[Row], stamp: Optional[Stamp]) -> Tuple[Any, Option
 
 def segment_rows(segment: Any) -> List[Row]:
     """The rows :func:`encode_segment` stored as ``segment``, in order."""
-    return [segment] if isinstance(segment[0], str) else segment
+    return [segment] if type(segment[0]) is int else segment
 
 
 class Journal:
@@ -253,19 +334,14 @@ class Journal:
         script_write = self._intern(digest, text)
         counter = self.store.get_committed("instance-counter", 0) + 1
         iid = f"wf-{counter}"
-        spec = {
-            "script": digest,
-            "root_task": root_task,
-            "input_set": input_set,
-            "inputs": dict(inputs or {}),
-        }
+        stored = [digest, root_task, input_set, dict(inputs or {})]
         self.store.commit_batch({
             **script_write,
             "instance-counter": counter,
-            f"instance:{iid}:spec": spec,
+            f"instance:{iid}:spec": stored,
             f"instance:{iid}:meta": {"journal_len": 0},
         })
-        return iid, spec
+        return iid, dict(zip(_SPEC_KEYS, stored))
 
     def snapshot(self, iid: str) -> Dict[str, Any]:
         """A stored instance as portable plain data: its spec and
@@ -290,8 +366,9 @@ class Journal:
         snapshot comes from outside the service: one whose journal is not
         what its own ``journal_len`` says, entry for entry, or holds an entry
         of a type :data:`ENTRY_FIELDS` does not know, or with a field it does
-        not spell or missing one it does, is refused before anything is
-        logged."""
+        not spell or missing one it does, or one :func:`encode_entry`
+        refuses (a path not under the snapshot's root task, say), is refused
+        before anything is logged."""
         iid, meta = snapshot["instance"], snapshot["meta"]
         entries = list(snapshot["journal"])
         if meta["journal_len"] != len(entries) or not all(
@@ -302,20 +379,19 @@ class Journal:
                 f"({meta['journal_len']}) entry for entry"
             )
         for n, entry in enumerate(entries):
-            keys = _ENTRY_KEYS.get(entry.get("type"))
-            if keys is None or entry.keys() != set(keys):
+            fields = ENTRY_FIELDS.get(entry.get("type"))
+            if fields is None or entry.keys() != {"type", *fields}:
                 raise ExecutionError(
                     f"{iid}: snapshot journal entry {n} has an unknown type or "
                     f"field, or lacks one: {sorted(entry)}"
                 )
         scripts = {digest: meta["script_text"]}
-        rows = [encode_entry(entry, scripts) for entry in entries]
+        root = meta["root_task"]
+        rows = [encode_entry(entry, scripts, root) for entry in entries]
         writes: Dict[str, Any] = {}
         for each, text in scripts.items():
             writes.update(self._intern(each, text))
-        writes[f"instance:{iid}:spec"] = {
-            "script": digest, **{name: meta[name] for name in _SPEC_FIELDS},
-        }
+        writes[f"instance:{iid}:spec"] = [digest, *(meta[name] for name in _SPEC_FIELDS)]
         writes[f"instance:{iid}:meta"] = {"journal_len": len(entries)}
         if rows:
             writes[f"instance:{iid}:journal:0"] = encode_segment(rows, None)[0]
@@ -371,9 +447,9 @@ class Journal:
         for iid, entry in batch:
             rows = segments.get(iid)
             if rows is None:
-                segments[iid] = [encode_entry(entry, scripts)]
+                segments[iid] = [encode_entry(entry, scripts, tails[iid].root)]
             else:
-                rows.append(encode_entry(entry, scripts))
+                rows.append(encode_entry(entry, scripts, tails[iid].root))
         ends: List[Tuple[Tail, int, Optional[Stamp]]] = []
         for iid, rows in segments.items():
             tail = tails[iid]
@@ -446,7 +522,10 @@ class Journal:
         return "closed" in self.store.get_committed(f"instance:{iid}:meta", {})
 
     def spec(self, iid: str) -> Optional[Dict[str, Any]]:
-        return self.store.get_committed(f"instance:{iid}:spec")
+        """``iid``'s spec as a dict — ``script`` (the digest), ``root_task``,
+        ``input_set``, ``inputs`` — or ``None`` for no such instance."""
+        stored = self.store.get_committed(f"instance:{iid}:spec")
+        return None if stored is None else dict(zip(_SPEC_KEYS, stored))
 
     def script_text(self, digest: str) -> Optional[str]:
         """The text the store holds under ``digest``, if any."""
@@ -465,8 +544,13 @@ class Journal:
         from position 0 to the first position where no segment starts,
         carrying each row's stamp to the next; it does not read ``meta``, so
         a segment past a lost one is not reached (:meth:`segments` finds
-        it), and one running past ``journal_len`` is read whole."""
+        it), and one running past ``journal_len`` is read whole.  An id with
+        no spec has none."""
         read, script_text = self.store.get_committed, self.script_text
+        spec = read(f"instance:{iid}:spec")
+        if spec is None:
+            return []
+        root = spec[1]
         prefix = f"instance:{iid}:journal:"
         found: List[Dict[str, Any]] = []
         stamp: Optional[Stamp] = None
@@ -475,6 +559,6 @@ class Journal:
             if segment is None:
                 return found
             for row in segment_rows(segment):
-                entry = decode_entry(row, script_text, stamp)
+                entry = decode_entry(row, script_text, root, stamp)
                 stamp = (entry["epoch"], entry["writer"])
                 found.append(entry)

@@ -7,7 +7,10 @@ Two passes, in the FoundationDB tradition:
    owning node exactly at that protocol step.  Recovery-only points are
    paired with a preceding driver crash (``on_recover`` only runs after
    one); points only reachable through compaction get the harness's
-   compactor enabled.
+   compactor enabled.  A WAL force point is armed a second time at its
+   *last* visit in the fault-free run: the last force of a closed loop is
+   the barrier that ends its last instance, the only kind that writes a
+   ``meta`` seal.
 2. **Random nemesis sweep** — seeded random schedules composing one to
    three faults (crash-at-point, timed crashes, partitions, loss/dup/
    reorder bursts).  Each seed is an independent, fully reproducible
@@ -58,6 +61,8 @@ _NEEDS_COMPACTOR = ("wal.checkpoint.",)
 _NEEDS_REPLICAS = ("repl.", "store.ingest.")
 #: The driver crash paired with recovery-only points.
 _RECOVERY_DRIVER = "exec.journal.post"
+#: Points armed once more at their last visit in the fault-free run.
+_AT_LAST_HIT = ("wal.force.pre", "wal.force.post")
 
 
 @dataclass
@@ -151,20 +156,45 @@ class ChaosSweep:
             schedule, self.base_seed, replicas=2 if replicated else 0, **changes
         )
 
-    def exhaustive(self) -> SweepResult:
-        """One run per crash point (torn variants included)."""
-        result = SweepResult()
+    def plans_at_last_hit(self) -> List[Tuple[CrashPoint, str, SimHarness]]:
+        """``(point, mode, harness)`` for each point of ``_AT_LAST_HIT`` and
+        mode: the harness of :meth:`plan_for_point` armed at the point's
+        last visit in that harness's fault-free run, which this runs once."""
+        fault_free = self._harness(NemesisSchedule(name="fault-free"), self.base_seed)
+        visits = self._run(fault_free).points_visited
+        plans = []
         for point in catalogue():
-            modes = ["clean"] + (["torn"] if point.torn else [])
-            for mode in modes:
-                harness = self.plan_for_point(point, mode)
-                report = self._run(harness)
-                result.reports.append(report)
-                self._log(report)
-                if not any(fired[0] == point.name for fired in report.fired):
-                    result.unreached.append(f"{point.name} ({mode})")
-                if report.violations:
-                    result.failures.append(self._shrink_and_record(harness, report))
+            if point.name not in _AT_LAST_HIT:
+                continue
+            for mode in ["clean"] + (["torn"] if point.torn else []):
+                suffix = "-torn" if mode == "torn" else ""
+                schedule = NemesisSchedule(
+                    [CrashAtPoint(point.name, at_hit=max(1, visits.get(point.name, 0)),
+                                  mode=mode, downtime=self.downtime)],
+                    name=f"point:{point.name}{suffix}@last",
+                )
+                plans.append((point, mode, self._harness(schedule, self.base_seed)))
+        return plans
+
+    def exhaustive(self) -> SweepResult:
+        """One run per crash point (torn variants included), then one per
+        :meth:`plans_at_last_hit`."""
+        result = SweepResult()
+
+        def sweep(label: str, point: CrashPoint, mode: str, harness: SimHarness) -> None:
+            report = self._run(harness)
+            result.reports.append(report)
+            self._log(report)
+            if not any(fired[0] == point.name for fired in report.fired):
+                result.unreached.append(f"{label} ({mode})")
+            if report.violations:
+                result.failures.append(self._shrink_and_record(harness, report))
+
+        for point in catalogue():
+            for mode in ["clean"] + (["torn"] if point.torn else []):
+                sweep(point.name, point, mode, self.plan_for_point(point, mode))
+        for point, mode, harness in self.plans_at_last_hit():
+            sweep(f"{point.name}@last", point, mode, harness)
         return result
 
     # -- random pass -------------------------------------------------------------

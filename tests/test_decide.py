@@ -49,7 +49,7 @@ def started(service, script, root, inputs, iid="wf-1"):
         compiled.plan = compile_plan(compiled.script)
     tree = service._new_tree(compiled.script, root, compiled.plan)
     runtime = _Runtime(iid, compiled.script, tree)
-    runtime.has_deadlines = compiled.has_deadlines
+    runtime.deadlines = compiled.deadlines.get(root, ())
     tree.start("main", inputs)
     service._drain(runtime)
     return runtime

@@ -1,15 +1,20 @@
-"""The journal's stored form: ``[type, *fields]``, read back as the dict
+"""The journal's stored form: ``[code, *fields]``, read back as the dict
 that was appended (docs/PROTOCOLS.md §4.1).
 
-``repro.services.journal`` stores every entry positionally, in the order of
-its ``ENTRY_FIELDS`` table, and decodes it back on every read.  These tests
-pin what that rests on:
+``repro.services.journal`` stores every entry positionally — its code in the
+``CODES`` table (one per entry type, and per output kind of a ``result``),
+then its fields in the order of ``ENTRY_FIELDS``, a path below the
+instance's root task, a ref without the ``produced_by`` / ``via`` its row
+already says — and decodes it back on every read.  These tests pin what
+that rests on:
 
-* **Round trip.**  For every entry type, ``decode(encode(e)) == e`` — also
-  after the JSON round trip the WAL mirror puts a row through — including
-  plain outputs that are lists, dicts, dicts holding a ``"__ref__"`` key and
-  ``None``, and refs without ``produced_by`` / ``via``.  An entry the table
-  cannot spell is refused: the service journals none.
+* **Round trip.**  For every code, ``decode(encode(e)) == e`` — also after
+  the JSON round trip the WAL mirror puts a row through — including paths at
+  the root and three or more levels below it, plain outputs that are lists,
+  dicts, dicts holding a ``"__ref__"`` key and ``None``, and refs whose
+  ``produced_by`` / ``via`` equal the row's path and name or differ from
+  them.  An entry the table cannot spell — a path not under the root, a ref
+  missing a field — is refused: the service journals none.
 * **What the service journals.**  Every entry the paper's three
   applications append reads back from ``Journal.entries`` equal to the dict
   appended, key order included, on the primary and on a standby.
@@ -26,6 +31,9 @@ pin what that rests on:
   import; a row spells its ``epoch, writer`` only where they change, and
   ``meta`` is written only for an instance a barrier leaves terminal.  A
   store already holding one row per key reads on.
+* **The spec is positional.**  ``instance:<iid>:spec`` is ``[digest,
+  root_task, input_set, inputs]`` and ``Journal.spec`` reads it as the dict,
+  through export and import and through a crash and its recovery.
 """
 
 import copy
@@ -42,7 +50,7 @@ from repro.services import WorkflowSystem
 from repro.services import execution as execution_mod
 from repro.services import journal as journal_mod
 from repro.services.journal import (
-    ENTRY_FIELDS, Journal, Tail, decode_entry, encode_entry, script_digest,
+    CODES, ENTRY_FIELDS, Journal, Tail, decode_entry, encode_entry, script_digest, segment_rows,
 )
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
@@ -55,12 +63,20 @@ from tests.test_journal_layout import journal_keys
 PROTOCOL_TYPES = {
     "result", "failure", "mark", "external", "reconfig", "force_abort", "deadline", "overloaded",
 }
+OUTPUT_KINDS = ("OUTCOME", "ABORT", "REPEAT", "MARK")
+ROOT = "pipeline"
+EXTERNAL = CODES.index(("external", None))
 
 
-def round_trip(entry):
+def round_trip(entry, root=ROOT):
     scripts = {}
-    row = encode_entry(entry, scripts)
-    return row, decode_entry(row, scripts.get), scripts
+    row = encode_entry(entry, scripts, root)
+    return row, decode_entry(row, scripts.get, root), scripts
+
+
+def fresh_tail(root=ROOT):
+    """The tail of an instance under ``root`` with an empty journal."""
+    return Tail.after(root, [])
 
 
 # -- round trip ----------------------------------------------------------------------
@@ -80,37 +96,39 @@ plain = st.recursive(
 awkward = st.sampled_from([None, [], [1, [2]], {}, {"__ref__": True}, {"__ref__": False, "value": 1}])
 values = awkward | plain
 names = st.text(min_size=1, max_size=5)
+# the root itself, or one to four levels below it (a level may hold "/")
+paths = st.lists(st.text(min_size=1, max_size=4), max_size=4).map(
+    lambda levels: "/".join([ROOT, *levels])
+)
 
 
 @st.composite
-def refs(draw):
-    """A reference as ``ref_to_plain`` writes it, or with ``produced_by`` /
-    ``via`` absent, as an older or a foreign writer may."""
+def refs(draw, path, name):
+    """A reference as ``ref_to_plain`` writes it, in a row of ``path`` and
+    output or mark ``name``: its ``produced_by`` and ``via`` each that
+    row's, another's or ``None``."""
     ref = {"class": draw(st.text(max_size=5)), "value": draw(values)}
-    for optional in ("produced_by", "via"):
-        form = draw(st.sampled_from(["absent", "none", "text"]))
-        if form != "absent":
-            ref[optional] = None if form == "none" else draw(st.text(max_size=5))
+    ref["produced_by"] = draw(st.sampled_from([path, None]) | paths | st.text(max_size=5))
+    ref["via"] = draw(st.sampled_from([name, None]) | names)
     return ref
 
 
-result_objects = st.dictionaries(
-    names,
-    values.map(lambda value: {"__ref__": False, "value": value})
-    | refs().map(lambda ref: {"__ref__": True, **ref}),
-    max_size=3,
-)
+def object_maps(path, name, tagged):
+    """A ``result``'s object map (``tagged``: plain values and tagged refs)
+    or a ``mark``'s (untagged refs)."""
+    ref = refs(path, name)
+    if tagged:
+        ref = values.map(lambda value: {"__ref__": False, "value": value}) | ref.map(
+            lambda item: {"__ref__": True, **item}
+        )
+    return st.dictionaries(names, ref, max_size=3)
+
+
 FIELD_VALUES = {
-    "path": st.text(max_size=12),
+    "path": paths,
     "exec": st.integers(0, 99),
-    "result": st.fixed_dictionaries({
-        "kind": st.sampled_from(["OUTCOME", "ABORT", "MARK"]),
-        "name": names,
-        "objects": result_objects,
-    }),
     "error": st.text(max_size=12),
     "name": st.none() | names,
-    "objects": st.dictionaries(names, refs(), max_size=3),
     "script_text": st.text(min_size=1, max_size=40),
     "expires_at": st.floats(0, 1e6),
     "reason": st.text(max_size=12),
@@ -121,11 +139,21 @@ FIELD_VALUES = {
 
 
 @st.composite
-def entries_of(draw, kind):
-    """An entry of ``kind``, keys in the order the service builds them."""
+def entries_of(draw, kind, output=None):
+    """An entry of ``kind`` (a ``result`` of the output kind ``output``, or
+    of any), keys in the order the service builds them."""
     entry = {"type": kind}
     for field in ENTRY_FIELDS[kind]:
-        entry[field] = draw(FIELD_VALUES[field])
+        if field == "result":
+            name = draw(names)
+            entry["result"] = {
+                "kind": output or draw(st.sampled_from(OUTPUT_KINDS)), "name": name,
+                "objects": draw(object_maps(entry["path"], name, tagged=True)),
+            }
+        elif field == "objects":
+            entry["objects"] = draw(object_maps(entry["path"], entry["name"], tagged=False))
+        else:
+            entry[field] = draw(FIELD_VALUES[field])
     return entry
 
 
@@ -134,45 +162,132 @@ class TestRoundTrip:
         assert set(ENTRY_FIELDS) == PROTOCOL_TYPES
         assert all(fields[-2:] == ("epoch", "writer") for fields in ENTRY_FIELDS.values())
 
+    def test_the_code_table_is_pinned(self):
+        """A stored row's code is its position here: reordering the table,
+        or ``OutputKind``, would misread every stored journal."""
+        assert CODES == (
+            ("result", "OUTCOME"), ("result", "ABORT"), ("result", "REPEAT"), ("result", "MARK"),
+            ("failure", None), ("mark", None), ("external", None), ("reconfig", None),
+            ("force_abort", None), ("deadline", None), ("overloaded", None),
+        )
+
     @pytest.mark.parametrize("kind", sorted(PROTOCOL_TYPES))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_decode_of_encode_is_the_entry(self, kind, data):
-        entry = data.draw(entries_of(kind))
+        self.check_round_trip(data.draw(entries_of(kind)))
+
+    @pytest.mark.parametrize("output", OUTPUT_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_result_kind_round_trips_under_its_own_code(self, output, data):
+        self.check_round_trip(data.draw(entries_of("result", output)))
+
+    @staticmethod
+    def check_round_trip(entry):
+        kind = entry["type"]
+        output = entry["result"]["kind"] if kind == "result" else None
         appended = copy.deepcopy(entry)
         row, decoded, scripts = round_trip(entry)
         assert entry == appended  # encoding leaves the appended entry alone
-        assert isinstance(row, list) and row[0] == kind and len(row) == len(entry)
+        assert isinstance(row, list) and CODES[row[0]] == (kind, output)
+        # a result's {kind, name, objects} stands as name and objects
+        assert len(row) == len(entry) + (kind == "result")
         assert decoded == entry and list(decoded) == list(entry)
         # the mirror stores the row as JSON; its replay decodes the same
         mirrored = json.loads(json.dumps(row))
-        assert decode_entry(mirrored, scripts.get) == json.loads(json.dumps(entry))
+        assert decode_entry(mirrored, scripts.get, ROOT) == json.loads(json.dumps(entry))
+        if "path" in entry:
+            below = row[1]
+            assert ("/".join(filter(None, [ROOT, below]))) == entry["path"]
+        if kind in ("result", "mark"):
+            name = entry["result"]["name"] if kind == "result" else entry["name"]
+            given = entry["result"]["objects"] if kind == "result" else entry["objects"]
+            for key, item in row[4].items():
+                if isinstance(item, dict):
+                    full = given[key]
+                    assert ("produced_by" in item) == (full["produced_by"] != entry["path"])
+                    assert ("via" in item) == (full["via"] != name)
         if kind == "reconfig":
             assert row[1] == script_digest(entry["script_text"])
             assert scripts == {row[1]: entry["script_text"]}
         else:
             assert scripts == {}
 
+    @pytest.mark.parametrize("path, below", [
+        (ROOT, ""), (f"{ROOT}/a", "a"), (f"{ROOT}/a/b/c", "a/b/c"), (f"{ROOT}/a/b/c/d", "a/b/c/d"),
+    ])
+    def test_a_path_is_stored_below_the_root(self, path, below):
+        entry = {"type": "external", "path": path, "exec": 1, "epoch": 1, "writer": "w"}
+        row, decoded, _scripts = round_trip(entry)
+        assert row == [EXTERNAL, below, 1, 1, "w"]
+        assert decoded == entry
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_path_not_under_the_root_is_refused(self, data):
+        kind = data.draw(st.sampled_from(
+            sorted(kind for kind, fields in ENTRY_FIELDS.items() if "path" in fields)
+        ))
+        entry = data.draw(entries_of(kind))
+        entry["path"] = data.draw(
+            st.sampled_from([f"{ROOT}/", f"{ROOT}x/a", "other", "", f"x/{ROOT}", None, 3])
+            | st.text(max_size=12).filter(lambda text: text != ROOT and not text.startswith(ROOT + "/"))
+        )
+        scripts = {}
+        with pytest.raises(ExecutionError, match="cannot spell"):
+            encode_entry(entry, scripts, ROOT)
+        assert scripts == {}
+
     def test_object_map_stores_plain_values_wrapped_and_refs_untagged(self):
+        path = f"{ROOT}/t8"
         entry = {
-            "type": "result", "path": "p", "exec": 1,
-            "result": {"kind": "OUTCOME", "name": "done", "objects": {
+            "type": "result", "path": path, "exec": 1,
+            "result": {"kind": "ABORT", "name": "done", "objects": {
                 "list": {"__ref__": False, "value": [1, 2]},
                 "none": {"__ref__": False, "value": None},
                 "tagged": {"__ref__": False, "value": {"__ref__": True, "class": "C"}},
-                "ref": {"__ref__": True, "class": "C", "value": 3},
+                "own": {"__ref__": True, "class": "C", "value": 3,
+                        "produced_by": path, "via": "done"},
+                "passed": {"__ref__": True, "class": "C", "value": 4,
+                           "produced_by": f"{ROOT}/t7", "via": "out"},
+                "unknown": {"__ref__": True, "class": "C", "value": 5,
+                            "produced_by": None, "via": None},
             }},
             "epoch": 2, "writer": "execution",
         }
         row, decoded, _scripts = round_trip(entry)
         assert row == [
-            "result", "p", 1,
-            ["OUTCOME", "done", {
+            CODES.index(("result", "ABORT")), "t8", 1, "done", {
                 "list": [[1, 2]], "none": [None],
                 "tagged": [{"__ref__": True, "class": "C"}],
-                "ref": {"class": "C", "value": 3},
-            }],
+                "own": {"class": "C", "value": 3},
+                "passed": {"class": "C", "value": 4, "produced_by": f"{ROOT}/t7", "via": "out"},
+                "unknown": {"class": "C", "value": 5, "produced_by": None, "via": None},
+            },
             2, "execution",
+        ]
+        assert decoded == entry
+        assert [list(item) for item in decoded["result"]["objects"].values()][3:] == [
+            ["__ref__", "class", "value", "produced_by", "via"],
+        ] * 3
+
+    def test_a_mark_row_drops_what_its_path_and_name_say(self):
+        path = f"{ROOT}/a/b/c"
+        entry = {
+            "type": "mark", "path": path, "exec": 2, "name": "costKnown", "objects": {
+                "cost": {"class": "Cost", "value": 420.0, "produced_by": path, "via": "costKnown"},
+                "seat": {"class": "Seat", "value": "1A", "produced_by": path, "via": "other"},
+            },
+            "epoch": 1, "writer": "execution",
+        }
+        row, decoded, _scripts = round_trip(entry)
+        assert row == [
+            CODES.index(("mark", None)), "a/b/c", 2, "costKnown", {
+                "cost": {"class": "Cost", "value": 420.0},
+                "seat": {"class": "Seat", "value": "1A", "via": "other"},
+            },
+            1, "execution",
         ]
         assert decoded == entry
 
@@ -180,6 +295,18 @@ class TestRoundTrip:
         "entry",
         [
             {"type": "force_abort", "path": "p", "epoch": 1, "writer": "w"},  # no name
+            {"type": "external", "path": "q/t", "exec": 1, "epoch": 1, "writer": "w"},
+            {"type": "external", "path": "p/", "exec": 1, "epoch": 1, "writer": "w"},
+            {"type": "external", "path": "pp/t", "exec": 1, "epoch": 1, "writer": "w"},
+            {"type": "result", "path": "p", "exec": 1, "epoch": 1, "writer": "w",
+             "result": {"kind": "FINAL", "name": "d", "objects": {}}},
+            {"type": "result", "path": "p", "exec": 1, "epoch": 1, "writer": "w",
+             "result": {"kind": "OUTCOME", "name": "d", "objects": {
+                 "o": {"__ref__": True, "class": "C", "value": 1, "via": "d"}}}},
+            {"type": "mark", "path": "p", "exec": 1, "name": "m", "epoch": 1, "writer": "w",
+             "objects": {"o": {"class": "C", "value": 1, "produced_by": "p", "via": "m", "x": 0}}},
+            {"type": "mark", "path": "p", "exec": 1, "name": "m", "epoch": 1, "writer": "w",
+             "objects": {"o": {"class": "C", "produced_by": "p", "via": "m", "x": 0}}},
             {"type": "external", "path": "p", "exec": 1},  # written before the stamp
             {"type": "external", "path": "p", "exec": 1, "epoch": 1, "writer": "w", "x": 0},
             {"type": "later", "what": 1},
@@ -195,7 +322,10 @@ class TestRoundTrip:
             {"type": "result", "path": "p", "exec": 1, "epoch": 1, "writer": "w",
              "result": {"kind": "OUTCOME", "name": "d", "objects": {"o": {"__ref__": False}}}},
         ],
-        ids=["field-missing", "unstamped", "field-extra", "unknown-type",
+        ids=["field-missing", "path-not-under-the-root", "path-the-root-and-a-slash",
+             "path-sharing-the-roots-prefix", "unknown-output-kind", "ref-without-produced-by",
+             "mark-ref-key-extra", "mark-ref-value-missing",
+             "unstamped", "field-extra", "unknown-type",
              "object-untagged", "tag-not-a-bool", "object-not-a-dict",
              "plain-object-key-extra", "plain-object-value-missing"],
     )
@@ -204,7 +334,7 @@ class TestRoundTrip:
         the dict it was while the codec kept dict rows)."""
         scripts = {}
         with pytest.raises(ExecutionError, match="cannot spell"):
-            encode_entry(entry, scripts)
+            encode_entry(entry, scripts, "p")
         assert scripts == {}
 
 
@@ -318,7 +448,7 @@ class TestReconfigByDigest:
             new_text, new_text,
         ]
         rows = [store.get_committed(f"instance:{iid}:journal:{n}") for n in range(len(stored))]
-        reconfigs = [row for row in rows if row[0] == "reconfig"]
+        reconfigs = [row for row in rows if CODES[row[0]] == ("reconfig", None)]
         assert [row[1] for row in reconfigs] == [script_digest(new_text)] * 2
         assert all(new_text not in json.dumps(row) for row in rows)
         # the entry and its text ride in one record
@@ -462,18 +592,20 @@ class PlainStore:
 def created(store, count):
     journal = Journal(store)
     return journal, [
-        journal.create(script_digest(SCRIPT), SCRIPT, "root", "main", {})[0]
+        journal.create(script_digest(SCRIPT), SCRIPT, ROOT, "main", {})[0]
         for _ in range(count)
     ]
 
 
 def stamps_spelled(store, iid):
-    """How many of ``iid``'s stored rows spell their ``epoch, writer``."""
+    """How many of ``iid``'s stored rows spell their ``epoch, writer``: a
+    row of all its entry's fields (a ``result``'s stands as two) and its
+    code."""
     spelled = 0
     for n in journal_keys(store, iid):
-        segment = store.get_committed(f"instance:{iid}:journal:{n}")
-        rows = [segment] if isinstance(segment[0], str) else segment
-        spelled += sum(len(row) == len(ENTRY_FIELDS[row[0]]) + 1 for row in rows)
+        for row in segment_rows(store.get_committed(f"instance:{iid}:journal:{n}")):
+            kind = CODES[row[0]][0]
+            spelled += len(row) == len(ENTRY_FIELDS[kind]) + 1 + (kind == "result")
     return spelled
 
 
@@ -498,7 +630,7 @@ class TestSegmentRoundTrip:
         rebuilt from the durable journal, as a recovery does."""
         store = ObjectStore("exec")
         journal, iids = created(store, count)
-        tails = {iid: Tail() for iid in iids}
+        tails = {iid: fresh_tail() for iid in iids}
         appended = {iid: [] for iid in iids}
         for barrier in data.draw(barriers(count)):
             touched, ending = set(), set()
@@ -521,7 +653,7 @@ class TestSegmentRoundTrip:
                 for index, _entry in barrier:
                     appended[iids[index]].pop()
                 for iid in iids:
-                    tails[iid] = Tail.after(journal.entries(iid))
+                    tails[iid] = Tail.after(ROOT, journal.entries(iid))
                     tails[iid].ended = journal.ended(iid)
                 continue
             closed = {iid for iid in ending if data.draw(st.booleans())}
@@ -558,29 +690,29 @@ class TestSegmentRoundTrip:
     def test_a_multi_entry_segment_shares_one_stamp_and_keeps_a_changed_one_on_its_row(self):
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
-        tail = Tail()
+        tail = fresh_tail()
         stamp = {"epoch": 2, "writer": "execution"}
         results = [
-            {"type": "external", "path": f"p{n}", "exec": 1, **stamp} for n in range(3)
+            {"type": "external", "path": f"{ROOT}/p{n}", "exec": 1, **stamp} for n in range(3)
         ]
         for entry in results:
             journal.append(iid, entry, tail)
         journal.commit()
         assert store.get_committed(f"instance:{iid}:journal:0") == [
-            ["external", "p0", 1, 2, "execution"], ["external", "p1", 1], ["external", "p2", 1],
+            [EXTERNAL, "p0", 1, 2, "execution"], [EXTERNAL, "p1", 1], [EXTERNAL, "p2", 1],
         ]
-        odd = {"type": "external", "path": "q", "exec": 1, "epoch": 3, "writer": "execution"}
+        odd = {"type": "external", "path": f"{ROOT}/q", "exec": 1, "epoch": 3, "writer": "execution"}
         journal.append(iid, results[0], tail)
         journal.append(iid, odd, tail)
         journal.commit()
         # the stamp carries across segments: only the promotion spells one
         assert store.get_committed(f"instance:{iid}:journal:3") == [
-            ["external", "p0", 1], ["external", "q", 1, 3, "execution"],
+            [EXTERNAL, "p0", 1], [EXTERNAL, "q", 1, 3, "execution"],
         ]
-        journal.append(iid, {**odd, "path": "r"}, tail)
+        journal.append(iid, {**odd, "path": ROOT}, tail)
         journal.commit()
-        assert store.get_committed(f"instance:{iid}:journal:5") == ["external", "r", 1]
-        assert journal.entries(iid) == [*results, results[0], odd, {**odd, "path": "r"}]
+        assert store.get_committed(f"instance:{iid}:journal:5") == [EXTERNAL, "", 1]
+        assert journal.entries(iid) == [*results, results[0], odd, {**odd, "path": ROOT}]
         # no barrier ended it: meta is still what its birth wrote
         assert store.get_committed(f"instance:{iid}:meta") == {"journal_len": 0}
 
@@ -588,11 +720,11 @@ class TestSegmentRoundTrip:
         store = ObjectStore("exec")
         journal, (iid,) = created(store, 1)
         entries = [
-            {"type": "external", "path": "a", "exec": 1, "epoch": 1, "writer": "execution-1"},
-            {"type": "external", "path": "b", "exec": 1, "epoch": 2, "writer": "execution-2"},
-            {"type": "external", "path": "c", "exec": 1, "epoch": 2, "writer": "execution-2"},
+            {"type": "external", "path": f"{ROOT}/a", "exec": 1, "epoch": 1, "writer": "execution-1"},
+            {"type": "external", "path": f"{ROOT}/b", "exec": 1, "epoch": 2, "writer": "execution-2"},
+            {"type": "external", "path": f"{ROOT}/c", "exec": 1, "epoch": 2, "writer": "execution-2"},
         ]
-        tail = Tail()
+        tail = fresh_tail()
         for entry in entries:
             journal.append(iid, entry, tail)
         journal.commit()
@@ -601,9 +733,9 @@ class TestSegmentRoundTrip:
         Journal(target).adopt(snapshot, script_digest(SCRIPT))
         assert journal_keys(target, iid) == [0]
         assert target.get_committed(f"instance:{iid}:journal:0") == [
-            ["external", "a", 1, 1, "execution-1"],
-            ["external", "b", 1, 2, "execution-2"],
-            ["external", "c", 1],
+            [EXTERNAL, "a", 1, 1, "execution-1"],
+            [EXTERNAL, "b", 1, 2, "execution-2"],
+            [EXTERNAL, "c", 1],
         ]
         assert Journal(target).entries(iid) == entries
         assert Journal(target).snapshot(iid) == snapshot
@@ -619,13 +751,13 @@ class TestSegmentRoundTrip:
         journal, (iid,) = created(store, 1)
         old = data.draw(st.lists(any_entry(), min_size=1, max_size=6))
         scripts = {}
-        rows = [encode_entry(entry, scripts) for entry in old]
+        rows = [encode_entry(entry, scripts, ROOT) for entry in old]
         store.commit_batch({
             **{f"script:{digest}": text for digest, text in scripts.items()},
             **{f"instance:{iid}:journal:{n}": row for n, row in enumerate(rows)},
             f"instance:{iid}:meta": {"journal_len": len(rows)},
         })
-        tail = Tail.after(journal.entries(iid))
+        tail = Tail.after(ROOT, journal.entries(iid))
         tail.ended = True
         new = []
         for barrier in data.draw(barriers(1)):
@@ -636,3 +768,56 @@ class TestSegmentRoundTrip:
         assert journal.entries(iid) == old + new
         assert Journal(PlainStore(store)).entries(iid) == json.loads(json.dumps(old + new))
         assert journal.length(iid) == len(old + new)
+
+
+# -- the spec is positional ----------------------------------------------------------------
+
+
+class TestPositionalSpec:
+    def test_create_stores_a_list_and_spec_reads_the_dict(self):
+        store = ObjectStore("exec")
+        journal = Journal(store)
+        iid, spec = journal.create(script_digest(SCRIPT), SCRIPT, ROOT, "main", {"k": [1]})
+        assert store.get_committed(f"instance:{iid}:spec") == [
+            script_digest(SCRIPT), ROOT, "main", {"k": [1]},
+        ]
+        assert spec == journal.spec(iid) == {
+            "script": script_digest(SCRIPT), "root_task": ROOT, "input_set": "main",
+            "inputs": {"k": [1]},
+        }
+        assert list(journal.spec(iid)) == ["script", "root_task", "input_set", "inputs"]
+        assert journal.spec("wf-99") is None and journal.entries("wf-99") == []
+
+    def test_the_spec_crosses_export_and_import(self):
+        store = ObjectStore("exec")
+        journal = Journal(store)
+        iid, spec = journal.create(script_digest(SCRIPT), SCRIPT, ROOT, "side", {"k": 1})
+        journal.append(iid, {"type": "external", "path": f"{ROOT}/a/b/c", "exec": 1,
+                             "epoch": 1, "writer": "execution"}, fresh_tail())
+        journal.commit()
+        target = ObjectStore("target")
+        Journal(target).adopt(journal.snapshot(iid), script_digest(SCRIPT))
+        assert target.get_committed(f"instance:{iid}:spec") == store.get_committed(
+            f"instance:{iid}:spec"
+        )
+        assert Journal(target).spec(iid) == spec
+        assert Journal(target).entries(iid) == journal.entries(iid)
+        assert target.get_committed(f"instance:{iid}:journal:0") == [
+            EXTERNAL, "a/b/c", 1, 1, "execution",
+        ]
+
+    def test_the_spec_survives_a_crash_and_recovery(self):
+        workload = chain(3)
+        _script, registry, root, inputs = workload
+        system = WorkflowSystem(workers=2, registry=registry)
+        system.deploy("chain", script_text(workload))
+        iid = system.instantiate("chain", root, inputs)
+        store = system.execution_store
+        spec = Journal(store).spec(iid)
+        assert spec["root_task"] == root and spec["inputs"] == inputs
+        system.execution_node.crash()
+        system.execution_node.recover()
+        assert Journal(store).spec(iid) == spec
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        assert [entry["path"].split("/")[0] for entry in Journal(store).entries(iid)] == [root] * 3
+        assert check_journal_integrity(store) == []

@@ -1,7 +1,8 @@
 """The execution store's object layout and what a journal barrier costs.
 
 Per script version the store holds one ``script:<digest>``; per instance a
-write-once ``instance:<iid>:spec`` naming it, an ``instance:<iid>:meta``
+write-once ``instance:<iid>:spec`` naming it (``[digest, root_task,
+input_set, inputs]``), an ``instance:<iid>:meta``
 sealed at its birth and by the barrier that ends it (``journal_len`` and,
 at the end, whether it is ``closed``), and one
 ``instance:<iid>:journal:<n>`` segment per barrier that touched it, holding
@@ -26,7 +27,7 @@ import repro
 from repro.core.errors import ExecutionError
 from repro.engine import outcome
 from repro.services import WorkflowSystem
-from repro.services.journal import Journal, script_digest, segment_rows
+from repro.services.journal import CODES, Journal, script_digest, segment_rows
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
 from repro.sim.oracles import (
@@ -34,14 +35,16 @@ from repro.sim.oracles import (
 )
 from repro.txn.ids import TransactionId
 from repro.txn.wal import BATCH, replay
-from repro.workloads import chain, fan, paper_order, script_text
+from repro.workloads import APPLICATIONS, chain, fan, paper_order, script_text
 
 
 # Mirror bytes per journaled step, instantiate excluded: a chain(8) instance
-# (one entry per barrier) and a fan(64) one (a fan-out's outcomes share one
-# barrier, so one segment).
-CHAIN8_BYTES_PER_STEP_CEILING = 170
-FAN64_BYTES_PER_STEP_CEILING = 70
+# (one entry per barrier), a fan(64) one (a fan-out's outcomes share one
+# barrier, so one segment) and three of trip (paths four levels deep, marks
+# releasing refs).
+CHAIN8_BYTES_PER_STEP_CEILING = 139
+FAN64_BYTES_PER_STEP_CEILING = 45
+TRIP_BYTES_PER_STEP_CEILING = 173
 
 
 def deployed_system(workload, **kwargs):
@@ -106,21 +109,46 @@ class TestBarrierCost:
         return (os.path.getsize(mirror) - before) / steps
 
     def test_chain8_entries_stay_under_the_byte_ceiling(self, tmp_path):
-        """A journal entry is stored by position, key names spelled by the
-        codec's table, its stamp only where it changes, and a barrier that
-        ends nothing writes no ``meta``: 154.5 mirror bytes per step for
-        chain(8), 200.9 with a stamp per row and a ``meta`` per barrier,
+        """A journal entry is stored by position, its type and output kind
+        one code, its path below the root, its stamp only where it changes,
+        and a barrier that ends nothing writes no ``meta``: 126.5 mirror
+        bytes per step for chain(8), 154.5 with type, kind and root spelled
+        on every row, 200.9 with a stamp per row and a ``meta`` per barrier,
         295.9 when each entry was stored as its dict.  An entry growing back
         trips this here."""
         assert self._mirror_bytes_per_step(chain(8), 8, tmp_path) <= CHAIN8_BYTES_PER_STEP_CEILING
 
     def test_fan64_segments_stay_under_the_byte_ceiling(self, tmp_path):
         """A barrier writes one segment per instance, its entries sharing
-        one key and one stamp: 63.8 mirror bytes per step for fan(64), 65.4
-        with a stamp per segment and a ``meta`` per barrier, 104.4 with one
-        key and stamp per entry.  Entries split back into keys of their own
-        trip this here."""
+        one key and one stamp: 40.8 mirror bytes per step for fan(64), 63.8
+        with type, kind and root spelled on every row, 65.4 with a stamp
+        per segment and a ``meta`` per barrier, 104.4 with one key and stamp
+        per entry.  Entries split back into keys of their own trip this
+        here."""
         assert self._mirror_bytes_per_step(fan(64), 64, tmp_path) <= FAN64_BYTES_PER_STEP_CEILING
+
+    def test_trip_rows_stay_under_the_byte_ceiling(self, tmp_path):
+        """The paper's trip script journals paths up to four levels deep and
+        a mark whose ref its row already names: 157.5 mirror bytes per step
+        over three instances, 199.7 with the root spelled in every path and
+        each ref's ``produced_by`` and ``via`` in full.  Paths or refs
+        spelled out again trip this here."""
+        app = APPLICATIONS["trip"]
+        mirror = str(tmp_path / "wal-trip.jsonl")
+        system = WorkflowSystem(workers=2, mirror_path=mirror)
+        app.binder(system.registry)
+        system.deploy(app.script_name, app.text)
+        store = system.execution_store
+        written = steps = 0
+        for n in range(3):
+            iid = system.instantiate(app.script_name, app.root_task, app.inputs(n))
+            store.sync()
+            before = os.path.getsize(mirror)
+            assert system.run_until_terminal(iid)["status"] == "completed"
+            written += os.path.getsize(mirror) - before
+            steps += journal_len(store, iid)
+        store.wal.close()
+        assert written / steps <= TRIP_BYTES_PER_STEP_CEILING
 
     def test_wal_bytes_per_step_do_not_depend_on_script_size(self, tmp_path):
         short = self._mirror_bytes_per_step(chain(8), 8, tmp_path)
@@ -149,8 +177,10 @@ class TestLayout:
         iid = system.instantiate("chain", root, inputs)
         assert store.get_committed(f"instance:{iid}:meta") == {"journal_len": 0}
         system.run_until_terminal(iid)
-        spec = store.get_committed(f"instance:{iid}:spec")
-        assert set(spec) == {"script", "root_task", "input_set", "inputs"}
+        spec = Journal(store).spec(iid)
+        assert store.get_committed(f"instance:{iid}:spec") == [
+            spec["script"], root, "main", inputs,
+        ]
         text = script_text(chain(4))
         assert spec["script"] == script_digest(text)
         assert store.get_committed(f"script:{spec['script']}") == text
@@ -277,7 +307,7 @@ class TestContiguityUnderSegments:
         store = system.execution_store
         last = f"instance:{iid}:journal:9"
         row = store.get_committed(last)
-        forged = [row, ["external", "fan/forged", 1]]
+        forged = [row, [CODES.index(("external", None)), "forged", 1]]
         store._committed[last] = forged  # seeded: one entry more than meta says
         entries = Journal(store).entries(iid)
         assert len(entries) == journal_len(store, iid) + 1
@@ -431,7 +461,7 @@ class TestSameTreeEveryWayIn:
             # the spec keeps naming the text the instance was created from;
             # the reconfiguration is a journal entry naming its own text,
             # which the store holds as the next version
-            digest = store.get_committed(f"instance:{iid}:spec")["script"]
+            digest = Journal(store).spec(iid)["script"]
             assert store.get_committed(f"script:{digest}") == text
             assert Journal(store).entries(iid)[0]["script_text"] == new_text
             assert [key for key in store.keys() if key.startswith("script:")] == [

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.errors import ExecutionError
 from repro.services import WorkflowSystem
-from repro.services.journal import script_digest
+from repro.services.journal import Journal, script_digest
 from repro.sim.oracles import check_journal_integrity
 from repro.workloads import paper_order
 
@@ -117,7 +117,7 @@ class TestExportImport:
         digest = script_digest(paper_order.SCRIPT_TEXT)
         key = f"script:{digest}"
         assert store.get_committed(key) == paper_order.SCRIPT_TEXT
-        assert store.get_committed(f"instance:{iid}:spec")["script"] == digest
+        assert Journal(store).spec(iid)["script"] == digest
         assert list(import_record(iid).value)[0] == key
         assert check_journal_integrity(store) == []
 

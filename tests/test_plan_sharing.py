@@ -198,7 +198,7 @@ class TestPerScriptFacts:
         assert walks == [compiled.script]
         assert lookups == [paper_order.ROOT_TASK]
         assert compiled.digest == script_digest(paper_order.SCRIPT_TEXT)
-        assert compiled.has_deadlines is False
+        assert compiled.deadlines == {}
 
     def test_reconfiguration_takes_the_new_texts_facts(self):
         workload = chain(2)
@@ -206,16 +206,24 @@ class TestPerScriptFacts:
         text = script_text(workload)
         iid = system.instantiate("wl", root, inputs)
         runtime = system.execution.runtimes[iid]
-        assert runtime.has_deadlines is False
+        assert runtime.deadlines == ()
         head, _sep, tail = text.rpartition('"code" is "stage"')
         with_deadline = head + '"code" is "stage"; "deadline" is "500"' + tail
+        # a deadline counts only on a class with an abort outcome to take
+        assert execution_mod._compiled(with_deadline).deadlines == {}
+        stage = "taskclass Stage {"
+        head, _sep, tail = with_deadline.partition(stage)
+        with_deadline = head + stage + tail.replace(
+            "        }\n    }\n}", "        }\n        abort outcome timedOut {\n        }\n    }\n}", 1
+        )
         system.execution_proxy().reconfigure(iid, with_deadline)
-        assert execution_mod._compiled(with_deadline).has_deadlines is True
-        assert runtime.has_deadlines is True
+        deadlines = ((f"{root}/t2", 500.0),)
+        assert execution_mod._compiled(with_deadline).deadlines == {root: deadlines}
+        assert runtime.deadlines == deadlines
         # and so does the replay of the journaled reconfiguration
         system.execution_node.crash()
         system.execution_node.recover()
-        assert system.execution.runtimes[iid].has_deadlines is True
+        assert system.execution.runtimes[iid].deadlines == deadlines
         assert system.run_until_terminal(iid)["status"] == "completed"
 
 

@@ -93,7 +93,7 @@ class TestOneTextPerVersion:
         ]
         assert "compoundtask" not in spec_record(store, second).to_json()
         assert script_keys(store) == [key]
-        assert store.get_committed(f"instance:{second}:spec")["script"] == digest
+        assert Journal(store).spec(second)["script"] == digest
 
     def test_second_instantiate_record_is_the_same_size_for_any_script(self):
         sizes = {}
@@ -143,7 +143,7 @@ class TestVersionBinding:
                 f"script:{script_digest(text)}" for text in (old_text, new_text)
             )
             for iid, text in ((old, old_text), (new, new_text)):
-                assert store.get_committed(f"instance:{iid}:spec")["script"] == script_digest(text)
+                assert Journal(store).spec(iid)["script"] == script_digest(text)
                 assert service.runtimes[iid].script is execution_mod._compiled(text).script
             assert check_journal_integrity(store) == []
             assert check_replay_agreement(service) == []

@@ -326,9 +326,28 @@ class TestExhaustiveSweep:
         sweep = ChaosSweep()
         result = sweep.exhaustive()
         torn_variants = sum(1 for p in catalogue() if p.torn)
-        assert len(result.reports) == len(catalogue()) + torn_variants
+        # and wal.force.pre (clean, torn) and wal.force.post at their last hit
+        assert len(result.reports) == len(catalogue()) + torn_variants + 3
         assert result.unreached == []
         assert not result.failures, result.summary()
+
+    def test_a_force_point_is_armed_again_at_its_last_hit(self):
+        """The last force of a closed loop is the barrier that ends its last
+        instance, the only kind that writes a ``meta``: the extra runs arm
+        each WAL force point at its last visit in the fault-free run."""
+        sweep = ChaosSweep()
+        fault_free = sweep._harness(NemesisSchedule(), sweep.base_seed).run()
+        plans = sweep.plans_at_last_hit()
+        assert [(point.name, mode) for point, mode, _harness in plans] == [
+            ("wal.force.pre", "clean"), ("wal.force.pre", "torn"), ("wal.force.post", "clean"),
+        ]
+        for point, mode, harness in plans:
+            (fault,) = harness.schedule.faults
+            assert (fault.point, fault.mode) == (point.name, mode)
+            assert fault.at_hit == fault_free.points_visited[point.name] > 1
+            report = harness.run()
+            assert report.ok, report.violations
+            assert [point.name, "execution-node"] in report.fired
 
     def test_plan_for_point_policies(self):
         sweep = ChaosSweep()

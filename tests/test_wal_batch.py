@@ -80,7 +80,8 @@ def use_reference_writer(service, marks=False):
                 n = lens.get(iid)
                 if n is None:
                     n = txn.read(service.store, f"instance:{iid}:meta")["journal_len"]
-                txn.write(service.store, f"instance:{iid}:journal:{n}", encode_entry(entry, {}))
+                root = journal.spec(iid)["root_task"]
+                txn.write(service.store, f"instance:{iid}:journal:{n}", encode_entry(entry, {}, root))
                 lens[iid] = n + 1
             for iid, n in lens.items():
                 meta = {"journal_len": n}
