@@ -220,9 +220,11 @@ class _Compiled:
     script: Script
     digest: str
     # root task -> the paths below it (itself included) whose declaration
-    # carries a ``deadline`` implementation property and whose class has an
-    # abort outcome, each with its deadline, in declaration order: the
-    # tasks _arm_deadlines looks up (a root with none skips it)
+    # carries a ``deadline`` implementation property, each with its
+    # deadline, in declaration order: the tasks _arm_deadlines looks up (a
+    # root with none skips it).  Whether the task has an abort outcome to
+    # take is asked of the live node: a reconfiguration keeps a live node's
+    # class, which may not be this script's
     deadlines: Dict[str, Tuple[Tuple[str, float], ...]]
     plan: Optional[ExecutionPlan] = None
     _criticality: Dict[str, str] = field(default_factory=dict)
@@ -285,7 +287,7 @@ def _compiled(text: str) -> _Compiled:
         deadlines: Dict[str, Tuple[Tuple[str, float], ...]] = {}
         for path, decl in script.walk_tasks():
             delay = decl.implementation.deadline
-            if delay is not None and script.taskclass_of(decl).outputs_of_kind(OutputKind.ABORT):
+            if delay is not None:
                 root = path.partition("/")[0]
                 deadlines[root] = (*deadlines.get(root, ()), (path, delay))
         compiled = _Compiled(script, script_digest(text), deadlines)
@@ -616,6 +618,8 @@ class _Coordinator:
             task = find(path)
             if task is None or task.machine.state is not TaskState.WAIT:
                 continue
+            if not task.taskclass.outputs_of_kind(OutputKind.ABORT):
+                continue
             # key by the per-path execution counter, which is unique across
             # compound repeat rounds (machine.starts is not)
             key = (path, runtime.exec_counter.get(path, 0))
@@ -883,7 +887,7 @@ class ExecutionService(_Coordinator, Service):
         self._live = {}
         self.health.reset()
         self._pending_acks.clear()
-        self.journal.buffer.clear()
+        self.journal.discard()
 
     def _rebuild(self) -> None:
         """Take in every instance of the store — what a crash recovery and a
@@ -998,9 +1002,15 @@ class ExecutionService(_Coordinator, Service):
         )
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
+        """Abort the waiting task at ``task_path`` into ``abort_name`` (its
+        class's first abort outcome when ``None``).  The path is journaled
+        as the node's own (``"/pipeline/t2"`` as ``"pipeline/t2"``), which
+        is what the journal stores below the instance's root."""
+        runtime = self._full_runtime(iid)
         return self._perform(self._on_admin(
-            self._full_runtime(iid),
-            {"type": "force_abort", "path": task_path, "name": abort_name},
+            runtime,
+            {"type": "force_abort", "path": runtime.tree.node_at(task_path).path,
+             "name": abort_name},
         ))
 
     def complete_task(self, iid: str, task_path: str, output_name: str,

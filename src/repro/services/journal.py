@@ -40,8 +40,9 @@ know:
   ``script:<digest>`` in the same record, only when the store lacks it.
 
 An entry the table cannot spell exactly is refused — a field missing or
-extra, a path not under the root, a ref without its four fields: every
-entry the service journals carries its ``epoch`` and ``writer``.  ``meta``
+extra, a path not under the root, a ref without its four fields — by
+:meth:`Journal.append`, before it is buffered: every entry the service
+journals carries its ``epoch`` and ``writer``.  ``meta``
 keeps its dict shape.
 
 A segment has one form (:func:`encode_segment`): the list of its rows, or
@@ -315,8 +316,12 @@ class Journal:
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
         self.buffer: List[Tuple[str, Dict[str, Any]]] = []
-        # the tail each buffered instance was appended at, until the commit
+        # each buffered instance's rows, encoded as they were appended, and
+        # the tail it was last appended at, until the commit
+        self._rows: Dict[str, List[Row]] = {}
         self._tails: Dict[str, Tail] = {}
+        # the text of each reconfig digest among the buffered rows
+        self._scripts: Dict[str, str] = {}
 
     # -- writing ----------------------------------------------------------------
 
@@ -420,10 +425,26 @@ class Journal:
 
     def append(self, iid: str, entry: Dict[str, Any], tail: Tail) -> None:
         """Buffer ``entry`` as the next of ``iid``'s journal, whose durable
-        end is ``tail``; it becomes durable at the next :meth:`commit`."""
+        end is ``tail``; it becomes durable at the next :meth:`commit`.  It
+        is encoded here (:func:`encode_entry`): an entry the table cannot
+        spell is refused before it is buffered, and the entries already
+        buffered stay so."""
+        row = encode_entry(entry, self._scripts, tail.root)
         IOPATH_STATS.journal_entries += 1
         self.buffer.append((iid, entry))
+        rows = self._rows.get(iid)
+        if rows is None:
+            self._rows[iid] = [row]
+        else:
+            rows.append(row)
         self._tails[iid] = tail
+
+    def discard(self) -> None:
+        """Forget every buffered entry, never to be committed."""
+        self.buffer.clear()
+        self._rows.clear()
+        self._tails.clear()
+        self._scripts.clear()
 
     def commit(self, closed: Collection[str] = ()) -> int:
         """Make every buffered entry durable — one segment per touched
@@ -439,17 +460,11 @@ class Journal:
         that earned it.  Every other barrier writes segments alone.  Returns
         the number of entries committed."""
         batch, self.buffer = self.buffer, []
+        segments, self._rows = self._rows, {}
         tails, self._tails = self._tails, {}
+        scripts, self._scripts = self._scripts, {}
         store = self.store
         writes: Dict[str, Any] = {}
-        segments: Dict[str, List[Row]] = {}
-        scripts: Dict[str, str] = {}
-        for iid, entry in batch:
-            rows = segments.get(iid)
-            if rows is None:
-                segments[iid] = [encode_entry(entry, scripts, tails[iid].root)]
-            else:
-                rows.append(encode_entry(entry, scripts, tails[iid].root))
         ends: List[Tuple[Tail, int, Optional[Stamp]]] = []
         for iid, rows in segments.items():
             tail = tails[iid]

@@ -7,10 +7,10 @@ Two passes, in the FoundationDB tradition:
    owning node exactly at that protocol step.  Recovery-only points are
    paired with a preceding driver crash (``on_recover`` only runs after
    one); points only reachable through compaction get the harness's
-   compactor enabled.  A WAL force point is armed a second time at its
-   *last* visit in the fault-free run: the last force of a closed loop is
-   the barrier that ends its last instance, the only kind that writes a
-   ``meta`` seal.
+   compactor enabled.  The WAL's pre-force point is armed a second time
+   at its *last* visit in the fault-free run: the last force of a closed
+   loop is the barrier that ends its last instance, the only kind that
+   writes a ``meta`` seal.
 2. **Random nemesis sweep** — seeded random schedules composing one to
    three faults (crash-at-point, timed crashes, partitions, loss/dup/
    reorder bursts).  Each seed is an independent, fully reproducible
@@ -62,7 +62,7 @@ _NEEDS_REPLICAS = ("repl.", "store.ingest.")
 #: The driver crash paired with recovery-only points.
 _RECOVERY_DRIVER = "exec.journal.post"
 #: Points armed once more at their last visit in the fault-free run.
-_AT_LAST_HIT = ("wal.force.pre", "wal.force.post")
+_AT_LAST_HIT = ("wal.force.pre",)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Tests for deadline timers and worker placement in the execution service."""
 
 from repro.core import ScriptBuilder, from_input, from_output
-from repro.engine import outcome
+from repro.engine import outcome, pending
 from repro.lang import format_script
 from repro.services import WorkflowSystem
 
@@ -29,6 +29,43 @@ def deadline_script(deadline="30"):
     c.output("expired").notify(from_output("gather", "timedOut")).up()
     c.up()
     return b.build()
+
+
+def parked_gather_script(deadline=None, gather_aborts=True):
+    """``maybe`` parks awaiting an external completion, so ``gather`` waits
+    on its input until ``maybe`` is completed or ``gather``'s deadline, if it
+    has one, aborts it."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("Maybe").input_set("main").outcome("yes", out="Data")
+    gather = b.taskclass("Gather").input_set("main", inp="Data").outcome("gathered", out="Data")
+    if gather_aborts:
+        gather.abort_outcome("timedOut")
+    b.taskclass("Root").input_set("main").outcome("done", out="Data").outcome("expired")
+    c = b.compound("wf", "Root")
+    c.task("maybe", "Maybe").implementation(code="maybe").notify(
+        "main", from_input("wf", "main")
+    ).up()
+    properties = {"code": "gather"} if deadline is None else {"code": "gather", "deadline": deadline}
+    c.task("gather", "Gather").implementation(**properties).input(
+        "main", "inp", from_output("maybe", "yes", "out")
+    ).up()
+    c.output("done").object("out", from_output("gather", "gathered", "out")).up()
+    if gather_aborts:
+        c.output("expired").notify(from_output("gather", "timedOut")).up()
+    c.up()
+    return format_script(b.build())
+
+
+def parked_gather(gather_aborts):
+    system = WorkflowSystem(workers=1)
+    system.registry.register("maybe", lambda ctx: pending("waiting for a human"))
+    system.registry.register("gather", lambda ctx: outcome("gathered", out="y"))
+    system.deploy("dl", parked_gather_script(gather_aborts=gather_aborts))
+    iid = system.instantiate("dl", "wf", {})
+    system.clock.advance(10.0)
+    assert system.execution_proxy().external_tasks(iid) == ["wf/maybe"]
+    return system, iid
 
 
 class TestDeadlines:
@@ -189,3 +226,28 @@ class TestWorkerPinning:
         result = system.run_until_terminal(iid, max_time=5_000)
         assert result["status"] == "completed"
         assert system.workers[1].executed  # re-dispatched off the pin
+
+
+class TestReconfiguredDeadlines:
+    def test_a_deadline_a_reconfiguration_adds_fires(self):
+        system, iid = parked_gather(gather_aborts=True)
+        system.execution_proxy().reconfigure(iid, parked_gather_script(deadline="20"))
+        system.clock.advance(100.0)
+        result = system.run_until_terminal(iid, max_time=5_000)
+        assert (result["status"], result["outcome"]) == ("completed", "expired")
+
+    def test_a_live_task_keeps_its_class_and_its_class_has_no_abort_to_take(self):
+        """A reconfiguration keeps a live task's class: a deadline and an
+        abort outcome added together arm nothing on a task already built
+        without that outcome, so the deadline's lapse aborts nothing."""
+        system, iid = parked_gather(gather_aborts=False)
+        system.execution_proxy().reconfigure(iid, parked_gather_script(deadline="20"))
+        system.clock.advance(100.0)  # well past the deadline
+        runtime = system.execution.runtimes[iid]
+        assert not runtime.armed_deadlines
+        assert [entry["type"] for entry in system.execution.journal.entries(iid)] == [
+            "external", "reconfig",
+        ]
+        system.execution_proxy().complete_task(iid, "wf/maybe", "yes", {"out": "x"})
+        result = system.run_until_terminal(iid, max_time=5_000)
+        assert (result["status"], result["outcome"]) == ("completed", "done")

@@ -821,3 +821,34 @@ class TestPositionalSpec:
         assert system.run_until_terminal(iid)["status"] == "completed"
         assert [entry["path"].split("/")[0] for entry in Journal(store).entries(iid)] == [root] * 3
         assert check_journal_integrity(store) == []
+
+
+class TestRefusalBeforeBuffering:
+    def test_a_refused_append_leaves_the_buffered_entries_to_commit(self):
+        store = ObjectStore("exec")
+        journal, (first, second) = created(store, 2)
+        buffered = {"type": "external", "path": f"{ROOT}/a", "exec": 1,
+                    "epoch": 1, "writer": "execution"}
+        journal.append(first, buffered, fresh_tail())
+        refused = dict(buffered, path=f"/{ROOT}/a")
+        with pytest.raises(ExecutionError, match="cannot spell"):
+            journal.append(second, refused, fresh_tail())
+        assert journal.buffer == [(first, buffered)] and not journal.pending(second)
+        assert journal.commit() == 1
+        assert journal.entries(first) == [buffered] and journal.entries(second) == []
+
+    @pytest.mark.parametrize("spelled", ["/wf/approve", "wf/approve/", "wf//approve"])
+    def test_force_abort_journals_the_nodes_own_path(self, spelled):
+        from tests.test_replication import parked_instance, parked_system
+
+        system = parked_system(replicas=0)
+        iid = parked_instance(system)
+        service = system.execution
+        assert service.force_abort(iid, spelled) is True
+        (entry,) = [entry for entry in service.journal.entries(iid) if entry["type"] == "force_abort"]
+        assert entry["path"] == "wf/approve"
+        system.execution_node.crash()
+        system.execution_node.recover()
+        result = system.run_until_terminal(iid)
+        assert (result["status"], result["outcome"]) == ("completed", "withdrawn")
+        assert check_journal_integrity(system.execution_store) == []

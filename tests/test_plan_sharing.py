@@ -209,13 +209,6 @@ class TestPerScriptFacts:
         assert runtime.deadlines == ()
         head, _sep, tail = text.rpartition('"code" is "stage"')
         with_deadline = head + '"code" is "stage"; "deadline" is "500"' + tail
-        # a deadline counts only on a class with an abort outcome to take
-        assert execution_mod._compiled(with_deadline).deadlines == {}
-        stage = "taskclass Stage {"
-        head, _sep, tail = with_deadline.partition(stage)
-        with_deadline = head + stage + tail.replace(
-            "        }\n    }\n}", "        }\n        abort outcome timedOut {\n        }\n    }\n}", 1
-        )
         system.execution_proxy().reconfigure(iid, with_deadline)
         deadlines = ((f"{root}/t2", 500.0),)
         assert execution_mod._compiled(with_deadline).deadlines == {root: deadlines}

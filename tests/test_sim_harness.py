@@ -326,20 +326,20 @@ class TestExhaustiveSweep:
         sweep = ChaosSweep()
         result = sweep.exhaustive()
         torn_variants = sum(1 for p in catalogue() if p.torn)
-        # and wal.force.pre (clean, torn) and wal.force.post at their last hit
-        assert len(result.reports) == len(catalogue()) + torn_variants + 3
+        # and wal.force.pre (clean, torn) at its last hit
+        assert len(result.reports) == len(catalogue()) + torn_variants + 2
         assert result.unreached == []
         assert not result.failures, result.summary()
 
     def test_a_force_point_is_armed_again_at_its_last_hit(self):
         """The last force of a closed loop is the barrier that ends its last
         instance, the only kind that writes a ``meta``: the extra runs arm
-        each WAL force point at its last visit in the fault-free run."""
+        the WAL's pre-force point at its last visit in the fault-free run."""
         sweep = ChaosSweep()
         fault_free = sweep._harness(NemesisSchedule(), sweep.base_seed).run()
         plans = sweep.plans_at_last_hit()
         assert [(point.name, mode) for point, mode, _harness in plans] == [
-            ("wal.force.pre", "clean"), ("wal.force.pre", "torn"), ("wal.force.post", "clean"),
+            ("wal.force.pre", "clean"), ("wal.force.pre", "torn"),
         ]
         for point, mode, harness in plans:
             (fault,) = harness.schedule.faults
