@@ -50,6 +50,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,12 +98,9 @@ MUTANTS: Tuple[Mutant, ...] = (
        must=True, check="tests/test_step_bookkeeping.py"),
     _m("redispatch-without-barrier", "tier-1; described in CHANGES.md",
        (EXEC,
-        "                    if kind is Dispatch:\n"
         "                        self.flush_journal((effect.runtime.iid,) if effect.closes else ())",
-        "                    if kind is Dispatch and not (\n"
-        "                        effect.flights and effect.flights[0][1].redispatches\n"
-        "                    ):\n"
-        "                        self.flush_journal((effect.runtime.iid,) if effect.closes else ())"),
+        "                        if not (effect.flights and effect.flights[0][1].redispatches):\n"
+        "                            self.flush_journal((effect.runtime.iid,) if effect.closes else ())"),
        must=True, check="tests/test_step_bookkeeping.py"),
     _m("readiness-cached-at-enqueue", "tier-1; described in CHANGES.md",
        (INSTANCE,
@@ -261,7 +259,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     _m("recovery-skips-resume", "crash_at_time, random_crashes",
        (EXEC, "        for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):",
         "        for key, flight in ():")),
-    _m("mark-not-deduped", "exactly-once, exec.mark.recv",
+    _m("mark-not-deduped", "exactly-once, exec.mark.recv (now exec.mark.journal.pre)",
        (EXEC,
         "        if _dedup_key(entry) in runtime.journal_keys:\n            return []\n"
         "        return self._record(runtime, entry)",
@@ -332,7 +330,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            return work_reply(iid, task_path, index, self.name, False, None, (),\n"
         '                              "repeat", fenced=True, epoch=self.fence_epoch)\n'
         "        self.executed.append((iid, task_path, index))")),
-    _m("recovery-forgets-closed", "exec.recover.*",
+    _m("recovery-forgets-closed", "exec.recover.* (now exec.resume.*)",
        (EXEC,
         "            if self.journal.closed(iid):\n"
         "                self.runtimes[iid] = _ClosedRuntime(iid, restore)\n",
@@ -361,12 +359,15 @@ def checker_runs():
         for point in catalogue():
             for mode in ("clean", "torn") if point.torn else ("clean",):
                 suffix = "/torn" if mode == "torn" else ""
-                runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}",
-                             sweep.plan_for_point(point, mode)))
+                try:
+                    harness = sweep.plan_for_point(point, mode)
+                except (Exception, SimulatedCrash) as exc:  # a fault-free run it reads raised
+                    harness = _Unplanned(exc)
+                runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}", harness))
         try:
             last = sweep.plans_at_last_hit()
-        except (Exception, SimulatedCrash):  # a mutant that fails the fault-free run has
-            last = []                        # no last hit: the fault-free runs report it
+        except (Exception, SimulatedCrash):
+            last = []
         for point, mode, harness in last:
             suffix = "/torn" if mode == "torn" else ""
             runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}@last", harness))
@@ -428,6 +429,20 @@ def checker_runs():
 
 class _Slow(Exception):
     pass
+
+
+class _Unplanned:
+    """A checker run whose plan raised: the mutant broke a fault-free run the
+    explorer reads to place the point.  It raises the same when run, so it
+    catches, with no fault to credit."""
+
+    schedule = SimpleNamespace(faults=())
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
+
+    def run(self):
+        raise self.error
 
 
 def _alarm(_signum, _frame):

@@ -395,15 +395,14 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
 
     sweep = from_options(args, ChaosSweep)
     if args.list_points:
-        print(f"{'crash point':<30} {'file':<30} protocol step")
+        name = max(len(point.name) for point in catalogue())
+        module = max(len(point.module) for point in catalogue())
+        print(f"{'crash point':<{name}} {'file':<{module}} protocol step")
         for point in catalogue():
-            flags = []
-            if point.torn:
-                flags.append("torn")
-            if point.recovery:
-                flags.append("recovery")
-            suffix = f"  [{','.join(flags)}]" if flags else ""
-            print(f"{point.name:<30} {point.module:<30} {point.step}{suffix}")
+            flags = ",".join(flag for flag, on in (("torn", point.torn),
+                                                   ("recovery", point.recovery)) if on)
+            suffix = f"  [{flags}]" if flags else ""
+            print(f"{point.name:<{name}} {point.module:<{module}} {point.step}{suffix}")
         return 0
 
     if args.replay:

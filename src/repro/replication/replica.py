@@ -141,13 +141,11 @@ class ReplicatedExecutionService(ExecutionService):
         lease is somehow still current, the acquire below re-grants it under
         a fresh epoch — its pre-crash epoch is never reused."""
         self.stats["recoveries"] += 1
-        crash_point("exec.recover.pre", self)
         self.role = Role.STANDBY
         self._reset_volatile()
         # the sweep chain, the flush timer and the tick died with the crash
         self._sweep_armed = self._jflush_armed = self._tick_armed = False
         self._max_epoch_seen = max(self._max_epoch_seen, self._tail()["epoch"])
-        crash_point("exec.recover.replayed", self)  # a standby rebuilds when it is promoted
         self._try_acquire()
         self._arm_tick()
 

@@ -61,7 +61,7 @@ from ..net.node import Message, Node, Service
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, Overloaded
 from ..overload import AdmissionController, OverloadConfig, criticality_of
 from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
-from ..sim.crashpoints import crash_point
+from ..sim import crashpoints
 from ..txn.store import ObjectStore
 from .journal import Journal as JournalStore, Tail, script_digest
 from .serialization import (
@@ -870,12 +870,10 @@ class ExecutionService(_Coordinator, Service):
         paper's fault-tolerance story).  The health registry is volatile by
         design: the recovered coordinator relearns the fleet."""
         self.stats["recoveries"] += 1
-        crash_point("exec.recover.pre", self)
         self.epoch = self._advance_epoch()
         self._reset_volatile()
         self._sweep_armed = self._jflush_armed = False  # timers died with the crash
         self._rebuild()
-        crash_point("exec.recover.replayed", self)
         self._arm_sweeper()
 
     def _reset_volatile(self) -> None:
@@ -949,7 +947,7 @@ class ExecutionService(_Coordinator, Service):
             compiled.digest, text, root_task, input_set, inputs
         )
         runtime = self._fresh_runtime(iid, spec)
-        return self._perform(self._on_instantiate(runtime, verdict, criticality))
+        return self._perform("instantiate", self._on_instantiate(runtime, verdict, criticality))
 
     def status(self, iid: str) -> Dict[str, Any]:
         runtime = self._runtime(iid)
@@ -998,7 +996,7 @@ class ExecutionService(_Coordinator, Service):
         runtime = self._full_runtime(iid)
         self.journal.check_script(new_script_text)
         return self._perform(
-            self._on_admin(runtime, {"type": "reconfig", "script_text": new_script_text})
+            "admin", self._on_admin(runtime, {"type": "reconfig", "script_text": new_script_text})
         )
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
@@ -1007,7 +1005,7 @@ class ExecutionService(_Coordinator, Service):
         as the node's own (``"/pipeline/t2"`` as ``"pipeline/t2"``), which
         is what the journal stores below the instance's root."""
         runtime = self._full_runtime(iid)
-        return self._perform(self._on_admin(
+        return self._perform("admin", self._on_admin(
             runtime,
             {"type": "force_abort", "path": runtime.tree.node_at(task_path).path,
              "name": abort_name},
@@ -1017,7 +1015,7 @@ class ExecutionService(_Coordinator, Service):
                       objects: Optional[Dict[str, Any]] = None) -> bool:
         """Supply the outcome of a parked external task (§1's interactive
         tasks).  Journaled like a worker result, so it survives crashes."""
-        return self._perform(self._on_complete(
+        return self._perform("complete", self._on_complete(
             self._full_runtime(iid), task_path, output_name, objects
         ))
 
@@ -1090,7 +1088,7 @@ class ExecutionService(_Coordinator, Service):
             # queue and takes a window slot directly
             self.admission.on_start(iid, self._now())
         self._adopt(runtime)
-        return self._perform([Answer(iid)])
+        return self._perform("admin", [Answer(iid)])
 
     def compact(self) -> int:
         """Checkpoint the durable store: fold the WAL into a snapshot.
@@ -1113,8 +1111,7 @@ class ExecutionService(_Coordinator, Service):
 
     def _handle_mark(self, mark: MarkRecord) -> None:
         if self.is_primary():  # demoted: the current primary owns this instance now
-            crash_point("exec.mark.recv", self)
-            self._perform(self._on_mark(mark))
+            self._perform("mark", self._on_mark(mark))
 
     def _handle_replies(self, replies: Tuple[WorkReply, ...]) -> None:
         """One reply leg of a worker: each reply is handled as if it had
@@ -1124,10 +1121,7 @@ class ExecutionService(_Coordinator, Service):
 
     def _handle_reply(self, iid: str, reply: WorkReply) -> None:
         if self.is_primary():  # demoted: late replies belong to the current primary
-            effects = self._on_reply(iid, reply)
-            if effects and not (reply.ok and reply.external):
-                crash_point("exec.reply.applied", self)  # a result or failure applied
-            self._perform(effects)
+            self._perform("reply", self._on_reply(iid, reply))
 
     def _fire(self, key: Tuple) -> None:
         """The one timer entry (an :class:`Arm` record's key): a crashed
@@ -1151,9 +1145,9 @@ class ExecutionService(_Coordinator, Service):
         elif self.runtimes.get(key[1].iid) is not key[1]:
             pass  # the runtime was superseded by a rebuild, or dropped at a demotion
         elif kind == "deadline":
-            self._perform(self._on_deadline(*key[1:]))
+            self._perform("deadline", self._on_deadline(*key[1:]))
         else:
-            self._perform(self._on_stagger(*key[1:]))
+            self._perform("stagger", self._on_stagger(*key[1:]))
 
     def _sweep(self) -> bool:
         """The sweeper's round: the overload controller's tick, then each
@@ -1168,20 +1162,20 @@ class ExecutionService(_Coordinator, Service):
         for victim_iid, victim_class in self.admission.evict_low(now):
             victim = self._live.get(victim_iid)  # queued, so unsettled
             if victim is not None:
-                self._perform(self._shed(
+                self._perform("shed", self._shed(
                     victim, victim_class,
                     f"evicted from queue at pressure {self.admission.pressure}",
                 ))
         promoted: List[Effect] = []
         self._promote_ready(promoted)
-        self._perform(promoted)
+        self._perform("promote", promoted)
         for runtime in list(self._live.values()):
             if not runtime.in_flight:
                 self._settle(runtime)
                 continue
             for key, flight in list(runtime.in_flight.items()):
                 if key in runtime.in_flight and flight.sent and not self._perform(
-                    self._on_overdue(runtime, key, flight, now)
+                    "overdue", self._on_overdue(runtime, key, flight, now)
                 ):
                     return False  # a send's barrier deposed us and dropped every runtime
         if self._pending_acks:
@@ -1195,8 +1189,9 @@ class ExecutionService(_Coordinator, Service):
 
     # -- the shell -----------------------------------------------------------------------------
 
-    def _perform(self, effects: List[Effect]) -> Any:
-        """Carry out what the coordinator decided, in order: a
+    def _perform(self, event: str, effects: List[Effect]) -> Any:
+        """Carry out what the coordinator decided on ``event`` (its kind, one
+        of :data:`repro.sim.crashpoints.EVENTS`), in order: a
         :class:`Journal` record is buffered, a :class:`Dispatch` takes the
         durability barrier, re-checks primacy and sends, an :class:`Arm`
         arms its timer, an :class:`Answer` ships what is durable
@@ -1206,10 +1201,13 @@ class ExecutionService(_Coordinator, Service):
         ``Fenced``.  Returns the answer, else whether the service is still
         primary.  An exception flushes what is buffered: the tree applied
         it, and must not run ahead of the journal (a ``SimulatedCrash``, a
-        BaseException, loses both)."""
+        BaseException, loses both).  Each effect's sides are crash points
+        (:func:`repro.sim.crashpoints.offer`)."""
         try:
             for effect in effects:
                 kind = type(effect)
+                if crashpoints._active is not None:
+                    crashpoints.offer(event, kind.__name__, "pre", self)
                 if kind is Journal:
                     self._journal(*effect)
                 elif kind is Arm:
@@ -1230,6 +1228,8 @@ class ExecutionService(_Coordinator, Service):
                         return effect.value
                     if effect.flights:
                         self._post(*effect[:3])
+                if crashpoints._active is not None:
+                    crashpoints.offer(event, kind.__name__, "post", self)
                 if self.tap is not None:
                     self.tap(effect)
         except Exception:
@@ -1442,7 +1442,7 @@ class ExecutionService(_Coordinator, Service):
         an unfinished one has its flights re-sent and its deadlines re-armed.
         Returns whether the service is still primary."""
         self.runtimes[runtime.iid] = self._live[runtime.iid] = runtime
-        return self._settle(runtime) or self._perform(self._resume(runtime))
+        return self._settle(runtime) or self._perform("resume", self._resume(runtime))
 
     # -- settled instances ----------------------------------------------------------------------------
 

@@ -85,7 +85,6 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 from ..core.errors import ExecutionError
 from ..core.instrument import IOPATH_STATS
 from ..core.schema import OutputKind
-from ..sim.crashpoints import crash_point
 from ..txn.store import ObjectStore
 
 
@@ -481,13 +480,12 @@ class Journal:
         for tail, length, stamp in ends:
             tail.length, tail.stamp = length, stamp
         IOPATH_STATS.journal_batches += 1
-        crash_point("exec.journal.post", store)
         store.sync()
         return len(batch)
 
     def pending(self, iid: str) -> bool:
         """Whether an entry of ``iid`` is still buffered."""
-        return any(buffered == iid for buffered, _entry in self.buffer)
+        return iid in self._rows
 
     # -- reading ----------------------------------------------------------------
 

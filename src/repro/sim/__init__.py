@@ -3,8 +3,8 @@
 Layers over the existing clock/network/txn stack:
 
 * :mod:`repro.sim.crashpoints` — named protocol steps (``wal.force.pre``,
-  ``exec.journal.post``, …) where a schedule can kill a node mid-step,
-  including torn-write injection at WAL force sites;
+  the service's generated ``exec.*`` boundaries, …) where a schedule can
+  kill a node mid-step, including torn-write injection at WAL force sites;
 * :mod:`repro.sim.nemesis` — declarative, composable, JSON-serialisable
   fault schedules (crash-at-point, timed and random crashes, partition/heal,
   loss/dup/reorder bursts, primary faults) and the one interpreter that arms

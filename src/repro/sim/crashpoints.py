@@ -6,16 +6,20 @@ commits before the tree mutates", "a standby acks only what it forced".
 Sampling random crash *times* almost never lands on those boundaries; this
 module lets a simulation schedule land on them *every* time.
 
-Protocol code is instrumented with calls like::
+The execution service's points are generated, not placed by hand: its
+shell, ``ExecutionService._perform``, offers the boundaries of each effect
+it performs for an event, ``exec.<event>.<effect>.<side>`` (:data:`EVENTS`,
+:data:`SIDES`).  Other protocol code is instrumented with calls like::
 
     crash_point("wal.force.pre", scope=self)
 
 which are no-ops (one global load and a ``None`` check) unless a
-:class:`CrashPointInjector` is installed.  The injector maps ``scope``
-objects (stores, WALs, services) to simulated nodes; when an armed
-fault's point and hit count match, the injector crashes the
-owning node *mid-step* (:meth:`repro.net.node.Node.crash`: its stable storage
-drops its unforced WAL suffix, the volatile state evaporates) and raises
+:class:`CrashPointInjector` is installed; the shell makes that test inline,
+so an unarmed step makes no probe call.  The injector maps ``scope``
+objects (WALs, services, workers) to simulated nodes; when an armed fault's
+point and hit count match, the injector crashes the owning node *mid-step*
+(:meth:`repro.net.node.Node.crash`: its stable storage drops its unforced
+WAL suffix, the volatile state evaporates) and raises
 :class:`SimulatedCrash` to unwind the Python stack exactly as a real machine
 failure would cut it short.
 
@@ -24,12 +28,11 @@ legitimately catches ``Exception`` (a worker converts implementation errors
 into failure replies; the transaction manager retries aborts).  A machine
 crash must not be convertible into an application-level reply.
 
-Every crash point is declared once in :data:`CATALOGUE` so the chaos
-explorer can enumerate them exhaustively and the docs can render the
-name → file → protocol-step table (docs/PROTOCOLS.md §9.1, held to the
-catalogue by ``tests/test_sim_harness.py``).  ``crash_point`` rejects
-undeclared names, so the catalogue cannot silently drift from the
-instrumentation.
+Every crash point is in :data:`CATALOGUE` so the chaos explorer can
+enumerate them exhaustively and the docs can render the table
+(docs/PROTOCOLS.md §9.1, held to the catalogue by
+``tests/test_sim_harness.py``).  ``crash_point`` rejects undeclared names,
+so the catalogue cannot silently drift from the instrumentation.
 
 A point stays only while it earns its probe: a seeded mutant it alone
 catches (``benchmarks/mutants.py``), or a crash state no other point
@@ -60,13 +63,31 @@ class SimulatedCrash(BaseException):
 
 @dataclass(frozen=True)
 class CrashPoint:
-    """One declared instrumentation site."""
+    """One crash point: declared by hand, or generated from :data:`EVENTS`."""
 
     name: str
     module: str          # repo-relative file holding the call site
     step: str            # protocol step, for the docs table
     torn: bool = False   # supports torn-write injection (WAL force sites)
     recovery: bool = False  # only reachable while recovering from a crash
+
+
+#: The service's event kinds (one per decide entry, named in each call of the
+#: shell) and the effect records each can return, lower-cased; most apply an
+#: entry and dispatch what it readied (docs/PROTOCOLS.md §9.1).
+_STEP = ("journal", "dispatch", "arm")
+EVENTS: Dict[str, Tuple[str, ...]] = {
+    "reply": _STEP, "mark": _STEP, "deadline": _STEP, "stagger": ("dispatch",),
+    "overdue": _STEP, "admin": (*_STEP, "answer"), "complete": (*_STEP, "answer"),
+    "instantiate": (*_STEP, "answer"), "shed": ("journal", "dispatch"), "resume": _STEP,
+    "promote": _STEP,
+}
+#: The sides of each effect that are crash points (``pre``: the effects before
+#: it performed; ``post``: its barrier taken, its flights sent).  E16 merged
+#: the sides that report alike: a volatile entry's or timer's, an answer's.
+SIDES: Dict[str, Tuple[str, ...]] = {
+    "journal": ("pre",), "dispatch": ("pre", "post"), "arm": ("pre",), "answer": (),
+}
 
 
 #: The full crash-point catalogue.  Order matters: the exhaustive sweep runs
@@ -79,19 +100,13 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
                "all appended records durable, force returning"),
     CrashPoint("wal.checkpoint.forced", "src/repro/txn/wal.py",
                "CHECKPOINT durable, pre-checkpoint records not yet truncated"),
-    # --- object store (transactional application) ---------------------------
-    # --- execution service (coordination journal) ---------------------------
-    CrashPoint("exec.journal.post", "src/repro/services/journal.py",
-               "journal batch committed, fsync and dependent sends not yet done"),
-    CrashPoint("exec.reply.applied", "src/repro/services/execution.py",
-               "reply journaled and applied, successors not yet dispatched"),
-    CrashPoint("exec.mark.recv", "src/repro/services/execution.py",
-               "early-release mark received, before dedup"),
-    CrashPoint("exec.recover.pre", "src/repro/services/execution.py",
-               "recovery entered, no instance replayed yet", recovery=True),
-    CrashPoint("exec.recover.replayed", "src/repro/services/execution.py",
-               "every open journal replayed (a replica has none until it is "
-               "promoted), sweeper not yet re-armed", recovery=True),
+    # --- execution service: its shell's effect boundaries (after a rebuild:
+    # its resumes, and their staggered resends) ------------------------------
+    *(CrashPoint(f"exec.{event}.{effect}.{side}", "src/repro/services/execution.py",
+                 f"{event} decided, the effects before this {effect} performed" if side == "pre"
+                 else f"{event} decided, this {effect}'s barrier taken and flights sent",
+                 recovery=event in ("resume", "stagger"))
+      for event, effects in EVENTS.items() for effect in effects for side in SIDES[effect]),
     # --- worker ------------------------------------------------------------
     CrashPoint("worker.execute.post", "src/repro/services/worker.py",
                "implementation finished, reply not yet sent"),
@@ -152,12 +167,12 @@ class ArmedCrash:
 class CrashPointInjector:
     """Routes crash-point visits to armed faults.
 
-    The harness binds protocol-layer *scopes* (an ``ObjectStore``, its
-    ``WriteAheadLog``, an ``ExecutionService``, a ``TaskWorker``) to the
-    simulated node that hosts them.  Visits from unbound scopes — the
-    repository's store and log, which the chaos harness does not target —
-    are ignored, which keeps hit counting deterministic regardless of what
-    else lives in the simulated world.
+    The harness binds protocol-layer *scopes* (a ``WriteAheadLog``, an
+    ``ExecutionService``, a ``TaskWorker``) to the simulated node that
+    hosts them.  Visits from unbound scopes — the repository's log, which
+    the chaos harness does not target — are ignored, which keeps hit
+    counting deterministic regardless of what else lives in the simulated
+    world.
 
     ``crash_callback(node_name, fault, scope)`` must perform the actual
     crash: torn-force the WAL when ``fault.mode == "torn"``, crash the node
@@ -235,3 +250,10 @@ def crash_point(name: str, scope: Any = None) -> None:
         if name not in _BY_NAME:
             raise ValueError(f"crash point {name!r} is not in the catalogue")
         injector.visit(name, scope)
+
+
+def offer(event: str, effect: str, side: str, scope: Any) -> None:
+    """The shell's boundary ``exec.<event>.<effect>.<side>`` if ``effect`` (a
+    record type's name) keeps that side; called only while armed."""
+    if side in SIDES[effect.lower()]:
+        crash_point(f"exec.{event}.{effect.lower()}.{side}", scope)

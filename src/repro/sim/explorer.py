@@ -4,13 +4,14 @@ Two passes, in the FoundationDB tradition:
 
 1. **Exhaustive one-crash sweep** — one run per registered crash point (plus
    a torn-write variant for every point that supports it), each killing the
-   owning node exactly at that protocol step.  Recovery-only points are
-   paired with a preceding driver crash (``on_recover`` only runs after
-   one); points only reachable through compaction get the harness's
-   compactor enabled.  The WAL's pre-force point is armed a second time
-   at its *last* visit in the fault-free run: the last force of a closed
-   loop is the barrier that ends its last instance, the only kind that
-   writes a ``meta`` seal.
+   owning node exactly at that protocol step, on the first paper workload
+   (the sweep's own first) whose fault-free run visits it.  Recovery-only
+   points are paired with a preceding driver crash at the first generated
+   ``post`` boundary that run visits (a rebuild only runs after one); points
+   only reachable through compaction get the harness's compactor enabled.
+   The WAL's pre-force point is armed a second time at its *last* visit in
+   the fault-free run: the last force of a closed loop is the barrier that
+   ends its last instance, the only kind that writes a ``meta`` seal.
 2. **Random nemesis sweep** — seeded random schedules composing one to
    three faults (crash-at-point, timed crashes, partitions, loss/dup/
    reorder bursts).  Each seed is an independent, fully reproducible
@@ -36,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..services.system import SystemSpec
 from ..settings import require, setting
 from ..workloads import APPLICATIONS
-from .crashpoints import CrashPoint, catalogue
+from .crashpoints import CrashPoint, catalogue, point_named
 from .harness import SimHarness, SimReport
 from .nemesis import (
     CrashAtPoint,
@@ -56,11 +57,9 @@ _NEEDS_COMPACTOR = ("wal.checkpoint.",)
 #: Points only visited with a replicated execution service.  The lease
 #: grant and the promotion points additionally need a failover (the
 #: bootstrap grant/promotion happen before the injector is installed), which
-#: the recovery driver crash below conveniently provides: killing the
-#: primary at a journal append forces a standby through acquire + promote.
+#: the driver crash of a recovery point conveniently provides: killing the
+#: primary mid-step forces a standby through acquire + promote.
 _NEEDS_REPLICAS = ("repl.", "store.ingest.")
-#: The driver crash paired with recovery-only points.
-_RECOVERY_DRIVER = "exec.journal.post"
 #: Points armed once more at their last visit in the fault-free run.
 _AT_LAST_HIT = ("wal.force.pre",)
 
@@ -91,11 +90,13 @@ class SweepResult:
     reports: List[SimReport] = field(default_factory=list)
     failures: List[SweepFailure] = field(default_factory=list)
     unreached: List[str] = field(default_factory=list)  # points that never fired
+    uncovered: List[str] = field(default_factory=list)  # generated ones: gaps (E16)
 
     def summary(self) -> str:
         lines = [
             f"{len(self.reports)} runs, {len(self.failures)} violating "
             f"schedule(s), {len(self.unreached)} unreached point(s)"
+            + (f", {len(self.uncovered)} generated boundaries uncovered" if self.uncovered else "")
         ]
         for failure in self.failures:
             lines.append(f"  FAIL {failure.name}: "
@@ -129,43 +130,50 @@ class ChaosSweep:
     def __post_init__(self) -> None:
         require(self, "workers", self.workers >= 1, "must be at least 1")
         require(self, "instances", self.instances >= 1, "must be at least 1")
+        self._visited: Dict[Tuple[str, bool], Dict[str, int]] = {}  # _fault_free's runs
 
     # -- exhaustive pass -------------------------------------------------------
 
     def plan_for_point(self, point: CrashPoint, mode: str = "clean") -> SimHarness:
-        """The harness (schedule and system) that makes ``point`` fire."""
-        faults: List[Any] = []
+        """The harness (schedule and system) that makes ``point`` fire: on
+        the first paper workload, the sweep's own first, whose fault-free run
+        visits it (``order`` emits no marks, ``trip`` does)."""
         replicated = point.name.startswith(_NEEDS_REPLICAS)
+        workload = next((name for name in [self.workload, *APPLICATIONS]
+                         if point.name in self._fault_free(name, replicated)), self.workload)
+        faults: List[Any] = []
         if point.recovery or point.name == "repl.lease.grant":
-            # on_recover only runs after a crash: drive one first.  For the
+            # a rebuild only runs after a crash: drive one first, just after
+            # the first barrier the fault-free run takes for an event.  For the
             # replication points the same driver kills the primary, forcing
             # the failover that makes a post-bootstrap grant/promotion happen.
-            faults.append(
-                CrashAtPoint(_RECOVERY_DRIVER, downtime=self.downtime)
-            )
+            visits = self._fault_free(workload, replicated)
+            posts = [p.name for p in catalogue() if p.name.startswith("exec.") and ".post" in p.name]
+            driver = next((name for name in posts if name in visits), posts[0])
+            faults.append(CrashAtPoint(driver, downtime=self.downtime))
         faults.append(CrashAtPoint(point.name, mode=mode, downtime=self.downtime))
         suffix = "-torn" if mode == "torn" else ""
         schedule = NemesisSchedule(faults, name=f"point:{point.name}{suffix}")
-        changes: Dict[str, Any] = {}
-        if point.name.startswith(_NEEDS_COMPACTOR):
-            changes["compact_every"] = 40.0
-        if point.name == "exec.mark.recv" and self.workload == "order":
-            # the order workload emits no marks; the trip workload does
-            changes["workload"] = "trip"
-        return self._harness(
-            schedule, self.base_seed, replicas=2 if replicated else 0, **changes
-        )
+        compact = 40.0 if point.name.startswith(_NEEDS_COMPACTOR) else None
+        return self._harness(schedule, self.base_seed, replicas=2 if replicated else 0,
+                             workload=workload, compact_every=compact)
+
+    def _fault_free(self, workload: str, replicated: bool) -> Dict[str, int]:
+        """The points the fault-free run of ``workload`` visits, run once."""
+        key = (workload, replicated)
+        if key not in self._visited:
+            harness = self._harness(NemesisSchedule(name="fault-free"), self.base_seed,
+                                    replicas=2 if replicated else 0, workload=workload)
+            self._visited[key] = self._run(harness).points_visited
+        return self._visited[key]
 
     def plans_at_last_hit(self) -> List[Tuple[CrashPoint, str, SimHarness]]:
         """``(point, mode, harness)`` for each point of ``_AT_LAST_HIT`` and
         mode: the harness of :meth:`plan_for_point` armed at the point's
-        last visit in that harness's fault-free run, which this runs once."""
-        fault_free = self._harness(NemesisSchedule(name="fault-free"), self.base_seed)
-        visits = self._run(fault_free).points_visited
+        last visit in that harness's fault-free run."""
+        visits = self._fault_free(self.workload, False)
         plans = []
-        for point in catalogue():
-            if point.name not in _AT_LAST_HIT:
-                continue
+        for point in map(point_named, _AT_LAST_HIT):
             for mode in ["clean"] + (["torn"] if point.torn else []):
                 suffix = "-torn" if mode == "torn" else ""
                 schedule = NemesisSchedule(
@@ -180,21 +188,19 @@ class ChaosSweep:
         """One run per crash point (torn variants included), then one per
         :meth:`plans_at_last_hit`."""
         result = SweepResult()
-
-        def sweep(label: str, point: CrashPoint, mode: str, harness: SimHarness) -> None:
+        plans = [(point.name, point, mode, self.plan_for_point(point, mode))
+                 for point in catalogue() for mode in ["clean"] + (["torn"] if point.torn else [])]
+        plans += [(f"{point.name}@last", point, mode, harness)
+                  for point, mode, harness in self.plans_at_last_hit()]
+        for label, point, mode, harness in plans:
             report = self._run(harness)
             result.reports.append(report)
             self._log(report)
             if not any(fired[0] == point.name for fired in report.fired):
-                result.unreached.append(f"{label} ({mode})")
+                gaps = result.uncovered if point.name.startswith("exec.") else result.unreached
+                gaps.append(f"{label} ({mode})")
             if report.violations:
                 result.failures.append(self._shrink_and_record(harness, report))
-
-        for point in catalogue():
-            for mode in ["clean"] + (["torn"] if point.torn else []):
-                sweep(point.name, point, mode, self.plan_for_point(point, mode))
-        for point, mode, harness in self.plans_at_last_hit():
-            sweep(f"{point.name}@last", point, mode, harness)
         return result
 
     # -- random pass -------------------------------------------------------------
@@ -209,17 +215,11 @@ class ChaosSweep:
             roll = rng.random()
             if roll < 0.45:
                 name = rng.choice(points)
-                mode = "torn" if (rng.random() < 0.3 and
-                                  any(p.torn and p.name == name
-                                      for p in catalogue())) else "clean"
-                faults.append(
-                    CrashAtPoint(
-                        name,
-                        at_hit=rng.randint(1, 3),
-                        mode=mode,
-                        downtime=rng.choice([15.0, 30.0, 60.0]),
-                    )
-                )
+                torn = rng.random() < 0.3 and point_named(name).torn
+                faults.append(CrashAtPoint(
+                    name, at_hit=rng.randint(1, 3), mode="torn" if torn else "clean",
+                    downtime=rng.choice([15.0, 30.0, 60.0]),
+                ))
             elif roll < 0.60:
                 faults.append(
                     CrashAtTime(
@@ -239,30 +239,16 @@ class ChaosSweep:
                         heal_after=round(rng.uniform(20.0, 80.0), 1),
                     )
                 )
-            elif roll < 0.85:
-                faults.append(
-                    LossBurst(
-                        at=round(rng.uniform(0.0, 100.0), 1),
-                        duration=round(rng.uniform(10.0, 60.0), 1),
-                        rate=round(rng.uniform(0.1, 0.5), 2),
-                    )
-                )
-            elif roll < 0.93:
-                faults.append(
-                    DupBurst(
-                        at=round(rng.uniform(0.0, 100.0), 1),
-                        duration=round(rng.uniform(10.0, 60.0), 1),
-                        rate=round(rng.uniform(0.2, 0.8), 2),
-                    )
-                )
             else:
-                faults.append(
-                    ReorderBurst(
-                        at=round(rng.uniform(0.0, 100.0), 1),
-                        duration=round(rng.uniform(10.0, 60.0), 1),
-                        window=round(rng.uniform(2.0, 12.0), 1),
-                    )
+                burst, low, high, digits = (
+                    (LossBurst, 0.1, 0.5, 2) if roll < 0.85
+                    else (DupBurst, 0.2, 0.8, 2) if roll < 0.93
+                    else (ReorderBurst, 2.0, 12.0, 1)
                 )
+                faults.append(burst(
+                    round(rng.uniform(0.0, 100.0), 1), round(rng.uniform(10.0, 60.0), 1),
+                    round(rng.uniform(low, high), digits),
+                ))
         return NemesisSchedule(faults, name=f"random-{seed}")
 
     def random_sweep(self, seeds: int) -> SweepResult:
@@ -319,10 +305,7 @@ class ChaosSweep:
                 report = self._run(harness)
                 result.reports.append(report)
                 self._log(report)
-                visited |= {
-                    name for name, count in report.points_visited.items()
-                    if count > 0
-                }
+                visited |= set(report.points_visited)
                 if report.violations:
                     result.failures.append(self._shrink_and_record(harness, report))
         for point in catalogue():

@@ -165,15 +165,14 @@ class SimHarness:
         self._spike_refused: int = 0
         self._reference: Dict[Tuple, Any] = {}  # check_refinement's memo
         injector = CrashPointInjector(self._on_crash)
-        # Every store, log and service of every machine is a crash-point
-        # scope of that machine — but for the repository's, deliberately left
+        # Every log and service of every machine is a crash-point scope of
+        # that machine — but for the repository's, deliberately left
         # unbound so deploy-time visits do not shift hit counts (see
         # CrashPointInjector docstring).
         for name, node in system.nodes.items():
             if node is system.repository_node:
                 continue
             for store in node.stores():
-                injector.bind(store, name)
                 injector.bind(store.wal, name)
             for service in node.services():
                 injector.bind(service, name)

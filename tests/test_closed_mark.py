@@ -256,7 +256,7 @@ def oracle_after_every_barrier(service):
 
 class TestClosedIsSettledOracle:
     MID_RUN_CRASH = NemesisSchedule(
-        [CrashAtPoint("exec.reply.applied", at_hit=3, downtime=30.0)], name="mid-run"
+        [CrashAtPoint("exec.reply.journal.pre", at_hit=3, downtime=30.0)], name="mid-run"
     )
 
     @pytest.mark.parametrize("workload", ["order", "trip", "service-impact"])
@@ -366,7 +366,7 @@ class TestSettledIsClosedOracle:
             return original(service, phase)
 
         monkeypatch.setattr(oracles, "check_settled_is_closed", check)
-        schedule = NemesisSchedule([CrashAtPoint("exec.reply.applied", at_hit=3, downtime=30.0)])
+        schedule = NemesisSchedule([CrashAtPoint("exec.reply.journal.pre", at_hit=3, downtime=30.0)])
         report = SimHarness(schedule=schedule, instances=2).run()
         assert report.ok, report.violations
         assert checked == [("execution", "recovery"), ("execution", "quiescence")]

@@ -17,6 +17,7 @@ from repro.services.execution import (
     Answer, Arm, Dispatch, ExecutionService, _compiled, _Runtime,
 )
 from repro.services.worker import MarkRecord, work_reply
+from repro.sim.crashpoints import EVENTS, SIDES, catalogue
 from repro.workloads import generators
 
 from tests.test_deadlines import deadline_script
@@ -219,3 +220,61 @@ class TestEvents:
         service._on_reply("wf-1", reply(runtime, "pipeline/t1", "done", out="x"))
         assert service.node is None and service.journal.buffer == []
         assert service.stats["dispatches"] == 0
+
+
+# the decide entries and the event kind the shell names each one's effects by
+ENTRIES = {
+    "_on_reply": "reply", "_on_mark": "mark", "_on_deadline": "deadline",
+    "_on_stagger": "stagger", "_on_overdue": "overdue", "_on_admin": "admin",
+    "_on_complete": "complete", "_on_instantiate": "instantiate", "_shed": "shed",
+    "_resume": "resume",
+}
+
+
+def test_every_effect_the_decide_half_returns_has_its_crash_points(monkeypatch):
+    """Each (event kind, effect kind) the decide half returns is declared
+    in ``crashpoints.EVENTS``, and each side its effect keeps is a row of
+    the catalogue: the shell offers no boundary the catalogue lacks."""
+    seen = set()
+
+    def record(event, effects):
+        seen.update((event, type(effect).__name__.lower()) for effect in effects)
+
+    for name, event in ENTRIES.items():
+        def spy(self, *args, _original=getattr(ExecutionService, name), _event=event):
+            effects = _original(self, *args)
+            record(_event, effects)
+            return effects
+        monkeypatch.setattr(ExecutionService, name, spy)
+
+    events = TestEvents()
+    for test in (
+        events.test_instantiate_and_replies, events.test_mark,
+        events.test_deadline_armed_then_fired, events.test_force_abort_is_answered_once_durable,
+        events.test_reconfig, events.test_overloaded,
+        events.test_overdue_flight_is_resent_then_abandoned,
+    ):
+        test()
+    service = coordinator()
+    script, _registry, root, inputs = generators.chain(2)
+    runtime = started(service, script, root, inputs)
+    service._on_instantiate(runtime, "start", "normal")
+    (key,) = runtime.in_flight
+    assert kinds(service._resume(runtime)) == ["Arm"]  # staggered: a resend later
+    assert kinds(service._on_stagger(runtime, key)) == ["Dispatch"]
+    parked = work_reply("wf-1", key[0], key[1], "w1", True, None, (), None, external=True)
+    assert kinds(service._on_reply("wf-1", parked)) == ["Journal"]
+    assert kinds(service._on_complete(runtime, key[0], "done", {"out": "x"}))[-1] == "Answer"
+    queued = started(service, script, root, inputs, iid="wf-2")
+    service._on_instantiate(queued, "queue", "normal")
+    promoted = []
+    service._promote_ready(promoted)
+    assert kinds(promoted) == ["Dispatch"]
+    record("promote", promoted)
+
+    names = {point.name for point in catalogue()}
+    assert {event for event, _effect in seen} == set(EVENTS)
+    for event, effect in sorted(seen):
+        assert effect in EVENTS[event], (event, effect)
+        for side in SIDES[effect]:
+            assert f"exec.{event}.{effect}.{side}" in names

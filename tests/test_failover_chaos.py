@@ -126,9 +126,10 @@ class TestReplicationCrashPoints:
             crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
             assert name in crashes
             if name != "repl.tail.apply":
-                # a driver crash of the primary forces the grant/promotion
-                # to happen after the injector is armed
-                assert "exec.journal.post" in crashes, name
+                # a driver crash of the primary just after its first barrier
+                # forces the grant/promotion to happen after the injector is
+                # armed
+                assert crashes[0] == "exec.reply.dispatch.post", name
 
     @pytest.mark.parametrize("name", REPLICATION_POINTS)
     def test_each_replication_point_fires_clean(self, name):

@@ -159,12 +159,13 @@ class TestTornGroupCommit:
 
     @pytest.mark.parametrize("at_hit", [1, 4])
     def test_crash_with_entries_still_buffered(self, at_hit):
-        """exec.reply.applied fires with the reply's entry buffered — before
-        it reaches any record.  Crashing there drops the buffered tail;
-        recovery replays the shorter durable journal and the instance
-        recovers."""
+        """exec.reply.journal.pre fires once the reply is decided and applied
+        to the tree, before its entry is buffered — with the entries of
+        earlier replies that readied nothing still buffered.  Crashing there
+        drops the buffered tail; recovery replays the shorter durable
+        journal and the instance recovers."""
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.reply.applied", at_hit=at_hit, downtime=30.0)],
+            [CrashAtPoint("exec.reply.journal.pre", at_hit=at_hit, downtime=30.0)],
             name=f"buffered-crash-{at_hit}",
         )
         report = SimHarness(schedule=schedule).run()
@@ -174,8 +175,10 @@ class TestTornGroupCommit:
         )
 
     def test_crash_right_after_batch_flush(self):
+        """exec.reply.dispatch.post: the reply's barrier committed the batch
+        and its successors were sent."""
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.journal.post", at_hit=2, downtime=30.0)],
+            [CrashAtPoint("exec.reply.dispatch.post", at_hit=2, downtime=30.0)],
             name="post-flush-crash",
         )
         report = SimHarness(schedule=schedule).run()

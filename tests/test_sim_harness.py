@@ -8,12 +8,16 @@ exhaustive and random sweeps, greedy shrinking, and repro-file round trips.
 
 import json
 import os
+import re
+import sys
 
 import pytest
 
 from repro.services.system import SystemSpec
 from repro.sim import oracles
 from repro.sim.crashpoints import (
+    EVENTS,
+    SIDES,
     ArmedCrash,
     CrashPointInjector,
     SimulatedCrash,
@@ -49,19 +53,40 @@ class TestCatalogue:
 
     def test_every_point_is_instrumented(self):
         """Each declared point must appear as a crash_point() call in the
-        module the catalogue says holds it — the docs table and the sweep
-        both trust this mapping."""
+        module the catalogue says holds it, and each generated one is an
+        event kind the shell is called with and an effect boundary it
+        offers — the docs table and the sweep both trust this mapping."""
         for point in catalogue():
             path = os.path.join(REPO_ROOT, point.module)
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
-            assert f'crash_point("{point.name}"' in source, (
-                f"{point.name} not instrumented in {point.module}"
-            )
+            if point.name.startswith("exec."):
+                _exec, event, effect, side = point.name.split(".")
+                assert re.search(rf'self\._perform\(\s*"{event}"', source), point.name
+                assert f'crashpoints.offer(event, kind.__name__, "{side}", self)' in source, (
+                    point.name
+                )
+            else:
+                assert f'crash_point("{point.name}"' in source, (
+                    f"{point.name} not instrumented in {point.module}"
+                )
+
+    def test_the_service_rows_are_generated_from_the_kinds(self):
+        """Every ``exec.`` row is an event kind, an effect it can return and
+        a side that effect keeps, and every such triple is a row."""
+        generated = [p.name for p in catalogue() if p.name.startswith("exec.")]
+        assert generated == [
+            f"exec.{event}.{effect}.{side}"
+            for event, effects in EVENTS.items()
+            for effect in effects for side in SIDES[effect]
+        ]
+        assert set(SIDES) == {"journal", "dispatch", "arm", "answer"}
+        assert {effect for effects in EVENTS.values() for effect in effects} == set(SIDES)
 
     def test_the_protocols_table_renders_the_catalogue(self):
-        """docs/PROTOCOLS.md §9.1 lists every crash point in catalogue order
-        with the catalogue's file, step and flags, and nothing else."""
+        """docs/PROTOCOLS.md §9.1 lists every declared crash point in
+        catalogue order with the catalogue's file, step and flags, then the
+        kinds the service's rows are generated from, and nothing else."""
         path = os.path.join(REPO_ROOT, "docs", "PROTOCOLS.md")
         with open(path, "r", encoding="utf-8") as fh:
             section = fh.read().split("### 9.1 Crash points", 1)[1].split("\n### ", 1)[0]
@@ -74,9 +99,44 @@ class TestCatalogue:
             [f"`{point.name}`", f"`{point.module[len('src/repro/'):]}`", point.step,
              ", ".join(flag for flag, on in (("torn", point.torn),
                                              ("recovery", point.recovery)) if on)]
-            for point in catalogue()
+            for point in catalogue() if not point.name.startswith("exec.")
+        ] + [
+            [f"`{event}`", ", ".join(
+                f"`{effect}` ({', '.join(SIDES[effect]) or 'none'})" for effect in effects
+            )]
+            for event, effects in EVENTS.items()
         ]
         assert rows == expected
+
+    def test_an_unarmed_step_makes_no_probe_call(self):
+        """With no injector installed the service's shell tests it inline:
+        a fault-free ``chain(8)`` run makes no call into
+        ``repro.sim.crashpoints`` from the execution service, its journal
+        or the replica."""
+        from repro.lang import format_script
+        from repro.services import WorkflowSystem
+        from repro.workloads import chain
+
+        script, registry, root, inputs = chain(8)
+        system = WorkflowSystem(registry=registry, workers=2)
+        system.deploy("w", format_script(script))
+        probes = os.path.join("repro", "sim", "crashpoints.py")
+        callers = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.endswith(probes):
+                callers.append(os.path.basename(frame.f_back.f_code.co_filename))
+
+        sys.setprofile(profile)
+        try:
+            for _ in range(3):
+                system.run_until_terminal(system.instantiate("w", root, inputs))
+        finally:
+            sys.setprofile(None)
+        assert system.execution.stats["dispatches"] >= 24
+        assert [name for name in callers
+                if name in ("execution.py", "journal.py", "replica.py")] == []
+        assert set(callers) == {"wal.py", "worker.py"}  # the declared probes
 
     def test_point_named_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -170,7 +230,7 @@ class TestNemesisSerialisation:
     def _full_schedule(self):
         return NemesisSchedule(
             [
-                CrashAtPoint("exec.journal.post", at_hit=2, downtime=45.0),
+                CrashAtPoint("exec.reply.dispatch.post", at_hit=2, downtime=45.0),
                 CrashAtPoint("wal.force.pre", mode="torn"),
                 CrashAtTime(at=12.5, node="worker-node-1", downtime=None),
                 Partition(at=20.0, group_a=("execution-node",),
@@ -208,7 +268,7 @@ class TestNemesisSerialisation:
         with pytest.raises(ValueError):
             CrashAtPoint("bogus.point")
         with pytest.raises(ValueError):
-            CrashAtPoint("exec.journal.post", mode="torn")  # not a force site
+            CrashAtPoint("exec.reply.dispatch.post", mode="torn")  # not a force site
 
 
 class TestHarnessRuns:
@@ -222,13 +282,13 @@ class TestHarnessRuns:
 
     def test_crash_point_run_fires_recovers_and_completes(self):
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.journal.post", downtime=30.0)], name="one-crash"
+            [CrashAtPoint("exec.reply.dispatch.post", downtime=30.0)], name="one-crash"
         )
         report = SimHarness(schedule=schedule).run()
         assert report.ok, report.violations
         assert len(report.crashes) == 1
         assert report.crashes[0]["node"] == "execution-node"
-        assert ["exec.journal.post", "execution-node"] in report.fired
+        assert ["exec.reply.dispatch.post", "execution-node"] in report.fired
         assert report.unfired == []
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -277,7 +337,7 @@ class TestHarnessRuns:
     def test_replay_determinism_identical_fingerprints(self):
         schedule = NemesisSchedule(
             [
-                CrashAtPoint("exec.reply.applied", downtime=25.0),
+                CrashAtPoint("exec.reply.journal.pre", downtime=25.0),
                 LossBurst(at=10.0, duration=40.0, rate=0.2),
             ],
             name="det",
@@ -321,14 +381,64 @@ class TestCompactionCrashes:
         assert not oracles.check_journal_integrity(store)
 
 
+_DEADLINE = "no paper workload declares a `deadline` (ROADMAP item 8)"
+_ADMIN = ("no paper workload reconfigures, force-aborts, imports or completes an "
+          "external task (ROADMAP item 13)")
+_QUEUE = "the sweep's load never fills the admission window: nothing is queued, shed or promoted"
+#: The generated boundaries the exhaustive sweep of every paper workload
+#: leaves unreached, each with its reason (EXPERIMENTS.md E16's coverage
+#: table): every other point fires.
+UNREACHED = {
+    "exec.reply.arm.pre": _DEADLINE,
+    "exec.mark.dispatch.pre": "trip's one task mark feeds its compound's mark, which no task "
+                              "waits on: the mark's entry readies nothing",
+    "exec.mark.dispatch.post": "as exec.mark.dispatch.pre",
+    "exec.mark.arm.pre": _DEADLINE,
+    "exec.deadline.journal.pre": _DEADLINE,
+    "exec.deadline.dispatch.pre": _DEADLINE,
+    "exec.deadline.dispatch.post": _DEADLINE,
+    "exec.deadline.arm.pre": _DEADLINE,
+    "exec.overdue.journal.pre": "a flight is abandoned only past the redispatch cap",
+    "exec.overdue.dispatch.pre": "a flight is overdue only when its reply is lost, and no "
+                                 "fault-free run loses one (worker.execute.post's run does)",
+    "exec.overdue.dispatch.post": "as exec.overdue.dispatch.pre",
+    "exec.overdue.arm.pre": _DEADLINE,
+    **{f"exec.{event}.{effect}.{side}": _ADMIN
+       for event in ("admin", "complete") for effect in EVENTS[event] for side in SIDES[effect]},
+    "exec.instantiate.journal.pre": f"{_DEADLINE}; and {_QUEUE}",
+    "exec.instantiate.arm.pre": _DEADLINE,
+    "exec.shed.journal.pre": _QUEUE,
+    "exec.shed.dispatch.pre": _QUEUE,
+    "exec.shed.dispatch.post": _QUEUE,
+    "exec.resume.journal.pre": _DEADLINE,
+    "exec.resume.dispatch.pre": "a rebuilt flight is resent after its stagger (a resume arms); "
+                                "only a timer task's goes at once, and no paper script has one",
+    "exec.resume.dispatch.post": "as exec.resume.dispatch.pre",
+    **{f"exec.promote.{effect}.{side}": _QUEUE
+       for effect in EVENTS["promote"] for side in SIDES[effect]},
+}
+
+
 class TestExhaustiveSweep:
     def test_every_crash_point_fires_and_no_oracle_trips(self):
+        """Every declared point fires, every generated one but the ledgered
+        coverage gaps does, and no oracle trips."""
         sweep = ChaosSweep()
         result = sweep.exhaustive()
         torn_variants = sum(1 for p in catalogue() if p.torn)
         # and wal.force.pre (clean, torn) at its last hit
         assert len(result.reports) == len(catalogue()) + torn_variants + 2
         assert result.unreached == []
+        assert result.uncovered == [f"{name} (clean)" for name in UNREACHED]
+        assert not result.failures, result.summary()
+
+    @pytest.mark.parametrize("workload", ["trip", "service-impact"])
+    def test_every_paper_workload_leaves_only_the_ledgered_points(self, workload):
+        """A point the sweep's workload never visits runs on the first one
+        whose run does, so each workload's sweep reaches the same points."""
+        result = ChaosSweep(workload).exhaustive()
+        assert result.unreached == []
+        assert result.uncovered == [f"{name} (clean)" for name in UNREACHED]
         assert not result.failures, result.summary()
 
     def test_a_force_point_is_armed_again_at_its_last_hit(self):
@@ -351,14 +461,19 @@ class TestExhaustiveSweep:
 
     def test_plan_for_point_policies(self):
         sweep = ChaosSweep()
-        # recovery-only points get a paired driver crash
-        harness = sweep.plan_for_point(point_named("exec.recover.pre"))
+        # recovery-only points get a paired driver crash: just after the
+        # first barrier the fault-free run takes for an event
+        harness = sweep.plan_for_point(point_named("exec.resume.arm.pre"))
         crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
-        assert crashes == ["exec.journal.post", "exec.recover.pre"]
+        assert crashes == ["exec.reply.dispatch.post", "exec.resume.arm.pre"]
         # compaction points enable the compactor
         assert sweep.plan_for_point(point_named("wal.checkpoint.forced")).compact_every
-        # the mark point reroutes to the trip workload (order emits no marks)
-        assert sweep.plan_for_point(point_named("exec.mark.recv")).workload == "trip"
+        # a point the sweep's workload never visits runs on the first paper
+        # workload whose run does (order emits no marks, trip does) ...
+        assert sweep.plan_for_point(point_named("exec.mark.journal.pre")).workload == "trip"
+        assert ChaosSweep("trip").plan_for_point(point_named("wal.force.pre")).workload == "trip"
+        # ... and one no workload visits on the sweep's own
+        assert sweep.plan_for_point(point_named("exec.admin.journal.pre")).workload == "order"
 
 
 class TestRandomSweep:
@@ -444,7 +559,7 @@ class TestReproFiles:
 
     FORCED = NemesisSchedule(
         [
-            CrashAtPoint("exec.journal.post", downtime=30.0),
+            CrashAtPoint("exec.reply.dispatch.post", downtime=30.0),
             LossBurst(at=5.0, duration=20.0, rate=0.1),
         ],
         name="forced",
@@ -493,7 +608,7 @@ class TestReproFiles:
 
     def test_replay_detects_fingerprint_mismatch(self, tmp_path):
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.reply.applied", downtime=30.0)], name="clean"
+            [CrashAtPoint("exec.reply.journal.pre", downtime=30.0)], name="clean"
         )
         harness = SimHarness(schedule, system=SystemSpec(seed=5))
         report = harness.run()

@@ -5,7 +5,8 @@ concurrency is tasks on worker nodes, never threads in one process, the
 compiled plan is the one evaluator and what the static analyzers read, the
 records a step builds are tuples, a clock event is a heap entry with no
 handle and no priority, and the execution service's decide half acts on
-nothing: it returns effect records for its shell to perform."""
+nothing: it returns effect records for its shell to perform, whose
+boundaries are the service's only crash points."""
 
 import ast
 import pathlib
@@ -232,3 +233,19 @@ def test_the_decide_half_performs_nothing():
     methods = {node.name for node in decide.body if isinstance(node, ast.FunctionDef)}
     assert {"_on_reply", "_on_mark", "_on_deadline", "_on_admin", "_apply_entry"} <= methods
     assert sorted(forbidden & set(identifiers(decide))) == []
+
+
+def test_no_service_module_names_an_exec_crash_point():
+    """The execution service's crash points are its shell's effect
+    boundaries, generated from the event and effect kinds
+    (``sim/crashpoints.py``): no module under ``services/`` or
+    ``replication/`` names an ``exec.`` point by hand."""
+    named = [
+        (rel, node.value)
+        for rel, tree in sources()
+        if rel.startswith(("services/", "replication/"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("exec.")
+    ]
+    assert named == []

@@ -30,7 +30,7 @@ from repro.core.instrument import IOPATH_STATS
 from repro.services import WorkflowSystem
 from repro.services.journal import Journal, encode_entry
 from repro.sim import crashpoints
-from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, crash_point
+from repro.sim.crashpoints import ArmedCrash, CrashPointInjector
 from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import KillPrimary, NemesisSchedule
@@ -58,7 +58,9 @@ def use_reference_writer(service, marks=False):
     b97b348, verbatim but for where the buffer lives (``self`` spelled
     ``service``, ``_jbuf`` of ``(runtime, entry)`` now
     ``service.journal.buffer`` of ``(iid, entry)``) and for each entry's
-    stored form (its positional row, as the journal reads every entry): one strict-2PL
+    stored form (its positional row, as the journal reads every entry) and
+    for its crash point, which the shell now offers around every barrier
+    (``exec.<event>.dispatch.pre/post``): one strict-2PL
     transaction per barrier — a shared lock and a read for each ``meta``, an
     exclusive lock per written key, ``BEGIN``, one ``UPDATE`` per entry and
     per ``meta``, ``COMMIT``, lock release.  The service's other durable
@@ -91,7 +93,6 @@ def use_reference_writer(service, marks=False):
 
         manager.run(body)
         IOPATH_STATS.journal_batches += 1
-        crash_point("exec.journal.post", store)
         service.store.sync()
         service._post_barrier()
         return len(batch)
