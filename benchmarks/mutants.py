@@ -8,8 +8,8 @@ mutant is run against
 
 * the *checker*: :func:`checker_runs`, every run one ``SimHarness`` under the
   harness oracles — the exhaustive crash-point sweep of ``order`` x1,
-  ``order`` x3 and ``trip`` x2 (each WAL force point also at its last hit,
-  ``@last``), CI's 64 random schedules, the failover
+  ``order`` x3 and ``trip`` x2 (``ChaosSweep.plans``: each WAL force point
+  also at its last hit, ``@last``), CI's 64 random schedules, the failover
   sweep, one run per other fault kind, two tier-1 scenarios (a load spike
   under tight admission, a lease term off the lease tick) and fault-free
   runs.  A run *catches*
@@ -50,7 +50,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -346,31 +345,25 @@ def checker_runs():
     from repro.overload import OverloadConfig
     from repro.services.system import SystemSpec
     from repro.sim import SimHarness
-    from repro.sim.crashpoints import SimulatedCrash, catalogue
     from repro.sim.explorer import ChaosSweep
     from repro.sim.nemesis import (
         CrashAtTime, DupBurst, KillPrimary, LoadSpike, LossBurst, NemesisSchedule,
         Partition, RandomCrashes, ReorderBurst,
     )
 
+    class Sweep(ChaosSweep):
+        def _run(self, harness):  # the runs it plans from: limited as a checker run is
+            return _timed(harness.run)
+
     runs = []
     for workload, instances in (("order", 1), ("order", 3), ("trip", 2)):
-        sweep = ChaosSweep(workload, instances=instances)
-        for point in catalogue():
-            for mode in ("clean", "torn") if point.torn else ("clean",):
-                suffix = "/torn" if mode == "torn" else ""
-                try:
-                    harness = sweep.plan_for_point(point, mode)
-                except (Exception, SimulatedCrash) as exc:  # a fault-free run it reads raised
-                    harness = _Unplanned(exc)
-                runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}", harness))
-        try:
-            last = sweep.plans_at_last_hit()
-        except (Exception, SimulatedCrash):
-            last = []
-        for point, mode, harness in last:
+        # the exhaustive pass, less the runs of points no run reaches (a
+        # broken fault-free run is the whole pass: it raises once)
+        for label, name, mode, harness in Sweep(workload, instances=instances).plans():
             suffix = "/torn" if mode == "torn" else ""
-            runs.append((f"exhaustive:{workload}x{instances}:{point.name}{suffix}@last", harness))
+            if harness is not None:  # named <point>[/torn][@last]
+                runs.append((f"exhaustive:{workload}x{instances}:{name}{suffix}{label[len(name):]}",
+                             harness))
     sweep = ChaosSweep("order")
     for seed in range(64):  # CI's random pass
         runs.append((f"random:order:{seed}",
@@ -431,37 +424,29 @@ class _Slow(Exception):
     pass
 
 
-class _Unplanned:
-    """A checker run whose plan raised: the mutant broke a fault-free run the
-    explorer reads to place the point.  It raises the same when run, so it
-    catches, with no fault to credit."""
-
-    schedule = SimpleNamespace(faults=())
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-    def run(self):
-        raise self.error
-
-
 def _alarm(_signum, _frame):
     raise _Slow()
+
+
+def _timed(run):
+    """``run()``, raising :class:`_Slow` past :data:`RUN_SECONDS`."""
+    signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(RUN_SECONDS)
+    try:
+        return run()
+    finally:
+        signal.alarm(0)
 
 
 def _verdict(harness) -> Optional[List[str]]:
     """The oracle names a run reports, ``["error:<type>"]`` if it raises, or
     ``None`` if it catches nothing."""
-    signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(RUN_SECONDS)
     try:
-        report = harness.run()
+        report = _timed(harness.run)
     except _Slow:
         return ["timeout"]
     except BaseException as exc:  # a mutant may raise anything, SimulatedCrash included
         return [f"error:{type(exc).__name__}"]
-    finally:
-        signal.alarm(0)
     names = sorted({violation["oracle"] for violation in report.violations})
     return names or None
 

@@ -1226,6 +1226,8 @@ class ExecutionService(_Coordinator, Service):
                         return False
                     if kind is Answer:
                         return effect.value
+                    if crashpoints._active is not None:
+                        crashpoints.offer(event, kind.__name__, "forced", self)
                     if effect.flights:
                         self._post(*effect[:3])
                 if crashpoints._active is not None:

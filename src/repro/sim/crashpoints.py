@@ -83,10 +83,11 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     "promote": _STEP,
 }
 #: The sides of each effect that are crash points (``pre``: the effects before
-#: it performed; ``post``: its barrier taken, its flights sent).  E16 merged
-#: the sides that report alike: a volatile entry's or timer's, an answer's.
+#: it performed; ``forced``: its barrier taken, nothing sent; ``post``: its
+#: flights sent).  E16 merged the sides that report alike: a volatile entry's
+#: or timer's, an answer's.
 SIDES: Dict[str, Tuple[str, ...]] = {
-    "journal": ("pre",), "dispatch": ("pre", "post"), "arm": ("pre",), "answer": (),
+    "journal": ("pre",), "dispatch": ("pre", "forced", "post"), "arm": ("pre",), "answer": (),
 }
 
 
@@ -104,7 +105,8 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     # its resumes, and their staggered resends) ------------------------------
     *(CrashPoint(f"exec.{event}.{effect}.{side}", "src/repro/services/execution.py",
                  f"{event} decided, the effects before this {effect} performed" if side == "pre"
-                 else f"{event} decided, this {effect}'s barrier taken and flights sent",
+                 else f"{event} decided, this {effect}'s barrier taken, nothing sent"
+                 if side == "forced" else f"{event} decided, this {effect}'s flights sent",
                  recovery=event in ("resume", "stagger"))
       for event, effects in EVENTS.items() for effect in effects for side in SIDES[effect]),
     # --- worker ------------------------------------------------------------

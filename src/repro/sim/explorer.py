@@ -5,9 +5,11 @@ Two passes, in the FoundationDB tradition:
 1. **Exhaustive one-crash sweep** — one run per registered crash point (plus
    a torn-write variant for every point that supports it), each killing the
    owning node exactly at that protocol step, on the first paper workload
-   (the sweep's own first) whose fault-free run visits it.  Recovery-only
+   (the sweep's own first) whose fault-free run visits it; a generated point
+   no such run visits cannot fire and is not run (:data:`UNCOVERED` ledgers
+   each one with its reason; any other that does not fire fails).  Recovery-only
    points are paired with a preceding driver crash at the first generated
-   ``post`` boundary that run visits (a rebuild only runs after one); points
+   ``forced`` boundary that run visits (a rebuild only runs after one); points
    only reachable through compaction get the harness's compactor enabled.
    The WAL's pre-force point is armed a second time at its *last* visit in
    the fault-free run: the last force of a closed loop is the barrier that
@@ -37,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..services.system import SystemSpec
 from ..settings import require, setting
 from ..workloads import APPLICATIONS
-from .crashpoints import CrashPoint, catalogue, point_named
+from .crashpoints import EVENTS, SIDES, CrashPoint, catalogue, point_named
 from .harness import SimHarness, SimReport
 from .nemesis import (
     CrashAtPoint,
@@ -62,6 +64,26 @@ _NEEDS_COMPACTOR = ("wal.checkpoint.",)
 _NEEDS_REPLICAS = ("repl.", "store.ingest.")
 #: Points armed once more at their last visit in the fault-free run.
 _AT_LAST_HIT = ("wal.force.pre",)
+
+_DEADLINE = "no paper workload declares a deadline, which alone journals an expiry or arms a timer"
+_QUEUE = "the sweep's load never fills the admission window: nothing is queued, shed or promoted"
+#: The generated boundaries no paper workload's run reaches, each with its
+#: reason (EXPERIMENTS.md E16's coverage table): the exhaustive pass lists
+#: them as uncovered, and any other point that does not fire as unreached.
+UNCOVERED: Dict[str, str] = {
+    **{f"exec.{event}.{effect}.{side}": reason for event, effects, reason in (
+        ("deadline", EVENTS["deadline"], _DEADLINE), ("shed", EVENTS["shed"], _QUEUE),
+        ("promote", EVENTS["promote"], _QUEUE),
+        ("admin", EVENTS["admin"], "no paper workload reconfigures, force-aborts or imports"),
+        ("complete", EVENTS["complete"], "no paper workload has an external task"),
+        ("mark", ("dispatch",), "trip's one task mark feeds a compound mark no task waits on"),
+        ("overdue", ("dispatch",), "a flight is overdue only when its reply is lost"),
+        ("resume", ("dispatch",), "a rebuilt flight is resent after its stagger timer"),
+    ) for effect in effects for side in SIDES[effect]},
+    **{f"exec.{event}.arm.pre": _DEADLINE for event in ("reply", "mark", "overdue", "instantiate")},
+    "exec.overdue.journal.pre": "a flight is abandoned only past the redispatch cap",
+    "exec.instantiate.journal.pre": f"{_DEADLINE}; and {_QUEUE}", "exec.resume.journal.pre": _DEADLINE,
+}
 
 
 @dataclass
@@ -130,26 +152,24 @@ class ChaosSweep:
     def __post_init__(self) -> None:
         require(self, "workers", self.workers >= 1, "must be at least 1")
         require(self, "instances", self.instances >= 1, "must be at least 1")
-        self._visited: Dict[Tuple[str, bool], Dict[str, int]] = {}  # _fault_free's runs
+        self._visited: Dict[Tuple[str, bool], Optional[Dict[str, int]]] = {}  # _fault_free's
 
     # -- exhaustive pass -------------------------------------------------------
 
     def plan_for_point(self, point: CrashPoint, mode: str = "clean") -> SimHarness:
         """The harness (schedule and system) that makes ``point`` fire: on
-        the first paper workload, the sweep's own first, whose fault-free run
-        visits it (``order`` emits no marks, ``trip`` does)."""
+        :meth:`_visitor`'s workload, else the sweep's own."""
         replicated = point.name.startswith(_NEEDS_REPLICAS)
-        workload = next((name for name in [self.workload, *APPLICATIONS]
-                         if point.name in self._fault_free(name, replicated)), self.workload)
+        workload = self._visitor(point, replicated) or self.workload
         faults: List[Any] = []
         if point.recovery or point.name == "repl.lease.grant":
             # a rebuild only runs after a crash: drive one first, just after
             # the first barrier the fault-free run takes for an event.  For the
             # replication points the same driver kills the primary, forcing
             # the failover that makes a post-bootstrap grant/promotion happen.
-            visits = self._fault_free(workload, replicated)
-            posts = [p.name for p in catalogue() if p.name.startswith("exec.") and ".post" in p.name]
-            driver = next((name for name in posts if name in visits), posts[0])
+            visits = self._fault_free(workload, replicated) or {}
+            forced = [p.name for p in catalogue() if p.name.endswith(".forced")]
+            driver = next((name for name in forced if name in visits), forced[0])
             faults.append(CrashAtPoint(driver, downtime=self.downtime))
         faults.append(CrashAtPoint(point.name, mode=mode, downtime=self.downtime))
         suffix = "-torn" if mode == "torn" else ""
@@ -158,49 +178,60 @@ class ChaosSweep:
         return self._harness(schedule, self.base_seed, replicas=2 if replicated else 0,
                              workload=workload, compact_every=compact)
 
-    def _fault_free(self, workload: str, replicated: bool) -> Dict[str, int]:
-        """The points the fault-free run of ``workload`` visits, run once."""
+    def _visitor(self, point: CrashPoint, replicated: bool = False) -> Optional[str]:
+        """The first paper workload, the sweep's own first, whose fault-free
+        run visits ``point`` (``order`` emits no marks, ``trip`` does)."""
+        return next((name for name in [self.workload, *APPLICATIONS]
+                     if point.name in (self._fault_free(name, replicated) or ())), None)
+
+    def _fault_free(self, workload: str, replicated: bool) -> Optional[Dict[str, int]]:
+        """The points the fault-free run of ``workload`` visits, run once;
+        None if that run raises (it visits nothing a plan could use)."""
         key = (workload, replicated)
         if key not in self._visited:
-            harness = self._harness(NemesisSchedule(name="fault-free"), self.base_seed,
-                                    replicas=2 if replicated else 0, workload=workload)
-            self._visited[key] = self._run(harness).points_visited
+            try:
+                self._visited[key] = self._run(self._harness(
+                    NemesisSchedule(name="fault-free"), self.base_seed,
+                    replicas=2 if replicated else 0, workload=workload)).points_visited
+            except Exception:  # a broken tree: plans() runs it again, to show how
+                self._visited[key] = None
         return self._visited[key]
 
-    def plans_at_last_hit(self) -> List[Tuple[CrashPoint, str, SimHarness]]:
-        """``(point, mode, harness)`` for each point of ``_AT_LAST_HIT`` and
-        mode: the harness of :meth:`plan_for_point` armed at the point's
-        last visit in that harness's fault-free run."""
+    def plans(self) -> List[Tuple[str, str, str, Optional[SimHarness]]]:
+        """The exhaustive pass, ``(label, point name, mode, harness)``: one per
+        crash point and mode, then each of ``_AT_LAST_HIT`` armed again at its
+        last visit in the fault-free run (``@last``).  A generated point no
+        fault-free run visits has no harness: armed, that run is the fault-free
+        one again (a recovery point is visited only after its driver's crash,
+        so it runs).  When the sweep's own fault-free run raises, the pass is
+        that run alone."""
         visits = self._fault_free(self.workload, False)
-        plans = []
-        for point in map(point_named, _AT_LAST_HIT):
-            for mode in ["clean"] + (["torn"] if point.torn else []):
-                suffix = "-torn" if mode == "torn" else ""
-                schedule = NemesisSchedule(
-                    [CrashAtPoint(point.name, at_hit=max(1, visits.get(point.name, 0)),
-                                  mode=mode, downtime=self.downtime)],
-                    name=f"point:{point.name}{suffix}@last",
-                )
-                plans.append((point, mode, self._harness(schedule, self.base_seed)))
-        return plans
+        if visits is None:
+            return [("fault-free", "", "clean",
+                     self._harness(NemesisSchedule(name="fault-free"), self.base_seed))]
+        plans = [(point.name, point.name, mode, self.plan_for_point(point, mode)
+                  if point.recovery or not point.name.startswith("exec.") or self._visitor(point)
+                  else None)
+                 for point in catalogue() for mode in ["clean"] + (["torn"] if point.torn else [])]
+        return plans + [(f"{name}@last", name, mode, self._harness(NemesisSchedule(
+            [CrashAtPoint(name, at_hit=visits[name], mode=mode, downtime=self.downtime)],
+            name=f"point:{name}{'-torn' if mode == 'torn' else ''}@last"), self.base_seed))
+            for name in _AT_LAST_HIT for mode in ["clean"] + (["torn"] if point_named(name).torn else [])]
 
     def exhaustive(self) -> SweepResult:
-        """One run per crash point (torn variants included), then one per
-        :meth:`plans_at_last_hit`."""
+        """Run :meth:`plans`.  A ledgered point (:data:`UNCOVERED`) that does
+        not fire is uncovered, any other unreached."""
         result = SweepResult()
-        plans = [(point.name, point, mode, self.plan_for_point(point, mode))
-                 for point in catalogue() for mode in ["clean"] + (["torn"] if point.torn else [])]
-        plans += [(f"{point.name}@last", point, mode, harness)
-                  for point, mode, harness in self.plans_at_last_hit()]
-        for label, point, mode, harness in plans:
-            report = self._run(harness)
-            result.reports.append(report)
-            self._log(report)
-            if not any(fired[0] == point.name for fired in report.fired):
-                gaps = result.uncovered if point.name.startswith("exec.") else result.unreached
-                gaps.append(f"{label} ({mode})")
-            if report.violations:
-                result.failures.append(self._shrink_and_record(harness, report))
+        for label, name, mode, harness in self.plans():
+            report = self._run(harness) if harness else None
+            if report is not None:
+                result.reports.append(report)
+                self._log(report)
+                if report.violations:
+                    result.failures.append(self._shrink_and_record(harness, report))
+            if report is None or not any(fired[0] == name for fired in report.fired):
+                (result.uncovered if name in UNCOVERED else result.unreached).append(
+                    f"{label} ({mode})")
         return result
 
     # -- random pass -------------------------------------------------------------
@@ -208,7 +239,8 @@ class ChaosSweep:
     def random_schedule(self, seed: int) -> NemesisSchedule:
         """A reproducible random composition of one to three faults."""
         rng = random.Random(seed)
-        points = [p.name for p in catalogue()]
+        points = [p.name for p in catalogue()
+                  if p.name not in UNCOVERED and not p.name.startswith(_NEEDS_REPLICAS)]
         workers = [f"worker-node-{i + 1}" for i in range(self.workers)]
         faults: List[Any] = []
         for _ in range(rng.randint(1, 3)):

@@ -129,7 +129,7 @@ class TestReplicationCrashPoints:
                 # a driver crash of the primary just after its first barrier
                 # forces the grant/promotion to happen after the injector is
                 # armed
-                assert crashes[0] == "exec.reply.dispatch.post", name
+                assert crashes[0] == "exec.reply.dispatch.forced", name
 
     @pytest.mark.parametrize("name", REPLICATION_POINTS)
     def test_each_replication_point_fires_clean(self, name):

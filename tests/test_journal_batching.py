@@ -175,10 +175,11 @@ class TestTornGroupCommit:
         )
 
     def test_crash_right_after_batch_flush(self):
-        """exec.reply.dispatch.post: the reply's barrier committed the batch
-        and its successors were sent."""
+        """exec.reply.dispatch.forced: the reply's barrier committed the batch
+        and none of the successors it readied is sent yet (hit for hit the
+        crash the journal's own post-commit point made)."""
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.reply.dispatch.post", at_hit=2, downtime=30.0)],
+            [CrashAtPoint("exec.reply.dispatch.forced", at_hit=2, downtime=30.0)],
             name="post-flush-crash",
         )
         report = SimHarness(schedule=schedule).run()

@@ -471,7 +471,7 @@ class TestReconfigByDigest:
         [
             ("wal.force.pre", "clean", False),
             ("wal.force.pre", "torn", False),
-            ("exec.admin.dispatch.post", "clean", True),
+            ("exec.admin.dispatch.forced", "clean", True),
         ],
     )
     def test_a_crash_keeps_the_text_and_the_entry_together(self, point, mode, survives):

@@ -27,7 +27,8 @@ from repro.sim.crashpoints import (
     point_named,
     uninstall,
 )
-from repro.sim.explorer import ChaosSweep, replay
+from repro.sim import explorer
+from repro.sim.explorer import UNCOVERED, ChaosSweep, replay
 from repro.sim.harness import SimHarness, SimReport
 from repro.sim.nemesis import (
     CrashAtPoint,
@@ -230,7 +231,7 @@ class TestNemesisSerialisation:
     def _full_schedule(self):
         return NemesisSchedule(
             [
-                CrashAtPoint("exec.reply.dispatch.post", at_hit=2, downtime=45.0),
+                CrashAtPoint("exec.reply.dispatch.forced", at_hit=2, downtime=45.0),
                 CrashAtPoint("wal.force.pre", mode="torn"),
                 CrashAtTime(at=12.5, node="worker-node-1", downtime=None),
                 Partition(at=20.0, group_a=("execution-node",),
@@ -268,7 +269,7 @@ class TestNemesisSerialisation:
         with pytest.raises(ValueError):
             CrashAtPoint("bogus.point")
         with pytest.raises(ValueError):
-            CrashAtPoint("exec.reply.dispatch.post", mode="torn")  # not a force site
+            CrashAtPoint("exec.reply.dispatch.forced", mode="torn")  # not a force site
 
 
 class TestHarnessRuns:
@@ -282,13 +283,13 @@ class TestHarnessRuns:
 
     def test_crash_point_run_fires_recovers_and_completes(self):
         schedule = NemesisSchedule(
-            [CrashAtPoint("exec.reply.dispatch.post", downtime=30.0)], name="one-crash"
+            [CrashAtPoint("exec.reply.dispatch.forced", downtime=30.0)], name="one-crash"
         )
         report = SimHarness(schedule=schedule).run()
         assert report.ok, report.violations
         assert len(report.crashes) == 1
         assert report.crashes[0]["node"] == "execution-node"
-        assert ["exec.reply.dispatch.post", "execution-node"] in report.fired
+        assert ["exec.reply.dispatch.forced", "execution-node"] in report.fired
         assert report.unfired == []
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -381,55 +382,23 @@ class TestCompactionCrashes:
         assert not oracles.check_journal_integrity(store)
 
 
-_DEADLINE = "no paper workload declares a `deadline` (ROADMAP item 8)"
-_ADMIN = ("no paper workload reconfigures, force-aborts, imports or completes an "
-          "external task (ROADMAP item 13)")
-_QUEUE = "the sweep's load never fills the admission window: nothing is queued, shed or promoted"
-#: The generated boundaries the exhaustive sweep of every paper workload
-#: leaves unreached, each with its reason (EXPERIMENTS.md E16's coverage
-#: table): every other point fires.
-UNREACHED = {
-    "exec.reply.arm.pre": _DEADLINE,
-    "exec.mark.dispatch.pre": "trip's one task mark feeds its compound's mark, which no task "
-                              "waits on: the mark's entry readies nothing",
-    "exec.mark.dispatch.post": "as exec.mark.dispatch.pre",
-    "exec.mark.arm.pre": _DEADLINE,
-    "exec.deadline.journal.pre": _DEADLINE,
-    "exec.deadline.dispatch.pre": _DEADLINE,
-    "exec.deadline.dispatch.post": _DEADLINE,
-    "exec.deadline.arm.pre": _DEADLINE,
-    "exec.overdue.journal.pre": "a flight is abandoned only past the redispatch cap",
-    "exec.overdue.dispatch.pre": "a flight is overdue only when its reply is lost, and no "
-                                 "fault-free run loses one (worker.execute.post's run does)",
-    "exec.overdue.dispatch.post": "as exec.overdue.dispatch.pre",
-    "exec.overdue.arm.pre": _DEADLINE,
-    **{f"exec.{event}.{effect}.{side}": _ADMIN
-       for event in ("admin", "complete") for effect in EVENTS[event] for side in SIDES[effect]},
-    "exec.instantiate.journal.pre": f"{_DEADLINE}; and {_QUEUE}",
-    "exec.instantiate.arm.pre": _DEADLINE,
-    "exec.shed.journal.pre": _QUEUE,
-    "exec.shed.dispatch.pre": _QUEUE,
-    "exec.shed.dispatch.post": _QUEUE,
-    "exec.resume.journal.pre": _DEADLINE,
-    "exec.resume.dispatch.pre": "a rebuilt flight is resent after its stagger (a resume arms); "
-                                "only a timer task's goes at once, and no paper script has one",
-    "exec.resume.dispatch.post": "as exec.resume.dispatch.pre",
-    **{f"exec.promote.{effect}.{side}": _QUEUE
-       for effect in EVENTS["promote"] for side in SIDES[effect]},
-}
-
-
 class TestExhaustiveSweep:
     def test_every_crash_point_fires_and_no_oracle_trips(self):
         """Every declared point fires, every generated one but the ledgered
-        coverage gaps does, and no oracle trips."""
+        coverage gaps does, and no oracle trips.  A ledgered point is not
+        run: no fault-free run visits it, so armed it could not fire (a
+        recovery point is visited only after its driver's crash: it runs)."""
         sweep = ChaosSweep()
         result = sweep.exhaustive()
         torn_variants = sum(1 for p in catalogue() if p.torn)
+        skipped = sum(1 for name in UNCOVERED if not point_named(name).recovery)
         # and wal.force.pre (clean, torn) at its last hit
-        assert len(result.reports) == len(catalogue()) + torn_variants + 2
+        assert len(result.reports) == len(catalogue()) - skipped + torn_variants + 2
         assert result.unreached == []
-        assert result.uncovered == [f"{name} (clean)" for name in UNREACHED]
+        assert result.uncovered == [
+            f"{p.name} (clean)" for p in catalogue() if p.name in UNCOVERED
+        ]
+        assert all(reason for reason in UNCOVERED.values())
         assert not result.failures, result.summary()
 
     @pytest.mark.parametrize("workload", ["trip", "service-impact"])
@@ -438,8 +407,28 @@ class TestExhaustiveSweep:
         whose run does, so each workload's sweep reaches the same points."""
         result = ChaosSweep(workload).exhaustive()
         assert result.unreached == []
-        assert result.uncovered == [f"{name} (clean)" for name in UNREACHED]
+        assert sorted(name.split(" ")[0] for name in result.uncovered) == sorted(UNCOVERED)
         assert not result.failures, result.summary()
+
+    def test_an_unledgered_point_that_does_not_fire_fails_the_sweep(self, monkeypatch):
+        """A generated point the ledger does not name is unreached when it
+        does not fire, as a declared one is: the CLI fails on it."""
+        monkeypatch.delitem(explorer.UNCOVERED, "exec.admin.journal.pre")
+        result = ChaosSweep().exhaustive()
+        assert result.unreached == ["exec.admin.journal.pre (clean)"]
+        assert "exec.admin.journal.pre (clean)" not in result.uncovered
+
+    def test_a_broken_fault_free_run_is_the_whole_pass(self, monkeypatch):
+        """When the sweep's own fault-free run raises, the pass is that run
+        alone (the tree is broken; each armed run would only repeat it)."""
+        def broken(harness):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(SimHarness, "run", broken)
+        ((label, name, mode, harness),) = ChaosSweep().plans()
+        assert label == "fault-free" and not harness.schedule.faults
+        with pytest.raises(RuntimeError):
+            ChaosSweep().exhaustive()
 
     def test_a_force_point_is_armed_again_at_its_last_hit(self):
         """The last force of a closed loop is the barrier that ends its last
@@ -447,17 +436,17 @@ class TestExhaustiveSweep:
         the WAL's pre-force point at its last visit in the fault-free run."""
         sweep = ChaosSweep()
         fault_free = sweep._harness(NemesisSchedule(), sweep.base_seed).run()
-        plans = sweep.plans_at_last_hit()
-        assert [(point.name, mode) for point, mode, _harness in plans] == [
+        plans = [plan for plan in sweep.plans() if plan[0].endswith("@last")]
+        assert [(name, mode) for _label, name, mode, _harness in plans] == [
             ("wal.force.pre", "clean"), ("wal.force.pre", "torn"),
         ]
-        for point, mode, harness in plans:
+        for _label, name, mode, harness in plans:
             (fault,) = harness.schedule.faults
-            assert (fault.point, fault.mode) == (point.name, mode)
-            assert fault.at_hit == fault_free.points_visited[point.name] > 1
+            assert (fault.point, fault.mode) == (name, mode)
+            assert fault.at_hit == fault_free.points_visited[name] > 1
             report = harness.run()
             assert report.ok, report.violations
-            assert [point.name, "execution-node"] in report.fired
+            assert [name, "execution-node"] in report.fired
 
     def test_plan_for_point_policies(self):
         sweep = ChaosSweep()
@@ -465,7 +454,7 @@ class TestExhaustiveSweep:
         # first barrier the fault-free run takes for an event
         harness = sweep.plan_for_point(point_named("exec.resume.arm.pre"))
         crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
-        assert crashes == ["exec.reply.dispatch.post", "exec.resume.arm.pre"]
+        assert crashes == ["exec.reply.dispatch.forced", "exec.resume.arm.pre"]
         # compaction points enable the compactor
         assert sweep.plan_for_point(point_named("wal.checkpoint.forced")).compact_every
         # a point the sweep's workload never visits runs on the first paper
@@ -485,6 +474,17 @@ class TestRandomSweep:
             for s in range(10)
         }
         assert len(distinct) > 1
+
+    def test_a_random_crash_point_is_one_a_run_can_reach(self):
+        """The random pass runs without standbys, and no run reaches a
+        ledgered point: a drawn crash at either could not fire."""
+        drawn = {
+            fault.point for seed in range(64)
+            for fault in ChaosSweep().random_schedule(seed).faults
+            if isinstance(fault, CrashAtPoint)
+        }
+        assert drawn and not drawn & set(UNCOVERED)
+        assert not [name for name in drawn if name.startswith(("repl.", "store."))]
 
     def test_small_random_sweep_passes_all_oracles(self):
         result = ChaosSweep(base_seed=3).random_sweep(6)
@@ -559,7 +559,7 @@ class TestReproFiles:
 
     FORCED = NemesisSchedule(
         [
-            CrashAtPoint("exec.reply.dispatch.post", downtime=30.0),
+            CrashAtPoint("exec.reply.dispatch.forced", downtime=30.0),
             LossBurst(at=5.0, duration=20.0, rate=0.1),
         ],
         name="forced",
