@@ -327,7 +327,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        self.executed.append((iid, task_path, index))",
         "        if (iid, task_path, index) in self.executed:\n"
         "            return work_reply(iid, task_path, index, self.name, False, None, (),\n"
-        '                              "repeat", fenced=True, epoch=self.fence_epoch)\n'
+        '                              "repeat", fenced=True)\n'
         "        self.executed.append((iid, task_path, index))")),
     _m("recovery-forgets-closed", "exec.recover.* (now exec.resume.*)",
        (EXEC,

@@ -60,6 +60,8 @@ python -m repro.cli demo order --distributed --replicas 2 --seed 7
 python -m repro.cli demo --load
 python -m repro.cli load --arrival burst --rate 1.0 --duration 120 --drain 300 --seed 7 --json
 python -m repro.cli chaos-sweep --mode exhaustive --out {tmp}/sim-repros
+python -m repro.cli chaos-sweep --mode exhaustive --instances 3 --out {tmp}/sim-repros
+python -m repro.cli chaos-sweep --mode exhaustive --workload trip --instances 2 --out {tmp}/sim-repros
 python -m repro.cli chaos-sweep --mode random --seeds 64 --out {tmp}/sim-repros
 python -m repro.cli chaos-sweep --mode failover --replicas 2 --out {tmp}/sim-repros
 python -m repro.cli lint examples/*.py src/repro/workloads/paper_*.py --format sarif --output {tmp}/analysis.sarif

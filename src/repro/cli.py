@@ -399,9 +399,7 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
         module = max(len(point.module) for point in catalogue())
         print(f"{'crash point':<{name}} {'file':<{module}} protocol step")
         for point in catalogue():
-            flags = ",".join(flag for flag, on in (("torn", point.torn),
-                                                   ("recovery", point.recovery)) if on)
-            suffix = f"  [{flags}]" if flags else ""
+            suffix = "  [torn]" if point.torn else ""
             print(f"{point.name:<{name}} {point.module:<{module}} {point.step}{suffix}")
         return 0
 

@@ -1273,7 +1273,7 @@ class ExecutionService(_Coordinator, Service):
         dedup are as if each entry were committed as it is produced.
         ``closed``: the instances the barrier leaves terminal with no flight
         out.  Returns the number of entries made durable."""
-        flushed = self.journal.commit(closed) if self.journal.buffer else 0
+        flushed = self.journal.commit(closed) if self.journal.rows else 0
         self._post_barrier()  # even when empty: any unshipped suffix goes out
         return flushed
 

@@ -308,16 +308,15 @@ def segment_rows(segment: Any) -> List[Row]:
 class Journal:
     """The instances of one execution store: create, append, commit, read.
 
-    Appended entries are buffered (:attr:`buffer`, ``(iid, entry)`` in append
-    order) until :meth:`commit` makes them durable as one record; a crash
-    loses the buffer together with the volatile trees it described."""
+    Appended entries are buffered, encoded, in :attr:`rows` (each buffered
+    instance's, in append order) until :meth:`commit` makes them durable as
+    one record; a crash loses the buffer together with the volatile trees it
+    described."""
 
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
-        self.buffer: List[Tuple[str, Dict[str, Any]]] = []
-        # each buffered instance's rows, encoded as they were appended, and
-        # the tail it was last appended at, until the commit
-        self._rows: Dict[str, List[Row]] = {}
+        self.rows: Dict[str, List[Row]] = {}
+        # the tail each buffered instance was last appended at, until the commit
         self._tails: Dict[str, Tail] = {}
         # the text of each reconfig digest among the buffered rows
         self._scripts: Dict[str, str] = {}
@@ -430,18 +429,16 @@ class Journal:
         buffered stay so."""
         row = encode_entry(entry, self._scripts, tail.root)
         IOPATH_STATS.journal_entries += 1
-        self.buffer.append((iid, entry))
-        rows = self._rows.get(iid)
+        rows = self.rows.get(iid)
         if rows is None:
-            self._rows[iid] = [row]
+            self.rows[iid] = [row]
         else:
             rows.append(row)
         self._tails[iid] = tail
 
     def discard(self) -> None:
         """Forget every buffered entry, never to be committed."""
-        self.buffer.clear()
-        self._rows.clear()
+        self.rows.clear()
         self._tails.clear()
         self._scripts.clear()
 
@@ -458,16 +455,17 @@ class Journal:
         names it (no flight out), durable or lost together with the entry
         that earned it.  Every other barrier writes segments alone.  Returns
         the number of entries committed."""
-        batch, self.buffer = self.buffer, []
-        segments, self._rows = self._rows, {}
+        segments, self.rows = self.rows, {}
         tails, self._tails = self._tails, {}
         scripts, self._scripts = self._scripts, {}
         store = self.store
         writes: Dict[str, Any] = {}
         ends: List[Tuple[Tail, int, Optional[Stamp]]] = []
+        count = 0
         for iid, rows in segments.items():
             tail = tails[iid]
             n = tail.length
+            count += len(rows)
             writes[f"instance:{iid}:journal:{n}"], stamp = encode_segment(rows, tail.stamp)
             ends.append((tail, n + len(rows), stamp))
             if tail.ended or iid in closed:
@@ -481,11 +479,11 @@ class Journal:
             tail.length, tail.stamp = length, stamp
         IOPATH_STATS.journal_batches += 1
         store.sync()
-        return len(batch)
+        return count
 
     def pending(self, iid: str) -> bool:
         """Whether an entry of ``iid`` is still buffered."""
-        return iid in self._rows
+        return iid in self.rows
 
     # -- reading ----------------------------------------------------------------
 

@@ -96,8 +96,8 @@ class WorkReply(NamedTuple):
     """A worker's answer to one :class:`WorkRequest`, built by
     :func:`work_reply`.  ``result`` is the task's result in wire form,
     ``(kind name, output name, ((object, ref-or-value), ...))``, or None when
-    the task failed, parked itself (``external``) or was refused (``fenced``,
-    with the highest ``epoch`` the worker has seen)."""
+    the task failed, parked itself (``external``) or was refused
+    (``fenced``)."""
 
     instance_id: str
     task_path: str
@@ -109,7 +109,6 @@ class WorkReply(NamedTuple):
     error: Optional[str]
     external: bool = False
     fenced: bool = False
-    epoch: int = 0
 
 
 # The twins a builder returns when it proved a record plain: every leaf of a
@@ -193,14 +192,13 @@ def work_reply(
     error: Optional[str],
     external: bool = False,
     fenced: bool = False,
-    epoch: int = 0,
 ) -> WorkReply:
     """A reply carrying ``result`` in wire form, as its plain twin when every
     leaf is proven plain and every mark was."""
     marks = tuple(marks)
     proven = BY_REFERENCE.issuperset((
         type(instance_id), type(task_path), type(execution_index), type(worker),
-        type(ok), type(error), type(external), type(fenced), type(epoch),
+        type(ok), type(error), type(external), type(fenced),
         *map(type, marks),  # a mark is proven when it is built
     ))
     wire = None
@@ -210,7 +208,7 @@ def work_reply(
         proven = proven and type(result.name) in BY_REFERENCE and _plain_objects(items)
     return tuple.__new__(PlainWorkReply if proven else WorkReply, (
         instance_id, task_path, execution_index, worker, ok, wire,
-        marks, error, external, fenced, epoch,
+        marks, error, external, fenced,
     ))
 
 
@@ -298,7 +296,7 @@ class TaskWorker(Service):
         request's identity and names this worker (the execution service's
         health registry attributes latency and liveness to it).  A request
         carrying a stale fencing epoch is refused without executing anything:
-        ``fenced`` set, with the highest epoch seen."""
+        ``fenced`` set, the epochs in its ``error``."""
         template = request["template"]
         task_path = template.task_path
         iid = request["instance_id"]
@@ -308,8 +306,7 @@ class TaskWorker(Service):
             if epoch < self.fence_epoch:
                 return work_reply(
                     iid, task_path, index, self.name, False, None, (),
-                    f"fenced: epoch {epoch} < {self.fence_epoch}",
-                    fenced=True, epoch=self.fence_epoch,
+                    f"fenced: epoch {epoch} < {self.fence_epoch}", fenced=True,
                 )
             self.fence_epoch = epoch
         self.executed.append((iid, task_path, index))

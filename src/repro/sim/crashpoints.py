@@ -32,7 +32,9 @@ Every crash point is in :data:`CATALOGUE` so the chaos explorer can
 enumerate them exhaustively and the docs can render the table
 (docs/PROTOCOLS.md §9.1, held to the catalogue by
 ``tests/test_sim_harness.py``).  ``crash_point`` rejects undeclared names,
-so the catalogue cannot silently drift from the instrumentation.
+so the catalogue cannot silently drift from the instrumentation.  A row
+says where a point is, not how to reach it: the explorer learns that from
+the runs that visit it (:meth:`repro.sim.explorer.ChaosSweep.plan_for_point`).
 
 A point stays only while it earns its probe: a seeded mutant it alone
 catches (``benchmarks/mutants.py``), or a crash state no other point
@@ -42,7 +44,7 @@ reaches — a report of its own in the exhaustive sweep of ``order`` x1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -69,7 +71,6 @@ class CrashPoint:
     module: str          # repo-relative file holding the call site
     step: str            # protocol step, for the docs table
     torn: bool = False   # supports torn-write injection (WAL force sites)
-    recovery: bool = False  # only reachable while recovering from a crash
 
 
 #: The service's event kinds (one per decide entry, named in each call of the
@@ -106,8 +107,7 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     *(CrashPoint(f"exec.{event}.{effect}.{side}", "src/repro/services/execution.py",
                  f"{event} decided, the effects before this {effect} performed" if side == "pre"
                  else f"{event} decided, this {effect}'s barrier taken, nothing sent"
-                 if side == "forced" else f"{event} decided, this {effect}'s flights sent",
-                 recovery=event in ("resume", "stagger"))
+                 if side == "forced" else f"{event} decided, this {effect}'s flights sent")
       for event, effects in EVENTS.items() for effect in effects for side in SIDES[effect]),
     # --- worker ------------------------------------------------------------
     CrashPoint("worker.execute.post", "src/repro/services/worker.py",
@@ -118,9 +118,9 @@ CATALOGUE: Tuple[CrashPoint, ...] = (
     CrashPoint("repl.tail.apply", "src/repro/replication/replica.py",
                "standby received a log batch, nothing applied yet"),
     CrashPoint("repl.promote.pre", "src/repro/replication/replica.py",
-               "lease won, promotion not yet started", recovery=True),
+               "lease won, promotion not yet started"),
     CrashPoint("repl.promote.post", "src/repro/replication/replica.py",
-               "standby fully promoted, serving as primary", recovery=True),
+               "standby fully promoted, serving as primary"),
     # appended last: seeded random schedules draw points by catalogue index
     CrashPoint("store.ingest.pre", "src/repro/txn/store.py",
                "shipped records and the follower's tail appended, none durable "

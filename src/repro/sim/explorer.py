@@ -4,16 +4,14 @@ Two passes, in the FoundationDB tradition:
 
 1. **Exhaustive one-crash sweep** — one run per registered crash point (plus
    a torn-write variant for every point that supports it), each killing the
-   owning node exactly at that protocol step, on the first paper workload
-   (the sweep's own first) whose fault-free run visits it; a generated point
-   no such run visits cannot fire and is not run (:data:`UNCOVERED` ledgers
-   each one with its reason; any other that does not fire fails).  Recovery-only
-   points are paired with a preceding driver crash at the first generated
-   ``forced`` boundary that run visits (a rebuild only runs after one); points
-   only reachable through compaction get the harness's compactor enabled.
-   The WAL's pre-force point is armed a second time at its *last* visit in
-   the fault-free run: the last force of a closed loop is the barrier that
-   ends its last instance, the only kind that writes a ``meta`` seal.
+   owning node exactly at that protocol step, in the first run that visits
+   it (:meth:`ChaosSweep.plan_for_point`: the planner learns where a point
+   fires from runs, not from the catalogue).  A point no such run visits
+   is not run (:data:`UNCOVERED` ledgers the generated ones with their
+   reasons; any other that does not fire fails).  The WAL's pre-force point
+   is armed a second time at its *last* visit in the fault-free run: the
+   last force of a closed loop is the barrier that ends its last instance,
+   the only kind that writes a ``meta`` seal.
 2. **Random nemesis sweep** — seeded random schedules composing one to
    three faults (crash-at-point, timed crashes, partitions, loss/dup/
    reorder bursts).  Each seed is an independent, fully reproducible
@@ -54,13 +52,13 @@ from .nemesis import (
     ResurrectStalePrimary,
 )
 
-#: Points only visited when the harness drives compaction.
+#: Points only visited when the harness drives compaction: every run the
+#: planner reads ends before the compactor's first tick.
 _NEEDS_COMPACTOR = ("wal.checkpoint.",)
-#: Points only visited with a replicated execution service.  The lease
-#: grant and the promotion points additionally need a failover (the
-#: bootstrap grant/promotion happen before the injector is installed), which
-#: the driver crash of a recovery point conveniently provides: killing the
-#: primary mid-step forces a standby through acquire + promote.
+#: Points only visited with a replicated execution service.  The random
+#: pass leaves them out and the failover pass requires each: both are read
+#: from this list, not from runs, so a random schedule does not depend on a
+#: run that a seeded mutant can break.
 _NEEDS_REPLICAS = ("repl.", "store.ingest.")
 #: Points armed once more at their last visit in the fault-free run.
 _AT_LAST_HIT = ("wal.force.pre",)
@@ -152,66 +150,65 @@ class ChaosSweep:
     def __post_init__(self) -> None:
         require(self, "workers", self.workers >= 1, "must be at least 1")
         require(self, "instances", self.instances >= 1, "must be at least 1")
-        self._visited: Dict[Tuple[str, bool], Optional[Dict[str, int]]] = {}  # _fault_free's
+        self._visited: Dict[Tuple[str, int, Optional[str]], Optional[Dict[str, int]]] = {}
 
     # -- exhaustive pass -------------------------------------------------------
 
-    def plan_for_point(self, point: CrashPoint, mode: str = "clean") -> SimHarness:
-        """The harness (schedule and system) that makes ``point`` fire: on
-        :meth:`_visitor`'s workload, else the sweep's own."""
-        replicated = point.name.startswith(_NEEDS_REPLICAS)
-        workload = self._visitor(point, replicated) or self.workload
-        faults: List[Any] = []
-        if point.recovery or point.name == "repl.lease.grant":
-            # a rebuild only runs after a crash: drive one first, just after
-            # the first barrier the fault-free run takes for an event.  For the
-            # replication points the same driver kills the primary, forcing
-            # the failover that makes a post-bootstrap grant/promotion happen.
-            visits = self._fault_free(workload, replicated) or {}
-            forced = [p.name for p in catalogue() if p.name.endswith(".forced")]
-            driver = next((name for name in forced if name in visits), forced[0])
-            faults.append(CrashAtPoint(driver, downtime=self.downtime))
-        faults.append(CrashAtPoint(point.name, mode=mode, downtime=self.downtime))
-        suffix = "-torn" if mode == "torn" else ""
-        schedule = NemesisSchedule(faults, name=f"point:{point.name}{suffix}")
-        compact = 40.0 if point.name.startswith(_NEEDS_COMPACTOR) else None
-        return self._harness(schedule, self.base_seed, replicas=2 if replicated else 0,
-                             workload=workload, compact_every=compact)
+    def plan_for_point(self, point: CrashPoint, mode: str = "clean") -> Optional[SimHarness]:
+        """The harness that makes ``point`` fire: the first run, in this
+        order, that visits it, armed there too — fault-free on the sweep's
+        workload, then on each other paper workload (``order`` emits no
+        marks, ``trip`` does); then on the sweep's workload after a driver
+        crash at the first ``forced`` boundary its fault-free run visits (a
+        rebuild runs only after one); then the same on a replicated service
+        (killing the primary forces the failover that makes a post-bootstrap
+        grant or promotion happen).  None when no such run visits it."""
+        if point.name.startswith(_NEEDS_COMPACTOR):
+            # every run above ends before the compactor's first tick
+            return self._config(self.workload, 0, None, point.name, mode, compact_every=40.0)
+        for replicas in (0, 2):
+            visits = self._visits(self.workload, replicas) or ()
+            driver = next((p.name for p in catalogue()
+                           if p.name.endswith(".forced") and p.name in visits), None)
+            runs = [(name, None) for name in (self.workload, *APPLICATIONS)]
+            for workload, drive in runs + [(self.workload, driver)]:
+                if point.name in (self._visits(workload, replicas, drive) or ()):
+                    return self._config(workload, replicas, drive, point.name, mode)
+        return None
 
-    def _visitor(self, point: CrashPoint, replicated: bool = False) -> Optional[str]:
-        """The first paper workload, the sweep's own first, whose fault-free
-        run visits ``point`` (``order`` emits no marks, ``trip`` does)."""
-        return next((name for name in [self.workload, *APPLICATIONS]
-                     if point.name in (self._fault_free(name, replicated) or ())), None)
+    def _config(self, workload: str, replicas: int, driver: Optional[str],
+                point: Optional[str] = None, mode: str = "clean", **changes: Any) -> SimHarness:
+        """A run of ``workload``, crashed at ``driver`` first if one is given
+        and then at ``point`` if one is given."""
+        faults = [CrashAtPoint(driver, downtime=self.downtime)] if driver else []
+        if point:
+            faults.append(CrashAtPoint(point, mode=mode, downtime=self.downtime))
+        name = f"point:{point}{'-torn' if mode == 'torn' else ''}" if point else "fault-free"
+        return self._harness(NemesisSchedule(faults, name=name), self.base_seed,
+                             replicas=replicas, workload=workload, **changes)
 
-    def _fault_free(self, workload: str, replicated: bool) -> Optional[Dict[str, int]]:
-        """The points the fault-free run of ``workload`` visits, run once;
-        None if that run raises (it visits nothing a plan could use)."""
-        key = (workload, replicated)
+    def _visits(self, workload: str, replicas: int,
+                driver: Optional[str] = None) -> Optional[Dict[str, int]]:
+        """The points :meth:`_config`'s run visits, run once per sweep; None
+        if it raises (it visits nothing a plan could use)."""
+        key = (workload, replicas, driver)
         if key not in self._visited:
             try:
-                self._visited[key] = self._run(self._harness(
-                    NemesisSchedule(name="fault-free"), self.base_seed,
-                    replicas=2 if replicated else 0, workload=workload)).points_visited
+                self._visited[key] = self._run(self._config(*key)).points_visited
             except Exception:  # a broken tree: plans() runs it again, to show how
                 self._visited[key] = None
         return self._visited[key]
 
     def plans(self) -> List[Tuple[str, str, str, Optional[SimHarness]]]:
         """The exhaustive pass, ``(label, point name, mode, harness)``: one per
-        crash point and mode, then each of ``_AT_LAST_HIT`` armed again at its
-        last visit in the fault-free run (``@last``).  A generated point no
-        fault-free run visits has no harness: armed, that run is the fault-free
-        one again (a recovery point is visited only after its driver's crash,
-        so it runs).  When the sweep's own fault-free run raises, the pass is
-        that run alone."""
-        visits = self._fault_free(self.workload, False)
+        crash point and mode (:meth:`plan_for_point`; no harness when no run
+        visits the point), then each of ``_AT_LAST_HIT`` armed again at its
+        last visit in the fault-free run (``@last``).  When the sweep's own
+        fault-free run raises, the pass is that run alone."""
+        visits = self._visits(self.workload, 0)
         if visits is None:
-            return [("fault-free", "", "clean",
-                     self._harness(NemesisSchedule(name="fault-free"), self.base_seed))]
-        plans = [(point.name, point.name, mode, self.plan_for_point(point, mode)
-                  if point.recovery or not point.name.startswith("exec.") or self._visitor(point)
-                  else None)
+            return [("fault-free", "", "clean", self._config(self.workload, 0, None))]
+        plans = [(point.name, point.name, mode, self.plan_for_point(point, mode))
                  for point in catalogue() for mode in ["clean"] + (["torn"] if point.torn else [])]
         return plans + [(f"{name}@last", name, mode, self._harness(NemesisSchedule(
             [CrashAtPoint(name, at_hit=visits[name], mode=mode, downtime=self.downtime)],

@@ -224,7 +224,7 @@ class EveryBarrierCloses(Journal):
     or not."""
 
     def commit(self, closed=()):
-        return super().commit({iid for iid, _entry in self.buffer})
+        return super().commit(set(self.rows))
 
 
 class EveryTerminalBarrierCloses(Journal):
@@ -236,8 +236,7 @@ class EveryTerminalBarrierCloses(Journal):
     def commit(self, closed=()):
         runtimes = self.service.runtimes
         return super().commit({
-            iid for iid, _entry in self.buffer
-            if runtimes[iid].tree.status.value != "running"
+            iid for iid in self.rows if runtimes[iid].tree.status.value != "running"
         })
 
 

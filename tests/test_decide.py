@@ -218,7 +218,7 @@ class TestEvents:
         runtime = started(service, script, root, inputs)
         service._on_instantiate(runtime, "start", "normal")
         service._on_reply("wf-1", reply(runtime, "pipeline/t1", "done", out="x"))
-        assert service.node is None and service.journal.buffer == []
+        assert service.node is None and service.journal.rows == {}
         assert service.stats["dispatches"] == 0
 
 

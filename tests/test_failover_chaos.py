@@ -115,8 +115,6 @@ class TestReplicationCrashPoints:
             "repl.promote.pre",
             "repl.promote.post",
         }
-        assert point_named("repl.promote.pre").recovery
-        assert point_named("repl.promote.post").recovery
 
     def test_plans_for_replication_points_use_replicas(self):
         sweep = ChaosSweep()

@@ -514,7 +514,7 @@ class TestReconfigByDigest:
             system.execution.reconfigure(iid, new_text)
         assert len(store.wal) == logged
         assert store.get_committed("script:" + "0" * 32) == text
-        assert Journal(store).entries(iid) == [] and not system.execution.journal.buffer
+        assert Journal(store).entries(iid) == [] and not system.execution.journal.rows
         # nothing was applied either: the instance runs the text it started with
         assert system.run_until_terminal(iid)["objects"]["out"]["value"] == "seed"
 
@@ -833,7 +833,7 @@ class TestRefusalBeforeBuffering:
         refused = dict(buffered, path=f"/{ROOT}/a")
         with pytest.raises(ExecutionError, match="cannot spell"):
             journal.append(second, refused, fresh_tail())
-        assert journal.buffer == [(first, buffered)] and not journal.pending(second)
+        assert [(iid, len(rows)) for iid, rows in journal.rows.items()] == [(first, 1)]
         assert journal.commit() == 1
         assert journal.entries(first) == [buffered] and journal.entries(second) == []
 

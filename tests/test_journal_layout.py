@@ -335,7 +335,7 @@ class TestContiguityUnderSegments:
         commit = service.journal.commit
 
         def tear_the_release_barrier(closed=()):
-            if len(service.journal.buffer) == 8 and not injector.fired:
+            if sum(map(len, service.journal.rows.values())) == 8 and not injector.fired:
                 injector.arm(ArmedCrash("wal.force.pre", mode="torn"))
             return commit(closed)
 

@@ -291,7 +291,7 @@ class TestClosed:
         return (
             len(system.execution_store.wal),
             system.execution_store.get_committed(f"instance:{iid}:meta"),
-            list(service.journal.buffer),
+            {each: list(rows) for each, rows in service.journal.rows.items()},
             views(service, iid),
             service.runtimes[iid].settled,
             iid in service._live,

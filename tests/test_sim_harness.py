@@ -98,8 +98,7 @@ class TestCatalogue:
         ]
         expected = [
             [f"`{point.name}`", f"`{point.module[len('src/repro/'):]}`", point.step,
-             ", ".join(flag for flag, on in (("torn", point.torn),
-                                             ("recovery", point.recovery)) if on)]
+             "torn" if point.torn else ""]
             for point in catalogue() if not point.name.startswith("exec.")
         ] + [
             [f"`{event}`", ", ".join(
@@ -386,20 +385,27 @@ class TestExhaustiveSweep:
     def test_every_crash_point_fires_and_no_oracle_trips(self):
         """Every declared point fires, every generated one but the ledgered
         coverage gaps does, and no oracle trips.  A ledgered point is not
-        run: no fault-free run visits it, so armed it could not fire (a
-        recovery point is visited only after its driver's crash: it runs)."""
+        run: no run the planner reads visits it, so armed it could not fire."""
         sweep = ChaosSweep()
         result = sweep.exhaustive()
         torn_variants = sum(1 for p in catalogue() if p.torn)
-        skipped = sum(1 for name in UNCOVERED if not point_named(name).recovery)
         # and wal.force.pre (clean, torn) at its last hit
-        assert len(result.reports) == len(catalogue()) - skipped + torn_variants + 2
+        assert len(result.reports) == len(catalogue()) - len(UNCOVERED) + torn_variants + 2
         assert result.unreached == []
         assert result.uncovered == [
             f"{p.name} (clean)" for p in catalogue() if p.name in UNCOVERED
         ]
         assert all(reason for reason in UNCOVERED.values())
         assert not result.failures, result.summary()
+
+    @pytest.mark.parametrize("workload, instances", [("order", 1), ("order", 3), ("trip", 2)])
+    def test_every_run_fires_its_own_point(self, workload, instances):
+        """A run is planned only in a run that visits its point, so each one
+        fires that point, not only the crash that drives it there."""
+        for label, name, mode, harness in ChaosSweep(workload, instances=instances).plans():
+            if harness is not None:
+                fired = [point for point, _node in harness.run().fired]
+                assert name in fired, f"{label} ({mode}) fired only {fired}"
 
     @pytest.mark.parametrize("workload", ["trip", "service-impact"])
     def test_every_paper_workload_leaves_only_the_ledgered_points(self, workload):
@@ -450,19 +456,31 @@ class TestExhaustiveSweep:
 
     def test_plan_for_point_policies(self):
         sweep = ChaosSweep()
-        # recovery-only points get a paired driver crash: just after the
-        # first barrier the fault-free run takes for an event
-        harness = sweep.plan_for_point(point_named("exec.resume.arm.pre"))
-        crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
-        assert crashes == ["exec.reply.dispatch.forced", "exec.resume.arm.pre"]
+
+        def plan(name):
+            harness = sweep.plan_for_point(point_named(name))
+            crashes = [f.point for f in harness.schedule.faults if isinstance(f, CrashAtPoint)]
+            return crashes, harness.system.replicas
+
+        # a point only a rebuild visits gets a driver crash first: just after
+        # the first barrier the fault-free run takes for an event
+        assert plan("exec.resume.arm.pre") == (
+            ["exec.reply.dispatch.forced", "exec.resume.arm.pre"], 0)
+        # a point only standbys visit runs replicated, fault-free but for it
+        assert plan("store.ingest.pre") == (["store.ingest.pre"], 2)
+        # ... and one only a failover visits, after the driver kills the primary
+        assert plan("repl.promote.pre") == (
+            ["exec.reply.dispatch.forced", "repl.promote.pre"], 2)
         # compaction points enable the compactor
         assert sweep.plan_for_point(point_named("wal.checkpoint.forced")).compact_every
         # a point the sweep's workload never visits runs on the first paper
         # workload whose run does (order emits no marks, trip does) ...
         assert sweep.plan_for_point(point_named("exec.mark.journal.pre")).workload == "trip"
         assert ChaosSweep("trip").plan_for_point(point_named("wal.force.pre")).workload == "trip"
-        # ... and one no workload visits on the sweep's own
-        assert sweep.plan_for_point(point_named("exec.admin.journal.pre")).workload == "order"
+        # ... and a ledgered point no run visits has no plan, whether a
+        # rebuild would be its only caller or a client operation
+        assert sweep.plan_for_point(point_named("exec.resume.journal.pre")) is None
+        assert sweep.plan_for_point(point_named("exec.admin.journal.pre")) is None
 
 
 class TestRandomSweep:

@@ -32,7 +32,7 @@ from repro.lang import format_script
 from repro.resilience import ResilienceConfig, render_resilience
 from repro.resilience.events import EVENT_LIMIT, ResilienceLog
 from repro.services import WorkflowSystem, execution
-from repro.services.execution import Dispatch
+from repro.services.execution import Dispatch, Journal
 from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.workloads import APPLICATIONS, generators
 
@@ -99,21 +99,23 @@ class TestOneBarrierPerBatch:
         NemesisSchedule([CrashAtTime(0.5, "worker-node-2", downtime=500.0)]).arm(system)
         seen = []
         flush = service.flush_journal
-        buffered = []
+        pending, buffered = [], []  # the entries journaled since the last barrier, and at it
 
         def traced_flush(closed=()):
-            buffered[:] = list(service.journal.buffer)
+            buffered[:], pending[:] = pending, []
             return flush(closed)
 
         def tap(effect):
+            if type(effect) is Journal:
+                pending.append(effect.entry)
             # a redispatch has left: what its barrier found buffered is durable
             if type(effect) is Dispatch and buffered and any(
                 flight.redispatches for _key, flight in effect.flights
             ):
                 committed = service.journal.entries(effect.runtime.iid)
                 seen.append((
-                    list(service.journal.buffer),
-                    all(entry in committed for _iid, entry in buffered),
+                    dict(service.journal.rows),
+                    all(entry in committed for entry in buffered),
                 ))
 
         service.flush_journal = traced_flush
@@ -122,7 +124,7 @@ class TestOneBarrierPerBatch:
         assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
         assert service.stats["redispatches"] >= 1
         assert seen, "no redispatch found an entry still buffered"
-        assert all(left == [] and durable for left, durable in seen)
+        assert all(left == {} and durable for left, durable in seen)
 
 
 # -- the redispatch deadline, fixed by the send -------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.instrument import IOPATH_STATS
 from repro.services import WorkflowSystem
-from repro.services.journal import Journal, encode_entry
+from repro.services.journal import Journal
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector
 from repro.services.system import SystemSpec
@@ -57,9 +57,9 @@ def use_reference_writer(service, marks=False):
     ``flush_journal`` below is ``ExecutionService.flush_journal`` of commit
     b97b348, verbatim but for where the buffer lives (``self`` spelled
     ``service``, ``_jbuf`` of ``(runtime, entry)`` now
-    ``service.journal.buffer`` of ``(iid, entry)``) and for each entry's
-    stored form (its positional row, as the journal reads every entry) and
-    for its crash point, which the shell now offers around every barrier
+    ``service.journal.rows``, each instance's entries in append order) and
+    for each entry's stored form (its positional row, as the journal
+    buffers and reads every entry) and for its crash point, which the shell now offers around every barrier
     (``exec.<event>.dispatch.pre/post``): one strict-2PL
     transaction per barrier — a shared lock and a read for each ``meta``, an
     exclusive lock per written key, ``BEGIN``, one ``UPDATE`` per entry and
@@ -71,20 +71,20 @@ def use_reference_writer(service, marks=False):
 
     def flush_journal(closed=()) -> int:
         journal = service.journal
-        if not journal.buffer:
+        if not journal.rows:
             service._post_barrier()  # replication still ships any unshipped suffix
             return 0
-        batch, journal.buffer = journal.buffer, []
+        batch, journal.rows = journal.rows, {}
 
         def body(txn) -> None:
             lens = {}
-            for iid, entry in batch:
-                n = lens.get(iid)
-                if n is None:
-                    n = txn.read(service.store, f"instance:{iid}:meta")["journal_len"]
-                root = journal.spec(iid)["root_task"]
-                txn.write(service.store, f"instance:{iid}:journal:{n}", encode_entry(entry, {}, root))
-                lens[iid] = n + 1
+            for iid, rows in batch.items():
+                for row in rows:
+                    n = lens.get(iid)
+                    if n is None:
+                        n = txn.read(service.store, f"instance:{iid}:meta")["journal_len"]
+                    txn.write(service.store, f"instance:{iid}:journal:{n}", row)
+                    lens[iid] = n + 1
             for iid, n in lens.items():
                 meta = {"journal_len": n}
                 if marks and iid in closed:
@@ -95,7 +95,7 @@ def use_reference_writer(service, marks=False):
         IOPATH_STATS.journal_batches += 1
         service.store.sync()
         service._post_barrier()
-        return len(batch)
+        return sum(map(len, batch.values()))
 
     def commit_batch(writes) -> None:
         def body(txn) -> None:

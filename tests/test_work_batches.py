@@ -222,7 +222,9 @@ class TestLanes:
             (4.0, [third["template"].task_path]),
         ]
         ((_delay, (refused,)),) = answer.parts[1:2]
-        assert refused.fenced and refused.epoch == epoch
+        assert refused.fenced and not refused.ok
+        assert [path for _iid, path, _exec in twin.executed] == [
+            first["template"].task_path, third["template"].task_path]
         assert twin._lane_busy == [system.clock.now + 4.0]
 
 
