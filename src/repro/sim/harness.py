@@ -69,6 +69,9 @@ from .nemesis import CrashAtPoint, KillPrimary, LoadSpike, Nemesis, NemesisSched
 # activity to reach it; a healable run gets this long to come back.
 SETTLE = 250.0
 QUIESCE_GRACE = 600.0
+# check_refinement's memo per workload, shared by a process's runs: a
+# reference answer depends only on the workload's scripts and registry.
+_REFERENCES: Dict[str, Dict[Tuple, Any]] = {}
 
 
 @dataclass
@@ -163,7 +166,7 @@ class SimHarness:
         self._terminal_seen: Dict[str, Tuple[str, Optional[str]]] = {}
         self._spike_submitted: Dict[str, str] = {}
         self._spike_refused: int = 0
-        self._reference: Dict[Tuple, Any] = {}  # check_refinement's memo
+        self._reference = _REFERENCES.setdefault(self.workload, {})
         injector = CrashPointInjector(self._on_crash)
         # Every log and service of every machine is a crash-point scope of
         # that machine — but for the repository's, deliberately left

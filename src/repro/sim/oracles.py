@@ -292,10 +292,12 @@ def check_refinement(
 ) -> List[OracleViolation]:
     """Each terminal instance answers what the fault-free semantics could.
     ``registry``: the implementations the workers run; ``reference``: the
-    caller's memo of reference answers, kept across checks of one run."""
+    caller's memo of reference answers, which depend only on the script
+    text, the start and the registry.  Scripts compile through the
+    execution service's text-keyed cache."""
     from ..core.analysis import analyze_outcomes
     from ..engine import LocalEngine
-    from ..lang import compile_script
+    from ..services.execution import _compiled
 
     violations: List[OracleViolation] = []
     stored = service.journal
@@ -311,13 +313,13 @@ def check_refinement(
             departed = departed or entry["type"] in _DEPARTURES
             if entry["type"] == "reconfig":
                 text = entry["script_text"]
-        start = (spec["root_task"], spec["input_set"])
+        start, script = (spec["root_task"], spec["input_set"]), _compiled(text).script
         if ("races", text) not in reference:
-            reference["races", text] = _races(compile_script(text))
+            reference["races", text] = _races(script)
         if departed:
             key = ("reachable", text) + start
             if key not in reference:
-                reference[key] = set(analyze_outcomes(compile_script(text), *start).reachable)
+                reference[key] = set(analyze_outcomes(script, *start).reachable)
             if answer[1] is None or answer[1] in reference[key]:
                 continue
             detail = f"root outcome {answer[1]!r} is not reachable: {sorted(reference[key])}"
@@ -325,7 +327,7 @@ def check_refinement(
             key = ("answer", text) + start + (repr(sorted(spec["inputs"].items())),)
             if key not in reference:
                 reference[key] = answer_of(LocalEngine(registry).run(
-                    compile_script(text), spec["root_task"], inputs=spec["inputs"],
+                    script, spec["root_task"], inputs=spec["inputs"],
                     input_set=spec["input_set"],
                 ))
             expected = reference[key]
