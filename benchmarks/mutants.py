@@ -14,7 +14,11 @@ mutant is run against
   under tight admission, a lease term off the lease tick) and fault-free
   runs.  A run *catches*
   a mutant when it reports a violation or raises (it does neither on an
-  unmutated tree).  A catching run is shrunk as the explorer shrinks
+  unmutated tree); a planned exhaustive run whose point the mutated tree
+  leaves unreached (not ledgered in ``explorer.UNCOVERED``, and visited by
+  none of the runs the planner reads) is a catch named ``unreached``,
+  credited to its crash point, as the CLI's exhaustive pass fails on it.
+  A catching run is shrunk as the explorer shrinks
   (faults dropped while it still catches, down to none); the fault kinds
   and crash points left in the shrunk schedule are the ones credited with
   the catch, and a catch that needs no fault credits none;
@@ -149,7 +153,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "                    if False:\n"
         "                        if type(effects[-1]) is Answer:"),
        must=True, check="tests/test_replication.py"),
-    _m("tick-only-primacy", "single-primary, partition_primary; described in CHANGES.md",
+    _m("tick-only-primacy", "single-primary, partition (the primary); described in CHANGES.md",
        (REPLICA,
         '        return self.role is Role.PRIMARY and self._now() < self.lease["expires_at"]',
         "        return self.role is Role.PRIMARY"),
@@ -158,12 +162,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         '        if self._now() >= self.lease["expires_at"]:\n'
         "            # The lease lapsed without renewal"),
        must=True, check="run:scenario:lease-off-tick"),
-    _m("no-epoch-restamp", "kill_primary; described in CHANGES.md",
+    _m("no-epoch-restamp", "crash_at_time (the primary); described in CHANGES.md",
        (EXEC,
         '        if flight.request["epoch"] != self.epoch:\n'
         '            flight.request = type(flight.request)(flight.request, epoch=self.epoch)\n', ""),
        must=True, check="tests/test_marshal_protocols.py"),
-    _m("network-ignores-dup-and-reorder", "dup_burst, reorder_burst; described in CHANGES.md",
+    _m("network-ignores-dup-and-reorder", "burst (dup_rate, reorder_window); described in CHANGES.md",
        ("net/network.py",
         "        if not (self.partitions or self.loss_rate or self.dup_rate or self.reorder_window):",
         "        if not (self.partitions or self.loss_rate):"),
@@ -193,7 +197,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         '            f"instance:{iid}:meta": {"journal_len": 0},\n        })\n'
         "        if script_write:\n            self.store.commit_batch(script_write)\n"),
        must=True, check="run:exhaustive:orderx1:wal.force.post"),
-    _m("no-dedup-against-journal", "exactly-once, dup_burst",
+    _m("no-dedup-against-journal", "exactly-once, burst (dup_rate)",
        (EXEC,
         '        if runtime.settled or ("result", path, exec_index) in runtime.journal_keys:',
         "        if runtime.settled:"),
@@ -217,7 +221,7 @@ MUTANTS: Tuple[Mutant, ...] = (
        must=True, check="run:exhaustive:tripx2:worker.execute.post"),
     _m("terminal-barrier-deferred", "durability",
        (EXEC, "            effects.append(Dispatch(runtime, closes=not runtime.in_flight))\n", "")),
-    _m("no-redispatch", "liveness, loss_burst, partition",
+    _m("no-redispatch", "liveness, burst (loss_rate), partition",
        (EXEC, "        for worker in list(flight.sent_to):\n            self.health.on_timeout(",
         "        return []\n        for worker in list(flight.sent_to):\n"
         "            self.health.on_timeout(")),
@@ -228,7 +232,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     _m("shed-not-journaled", "no-silent-drop, load_spike",
        (EXEC, "        return [Journal(runtime, entry), Dispatch(runtime, closes=True)]",
         "        return [Dispatch(runtime, closes=True)]")),
-    _m("promote-under-seen-epoch", "single-writer-per-epoch, kill_primary",
+    _m("promote-under-seen-epoch", "single-writer-per-epoch, crash_at_time (the primary)",
        (REPLICA, '        self.epoch = grant["epoch"]\n        self.isr =',
         "        self.epoch = self._max_epoch_seen or grant[\"epoch\"]\n        self.isr ="),
        must=True, check="run:kind:replica-crash:trip"),
@@ -236,24 +240,26 @@ MUTANTS: Tuple[Mutant, ...] = (
        ("replication/lease.py", '            "epoch": lease["epoch"] + 1,',
         '            "epoch": max(lease["epoch"], 1),'),
        must=True, check="run:failover:kill-primary:trip"),
-    _m("standby-accepts-stale-push", "epoch-monotone, resurrect_stale_primary",
+    _m("standby-accepts-stale-push", "epoch-monotone, crash_at_time (a stale primary's return)",
        (REPLICA, "        if epoch < self._max_epoch_seen:\n", "        if False:\n"),
        (REPLICA, "            if epoch <= self.epoch:\n", "            if False:\n")),
     # -- one per fault kind not aimed at above -------------------------------------
-    _m("stale-execution-applied", "reorder_burst",
+    _m("stale-execution-applied", "burst (reorder_window)",
        (EXEC,
         "        if runtime.exec_counter.get(path) != entry[\"exec\"]:\n"
         "            return  # stale: a newer execution of this path supersedes it\n", ""),
        must=True, check="tests/test_services.py"),
-    _m("promotion-skips-rebuild", "kill_primary; liveness on the successor of a primary "
+    _m("promotion-skips-rebuild", "crash_at_time; liveness on the successor of a primary "
        "killed for good",
        (REPLICA, "        self._rebuild()  # what a crash recovery does with its store, over ours\n", ""),
        must=True, check="run:failover:kill-forever:order"),
-    _m("recovered-replica-skips-resync", "resurrect_stale_primary; a tail a deposed epoch left",
+    _m("recovered-replica-skips-resync", "crash_at_time (a stale primary's return); a tail a "
+       "deposed epoch left",
        (REPLICA,
         "            if tail[\"epoch\"] != epoch:\n", "            if False:\n"),
        must=True, check="tests/test_replication.py"),
-    _m("worker-ignores-fence", "partition_primary, resurrect_stale_primary",
+    _m("worker-ignores-fence", "partition, crash_at_time (the primary cut off, a stale "
+       "primary's return)",
        ("services/worker.py", "            if epoch < self.fence_epoch:", "            if False:")),
     _m("recovery-skips-resume", "crash_at_time, random_crashes",
        (EXEC, "        for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):",
@@ -345,10 +351,9 @@ def checker_runs():
     from repro.overload import OverloadConfig
     from repro.services.system import SystemSpec
     from repro.sim import SimHarness
-    from repro.sim.explorer import ChaosSweep
+    from repro.sim.explorer import UNCOVERED, ChaosSweep
     from repro.sim.nemesis import (
-        CrashAtTime, DupBurst, KillPrimary, LoadSpike, LossBurst, NemesisSchedule,
-        Partition, RandomCrashes, ReorderBurst,
+        Burst, CrashAtTime, LoadSpike, NemesisSchedule, Partition, RandomCrashes,
     )
 
     class Sweep(ChaosSweep):
@@ -357,11 +362,12 @@ def checker_runs():
 
     runs = []
     for workload, instances in (("order", 1), ("order", 3), ("trip", 2)):
-        # the exhaustive pass, less the runs of points no run reaches (a
-        # broken fault-free run is the whole pass: it raises once)
+        # the exhaustive pass, less the ledgered points no run reaches; a
+        # point the tree leaves unreached has no harness (a broken
+        # fault-free run is the whole pass: it raises once)
         for label, name, mode, harness in Sweep(workload, instances=instances).plans():
             suffix = "/torn" if mode == "torn" else ""
-            if harness is not None:  # named <point>[/torn][@last]
+            if harness is not None or name not in UNCOVERED:  # named <point>[/torn][@last]
                 runs.append((f"exhaustive:{workload}x{instances}:{name}{suffix}{label[len(name):]}",
                              harness))
     sweep = ChaosSweep("order")
@@ -374,13 +380,13 @@ def checker_runs():
                 schedule, 0, replicas=2, workload=workload)))
         # a failover that never heals (the old primary stays dead): the
         # liveness oracle holds the successor to every instance
-        forever = NemesisSchedule([KillPrimary(at=10.0, downtime=None)])
+        forever = NemesisSchedule([CrashAtTime(10.0, "execution-node", downtime=None)])
         runs.append((f"failover:kill-forever:{workload}", sweep._harness(
             forever, 0, replicas=2, workload=workload)))
     kinds = [
-        ("loss", NemesisSchedule([LossBurst(5.0, 40.0, 0.3)]), {}, {}),
-        ("dup-reorder", NemesisSchedule([DupBurst(5.0, 40.0, 0.5),
-                                         ReorderBurst(5.0, 40.0, 5.0)]), {}, {}),
+        ("loss", NemesisSchedule([Burst(5.0, 40.0, "loss_rate", 0.3)]), {}, {}),
+        ("dup-reorder", NemesisSchedule([Burst(5.0, 40.0, "dup_rate", 0.5),
+                                         Burst(5.0, 40.0, "reorder_window", 5.0)]), {}, {}),
         ("partition", NemesisSchedule([Partition(5.0, ("execution-node",),
                                                  ("worker-node-1",), 30.0)]), {}, {}),
         ("replica-crash", NemesisSchedule([CrashAtTime(10.0, "execution-node", downtime=30.0)]),
@@ -486,6 +492,10 @@ def measure(only: Optional[List[str]] = None) -> Dict[str, object]:
         raise SystemExit(f"no checker run named {sorted(unknown)}")
     for name, harness in runs:
         if only and name not in only:
+            continue
+        if harness is None:  # a planned point the tree leaves unreached
+            caught[name] = {"oracles": ["unreached"], "kinds": ["crash_at_point"],
+                            "points": [name.split(":", 2)[2]]}
             continue
         oracles = _verdict(harness)
         if oracles:

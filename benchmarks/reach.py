@@ -272,13 +272,13 @@ def fault_runs() -> None:
     from repro.services.system import SystemSpec
     from repro.sim import SimHarness
     from repro.sim.nemesis import (
-        CrashAtTime, DupBurst, LoadSpike, LossBurst, NemesisSchedule, Partition,
-        RandomCrashes, ReorderBurst,
+        Burst, CrashAtTime, LoadSpike, NemesisSchedule, Partition, RandomCrashes,
     )
 
     runs = [
-        (NemesisSchedule([LossBurst(5.0, 40.0, 0.3)]), {}, {}),
-        (NemesisSchedule([DupBurst(5.0, 40.0, 0.5), ReorderBurst(5.0, 40.0, 5.0)]), {}, {}),
+        (NemesisSchedule([Burst(5.0, 40.0, "loss_rate", 0.3)]), {}, {}),
+        (NemesisSchedule([Burst(5.0, 40.0, "dup_rate", 0.5),
+                          Burst(5.0, 40.0, "reorder_window", 5.0)]), {}, {}),
         (NemesisSchedule([Partition(5.0, ("execution-node",), ("worker-node-1",), 30.0)]), {}, {}),
         (NemesisSchedule(), {}, {"loss_rate": 0.1}),
         (NemesisSchedule([CrashAtTime(10.0, "execution-node", downtime=30.0)]), {},

@@ -59,6 +59,7 @@ REJECT = "reject"
 WINDOW_DECREASE = 0.8  # multiplicative shrink under standing delay
 SHED_LOW_AT = 2.0      # sojourn multiple of the target: shed new low-criticality
 SHED_ALL_AT = 4.0      # sojourn multiple of the target: shed new any-class
+RETRY_AFTER_BASE = 10.0  # seconds: the scale of a refusal's retry hint
 
 
 class AdmissionController:
@@ -244,7 +245,7 @@ class AdmissionController:
         queue depth and pressure, so the hint *is* the congestion signal."""
         cfg = self.config
         fill = len(self.queue) / cfg.queue_capacity if cfg.queue_capacity else 1.0
-        return cfg.retry_after_base * (1.0 + fill + self.pressure)
+        return RETRY_AFTER_BASE * (1.0 + fill + self.pressure)
 
     def rebuild(self, iids: List[str], now: float) -> None:
         """Post-recovery reset: every rebuilt non-terminal instance is

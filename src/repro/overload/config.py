@@ -55,7 +55,6 @@ class OverloadConfig:
     max_window: int = setting(1024, "largest window the controller grows to", "count")
     sojourn_target: float = setting(30.0, "CoDel target for queue sojourn", "s")
     control_interval: float = setting(10.0, "delay-gradient controller tick period", "s")
-    retry_after_base: float = setting(10.0, "scale of the deterministic retry hint", "s")
 
     def __post_init__(self) -> None:
         require(self, "queue_capacity", self.queue_capacity >= 0, "must be at least 0")

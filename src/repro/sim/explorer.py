@@ -13,9 +13,9 @@ Two passes, in the FoundationDB tradition:
    last force of a closed loop is the barrier that ends its last instance,
    the only kind that writes a ``meta`` seal.
 2. **Random nemesis sweep** — seeded random schedules composing one to
-   three faults (crash-at-point, timed crashes, partitions, loss/dup/
-   reorder bursts).  Each seed is an independent, fully reproducible
-   universe.
+   three faults (crash-at-point, timed crashes, partitions, bursts of
+   loss, duplication or reordering).  Each seed is an independent, fully
+   reproducible universe.
 
 Any run whose oracles report a violation is **shrunk** — faults are
 greedily dropped while the violation persists — and the minimal schedule is
@@ -39,18 +39,7 @@ from ..settings import require, setting
 from ..workloads import APPLICATIONS
 from .crashpoints import EVENTS, SIDES, CrashPoint, catalogue, point_named
 from .harness import SimHarness, SimReport
-from .nemesis import (
-    CrashAtPoint,
-    CrashAtTime,
-    DupBurst,
-    KillPrimary,
-    LossBurst,
-    NemesisSchedule,
-    Partition,
-    PartitionPrimary,
-    ReorderBurst,
-    ResurrectStalePrimary,
-)
+from .nemesis import Burst, CrashAtPoint, CrashAtTime, NemesisSchedule, Partition
 
 #: Points only visited when the harness drives compaction: every run the
 #: planner reads ends before the compactor's first tick.
@@ -269,14 +258,14 @@ class ChaosSweep:
                     )
                 )
             else:
-                burst, low, high, digits = (
-                    (LossBurst, 0.1, 0.5, 2) if roll < 0.85
-                    else (DupBurst, 0.2, 0.8, 2) if roll < 0.93
-                    else (ReorderBurst, 2.0, 12.0, 1)
+                knob, low, high, digits = (
+                    ("loss_rate", 0.1, 0.5, 2) if roll < 0.85
+                    else ("dup_rate", 0.2, 0.8, 2) if roll < 0.93
+                    else ("reorder_window", 2.0, 12.0, 1)
                 )
-                faults.append(burst(
+                faults.append(Burst(
                     round(rng.uniform(0.0, 100.0), 1), round(rng.uniform(10.0, 60.0), 1),
-                    round(rng.uniform(low, high), digits),
+                    knob, round(rng.uniform(low, high), digits),
                 ))
         return NemesisSchedule(faults, name=f"random-{seed}")
 
@@ -299,24 +288,25 @@ class ChaosSweep:
     #: Every paper workload must survive a failover (ISSUE 9 acceptance).
     FAILOVER_WORKLOADS = tuple(APPLICATIONS)
 
-    def failover_schedules(self) -> List[NemesisSchedule]:
-        """The canonical failover scenarios: kill the primary mid-workload
-        and resurrect it later (stale-primary return), kill it with ordinary
-        downtime, and isolate it from the cluster until its lease lapses."""
+    def failover_schedules(self, replicas: int = 2) -> List[NemesisSchedule]:
+        """The canonical failover scenarios, each striking the bootstrap
+        primary (``execution-node``) at t = 10 of a system with ``replicas``
+        replicas: kill it and bring it back long after its successor took
+        over (the stale-primary return the fencing epoch must neutralise),
+        kill it with ordinary downtime, and cut it off from every other
+        node, the lease arbiter included, until its lease lapses."""
+        primary = "execution-node"
+        # every other node WorkflowSystem builds for such a system
+        others = ("client-node", "lease-node", "repository-node",
+                  *(f"standby-node-{i + 1}" for i in range(1, replicas)),
+                  *(f"worker-node-{i + 1}" for i in range(self.workers)))
         return [
-            NemesisSchedule(
-                [KillPrimary(at=10.0, downtime=None),
-                 ResurrectStalePrimary(at=200.0)],
-                name="failover:kill-resurrect",
-            ),
-            NemesisSchedule(
-                [KillPrimary(at=10.0, downtime=self.downtime)],
-                name="failover:kill-primary",
-            ),
-            NemesisSchedule(
-                [PartitionPrimary(at=10.0, heal_after=150.0)],
-                name="failover:partition-heal",
-            ),
+            NemesisSchedule([CrashAtTime(10.0, primary, downtime=190.0)],
+                            name="failover:kill-resurrect"),
+            NemesisSchedule([CrashAtTime(10.0, primary, downtime=self.downtime)],
+                            name="failover:kill-primary"),
+            NemesisSchedule([Partition(10.0, (primary,), others, heal_after=150.0)],
+                            name="failover:partition-heal"),
         ]
 
     def failover_sweep(self, replicas: int = 2) -> SweepResult:
@@ -327,7 +317,7 @@ class ChaosSweep:
         result = SweepResult()
         visited: set = set()
         for workload in self.FAILOVER_WORKLOADS:
-            for schedule in self.failover_schedules():
+            for schedule in self.failover_schedules(replicas):
                 harness = self._harness(
                     schedule, self.base_seed, replicas=replicas, workload=workload
                 )

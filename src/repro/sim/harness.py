@@ -32,7 +32,8 @@ exactly:
    timers) and logs the crash;
 3. recovery is scheduled ``downtime`` later — unless ``downtime`` is None,
    in which case the machine stays down and the liveness oracle is waived
-   (but for a killed primary of a replicated run: its successor owes it).
+   (but for an execution replica's node of a replicated run: its successor
+   owes it).
    After it, once the node has re-attached under its new incarnation and its
    services have replayed their journals, the oracles look at the result.
 
@@ -62,7 +63,7 @@ from .crashpoints import (
     install,
     uninstall,
 )
-from .nemesis import CrashAtPoint, KillPrimary, LoadSpike, Nemesis, NemesisSchedule
+from .nemesis import CrashAtPoint, LoadSpike, Nemesis, NemesisSchedule
 
 
 # An armed fault waits this long after the instances end for late protocol
@@ -406,13 +407,16 @@ class SimHarness:
                 terminal_since = None
         healable, gone = self.schedule.heals(), set()
         if not healable and self.system.replicas:
-            # a primary killed for good excuses nothing its live successor owes
+            # an execution replica's node crashed for good excuses nothing
+            # its live successor owes
+            replicas = {service.node.name for service in system.execution_replicas}
             healable = NemesisSchedule([
-                fault for fault in self.schedule.faults if not isinstance(fault, KillPrimary)
+                fault for fault in self.schedule.faults
+                if not (getattr(fault, "node", None) in replicas and fault.downtime is None)
             ]).heals()
             gone = {
                 crash["node"] for crash in self._nemesis.crashes
-                if crash["point"] == "nemesis:kill-primary" and crash["downtime"] is None
+                if crash["node"] in replicas and crash["downtime"] is None
             }
         if healable:
             guard = system.clock.now + QUIESCE_GRACE

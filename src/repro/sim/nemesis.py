@@ -19,23 +19,17 @@ Fault kinds::
     random_crashes   from the moment it is armed, crash a randomly chosen
                      node after each exponentially distributed gap
     partition        sever two node groups, optionally healing later
-    loss_burst       raise the datagram loss rate for a while
-    dup_burst        duplicate datagrams for a while
-    reorder_burst    delay ~half of all datagrams by up to a window
+    burst            set one network knob (loss_rate, dup_rate or
+                     reorder_window) to a value for a while
     load_spike       submit extra workflow instances at a sustained rate
                      (drives the overload/admission layer, §13; needs the
                      harness's workload)
 
-Replication faults (only meaningful with ``replicas > 0``; the interpreter
-resolves "the primary" against the live system at fire time, because which
-replica holds the lease depends on the history of earlier faults)::
-
-    kill_primary              crash whichever replica is primary at ``at``
-    partition_primary         isolate the current primary from every other
-                              node (lease arbiter included), heal later
-    resurrect_stale_primary   recover every replica still down at ``at`` —
-                              the classic stale-primary-returns scenario the
-                              fencing epoch must neutralise
+Every fault says what happens, to which named nodes, when and for how long:
+a replication scenario names its victim like any other (the bootstrap
+primary runs on ``execution-node``), so a failover is a ``crash_at_time`` of
+that node and a stale primary's return is the same crash with a downtime
+that ends after its successor took over.
 
 A crash that finds its node already down does nothing: it is not logged and
 schedules no recovery.  Recoveries are scheduled by the crash that made them
@@ -127,31 +121,24 @@ class Partition:
     kind = "partition"
 
 
-@dataclass(frozen=True)
-class LossBurst:
-    at: float
-    duration: float
-    rate: float
-
-    kind = "loss_burst"
+#: The network knobs a burst may set: the datagram loss and duplication
+#: rates and the reordering window (:meth:`repro.net.network.Network.sample_delays`).
+BURST_KNOBS = ("loss_rate", "dup_rate", "reorder_window")
 
 
 @dataclass(frozen=True)
-class DupBurst:
+class Burst:
+    """Set the network's ``knob`` to ``value`` at ``at`` for ``duration``."""
+
     at: float
     duration: float
-    rate: float
+    knob: str
+    value: float
 
-    kind = "dup_burst"
+    kind = "burst"
 
-
-@dataclass(frozen=True)
-class ReorderBurst:
-    at: float
-    duration: float
-    window: float
-
-    kind = "reorder_burst"
+    def __post_init__(self) -> None:
+        require(self, "knob", self.knob in BURST_KNOBS, f"must be one of {BURST_KNOBS}")
 
 
 @dataclass(frozen=True)
@@ -173,53 +160,8 @@ class LoadSpike:
     kind = "load_spike"
 
 
-@dataclass(frozen=True)
-class KillPrimary:
-    """Crash whichever replica is the *current* primary at time ``at``.
-
-    Unlike :class:`CrashAtTime` the victim is not named up front: the
-    interpreter asks the live system for the lease holder when the fault
-    fires, so a schedule can kill the second primary of a run (the one
-    elected by an earlier failover) without knowing its node name in
-    advance."""
-
-    at: float
-    downtime: Optional[float] = 30.0
-
-    kind = "kill_primary"
-
-
-@dataclass(frozen=True)
-class PartitionPrimary:
-    """Isolate the current primary from every other node at ``at`` — the
-    lease arbiter included, so its lease lapses and a standby takes over
-    while the old primary keeps running in its own partition.  Heal
-    ``heal_after`` later (never if None)."""
-
-    at: float
-    heal_after: Optional[float] = None
-
-    kind = "partition_primary"
-
-
-@dataclass(frozen=True)
-class ResurrectStalePrimary:
-    """Recover every replica node still down at ``at``.
-
-    Paired after a ``KillPrimary(downtime=None)`` this is the stale-primary
-    resurrection: the dead ex-primary comes back believing it owns the
-    instances, and the fencing epoch must force it down to standby."""
-
-    at: float
-
-    kind = "resurrect_stale_primary"
-
-
 _FAULT_TYPES: Dict[str, Type] = {
-    cls.kind: cls
-    for cls in (CrashAtPoint, CrashAtTime, RandomCrashes, Partition, LossBurst,
-                DupBurst, ReorderBurst, LoadSpike, KillPrimary, PartitionPrimary,
-                ResurrectStalePrimary)
+    cls.kind: cls for cls in (CrashAtPoint, CrashAtTime, RandomCrashes, Partition, Burst, LoadSpike)
 }
 
 Fault = Any  # union of the dataclasses above
@@ -258,15 +200,9 @@ class NemesisSchedule:
 
     def heals(self) -> bool:
         """Whether every fault ends: a crash whose ``downtime`` is None or a
-        partition whose ``heal_after`` is None never does, unless it is a
-        killed primary that a later resurrection brings back."""
-        resurrections = [f.at for f in self.faults if isinstance(f, ResurrectStalePrimary)]
-        for fault in self.faults:
-            if isinstance(fault, KillPrimary) and any(at > fault.at for at in resurrections):
-                continue
-            if None in (getattr(fault, "downtime", 0.0), getattr(fault, "heal_after", 0.0)):
-                return False
-        return True
+        partition whose ``heal_after`` is None never does."""
+        return not any(None in (getattr(fault, "downtime", 0.0), getattr(fault, "heal_after", 0.0))
+                       for fault in self.faults)
 
     def arm(self, system: "WorkflowSystem") -> List[Dict[str, Any]]:
         """Arm every fault on ``system``'s clock; returns the crash log,
@@ -331,31 +267,21 @@ class Nemesis:
         cannot arm is refused (``ValueError``) before anything is armed.
 
         Registration order is part of the behaviour — events at one instant
-        run in the order they were registered — so it is fixed: strikes and
+        run in the order they were registered — so it is fixed: crashes and
         owned faults in schedule order, then the network episodes, each of
         which registers its heal or restore when it starts."""
-        owned = owned or {}
-        now = {RandomCrashes: self._random_crashes, **owned}
-        strikes = {
-            CrashAtTime: lambda f: self.strike(f.node, f.downtime),
-            KillPrimary: self._kill_primary,
-            PartitionPrimary: self._partition_primary,
-            ResurrectStalePrimary: self._resurrect,
+        now = {
+            RandomCrashes: self._random_crashes,
+            CrashAtTime: lambda fault: self._at(fault, lambda f: self.strike(f.node, f.downtime)),
+            **(owned or {}),
         }
-        episodes = {
-            Partition: self._partition,
-            LossBurst: lambda f: self._burst(f, "loss_rate", f.rate),
-            DupBurst: lambda f: self._burst(f, "dup_rate", f.rate),
-            ReorderBurst: lambda f: self._burst(f, "reorder_window", f.window),
-        }
+        episodes = {Partition: self._partition, Burst: self._burst}
         for fault in schedule.faults:
-            if not any(type(fault) in table for table in (now, strikes, episodes)):
+            if type(fault) not in now and type(fault) not in episodes:
                 raise ValueError(f"a {fault.kind} fault needs the sim harness to arm it")
         for fault in schedule.faults:
             if type(fault) in now:
                 now[type(fault)](fault)
-            elif type(fault) in strikes:
-                self._at(fault, strikes[type(fault)])
         for fault in schedule.faults:
             if type(fault) in episodes:
                 self._at(fault, episodes[type(fault)])
@@ -409,33 +335,6 @@ class Nemesis:
 
         schedule_next()
 
-    # -- replication faults (resolved against the live system at fire time) -------
-
-    def _kill_primary(self, fault: KillPrimary) -> None:
-        primary = self.system.primary_execution()
-        if primary is not None:  # no live primary this instant: the fault fizzles
-            self.strike(primary.node.name, fault.downtime, point="nemesis:kill-primary")
-
-    def _partition_primary(self, fault: PartitionPrimary) -> None:
-        primary = self.system.primary_execution()
-        if primary is None:
-            return
-        name = primary.node.name
-        network = self.system.network
-        network.partition({name}, set(self.system.nodes) - {name})
-        if fault.heal_after is not None:
-            self.system.clock.call_after(
-                fault.heal_after,
-                partial(network.heal, {name}),  # every edge touching the victim
-                label="nemesis:heal-primary",
-            )
-
-    def _resurrect(self, _fault: ResurrectStalePrimary) -> None:
-        """Recover every still-downed replica (the stale-primary return)."""
-        system = self.system
-        for service in system.execution_replicas or [system.execution]:
-            self._recover(service.node.name)
-
     # -- network episodes -----------------------------------------------------------
 
     def _partition(self, fault: Partition) -> None:
@@ -448,14 +347,14 @@ class Nemesis:
                 label="nemesis:heal",
             )
 
-    def _burst(self, fault: Fault, knob: str, value: float) -> None:
-        """Set a network knob for ``fault.duration``, then restore the value
+    def _burst(self, fault: Burst) -> None:
+        """Set the burst's knob for ``fault.duration``, then restore the value
         it had when the burst began (bursts may nest; last restore wins,
         which is fine for the disjoint bursts schedules generate)."""
         network = self.system.network
-        previous = getattr(network, knob)
-        setattr(network, knob, value)
+        previous = getattr(network, fault.knob)
+        setattr(network, fault.knob, fault.value)
         self.system.clock.call_at(
-            fault.at + fault.duration, partial(setattr, network, knob, previous),
-            label=f"nemesis:{fault.kind}-end",
+            fault.at + fault.duration, partial(setattr, network, fault.knob, previous),
+            label="nemesis:burst-end",
         )

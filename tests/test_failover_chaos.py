@@ -1,6 +1,6 @@
-"""Failover under the chaos stack: replication nemesis faults, the
-replicated harness, its oracles, and the failover sweep
-(docs/PROTOCOLS.md §12)."""
+"""Failover under the chaos stack: faults that strike the bootstrap
+primary by its node name, the replicated harness, its oracles, and the
+failover sweep (docs/PROTOCOLS.md §12)."""
 
 import pytest
 
@@ -9,29 +9,38 @@ from repro.sim.explorer import ChaosSweep
 
 FAILOVER_WORKLOADS = ChaosSweep.FAILOVER_WORKLOADS
 from repro.services.system import SystemSpec
+from repro.sim import oracles
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import (
     CrashAtPoint,
-    KillPrimary,
+    CrashAtTime,
     NemesisSchedule,
-    PartitionPrimary,
-    ResurrectStalePrimary,
+    Partition,
     fault_from_plain,
     fault_to_plain,
 )
 
 REPLICATION_POINTS = [p.name for p in catalogue() if p.name.startswith("repl.")]
 SHORT_LEASE = SystemSpec(replicas=2, lease_duration=30.0)
+PRIMARY = "execution-node"  # the bootstrap primary's node
+KILL_RESURRECT = NemesisSchedule([CrashAtTime(10.0, PRIMARY, downtime=190.0)],
+                                 name="kill-resurrect")
+
+
+def cut_off_primary(heal_after):
+    """The bootstrap primary cut off from every other node of SHORT_LEASE."""
+    others = ("client-node", "lease-node", "repository-node", "standby-node-2",
+              "worker-node-1", "worker-node-2")
+    return Partition(10.0, (PRIMARY,), others, heal_after=heal_after)
 
 
 class TestReplicationFaults:
     def test_plain_forms_round_trip(self):
         faults = [
-            KillPrimary(at=10.0, downtime=None),
-            KillPrimary(at=10.0, downtime=30.0),
-            PartitionPrimary(at=5.0, heal_after=60.0),
-            PartitionPrimary(at=5.0, heal_after=None),
-            ResurrectStalePrimary(at=200.0),
+            CrashAtTime(10.0, PRIMARY, downtime=None),
+            CrashAtTime(10.0, PRIMARY, downtime=190.0),
+            cut_off_primary(60.0),
+            cut_off_primary(None),
         ]
         for fault in faults:
             assert fault_from_plain(fault_to_plain(fault)) == fault
@@ -39,24 +48,16 @@ class TestReplicationFaults:
         assert NemesisSchedule.from_json(schedule.to_json()) == schedule
 
     def test_healability(self):
-        # a permanently dead primary is healable iff someone resurrects it
-        dead = NemesisSchedule([KillPrimary(at=10.0, downtime=None)])
-        healed = NemesisSchedule(
-            [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=50.0)]
-        )
-        assert not dead.heals()
-        assert healed.heals()
+        # a primary killed for good never heals; one that comes back does
+        assert not NemesisSchedule([CrashAtTime(10.0, PRIMARY, downtime=None)]).heals()
+        assert KILL_RESURRECT.heals()
         # an unhealed partition never heals by itself
-        assert not NemesisSchedule([PartitionPrimary(at=10.0, heal_after=None)]).heals()
+        assert not NemesisSchedule([cut_off_primary(None)]).heals()
 
 
 class TestReplicatedHarness:
     def test_kill_and_resurrect_completes_with_clean_oracles(self):
-        schedule = NemesisSchedule(
-            [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=200.0)],
-            name="kill-resurrect",
-        )
-        report = SimHarness(schedule=schedule, system=SHORT_LEASE, instances=2).run()
+        report = SimHarness(schedule=KILL_RESURRECT, system=SHORT_LEASE, instances=2).run()
         assert report.ok, report.violations
         assert all(
             info["status"] == "completed" for info in report.instances.values()
@@ -67,12 +68,27 @@ class TestReplicatedHarness:
         assert roles.count("primary") == 1
         assert sum(s["promotions"] for s in report.replication.values()) >= 1
         assert max(s["epoch"] for s in report.replication.values()) >= 2
-        assert any(c["point"] == "nemesis:kill-primary" for c in report.crashes)
+        # the killed node was the primary: it is back, a standby of the successor
+        assert [(c["node"], c["time"]) for c in report.crashes] == [(PRIMARY, 10.0)]
+        assert report.replication["execution-r1"]["role"] == "standby"
+        assert report.replication["execution-r1"]["alive"]
+
+    @pytest.mark.parametrize("node, owed", [(PRIMARY, True), ("worker-node-1", False)])
+    def test_a_replica_crashed_for_good_leaves_liveness_owed(self, monkeypatch, node, owed):
+        """An execution replica's node crashed for good excuses nothing its
+        live successor owes; any other node crashed for good waives the
+        liveness oracle."""
+        checked = []
+        original = oracles.check_liveness
+        monkeypatch.setattr(oracles, "check_liveness",
+                            lambda *args: checked.append(args) or original(*args))
+        schedule = NemesisSchedule([CrashAtTime(10.0, node, downtime=None)])
+        report = SimHarness(schedule=schedule, system=SHORT_LEASE).run()
+        assert report.ok, report.violations
+        assert bool(checked) is owed
 
     def test_partition_then_heal_completes(self):
-        schedule = NemesisSchedule(
-            [PartitionPrimary(at=10.0, heal_after=150.0)], name="cut-heal"
-        )
+        schedule = NemesisSchedule([cut_off_primary(150.0)], name="cut-heal")
         report = SimHarness(schedule=schedule, system=SHORT_LEASE).run()
         assert report.ok, report.violations
         assert all(
@@ -84,7 +100,7 @@ class TestReplicatedHarness:
 
     def test_replicated_run_is_deterministic(self):
         schedule = NemesisSchedule(
-            [KillPrimary(at=10.0, downtime=60.0)], name="det-failover"
+            [CrashAtTime(10.0, PRIMARY, downtime=60.0)], name="det-failover"
         )
         system = SystemSpec(replicas=2, seed=13)
         first = SimHarness(schedule=schedule, system=system).run()
@@ -96,11 +112,7 @@ class TestReplicatedHarness:
 
     @pytest.mark.parametrize("workload", FAILOVER_WORKLOADS)
     def test_all_paper_workloads_survive_failover(self, workload):
-        schedule = NemesisSchedule(
-            [KillPrimary(at=10.0, downtime=None), ResurrectStalePrimary(at=200.0)],
-            name="kill-resurrect",
-        )
-        report = SimHarness(schedule=schedule, system=SHORT_LEASE, workload=workload).run()
+        report = SimHarness(schedule=KILL_RESURRECT, system=SHORT_LEASE, workload=workload).run()
         assert report.ok, report.violations
         assert all(
             info["status"] == "completed" for info in report.instances.values()

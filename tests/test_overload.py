@@ -187,7 +187,7 @@ class TestBoundedAdmission:
     def test_full_queue_refuses_with_deterministic_retry_after(self):
         hints = []
         for _ in range(2):
-            system = tight_system(retry_after_base=10.0)
+            system = tight_system()
             name, root = deploy_cohort(system)
             for i in range(3):  # 1 starts, 2 queue
                 system.instantiate(name, root, {"inp": f"k{i}"})

@@ -27,18 +27,16 @@ from repro.sim.crashpoints import (
     point_named,
     uninstall,
 )
-from repro.sim import explorer
+from repro.sim import explorer, nemesis
 from repro.sim.explorer import UNCOVERED, ChaosSweep, replay
 from repro.sim.harness import SimHarness, SimReport
 from repro.sim.nemesis import (
+    Burst,
     CrashAtPoint,
     CrashAtTime,
-    DupBurst,
     LoadSpike,
-    LossBurst,
     NemesisSchedule,
     Partition,
-    ReorderBurst,
     fault_from_plain,
     fault_to_plain,
 )
@@ -236,9 +234,9 @@ class TestNemesisSerialisation:
                 Partition(at=20.0, group_a=("execution-node",),
                           group_b=("worker-node-1", "worker-node-2"),
                           heal_after=30.0),
-                LossBurst(at=5.0, duration=10.0, rate=0.25),
-                DupBurst(at=6.0, duration=8.0, rate=0.5),
-                ReorderBurst(at=7.0, duration=9.0, window=4.0),
+                Burst(at=5.0, duration=10.0, knob="loss_rate", value=0.25),
+                Burst(at=6.0, duration=8.0, knob="dup_rate", value=0.5),
+                Burst(at=7.0, duration=9.0, knob="reorder_window", value=4.0),
             ],
             name="everything",
         )
@@ -263,6 +261,17 @@ class TestNemesisSerialisation:
         assert len(shrunk.faults) == len(schedule.faults) - 1
         assert schedule.faults[2] not in shrunk.faults
         assert len(schedule.faults) == 7  # original untouched
+
+    def test_six_fault_kinds(self):
+        assert sorted(nemesis._FAULT_TYPES) == [
+            "burst", "crash_at_point", "crash_at_time", "load_spike", "partition", "random_crashes",
+        ]
+
+    def test_burst_validates_its_knob(self):
+        for knob in nemesis.BURST_KNOBS:
+            Burst(1.0, 2.0, knob, 0.5)
+        with pytest.raises(ValueError, match="knob"):
+            Burst(1.0, 2.0, "latency", 0.5)
 
     def test_crash_at_point_validates_eagerly(self):
         with pytest.raises(ValueError):
@@ -338,7 +347,7 @@ class TestHarnessRuns:
         schedule = NemesisSchedule(
             [
                 CrashAtPoint("exec.reply.journal.pre", downtime=25.0),
-                LossBurst(at=10.0, duration=40.0, rate=0.2),
+                Burst(at=10.0, duration=40.0, knob="loss_rate", value=0.2),
             ],
             name="det",
         )
@@ -540,9 +549,9 @@ class TestShrinking:
         sweep = _FakeSweep()
         schedule = NemesisSchedule(
             [
-                LossBurst(at=1.0, duration=5.0, rate=0.1),
+                Burst(at=1.0, duration=5.0, knob="loss_rate", value=0.1),
                 CrashAtTime(at=10.0, node="worker-node-2", downtime=30.0),
-                DupBurst(at=2.0, duration=5.0, rate=0.3),
+                Burst(at=2.0, duration=5.0, knob="dup_rate", value=0.3),
             ],
             name="triple",
         )
@@ -578,7 +587,7 @@ class TestReproFiles:
     FORCED = NemesisSchedule(
         [
             CrashAtPoint("exec.reply.dispatch.forced", downtime=30.0),
-            LossBurst(at=5.0, duration=20.0, rate=0.1),
+            Burst(at=5.0, duration=20.0, knob="loss_rate", value=0.1),
         ],
         name="forced",
     )

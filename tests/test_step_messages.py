@@ -33,7 +33,7 @@ from repro.orb.marshal import PlainDict
 from repro.services import WorkflowSystem
 from repro.services import worker as worker_module
 from repro.services.journal import Journal
-from repro.sim.nemesis import DupBurst, LossBurst, NemesisSchedule, Partition, ReorderBurst
+from repro.sim.nemesis import Burst, NemesisSchedule, Partition
 from repro.workloads import APPLICATIONS, chain, fan, script_text
 
 marshal_module = importlib.import_module("repro.orb.marshal")
@@ -376,9 +376,9 @@ class TestOneDrawLeg:
         assert network.stats.dropped_partition == 1 and delivered == []
 
     @pytest.mark.parametrize("burst, counter", [
-        (LossBurst(5.0, 60.0, 0.4), "dropped_loss"),
-        (DupBurst(5.0, 60.0, 0.5), "duplicated"),
-        (ReorderBurst(5.0, 60.0, 4.0), "reordered"),
+        (Burst(5.0, 60.0, "loss_rate", 0.4), "dropped_loss"),
+        (Burst(5.0, 60.0, "dup_rate", 0.5), "duplicated"),
+        (Burst(5.0, 60.0, "reorder_window", 4.0), "reordered"),
         (Partition(5.0, ("execution-node",), ("worker-node-1",), 60.0), "dropped_partition"),
     ], ids=["loss", "dup", "reorder", "partition"])
     def test_a_nemesis_burst_mid_run_takes_the_general_path_while_it_lasts(self, burst, counter):

@@ -33,7 +33,7 @@ from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector
 from repro.services.system import SystemSpec
 from repro.sim.harness import SimHarness
-from repro.sim.nemesis import KillPrimary, NemesisSchedule
+from repro.sim.nemesis import CrashAtTime, NemesisSchedule
 from repro.sim.oracles import check_journal_integrity, check_store_agreement
 from repro.txn import wal as w
 from repro.txn.ids import ObjectId, TransactionId
@@ -399,7 +399,7 @@ class TestSingleWriterGuard:
             return original(txn)
 
         monkeypatch.setattr(Transaction, "commit", spy)
-        schedule = NemesisSchedule([KillPrimary(at=10.0)], name="failover")
+        schedule = NemesisSchedule([CrashAtTime(10.0, "execution-node")], name="failover")
         system = SystemSpec(replicas=2, lease_duration=30.0)
         report = SimHarness(schedule, compact_every=20.0, system=system).run()
         assert report.ok, report.violations

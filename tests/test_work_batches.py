@@ -24,7 +24,7 @@ from repro.services.execution import Dispatch
 from repro.services.worker import ServiceProfile, TaskWorker
 from repro.sim import crashpoints
 from repro.sim.crashpoints import ArmedCrash, CrashPointInjector, SimulatedCrash
-from repro.sim.nemesis import LossBurst, NemesisSchedule
+from repro.sim.nemesis import Burst, NemesisSchedule
 from repro.sim.oracles import (
     check_closed_is_settled,
     check_journal_integrity,
@@ -238,7 +238,7 @@ class TestFailuresPerLeg:
             dispatch_timeout=20.0, resilience=ResilienceConfig.for_timeouts(20.0, sweep, hedging=False),
         )
         service = system.execution
-        NemesisSchedule([LossBurst(1.5, 1.0, 1.0)]).arm(system)
+        NemesisSchedule([Burst(1.5, 1.0, "loss_rate", 1.0)]).arm(system)
         posts = watch_posts(service)
         iid = system.instantiate("wl", root, inputs)
         result = system.run_until_terminal(iid, max_time=2_000.0)
