@@ -8,7 +8,7 @@ from repro.sim.crashpoints import catalogue, point_named
 from repro.sim.explorer import ChaosSweep
 
 FAILOVER_WORKLOADS = ChaosSweep.FAILOVER_WORKLOADS
-from repro.services.system import SystemSpec
+from repro.services.system import SystemSpec, WorkflowSystem
 from repro.sim import oracles
 from repro.sim.harness import SimHarness
 from repro.sim.nemesis import (
@@ -150,6 +150,13 @@ class TestReplicationCrashPoints:
 
 
 class TestFailoverSweep:
+    @pytest.mark.parametrize("replicas, workers", [(2, 2), (3, 1)])
+    def test_the_partition_cuts_the_primary_from_every_other_node(self, replicas, workers):
+        cut = ChaosSweep(workers=workers).failover_schedules(replicas)[2].faults[0]
+        system = WorkflowSystem(SystemSpec(replicas=replicas, workers=workers))
+        assert cut.group_a == (PRIMARY,) == (system.primary_execution().node.name,)
+        assert set(cut.group_b) == set(system.nodes) - {PRIMARY}
+
     def test_failover_sweep_clean_and_exhaustive(self):
         result = ChaosSweep().failover_sweep(replicas=2)
         # every workload x every failover schedule, no oracle violations,
