@@ -6,7 +6,7 @@ both.  Asserts the drawn ordering constraints hold in execution on *both*
 engines, then measures scheduling cost.
 """
 
-from repro.core import dependency_graph
+from repro.core import arcs
 from repro.engine import LocalEngine
 from repro.lang import format_script
 from repro.services import WorkflowSystem
@@ -17,11 +17,10 @@ from .conftest import report
 
 def test_fig1_structure_matches_figure(benchmark):
     script, registry, root, inputs = diamond()
-    graph = dependency_graph(script.tasks[root])
     edges = {
-        (u, v): d["flavour"]
-        for u, v, d in graph.edges(data=True)
-        if u != root and v != root
+        (arc.source.task_name, arc.consumer): "notify" if arc.notify else "data"
+        for arc in arcs(script.tasks[root])
+        if root not in (arc.source.task_name, arc.consumer)
     }
     assert edges == {
         ("t1", "t2"): "notify",

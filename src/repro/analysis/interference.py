@@ -34,7 +34,8 @@ dataflow values rule an overlap out dynamically.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.selection import EventKind
 from ..engine.plan import EventKey, ExecutionPlan, PlannedTask, TaskTable
@@ -49,11 +50,11 @@ from .liveness import (
 )
 from .registry import DIAGNOSTICS
 
-if TYPE_CHECKING:
-    import networkx as nx  # loaded by the functions that build a graph
-
 # an origin of an object reference: (producing task path or "<env>", object)
 Origin = Tuple[str, str]
+# a task's start or end, and the happens-before graph over them
+Point = Tuple[str, str]
+Graph = Dict[Point, Set[Point]]
 
 _START = "s"
 _END = "e"
@@ -116,14 +117,12 @@ def _intersect_preds(all_preds: List[Dict[str, str]]) -> Dict[str, str]:
     return merged
 
 
-def _happens_before(plan: ExecutionPlan, liveness: LivenessResult) -> "nx.DiGraph":
-    import networkx as nx
-
-    graph = nx.DiGraph()
+def _happens_before(plan: ExecutionPlan, liveness: LivenessResult) -> Graph:
+    graph: Graph = defaultdict(set)
     for task in plan.tasks:
-        graph.add_edge((_START, task.path), (_END, task.path))
+        graph[(_START, task.path)].add((_END, task.path))
         if task.scope:
-            graph.add_edge((_START, task.scope), (_START, task.path))
+            graph[(_START, task.scope)].add((_START, task.path))
             startable = liveness.startable[task.path]
             per_set = [
                 _set_preds(plan, task.scope, task.table, set_plan.mask)
@@ -131,7 +130,7 @@ def _happens_before(plan: ExecutionPlan, liveness: LivenessResult) -> "nx.DiGrap
                 if set_plan.name in startable
             ]
             for path, strength in _intersect_preds(per_set).items():
-                graph.add_edge((strength, path), (_START, task.path))
+                graph[(strength, path)].add((_START, task.path))
         if task.compound:
             produced = liveness.facts.get(task.scope, set())
             final_preds = []
@@ -141,7 +140,7 @@ def _happens_before(plan: ExecutionPlan, liveness: LivenessResult) -> "nx.DiGrap
                 if key[1] in FINAL_KINDS and key in produced:
                     final_preds.append(_set_preds(plan, task.path, watch, watch.sets[0].mask))
             for path, strength in _intersect_preds(final_preds).items():
-                graph.add_edge((strength, path), (_END, task.path))
+                graph[(strength, path)].add((_END, task.path))
     return graph
 
 
@@ -217,14 +216,21 @@ def trees(plan: ExecutionPlan) -> List[List[PlannedTask]]:
     return list(grouped.values())
 
 
-def may_overlap(
-    tasks: List[PlannedTask], graph: "nx.DiGraph"
-) -> Iterator[Tuple[PlannedTask, PlannedTask]]:
+def _descendants(graph: Graph, point: Point) -> Set[Point]:
+    seen: Set[Point] = set()
+    stack = [point]
+    while stack:
+        for after in graph.get(stack.pop(), ()):
+            if after not in seen:
+                seen.add(after)
+                stack.append(after)
+    return seen
+
+
+def may_overlap(tasks: List[PlannedTask], graph: Graph) -> Iterator[Tuple[PlannedTask, PlannedTask]]:
     """The pairs of ``tasks`` (in order) neither of whose ends reaches the
     other's start in the happens-before ``graph``."""
-    import networkx as nx
-
-    reach = {task.path: nx.descendants(graph, (_END, task.path)) for task in tasks}
+    reach = {task.path: _descendants(graph, (_END, task.path)) for task in tasks}
     for i, a in enumerate(tasks):
         for b in tasks[i + 1 :]:
             if (_START, b.path) in reach[a.path] or (_START, a.path) in reach[b.path]:

@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from .core.errors import ParseError, ValidationReport
 from .core.graph import structure_summary
-from .core.schema import CompoundTaskDecl
+from .core.schema import CompoundTaskDecl, Script
 from .engine import LocalEngine, compile_plan
 from .engine.trace import render_summary, render_trace
 from .lang import compile_script, format_script, parse
@@ -50,11 +50,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _compiled(path: str) -> Optional[Script]:
+    """The valid script at ``path``, or None once the error is on stderr."""
     try:
-        script = compile_script(_read(args.script))
+        return compile_script(_read(path))
     except (ParseError, ValidationReport) as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    script = _compiled(args.script)
+    if script is None:
         return 1
     print(
         f"OK: {len(script.classes)} classes, {len(script.taskclasses)} task "
@@ -76,7 +83,9 @@ def cmd_format(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    script = compile_script(_read(args.script))
+    script = _compiled(args.script)
+    if script is None:
+        return 1
     print(f"classes     : {', '.join(sorted(script.classes)) or '-'}")
     print(f"task classes: {', '.join(sorted(script.taskclasses)) or '-'}")
     for name, decl in script.tasks.items():
@@ -96,10 +105,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     from .analysis import check_liveness
 
-    try:
-        script = compile_script(_read(args.script))
-    except (ParseError, ValidationReport) as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
+    script = _compiled(args.script)
+    if script is None:
         return 1
     try:
         plan = compile_plan(script, root_task=args.task)
@@ -269,8 +276,15 @@ def _sanitize_under_nemesis(args, sanitizer, script) -> None:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    script = compile_script(_read(args.script))
-    print(to_dot(script, args.task), end="")
+    script = _compiled(args.script)
+    if script is None:
+        return 1
+    try:
+        text = to_dot(script, args.task)
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
+    print(text, end="")
     return 0
 
 

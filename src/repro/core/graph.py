@@ -1,37 +1,29 @@
-"""Schema validation and dependency-graph extraction.
+"""Schema validation and a compound's arcs.
 
 :func:`validate_script` performs the whole-script semantic analysis the
 paper's repository service applies before accepting a schema: every name must
 resolve, every source must be type-correct, every compound output must be
-fully mapped.  :func:`dependency_graph` extracts the task-dependency digraph
-of a compound (the structure drawn in the paper's figures), used by the
-figure-regeneration benchmarks and by the structural diagnostics.
+fully mapped.  :func:`arcs` is the one reading of a compound's dependencies
+(the arcs drawn in the paper's figures): the structure summary, the cycle
+check, the DOT export, the linter and reconfiguration all walk it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import SchemaError, ValidationReport
 from .schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
     GuardKind,
-    InputSetBinding,
     ObjectDecl,
     OutputKind,
     Script,
     Source,
     TaskClass,
-    TaskDecl,
     TaskTemplate,
 )
-
-if TYPE_CHECKING:
-    # networkx is imported by the diagnostics that draw a graph, when they
-    # run: validation, storing a script and execution never load it
-    import networkx as nx
-
 
 # the names source resolution sees at one nesting level: local name -> task
 # class (constituents and, inside a compound, the compound itself)
@@ -210,14 +202,12 @@ class Validator:
                 obj_spec = out_spec.object(obj_binding.name)
                 for source in obj_binding.sources:
                     self._validate_source(
-                        source, obj_spec, decl, inner, f"output {out_spec.name!r}",
-                        consumer_name=decl.name,
+                        source, obj_spec, decl, inner, f"output {out_spec.name!r}"
                     )
             for notif in binding.notifications:
                 for source in notif.sources:
                     self._validate_source(
-                        source, None, decl, inner, f"output {out_spec.name!r}",
-                        consumer_name=decl.name,
+                        source, None, decl, inner, f"output {out_spec.name!r}"
                     )
         for extra in sorted(bound_outputs - {o.name for o in taskclass.outputs}):
             self._error(f"mapping for unknown output {extra!r}", decl.name, code="E108")
@@ -231,10 +221,8 @@ class Validator:
         decl: AnyTaskDecl,
         scope: Scope,
         context: str,
-        consumer_name: Optional[str] = None,
     ) -> None:
         where = f"{decl.name}.{context}"
-        consumer = consumer_name or decl.name
         if source.task_name in self.placeholders:
             return  # template parameter: producer opaque until instantiation
         producer_class = scope.get(source.task_name)
@@ -256,7 +244,7 @@ class Validator:
                     code="E102",
                 )
                 return
-            if out.kind is OutputKind.REPEAT and source.task_name != consumer:
+            if out.kind is OutputKind.REPEAT and source.task_name != decl.name:
                 # §4.2: repeat objects are private to the producing task.
                 if source.object_name is not None:
                     self._error(
@@ -351,114 +339,105 @@ def check(script: Script) -> Script:
 
 
 # ---------------------------------------------------------------------------
-# Dependency graph extraction (the structures in the paper's figures)
+# A compound's arcs (the structures in the paper's figures)
 # ---------------------------------------------------------------------------
 
 
-def dependency_graph(compound: CompoundTaskDecl) -> "nx.MultiDiGraph":
-    """Digraph of one compound's constituents.
+class Arc(NamedTuple):
+    """One source of one consumer: ``consumer`` is a constituent's name, or
+    the compound's own for its output mapping; ``via`` names the input set or
+    the output the source is bound in.  The paper's figures draw a
+    notification (``notify``) dotted and dataflow solid."""
 
-    Nodes are constituent names plus the compound's own name.  Each source
-    becomes one edge producer -> consumer with attributes ``flavour``
-    ("data" | "notify"), ``object`` and ``guard``.  This is exactly the
-    drawing convention of the paper's figures: solid arcs are dataflow,
-    dotted arcs are notifications.
-    """
-    import networkx as nx
+    source: Source
+    consumer: str
+    notify: bool
+    via: str
 
-    graph = nx.MultiDiGraph(name=compound.name)
-    graph.add_node(compound.name, role="compound")
-    for child in compound.tasks:
-        graph.add_node(child.name, role="task", taskclass=child.taskclass_name)
 
-    def add_edges(consumer: str, input_sets: Sequence[InputSetBinding]) -> None:
-        for binding in input_sets:
+def arcs(compound: CompoundTaskDecl) -> Iterator[Arc]:
+    """Every arc of ``compound``: each constituent's input sets in
+    declaration order, then the compound's output mapping."""
+    bindings = [(child.name, child.input_sets) for child in compound.tasks]
+    bindings.append((compound.name, compound.outputs))
+    for consumer, sets in bindings:
+        for binding in sets:
             for obj in binding.objects:
                 for source in obj.sources:
-                    graph.add_edge(
-                        source.task_name,
-                        consumer,
-                        flavour="data",
-                        object=obj.name,
-                        guard=source.guard_name,
-                        input_set=binding.name,
-                    )
+                    yield Arc(source, consumer, False, binding.name)
             for notif in binding.notifications:
                 for source in notif.sources:
-                    graph.add_edge(
-                        source.task_name,
-                        consumer,
-                        flavour="notify",
-                        object=None,
-                        guard=source.guard_name,
-                        input_set=binding.name,
-                    )
-
-    for child in compound.tasks:
-        add_edges(child.name, child.input_sets)
-    for out in compound.outputs:
-        for obj in out.objects:
-            for source in obj.sources:
-                graph.add_edge(
-                    source.task_name,
-                    compound.name,
-                    flavour="data",
-                    object=obj.name,
-                    guard=source.guard_name,
-                    output=out.name,
-                )
-        for notif in out.notifications:
-            for source in notif.sources:
-                graph.add_edge(
-                    source.task_name,
-                    compound.name,
-                    flavour="notify",
-                    object=None,
-                    guard=source.guard_name,
-                    output=out.name,
-                )
-    return graph
+                    yield Arc(source, consumer, True, binding.name)
 
 
 def find_cycles(compound: CompoundTaskDecl, script: Script) -> List[List[str]]:
-    """Dependency cycles among constituents that do *not* go through a repeat
-    output or a self-loop.  Such cycles usually mean the workflow can never
-    make progress, so they are reported as a lint by the repository service.
-    """
-    import networkx as nx
-
-    graph = dependency_graph(compound)
-    filtered = nx.DiGraph()
-    for producer, consumer, data in graph.edges(data=True):
-        if producer == consumer:
+    """The groups of two or more constituents that depend on each other
+    (strongly connected), each in declaration order, ignoring self-loops and
+    arcs guarded by a repeat output.  Such a group usually means the
+    workflow can never make progress, so the linter reports it."""
+    # the compound's own name stands for its ports, which close no cycle
+    order = {
+        child.name: index
+        for index, child in enumerate(compound.tasks)
+        if child.name != compound.name
+    }
+    successors: Dict[str, List[str]] = {name: [] for name in order}
+    for arc in arcs(compound):
+        producer, guard = arc.source.task_name, arc.source.guard_name
+        if producer == arc.consumer or producer not in order or arc.consumer not in order:
             continue
-        guard = data.get("guard")
-        producer_decl = compound.task(producer)
-        if producer_decl is not None and guard:
-            producer_class = script.taskclasses.get(producer_decl.taskclass_name)
-            if producer_class is not None:
-                out = producer_class.output(guard)
-                if out is not None and out.kind is OutputKind.REPEAT:
-                    continue
-        # The compound's input port and output port are distinct: values flow
-        # in through `if input ...` sources and out through the output
-        # mapping, so edges touching the compound must not close a cycle.
-        if producer == compound.name:
-            producer = f"{compound.name}<in>"
-        if consumer == compound.name:
-            consumer = f"{compound.name}<out>"
-        filtered.add_edge(producer, consumer)
-    return [list(cycle) for cycle in nx.simple_cycles(filtered)]
+        producer_class = script.taskclasses.get(compound.tasks[order[producer]].taskclass_name)
+        out = producer_class.output(guard) if producer_class and guard else None
+        if out is None or out.kind is not OutputKind.REPEAT:
+            successors[producer].append(arc.consumer)
+    groups = [sorted(group, key=order.__getitem__) for group in _strong_groups(successors)]
+    return sorted((group for group in groups if len(group) > 1), key=lambda g: order[g[0]])
+
+
+def _strong_groups(successors: Dict[str, List[str]]) -> List[List[str]]:
+    """Tarjan's strongly connected components, on an explicit stack so a
+    long chain of constituents cannot exhaust the interpreter's."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    work: List[Tuple[str, Iterator[str]]] = []
+    groups: List[List[str]] = []
+
+    def enter(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        work.append((node, iter(successors[node])))
+
+    for root in successors:
+        if root not in index:
+            enter(root)
+        while work:
+            node, pending = work[-1]
+            succ = next(pending, None)
+            if succ is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    group = [stack.pop()]
+                    while group[-1] != node:
+                        group.append(stack.pop())
+                    groups.append(group)
+                    for member in group:  # off the stack: no later min() sees it
+                        index[member] = len(successors)
+            elif succ not in index:
+                enter(succ)
+            else:
+                low[node] = min(low[node], index[succ])
+    return groups
 
 
 def structure_summary(compound: CompoundTaskDecl) -> Dict[str, int]:
     """Counts used by the figure benchmarks to assert regenerated shapes."""
-    graph = dependency_graph(compound)
-    data_edges = sum(1 for *_e, d in graph.edges(data=True) if d["flavour"] == "data")
-    notify_edges = sum(1 for *_e, d in graph.edges(data=True) if d["flavour"] == "notify")
+    notify = [arc.notify for arc in arcs(compound)]
     return {
         "tasks": len(compound.tasks),
-        "data_edges": data_edges,
-        "notification_edges": notify_edges,
+        "data_edges": notify.count(False),
+        "notification_edges": notify.count(True),
         "outputs": len(compound.outputs),
     }

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import ReconfigurationError
-from .graph import validate_script
+from .graph import arcs, validate_script
 from .schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
@@ -329,22 +329,8 @@ def apply_changes(script: Script, changes: List[Change]) -> Script:
 
 def _dependents_of(compound: CompoundTaskDecl, producer: str) -> List[str]:
     """Constituents (or outputs) of ``compound`` that source from ``producer``."""
-    dependents: List[str] = []
-    for child in compound.tasks:
-        if child.name == producer:
-            continue
-        for binding in child.input_sets:
-            for obj in binding.objects:
-                if any(s.task_name == producer for s in obj.sources):
-                    dependents.append(child.name)
-            for notif in binding.notifications:
-                if any(s.task_name == producer for s in notif.sources):
-                    dependents.append(child.name)
-    for out in compound.outputs:
-        for obj in out.objects:
-            if any(s.task_name == producer for s in obj.sources):
-                dependents.append(f"{compound.name}.outputs.{out.name}")
-        for notif in out.notifications:
-            if any(s.task_name == producer for s in notif.sources):
-                dependents.append(f"{compound.name}.outputs.{out.name}")
-    return sorted(set(dependents))
+    return sorted({
+        f"{compound.name}.outputs.{arc.via}" if arc.consumer == compound.name else arc.consumer
+        for arc in arcs(compound)
+        if arc.source.task_name == producer and arc.consumer != producer
+    })

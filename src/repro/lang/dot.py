@@ -11,16 +11,10 @@ Rendering conventions follow the paper's figures:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..core.schema import (
-    AnyTaskDecl,
-    CompoundTaskDecl,
-    OutputKind,
-    Script,
-    Source,
-    TaskDecl,
-)
+from ..core.graph import Arc, arcs
+from ..core.schema import AnyTaskDecl, CompoundTaskDecl, OutputKind, Script
 
 
 def _quote(name: str) -> str:
@@ -40,40 +34,28 @@ class _DotWriter:
         return "\n".join(self.lines) + "\n"
 
 
-def _edge_lines(
-    w: _DotWriter,
-    consumer_id: str,
-    sources,
-    notification: bool,
-    scope_ids,
-) -> None:
-    style = "dashed" if notification else "solid"
-    for source in sources:
-        producer_id = scope_ids.get(source.task_name)
+def _node_id(decl: AnyTaskDecl, path: str) -> str:
+    """A compound's arcs start and end at its port node."""
+    return _quote(f"{path}.<ports>" if isinstance(decl, CompoundTaskDecl) else path)
+
+
+def _edge_lines(w: _DotWriter, drawn: List[Arc], ids: Dict[str, str]) -> None:
+    for arc in drawn:
+        producer_id = ids.get(arc.source.task_name)
         if producer_id is None:
             continue
-        label = ""
-        if source.object_name:
-            label = source.object_name
-        if source.guard_name:
-            label = f"{label}\\n[{source.guard_name}]" if label else f"[{source.guard_name}]"
-        attrs = f'style={style}'
+        label = arc.source.object_name or ""
+        guard = arc.source.guard_name
+        if guard:
+            label = f"{label}\\n[{guard}]" if label else f"[{guard}]"
+        attrs = f'style={"dashed" if arc.notify else "solid"}'
         if label:
             attrs += f', label="{label}", fontsize=9'
-        w.line(f"{producer_id} -> {consumer_id} [{attrs}];")
+        w.line(f"{producer_id} -> {ids[arc.consumer]} [{attrs}];")
 
 
-def _node_id(path: str) -> str:
-    return _quote(path)
-
-
-def _emit_decl(
-    w: _DotWriter,
-    script: Script,
-    decl: AnyTaskDecl,
-    path: str,
-    parent_scope_ids: Optional[dict],
-) -> None:
+def _emit_decl(w: _DotWriter, script: Script, decl: AnyTaskDecl, path: str) -> None:
+    """Draw ``decl``; its input arcs are drawn by the enclosing compound."""
     taskclass = script.taskclasses.get(decl.taskclass_name)
     if isinstance(decl, CompoundTaskDecl):
         w.clusters += 1
@@ -81,63 +63,46 @@ def _emit_decl(
         w.depth += 1
         w.line(f"label={_quote(decl.name)};")
         w.line("style=rounded;")
-        port = f"{path}.<ports>"
-        w.line(f"{_node_id(port)} [label=\"⟂\", shape=point];")
-        inner_ids = {decl.name: _node_id(port)}
+        ids = {decl.name: _node_id(decl, path)}
+        w.line(f"{ids[decl.name]} [label=\"⟂\", shape=point];")
         for child in decl.tasks:
-            child_path = f"{path}/{child.name}"
-            inner_ids[child.name] = (
-                _node_id(f"{child_path}.<ports>")
-                if isinstance(child, CompoundTaskDecl)
-                else _node_id(child_path)
-            )
+            ids[child.name] = _node_id(child, f"{path}/{child.name}")
+        by_consumer: Dict[str, List[Arc]] = {}
+        for arc in arcs(decl):
+            by_consumer.setdefault(arc.consumer, []).append(arc)
+        # each constituent's input arcs follow it; the output mapping's end at the port
         for child in decl.tasks:
-            _emit_decl(w, script, child, f"{path}/{child.name}", inner_ids)
-        # compound output mapping edges terminate at the port node
-        for binding in decl.outputs:
-            spec = taskclass.output(binding.name) if taskclass else None
-            for obj in binding.objects:
-                _edge_lines(w, _node_id(port), obj.sources, False, inner_ids)
-            for notif in binding.notifications:
-                _edge_lines(w, _node_id(port), notif.sources, True, inner_ids)
+            _emit_decl(w, script, child, f"{path}/{child.name}")
+            _edge_lines(w, by_consumer.get(child.name, []), ids)
+        _edge_lines(w, by_consumer.get(decl.name, []), ids)
         w.depth -= 1
         w.line("}")
     else:
-        shape = "box"
         extras = ""
         if taskclass is not None:
             if taskclass.is_atomic:
                 extras = ", peripheries=2"       # Fig. 2's double border
             elif taskclass.outputs_of_kind(OutputKind.MARK):
                 extras = ", style=dotted"         # Fig. 9's dotted border
-        w.line(f"{_node_id(path)} [label={_quote(decl.name)}, shape={shape}{extras}];")
-    # input dependency edges (resolved in the enclosing scope)
-    if parent_scope_ids is not None:
-        consumer_id = (
-            _node_id(f"{path}.<ports>")
-            if isinstance(decl, CompoundTaskDecl)
-            else _node_id(path)
-        )
-        for binding in decl.input_sets:
-            for obj in binding.objects:
-                _edge_lines(w, consumer_id, obj.sources, False, parent_scope_ids)
-            for notif in binding.notifications:
-                _edge_lines(w, consumer_id, notif.sources, True, parent_scope_ids)
+        w.line(f"{_quote(path)} [label={_quote(decl.name)}, shape=box{extras}];")
 
 
 def to_dot(script: Script, task_name: Optional[str] = None) -> str:
     """Render one top-level task (default: the only one) as a DOT digraph."""
     if task_name is None:
+        if not script.tasks:
+            raise ValueError("script has no top-level task")
         if len(script.tasks) != 1:
             raise ValueError("script has several top-level tasks; name one")
         task_name = next(iter(script.tasks))
-    decl = script.tasks[task_name]
+    if task_name not in script.tasks:
+        raise ValueError(f"no top-level task {task_name!r}")
     w = _DotWriter()
     w.line(f"digraph {_quote(task_name)} {{")
     w.depth += 1
     w.line("rankdir=LR;")
     w.line("node [fontname=Helvetica];")
-    _emit_decl(w, script, decl, task_name, None)
+    _emit_decl(w, script, script.tasks[task_name], task_name)
     w.depth -= 1
     w.line("}")
     return w.text()

@@ -11,7 +11,8 @@ unregistered codes, so a new check cannot silently collide with an existing
 or retired code.  The live ``W0xx`` codes:
 
 * ``W001`` dependency cycle among constituents (no repeat outcome involved):
-  the tasks on the cycle can never start.
+  one finding per group of constituents that depend on each other, naming
+  them in declaration order; the tasks in the group can never start.
 * ``W002`` simple task without a ``code`` implementation property: nothing
   can be bound at run time.
 * ``W003`` constituent none of whose outputs is consumed (neither by a
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from ..analysis.registry import DIAGNOSTICS
-from ..core.graph import find_cycles
+from ..core.graph import arcs, find_cycles
 from ..core.schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
@@ -110,38 +111,22 @@ class Linter:
             self._lint_compound(decl, path)
 
     def _lint_compound(self, decl: CompoundTaskDecl, path: str) -> None:
-        for cycle in find_cycles(decl, self.script):
+        for group in find_cycles(decl, self.script):
             self._warn(
                 "W001",
                 path,
-                f"dependency cycle among constituents: {' -> '.join(cycle)}",
+                f"dependency cycle among constituents: {', '.join(group)}",
             )
         consumed: Dict[str, Set[str]] = {child.name: set() for child in decl.tasks}
         any_reference: Set[str] = set()
-
-        def note(source) -> None:
+        for arc in arcs(decl):
+            source = arc.source
             if source.task_name in consumed:
                 any_reference.add(source.task_name)
                 if source.guard_kind is GuardKind.OUTPUT:
                     consumed[source.task_name].add(source.guard_name)
                 elif source.guard_kind is GuardKind.ANY:
                     consumed[source.task_name].add("*")
-
-        for child in decl.tasks:
-            for binding in child.input_sets:
-                for obj in binding.objects:
-                    for source in obj.sources:
-                        note(source)
-                for notif in binding.notifications:
-                    for source in notif.sources:
-                        note(source)
-        for out in decl.outputs:
-            for obj in out.objects:
-                for source in obj.sources:
-                    note(source)
-            for notif in out.notifications:
-                for source in notif.sources:
-                    note(source)
 
         for child in decl.tasks:
             child_path = f"{path}/{child.name}"

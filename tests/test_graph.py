@@ -1,27 +1,30 @@
-"""Unit tests for dependency-graph extraction (the figure structures)."""
+"""Unit tests for a compound's arcs (the figure structures) and the cycle
+check over them."""
 
-from repro.core import dependency_graph, find_cycles, structure_summary
-from repro.workloads import diamond, paper_order, paper_trip
+from repro.core import AddDependency, arcs, find_cycles, from_output, structure_summary
+from repro.workloads import chain, diamond, paper_order, paper_trip
+
+
+def edges(compound):
+    """(producer, consumer) -> "notify" | "data", as the figures draw them."""
+    return {
+        (arc.source.task_name, arc.consumer): "notify" if arc.notify else "data"
+        for arc in arcs(compound)
+    }
 
 
 class TestDiamond:
     def test_fig1_shape(self):
         script, _reg, root, _inputs = diamond()
         compound = script.tasks[root]
-        graph = dependency_graph(compound)
-        assert set(graph.nodes) == {"fig1", "t1", "t2", "t3", "t4"}
+        drawn = edges(compound)
+        assert {name for edge in drawn for name in edge} == {"fig1", "t1", "t2", "t3", "t4"}
         # t2 and t3 both depend on t1; t4 on both t2 and t3
-        assert graph.has_edge("t1", "t2")
-        assert graph.has_edge("t1", "t3")
-        assert graph.has_edge("t2", "t4")
-        assert graph.has_edge("t3", "t4")
+        assert {("t1", "t2"), ("t1", "t3"), ("t2", "t4"), ("t3", "t4")} <= drawn.keys()
 
     def test_fig1_arc_flavours(self):
         script, _reg, root, _inputs = diamond()
-        graph = dependency_graph(script.tasks[root])
-        flavours = {
-            (u, v): d["flavour"] for u, v, d in graph.edges(data=True) if u != "fig1"
-        }
+        flavours = edges(script.tasks[root])
         assert flavours[("t1", "t2")] == "notify"   # dotted arc in Fig. 1
         assert flavours[("t1", "t3")] == "data"     # solid arc
         assert flavours[("t2", "t4")] == "data"
@@ -45,13 +48,13 @@ class TestOrderStructure:
 
     def test_fig7_parallel_branches(self):
         script = paper_order.build()
-        graph = dependency_graph(script.tasks[paper_order.ROOT_TASK])
+        drawn = edges(script.tasks[paper_order.ROOT_TASK])
         # no edge between the two parallel front tasks
-        assert not graph.has_edge("paymentAuthorisation", "checkStock")
-        assert not graph.has_edge("checkStock", "paymentAuthorisation")
-        assert graph.has_edge("paymentAuthorisation", "dispatch")
-        assert graph.has_edge("checkStock", "dispatch")
-        assert graph.has_edge("dispatch", "paymentCapture")
+        assert ("paymentAuthorisation", "checkStock") not in drawn
+        assert ("checkStock", "paymentAuthorisation") not in drawn
+        assert ("paymentAuthorisation", "dispatch") in drawn
+        assert ("checkStock", "dispatch") in drawn
+        assert ("dispatch", "paymentCapture") in drawn
 
 
 class TestTripStructure:
@@ -81,6 +84,31 @@ class TestTripStructure:
     def test_compensation_edge_present(self):
         script = paper_trip.build()
         br = script.tasks[paper_trip.ROOT_TASK].task("businessReservation")
-        graph = dependency_graph(br)
-        assert graph.has_edge("hotelReservation", "flightCancellation")
-        assert graph.has_edge("flightReservation", "flightCancellation")
+        drawn = edges(br)
+        assert ("hotelReservation", "flightCancellation") in drawn
+        assert ("flightReservation", "flightCancellation") in drawn
+
+
+class TestArcs:
+    def test_input_sets_in_declaration_order_then_the_output_mapping(self):
+        script, _reg, root, _inputs = diamond()
+        walked = [
+            (arc.source.task_name, arc.consumer, arc.notify, arc.via)
+            for arc in arcs(script.tasks[root])
+        ]
+        assert walked == [
+            ("fig1", "t1", True, "main"),
+            ("t1", "t2", True, "main"),
+            ("t1", "t3", False, "main"),
+            ("t2", "t4", False, "main"),
+            ("t3", "t4", False, "main"),
+            ("t4", "fig1", False, "done"),  # the output mapping, at the compound's name
+        ]
+
+
+class TestFindCycles:
+    def test_a_chain_closed_by_a_back_arc_is_one_group(self):
+        script, _reg, root, _inputs = chain(3000)
+        back = AddDependency(f"{root}/t1", "main", None, (from_output("t3000", "done"),))
+        compound = back.apply(script).tasks[root]
+        assert find_cycles(compound, script) == [[f"t{i}" for i in range(1, 3001)]]

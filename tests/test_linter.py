@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import ScriptBuilder, from_input, from_output
+from repro.core import AddDependency, ScriptBuilder, from_input, from_output
 from repro.lang import lint_script
-from repro.workloads import paper_order, paper_service_impact, paper_trip
+from repro.workloads import chain, paper_order, paper_service_impact, paper_trip, random_dag
 
 
 def codes(script):
@@ -44,6 +44,72 @@ class TestW001Cycles:
         c.up()
         warnings = lint_script(b.build())
         assert any(w.code == "W001" for w in warnings)
+
+    @staticmethod
+    def knot(compound, order, deps):
+        """Tasks declared in ``order`` inside ``compound``, each fed the
+        compound's input and notified by the tasks ``deps`` names for it."""
+        for name in order:
+            task = compound.task(name, "Stage").implementation(code="x").input(
+                "main", "inp", from_input(compound.name, "main", "inp")
+            )
+            for producer in deps.get(name, ()):
+                task.notify("main", from_output(producer, "done"))
+            task.up()
+        compound.output("done").object("out", from_output(order[0], "done", "out")).up()
+        return compound
+
+    @staticmethod
+    def w001(script):
+        return [(w.location, w.message) for w in lint_script(script) if w.code == "W001"]
+
+    def test_two_disjoint_cycles_are_two_findings(self):
+        b = base()
+        self.knot(b.compound("wf", "Root"), "abcd", {"a": "b", "b": "a", "c": "d", "d": "c"}).up()
+        assert self.w001(b.build()) == [
+            ("wf", "dependency cycle among constituents: a, b"),
+            ("wf", "dependency cycle among constituents: c, d"),
+        ]
+
+    def test_a_knot_of_two_cycles_is_one_finding_in_declaration_order(self):
+        # a <-> b and b <-> c: two elementary cycles, one group
+        b = base()
+        self.knot(b.compound("wf", "Root"), "bca", {"a": "b", "b": "ac", "c": "b"}).up()
+        assert self.w001(b.build()) == [("wf", "dependency cycle among constituents: b, c, a")]
+
+    def test_a_cycle_in_a_nested_compound_is_located_there(self):
+        b = base()
+        outer = b.compound("wf", "Root")
+        inner = outer.compound("inner", "Root").input("main", "inp", from_input("wf", "main", "inp"))
+        self.knot(inner, "xy", {"x": "y", "y": "x"}).up()
+        outer.output("done").object("out", from_output("inner", "done", "out")).up()
+        outer.up()
+        assert self.w001(b.build()) == [("wf/inner", "dependency cycle among constituents: x, y")]
+
+    def test_a_repeat_self_loop_is_not_a_cycle(self):
+        b = base()
+        b.taskclass("Retry").input_set("main", inp="Data").input_set("again", inp="Data").outcome(
+            "done", out="Data"
+        ).repeat_outcome("retry", out="Data")
+        c = b.compound("wf", "Root")
+        c.task("r", "Retry").implementation(code="x").input(
+            "main", "inp", from_input("wf", "main", "inp")
+        ).input("again", "inp", from_output("r", "retry", "out")).up()
+        c.output("done").object("out", from_output("r", "done", "out")).up()
+        c.up()
+        assert self.w001(b.build()) == []
+
+    def test_a_long_chain_needs_no_deep_recursion(self):
+        assert self.w001(chain(3000)[0]) == []
+
+    @pytest.mark.parametrize("n", [4, 9, 17])
+    def test_random_dags_have_no_cycle_and_one_back_arc_makes_one(self, n):
+        for seed in range(30):
+            script = random_dag(n, seed=seed)[0]
+            assert self.w001(script) == []
+            # every task of a random_dag depends on t1, so t<n> -> t1 closes a cycle
+            back = AddDependency("dag/t1", "main", None, (from_output(f"t{n}", "done"),))
+            assert len(self.w001(back.apply(script))) == 1
 
 
 class TestW002MissingCode:

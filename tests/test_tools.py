@@ -143,6 +143,28 @@ class TestCli:
         assert main(["dot", script_file]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    @pytest.mark.parametrize("command", ["inspect", "dot"])
+    @pytest.mark.parametrize(
+        "text", ["task t of taskclass {", "task t of taskclass Ghost { }"],
+        ids=["unparsable", "invalid"],
+    )
+    def test_a_bad_script_is_one_line_not_a_traceback(self, command, text, tmp_path, capsys):
+        bad = tmp_path / "bad.wf"
+        bad.write_text(text, encoding="utf-8")
+        assert main([command, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("INVALID: ") and captured.out == ""
+
+    def test_dot_names_an_unknown_task(self, script_file, capsys):
+        assert main(["dot", script_file, "nope"]) == 1
+        assert capsys.readouterr().err == "ERROR: no top-level task 'nope'\n"
+
+    def test_dot_on_a_script_without_a_top_level_task(self, tmp_path, capsys):
+        empty = tmp_path / "classes.wf"
+        empty.write_text("class Data;", encoding="utf-8")
+        assert main(["dot", str(empty)]) == 1
+        assert capsys.readouterr().err == "ERROR: script has no top-level task\n"
+
     @pytest.mark.parametrize("demo", ["order", "trip", "service-impact"])
     def test_demo(self, demo, capsys):
         assert main(["demo", demo]) == 0
