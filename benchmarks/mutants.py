@@ -222,9 +222,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     _m("terminal-barrier-deferred", "durability",
        (EXEC, "            effects.append(Dispatch(runtime, closes=not runtime.in_flight))\n", "")),
     _m("no-redispatch", "liveness, burst (loss_rate), partition",
-       (EXEC, "        for worker in list(flight.sent_to):\n            self.health.on_timeout(",
+       (EXEC, "        for worker in list(flight.sent_to):\n            if self.health.on_timeout(",
         "        return []\n        for worker in list(flight.sent_to):\n"
-        "            self.health.on_timeout(")),
+        "            if self.health.on_timeout(")),
     _m("queued-never-promoted", "no-silent-drop, load_spike",
        (EXEC, "                promoted = self.admission.promote_ready(self._now())",
         "                promoted = []"),

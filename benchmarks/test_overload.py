@@ -32,6 +32,7 @@ import os
 import time
 
 from repro.overload import OverloadConfig
+from repro.overload.admission import CONTROL_INTERVAL, SOJOURN_TARGET
 from repro.services import WorkflowSystem
 from repro.workloads import TrafficSpec, run_traffic, traffic_registry
 
@@ -44,10 +45,7 @@ DRAIN_S = 600.0
 SLO_S = 120.0
 SEED = 7
 
-TIGHT = dict(
-    queue_capacity=16, initial_window=16, min_window=4,
-    sojourn_target=30.0, control_interval=10.0,
-)
+TIGHT = dict(queue_capacity=16, initial_window=16, min_window=4)
 # no admission control, as values: more slots than the storm offers arrivals
 UNBOUNDED = dict(initial_window=100_000, max_window=100_000)
 
@@ -94,7 +92,7 @@ def test_overload_goodput_and_report():
     # latency honesty: admitted work stays bounded under shedding (within a
     # small multiple of the controller's target) while the unprotected run
     # diverges past it
-    assert shed.p99_sojourn <= 12 * TIGHT["sojourn_target"], shed.p99_sojourn
+    assert shed.p99_sojourn <= 12 * SOJOURN_TARGET, shed.p99_sojourn
     assert off.p99_sojourn > shed.p99_sojourn
 
     # backpressure engaged: refusals carried retry-after, sheds journaled,
@@ -125,7 +123,8 @@ def test_overload_goodput_and_report():
         "duration_s": DURATION_S,
         "slo_s": SLO_S,
         "seed": SEED,
-        "config": TIGHT,
+        # the controller's constants are recorded beside the tight bounds
+        "config": dict(TIGHT, sojourn_target=SOJOURN_TARGET, control_interval=CONTROL_INTERVAL),
         "baseline_1x": base.to_plain(),
         "shedding_10x": shed.to_plain(),
         "unbounded_10x": off.to_plain(),

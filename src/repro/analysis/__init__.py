@@ -68,7 +68,6 @@ def analyze_script(
     script: Script,
     root_task: Optional[str] = None,
     input_set: str = "main",
-    include_lint: bool = True,
     source_name: str = "<script>",
 ) -> StaticReport:
     """Run every static check on ``script`` and return a unified report.
@@ -90,18 +89,17 @@ def analyze_script(
         findings.extend(liveness.findings)
         findings.extend(check_interference(plan, liveness))
         findings.extend(check_recovery(plan, liveness))
-    if include_lint:
-        from ..lang.linter import lint_script
+    from ..lang.linter import lint_script
 
-        for warning in lint_script(script):
-            findings.append(
-                Finding(
-                    code=warning.code,
-                    severity=DIAGNOSTICS.require(warning.code).severity,
-                    location=warning.location,
-                    message=warning.message,
-                )
+    for warning in lint_script(script):
+        findings.append(
+            Finding(
+                code=warning.code,
+                severity=DIAGNOSTICS.require(warning.code).severity,
+                location=warning.location,
+                message=warning.message,
             )
+        )
     findings.sort(key=lambda f: (f.severity.rank, f.code, f.location, f.message))
     return StaticReport(
         source_name=source_name, findings=findings, liveness=liveness

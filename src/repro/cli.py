@@ -19,9 +19,9 @@ Exit codes (``lint`` and ``analyze``):
 
 * ``0`` — clean, or warning-severity findings only;
 * ``1`` — at least one error-severity finding (with ``lint --strict``,
-  warnings also fail), an unreachable outcome, or a static/dynamic
-  disagreement;
-* ``2`` — a script could not even be parsed.
+  warnings also fail), an unreachable outcome, a static/dynamic
+  disagreement, or (``analyze``) a script that fails validation;
+* ``2`` — a script could not even be parsed (``format`` too).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core.graph import structure_summary
 from .core.schema import CompoundTaskDecl, Script
 from .engine import LocalEngine, compile_plan
 from .engine.trace import render_summary, render_trace
-from .lang import compile_script, format_script, parse
+from .lang import check, compile_script, format_script, parse
 from .lang.dot import to_dot
 from .overload import OverloadConfig
 from .services.system import SystemSpec, WorkflowSystem
@@ -48,6 +48,16 @@ from .workloads import APPLICATIONS, TrafficSpec
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _parsed(path: str) -> Optional[Script]:
+    """The script at ``path`` as parsed, or None once the error is on stderr
+    (the caller exits 2)."""
+    try:
+        return parse(_read(path))
+    except ParseError as exc:
+        print(f"{path}: PARSE ERROR: {exc}", file=sys.stderr)
+        return None
 
 
 def _compiled(path: str) -> Optional[Script]:
@@ -72,7 +82,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_format(args: argparse.Namespace) -> int:
-    script = parse(_read(args.script))
+    script = _parsed(args.script)
+    if script is None:
+        return 2
     text = format_script(script)
     if args.in_place:
         with open(args.script, "w", encoding="utf-8") as fh:
@@ -124,7 +136,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_script
 
-    script = compile_script(_read(args.script))
+    script = _parsed(args.script)
+    if script is None:
+        return 2
+    try:
+        script = check(script)
+    except ValidationReport as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
     report = analyze_script(script, root_task=args.task, source_name=args.script)
     if args.static:
         print(report.render_text())
@@ -361,11 +380,10 @@ def _demo_distributed(args, spec: SystemSpec, app) -> int:
         spec.dispatch_timeout,
         spec.sweep_interval,
         seed=spec.seed,
-        hedging=args.hedge_delay != 0.0,
         max_redispatches=args.max_redispatches,
     )
-    if args.hedge_delay is not None and args.hedge_delay > 0.0:
-        resilience = replace(resilience, hedge_delay=args.hedge_delay)
+    if args.hedge_delay is not None:  # 0 is no hedging
+        resilience = replace(resilience, hedge_delay=args.hedge_delay or None)
     system = WorkflowSystem(spec, registry=app.binder(), resilience=resilience)
     crashes = None
     if args.chaos_interval > 0.0:
@@ -640,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     field_option(demo, SystemSpec, "dispatch_timeout")
     field_option(demo, SystemSpec, "sweep_interval")
     demo.add_argument(
-        "--hedge-delay", type=float, default=None, metavar="T",
+        "--hedge-delay", type=at_least(0.0), default=None, metavar="T",
         help="hedged-dispatch delay (0 disables hedging; default: "
         "2 x sweep interval)",
     )

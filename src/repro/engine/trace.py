@@ -8,7 +8,7 @@ chronological trace and a per-task summary table.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..core.selection import EventKind
 from .events import EventLog
@@ -22,21 +22,13 @@ _GLYPH = {
 }
 
 
-def render_trace(
-    log: EventLog,
-    indent_by_depth: bool = True,
-    resilience: Optional[Sequence[object]] = None,
-) -> str:
+def render_trace(log: EventLog) -> str:
     """Chronological trace, one line per event, indented by nesting depth.
-
-    ``resilience`` optionally appends the dispatch layer's decision events
-    (:class:`repro.resilience.ResilienceEvent`) — redispatches, hedges,
-    breaker transitions — below the workflow's own trace, so one rendering
-    shows *what* the instance did and *how* the system kept it moving.
-    """
+    (:meth:`repro.services.ExecutionService.trace` appends the dispatch
+    layer's decisions below it.)"""
     lines: List[str] = []
     for entry in log.entries:
-        depth = entry.producer_path.count("/") if indent_by_depth else 0
+        depth = entry.producer_path.count("/")
         objects = ""
         if entry.event.objects:
             pairs = ", ".join(
@@ -49,13 +41,6 @@ def render_trace(
             f"#{entry.seq:<4} {'  ' * depth}{glyph} {name}"
             f" {entry.event.kind.value}:{entry.event.name}{objects}"
         )
-    if resilience:
-        from ..resilience.events import render_resilience
-
-        rendered = render_resilience(list(resilience))
-        if rendered:
-            lines.append("")
-            lines.append(rendered)
     return "\n".join(lines)
 
 

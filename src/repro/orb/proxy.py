@@ -44,9 +44,9 @@ def call_with_backoff(
     policy: Any,
     key: str,
     call: Callable[[], Any],
+    max_attempts: int,
     on_result: Optional[Callable[[Any], None]] = None,
     on_give_up: Optional[Callable[[Exception], None]] = None,
-    max_attempts: int = 6,
 ) -> None:
     """Invoke ``call`` with cooperative overload backoff (PROTOCOLS.md §13).
 

@@ -10,9 +10,10 @@ state and nothing else:
   one FIFO, because shedding, not reordering, is the degrade mechanism);
   arrivals beyond the queue are refused with a typed ``Overloaded`` carrying
   a deterministic retry-after hint.
-* a CoDel-style **delay-gradient controller**: each control interval it
-  looks at the *minimum* queue sojourn observed (the luckiest arrival).  A
-  minimum below the target means the queue drains — the window grows
+* a CoDel-style **delay-gradient controller**: each control interval
+  (``CONTROL_INTERVAL``, 10 s) it looks at the *minimum* queue sojourn
+  observed (the luckiest arrival).  A minimum below the target
+  (``SOJOURN_TARGET``, 30 s) means the queue drains — the window grows
   additively.  A minimum above the target means a standing queue — the
   window shrinks multiplicatively and the **pressure level** rises with the
   excess:
@@ -26,7 +27,8 @@ state and nothing else:
   3         above 4 × target (``SHED_ALL_AT``)          shed new arrivals of any class
   ========  ==========================================  ======================
 
-* **counters** mirrored into ``ExecutionService.stats()``.
+* **counters**, read through :meth:`AdmissionController.report` (the
+  service's ``resilience_report()["overload"]``).
 
 The controller never touches the journal, the network, or the clock — it is
 pure decision logic fed ``now`` by the caller, so every choice it makes is a
@@ -46,8 +48,9 @@ service has not yet invested in.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
+from ..resilience.events import ResilienceLog
 from .config import OverloadConfig
 
 # Verdicts returned by AdmissionController.decide().
@@ -56,9 +59,11 @@ QUEUE = "queue"
 SHED = "shed"
 REJECT = "reject"
 
-WINDOW_DECREASE = 0.8  # multiplicative shrink under standing delay
-SHED_LOW_AT = 2.0      # sojourn multiple of the target: shed new low-criticality
-SHED_ALL_AT = 4.0      # sojourn multiple of the target: shed new any-class
+SOJOURN_TARGET = 30.0    # seconds: the CoDel target for the minimum sojourn
+CONTROL_INTERVAL = 10.0  # seconds: the controller's tick period
+WINDOW_DECREASE = 0.8    # multiplicative shrink under standing delay
+SHED_LOW_AT = 2.0        # sojourn multiple of the target: shed new low-criticality
+SHED_ALL_AT = 4.0        # sojourn multiple of the target: shed new any-class
 RETRY_AFTER_BASE = 10.0  # seconds: the scale of a refusal's retry hint
 
 
@@ -71,7 +76,7 @@ class AdmissionController:
     they went.
     """
 
-    def __init__(self, config: OverloadConfig, rlog: Optional[Any] = None) -> None:
+    def __init__(self, config: OverloadConfig, rlog: ResilienceLog) -> None:
         self.config = config
         self.rlog = rlog
         self.window: int = config.initial_window
@@ -81,7 +86,7 @@ class AdmissionController:
         self.in_flight: Set[str] = set()
         self.counts: "Counter[str]" = Counter()
         self.last_min_sojourn: float = 0.0
-        self.next_control_at: float = config.control_interval
+        self.next_control_at: float = CONTROL_INTERVAL
         self._observations: List[float] = []
 
     # -- admission ---------------------------------------------------------------
@@ -101,11 +106,10 @@ class AdmissionController:
     def enqueue(self, iid: str, criticality: str, now: float) -> None:
         self.queue[iid] = (criticality, now)
         self.counts["queued"] += 1
-        if self.rlog is not None:
-            self.rlog.record(
-                now, "queue", instance=iid,
-                detail=f"{criticality}, depth={len(self.queue)}/{self.config.queue_capacity}",
-            )
+        self.rlog.record(
+            now, "queue", instance=iid,
+            detail=f"{criticality}, depth={len(self.queue)}/{self.config.queue_capacity}",
+        )
 
     def on_start(self, iid: str, now: float) -> None:
         """An instance was admitted straight into the window."""
@@ -114,16 +118,14 @@ class AdmissionController:
 
     def on_shed(self, iid: str, criticality: str, now: float, reason: str) -> None:
         self.counts[f"shed_{criticality}"] += 1
-        if self.rlog is not None:
-            self.rlog.record(now, "shed", instance=iid, detail=f"{criticality}: {reason}")
+        self.rlog.record(now, "shed", instance=iid, detail=f"{criticality}: {reason}")
 
     def on_reject(self, now: float, retry_after: float) -> None:
         self.counts["rejected"] += 1
-        if self.rlog is not None:
-            self.rlog.record(
-                now, "reject",
-                detail=f"queue full ({len(self.queue)}), retry_after={retry_after:.1f}",
-            )
+        self.rlog.record(
+            now, "reject",
+            detail=f"queue full ({len(self.queue)}), retry_after={retry_after:.1f}",
+        )
 
     def release(self, iid: str, now: float) -> None:
         """An admitted instance reached a terminal status; free its slot."""
@@ -154,11 +156,10 @@ class AdmissionController:
             self.counts["admitted"] += 1
             self.counts["promoted"] += 1
             promoted.append((iid, criticality, sojourn))
-            if self.rlog is not None:
-                self.rlog.record(
-                    now, "promote", instance=iid,
-                    detail=f"{criticality}, waited {sojourn:.1f}",
-                )
+            self.rlog.record(
+                now, "promote", instance=iid,
+                detail=f"{criticality}, waited {sojourn:.1f}",
+            )
         return promoted
 
     # -- the delay-gradient controller -------------------------------------------
@@ -167,7 +168,7 @@ class AdmissionController:
         """One controller tick (the service calls this from its sweeper)."""
         if now < self.next_control_at:
             return
-        self.next_control_at = now + self.config.control_interval
+        self.next_control_at = now + CONTROL_INTERVAL
         cfg = self.config
         # Head age counts as an observation: a queue that never promotes
         # anything would otherwise produce no delay signal at all.
@@ -183,13 +184,13 @@ class AdmissionController:
         min_sojourn = min(self._observations)
         self._observations = []
         self.last_min_sojourn = min_sojourn
-        if min_sojourn <= cfg.sojourn_target:
+        if min_sojourn <= SOJOURN_TARGET:
             self._set_pressure(0, now, min_sojourn)
             self._resize(min(self.window + 1, cfg.max_window), now, "below target")
             return
-        if min_sojourn > SHED_ALL_AT * cfg.sojourn_target:
+        if min_sojourn > SHED_ALL_AT * SOJOURN_TARGET:
             level = 3
-        elif min_sojourn > SHED_LOW_AT * cfg.sojourn_target:
+        elif min_sojourn > SHED_LOW_AT * SOJOURN_TARGET:
             level = 2
         else:
             level = 1
@@ -201,19 +202,17 @@ class AdmissionController:
         if level == self.pressure:
             return
         previous, self.pressure = self.pressure, level
-        if self.rlog is not None:
-            self.rlog.record(
-                now, "window",
-                detail=f"pressure {previous}->{level} (min sojourn {min_sojourn:.1f})",
-            )
+        self.rlog.record(
+            now, "window",
+            detail=f"pressure {previous}->{level} (min sojourn {min_sojourn:.1f})",
+        )
 
     def _resize(self, new_window: int, now: float, why: str) -> None:
         if new_window == self.window:
             return
         previous, self.window = self.window, new_window
         self.counts["window_changes"] += 1
-        if self.rlog is not None:
-            self.rlog.record(now, "window", detail=f"{previous}->{new_window}: {why}")
+        self.rlog.record(now, "window", detail=f"{previous}->{new_window}: {why}")
 
     # -- degrade decisions beyond admission ---------------------------------------
 
@@ -259,7 +258,7 @@ class AdmissionController:
         self.pressure = 0
         self._observations = []
         self.last_min_sojourn = 0.0
-        self.next_control_at = now + self.config.control_interval
+        self.next_control_at = now + CONTROL_INTERVAL
 
     # -- reporting -----------------------------------------------------------------
 

@@ -35,16 +35,16 @@ def criticality_of(script, root_task: str) -> str:
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Knobs of the bounded-admission / adaptive-control / shedding layer.
-
-    ``sojourn_target`` is the CoDel-style target: as long as the *minimum*
-    admission-queue sojourn observed over a control interval stays below it,
-    the service is running at or below the knee of its latency curve and the
-    concurrency window may grow.  A minimum above the target means even the
-    luckiest arrival waited too long — a standing queue — so the window
-    shrinks multiplicatively and, as the excess grows past fixed multiples of
-    the target (``admission.SHED_LOW_AT`` / ``SHED_ALL_AT``), the shed policy
-    escalates.
+    """Knobs of the bounded-admission / adaptive-control / shedding layer:
+    the queue and the bounds of the window.  The controller's target and
+    tick are constants (``admission.SOJOURN_TARGET``, ``CONTROL_INTERVAL``):
+    as long as the *minimum* admission-queue sojourn observed over a control
+    interval stays below the target, the service is running at or below the
+    knee of its latency curve and the concurrency window may grow.  A minimum
+    above the target means even the luckiest arrival waited too long — a
+    standing queue — so the window shrinks multiplicatively and, as the
+    excess grows past fixed multiples of the target (``admission.SHED_LOW_AT``
+    / ``SHED_ALL_AT``), the shed policy escalates.
     """
 
     queue_capacity: int = setting(
@@ -53,13 +53,9 @@ class OverloadConfig:
     initial_window: int = setting(256, "admitted-concurrency window", "count")
     min_window: int = setting(8, "smallest window the controller shrinks to", "count")
     max_window: int = setting(1024, "largest window the controller grows to", "count")
-    sojourn_target: float = setting(30.0, "CoDel target for queue sojourn", "s")
-    control_interval: float = setting(10.0, "delay-gradient controller tick period", "s")
 
     def __post_init__(self) -> None:
         require(self, "queue_capacity", self.queue_capacity >= 0, "must be at least 0")
         require(self, "initial_window",
                 0 < self.min_window <= self.initial_window <= self.max_window,
                 "need 0 < min_window <= initial_window <= max_window")
-        for name in ("sojourn_target", "control_interval"):
-            require(self, name, getattr(self, name) > 0, "must be positive")

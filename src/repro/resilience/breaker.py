@@ -4,8 +4,8 @@ A breaker shields the dispatcher from a worker that is crashed, partitioned
 away or persistently failing: after ``failure_threshold`` consecutive bad
 observations (timeouts or transport failures) the breaker *opens* and the
 router stops selecting that worker.  After ``cooldown`` virtual-time units
-the breaker becomes *half-open*: up to ``half_open_probes`` trial dispatches
-are admitted; the first successful reply closes the breaker, another failure
+the breaker becomes *half-open*: one trial dispatch (``HALF_OPEN_PROBES``)
+is admitted; the first successful reply closes the breaker, another failure
 re-opens it for a fresh cooldown.
 
 Observations arrive from the execution service at reply/timeout time — the
@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+HALF_OPEN_PROBES = 1  # trial dispatches admitted while HALF_OPEN
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -30,15 +32,12 @@ class BreakerState(enum.Enum):
 class BreakerConfig:
     failure_threshold: int = 3   # consecutive timeouts/failures to trip
     cooldown: float = 60.0       # OPEN holds for this long, then HALF_OPEN
-    half_open_probes: int = 1    # trial dispatches admitted while HALF_OPEN
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown < 0:
             raise ValueError("cooldown must be non-negative")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
 
 
 class CircuitBreaker:
@@ -65,7 +64,7 @@ class CircuitBreaker:
     def allow(self, now: float) -> bool:
         """May a dispatch be routed to this worker right now?
 
-        While half-open, admits at most ``half_open_probes`` dispatches
+        While half-open, admits at most ``HALF_OPEN_PROBES`` dispatches
         until an observation resolves the probe (the admission itself is
         counted — callers must only ask when they intend to dispatch).
         """
@@ -74,7 +73,7 @@ class CircuitBreaker:
             return True
         if state is BreakerState.OPEN:
             return False
-        if self._probes < self.config.half_open_probes:
+        if self._probes < HALF_OPEN_PROBES:
             self._probes += 1
             return True
         return False

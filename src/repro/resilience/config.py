@@ -50,7 +50,7 @@ class ResilienceConfig:
     hedge_delay: Optional[float] = None
     max_redispatches: Optional[int] = 40   # None = retry forever
     recovery_stagger: float = 5.0          # window for post-recovery spreading
-    seed: int = 0
+    seed: int = 0  # the stagger's hash seed; SystemSpec.seed only via for_timeouts
 
     def exhausted(self, redispatches: int) -> bool:
         """Has a flight used up its redispatch budget?"""
@@ -68,18 +68,13 @@ class ResilienceConfig:
         dispatch_timeout: float,
         sweep_interval: float,
         seed: int = 0,
-        hedging: bool = True,
         max_redispatches: Optional[int] = 40,
     ) -> "ResilienceConfig":
-        """The default on the service's existing time scale."""
-        breaker = BreakerConfig(
-            failure_threshold=3,
-            cooldown=2.0 * dispatch_timeout,
-            half_open_probes=1,
-        )
+        """The default on the service's existing time scale (a caller that
+        wants no hedging replaces ``hedge_delay`` with None)."""
         return cls(
-            breaker=breaker,
-            hedge_delay=2.0 * sweep_interval if hedging else None,
+            breaker=BreakerConfig(failure_threshold=3, cooldown=2.0 * dispatch_timeout),
+            hedge_delay=2.0 * sweep_interval,
             max_redispatches=max_redispatches,
             recovery_stagger=sweep_interval,
             seed=seed,

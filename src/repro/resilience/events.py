@@ -4,7 +4,8 @@ Every decision the dispatch layer takes — initial routing, redispatch,
 hedge, breaker transition, pin failover, abandonment, recovery stagger — is
 recorded as a :class:`ResilienceEvent` so operators can see *why* a task
 went where it went, next to the workflow's own event trace
-(:func:`repro.engine.trace.render_trace` appends the rendering).
+(:meth:`ExecutionService.trace
+<repro.services.execution.ExecutionService.trace>` appends the rendering).
 
 The log is bounded (oldest entries dropped) and keeps per-kind counters
 that are never truncated.

@@ -62,19 +62,18 @@ class HealthRegistry:
         self,
         worker_names: Sequence[str],
         config: ResilienceConfig,
-        log: Optional[ResilienceLog] = None,
-        stats: Optional[Dict[str, int]] = None,
+        log: ResilienceLog,
     ) -> None:
         self.config = config
         self.log = log
-        self.stats = stats
         self.workers: Dict[str, WorkerHealth] = {}
         self._names = list(worker_names)
         self.reset()
 
     def reset(self) -> None:
         """Forget everything (a recovered coordinator relearns the fleet).
-        Cumulative trip counts in ``stats`` are preserved by the caller."""
+        The caller's cumulative trip count, kept from what :meth:`on_timeout`
+        returns, is not touched."""
         self.workers = {
             name: WorkerHealth(name, CircuitBreaker(self.config.breaker, name=name))
             for name in self._names
@@ -101,27 +100,23 @@ class HealthRegistry:
         else:
             health.ewma_latency += self._EWMA_ALPHA * (latency - health.ewma_latency)
         if health.breaker.record_success(now) is BreakerState.CLOSED:
-            self._transition(now, name, "breaker-close", "reply observed")
+            self.log.record(now, "breaker-close", worker=name, detail="reply observed")
 
-    def on_timeout(self, name: str, now: float) -> None:
+    def on_timeout(self, name: str, now: float) -> bool:
         """A flight (or hedge) to this worker went unanswered past its
-        deadline."""
+        deadline.  True when this timeout tripped the worker's breaker."""
         health = self.workers.get(name)
         if health is None:
-            return
+            return False
         health.in_flight = max(0, health.in_flight - 1)
         health.timeouts += 1
         health.streak += 1
-        if health.breaker.record_failure(now) is BreakerState.OPEN:
-            if self.stats is not None:
-                self.stats["breaker_trips"] = self.stats.get("breaker_trips", 0) + 1
-            self._transition(
-                now, name, "breaker-open", f"{health.streak} consecutive timeouts"
-            )
-
-    def _transition(self, now: float, name: str, kind: str, detail: str) -> None:
-        if self.log is not None:
-            self.log.record(now, kind, worker=name, detail=detail)
+        if health.breaker.record_failure(now) is not BreakerState.OPEN:
+            return False
+        self.log.record(
+            now, "breaker-open", worker=name, detail=f"{health.streak} consecutive timeouts"
+        )
+        return True
 
     # -- routing --------------------------------------------------------------------
 

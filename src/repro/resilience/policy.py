@@ -1,8 +1,8 @@
 """The client's retry schedule: exponential backoff, deterministic jitter.
 
 A client refused with ``Overloaded`` (docs/PROTOCOLS.md §13) retries on
-:class:`RetryPolicy`'s schedule: attempt *n* waits ``base_delay *
-multiplier**n`` (clamped to ``max_delay``), spread by a jitter fraction so a
+:class:`RetryPolicy`'s schedule: attempt *n* waits ``BASE_DELAY *
+multiplier**n`` (clamped to ``MAX_DELAY``), spread by a jitter fraction so a
 cohort of refused clients does not return as one wave.  The jitter is **not**
 random at run time — it is derived by hashing ``(seed, key, attempt)``, so a
 replayed simulation (and a hypothesis test) sees the exact same schedule.
@@ -15,6 +15,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+
+
+BASE_DELAY = 30.0   # seconds: the wait after the first refusal, unjittered
+MAX_DELAY = 120.0   # seconds: the cap of an unjittered wait
 
 
 def _unit(seed: int, material: str) -> float:
@@ -30,15 +34,11 @@ class RetryPolicy:
     follows the first refusal.
     """
 
-    base_delay: float = 30.0
     multiplier: float = 2.0
-    max_delay: float = 120.0
     jitter: float = 0.15            # ± fraction applied to each delay
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_delay <= 0:
-            raise ValueError("base_delay must be positive")
         if self.multiplier < 1.0:
             raise ValueError("multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
@@ -47,8 +47,8 @@ class RetryPolicy:
     # -- the schedule ------------------------------------------------------------
 
     def raw_delay(self, attempt: int) -> float:
-        """Un-jittered backoff for ``attempt`` (clamped to ``max_delay``)."""
-        return min(self.base_delay * self.multiplier ** max(attempt, 0), self.max_delay)
+        """Un-jittered backoff for ``attempt`` (clamped to ``MAX_DELAY``)."""
+        return min(BASE_DELAY * self.multiplier ** max(attempt, 0), MAX_DELAY)
 
     def delay(self, key: str, attempt: int) -> float:
         """Jittered wait before retry ``attempt`` of client ``key``.

@@ -60,7 +60,7 @@ from ..lang import compile_script
 from ..net.node import Message, Node, Service
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, Overloaded
 from ..overload import AdmissionController, OverloadConfig, criticality_of
-from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog
+from ..resilience import HealthRegistry, ResilienceConfig, ResilienceLog, render_resilience
 from ..sim import crashpoints
 from ..txn.store import ObjectStore
 from .journal import Journal as JournalStore, Tail, script_digest
@@ -419,7 +419,8 @@ class _Coordinator:
                     return [Dispatch(runtime, ((key, flight),), hedge=True)]
             return []
         for worker in list(flight.sent_to):
-            self.health.on_timeout(worker, now)
+            if self.health.on_timeout(worker, now):
+                self.stats["breaker_trips"] += 1
             self.rlog.record(now, "timeout", runtime.iid, key[0], worker)
         flight.sent_to.clear()
         if self.resilience.exhausted(flight.redispatches) and (
@@ -832,14 +833,12 @@ class ExecutionService(_Coordinator, Service):
             "shed", "overload_rejections",
         ), 0)
         self.rlog = ResilienceLog()
-        self.health = HealthRegistry(
-            self.worker_names, self.resilience, log=self.rlog, stats=self.stats
-        )
+        self.health = HealthRegistry(self.worker_names, self.resilience, self.rlog)
         # Overload layer (docs/PROTOCOLS.md §13): bounded admission queue,
         # delay-gradient concurrency window, priority shedding.  Defaults are
         # generous enough that lightly loaded systems never notice it.
         self.overload = overload or OverloadConfig()
-        self.admission = AdmissionController(self.overload, rlog=self.rlog)
+        self.admission = AdmissionController(self.overload, self.rlog)
         self._promoting = False  # re-entrancy guard for _promote_ready
         # hedge losers: sends still awaiting a (late) reply after their
         # flight resolved, kept so the reply credits the worker's health
@@ -1045,10 +1044,9 @@ class ExecutionService(_Coordinator, Service):
         instance (redispatches, hedges, breaker transitions, failovers)."""
         from ..engine.trace import render_trace
 
-        return render_trace(
-            self._full_runtime(iid).tree.log,
-            resilience=self.rlog.for_instance(iid),
-        )
+        trace = render_trace(self._full_runtime(iid).tree.log)
+        resilience = render_resilience(self.rlog.for_instance(iid))
+        return f"{trace}\n\n{resilience}" if resilience else trace
 
     def resilience_report(self) -> Dict[str, Any]:
         """Operator view of the dispatch layer: cumulative stats, per-worker
@@ -1184,7 +1182,8 @@ class ExecutionService(_Coordinator, Service):
             for ack_key, sent_at in list(self._pending_acks.items()):
                 if now - sent_at >= self.dispatch_timeout:
                     del self._pending_acks[ack_key]
-                    self.health.on_timeout(ack_key[3], now)
+                    if self.health.on_timeout(ack_key[3], now):
+                        self.stats["breaker_trips"] += 1
         return True
 
     # -- the shell -----------------------------------------------------------------------------

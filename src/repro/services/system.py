@@ -49,7 +49,10 @@ class SystemSpec:
         None, "per-hop network latency; None is LatencyModel(1.0, 0.5)"
     )
     loss_rate: float = setting(0.0, "message-loss probability", "share")
-    seed: int = setting(0, "seed for latency, loss and recovery stagger")
+    seed: int = setting(
+        0, "seed for latency and loss, and for recovery stagger when resilience "
+        "is None (an explicit ResilienceConfig staggers by its own seed)"
+    )
     dispatch_timeout: float = setting(
         30.0, "redispatch interval: a flight unanswered this long after its send is resent", "s"
     )

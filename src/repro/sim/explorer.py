@@ -127,7 +127,6 @@ class ChaosSweep:
     workers: int = setting(2, "worker-node pool size", "count")
     instances: int = setting(1, "concurrent workflow instances per run", "count")
     base_seed: int = setting(0, "base seed of every pass")
-    downtime: float = setting(30.0, "how long a crashed node stays down", "s")
     max_time: float = setting(
         5_000.0, "virtual-time budget per run before an instance counts as stuck", "s"
     )
@@ -169,9 +168,9 @@ class ChaosSweep:
                 point: Optional[str] = None, mode: str = "clean", **changes: Any) -> SimHarness:
         """A run of ``workload``, crashed at ``driver`` first if one is given
         and then at ``point`` if one is given."""
-        faults = [CrashAtPoint(driver, downtime=self.downtime)] if driver else []
+        faults = [CrashAtPoint(driver)] if driver else []
         if point:
-            faults.append(CrashAtPoint(point, mode=mode, downtime=self.downtime))
+            faults.append(CrashAtPoint(point, mode=mode))
         name = f"point:{point}{'-torn' if mode == 'torn' else ''}" if point else "fault-free"
         return self._harness(NemesisSchedule(faults, name=name), self.base_seed,
                              replicas=replicas, workload=workload, **changes)
@@ -200,7 +199,7 @@ class ChaosSweep:
         plans = [(point.name, point.name, mode, self.plan_for_point(point, mode))
                  for point in catalogue() for mode in ["clean"] + (["torn"] if point.torn else [])]
         return plans + [(f"{name}@last", name, mode, self._harness(NemesisSchedule(
-            [CrashAtPoint(name, at_hit=visits[name], mode=mode, downtime=self.downtime)],
+            [CrashAtPoint(name, at_hit=visits[name], mode=mode)],
             name=f"point:{name}{'-torn' if mode == 'torn' else ''}@last"), self.base_seed))
             for name in _AT_LAST_HIT for mode in ["clean"] + (["torn"] if point_named(name).torn else [])]
 
@@ -303,7 +302,7 @@ class ChaosSweep:
         return [
             NemesisSchedule([CrashAtTime(10.0, primary, downtime=190.0)],
                             name="failover:kill-resurrect"),
-            NemesisSchedule([CrashAtTime(10.0, primary, downtime=self.downtime)],
+            NemesisSchedule([CrashAtTime(10.0, primary)],
                             name="failover:kill-primary"),
             NemesisSchedule([Partition(10.0, (primary,), others, heal_after=150.0)],
                             name="failover:partition-heal"),

@@ -297,9 +297,9 @@ def run_traffic(
             policy,
             key=f"arrival-{arrival.number}",
             call=invoke,
+            max_attempts=spec.max_attempts,
             on_result=on_result,
             on_give_up=on_give_up,
-            max_attempts=spec.max_attempts,
         )
 
     for arrival in arrivals:

@@ -17,6 +17,8 @@ from repro.overload import (
     OverloadConfig,
     criticality_of,
 )
+from repro.overload.admission import CONTROL_INTERVAL, SOJOURN_TARGET
+from repro.resilience import ResilienceLog
 from repro.services import WorkflowSystem
 from repro.services.system import SystemSpec
 from repro.services.execution import _PENDING_ACK_CAP
@@ -87,16 +89,29 @@ class TestCriticality:
 
 
 class TestAdmissionController:
-    def cfg(self, **kw):
-        params = dict(
-            queue_capacity=4, initial_window=2, min_window=1,
-            sojourn_target=10.0, control_interval=5.0,
-        )
+    def make(self, **kw):
+        params = dict(queue_capacity=4, initial_window=2, min_window=1)
         params.update(kw)
-        return OverloadConfig(**params)
+        return AdmissionController(OverloadConfig(**params), ResilienceLog())
+
+    def test_the_controller_ticks_every_interval_against_the_target(self):
+        # CONTROL_INTERVAL 10 s, SOJOURN_TARGET 30 s: pressure 1 above the
+        # target, 2 above twice it, 3 above four times it
+        assert (CONTROL_INTERVAL, SOJOURN_TARGET) == (10.0, 30.0)
+        levels = []
+        for waited in (30.0, 31.0, 60.0, 61.0, 120.0, 121.0):
+            ctrl = self.make(initial_window=1)
+            ctrl.on_start("a", 0.0)
+            ctrl.enqueue("q", "normal", 0.0)
+            ctrl.control(CONTROL_INTERVAL - 0.1)  # before the first tick: no look
+            assert ctrl.last_min_sojourn == 0.0 and ctrl.pressure == 0
+            ctrl.control(waited)
+            assert ctrl.next_control_at == waited + CONTROL_INTERVAL
+            levels.append(ctrl.pressure)
+        assert levels == [0, 1, 1, 2, 2, 3]
 
     def test_start_within_window_then_queue_then_reject(self):
-        ctrl = AdmissionController(self.cfg(queue_capacity=2))
+        ctrl = self.make(queue_capacity=2)
         assert ctrl.decide("normal", 0.0) == START
         ctrl.on_start("a", 0.0)
         ctrl.on_start("b", 0.0)
@@ -106,7 +121,7 @@ class TestAdmissionController:
         assert ctrl.decide("normal", 2.0) == REJECT
 
     def test_promotion_fills_freed_slots_fifo(self):
-        ctrl = AdmissionController(self.cfg())
+        ctrl = self.make()
         ctrl.on_start("a", 0.0)
         ctrl.on_start("b", 0.0)
         ctrl.enqueue("c", "normal", 1.0)
@@ -118,24 +133,24 @@ class TestAdmissionController:
         assert promoted[0][2] == pytest.approx(3.0)  # sojourn observed
 
     def test_pressure_escalation_and_priority_order(self):
-        ctrl = AdmissionController(self.cfg(initial_window=1))
+        ctrl = self.make(initial_window=1)
         ctrl.on_start("a", 0.0)
         assert ctrl.allow_hedge()
-        # standing queue: head age drives the controller past shed_all_at
+        # standing queue: head age drives the controller past SHED_ALL_AT
         ctrl.enqueue("q", "normal", 0.0)
-        ctrl.control(60.0)
+        ctrl.control(130.0)  # > 4 x SOJOURN_TARGET
         assert ctrl.pressure == 3
         assert not ctrl.allow_hedge()
-        assert ctrl.decide("high", 61.0) == SHED  # any class goes
+        assert ctrl.decide("high", 131.0) == SHED  # any class goes
         ctrl.pressure = 2
-        assert ctrl.decide("low", 61.0) == SHED
-        assert ctrl.decide("normal", 61.0) == QUEUE
+        assert ctrl.decide("low", 131.0) == SHED
+        assert ctrl.decide("normal", 131.0) == QUEUE
         ctrl.pressure = 1
         assert not ctrl.allow_hedge()
-        assert ctrl.decide("low", 61.0) == QUEUE
+        assert ctrl.decide("low", 131.0) == QUEUE
 
     def test_evict_low_only_at_pressure_two(self):
-        ctrl = AdmissionController(self.cfg(initial_window=1))
+        ctrl = self.make(initial_window=1)
         ctrl.on_start("a", 0.0)
         ctrl.enqueue("n", "normal", 0.0)
         ctrl.enqueue("l", "low", 0.0)
@@ -145,13 +160,11 @@ class TestAdmissionController:
         assert list(ctrl.queue) == ["n"]
 
     def test_window_shrinks_multiplicatively_and_regrows(self):
-        ctrl = AdmissionController(
-            self.cfg(initial_window=10, min_window=2, queue_capacity=8)
-        )
+        ctrl = self.make(initial_window=10, min_window=2, queue_capacity=8)
         for i in range(10):
             ctrl.on_start(f"a{i}", 0.0)
         ctrl.enqueue("q", "normal", 0.0)
-        ctrl.control(60.0)  # head waited 60 >> target 10
+        ctrl.control(60.0)  # head waited 60 > SOJOURN_TARGET
         assert ctrl.window == 8  # int(10 * 0.8)
         ctrl.control(120.0)
         assert ctrl.window == 6  # keeps shrinking while delay stands
@@ -161,8 +174,8 @@ class TestAdmissionController:
         assert ctrl.window == 7
 
     def test_retry_after_deterministic_and_pressure_scaled(self):
-        a = AdmissionController(self.cfg(queue_capacity=4))
-        b = AdmissionController(self.cfg(queue_capacity=4))
+        a = self.make(queue_capacity=4)
+        b = self.make(queue_capacity=4)
         for ctrl in (a, b):
             ctrl.enqueue("x", "normal", 0.0)
             ctrl.enqueue("y", "normal", 0.0)
@@ -172,7 +185,7 @@ class TestAdmissionController:
         assert a.retry_after(5.0) > base
 
     def test_rebuild_readmits_survivors_and_clears_pressure(self):
-        ctrl = AdmissionController(self.cfg(initial_window=2))
+        ctrl = self.make(initial_window=2)
         ctrl.on_start("a", 0.0)
         ctrl.enqueue("q", "normal", 0.0)
         ctrl.pressure = 3

@@ -115,7 +115,7 @@ def test_retry_duplicates_are_statically_predicted(shape):
     non-atomic) tasks that ran twice must all be W401 locations."""
     n, atomic, failing = shape
     script = build_retry_script(n, atomic)
-    report = analyze_script(script, include_lint=False)
+    report = analyze_script(script)
     w401 = {f.location for f in report.findings if f.code == "W401"}
     counts = {}
 

@@ -380,7 +380,7 @@ def test_duplicate_effect_scan_flags_nonatomic_only():
     )
     assert [f.kind for f in sanitizer.findings] == ["duplicate-effect"]
     assert sanitizer.findings[0].subjects == ("wf2/bare",)
-    report = analyze_script(bare_script, include_lint=False)
+    report = analyze_script(bare_script)
     assert sanitizer.check_coverage(report) == []
 
 

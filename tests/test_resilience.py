@@ -17,8 +17,10 @@ from repro.resilience import (
     CircuitBreaker,
     HealthRegistry,
     ResilienceConfig,
+    ResilienceLog,
     RetryPolicy,
 )
+from repro.resilience.policy import BASE_DELAY, MAX_DELAY
 from repro.services import WorkflowSystem
 from repro.sim.nemesis import CrashAtTime, NemesisSchedule, Partition, RandomCrashes
 from repro.workloads import paper_order
@@ -31,20 +33,22 @@ from repro.workloads import paper_order
 
 class TestRetryPolicy:
     def test_unjittered_backoff_is_monotone_then_capped(self):
-        policy = RetryPolicy(base_delay=10.0, multiplier=2.0, max_delay=55.0, jitter=0.0)
+        # from the constant base (30 s) up to the constant cap (120 s)
+        policy = RetryPolicy(multiplier=1.5, jitter=0.0)
         delays = [policy.raw_delay(n) for n in range(6)]
-        assert delays == [10.0, 20.0, 40.0, 55.0, 55.0, 55.0]
-        assert all(a <= b or a == policy.max_delay for a, b in zip(delays, delays[1:]))
+        assert delays == [30.0, 45.0, 67.5, 101.25, 120.0, 120.0]
+        assert delays[0] == BASE_DELAY and delays[-1] == MAX_DELAY
+        assert all(a <= b for a, b in zip(delays, delays[1:]))
 
     def test_jittered_delay_stays_inside_band(self):
-        policy = RetryPolicy(base_delay=10.0, multiplier=2.0, max_delay=80.0, jitter=0.2)
+        policy = RetryPolicy(multiplier=2.0, jitter=0.2)
         for attempt in range(8):
             raw = policy.raw_delay(attempt)
             d = policy.delay("i-1:/a/b:0", attempt)
             assert raw * 0.8 <= d <= raw * 1.2
 
     def test_zero_jitter_equals_raw(self):
-        policy = RetryPolicy(base_delay=7.0, jitter=0.0)
+        policy = RetryPolicy(jitter=0.0)
         assert policy.delay("any-key", 3) == policy.raw_delay(3)
 
     def test_exhausted_respects_cap_and_none(self):
@@ -55,8 +59,6 @@ class TestRetryPolicy:
         assert not unbounded.exhausted(10**6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
@@ -79,8 +81,8 @@ class TestRetryPolicy:
     )
     @settings(max_examples=200, deadline=None)
     def test_jitter_is_deterministic_under_fixed_seed(self, seed, key, attempt):
-        a = RetryPolicy(base_delay=10.0, jitter=0.3, seed=seed)
-        b = RetryPolicy(base_delay=10.0, jitter=0.3, seed=seed)
+        a = RetryPolicy(jitter=0.3, seed=seed)
+        b = RetryPolicy(jitter=0.3, seed=seed)
         assert a.delay(key, attempt) == b.delay(key, attempt)
         raw = a.raw_delay(attempt)
         assert raw * 0.7 <= a.delay(key, attempt) <= raw * 1.3
@@ -90,7 +92,7 @@ class TestRetryPolicy:
     def test_schedule_matches_per_attempt_delays(self, key, hint):
         # the client's overload schedule: the jittered delay of its own key,
         # never earlier than the service's retry-after hint
-        policy = RetryPolicy(base_delay=5.0, jitter=0.15, seed=3)
+        policy = RetryPolicy(jitter=0.15, seed=3)
         for n in range(6):
             delay = policy.delay(f"overload:{key}", n)
             assert policy.overload_backoff(key, n, hint) == max(hint, delay)
@@ -102,11 +104,9 @@ class TestRetryPolicy:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=60.0, probes=1):
+    def make(self, threshold=3, cooldown=60.0):
         return CircuitBreaker(
-            BreakerConfig(failure_threshold=threshold, cooldown=cooldown,
-                          half_open_probes=probes),
-            name="w",
+            BreakerConfig(failure_threshold=threshold, cooldown=cooldown), name="w"
         )
 
     def test_starts_closed_and_allows(self):
@@ -132,7 +132,7 @@ class TestCircuitBreaker:
         assert b.state(3.0) is BreakerState.CLOSED  # streak was broken
 
     def test_half_open_after_cooldown_admits_limited_probes(self):
-        b = self.make(threshold=1, cooldown=10.0, probes=1)
+        b = self.make(threshold=1, cooldown=10.0)
         b.record_failure(0.0)
         assert b.state(5.0) is BreakerState.OPEN
         assert b.state(10.0) is BreakerState.HALF_OPEN
@@ -161,8 +161,6 @@ class TestCircuitBreaker:
             BreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             BreakerConfig(cooldown=-1.0)
-        with pytest.raises(ValueError):
-            BreakerConfig(half_open_probes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ class TestCircuitBreaker:
 
 def registry(names=("w1", "w2", "w3"), **cfg_kw):
     cfg = ResilienceConfig.for_timeouts(20.0, 5.0, **cfg_kw)
-    return HealthRegistry(list(names), cfg)
+    return HealthRegistry(list(names), cfg, ResilienceLog())
 
 
 class TestHealthRouting:
@@ -214,6 +212,13 @@ class TestHealthRouting:
     def test_deterministic_tiebreak(self):
         reg = registry()
         assert reg.route(now=0.0) == "w1"  # equal scores: lowest name wins
+
+    def test_on_timeout_reports_the_trip_and_logs_it(self):
+        reg = registry()
+        assert [reg.on_timeout("w1", now=t) for t in (1.0, 2.0, 3.0)] == [False, False, True]
+        assert reg.on_timeout("nobody", now=3.0) is False
+        (event,) = reg.log.entries
+        assert (event.kind, event.worker) == ("breaker-open", "w1")
 
     def test_reset_forgets_observations(self):
         reg = registry()
@@ -365,6 +370,9 @@ class TestHedging:
             assert result["status"] == "completed"
         report = system.execution.resilience_report()
         assert report["stats"]["breaker_trips"] >= 1
+        # the service counts each trip the registry reports, once
+        assert report["stats"]["breaker_trips"] == report["events"]["breaker-open"]
+        assert report["stats"]["breaker_trips"] == sum(w["trips"] for w in report["workers"])
         names = {w["worker"] for w in report["workers"]}
         assert names == {"worker-1", "worker-2"}
 

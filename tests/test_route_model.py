@@ -18,6 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.config import ResilienceConfig
+from repro.resilience.events import ResilienceLog
 from repro.resilience.health import HealthRegistry
 
 WORKERS = ("w1", "w2", "w3", "w4")
@@ -66,15 +67,15 @@ excludes = st.tuples(
 
 
 class RouteAgainstReference(RuleBasedStateMachine):
-    @initialize(probes=st.integers(min_value=1, max_value=3), threshold=st.integers(1, 3))
-    def build(self, probes, threshold):
+    @initialize(threshold=st.integers(1, 3))
+    def build(self, threshold):
+        # one half-open probe (breaker.HALF_OPEN_PROBES); set_breaker also
+        # draws breakers whose probe is already spent
         config = ResilienceConfig(
-            breaker=BreakerConfig(
-                failure_threshold=threshold, cooldown=10.0, half_open_probes=probes
-            )
+            breaker=BreakerConfig(failure_threshold=threshold, cooldown=10.0)
         )
-        self.real = HealthRegistry(list(WORKERS), config)
-        self.model = HealthRegistry(list(WORKERS), config)
+        self.real = HealthRegistry(list(WORKERS), config, ResilienceLog())
+        self.model = HealthRegistry(list(WORKERS), config, ResilienceLog())
 
     def _both(self):
         return self.real, self.model
@@ -141,9 +142,9 @@ TestRouteAgainstReference = RouteAgainstReference.TestCase
 def test_every_half_open_candidate_spends_a_probe():
     """The side effect the one pass must keep: the half-open breakers of
     candidates that lose still take their probe slot."""
-    config = ResilienceConfig(breaker=BreakerConfig(cooldown=10.0, half_open_probes=1))
-    real = HealthRegistry(list(WORKERS), config)
-    model = HealthRegistry(list(WORKERS), config)
+    config = ResilienceConfig(breaker=BreakerConfig(cooldown=10.0))
+    real = HealthRegistry(list(WORKERS), config, ResilienceLog())
+    model = HealthRegistry(list(WORKERS), config, ResilienceLog())
     for registry in (real, model):
         for name in ("w2", "w3"):
             registry.workers[name].breaker.opened_at = 0.0

@@ -6,7 +6,8 @@ compiled plan is the one evaluator and what the static analyzers read, the
 records a step builds are tuples, a clock event is a heap entry with no
 handle and no priority, and the execution service's decide half acts on
 nothing: it returns effect records for its shell to perform, whose
-boundaries are the service's only crash points."""
+boundaries are the service's only crash points.  The engine knows nothing
+of the dispatch layer."""
 
 import ast
 import pathlib
@@ -116,6 +117,25 @@ def identifiers(tree):
             yield node.arg
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
+
+
+def test_the_engine_does_not_import_the_dispatch_layer():
+    """A trace renders the workflow's events; ``ExecutionService.trace``
+    appends the resilience log's, so no module under ``engine/`` imports
+    ``repro.resilience``."""
+    found = []
+    for rel, tree in sources():
+        if not rel.startswith("engine/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(rel, m) for m in modules if "resilience" in m.split(".")]
+    assert found == []
 
 
 def test_no_evaluator_mode_is_left():

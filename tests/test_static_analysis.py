@@ -569,7 +569,7 @@ def test_analyze_script_skips_deep_passes_on_invalid_script():
     ).up()
     c.output("done").object("out", from_output("t", "ok", "out")).up()
     c.up()
-    report = analyze_script(b.build(validate=False), include_lint=False)
+    report = analyze_script(b.build(validate=False))
     assert not report.ok
     assert report.liveness is None
 

@@ -19,6 +19,7 @@
 
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,7 +94,7 @@ class TestOneBarrierPerBatch:
         monkeypatch.setattr(execution, "_JOURNAL_WINDOW", 1e9)
         system, root, inputs = fan_system(
             8, workers=2, sweep_interval=5.0, dispatch_timeout=20.0,
-            resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
+            resilience=replace(ResilienceConfig.for_timeouts(20.0, 5.0), hedge_delay=None),
         )
         service = system.execution
         NemesisSchedule([CrashAtTime(0.5, "worker-node-2", downtime=500.0)]).arm(system)
@@ -174,7 +175,7 @@ class TestDeadlineComputedWhenRead:
     def test_first_sends_redispatches_and_resumed_flights(self):
         system, root, inputs = fan_system(
             8, workers=2, sweep_interval=5.0, dispatch_timeout=20.0,
-            resilience=ResilienceConfig.for_timeouts(20.0, 5.0, hedging=False),
+            resilience=replace(ResilienceConfig.for_timeouts(20.0, 5.0), hedge_delay=None),
         )
         audit = DeadlineAudit(system.execution)
         # the fleet is away long enough for the sweeper to resend after

@@ -9,9 +9,11 @@ import pytest
 
 from repro.net.network import LatencyModel
 from repro.overload import OverloadConfig
-from repro.resilience import ResilienceConfig
+from repro.resilience import BreakerConfig, ResilienceConfig, RetryPolicy
 from repro.services.system import SystemSpec, WorkflowSystem
+from repro.sim.explorer import ChaosSweep
 from repro.sim.harness import SimHarness
+from repro.workloads import TrafficSpec
 
 
 @pytest.mark.parametrize(
@@ -52,6 +54,32 @@ def test_one_construction_path():
     assert len(system.workers) == 3
     assert len(system.execution_replicas) == 2
     assert WorkflowSystem().spec == SystemSpec()
+
+
+# Every settable value of every settings table, in declaration order.  A new
+# knob is then a reviewed diff here, as a new CLI option is one in
+# tests/test_tools.py::OPTIONS; a value that only tests would set belongs in
+# a module constant (breaker.HALF_OPEN_PROBES, admission.SOJOURN_TARGET, ...).
+SETTINGS = {
+    SystemSpec: [
+        "workers", "latency", "loss_rate", "seed", "dispatch_timeout", "sweep_interval",
+        "resilience", "mirror_path", "replicas", "lease_duration", "repl_interval",
+        "overload", "worker_service_time", "worker_lanes",
+    ],
+    ResilienceConfig: ["breaker", "hedge_delay", "max_redispatches", "recovery_stagger", "seed"],
+    BreakerConfig: ["failure_threshold", "cooldown"],
+    OverloadConfig: ["queue_capacity", "initial_window", "min_window", "max_window"],
+    RetryPolicy: ["multiplier", "jitter", "seed"],
+    TrafficSpec: [
+        "arrival", "rate", "duration", "cohorts", "skew", "seed", "script_length",
+        "burst_factor", "burst_period", "burst_duty", "drain", "max_attempts", "slo",
+    ],
+    ChaosSweep: ["workload", "workers", "instances", "base_seed", "max_time", "out_dir", "verbose"],
+}
+
+
+def test_every_settings_table_keeps_its_fields():
+    assert {table: [item.name for item in fields(table)] for table in SETTINGS} == SETTINGS
 
 
 def test_every_field_describes_itself():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.engine import LocalEngine
 from repro.engine.trace import render_summary, render_trace
@@ -155,6 +156,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("INVALID: ") and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "format"])
+    def test_an_unparsable_script_is_one_line_and_exit_2(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.wf"
+        bad.write_text("task t of taskclass {", encoding="utf-8")
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{bad}: PARSE ERROR: line 1, column 21: expected taskclass name, found '{{'\n"
+        )
+        assert captured.out == ""
+
+    def test_analyze_reports_an_invalid_script_as_validate_does(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wf"
+        bad.write_text("task t of taskclass Ghost { }", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        validated = capsys.readouterr()
+        assert main(["analyze", str(bad)]) == 1
+        analyzed = capsys.readouterr()
+        assert analyzed.err.startswith("INVALID: ") and analyzed.out == ""
+        assert analyzed == validated
+
     def test_dot_names_an_unknown_task(self, script_file, capsys):
         assert main(["dot", script_file, "nope"]) == 1
         assert capsys.readouterr().err == "ERROR: no top-level task 'nope'\n"
@@ -182,6 +204,24 @@ class TestCli:
             main(["demo", "order", "--distributed", "--workers", "0"])
         assert exit_info.value.code == 2
         assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, hedge_delay",
+        [([], 20.0), (["--hedge-delay", "0"], None), (["--hedge-delay", "7"], 7.0)],
+        ids=["default", "zero-is-off", "positive"],
+    )
+    def test_hedge_delay_reaches_the_dispatcher(self, argv, hedge_delay, monkeypatch):
+        # the default is 2 x the sweep interval (10 s)
+        class Built(Exception):
+            pass
+
+        def build(spec, registry=None, resilience=None):
+            raise Built(resilience)
+
+        monkeypatch.setattr(cli, "WorkflowSystem", build)
+        with pytest.raises(Built) as built:
+            main(["demo", "order", "--distributed", *argv])
+        assert built.value.args[0].hedge_delay == hedge_delay
 
     def test_sanitize_rejects_zero_runs(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -222,6 +262,7 @@ class TestCli:
                 "--chaos-downtime",
             ),
             (["chaos-sweep", "--mode", "random", "--seeds", "-3"], "--seeds"),
+            (["demo", "order", "--distributed", "--hedge-delay", "-5"], "--hedge-delay"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )

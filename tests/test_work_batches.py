@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import LocalEngine
@@ -235,7 +237,8 @@ class TestFailuresPerLeg:
         sweep = 0.5
         system, root, inputs = deployed(
             fan(8), workers=2, latency=LatencyModel(1.0, 0.0), sweep_interval=sweep,
-            dispatch_timeout=20.0, resilience=ResilienceConfig.for_timeouts(20.0, sweep, hedging=False),
+            dispatch_timeout=20.0,
+            resilience=replace(ResilienceConfig.for_timeouts(20.0, sweep), hedge_delay=None),
         )
         service = system.execution
         NemesisSchedule([Burst(1.5, 1.0, "loss_rate", 1.0)]).arm(system)
