@@ -7,6 +7,7 @@ Mirrors the repository-service operations plus the graphical export::
     python -m repro.cli inspect   script.wf         # structural summary
     python -m repro.cli lint      script.wf ...     # static analysis report
     python -m repro.cli analyze   script.wf [task]  # static vs dynamic reachability
+    python -m repro.cli plan      script.wf [task]  # compiled plan + liveness
     python -m repro.cli dot       script.wf [task]  # Graphviz export
     python -m repro.cli demo      order|trip|service-impact
     python -m repro.cli load      --arrival poisson|burst --rate R --seed N
@@ -15,13 +16,17 @@ Mirrors the repository-service operations plus the graphical export::
 ``SCRIPT`` constants (the examples/ and workload layout), and renders the
 unified static-analysis report as text, JSON, or SARIF 2.1.0.
 
-Exit codes (``lint`` and ``analyze``):
+Exit codes of the seven script subcommands (``validate``, ``format``,
+``inspect``, ``lint``, ``analyze``, ``plan``, ``dot``):
 
-* ``0`` — clean, or warning-severity findings only;
-* ``1`` — at least one error-severity finding (with ``lint --strict``,
-  warnings also fail), an unreachable outcome, a static/dynamic
-  disagreement, or (``analyze``) a script that fails validation;
-* ``2`` — a script could not even be parsed (``format`` too).
+* ``0`` — success: a valid script, or warning-severity findings only;
+* ``1`` — a script that parses but fails validation (one ``INVALID: …``
+  line; ``format`` does not validate, ``lint`` reports it as findings), an
+  error-severity finding (``lint``; with ``--strict``, warnings also fail), an
+  unreachable outcome or a static/dynamic disagreement (``analyze``), or a
+  task that is not there (``plan``, ``dot``);
+* ``2`` — a script that could not even be parsed (one ``<path>: PARSE
+  ERROR: …`` line).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .core.errors import ParseError, ValidationReport
 from .core.graph import structure_summary
@@ -60,19 +65,23 @@ def _parsed(path: str) -> Optional[Script]:
         return None
 
 
-def _compiled(path: str) -> Optional[Script]:
-    """The valid script at ``path``, or None once the error is on stderr."""
+def _compiled(path: str) -> Union[Script, int]:
+    """The valid script at ``path``, or the exit code once the error is on
+    stderr: 2 for a script that does not parse, 1 for one that is invalid."""
+    script = _parsed(path)
+    if script is None:
+        return 2
     try:
-        return compile_script(_read(path))
-    except (ParseError, ValidationReport) as exc:
+        return check(script)
+    except ValidationReport as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
-        return None
+        return 1
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     script = _compiled(args.script)
-    if script is None:
-        return 1
+    if isinstance(script, int):
+        return script
     print(
         f"OK: {len(script.classes)} classes, {len(script.taskclasses)} task "
         f"classes, {len(script.tasks)} top-level tasks, "
@@ -96,8 +105,8 @@ def cmd_format(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     script = _compiled(args.script)
-    if script is None:
-        return 1
+    if isinstance(script, int):
+        return script
     print(f"classes     : {', '.join(sorted(script.classes)) or '-'}")
     print(f"task classes: {', '.join(sorted(script.taskclasses)) or '-'}")
     for name, decl in script.tasks.items():
@@ -118,8 +127,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from .analysis import check_liveness
 
     script = _compiled(args.script)
-    if script is None:
-        return 1
+    if isinstance(script, int):
+        return script
     try:
         plan = compile_plan(script, root_task=args.task)
     except KeyError as exc:
@@ -136,14 +145,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_script
 
-    script = _parsed(args.script)
-    if script is None:
-        return 2
-    try:
-        script = check(script)
-    except ValidationReport as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+    script = _compiled(args.script)
+    if isinstance(script, int):
+        return script
     report = analyze_script(script, root_task=args.task, source_name=args.script)
     if args.static:
         print(report.render_text())
@@ -296,8 +300,8 @@ def _sanitize_under_nemesis(args, sanitizer, script) -> None:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     script = _compiled(args.script)
-    if script is None:
-        return 1
+    if isinstance(script, int):
+        return script
     try:
         text = to_dot(script, args.task)
     except ValueError as exc:

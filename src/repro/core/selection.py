@@ -32,7 +32,6 @@ import enum
 import itertools
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from ..orb.marshal import transferable
 from .schema import (
     GuardKind,
     InputObjectBinding,
@@ -94,7 +93,6 @@ class HotpathStats:
 HOTPATH_STATS = HotpathStats()
 
 
-@transferable
 class WorkflowEvent(NamedTuple):
     """Something a task did, visible to its scope.
 

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple, Optional
 
-from ..orb.marshal import transferable
 
-
-@transferable
 class ObjectRef(NamedTuple):
     """A typed reference to an application object.  A tuple: immutable, and
     built on the hot path by ``tuple.__new__`` without a Python frame."""

@@ -2,7 +2,10 @@
 
 Interface declarations, naming, marshalled synchronous invocation with
 ``CommFailure`` semantics, deferred invocation over the lossy network, and
-client-side proxies.
+client-side proxies.  What crosses is plain data and proven records:
+primitives, tuples and records, lists and dicts, and the by-reference
+types (``@sealed`` templates, plain twins, ``PlainDict``); anything else is
+refused with ``MarshalError``.
 """
 
 from .broker import (
@@ -20,7 +23,6 @@ from .marshal import (
     marshal,
     marshal_call,
     sealed,
-    transferable,
 )
 from .proxy import Proxy, call_with_backoff
 
@@ -39,5 +41,4 @@ __all__ = [
     "marshal",
     "marshal_call",
     "sealed",
-    "transferable",
 ]

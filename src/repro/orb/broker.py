@@ -8,8 +8,9 @@ provides the pieces the workflow system actually relies on:
 * **naming**: servants registered under string names, resolvable from
   anywhere;
 * **invocation**: synchronous request/reply with marshalled arguments and
-  results, raising :class:`CommFailure` when the caller or target node is
-  crashed or partitioned — the failure CORBA surfaces as ``COMM_FAILURE`` and
+  results (plain data and records, :mod:`repro.orb.marshal`), raising
+  :class:`CommFailure` when the caller or target node is crashed or
+  partitioned — the failure CORBA surfaces as ``COMM_FAILURE`` and
   that the paper says applications "must be prepared to face".
 
 Invocation is modelled synchronously (the simulation's transaction code runs
@@ -164,8 +165,8 @@ class ObjectBroker:
 
         Arguments and the result cross a marshalling boundary.  Raises
         :class:`CommFailure` if either endpoint is down or the pair is
-        partitioned.  Exceptions raised by the servant are marshalled and
-        re-raised at the caller.
+        partitioned.  An exception raised by the servant propagates to the
+        caller as raised; it is not marshalled.
         """
         registration = self.resolve(target)
         registration.interface.validate_operation(operation)
@@ -212,7 +213,9 @@ class ObjectBroker:
     ) -> None:
         """Fire-and-callback invocation routed as two one-way messages through
         the (lossy, partitionable) network.  Either callback may never run if
-        a message is lost — callers needing reliability must retry."""
+        a message is lost — callers needing reliability must retry.  An
+        exception the servant raises reaches ``on_error`` as raised; an
+        answer that cannot be marshalled raises at the servant's side."""
         registration = self.resolve(target)
         registration.interface.validate_operation(operation)
         self.stats.invocations += 1
@@ -235,7 +238,7 @@ class ObjectBroker:
                     return
             try:
                 outcome = getattr(registration.servant, operation)(*m_args)
-            except Exception as exc:  # marshalled back as the error reply
+            except Exception as exc:  # the error reply carries it as raised
                 if on_error is not None:
                     self._datagram(
                         registration.node, caller, partial(on_error, exc), "orb-reply"

@@ -1,39 +1,32 @@
 """Marshalling for ORB invocations.
 
-CORBA invocations copy values across the wire; object references pass by
+CORBA invocations copy IDL values across the wire; object references pass by
 reference.  We reproduce that boundary so services cannot accidentally share
-mutable in-memory state: every argument and result is structurally copied by
-:func:`marshal`, and anything that cannot legitimately cross (open handles,
-arbitrary class instances that are not declared transferable) raises
-:class:`MarshalError`.
+mutable in-memory state.  :func:`marshal` carries what the system sends —
+plain data and proven records (docs/PROTOCOLS.md §11):
 
-Two speed layers sit on top of those semantics (docs/PROTOCOLS.md §11):
+* a value of a :data:`BY_REFERENCE` type — a primitive, a ``@sealed`` type,
+  a record its builder proved plain (:func:`plain_twin`, :class:`PlainDict`)
+  — crosses by reference after one type test; so does a subclass of a
+  primitive;
+* a tuple or a record (a ``NamedTuple``) crosses by reference when it is
+  deeply immutable — sharing an immutable value cannot leak mutable state,
+  so the copy would buy nothing — and is copied member by member otherwise;
+* a list or a dict is copied by one loop per container, which descends
+  straight into nested exact dicts and lists; a subclass of either arrives
+  as a plain list or dict;
+* anything else — a set, a dataclass, an exception, an open handle, any
+  other class instance — is refused with :class:`MarshalError`.
 
-* **Memoized per-type dispatch.**  The first marshal of each concrete type
-  walks the classification chain (primitive? namedtuple? registered dict
-  subclass? frozen dataclass? ...) once and caches a specialized handler;
-  subsequent values of that type pay a single dict lookup.  Late
-  ``@transferable`` registration invalidates the cache, so a type's handler
-  can never go stale.
-* **Zero-copy fast path.**  Deeply immutable values — primitives, tuples /
-  namedtuples / frozensets whose members marshal to themselves, and frozen
-  ``@transferable`` dataclasses with immutable fields — are returned *by
-  reference*: sharing an immutable value cannot leak mutable state, so the
-  copy would buy nothing.  A ``@sealed`` type is checked deeply immutable
-  once, when an instance is built, and crosses by reference with no walk at
-  all; so does a record its builder proved plain (:func:`plain_twin`,
-  :class:`PlainDict`).
-  Mutable containers (lists, sets, dicts, mutable dataclasses,
-  ``__marshal__`` protocol classes) are structurally copied; an exact dict
-  or list is copied by one loop that descends straight into nested exact
-  dicts and lists.
+The first marshal of each concrete type classifies it once and caches its
+handler, so later values of that type pay a single dict lookup.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Set, Tuple, Type, TypeVar
 
 from ..core.instrument import IOPATH_STATS
 
@@ -41,19 +34,8 @@ _PRIMITIVES = (type(None), bool, int, float, str, bytes)
 
 T = TypeVar("T")
 
-# Types explicitly allowed to cross the wire by structural copy.
-_TRANSFERABLE: Set[type] = set()
-
-# Memoized type -> handler dispatch.  Cleared whenever the registry changes,
-# so classification can never go stale.
+# Memoized type -> handler dispatch.
 _DISPATCH: Dict[type, Callable[[Any, int], Any]] = {}
-
-# Memoized type -> immutability checker for the zero-copy fast path:
-# None = instances are never deeply immutable (copy them); otherwise a
-# predicate that walks the value without allocating anything.  Cleared with
-# _DISPATCH — registration can turn a rejected type into a frozen
-# transferable one.
-_IMMUTABLE_CHECK: Dict[type, Optional[Callable[[Any, int], bool]]] = {}
 
 # Exact types whose values are immutable with no walk at all: the primitives,
 # every @sealed type, every plain twin and PlainDict.  A dict or list member
@@ -70,26 +52,11 @@ class MarshalError(TypeError):
     """A value cannot be marshalled across the ORB."""
 
 
-def transferable(cls: Type) -> Type:
-    """Class decorator / registration: instances may cross ORB boundaries.
-
-    Dataclasses are copied field-by-field; other classes must provide
-    ``__marshal__() -> dict`` and ``__unmarshal__(cls, state)``.
-    Registration invalidates the memoized dispatch cache: a type marshalled
-    (and rejected, or decayed to a plain dict) before registration is
-    re-classified on its next use.
-    """
-    _TRANSFERABLE.add(cls)
-    _DISPATCH.clear()
-    _IMMUTABLE_CHECK.clear()
-    return cls
-
-
 def sealed(cls: Type) -> Type:
     """Class decorator for a frozen dataclass of plain data: every instance
     is checked deeply immutable once, when it is built (a mutable member
     raises :class:`MarshalError` there), and from then on crosses the ORB by
-    reference with no immutability walk.  A sealed type is transferable."""
+    reference with no immutability walk."""
     if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
         raise TypeError(f"{cls.__qualname__}: only a frozen dataclass can be sealed")
     names = tuple(f.name for f in dataclasses.fields(cls))
@@ -108,7 +75,7 @@ def sealed(cls: Type) -> Type:
 
     cls.__init__ = __init__
     BY_REFERENCE.add(cls)
-    return transferable(cls)
+    return cls
 
 
 def plain_twin(record: Type[T]) -> Type[T]:
@@ -260,150 +227,62 @@ def _copy_list(value: list, depth: int) -> list:
 
 # -- zero-copy immutability walk ---------------------------------------------------
 #
-# The fast path must not pay for the copy it avoids: these predicates walk a
-# value WITHOUT allocating anything, so a hit costs type lookups only and a
+# The fast path must not pay for the copy it avoids: this predicate walks a
+# value WITHOUT allocating anything, so a hit costs type tests only and a
 # miss falls straight into the ordinary structural copy.
 
 
+def _is_record(cls: type) -> bool:
+    """A tuple, or a record type (a ``NamedTuple``)."""
+    return cls is tuple or (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+
+
 def _items_immutable(value: Any, depth: int) -> bool:
-    """Every member of an iterable is deeply immutable."""
+    """Every member of an iterable is deeply immutable: of a by-reference
+    type, a subclass of a primitive, or a tuple or record whose members all
+    are.  True only where :func:`marshal` would return the member itself."""
     if depth > _MAX_DEPTH:
         return False  # give up; the copy path enforces the real limit
     for item in value:
         cls = type(item)
         if cls in BY_REFERENCE:
             continue
-        try:
-            check = _IMMUTABLE_CHECK[cls]
-        except KeyError:
-            check = _build_immutable_check(cls)
-            _IMMUTABLE_CHECK[cls] = check
-        if check is None or not check(item, depth + 1):
+        if _is_record(cls):
+            if not _items_immutable(item, depth + 1):
+                return False
+        elif not issubclass(cls, _PRIMITIVES):
             return False
     return True
-
-
-def _build_immutable_check(cls: type) -> Optional[Callable[[Any, int], bool]]:
-    """Classify ``cls`` for the zero-copy walk: a checker when instances can
-    be deeply immutable, None when they must always be copied.  Mirrors the
-    marshal handlers exactly — a checker may return True only where the
-    corresponding handler would return the value by reference."""
-    if cls in BY_REFERENCE or issubclass(cls, _PRIMITIVES):
-        return lambda value, depth: True
-    if cls is tuple or cls is frozenset:
-        return _items_immutable
-    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
-        return _items_immutable  # namedtuple of immutables
-    if (
-        cls in _TRANSFERABLE
-        and not hasattr(cls, "__marshal__")
-        and dataclasses.is_dataclass(cls)
-        and cls.__dataclass_params__.frozen
-    ):
-        names = tuple(f.name for f in dataclasses.fields(cls))
-
-        def check_fields(value: Any, depth: int) -> bool:
-            if depth > _MAX_DEPTH:
-                return False
-            for name in names:
-                item = getattr(value, name)
-                icls = type(item)
-                if icls in BY_REFERENCE:
-                    continue
-                try:
-                    check = _IMMUTABLE_CHECK[icls]
-                except KeyError:
-                    check = _build_immutable_check(icls)
-                    _IMMUTABLE_CHECK[icls] = check
-                if check is None or not check(item, depth + 1):
-                    return False
-            return True
-
-        return check_fields
-    return None
 
 
 # -- per-type handler construction -------------------------------------------------
 
 
 def _build_handler(cls: type) -> Callable[[Any, int], Any]:
-    """Classify ``cls`` once and return its specialized marshal handler.
-
-    The classification order mirrors the original isinstance chain, so
-    per-type dispatch is observationally identical to it (modulo the
-    documented by-reference returns for immutables), with one exception: a
-    transferable class's ``__marshal__`` protocol is consulted before the
-    dict branch, so a dict subclass that defines it is copied through it.
-    (``marshal`` returns a ``BY_REFERENCE`` type's value before it asks.)"""
+    """Classify ``cls`` once and return its marshal handler.  (``marshal``
+    returns a ``BY_REFERENCE`` type's value before it asks.)"""
     if issubclass(cls, _PRIMITIVES):  # a subclass of a primitive
         return lambda value, depth: value
-
-    if issubclass(cls, (list, tuple)):
-        if cls is tuple:
-            def handle_tuple(value, depth):
-                if _items_immutable(value, depth):
-                    return value
-                return tuple(marshal(v, depth + 1) for v in value)
-            return handle_tuple
-        if cls is list:
-            return _copy_list
-        if hasattr(cls, "_fields"):
-            # namedtuple-style: the constructor takes the fields positionally,
-            # not a single iterable
-            def handle_namedtuple(value, depth):
-                if _items_immutable(value, depth):
-                    return value
-                return cls(*[marshal(v, depth + 1) for v in value])
-            return handle_namedtuple
-        return lambda value, depth: cls([marshal(v, depth + 1) for v in value])
-
-    if issubclass(cls, (set, frozenset)):
-        if cls is frozenset:
-            def handle_frozenset(value, depth):
-                if _items_immutable(value, depth):
-                    return value
-                return frozenset(marshal(v, depth + 1) for v in value)
-            return handle_frozenset
-        return lambda value, depth: cls(marshal(v, depth + 1) for v in value)
-
-    if cls in _TRANSFERABLE and hasattr(cls, "__marshal__"):
-        # the protocol decides what crosses, for a dict subclass too: its
-        # raw items need not be transferable themselves
-        def handle_protocol(value, depth):
-            state = marshal(value.__marshal__(), depth + 1)
-            return cls.__unmarshal__(state)
-        return handle_protocol
-
     if issubclass(cls, dict):
-        if cls is not dict and cls in _TRANSFERABLE:
-            # registered dict subclass: preserve the type instead of
-            # silently decaying to a plain dict
-            return lambda value, depth: cls(_copy_dict(value, depth))
         return _copy_dict
+    if issubclass(cls, list):
+        return _copy_list
+    if cls is tuple:
+        def handle_tuple(value, depth):
+            if _items_immutable(value, depth):
+                return value
+            return tuple([marshal(v, depth + 1) for v in value])
+        return handle_tuple
+    if _is_record(cls):
+        # the constructor takes the fields positionally, not one iterable
+        def handle_record(value, depth):
+            if _items_immutable(value, depth):
+                return value
+            return cls(*[marshal(v, depth + 1) for v in value])
+        return handle_record
 
-    if cls in _TRANSFERABLE:
-        if dataclasses.is_dataclass(cls):
-            names = [f.name for f in dataclasses.fields(cls)]
-            frozen = cls.__dataclass_params__.frozen
-            def handle_dataclass(value, depth):
-                if frozen:
-                    check = _IMMUTABLE_CHECK.get(cls)
-                    if check is None:
-                        check = _build_immutable_check(cls)
-                        _IMMUTABLE_CHECK[cls] = check
-                    if check is not None and check(value, depth):
-                        return value
-                return cls(
-                    **{name: marshal(getattr(value, name), depth + 1) for name in names}
-                )
-            return handle_dataclass
-
-    if issubclass(cls, Exception):
-        # Exceptions cross the wire so remote errors surface at the caller.
-        return lambda value, depth: cls(*[marshal(a, depth + 1) for a in value.args])
-
-    def handle_unmarshalable(value, depth):
+    def refuse(value, depth):
         raise MarshalError(
             f"{cls.__module__}.{cls.__qualname__} is not transferable across the ORB"
         )
-    return handle_unmarshalable
+    return refuse

@@ -44,9 +44,8 @@ class CircuitBreaker:
     """One worker's breaker.  State transitions are lazy: OPEN reports
     HALF_OPEN once the cooldown has elapsed, without needing a timer."""
 
-    def __init__(self, config: Optional[BreakerConfig] = None, name: str = "") -> None:
+    def __init__(self, config: Optional[BreakerConfig] = None) -> None:
         self.config = config or BreakerConfig()
-        self.name = name
         self.failures = 0            # consecutive bad observations
         self.trips = 0               # times the breaker opened
         self.opened_at: Optional[float] = None

@@ -18,7 +18,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence
 
 # Event kinds (the closed vocabulary used by the execution service):
 #   dispatch, redispatch, hedge, timeout, failover, abandon, stagger,
-#   breaker-open, breaker-half-open, breaker-close, plus the overload
+#   breaker-open, breaker-close, plus the overload
 #   layer's admission decisions (docs/PROTOCOLS.md §13):
 #   queue, promote, shed, reject, window
 _GLYPH = {
@@ -30,7 +30,6 @@ _GLYPH = {
     "abandon": "✖",
     "stagger": "…",
     "breaker-open": "⊘",
-    "breaker-half-open": "◒",
     "breaker-close": "●",
     "queue": "⧖",
     "promote": "⇧",
@@ -59,7 +58,7 @@ class ResilienceEvent(NamedTuple):
         return f"t={self.time:<8.1f} {glyph} {self.kind}{where}{who}{detail}"
 
 
-EVENT_LIMIT = 2000  # entries kept; older ones are dropped and counted
+EVENT_LIMIT = 2000  # entries kept; older ones are dropped (``counts`` keeps them)
 
 
 class ResilienceLog:
@@ -70,7 +69,6 @@ class ResilienceLog:
         # oldest in O(1)
         self.entries: Deque[ResilienceEvent] = deque(maxlen=EVENT_LIMIT)
         self.counts: "Counter[str]" = Counter()
-        self.dropped = 0
 
     def record(
         self,
@@ -82,8 +80,6 @@ class ResilienceLog:
         detail: str = "",
     ) -> ResilienceEvent:
         event = tuple.__new__(ResilienceEvent, (time, kind, instance, task, worker, detail))
-        if len(self.entries) == EVENT_LIMIT:
-            self.dropped += 1
         self.entries.append(event)
         self.counts[kind] += 1
         return event

@@ -3,8 +3,9 @@
 Replaces the execution service's blind rotation (``(crc32(key) +
 redispatches) % len(workers)``) with an informed choice: every dispatch,
 reply and timeout updates a per-worker :class:`WorkerHealth` record — EWMA
-reply latency, current in-flight count, consecutive-failure streak and a
-:class:`~repro.resilience.breaker.CircuitBreaker` — and
+reply latency, current in-flight count and a
+:class:`~repro.resilience.breaker.CircuitBreaker`, whose count of
+consecutive failures is the worker's failure streak — and
 :meth:`HealthRegistry.route` picks the admissible worker with the lowest
 health score.  Scores and tie-breaks are fully deterministic, so simulated
 runs stay replayable.
@@ -32,7 +33,6 @@ class WorkerHealth:
     breaker: CircuitBreaker
     ewma_latency: Optional[float] = None   # None until first observation
     in_flight: int = 0
-    streak: int = 0                        # consecutive timeouts/failures
     replies: int = 0
     timeouts: int = 0
 
@@ -42,7 +42,7 @@ class WorkerHealth:
             "state": self.breaker.state(now).value,
             "ewma_latency": self.ewma_latency,
             "in_flight": self.in_flight,
-            "streak": self.streak,
+            "streak": self.breaker.failures,
             "replies": self.replies,
             "timeouts": self.timeouts,
             "trips": self.breaker.trips,
@@ -75,7 +75,7 @@ class HealthRegistry:
         The caller's cumulative trip count, kept from what :meth:`on_timeout`
         returns, is not touched."""
         self.workers = {
-            name: WorkerHealth(name, CircuitBreaker(self.config.breaker, name=name))
+            name: WorkerHealth(name, CircuitBreaker(self.config.breaker))
             for name in self._names
         }
 
@@ -94,7 +94,6 @@ class HealthRegistry:
             return
         health.in_flight = max(0, health.in_flight - 1)
         health.replies += 1
-        health.streak = 0
         if health.ewma_latency is None:
             health.ewma_latency = latency
         else:
@@ -110,11 +109,11 @@ class HealthRegistry:
             return False
         health.in_flight = max(0, health.in_flight - 1)
         health.timeouts += 1
-        health.streak += 1
-        if health.breaker.record_failure(now) is not BreakerState.OPEN:
+        breaker = health.breaker
+        if breaker.record_failure(now) is not BreakerState.OPEN:
             return False
         self.log.record(
-            now, "breaker-open", worker=name, detail=f"{health.streak} consecutive timeouts"
+            now, "breaker-open", worker=name, detail=f"{breaker.failures} consecutive timeouts"
         )
         return True
 
@@ -148,7 +147,7 @@ class HealthRegistry:
             key = (
                 latency
                 + self._INFLIGHT_WEIGHT * health.in_flight
-                + self._STREAK_WEIGHT * health.streak,
+                + self._STREAK_WEIGHT * health.breaker.failures,
                 name,
             )
             if best is None or key < best:

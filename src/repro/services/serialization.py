@@ -5,7 +5,9 @@ initial inputs, task results, marks, reconfigurations — in persistent atomic
 objects.  Stored values must be plain data (dicts/lists/strings/numbers), so
 object payloads carried by :class:`ObjectRef` are required to be plain data
 too; this mirrors the real system, where CORBA object references and IDL
-values are what crosses and persists.
+values are what crosses and persists.  The ORB is where a value that is not
+plain data is refused (:mod:`repro.orb.marshal`): a result carrying one
+fails its task at the worker and is never journaled.
 """
 
 from __future__ import annotations

@@ -345,10 +345,15 @@ class TaskWorker(Service):
                     iid, task_path, index, self.name, True, None, marks, None,
                     external=True,
                 )
+            reply = work_reply(iid, task_path, index, self.name, True, result, marks, None)
+            if type(reply) is not PlainWorkReply:
+                # copied here, as a mark is: a result the ORB refuses fails
+                # the task, not the leg that would carry it
+                reply = marshal(reply)
         except Exception as exc:
             return work_reply(iid, task_path, index, self.name, False, None, marks, repr(exc))
         # Crash here = the work happened but the reply never left: the
         # at-least-once redispatch will run the task again on some worker,
         # and only the journal's exactly-once application protects the tree.
         crash_point("worker.execute.post", self)
-        return work_reply(iid, task_path, index, self.name, True, result, marks, None)
+        return reply

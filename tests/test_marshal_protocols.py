@@ -1,101 +1,34 @@
-"""Additional coverage for ORB marshalling protocols: transferable
-dataclasses, the __marshal__/__unmarshal__ hook, structural copies of
-tuple/dict subclasses (namedtuples and registered containers), and the
-zero-copy fast path for deeply immutable values (docs/PROTOCOLS.md §11)."""
+"""Coverage for ORB marshalling (docs/PROTOCOLS.md §11): what crosses is
+plain data and proven records.  Tuples and records pass by reference when
+deeply immutable and are copied otherwise, lists and dicts are copied one
+loop per container, and anything else is refused; the zero-copy fast path,
+sealed types, the ORB's traffic in the paper applications, and the
+boundary a dispatch crosses."""
 
 import collections
 import dataclasses
 import importlib
-import threading
 import typing
 
 import pytest
 
 from repro.core.values import ObjectRef
 from repro.engine import outcome
-from repro.engine.plan import DispatchTemplate, compile_plan
-from repro.orb import MarshalError, marshal, marshal_call, sealed, transferable
-from repro.services import WorkflowSystem
+from repro.engine.plan import compile_plan
+from repro.orb import MarshalError, marshal, marshal_call, sealed
+from repro.services import EXECUTION_INTERFACE, WorkflowSystem
+from repro.services.execution import ExecutionError
 from repro.services.worker import TaskWorker, WorkRequest, work_request
-from repro.workloads import chain, paper_order, script_text
+from repro.workloads import APPLICATIONS, chain, paper_order, script_text
 
 # the module itself: the package's ``repro.orb.marshal`` is the function
 marshal_module = importlib.import_module("repro.orb.marshal")
 PlainDict = marshal_module.PlainDict
 
 
-@transferable
-@dataclasses.dataclass(frozen=True)
-class Money:
-    currency: str
-    amount: float
-
-
-@transferable
-class Envelope:
-    """Non-dataclass transferable via the explicit protocol."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __marshal__(self):
-        return {"inner": self.inner}
-
-    @classmethod
-    def __unmarshal__(cls, state):
-        return cls(state["inner"])
-
-    def __eq__(self, other):
-        return isinstance(other, Envelope) and other.inner == self.inner
-
-
-class TestTransferableDataclasses:
-    def test_registered(self):
-        assert Money in marshal_module._TRANSFERABLE
-
-    def test_frozen_immutable_passes_by_reference(self):
-        """Zero-copy fast path: a frozen dataclass whose fields are all
-        immutable is indistinguishable shared or copied, so marshal returns
-        it by reference."""
-        original = Money("EUR", 12.5)
-        copy = marshal(original)
-        assert copy == original
-        assert copy is original
-
-    def test_nested_inside_containers(self):
-        data = {"payments": [Money("EUR", 1.0), Money("USD", 2.0)]}
-        copy = marshal(data)
-        assert copy == data
-        assert copy["payments"][0] is data["payments"][0]  # immutable leaf
-        assert copy["payments"] is not data["payments"]  # mutable list copied
-
-    def test_frozen_with_mutable_field_still_copied(self):
-        @transferable
-        @dataclasses.dataclass(frozen=True)
-        class Basket:
-            items: list
-
-        original = Basket([1, 2])
-        copy = marshal(original)
-        assert copy == original
-        assert copy is not original
-        assert copy.items is not original.items
-
-    def test_mutable_dataclass_still_copied(self):
-        @transferable
-        @dataclasses.dataclass
-        class Counter:
-            n: int
-
-        original = Counter(3)
-        copy = marshal(original)
-        assert copy == original
-        assert copy is not original
-
-
 class TestZeroCopyFastPath:
     def test_immutable_tuple_by_reference(self):
-        value = (1, "a", (2.5, None), frozenset({"x"}))
+        value = (1, "a", (2.5, None), ObjectRef("Data", ("x",)))
         assert marshal(value) is value
 
     def test_tuple_with_mutable_member_copied(self):
@@ -112,18 +45,16 @@ class TestZeroCopyFastPath:
         for value in (
             (1, (2, 3)),
             Point(1, ("a", None)),
-            frozenset({1, (2, "b")}),
-            Money("EUR", 1.0),
-            (Money("EUR", 1.0), Point(0, 0)),
+            ObjectRef("Data", (1, "b")),
+            (ObjectRef("Data", 1.0), Point(0, 0)),
         ):
             assert marshal(value) is value, value
         for value in (
             [1, 2],
             {"k": (1, 2)},
-            {1, 2},
             (1, {"k": 2}),
             Point(1, [2]),
-            (1, Envelope(2)),
+            (1, ObjectRef("Data", [2])),
         ):
             copy = marshal(value)
             assert type(copy) is type(value), value
@@ -133,33 +64,6 @@ class TestZeroCopyFastPath:
         assert copy == nested
         copy[1].append(5)
         assert nested[1] == [2, (3, 4)]  # the far side cannot reach our list
-
-    def test_late_registration_invalidates_dispatch_cache(self):
-        """A type first marshalled (and rejected) before registration must be
-        re-classified after @transferable — the memoized dispatch cache may
-        not serve the stale 'unmarshalable' handler."""
-
-        @dataclasses.dataclass(frozen=True)
-        class LateComer:
-            tag: str
-
-        with pytest.raises(MarshalError):
-            marshal(LateComer("early"))
-
-        transferable(LateComer)
-        copy = marshal(LateComer("late"))
-        assert copy == LateComer("late")
-
-    def test_late_registration_of_dict_subclass(self):
-        """An unregistered dict subclass decays to plain dict; registering it
-        afterwards must flip the cached handler to type-preserving."""
-
-        class LateHeaders(dict):
-            pass
-
-        assert type(marshal(LateHeaders({"a": 1}))) is dict
-        transferable(LateHeaders)
-        assert type(marshal(LateHeaders({"a": 1}))) is LateHeaders
 
 
 class TestPlainContainers:
@@ -241,13 +145,6 @@ class TestPlainContainers:
 
 
 class TestMarshalProtocol:
-    def test_roundtrip_through_protocol(self):
-        env = Envelope({"k": [1, 2]})
-        copy = marshal(env)
-        assert copy == env
-        copy.inner["k"].append(3)
-        assert env.inner["k"] == [1, 2]  # deep copy
-
     def test_unregistered_class_rejected(self):
         class Opaque:
             pass
@@ -256,30 +153,93 @@ class TestMarshalProtocol:
             marshal([Opaque()])
 
 
+@dataclasses.dataclass(frozen=True)
+class Money:
+    currency: str
+    amount: float
+
+
+class Envelope:
+    """A class that says how to copy itself: the ORB does not ask."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __marshal__(self):
+        return {"inner": self.inner}
+
+    @classmethod
+    def __unmarshal__(cls, state):
+        return cls(state["inner"])
+
+
+class TestRefused:
+    """Only plain data and records cross: a set, a dataclass, an exception
+    or a class with a copy protocol of its own is refused, by name, alone
+    or inside a container."""
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, frozenset({1}), Money("EUR", 1.0), ValueError("boom"), Envelope(1),
+    ], ids=["set", "frozenset", "dataclass", "exception", "protocol"])
+    def test_refused_by_name(self, value):
+        name = type(value).__qualname__
+        for wrapped in (value, [value], {"k": value}, (1, value), ObjectRef("Data", value)):
+            with pytest.raises(MarshalError, match=f"{name} is not transferable"):
+                marshal(wrapped)
+
+
+class TestTraffic:
+    """What the system sends: the paper applications under a worker crash
+    and loss, with every client operation called, build handlers for
+    exact dicts, lists and tuples and for record types only."""
+
+    @pytest.mark.parametrize("replicas", [0, 2])
+    def test_only_plain_data_and_records_cross(self, replicas):
+        marshal_module._DISPATCH.clear()
+        called = set()
+        for app in APPLICATIONS.values():
+            system = WorkflowSystem(workers=2, replicas=replicas, seed=3, loss_rate=0.1)
+            app.binder(system.registry)
+            system.deploy(app.script_name, app.text)
+            client = system.execution_proxy()
+            iid = system.instantiate(app.script_name, app.root_task, app.inputs(0))
+            system.clock.advance(3.0)
+            system.worker_nodes[0].crash()
+            assert system.run_until_terminal(iid, max_time=3_000.0)["status"] == "completed"
+            other = system.instantiate(app.script_name, app.root_task, app.inputs(1))
+            waiting = [row["path"] for row in client.tasks(other) if row["state"] == "wait"]
+            for operation, args in [
+                ("status", (iid,)), ("result", (iid,)), ("list_instances", ()),
+                ("tasks", (iid,)), ("trace", (iid,)), ("external_tasks", (iid,)),
+                ("resilience_report", ()), ("reconfigure", (other, app.text)),
+                ("force_abort", (other, waiting[-1])),
+                ("complete_task", (other, waiting[-1], "done", {"out": ["x"]})),
+                ("compact", ()),
+            ]:
+                try:
+                    getattr(client, operation)(*args)
+                except ExecutionError:
+                    pass  # refused: the arguments crossed, the refusal is raised as it stands
+                called.add(operation)
+            adopter = WorkflowSystem(workers=1, replicas=replicas)
+            app.binder(adopter.registry)
+            assert adopter.execution_proxy().import_instance(client.export_instance(iid)) == iid
+            called |= {"instantiate", "export_instance", "import_instance"}
+        assert called == set(EXECUTION_INTERFACE.operations)
+        handled = set(marshal_module._DISPATCH)
+        assert {dict, list} <= handled  # the client calls' answers
+        assert all(
+            cls in (dict, list, tuple) or (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+            for cls in handled
+        ), handled
+
+
 Point = collections.namedtuple("Point", ["x", "y"])
 
 
 class TypedPoint(typing.NamedTuple):
     x: int
     payload: list
-
-
-@transferable
-class Headers(dict):
-    """Registered dict subclass: the subclass type must survive the copy."""
-
-
-@transferable
-class LockTable(dict):
-    """Registered dict subclass whose protocol says what crosses: the names
-    of its locks, not the locks."""
-
-    def __marshal__(self):
-        return {"names": sorted(self)}
-
-    @classmethod
-    def __unmarshal__(cls, state):
-        return cls({name: threading.Lock() for name in state["names"]})
 
 
 class AnonymousBag(dict):
@@ -312,36 +272,10 @@ class TestTupleSubclasses:
 
 
 class TestDictSubclasses:
-    def test_registered_subclass_type_preserved(self):
-        """Regression: registered dict subclasses silently decayed to plain
-        dicts because the dict branch never consulted the registry."""
-        original = Headers({"a": [1]})
-        copy = marshal(original)
-        assert type(copy) is Headers
-        assert copy == {"a": [1]}
-        copy["a"].append(2)
-        assert original["a"] == [1]
-
     def test_unregistered_subclass_decays_to_plain_dict(self):
         copy = marshal(AnonymousBag({"k": "v"}))
         assert type(copy) is dict
         assert copy == {"k": "v"}
-
-
-class TestDictSubclassProtocol:
-    def test_protocol_takes_precedence_over_the_raw_items(self):
-        """Regression: a transferable dict subclass with ``__marshal__`` was
-        refused when its raw items were not transferable, because its items
-        were copied before the protocol was looked at."""
-        original = LockTable(a=threading.Lock())
-        copy = marshal(original)
-        assert type(copy) is LockTable
-        assert list(copy) == ["a"]
-        assert copy["a"] is not original["a"]
-
-    def test_without_the_protocol_the_raw_items_must_cross(self):
-        with pytest.raises(MarshalError):
-            marshal(Headers(a=threading.Lock()))
 
 
 class TestSealed:
@@ -385,15 +319,13 @@ class TestSealed:
             class Mutable:
                 n: int
 
-    def test_sealed_type_is_transferable(self):
-        assert DispatchTemplate in marshal_module._TRANSFERABLE
-
 
 class TestMarshalCall:
     def test_args_and_kwargs_copied(self):
-        args, kwargs = marshal_call((Money("EUR", 3.0),), {"note": "hi"})
-        assert args[0] == Money("EUR", 3.0)
-        assert kwargs == {"note": "hi"}
+        ref = ObjectRef("Money", ("EUR", 3.0))
+        args, kwargs = marshal_call((ref, [1, 2]), {"note": "hi", "items": {"k": [3]}})
+        assert args == (ref, [1, 2]) and args[0] is ref
+        assert kwargs == {"note": "hi", "items": {"k": [3]}}
 
     def test_unmarshalable_kwarg_rejected(self):
         class Opaque:

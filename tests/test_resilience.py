@@ -105,9 +105,7 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def make(self, threshold=3, cooldown=60.0):
-        return CircuitBreaker(
-            BreakerConfig(failure_threshold=threshold, cooldown=cooldown), name="w"
-        )
+        return CircuitBreaker(BreakerConfig(failure_threshold=threshold, cooldown=cooldown))
 
     def test_starts_closed_and_allows(self):
         b = self.make()
@@ -226,7 +224,7 @@ class TestHealthRouting:
             reg.on_timeout("w1", now=t)
         reg.reset()
         assert reg.workers["w1"].breaker.state(4.0) is BreakerState.CLOSED
-        assert reg.workers["w1"].streak == 0
+        assert reg.workers["w1"].breaker.failures == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 as the model: it listed the candidates, asked every candidate's breaker
 ``allow`` (a half-open admission takes a probe slot, chosen or not), and
 took the minimum ``(score, name)`` over the admitted, or over all candidates
-when none was admitted; ``reference_score`` is the score it ranked by.  ``route`` now scores and admits in one pass and asks
+when none was admitted; ``reference_score`` is the score it ranked by, its
+failure streak read where the registry keeps it, the breaker's count of
+consecutive failures.  ``route`` now scores and admits in one pass and asks
 only a breaker that is not closed.  Driven through the same breaker states,
 half-open probe counts, EWMA / in-flight / streak values and ``exclude``
 sets, the two must choose the same worker and leave every breaker the same.
@@ -48,7 +50,7 @@ def reference_score(self: HealthRegistry, name: str) -> float:
     return (
         latency
         + self._INFLIGHT_WEIGHT * health.in_flight
-        + self._STREAK_WEIGHT * health.streak
+        + self._STREAK_WEIGHT * health.breaker.failures
     )
 
 
@@ -86,7 +88,7 @@ class RouteAgainstReference(RuleBasedStateMachine):
             health = registry.workers[name]
             health.ewma_latency = latency
             health.in_flight = in_flight
-            health.streak = streak
+            health.breaker.failures = streak
 
     @rule(name=workers, opened_at=st.sampled_from([None, 0.0, 3.0, 8.0]), probes=counts)
     def set_breaker(self, name, opened_at, probes):

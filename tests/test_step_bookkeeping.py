@@ -326,7 +326,6 @@ class TestResilienceLogBound:
         assert [e.time for e in log.entries] == [
             float(n) for n in range(extra, EVENT_LIMIT + extra)
         ]
-        assert log.dropped == extra
         assert sum(log.summary().values()) == EVENT_LIMIT + extra
         assert [e.time for e in log.for_instance("wf-1")] == [
             float(n) for n in range(extra, EVENT_LIMIT + extra) if n % 3 == 1

@@ -28,7 +28,7 @@ from repro.engine import outcome
 from repro.engine.context import TaskResult
 from repro.engine.plan import compile_plan
 from repro.net import EventClock, LatencyModel, Network, Node
-from repro.orb import ObjectBroker, marshal
+from repro.orb import MarshalError, ObjectBroker, marshal
 from repro.orb.marshal import PlainDict
 from repro.services import WorkflowSystem
 from repro.services import worker as worker_module
@@ -53,8 +53,6 @@ values = st.recursive(
         st.tuples(inner, inner),
         st.lists(inner, max_size=2),
         st.dictionaries(st.text(max_size=2), inner, max_size=2),
-        st.frozensets(primitives, max_size=2),
-        st.sets(primitives, max_size=2),
     ),
     max_leaves=4,
 )
@@ -134,6 +132,16 @@ class TestPlainProof:
         assert type(request) is dict
         copy = marshal(request)
         assert copy == request and copy["inputs"][0][1] is not ref
+
+    @pytest.mark.parametrize("value", [{1}, frozenset({1})], ids=["set", "frozenset"])
+    def test_a_set_is_not_proven_and_the_orb_refuses_it(self, value):
+        ref = ObjectRef("Data", value)
+        request = worker_module.work_request("wf", 1, TEMPLATE, "main", {"inp": ref}, 1, 0, "x", 0)
+        mark = worker_module.mark_record("wf", "t", 1, "m", {"c": ref})
+        assert type(request) is dict and type(mark) is worker_module.MarkRecord
+        for record in (request, mark):
+            with pytest.raises(MarshalError, match="set is not transferable"):
+                marshal(record)
 
     def test_a_twins_own_constructors_prove_by_the_walk(self):
         plain = worker_module.PlainMarkRecord
@@ -250,6 +258,19 @@ class TestIsolation:
         tree = system.execution.runtimes[iid].tree
         assert tree.node_at("pipeline/t1").chosen[1]["inp"].value == ["original"]
         assert tree.node_at("pipeline/t2").chosen[1]["inp"].value == ["original", "worker was here"]
+
+
+    @pytest.mark.parametrize("value", [object(), {1}], ids=["object", "set"])
+    def test_a_result_the_orb_refuses_fails_the_task_not_the_run(self, value):
+        """The worker copies an unproven reply inside the task's ``try``, so
+        the refusal is the task's failure and takes the retry/abort path."""
+        system, root = chain_system(lambda ctx: outcome("done", out=value), length=1)
+        iid = system.instantiate("chain", root, {"inp": "x"})
+        result = system.run_until_terminal(iid)
+        assert result["status"] == "failed"
+        assert "retries exhausted" in result["error"]
+        assert f"{type(value).__qualname__} is not transferable" in result["error"]
+        assert journaled_outputs(system, iid) == []
 
 
 class TestMarkCrossesAsMarked:

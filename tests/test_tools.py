@@ -152,11 +152,17 @@ class TestCli:
     def test_a_bad_script_is_one_line_not_a_traceback(self, command, text, tmp_path, capsys):
         bad = tmp_path / "bad.wf"
         bad.write_text(text, encoding="utf-8")
-        assert main([command, str(bad)]) == 1
+        # a parse error exits 2, as for every script subcommand; an invalid
+        # script that parses exits 1
+        unparsable = text.endswith("{")
+        assert main([command, str(bad)]) == (2 if unparsable else 1)
         captured = capsys.readouterr()
-        assert captured.err.startswith("INVALID: ") and captured.out == ""
+        prefix = f"{bad}: PARSE ERROR: " if unparsable else "INVALID: "
+        assert captured.err.startswith(prefix) and captured.out == ""
 
-    @pytest.mark.parametrize("command", ["analyze", "format"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "format", "validate", "inspect", "plan", "dot"]
+    )
     def test_an_unparsable_script_is_one_line_and_exit_2(self, command, tmp_path, capsys):
         bad = tmp_path / "bad.wf"
         bad.write_text("task t of taskclass {", encoding="utf-8")
